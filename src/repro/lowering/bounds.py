@@ -8,7 +8,7 @@ are non-negative, which the rules below assume.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..tir import (
     Add,
@@ -21,8 +21,9 @@ from ..tir import (
     PrimExpr,
     Sub,
     Var,
-    collect_vars,
+    affine_coeffs,
     const_int,
+    free_vars,
     simplify,
 )
 
@@ -34,7 +35,7 @@ class BoundsError(Exception):
 
 
 def _has_inner(expr: PrimExpr, inner: Dict[Var, int]) -> bool:
-    return any(v in inner for v in collect_vars(expr))
+    return not inner.keys().isdisjoint(free_vars(expr))
 
 
 def symbolic_bound(expr: PrimExpr, inner: Dict[Var, int], want_lo: bool) -> PrimExpr:
@@ -107,7 +108,6 @@ def infer_region(
     extents: List[int] = []
     for d in range(ndim):
         lo_exprs = [symbolic_bound(t[d], inner, want_lo=True) for t in index_tuples]
-        hi_exprs = [symbolic_bound(t[d], inner, want_lo=False) for t in index_tuples]
         lo = lo_exprs[0]
         for other in lo_exprs[1:]:
             if const_int(simplify(Sub(other, lo))) != 0:
@@ -116,8 +116,8 @@ def infer_region(
                     f" {d}: {lo!r} vs {other!r}"
                 )
         extent_candidates = []
-        for hi in hi_exprs:
-            ext = const_int(simplify(Add(Sub(hi, lo), IntImm(1))))
+        for t in index_tuples:
+            ext = _extent(t[d], lo, inner)
             if ext is None:
                 raise BoundsError(
                     f"cache region extent is not constant in dimension {d}"
@@ -129,3 +129,26 @@ def infer_region(
         base.append(lo)
         extents.append(ext)
     return base, extents
+
+
+def _extent(index: PrimExpr, lo: PrimExpr, inner: Dict[Var, int]) -> Optional[int]:
+    """``max(index) - lo + 1`` over the inner variables, if constant."""
+    if index.dtype == "int32" and affine_coeffs(index) is not None:
+        # outer terms cancel against ``lo``: no upper bound to build
+        return _affine_span(index, inner) + 1
+    hi = symbolic_bound(index, inner, want_lo=False)
+    return const_int(simplify(Add(Sub(hi, lo), IntImm(1))))
+
+
+def _affine_span(expr: PrimExpr, inner: Dict[Var, int]) -> int:
+    """``max - min`` of an affine tree (sums and constant multiples of
+    variables) over the inner variables, following :func:`_bound`."""
+    if not _has_inner(expr, inner):
+        return 0
+    if isinstance(expr, Var):
+        return inner[expr] - 1
+    if isinstance(expr, Mul):
+        if isinstance(expr.b, IntImm):
+            return abs(expr.b.value) * _affine_span(expr.a, inner)
+        return abs(expr.a.value) * _affine_span(expr.b, inner)
+    return _affine_span(expr.a, inner) + _affine_span(expr.b, inner)

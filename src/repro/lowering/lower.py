@@ -22,11 +22,14 @@ from ..tir import (
     Buffer,
     BufferLoad,
     BufferStore,
+    Call,
+    Evaluate,
     For,
     ForKind,
     IfThenElse,
     Interval,
     IntImm,
+    Intrin,
     Max,
     Min,
     PrimExpr,
@@ -38,8 +41,10 @@ from ..tir import (
     collect_loads,
     eval_interval,
     iter_stmts,
+    prove_lt,
     seq,
     simplify,
+    simplify_stmt,
     substitute,
     substitute_stmt,
 )
@@ -106,8 +111,6 @@ def lower(
     kernel_body, transfers, internal_mram = _extract_mram(
         kernel_body, grid, inputs, schedule
     )
-    from ..tir import simplify_stmt
-
     simplified = simplify_stmt(kernel_body)
     if simplified is None:
         raise LoweringError("kernel simplified to nothing")
@@ -379,8 +382,6 @@ class _StageBuilder:
             for d, (idx, ax) in enumerate(zip(src_idx, axes)):
                 ranges_d = dict(ranges)
                 ranges_d[ax] = (0, extents[d])
-                from ..tir import prove_lt
-
                 if prove_lt(idx, IntImm(src.shape[d]), ranges_d) is not True:
                     guards.append(simplify(idx < src.shape[d]))
             cond = all_of(guards)
@@ -408,8 +409,6 @@ class _StageBuilder:
             for d, (idx, ax) in enumerate(zip(dst_idx, axes)):
                 ranges_d = dict(ranges)
                 ranges_d[ax] = (0, self.acc_buffer.shape[d])
-                from ..tir import prove_lt
-
                 if prove_lt(idx, IntImm(out.shape[d]), ranges_d) is not True:
                     guards.append(simplify(idx < out.shape[d]))
             cond = all_of(guards)
@@ -483,8 +482,6 @@ def _assemble_kernel(builders: Sequence[_StageBuilder]):
     if len(bodies) == 1:
         kernel = bodies[0]
     else:
-        from ..tir import Call, Evaluate, Intrin
-
         joined: List[Stmt] = []
         for i, b in enumerate(bodies):
             if i:
@@ -494,31 +491,31 @@ def _assemble_kernel(builders: Sequence[_StageBuilder]):
     return grid, kernel, wram_buffers, per_tasklet, n_tasklets
 
 
-class _MramRewriter(StmtMutator):
-    """Redirect global-buffer accesses inside the kernel to MRAM tiles."""
+class _TileRewriter(StmtMutator):
+    """Redirect accesses of mapped buffers to their tiles.
+
+    ``mapping`` sends a buffer to ``(tile, base)``; an access at ``idx``
+    becomes an access of ``tile`` at ``idx - base``.  Used for the WRAM
+    caches of one stage and for the per-DPU MRAM tiles of the kernel.
+    """
 
     def __init__(self, mapping: Dict[Buffer, Tuple[Buffer, List[PrimExpr]]]):
         self.mapping = mapping
 
+    def _tile_indices(self, indices, base) -> List[PrimExpr]:
+        return [simplify(Sub(self.visit(i), b)) for i, b in zip(indices, base)]
+
     def visit_BufferLoad(self, node: BufferLoad) -> Optional[PrimExpr]:
         if node.buffer in self.mapping:
             local, base = self.mapping[node.buffer]
-            idx = [
-                simplify(Sub(self.visit(i), b))
-                for i, b in zip(node.indices, base)
-            ]
-            return BufferLoad(local, idx)
+            return BufferLoad(local, self._tile_indices(node.indices, base))
         return self.generic_visit(node)
 
     def visit_BufferStore(self, node: BufferStore) -> Optional[Stmt]:
         value = self.visit(node.value)
         if node.buffer in self.mapping:
             local, base = self.mapping[node.buffer]
-            idx = [
-                simplify(Sub(self.visit(i), b))
-                for i, b in zip(node.indices, base)
-            ]
-            return BufferStore(local, value, idx)
+            return BufferStore(local, value, self._tile_indices(node.indices, base))
         idx = [self.visit(i) for i in node.indices]
         return BufferStore(node.buffer, value, idx)
 
@@ -592,7 +589,7 @@ def _extract_mram(
         else:  # pragma: no cover - defensive
             internal.append(local)
 
-    new_kernel = _MramRewriter(mapping).visit_stmt(kernel)
+    new_kernel = _TileRewriter(mapping).visit_stmt(kernel)
     assert new_kernel is not None
     return new_kernel, transfers, internal
 
@@ -630,16 +627,4 @@ def rewrite_cached_loads(
     """Redirect loads of cached buffers to their WRAM tiles."""
     if not rewrites:
         return expr
-
-    class _Rewriter(StmtMutator):
-        def visit_BufferLoad(self, node: BufferLoad) -> PrimExpr:
-            if node.buffer in rewrites:
-                cbuf, base = rewrites[node.buffer]
-                idx = [
-                    simplify(Sub(self.visit(i), b))
-                    for i, b in zip(node.indices, base)
-                ]
-                return BufferLoad(cbuf, idx)
-            return self.generic_visit(node)
-
-    return _Rewriter().visit(expr)
+    return _TileRewriter(rewrites).visit(expr)

@@ -29,7 +29,7 @@ from ..tir import (
     SeqStmt,
     Stmt,
     collect_loads,
-    collect_vars,
+    free_vars,
     iter_stmts,
     seq,
 )
@@ -95,7 +95,7 @@ class _Hoister(StmtMutator):
         if (
             isinstance(inner, IfThenElse)
             and inner.else_case is None
-            and node.var not in collect_vars(inner.condition)
+            and node.var not in free_vars(inner.condition)
         ):
             self.changed = True
             return IfThenElse(

@@ -417,9 +417,8 @@ class Schedule:
         self.stages[idx : idx + 1] = [rf_stage, final_stage]
         self._stage_of_buffer[rf_tensor.buffer] = rf_stage
         self._stage_of_buffer[op.tensor.buffer] = final_stage
-        _PRODUCERS[rf_tensor.buffer] = rf_tensor
         return rf_tensor
 
 
-# Registry mapping buffers to producing tensors (filled by Tensor.__init__).
+# Registry mapping buffers to the tensors declared with them.
 from ..te.operation import PRODUCERS as _PRODUCERS  # noqa: E402

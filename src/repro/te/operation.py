@@ -94,8 +94,17 @@ class Operation:
         raise NotImplementedError
 
 
-# Buffer -> producing Tensor, used by Schedule to walk the operation graph.
+# Buffer -> producing Tensor for tensors declared through placeholder() /
+# compute(), used by Schedule to walk the operation graph.  Tensors that
+# schedule primitives create (caches, rfactor stages) are not listed: a
+# schedule finds those through its own stages, and a process-wide entry
+# would keep every tuning candidate's operations alive forever.
 PRODUCERS: dict = {}
+
+
+def _declared(tensor: "Tensor") -> "Tensor":
+    PRODUCERS[tensor.buffer] = tensor
+    return tensor
 
 
 class Tensor:
@@ -111,7 +120,6 @@ class Tensor:
     def __init__(self, op: Operation, buffer: Buffer) -> None:
         self.op = op
         self.buffer = buffer
-        PRODUCERS[buffer] = self
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -213,7 +221,7 @@ def placeholder(
     shape: Sequence[int], dtype: str = "float32", name: Optional[str] = None
 ) -> Tensor:
     """Declare an input tensor."""
-    return PlaceholderOp(name or _fresh_name("ph"), shape, dtype).output()
+    return _declared(PlaceholderOp(name or _fresh_name("ph"), shape, dtype).output())
 
 
 def reduce_axis(extent: int, name: Optional[str] = None) -> IterVar:
@@ -257,7 +265,7 @@ def compute(
     if isinstance(result, Reduce):
         body = result.expr
         out_dtype = dtype or body.dtype
-        return ComputeOp(
+        op = ComputeOp(
             name,
             axis,
             result.axes,
@@ -265,10 +273,11 @@ def compute(
             out_dtype,
             combiner=result.combiner,
             identity=result.identity,
-        ).output()
+        )
+        return _declared(op.output())
     body = as_expr(result)
     out_dtype = dtype or body.dtype
-    return ComputeOp(name, axis, (), body, out_dtype).output()
+    return _declared(ComputeOp(name, axis, (), body, out_dtype).output())
 
 
 def identity_value(combiner: str, dtype: str) -> PrimExpr:

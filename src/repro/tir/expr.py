@@ -4,6 +4,13 @@ The IR mirrors the subset of TVM's TIR that ATiM's lowering pipeline
 produces: integer/float scalar expressions with affine index arithmetic,
 comparisons, boolean connectives and buffer loads.  Nodes are immutable;
 transformations build new trees (see :mod:`repro.tir.visitor`).
+
+Because nodes never change, facts about a subtree are computed once from
+the children's facts and kept on the node: its variables
+(:func:`free_vars`), its affine decomposition and whether it already is a
+simplifier normal form (both owned by :mod:`repro.tir.simplify`).  These
+cache slots are derived data — they are left out of pickles and die with
+the node.
 """
 
 from __future__ import annotations
@@ -41,7 +48,11 @@ __all__ = [
     "as_expr",
     "all_of",
     "any_of",
+    "free_vars",
 ]
+
+#: Slots holding facts derived from the subtree; never pickled.
+_CACHE_SLOTS = frozenset({"_vars", "_normal", "_affine"})
 
 
 def _result_dtype(a: "PrimExpr", b: "PrimExpr") -> str:
@@ -61,10 +72,38 @@ class PrimExpr:
     nodes, so index math reads naturally: ``i * 16 + j``.
     """
 
-    __slots__ = ("dtype",)
+    __slots__ = ("dtype", "_vars", "_normal")
+    #: Slots that make up the node itself (everything but the caches).
+    _state_slots: Tuple[str, ...] = ("dtype",)
 
     def __init__(self, dtype: str) -> None:
         self.dtype = dtype
+        self._vars: Optional[Tuple["Var", ...]] = None  # see free_vars()
+        self._normal = False  # set by simplify() on its results
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._state_slots = tuple(
+            name
+            for klass in reversed(cls.__mro__)
+            for name in klass.__dict__.get("__slots__", ())
+            if name not in _CACHE_SLOTS
+        )
+
+    def children(self) -> Tuple["PrimExpr", ...]:
+        """Direct sub-expressions."""
+        return ()
+
+    # Pickles hold the node, not what was derived from it: the layout is
+    # the one slot-pickling produced before the caches existed.
+    def __getstate__(self):
+        return None, {name: getattr(self, name) for name in self._state_slots}
+
+    def __setstate__(self, state) -> None:
+        self._vars = None
+        self._normal = False
+        for name, value in state[1].items():
+            setattr(self, name, value)
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
@@ -120,12 +159,8 @@ class PrimExpr:
     def not_equal(self, other) -> "NE":
         return NE(self, as_expr(other))
 
-    # Identity-based equality/hash so nodes can live in dicts/sets.
-    def __eq__(self, other):  # pragma: no cover - trivial
-        return self is other
-
-    def __hash__(self):  # pragma: no cover - trivial
-        return id(self)
+    # ``==`` is not overloaded: nodes compare and hash by identity (the
+    # object default), so they can live in dicts/sets.
 
     def __repr__(self) -> str:
         from .printer import expr_to_str
@@ -141,6 +176,7 @@ class Var(PrimExpr):
     def __init__(self, name: str, dtype: str = "int32") -> None:
         super().__init__(dtype)
         self.name = name
+        self._normal = True
 
 
 class IntImm(PrimExpr):
@@ -151,6 +187,8 @@ class IntImm(PrimExpr):
     def __init__(self, value: int, dtype: str = "int32") -> None:
         super().__init__(dtype)
         self.value = int(value)
+        self._vars = ()
+        self._normal = True
 
 
 class FloatImm(PrimExpr):
@@ -161,12 +199,14 @@ class FloatImm(PrimExpr):
     def __init__(self, value: float, dtype: str = "float32") -> None:
         super().__init__(dtype)
         self.value = float(value)
+        self._vars = ()
+        self._normal = True
 
 
 class BinaryOp(PrimExpr):
     """Common base for binary arithmetic nodes."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_affine")
     op_name = "?"
 
     def __init__(self, a, b, dtype: Optional[str] = None) -> None:
@@ -175,6 +215,14 @@ class BinaryOp(PrimExpr):
         super().__init__(dtype or _result_dtype(a, b))
         self.a = a
         self.b = b
+        self._affine = None  # owned by simplify._affine()
+
+    def children(self):
+        return self.a, self.b
+
+    def __setstate__(self, state) -> None:
+        self._affine = None
+        super().__setstate__(state)
 
 
 class Add(BinaryOp):
@@ -259,6 +307,9 @@ class Not(PrimExpr):
         super().__init__("bool")
         self.a = as_expr(a)
 
+    def children(self):
+        return (self.a,)
+
 
 class Select(PrimExpr):
     """``cond ? true_value : false_value`` without short-circuiting."""
@@ -273,6 +324,9 @@ class Select(PrimExpr):
         self.true_value = tv
         self.false_value = fv
 
+    def children(self):
+        return self.cond, self.true_value, self.false_value
+
 
 class BufferLoad(PrimExpr):
     """Read ``buffer[indices...]``."""
@@ -283,6 +337,9 @@ class BufferLoad(PrimExpr):
         super().__init__(buffer.dtype)
         self.buffer = buffer
         self.indices: Tuple[PrimExpr, ...] = tuple(as_expr(i) for i in indices)
+
+    def children(self):
+        return self.indices
 
 
 class Call(PrimExpr):
@@ -295,6 +352,9 @@ class Call(PrimExpr):
         self.op = op
         self.args = tuple(as_expr(a) for a in args)
 
+    def children(self):
+        return self.args
+
 
 class Cast(PrimExpr):
     """Convert ``value`` to ``dtype``."""
@@ -304,6 +364,9 @@ class Cast(PrimExpr):
     def __init__(self, value, dtype: str) -> None:
         super().__init__(dtype)
         self.value = as_expr(value)
+
+    def children(self):
+        return (self.value,)
 
 
 def const(value, dtype: str = "int32") -> PrimExpr:
@@ -326,6 +389,29 @@ def as_expr(value) -> PrimExpr:
     if isinstance(value, float):
         return FloatImm(value)
     raise TypeError(f"cannot convert {value!r} to PrimExpr")
+
+
+def free_vars(expr: PrimExpr) -> Tuple[Var, ...]:
+    """The distinct variables of ``expr`` in first-seen (post-order) order.
+
+    Computed once per node from its children's tuples, which are shared
+    where only one child has variables; expressions hold few variables, so
+    a tuple beats a set in both space and lookup time.
+    """
+    found = expr._vars
+    if found is None:
+        if type(expr) is Var:
+            found = (expr,)
+        else:
+            found = ()
+            for child in expr.children():
+                below = free_vars(child)
+                if not found:
+                    found = below
+                elif below is not found:
+                    found += tuple(v for v in below if v not in found)
+        expr._vars = found
+    return found
 
 
 def all_of(conds: Sequence[PrimExpr]) -> Optional[PrimExpr]:

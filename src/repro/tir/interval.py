@@ -136,36 +136,22 @@ def eval_interval(
     Returns ``None`` for expressions the analysis cannot handle (loads,
     calls, float arithmetic).  Missing variables are treated as unbounded.
     """
-    if isinstance(expr, E.IntImm):
-        return Interval.point(expr.value)
-    if isinstance(expr, E.Var):
-        return env.get(expr, Interval.everything())
-    if isinstance(expr, E.Cast):
-        return eval_interval(expr.value, env)
-    if isinstance(expr, E.BinaryOp):
+    kind = type(expr)
+    if kind is E.IntImm:
+        return Interval(expr.value, expr.value)
+    if kind is E.Var:
+        known = env.get(expr)
+        return Interval(None, None) if known is None else known
+    combine = _BINARY.get(kind)
+    if combine is not None:
         a = eval_interval(expr.a, env)
         b = eval_interval(expr.b, env)
         if a is None or b is None:
             return None
-        if isinstance(expr, E.Add):
-            return a + b
-        if isinstance(expr, E.Sub):
-            return a - b
-        if isinstance(expr, E.Mul):
-            return a * b
-        if isinstance(expr, E.FloorDiv):
-            return a.floordiv(b)
-        if isinstance(expr, E.FloorMod):
-            return a.floormod(b)
-        if isinstance(expr, E.Min):
-            return a.min_with(b)
-        if isinstance(expr, E.Max):
-            return a.max_with(b)
-        if isinstance(expr, (E.CmpOp, E.And, E.Or)):
-            truth = _cmp_interval(expr, a, b)
-            return truth
-        return None
-    if isinstance(expr, E.Select):
+        return combine(a, b)
+    if kind is E.Cast:
+        return eval_interval(expr.value, env)
+    if kind is E.Select:
         t = eval_interval(expr.true_value, env)
         f = eval_interval(expr.false_value, env)
         if t is None or f is None:
@@ -174,61 +160,77 @@ def eval_interval(
     return None
 
 
-def _cmp_interval(expr: E.BinaryOp, a: Interval, b: Interval) -> Interval:
-    """Interval of a boolean expression as {0,1} subsets."""
+# Booleans are the {0, 1} subsets: always true, never true, or either.
+_TRUE = Interval(1, 1)
+_FALSE = Interval(0, 0)
+_EITHER = Interval(0, 1)
 
-    def truth(always: bool, never: bool) -> Interval:
-        if always:
-            return Interval.point(1)
-        if never:
-            return Interval.point(0)
-        return Interval(0, 1)
 
-    def lt(x: Interval, y: Interval) -> Interval:
-        always = x.hi is not None and y.lo is not None and x.hi < y.lo
-        never = x.lo is not None and y.hi is not None and x.lo >= y.hi
-        return truth(always, never)
+def _lt(x: Interval, y: Interval) -> Interval:
+    if x.hi is not None and y.lo is not None and x.hi < y.lo:
+        return _TRUE
+    if x.lo is not None and y.hi is not None and x.lo >= y.hi:
+        return _FALSE
+    return _EITHER
 
-    def le(x: Interval, y: Interval) -> Interval:
-        always = x.hi is not None and y.lo is not None and x.hi <= y.lo
-        never = x.lo is not None and y.hi is not None and x.lo > y.hi
-        return truth(always, never)
 
-    if isinstance(expr, E.LT):
-        return lt(a, b)
-    if isinstance(expr, E.LE):
-        return le(a, b)
-    if isinstance(expr, E.GT):
-        return lt(b, a)
-    if isinstance(expr, E.GE):
-        return le(b, a)
-    if isinstance(expr, E.EQ):
-        if a.is_point and b.is_point:
-            return Interval.point(1 if a.lo == b.lo else 0)
-        disjoint = (
-            a.hi is not None
-            and b.lo is not None
-            and a.hi < b.lo
-            or a.lo is not None
-            and b.hi is not None
-            and a.lo > b.hi
-        )
-        return Interval.point(0) if disjoint else Interval(0, 1)
-    if isinstance(expr, E.NE):
-        eq = _cmp_interval(E.EQ(expr.a, expr.b), a, b)
-        if eq.is_point:
-            return Interval.point(1 - eq.lo)
-        return Interval(0, 1)
-    if isinstance(expr, E.And):
-        if a.is_point and a.lo == 0 or b.is_point and b.lo == 0:
-            return Interval.point(0)
-        if a.is_point and a.lo == 1 and b.is_point and b.lo == 1:
-            return Interval.point(1)
-        return Interval(0, 1)
-    if isinstance(expr, E.Or):
-        if a.is_point and a.lo == 1 or b.is_point and b.lo == 1:
-            return Interval.point(1)
-        if a.is_point and a.lo == 0 and b.is_point and b.lo == 0:
-            return Interval.point(0)
-        return Interval(0, 1)
-    return Interval(0, 1)
+def _le(x: Interval, y: Interval) -> Interval:
+    if x.hi is not None and y.lo is not None and x.hi <= y.lo:
+        return _TRUE
+    if x.lo is not None and y.hi is not None and x.lo > y.hi:
+        return _FALSE
+    return _EITHER
+
+
+def _eq(a: Interval, b: Interval) -> Interval:
+    if a.is_point and b.is_point:
+        return _TRUE if a.lo == b.lo else _FALSE
+    disjoint = (
+        a.hi is not None
+        and b.lo is not None
+        and a.hi < b.lo
+        or a.lo is not None
+        and b.hi is not None
+        and a.lo > b.hi
+    )
+    return _FALSE if disjoint else _EITHER
+
+
+def _ne(a: Interval, b: Interval) -> Interval:
+    eq = _eq(a, b)
+    return _EITHER if eq is _EITHER else (_FALSE if eq is _TRUE else _TRUE)
+
+
+def _and(a: Interval, b: Interval) -> Interval:
+    if a.is_point and a.lo == 0 or b.is_point and b.lo == 0:
+        return _FALSE
+    if a.is_point and a.lo == 1 and b.is_point and b.lo == 1:
+        return _TRUE
+    return _EITHER
+
+
+def _or(a: Interval, b: Interval) -> Interval:
+    if a.is_point and a.lo == 1 or b.is_point and b.lo == 1:
+        return _TRUE
+    if a.is_point and a.lo == 0 and b.is_point and b.lo == 0:
+        return _FALSE
+    return _EITHER
+
+
+_BINARY = {
+    E.Add: Interval.__add__,
+    E.Sub: Interval.__sub__,
+    E.Mul: Interval.__mul__,
+    E.FloorDiv: Interval.floordiv,
+    E.FloorMod: Interval.floormod,
+    E.Min: Interval.min_with,
+    E.Max: Interval.max_with,
+    E.LT: _lt,
+    E.LE: _le,
+    E.GT: lambda a, b: _lt(b, a),
+    E.GE: lambda a, b: _le(b, a),
+    E.EQ: _eq,
+    E.NE: _ne,
+    E.And: _and,
+    E.Or: _or,
+}

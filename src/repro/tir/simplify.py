@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from . import expr as E
-from .visitor import ExprMutator
+from .interval import Interval, eval_interval
 
 __all__ = ["simplify", "const_int", "is_const_int", "affine_coeffs", "prove_lt"]
 
@@ -25,10 +25,71 @@ def const_int(expr: E.PrimExpr) -> Optional[int]:
 
 def is_const_int(expr: E.PrimExpr, value: Optional[int] = None) -> bool:
     """Check whether ``expr`` is an integer immediate (optionally equal)."""
-    v = const_int(expr)
-    if v is None:
+    return type(expr) is E.IntImm and (value is None or expr.value == value)
+
+
+#: ``(coeffs, constant, size)`` of a tree of Add/Sub/Mul/Var/IntImm nodes:
+#: its value is ``sum(c * v) + constant`` and it has ``size`` nodes.
+#: ``coeffs`` keeps variables in first-encounter order, cancelled ones
+#: (coefficient 0) included, and is shared between nodes — never mutated.
+_Affine = Tuple[Dict[E.Var, int], int, int]
+_NO_COEFFS: Dict[E.Var, int] = {}
+
+
+def _affine(node: E.PrimExpr) -> Optional[_Affine]:
+    """Affine decomposition of ``node``, built once from its children's."""
+    kind = type(node)
+    if kind is E.IntImm:
+        return _NO_COEFFS, node.value, 1
+    if kind is E.Var:
+        return {node: 1}, 0, 1
+    if kind is E.Add or kind is E.Sub:
+        dec = node._affine
+        if dec is None:
+            dec = node._affine = _affine_sum(node, 1 if kind is E.Add else -1)
+        return dec or None
+    if kind is E.Mul:
+        dec = node._affine
+        if dec is None:
+            dec = node._affine = _affine_product(node)
+        return dec or None
+    return None
+
+
+def _affine_sum(node: E.BinaryOp, sign: int):
+    """``a + sign*b``; ``False`` (the cached "not affine") if either isn't."""
+    left = _affine(node.a)
+    if left is None:
         return False
-    return value is None or v == value
+    right = _affine(node.b)
+    if right is None:
+        return False
+    coeffs, constant, size = left
+    if right[0]:
+        if coeffs or sign < 0:
+            coeffs = dict(coeffs)
+            for var, c in right[0].items():
+                coeffs[var] = coeffs.get(var, 0) + sign * c
+        else:
+            coeffs = right[0]
+    return coeffs, constant + sign * right[1], size + right[2] + 1
+
+
+def _affine_product(node: E.Mul):
+    """``side * constant`` for whichever operand is the immediate."""
+    if type(node.b) is E.IntImm:
+        side, factor = node.a, node.b.value
+    elif type(node.a) is E.IntImm:
+        side, factor = node.b, node.a.value
+    else:
+        return False
+    dec = _affine(side)
+    if dec is None:
+        return False
+    coeffs, constant, size = dec
+    if coeffs and factor != 1:
+        coeffs = {var: c * factor for var, c in coeffs.items()}
+    return coeffs, constant * factor, size + 2
 
 
 def affine_coeffs(expr: E.PrimExpr) -> Optional[Tuple[Dict[E.Var, int], int]]:
@@ -37,270 +98,278 @@ def affine_coeffs(expr: E.PrimExpr) -> Optional[Tuple[Dict[E.Var, int], int]]:
     Returns ``(coeffs, constant)`` or ``None`` if the expression is not
     affine in its variables (e.g. contains ``//``, ``%``, ``min`` or loads).
     """
-    coeffs: Dict[E.Var, int] = {}
-
-    def fail() -> None:
-        raise _NotAffine
-
-    def walk(node: E.PrimExpr, scale: int) -> int:
-        if isinstance(node, E.IntImm):
-            return node.value * scale
-        if isinstance(node, E.Var):
-            coeffs[node] = coeffs.get(node, 0) + scale
-            return 0
-        if isinstance(node, E.Add):
-            return walk(node.a, scale) + walk(node.b, scale)
-        if isinstance(node, E.Sub):
-            return walk(node.a, scale) + walk(node.b, -scale)
-        if isinstance(node, E.Mul):
-            ca = const_int(node.a)
-            cb = const_int(node.b)
-            if cb is not None:
-                return walk(node.a, scale * cb)
-            if ca is not None:
-                return walk(node.b, scale * ca)
-            fail()
-        fail()
-        return 0  # pragma: no cover
-
-    try:
-        constant = walk(expr, 1)
-    except _NotAffine:
+    dec = _affine(expr)
+    if dec is None:
         return None
-    return {v: c for v, c in coeffs.items() if c != 0}, constant
-
-
-class _NotAffine(Exception):
-    pass
-
-
-class _Simplifier(ExprMutator):
-    """Bottom-up rewriting simplifier."""
-
-    def generic_visit(self, node: E.PrimExpr) -> E.PrimExpr:
-        node = super().generic_visit(node)
-        return _rewrite(node)
-
-
-def _int2(node: E.BinaryOp) -> Optional[Tuple[int, int]]:
-    a = const_int(node.a)
-    b = const_int(node.b)
-    if a is None or b is None:
-        if (
-            isinstance(node.a, E.FloatImm)
-            and isinstance(node.b, E.FloatImm)
-        ):
-            return None
-        return None
-    return a, b
-
-
-def _float2(node: E.BinaryOp) -> Optional[Tuple[float, float]]:
-    if isinstance(node.a, E.FloatImm) and isinstance(node.b, E.FloatImm):
-        return node.a.value, node.b.value
-    return None
+    return {v: c for v, c in dec[0].items() if c != 0}, dec[1]
 
 
 def _same_affine(a: E.PrimExpr, b: E.PrimExpr) -> bool:
-    """Structural equality via affine decomposition of ``a - b == 0``."""
-    dec = affine_coeffs(E.Sub(a, b))
-    return dec is not None and not dec[0] and dec[1] == 0
+    """Whether ``a - b`` is affine and identically zero."""
+    if a.dtype == "float32" or b.dtype == "float32":
+        return False
+    left = _affine(a)
+    right = _affine(b)
+    if left is None or right is None or left[1] != right[1]:
+        return False
+    ca, cb = left[0], right[0]
+    return all(cb.get(v, 0) == c for v, c in ca.items()) and all(
+        ca.get(v, 0) == c for v, c in cb.items()
+    )
 
 
-def _rewrite(node: E.PrimExpr) -> E.PrimExpr:
-    # --- constant folding -----------------------------------------------
-    if isinstance(node, E.BinaryOp):
-        ints = _int2(node)
-        if ints is not None:
-            a, b = ints
-            folded = _fold_int(type(node), a, b)
-            if folded is not None:
-                return folded
-        floats = _float2(node)
-        if floats is not None:
-            a, b = floats
-            folded = _fold_float(type(node), a, b)
-            if folded is not None:
-                return folded
+def _affine_canonical(node: E.BinaryOp) -> Optional[E.PrimExpr]:
+    """``c1*v1 + ... + cn*vn + c0`` (vars ordered by name) if that is smaller.
 
-    # --- affine canonicalization ------------------------------------------
-    # Rebuild +/-/* chains of integer terms in a canonical sum-of-products
-    # form so that syntactically different but equal index expressions
-    # (e.g. ``io*16 + ii - io*16``) collapse.
-    if (
-        isinstance(node, (E.Add, E.Sub, E.Mul))
-        and node.dtype.startswith("int")
-        and not _contains_opaque(node)
-    ):
-        dec = affine_coeffs(node)
-        if dec is not None:
-            rebuilt = _affine_rebuild(*dec)
-            if _expr_size(rebuilt) < _expr_size(node):
-                return rebuilt
-
-    # --- algebraic identities --------------------------------------------
-    if isinstance(node, E.Add):
-        if is_const_int(node.a, 0):
-            return node.b
-        if is_const_int(node.b, 0):
-            return node.a
-    elif isinstance(node, E.Sub):
-        if is_const_int(node.b, 0):
-            return node.a
-        if _same_affine_safe(node.a, node.b):
-            return E.IntImm(0)
-    elif isinstance(node, E.Mul):
-        if is_const_int(node.a, 0) or is_const_int(node.b, 0):
-            return E.IntImm(0)
-        if is_const_int(node.a, 1):
-            return node.b
-        if is_const_int(node.b, 1):
-            return node.a
-    elif isinstance(node, E.FloorDiv):
-        if is_const_int(node.b, 1):
-            return node.a
-        if is_const_int(node.a, 0):
-            return E.IntImm(0)
-    elif isinstance(node, E.FloorMod):
-        if is_const_int(node.b, 1):
-            return E.IntImm(0)
-        if is_const_int(node.a, 0):
-            return E.IntImm(0)
-    elif isinstance(node, (E.Min, E.Max)):
-        if _same_affine_safe(node.a, node.b):
-            return node.a
-    elif isinstance(node, E.And):
-        for x, y in ((node.a, node.b), (node.b, node.a)):
-            if is_const_int(x, 1):
-                return y
-            if is_const_int(x, 0):
-                return E.IntImm(0, "bool")
-    elif isinstance(node, E.Or):
-        for x, y in ((node.a, node.b), (node.b, node.a)):
-            if is_const_int(x, 0):
-                return y
-            if is_const_int(x, 1):
-                return E.IntImm(1, "bool")
-    elif isinstance(node, E.Not):
-        v = const_int(node.a)
-        if v is not None:
-            return E.IntImm(0 if v else 1, "bool")
-        if isinstance(node.a, E.Not):
-            return node.a.a
-    elif isinstance(node, E.Select):
-        v = const_int(node.cond)
-        if v is not None:
-            return node.true_value if v else node.false_value
-    elif isinstance(node, E.Cast):
-        if node.value.dtype == node.dtype:
-            return node.value
-        inner = node.value
-        if isinstance(inner, E.IntImm):
-            if node.dtype.startswith("float"):
-                return E.FloatImm(float(inner.value), node.dtype)
-            return E.IntImm(inner.value, node.dtype)
-
-    # comparisons between affine-equal operands
-    if isinstance(node, (E.LE, E.GE, E.EQ)) and _same_affine_safe(node.a, node.b):
-        return E.IntImm(1, "bool")
-    if isinstance(node, (E.LT, E.GT, E.NE)) and _same_affine_safe(node.a, node.b):
-        return E.IntImm(0, "bool")
-    return node
-
-
-def _contains_opaque(node: E.PrimExpr) -> bool:
-    """Whether the tree contains nodes affine_coeffs cannot decompose."""
-    from .visitor import post_order_exprs
-
-    for sub in post_order_exprs(node):
-        if not isinstance(sub, (E.Add, E.Sub, E.Mul, E.Var, E.IntImm)):
-            return True
-    return False
-
-
-def _affine_rebuild(coeffs, constant: int) -> E.PrimExpr:
-    """Canonical ``c1*v1 + ... + cn*vn + c0`` (vars ordered by name)."""
+    Syntactically different but equal index expressions (``io*16 + ii -
+    io*16``) collapse to one spelling.
+    """
+    if not node.dtype.startswith("int"):
+        return None
+    dec = _affine(node)
+    if dec is None:
+        return None
+    coeffs, constant, size = dec
+    n_terms = canonical_size = 0
+    for c in coeffs.values():
+        if c:
+            n_terms += 1
+            canonical_size += 1 if c == 1 else 3
+    if not n_terms:
+        return E.IntImm(constant)
+    canonical_size += n_terms - 1 + (2 if constant else 0)
+    if canonical_size >= size:
+        return None
+    terms = sorted(
+        ((v, c) for v, c in coeffs.items() if c != 0), key=lambda t: t[0].name
+    )
     expr: Optional[E.PrimExpr] = None
-    for var in sorted(coeffs, key=lambda v: v.name):
-        c = coeffs[var]
+    for var, c in terms:
         term = var if c == 1 else E.Mul(var, E.IntImm(c))
         expr = term if expr is None else E.Add(expr, term)
-    if expr is None:
-        return E.IntImm(constant)
     if constant:
         expr = E.Add(expr, E.IntImm(constant))
     return expr
 
 
-def _expr_size(node: E.PrimExpr) -> int:
-    from .visitor import post_order_exprs
+_BOOL = "bool"
 
-    return sum(1 for _ in post_order_exprs(node))
+_INT_FOLD = {
+    E.Add: lambda a, b: E.IntImm(a + b),
+    E.Sub: lambda a, b: E.IntImm(a - b),
+    E.Mul: lambda a, b: E.IntImm(a * b),
+    E.FloorDiv: lambda a, b: E.IntImm(a // b) if b != 0 else None,
+    E.FloorMod: lambda a, b: E.IntImm(a % b) if b != 0 else None,
+    E.Min: lambda a, b: E.IntImm(min(a, b)),
+    E.Max: lambda a, b: E.IntImm(max(a, b)),
+    E.LT: lambda a, b: E.IntImm(1 if a < b else 0, _BOOL),
+    E.LE: lambda a, b: E.IntImm(1 if a <= b else 0, _BOOL),
+    E.GT: lambda a, b: E.IntImm(1 if a > b else 0, _BOOL),
+    E.GE: lambda a, b: E.IntImm(1 if a >= b else 0, _BOOL),
+    E.EQ: lambda a, b: E.IntImm(1 if a == b else 0, _BOOL),
+    E.NE: lambda a, b: E.IntImm(1 if a != b else 0, _BOOL),
+    E.And: lambda a, b: E.IntImm(1 if (a and b) else 0, _BOOL),
+    E.Or: lambda a, b: E.IntImm(1 if (a or b) else 0, _BOOL),
+}
+
+_FLOAT_FOLD = {
+    E.Add: lambda a, b: E.FloatImm(a + b),
+    E.Sub: lambda a, b: E.FloatImm(a - b),
+    E.Mul: lambda a, b: E.FloatImm(a * b),
+    E.Min: lambda a, b: E.FloatImm(min(a, b)),
+    E.Max: lambda a, b: E.FloatImm(max(a, b)),
+}
 
 
-def _same_affine_safe(a: E.PrimExpr, b: E.PrimExpr) -> bool:
-    if a.dtype == "float32" or b.dtype == "float32":
-        return False
-    try:
-        return _same_affine(a, b)
-    except Exception:  # pragma: no cover - defensive
-        return False
+# Identity rules, one per operator.  Each sees a node whose operands are
+# already normal forms and returns the replacement, or ``None`` to keep it.
 
 
-def _fold_int(op, a: int, b: int) -> Optional[E.PrimExpr]:
-    if op is E.Add:
-        return E.IntImm(a + b)
-    if op is E.Sub:
-        return E.IntImm(a - b)
-    if op is E.Mul:
-        return E.IntImm(a * b)
-    if op is E.FloorDiv:
-        return E.IntImm(a // b) if b != 0 else None
-    if op is E.FloorMod:
-        return E.IntImm(a % b) if b != 0 else None
-    if op is E.Min:
-        return E.IntImm(min(a, b))
-    if op is E.Max:
-        return E.IntImm(max(a, b))
-    if op is E.LT:
-        return E.IntImm(1 if a < b else 0, "bool")
-    if op is E.LE:
-        return E.IntImm(1 if a <= b else 0, "bool")
-    if op is E.GT:
-        return E.IntImm(1 if a > b else 0, "bool")
-    if op is E.GE:
-        return E.IntImm(1 if a >= b else 0, "bool")
-    if op is E.EQ:
-        return E.IntImm(1 if a == b else 0, "bool")
-    if op is E.NE:
-        return E.IntImm(1 if a != b else 0, "bool")
-    if op is E.And:
-        return E.IntImm(1 if (a and b) else 0, "bool")
-    if op is E.Or:
-        return E.IntImm(1 if (a or b) else 0, "bool")
+def _rule_add(node: E.Add) -> Optional[E.PrimExpr]:
+    if is_const_int(node.a, 0):
+        return node.b
+    if is_const_int(node.b, 0):
+        return node.a
     return None
 
 
-def _fold_float(op, a: float, b: float) -> Optional[E.PrimExpr]:
-    if op is E.Add:
-        return E.FloatImm(a + b)
-    if op is E.Sub:
-        return E.FloatImm(a - b)
-    if op is E.Mul:
-        return E.FloatImm(a * b)
-    if op is E.Min:
-        return E.FloatImm(min(a, b))
-    if op is E.Max:
-        return E.FloatImm(max(a, b))
+def _rule_sub(node: E.Sub) -> Optional[E.PrimExpr]:
+    if is_const_int(node.b, 0):
+        return node.a
+    if _same_affine(node.a, node.b):
+        return E.IntImm(0)
     return None
 
 
-_SIMPLIFIER = _Simplifier()
+def _rule_mul(node: E.Mul) -> Optional[E.PrimExpr]:
+    # x*0 is not 0 for a float x (inf, NaN), and the result keeps the dtype
+    has_zero = is_const_int(node.a, 0) or is_const_int(node.b, 0)
+    if has_zero and node.dtype.startswith(("int", "uint")):
+        return E.IntImm(0, node.dtype)
+    for imm, other in ((node.a, node.b), (node.b, node.a)):
+        if is_const_int(imm, 1) and other.dtype == node.dtype:
+            return other
+    return None
+
+
+def _rule_floordiv(node: E.FloorDiv) -> Optional[E.PrimExpr]:
+    if is_const_int(node.b, 1):
+        return node.a
+    if is_const_int(node.a, 0):
+        return E.IntImm(0)
+    return None
+
+
+def _rule_floormod(node: E.FloorMod) -> Optional[E.PrimExpr]:
+    if is_const_int(node.b, 1) or is_const_int(node.a, 0):
+        return E.IntImm(0)
+    return None
+
+
+def _rule_minmax(node: E.BinaryOp) -> Optional[E.PrimExpr]:
+    return node.a if _same_affine(node.a, node.b) else None
+
+
+def _rule_and(node: E.And) -> Optional[E.PrimExpr]:
+    for x, y in ((node.a, node.b), (node.b, node.a)):
+        if is_const_int(x, 1):
+            return y
+        if is_const_int(x, 0):
+            return E.IntImm(0, _BOOL)
+    return None
+
+
+def _rule_or(node: E.Or) -> Optional[E.PrimExpr]:
+    for x, y in ((node.a, node.b), (node.b, node.a)):
+        if is_const_int(x, 0):
+            return y
+        if is_const_int(x, 1):
+            return E.IntImm(1, _BOOL)
+    return None
+
+
+def _rule_equal_when_same(node: E.CmpOp) -> Optional[E.PrimExpr]:
+    return E.IntImm(1, _BOOL) if _same_affine(node.a, node.b) else None
+
+
+def _rule_unequal_when_same(node: E.CmpOp) -> Optional[E.PrimExpr]:
+    return E.IntImm(0, _BOOL) if _same_affine(node.a, node.b) else None
+
+
+_BINARY_RULE = {
+    E.Add: _rule_add,
+    E.Sub: _rule_sub,
+    E.Mul: _rule_mul,
+    E.FloorDiv: _rule_floordiv,
+    E.FloorMod: _rule_floormod,
+    E.Min: _rule_minmax,
+    E.Max: _rule_minmax,
+    E.And: _rule_and,
+    E.Or: _rule_or,
+    E.LE: _rule_equal_when_same,
+    E.GE: _rule_equal_when_same,
+    E.EQ: _rule_equal_when_same,
+    E.LT: _rule_unequal_when_same,
+    E.GT: _rule_unequal_when_same,
+    E.NE: _rule_unequal_when_same,
+}
+
+
+def _rewrite_binary(node: E.BinaryOp) -> E.PrimExpr:
+    kind = type(node)
+    a, b = node.a, node.b
+    fold = None
+    if type(a) is E.IntImm and type(b) is E.IntImm:
+        fold = _INT_FOLD.get(kind)
+    elif type(a) is E.FloatImm and type(b) is E.FloatImm:
+        fold = _FLOAT_FOLD.get(kind)
+    if fold is not None:
+        folded = fold(a.value, b.value)
+        if folded is not None:
+            return folded
+    if kind is E.Add or kind is E.Sub or kind is E.Mul:
+        canonical = _affine_canonical(node)
+        if canonical is not None:
+            return canonical
+    rule = _BINARY_RULE.get(kind)
+    replaced = rule(node) if rule is not None else None
+    return node if replaced is None else replaced
+
+
+def _simplify_not(node: E.Not) -> E.PrimExpr:
+    a = simplify(node.a)
+    if type(a) is E.IntImm:
+        return E.IntImm(0 if a.value else 1, _BOOL)
+    if type(a) is E.Not:
+        return a.a
+    return node if a is node.a else E.Not(a)
+
+
+def _simplify_select(node: E.Select) -> E.PrimExpr:
+    c = simplify(node.cond)
+    t = simplify(node.true_value)
+    f = simplify(node.false_value)
+    if type(c) is E.IntImm:
+        return t if c.value else f
+    if c is node.cond and t is node.true_value and f is node.false_value:
+        return node
+    return E.Select(c, t, f)
+
+
+def _simplify_load(node: E.BufferLoad) -> E.PrimExpr:
+    idx = [simplify(i) for i in node.indices]
+    if all(n is o for n, o in zip(idx, node.indices)):
+        return node
+    return E.BufferLoad(node.buffer, idx)
+
+
+def _simplify_call(node: E.Call) -> E.PrimExpr:
+    args = [simplify(a) for a in node.args]
+    if all(n is o for n, o in zip(args, node.args)):
+        return node
+    return E.Call(node.op, args, node.dtype)
+
+
+def _simplify_cast(node: E.Cast) -> E.PrimExpr:
+    inner = simplify(node.value)
+    if inner.dtype == node.dtype:
+        return inner
+    if type(inner) is E.IntImm:
+        if node.dtype.startswith("float"):
+            return E.FloatImm(float(inner.value), node.dtype)
+        return E.IntImm(inner.value, node.dtype)
+    return node if inner is node.value else E.Cast(inner, node.dtype)
+
+
+_SIMPLIFY_OTHER = {
+    E.Not: _simplify_not,
+    E.Select: _simplify_select,
+    E.BufferLoad: _simplify_load,
+    E.Call: _simplify_call,
+    E.Cast: _simplify_cast,
+}
 
 
 def simplify(expr: E.PrimExpr) -> E.PrimExpr:
-    """Simplify ``expr`` (constant folding + affine identities)."""
-    return _SIMPLIFIER.visit(expr)
+    """Simplify ``expr`` (constant folding + affine identities).
+
+    One bottom-up pass.  Results are marked as normal forms, so simplifying
+    an expression again — or one built around simplified parts — does not
+    walk what is already done.
+    """
+    if expr._normal:
+        return expr
+    if isinstance(expr, E.BinaryOp):
+        a = simplify(expr.a)
+        b = simplify(expr.b)
+        if a is not expr.a or b is not expr.b:
+            expr = type(expr)(a, b)
+        result = _rewrite_binary(expr)
+    else:
+        rule = _SIMPLIFY_OTHER.get(type(expr))
+        result = expr if rule is None else rule(expr)
+    result._normal = True
+    return result
 
 
 def prove_lt(lhs: E.PrimExpr, rhs: E.PrimExpr, var_ranges) -> Optional[bool]:
@@ -310,8 +379,6 @@ def prove_lt(lhs: E.PrimExpr, rhs: E.PrimExpr, var_ranges) -> Optional[bool]:
     (always), ``False`` (never) or ``None`` (depends on the iteration point).
     Uses interval arithmetic; see :mod:`repro.tir.interval`.
     """
-    from .interval import Interval, eval_interval
-
     env = {v: Interval(lo, lo + ext - 1) for v, (lo, ext) in var_ranges.items()}
     diff = eval_interval(E.Sub(lhs, rhs), env)
     if diff is None:

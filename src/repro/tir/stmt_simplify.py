@@ -15,13 +15,13 @@ __all__ = ["simplify_stmt"]
 
 class _StmtSimplifier(StmtMutator):
     def visit(self, node: E.PrimExpr) -> E.PrimExpr:  # simplify all exprs
-        return simplify(super().visit(node))
+        return simplify(node)
 
     def visit_For(self, node: S.For) -> Optional[S.Stmt]:
         body = self.visit_stmt(node.body)
         if body is None:
             return None
-        extent = simplify(self.visit(node.extent))
+        extent = simplify(node.extent)
         if isinstance(extent, E.IntImm):
             if extent.value <= 0:
                 return None
@@ -32,7 +32,7 @@ class _StmtSimplifier(StmtMutator):
         return S.For(node.var, extent, body, node.kind, node.thread_tag)
 
     def visit_IfThenElse(self, node: S.IfThenElse) -> Optional[S.Stmt]:
-        cond = simplify(self.visit(node.condition))
+        cond = simplify(node.condition)
         then_case = self.visit_stmt(node.then_case)
         else_case = (
             self.visit_stmt(node.else_case) if node.else_case is not None else None

@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 from . import expr as E
 from . import stmt as S
-from .visitor import ExprMutator, StmtMutator
+from .visitor import StmtMutator
 
 __all__ = ["substitute", "substitute_stmt"]
 
@@ -14,6 +14,12 @@ __all__ = ["substitute", "substitute_stmt"]
 class _Substituter(StmtMutator):
     def __init__(self, mapping: Dict[E.Var, E.PrimExpr]) -> None:
         self.mapping = mapping
+
+    def visit(self, node: E.PrimExpr) -> E.PrimExpr:
+        # nothing to replace below here: keep the subtree (and its caches)
+        if self.mapping.keys().isdisjoint(E.free_vars(node)):
+            return node
+        return super().visit(node)
 
     def visit_Var(self, node: E.Var) -> Optional[E.PrimExpr]:
         return self.mapping.get(node, node)

@@ -1,8 +1,13 @@
-"""Generic visitors and mutators over TIR expressions and statements."""
+"""Generic visitors and mutators over TIR expressions and statements.
+
+Subclasses override ``visit_<NodeType>`` hooks.  The hooks of a visitor
+class are resolved once, when the class is created, into a table keyed by
+node type; visiting a node is then one dictionary lookup.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from . import expr as E
 from . import stmt as S
@@ -18,89 +23,139 @@ __all__ = [
     "iter_stmts",
 ]
 
+_NODE_TYPES = [
+    cls
+    for module in (E, S)
+    for cls in vars(module).values()
+    if isinstance(cls, type) and issubclass(cls, (E.PrimExpr, S.Stmt))
+]
 
-class ExprVisitor:
+
+class _Dispatching:
+    """Resolves a class's ``visit_<NodeType>`` methods into ``_hooks``."""
+
+    _hooks: Dict[type, Callable] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._hooks = {
+            node_type: getattr(cls, "visit_" + node_type.__name__)
+            for node_type in _NODE_TYPES
+            if hasattr(cls, "visit_" + node_type.__name__)
+        }
+
+
+class ExprVisitor(_Dispatching):
     """Read-only traversal over expressions; override ``visit_*`` hooks."""
 
     def visit(self, node: E.PrimExpr) -> None:
-        method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            method(node)
+        hook = self._hooks.get(type(node))
+        if hook is not None:
+            hook(self, node)
         self.generic_visit(node)
 
     def generic_visit(self, node: E.PrimExpr) -> None:
-        for child in expr_children(node):
+        for child in node.children():
             self.visit(child)
 
 
-def expr_children(node: E.PrimExpr) -> List[E.PrimExpr]:
-    """Direct sub-expressions of ``node``."""
-    if isinstance(node, E.BinaryOp):
-        return [node.a, node.b]
-    if isinstance(node, E.Not):
-        return [node.a]
-    if isinstance(node, E.Select):
-        return [node.cond, node.true_value, node.false_value]
-    if isinstance(node, E.BufferLoad):
-        return list(node.indices)
-    if isinstance(node, E.Call):
-        return list(node.args)
-    if isinstance(node, E.Cast):
-        return [node.value]
-    return []
+# Rebuilders: visit the children of one node shape, keep the node when
+# nothing below it changed.
 
 
-class ExprMutator:
-    """Rebuilding traversal: ``visit`` returns a (possibly new) expression."""
+def _mutate_binary(mutator: "ExprMutator", node: E.BinaryOp) -> E.PrimExpr:
+    a = mutator.visit(node.a)
+    b = mutator.visit(node.b)
+    if a is node.a and b is node.b:
+        return node
+    return type(node)(a, b)
+
+
+def _mutate_not(mutator: "ExprMutator", node: E.Not) -> E.PrimExpr:
+    a = mutator.visit(node.a)
+    return node if a is node.a else E.Not(a)
+
+
+def _mutate_select(mutator: "ExprMutator", node: E.Select) -> E.PrimExpr:
+    c = mutator.visit(node.cond)
+    t = mutator.visit(node.true_value)
+    f = mutator.visit(node.false_value)
+    if c is node.cond and t is node.true_value and f is node.false_value:
+        return node
+    return E.Select(c, t, f)
+
+
+def _mutate_load(mutator: "ExprMutator", node: E.BufferLoad) -> E.PrimExpr:
+    idx = [mutator.visit(i) for i in node.indices]
+    if all(n is o for n, o in zip(idx, node.indices)):
+        return node
+    return E.BufferLoad(node.buffer, idx)
+
+
+def _mutate_call(mutator: "ExprMutator", node: E.Call) -> E.PrimExpr:
+    args = [mutator.visit(a) for a in node.args]
+    if all(n is o for n, o in zip(args, node.args)):
+        return node
+    return E.Call(node.op, args, node.dtype)
+
+
+def _mutate_cast(mutator: "ExprMutator", node: E.Cast) -> E.PrimExpr:
+    v = mutator.visit(node.value)
+    return node if v is node.value else E.Cast(v, node.dtype)
+
+
+_EXPR_REBUILD: Dict[type, Callable] = {
+    cls: _mutate_binary for cls in _NODE_TYPES if issubclass(cls, E.BinaryOp)
+}
+_EXPR_REBUILD.update(
+    {
+        E.Not: _mutate_not,
+        E.Select: _mutate_select,
+        E.BufferLoad: _mutate_load,
+        E.Call: _mutate_call,
+        E.Cast: _mutate_cast,
+    }
+)
+
+
+class ExprMutator(_Dispatching):
+    """Rebuilding traversal: ``visit`` returns a (possibly new) expression.
+
+    A mutator with no expression hooks cannot change an expression, so it
+    does not walk them: statement-only passes cost nothing per expression.
+    """
+
+    _rewrites_exprs = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._rewrites_exprs = (
+            any(issubclass(t, E.PrimExpr) for t in cls._hooks)
+            or cls.generic_visit is not ExprMutator.generic_visit
+        )
 
     def visit(self, node: E.PrimExpr) -> E.PrimExpr:
-        method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            result = method(node)
+        if not self._rewrites_exprs:
+            return node
+        hook = self._hooks.get(type(node))
+        if hook is not None:
+            result = hook(self, node)
             if result is not None:
                 return result
         return self.generic_visit(node)
 
     def generic_visit(self, node: E.PrimExpr) -> E.PrimExpr:
-        if isinstance(node, E.BinaryOp):
-            a = self.visit(node.a)
-            b = self.visit(node.b)
-            if a is node.a and b is node.b:
-                return node
-            return type(node)(a, b)
-        if isinstance(node, E.Not):
-            a = self.visit(node.a)
-            return node if a is node.a else E.Not(a)
-        if isinstance(node, E.Select):
-            c = self.visit(node.cond)
-            t = self.visit(node.true_value)
-            f = self.visit(node.false_value)
-            if c is node.cond and t is node.true_value and f is node.false_value:
-                return node
-            return E.Select(c, t, f)
-        if isinstance(node, E.BufferLoad):
-            idx = [self.visit(i) for i in node.indices]
-            if all(n is o for n, o in zip(idx, node.indices)):
-                return node
-            return E.BufferLoad(node.buffer, idx)
-        if isinstance(node, E.Call):
-            args = [self.visit(a) for a in node.args]
-            if all(n is o for n, o in zip(args, node.args)):
-                return node
-            return E.Call(node.op, args, node.dtype)
-        if isinstance(node, E.Cast):
-            v = self.visit(node.value)
-            return node if v is node.value else E.Cast(v, node.dtype)
-        return node
+        rebuild = _EXPR_REBUILD.get(type(node))
+        return node if rebuild is None else rebuild(self, node)
 
 
 class StmtVisitor(ExprVisitor):
     """Read-only traversal over statements (and the expressions inside)."""
 
     def visit_stmt(self, node: S.Stmt) -> None:
-        method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            method(node)
+        hook = self._hooks.get(type(node))
+        if hook is not None:
+            hook(self, node)
         self.generic_visit_stmt(node)
 
     def generic_visit_stmt(self, node: S.Stmt) -> None:
@@ -139,9 +194,9 @@ class StmtMutator(ExprMutator):
     """
 
     def visit_stmt(self, node: S.Stmt) -> Optional[S.Stmt]:
-        method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            return method(node)
+        hook = self._hooks.get(type(node))
+        if hook is not None:
+            return hook(self, node)
         return self.generic_visit_stmt(node)
 
     def generic_visit_stmt(self, node: S.Stmt) -> Optional[S.Stmt]:
@@ -218,18 +273,14 @@ class StmtMutator(ExprMutator):
 
 def post_order_exprs(node: E.PrimExpr) -> Iterator[E.PrimExpr]:
     """Yield every sub-expression of ``node`` in post-order."""
-    for child in expr_children(node):
+    for child in node.children():
         yield from post_order_exprs(child)
     yield node
 
 
 def collect_vars(node: E.PrimExpr) -> List[E.Var]:
     """All distinct :class:`Var` nodes in ``node`` (in first-seen order)."""
-    seen: List[E.Var] = []
-    for sub in post_order_exprs(node):
-        if isinstance(sub, E.Var) and sub not in seen:
-            seen.append(sub)
-    return seen
+    return list(E.free_vars(node))
 
 
 def collect_loads(node: E.PrimExpr) -> List[E.BufferLoad]:

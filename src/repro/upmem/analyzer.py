@@ -6,6 +6,12 @@ over an iteration range are costed once and multiplied; ranges where a
 boundary condition flips are split by bisection.  The same machinery
 groups DPUs, so interior DPUs are costed once for the whole grid and only
 boundary DPUs are enumerated.
+
+The cost of a statement depends on the ranges of the variables its
+conditions and loop extents read — its *control variables* — and on
+nothing else.  One analyzer remembers each statement's cost per setting
+of those ranges, so the halves of a bisected loop and the DPU groups of a
+bisected grid re-walk only what the split variable actually controls.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from ..tir import (
     SeqStmt,
     Stmt,
     Var,
-    collect_vars,
     eval_interval,
+    free_vars,
+    iter_stmts,
 )
+from ..tir.visitor import StmtMutator
 from .config import UpmemConfig
 from .isa import Counts, ExprCoster
 
@@ -40,8 +48,11 @@ class Mixed(Exception):
     """A condition/extent does not resolve uniformly over current ranges."""
 
     def __init__(self, variables: Set[Var]) -> None:
-        super().__init__(f"mixed over {sorted(v.name for v in variables)}")
+        super().__init__()
         self.variables = variables
+
+    def __str__(self) -> str:
+        return f"mixed over {sorted(v.name for v in self.variables)}"
 
 
 @dataclass
@@ -69,12 +80,42 @@ class KernelAnalyzer:
     def __init__(self, config: UpmemConfig) -> None:
         self.config = config
         self.coster = ExprCoster(config)
+        # Per-analyzer memos, keyed by statement identity; they go away
+        # with the analyzer (one profile, one feature extraction).
+        self._sections: Dict[Stmt, Stmt] = {}
+        self._control: Dict[Stmt, Tuple[Var, ...]] = {}
+        self._walked: Dict[tuple, Counts] = {}
 
     # -- public ------------------------------------------------------------
     def dpu_cost(self, kernel: Stmt, env: Env) -> DpuCost:
         cost = DpuCost()
         self._walk_sections(kernel, env, cost)
         return cost
+
+    # -- control variables --------------------------------------------------
+    def _control_vars(self, stmt: Stmt) -> Tuple[Var, ...]:
+        """Variables whose ranges can change what walking ``stmt`` counts:
+        those read by its conditions and loop extents, minus the loop
+        variables it binds itself."""
+        known = self._control.get(stmt)
+        if known is None:
+            found: Set[Var] = set()
+            if isinstance(stmt, For):
+                found.update(self._control_vars(stmt.body))
+                found.discard(stmt.var)
+                found.update(free_vars(stmt.extent))
+            elif isinstance(stmt, IfThenElse):
+                found.update(free_vars(stmt.condition))
+                found.update(self._control_vars(stmt.then_case))
+                if stmt.else_case is not None:
+                    found.update(self._control_vars(stmt.else_case))
+            elif isinstance(stmt, SeqStmt):
+                for s in stmt.stmts:
+                    found.update(self._control_vars(s))
+            elif isinstance(stmt, Allocate):
+                found.update(self._control_vars(stmt.body))
+            known = self._control[stmt] = tuple(found)
+        return known
 
     # -- section walk (handles tasklet loops) -----------------------------------
     def _walk_sections(self, stmt: Stmt, env: Env, cost: DpuCost) -> None:
@@ -93,7 +134,9 @@ class KernelAnalyzer:
             # over the thread variable, wherever the loop is nested.
             extent = self._const_extent(thread.extent, env)
             cost.n_tasklets = max(cost.n_tasklets, extent)
-            body = _strip_thread_loop(stmt)
+            body = self._sections.get(stmt)
+            if body is None:
+                body = self._sections[stmt] = _strip_thread_loop(stmt)
             groups = grouped(
                 [(thread.var, extent)],
                 env,
@@ -111,6 +154,19 @@ class KernelAnalyzer:
 
     # -- recursive statement walk ------------------------------------------------
     def _walk(self, stmt: Stmt, env: Env) -> Counts:
+        """Cost of ``stmt`` under ``env`` (shared: callers must not mutate
+        it).  Loops and branches — what a bisection walks again — are
+        remembered per setting of their control variables."""
+        if isinstance(stmt, (For, IfThenElse)):
+            key: tuple = (stmt,)
+            for var in self._control_vars(stmt):
+                rng = env.get(var)
+                key += (None if rng is None else (rng.lo, rng.hi),)
+            counts = self._walked.get(key)
+            if counts is None:
+                walk = self._walk_for if isinstance(stmt, For) else self._walk_if
+                counts = self._walked[key] = walk(stmt, env)
+            return counts
         if isinstance(stmt, SeqStmt):
             total = Counts()
             for s in stmt.stmts:
@@ -118,10 +174,6 @@ class KernelAnalyzer:
             return total
         if isinstance(stmt, Allocate):
             return self._walk(stmt.body, env)
-        if isinstance(stmt, For):
-            return self._walk_for(stmt, env)
-        if isinstance(stmt, IfThenElse):
-            return self._walk_if(stmt, env)
         if isinstance(stmt, BufferStore):
             c = Counts()
             c += self.coster.cost(stmt.value)
@@ -212,7 +264,7 @@ class KernelAnalyzer:
     def _range_vars(self, expr: PrimExpr, env: Env) -> Set[Var]:
         return {
             v
-            for v in collect_vars(expr)
+            for v in free_vars(expr)
             if v in env and not env[v].is_point
         }
 
@@ -233,8 +285,6 @@ class KernelAnalyzer:
 
 def _find_thread_loop(stmt: Stmt) -> Optional[For]:
     """Locate the tasklet-binding loop within a kernel section."""
-    from ..tir import iter_stmts
-
     for s in iter_stmts(stmt):
         if (
             isinstance(s, For)
@@ -245,21 +295,16 @@ def _find_thread_loop(stmt: Stmt) -> Optional[For]:
     return None
 
 
+class _StripThreadLoop(StmtMutator):
+    def visit_For(self, node: For) -> Optional[Stmt]:
+        if node.kind is ForKind.THREAD_BINDING and node.thread_tag == "threadIdx.x":
+            return self.visit_stmt(node.body)
+        return self.generic_visit_stmt(node)
+
+
 def _strip_thread_loop(stmt: Stmt) -> Stmt:
     """Replace the tasklet loop by its body (thread var becomes free)."""
-    from ..tir.visitor import StmtMutator
-
-    class _Strip(StmtMutator):
-        def visit_For(self, node: For) -> Optional[Stmt]:
-            if (
-                node.kind is ForKind.THREAD_BINDING
-                and node.thread_tag == "threadIdx.x"
-            ):
-                body = self.visit_stmt(node.body)
-                return body
-            return self.generic_visit_stmt(node)
-
-    result = _Strip().visit_stmt(stmt)
+    result = _StripThreadLoop().visit_stmt(stmt)
     assert result is not None
     return result
 

@@ -69,7 +69,7 @@ from ..tir import (
     Sub,
     Var,
     collect_loads,
-    collect_vars,
+    free_vars,
 )
 from .interp import _INTRINSICS, InterpError, Interpreter, _np_dtype
 
@@ -102,7 +102,7 @@ _VEXP = np.frompyfunc(math.exp, 1, 1)
 
 
 def _contains_var(expr: PrimExpr, var: Var) -> bool:
-    return var in collect_vars(expr)
+    return var in free_vars(expr)
 
 
 def _loads_buffer(expr: PrimExpr, buffer: Buffer) -> bool:

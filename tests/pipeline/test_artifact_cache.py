@@ -1,12 +1,21 @@
 """CompiledArtifact cache semantics: hits, invalidation, disk tier."""
 
+import os
+import pickle
+import shutil
+
 import numpy as np
 import pytest
 
 from repro.autotune.compile import CompileEngine, compile_params
 from repro.pipeline import ArtifactCache, CompiledArtifact, artifact_key
 from repro.upmem import FunctionalExecutor, UpmemConfig
+from repro.autotune.features import extract_features
+from repro.tir import simplify_stmt
+from repro.upmem.system import PerformanceModel
 from repro.workloads import mtv
+
+from ..lowering.golden_corpus import module_text
 
 PARAMS = {
     "m_dpus": 8, "k_dpus": 1, "n_tasklets": 4, "cache": 16, "host_threads": 1,
@@ -156,6 +165,46 @@ class TestDiskTier:
         art = engine.compile(wl, PARAMS)
         assert art.ok
         assert engine.stats.misses == 2 and engine.stats.disk_hits == 0
+
+
+class TestNodeCachesStayOutOfPickles:
+    """Expression nodes cache derived facts (free variables, affine form,
+    normal-form marks); artifacts on disk must hold the program only."""
+
+    def test_roundtrip_prints_the_same_module(self, wl, engine):
+        art = engine.compile(wl, PARAMS)
+        restored = pickle.loads(pickle.dumps(art))
+        assert module_text(restored.module) == module_text(art.module)
+        assert simplify_stmt(restored.module.kernel) is not None  # caches rebuild
+
+    def test_warm_caches_do_not_grow_the_pickle(self, wl, engine):
+        art = engine.compile(wl, PARAMS)
+        cold = pickle.dumps(pickle.loads(pickle.dumps(art)))  # no cache ever filled
+        extract_features(art.module)
+        simplify_stmt(art.module.kernel)
+        warm = pickle.dumps(art)
+        assert len(warm) <= len(cold)
+        for slot in (b"_vars", b"_normal", b"_affine"):
+            assert slot not in warm
+
+    def test_entry_written_by_the_parent_commit(self, tmp_path):
+        """A disk entry from before the caches existed is a hit that lowers
+        to the same text and latency — or a clean miss, never a crash."""
+        wl = mtv(60, 70)
+        fresh = CompileEngine(cache=ArtifactCache()).compile(wl, PARAMS)
+        disk = tmp_path / "artifacts"
+        disk.mkdir()
+        fixture = os.path.join(
+            os.path.dirname(__file__), "fixtures", "parent_commit_artifact.pkl"
+        )
+        shutil.copy(fixture, disk / f"{fresh.key}.pkl")
+        engine = CompileEngine(cache=ArtifactCache(disk_dir=str(disk)))
+        art = engine.compile(wl, PARAMS)
+        assert art.ok and art.verified
+        assert module_text(art.module) == module_text(fresh.module)
+        latency = PerformanceModel(None).profile(art.module).latency.total
+        assert latency == PerformanceModel(None).profile(fresh.module).latency.total
+        assert engine.stats.disk_hits + engine.stats.misses == 1
 
 
 class TestEviction:

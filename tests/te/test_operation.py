@@ -111,3 +111,18 @@ class TestIterVar:
 
         C = te.compute((4,), lambda i: i, "Creg", dtype="int32")
         assert PRODUCERS[C.buffer] is C
+
+    def test_registry_does_not_grow_with_scheduling(self):
+        """Caches and rfactor stages belong to their schedule: building
+        candidate after candidate must not pile their tensors up in the
+        process-wide registry (it used to, ~4 kB per candidate)."""
+        from repro.autotune.sketch import generate_schedule
+        from repro.te.operation import PRODUCERS
+        from repro.workloads import mtv
+
+        wl = mtv(64, 64)
+        declared = dict(PRODUCERS)
+        params = {"m_dpus": 4, "k_dpus": 2, "n_tasklets": 2, "cache": 16}
+        for _ in range(3):
+            generate_schedule(wl, params)
+        assert PRODUCERS == declared

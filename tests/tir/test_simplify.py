@@ -67,6 +67,23 @@ class TestIdentities:
     def test_mul_zero(self):
         assert const_int(simplify(v() * 0)) == 0
 
+    def test_mul_zero_keeps_float_expression(self):
+        # x*0 is not 0 for inf/NaN, and must never turn into an int32 0
+        x = Var("x", "float32")
+        for e in (Mul(x, IntImm(0)), Mul(IntImm(0), x)):
+            out = simplify(e)
+            assert out.dtype == "float32"
+            assert isinstance(out, Mul)
+
+    def test_mul_zero_immediate_has_the_expression_dtype(self):
+        x = Var("x", "int64")
+        out = simplify(Mul(x // 2, IntImm(0, "int64")))
+        assert const_int(out) == 0 and out.dtype == "int64"
+
+    def test_mul_one_of_float_keeps_dtype(self):
+        x = Var("x", "float32")
+        assert simplify(Mul(x, IntImm(1))) is x
+
     def test_sub_self_cancels(self):
         x = v()
         assert const_int(simplify(x - x)) == 0
@@ -101,6 +118,24 @@ class TestIdentities:
         x = v()
         assert const_int(simplify(x <= x)) == 1
         assert const_int(simplify(x < x)) == 0
+
+
+class TestNormalForms:
+    def test_resimplifying_returns_the_same_node(self):
+        i, j = v("i"), v("j")
+        once = simplify((i * 16 + j) * 2 - i)
+        assert simplify(once) is once
+
+    def test_unchanged_input_is_returned_itself(self):
+        i, j = v("i"), v("j")
+        e = i * 16 + j  # already canonical
+        assert simplify(e) is e
+
+    def test_simplified_parts_are_not_rebuilt(self):
+        i, j = v("i"), v("j")
+        part = simplify(j + i * 4 + 0)
+        whole = simplify(Min(part, IntImm(7)))
+        assert whole.a is part
 
 
 class TestAffine:
