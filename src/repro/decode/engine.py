@@ -65,6 +65,22 @@ __all__ = ["StepReport", "IterationReport", "DecodeResult", "DecodeEngine"]
 _WEIGHT_SCALE = np.float32(0.05)
 
 
+#: A step's outputs may sit this far from the NumPy reference, measured
+#: on each tensor's own scale (its largest |element|).  Float32 rounding
+#: reaches 1.2e-6 of that scale; an element-wise relative test cannot be
+#: used instead, because the un-normalised hidden state grows ~3x per
+#: token and an element that cancels to nearly zero then misses any
+#: relative tolerance by rounding alone.
+_REFERENCE_TOLERANCE = 1e-4
+
+
+def _matches_reference(got: np.ndarray, want: np.ndarray) -> bool:
+    want = np.asarray(want, dtype=np.float64)
+    scale = float(np.max(np.abs(want))) or 1.0
+    # A NaN compares False, so it fails the check.
+    return bool(np.max(np.abs(got - want)) <= _REFERENCE_TOLERANCE * scale)
+
+
 def _sequence_entropy(name: str) -> int:
     """Stable 63-bit integer from a sequence name (process-independent,
     unlike ``hash()``) — seeds the per-sequence rng stream."""
@@ -716,8 +732,7 @@ class DecodeEngine:
         if self.check_references:
             ref = epoch.graph.reference_outputs(inputs)
             reference_ok = all(
-                np.allclose(outs[name_], ref[name_], rtol=2e-3, atol=1e-5)
-                for name_ in ref
+                _matches_reference(outs[name_], ref[name_]) for name_ in ref
             )
 
         state.x = outs[f"h{self.layers}"]

@@ -4,8 +4,9 @@ Every node compiles through the serving layer's
 :class:`~repro.serve.pool.ExecutablePool` (so per-head operators that
 share one program compile once, and ``tuned=True`` pools warm-start
 node parameters from a persistent tuning database).  Execution walks the
-graph's topological levels — nodes of one level are independent and fan
-out across a thread pool — and is bit-for-bit identical to calling each
+graph's topological levels — nodes of one level are independent, so
+those that share an executable run as one ``run_batch`` (stacked on the
+simulator's lane axis) — and is bit-for-bit identical to calling each
 node's ``Executable.run`` by hand at any worker count.
 
 The latency model mirrors the serving timing model (§5.4), extended with
@@ -129,14 +130,12 @@ class GraphExecutable(Executable):
             raise ValueError(f"placement misses nodes {missing}")
         self.graph = graph
         self.placement = placement
-        self.max_workers = max_workers
         if pool is None:
             from ..serve.pool import ExecutablePool
 
             pool = ExecutablePool(capacity=max(8, len(graph.nodes)))
         self.pool = pool
         self._order = graph.topological_order()
-        self._levels = graph.levels()
         #: node name -> (Executable, freshly loaded by this compile).
         self._exes: Dict[str, Tuple[Executable, bool]] = {}
         for node in self._order:
@@ -144,6 +143,19 @@ class GraphExecutable(Executable):
                 node.workload, placement[node.name], node.params
             )
             self._exes[node.name] = (exe, loaded)
+        #: Per topological level, its nodes grouped by shared executable
+        #: (first-seen order): nodes of one level are independent, so a
+        #: group runs as one ``run_batch`` — four heads, one vector call.
+        self._level_groups: List[List[Tuple[Executable, List[Node]]]] = []
+        for level in graph.levels():
+            groups: Dict[int, Tuple[Executable, List[Node]]] = {}
+            for node in level:
+                exe = self._exes[node.name][0]
+                groups.setdefault(id(exe), (exe, []))[1].append(node)
+            self._level_groups.append(list(groups.values()))
+        #: One-shot executor: a pool exists only while a group big enough
+        #: to be cut into several jobs runs (see ``Executor.jobs``).
+        self._executor = Executor(max_workers)
         self._profile: Optional[GraphProfile] = None
         self._plan = None
 
@@ -186,10 +198,10 @@ class GraphExecutable(Executable):
         self, inputs: Optional[Dict[str, np.ndarray]] = None, **named
     ) -> List[np.ndarray]:
         """Execute the DAG; returns the graph outputs in declaration
-        order.  Independent nodes of one topological level fan out
-        across a thread pool; each node executes exactly as a lone
-        ``Executable.run`` call would, so results are bit-for-bit
-        identical at any ``max_workers``."""
+        order.  Independent nodes of one topological level that share an
+        executable run as one ``run_batch``; every node's output is
+        exactly what a lone ``Executable.run`` call would produce, so
+        results are bit-for-bit identical at any ``max_workers``."""
         env = self.run_tensors(self._named_inputs(inputs, named))
         return [env[name] for name in self.graph.output_names]
 
@@ -203,22 +215,20 @@ class GraphExecutable(Executable):
                 f"graph {self.graph.name!r} missing inputs {missing}"
             )
         env: Dict[str, np.ndarray] = dict(inputs)
-
-        def run_node(node: Node) -> np.ndarray:
-            exe, _ = self._exes[node.name]
-            feed = {
-                wl_name: env[graph_name]
-                for wl_name, graph_name, _ in node.input_bindings()
-            }
-            (out,) = exe.run(feed)
-            return out
-
-        # One persistent pool per run (not per level): a decode step has
-        # several multi-node levels, and serving calls run() per request.
-        with Executor(self.max_workers, persistent=True) as executor:
-            for level in self._levels:
-                outs = executor.map(run_node, level)
-                for node, out in zip(level, outs):
+        for groups in self._level_groups:
+            for exe, nodes in groups:
+                feeds = [
+                    {
+                        wl_name: env[graph_name]
+                        for wl_name, graph_name, _ in node.input_bindings()
+                    }
+                    for node in nodes
+                ]
+                if len(feeds) == 1:
+                    outs = [exe.run(feeds[0])]
+                else:
+                    outs = exe.run_batch(feeds, executor=self._executor)
+                for node, (out,) in zip(nodes, outs):
                     env[node.output] = out
         return {name: env[name] for name in self.graph.output_names}
 
@@ -241,7 +251,7 @@ class GraphExecutable(Executable):
         in topological order, with H2D / compute / D2H sub-spans — the
         virtual-clock timeline of a single run.  Spans are emitted from
         the calling thread in deterministic topological order (never
-        from the execution fan-out), so traced output is identical at
+        from inside node execution), so traced output is identical at
         any ``max_workers``.  Uses the ambient tracer when ``tracer`` is
         not given; a no-op when tracing is disabled.
         """

@@ -132,5 +132,13 @@ class LoweredModule:
             total += buf.nbytes * copies
         return total
 
+    def local_bytes_per_dpu(self) -> int:
+        """Bytes of DPU-local buffers one grid point holds in the
+        functional simulator — MRAM tiles, MRAM-internal and WRAM
+        buffers, one copy each: the working set of one vector lane."""
+        local = {spec.local_buffer for spec in self.transfers}
+        local.update(self.mram_internal, self.wram_buffers)
+        return max(1, sum(buf.nbytes for buf in local))
+
     def transfer(self, direction: str) -> List[TransferSpec]:
         return [t for t in self.transfers if t.direction == direction]

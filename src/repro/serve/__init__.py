@@ -4,7 +4,7 @@ The subsystem that turns the compile stack into a request/response
 service: a :class:`Server` admits :class:`Request` objects, groups them
 by compiled-program identity under a deterministic virtual clock
 (:class:`DynamicBatcher`), dispatches each flush through a resident
-:class:`ExecutablePool` onto a persistent thread pool, and aggregates
+:class:`ExecutablePool` as one stacked ``run_batch``, and aggregates
 simulated latency/throughput telemetry (:class:`ServerMetrics`).
 
 Quick tour::

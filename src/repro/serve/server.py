@@ -16,9 +16,11 @@ driven by a deterministic virtual clock:
   :class:`~repro.serve.scheduler.DynamicBatcher`).
 * **dispatch** — a flush compiles-or-reuses its executable through the
   :class:`~repro.serve.pool.ExecutablePool` and runs the whole batch
-  via ``Executable.run_batch`` on one persistent
-  :class:`~repro.target.Executor` thread pool, so outputs are
-  bit-for-bit what individual ``run()`` calls would produce.
+  as one ``Executable.run_batch`` — on the simulator, one vector call
+  over the flush's stacked requests; the server's persistent
+  :class:`~repro.target.Executor` starts threads only for flushes big
+  enough to be cut into several jobs — so outputs are bit-for-bit what
+  individual ``run()`` calls would produce.
 * **failure isolation** — a flush that raises (bad input names, a
   target that cannot execute, an invalid compile) fails only its own
   group: those tickets turn ``failed`` with the error recorded, no

@@ -33,7 +33,8 @@ class Executable:
     Uniform surface:
 
     * :meth:`run` — functional execution against named numpy inputs;
-    * :meth:`run_batch` — N independent inputs sharded over a thread pool;
+    * :meth:`run_batch` — N independent inputs as one lane space, cut
+      into byte-sized jobs (see :class:`Executor`);
     * :meth:`profile` — the target-native performance breakdown;
     * :attr:`latency` — total predicted/simulated seconds, comparable
       across targets.
@@ -68,17 +69,28 @@ class Executable:
     ) -> List[List[np.ndarray]]:
         """Execute independent input dicts; results in input order.
 
-        The default shards whole batch items across the thread pool
-        (embarrassingly parallel — right for roofline targets whose
-        ``run`` is one numpy expression).  ``executor`` supplies a
-        caller-owned (typically persistent) :class:`Executor` so a
-        serving loop reuses one pool across flushes; an empty batch
+        The default treats each item as one unit of work the size of its
+        input arrays (right for roofline targets, whose ``run`` is one
+        numpy expression over them) and lets :meth:`Executor.jobs` cut
+        the batch: small batches run in order on the caller's thread,
+        big ones as a few contiguous jobs on the pool.  ``executor``
+        supplies a caller-owned (typically persistent) :class:`Executor`
+        so a serving loop reuses one pool across flushes; an empty batch
         returns ``[]`` without touching any pool.
         """
         batch = list(batch)
         if not batch:
             return []
-        return (executor or Executor(max_workers)).map(self.run, batch)
+        executor = executor or Executor(max_workers)
+        # Items of one program bind same-shaped inputs.
+        item_bytes = sum(
+            getattr(arr, "nbytes", 0) for arr in (batch[0] or {}).values()
+        )
+        outs = executor.map(
+            lambda job: [self.run(batch[i]) for i in job],
+            executor.jobs(len(batch), item_bytes),
+        )
+        return [out for job in outs for out in job]
 
     # -- performance --------------------------------------------------------
     def profile(self) -> Any:
@@ -139,15 +151,22 @@ class UpmemExecutable(Executable):
     def run_batch(
         self, batch, max_workers=None, executor=None
     ) -> List[List[np.ndarray]]:
-        """Shard the batch per DPU group across the thread pool.
+        """Run the batch as one lane space of the vectorized simulator.
 
-        Each batch item's DPU grid is cut into contiguous chunks and all
-        (item, chunk) jobs share one pool, so even a single-item batch
-        parallelizes across its DPUs.  DPUs write disjoint tile regions,
-        making the result bit-for-bit identical to sequential ``run``
-        calls regardless of interleaving.  ``executor`` reuses a
-        caller-owned pool (see :class:`Executor`'s persistent mode); an
-        empty batch returns ``[]`` without preparing any state.
+        The B items are stacked on the vectorizer's lane axis — lane
+        ``i * G + g`` is DPU grid point ``g`` of item ``i`` — so a batch
+        of small programs is one vector call over ``B x G`` lanes rather
+        than B calls (``host_pre``/``host_post`` stay per item).  The
+        lane space is cut into jobs by working-set bytes (lanes x the
+        per-DPU MRAM/WRAM footprint, :meth:`Executor.jobs`): below the
+        crossover it is one job on the caller's thread, above it a few
+        contiguous jobs on the pool, so a single 64MB item still
+        parallelizes across its DPUs.  Lanes write disjoint tile regions
+        of their own item's outputs, making the result bit-for-bit
+        identical to sequential ``run`` calls however the space is cut.
+        ``executor`` reuses a caller-owned pool (see :class:`Executor`'s
+        persistent mode); an empty batch returns ``[]`` without
+        preparing any state.
         """
         batch = list(batch)
         if not batch:
@@ -157,9 +176,13 @@ class UpmemExecutable(Executable):
         states = [
             fexec.prepare(self._named_inputs(inputs, {})) for inputs in batch
         ]
-        chunks = Executor.chunk(fexec.grid_points(), executor.max_workers)
-        jobs = [(state, chunk) for state in states for chunk in chunks]
-        executor.map(lambda job: fexec.run_points(job[0], job[1]), jobs)
+        lowered = self._mod.lowered
+        executor.map(
+            lambda job: fexec.run_points(states, job),
+            executor.jobs(
+                len(states) * lowered.n_dpus, lowered.local_bytes_per_dpu()
+            ),
+        )
         return [fexec.finalize(state) for state in states]
 
     # -- performance --------------------------------------------------------

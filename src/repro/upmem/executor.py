@@ -11,7 +11,8 @@ variable or a per-executor override:
 
 ``vector`` (default)
     The TIR->NumPy compiled plan from :mod:`repro.upmem.vectorize`:
-    all grid points of a chunk execute as one batched lane axis.
+    all lanes of a chunk — grid points, of one item or of several
+    stacked batch items — execute as one batched lane axis.
 ``scalar``
     The reference :class:`~repro.upmem.interp.Interpreter`, walking the
     AST point by point.
@@ -33,7 +34,13 @@ from ..lowering import LoweredModule, TransferSpec
 from ..tir import Buffer, Var
 from .interp import Interpreter, _np_dtype
 
-__all__ = ["FunctionalExecutor", "VerifyMismatch", "sim_mode", "SIM_MODES"]
+__all__ = [
+    "FunctionalExecutor",
+    "VerifyMismatch",
+    "sim_mode",
+    "positive_int_env",
+    "SIM_MODES",
+]
 
 SIM_MODES = ("vector", "scalar", "verify")
 
@@ -53,16 +60,30 @@ def sim_mode(override: Optional[str] = None) -> str:
     return mode
 
 
+def positive_int_env(name: str, text: str) -> int:
+    """Parse the value of an integer environment knob that must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {text!r}")
+    return value
+
+
 class FunctionalExecutor:
     """Executes a :class:`LoweredModule` for correctness checking.
 
     The offload sequence is exposed in three phases — :meth:`prepare`
-    (bind inputs, allocate outputs, run host-side preamble),
-    :meth:`run_points` (simulate a subset of the DPU grid) and
-    :meth:`finalize` (host post-processing) — so callers can shard grid
-    points across threads: every DPU reads shared input arrays and
-    writes its own disjoint tile regions, making per-DPU-group execution
-    order-independent.  :meth:`run` composes the three sequentially.
+    (bind inputs, allocate outputs, run host-side preamble, per item),
+    :meth:`run_points` (simulate a slice of the *lane space* of one or
+    more prepared items) and :meth:`finalize` (host post-processing, per
+    item).  The lane space of a batch is item-major: with ``G`` grid
+    points, lane ``i * G + g`` is grid point ``g`` of item ``i``.  Every
+    lane reads its item's input arrays and writes its own disjoint tile
+    regions of its item's outputs, so any partition of the lane space
+    may run in any order, or on several threads.  :meth:`run` composes
+    the three phases for a batch of one.
     """
 
     def __init__(
@@ -140,18 +161,27 @@ class FunctionalExecutor:
 
     def run_points(
         self,
-        arrays: Dict[Buffer, np.ndarray],
-        points: Sequence[tuple],
+        states: Sequence[Dict[Buffer, np.ndarray]],
+        lanes: range,
     ) -> None:
-        """Simulate the given DPU grid points against shared arrays."""
+        """Simulate ``lanes`` of the lane space of the prepared ``states``
+        (one :meth:`prepare` result per batch item)."""
         mode = self._mode()
-        if mode == "scalar":
-            self._run_points_scalar(arrays, points)
-            return
         if mode == "vector":
-            self._plan().run_points(arrays, points)
-            return
-        self._run_points_verify(arrays, points)
+            self._plan().run_points(states, lanes)
+        elif mode == "scalar":
+            for item, points in self._item_points(lanes):
+                self._run_points_scalar(states[item], points)
+        else:
+            self._run_points_verify(states, lanes)
+
+    def _item_points(self, lanes: range):
+        """``lanes`` as (item number, that item's grid points) pairs."""
+        points = self.grid_points()
+        grid = len(points)
+        for item in range(lanes.start // grid, -(-lanes.stop // grid)):
+            first = item * grid
+            yield item, points[max(lanes.start - first, 0) : lanes.stop - first]
 
     def finalize(self, arrays: Dict[Buffer, np.ndarray]) -> List[np.ndarray]:
         """Run host post-processing; returns the output arrays."""
@@ -176,7 +206,7 @@ class FunctionalExecutor:
     def run(self, inputs: Dict[str, np.ndarray]) -> List[np.ndarray]:
         """Execute with named input arrays; returns the output arrays."""
         arrays = self.prepare(inputs)
-        self.run_points(arrays, self.grid_points())
+        self.run_points([arrays], range(self.module.n_dpus))
         return self.finalize(arrays)
 
     # -- scalar reference path ----------------------------------------------
@@ -248,40 +278,46 @@ class FunctionalExecutor:
     # -- equivalence gate ----------------------------------------------------
     def _run_points_verify(
         self,
-        arrays: Dict[Buffer, np.ndarray],
-        points: Sequence[tuple],
+        states: Sequence[Dict[Buffer, np.ndarray]],
+        lanes: range,
     ) -> None:
-        """Run both paths; compare this shard's D2H regions bitwise.
+        """Run the stacked vector call, then the scalar interpreter item
+        by item; compare each item's D2H regions bitwise.
 
-        Only the regions written by *these* points are compared — under
+        Only the regions written by *these* lanes are compared — under
         ``run_batch`` other threads own the rest of the output arrays.
         """
-        points = list(points)
         module = self.module
         d2h = module.transfer("d2h")
-        shadow = dict(arrays)
-        for spec in d2h:
-            shadow[spec.global_buffer] = arrays[spec.global_buffer].copy()
-        self._plan().run_points(arrays, points)
-        self._run_points_scalar(shadow, points)
+        items = list(self._item_points(lanes))
+        shadows = []
+        for item, _ in items:
+            shadow = dict(states[item])
+            for spec in d2h:
+                shadow[spec.global_buffer] = shadow[spec.global_buffer].copy()
+            shadows.append(shadow)
+        self._plan().run_points(states, lanes)
         probe = Interpreter({})
         grid_vars = module.grid_vars()
-        for point in points:
-            env = dict(zip(grid_vars, point))
-            for spec in d2h:
-                base, valid = self._valid_region(spec, probe, env)
-                if not all(v > 0 for v in valid):
-                    continue
-                region = tuple(
-                    slice(b, b + v) for b, v in zip(base, valid)
-                )
-                got = arrays[spec.global_buffer][region]
-                want = shadow[spec.global_buffer][region]
-                if got.tobytes() != want.tobytes():
-                    raise VerifyMismatch(
-                        f"vector/scalar mismatch in {spec.global_buffer.name}"
-                        f" at grid point {point}"
+        for (item, points), shadow in zip(items, shadows):
+            self._run_points_scalar(shadow, points)
+            for point in points:
+                env = dict(zip(grid_vars, point))
+                for spec in d2h:
+                    base, valid = self._valid_region(spec, probe, env)
+                    if not all(v > 0 for v in valid):
+                        continue
+                    region = tuple(
+                        slice(b, b + v) for b, v in zip(base, valid)
                     )
+                    got = states[item][spec.global_buffer][region]
+                    want = shadow[spec.global_buffer][region]
+                    if got.tobytes() != want.tobytes():
+                        raise VerifyMismatch(
+                            f"vector/scalar mismatch in"
+                            f" {spec.global_buffer.name} at grid point"
+                            f" {point} of batch item {item}"
+                        )
 
     @staticmethod
     def _valid_region(

@@ -30,6 +30,7 @@ runs them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -66,11 +67,13 @@ from ..tir import (
     Select,
     SeqStmt,
     Stmt,
+    StmtVisitor,
     Sub,
     Var,
     collect_loads,
     free_vars,
 )
+from .executor import positive_int_env
 from .interp import _INTRINSICS, InterpError, Interpreter, _np_dtype
 
 __all__ = [
@@ -1050,13 +1053,33 @@ class _StmtCompiler:
 # ---------------------------------------------------------------------------
 
 
+class _BufferRefs(StmtVisitor):
+    """Every buffer a statement loads, stores or DMA-copies."""
+
+    def __init__(self) -> None:
+        self.buffers: set = set()
+
+    def visit_BufferLoad(self, node) -> None:
+        self.buffers.add(node.buffer)
+
+    def visit_BufferStore(self, node) -> None:
+        self.buffers.add(node.buffer)
+
+    def visit_DmaCopy(self, node) -> None:
+        self.buffers.update((node.dst, node.src))
+
+
 class KernelPlan:
     """Compiled batched execution of a module's per-DPU offload sequence.
 
-    One lane per grid point: H2D tile fills gather all lanes at once, the
-    kernel op tree runs over ``(L, ...)`` batched local buffers, and D2H
-    scatters every lane's valid tile region back to the host tensors.
-    Chunks the lane axis to bound peak memory.
+    The lane axis is the *lane space* of a batch of executions of the
+    program: item-major, one lane per (item, grid point) — lane
+    ``i * G + g`` is grid point ``g`` of item ``i``, and a lone ``run``
+    is the batch of one.  H2D tile fills gather every lane's tile from
+    its own item's host tensors, the kernel op tree runs once over
+    ``(L, ...)`` batched local buffers, and D2H scatters every lane's
+    valid tile region back to its item's tensors.  Chunks the lane axis
+    to bound peak memory.
     """
 
     kind = "kernel"
@@ -1085,37 +1108,65 @@ class KernelPlan:
             for spec in module.transfer("d2h")
         ]
         self.kernel_op = _StmtCompiler(self).compile(module.kernel)
-        self._bytes_per_lane = max(
-            1, sum(buf.nbytes for buf in self.batched)
+        self._bytes_per_lane = module.local_bytes_per_dpu()
+        #: Grid coordinates in canonical (row-major) order, one row per
+        #: grid point: what a lane's position inside its item selects.
+        points = list(
+            itertools.product(*[range(dim.extent) for dim in module.grid])
         )
+        self._grid = np.array(points, dtype=np.int64).reshape(
+            len(points), len(module.grid)
+        )
+        #: Items may share a chunk only if the kernel touches nothing
+        #: but per-lane buffers; one that reads or writes a host tensor
+        #: directly (out of model, see ``_FallbackOp``) runs item by item.
+        refs = _BufferRefs()
+        refs.visit_stmt(module.kernel)
+        self._stackable = refs.buffers <= self.batched
+
+    def batched_alloc(self, buffer: Buffer) -> None:
+        self.batched.add(buffer)  # a kernel-side temp is per lane
 
     # -- driving ------------------------------------------------------------
     def max_lanes(self, total: int) -> int:
         env = os.environ.get("REPRO_VECTOR_LANES")
-        if env:
-            return max(1, min(total, int(env)))
+        if env is not None:
+            return min(total, positive_int_env("REPRO_VECTOR_LANES", env))
         budget = 256 * 1024 * 1024
         return max(1, min(total, budget // self._bytes_per_lane))
 
     def run_points(
         self,
-        arrays: Dict[Buffer, np.ndarray],
-        points: Sequence[tuple],
+        states: Sequence[Dict[Buffer, np.ndarray]],
+        lanes: range,
     ) -> None:
-        points = list(points)
-        if not points:
-            return
-        cap = self.max_lanes(len(points))
-        for start in range(0, len(points), cap):
-            self._run_chunk(arrays, points[start : start + cap])
+        """Execute ``lanes`` of the lane space of the prepared ``states``
+        (one ``Buffer -> array`` dict per batch item)."""
+        grid = len(self._grid)
+        cap = self.max_lanes(len(lanes))
+        lo = lanes.start
+        while lo < lanes.stop:
+            hi = min(lo + cap, lanes.stop)
+            if not self._stackable:
+                hi = min(hi, (lo // grid + 1) * grid)
+            self._run_chunk(states, lo, hi)
+            lo = hi
 
-    def _run_chunk(self, arrays, chunk) -> None:
+    def _run_chunk(self, states, lo: int, hi: int) -> None:
         module = self.module
-        L = len(chunk)
-        grid_vars = module.grid_vars()
-        pts = np.asarray(chunk, dtype=np.int64).reshape(L, len(grid_vars))
-        lane_vals = {v: pts[:, d] for d, v in enumerate(grid_vars)}
-        bufs = dict(arrays)
+        L = hi - lo
+        grid = len(self._grid)
+        pts = self._grid[np.arange(lo, hi) % grid]
+        lane_vals = {v: pts[:, d] for d, v in enumerate(module.grid_vars())}
+        # (state, first lane, end lane) of every item the chunk touches,
+        # lane numbers relative to the chunk.
+        runs = [
+            (states[i], max(lo, i * grid) - lo, min(hi, (i + 1) * grid) - lo)
+            for i in range(lo // grid, (hi - 1) // grid + 1)
+        ]
+        # Host tensors are visible to the op tree only when the chunk is
+        # one item's (a stackable kernel never looks at them).
+        bufs = dict(runs[0][0]) if len(runs) == 1 else {}
         ctx = _Ctx(self, bufs, lane_vals, L)
         for spec, base_fns in self._tiles:
             tile = np.zeros(
@@ -1123,14 +1174,14 @@ class KernelPlan:
             )
             bufs[spec.local_buffer] = tile
             if base_fns is not None:
-                self._fill(ctx, spec, base_fns, tile)
+                self._fill(ctx, runs, spec, base_fns, tile)
         for buf in module.mram_internal:
             bufs[buf] = np.zeros((L,) + tuple(buf.shape), _np_dtype(buf))
         for buf in module.wram_buffers:
             bufs[buf] = np.zeros((L,) + tuple(buf.shape), _np_dtype(buf))
         self.kernel_op.run(ctx)
         for spec, base_fns in self._d2h:
-            self._writeback(ctx, arrays, spec, base_fns)
+            self._writeback(ctx, runs, spec, base_fns)
 
     # -- transfers ----------------------------------------------------------
     @staticmethod
@@ -1152,9 +1203,22 @@ class KernelPlan:
             idxs.append(np.clip(i, 0, dim - 1))
         return idxs, vmask
 
-    def _fill(self, ctx, spec, base_fns, tile) -> None:
-        src = ctx.bufs[spec.global_buffer]
+    @staticmethod
+    def _tensor_runs(runs, buffer):
+        """``runs`` as (host tensor, first lane, end lane), neighbouring
+        items that bind the same array object merged into one run."""
+        merged: List[list] = []
+        for state, a, b in runs:
+            arr = state[buffer]
+            if merged and merged[-1][0] is arr:
+                merged[-1][2] = b
+            else:
+                merged.append([arr, a, b])
+        return merged
+
+    def _fill(self, ctx, runs, spec, base_fns, tile) -> None:
         bases = [f(ctx) for f, _ in base_fns]
+        sources = self._tensor_runs(runs, spec.global_buffer)
         if all(not isinstance(b, np.ndarray) for b in bases):
             base = [int(b) for b in bases]
             valid = [
@@ -1167,19 +1231,27 @@ class KernelPlan:
                 src_sl = tuple(
                     slice(b, b + v) for b, v in zip(base, valid)
                 )
-                dst_sl = (slice(None),) + tuple(slice(0, v) for v in valid)
-                tile[dst_sl] = src[src_sl]
+                dst_sl = tuple(slice(0, v) for v in valid)
+                for src, a, b in sources:
+                    tile[(slice(a, b),) + dst_sl] = src[src_sl]
             return
         idxs, vmask = self._tile_index(ctx, spec, bases)
-        gathered = src[tuple(idxs)]
         where = np.broadcast_to(vmask, (ctx.L,) + tuple(spec.shape))
-        np.copyto(tile, gathered, where=where)  # tile is pre-zeroed
+        for src, a, b in sources:
+            # Index arrays lead with the lane axis (length 1 when the
+            # dimension's base is the same for every lane).
+            own = tuple(
+                i if i.shape[0] == 1 or b - a == ctx.L else i[a:b]
+                for i in idxs
+            )
+            # tile is pre-zeroed
+            np.copyto(tile[a:b], src[own], where=where[a:b])
 
-    def _writeback(self, ctx, arrays, spec, base_fns) -> None:
-        dst = arrays[spec.global_buffer]
+    def _writeback(self, ctx, runs, spec, base_fns) -> None:
         tile = ctx.bufs[spec.local_buffer]
         bases = [f(ctx) for f, _ in base_fns]
         if ctx.L == 1 and all(not isinstance(b, np.ndarray) for b in bases):
+            dst = runs[0][0][spec.global_buffer]
             base = [int(b) for b in bases]
             valid = [
                 max(0, min(ext, dim - b))
@@ -1207,7 +1279,9 @@ class KernelPlan:
         where = np.broadcast_to(vmask, full_shape)
         # Lanes write disjoint (or identical-valued padded) regions; the
         # row-major scatter preserves the scalar path's point order.
-        dst.reshape(-1)[flat[where]] = tile[where]
+        for dst, a, b in self._tensor_runs(runs, spec.global_buffer):
+            own = where[a:b]
+            dst.reshape(-1)[flat[a:b][own]] = tile[a:b][own]
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,30 @@ class TestExecution:
         assert result.reference_ok is True
         assert all(s.reference_ok for s in result.steps)
 
+    def test_reference_check_survives_hidden_state_growth(self):
+        """3 layers x 6 tokens at the default model size, one of the
+        seeds (16, 37, 76, 92) whose sixth token used to fail an
+        element-wise rtol=2e-3 check by float32 rounding alone: the
+        un-normalised hidden state has grown ~3x a token and one
+        element cancels to nearly zero."""
+        engine = DecodeEngine(
+            layers=3, page_tokens=4, max_resident_epochs=4, seed=16
+        )
+        engine.add_sequence("r16-q1", prompt_tokens=6)
+        reports = [engine.step_seq("r16-q1") for _ in range(6)]
+        assert [r.reference_ok for r in reports] == [True] * 6
+
+    def test_reference_check_is_on_the_tensor_scale(self):
+        from repro.decode.engine import _matches_reference
+
+        want = np.array([1000.0, 1e-6, -250.0], np.float32)
+        near = want + np.array([0.05, 0.05, -0.05], np.float32)
+        assert _matches_reference(near, want)  # 5e-5 of the scale
+        assert not _matches_reference(want + np.float32(0.5), want)
+        assert not _matches_reference(
+            np.array([1000.0, np.nan, -250.0], np.float32), want
+        )
+
     def test_hidden_state_feeds_back(self):
         engine = tiny_engine()
         result = engine.decode(tokens=3, prompt_tokens=4)

@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro.target import Executor, TargetError, UpmemTarget
+from repro.target.executor import MIN_JOB_BYTES
 from repro.workloads import make_workload, mtv, red, va
 
 
@@ -18,17 +19,31 @@ def _assert_batches_identical(seq, par):
 
 
 class TestExecutorChunking:
+    """``Executor.jobs``: contiguous, byte-sized, at most ``max_workers``."""
+
     def test_chunks_are_contiguous_partition(self):
-        items = list(range(10))
-        chunks = Executor.chunk(items, 3)
-        assert [x for c in chunks for x in c] == items
-        assert len(chunks) == 3
+        jobs = Executor(max_workers=3).jobs(10, MIN_JOB_BYTES)
+        assert [x for job in jobs for x in job] == list(range(10))
+        assert [len(job) for job in jobs] == [4, 3, 3]
 
     def test_more_chunks_than_items(self):
-        assert Executor.chunk([1, 2], 8) == [[1], [2]]
+        jobs = Executor(max_workers=8).jobs(2, MIN_JOB_BYTES)
+        assert jobs == [range(0, 1), range(1, 2)]
 
     def test_empty(self):
-        assert Executor.chunk([], 4) == []
+        assert Executor(max_workers=4).jobs(0, MIN_JOB_BYTES) == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_no_job_below_the_crossover(self, workers):
+        executor = Executor(max_workers=workers)
+        item = MIN_JOB_BYTES // 64
+        for n in (1, 63, 127):  # under two crossovers of work: one job
+            assert executor.jobs(n, item) == [range(n)]
+        for n in (128, 200, 1000):
+            jobs = executor.jobs(n, item)
+            assert [x for job in jobs for x in job] == list(range(n))
+            assert len(jobs) == min(workers, n * item // MIN_JOB_BYTES)
+            assert all(len(job) * item >= MIN_JOB_BYTES for job in jobs)
 
     def test_map_order_preserved(self):
         result = Executor(max_workers=4).map(lambda x: x * x, range(20))

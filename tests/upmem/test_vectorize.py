@@ -5,7 +5,18 @@ import pytest
 
 from repro.autotune.compile import compile_params
 from repro.lowering import GridDim, LoweredModule
-from repro.tir import Buffer, BufferStore, Call, Evaluate, For, IntImm, Var
+from repro.tir import (
+    Allocate,
+    Buffer,
+    BufferLoad,
+    BufferStore,
+    Call,
+    Evaluate,
+    For,
+    IntImm,
+    SeqStmt,
+    Var,
+)
 from repro.upmem import FunctionalExecutor, VerifyMismatch, plan_for, sim_mode
 from repro.upmem.interp import InterpError, Interpreter, _np_dtype
 from repro.upmem.vectorize import host_program_for
@@ -104,9 +115,9 @@ class TestEquivalenceGate:
         # manual two-shard phased execution (what run_batch does)
         fexec = FunctionalExecutor(module)
         arrays = fexec.prepare(inputs)
-        points = fexec.grid_points()
-        fexec.run_points(arrays, points[: len(points) // 2])
-        fexec.run_points(arrays, points[len(points) // 2 :])
+        lanes = len(fexec.grid_points())
+        fexec.run_points([arrays], range(lanes // 2))
+        fexec.run_points([arrays], range(lanes // 2, lanes))
         out, = fexec.finalize(arrays)
         assert out.tobytes() == ref[0].tobytes()
 
@@ -150,8 +161,8 @@ class TestEquivalenceGate:
             )
 
 
-def _toy_module(kernel, out_buf, grid_extent=4):
-    gvar = Var("b")
+def _toy_module(kernel, out_buf, grid_extent=4, gvar=None, inputs=()):
+    gvar = gvar or Var("b")
     return LoweredModule(
         name="toy",
         grid=[GridDim("blockIdx.x", gvar, grid_extent)],
@@ -159,7 +170,7 @@ def _toy_module(kernel, out_buf, grid_extent=4):
         transfers=[],
         host_pre=[],
         host_post=[],
-        inputs=[],
+        inputs=list(inputs),
         outputs=[out_buf],
     ), gvar
 
@@ -181,6 +192,43 @@ class TestFallbacks:
         v, = FunctionalExecutor(module).run({})
         assert s.tobytes() == v.tobytes()
 
+    def test_global_touching_kernel_never_shares_a_chunk(self, monkeypatch):
+        """Stacked items whose kernel reads and writes host tensors
+        directly must run item by item: in a shared chunk the op tree
+        could not tell whose tensor it is looking at."""
+        inp = Buffer("In", (4,), "float32")
+        out = Buffer("Out", (4,), "float32")
+        gvar = Var("b")
+        kernel = BufferStore(out, BufferLoad(inp, [gvar]) + 1.0, [gvar])
+        module, _ = _toy_module(kernel, out, gvar=gvar, inputs=[inp])
+        monkeypatch.setenv("REPRO_SIM_MODE", "vector")
+        fexec = FunctionalExecutor(module)
+        feeds = [np.arange(4, dtype=np.float32) * k for k in (1, 10, 100)]
+        states = [fexec.prepare({"In": feed}) for feed in feeds]
+        fexec.run_points(states, range(2, 12))  # cuts items 0 and 2
+        assert list(states[0][out]) == [0, 0, 3, 4]
+        assert list(states[1][out]) == [1, 11, 21, 31]
+        assert list(states[2][out]) == [1, 101, 201, 301]
+
+    def test_kernel_side_allocate_is_per_lane(self, monkeypatch):
+        out = Buffer("Out", (4,), "float32")
+        tmp = Buffer("tmp", (2,), "float32")
+        gvar = Var("b")
+        kernel = Allocate(
+            tmp,
+            SeqStmt([
+                BufferStore(tmp, gvar * 2, [IntImm(0)]),
+                BufferStore(out, BufferLoad(tmp, [IntImm(0)]), [gvar]),
+            ]),
+        )
+        module, _ = _toy_module(kernel, out, gvar=gvar)
+        outs = {}
+        for mode in ("scalar", "vector"):
+            monkeypatch.setenv("REPRO_SIM_MODE", mode)
+            outs[mode], = FunctionalExecutor(module).run({})
+        assert list(outs["scalar"]) == [0, 2, 4, 6]
+        assert outs["scalar"].tobytes() == outs["vector"].tobytes()
+
     def test_unknown_intrinsic_raises_in_both_modes(self, monkeypatch):
         out = Buffer("Out", (4,), "float32")
         kernel = Evaluate(Call("fused_magic", [], "float32"))
@@ -198,10 +246,10 @@ class TestFallbacks:
         fexec = FunctionalExecutor(module, mode="verify")
 
         class _LyingPlan:
-            def run_points(self, arrays, points):
-                plan_for(module).run_points(arrays, points)
+            def run_points(self, states, lanes):
+                plan_for(module).run_points(states, lanes)
                 out = module.outputs[0]
-                arrays[out] += np.float32(1.0)  # corrupt the vector result
+                states[0][out] += np.float32(1.0)  # corrupt the vector result
 
         monkeypatch.setattr(fexec, "_plan", lambda: _LyingPlan())
         with pytest.raises(VerifyMismatch):
@@ -212,6 +260,27 @@ class TestFallbacks:
         with pytest.raises(ValueError):
             sim_mode()
         assert sim_mode("vector") == "vector"
+
+
+class TestLaneCapKnob:
+    @pytest.mark.parametrize("bad", ["abc", "0", "-3", ""])
+    def test_invalid_lane_cap_rejected(self, bad, monkeypatch):
+        wl = va(64)
+        module = _compile(wl, {"n_dpus": 2, "n_tasklets": 1, "cache": 8},
+                          "O3")
+        monkeypatch.setenv("REPRO_SIM_MODE", "vector")
+        monkeypatch.setenv("REPRO_VECTOR_LANES", bad)
+        with pytest.raises(ValueError, match="REPRO_VECTOR_LANES"):
+            FunctionalExecutor(module).run(wl.random_inputs(0))
+
+    def test_cap_above_the_lane_count_is_the_lane_count(self, monkeypatch):
+        wl = va(64)
+        module = _compile(wl, {"n_dpus": 2, "n_tasklets": 1, "cache": 8},
+                          "O3")
+        monkeypatch.setenv("REPRO_VECTOR_LANES", "1000")
+        assert plan_for(module).max_lanes(2) == 2
+        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
+        assert plan_for(module).max_lanes(2) == 1
 
 
 class TestDtypeRegression:
