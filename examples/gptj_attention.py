@@ -15,8 +15,6 @@ import numpy as np
 
 import repro
 from repro.autotune import autotune
-from repro.runtime import Module
-from repro.upmem.system import PerformanceModel
 from repro.workloads import GPTJ_6B, mha_mmtv
 
 
@@ -51,16 +49,15 @@ def main() -> None:
     # Validate the tuned module functionally on a scaled-down instance.
     small = mha_mmtv(GPTJ_6B, batch=1, tokens=16)
     small_result = autotune(small, n_trials=16, seed=0)
-    module = Module(small_result.best_module)
+    exe = repro.compile(small, params=small_result.best_params)
     inputs = small.random_inputs(0)
-    (out,) = module.run(inputs)
+    (out,) = exe.run(inputs)
     np.testing.assert_allclose(
         out, small.reference_output(inputs), rtol=1e-3
     )
     print("functional check on 1x16x256 instance: OK")
 
-    prof = PerformanceModel().profile(result.best_module)
-    lat = prof.latency
+    lat = repro.compile(wl, params=result.best_params).profile().latency
     print(
         f"breakdown: h2d {lat.h2d*1e3:.3f} ms | kernel {lat.kernel*1e3:.3f} ms"
         f" | d2h+reduce {lat.d2h_plus_host*1e3:.3f} ms"

@@ -80,7 +80,7 @@ def compile_workload() -> None:
          "B": rng.random(K, dtype=np.float32)}
         for _ in range(4)
     ]
-    outs = exe.run_batch(batch, max_workers=4)
+    outs = exe.run_batch(batch)
     print(f"run_batch: {len(outs)} results")
 
     lat = exe.profile().latency

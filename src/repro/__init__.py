@@ -17,13 +17,9 @@ Explicit schedules still compile the same way::
     exe = repro.compile(sch, target="upmem")
 """
 
-import warnings as _warnings
-
 from . import pipeline, te, tir
 from .lowering import LowerOptions, lower
 from .pipeline import PassContext, PassManager, get_pipeline
-from .runtime import Module
-from .runtime import build as _schedule_build
 from .schedule import Schedule
 from .target import (
     Executable,
@@ -43,22 +39,6 @@ from .obs import Tracer, use_tracer
 
 __version__ = "0.3.0"
 
-
-def build(*args, **kwargs) -> Module:
-    """Deprecated: use ``repro.compile(schedule, target="upmem")``.
-
-    Compiles a schedule into an executable module via the ``build``
-    pipeline; kept as a thin shim over the target-centric front end.
-    """
-    _warnings.warn(
-        "repro.build is deprecated; use"
-        " repro.compile(schedule, target=\"upmem\")",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _schedule_build(*args, **kwargs)
-
-
 __all__ = [
     "te",
     "tir",
@@ -76,8 +56,6 @@ __all__ = [
     "get_target",
     "list_targets",
     "register_target",
-    "build",
-    "Module",
     "lower",
     "LowerOptions",
     "PassContext",

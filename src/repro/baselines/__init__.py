@@ -1,28 +1,19 @@
-"""Baselines the paper compares against: PrIM, SimplePIM, CPU, GPU."""
+"""Baselines the paper compares against: PrIM, SimplePIM, CPU, GPU.
 
-from .cpu import CpuModel, GpuModel, cpu_latency, gpu_latency
-from .prim import (
-    PRIM_DEFAULT_DPUS,
-    prim_e_profile,
-    prim_module,
-    prim_params,
-    prim_profile,
-    prim_search_profile,
-)
-from .simplepim import SIMPLEPIM_WORKLOADS, simplepim_build, simplepim_profile
+The parameter tables, framework-overhead models and rooflines live
+here; each baseline compiles and profiles through its target —
+``repro.compile(workload, target="prim" | "simplepim" | "cpu" | "gpu")``.
+"""
+
+from .cpu import CpuModel, GpuModel
+from .prim import PRIM_DEFAULT_DPUS, prim_params
+from .simplepim import SIMPLEPIM_WORKLOADS, simplepim_build
 
 __all__ = [
     "CpuModel",
     "GpuModel",
-    "cpu_latency",
-    "gpu_latency",
     "prim_params",
-    "prim_module",
-    "prim_profile",
-    "prim_e_profile",
-    "prim_search_profile",
     "PRIM_DEFAULT_DPUS",
     "simplepim_build",
-    "simplepim_profile",
     "SIMPLEPIM_WORKLOADS",
 ]

@@ -9,13 +9,11 @@ at 4 MB, PIM ahead up to ~23× at ≥64 MB for reductions).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 from ..workloads import Workload
 
-__all__ = ["CpuModel", "GpuModel", "cpu_latency", "gpu_latency"]
+__all__ = ["CpuModel", "GpuModel"]
 
 
 @dataclass(frozen=True)
@@ -64,35 +62,3 @@ class GpuModel:
         if boundary_checks:
             time *= 1.0 + self.boundary_check_overhead
         return time + self.overhead_s
-
-
-def cpu_latency(workload: Workload, model: Optional[CpuModel] = None) -> float:
-    """Deprecated: use ``repro.compile(workload, target="cpu").latency``.
-
-    Latency of the CPU-autotuned baseline for a workload (seconds).
-    """
-    warnings.warn(
-        "cpu_latency is deprecated; use"
-        " repro.compile(workload, target=\"cpu\").latency",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..target import CpuTarget
-
-    return CpuTarget(model=model).compile(workload).latency
-
-
-def gpu_latency(workload: Workload, model: Optional[GpuModel] = None) -> float:
-    """Deprecated: use ``repro.compile(workload, target="gpu").latency``.
-
-    Latency of the GPU baseline for a workload (seconds).
-    """
-    warnings.warn(
-        "gpu_latency is deprecated; use"
-        " repro.compile(workload, target=\"gpu\").latency",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..target import GpuTarget
-
-    return GpuTarget(model=model).compile(workload).latency

@@ -17,21 +17,15 @@ hand-written kernels:
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..autotune.compile import compile_params
-from ..lowering import LoweredModule
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..upmem.system import PerformanceModel, ProfileResult
 from ..workloads import Workload
 
 __all__ = [
     "prim_params",
-    "prim_module",
-    "prim_profile",
-    "prim_e_profile",
-    "prim_search_profile",
     "PRIM_DEFAULT_DPUS",
     "PRIM_E_TASKLET_RANGE",
     "PRIM_E_CACHE_RANGE",
@@ -145,39 +139,6 @@ def prim_params(
     raise KeyError(f"no PrIM baseline for {name!r}")
 
 
-def prim_module(
-    workload: Workload,
-    size: Optional[str] = None,
-    config: Optional[UpmemConfig] = None,
-    **overrides,
-) -> LoweredModule:
-    """Build the PrIM-default module for a workload."""
-    params = prim_params(workload, size=size, **overrides)
-    module = compile_params(workload, params, optimize="O3", config=config)
-    if module is None:
-        raise RuntimeError(
-            f"PrIM baseline parameters invalid for {workload.name}: {params}"
-        )
-    return module
-
-
-def prim_profile(
-    workload: Workload,
-    size: Optional[str] = None,
-    config: Optional[UpmemConfig] = None,
-) -> ProfileResult:
-    """Deprecated: use ``repro.compile(workload, target="prim")``."""
-    warnings.warn(
-        "prim_profile is deprecated; use"
-        " repro.compile(workload, target=\"prim\", size=...).profile()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..target import PrimTarget
-
-    return PrimTarget(config=config).compile(workload, size=size).profile()
-
-
 def _grid_search(
     workload: Workload,
     dpu_range: Iterable[int],
@@ -210,30 +171,3 @@ def _dpu_search_range(workload: Workload) -> List[int]:
     if workload.name == "mmtv":
         return [2**n for n in range(5, 12)]
     return [2**n for n in range(8, 12)]
-
-
-def prim_e_profile(
-    workload: Workload, config: Optional[UpmemConfig] = None
-) -> ProfileResult:
-    """PrIM(E): DPU count selected by grid search."""
-    prof, _params = _grid_search(
-        workload,
-        _dpu_search_range(workload),
-        PRIM_E_TASKLET_RANGE,
-        PRIM_E_CACHE_RANGE,
-        config,
-    )
-    return prof
-
-
-def prim_search_profile(
-    workload: Workload, config: Optional[UpmemConfig] = None
-) -> Tuple[ProfileResult, Dict[str, int]]:
-    """PrIM+search: DPUs × tasklets × caching tile grid search."""
-    return _grid_search(
-        workload,
-        _dpu_search_range(workload),
-        PRIM_SEARCH_TASKLET_RANGE,
-        PRIM_SEARCH_CACHE_RANGE,
-        config,
-    )

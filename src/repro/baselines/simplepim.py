@@ -15,7 +15,6 @@ documented framework overheads (paper §7.1):
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import replace
 from typing import Optional, Tuple
 
@@ -25,7 +24,7 @@ from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..upmem.system import Latency, PerformanceModel, ProfileResult
 from ..workloads import Workload
 
-__all__ = ["simplepim_build", "simplepim_profile", "SIMPLEPIM_WORKLOADS"]
+__all__ = ["simplepim_build", "SIMPLEPIM_WORKLOADS"]
 
 SIMPLEPIM_WORKLOADS = ("va", "geva", "red")
 
@@ -98,26 +97,3 @@ def simplepim_build(
         n_dpus=prof.n_dpus,
         n_tasklets=prof.n_tasklets,
     )
-
-
-def simplepim_profile(
-    workload: Workload, config: Optional[UpmemConfig] = None
-) -> ProfileResult:
-    """Deprecated: use ``repro.compile(workload, target="simplepim")``.
-
-    Latency profile of the SimplePIM implementation of a workload.
-    """
-    warnings.warn(
-        "simplepim_profile is deprecated; use"
-        " repro.compile(workload, target=\"simplepim\").profile()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..target import SimplePimTarget, TargetError
-
-    try:
-        return SimplePimTarget(config=config).compile(workload).profile()
-    except TargetError as exc:
-        # Preserve this shim's historical contract (KeyError on
-        # unsupported workloads).
-        raise KeyError(str(exc)) from None

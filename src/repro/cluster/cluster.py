@@ -80,7 +80,6 @@ class ClusterConfig:
     dispatch_overhead_s: float = 1e-4
     replica_groups: int = 4
     check_references: bool = False
-    max_workers: Optional[int] = None
     degraded_after: int = 2
     dead_after: int = 4
     recovery_ticks: int = 3
@@ -107,7 +106,6 @@ class ClusterConfig:
             dispatch_overhead_s=self.dispatch_overhead_s,
             replica_groups=self.replica_groups,
             check_references=self.check_references,
-            max_workers=self.max_workers,
         )
 
     @property

@@ -21,7 +21,7 @@ its digest so the cluster can retire, meter and trace it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..decode.engine import DecodeEngine, StepReport
 from ..serve.pool import ExecutablePool
@@ -46,8 +46,6 @@ class WorkerConfig:
     check_references: bool = False
     #: Capacity epochs each engine keeps compiled (mixed positions).
     max_resident_epochs: int = 4
-    #: Host thread count for graph execution (never affects results).
-    max_workers: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,6 @@ class Worker:
                 seed=self.config.engine_seed,
                 check_references=self.config.check_references,
                 max_resident_epochs=self.config.max_resident_epochs,
-                max_workers=self.config.max_workers,
             )
             self.engines[layers] = eng
         return eng

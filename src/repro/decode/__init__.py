@@ -22,7 +22,7 @@ Quick tour::
 
 Every number a decode run reports — compute, boundary transfers, weight
 staging, cache growth — is deterministic: bit-for-bit identical at any
-``max_workers`` and under ``REPRO_SIM_MODE=verify``.
+``REPRO_MAX_WORKERS`` and under ``REPRO_SIM_MODE=verify``.
 """
 
 from .engine import DecodeEngine, DecodeResult, StepReport

@@ -36,7 +36,7 @@ serialized (exactly how :class:`repro.serve.Server` models a flush).
 
 Everything the engine reports is derived from deterministic inputs —
 graph structure, simulated latencies, seeded arrays — so a decode run
-is bit-for-bit reproducible at any ``max_workers`` and under any
+is bit-for-bit reproducible at any ``REPRO_MAX_WORKERS`` and under any
 ``REPRO_SIM_MODE``.
 """
 
@@ -55,7 +55,7 @@ from ..obs import current_tracer
 from ..serve.pool import ExecutablePool
 from ..upmem.config import UpmemConfig
 from ..workloads.gptj import GPTJConfig
-from .kv_cache import CacheExtension, PagedKVCache
+from .kv_cache import CacheError, CacheExtension, PagedKVCache
 from .residency import StageEvent, WeightResidencyPlanner
 
 __all__ = ["StepReport", "IterationReport", "DecodeResult", "DecodeEngine"]
@@ -117,8 +117,8 @@ class StepReport:
     per_layer: Tuple[Dict, ...] = ()
     stage_events: Tuple[StageEvent, ...] = ()
     cache_events: Tuple[CacheExtension, ...] = ()
-    #: Which sequence this step decoded (``"seq0"`` for the legacy
-    #: single-sequence path).
+    #: Which sequence this step decoded (``"seq0"`` is the one
+    #: :meth:`DecodeEngine.decode` drives).
     sequence: str = "seq0"
 
     @property
@@ -213,7 +213,6 @@ class _SequenceState:
     name: str
     x: np.ndarray  # current hidden state (next step's input token)
     rng: np.random.Generator  # per-sequence stream (prompt rows)
-    steps: int = 0  # tokens decoded so far
 
 
 @dataclass
@@ -336,7 +335,6 @@ class DecodeEngine:
         target: Any = "upmem",
         host_target: Any = "cpu",
         pool: Optional[ExecutablePool] = None,
-        max_workers: Optional[int] = None,
         mram_budget_bytes: Optional[int] = None,
         residency_policy: str = "belady",
         params: Optional[Dict[str, Dict[str, int]]] = None,
@@ -358,7 +356,6 @@ class DecodeEngine:
         self.policy = policy
         self.target = target
         self.host_target = host_target
-        self.max_workers = max_workers
         self.params = params
         self.pin_small_grids = pin_small_grids
         self.seed = seed
@@ -411,51 +408,14 @@ class DecodeEngine:
         self.pool = pool if pool is not None else ExecutablePool(capacity=64)
         self._rng = rng
         self._seqs: Dict[str, _SequenceState] = {
-            # seq0 keeps the legacy draw order: weights, then the
-            # initial hidden state, from the engine's own stream.
+            # seq0 draws from the engine's own stream: weights, then
+            # its initial hidden state, then its prompt rows.
             "seq0": _SequenceState(
                 "seq0", rng.standard_normal((d,), dtype=np.float32), rng
             )
         }
         self._epochs: "OrderedDict[int, _Epoch]" = OrderedDict()
         self._global_step = 0
-
-    # -- legacy single-sequence views ----------------------------------------
-    @property
-    def _x(self) -> np.ndarray:
-        return self._seqs["seq0"].x
-
-    @_x.setter
-    def _x(self, value: np.ndarray) -> None:
-        self._seqs["seq0"].x = value
-
-    @property
-    def _current_epoch(self) -> Optional[_Epoch]:
-        if not self._epochs:
-            return None
-        return next(reversed(self._epochs.values()))
-
-    @property
-    def _epoch_capacity(self) -> Optional[int]:
-        epoch = self._current_epoch
-        return None if epoch is None else epoch.capacity
-
-    @property
-    def _epoch_exe(self) -> Optional[GraphExecutable]:
-        epoch = self._current_epoch
-        return None if epoch is None else epoch.exe
-
-    @property
-    def _epoch_graph(self):
-        epoch = self._current_epoch
-        return None if epoch is None else epoch.graph
-
-    @property
-    def _epoch_keys(self) -> set:
-        keys: set = set()
-        for epoch in self._epochs.values():
-            keys |= epoch.keys
-        return keys
 
     # -- sequence lifecycle ---------------------------------------------------
     def sequences(self) -> Tuple[str, ...]:
@@ -529,19 +489,6 @@ class DecodeEngine:
                 events.extend(self.cache.append(name, rows))
         return events
 
-    # -- prefill (legacy seq0 surface) ---------------------------------------
-    def prefill(self, prompt_tokens: int) -> List[CacheExtension]:
-        """Seed ``seq0`` with ``prompt_tokens`` deterministic K/V rows
-        per layer (standing in for a prompt pass — the decode loop
-        needs at least one cached position to attend over).  Prefill
-        rows move over the bus like any cache extension; the events are
-        returned and counted in the cache totals."""
-        if prompt_tokens < 1:
-            raise ValueError(
-                f"prompt_tokens must be >= 1, got {prompt_tokens}"
-            )
-        return self._prefill_sequence("seq0", prompt_tokens)
-
     # -- page accounting ------------------------------------------------------
     def prompt_pages(self, prompt_tokens: int) -> int:
         """Pages admitting a ``prompt_tokens``-token sequence allocates
@@ -608,7 +555,6 @@ class DecodeEngine:
                 placement,
                 target=self.target,
                 pool=self.pool,
-                max_workers=self.max_workers,
             )
             layer_costs, step_costs = self._profile_costs(exe)
             epoch = _Epoch(capacity, exe, graph, keys, layer_costs, step_costs)
@@ -651,23 +597,18 @@ class DecodeEngine:
         return layer_costs, totals
 
     # -- the token loop ------------------------------------------------------
-    def step(self) -> StepReport:
-        """Decode one token of ``seq0`` (the legacy single-sequence
-        surface): (re)use the epoch executable, run the graph, charge
-        residency + cache traffic, append the new K/V."""
-        if self.cache.length("seq0") == 0:
-            raise RuntimeError("call prefill() before decoding")
-        return self.step_seq("seq0")
-
-    def step_seq(self, name: str) -> StepReport:
-        """Decode one token of one registered sequence."""
+    def _check_steppable(self, name: str) -> None:
         if name not in self._seqs:
             raise ValueError(f"unknown sequence {name!r}")
         if self.cache.length(name) == 0:
             raise RuntimeError(
-                f"sequence {name!r} has no cached positions; prefill or"
+                f"sequence {name!r} has no cached positions;"
                 f" add_sequence(prompt_tokens=...) first"
             )
+
+    def step_seq(self, name: str) -> StepReport:
+        """Decode one token of one registered sequence."""
+        self._check_steppable(name)
         capacity = self.cache.capacity(name)
         position = self.cache.length(name)
         tracer = current_tracer()
@@ -691,11 +632,22 @@ class DecodeEngine:
         (the scheduler's priority order), each at its own position and
         capacity; per-sequence reports are solo costs, the iteration's
         shared device occupancy comes from
-        :meth:`IterationReport.device_seconds`."""
-        if not names:
-            return IterationReport(reports=())
+        :meth:`IterationReport.device_seconds`.
+
+        The whole batch is checked before any sequence steps, so a
+        rejected batch (a duplicate or unknown name, a sequence with
+        nothing cached, more page crossings than free pages) leaves
+        every sequence, the cache and the step counter as they were."""
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate sequences in batch: {list(names)}")
+        for name in names:
+            self._check_steppable(name)
+        pages = sum(self.step_pages(name) for name in names)
+        if pages > self.cache.free_pages:
+            raise CacheError(
+                f"batch {list(names)} crosses into {pages} new pages,"
+                f" {self.cache.free_pages} free"
+            )
         return IterationReport(
             reports=tuple(self.step_seq(name) for name in names)
         )
@@ -736,7 +688,6 @@ class DecodeEngine:
             )
 
         state.x = outs[f"h{self.layers}"]
-        state.steps += 1
         cache_events = self.cache.append(
             name,
             [
@@ -814,7 +765,13 @@ class DecodeEngine:
         if tokens < 1:
             raise ValueError(f"tokens must be >= 1, got {tokens}")
         if self.cache.length("seq0") == 0:
-            self.prefill(prompt_tokens)
+            # Deterministic K/V rows standing in for a prompt pass: the
+            # loop needs at least one cached position to attend over.
+            if prompt_tokens < 1:
+                raise ValueError(
+                    f"prompt_tokens must be >= 1, got {prompt_tokens}"
+                )
+            self._prefill_sequence("seq0", prompt_tokens)
         result = DecodeResult(
             layers=self.layers,
             tokens=tokens,
@@ -822,10 +779,12 @@ class DecodeEngine:
             page_tokens=self.cache.page_tokens,
         )
         for _ in range(tokens):
-            report = self.step()
-            result.steps.append(report)
-            result.hidden_states.append(self._x.copy())
-        result.memory_plan = plan_memory(self._epoch_graph)
+            result.steps.extend(self.step_batch(["seq0"]).reports)
+            result.hidden_states.append(self.hidden_state("seq0").copy())
+        # The last step's epoch is the most recently used one.
+        result.memory_plan = plan_memory(
+            next(reversed(self._epochs.values())).graph
+        )
         result.pool_stats = self.pool.stats()
         result.cache_stats = self.cache.stats()
         result.residency_stats = self.residency.stats()

@@ -7,7 +7,7 @@ node parameters from a persistent tuning database).  Execution walks the
 graph's topological levels — nodes of one level are independent, so
 those that share an executable run as one ``run_batch`` (stacked on the
 simulator's lane axis) — and is bit-for-bit identical to calling each
-node's ``Executable.run`` by hand at any worker count.
+node's ``Executable.run`` by hand at any ``REPRO_MAX_WORKERS``.
 
 The latency model mirrors the serving timing model (§5.4), extended with
 placement boundaries:
@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..target import Executable, Executor, Target, get_target
+from ..target import Executable, Target, get_target
 from ..upmem.system import Latency
 from .ir import ModelGraph, Node
 from .placement import place
@@ -121,7 +121,6 @@ class GraphExecutable(Executable):
         placement: Dict[str, Target],
         target: Any = "upmem",
         pool: Optional[Any] = None,
-        max_workers: Optional[int] = None,
     ) -> None:
         super().__init__(get_target(target), workload=graph, params=None)
         graph.validate()
@@ -153,9 +152,6 @@ class GraphExecutable(Executable):
                 exe = self._exes[node.name][0]
                 groups.setdefault(id(exe), (exe, []))[1].append(node)
             self._level_groups.append(list(groups.values()))
-        #: One-shot executor: a pool exists only while a group big enough
-        #: to be cut into several jobs runs (see ``Executor.jobs``).
-        self._executor = Executor(max_workers)
         self._profile: Optional[GraphProfile] = None
         self._plan = None
 
@@ -200,8 +196,7 @@ class GraphExecutable(Executable):
         """Execute the DAG; returns the graph outputs in declaration
         order.  Independent nodes of one topological level that share an
         executable run as one ``run_batch``; every node's output is
-        exactly what a lone ``Executable.run`` call would produce, so
-        results are bit-for-bit identical at any ``max_workers``."""
+        exactly what a lone ``Executable.run`` call would produce."""
         env = self.run_tensors(self._named_inputs(inputs, named))
         return [env[name] for name in self.graph.output_names]
 
@@ -224,11 +219,7 @@ class GraphExecutable(Executable):
                     }
                     for node in nodes
                 ]
-                if len(feeds) == 1:
-                    outs = [exe.run(feeds[0])]
-                else:
-                    outs = exe.run_batch(feeds, executor=self._executor)
-                for node, (out,) in zip(nodes, outs):
+                for node, (out,) in zip(nodes, exe.run_batch(feeds)):
                     env[node.output] = out
         return {name: env[name] for name in self.graph.output_names}
 
@@ -251,9 +242,9 @@ class GraphExecutable(Executable):
         in topological order, with H2D / compute / D2H sub-spans — the
         virtual-clock timeline of a single run.  Spans are emitted from
         the calling thread in deterministic topological order (never
-        from inside node execution), so traced output is identical at
-        any ``max_workers``.  Uses the ambient tracer when ``tracer`` is
-        not given; a no-op when tracing is disabled.
+        from inside node execution), so traced output does not depend on
+        host threads.  Uses the ambient tracer when ``tracer`` is not
+        given; a no-op when tracing is disabled.
         """
         from ..obs import current_tracer
 
@@ -441,7 +432,6 @@ def compile_graph(
     tuned: bool = False,
     db: Optional[Any] = None,
     tune_trials: int = 64,
-    max_workers: Optional[int] = None,
 ) -> GraphExecutable:
     """Compile a model graph: place every node, then compile each
     through an :class:`~repro.serve.pool.ExecutablePool`.
@@ -464,10 +454,4 @@ def compile_graph(
             db=db,
             tune_trials=tune_trials,
         )
-    return GraphExecutable(
-        graph,
-        placement,
-        target=target,
-        pool=pool,
-        max_workers=max_workers,
-    )
+    return GraphExecutable(graph, placement, target=target, pool=pool)

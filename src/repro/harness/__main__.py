@@ -22,8 +22,9 @@ across PRs.
 
 ``--trace PATH`` records every experiment in the run into a
 :mod:`repro.obs` virtual-clock tracer and writes a Chrome trace-event
-JSON — deterministic (bit-for-bit identical at any ``--max-workers``)
-and viewable in Perfetto.  ``--trace-jsonl PATH`` additionally dumps
+JSON — deterministic (bit-for-bit identical at any
+``REPRO_MAX_WORKERS``) and viewable in Perfetto.  ``--trace-jsonl PATH``
+additionally dumps
 the flat event log.
 
 ``--db PATH`` appends every measured tuning candidate to a persistent
@@ -128,7 +129,7 @@ def run_experiment(name: str, args: argparse.Namespace):
     elif name == "fig18":
         data = experiments.fig18_cluster(
             n_requests=args.requests, n_workers=args.workers,
-            seed=args.seed, max_workers=args.max_workers,
+            seed=args.seed,
         )
         _print_rows(
             data["rows"],
@@ -152,7 +153,6 @@ def run_experiment(name: str, args: argparse.Namespace):
     elif name == "fig17" and args.layers > 1:
         data = experiments.fig17_multilayer(
             layers=args.layers, tokens=args.tokens, seed=args.seed,
-            max_workers=args.max_workers,
         )
         _print_rows(
             data["rows"],
@@ -176,8 +176,7 @@ def run_experiment(name: str, args: argparse.Namespace):
         )
     elif name == "fig17":
         data = experiments.fig17_end_to_end(
-            tokens=args.tokens, seed=args.seed,
-            max_workers=args.max_workers,
+            tokens=args.tokens, seed=args.seed
         )
         _print_rows(
             data["rows"],
@@ -287,8 +286,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="simulated cluster workers for fig18 (not host threads;"
-             " see --max-workers)",
+        help="simulated cluster workers for fig18 (not host threads:"
+             " those are REPRO_MAX_WORKERS)",
     )
     parser.add_argument(
         "--tokens", type=int, default=16, metavar="T",
@@ -317,12 +316,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--trace-jsonl", metavar="PATH", default=None,
         help="also write the raw trace events as JSON-lines to PATH",
-    )
-    parser.add_argument(
-        "--max-workers", type=int, default=None, metavar="N",
-        help="host thread-pool width for graph/decode experiments"
-             " (fig17); results and traces are bit-for-bit identical"
-             " at any value",
     )
     parser.add_argument(
         "--db", metavar="PATH", default=None,

@@ -801,7 +801,6 @@ def fig17_end_to_end(
     placements: Sequence[str] = ("upmem", "cpu", "mixed"),
     seed: int = 0,
     execute: bool = True,
-    max_workers: Optional[int] = None,
 ) -> Dict:
     """One GPT-J decoder-layer decode step as a model graph, end to end.
 
@@ -830,9 +829,7 @@ def fig17_end_to_end(
     breakdown: Dict[str, List[Dict]] = {}
     for policy in placements:
         placement = place(graph, policy=policy)
-        exe = compile_graph(
-            graph, placement=placement, max_workers=max_workers
-        )
+        exe = compile_graph(graph, placement=placement)
         profile = exe.profile()
         # Replay this placement's cost breakdown into the ambient tracer
         # (a no-op unless the harness installed one via --trace).
@@ -877,7 +874,6 @@ def fig17_multilayer(
     config=None,
     seed: int = 0,
     policy: str = "upmem",
-    max_workers: Optional[int] = None,
     mram_budget_layers: Optional[int] = None,
     residency_policy: str = "belady",
 ) -> Dict:
@@ -895,7 +891,7 @@ def fig17_multilayer(
     layer's weights; the default ``layers - 1`` (for ``layers > 1``)
     deliberately undersizes the budget so the stage/evict schedule is
     visible in the per-layer rows.  Every reported number is
-    deterministic: bit-for-bit identical at any ``max_workers``.
+    deterministic: bit-for-bit identical at any ``REPRO_MAX_WORKERS``.
     """
     from ..decode import DecodeEngine
     from ..graph.builder import GPTJ_SIM
@@ -909,7 +905,6 @@ def fig17_multilayer(
         layers=layers,
         page_tokens=page_tokens,
         policy=policy,
-        max_workers=max_workers,
         mram_budget_bytes=mram_budget_layers * layer_nbytes,
         residency_policy=residency_policy,
         seed=seed,
@@ -917,7 +912,7 @@ def fig17_multilayer(
     result = engine.decode(tokens=tokens, prompt_tokens=prompt_tokens)
     payload = result.to_dict()
     payload["rows"] = payload.pop("steps")
-    payload["graph"] = engine._epoch_graph.name
+    payload["graph"] = next(reversed(engine._epochs.values())).graph.name
     payload["mram_budget_layers"] = mram_budget_layers
     payload["residency_policy"] = residency_policy
     return payload
@@ -928,7 +923,6 @@ def fig18_cluster(
     n_workers: int = 2,
     seed: int = 7,
     max_batch: int = 8,
-    max_workers: Optional[int] = None,
     fault: bool = True,
 ) -> Dict:
     """Fig 18: continuous vs. whole-request batching on a multi-tenant
@@ -965,8 +959,7 @@ def fig18_cluster(
     def build(mode: str) -> Cluster:
         return Cluster(
             ClusterConfig(
-                n_workers=n_workers, mode=mode, max_batch=max_batch,
-                max_workers=max_workers,
+                n_workers=n_workers, mode=mode, max_batch=max_batch
             ),
             tenants=tenants,
         )
@@ -1008,8 +1001,7 @@ def fig18_cluster(
         )
         cluster = Cluster(
             ClusterConfig(
-                n_workers=n_workers, mode="continuous",
-                max_batch=max_batch, max_workers=max_workers,
+                n_workers=n_workers, mode="continuous", max_batch=max_batch
             ),
             tenants=tenants, faults=injector,
         )

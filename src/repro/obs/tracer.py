@@ -15,7 +15,7 @@ cost models and the (deterministic) order instrumented code runs in on
 the *calling* thread.  Instrumentation sites in this repository only
 emit from deterministic single-threaded control flow — never from
 inside worker-pool fan-out — so a traced run exports byte-identical
-JSON at any ``max_workers`` and under any ``REPRO_SIM_MODE``.  The
+JSON at any ``REPRO_MAX_WORKERS`` and under any ``REPRO_SIM_MODE``.  The
 tracer itself is still lock-protected, so stray multi-threaded emission
 is safe (just unordered).
 

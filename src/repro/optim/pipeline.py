@@ -3,7 +3,7 @@
 These entry points are thin wrappers over the unified pass pipeline in
 :mod:`repro.pipeline`: the §5.3 passes are registered as level-gated
 kernel passes of the named ``"optimize"`` pipeline, so the same pass
-definitions serve ``repro.build``, the autotuner's compile engine and
+definitions serve ``repro.compile``, the autotuner's compile engine and
 direct callers of :func:`optimize_kernel` (the registry hands each
 caller a fresh pipeline instance).
 """

@@ -229,9 +229,8 @@ class Schedule:
             visited.add(id(t.op))
             if isinstance(t.op, ComputeOp):
                 for buf in t.op.input_buffers():
-                    producer = _PRODUCERS.get(buf)
-                    if producer is not None:
-                        visit(producer)
+                    if buf.producer is not None:
+                        visit(buf.producer)
             order.append(t)
 
         for out in outputs:
@@ -418,7 +417,3 @@ class Schedule:
         self._stage_of_buffer[rf_tensor.buffer] = rf_stage
         self._stage_of_buffer[op.tensor.buffer] = final_stage
         return rf_tensor
-
-
-# Registry mapping buffers to the tensors declared with them.
-from ..te.operation import PRODUCERS as _PRODUCERS  # noqa: E402

@@ -17,10 +17,10 @@ driven by a deterministic virtual clock:
 * **dispatch** — a flush compiles-or-reuses its executable through the
   :class:`~repro.serve.pool.ExecutablePool` and runs the whole batch
   as one ``Executable.run_batch`` — on the simulator, one vector call
-  over the flush's stacked requests; the server's persistent
-  :class:`~repro.target.Executor` starts threads only for flushes big
-  enough to be cut into several jobs — so outputs are bit-for-bit what
-  individual ``run()`` calls would produce.
+  over the flush's stacked requests, with threads only for flushes big
+  enough to be cut into several jobs (:meth:`repro.target.Executor.jobs`)
+  — so outputs are bit-for-bit what individual ``run()`` calls would
+  produce.
 * **failure isolation** — a flush that raises (bad input names, a
   target that cannot execute, an invalid compile) fails only its own
   group: those tickets turn ``failed`` with the error recorded, no
@@ -44,7 +44,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import current_tracer
-from ..target import Executor
 from .metrics import ServerMetrics
 from .pool import ExecutablePool
 from .request import Request, Response, Ticket
@@ -74,7 +73,6 @@ class Server:
         queue_limit: Optional[int] = 64,
         tick_seconds: float = 1e-4,
         dispatch_overhead_s: float = 1e-4,
-        max_workers: Optional[int] = None,
         execute: bool = True,
     ) -> None:
         if queue_limit is not None and queue_limit < 1:
@@ -96,7 +94,6 @@ class Server:
         #: ``outputs=None``) while keeping the full timing model — for
         #: latency-only targets and pure scheduling studies.
         self.execute = execute
-        self._executor = Executor(max_workers, persistent=True)
         self._tick = 0
         self._now = 0.0  # arrival clock: _tick * tick_seconds
         self._busy_until = 0.0  # simulated device availability
@@ -239,7 +236,7 @@ class Server:
     def drain(self) -> List[Response]:
         """Flush every pending group (oldest first) and return the
         responses those flushes produced.  An empty queue returns ``[]``
-        without compiling anything or touching the thread pool."""
+        without compiling anything."""
         self._check_open()
         responses: List[Response] = []
         for key in self.batcher.drain_keys():
@@ -259,9 +256,9 @@ class Server:
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        """Shut down the persistent dispatch pool (pending requests stay
-        queued; ``drain()`` before closing to complete them)."""
-        self._executor.close()
+        """Stop serving: later calls raise :class:`ServeError` (pending
+        requests stay queued; ``drain()`` before closing to complete
+        them)."""
         self._closed = True
 
     def __enter__(self) -> "Server":
@@ -291,8 +288,7 @@ class Server:
             )
             if self.execute:
                 outputs = exe.run_batch(
-                    [entry.ticket.request.inputs or {} for entry in group],
-                    executor=self._executor,
+                    [entry.ticket.request.inputs or {} for entry in group]
                 )
             else:
                 outputs = [None] * len(group)

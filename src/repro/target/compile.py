@@ -9,9 +9,8 @@
     out, = exe.run(A=a, B=b)
     print(exe.latency, repro.list_targets())
 
-One call works for every registered target; the divergent per-backend
-entry points (``repro.build``, ``cpu_latency``, ``prim_profile``,
-``simplepim_profile``) remain as deprecation shims over this.
+One call works for every registered target, for workloads, explicit
+schedules and model graphs alike; there is no other way in.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ def compile(
         the target's canonical choice (sketch seed, PrIM table, ...).
     tuned:
         Use autotuned parameters instead of the target's canonical
-        defaults.  With ``db=`` pointing at a persistent tuning database
+        defaults.  With ``db=`` pointing at an on-disk tuning database
         (see :class:`repro.autotune.TuningCache`), a previously tuned
         (workload, target, config) group resolves instantly from the
         stored best; otherwise ``tune_trials`` search trials run first
@@ -90,9 +89,7 @@ def compile(
         graph_hints = {
             k: v
             for k, v in hints.items()
-            if k in (
-                "host_target", "placement", "policy", "pool", "max_workers"
-            )
+            if k in ("host_target", "placement", "policy", "pool")
         }
         return compile_graph(
             workload_or_schedule,

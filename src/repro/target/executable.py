@@ -14,7 +14,11 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..upmem.system import Latency, ProfileResult
+from ..lowering import LoweredModule
+from ..tir import stmt_to_str
+from ..upmem import FunctionalExecutor
+from ..upmem.emitter import emit_kernel_c
+from ..upmem.system import Latency, PerformanceModel, ProfileResult
 from .base import TargetError
 from .executor import Executor
 
@@ -62,10 +66,7 @@ class Executable:
         )
 
     def run_batch(
-        self,
-        batch: Sequence[Dict[str, np.ndarray]],
-        max_workers: Optional[int] = None,
-        executor: Optional[Executor] = None,
+        self, batch: Sequence[Dict[str, np.ndarray]]
     ) -> List[List[np.ndarray]]:
         """Execute independent input dicts; results in input order.
 
@@ -73,15 +74,13 @@ class Executable:
         input arrays (right for roofline targets, whose ``run`` is one
         numpy expression over them) and lets :meth:`Executor.jobs` cut
         the batch: small batches run in order on the caller's thread,
-        big ones as a few contiguous jobs on the pool.  ``executor``
-        supplies a caller-owned (typically persistent) :class:`Executor`
-        so a serving loop reuses one pool across flushes; an empty batch
+        big ones as a few contiguous jobs on a pool.  An empty batch
         returns ``[]`` without touching any pool.
         """
         batch = list(batch)
         if not batch:
             return []
-        executor = executor or Executor(max_workers)
+        executor = Executor()
         # Items of one program bind same-shaped inputs.
         item_bytes = sum(
             getattr(arr, "nbytes", 0) for arr in (batch[0] or {}).values()
@@ -108,49 +107,44 @@ class Executable:
 
 
 class UpmemExecutable(Executable):
-    """A module compiled for the simulated UPMEM machine (or one of the
+    """A program lowered for the simulated UPMEM machine (or one of the
     PrIM/SimplePIM baseline structures, which share its substrate).
 
-    Wraps a :class:`repro.runtime.Module`; ``profile_override`` lets
-    baseline targets substitute a framework-adjusted profile (SimplePIM's
+    Holds the :class:`~repro.lowering.LoweredModule`, the functional
+    executor over it and its profile; ``profile_override`` lets baseline
+    targets substitute a framework-adjusted profile (SimplePIM's
     documented overheads) while keeping functional execution.
     """
 
     def __init__(
         self,
-        module: Any,  # repro.runtime.Module
+        lowered: LoweredModule,
         target: Any,
         workload: Any = None,
         params: Optional[Dict[str, int]] = None,
         profile_override: Optional[ProfileResult] = None,
     ) -> None:
         super().__init__(target, workload, params)
-        self._mod = module
-        self._profile_override = profile_override
+        self.lowered = lowered
+        #: Phased grid execution (``prepare`` / ``run_points`` /
+        #: ``finalize``) in the ``REPRO_SIM_MODE`` backend.
+        self.executor = FunctionalExecutor(lowered)
+        self._profile = profile_override
 
-    # -- module access (schedule/debugging surface) -------------------------
-    @property
-    def module(self):
-        """The wrapped :class:`repro.runtime.Module`."""
-        return self._mod
-
-    @property
-    def lowered(self):
-        return self._mod.lowered
-
+    # -- schedule/debugging surface -----------------------------------------
     def script(self) -> str:
-        return self._mod.script()
+        """Human-readable kernel TIR."""
+        return stmt_to_str(self.lowered.kernel)
 
     def source(self) -> str:
-        return self._mod.source()
+        """UPMEM-C rendering of the kernel."""
+        return emit_kernel_c(self.lowered)
 
     # -- execution ----------------------------------------------------------
     def run(self, inputs=None, **named) -> List[np.ndarray]:
-        return self._mod.run(self._named_inputs(inputs, named))
+        return self.run_batch([self._named_inputs(inputs, named)])[0]
 
-    def run_batch(
-        self, batch, max_workers=None, executor=None
-    ) -> List[List[np.ndarray]]:
+    def run_batch(self, batch) -> List[List[np.ndarray]]:
         """Run the batch as one lane space of the vectorized simulator.
 
         The B items are stacked on the vectorizer's lane axis — lane
@@ -160,23 +154,18 @@ class UpmemExecutable(Executable):
         lane space is cut into jobs by working-set bytes (lanes x the
         per-DPU MRAM/WRAM footprint, :meth:`Executor.jobs`): below the
         crossover it is one job on the caller's thread, above it a few
-        contiguous jobs on the pool, so a single 64MB item still
+        contiguous jobs on a pool, so a single 64MB item still
         parallelizes across its DPUs.  Lanes write disjoint tile regions
         of their own item's outputs, making the result bit-for-bit
-        identical to sequential ``run`` calls however the space is cut.
-        ``executor`` reuses a caller-owned pool (see :class:`Executor`'s
-        persistent mode); an empty batch returns ``[]`` without
-        preparing any state.
+        identical however the space is cut.  An empty batch returns
+        ``[]`` without preparing any state.
         """
         batch = list(batch)
         if not batch:
             return []
-        fexec = self._mod.executor
-        executor = executor or Executor(max_workers)
-        states = [
-            fexec.prepare(self._named_inputs(inputs, {})) for inputs in batch
-        ]
-        lowered = self._mod.lowered
+        fexec, lowered = self.executor, self.lowered
+        executor = Executor()
+        states = [fexec.prepare(dict(inputs or {})) for inputs in batch]
         executor.map(
             lambda job: fexec.run_points(states, job),
             executor.jobs(
@@ -187,9 +176,13 @@ class UpmemExecutable(Executable):
 
     # -- performance --------------------------------------------------------
     def profile(self) -> ProfileResult:
-        if self._profile_override is not None:
-            return self._profile_override
-        return self._mod.profile()
+        """Simulated latency breakdown on the target's machine (the
+        model is deterministic: computed once)."""
+        if self._profile is None:
+            self._profile = PerformanceModel(self.target.config).profile(
+                self.lowered
+            )
+        return self._profile
 
     @property
     def latency(self) -> float:

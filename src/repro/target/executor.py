@@ -1,14 +1,16 @@
 """Cutting a lane space into jobs, and the threads that run them.
 
-``Executable.run_batch`` routes through this layer.  A batch is one
-*lane space* — on the UPMEM simulator every (item, DPU grid point) pair
-is a lane of one vectorized call — and :meth:`Executor.jobs` cuts it
-into contiguous jobs by working-set bytes, never smaller than
-:data:`MIN_JOB_BYTES`.  One job (the common case: serving flushes,
-decode steps) runs on the caller's thread and no pool is touched;
-several jobs run on a thread pool.  Lanes write disjoint output
-regions and every job executes the same code, so results are bit-for-bit
-identical to a loop of ``run()`` calls at any worker count.
+Every functional execution — ``Executable.run`` is ``run_batch`` of one
+item — routes through this layer.  A batch is one *lane space* — on the
+UPMEM simulator every (item, DPU grid point) pair is a lane of one
+vectorized call — and :meth:`Executor.jobs` cuts it into contiguous
+jobs by working-set bytes, never smaller than :data:`MIN_JOB_BYTES`.
+One job (serving flushes, decode steps) runs on the caller's thread and
+no pool is touched; several jobs (a 64MB kernel) run on a thread pool
+that lives for that one call.  Lanes write disjoint output regions and
+every job executes the same code, so results are bit-for-bit identical
+at any pool width — which is why the width is a deployment setting
+(``REPRO_MAX_WORKERS``), not an argument.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ MIN_JOB_BYTES = 4 * 1024 * 1024
 
 
 def default_workers() -> int:
-    """Pool width when the caller does not choose one.
+    """Pool width of every execution path.
 
     Defaults to ``min(8, cpu_count)``; the ``REPRO_MAX_WORKERS``
     environment variable overrides the cap entirely (any integer >= 1),
@@ -78,42 +80,21 @@ class Executor:
     compiled modules and write straight into the caller's output arrays.
     """
 
-    def __init__(
-        self, max_workers: Optional[int] = None, persistent: bool = False
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
+        #: ``None`` is the deployment's width (:func:`default_workers`);
+        #: an explicit count is for callers whose width is part of their
+        #: own contract (``Tuner(parallel_measure=)``).
         self.max_workers = max_workers or default_workers()
-        #: With ``persistent=True`` the thread pool is created lazily by
-        #: the first multi-job ``map`` and reused by later ones (a
-        #: serving loop flushing big batches).  Close with :meth:`close`
-        #: or use the executor as a context manager.  The default
-        #: (one-shot) mode builds and tears down a pool per multi-job
-        #: call.  Neither mode starts a thread for a single job.
-        self.persistent = persistent
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
-        """Apply ``fn`` to every item; results in input order."""
+        """Apply ``fn`` to every item; results in input order.  A single
+        item (or width 1) runs on the caller's thread; several build a
+        pool that is gone again when the call returns."""
         items = list(items)
         if self.max_workers <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
-        if self.persistent:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            return list(self._pool.map(fn, items))
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
             return list(pool.map(fn, items))
-
-    def close(self) -> None:
-        """Shut down the persistent pool (no-op when none was created)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def jobs(self, n_items: int, item_bytes: int) -> List[range]:
         """Cut ``range(n_items)`` into contiguous jobs for :meth:`map`.

@@ -50,25 +50,17 @@ def default_params(
     return seed_params(space, cfg.n_dpus)[0]
 
 
-def _wrap_module(target, lowered, workload, params, profile_override=None):
-    from ..runtime import Module
-
-    module = Module(lowered, target.config)
-    return UpmemExecutable(
-        module,
-        target,
-        workload=workload,
-        params=params,
-        profile_override=profile_override,
-    )
-
-
 class UpmemTarget(Target):
     """The simulated UPMEM machine — ATiM's primary backend.
 
-    Compiles schedules and workloads through the ``build`` pipeline;
-    workloads without explicit ``params`` get the sketch defaults (run
-    the autotuner for tuned parameters).
+    Compiles schedules and workloads through the ``build`` pipeline
+    (lowering + the §5.3 passes); workloads without explicit ``params``
+    get the sketch defaults (run the autotuner for tuned parameters).
+
+    With an explicit schedule, ``ctx`` takes a
+    :class:`repro.pipeline.PassContext` carrying instruments or
+    collecting per-pass timings/IR dumps; the call's ``opt_level``,
+    ``name`` (when given) and this target's machine are written into it.
     """
 
     kind = "upmem"
@@ -114,16 +106,17 @@ class UpmemTarget(Target):
         **hints: Any,
     ) -> Executable:
         if isinstance(workload_or_schedule, Schedule):
-            from ..runtime import Module, build as _build_schedule
+            from ..pipeline import PassContext, get_pipeline
 
-            module = _build_schedule(
-                workload_or_schedule,
-                name=name,
-                options=LowerOptions(optimize=opt_level),
-                config=self.config,
-                ctx=ctx,
-            )
-            return UpmemExecutable(module, self, params=params)
+            if ctx is None:
+                ctx = PassContext(module_name=name or "main")
+            elif name is not None:
+                ctx.module_name = name
+            ctx.options = LowerOptions(optimize=opt_level)
+            ctx.opt_level = opt_level
+            ctx.config = self.config
+            lowered = get_pipeline(self.pipeline).run(workload_or_schedule, ctx)
+            return UpmemExecutable(lowered, self, params=params)
         workload = workload_or_schedule
         params = params or default_params(workload, self.config)
         artifact = self.engine.compile(
@@ -140,7 +133,7 @@ class UpmemTarget(Target):
                 f"params {params} violate hardware constraints for"
                 f" {workload.name}: {artifact.verify_reason}"
             )
-        return _wrap_module(self, artifact.module, workload, params)
+        return UpmemExecutable(artifact.module, self, workload, params)
 
     def measure(self, module: Any, workload: Any = None) -> float:
         return PerformanceModel(self.config).profile(module).latency.total
@@ -239,7 +232,9 @@ class PrimTarget(Target):
                 f"PrIM baseline parameters invalid for {workload.name}:"
                 f" {params}"
             )
-        return _wrap_module(self, module, workload, params, profile_override)
+        return UpmemExecutable(
+            module, self, workload, params, profile_override
+        )
 
     def measure(self, module: Any, workload: Any = None) -> float:
         return PerformanceModel(self.config).profile(module).latency.total
@@ -284,7 +279,7 @@ class SimplePimTarget(Target):
                 f"SimplePIM supports va/geva/red, not {workload.name!r}"
             )
         module, profile = simplepim_build(workload, self.config)
-        return _wrap_module(self, module, workload, None, profile)
+        return UpmemExecutable(module, self, workload, None, profile)
 
 
 class _RooflineTarget(Target):

@@ -94,16 +94,12 @@ class Operation:
         raise NotImplementedError
 
 
-# Buffer -> producing Tensor for tensors declared through placeholder() /
-# compute(), used by Schedule to walk the operation graph.  Tensors that
-# schedule primitives create (caches, rfactor stages) are not listed: a
-# schedule finds those through its own stages, and a process-wide entry
-# would keep every tuning candidate's operations alive forever.
-PRODUCERS: dict = {}
-
-
 def _declared(tensor: "Tensor") -> "Tensor":
-    PRODUCERS[tensor.buffer] = tensor
+    """Mark a tensor declared through placeholder() / compute() as its
+    buffer's producer, which is how Schedule walks the operation graph.
+    Tensors that schedule primitives create (caches, rfactor stages) are
+    not marked: a schedule finds those through its own stages."""
+    tensor.buffer.producer = tensor
     return tensor
 
 

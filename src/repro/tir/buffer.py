@@ -50,7 +50,7 @@ class Buffer:
     used as dictionary keys throughout the compiler.
     """
 
-    __slots__ = ("name", "shape", "dtype", "scope")
+    __slots__ = ("name", "shape", "dtype", "scope", "producer")
 
     def __init__(
         self,
@@ -70,6 +70,16 @@ class Buffer:
         dtype_bytes(dtype)  # validate
         self.dtype = dtype
         self.scope = scope
+        #: The ``te.Tensor`` declared over this buffer, if any.  A
+        #: compute body reaches its inputs only as buffer loads, so the
+        #: buffer is what keeps an input's operation alive and findable
+        #: — for exactly as long as something still loads from it.
+        self.producer = None
+
+    def __reduce__(self):
+        # Compile artifacts pickle the memory region, never the tensor
+        # expression graph that declared it.
+        return Buffer, (self.name, self.shape, self.dtype, self.scope)
 
     @property
     def ndim(self) -> int:

@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.baselines import (
-    CpuModel,
-    GpuModel,
-    cpu_latency,
-    prim_e_profile,
-    prim_module,
-    prim_params,
-    prim_profile,
-    prim_search_profile,
-    simplepim_profile,
-)
-from repro.workloads import make_workload, mtv, red, ttv, va
+import repro
+from repro.baselines import CpuModel, GpuModel, prim_params
+from repro.target import PrimTarget, TargetError
+from repro.workloads import make_workload, mtv, ttv, va
+
+
+def prim(wl, size=None, variant="default"):
+    return repro.compile(wl, target=PrimTarget(variant), size=size)
+
+
+def cpu_latency(wl):
+    return repro.compile(wl, target="cpu").latency
 
 
 class TestPrimParams:
@@ -37,6 +37,13 @@ class TestPrimParams:
         params = prim_params(mtv(4096, 4096))
         assert 64 <= params["m_dpus"] <= 512
 
+    def test_unknown_workload_rejected(self):
+        bogus = mtv(16, 16)
+        bogus.name = "conv3d"
+        with pytest.raises(KeyError, match="conv3d"):
+            prim_params(bogus)
+        assert not PrimTarget().supports(bogus)
+
     def test_batched_splits_grid(self):
         wl = ttv(128, 256, 512)
         params = prim_params(wl, n_dpus=1024)
@@ -47,38 +54,32 @@ class TestPrimParams:
 class TestPrimProfiles:
     def test_prim_module_builds(self):
         wl = mtv(1024, 1024)
-        module = prim_module(wl, "4MB")
-        assert module.n_dpus == 256
+        assert prim(wl, "4MB").lowered.n_dpus == 256
 
     def test_prim_e_not_worse_than_prim(self):
         wl = make_workload("mtv", "64MB")
-        prim = prim_profile(wl, "64MB")
-        prim_e = prim_e_profile(wl)
-        assert prim_e.latency.total <= prim.latency.total * 1.001
+        assert prim(wl, variant="e").latency <= prim(wl, "64MB").latency * 1.001
 
     def test_prim_search_not_worse_than_prim_e(self):
         wl = make_workload("mtv", "4MB")
-        prim_e = prim_e_profile(wl)
-        prim_s, params = prim_search_profile(wl)
-        assert prim_s.latency.total <= prim_e.latency.total * 1.001
-        assert params["k_dpus"] == 1
+        searched = prim(wl, variant="search")
+        assert searched.latency <= prim(wl, variant="e").latency * 1.001
+        assert searched.params["k_dpus"] == 1
 
 
 class TestSimplePim:
     def test_va_d2h_penalty(self):
         wl = make_workload("va", "64MB")
-        sp = simplepim_profile(wl)
-        prim = prim_profile(wl, "64MB")
-        assert sp.latency.d2h > prim.latency.d2h * 2
+        sp = repro.compile(wl, target="simplepim").profile()
+        assert sp.latency.d2h > prim(wl, "64MB").profile().latency.d2h * 2
 
     def test_red_supported(self):
         wl = make_workload("red", "4MB")
-        sp = simplepim_profile(wl)
-        assert sp.latency.total > 0
+        assert repro.compile(wl, target="simplepim").latency > 0
 
     def test_unsupported_workload_rejected(self):
-        with pytest.raises(KeyError):
-            simplepim_profile(mtv(64, 64))
+        with pytest.raises(TargetError, match="va/geva/red"):
+            repro.compile(mtv(64, 64), target="simplepim")
 
 
 class TestCpuGpu:

@@ -4,6 +4,7 @@ responses — at any host thread count and under REPRO_SIM_MODE=verify."""
 
 from repro.cluster import KILL, FaultEvent, FaultInjector
 
+from ..conftest import at_both_widths
 from .conftest import run_small
 
 
@@ -57,15 +58,15 @@ class TestSameSeed:
 
 class TestHostParallelismInvariance:
     def test_max_workers_1_vs_4(self):
-        a, _ = run_small(n=8, seed=5, max_workers=1)
-        b, _ = run_small(n=8, seed=5, max_workers=4)
+        a, b = at_both_widths(lambda: run_small(n=8, seed=5)[0])
         assert _fingerprint(a) == _fingerprint(b)
 
     def test_max_workers_1_vs_4_under_kill(self):
         # seed=3: the kill at 0.06s catches mid-stream residents on
         # worker 0, so recovery actually replays.
-        a, _ = run_small(n=8, seed=3, max_workers=1, faults=_kill_faults())
-        b, _ = run_small(n=8, seed=3, max_workers=4, faults=_kill_faults())
+        a, b = at_both_widths(
+            lambda: run_small(n=8, seed=3, faults=_kill_faults())[0]
+        )
         fp_a, fp_b = _fingerprint(a), _fingerprint(b)
         assert fp_a == fp_b
         assert fp_a["transitions"]  # the kill actually happened

@@ -2,14 +2,51 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+import repro.target.executor as executor_module
 from repro import te
 from repro.lowering import LowerOptions, lower
 from repro.optim import optimize_module
 from repro.schedule import Schedule
 from repro.upmem import FunctionalExecutor, UpmemConfig
+
+
+@contextmanager
+def host_threads(width: int):
+    """Run a block at ``REPRO_MAX_WORKERS=width`` with every lane space
+    cut as fine as that width allows (the tests' programs are far below
+    the 8 MB where threads start on their own); yields the list that
+    receives the width of each ``ThreadPoolExecutor`` built inside, so a
+    thread-invariance test can show its threaded side really threaded."""
+    pools = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_MAX_WORKERS", str(width))
+        mp.setattr(executor_module, "MIN_JOB_BYTES", 1)
+        mp.setattr(executor_module, "ThreadPoolExecutor", CountedPool)
+        yield pools
+
+
+def at_both_widths(run):
+    """``run()`` on the caller's thread, then as jobs on 4-thread pools —
+    having checked that the first built no pool and the second did."""
+    with host_threads(1) as pools:
+        serial = run()
+        assert pools == []
+    with host_threads(4) as pools:
+        threaded = run()
+        assert pools and set(pools) == {4}
+    return serial, threaded
 
 
 @pytest.fixture

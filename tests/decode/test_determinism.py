@@ -1,14 +1,15 @@
-"""Decode determinism: worker counts and simulator backends are
+"""Decode determinism: host threads and simulator backends are
 invisible — outputs, timings, plans, and schedules are bit-for-bit."""
 
+from ..conftest import at_both_widths, host_threads
 from .conftest import tiny_engine
 
 TOKENS = 5
 PROMPT = 6
 
 
-def run(max_workers=None, **kwargs):
-    engine = tiny_engine(max_workers=max_workers, layers=3, **kwargs)
+def run(**kwargs):
+    engine = tiny_engine(layers=3, **kwargs)
     return engine.decode(tokens=TOKENS, prompt_tokens=PROMPT)
 
 
@@ -37,16 +38,18 @@ def assert_identical(a, b):
 
 class TestWorkerCounts:
     def test_serial_vs_parallel_bit_for_bit(self):
-        assert_identical(run(max_workers=1), run(max_workers=4))
+        assert_identical(*at_both_widths(run))
 
-    def test_default_matches_serial(self):
-        assert_identical(run(max_workers=None), run(max_workers=1))
+    def test_default_matches_serial(self, monkeypatch):
+        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+        default = run()
+        with host_threads(1):
+            assert_identical(default, run())
 
     def test_constrained_residency_identical_too(self):
         budget = 2 * 12 * 32 * 32 * 4  # 2 of 3 tiny layers
         assert_identical(
-            run(max_workers=1, mram_budget_bytes=budget),
-            run(max_workers=4, mram_budget_bytes=budget),
+            *at_both_widths(lambda: run(mram_budget_bytes=budget))
         )
 
 
@@ -55,22 +58,22 @@ class TestSimModes:
         # verify runs every kernel through BOTH the vectorized backend
         # and the scalar interpreter and insists the bytes agree —
         # then the decode run must still be identical to vector mode.
-        baseline = run(max_workers=2)
+        baseline = run()
         monkeypatch.setenv("REPRO_SIM_MODE", "verify")
-        assert_identical(baseline, run(max_workers=2))
+        assert_identical(baseline, run())
 
     def test_scalar_mode_bit_for_bit(self, monkeypatch):
-        baseline = run(max_workers=1)
+        baseline = run()
         monkeypatch.setenv("REPRO_SIM_MODE", "scalar")
-        assert_identical(baseline, run(max_workers=1))
+        assert_identical(baseline, run())
 
 
 class TestExperimentPayload:
     def test_fig17_multilayer_reproduces(self):
         from repro.harness import fig17_multilayer
 
-        a = fig17_multilayer(layers=2, tokens=4, max_workers=1)
-        b = fig17_multilayer(layers=2, tokens=4, max_workers=4)
+        a = fig17_multilayer(layers=2, tokens=4)
+        b = fig17_multilayer(layers=2, tokens=4)
         assert a == b
 
     def test_seed_changes_data_not_schedule(self):

@@ -40,7 +40,8 @@ class TestEpochs:
         engine = tiny_engine()
         engine.decode(tokens=4, prompt_tokens=6)
         pinned = engine.pool.pinned_keys()
-        current = engine._epoch_exe.pool_keys()
+        (epoch,) = engine._epochs.values()
+        current = epoch.exe.pool_keys()
         assert current <= pinned or current == pinned
         # Retired capacity-dependent programs are unpinned once their
         # epoch ends.
@@ -58,7 +59,8 @@ class TestEpochs:
             for s in result.steps
             if not s.replanned
         )
-        assert pool.stats()["resident"] >= len(engine._epoch_keys)
+        (epoch,) = engine._epochs.values()
+        assert pool.stats()["resident"] >= len(epoch.keys)
 
 
 class TestCharging:
@@ -152,7 +154,7 @@ class TestExecution:
         result = engine.decode(tokens=3, prompt_tokens=4)
         # The engine's next-step input is the last layer's output.
         np.testing.assert_array_equal(
-            result.hidden_states[-1], engine._x
+            result.hidden_states[-1], engine.hidden_state("seq0")
         )
         assert len({h.tobytes() for h in result.hidden_states}) == 3
 
@@ -166,10 +168,10 @@ class TestExecution:
 
     def test_decode_requires_prompt(self):
         engine = tiny_engine()
-        with pytest.raises(RuntimeError, match="prefill"):
-            engine.step()
+        with pytest.raises(RuntimeError, match="no cached positions"):
+            engine.step_batch(["seq0"])
         with pytest.raises(ValueError, match="prompt_tokens"):
-            engine.prefill(0)
+            engine.decode(tokens=1, prompt_tokens=0)
 
     def test_result_to_dict_is_json_shaped(self):
         import json

@@ -11,9 +11,11 @@ functional outputs (hidden states, KV rows) must match exactly.
 import numpy as np
 import pytest
 
+from repro.decode import CacheError
 from repro.decode.engine import DecodeEngine, IterationReport
 from repro.serve.pool import ExecutablePool
 
+from ..conftest import at_both_widths
 from .conftest import TINY, tiny_engine
 
 
@@ -114,8 +116,8 @@ class TestSoloBatchEquivalence:
                 np.testing.assert_array_equal(v_b, v_s)
 
     def test_batch_deterministic_across_worker_counts(self):
-        def run(max_workers):
-            eng = multi_engine(max_workers=max_workers)
+        def run():
+            eng = multi_engine()
             eng.add_sequence("a", prompt_tokens=2)
             eng.add_sequence("b", prompt_tokens=4)
             out = []
@@ -126,7 +128,8 @@ class TestSoloBatchEquivalence:
             out.append(eng.hidden_state("b").tobytes())
             return out
 
-        assert run(1) == run(4)
+        serial, threaded = at_both_widths(run)
+        assert serial == threaded
 
 
 class TestIterationReport:
@@ -141,6 +144,36 @@ class TestIterationReport:
         eng.add_sequence("a", prompt_tokens=2)
         with pytest.raises(ValueError, match="duplicate"):
             eng.step_batch(["a", "a"])
+
+    @pytest.mark.parametrize(
+        "batch,error",
+        [
+            (["a", "nope"], ValueError),  # unknown name after a good one
+            (["a", "empty"], RuntimeError),  # no cached positions
+            (["a", "b"], CacheError),  # both cross a page, one page free
+        ],
+        ids=["unknown", "nothing-cached", "pages"],
+    )
+    def test_rejected_batch_steps_nothing(self, batch, error):
+        """A bad batch used to advance the sequences ahead of the bad
+        name before raising."""
+        eng = multi_engine(layers=1, page_tokens=2, max_pages=3)
+        eng.add_sequence("a", prompt_tokens=2)
+        eng.add_sequence("b", prompt_tokens=2)
+        eng.add_sequence("empty")
+        before = {
+            n: (eng.cache.length(n), eng.hidden_state(n).tobytes())
+            for n in eng.sequences()
+        }
+        with pytest.raises(error):
+            eng.step_batch(batch)
+        assert before == {
+            n: (eng.cache.length(n), eng.hidden_state(n).tobytes())
+            for n in eng.sequences()
+        }
+        assert eng._global_step == 0 and not eng._epochs
+        # ... and the engine still steps a batch that fits.
+        assert eng.step_batch(["a"]).sequences == ("a",)
 
     def test_device_seconds_amortizes_kernels(self):
         """Two same-capacity sequences in one replica group pay the
@@ -197,7 +230,8 @@ class TestEpochResidency:
         for _ in range(4):
             eng.step_seq("a")
         # Single-slot semantics: only the live epoch's keys stay pinned.
-        assert eng.pool.stats()["pinned"] == len(eng._epoch_keys)
+        (live,) = eng._epochs.values()
+        assert eng.pool.stats()["pinned"] == len(live.keys)
 
     def test_page_preflight_helpers(self):
         eng = multi_engine(page_tokens=4)
@@ -222,12 +256,8 @@ class TestLegacySurface:
             check_references=False, max_resident_epochs=4
         )
         crowded.add_sequence("bystander", prompt_tokens=3)
-        crowded.prefill(2)
-        hidden = []
-        for _ in range(4):
-            crowded.step_seq("seq0")
-            hidden.append(crowded.hidden_state("seq0").copy())
-        for a, b in zip(r1.hidden_states, hidden):
+        r2 = crowded.decode(tokens=4, prompt_tokens=2)
+        for a, b in zip(r1.hidden_states, r2.hidden_states):
             np.testing.assert_array_equal(a, b)
 
     def test_shared_pool_across_engines(self):

@@ -1,56 +1,52 @@
-"""Determinism: worker count never changes what a graph computes.
+"""Determinism: host threads never change what a graph computes.
 
 The graph-subsystem counterpart of ``tests/serve/test_determinism.py``:
-one decode step executed with ``max_workers=1`` vs ``4`` produces
-bit-for-bit identical outputs, an identical per-node cost breakdown and
-an identical memory plan — nothing in the model consults wall time or
-thread scheduling.
+one decode step executed on the caller's thread and as jobs on a
+4-thread pool produces bit-for-bit identical outputs; the per-node cost
+breakdown and the memory plan are functions of the graph alone.
 """
 
 from repro.graph import compile_graph, gptj_decoder_graph, plan_memory
 
+from ..conftest import at_both_widths
 from .conftest import TINY
 
 
-def _compile(max_workers):
+def _compile():
     graph = gptj_decoder_graph(TINY, tokens=4)
-    return graph, compile_graph(
-        graph, target="upmem", max_workers=max_workers
-    )
+    return graph, compile_graph(graph, target="upmem")
 
 
 class TestWorkerCountInvariance:
     def test_outputs_identical_1_vs_4_workers(self):
-        g1, exe1 = _compile(max_workers=1)
-        g4, exe4 = _compile(max_workers=4)
-        inputs = g1.random_inputs(9)
-        out1 = exe1.run_tensors(inputs)
-        out4 = exe4.run_tensors(inputs)
+        graph, exe = _compile()
+        inputs = graph.random_inputs(9)
+        out1, out4 = at_both_widths(lambda: exe.run_tensors(inputs))
         assert set(out1) == set(out4)
         for name in out1:
             assert out1[name].tobytes() == out4[name].tobytes()
 
     def test_per_node_timings_identical(self):
-        _, exe1 = _compile(max_workers=1)
-        _, exe4 = _compile(max_workers=4)
-        costs1 = [c.to_dict() for c in exe1.profile().nodes]
-        costs4 = [c.to_dict() for c in exe4.profile().nodes]
-        assert costs1 == costs4  # deep equality, floats included
-        assert exe1.profile().total == exe4.profile().total
-        assert exe1.profile().staging_s == exe4.profile().staging_s
+        _, first = _compile()
+        _, second = _compile()
+        costs1 = [c.to_dict() for c in first.profile().nodes]
+        costs2 = [c.to_dict() for c in second.profile().nodes]
+        assert costs1 == costs2  # deep equality, floats included
+        assert first.profile().total == second.profile().total
+        assert first.profile().staging_s == second.profile().staging_s
 
     def test_memory_plan_identical(self):
-        g1, _ = _compile(max_workers=1)
-        g4, _ = _compile(max_workers=4)
-        p1, p4 = plan_memory(g1), plan_memory(g4)
-        assert p1.assignments == p4.assignments
-        assert p1.slot_sizes == p4.slot_sizes
-        assert p1.to_dict() == p4.to_dict()
+        g1, _ = _compile()
+        g2, _ = _compile()
+        p1, p2 = plan_memory(g1), plan_memory(g2)
+        assert p1.assignments == p2.assignments
+        assert p1.slot_sizes == p2.slot_sizes
+        assert p1.to_dict() == p2.to_dict()
 
     def test_repeated_runs_are_identical(self):
         """No hidden state: the same executable re-run on the same
         inputs reproduces itself bit-for-bit."""
-        g, exe = _compile(max_workers=4)
+        g, exe = _compile()
         inputs = g.random_inputs(11)
         first = exe.run(inputs)
         second = exe.run(inputs)

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import build, te
+import repro
+from repro import te
 from repro.autotune import autotune
-from repro.baselines import cpu_latency, prim_profile, simplepim_profile
-from repro.lowering import LowerOptions
 from repro.schedule import Schedule
 from repro.workloads import make_workload, mtv, red
 
@@ -16,7 +15,7 @@ from ..conftest import make_mtv_schedule
 class TestBuildApi:
     def test_build_run_profile(self):
         sch = make_mtv_schedule(64, 32)
-        mod = build(sch, name="mtv")
+        mod = repro.compile(sch, name="mtv")
         rng = np.random.default_rng(0)
         a = rng.random((64, 32), dtype=np.float32)
         b = rng.random(32, dtype=np.float32)
@@ -26,14 +25,12 @@ class TestBuildApi:
         assert "dma_copy" in mod.script() or "for" in mod.script()
 
     def test_profile_cached(self):
-        mod = build(make_mtv_schedule(64, 32))
+        mod = repro.compile(make_mtv_schedule(64, 32))
         assert mod.profile() is mod.profile()
 
     def test_build_applies_optimization_level(self):
-        o0 = build(make_mtv_schedule(37, 50),
-                   options=LowerOptions(optimize="O0"))
-        o3 = build(make_mtv_schedule(37, 50),
-                   options=LowerOptions(optimize="O3"))
+        o0 = repro.compile(make_mtv_schedule(37, 50), opt_level="O0")
+        o3 = repro.compile(make_mtv_schedule(37, 50), opt_level="O3")
         assert o3.profile().latency.kernel < o0.profile().latency.kernel
 
 
@@ -43,7 +40,7 @@ class TestPaperClaims:
 
     def test_atim_beats_prim_on_mtv(self):
         wl = make_workload("mtv", "64MB")
-        prim = prim_profile(wl, "64MB").latency.total
+        prim = repro.compile(wl, target="prim", size="64MB").latency
         tuned = autotune(wl, n_trials=32, seed=0).best_latency
         assert tuned < prim  # paper: up to 6.18x
 
@@ -54,24 +51,25 @@ class TestPaperClaims:
 
     def test_atim_beats_simplepim_on_red(self):
         wl = make_workload("red", "64MB")
-        sp = simplepim_profile(wl).latency.total
+        sp = repro.compile(wl, target="simplepim").latency
         tuned = autotune(wl, n_trials=32, seed=0).best_latency
         assert tuned < sp
 
     def test_pim_beats_cpu_on_large_red(self):
         wl = make_workload("red", "256MB")
         tuned = autotune(wl, n_trials=24, seed=0).best_latency
-        assert cpu_latency(wl) / tuned > 5  # paper: up to 23.3x
+        cpu = repro.compile(wl, target="cpu").latency
+        assert cpu / tuned > 5  # paper: up to 23.3x
 
     def test_cpu_competitive_on_small_mtv(self):
         wl = make_workload("mtv", "4MB")
         tuned = autotune(wl, n_trials=24, seed=0).best_latency
         # At 4 MB the paper reports PIM <= CPU for matvec workloads.
-        assert cpu_latency(wl) < tuned * 3
+        assert repro.compile(wl, target="cpu").latency < tuned * 3
 
     def test_red_prim_ships_more_d2h(self):
         wl = make_workload("red", "64MB")
-        prim = prim_profile(wl, "64MB")
+        prim = repro.compile(wl, target="prim", size="64MB").profile()
         tuned = autotune(wl, n_trials=24, seed=0)
         from repro.upmem.system import PerformanceModel
 
@@ -99,7 +97,7 @@ class TestCustomOperators:
         sch.cache_read(C, A, "wram").compute_at(s, i_blk)
         sch.cache_read(C, B, "wram").compute_at(s, i_blk)
         sch.cache_write(C, "wram").reverse_compute_at(s, i_blk)
-        mod = build(sch)
+        mod = repro.compile(sch)
         rng = np.random.default_rng(4)
         a = rng.random(n, dtype=np.float32)
         b = rng.random(n, dtype=np.float32)
@@ -124,7 +122,7 @@ class TestCustomOperators:
         s.bind(i_thr, "threadIdx.x")
         sch.cache_read(C, A, "wram").compute_at(s, kb)
         sch.cache_write(C, "wram").reverse_compute_at(s, i_thr)
-        mod = build(sch)
+        mod = repro.compile(sch)
         rng = np.random.default_rng(5)
         a = rng.random((m, k), dtype=np.float32)
         out, = mod.run(A=a)
@@ -146,7 +144,7 @@ class TestCustomOperators:
         s.bind(j_thr, "threadIdx.x")
         sch.cache_read(C, A, "wram").compute_at(s, j_thr)
         sch.cache_write(C, "wram").reverse_compute_at(s, j_thr)
-        mod = build(sch)
+        mod = repro.compile(sch)
         rng = np.random.default_rng(6)
         a = rng.random((h, w), dtype=np.float32)
         out, = mod.run(A=a)

@@ -16,10 +16,10 @@ import os
 import random
 from typing import Dict, Iterator, List, Tuple
 
+import repro
 from repro import te
 from repro.autotune.sketch import generate_schedule, param_space
-from repro.lowering import LoweredModule, LoweringError, LowerOptions
-from repro.runtime.module import build
+from repro.lowering import LoweredModule, LoweringError
 from repro.schedule import Schedule, ScheduleError
 from repro.tir import expr_to_str, stmt_to_str
 from repro.workloads import tensor_ops
@@ -136,8 +136,8 @@ def lower_draw(make_schedule, name: str) -> Dict[str, str]:
     entry: Dict[str, str] = {}
     for level in LEVELS:
         try:
-            module = build(
-                make_schedule(), name=name, options=LowerOptions(optimize=level)
+            module = repro.compile(
+                make_schedule(), name=name, opt_level=level
             ).lowered
         except (ScheduleError, LoweringError) as exc:
             return {"rejected": f"{type(exc).__name__}:{_sha(str(exc))}"}

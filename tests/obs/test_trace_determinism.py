@@ -9,13 +9,14 @@ import pytest
 from repro.autotune.compile import default_engine
 from repro.obs import Tracer, chrome_trace, trace_lint, use_tracer, write_chrome_trace
 
+from ..conftest import at_both_widths
 from ..decode.conftest import tiny_engine
 
 TOKENS = 5
 PROMPT = 6
 
 
-def traced_decode(max_workers, tmp_path, tag) -> bytes:
+def traced_decode(tmp_path, tag) -> bytes:
     """One fully traced fig17-style decode run, exported to bytes.
 
     The process-wide artifact cache is cleared first so every run
@@ -25,7 +26,7 @@ def traced_decode(max_workers, tmp_path, tag) -> bytes:
     default_engine().cache.clear()
     tracer = Tracer()
     with use_tracer(tracer):
-        engine = tiny_engine(max_workers=max_workers, layers=3)
+        engine = tiny_engine(layers=3)
         engine.decode(tokens=TOKENS, prompt_tokens=PROMPT)
     path = tmp_path / f"trace-{tag}.json"
     payload = write_chrome_trace(tracer, str(path))
@@ -35,15 +36,14 @@ def traced_decode(max_workers, tmp_path, tag) -> bytes:
 
 class TestByteIdentity:
     def test_workers_1_vs_4_vs_default(self, tmp_path):
-        a = traced_decode(1, tmp_path, "w1")
-        b = traced_decode(4, tmp_path, "w4")
-        c = traced_decode(None, tmp_path, "wN")
+        a, b = at_both_widths(lambda: traced_decode(tmp_path, "w"))
+        c = traced_decode(tmp_path, "wN")
         assert a == b == c
 
     def test_verify_mode_identical(self, tmp_path, monkeypatch):
-        baseline = traced_decode(2, tmp_path, "vector")
+        baseline = traced_decode(tmp_path, "vector")
         monkeypatch.setenv("REPRO_SIM_MODE", "verify")
-        assert traced_decode(2, tmp_path, "verify") == baseline
+        assert traced_decode(tmp_path, "verify") == baseline
 
     def test_repeated_export_identical(self, tmp_path):
         default_engine().cache.clear()

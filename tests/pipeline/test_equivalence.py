@@ -1,8 +1,9 @@
 """The unified pipeline reproduces the legacy hard-wired compile flow.
 
 O0–O3 through ``optimize_kernel``/``optimize_module`` must emit exactly
-the IR the old ad-hoc pass sequence produced, and ``repro.build`` must
-match lower-then-optimize composition.
+the IR the old ad-hoc pass sequence produced, and ``repro.compile`` of a
+schedule (the ``build`` pipeline) must match lower-then-optimize
+composition.
 """
 
 import numpy as np
@@ -63,7 +64,7 @@ def test_build_matches_lower_plus_optimize():
     for level in LEVELS:
         sch = make_mtv_schedule(37, 50)
         options = LowerOptions(optimize=level)
-        built = repro.build(sch, name="mtv", options=options)
+        built = repro.compile(sch, name="mtv", opt_level=level)
         manual = optimize_module(
             lower(make_mtv_schedule(37, 50), name="mtv", options=options), level
         )
@@ -75,38 +76,44 @@ def test_build_pipeline_executes_correctly():
     m, k = 37, 50
     a = rng.random((m, k), dtype=np.float32)
     b = rng.random(k, dtype=np.float32)
-    mod = repro.build(make_mtv_schedule(m, k), name="mtv")
+    mod = repro.compile(make_mtv_schedule(m, k), name="mtv")
     out, = mod.run(A=a, B=b)
     np.testing.assert_allclose(out, a @ b, rtol=1e-3)
 
 
 def test_build_accepts_explicit_context():
     ctx = PassContext()
-    mod = repro.build(
-        make_mtv_schedule(16, 16), name="mtv", options=LowerOptions(optimize="O2")
-    , ctx=ctx)
+    mod = repro.compile(
+        make_mtv_schedule(16, 16), name="mtv", opt_level="O2", ctx=ctx
+    )
     assert ctx.opt_level == "O2"
     ran = [t.name for t in ctx.timings if not t.skipped]
     skipped = [t.name for t in ctx.timings if t.skipped]
     assert "tighten_loop_bounds" in ran
     assert skipped == ["hoist_invariant_branches"]
-    assert mod.name == "mtv"
+    assert mod.lowered.name == "mtv"
 
 
 def test_build_respects_context_only_settings():
-    # With no explicit name/options/config arguments, the context's own
-    # compile settings win (instead of being clobbered by defaults).
+    # The module name is the one setting only the context may carry: with
+    # no name= it stands, while the call's opt_level and the target's
+    # machine are written into the context.
     cfg = repro.UpmemConfig().with_(n_ranks=2)
-    ctx = PassContext(opt_level="O1", module_name="ctx_mtv", config=cfg)
-    mod = repro.build(make_mtv_schedule(16, 16), ctx=ctx)
-    assert mod.name == "ctx_mtv"
-    assert mod.config is cfg
+    ctx = PassContext(module_name="ctx_mtv")
+    mod = repro.compile(
+        make_mtv_schedule(16, 16),
+        target=repro.target.UpmemTarget(cfg),
+        opt_level="O1",
+        ctx=ctx,
+    )
+    assert mod.lowered.name == "ctx_mtv"
+    assert ctx.config is cfg and ctx.opt_level == "O1"
     skipped = [t.name for t in ctx.timings if t.skipped]
     assert skipped == ["tighten_loop_bounds", "hoist_invariant_branches"]
 
 
 def test_module_source_via_emit_pass():
-    mod = repro.build(make_mtv_schedule(16, 16), name="mtv")
+    mod = repro.compile(make_mtv_schedule(16, 16), name="mtv")
     src = mod.source()
     assert "__mram_noinit" in src
 

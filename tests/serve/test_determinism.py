@@ -2,10 +2,9 @@
 
 The ISSUE's contract: same seed + same traffic trace => identical batch
 composition, identical responses and an identical metrics dict whether
-the dispatch pool runs 1 worker or 4.  Nothing in the decision path may
-consult wall time or thread scheduling.
+flushes run on the caller's thread or as jobs on a 4-thread pool.
+Nothing in the decision path may consult wall time or thread scheduling.
 """
-
 
 from repro.serve import (
     ExecutablePool,
@@ -15,19 +14,18 @@ from repro.serve import (
     replay_trace,
 )
 
+from ..conftest import at_both_widths, host_threads
 from .conftest import tiny_mix
 
 
-def _serve(trace, mix, max_workers, execute=True):
+def _serve(trace, mix):
     with Server(
         ExecutablePool(capacity=4),
         max_batch_size=8,
         max_wait_ticks=2,
         queue_limit=16,
-        max_workers=max_workers,
-        execute=execute,
     ) as server:
-        tickets = replay_trace(server, trace, mix, with_inputs=execute)
+        tickets = replay_trace(server, trace, mix)
         return tickets, server.metrics_dict()
 
 
@@ -64,8 +62,9 @@ class TestWorkerCountInvariance:
         trace = generate_trace(
             24, sorted(mix), pattern="burst", seed=5, burst=6, gap_ticks=3
         )
-        _, metrics_1 = _serve(trace, mix, max_workers=1)
-        _, metrics_4 = _serve(trace, mix, max_workers=4)
+        (_, metrics_1), (_, metrics_4) = at_both_widths(
+            lambda: _serve(trace, mix)
+        )
         # Deep equality, floats included: the whole dict, not a summary.
         assert metrics_1 == metrics_4
 
@@ -74,8 +73,9 @@ class TestWorkerCountInvariance:
         trace = generate_trace(
             24, sorted(mix), pattern="poisson", seed=11, gap_ticks=2
         )
-        tickets_1, _ = _serve(trace, mix, max_workers=1)
-        tickets_4, _ = _serve(trace, mix, max_workers=4)
+        (tickets_1, _), (tickets_4, _) = at_both_widths(
+            lambda: _serve(trace, mix)
+        )
         for t1, t4 in zip(tickets_1, tickets_4):
             r1, r4 = t1.response, t4.response
             assert (r1.request_id, r1.batch_size, r1.arrival_tick) == (
@@ -88,14 +88,14 @@ class TestWorkerCountInvariance:
                 assert a.tobytes() == b.tobytes()  # bit-for-bit
 
     def test_replay_is_repeatable(self):
-        """Two replays of the same trace at the same worker count are
-        indistinguishable (no hidden global state)."""
+        """Two replays of the same trace are indistinguishable (no
+        hidden global state)."""
         mix = tiny_mix()
         trace = generate_trace(
             16, sorted(mix), pattern="uniform", seed=2
         )
-        _, first = _serve(trace, mix, max_workers=2)
-        _, second = _serve(trace, mix, max_workers=2)
+        _, first = _serve(trace, mix)
+        _, second = _serve(trace, mix)
         assert first == second
 
     def test_batch_composition_from_trace_not_wall_time(self):
@@ -109,9 +109,9 @@ class TestWorkerCountInvariance:
             TraceEvent(tick=1, workload="va", input_seed=103),
             TraceEvent(tick=9, workload="mtv", input_seed=104),
         ]
-        for workers in (1, 4):
-            with Server(
-                max_batch_size=8, max_wait_ticks=2, max_workers=workers
+        for width in (1, 4):
+            with host_threads(width), Server(
+                max_batch_size=8, max_wait_ticks=2
             ) as server:
                 replay_trace(server, trace, mix)
                 # va group (ticks 0,0,1) flushes by age at tick 2 as a

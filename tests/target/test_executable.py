@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.target import Executor, TargetError, UpmemTarget
+from repro.target import Executor, TargetError
 from repro.target.executor import MIN_JOB_BYTES
-from repro.workloads import make_workload, mtv, red, va
+from repro.upmem.system import PerformanceModel
+from repro.workloads import mtv, red, va
+
+from ..conftest import host_threads
 
 
 def _assert_batches_identical(seq, par):
@@ -51,7 +54,7 @@ class TestExecutorChunking:
 
 
 class TestUpmemRunBatch:
-    """run_batch must match N sequential run() calls bit-for-bit while
+    """run_batch must match N lone run() calls bit-for-bit while
     sharding across the thread pool (acceptance criterion)."""
 
     @pytest.mark.parametrize(
@@ -81,8 +84,12 @@ class TestUpmemRunBatch:
     def test_bit_for_bit(self, wl, params):
         exe = repro.compile(wl, target="upmem", params=params)
         batch = [wl.random_inputs(seed=i) for i in range(4)]
-        seq = [exe.run(inputs) for inputs in batch]
-        par = exe.run_batch(batch, max_workers=4)
+        with host_threads(1) as pools:
+            seq = [exe.run(inputs) for inputs in batch]
+            assert pools == []
+        with host_threads(4) as pools:
+            par = exe.run_batch(batch)
+            assert pools == [4]
         _assert_batches_identical(seq, par)
 
     def test_single_item_batch(self):
@@ -90,7 +97,9 @@ class TestUpmemRunBatch:
         exe = repro.compile(wl, target="upmem")
         ins = wl.random_inputs(0)
         (seq,) = exe.run(ins)
-        ((par,),) = exe.run_batch([ins], max_workers=4)
+        with host_threads(4) as pools:
+            ((par,),) = exe.run_batch([ins])
+            assert pools == [4]
         assert seq.tobytes() == par.tobytes()
 
     def test_sequential_worker_path(self):
@@ -100,10 +109,12 @@ class TestUpmemRunBatch:
             params={"n_dpus": 4, "n_tasklets": 2, "cache": 16},
         )
         batch = [wl.random_inputs(seed=i) for i in range(3)]
-        _assert_batches_identical(
-            exe.run_batch(batch, max_workers=1),
-            exe.run_batch(batch, max_workers=4),
-        )
+        with host_threads(1) as pools:
+            sequential = exe.run_batch(batch)
+            assert pools == []
+        with host_threads(4) as pools:
+            _assert_batches_identical(sequential, exe.run_batch(batch))
+            assert pools == [4]
 
     def test_outputs_match_reference(self):
         wl = mtv(48, 32)
@@ -120,7 +131,9 @@ class TestRooflineRunBatch:
         wl = mtv(64, 48)
         exe = repro.compile(wl, target="cpu")
         batch = [wl.random_inputs(seed=i) for i in range(6)]
-        results = exe.run_batch(batch, max_workers=3)
+        with host_threads(3) as pools:
+            results = exe.run_batch(batch)
+            assert pools == [3]
         for outs, inputs in zip(results, batch):
             np.testing.assert_allclose(
                 outs[0], wl.reference_output(inputs), rtol=1e-5
@@ -148,7 +161,7 @@ class TestExecutableSurface:
         framework's documented overheads."""
         wl = red(8192)
         exe = repro.compile(wl, target="simplepim")
-        upmem_like = exe.module.profile()
+        upmem_like = PerformanceModel(exe.target.config).profile(exe.lowered)
         assert exe.profile().latency.total > upmem_like.latency.total
         ins = wl.random_inputs(0)
         (out,) = exe.run(ins)
@@ -160,22 +173,3 @@ class TestExecutableSurface:
         exe = repro.compile(mtv(64, 64), target="hbm-pim")
         with pytest.raises(TargetError):
             exe.run_batch([{}, {}])
-
-
-class TestModuleProfileCache:
-    """Module.profile() must key its cache on the config in effect."""
-
-    def test_config_change_reprofiles(self):
-        from repro.upmem import DEFAULT_CONFIG, UpmemConfig
-
-        exe = repro.compile(mtv(256, 256), target="upmem")
-        mod = exe.module
-        fast = mod.profile()
-        slow_config = UpmemConfig().with_(dpu_frequency_hz=100e6)
-        mod.config = slow_config
-        slow = mod.profile()
-        assert slow.latency.kernel > fast.latency.kernel
-        # Flipping back serves the original cached result, same values.
-        mod.config = DEFAULT_CONFIG
-        again = mod.profile()
-        assert again.latency.total == fast.latency.total

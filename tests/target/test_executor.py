@@ -1,4 +1,4 @@
-"""Executor pool modes and worker-count configuration."""
+"""Worker-count configuration (``REPRO_MAX_WORKERS``)."""
 
 import os
 
@@ -32,53 +32,3 @@ class TestDefaultWorkers:
     def test_executor_picks_up_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "5")
         assert Executor().max_workers == 5
-
-
-class TestPersistentExecutor:
-    def test_pool_reused_across_maps(self):
-        with Executor(max_workers=2, persistent=True) as executor:
-            assert executor._pool is None  # lazy: no pool before use
-            executor.map(lambda x: x + 1, range(8))
-            pool = executor._pool
-            assert pool is not None
-            executor.map(lambda x: x * 2, range(8))
-            assert executor._pool is pool  # same pool, no rebuild
-        assert executor._pool is None  # context exit closed it
-
-    def test_close_idempotent(self):
-        executor = Executor(max_workers=2, persistent=True)
-        executor.map(lambda x: x, range(4))
-        executor.close()
-        executor.close()
-        assert executor._pool is None
-
-    def test_map_after_close_recreates_pool(self):
-        executor = Executor(max_workers=2, persistent=True)
-        executor.map(lambda x: x, range(4))
-        executor.close()
-        assert executor.map(lambda x: x + 1, range(4)) == [1, 2, 3, 4]
-        executor.close()
-
-    def test_sequential_path_never_builds_pool(self):
-        executor = Executor(max_workers=1, persistent=True)
-        assert executor.map(lambda x: x * x, range(6)) == [
-            x * x for x in range(6)
-        ]
-        assert executor._pool is None
-
-    def test_single_item_never_builds_pool(self):
-        executor = Executor(max_workers=4, persistent=True)
-        assert executor.map(lambda x: x + 1, [41]) == [42]
-        assert executor._pool is None
-
-    def test_results_match_one_shot_mode(self):
-        items = list(range(32))
-        fn = lambda x: x * 3 + 1  # noqa: E731
-        one_shot = Executor(max_workers=4).map(fn, items)
-        with Executor(max_workers=4, persistent=True) as executor:
-            assert executor.map(fn, items) == one_shot
-
-    def test_one_shot_mode_keeps_no_state(self):
-        executor = Executor(max_workers=4)
-        executor.map(lambda x: x, range(8))
-        assert executor._pool is None

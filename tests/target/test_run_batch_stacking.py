@@ -4,7 +4,8 @@ A batch of B executions of one program runs as one vector call over
 ``B x grid`` lanes.  Whatever the lane cap, the job partition or the
 worker count, and however the items share their input arrays, every
 item's outputs must be byte-identical to a lone ``run`` — and threads
-may only start where the working set pays for them.
+may only start where the working set pays for them, for a ``run`` (a
+batch of one) exactly as for a batch.
 """
 
 import sys
@@ -118,10 +119,11 @@ class TestStackedBatchEqualsSoloRuns:
         label, owners = case
         exe = _exe(label)
         batch = _batch(label, owners)
-        grid = len(exe.module.executor.grid_points())
+        grid = len(exe.executor.grid_points())
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REPRO_SIM_MODE", "vector")
             mp.delenv("REPRO_VECTOR_LANES", raising=False)
+            mp.setenv("REPRO_MAX_WORKERS", str(workers))
             want = [[o.copy() for o in exe.run(item)] for item in batch]
             if lane_cap != "unset":
                 cap = {"grid": grid, "grid+1": grid + 1}.get(lane_cap, lane_cap)
@@ -130,7 +132,7 @@ class TestStackedBatchEqualsSoloRuns:
                 # Up to ``workers`` jobs whatever the size, so job
                 # boundaries fall inside items too.
                 mp.setattr(executor_module, "MIN_JOB_BYTES", 1)
-            got = exe.run_batch(batch, max_workers=workers)
+            got = exe.run_batch(batch)
         _assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("mode", ["scalar", "verify"])
@@ -144,8 +146,9 @@ class TestStackedBatchEqualsSoloRuns:
         monkeypatch.setenv("REPRO_SIM_MODE", "vector")
         want = [[o.copy() for o in exe.run(item)] for item in batch]
         monkeypatch.setenv("REPRO_SIM_MODE", mode)
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
         monkeypatch.setattr(executor_module, "MIN_JOB_BYTES", 1)
-        _assert_same_bytes(exe.run_batch(batch, max_workers=2), want)
+        _assert_same_bytes(exe.run_batch(batch), want)
 
     def test_jobs_on_more_threads_than_cores(self, monkeypatch):
         """Jobs share the item states and write disjoint regions of
@@ -155,12 +158,13 @@ class TestStackedBatchEqualsSoloRuns:
         wl, _ = PROGRAMS[label]
         batch = _batch(label, {t.name: list(range(9)) for t in wl.inputs})
         want = [[o.copy() for o in exe.run(item)] for item in batch]
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "8")
         monkeypatch.setattr(executor_module, "MIN_JOB_BYTES", 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for _ in range(5):
-                _assert_same_bytes(exe.run_batch(batch, max_workers=8), want)
+                _assert_same_bytes(exe.run_batch(batch), want)
         finally:
             sys.setswitchinterval(interval)
 
@@ -180,9 +184,7 @@ class TestVerifyNamesTheItem:
                 plan_for(module).run_points(states, lanes)
                 states[2][module.outputs[0]] += np.float32(1.0)
 
-        monkeypatch.setattr(
-            exe.module.executor, "_plan", lambda: _LyingPlan()
-        )
+        monkeypatch.setattr(exe.executor, "_plan", lambda: _LyingPlan())
         with pytest.raises(VerifyMismatch, match=r"batch item 2\b"):
             exe.run_batch(batch)
 
@@ -203,10 +205,14 @@ def thread_starts(monkeypatch):
 
 
 class TestThreadsOnlyWhereTheyPay:
+    @pytest.fixture(autouse=True)
+    def four_wide(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "4")
+
     def test_small_program_flush_starts_no_thread(self, thread_starts):
         mix = gptj_serving_mix(tokens=16)
         before = threading.active_count()
-        with Server(max_batch_size=8, max_wait_ticks=1, max_workers=4) as server:
+        with Server(max_batch_size=8, max_wait_ticks=1) as server:
             tickets = [
                 server.submit(
                     Request(
@@ -227,7 +233,7 @@ class TestThreadsOnlyWhereTheyPay:
 
     def test_decode_step_starts_no_thread(self, thread_starts):
         engine = DecodeEngine(
-            layers=1, page_tokens=4, max_workers=4, check_references=False
+            layers=1, page_tokens=4, check_references=False
         )
         engine.add_sequence("s", prompt_tokens=5)
         before = threading.active_count()
@@ -236,12 +242,20 @@ class TestThreadsOnlyWhereTheyPay:
         assert thread_starts == []
 
     def test_big_batch_uses_the_pool(self, thread_starts):
-        wl = make_workload("mtv", "64MB")
-        exe = repro.compile(wl, target="upmem")
-        inputs = wl.random_inputs(seed=0)
-        (want,) = exe.run(inputs)
-        assert thread_starts == []  # ``run`` stays on the caller's thread
-        got = exe.run_batch([inputs, inputs], max_workers=2)
-        assert len(thread_starts) == 2
-        for (out,) in got:
-            assert out.tobytes() == want.tobytes()
+        """One execution path: ``run(x)`` is ``run_batch([x])[0]`` — the
+        same bytes and the same threads, none for a serving-size
+        program, one per job for a 64MB one."""
+        small = next(iter(gptj_serving_mix(tokens=16).values())).workload
+        for wl, threads in ((small, 0), (make_workload("mtv", "64MB"), 4)):
+            exe = repro.compile(wl, target="upmem")
+            inputs = wl.random_inputs(seed=0)
+            (alone,) = exe.run(inputs)
+            assert len(thread_starts) == threads
+            del thread_starts[:]
+            ((batched,),) = exe.run_batch([inputs])
+            assert len(thread_starts) == threads
+            del thread_starts[:]
+            assert alone.tobytes() == batched.tobytes()
+            np.testing.assert_allclose(
+                alone, wl.reference_output(inputs), rtol=1e-3
+            )

@@ -112,15 +112,19 @@ class TestCompileAllTargets:
 
 class TestUpmemTarget:
     def test_schedule_compile_matches_build(self):
-        from repro.runtime import build as schedule_build
+        """A schedule compiles to what the ``build`` pipeline lowers."""
+        from repro.upmem import FunctionalExecutor
         from tests.conftest import make_mtv_schedule
 
         sch = make_mtv_schedule(64, 32)
         exe = repro.compile(sch, target="upmem")
-        mod = schedule_build(make_mtv_schedule(64, 32))
+        lowered = repro.get_pipeline("build").run(
+            make_mtv_schedule(64, 32), repro.PassContext()
+        )
+        assert exe.script() == repro.tir.stmt_to_str(lowered.kernel)
         ins = {"A": np.ones((64, 32), np.float32), "B": np.ones(32, np.float32)}
         (a,) = exe.run(ins)
-        (b,) = mod.run(ins)
+        (b,) = FunctionalExecutor(lowered).run(ins)
         assert a.tobytes() == b.tobytes()
 
     def test_invalid_params_raise(self):

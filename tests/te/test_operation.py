@@ -1,9 +1,16 @@
 """Tensor-expression DSL: placeholders, computes, reductions."""
 
+import gc
+
 import pytest
 
 from repro import te
 from repro.tir import BufferLoad
+
+
+def _live_tensors() -> int:
+    gc.collect()
+    return sum(isinstance(o, te.Tensor) for o in gc.get_objects())
 
 
 class TestPlaceholder:
@@ -107,22 +114,46 @@ class TestIterVar:
             identity_value("xor", "int32")
 
     def test_producers_registry(self):
-        from repro.te.operation import PRODUCERS
-
+        """A declared tensor is its buffer's producer; that is the whole
+        registry (there is no process-wide one to grow)."""
         C = te.compute((4,), lambda i: i, "Creg", dtype="int32")
-        assert PRODUCERS[C.buffer] is C
+        assert C.buffer.producer is C
+        assert not hasattr(te.operation, "PRODUCERS")
 
     def test_registry_does_not_grow_with_scheduling(self):
         """Caches and rfactor stages belong to their schedule: building
-        candidate after candidate must not pile their tensors up in the
-        process-wide registry (it used to, ~4 kB per candidate)."""
+        candidate after candidate must leave no tensor behind (a
+        process-wide registry used to keep ~4 kB per candidate)."""
         from repro.autotune.sketch import generate_schedule
-        from repro.te.operation import PRODUCERS
         from repro.workloads import mtv
 
         wl = mtv(64, 64)
-        declared = dict(PRODUCERS)
         params = {"m_dpus": 4, "k_dpus": 2, "n_tasklets": 2, "cache": 16}
+        generate_schedule(wl, params)  # warm any lazy one-time state
+        before = _live_tensors()
         for _ in range(3):
             generate_schedule(wl, params)
-        assert PRODUCERS == declared
+        assert _live_tensors() == before
+
+    def test_dropped_declarations_are_collected(self):
+        """A server that declares workloads in a loop must not leak: the
+        producer lives exactly as long as something loads its buffer."""
+        before = _live_tensors()
+        for n in range(1000):
+            A = te.placeholder((8,), "float32", f"A{n}")
+            te.compute((8,), lambda i: A[i] + 1.0, f"C{n}")
+        del A
+        assert _live_tensors() == before
+
+    def test_schedule_finds_a_producer_whose_handle_was_dropped(self):
+        from repro.schedule import Schedule
+
+        A = te.placeholder((8,), "float32", "A")
+        B = te.compute((8,), lambda i: A[i] * 2.0, "B")
+        C = te.compute((8,), lambda i: B[i] + 1.0, "C")
+        b_buffer = B.buffer
+        del A, B
+        gc.collect()
+        sch = Schedule(C)
+        assert [s.op.name for s in sch.stages] == ["A", "B", "C"]
+        assert sch[b_buffer].op.name == "B"

@@ -126,8 +126,10 @@ class TestEquivalenceGate:
         """Thread-pool sharding over the vector path stays byte-equal
         to a sequential scalar run at any worker count."""
         import repro
+        import repro.target.executor as executor_module
 
         monkeypatch.setenv("REPRO_SIM_MODE", "scalar")
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
         wl = mmtv(3, 9, 17)
         exe = repro.compile(
             wl,
@@ -135,9 +137,11 @@ class TestEquivalenceGate:
             params={"i_dpus": 3, "j_dpus": 2, "n_tasklets": 2, "cache": 8},
         )
         batch = [wl.random_inputs(s) for s in range(3)]
-        ref = [out[0].copy() for out in exe.run_batch(batch, max_workers=1)]
+        ref = [out[0].copy() for out in exe.run_batch(batch)]
         monkeypatch.setenv("REPRO_SIM_MODE", "vector")
-        got = exe.run_batch(batch, max_workers=workers)
+        monkeypatch.setenv("REPRO_MAX_WORKERS", str(workers))
+        monkeypatch.setattr(executor_module, "MIN_JOB_BYTES", 1)
+        got = exe.run_batch(batch)
         for r, (g,) in zip(ref, got):
             assert r.tobytes() == g.tobytes()
 
