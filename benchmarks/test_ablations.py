@@ -9,7 +9,7 @@
 import random
 
 from repro.autotune import Tuner, autotune, param_space
-from repro.autotune.compile import compile_params
+from repro.autotune.compile import default_engine
 from repro.harness import render_table
 from repro.lowering import LowerOptions, lower
 from repro.optim import optimize_module
@@ -66,12 +66,12 @@ def test_search_vs_random_ablation(benchmark):
         while measured < 48 and attempts < 480:
             attempts += 1
             params = {k: rng.choice(v) for k, v in space.items()}
-            module = compile_params(wl, params)
-            if module is None:
+            artifact = default_engine().compile(wl, params)
+            if not artifact.verified:
                 continue
             measured += 1
             best_random = min(
-                best_random, model.profile(module).latency.total
+                best_random, model.profile(artifact.module).latency.total
             )
         return guided, best_random
 
@@ -86,11 +86,11 @@ def test_search_vs_random_ablation(benchmark):
 def test_residency_ablation(benchmark):
     def run():
         wl = mtv(4096, 4096)
-        module = compile_params(
+        module = default_engine().compile(
             wl,
             {"m_dpus": 256, "k_dpus": 8, "n_tasklets": 16, "cache": 64,
              "host_threads": 16},
-        )
+        ).module
         steady = PerformanceModel().profile(module).latency
         import dataclasses
 

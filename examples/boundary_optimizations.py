@@ -13,7 +13,7 @@ Run:  python examples/boundary_optimizations.py
 
 import numpy as np
 
-from repro.autotune.compile import compile_params
+from repro.autotune.compile import default_engine
 from repro.upmem import FunctionalExecutor
 from repro.upmem.system import PerformanceModel
 from repro.workloads import gemv
@@ -38,7 +38,7 @@ def main() -> None:
           f"{'branches':>10} {'DMA calls':>10}")
     baseline = None
     for level in LEVELS:
-        module = compile_params(wl, PARAMS, optimize=level, check=False)
+        module = default_engine().compile(wl, PARAMS, optimize=level).module
         (out,) = FunctionalExecutor(module).run(inputs)
         np.testing.assert_allclose(out, ref, rtol=1e-3)
         prof = model.profile(module)
@@ -52,7 +52,7 @@ def main() -> None:
         )
 
     print("\n--- O3 kernel TIR (note dma_copy, min() bounds, hoisted ifs) ---")
-    module = compile_params(wl, PARAMS, optimize="O3", check=False)
+    module = default_engine().compile(wl, PARAMS, optimize="O3").module
     print("\n".join(module.kernel.__repr__().splitlines()[:25]))
 
 

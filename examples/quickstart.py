@@ -152,7 +152,7 @@ def persistent_tuning() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         db = os.path.join(tmp, "tune.jsonl")
 
-        cold = autotune(wl, n_trials=32, seed=0, db=db, parallel_measure=4)
+        cold = autotune(wl, n_trials=32, seed=0, db=db)
         print(
             f"cold search: best {cold.best_latency * 1e3:.3f} ms "
             f"({cold.measure_cache_misses} candidates simulated)"

@@ -1,6 +1,6 @@
 """Autotuning: sketches, verifier, cost model, balanced evolutionary search."""
 
-from .compile import CompileEngine, compile_params, default_engine
+from .compile import CompileEngine, default_engine
 from .cost_model import CostModel
 from .database import (
     DB_SCHEMA_VERSION,
@@ -32,7 +32,6 @@ __all__ = [
     "tuned_params",
     "measure_stats",
     "CompileEngine",
-    "compile_params",
     "default_engine",
     "Tuner",
     "TuneResult",

@@ -1,12 +1,12 @@
 """Candidate compilation through the unified pipeline, with caching.
 
-:class:`CompileEngine` is the single path from a (workload, params) pair
-to a verified :class:`~repro.pipeline.CompiledArtifact`: sketch →
-``build`` pipeline (lower + §5.3 passes) → lazy constraint verification
-on first checked use, memoized in a content-addressed
-:class:`~repro.pipeline.ArtifactCache`.
+:meth:`CompileEngine.compile` is the only spelling of "(workload,
+params) → lowered module": sketch → ``build`` pipeline (lower + §5.3
+passes) → hardware-constraint verification, memoized in a
+content-addressed :class:`~repro.pipeline.ArtifactCache`.  Targets,
+baselines, the tuner and the harness are callers of it.
 The tuner owns a private engine (so its hit-rate accounting is per-run);
-:func:`compile_params` and the experiment harness share a process-wide
+``repro.compile`` and the experiment harness share a process-wide
 default engine, so re-profiling the same candidate across figures is
 free.
 """
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..lowering import LoweredModule, LoweringError
+from ..lowering import LoweringError
+from ..obs import current_tracer
 from ..pipeline import (
     ArtifactCache,
     CompiledArtifact,
@@ -29,24 +30,20 @@ from ..workloads import Workload
 from .sketch import SketchError, generate_schedule
 from .verifier import verify
 
-__all__ = ["CompileEngine", "compile_params", "default_engine"]
+__all__ = ["CompileEngine", "default_engine"]
 
 
 class CompileEngine:
-    """Compiles tuning candidates via a named pipeline, cache-first.
+    """Compiles (workload, params) candidates through the ``build``
+    pipeline, cache-first.
 
     One engine wraps one :class:`ArtifactCache`; every compile outcome —
     including sketch/lowering rejections and verification verdicts — is
     cached, so repeated candidates cost one dictionary lookup.
     """
 
-    def __init__(
-        self,
-        cache: Optional[ArtifactCache] = None,
-        pipeline: str = "build",
-    ) -> None:
+    def __init__(self, cache: Optional[ArtifactCache] = None) -> None:
         self.cache = cache if cache is not None else ArtifactCache()
-        self.pipeline = pipeline
 
     # -- cache accounting ---------------------------------------------------
     @property
@@ -59,13 +56,12 @@ class CompileEngine:
         params: Dict[str, int],
         optimize: str = "O3",
         config: Optional[UpmemConfig] = None,
-        check: bool = True,
         target: object = None,
     ) -> CompiledArtifact:
-        """Sketch → lower → optimize (→ verify); always returns an artifact.
+        """Sketch → lower → optimize → verify; always returns an artifact.
 
-        Check ``artifact.ok`` (and ``artifact.verified`` when ``check``)
-        before using ``artifact.module``.  ``target`` (a
+        ``artifact.verified`` says whether ``artifact.module`` may run
+        on ``config``'s machine.  ``target`` (a
         :class:`repro.target.Target`, when compiling on behalf of one)
         contributes its ``cache_token()`` to the cache key: ``None`` for
         targets whose compilation the key already fully describes (they
@@ -82,15 +78,8 @@ class CompileEngine:
         # one cache entry (callers spell the default both ways).
         config = config if config is not None else DEFAULT_CONFIG
         key = artifact_key(
-            workload,
-            params,
-            config,
-            opt_level=optimize,
-            pipeline=self.pipeline,
-            target=target,
+            workload, params, config, opt_level=optimize, target=target
         )
-        from ..obs import current_tracer
-
         tracer = current_tracer()
         artifact = self.cache.get(key)
         if tracer.enabled:
@@ -114,12 +103,6 @@ class CompileEngine:
             artifact = self.cache.put(
                 self._compile(key, workload, params, optimize, config)
             )
-        if check and artifact.ok and artifact.verified is None:
-            artifact.verified, artifact.verify_reason = verify(
-                artifact.module, config
-            )
-            # Re-put so a disk tier persists the verdict too.
-            self.cache.put(artifact)
         return artifact
 
     def _compile(
@@ -128,68 +111,29 @@ class CompileEngine:
         workload: Workload,
         params: Dict[str, int],
         optimize: str,
-        config: Optional[UpmemConfig],
+        config: UpmemConfig,
     ) -> CompiledArtifact:
         ctx = PassContext(
             config=config, opt_level=optimize, module_name=workload.name
         )
         try:
             schedule = generate_schedule(workload, params)
-            module = get_pipeline(self.pipeline).run(schedule, ctx)
+            module = get_pipeline("build").run(schedule, ctx)
         except (SketchError, ScheduleError, LoweringError) as exc:
             return CompiledArtifact(
-                key,
-                None,
-                error=f"{type(exc).__name__}: {exc}",
-                opt_level=optimize,
-                pipeline=self.pipeline,
-                timings=list(ctx.timings),
+                key, None, error=f"{type(exc).__name__}: {exc}"
             )
         module.const_inputs = frozenset(workload.const_inputs)
-        # The default "build" pipeline has no VerifyPass, leaving
-        # ``verified`` as None for compile() to fill lazily; a custom
-        # pipeline that does verify (e.g. "autotune") pre-seeds the
-        # verdict here.  Note such in-pipeline verification sees the
-        # module before ``const_inputs`` is set — irrelevant to the
-        # current verifier, which only reads capacity/grid structure.
+        verified, verify_reason = verify(module, config)
         return CompiledArtifact(
-            key,
-            module,
-            opt_level=optimize,
-            pipeline=self.pipeline,
-            verified=ctx.attrs.get("verify_ok"),
-            verify_reason=ctx.attrs.get("verify_reason", ""),
-            timings=list(ctx.timings),
+            key, module, verified=verified, verify_reason=verify_reason
         )
 
 
-#: Process-wide engine shared by ``compile_params`` and the harness.
+#: Process-wide engine shared by ``repro.compile`` and the harness.
 _DEFAULT_ENGINE = CompileEngine()
 
 
 def default_engine() -> CompileEngine:
     """The shared process-wide compile engine (and its cache)."""
     return _DEFAULT_ENGINE
-
-
-def compile_params(
-    workload: Workload,
-    params: Dict[str, int],
-    optimize: str = "O3",
-    config: Optional[UpmemConfig] = None,
-    check: bool = True,
-) -> Optional[LoweredModule]:
-    """Sketch → lower → optimize → verify; ``None`` if invalid.
-
-    Backwards-compatible façade over :func:`default_engine`.  The
-    returned module may be shared with other callers via the cache —
-    treat it as read-only (see :meth:`CompileEngine.compile`).
-    """
-    artifact = _DEFAULT_ENGINE.compile(
-        workload, params, optimize=optimize, config=config, check=check
-    )
-    if not artifact.ok:
-        return None
-    if check and not artifact.verified:
-        return None
-    return artifact.module

@@ -22,8 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..pipeline import ArtifactCache, CacheStats, tuning_key
-from ..target.executor import Executor
+from ..pipeline import CacheStats, tuning_key
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..workloads import Workload
 from .compile import CompileEngine
@@ -58,6 +57,8 @@ def _resolve_target(target: Optional[object], config: Optional[UpmemConfig]):
     fast path so both compute identical ``tuning_key`` groups:
     ``target`` supersedes the raw-config interface; ``config`` is sugar
     for an UPMEM target with a custom machine description."""
+    # Local: ``target`` sits above ``autotune`` (targets compile through
+    # the engine and seed from the tuner).
     from ..target import UpmemTarget, get_target
 
     if target is not None:
@@ -205,8 +206,6 @@ class Tuner:
         pool_multiplier: int = 4,
         seed_defaults: bool = True,
         engine: Optional[CompileEngine] = None,
-        cache: Optional[ArtifactCache] = None,
-        parallel_measure: int = 1,
         db: Optional[object] = None,
         resume: bool = False,
     ) -> None:
@@ -232,29 +231,14 @@ class Tuner:
         self.space = param_space(workload, max_dpus=self.config.n_dpus)
         self.database = Database()
         self.cost_model = CostModel()
-        #: Every candidate compiles through the shared pass pipeline via
-        #: this engine; a tuner-private cache keeps artifacts scoped to
-        #: the run (pass an engine or cache to share across runs —
-        #: hit-rate accounting stays per-run either way).
-        if engine is not None and cache is not None:
-            raise ValueError("pass either engine or cache, not both")
-        if engine is None:
-            # `cache if ... is not None`: an empty ArtifactCache is falsy
-            # (it has __len__), and a caller's fresh shared cache must
-            # not be silently replaced by a private one.
-            engine = CompileEngine(
-                cache=cache if cache is not None else ArtifactCache()
-            )
-        self.engine = engine
+        #: Every candidate compiles through this engine; a tuner-private
+        #: one keeps artifacts scoped to the run (pass an engine to share
+        #: across runs — hit-rate accounting stays per-run either way).
+        self.engine = engine if engine is not None else CompileEngine()
         #: Tiny budgets (``n_trials < 3``) used to floor this at 0, which
         #: made ``epsilon`` return 0.05 for every trial and skip
         #: exploration entirely; small runs get one exploratory trial.
         self._explore_until = max(1, int(0.4 * n_trials))
-        #: Measurement fan-out: batch candidates are independent, so they
-        #: shard across the same order-preserving thread pool
-        #: ``Executable.run_batch`` uses; 1 = the sequential code path.
-        self.parallel_measure = max(1, int(parallel_measure))
-        self._executor = Executor(max_workers=self.parallel_measure)
         #: Persistent tuning store (warm start / resume).  ``db`` is a
         #: path or :class:`TuningCache`; measured records append to it
         #: after every batch.  ``resume`` additionally pre-loads this
@@ -312,7 +296,7 @@ class Tuner:
             config=self.config,
             target=self.target,
         )
-        if not artifact.ok or not artifact.verified:
+        if not artifact.verified:
             return None
         module = artifact.module
         cand = Candidate(
@@ -422,26 +406,19 @@ class Tuner:
         Batched so the whole round shares one evaluation step (matching
         real-hardware drivers that upload and time a program batch).
         Candidates already present in the warm-start memo reuse their
-        stored latency; the rest fan out across ``parallel_measure``
-        workers.  The pool map preserves submission order and each
-        measurement is a pure function of (module, config), so results
-        are bit-for-bit identical to the sequential path.
+        stored latency; the rest are measured in order (the performance
+        model is pure Python and holds the GIL, so threads bought
+        nothing here).
         """
-        latencies: List[Optional[float]] = [None] * len(batch)
-        fresh: List[int] = []
-        for i, cand in enumerate(batch):
+        latencies: List[float] = []
+        for cand in batch:
             record = self._warm.get(cand.key)
             if record is not None:
-                latencies[i] = record.latency
+                latencies.append(record.latency)
                 self._measure_hits += 1
             else:
-                fresh.append(i)
+                latencies.append(self._measure(cand))
                 self._measure_misses += 1
-        results = self._executor.map(
-            self._measure, [batch[i] for i in fresh]
-        )
-        for i, latency in zip(fresh, results):
-            latencies[i] = latency
         return latencies
 
     def tune(self) -> TuneResult:
@@ -561,11 +538,9 @@ def autotune(
     (``"upmem"``, ``"hbm-pim"``, ...) or a configured
     :class:`repro.target.Target` instance.
 
-    Persistence/scale knobs forward to :class:`Tuner`:
+    Persistence knobs forward to :class:`Tuner`:
     ``db=`` (path or :class:`TuningCache`) appends measured records to a
-    persistent store, ``resume=True`` warm-starts from it, and
-    ``parallel_measure=N`` shards each measurement batch across N
-    workers (bit-for-bit identical results to serial).
+    persistent store and ``resume=True`` warm-starts from it.
     """
     tuner = Tuner(
         workload,

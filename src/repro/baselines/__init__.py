@@ -6,13 +6,14 @@ here; each baseline compiles and profiles through its target —
 """
 
 from .cpu import CpuModel, GpuModel
-from .prim import PRIM_DEFAULT_DPUS, prim_params
+from .prim import PRIM_DEFAULT_DPUS, prim_params, prim_search
 from .simplepim import SIMPLEPIM_WORKLOADS, simplepim_build
 
 __all__ = [
     "CpuModel",
     "GpuModel",
     "prim_params",
+    "prim_search",
     "PRIM_DEFAULT_DPUS",
     "simplepim_build",
     "SIMPLEPIM_WORKLOADS",

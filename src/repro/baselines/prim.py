@@ -17,21 +17,14 @@ hand-written kernels:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..autotune.compile import compile_params
+from ..autotune.compile import default_engine
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..upmem.system import PerformanceModel, ProfileResult
 from ..workloads import Workload
 
-__all__ = [
-    "prim_params",
-    "PRIM_DEFAULT_DPUS",
-    "PRIM_E_TASKLET_RANGE",
-    "PRIM_E_CACHE_RANGE",
-    "PRIM_SEARCH_TASKLET_RANGE",
-    "PRIM_SEARCH_CACHE_RANGE",
-]
+__all__ = ["prim_params", "prim_search", "PRIM_DEFAULT_DPUS"]
 
 #: Paper Table 3, "PrIM DPUs" column, keyed by (workload, size label).
 PRIM_DEFAULT_DPUS: Dict[Tuple[str, str], int] = {
@@ -66,13 +59,12 @@ PRIM_DEFAULT_DPUS: Dict[Tuple[str, str], int] = {
 _PRIM_TASKLETS = 16
 _PRIM_CACHE_ELEMS = 256  # 1024 bytes of float32, the PrIM guide default
 
-#: Grid-search domains of the PrIM(E) / PrIM+search variants (§6): one
-#: definition shared by the profile functions below and the ``prim``
-#: target, so the two surfaces can never drift apart.
-PRIM_E_TASKLET_RANGE = (_PRIM_TASKLETS,)
-PRIM_E_CACHE_RANGE = (_PRIM_CACHE_ELEMS,)
-PRIM_SEARCH_TASKLET_RANGE = (1, 2, 4, 8, 16, 24)
-PRIM_SEARCH_CACHE_RANGE = (8, 16, 32, 64, 128, 256)
+#: (tasklet counts, caching tile sizes) grid-searched by the PrIM(E) /
+#: PrIM+search variants (§6).
+_SEARCH_RANGES = {
+    "e": ((_PRIM_TASKLETS,), (_PRIM_CACHE_ELEMS,)),
+    "search": ((1, 2, 4, 8, 16, 24), (8, 16, 32, 64, 128, 256)),
+}
 
 
 def _default_dpus(workload: Workload, size: Optional[str]) -> int:
@@ -139,35 +131,30 @@ def prim_params(
     raise KeyError(f"no PrIM baseline for {name!r}")
 
 
-def _grid_search(
-    workload: Workload,
-    dpu_range: Iterable[int],
-    tasklet_range: Iterable[int],
-    cache_range: Iterable[int],
-    config: Optional[UpmemConfig],
+def prim_search(
+    workload: Workload, variant: str, config: Optional[UpmemConfig] = None
 ) -> Tuple[ProfileResult, Dict[str, int]]:
+    """Best (profile, params) of the ``"e"`` or ``"search"`` variant's
+    grid; DPU counts are 2^n, 5 ≤ n ≤ 11 for MMTV and 8 ≤ n ≤ 11
+    otherwise."""
     cfg = config or DEFAULT_CONFIG
+    engine = default_engine()
     model = PerformanceModel(cfg)
+    tasklet_range, cache_range = _SEARCH_RANGES[variant]
     best: Optional[Tuple[float, ProfileResult, Dict[str, int]]] = None
-    for dpus in dpu_range:
+    for n in range(5 if workload.name == "mmtv" else 8, 12):
         for tasklets in tasklet_range:
             for cache in cache_range:
                 params = prim_params(
-                    workload, n_dpus=dpus, n_tasklets=tasklets, cache=cache
+                    workload, n_dpus=2**n, n_tasklets=tasklets, cache=cache
                 )
-                module = compile_params(workload, params, "O3", cfg)
-                if module is None:
+                artifact = engine.compile(workload, params, config=cfg)
+                if not artifact.verified:
                     continue
-                prof = model.profile(module)
+                prof = model.profile(artifact.module)
                 key = prof.latency.total
                 if best is None or key < best[0]:
                     best = (key, prof, params)
     if best is None:
         raise RuntimeError(f"no valid PrIM configuration for {workload.name}")
     return best[1], best[2]
-
-
-def _dpu_search_range(workload: Workload) -> List[int]:
-    if workload.name == "mmtv":
-        return [2**n for n in range(5, 12)]
-    return [2**n for n in range(8, 12)]

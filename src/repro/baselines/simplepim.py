@@ -18,10 +18,10 @@ import math
 from dataclasses import replace
 from typing import Optional, Tuple
 
-from ..autotune.compile import compile_params
+from ..autotune.compile import default_engine
 from ..lowering import LoweredModule
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
-from ..upmem.system import Latency, PerformanceModel, ProfileResult
+from ..upmem.system import PerformanceModel, ProfileResult
 from ..workloads import Workload
 
 __all__ = ["simplepim_build", "SIMPLEPIM_WORKLOADS"]
@@ -49,51 +49,41 @@ def simplepim_build(
             f" {workload.name!r}"
         )
     cfg = config or DEFAULT_CONFIG
-    model = PerformanceModel(cfg)
-
     if workload.name in ("va", "geva"):
         params = {"n_dpus": cfg.n_dpus, "n_tasklets": _TASKLETS, "cache": _CACHE}
-        module = compile_params(workload, params, "O3", cfg)
-        assert module is not None
-        prof = model.profile(module)
+    else:
+        # RED: one value per DPU (dpu_combine=1).
+        params = {
+            "n_dpus": 1024,
+            "n_tasklets": _TASKLETS,
+            "cache": _CACHE,
+            "dpu_combine": 1,
+            "host_threads": 1,
+        }
+    artifact = default_engine().compile(workload, params, config=cfg)
+    if not artifact.verified:
+        raise RuntimeError(
+            f"SimplePIM handler parameters invalid for {workload.name}:"
+            f" {artifact.error or artifact.verify_reason}"
+        )
+    module = artifact.module
+    prof = PerformanceModel(cfg).profile(module)
+    if workload.name in ("va", "geva"):
         # Whole-tensor host-side copy after D2H (the framework gathers and
         # re-materializes the full output array).
         extra_d2h = workload.bytes_out / _HOST_COPY_BANDWIDTH
         latency = replace(prof.latency, d2h=prof.latency.d2h + extra_d2h)
-        return module, ProfileResult(
-            latency=latency,
-            dpu=prof.dpu,
-            kernel_counts=prof.kernel_counts,
-            n_dpus=prof.n_dpus,
-            n_tasklets=prof.n_tasklets,
+    else:
+        # Global-barrier tree reduction on the DPU and call-heavy host
+        # reduction.
+        barrier_rounds = math.ceil(math.log2(_TASKLETS))
+        extra_kernel = (
+            barrier_rounds * _TASKLETS * cfg.barrier_cycles * cfg.cycle_time_s
         )
-
-    # RED: one value per DPU (dpu_combine=1) but global-barrier tree
-    # reduction on the DPU and call-heavy host reduction.
-    params = {
-        "n_dpus": 1024,
-        "n_tasklets": _TASKLETS,
-        "cache": _CACHE,
-        "dpu_combine": 1,
-        "host_threads": 1,
-    }
-    module = compile_params(workload, params, "O3", cfg)
-    assert module is not None
-    prof = model.profile(module)
-    barrier_rounds = math.ceil(math.log2(_TASKLETS))
-    extra_kernel = (
-        barrier_rounds * _TASKLETS * cfg.barrier_cycles * cfg.cycle_time_s
-    )
-    extra_host = module.n_dpus * _HOST_REDUCE_OVERHEAD
-    latency = replace(
-        prof.latency,
-        kernel=prof.latency.kernel + extra_kernel,
-        host=prof.latency.host + extra_host,
-    )
-    return module, ProfileResult(
-        latency=latency,
-        dpu=prof.dpu,
-        kernel_counts=prof.kernel_counts,
-        n_dpus=prof.n_dpus,
-        n_tasklets=prof.n_tasklets,
-    )
+        extra_host = module.n_dpus * _HOST_REDUCE_OVERHEAD
+        latency = replace(
+            prof.latency,
+            kernel=prof.latency.kernel + extra_kernel,
+            host=prof.latency.host + extra_host,
+        )
+    return module, replace(prof, latency=latency)

@@ -239,6 +239,8 @@ class DecodeResult:
     #: Final hidden state of each step (the next step's input token).
     hidden_states: List[np.ndarray] = field(default_factory=list)
     memory_plan: Optional[Any] = None
+    #: Name of the last step's model graph (the one ``memory_plan`` is of).
+    graph_name: str = ""
     pool_stats: Dict = field(default_factory=dict)
     cache_stats: Dict = field(default_factory=dict)
     residency_stats: Dict = field(default_factory=dict)
@@ -782,9 +784,9 @@ class DecodeEngine:
             result.steps.extend(self.step_batch(["seq0"]).reports)
             result.hidden_states.append(self.hidden_state("seq0").copy())
         # The last step's epoch is the most recently used one.
-        result.memory_plan = plan_memory(
-            next(reversed(self._epochs.values())).graph
-        )
+        graph = next(reversed(self._epochs.values())).graph
+        result.memory_plan = plan_memory(graph)
+        result.graph_name = graph.name
         result.pool_stats = self.pool.stats()
         result.cache_stats = self.cache.stats()
         result.residency_stats = self.residency.stats()

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..graph.memory import arena_stats
+from ..obs import current_tracer
 from ..upmem.config import UpmemConfig
 
 __all__ = [
@@ -245,8 +246,6 @@ class PagedKVCache:
             new_events.append(event)
         self._lengths[sequence] = position + 1
         self.events.extend(new_events)
-        from ..obs import current_tracer
-
         tracer = current_tracer()
         if tracer.enabled:
             for event in new_events:

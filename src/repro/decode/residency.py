@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..obs import current_tracer
 from ..upmem.config import UpmemConfig
 from .kv_cache import h2d_seconds
 
@@ -160,8 +161,6 @@ class WeightResidencyPlanner:
             )
         )
         self.events.extend(new_events)
-        from ..obs import current_tracer
-
         tracer = current_tracer()
         if tracer.enabled:
             for event in new_events:

@@ -27,6 +27,7 @@ from typing import Optional
 
 from ..lowering import LoweredModule
 from ..pipeline import (
+    KernelPass,
     LowerSchedulePass,
     Pass,
     PassContext,
@@ -36,6 +37,7 @@ from ..pipeline import (
     kernel_passes,
     register_pipeline,
 )
+from ..upmem.system import Latency
 
 __all__ = [
     "HbmPimConfig",
@@ -83,6 +85,12 @@ class HbmPimEstimate:
     n_pus: int
     supported: bool
     reason: str = ""
+
+    @property
+    def latency(self) -> Latency:
+        """The breakdown every ``Executable.profile()`` carries; a
+        command-stream estimate has one bucket."""
+        return Latency(kernel=self.latency_s)
 
 
 class HbmPimEstimator:
@@ -202,8 +210,6 @@ def estimate_lowered(
     so re-running them would both waste work and estimate a differently
     optimized kernel than the caller actually has.
     """
-    from ..pipeline import KernelPass
-
     pipeline = get_pipeline("hbm-pim")
     pipeline.passes = [
         p

@@ -35,6 +35,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..obs import current_tracer
+from ..serve.pool import ExecutablePool
 from ..target import Executable, Target, get_target
 from ..upmem.system import Latency
 from .ir import ModelGraph, Node
@@ -130,8 +132,6 @@ class GraphExecutable(Executable):
         self.graph = graph
         self.placement = placement
         if pool is None:
-            from ..serve.pool import ExecutablePool
-
             pool = ExecutablePool(capacity=max(8, len(graph.nodes)))
         self.pool = pool
         self._order = graph.topological_order()
@@ -171,8 +171,6 @@ class GraphExecutable(Executable):
     def pool_keys(self) -> set:
         """Residency keys of every (node, target, params) program this
         graph binds — what a long-lived loop pins in the pool."""
-        from ..serve.pool import ExecutablePool
-
         return {
             ExecutablePool.key_for(
                 node.workload, self.placement[node.name], node.params
@@ -246,8 +244,6 @@ class GraphExecutable(Executable):
         host threads.  Uses the ambient tracer when ``tracer`` is not
         given; a no-op when tracing is disabled.
         """
-        from ..obs import current_tracer
-
         tracer = tracer if tracer is not None else current_tracer()
         if not tracer.enabled:
             return
@@ -308,7 +304,7 @@ class GraphExecutable(Executable):
             exe, loaded = self._exes[node.name]
             kind = self.placement[node.name].kind
             on_pim = kind in PIM_SUBSTRATE_KINDS
-            lat = self._node_latency(exe)
+            lat = exe.profile().latency
             if not on_pim:
                 # Host backends (rooflines) model their memory traffic
                 # inside the compute number; boundary transfers are
@@ -400,26 +396,6 @@ class GraphExecutable(Executable):
                 crossing += nbytes
         return crossing, const_bytes, total, const_tensors
 
-    @staticmethod
-    def _node_latency(exe: Executable) -> Latency:
-        """A node executable's breakdown, tolerant of latency-only
-        targets (everything lands in ``kernel``)."""
-        try:
-            lat = getattr(exe.profile(), "latency", None)
-        except Exception:
-            lat = None
-        if isinstance(lat, Latency):
-            return lat
-        if lat is not None and hasattr(lat, "total"):
-            return Latency(
-                h2d=getattr(lat, "h2d", 0.0),
-                kernel=getattr(lat, "kernel", 0.0),
-                d2h=getattr(lat, "d2h", 0.0),
-                host=getattr(lat, "host", 0.0),
-                launch=getattr(lat, "launch", 0.0),
-            )
-        return Latency(kernel=exe.latency)
-
 
 def compile_graph(
     graph: ModelGraph,
@@ -445,8 +421,6 @@ def compile_graph(
     if placement is None:
         placement = place(graph, policy=policy, pim=target, host=host_target)
     if pool is None:
-        from ..serve.pool import ExecutablePool
-
         pool = ExecutablePool(
             capacity=max(8, len(graph.nodes)),
             opt_level=opt_level,

@@ -1,52 +1,11 @@
 """Experiment harness: one driver per paper figure/table + text reports."""
 
-from .experiments import (
-    compare_targets,
-    fig3a_cache_tile_sweep,
-    fig3b_tiling_schemes,
-    fig3c_dpu_sweep,
-    fig4_boundary_checks,
-    fig9_tensor_ops,
-    fig10_gptj,
-    fig11_mmtv_scaling,
-    fig12_pim_opts,
-    fig13_breakdown,
-    fig14_search_strategies,
-    fig15_tuning_overhead,
-    fig16_serving,
-    fig17_end_to_end,
-    fig17_multilayer,
-    fig18_cluster,
-    sim_speed,
-    compile_cache_stats,
-    measure_cache_stats,
-    profile_params,
-    table3_parameters,
-)
+from . import experiments
+from .experiments import *  # noqa: F401,F403 - experiments.__all__
 from .reporting import render_curve, render_table, summarize_speedups
 
 __all__ = [
-    "profile_params",
-    "compile_cache_stats",
-    "measure_cache_stats",
-    "compare_targets",
-    "fig3a_cache_tile_sweep",
-    "fig3b_tiling_schemes",
-    "fig3c_dpu_sweep",
-    "fig4_boundary_checks",
-    "fig9_tensor_ops",
-    "table3_parameters",
-    "fig10_gptj",
-    "fig11_mmtv_scaling",
-    "fig12_pim_opts",
-    "fig13_breakdown",
-    "fig14_search_strategies",
-    "fig15_tuning_overhead",
-    "fig16_serving",
-    "fig17_end_to_end",
-    "fig17_multilayer",
-    "fig18_cluster",
-    "sim_speed",
+    *experiments.__all__,
     "render_table",
     "render_curve",
     "summarize_speedups",

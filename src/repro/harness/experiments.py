@@ -10,17 +10,44 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..autotune import Tuner, autotune, measure_stats
 from ..autotune.compile import default_engine
-from ..pipeline import CacheStats
 from ..baselines import CpuModel, GpuModel
-from ..target import CpuTarget, PrimTarget, SimplePimTarget, Target
-from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
-from ..upmem.system import PerformanceModel, ProfileResult
+from ..cluster import (
+    Cluster,
+    ClusterConfig,
+    FaultEvent,
+    FaultInjector,
+    default_tenants,
+    generate_cluster_trace,
+    sessions_from_trace,
+)
+from ..decode import DecodeEngine
+from ..graph import compile_graph, gptj_decoder_graph, place, plan_memory
+from ..graph.builder import GPTJ_SIM
+from ..pipeline import CacheStats
+from ..serve import (
+    ExecutablePool,
+    Server,
+    generate_trace,
+    gptj_serving_mix,
+    replay_trace,
+)
+from ..target import (
+    CpuTarget,
+    PrimTarget,
+    SimplePimTarget,
+    Target,
+    TargetError,
+    compile as repro_compile,
+)
+from ..upmem import FunctionalExecutor
+from ..upmem.config import UpmemConfig
+from ..upmem.vectorize import plan_for
 from ..workloads import (
     GPTJ_30B,
     GPTJ_6B,
@@ -34,52 +61,14 @@ from ..workloads import (
     mtv,
     va,
 )
-
-__all__ = [
-    "profile_params",
-    "compile_cache_stats",
-    "measure_cache_stats",
-    "compare_targets",
-    "fig3a_cache_tile_sweep",
-    "fig3b_tiling_schemes",
-    "fig3c_dpu_sweep",
-    "fig4_boundary_checks",
-    "fig9_tensor_ops",
-    "table3_parameters",
-    "fig10_gptj",
-    "fig11_mmtv_scaling",
-    "fig12_pim_opts",
-    "fig13_breakdown",
-    "fig14_search_strategies",
-    "fig15_tuning_overhead",
-    "fig16_serving",
-    "fig17_end_to_end",
-    "sim_speed",
-]
-
-
-def profile_params(
-    workload: Workload,
-    params: Dict[str, int],
-    optimize: str = "O3",
-    config: Optional[UpmemConfig] = None,
-) -> ProfileResult:
-    """Compile and profile one parameter setting (no verification skip).
-
-    Compiles through the process-wide engine, so sweeps that revisit a
-    (workload, params, level) point — common across figures — reuse the
-    cached artifact instead of re-lowering.
-    """
-    cfg = config or DEFAULT_CONFIG
-    artifact = default_engine().compile(
-        workload, params, optimize=optimize, config=cfg, check=False
-    )
-    if not artifact.ok:
-        raise ValueError(
-            f"invalid params {params} for {workload.name}: {artifact.error}"
-        )
-    return PerformanceModel(cfg).profile(artifact.module)
-
+from .reporting import (
+    print_fig14,
+    print_fig15,
+    print_fig17_end_to_end,
+    print_fig17_multilayer,
+    print_fig18,
+    rows_printer,
+)
 
 def compile_cache_stats() -> CacheStats:
     """Hit/miss counters of the harness's shared compile cache."""
@@ -112,7 +101,7 @@ def fig3a_cache_tile_sweep(
             "cache": tile,
             "host_threads": 1,
         }
-        prof = profile_params(wl, params)
+        prof = repro_compile(wl, params=params).profile()
         rows.append(
             {
                 "cache_elems": tile,
@@ -141,8 +130,8 @@ def fig3b_tiling_schemes(m: int = 8192, k: int = 8192, n_dpus: int = 2048) -> Li
             "host_threads": 16,
         }
         try:
-            prof = profile_params(wl, params)
-        except ValueError:
+            prof = repro_compile(wl, params=params).profile()
+        except TargetError:
             m_dpus //= 2
             continue
         rows.append(
@@ -180,8 +169,8 @@ def fig3c_dpu_sweep(
                     "host_threads": 16,
                 }
                 try:
-                    prof = profile_params(wl, params)
-                except ValueError:
+                    prof = repro_compile(wl, params=params).profile()
+                except TargetError:
                     prof = None
                 if prof is not None:
                     t = prof.latency.total
@@ -227,8 +216,8 @@ def fig4_boundary_checks(
             "cache": 64,
             "host_threads": 1,
         }
-        with_checks = profile_params(wl, params, optimize="O1")
-        without = profile_params(wl, params, optimize="O3")
+        with_checks = repro_compile(wl, params=params, opt_level="O1").profile()
+        without = repro_compile(wl, params=params, opt_level="O3").profile()
         upmem_speedup = with_checks.latency.kernel / without.latency.kernel
         rows.append(
             {
@@ -272,16 +261,14 @@ def compare_targets(
     meta: Optional[Dict] = None,
     db: Optional[str] = None,
     resume: bool = False,
-    parallel_measure: int = 1,
 ) -> Dict:
     """One comparison row: every baseline target vs autotuned ATiM.
 
     Produces ``<label>_ms`` and ``atim_speedup_vs_<label>`` columns per
     supporting target plus ``atim_ms`` / ``atim_params``; targets that
     do not support the workload (e.g. SimplePIM outside va/geva/red) are
-    skipped, matching the paper's figures.  ``db``/``resume``/
-    ``parallel_measure`` forward to the tuning run (persistent
-    warm-start and measurement fan-out).
+    skipped, matching the paper's figures.  ``db``/``resume`` forward
+    to the tuning run (persistent warm-start).
     """
     row: Dict = dict(meta or {})
     latencies: Dict[str, float] = {}
@@ -295,7 +282,7 @@ def compare_targets(
             row[f"{target.label}_params"] = exe.params
     tune = autotune(
         workload, n_trials=n_trials, seed=seed, engine=default_engine(),
-        db=db, resume=resume, parallel_measure=parallel_measure,
+        db=db, resume=resume,
     )
     row["atim_ms"] = tune.best_latency * 1e3
     for label, latency in latencies.items():
@@ -322,7 +309,6 @@ def fig9_tensor_ops(
     seed: int = 0,
     db: Optional[str] = None,
     resume: bool = False,
-    parallel_measure: int = 1,
 ) -> List[Dict]:
     """PrIM / PrIM(E) / PrIM+search / SimplePIM / ATiM / CPU comparison."""
     targets = _baseline_targets()
@@ -342,7 +328,6 @@ def fig9_tensor_ops(
                     meta={"workload": name, "size": size},
                     db=db,
                     resume=resume,
-                    parallel_measure=parallel_measure,
                 )
             )
     return rows
@@ -354,7 +339,6 @@ def table3_parameters(
     seed: int = 0,
     db: Optional[str] = None,
     resume: bool = False,
-    parallel_measure: int = 1,
 ) -> List[Dict]:
     """Autotuned parameters (Table 3): PrIM defaults vs searches vs ATiM."""
     prim_default = PrimTarget()
@@ -365,7 +349,7 @@ def table3_parameters(
             wl = make_workload(name, size)
             tune = autotune(
                 wl, n_trials=n_trials, seed=seed, engine=default_engine(),
-                db=db, resume=resume, parallel_measure=parallel_measure,
+                db=db, resume=resume,
             )
             rows.append(
                 {
@@ -398,11 +382,10 @@ def fig10_gptj(
     seed: int = 0,
     db: Optional[str] = None,
     resume: bool = False,
-    parallel_measure: int = 1,
 ) -> List[Dict]:
     """MHA MMTV and FC MTV layers of GPT-J 6B/30B."""
     targets = _gptj_targets()
-    tuning = dict(db=db, resume=resume, parallel_measure=parallel_measure)
+    tuning = dict(db=db, resume=resume)
     rows = []
     for config in models:
         for batch in batches:
@@ -448,7 +431,6 @@ def fig11_mmtv_scaling(
     seed: int = 0,
     db: Optional[str] = None,
     resume: bool = False,
-    parallel_measure: int = 1,
 ) -> List[Dict]:
     """ATiM speedup over PrIM(+search) vs MMTV spatial-dimension size."""
     targets = (PrimTarget(), PrimTarget(variant="search"))
@@ -463,7 +445,6 @@ def fig11_mmtv_scaling(
             meta={"spatial": m * n, "shape": f"{m}x{n}x{k}"},
             db=db,
             resume=resume,
-            parallel_measure=parallel_measure,
         )
         rows.append(
             {
@@ -494,7 +475,7 @@ def fig12_pim_opts(
     def sweep(wl: Workload, params: Dict[str, int], tag: str, misalign: str):
         entry = {"case": tag, "misalignment": misalign}
         for level in _OPT_LEVELS:
-            prof = profile_params(wl, params, optimize=level)
+            prof = repro_compile(wl, params=params, opt_level=level).profile()
             entry[f"kernel_ms_{level}"] = prof.latency.kernel * 1e3
         entry["speedup_o3_vs_o0"] = (
             entry["kernel_ms_O0"] / entry["kernel_ms_O3"]
@@ -541,7 +522,7 @@ def fig13_breakdown(
     for wl, params, tag in cases:
         base_instr = None
         for level in _OPT_LEVELS:
-            prof = profile_params(wl, params, optimize=level)
+            prof = repro_compile(wl, params=params, opt_level=level).profile()
             frac = prof.dpu.fractions()
             if base_instr is None:
                 base_instr = max(1.0, prof.dpu.instructions)
@@ -571,7 +552,6 @@ def fig14_search_strategies(
     seed: int = 0,
     db: Optional[str] = None,
     resume: bool = False,
-    parallel_measure: int = 1,
 ) -> Dict[str, List[Tuple[int, float]]]:
     """GFLOPS-vs-trials convergence for the four search variants.
 
@@ -593,8 +573,7 @@ def fig14_search_strategies(
         # own exploration dynamics, as in the paper's Fig. 14.
         tuner = Tuner(
             wl, n_trials=n_trials, seed=seed, seed_defaults=False,
-            engine=default_engine(), db=db, resume=resume,
-            parallel_measure=parallel_measure, **flags
+            engine=default_engine(), db=db, resume=resume, **flags
         )
         result = tuner.tune()
         curves[name] = result.gflops_curve()
@@ -604,7 +583,6 @@ def fig14_search_strategies(
 def fig15_tuning_overhead(
     m: int = 4096, k: int = 4096, n_trials: int = 64, seed: int = 0,
     db: Optional[str] = None, resume: bool = False,
-    parallel_measure: int = 1,
 ) -> Dict[str, List[float]]:
     """Per-round tuning times and candidate latency scatter, CPU vs UPMEM.
 
@@ -624,10 +602,7 @@ def fig15_tuning_overhead(
     # experiments ran earlier in the process.  (The tuner's own intra-run
     # caching remains in effect — that is part of the system under
     # measurement.)
-    tuner = Tuner(
-        wl, n_trials=n_trials, seed=seed, db=db, resume=resume,
-        parallel_measure=parallel_measure,
-    )
+    tuner = Tuner(wl, n_trials=n_trials, seed=seed, db=db, resume=resume)
     result = tuner.tune()
 
     cpu_model = CpuModel()
@@ -676,19 +651,10 @@ def sim_speed(
     outside the timed region — it is a once-per-module cost served from
     the plan cache on every later run, exactly as in tuning loops.
     """
-    from ..target import default_params
-    from ..upmem import FunctionalExecutor
-    from ..upmem.vectorize import plan_for
-
     rows = []
     for name, size in cases:
         wl = make_workload(name, size)
-        artifact = default_engine().compile(
-            wl, default_params(wl), optimize="O3", check=False
-        )
-        if not artifact.ok:
-            raise ValueError(f"seed params invalid for {name}/{size}")
-        module = artifact.module
+        module = repro_compile(wl).lowered
         inputs = wl.random_inputs(seed)
         plan_for(module)  # warm the plan cache
         t0 = time.perf_counter()
@@ -739,14 +705,6 @@ def fig16_serving(
     hit rate, rejected counts, batch histogram) land verbatim in the
     harness's ``--json`` dump.
     """
-    from ..serve import (
-        ExecutablePool,
-        Server,
-        generate_trace,
-        gptj_serving_mix,
-        replay_trace,
-    )
-
     mix = gptj_serving_mix(tokens=tokens)
     trace = generate_trace(
         n_requests,
@@ -817,9 +775,6 @@ def fig17_end_to_end(
     *executes* functionally and is checked against the NumPy reference;
     pass ``execute=False`` for timing-only sweeps at bigger shapes.
     """
-    from ..graph import compile_graph, gptj_decoder_graph, place, plan_memory
-    from ..graph.builder import GPTJ_SIM
-
     graph = gptj_decoder_graph(config or GPTJ_SIM, tokens=tokens)
     plan = plan_memory(graph)
     inputs = graph.random_inputs(seed=seed) if execute else None
@@ -893,9 +848,6 @@ def fig17_multilayer(
     visible in the per-layer rows.  Every reported number is
     deterministic: bit-for-bit identical at any ``REPRO_MAX_WORKERS``.
     """
-    from ..decode import DecodeEngine
-    from ..graph.builder import GPTJ_SIM
-
     cfg = config or GPTJ_SIM
     if mram_budget_layers is None:
         mram_budget_layers = layers - 1 if layers > 1 else 1
@@ -912,7 +864,7 @@ def fig17_multilayer(
     result = engine.decode(tokens=tokens, prompt_tokens=prompt_tokens)
     payload = result.to_dict()
     payload["rows"] = payload.pop("steps")
-    payload["graph"] = next(reversed(engine._epochs.values())).graph.name
+    payload["graph"] = result.graph_name
     payload["mram_budget_layers"] = mram_budget_layers
     payload["residency_policy"] = residency_policy
     return payload
@@ -944,11 +896,6 @@ def fig18_cluster(
     digest checked against the original stream) — the payload records
     recovery order and the replay verdict.
     """
-    from ..cluster import (
-        Cluster, ClusterConfig, FaultEvent, FaultInjector,
-        default_tenants, generate_cluster_trace, sessions_from_trace,
-    )
-
     tenants = default_tenants()
     trace = generate_cluster_trace(
         n_requests, tenants, seed=seed,
@@ -1025,3 +972,75 @@ def fig18_cluster(
             ),
         }
     return payload
+
+
+# ---------------------------------------------------------------------------
+# The dispatch table: what ``python -m repro.harness NAME`` runs
+# ---------------------------------------------------------------------------
+
+
+class Experiment(NamedTuple):
+    name: str
+    run: Callable
+    #: CLI arguments the driver takes (as keywords, see ``KEYWORDS``).
+    args: Tuple[str, ...]
+    #: Prints the driver's return value as the text report.
+    show: Callable
+    #: Picks among rows sharing a name, from the parsed CLI arguments.
+    when: Callable = lambda args: True
+
+
+#: CLI argument -> driver keyword, where the two differ.
+KEYWORDS = {
+    "trials": "n_trials",
+    "requests": "n_requests",
+    "workers": "n_workers",
+}
+
+_TUNING = ("trials", "seed", "db", "resume")
+
+TABLE: Tuple[Experiment, ...] = (
+    Experiment("fig3a", fig3a_cache_tile_sweep, (), rows_printer("Fig 3a")),
+    Experiment("fig3b", fig3b_tiling_schemes, (), rows_printer("Fig 3b")),
+    Experiment("fig3c", fig3c_dpu_sweep, (), rows_printer("Fig 3c")),
+    Experiment("fig4", fig4_boundary_checks, (), rows_printer("Fig 4")),
+    Experiment(
+        "fig9", fig9_tensor_ops, ("workloads", "sizes", *_TUNING),
+        rows_printer("Fig 9"),
+    ),
+    Experiment(
+        "tab3", table3_parameters, ("workloads", *_TUNING),
+        rows_printer("Table 3"),
+    ),
+    Experiment("fig10", fig10_gptj, _TUNING, rows_printer("Fig 10")),
+    Experiment("fig11", fig11_mmtv_scaling, _TUNING, rows_printer("Fig 11")),
+    Experiment("fig12", fig12_pim_opts, (), rows_printer("Fig 12")),
+    Experiment("fig13", fig13_breakdown, (), rows_printer("Fig 13")),
+    Experiment("fig14", fig14_search_strategies, _TUNING, print_fig14),
+    Experiment("fig15", fig15_tuning_overhead, _TUNING, print_fig15),
+    Experiment(
+        "fig16", fig16_serving, ("requests", "seed"),
+        rows_printer("Fig 16 (serving: dynamic batching)"),
+    ),
+    Experiment(
+        "fig17", fig17_multilayer, ("layers", "tokens", "seed"),
+        print_fig17_multilayer, when=lambda args: args.layers > 1,
+    ),
+    Experiment(
+        "fig17", fig17_end_to_end, ("tokens", "seed"), print_fig17_end_to_end
+    ),
+    Experiment(
+        "fig18", fig18_cluster, ("requests", "workers", "seed"), print_fig18
+    ),
+    Experiment(
+        "sim_speed", sim_speed, ("seed",),
+        rows_printer("Simulator speed (scalar vs vector)"),
+    ),
+)
+
+__all__ = [
+    "compile_cache_stats",
+    "measure_cache_stats",
+    "compare_targets",
+    *(row.run.__name__ for row in TABLE),
+]

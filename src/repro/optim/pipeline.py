@@ -11,10 +11,13 @@ caller a fresh pipeline instance).
 from __future__ import annotations
 
 from ..lowering import LoweredModule
-from ..pipeline.core import OPT_LEVELS as LEVELS
 from ..tir import Stmt
 
 __all__ = ["optimize_module", "optimize_kernel", "LEVELS"]
+
+#: PIM-aware optimization levels, paper §5.3 — the canonical definition
+#: (``pipeline.OPT_LEVELS`` is an alias of this tuple).
+LEVELS = ("O0", "O1", "O2", "O3")
 
 
 def optimize_kernel(kernel: Stmt, level: str = "O3") -> Stmt:
@@ -23,6 +26,8 @@ def optimize_kernel(kernel: Stmt, level: str = "O3") -> Stmt:
     ``O0`` — none; ``O1`` — DMA-aware boundary-check elimination;
     ``O2`` — + loop-bound tightening; ``O3`` — + invariant branch hoisting.
     """
+    # Local: ``pipeline`` sits above ``optim`` (its passes wrap the
+    # rewrites defined here).
     from ..pipeline import PassContext, get_pipeline
 
     if level not in LEVELS:
@@ -35,7 +40,7 @@ def optimize_module(
 ) -> LoweredModule:
     """Return a copy of ``module`` with the optimized kernel (``module``
     itself when every pass is an identity)."""
-    from ..pipeline import PassContext, get_pipeline
+    from ..pipeline import PassContext, get_pipeline  # as above
 
     if level not in LEVELS:
         raise ValueError(f"unknown optimization level {level!r}")

@@ -1,11 +1,12 @@
 """Unified compile pipeline: passes, contexts, managers and artifacts.
 
 Every compile in the repository — ``repro.compile`` (for any target),
-``optimize_module``, the autotuner's candidate compiler and the
-experiment harness — routes through a :class:`PassManager` over the same
-named passes, with a :class:`PassContext` carrying configuration and
-observability hooks and an :class:`ArtifactCache` memoizing
-:class:`CompiledArtifact` results.
+``optimize_module``, the autotuner, the baselines and the experiment
+harness — routes through a :class:`PassManager` over the same named
+passes, with a :class:`PassContext` carrying configuration and
+observability hooks; every (workload, params) compile is one
+:meth:`repro.autotune.CompileEngine.compile` call, memoized as a
+:class:`CompiledArtifact` in an :class:`ArtifactCache`.
 
 Quick tour::
 
@@ -36,12 +37,10 @@ from .artifact import (
 )
 from .passes import (
     EliminateCopyChecks,
-    EmitSourcePass,
     HoistInvariantBranches,
     KernelPass,
     LowerSchedulePass,
     TightenLoopBounds,
-    VerifyPass,
     kernel_passes,
 )
 from .registry import (
@@ -65,8 +64,6 @@ __all__ = [
     "EliminateCopyChecks",
     "TightenLoopBounds",
     "HoistInvariantBranches",
-    "VerifyPass",
-    "EmitSourcePass",
     "kernel_passes",
     "ArtifactCache",
     "CacheStats",

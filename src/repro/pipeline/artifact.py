@@ -18,7 +18,7 @@ import os
 import pickle
 import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 __all__ = [
@@ -36,7 +36,11 @@ __all__ = [
 #: key payload itself changes shape, so a persistent disk tier never
 #: serves artifacts produced by older compiler code.
 #: v3: int32 buffers are now actually int32 (were widened to int64).
-CACHE_SCHEMA_VERSION = 3
+#: v4: ``CompiledArtifact.verified`` is a plain bool (was tri-state);
+#: disk entries lead with a SHA-256 of the pickle that follows.
+CACHE_SCHEMA_VERSION = 4
+
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 def _tensor_signature(tensor: Any) -> tuple:
@@ -148,19 +152,17 @@ class CompiledArtifact:
 
     ``module`` is ``None`` for negative artifacts (the sketch or lowering
     rejected the parameters); ``error`` then names the failure.
-    ``verified`` is tri-state: ``None`` until a verifying caller runs the
-    hardware-constraint check, then the cached verdict.
+    ``verified`` is the single validity predicate: the module exists
+    *and* passed the hardware-constraint check (``verify_reason`` names
+    the violated constraint otherwise).  A lowered module that failed
+    the check is still there to inspect.
     """
 
     key: str
     module: Any = None
     error: str = ""
-    verified: Optional[bool] = None
+    verified: bool = False
     verify_reason: str = ""
-    opt_level: str = "O3"
-    pipeline: str = "build"
-    #: Per-pass wall-clock of the producing run (name, seconds, skipped).
-    timings: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -191,8 +193,8 @@ class ArtifactCache:
     """Content-addressed artifact store: in-memory LRU + optional disk tier.
 
     ``disk_dir`` enables persistence: artifacts are pickled to
-    ``<disk_dir>/<key>.pkl`` with atomic renames, so concurrent processes
-    sharing a directory never observe torn files.  Disk loads count as
+    ``<disk_dir>/<key>.pkl`` (digest first) with atomic renames, so
+    concurrent processes sharing a directory never observe torn files.  Disk loads count as
     hits (and ``disk_hits``) because the expensive re-lowering is skipped.
     """
 
@@ -209,14 +211,8 @@ class ArtifactCache:
     def __len__(self) -> int:
         return len(self._mem)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._mem or self._on_disk(key)
-
     def _disk_path(self, key: str) -> str:
         return os.path.join(self.disk_dir, f"{key}.pkl")
-
-    def _on_disk(self, key: str) -> bool:
-        return bool(self.disk_dir) and os.path.exists(self._disk_path(key))
 
     def get(self, key: str) -> Optional[CompiledArtifact]:
         art = self._mem.get(key)
@@ -224,19 +220,12 @@ class ArtifactCache:
             self._mem.move_to_end(key)
             self.stats.hits += 1
             return art
-        if self._on_disk(key):
-            try:
-                with open(self._disk_path(key), "rb") as fh:
-                    art = pickle.load(fh)
-            except Exception:
-                # Torn/stale/cross-version pickles degrade to a miss (a
-                # recompile), never to a crashed lookup.
-                art = None
-            if art is not None:
-                self._remember(key, art)
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                return art
+        art = self._read_disk(key) if self.disk_dir else None
+        if art is not None:
+            self._remember(key, art)
+            self.stats.hits += 1
+            self.stats.disk_hits += 1
+            return art
         self.stats.misses += 1
         return None
 
@@ -261,12 +250,33 @@ class ArtifactCache:
         while len(self._mem) > self.max_entries:
             self._mem.popitem(last=False)
 
+    def _read_disk(self, key: str) -> Optional[CompiledArtifact]:
+        """The artifact stored under ``key``, or ``None`` for anything
+        else — no file, a torn, stale or bit-flipped one (digest
+        mismatch, so it is never unpickled), a pickle of some other
+        object, an artifact copied or renamed from another key.  All
+        degrade to a miss that the recompile overwrites, never to a
+        crashed lookup or another program's module."""
+        try:
+            with open(self._disk_path(key), "rb") as fh:
+                blob = fh.read()
+            digest, body = blob[:_DIGEST_BYTES], blob[_DIGEST_BYTES:]
+            if hashlib.sha256(body).digest() != digest:
+                return None
+            art = pickle.loads(body)
+        except Exception:
+            return None
+        if isinstance(art, CompiledArtifact) and art.key == key:
+            return art
+        return None
+
     def _write_disk(self, artifact: CompiledArtifact) -> None:
         path = self._disk_path(artifact.key)
         fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
         try:
+            body = pickle.dumps(artifact)
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(artifact, fh)
+                fh.write(hashlib.sha256(body).digest() + body)
             os.replace(tmp, path)
         except Exception:  # pragma: no cover - defensive
             # The disk tier is an optimization: a module that cannot be

@@ -16,6 +16,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
+from ..lowering import LowerOptions
+from ..obs import current_tracer
+from ..optim.pipeline import LEVELS
+from ..tir import Stmt, stmt_to_str
+
 __all__ = [
     "OPT_LEVELS",
     "Pass",
@@ -27,9 +32,8 @@ __all__ = [
     "PipelineError",
 ]
 
-#: PIM-aware optimization levels, paper §5.3 — the canonical definition
-#: (``optim.LEVELS`` is an alias of this tuple).
-OPT_LEVELS = ("O0", "O1", "O2", "O3")
+#: PIM-aware optimization levels, paper §5.3 (``optim.LEVELS``).
+OPT_LEVELS = LEVELS
 
 
 class PipelineError(RuntimeError):
@@ -86,8 +90,6 @@ class PassContext:
         if self.opt_level not in OPT_LEVELS:
             raise ValueError(f"opt_level must be one of {OPT_LEVELS}")
         if self.options is None:
-            from ..lowering import LowerOptions
-
             self.options = LowerOptions(optimize=self.opt_level)
 
     # -- ambient context ----------------------------------------------------
@@ -155,8 +157,6 @@ class FunctionPass(Pass):
 
 def _snapshot(obj: Any) -> str:
     """Best-effort printable IR for ``dump_ir``."""
-    from ..tir import Stmt, stmt_to_str
-
     kernel = getattr(obj, "kernel", None)
     if isinstance(kernel, Stmt):
         return stmt_to_str(kernel)
@@ -222,8 +222,6 @@ class PassManager:
 
     # -- execution ----------------------------------------------------------
     def run(self, obj: Any, ctx: Optional[PassContext] = None) -> Any:
-        from ..obs import current_tracer
-
         tracer = current_tracer()
         ctx = ctx or PassContext.current() or PassContext()
         with ctx:

@@ -1,9 +1,10 @@
 """Concrete passes composing the ATiM compile flow.
 
-The stages the paper describes — schedule → loop TIR (§5.2.2), the O1–O3
-PIM-aware kernel optimizations (§5.3), hardware-constraint verification
-(§5.2.4) and UPMEM-C emission — each become one named :class:`Pass` so
-pipelines can compose, reorder and instrument them.
+The stages the paper describes — schedule → loop TIR (§5.2.2) and the
+O1–O3 PIM-aware kernel optimizations (§5.3) — each become one named
+:class:`Pass` so pipelines can compose, reorder and instrument them.
+Hardware-constraint verification (§5.2.4) follows the pipeline inside
+:meth:`repro.autotune.CompileEngine.compile`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ __all__ = [
     "EliminateCopyChecks",
     "TightenLoopBounds",
     "HoistInvariantBranches",
-    "VerifyPass",
-    "EmitSourcePass",
     "kernel_passes",
 ]
 
@@ -103,40 +102,3 @@ class HoistInvariantBranches(KernelPass):
 def kernel_passes() -> List[KernelPass]:
     """Fresh instances of the §5.3 kernel passes in canonical O1→O3 order."""
     return [EliminateCopyChecks(), TightenLoopBounds(), HoistInvariantBranches()]
-
-
-class VerifyPass(Pass):
-    """UPMEM constraint verification (paper §5.2.4).
-
-    Publishes ``ctx.attrs["verify_ok"]`` / ``ctx.attrs["verify_reason"]``;
-    with ``strict=True`` a violation aborts the pipeline instead.
-    """
-
-    name = "verify"
-
-    def __init__(self, strict: bool = False) -> None:
-        self.strict = strict
-
-    def run(self, module: LoweredModule, ctx: PassContext) -> LoweredModule:
-        from ..autotune.verifier import verify
-
-        ok, reason = verify(module, ctx.config)
-        ctx.attrs["verify_ok"] = ok
-        ctx.attrs["verify_reason"] = reason
-        if self.strict and not ok:
-            raise PipelineError(f"verification failed: {reason}")
-        return module
-
-
-class EmitSourcePass(Pass):
-    """Render UPMEM-C kernel source and host pseudocode into ``ctx.attrs``
-    (``kernel_c`` / ``host_pseudocode``) for inspection and reports."""
-
-    name = "emit_source"
-
-    def run(self, module: LoweredModule, ctx: PassContext) -> LoweredModule:
-        from ..upmem.emitter import emit_host_pseudocode, emit_kernel_c
-
-        ctx.attrs["kernel_c"] = emit_kernel_c(module)
-        ctx.attrs["host_pseudocode"] = emit_host_pseudocode(module)
-        return module

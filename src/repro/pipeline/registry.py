@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from .core import PassManager, PipelineError
-from .passes import EmitSourcePass, LowerSchedulePass, VerifyPass, kernel_passes
+from .passes import LowerSchedulePass, kernel_passes
 
 __all__ = [
     "register_pipeline",
@@ -65,21 +65,5 @@ def _build_pipeline() -> PassManager:
     return PassManager([LowerSchedulePass(), *kernel_passes()], name="build")
 
 
-def _autotune_pipeline() -> PassManager:
-    """Compile plus non-strict hardware-constraint verification."""
-    return PassManager(
-        [LowerSchedulePass(), *kernel_passes(), VerifyPass()], name="autotune"
-    )
-
-
-def _emit_pipeline() -> PassManager:
-    """Compile and additionally render UPMEM-C into ``ctx.attrs``."""
-    return PassManager(
-        [LowerSchedulePass(), *kernel_passes(), EmitSourcePass()], name="emit"
-    )
-
-
 register_pipeline("optimize", _optimize_pipeline)
 register_pipeline("build", _build_pipeline)
-register_pipeline("autotune", _autotune_pipeline)
-register_pipeline("emit", _emit_pipeline)

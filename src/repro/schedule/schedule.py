@@ -23,7 +23,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..te import ComputeOp, IterVar, PlaceholderOp, Tensor
 from ..te.operation import _fresh_name
-from ..tir import Buffer, BufferLoad, Var, collect_loads, substitute
+from ..tir import (
+    Buffer,
+    BufferLoad,
+    Interval,
+    Var,
+    collect_loads,
+    eval_interval,
+    simplify,
+    substitute,
+)
 from .relations import Fuse, Split, derives_from_reduce
 
 __all__ = ["Schedule", "Stage", "ScheduleError"]
@@ -358,8 +367,6 @@ class Schedule:
             recon_expr = substitute(recon[root.var], leaf_map)
             subst[root.var] = recon_expr
             # Guard against imperfect reduction splits.
-            from ..tir import Interval, eval_interval, simplify as _simp
-
             env = {
                 factor_axis.var: Interval(0, factor_axis.extent - 1),
             }
@@ -367,16 +374,14 @@ class Schedule:
                 env[iv.var] = Interval(0, iv.extent - 1)
             rng = eval_interval(recon_expr, env)
             if rng is None or rng.hi is None or rng.hi >= root.extent:
-                predicates.append(_simp(recon_expr < root.extent))
+                predicates.append(simplify(recon_expr < root.extent))
         for old, new in zip(op.axis, spatial_axes):
             subst[old.var] = new.var
 
         # Carry forward predicates of an already-rfactored op (nested
         # hierarchical reductions, e.g. DPU level then tasklet level).
         for pred in getattr(op, "predicates", []):
-            from ..tir import simplify as _s2
-
-            predicates.append(_s2(substitute(pred, subst)))
+            predicates.append(simplify(substitute(pred, subst)))
 
         new_body = substitute(op.body, subst)
         rf_op = ComputeOp(

@@ -17,6 +17,7 @@ import hashlib
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional, Tuple
 
+from ..obs import current_tracer
 from ..pipeline import workload_signature
 from ..target import Executable, Target, get_target
 
@@ -152,8 +153,6 @@ class ExecutablePool:
         paths that already hold one (the server computes it at submit)
         skip re-deriving the structural workload signature.
         """
-        from ..obs import current_tracer
-
         tracer = current_tracer()
         if key is None:
             key = self.key_for(workload, target, params)
@@ -202,6 +201,8 @@ class ExecutablePool:
     def _compile(
         self, workload: Any, target: Any, params: Optional[Dict[str, int]]
     ) -> Executable:
+        # Local: looked up per call, so a wrapper installed on
+        # ``repro.target.compile.compile`` (perf/trace.py) sees pool loads.
         from ..target.compile import compile as _compile
 
         return _compile(
@@ -244,8 +245,6 @@ class ExecutablePool:
         is compiled.  If every resident entry is pinned the pool runs
         over ``capacity`` instead of evicting.
         """
-        from ..obs import current_tracer
-
         self._pinned.add(key)
         tracer = current_tracer()
         if tracer.enabled:
@@ -257,8 +256,6 @@ class ExecutablePool:
     def unpin(self, key: Tuple) -> None:
         """Release a pin; the entry rejoins the ordinary LRU order.
         Unpinning an unknown key is a no-op."""
-        from ..obs import current_tracer
-
         self._pinned.discard(key)
         tracer = current_tracer()
         if tracer.enabled:

@@ -419,20 +419,12 @@ class Server:
         cached = self._duration_cache.get(key)
         if cached is not None:
             return cached
-        try:
-            latency = getattr(exe.profile(), "latency", None)
-        except Exception:
-            latency = None
-        if latency is not None and hasattr(latency, "total"):
-            total = latency.total
-            launch = getattr(latency, "launch", 0.0)
-            h2d = getattr(latency, "h2d", 0.0)
-            kernel = getattr(latency, "kernel", 0.0)
-        else:  # latency-only targets (e.g. estimators)
-            total, launch, h2d, kernel = exe.latency, 0.0, 0.0, 0.0
-        const_h2d = h2d * self._const_input_fraction(exe.workload)
-        serial = max(total - launch - kernel - const_h2d, 0.0)
-        costs = (launch, kernel, serial, const_h2d)
+        latency = exe.profile().latency
+        const_h2d = latency.h2d * self._const_input_fraction(exe.workload)
+        serial = max(
+            latency.total - latency.launch - latency.kernel - const_h2d, 0.0
+        )
+        costs = (latency.launch, latency.kernel, serial, const_h2d)
         self._duration_cache[key] = costs
         return costs
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from ..upmem.config import DEFAULT_CONFIG
+
 __all__ = [
     "Target",
     "TargetError",
@@ -69,11 +71,11 @@ class Target(abc.ABC):
         determined by inputs already in the key — workload, params,
         hardware config, opt level and pipeline name — so its artifacts
         may share cache entries with any other caller producing the same
-        module (e.g. the UPMEM target and a bare ``compile_params``
-        sweep).  Override to return a stable token when a target alters
-        compilation *beyond* those knobs (extra pass configuration,
-        context attributes, ...), so its artifacts never alias ones it
-        would compile differently.
+        module (e.g. the UPMEM target and the PrIM baselines' grid
+        search).  Override to return a stable token when a target
+        alters compilation *beyond* those knobs (extra pass
+        configuration, context attributes, ...), so its artifacts never
+        alias ones it would compile differently.
         """
         return None
 
@@ -117,8 +119,6 @@ class Target(abc.ABC):
         space when tuning for this target (the UPMEM grid is the shared
         scheduling substrate; non-UPMEM targets tune over the default
         grid)."""
-        from ..upmem.config import DEFAULT_CONFIG
-
         return DEFAULT_CONFIG
 
 

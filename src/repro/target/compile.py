@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Union
 
+from ..autotune.tuner import tuned_params
+from ..schedule import Schedule
 from .base import Target, get_target
 from .executable import Executable
 
@@ -74,11 +76,12 @@ def compile(
     the host), and the result is a
     :class:`~repro.graph.executable.GraphExecutable`.
     """
+    # Local: ``graph`` sits above ``target`` (its executables hold
+    # targets), so the front door reaches up to it only when called.
+    from ..graph.executable import compile_graph
     from ..graph.ir import ModelGraph
 
     if isinstance(workload_or_schedule, ModelGraph):
-        from ..graph.executable import compile_graph
-
         if params is not None:
             raise ValueError(
                 "params= does not apply to a ModelGraph — pin schedule"
@@ -101,23 +104,22 @@ def compile(
             **graph_hints,
         )
     target = get_target(target)
-    if tuned and params is None:
-        from ..schedule import Schedule
-
-        if not isinstance(workload_or_schedule, Schedule):
-            from ..autotune.tuner import tuned_params
-
-            params = tuned_params(
-                workload_or_schedule,
-                target=target,
-                db=db,
-                n_trials=tune_trials,
-                seed=tune_seed,
-                # Tune at the level the result will compile at: O0 and
-                # O3 measure differently, so they form separate db
-                # groups and must not trade winners.
-                optimize=opt_level,
-            )
+    if (
+        tuned
+        and params is None
+        and not isinstance(workload_or_schedule, Schedule)
+    ):
+        params = tuned_params(
+            workload_or_schedule,
+            target=target,
+            db=db,
+            n_trials=tune_trials,
+            seed=tune_seed,
+            # Tune at the level the result will compile at: O0 and O3
+            # measure differently, so they form separate db groups and
+            # must not trade winners.
+            optimize=opt_level,
+        )
     return target.compile(
         workload_or_schedule, opt_level=opt_level, params=params, **hints
     )

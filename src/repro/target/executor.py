@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List
 
 from ..upmem.executor import positive_int_env
 
@@ -80,11 +80,9 @@ class Executor:
     compiled modules and write straight into the caller's output arrays.
     """
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        #: ``None`` is the deployment's width (:func:`default_workers`);
-        #: an explicit count is for callers whose width is part of their
-        #: own contract (``Tuner(parallel_measure=)``).
-        self.max_workers = max_workers or default_workers()
+    def __init__(self) -> None:
+        #: The deployment's width (:func:`default_workers`).
+        self.max_workers = default_workers()
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
         """Apply ``fn`` to every item; results in input order.  A single

@@ -12,7 +12,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..autotune.compile import default_engine
+from ..autotune.sketch import generate_schedule, param_space
+from ..autotune.tuner import seed_params
+from ..baselines.cpu import CpuModel, GpuModel
+from ..baselines.prim import prim_params, prim_search
+from ..baselines.simplepim import SIMPLEPIM_WORKLOADS, simplepim_build
 from ..lowering import LowerOptions
+from ..pipeline import PassContext, get_pipeline
 from ..schedule import Schedule
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..upmem.system import PerformanceModel
@@ -42,9 +49,6 @@ def default_params(
     """A sensible un-tuned parameter setting for a workload: the primary
     sketch seed (max-parallelism plain candidate) the tuner would measure
     first."""
-    from ..autotune.sketch import param_space
-    from ..autotune.tuner import seed_params
-
     cfg = config or DEFAULT_CONFIG
     space = param_space(workload, max_dpus=cfg.n_dpus)
     return seed_params(space, cfg.n_dpus)[0]
@@ -72,24 +76,14 @@ class UpmemTarget(Target):
         engine: Optional[Any] = None,
     ) -> None:
         self.config = config or DEFAULT_CONFIG
-        self._engine = engine
-
-    @property
-    def engine(self):
-        """Compile engine (process-wide default unless one was injected)."""
-        if self._engine is None:
-            from ..autotune.compile import default_engine
-
-            self._engine = default_engine()
-        return self._engine
+        #: Compile engine (process-wide default unless one was injected).
+        self.engine = engine if engine is not None else default_engine()
 
     @property
     def search_config(self) -> UpmemConfig:
         return self.config
 
     def supports(self, workload: Workload) -> bool:
-        from ..autotune.sketch import param_space
-
         try:
             param_space(workload, max_dpus=self.config.n_dpus)
         except (KeyError, ValueError):
@@ -106,8 +100,6 @@ class UpmemTarget(Target):
         **hints: Any,
     ) -> Executable:
         if isinstance(workload_or_schedule, Schedule):
-            from ..pipeline import PassContext, get_pipeline
-
             if ctx is None:
                 ctx = PassContext(module_name=name or "main")
             elif name is not None:
@@ -128,7 +120,7 @@ class UpmemTarget(Target):
                 f"invalid params {params} for {workload.name}:"
                 f" {artifact.error}"
             )
-        if artifact.verified is False:
+        if not artifact.verified:
             raise TargetError(
                 f"params {params} violate hardware constraints for"
                 f" {workload.name}: {artifact.verify_reason}"
@@ -169,8 +161,6 @@ class PrimTarget(Target):
         return "prim" if self.variant == "default" else f"prim_{self.variant}"
 
     def supports(self, workload: Workload) -> bool:
-        from ..baselines.prim import prim_params
-
         try:
             prim_params(workload)
         except KeyError:
@@ -187,10 +177,8 @@ class PrimTarget(Target):
         """The variant's parameter choice, without compiling where
         possible: the default variant is a table lookup; the searched
         variants inherently profile candidates to pick a winner."""
-        from ..baselines import prim
-
         if self.variant == "default":
-            return prim.prim_params(workload, size=size)
+            return prim_params(workload, size=size)
         return self.compile(workload, size=size).params
 
     def compile(
@@ -201,9 +189,6 @@ class PrimTarget(Target):
         size: Optional[str] = None,
         **hints: Any,
     ) -> Executable:
-        from ..autotune.compile import compile_params
-        from ..baselines import prim
-
         if isinstance(workload_or_schedule, Schedule):
             raise TargetError(
                 "the prim target reproduces fixed kernel structures; compile"
@@ -212,28 +197,21 @@ class PrimTarget(Target):
         workload = workload_or_schedule
         profile_override = None
         if self.variant == "default":
-            params = params or prim.prim_params(workload, size=size)
+            params = params or prim_params(workload, size=size)
         else:
-            if self.variant == "e":
-                tasklets, caches = prim.PRIM_E_TASKLET_RANGE, prim.PRIM_E_CACHE_RANGE
-            else:
-                tasklets = prim.PRIM_SEARCH_TASKLET_RANGE
-                caches = prim.PRIM_SEARCH_CACHE_RANGE
-            profile_override, params = prim._grid_search(
-                workload,
-                prim._dpu_search_range(workload),
-                tasklets,
-                caches,
-                self.config,
+            profile_override, params = prim_search(
+                workload, self.variant, self.config
             )
-        module = compile_params(workload, params, "O3", self.config)
-        if module is None:
+        artifact = default_engine().compile(
+            workload, params, config=self.config
+        )
+        if not artifact.verified:
             raise TargetError(
                 f"PrIM baseline parameters invalid for {workload.name}:"
                 f" {params}"
             )
         return UpmemExecutable(
-            module, self, workload, params, profile_override
+            artifact.module, self, workload, params, profile_override
         )
 
     def measure(self, module: Any, workload: Any = None) -> float:
@@ -251,8 +229,6 @@ class SimplePimTarget(Target):
         self.config = config or DEFAULT_CONFIG
 
     def supports(self, workload: Workload) -> bool:
-        from ..baselines.simplepim import SIMPLEPIM_WORKLOADS
-
         return getattr(workload, "name", None) in SIMPLEPIM_WORKLOADS
 
     @property
@@ -266,8 +242,6 @@ class SimplePimTarget(Target):
         params: Optional[Dict[str, int]] = None,
         **hints: Any,
     ) -> Executable:
-        from ..baselines.simplepim import simplepim_build
-
         if isinstance(workload_or_schedule, Schedule):
             raise TargetError(
                 "the simplepim target reproduces the framework's fixed"
@@ -323,8 +297,6 @@ class CpuTarget(_RooflineTarget):
     kind = "cpu"
 
     def __init__(self, model: Optional[Any] = None) -> None:
-        from ..baselines.cpu import CpuModel
-
         super().__init__(model or CpuModel())
 
 
@@ -334,8 +306,6 @@ class GpuTarget(_RooflineTarget):
     kind = "gpu"
 
     def __init__(self, model: Optional[Any] = None) -> None:
-        from ..baselines.cpu import GpuModel
-
         super().__init__(model or GpuModel())
 
 
@@ -356,9 +326,12 @@ class HbmPimTarget(Target):
         config: Optional[Any] = None,  # HbmPimConfig
         upmem_config: Optional[UpmemConfig] = None,
     ) -> None:
-        from ..extensions.hbm_pim import HbmPimConfig
+        # Local: importing the extension registers its "hbm-pim"
+        # pipeline, which `import repro` alone must not do.
+        from ..extensions.hbm_pim import HbmPimConfig, HbmPimEstimator
 
         self.config = config or HbmPimConfig()
+        self.estimator = HbmPimEstimator(self.config)
         #: UPMEM machine description bounding the sketch substrate the
         #: two-level PU binding is derived from.
         self.upmem_config = upmem_config or DEFAULT_CONFIG
@@ -368,11 +341,9 @@ class HbmPimTarget(Target):
         return self.upmem_config
 
     def supports(self, workload: Workload) -> bool:
-        from ..extensions.hbm_pim import HbmPimEstimator
-
         op = getattr(getattr(workload, "output", None), "op", None)
         combiner = getattr(op, "combiner", None)
-        return HbmPimEstimator(self.config).supports(combiner)
+        return self.estimator.supports(combiner)
 
     def total_macs(self, workload: Workload) -> float:
         """MAC count of a reduction workload (multiply+accumulate pairs)."""
@@ -386,8 +357,8 @@ class HbmPimTarget(Target):
         total_macs: Optional[float] = None,
         **hints: Any,
     ) -> Executable:
+        # Local for the same reason as in ``__init__``.
         from ..extensions.hbm_pim import estimate_schedule
-        from ..pipeline import PassContext
 
         workload = None
         if isinstance(workload_or_schedule, Schedule):
@@ -405,8 +376,6 @@ class HbmPimTarget(Target):
                     f"hbm-pim accelerates MAC reductions only;"
                     f" {workload.name!r} is not one"
                 )
-            from ..autotune.sketch import generate_schedule
-
             params = params or default_params(workload, self.upmem_config)
             try:
                 schedule = generate_schedule(workload, params)
@@ -422,11 +391,9 @@ class HbmPimTarget(Target):
 
     def measure(self, module: Any, workload: Any = None) -> float:
         """Estimate an already-lowered module (cross-target tuning)."""
-        from ..extensions.hbm_pim import HbmPimEstimator
-
         if workload is None:
             raise TargetError("hbm-pim measurement needs the workload")
-        estimate = HbmPimEstimator(self.config).estimate(
+        estimate = self.estimator.estimate(
             module, self.total_macs(workload)
         )
         return estimate.latency_s if estimate.supported else float("inf")

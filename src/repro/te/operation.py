@@ -5,7 +5,15 @@ from __future__ import annotations
 import itertools
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from ..tir import Buffer, BufferLoad, PrimExpr, Var, as_expr, const
+from ..tir import (
+    Buffer,
+    BufferLoad,
+    PrimExpr,
+    Var,
+    as_expr,
+    collect_loads,
+    const,
+)
 
 __all__ = [
     "IterVar",
@@ -204,8 +212,6 @@ class ComputeOp(Operation):
 
     def input_buffers(self) -> List[Buffer]:
         """Buffers loaded by the body (deduplicated, in first-use order)."""
-        from ..tir import collect_loads
-
         seen: List[Buffer] = []
         for load in collect_loads(self.body):
             if load.buffer not in seen:

@@ -25,6 +25,7 @@ from ..tir import (
     SeqStmt,
     Stmt,
     expr_to_str,
+    stmt_to_str,
 )
 
 __all__ = ["emit_kernel_c", "emit_host_pseudocode"]
@@ -182,8 +183,6 @@ def emit_host_pseudocode(module: LoweredModule) -> str:
             f"dpu_push_xfer(DPU_XFER_FROM_DPU, {spec.local_buffer.name}"
             f" tile{spec.shape} -> {spec.global_buffer.name});"
         )
-    from ..tir import stmt_to_str
-
     for stmt in module.host_post:
         lines.append("// host final reduction:")
         lines.extend(stmt_to_str(stmt).splitlines())

@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..lowering import LoweredModule
-from ..tir import ForKind, For, Stmt
+from ..tir import (
+    BufferStore,
+    For,
+    ForKind,
+    IfThenElse,
+    SeqStmt,
+    Stmt,
+    collect_loads,
+)
 from .analyzer import DpuCost, KernelAnalyzer, grouped
 from .config import DEFAULT_CONFIG, UpmemConfig
 from .isa import Counts
@@ -259,8 +267,6 @@ class PerformanceModel:
 
 def _host_work(stmt: Stmt) -> Tuple[float, float]:
     """(stores, loads) executed by a host statement tree."""
-    from ..tir import BufferStore, IfThenElse, SeqStmt, collect_loads
-
     if isinstance(stmt, For):
         e, r = _host_work(stmt.body)
         try:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import threading
 from collections import OrderedDict
@@ -42,6 +43,12 @@ import numpy as np
 
 from ..lowering import LoweredModule, TransferSpec
 from ..tir import (
+    EQ,
+    GE,
+    GT,
+    LE,
+    LT,
+    NE,
     Add,
     Allocate,
     And,
@@ -55,6 +62,8 @@ from ..tir import (
     DmaCopy,
     Evaluate,
     FloatImm,
+    FloorDiv,
+    FloorMod,
     For,
     IfThenElse,
     IntImm,
@@ -72,6 +81,7 @@ from ..tir import (
     Var,
     collect_loads,
     free_vars,
+    iter_stmts,
 )
 from .executor import positive_int_env
 from .interp import _INTRINSICS, InterpError, Interpreter, _np_dtype
@@ -427,9 +437,6 @@ _BINOPS = {}
 
 
 def _init_binops():
-    import operator
-    from ..tir import EQ, GE, GT, LE, LT, NE, FloorDiv, FloorMod
-
     _BINOPS.update(
         {
             Add: operator.add,
@@ -1327,8 +1334,6 @@ def _lane_safe(body: Stmt, var: Var) -> bool:
     stored buffer must read the same ``var`` slice (no cross-iteration
     dependence).
     """
-    from ..tir import iter_stmts
-
     stores: Dict[Buffer, set] = {}
     for s in iter_stmts(body):
         if isinstance(s, (SeqStmt, For, IfThenElse)):

@@ -1,9 +1,9 @@
-"""compile_params and tuner seeding behaviour."""
+"""Engine compile outcomes and tuner seeding behaviour."""
 
 import pytest
 
 from repro.autotune import Tuner
-from repro.autotune.compile import compile_params
+from repro.autotune.compile import default_engine
 from repro.upmem.config import UpmemConfig
 from repro.workloads import mha_mmtv, GPTJ_30B, mmtv, mtv, red, va
 
@@ -11,49 +11,47 @@ from repro.workloads import mha_mmtv, GPTJ_30B, mmtv, mtv, red, va
 class TestCompileParams:
     def test_marks_const_inputs(self):
         wl = mtv(64, 64)
-        mod = compile_params(
+        mod = default_engine().compile(
             wl,
             {"m_dpus": 4, "k_dpus": 1, "n_tasklets": 2, "cache": 16,
              "host_threads": 1},
-        )
+        ).module
         assert mod.const_inputs == frozenset({"A"})
 
     def test_elementwise_has_no_const_inputs(self):
         wl = va(1024)
-        mod = compile_params(wl, {"n_dpus": 4, "n_tasklets": 2, "cache": 16})
+        mod = default_engine().compile(
+            wl, {"n_dpus": 4, "n_tasklets": 2, "cache": 16}
+        ).module
         assert mod.const_inputs == frozenset()
 
     def test_invalid_params_return_none(self):
         wl = mtv(2048, 2048)
-        assert (
-            compile_params(
-                wl,
-                {"m_dpus": 2, "k_dpus": 1, "n_tasklets": 24, "cache": 512,
-                 "host_threads": 1},
-            )
-            is None
+        art = default_engine().compile(
+            wl,
+            {"m_dpus": 2, "k_dpus": 1, "n_tasklets": 24, "cache": 512,
+             "host_threads": 1},
         )
+        assert art.ok and not art.verified and "WRAM" in art.verify_reason
 
     def test_bad_sketch_params_return_none(self):
         wl = mtv(64, 64)
-        assert (
-            compile_params(
-                wl,
-                {"m_dpus": 4, "k_dpus": 1, "n_tasklets": 2, "cache": 0,
-                 "host_threads": 1},
-            )
-            is None
+        art = default_engine().compile(
+            wl,
+            {"m_dpus": 4, "k_dpus": 1, "n_tasklets": 2, "cache": 0,
+             "host_threads": 1},
         )
+        assert not art.ok and art.verified is False and art.error
 
     def test_nonpositive_dpus_clamped_to_one(self):
         # Oversubscription clamping also floors at one part.
         wl = mtv(64, 64)
-        mod = compile_params(
+        art = default_engine().compile(
             wl,
             {"m_dpus": 0, "k_dpus": 1, "n_tasklets": 2, "cache": 16,
              "host_threads": 1},
         )
-        assert mod is not None and mod.n_dpus == 1
+        assert art.verified and art.module.n_dpus == 1
 
 
 class TestSeeding:

@@ -51,22 +51,6 @@ class TestTinyBudgetExploration:
 
 
 @pytest.mark.slow
-class TestParallelMeasurement:
-    def test_parallel_history_bit_for_bit_equal_to_serial(self):
-        kwargs = dict(n_trials=16, batch_size=8, seed=3)
-        serial = autotune(mtv(256, 256), parallel_measure=1, **kwargs)
-        parallel = autotune(mtv(256, 256), parallel_measure=4, **kwargs)
-        assert parallel.history == serial.history
-        assert parallel.measured == serial.measured
-        assert parallel.best_params == serial.best_params
-        assert parallel.best_latency == serial.best_latency
-
-    def test_parallel_measure_one_is_default(self):
-        tuner = Tuner(mtv(64, 64), n_trials=4)
-        assert tuner.parallel_measure == 1
-
-
-@pytest.mark.slow
 class TestPersistentWarmStart:
     def test_records_appended_during_run(self, tmp_path):
         db = tmp_path / "tune.jsonl"

@@ -12,7 +12,7 @@ from repro.autotune import (
     extract_features,
     FEATURE_NAMES,
 )
-from repro.autotune.compile import compile_params
+from repro.autotune.compile import default_engine
 from repro.workloads import mtv, red, va
 
 
@@ -72,21 +72,22 @@ class TestCostModel:
 class TestFeatures:
     def test_feature_vector_shape(self):
         wl = mtv(64, 64)
-        module = compile_params(
+        module = default_engine().compile(
             wl,
             {"m_dpus": 4, "k_dpus": 1, "n_tasklets": 2, "cache": 16,
              "host_threads": 1},
-        )
+        ).module
         feats = extract_features(module)
         assert feats.shape == (len(FEATURE_NAMES),)
         assert np.all(np.isfinite(feats))
 
     def test_features_distinguish_configs(self):
         wl = mtv(256, 256)
-        m1 = compile_params(wl, {"m_dpus": 4, "k_dpus": 1, "n_tasklets": 2,
-                                 "cache": 16, "host_threads": 1})
-        m2 = compile_params(wl, {"m_dpus": 16, "k_dpus": 4, "n_tasklets": 8,
-                                 "cache": 64, "host_threads": 4})
+        engine = default_engine()
+        m1 = engine.compile(wl, {"m_dpus": 4, "k_dpus": 1, "n_tasklets": 2,
+                                 "cache": 16, "host_threads": 1}).module
+        m2 = engine.compile(wl, {"m_dpus": 16, "k_dpus": 4, "n_tasklets": 8,
+                                 "cache": 64, "host_threads": 4}).module
         assert not np.allclose(extract_features(m1), extract_features(m2))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autotune import generate_schedule, param_space, subspace_of, verify
-from repro.autotune.compile import compile_params
+from repro.autotune.compile import default_engine
 from repro.lowering import lower
 from repro.upmem import FunctionalExecutor, UpmemConfig
 from repro.workloads import geva, gemv, mmtv, mtv, red, ttv, va
@@ -65,7 +65,7 @@ class TestSketchCorrectness:
         ids=[f"{w.name}-{i}" for i, (w, _p) in enumerate(CASES)],
     )
     def test_sketch_correct(self, workload, params):
-        module = compile_params(workload, params, optimize="O3", check=False)
+        module = default_engine().compile(workload, params, optimize="O3").module
         assert module is not None
         inputs = workload.random_inputs(7)
         out, = FunctionalExecutor(module).run(inputs)
@@ -77,7 +77,7 @@ class TestSketchCorrectness:
         wl = mtv(37, 53)
         params = {"m_dpus": 4, "k_dpus": 2, "n_tasklets": 2, "cache": 16,
                   "host_threads": 1}
-        module = compile_params(wl, params, optimize=level, check=False)
+        module = default_engine().compile(wl, params, optimize=level).module
         inputs = wl.random_inputs(3)
         out, = FunctionalExecutor(module).run(inputs)
         np.testing.assert_allclose(
@@ -120,12 +120,12 @@ class TestVerifier:
         ok, reason = verify(lower(sch))
         assert not ok and "WRAM" in reason
 
-    def test_compile_params_filters_invalid(self):
+    def test_engine_marks_invalid_unverified(self):
         wl = mtv(2048, 2048)
         bad = {"m_dpus": 2, "k_dpus": 1, "n_tasklets": 24, "cache": 512,
                "host_threads": 1}
-        assert compile_params(wl, bad) is None
-        assert compile_params(wl, bad, check=False) is not None
+        art = default_engine().compile(wl, bad)
+        assert not art.verified and art.module is not None
 
     def test_mram_limit(self):
         cfg = UpmemConfig().with_(mram_bytes=1024)

@@ -117,7 +117,10 @@ class TestJsonDump:
         }
         assert payload["settings"]["seed"] == 0
         assert payload["settings"]["db"] is None
-        assert payload["settings"]["parallel_measure"] == 1
+        assert set(payload["settings"]) == {
+            "trials", "seed", "workloads", "sizes", "db", "resume",
+            "requests", "tokens", "layers", "workers",
+        }
 
     @pytest.mark.slow
     def test_fig9_json_roundtrips_machine_readable(self, tmp_path):
@@ -225,16 +228,6 @@ class TestPersistentTuningFlags:
         assert payload["tuning_stats"]["measure_hits"] >= 8
         assert payload["settings"]["db"] == str(db)
         assert payload["settings"]["resume"] is True
-
-    def test_parallel_measure_matches_serial(self, tmp_path):
-        p1 = tmp_path / "serial.json"
-        p4 = tmp_path / "parallel.json"
-        assert main(["fig14", "--trials", "8", "--json", str(p1)]) == 0
-        assert main(["fig14", "--trials", "8", "--parallel-measure", "4",
-                     "--json", str(p4)]) == 0
-        serial = json.loads(p1.read_text())["experiments"]["fig14"]
-        parallel = json.loads(p4.read_text())["experiments"]["fig14"]
-        assert serial == parallel
 
     def test_resume_without_db_rejected(self):
         with pytest.raises(SystemExit):

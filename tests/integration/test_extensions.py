@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.autotune.compile import compile_params
+from repro.autotune.compile import default_engine
 from repro.extensions.hbm_pim import HbmPimConfig, HbmPimEstimator
 from repro.workloads import mtv
 
@@ -10,12 +10,11 @@ from repro.workloads import mtv
 @pytest.fixture
 def module():
     wl = mtv(1024, 1024)
-    return compile_params(
+    return default_engine().compile(
         wl,
         {"m_dpus": 64, "k_dpus": 4, "n_tasklets": 16, "cache": 64,
          "host_threads": 16},
-        check=False,
-    )
+    ).module
 
 
 class TestHbmPim:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import profile_params
+import repro
 from repro.workloads import gemv, mtv
 
 
@@ -12,16 +12,16 @@ class TestObservation2:
 
     def test_tile_scheme_changes_kernel_and_transfer_balance(self):
         wl = gemv(2048, 2048)
-        one_d = profile_params(
+        one_d = repro.compile(
             wl,
-            {"m_dpus": 512, "k_dpus": 1, "n_tasklets": 16, "cache": 64,
-             "host_threads": 16},
-        )
-        two_d = profile_params(
+            params={"m_dpus": 512, "k_dpus": 1, "n_tasklets": 16,
+                    "cache": 64, "host_threads": 16},
+        ).profile()
+        two_d = repro.compile(
             wl,
-            {"m_dpus": 64, "k_dpus": 8, "n_tasklets": 16, "cache": 64,
-             "host_threads": 16},
-        )
+            params={"m_dpus": 64, "k_dpus": 8, "n_tasklets": 16,
+                    "cache": 64, "host_threads": 16},
+        ).profile()
         # 2-D tiling trades host reduction time for less H2D (broadcast
         # shrinks) — the correlation the paper demonstrates in Fig. 3(b).
         assert two_d.latency.h2d < one_d.latency.h2d
@@ -34,11 +34,11 @@ class TestObservation2:
         def best_dpus(wl, counts):
             best, best_t = None, None
             for n in counts:
-                prof = profile_params(
+                prof = repro.compile(
                     wl,
-                    {"m_dpus": n, "k_dpus": 1, "n_tasklets": 16,
-                     "cache": 32, "host_threads": 1},
-                )
+                    params={"m_dpus": n, "k_dpus": 1, "n_tasklets": 16,
+                            "cache": 32, "host_threads": 1},
+                ).profile()
                 if best_t is None or prof.latency.total < best_t:
                     best, best_t = n, prof.latency.total
             return best
@@ -51,21 +51,21 @@ class TestObservation2:
     def test_interdependence_of_tiles_and_tasklets(self):
         # The best caching tile depends on how many tasklets share WRAM:
         # at 24 tasklets a 512-element tile overflows, at 2 it is legal.
-        from repro.autotune.compile import compile_params
+        from repro.autotune.compile import default_engine
 
         wl = mtv(4096, 4096)
-        big_tile_many_threads = compile_params(
+        big_tile_many_threads = default_engine().compile(
             wl,
             {"m_dpus": 64, "k_dpus": 1, "n_tasklets": 24, "cache": 512,
              "host_threads": 1},
         )
-        big_tile_few_threads = compile_params(
+        big_tile_few_threads = default_engine().compile(
             wl,
             {"m_dpus": 64, "k_dpus": 1, "n_tasklets": 2, "cache": 512,
              "host_threads": 1},
         )
-        assert big_tile_many_threads is None
-        assert big_tile_few_threads is not None
+        assert not big_tile_many_threads.verified
+        assert big_tile_few_threads.verified
 
 
 class TestObservation3:
@@ -77,8 +77,8 @@ class TestObservation3:
         wl = gemv(m, k)
         params = {"m_dpus": 64, "k_dpus": 1, "n_tasklets": 16, "cache": 64,
                   "host_threads": 1}
-        checked = profile_params(wl, params, optimize="O1")
-        clean = profile_params(wl, params, optimize="O3")
+        checked = repro.compile(wl, params=params, opt_level="O1").profile()
+        clean = repro.compile(wl, params=params, opt_level="O3").profile()
         ratio = checked.latency.kernel / clean.latency.kernel
         assert 1.05 < ratio < 2.0
 
@@ -86,6 +86,6 @@ class TestObservation3:
         wl = gemv(245, 245)
         params = {"m_dpus": 1, "k_dpus": 1, "n_tasklets": 8, "cache": 16,
                   "host_threads": 1}
-        prof = profile_params(wl, params, optimize="O0")
+        prof = repro.compile(wl, params=params, opt_level="O0").profile()
         counts = prof.kernel_counts
         assert counts.branches > 0.05 * counts.slots

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import te
-from repro.autotune.compile import compile_params
+from repro.autotune.compile import default_engine
 from repro.lowering import LoweringError, lower
 from repro.schedule import Schedule
 from repro.tir import Evaluate, iter_stmts
@@ -93,12 +93,11 @@ class TestDirectStore:
 
 class TestMultiStageKernel:
     def test_red_dpu_combine_has_barrier(self):
-        mod = compile_params(
+        mod = default_engine().compile(
             red(2048),
             {"n_dpus": 4, "n_tasklets": 4, "cache": 16, "dpu_combine": 1,
              "host_threads": 1},
-            check=False,
-        )
+        ).module
         barriers = [
             s
             for s in iter_stmts(mod.kernel)
@@ -107,12 +106,11 @@ class TestMultiStageKernel:
         assert len(barriers) == 1
 
     def test_red_internal_partials_not_transferred(self):
-        mod = compile_params(
+        mod = default_engine().compile(
             red(2048),
             {"n_dpus": 4, "n_tasklets": 4, "cache": 16, "dpu_combine": 1,
              "host_threads": 1},
-            check=False,
-        )
+        ).module
         # Tasklet partials (rf of rf) stay in MRAM; only per-DPU partials
         # move to the host.
         assert mod.mram_internal
@@ -120,24 +118,22 @@ class TestMultiStageKernel:
         assert all(".rf.rf" not in n for n in d2h_names)
 
     def test_red_prim_mode_ships_tasklet_partials(self):
-        mod = compile_params(
+        mod = default_engine().compile(
             red(2048),
             {"n_dpus": 4, "n_tasklets": 4, "cache": 16, "dpu_combine": 0,
              "host_threads": 1},
-            check=False,
-        )
+        ).module
         d2h = mod.transfer("d2h")
         assert d2h[0].tile_elems >= 4  # one value per tasklet
 
     def test_red_correct_both_modes(self):
         for combine in (0, 1):
             wl = red(3333)
-            mod = compile_params(
+            mod = default_engine().compile(
                 wl,
                 {"n_dpus": 8, "n_tasklets": 2, "cache": 8,
                  "dpu_combine": combine, "host_threads": 2},
-                check=False,
-            )
+            ).module
             inputs = wl.random_inputs(combine)
             out = run(mod, inputs)
             np.testing.assert_allclose(
@@ -149,12 +145,11 @@ class TestBatchedNests:
     @pytest.mark.parametrize("shape", [(4, 6, 24), (5, 7, 30)])
     def test_ttv_correct(self, shape):
         wl = ttv(*shape)
-        mod = compile_params(
+        mod = default_engine().compile(
             wl,
             {"i_dpus": 2, "j_dpus": 2, "k_dpus": 1, "n_tasklets": 2,
              "cache": 8, "host_threads": 1},
-            check=False,
-        )
+        ).module
         inputs = wl.random_inputs(0)
         np.testing.assert_allclose(
             run(mod, inputs), wl.reference_output(inputs), rtol=1e-3
@@ -162,12 +157,11 @@ class TestBatchedNests:
 
     def test_mmtv_b_tile_depends_on_batch(self):
         wl = mmtv(8, 8, 32)
-        mod = compile_params(
+        mod = default_engine().compile(
             wl,
             {"i_dpus": 4, "j_dpus": 2, "k_dpus": 1, "n_tasklets": 2,
              "cache": 8, "host_threads": 1},
-            check=False,
-        )
+        ).module
         by_name = {t.global_buffer.name: t for t in mod.transfers}
         # B is indexed by the batch dim: its tile is (batch_tile, k), not
         # a broadcast of the whole matrix.
@@ -175,12 +169,11 @@ class TestBatchedNests:
 
     def test_3d_grid(self):
         wl = mmtv(8, 8, 64)
-        mod = compile_params(
+        mod = default_engine().compile(
             wl,
             {"i_dpus": 2, "j_dpus": 2, "k_dpus": 2, "n_tasklets": 2,
              "cache": 8, "host_threads": 1},
-            check=False,
-        )
+        ).module
         assert len(mod.grid) == 3
         assert mod.n_dpus == 8
         inputs = wl.random_inputs(3)

@@ -1,5 +1,6 @@
 """CompiledArtifact cache semantics: hits, invalidation, disk tier."""
 
+import hashlib
 import os
 import pickle
 import shutil
@@ -7,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.autotune.compile import CompileEngine, compile_params
+from repro.autotune.compile import CompileEngine
 from repro.pipeline import ArtifactCache, CompiledArtifact, artifact_key
 from repro.upmem import FunctionalExecutor, UpmemConfig
 from repro.autotune.features import extract_features
@@ -20,6 +21,12 @@ from ..lowering.golden_corpus import module_text
 PARAMS = {
     "m_dpus": 8, "k_dpus": 1, "n_tasklets": 4, "cache": 16, "host_threads": 1,
 }
+
+
+def _disk_entry(obj):
+    """``obj`` in the disk tier's file format (digest, then pickle)."""
+    body = pickle.dumps(obj)
+    return hashlib.sha256(body).digest() + body
 
 
 @pytest.fixture
@@ -109,31 +116,23 @@ class TestHitMiss:
 
 class TestVerification:
     def test_verdict_cached(self, wl, engine):
-        art = engine.compile(wl, PARAMS, check=True)
+        art = engine.compile(wl, PARAMS)
         assert art.verified is True
-        again = engine.compile(wl, PARAMS, check=True)
+        again = engine.compile(wl, PARAMS)
         assert again.verified is True and engine.stats.hits == 1
-
-    def test_unchecked_then_checked(self, wl, engine):
-        art = engine.compile(wl, PARAMS, check=False)
-        assert art.verified is None
-        art = engine.compile(wl, PARAMS, check=True)
-        assert art.verified is True
 
     def test_invalid_for_small_system_cached(self, wl, engine):
         tiny = UpmemConfig().with_(n_ranks=1, dpus_per_rank=4)
         params = dict(PARAMS, m_dpus=64)
-        art = engine.compile(wl, params, config=tiny, check=True)
+        art = engine.compile(wl, params, config=tiny)
         assert art.ok and art.verified is False
         assert "DPU" in art.verify_reason
-        art2 = engine.compile(wl, params, config=tiny, check=True)
+        art2 = engine.compile(wl, params, config=tiny)
         assert art2.verified is False and engine.stats.hits == 1
 
-    def test_compile_params_facade(self, wl):
-        tiny = UpmemConfig().with_(n_ranks=1, dpus_per_rank=4)
-        assert compile_params(wl, dict(PARAMS, m_dpus=64), config=tiny) is None
-        module = compile_params(wl, PARAMS)
-        assert module is not None and module.n_dpus == 8
+    def test_rejected_sketch_is_unverified(self, wl, engine):
+        art = engine.compile(wl, dict(PARAMS, cache=0))
+        assert not art.ok and art.verified is False and art.error
 
 
 class TestDiskTier:
@@ -155,16 +154,41 @@ class TestDiskTier:
         out, = FunctionalExecutor(restored.module).run({"A": a, "B": b})
         np.testing.assert_allclose(out, a @ b, rtol=1e-3)
 
-    def test_corrupt_disk_entry_is_miss(self, wl, tmp_path):
-        disk = str(tmp_path / "artifacts")
-        cache = ArtifactCache(disk_dir=disk)
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda good, other: b"garbage",
+            lambda good, other: good[: len(good) // 2],  # truncated
+            lambda good, other: bytes(  # one bit flipped mid-stream
+                b ^ (i == len(good) // 2) for i, b in enumerate(good)
+            ),
+            lambda good, other: _disk_entry({"module": None}),
+            lambda good, other: other,  # another key's artifact, renamed
+        ],
+        ids=["garbage", "truncated", "bit-flipped", "non-artifact",
+             "key-mismatch"],
+    )
+    def test_corrupt_disk_entry_is_miss(self, wl, tmp_path, corrupt):
+        """A bad file is a miss the recompile overwrites — never a crash,
+        never another program's module."""
+        disk = tmp_path / "artifacts"
+        cache = ArtifactCache(disk_dir=str(disk))
         engine = CompileEngine(cache=cache)
-        key = engine.compile(wl, PARAMS).key
+        built = engine.compile(wl, PARAMS)
+        other = engine.compile(wl, {**PARAMS, "n_tasklets": 8})
         cache.clear()
-        (tmp_path / "artifacts" / f"{key}.pkl").write_bytes(b"garbage")
+        path = disk / f"{built.key}.pkl"
+        good = path.read_bytes()
+        path.write_bytes(
+            corrupt(good, (disk / f"{other.key}.pkl").read_bytes())
+        )
         art = engine.compile(wl, PARAMS)
-        assert art.ok
-        assert engine.stats.misses == 2 and engine.stats.disk_hits == 0
+        assert art.key == built.key and art.verified
+        assert module_text(art.module) == module_text(built.module)
+        assert engine.stats.misses == 3 and engine.stats.disk_hits == 0
+        reread = ArtifactCache(disk_dir=str(disk))
+        assert reread.get(built.key).key == built.key  # overwritten
+        assert reread.stats.disk_hits == 1
 
 
 class TestNodeCachesStayOutOfPickles:

@@ -19,7 +19,7 @@ from repro.optim import (
     optimize_module,
     tighten_loop_bounds,
 )
-from repro.pipeline import PassContext, get_pipeline
+from repro.pipeline import PassContext
 from repro.tir import stmt_to_str
 from repro.upmem import FunctionalExecutor
 
@@ -116,17 +116,3 @@ def test_module_source_via_emit_pass():
     mod = repro.compile(make_mtv_schedule(16, 16), name="mtv")
     src = mod.source()
     assert "__mram_noinit" in src
-
-
-def test_emit_pipeline_publishes_source():
-    ctx = PassContext(module_name="mtv")
-    get_pipeline("emit").run(make_mtv_schedule(16, 16), ctx)
-    assert "kernel_c" in ctx.attrs
-    assert "host_pseudocode" in ctx.attrs
-
-
-def test_autotune_pipeline_publishes_verdict():
-    ctx = PassContext(module_name="mtv")
-    module = get_pipeline("autotune").run(make_mtv_schedule(16, 16), ctx)
-    assert ctx.attrs["verify_ok"] is True
-    assert module.n_dpus >= 1

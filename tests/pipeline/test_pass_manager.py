@@ -160,7 +160,7 @@ class TestErrors:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        for name in ("build", "optimize", "autotune", "emit"):
+        for name in ("build", "optimize"):
             assert has_pipeline(name)
             assert name in list_pipelines()
 

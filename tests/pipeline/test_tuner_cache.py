@@ -58,22 +58,15 @@ class TestTunerCaching:
         t2 = Tuner(mtv(128, 128), n_trials=4, batch_size=4, seed=1)
         assert t2.engine.stats.lookups == 0
 
-    def test_engine_and_cache_args_conflict(self):
+    def test_empty_shared_cache_is_used_not_replaced(self):
         from repro.autotune import CompileEngine
         from repro.pipeline import ArtifactCache
 
-        with pytest.raises(ValueError):
-            Tuner(
-                mtv(128, 128),
-                engine=CompileEngine(),
-                cache=ArtifactCache(),
-            )
-
-    def test_empty_shared_cache_is_used_not_replaced(self):
-        from repro.pipeline import ArtifactCache
-
         shared = ArtifactCache()  # empty, hence falsy via __len__
-        tuner = Tuner(mtv(128, 128), cache=shared, n_trials=4, batch_size=4)
+        tuner = Tuner(
+            mtv(128, 128), engine=CompileEngine(cache=shared),
+            n_trials=4, batch_size=4,
+        )
         assert tuner.engine.cache is shared
         tuner.tune()
         assert len(shared) > 0

@@ -325,6 +325,32 @@ class TestFailureIsolation:
         assert metrics["completed"] == 2
         assert metrics["per_workload"]["va"]["failed"] == 2
 
+    def test_profile_error_is_reported_not_repriced(self, monkeypatch):
+        """An error inside ``profile()`` is the failure: the server fails
+        the group with it and a graph profile raises it — neither falls
+        back to pricing the program as ``Latency(kernel=exe.latency)``."""
+        from repro.target import RooflineExecutable
+
+        from ..graph.conftest import chain_graph
+
+        def broken(self):
+            raise ZeroDivisionError("model bug")
+
+        # A roofline's ``latency`` does not go through ``profile()``, so
+        # a fallback to it would hide the error.
+        monkeypatch.setattr(RooflineExecutable, "profile", broken)
+        entry = tiny_mix()["va"]
+        with Server(max_batch_size=1) as server:
+            ticket = server.submit(
+                Request(entry.workload,
+                        entry.workload.random_inputs(seed=0),
+                        target="cpu")
+            )
+            assert ticket.failed and "ZeroDivisionError" in ticket.error
+            assert server.elapsed == 0.0 and server.metrics.failed == 1
+        with pytest.raises(ZeroDivisionError, match="model bug"):
+            repro.compile(chain_graph(), policy="cpu").profile()
+
     def test_non_executable_target_fails_not_strands(self):
         mix = tiny_mix()
         entry = mix["va"]

@@ -22,23 +22,30 @@ def _assert_batches_identical(seq, par):
 
 
 class TestExecutorChunking:
-    """``Executor.jobs``: contiguous, byte-sized, at most ``max_workers``."""
+    """``Executor.jobs``: contiguous, byte-sized, at most the
+    deployment's width (``REPRO_MAX_WORKERS``)."""
 
     def test_chunks_are_contiguous_partition(self):
-        jobs = Executor(max_workers=3).jobs(10, MIN_JOB_BYTES)
+        with host_threads(3):
+            jobs = Executor().jobs(10, MIN_JOB_BYTES)
         assert [x for job in jobs for x in job] == list(range(10))
         assert [len(job) for job in jobs] == [4, 3, 3]
 
     def test_more_chunks_than_items(self):
-        jobs = Executor(max_workers=8).jobs(2, MIN_JOB_BYTES)
+        with host_threads(8):
+            jobs = Executor().jobs(2, MIN_JOB_BYTES)
         assert jobs == [range(0, 1), range(1, 2)]
 
     def test_empty(self):
-        assert Executor(max_workers=4).jobs(0, MIN_JOB_BYTES) == []
+        with host_threads(4):
+            assert Executor().jobs(0, MIN_JOB_BYTES) == []
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_no_job_below_the_crossover(self, workers):
-        executor = Executor(max_workers=workers)
+    def test_no_job_below_the_crossover(self, workers, monkeypatch):
+        # The real crossover is the subject, so only the width is set
+        # (``host_threads`` would also lower MIN_JOB_BYTES to 1).
+        monkeypatch.setenv("REPRO_MAX_WORKERS", str(workers))
+        executor = Executor()
         item = MIN_JOB_BYTES // 64
         for n in (1, 63, 127):  # under two crossovers of work: one job
             assert executor.jobs(n, item) == [range(n)]
@@ -49,8 +56,10 @@ class TestExecutorChunking:
             assert all(len(job) * item >= MIN_JOB_BYTES for job in jobs)
 
     def test_map_order_preserved(self):
-        result = Executor(max_workers=4).map(lambda x: x * x, range(20))
+        with host_threads(4) as pools:
+            result = Executor().map(lambda x: x * x, range(20))
         assert result == [x * x for x in range(20)]
+        assert pools == [4]
 
 
 class TestUpmemRunBatch:

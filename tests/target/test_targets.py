@@ -258,7 +258,7 @@ class TestCacheKeys:
         """Targets whose compilation is fully described by the key's
         (pipeline, config, opt, params) produce byte-identical modules
         and must share cache entries — the tuner's candidates and a bare
-        ``compile_params`` sweep over the same points compile once."""
+        direct engine sweep over the same points compile once."""
         wl = mtv(64, 64)
         base = artifact_key(wl, self._PARAMS, DEFAULT_CONFIG)
         upmem = artifact_key(

@@ -47,15 +47,14 @@ class TestKernelEmission:
         assert "if (" in code
 
     def test_barrier_for_multi_stage_kernels(self):
-        from repro.autotune.compile import compile_params
+        from repro.autotune.compile import default_engine
         from repro.workloads import red
 
-        module = compile_params(
+        module = default_engine().compile(
             red(4096),
             {"n_dpus": 4, "n_tasklets": 2, "cache": 16, "dpu_combine": 1,
              "host_threads": 1},
-            check=False,
-        )
+        ).module
         assert "barrier_wait" in emit_kernel_c(module)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autotune.compile import compile_params
+from repro.autotune.compile import default_engine
 from repro.lowering import GridDim, LoweredModule
 from repro.tir import (
     Allocate,
@@ -57,7 +57,7 @@ SWEEP = [
 
 
 def _compile(wl, params, level):
-    module = compile_params(wl, params, optimize=level, check=False)
+    module = default_engine().compile(wl, params, optimize=level).module
     assert module is not None, f"{wl.name} rejected params {params}"
     return module
 
@@ -154,9 +154,9 @@ class TestEquivalenceGate:
         for name in workload_names():
             assert "4MB" in size_labels(name)
             wl = make_workload(name, "4MB")
-            module = compile_params(
-                wl, default_params(wl), optimize="O3", check=False
-            )
+            module = default_engine().compile(
+                wl, default_params(wl), optimize="O3"
+            ).module
             assert module is not None, name
             out, = FunctionalExecutor(module).run(wl.random_inputs(0))
             np.testing.assert_allclose(
