@@ -11,9 +11,13 @@ from .database import (
 )
 from .features import FEATURE_NAMES, extract_features
 from .sketch import (
+    FAMILIES,
+    Family,
     SketchError,
+    fixed_params,
     generate_schedule,
     param_space,
+    seed_params,
     subspace_of,
 )
 from .tuner import (
@@ -22,7 +26,6 @@ from .tuner import (
     Tuner,
     autotune,
     measure_stats,
-    seed_params,
     tuned_params,
 )
 from .verifier import verify
@@ -45,8 +48,11 @@ __all__ = [
     "extract_features",
     "FEATURE_NAMES",
     "generate_schedule",
+    "FAMILIES",
+    "Family",
     "seed_params",
     "param_space",
+    "fixed_params",
     "subspace_of",
     "SketchError",
     "verify",

@@ -6,21 +6,60 @@ bind), reduction strategy (rfactor), multi-level tiling, intra-DPU caching
 (cache_read/cache_write + compute_at) and host post-processing
 (split + parallel).  A *candidate* is a sketch plus concrete parameter
 values; the evolutionary search explores the joint space.
+
+This module is the one description of that space.  A workload belongs to
+a *family* (:data:`FAMILIES`, one :class:`Family` row per line below);
+everything else — the tuner, the targets' defaults, the graph builder's
+pinned grids, the PrIM/SimplePIM baselines — asks this table which
+parameters a family has and supplies only its own policy.
+
+=========== =============== ==================== ============ ======================
+workloads   rule            DPU split per axis   reduction    optional
+                                                 across DPUs
+=========== =============== ==================== ============ ======================
+va, geva    elementwise     n_dpus               —            unroll
+red         red             —                    n_dpus       dpu_combine,
+                                                              host_threads, unroll
+mtv, gemv   spatial-reduce  m_dpus               k_dpus ≤ 64  host_threads, unroll
+ttv, mmtv   spatial-reduce  i_dpus, j_dpus       k_dpus ≤ 8   host_threads, unroll
+=========== =============== ==================== ============ ======================
+
+Every family also has ``n_tasklets`` and ``cache``.  Domains (Table 2):
+
+* a DPU split of a spatial axis — powers of two up to
+  ``min(max_dpus, 2048, extent)``; the spatial-reduce families add the
+  exact divisors of the extent (perfect tiles of e.g. 448 rows);
+* a reduction split across DPUs — powers of two leaving every DPU at
+  least 64 elements, up to the cap above (``red``: the machine);
+* ``n_tasklets`` 1..24, ``cache`` 8..512 elements, ``host_threads``
+  1..32, ``unroll`` and ``dpu_combine`` 0/1 — :data:`_SHARED`.
+
+``param_space`` lists a family's parameters in the order *DPU splits,
+reduction split, n_tasklets, cache, optional*; that order is the order
+the tuner's random draws walk, so it is part of the search's identity.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..schedule import Schedule, ScheduleError
 from ..workloads import Workload
 
 __all__ = [
     "SketchError",
+    "Family",
+    "FAMILIES",
+    "family_of",
+    "distributed_extents",
     "generate_schedule",
     "param_space",
+    "seed_params",
+    "fixed_params",
     "subspace_of",
+    "pow2_upto",
     "DPU_CHOICES",
     "TASKLET_CHOICES",
     "CACHE_CHOICES",
@@ -35,6 +74,36 @@ DPU_CHOICES = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]
 TASKLET_CHOICES = [1, 2, 4, 8, 16, 24]
 CACHE_CHOICES = [8, 16, 32, 64, 128, 256, 512]
 HOST_THREAD_CHOICES = [1, 4, 16, 32]
+#: A reduction split across DPUs leaves each DPU at least this many elements.
+_REDUCE_GRAIN = 64
+#: The per-DPU kernel parameters every family has, after its DPU splits.
+_KERNEL = ("n_tasklets", "cache")
+
+
+class _Shared(NamedTuple):
+    """A parameter whose domain does not depend on the workload."""
+
+    domain: List[int]
+    #: ``seed_params``' pick (the domain's last value where it lacks this one).
+    seed: int
+    #: ``fixed_params``' value unless overridden; ``None`` leaves the key out.
+    fixed: Optional[int]
+
+
+_SHARED: Dict[str, _Shared] = {
+    "n_tasklets": _Shared(TASKLET_CHOICES, 16, None),
+    "cache": _Shared(CACHE_CHOICES, 64, None),
+    "dpu_combine": _Shared([0, 1], 0, 0),
+    "host_threads": _Shared(HOST_THREAD_CHOICES, 32, 1),
+    "unroll": _Shared([0, 1], 0, None),
+}
+#: Seeds after the first: the base with one parameter moved (in this order).
+_SEED_VARIANTS = (("dpu_combine", 1), ("cache", 256))
+
+
+def pow2_upto(limit: int) -> List[int]:
+    """Powers of two no larger than ``limit`` (at least ``[1]``)."""
+    return [1 << e for e in range(max(1, limit).bit_length())]
 
 
 def _clamp_parts(nparts: int, extent: int) -> int:
@@ -43,112 +112,77 @@ def _clamp_parts(nparts: int, extent: int) -> int:
     return max(1, min(nparts, extent))
 
 
-def _pow2_upto(limit: int, choices: List[int]) -> List[int]:
-    picked = [c for c in choices if c <= max(1, limit)]
-    return picked or [1]
-
-
-def _tile_domain(extent: int, limit: int, choices: List[int]) -> List[int]:
-    """Powers of two plus exact divisors of ``extent`` (perfect tiles).
+def _spatial_domain(extent: int, limit: int, exact_tiles: bool) -> List[int]:
+    """DPU splits of a spatial axis: powers of two, plus — for
+    ``exact_tiles`` — the exact divisors of ``extent`` (perfect tiles).
 
     ATiM samples tile factors within loop bounds, so non-power-of-two
     extents (e.g. 448 = 28 heads x 16 batch) can still tile exactly.
     """
-    domain = set(_pow2_upto(min(limit, extent), choices))
+    limit = min(limit, extent)
+    domain = set(pow2_upto(min(limit, DPU_CHOICES[-1])))
     d = 1
-    while d * d <= extent:
+    while exact_tiles and d * d <= extent:
         if extent % d == 0:
-            for f in (d, extent // d):
-                if 1 <= f <= min(limit, extent):
-                    domain.add(f)
+            domain.update(f for f in (d, extent // d) if f <= limit)
         d += 1
     return sorted(domain)
 
 
 # ---------------------------------------------------------------------------
-# parameter spaces
+# the family table
 # ---------------------------------------------------------------------------
 
 
-def param_space(workload: Workload, max_dpus: int = 2048) -> Dict[str, List[int]]:
-    """Tunable-parameter domains for a workload (paper Table 2)."""
-    name = workload.name
-    if name in ("va", "geva"):
-        (n,) = workload.shape
-        return {
-            "n_dpus": _pow2_upto(min(max_dpus, n), DPU_CHOICES),
-            "n_tasklets": TASKLET_CHOICES,
-            "cache": CACHE_CHOICES,
-            "unroll": [0, 1],
-        }
-    if name == "red":
-        (n,) = workload.shape
-        return {
-            "n_dpus": _pow2_upto(min(max_dpus, n // 64), DPU_CHOICES),
-            "n_tasklets": TASKLET_CHOICES,
-            "cache": CACHE_CHOICES,
-            "dpu_combine": [0, 1],
-            "host_threads": HOST_THREAD_CHOICES,
-            "unroll": [0, 1],
-        }
-    if name in ("mtv", "gemv"):
-        m, k = workload.shape
-        return {
-            "m_dpus": _tile_domain(m, max_dpus, DPU_CHOICES),
-            "k_dpus": _pow2_upto(min(64, k // 64), DPU_CHOICES),
-            "n_tasklets": TASKLET_CHOICES,
-            "cache": CACHE_CHOICES,
-            "host_threads": HOST_THREAD_CHOICES,
-            "unroll": [0, 1],
-        }
-    if name in ("ttv", "mmtv"):
-        m, n, k = workload.shape
-        return {
-            "i_dpus": _tile_domain(m, max_dpus, DPU_CHOICES),
-            "j_dpus": _tile_domain(n, max_dpus, DPU_CHOICES),
-            "k_dpus": _pow2_upto(min(8, k // 64), DPU_CHOICES),
-            "n_tasklets": TASKLET_CHOICES,
-            "cache": CACHE_CHOICES,
-            "host_threads": HOST_THREAD_CHOICES,
-            "unroll": [0, 1],
-        }
-    raise KeyError(f"no sketch for workload {name!r}")
+@dataclass(frozen=True)
+class Family:
+    """One sketch rule's parameters: a row of the module docstring's table."""
+
+    rule: Callable[[Workload, Dict[str, int], "Family"], Schedule]
+    #: DPU-split parameter of each distributed spatial axis, outermost first.
+    dpu_axes: Tuple[str, ...] = ()
+    #: Whether those splits may also be exact divisors of the extent.
+    exact_tiles: bool = False
+    #: Parameter splitting the reduction across DPUs, and its cap (``None``:
+    #: the machine).  With no spatial axis it *is* the distribution.
+    reduce: Optional[str] = None
+    reduce_cap: Optional[int] = None
+    #: Parameters the rule reads with a default, in ``param_space`` order.
+    optional: Tuple[str, ...] = ("unroll",)
+
+    @property
+    def budget(self) -> Tuple[str, ...]:
+        """The parameters that spend the machine's DPUs, outermost first:
+        the spatial splits, or the reduction split where there is none."""
+        return self.dpu_axes or (self.reduce,)
+
+    @property
+    def rfactor(self) -> Optional[str]:
+        """The *optional* reduction split (the ``rfactor`` design subspace):
+        the reduction parameter of a family that also splits spatially."""
+        return self.reduce if self.dpu_axes else None
+
+    @cached_property
+    def params(self) -> Tuple[str, ...]:
+        """Every parameter, in ``param_space`` order."""
+        reduce = (self.reduce,) if self.reduce else ()
+        return self.dpu_axes + reduce + _KERNEL + self.optional
+
+    @cached_property
+    def names(self) -> FrozenSet[str]:
+        return frozenset(self.params)
+
+    @cached_property
+    def required(self) -> FrozenSet[str]:
+        return frozenset(self.budget + _KERNEL)
 
 
-def subspace_of(workload_name: str, params: Dict[str, int]) -> str:
-    """Design-space tag used by balanced sampling (§5.2.3).
-
-    Candidates factoring the reduction across DPUs (``rfactor``) form one
-    subspace; plain spatial-only distribution forms the other.
-    """
-    if params.get("k_dpus", 1) > 1 or params.get("dpu_combine") is not None:
-        if params.get("k_dpus", 1) > 1:
-            return "rfactor"
-    return "plain"
-
-
-# ---------------------------------------------------------------------------
-# sketches
-# ---------------------------------------------------------------------------
-
-
-def generate_schedule(workload: Workload, params: Dict[str, int]) -> Schedule:
-    """Instantiate the sketch for ``workload`` with concrete parameters."""
-    builder = _SKETCHES.get(workload.name)
-    if builder is None:
-        raise KeyError(f"no sketch for workload {workload.name!r}")
-    try:
-        return builder(workload, params)
-    except ScheduleError as exc:
-        raise SketchError(str(exc)) from exc
-
-
-def _sketch_elementwise(workload: Workload, p: Dict[str, int]) -> Schedule:
+def _sketch_elementwise(workload: Workload, p: Dict[str, int], row: Family) -> Schedule:
     out = workload.output
     sch = Schedule(out)
     s = sch[out]
     (i,) = s.op.axis
-    i_dpu, rest = s.split(i, nparts=_clamp_parts(p["n_dpus"], i.extent))
+    i_dpu, rest = s.split(i, nparts=_clamp_parts(p[row.dpu_axes[0]], i.extent))
     i_thr, r2 = s.split(rest, nparts=_clamp_parts(p["n_tasklets"], rest.extent))
     i_blk, i_in = s.split(r2, factor=p["cache"])
     s.reorder(i_dpu, i_thr, i_blk, i_in)
@@ -162,12 +196,12 @@ def _sketch_elementwise(workload: Workload, p: Dict[str, int]) -> Schedule:
     return sch
 
 
-def _sketch_red(workload: Workload, p: Dict[str, int]) -> Schedule:
+def _sketch_red(workload: Workload, p: Dict[str, int], row: Family) -> Schedule:
     out = workload.output
     sch = Schedule(out)
     s = sch[out]
     (k,) = s.op.reduce_axis
-    k_dpu, k_rest = s.split(k, nparts=_clamp_parts(p["n_dpus"], k.extent))
+    k_dpu, k_rest = s.split(k, nparts=_clamp_parts(p[row.reduce], k.extent))
     cf = sch.rfactor(out, k_dpu)  # per-DPU partials
     scf = sch[cf]
     (kr,) = scf.op.reduce_axis
@@ -198,106 +232,222 @@ def _sketch_red(workload: Workload, p: Dict[str, int]) -> Schedule:
     return sch
 
 
-def _sketch_matvec(workload: Workload, p: Dict[str, int]) -> Schedule:
+def _sketch_spatial_reduce(
+    workload: Workload, p: Dict[str, int], row: Family
+) -> Schedule:
+    """One reduction under ``len(row.dpu_axes)`` distributed spatial axes
+    (MTV/GEMV: one, TTV/MMTV: two); the last one also carries the tasklets."""
     out = workload.output
     sch = Schedule(out)
     s = sch[out]
-    (i,) = s.op.axis
     (k,) = s.op.reduce_axis
-    k_dpus = p.get("k_dpus", 1)
+    k_dpus = p.get(row.reduce, 1)
 
     if k_dpus > 1:
         k_dpu, _k_rest = s.split(k, nparts=k_dpus)
-        cf = sch.rfactor(out, k_dpu)
-        stage = sch[cf]
-        kd_ax, i_ax = stage.op.axis
-        (k_inner,) = stage.op.reduce_axis
-        target = cf
+        target = sch.rfactor(out, k_dpu)
+        stage = sch[target]
+        kd_ax, *spatial = stage.op.axis
+        (k,) = stage.op.reduce_axis
     else:
-        stage = s
-        kd_ax = None
-        i_ax = i
-        k_inner = k
-        target = out
+        target, stage, kd_ax, spatial = out, s, None, list(s.op.axis)
 
-    m_dpu, m_rest = stage.split(i_ax, nparts=_clamp_parts(p["m_dpus"], i_ax.extent))
-    m_thr, m_in = stage.split(m_rest, nparts=_clamp_parts(p["n_tasklets"], m_rest.extent))
-    k_blk, k_elem = stage.split(k_inner, factor=p["cache"])
-    order = [m_dpu] + ([kd_ax] if kd_ax is not None else [])
-    order += [m_thr, m_in, k_blk, k_elem]
-    stage.reorder(*order)
+    grid, inner = [], []
+    for name, ax in zip(row.dpu_axes, spatial):
+        dpu, rest = stage.split(ax, nparts=_clamp_parts(p[name], ax.extent))
+        grid.append(dpu)
+        inner.append(rest)
+    thr, inner[-1] = stage.split(
+        inner[-1], nparts=_clamp_parts(p["n_tasklets"], inner[-1].extent)
+    )
+    k_blk, k_elem = stage.split(k, factor=p["cache"])
+    if kd_ax is not None:
+        grid.append(kd_ax)
+    stage.reorder(*grid, *inner[:-1], thr, inner[-1], k_blk, k_elem)
     if p.get("unroll"):
         stage.unroll(k_elem)
-    stage.bind(m_dpu, "blockIdx.x")
-    if kd_ax is not None:
-        stage.bind(kd_ax, "blockIdx.y")
-    stage.bind(m_thr, "threadIdx.x")
+    for ax, tag in zip(grid, ("blockIdx.x", "blockIdx.y", "blockIdx.z")):
+        stage.bind(ax, tag)
+    stage.bind(thr, "threadIdx.x")
     for inp in workload.inputs:
         sch.cache_read(target, inp, "wram").compute_at(stage, k_blk)
-    sch.cache_write(target, "wram").reverse_compute_at(stage, m_thr)
+    sch.cache_write(target, "wram").reverse_compute_at(stage, thr)
 
     if k_dpus > 1:
         s_final = sch[out]
-        (i_f,) = s_final.op.axis
-        fo, _fi = s_final.split(i_f, nparts=p.get("host_threads", 1))
+        fo, _fi = s_final.split(s_final.op.axis[0], nparts=p.get("host_threads", 1))
         s_final.parallel(fo)
     return sch
 
 
-def _sketch_batched(workload: Workload, p: Dict[str, int]) -> Schedule:
-    out = workload.output
-    sch = Schedule(out)
-    s = sch[out]
-    i, j = s.op.axis
-    (k,) = s.op.reduce_axis
-    k_dpus = p.get("k_dpus", 1)
+_ELEMENTWISE = Family(_sketch_elementwise, dpu_axes=("n_dpus",))
+_RED = Family(
+    _sketch_red, reduce="n_dpus", optional=("dpu_combine", "host_threads", "unroll")
+)
+_MATVEC = Family(
+    _sketch_spatial_reduce, dpu_axes=("m_dpus",), exact_tiles=True,
+    reduce="k_dpus", reduce_cap=64, optional=("host_threads", "unroll"),
+)
+_BATCHED = Family(
+    _sketch_spatial_reduce, dpu_axes=("i_dpus", "j_dpus"), exact_tiles=True,
+    reduce="k_dpus", reduce_cap=8, optional=("host_threads", "unroll"),
+)
 
-    if k_dpus > 1:
-        k_dpu, _k_rest = s.split(k, nparts=k_dpus)
-        cf = sch.rfactor(out, k_dpu)
-        stage = sch[cf]
-        kd_ax, i_ax, j_ax = stage.op.axis
-        (k_inner,) = stage.op.reduce_axis
-        target = cf
-    else:
-        stage = s
-        kd_ax = None
-        i_ax, j_ax = i, j
-        k_inner = k
-        target = out
-
-    i_dpu, i_in = stage.split(i_ax, nparts=_clamp_parts(p["i_dpus"], i_ax.extent))
-    j_dpu, j_rest = stage.split(j_ax, nparts=_clamp_parts(p["j_dpus"], j_ax.extent))
-    j_thr, j_in = stage.split(j_rest, nparts=_clamp_parts(p["n_tasklets"], j_rest.extent))
-    k_blk, k_elem = stage.split(k_inner, factor=p["cache"])
-    order = [i_dpu, j_dpu] + ([kd_ax] if kd_ax is not None else [])
-    order += [i_in, j_thr, j_in, k_blk, k_elem]
-    stage.reorder(*order)
-    if p.get("unroll"):
-        stage.unroll(k_elem)
-    stage.bind(i_dpu, "blockIdx.x")
-    stage.bind(j_dpu, "blockIdx.y")
-    if kd_ax is not None:
-        stage.bind(kd_ax, "blockIdx.z")
-    stage.bind(j_thr, "threadIdx.x")
-    for inp in workload.inputs:
-        sch.cache_read(target, inp, "wram").compute_at(stage, k_blk)
-    sch.cache_write(target, "wram").reverse_compute_at(stage, j_thr)
-
-    if k_dpus > 1:
-        s_final = sch[out]
-        i_f, _j_f = s_final.op.axis
-        fo, _fi = s_final.split(i_f, nparts=p.get("host_threads", 1))
-        s_final.parallel(fo)
-    return sch
-
-
-_SKETCHES: Dict[str, Callable[[Workload, Dict[str, int]], Schedule]] = {
-    "va": _sketch_elementwise,
-    "geva": _sketch_elementwise,
-    "red": _sketch_red,
-    "mtv": _sketch_matvec,
-    "gemv": _sketch_matvec,
-    "ttv": _sketch_batched,
-    "mmtv": _sketch_batched,
+#: Workload name -> its family: the whole search space.
+FAMILIES: Dict[str, Family] = {
+    "va": _ELEMENTWISE,
+    "geva": _ELEMENTWISE,
+    "red": _RED,
+    "mtv": _MATVEC,
+    "gemv": _MATVEC,
+    "ttv": _BATCHED,
+    "mmtv": _BATCHED,
 }
+
+
+def family_of(workload: Workload) -> Family:
+    """The workload's row; ``KeyError`` for a workload no rule sketches,
+    ``ValueError`` for a shape the rule's axes do not fit."""
+    row = FAMILIES.get(workload.name)
+    if row is None:
+        raise KeyError(f"no sketch for workload {workload.name!r}")
+    if len(workload.shape) != len(row.dpu_axes) + bool(row.reduce):
+        raise ValueError(f"{workload.name}: no rule fits shape {tuple(workload.shape)}")
+    return row
+
+
+def distributed_extents(workload: Workload) -> Tuple[int, ...]:
+    """Extent of each axis ``family_of(workload).budget`` splits across
+    DPUs, outermost first."""
+    row = family_of(workload)
+    return tuple(workload.shape[: len(row.dpu_axes)] or workload.shape[-1:])
+
+
+# ---------------------------------------------------------------------------
+# the functions of a row
+# ---------------------------------------------------------------------------
+
+
+def param_space(workload: Workload, max_dpus: int = 2048) -> Dict[str, List[int]]:
+    """Tunable-parameter domains for a workload (paper Table 2)."""
+    row = family_of(workload)
+    space: Dict[str, List[int]] = {}
+    for name, extent in zip(row.dpu_axes, workload.shape):
+        space[name] = _spatial_domain(extent, max_dpus, row.exact_tiles)
+    if row.reduce:
+        cap = min(row.reduce_cap or max_dpus, DPU_CHOICES[-1])
+        space[row.reduce] = pow2_upto(min(cap, workload.shape[-1] // _REDUCE_GRAIN))
+    for name in row.params[len(space):]:  # the rest are shape-independent
+        space[name] = _SHARED[name].domain
+    return space
+
+
+def seed_params(
+    space: Dict[str, List[int]], n_dpus: int
+) -> List[Dict[str, int]]:
+    """Canonical sketch defaults for a parameter space (one per design
+    subspace), ordered best-guess first.
+
+    Mirrors Ansor/MetaSchedule seeding the population with each sketch's
+    default before evolution starts: a max-parallelism plain candidate
+    and, where the space has a reduction dimension, an rfactor variant.
+    Shared by the tuner's warm start and by targets that need a sensible
+    un-tuned schedule (``repro.compile(workload, target=...)`` without
+    explicit params).
+    """
+    row = _row_of_space(space)
+    base: Dict[str, int] = {}
+    budget = n_dpus
+    for key in row.budget:
+        base[key] = max(d for d in space[key] if d <= max(1, budget))
+        budget //= base[key]
+    if row.rfactor:
+        base[row.rfactor] = 1
+    for key in row.params[len(base):]:  # the shape-independent rest
+        domain = space[key]
+        base[key] = _SHARED[key].seed if _SHARED[key].seed in domain else domain[-1]
+    seeds = [base]
+    if row.rfactor and len(space[row.rfactor]) > 1:
+        rf = dict(base)
+        k_domain = space[row.rfactor]
+        rf[row.rfactor] = max(d for d in k_domain if d <= max(1, budget))
+        if rf[row.rfactor] == 1:
+            # Trade spatial DPUs for reduction DPUs.
+            shrink = row.dpu_axes[0]
+            domain = space[shrink]
+            rf[shrink] = domain[max(0, domain.index(rf[shrink]) - 2)]
+            rf[row.rfactor] = k_domain[min(2, len(k_domain) - 1)]
+        seeds.append(rf)
+    for key, value in _SEED_VARIANTS:
+        if value in space.get(key, ()) and value != base[key]:
+            seeds.append({**base, key: value})
+    return seeds
+
+
+def _row_of_space(space: Dict[str, List[int]]) -> Family:
+    """The family a ``param_space`` result belongs to (by its key set)."""
+    for row in FAMILIES.values():
+        if row.names == space.keys():
+            return row
+    raise KeyError(f"no family has exactly the parameters {sorted(space)}")
+
+
+def fixed_params(
+    workload: Workload,
+    dpus_per_axis: Sequence[int],
+    n_tasklets: int,
+    cache: int,
+    **fixed: int,
+) -> Dict[str, int]:
+    """One point of the family's space from a caller's *policy*: DPUs for
+    each of :func:`distributed_extents`, tasklets and cache tile.
+
+    The reduction is not split across DPUs beyond that, and the optional
+    parameters take their :data:`_SHARED` ``fixed`` value (or are left
+    out) unless ``fixed`` names them.
+    """
+    row = family_of(workload)
+    if len(dpus_per_axis) != len(row.budget):
+        raise ValueError(
+            f"{workload.name} distributes {len(row.budget)} axes,"
+            f" got DPU counts {list(dpus_per_axis)}"
+        )
+    chosen = dict(
+        zip(row.budget, dpus_per_axis), n_tasklets=n_tasklets, cache=cache, **fixed
+    )
+    _check_names(workload, row, chosen)
+    off = {row.rfactor: 1, **{key: _SHARED[key].fixed for key in row.optional}}
+    params = {key: chosen.get(key, off.get(key)) for key in row.params}
+    return {key: value for key, value in params.items() if value is not None}
+
+
+def subspace_of(workload_name: str, params: Dict[str, int]) -> str:
+    """Design-space tag used by balanced sampling (§5.2.3).
+
+    Candidates factoring the reduction across DPUs (``rfactor``) form one
+    subspace; plain spatial-only distribution forms the other.
+    """
+    return "rfactor" if params.get("k_dpus", 1) > 1 else "plain"
+
+
+def _check_names(workload: Workload, row: Family, params: Dict[str, int]) -> None:
+    """Parameters are checked where they enter: a misspelt or missing key
+    is a :class:`SketchError`, not a ``KeyError`` from inside a rule — and
+    not a second cache entry for the same module."""
+    problems = [f"missing {k!r}" for k in sorted(row.required - params.keys())]
+    problems += [f"unknown {k!r}" for k in sorted(params.keys() - row.names)]
+    if problems:
+        raise SketchError(
+            f"{workload.name}: {', '.join(problems)};"
+            f" the family's parameters are {list(row.params)}"
+        )
+
+
+def generate_schedule(workload: Workload, params: Dict[str, int]) -> Schedule:
+    """Instantiate the sketch for ``workload`` with concrete parameters."""
+    row = family_of(workload)
+    _check_names(workload, row, params)
+    try:
+        return row.rule(workload, params, row)
+    except ScheduleError as exc:
+        raise SketchError(str(exc)) from exc

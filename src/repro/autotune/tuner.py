@@ -29,7 +29,7 @@ from .compile import CompileEngine
 from .cost_model import CostModel
 from .database import Database, TuningCache, TuningRecord
 from .features import extract_features
-from .sketch import param_space, subspace_of
+from .sketch import param_space, seed_params, subspace_of
 
 __all__ = [
     "Candidate",
@@ -37,7 +37,6 @@ __all__ = [
     "Tuner",
     "autotune",
     "measure_stats",
-    "seed_params",
     "tuned_params",
 ]
 
@@ -66,62 +65,6 @@ def _resolve_target(target: Optional[object], config: Optional[UpmemConfig]):
             raise ValueError("pass either target or config, not both")
         return get_target(target)
     return UpmemTarget(config=config or DEFAULT_CONFIG)
-
-
-def seed_params(
-    space: Dict[str, List[int]], n_dpus: int
-) -> List[Dict[str, int]]:
-    """Canonical sketch defaults for a parameter space (one per design
-    subspace), ordered best-guess first.
-
-    Mirrors Ansor/MetaSchedule seeding the population with each sketch's
-    default before evolution starts: a max-parallelism plain candidate
-    and, where the space has a reduction dimension, an rfactor variant.
-    Shared by the tuner's warm start and by targets that need a sensible
-    un-tuned schedule (``repro.compile(workload, target=...)`` without
-    explicit params).
-    """
-    seeds: List[Dict[str, int]] = []
-    base: Dict[str, int] = {}
-    budget = n_dpus
-    for key, domain in space.items():
-        if key in ("n_dpus", "i_dpus", "m_dpus"):
-            base[key] = max(d for d in domain if d <= budget)
-            budget //= base[key]
-        elif key == "j_dpus":
-            base[key] = max(d for d in domain if d <= max(1, budget))
-            budget //= base[key]
-        elif key == "k_dpus":
-            base[key] = 1
-        elif key == "n_tasklets":
-            base[key] = 16 if 16 in domain else domain[-1]
-        elif key == "cache":
-            base[key] = 64 if 64 in domain else domain[-1]
-        elif key == "host_threads":
-            base[key] = domain[-1]
-        else:
-            base[key] = domain[0]
-    seeds.append(base)
-    if "k_dpus" in space and len(space["k_dpus"]) > 1:
-        rf = dict(base)
-        rf["k_dpus"] = max(d for d in space["k_dpus"] if d <= max(1, budget))
-        if rf["k_dpus"] == 1 and len(space["k_dpus"]) > 1:
-            # Trade spatial DPUs for reduction DPUs.
-            shrink = "m_dpus" if "m_dpus" in rf else "i_dpus"
-            domain = space[shrink]
-            idx = domain.index(rf[shrink])
-            rf[shrink] = domain[max(0, idx - 2)]
-            rf["k_dpus"] = space["k_dpus"][min(2, len(space["k_dpus"]) - 1)]
-        seeds.append(rf)
-    if "dpu_combine" in space:
-        alt = dict(base)
-        alt["dpu_combine"] = 1
-        seeds.append(alt)
-    big_cache = dict(base)
-    big_cache["cache"] = 256 if 256 in space.get("cache", []) else base["cache"]
-    if big_cache != base:
-        seeds.append(big_cache)
-    return seeds
 
 
 @dataclass

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..autotune.compile import default_engine
+from ..autotune.sketch import fixed_params, pow2_upto
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..upmem.system import PerformanceModel, ProfileResult
 from ..workloads import Workload
@@ -81,9 +82,7 @@ def _default_dpus(workload: Workload, size: Optional[str]) -> int:
     outer = workload.shape[0]
     if workload.name in ("ttv", "mmtv"):
         outer = workload.shape[0] * workload.shape[1]
-    dpus = 1
-    while dpus * 2 <= min(2048, outer):
-        dpus *= 2
+    dpus = pow2_upto(min(2048, outer))[-1]
     return max(64, min(512, dpus)) if workload.name in ("mtv", "gemv") else dpus
 
 
@@ -94,41 +93,16 @@ def prim_params(
     cache: int = _PRIM_CACHE_ELEMS,
     size: Optional[str] = None,
 ) -> Dict[str, int]:
-    """Sketch parameters reproducing a PrIM kernel's structure."""
-    dpus = n_dpus or _default_dpus(workload, size)
-    name = workload.name
-    if name in ("va", "geva"):
-        return {"n_dpus": dpus, "n_tasklets": n_tasklets, "cache": cache}
-    if name == "red":
-        # PrIM ships every tasklet's partial to the host (dpu_combine=0).
-        return {
-            "n_dpus": dpus,
-            "n_tasklets": n_tasklets,
-            "cache": cache,
-            "dpu_combine": 0,
-            "host_threads": 1,
-        }
-    if name in ("mtv", "gemv"):
-        return {
-            "m_dpus": min(dpus, workload.shape[0]),
-            "k_dpus": 1,
-            "n_tasklets": n_tasklets,
-            "cache": cache,
-            "host_threads": 1,
-        }
-    if name in ("ttv", "mmtv"):
-        m, n, _k = workload.shape
-        i_dpus = min(dpus, m)
-        j_dpus = max(1, min(dpus // i_dpus, n))
-        return {
-            "i_dpus": i_dpus,
-            "j_dpus": j_dpus,
-            "k_dpus": 1,
-            "n_tasklets": n_tasklets,
-            "cache": cache,
-            "host_threads": 1,
-        }
-    raise KeyError(f"no PrIM baseline for {name!r}")
+    """Sketch parameters reproducing a PrIM kernel's structure: the DPU
+    count tiles the outer spatial dims of a reduction outermost-first
+    (1-D workloads spend it whole), the reduction itself is never split,
+    and every tasklet's partial goes to the host."""
+    budget = n_dpus or _default_dpus(workload, size)
+    per_axis = []
+    for extent in workload.shape[:-1]:
+        per_axis.append(max(1, min(budget, extent)))
+        budget //= per_axis[-1]
+    return fixed_params(workload, per_axis or [budget], n_tasklets, cache)
 
 
 def prim_search(

@@ -19,6 +19,7 @@ from dataclasses import replace
 from typing import Optional, Tuple
 
 from ..autotune.compile import default_engine
+from ..autotune.sketch import family_of, fixed_params
 from ..lowering import LoweredModule
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..upmem.system import PerformanceModel, ProfileResult
@@ -49,17 +50,13 @@ def simplepim_build(
             f" {workload.name!r}"
         )
     cfg = config or DEFAULT_CONFIG
-    if workload.name in ("va", "geva"):
-        params = {"n_dpus": cfg.n_dpus, "n_tasklets": _TASKLETS, "cache": _CACHE}
+    # The framework has two handlers: reduce (1024 DPUs, one value per
+    # DPU) and map over a distributed spatial axis (the whole machine).
+    reduces = not family_of(workload).dpu_axes
+    if reduces:
+        params = fixed_params(workload, [1024], _TASKLETS, _CACHE, dpu_combine=1)
     else:
-        # RED: one value per DPU (dpu_combine=1).
-        params = {
-            "n_dpus": 1024,
-            "n_tasklets": _TASKLETS,
-            "cache": _CACHE,
-            "dpu_combine": 1,
-            "host_threads": 1,
-        }
+        params = fixed_params(workload, [cfg.n_dpus], _TASKLETS, _CACHE)
     artifact = default_engine().compile(workload, params, config=cfg)
     if not artifact.verified:
         raise RuntimeError(
@@ -68,7 +65,7 @@ def simplepim_build(
         )
     module = artifact.module
     prof = PerformanceModel(cfg).profile(module)
-    if workload.name in ("va", "geva"):
+    if not reduces:
         # Whole-tensor host-side copy after D2H (the framework gathers and
         # re-materializes the full output array).
         extra_d2h = workload.bytes_out / _HOST_COPY_BANDWIDTH

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .. import te
+from ..autotune.sketch import distributed_extents, fixed_params, pow2_upto
 from ..workloads import GPTJConfig, Workload, fc_mtv, mmtv, mtv, va
 from .ir import ModelGraph
 
@@ -54,13 +55,6 @@ __all__ = [
 GPTJ_SIM = GPTJConfig("gptj-6b-sim", n_heads=4, d_model=128, head_dim=32)
 
 
-def _pow2_at_most(n: int) -> int:
-    p = 1
-    while p * 2 <= n:
-        p *= 2
-    return p
-
-
 def small_grid_params(
     workload: Workload, max_dpus: int = 64
 ) -> Dict[str, int]:
@@ -72,48 +66,16 @@ def small_grid_params(
     grid cap was 8 DPUs when every grid point was interpreted one at a
     time; the vectorized NumPy backend executes the whole grid as one
     lane axis, so suites now afford 64.
+
+    The outer distributed axis gets up to ``max_dpus`` DPUs, a second
+    one up to 2; 2 tasklets, a cache tile of up to 64 elements, no unroll.
     """
-    name = workload.name
-    if name in ("va", "geva"):
-        (n,) = workload.shape
-        return {
-            "n_dpus": min(max_dpus, _pow2_at_most(n)),
-            "n_tasklets": 2,
-            "cache": min(64, _pow2_at_most(n)),
-            "unroll": 0,
-        }
-    if name == "red":
-        (n,) = workload.shape
-        return {
-            "n_dpus": min(max_dpus, _pow2_at_most(n)),
-            "n_tasklets": 2,
-            "cache": min(64, _pow2_at_most(n)),
-            "dpu_combine": 0,
-            "host_threads": 1,
-            "unroll": 0,
-        }
-    if name in ("mtv", "gemv"):
-        m, k = workload.shape
-        return {
-            "m_dpus": min(max_dpus, _pow2_at_most(m)),
-            "k_dpus": 1,
-            "n_tasklets": 2,
-            "cache": min(64, _pow2_at_most(k)),
-            "host_threads": 1,
-            "unroll": 0,
-        }
-    if name in ("ttv", "mmtv"):
-        m, n, k = workload.shape
-        return {
-            "i_dpus": min(max_dpus, _pow2_at_most(m)),
-            "j_dpus": min(2, _pow2_at_most(n)),
-            "k_dpus": 1,
-            "n_tasklets": 2,
-            "cache": min(64, _pow2_at_most(k)),
-            "host_threads": 1,
-            "unroll": 0,
-        }
-    raise KeyError(f"no small-grid params for workload {name!r}")
+    dpus = [
+        min(cap, pow2_upto(extent)[-1])
+        for cap, extent in zip((max_dpus, 2), distributed_extents(workload))
+    ]
+    cache = min(64, pow2_upto(workload.shape[-1])[-1])
+    return fixed_params(workload, dpus, n_tasklets=2, cache=cache, unroll=0)
 
 
 def _glue(

@@ -32,21 +32,12 @@ __all__ = ["GraphError", "Node", "ModelGraph"]
 
 
 def _target_identity(target: Any):
-    """Signature-stable identity of a per-node target override.
-
-    Full compile-relevant identity for Target instances — kind alone
-    would alias differently-configured instances of one backend, the
-    aliasing the serving pool's keying explicitly prevents.
-    """
-    if target is None:
-        return None
+    """Signature-stable identity of a per-node target override: the full
+    compile-relevant identity for Target instances, the kind string as
+    written otherwise."""
     if isinstance(target, Target):
-        return (
-            target.kind,
-            repr(getattr(target, "config", None)),
-            target.cache_token(),
-        )
-    return str(target)
+        return target.identity()
+    return None if target is None else str(target)
 
 
 class GraphError(ValueError):

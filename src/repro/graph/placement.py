@@ -22,16 +22,18 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Union
 
+from ..autotune.sketch import FAMILIES
 from ..target import Target, get_target
 from .ir import GraphError, ModelGraph, Node
 
 __all__ = ["PIM_OP_NAMES", "PLACEMENT_POLICIES", "place", "is_pim_capable"]
 
-#: Workload names the PIM sketch generator understands — the ops the
-#: default policy sends to the PIM target.  Element-wise ``va``/``geva``
-#: are sketchable too but stay host-side by default (inter-op glue);
-#: override per node to push a residual add onto the device.
-PIM_OP_NAMES = frozenset({"mtv", "gemv", "mmtv", "ttv"})
+#: The ops the default policy sends to the PIM target: the sketch
+#: families that reduce under distributed spatial axes (the matrix-vector
+#: family).  Element-wise ``va``/``geva`` are sketchable too but stay
+#: host-side by default (inter-op glue); override per node to push a
+#: residual add onto the device.
+PIM_OP_NAMES = frozenset(name for name, row in FAMILIES.items() if row.rfactor)
 
 #: ``"upmem"`` is an alias for ``"default"`` (matvecs on the PIM side),
 #: so experiment configs read as the placement they produce.

@@ -40,6 +40,7 @@ import argparse
 import json
 import sys
 
+from ..autotune import default_engine, measure_stats
 from ..obs import (
     Tracer,
     trace_lint,
@@ -47,12 +48,7 @@ from ..obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from .experiments import (
-    KEYWORDS,
-    TABLE,
-    compile_cache_stats,
-    measure_cache_stats,
-)
+from .experiments import KEYWORDS, TABLE
 
 
 def run_experiment(name: str, args: argparse.Namespace):
@@ -99,8 +95,8 @@ JSON_SCHEMA_VERSION = 4
 
 def write_json(path: str, results, args: argparse.Namespace) -> None:
     """Dump figure rows + compile/tuning cache stats as JSON."""
-    stats = compile_cache_stats()
-    measure = measure_cache_stats()
+    stats = default_engine().stats
+    measure = measure_stats()
     payload = {
         "schema_version": JSON_SCHEMA_VERSION,
         "experiments": _jsonable(results),
@@ -222,7 +218,7 @@ def main(argv=None) -> int:
         write_json(args.json, results, args)
         print(f"wrote JSON results to {args.json}")
     if args.cache_stats:
-        stats = compile_cache_stats()
+        stats = default_engine().stats
         print(
             f"compile cache: {stats.hits} hits / {stats.misses} misses"
             f" ({stats.hit_rate:.1%} hit rate)"

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autotune import Tuner, autotune, measure_stats
+from ..autotune import Tuner, autotune
 from ..autotune.compile import default_engine
 from ..baselines import CpuModel, GpuModel
 from ..cluster import (
@@ -29,7 +29,6 @@ from ..cluster import (
 from ..decode import DecodeEngine
 from ..graph import compile_graph, gptj_decoder_graph, place, plan_memory
 from ..graph.builder import GPTJ_SIM
-from ..pipeline import CacheStats
 from ..serve import (
     ExecutablePool,
     Server,
@@ -69,18 +68,6 @@ from .reporting import (
     print_fig18,
     rows_printer,
 )
-
-def compile_cache_stats() -> CacheStats:
-    """Hit/miss counters of the harness's shared compile cache."""
-    return default_engine().stats.snapshot()
-
-
-def measure_cache_stats() -> CacheStats:
-    """Warm-vs-cold measurement counters across every tuning run in the
-    process: hits are candidates served from a persistent ``--db``
-    store, misses were freshly simulated."""
-    return measure_stats()
-
 
 # ---------------------------------------------------------------------------
 # Fig. 3 — motivation sweeps
@@ -558,7 +545,7 @@ def fig14_search_strategies(
     With ``db``/``resume``, repeated sweeps replay measured candidates
     from the persistent store instead of re-simulating them (the curves
     are identical either way — the search replays deterministically);
-    warm-vs-cold totals land in :func:`measure_cache_stats`.
+    warm-vs-cold totals land in :func:`repro.autotune.measure_stats`.
     """
     wl = mtv(m, k)
     variants = {
@@ -1039,8 +1026,6 @@ TABLE: Tuple[Experiment, ...] = (
 )
 
 __all__ = [
-    "compile_cache_stats",
-    "measure_cache_stats",
     "compare_targets",
     *(row.run.__name__ for row in TABLE),
 ]

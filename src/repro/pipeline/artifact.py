@@ -7,7 +7,7 @@ and the winning candidate is rebuilt after the search.  A
 :class:`CompiledArtifact` wraps the outcome of one compile (including
 *negative* outcomes, so invalid parameter combinations are rejected
 without re-sketching), keyed by a digest of (workload signature, schedule
-params, hardware config, opt level, pipeline name).  The cache is
+params, hardware config, opt level, target token).  The cache is
 in-memory with an optional on-disk tier that persists across processes.
 """
 
@@ -90,9 +90,7 @@ def artifact_key(
     params: Optional[Dict[str, int]] = None,
     config: Any = None,
     opt_level: str = "O3",
-    pipeline: str = "build",
     target: Any = None,
-    extra: Any = None,
 ) -> str:
     """Content-addressed digest identifying one compile's inputs.
 
@@ -100,16 +98,19 @@ def artifact_key(
     enters the key — ``None`` when the other key fields already fully
     describe the target's compilation) or any stable raw token.
     """
-    token = target.cache_token() if hasattr(target, "cache_token") else target
+    token = target.identity()[2] if hasattr(target, "identity") else target
     payload = (
         CACHE_SCHEMA_VERSION,
         workload_signature(workload) if workload is not None else None,
         tuple(sorted((params or {}).items())),
         repr(config),
         opt_level,
-        pipeline,
+        # Every module compiles through the one ``build`` pipeline; the
+        # two constants keep digests (and the disk tier) as they were
+        # when the pipeline name and an extra token were arguments.
+        "build",
         token,
-        extra,
+        None,
     )
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
@@ -133,8 +134,10 @@ def tuning_key(
     schedule params are *not* part of the key — a group holds every
     measured candidate of one search space.
     """
-    token = target.cache_token() if hasattr(target, "cache_token") else None
-    kind = getattr(target, "kind", target if isinstance(target, str) else None)
+    if hasattr(target, "identity"):
+        kind, _config, token = target.identity()
+    else:
+        kind, token = (target if isinstance(target, str) else None), None
     payload = (
         CACHE_SCHEMA_VERSION,
         workload_signature(workload) if workload is not None else None,

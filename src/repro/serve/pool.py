@@ -19,29 +19,9 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..obs import current_tracer
 from ..pipeline import workload_signature
-from ..target import Executable, Target, get_target
+from ..target import Executable, get_target
 
 __all__ = ["ExecutablePool"]
-
-
-def _target_identity(target: Any) -> Tuple:
-    """(kind, config repr, cache token): the compile-relevant identity.
-
-    Mirrors what the artifact cache keys on — kind alone would alias
-    differently-configured instances of one backend, silently batching
-    requests onto (and timing them against) the wrong machine.  A kind
-    string resolves through the registry *per call* (construction is
-    cheap), so it shares identity with an explicitly constructed
-    default target and tracks ``register_target(..., overwrite=True)``
-    re-registrations instead of serving a stale cached identity.
-    """
-    if not isinstance(target, Target):
-        target = get_target(str(target))
-    return (
-        target.kind,
-        repr(getattr(target, "config", None)),
-        target.cache_token(),
-    )
 
 
 class ExecutablePool:
@@ -106,7 +86,10 @@ class ExecutablePool:
                 pass
         return (
             memo[1],
-            _target_identity(target),
+            # A kind string resolves through the registry *per call*, so
+            # it shares identity with an explicitly constructed default
+            # target and tracks ``register_target(..., overwrite=True)``.
+            get_target(target).identity(),
             tuple(sorted((params or {}).items())),
         )
 

@@ -2,9 +2,8 @@
 
 A target bundles everything needed to take a workload (or an explicit
 schedule) to something executable/measurable on one of the paper's four
-evaluation systems: a hardware/model configuration, the named compile
-pipeline to route through, a performance model, and — where the backend
-supports it — a functional executor.  Registered kinds:
+evaluation systems: a hardware/model configuration, a performance model,
+and — where the backend supports it — a functional executor.  Registered kinds:
 
 ========== ==========================================================
 kind       system
@@ -26,7 +25,7 @@ instead of forking the driver layer.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..upmem.config import DEFAULT_CONFIG
 
@@ -54,10 +53,6 @@ class Target(abc.ABC):
 
     #: Registry key, e.g. ``"upmem"``.
     kind: str = ""
-    #: Named compile pipeline (``repro.pipeline.get_pipeline``) this
-    #: target routes through; ``None`` for purely analytic targets.
-    pipeline: Optional[str] = None
-
     # -- identity -----------------------------------------------------------
     @property
     def label(self) -> str:
@@ -69,7 +64,7 @@ class Target(abc.ABC):
 
         ``None`` (the default) means this target's compilation is fully
         determined by inputs already in the key — workload, params,
-        hardware config, opt level and pipeline name — so its artifacts
+        hardware config and opt level — so its artifacts
         may share cache entries with any other caller producing the same
         module (e.g. the UPMEM target and the PrIM baselines' grid
         search).  Override to return a stable token when a target
@@ -78,6 +73,12 @@ class Target(abc.ABC):
         alias ones it would compile differently.
         """
         return None
+
+    def identity(self) -> Tuple[str, str, Optional[str]]:
+        """(kind, config repr, cache token): what cache, pool and graph
+        keys hold of a target — kind alone would alias differently
+        configured instances of one backend."""
+        return (self.kind, repr(getattr(self, "config", None)), self.cache_token())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(kind={self.kind!r})"

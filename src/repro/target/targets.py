@@ -13,8 +13,12 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..autotune.compile import default_engine
-from ..autotune.sketch import generate_schedule, param_space
-from ..autotune.tuner import seed_params
+from ..autotune.sketch import (
+    family_of,
+    generate_schedule,
+    param_space,
+    seed_params,
+)
 from ..baselines.cpu import CpuModel, GpuModel
 from ..baselines.prim import prim_params, prim_search
 from ..baselines.simplepim import SIMPLEPIM_WORKLOADS, simplepim_build
@@ -68,7 +72,6 @@ class UpmemTarget(Target):
     """
 
     kind = "upmem"
-    pipeline = "build"
 
     def __init__(
         self,
@@ -85,7 +88,7 @@ class UpmemTarget(Target):
 
     def supports(self, workload: Workload) -> bool:
         try:
-            param_space(workload, max_dpus=self.config.n_dpus)
+            family_of(workload)
         except (KeyError, ValueError):
             return False
         return True
@@ -107,7 +110,7 @@ class UpmemTarget(Target):
             ctx.options = LowerOptions(optimize=opt_level)
             ctx.opt_level = opt_level
             ctx.config = self.config
-            lowered = get_pipeline(self.pipeline).run(workload_or_schedule, ctx)
+            lowered = get_pipeline("build").run(workload_or_schedule, ctx)
             return UpmemExecutable(lowered, self, params=params)
         workload = workload_or_schedule
         params = params or default_params(workload, self.config)
@@ -141,7 +144,6 @@ class PrimTarget(Target):
     """
 
     kind = "prim"
-    pipeline = "build"
     VARIANTS = ("default", "e", "search")
 
     def __init__(
@@ -223,7 +225,6 @@ class SimplePimTarget(Target):
     RED with the framework's documented handler overheads."""
 
     kind = "simplepim"
-    pipeline = "build"
 
     def __init__(self, config: Optional[UpmemConfig] = None) -> None:
         self.config = config or DEFAULT_CONFIG
@@ -319,7 +320,6 @@ class HbmPimTarget(Target):
     """
 
     kind = "hbm-pim"
-    pipeline = "hbm-pim"
 
     def __init__(
         self,

@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.autotune import generate_schedule, param_space, subspace_of, verify
+import repro
+from repro.autotune import (
+    CompileEngine,
+    SketchError,
+    fixed_params,
+    generate_schedule,
+    param_space,
+    subspace_of,
+    verify,
+)
 from repro.autotune.compile import default_engine
+from repro.serve import ExecutablePool
 from repro.lowering import lower
 from repro.upmem import FunctionalExecutor, UpmemConfig
 from repro.workloads import geva, gemv, mmtv, mtv, red, ttv, va
@@ -26,6 +36,11 @@ class TestParamSpace:
         space = param_space(va(10**7), max_dpus=64)
         assert max(space["n_dpus"]) <= 64
 
+    def test_reduction_split_is_capped_by_the_family_not_the_machine(self):
+        assert param_space(mtv(64, 8192), max_dpus=8)["k_dpus"][-1] == 64
+        assert param_space(mmtv(4, 4, 8192), max_dpus=4)["k_dpus"][-1] == 8
+        assert param_space(red(1 << 20), max_dpus=8)["n_dpus"][-1] == 8
+
     def test_unknown_workload(self):
         wl = va(64)
         wl.name = "conv3d"
@@ -36,6 +51,57 @@ class TestParamSpace:
         assert subspace_of("mtv", {"k_dpus": 4}) == "rfactor"
         assert subspace_of("mtv", {"k_dpus": 1}) == "plain"
         assert subspace_of("va", {"n_dpus": 8}) == "plain"
+
+
+class TestParamsCheckedWhereTheyEnter:
+    """A missing or misspelt parameter fails at the boundary, naming the
+    key — not as a ``KeyError`` from inside a rule, and not as a second
+    cache entry / pool slot for a module that already has one."""
+
+    GOOD = {"m_dpus": 4, "n_tasklets": 2, "cache": 16}
+    BAD = [
+        ("missing", {"m_dpus": 4}, "missing 'n_tasklets'"),
+        ("unknown", {**GOOD, "typo_dpus": 8}, "unknown 'typo_dpus'"),
+    ]
+    bad = pytest.mark.parametrize(
+        "params,named", [b[1:] for b in BAD], ids=[b[0] for b in BAD]
+    )
+
+    @bad
+    def test_sketch_names_the_key_and_the_family(self, params, named):
+        with pytest.raises(SketchError, match=named) as err:
+            generate_schedule(mtv(64, 64), params)
+        assert "k_dpus" in str(err.value)  # lists the family's parameters
+
+    @bad
+    def test_engine_returns_a_negative_artifact(self, params, named):
+        art = CompileEngine().compile(mtv(64, 64), params)
+        assert not art.ok and not art.verified
+        assert "SketchError" in art.error and named in art.error
+
+    @bad
+    def test_front_door_raises_target_error(self, params, named):
+        with pytest.raises(repro.TargetError, match=named):
+            repro.compile(mtv(64, 64), params=params)
+
+    @bad
+    def test_pool_keeps_no_entry(self, params, named):
+        pool = ExecutablePool()
+        with pytest.raises(repro.TargetError, match=named):
+            pool.get(mtv(64, 64), "upmem", params=params)
+        assert len(pool) == 0
+        pool.get(mtv(64, 64), "upmem", params=self.GOOD)
+        assert len(pool) == 1
+
+    def test_optional_parameters_stay_optional(self):
+        # PrIM's dicts carry no ``unroll``; ``k_dpus`` defaults to 1.
+        assert generate_schedule(mtv(64, 64), self.GOOD)
+
+    def test_fixed_params_rejects_foreign_overrides(self):
+        with pytest.raises(SketchError, match="unknown 'dpu_combine'"):
+            fixed_params(va(64), [4], 2, 16, dpu_combine=1)
+        with pytest.raises(ValueError, match="distributes 2 axes"):
+            fixed_params(mmtv(4, 4, 64), [4], 2, 16)
 
 
 class TestSketchCorrectness:

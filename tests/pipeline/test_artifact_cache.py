@@ -53,7 +53,6 @@ class TestKeying:
         assert artifact_key(wl, {**PARAMS, "cache": 32}) != base
         assert artifact_key(wl, PARAMS, config=UpmemConfig().with_(n_ranks=2)) != base
         assert artifact_key(wl, PARAMS, opt_level="O1") != base
-        assert artifact_key(wl, PARAMS, pipeline="emit") != base
 
 
 class TestHitMiss:

@@ -6,6 +6,7 @@ who depends on whom; this walks the ``import`` statements with ``ast``.
 
 import ast
 import os
+import re
 
 import repro
 
@@ -26,7 +27,8 @@ LOCAL_IMPORTS = {
     ("optim/pipeline.py", "optimize_module", "pipeline"):
         "upward: as optimize_kernel",
     ("autotune/tuner.py", "_resolve_target", "target"):
-        "upward: targets compile through the engine and seed from the tuner",
+        "upward: targets compile through the engine and seed from the sketch"
+        " table the tuner searches",
     ("target/compile.py", "compile", "graph"):
         "upward: the front door hands a ModelGraph to graph.compile_graph",
     ("target/targets.py", "HbmPimTarget.__init__", "extensions"):
@@ -37,6 +39,33 @@ LOCAL_IMPORTS = {
     ("serve/pool.py", "ExecutablePool._compile", "target"):
         "looked up per call so instrumentation wrapping"
         " repro.target.compile.compile sees pool loads",
+}
+
+#: A sketch parameter's name, as a whole string literal.
+PARAM_NAME = re.compile(r"[nmijk]_dpus|dpu_combine")
+
+#: The search space is spelled in ``autotune/sketch.py``; the only other
+#: places that may name its parameters, each with the reason.
+PARAM_NAME_SITES = {
+    ("harness/experiments.py", "fig3a_cache_tile_sweep"):
+        "explicit experiment configuration: single-DPU GEMV tile sweep",
+    ("harness/experiments.py", "fig3b_tiling_schemes"):
+        "explicit experiment configuration: 1-D vs 2-D tiling",
+    ("harness/experiments.py", "fig3c_dpu_sweep"):
+        "explicit experiment configuration: DPU-count sweep",
+    ("harness/experiments.py", "fig4_boundary_checks"):
+        "explicit experiment configuration: misaligned GEMV shapes",
+    ("harness/experiments.py", "fig11_mmtv_scaling"):
+        "explicit experiment configuration: reads the winner's reduction split",
+    ("harness/experiments.py", "fig12_pim_opts"):
+        "explicit experiment configuration: fixed params per opt level",
+    ("harness/experiments.py", "fig13_breakdown"):
+        "explicit experiment configuration: as fig12",
+    ("serve/traffic.py", "gptj_serving_mix"):
+        "explicit experiment configuration: the serving mix's pinned params",
+    ("serve/server.py", "Server._replica_groups"):
+        "not a sketch parameter: getattr on the LoweredModule.n_dpus /"
+        " UpmemConfig.n_dpus attributes",
 }
 
 
@@ -64,6 +93,16 @@ def _targets(path, node):
     return {n[1] for n in names if n[0] == "repro" and len(n) > 1}
 
 
+def _sources():
+    """(path, parsed module) for every source file under ``repro``."""
+    for folder, _, files in os.walk(ROOT):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path) as fh:
+                    yield path, ast.parse(fh.read())
+
+
 def _imports():
     """(file, enclosing function or None, source package, target package)
     for every cross-package import in the tree."""
@@ -89,12 +128,8 @@ def _imports():
             else:
                 visit(child, path, scope, in_function)
 
-    for folder, _, files in os.walk(ROOT):
-        for name in files:
-            if name.endswith(".py"):
-                path = os.path.join(folder, name)
-                with open(path) as fh:
-                    visit(ast.parse(fh.read()), path, "", False)
+    for path, tree in _sources():
+        visit(tree, path, "", False)
     return found
 
 
@@ -124,3 +159,28 @@ def test_function_local_imports_are_the_listed_ones():
         if scope is not None
     }
     assert local == set(LOCAL_IMPORTS)
+
+
+def test_sketch_parameter_names_live_in_the_sketch_table():
+    found = set()
+
+    def visit(node, rel, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, rel, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, ast.Constant)
+                and isinstance(child.value, str)
+                and PARAM_NAME.fullmatch(child.value)
+            ):
+                found.add((rel, scope))
+            visit(child, rel, scope)
+
+    for path, tree in _sources():
+        rel = os.path.relpath(path, ROOT).replace(os.sep, "/")
+        if rel != "autotune/sketch.py":
+            visit(tree, rel, "")
+    assert found == set(PARAM_NAME_SITES)
