@@ -27,30 +27,42 @@ __all__ = ["Executor", "default_workers", "MIN_JOB_BYTES"]
 #: of its own, so a second thread starts at twice this.  Measured on the
 #: 2-vCPU reference box: one ``run_batch`` call, the whole lane space as
 #: one inline job (width 1) against two jobs on a warm 2-thread pool
-#: (width 2), min of 15 interleaved repetitions
-#: (``results/BENCH_serve_wall.json`` has all 34 rows):
+#: (width 2), min over three sessions of 15 interleaved repetitions each
+#: (four sessions from 8 MB up; the box's second core comes and goes, so
+#: one session can read 1.0x where the next reads 1.5x).  Re-measured after the vector
+#: runtime learned to move whole lanes as blocks, which made width 1
+#: 1.5-7x cheaper and took most of the GIL-free index/clip work — what
+#: threads used to overlap — out of a call
+#: (``results/BENCH_structured_access_pairs.json`` has every session,
+#: and the same rows at the parent commit; ``BENCH_serve_wall.json`` the
+#: table this replaces):
 #:
 #:     working set   program (items)          width 1    width 2   gain
-#:        0.25 MB    serving fc_mtv (1)       0.89 ms    2.73 ms   0.33x
-#:        0.52 MB    serving va (1)           2.33 ms    6.45 ms   0.36x
-#:        1.00 MB    serving fc_mtv (4)       2.42 ms    3.72 ms   0.65x
-#:        2.06 MB    serving va (4)           7.18 ms    7.76 ms   0.92x
-#:        2.79 MB    serving red (16)         8.49 ms    6.53 ms   1.30x
-#:        4.01 MB    serving fc_mtv (16)      8.71 ms    8.48 ms   1.03x
-#:        7.02 MB    serving mha_mmtv (16)   21.23 ms   19.43 ms   1.09x
-#:        8.25 MB    serving va (16)         30.63 ms   16.31 ms   1.88x
-#:        8.51 MB    mtv 4MB (1)             17.82 ms   11.24 ms   1.59x
-#:       14.25 MB    va 4MB (1)              70.98 ms   41.33 ms   1.72x
-#:       97.02 MB    mtv 64MB (1)           317.4 ms   185.4 ms    1.71x
-#:      193.50 MB    va 64MB (1)           1156 ms     455.9 ms    2.54x
+#:        0.25 MB    serving fc_mtv (1)       0.32 ms    0.59 ms   0.54x
+#:        0.52 MB    serving va (1)           0.69 ms    1.10 ms   0.63x
+#:        1.00 MB    serving fc_mtv (4)       0.95 ms    1.18 ms   0.80x
+#:        2.06 MB    serving va (4)           2.63 ms    2.32 ms   1.13x
+#:        2.79 MB    serving red (16)         4.58 ms    4.81 ms   0.95x
+#:        4.01 MB    serving fc_mtv (16)      5.02 ms    3.76 ms   1.34x
+#:        7.02 MB    serving mha_mmtv (16)    8.21 ms    6.84 ms   1.20x
+#:        8.25 MB    serving va (16)          9.67 ms    7.54 ms   1.28x
+#:        8.51 MB    mtv 4MB (1)              5.71 ms    6.21 ms   0.92x
+#:       14.25 MB    va 4MB (1)              13.32 ms   11.06 ms   1.20x
+#:       97.02 MB    mtv 64MB (1)           117.1 ms    81.6 ms    1.43x
+#:      193.50 MB    va 64MB (1)            146.0 ms    91.9 ms    1.59x
 #:
 #: Below ~2 MB two threads lose (tiny NumPy ops hold the GIL and the
-#: threads take turns); from 2.8 to 8 MB the gain depends on the program
-#: (1.03-1.64x); from 8 MB every row gains at least 1.59x (bar two
-#: 64MB ``va`` items, 387 MB and memory-bound: 1.22x).  The rule waits
-#: for that: a pool thread that has run a multi-megabyte job keeps its
-#: own malloc arena (about +10 MB resident on the serving workload),
-#: which a 3 % gain does not pay for.
+#: threads take turns); from 2 to 9 MB the sign depends on the program
+#: (0.92-1.34x, at most 2 ms either way); from 14 MB every row gains
+#: 1.2-1.6x.  Two rows changed sign against the old table — ``serving
+#: red (16)`` 1.30x -> 0.95x, already inline, and ``mtv 4MB`` 1.59x ->
+#: 0.92x, which the rule threads — but ``mtv 4MB`` sits 0.26 MB above a
+#: row that gains 1.28x, so no constant separates the two, and the one
+#: it is wrong for loses 0.5 ms.  The constant stays: every serving and
+#: decode call (< 8 MB) is inline, every ``kernels`` program (>= 14 MB)
+#: is threaded, and a pool thread that has run a multi-megabyte job
+#: keeps its own malloc arena (about +10 MB resident on the serving
+#: workload), which the 2-9 MB gains do not pay for.
 MIN_JOB_BYTES = 4 * 1024 * 1024
 
 

@@ -234,10 +234,10 @@ class Interpreter:
         soff = int(np.ravel_multi_index(src_base, src.shape, mode="clip"))
         # DMA may legally over-read/over-write within the locally padded
         # tile; clamp to the physical buffers (the pad) like hardware
-        # clamps to the MRAM tile allocation.
+        # clamps to the MRAM tile allocation.  The bases were clamped per
+        # dimension above, so each side has an element left: n_eff >= 1
+        # unless n == 0.
         n_eff = min(n, dst_flat.size - doff, src_flat.size - soff)
-        if n_eff < 0:
-            raise InterpError("DMA base outside buffer")
         dst_flat[doff : doff + n_eff] = src_flat[soff : soff + n_eff]
 
     # -- helpers -------------------------------------------------------------

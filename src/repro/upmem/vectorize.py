@@ -26,6 +26,39 @@ Tasklet loops are executed as ordinary serial loops over batched lanes:
 tasklets on one DPU may legally overlap in their padded DMA writebacks,
 so their relative order is preserved exactly as the scalar interpreter
 runs them.
+
+Memory access: block where the range is proved, checked on the boundary
+-----------------------------------------------------------------------
+The paper's boundary optimisation (§5.3) keeps per-element checks only on
+the DPUs at a tensor edge; the simulator treats its own accesses the same
+way.  Every access has two forms.  *Block*: a basic slice or a strided
+window of the array, whose range is proved by testing its two endpoints —
+O(1) per access, O(lanes) per transfer, never O(elements) — and which
+builds no index and no mask.  *Checked*: an index array, tested and
+clamped element by element, with an :class:`InterpError` for a live
+position outside the buffer.  Which form runs is decided in one place,
+:func:`_clamp`, from what the lowering guarantees:
+
+* **proved when the plan is built** (:meth:`_ExprCompiler.indices`): each
+  index of a load, and of a vectorised loop's store, is *scalar* (the
+  same element in every lane), *axis-affine* (``c * k + d`` in the
+  vectorised loop variable ``k``, any constant ``c != 0`` — ``A_wram[0,
+  k]`` inside a reduction) or *lane-dependent*.  An access with scalar
+  indices and at most one axis-affine index is a slice of the buffer;
+* **tested per chunk** (:class:`_Placement`, :func:`_axis_slice`): that
+  the slice's two ends lie inside the buffer, and, for H2D/D2H tiles —
+  whose origins are affine in the grid — which *lanes* hold a tile that
+  fits its tensor (one ``(L,)`` comparison per dimension).  Those lanes
+  move as one window gather or scatter;
+* **still checked**: the lanes of a chunk whose tile crosses a tensor edge
+  (the last DPUs of a trimmed ``va``), an access whose endpoint falls
+  outside (so an out-of-range access raises exactly as the scalar path
+  does instead of being clamped), and any lane-dependent index.
+
+A block-form load is a *view* of its buffer.  Nothing holds one across a
+store: a vectorised map never loads the buffer it stores to
+(``_try_map``), a reduction's summand never loads its accumulator, and
+NumPy buffers a single assignment whose source overlaps its destination.
 """
 
 from __future__ import annotations
@@ -40,6 +73,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import weakref
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..lowering import LoweredModule, TransferSpec
 from ..tir import (
@@ -195,6 +229,7 @@ class _Ctx:
         "L",
         "axis_k",
         "vmask",
+        "scratch",
     )
 
     def __init__(self, plan, bufs, lane_vals, L):
@@ -207,6 +242,7 @@ class _Ctx:
         self.L = L
         self.axis_k = None  # arange(n) while inside a vectorized axis op
         self.vmask = None  # validity mask of axis positions, or None
+        self.scratch: Dict[tuple, np.ndarray] = {}  # see workspace()
 
     def get_array(self, buffer: Buffer) -> np.ndarray:
         arr = self.bufs.get(buffer)
@@ -218,30 +254,67 @@ class _Ctx:
             self.bufs[buffer] = arr
         return arr
 
+    def workspace(self, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialised array an op may use until it returns; the
+        same one for every request of that shape in this chunk."""
+        w = self.scratch.get((shape, dtype))
+        if w is None:
+            w = self.scratch[shape, dtype] = np.empty(shape, dtype)
+        return w
 
-def _check_scalar_index(buffer: Buffer, d: int, i) -> int:
-    i = int(i)
-    if i < 0 or i >= buffer.shape[d]:
-        raise InterpError(f"index {i} out of bounds for {buffer!r}")
-    return i
+
+def _clamp(i, dim: int):
+    """``i`` limited to ``[0, dim)``, and which positions that moved.
+
+    The one place a run-time index is tested, and the only clip in this
+    module, so it is also where *block or checked* is decided:
+    the second result is ``None`` when every position was already in
+    range (``i`` comes back untouched, and the caller may use it as an
+    unchecked block access), else the boolean mask of the positions that
+    were pulled in, which the caller either excuses (padding, a masked
+    lane) or reports.  Arrays cost two reductions, no temporaries.
+    """
+    if isinstance(i, np.ndarray):
+        if i.size == 0 or (i.min() >= 0 and i.max() < dim):
+            return i, None
+        return np.clip(i, 0, dim - 1), (i < 0) | (i >= dim)
+    c = min(max(int(i), 0), dim - 1)
+    return c, (None if c == i else True)
 
 
-def _check_array_index(ctx: _Ctx, buffer: Buffer, d: int, i: np.ndarray):
-    """Bounds-check an index array; clip inactive/invalid positions."""
-    dim = buffer.shape[d]
-    bad = (i < 0) | (i >= dim)
-    if bad.any():
-        if ctx.mask is not None:
-            if i.ndim == 2:
-                bad = bad & ctx.mask[:, None]
-            else:
-                bad = bad & ctx.mask
-        if ctx.vmask is not None:
-            bad = bad & ctx.vmask
-        if bad.any():
-            raise InterpError(f"index out of bounds for {buffer!r}")
-        return np.clip(i, 0, dim - 1)
-    return i
+def _checked(ctx: _Ctx, buffer: Buffer, d: int, i):
+    """Index ``i`` of dimension ``d``, with an :class:`InterpError` if a
+    position that is live — an active lane, a valid axis step — lies
+    outside the buffer; dead positions come back clamped.
+
+    Inside an axis op a lane-dependent value is ``(L, 1)`` and an
+    axis-dependent one ``(n,)``, so the lane mask applies as a column.
+    """
+    c, moved = _clamp(i, buffer.shape[d])
+    if moved is None:
+        return c
+    if moved is True:
+        raise InterpError(f"index {int(i)} out of bounds for {buffer!r}")
+    if ctx.mask is not None:
+        moved = moved & (ctx.mask if ctx.axis_k is None else ctx.mask[:, None])
+    if ctx.vmask is not None:
+        moved = moved & ctx.vmask
+    if moved.any():
+        raise InterpError(f"index out of bounds for {buffer!r}")
+    return c
+
+
+def _axis_slice(i: np.ndarray, coeff: int, dim: int) -> Optional[slice]:
+    """The basic slice equal to the axis index ``i = coeff * k + d``
+    (``k = 0..n-1``, ``coeff != 0`` proved when the plan was built), or
+    None if either end is outside ``[0, dim)`` — two scalar tests stand
+    in for ``n`` (or ``L * n``) element tests."""
+    first, last = int(i[0]), int(i[-1])
+    lo, hi = (first, last) if coeff > 0 else (last, first)
+    if lo < 0 or hi >= dim:
+        return None
+    stop = last + coeff
+    return slice(first, stop if stop >= 0 else None, coeff)
 
 
 class _ExprCompiler:
@@ -384,51 +457,90 @@ class _ExprCompiler:
         raise VectorizeError(f"cannot batch intrinsic {e.op!r}")
 
     # -- memory -------------------------------------------------------------
+    def indices(self, exprs: Sequence[PrimExpr]):
+        """Compile an access's index expressions and classify the access.
+
+        Returns ``(fns, deps, axis_at, coeff)``.  Every index is one of
+        *scalar* (``dep == 0``: the same element in every lane, always a
+        Python/NumPy scalar at run time), *axis-affine* (depends on the
+        vectorised loop variable only, as ``coeff * k + d`` with a
+        constant ``coeff != 0``) or *lane-dependent* (anything else).
+        ``axis_at`` is the position of the one axis-affine index of an
+        access whose other indices are all scalar — the accesses that
+        are basic slices of the buffer — and None otherwise.
+        """
+        compiled = [self.compile(i) for i in exprs]
+        fns = [f for f, _ in compiled]
+        deps = [d for _, d in compiled]
+        axis_at, coeff = None, 0
+        varying = [d for d, dep in enumerate(deps) if dep]
+        if len(varying) == 1 and deps[varying[0]] == AXIS:
+            coeff = _affine_coeff(exprs[varying[0]], self.axis_var)
+            if coeff:
+                axis_at = varying[0]
+        return fns, deps, axis_at, coeff
+
     def _load(self, e: BufferLoad) -> Tuple[Callable, int]:
         buffer = e.buffer
-        idx_fns = [self.compile(i) for i in e.indices]
+        fns, deps, axis_at, coeff = self.indices(e.indices)
         idx_dep = 0
-        for _, d in idx_fns:
+        for d in deps:
             idx_dep |= d
         batched = buffer in self.plan.batched
         dep = (LANE | idx_dep) if batched else idx_dep
         axis_mode = self.axis_var is not None
-        fns = [f for f, _ in idx_fns]
+        lead = (slice(None),) if batched else ()
+        column = batched and axis_mode  # (L,) values broadcast as (L, 1)
+
+        if idx_dep == 0:
+
+            def fn(ctx):
+                arr = ctx.get_array(buffer)
+                v = arr[
+                    lead
+                    + tuple(
+                        _checked(ctx, buffer, d, f(ctx))
+                        for d, f in enumerate(fns)
+                    )
+                ]
+                return v[:, None] if column else v
+
+            return fn, dep
+
+        def checked(ctx, arr, idx):
+            full = tuple(_checked(ctx, buffer, d, i) for d, i in enumerate(idx))
+            if not batched:
+                return arr[full]
+            if all(not isinstance(i, np.ndarray) for i in full):
+                v = arr[lead + full]
+                return v[:, None] if column else v
+            rows = ctx.lanes[:, None] if axis_mode else ctx.lanes
+            return arr[(rows,) + full]
+
+        if axis_at is None:
+            return (
+                lambda ctx: checked(
+                    ctx, ctx.get_array(buffer), [f(ctx) for f in fns]
+                )
+            ), dep
+
+        dim = buffer.shape[axis_at]
 
         def fn(ctx):
             arr = ctx.get_array(buffer)
             idx = [f(ctx) for f in fns]
-            if batched:
-                if all(not isinstance(i, np.ndarray) for i in idx):
-                    sl = tuple(
-                        _check_scalar_index(buffer, d, i)
-                        for d, i in enumerate(idx)
-                    )
-                    v = arr[(slice(None),) + sl]
-                    if axis_mode:
-                        v = v[:, None]
-                    return v
-                rows = ctx.lanes[:, None] if axis_mode else ctx.lanes
-                full = tuple(
-                    _check_array_index(ctx, buffer, d, i)
-                    if isinstance(i, np.ndarray)
-                    else _check_scalar_index(buffer, d, i)
+            sl = _axis_slice(idx[axis_at], coeff, dim)
+            if sl is None:
+                return checked(ctx, arr, idx)
+            idx[axis_at] = sl
+            # A view: (L, n) of a batched buffer, (n,) of a shared one.
+            return arr[
+                lead
+                + tuple(
+                    i if d == axis_at else _checked(ctx, buffer, d, i)
                     for d, i in enumerate(idx)
                 )
-                return arr[(rows,) + full]
-            if all(not isinstance(i, np.ndarray) for i in idx):
-                sl = tuple(
-                    _check_scalar_index(buffer, d, i)
-                    for d, i in enumerate(idx)
-                )
-                return arr[sl]
-            full = tuple(
-                _check_array_index(ctx, buffer, d, i)
-                if isinstance(i, np.ndarray)
-                else _check_scalar_index(buffer, d, i)
-                for d, i in enumerate(idx)
-            )
-            return arr[full]
+            ]
 
         return fn, dep
 
@@ -488,27 +600,25 @@ class _StoreOp:
     def run(self, ctx):
         buffer = self.buffer
         arr = ctx.get_array(buffer)
-        idx = [f(ctx) for f in self.idx_fns]
+        full = [
+            _checked(ctx, buffer, d, f(ctx))
+            for d, f in enumerate(self.idx_fns)
+        ]
         val = self.vfn(ctx)
+        scalar_idx = all(not isinstance(i, np.ndarray) for i in full)
         if self.batched:
-            if all(not isinstance(i, np.ndarray) for i in idx):
-                sl = tuple(
-                    _check_scalar_index(buffer, d, i)
-                    for d, i in enumerate(idx)
-                )
-                view = arr[(slice(None),) + sl]
+            if scalar_idx:
+                # One element per lane: a strided view of the buffer.
+                # NumPy buffers an assignment whose source overlaps its
+                # destination, so a value that is a view of ``arr`` (a
+                # block-form load of the same buffer) is safe.
+                view = arr[(slice(None),) + tuple(full)]
                 if ctx.mask is None:
                     np.copyto(view, val, casting="unsafe")
                 else:
                     np.copyto(view, val, where=ctx.mask, casting="unsafe")
                 return
             rows = ctx.lanes
-            full = [
-                _check_array_index(ctx, buffer, d, i)
-                if isinstance(i, np.ndarray)
-                else _check_scalar_index(buffer, d, i)
-                for d, i in enumerate(idx)
-            ]
             if ctx.mask is not None:
                 sel = ctx.mask
                 rows = rows[sel]
@@ -518,10 +628,8 @@ class _StoreOp:
             arr[(rows,) + tuple(full)] = val
             return
         # Shared buffer (host lane mode, pre-verified injective, or L == 1).
-        if all(not isinstance(i, np.ndarray) for i in idx):
-            sl = tuple(
-                _check_scalar_index(buffer, d, i) for d, i in enumerate(idx)
-            )
+        if scalar_idx:
+            sl = tuple(full)
             if ctx.mask is None:
                 arr[sl] = val if not isinstance(val, np.ndarray) else val[0]
                 return
@@ -531,12 +639,6 @@ class _StoreOp:
             v = val[sel][-1] if isinstance(val, np.ndarray) else val
             arr[sl] = v
             return
-        full = [
-            _check_array_index(ctx, buffer, d, i)
-            if isinstance(i, np.ndarray)
-            else _check_scalar_index(buffer, d, i)
-            for d, i in enumerate(idx)
-        ]
         if ctx.mask is not None:
             sel = ctx.mask
             full = [i[sel] if isinstance(i, np.ndarray) else i for i in full]
@@ -645,44 +747,44 @@ class _DmaOp:
         if not self.dst_b and not plan.allow_shared_store:
             raise VectorizeError("DMA into shared (non-batched) buffer")
         self.n = stmt.size
-        self.dfns = [ec.compile(i) for i in stmt.dst_base]
-        self.sfns = [ec.compile(i) for i in stmt.src_base]
+        self.dsize, self.ssize = stmt.dst.size, stmt.src.size
+        self.dbase = self._terms(ec, stmt.dst_base, stmt.dst.shape)
+        self.sbase = self._terms(ec, stmt.src_base, stmt.src.shape)
 
     @staticmethod
-    def _offset(ctx, fns, shape):
-        """Flat element offset with per-dim clipping (ravel mode="clip")."""
-        off = 0
-        stride = 1
-        strides = []
+    def _terms(ec, base, shape):
+        """``(index fn, extent, row-major stride)`` per dimension."""
+        strides, stride = [], 1
         for dim in reversed(shape):
             strides.append(stride)
             stride *= dim
-        strides.reverse()
-        for (f, dep), dim, s in zip(fns, shape, strides):
-            v = f(ctx)
-            if isinstance(v, np.ndarray):
-                v = np.clip(v, 0, dim - 1)
-            else:
-                v = min(max(int(v), 0), dim - 1)
-            off = off + v * s
+        return [
+            (ec.compile(i)[0], dim, s)
+            for i, dim, s in zip(base, shape, reversed(strides))
+        ]
+
+    @staticmethod
+    def _offset(ctx, terms):
+        """Flat element offset with per-dim clipping (ravel mode="clip")."""
+        off = 0
+        for f, dim, s in terms:
+            off = off + _clamp(f(ctx), dim)[0] * s
         return off
 
     def run(self, ctx):
         dst = ctx.get_array(self.dst)
         src = ctx.get_array(self.src)
-        dsize, ssize = self.dst.size, self.src.size
-        doff = self._offset(ctx, self.dfns, self.dst.shape)
-        soff = self._offset(ctx, self.sfns, self.src.shape)
+        dsize, ssize = self.dsize, self.ssize
+        doff = self._offset(ctx, self.dbase)
+        soff = self._offset(ctx, self.sbase)
         n = self.n
         scalar = not isinstance(doff, np.ndarray) and not isinstance(
             soff, np.ndarray
         )
         if scalar and ctx.mask is None:
+            # Both bases are clamped into their buffers, so at least one
+            # element is left on each side: n_eff >= min(n, 1).
             n_eff = min(n, dsize - doff, ssize - soff)
-            if n_eff < 0:
-                raise InterpError("DMA base outside buffer")
-            if n_eff == 0:
-                return
             if self.dst_b:
                 d2 = dst.reshape(ctx.L, dsize)
                 if self.src_b:
@@ -759,6 +861,11 @@ class _FallbackOp:
             Interpreter(local).run(self.stmt, env)
 
 
+#: Summands a ufunc can write straight into the scan buffer of a
+#: :class:`_VecReduceOp`.
+_SCAN_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
+
+
 class _VecReduceOp:
     """``for k in extent: T[i] = T[i] + rest(k)`` as one sequential scan.
 
@@ -766,15 +873,20 @@ class _VecReduceOp:
     the scalar loop bit for bit.  Lane-dependent extents gather the prefix
     at each lane's own trip count.  Falls back to the generic masked loop
     when an enclosing mask is active or the value dtype is off-model.
+
+    ``rest`` is ``(ufunc, fns)``: for ``a * b`` (``+``, ``-``) at the top
+    of the summand the two operands are compiled separately and the
+    ufunc writes their product straight into the chunk's ``(L, n + 1)``
+    scan buffer; anything else is ``(None, [fn])`` and is copied there.
     """
 
-    def __init__(self, plan, target, idx_fns, efn, edep, rfn, generic):
+    def __init__(self, plan, target, idx_fns, efn, edep, rest, generic):
         self.plan = plan
         self.target = target
         self.batched = target in plan.batched
         self.idx_fns = idx_fns
         self.efn, self.edep = efn, edep
-        self.rfn = rfn
+        self.ufunc, self.rest_fns = rest
         self.generic = generic
 
     def run(self, ctx):
@@ -783,36 +895,18 @@ class _VecReduceOp:
         buffer = self.target
         arr = ctx.get_array(buffer)
         ext = self.efn(ctx)
-        idx = [f(ctx) for f in self.idx_fns]
-        scalar_idx = all(not isinstance(i, np.ndarray) for i in idx)
-        view = None
-        if self.batched:
-            if scalar_idx:
-                sl = tuple(
-                    _check_scalar_index(buffer, d, i)
-                    for d, i in enumerate(idx)
-                )
-                view = arr[(slice(None),) + sl]  # (L,) view
-                acc = view
-                windex = None
-            else:
-                full = tuple(
-                    _check_array_index(ctx, buffer, d, i)
-                    if isinstance(i, np.ndarray)
-                    else _check_scalar_index(buffer, d, i)
-                    for d, i in enumerate(idx)
-                )
-                windex = (ctx.lanes,) + full
-                acc = arr[windex]
-        else:
-            full = tuple(
-                _check_array_index(ctx, buffer, d, i)
-                if isinstance(i, np.ndarray)
-                else _check_scalar_index(buffer, d, i)
-                for d, i in enumerate(idx)
-            )
+        full = tuple(
+            _checked(ctx, buffer, d, f(ctx))
+            for d, f in enumerate(self.idx_fns)
+        )
+        scalar_idx = all(not isinstance(i, np.ndarray) for i in full)
+        if not self.batched:
             windex = full
-            acc = arr[full]
+        elif scalar_idx:
+            windex = (slice(None),) + full  # an (L,) view, not a gather
+        else:
+            windex = (ctx.lanes,) + full
+        acc = arr[windex]
         if isinstance(ext, np.ndarray):
             n = int(ext.max()) if ext.size else 0
         else:
@@ -824,39 +918,44 @@ class _VecReduceOp:
         if isinstance(ext, np.ndarray):
             ctx.vmask = ctx.axis_k < ext[:, None]
         try:
-            vals = self.rfn(ctx)
+            args = [f(ctx) for f in self.rest_fns]
         finally:
             ctx.axis_k, ctx.vmask = old_k, old_v
         npt = arr.dtype
-        vals = np.asarray(vals)
-        if vals.dtype != npt:
+        if np.result_type(*args) != npt:
             # Per-step cast rounding differs from one wide accumulate.
             return self.generic.run(ctx)
-        w = np.empty((ctx.L, n + 1), npt)
+        w = ctx.workspace((ctx.L, n + 1), npt)
         w[:, 0] = acc
-        w[:, 1:] = vals
+        if self.ufunc is None:
+            w[:, 1:] = args[0]
+        else:
+            self.ufunc(*args, out=w[:, 1:])
         np.add.accumulate(w, axis=1, out=w)
         if isinstance(ext, np.ndarray):
-            res = w[ctx.lanes, np.clip(ext, 0, n)]
+            res = w[ctx.lanes, np.maximum(ext, 0)]  # ext <= n == ext.max()
         else:
             res = w[:, n]
-        if view is not None:
-            np.copyto(view, res, casting="unsafe")
-        elif self.batched:
+        if self.batched:
             arr[windex] = res
-        elif scalar_idx:
-            arr[windex] = res[0]
         else:
-            arr[windex] = res
+            arr[windex] = res[0] if scalar_idx else res
 
 
 class _VecMapOp:
-    """An innermost loop whose store index is injective in the loop var."""
+    """An innermost loop whose store index is injective in the loop var.
 
-    def __init__(self, target, batched, idx_fns, efn, edep, vfn, cfn):
+    When the index that carries the loop variable is axis-affine and the
+    others are scalar (``axis_at``, known when the plan was built), the
+    stored elements are a basic slice of the buffer and the store is one
+    ``copyto`` into that view; an endpoint outside the buffer, or any
+    lane-dependent index, takes the checked scatter instead.
+    """
+
+    def __init__(self, target, batched, indices, efn, edep, vfn, cfn):
         self.target = target
         self.batched = batched
-        self.idx_fns = idx_fns
+        self.idx_fns, _, self.axis_at, self.coeff = indices
         self.efn, self.edep = efn, edep
         self.vfn = vfn
         self.cfn = cfn  # optional guard, compiled in axis mode
@@ -894,14 +993,25 @@ class _VecMapOp:
                     if not sel.any():
                         return
             val = self.vfn(ctx)
+            at, sl = self.axis_at, None
+            if at is not None:
+                sl = _axis_slice(idx[at], self.coeff, buffer.shape[at])
             full = [
-                _check_array_index(ctx, buffer, d, i)
-                if isinstance(i, np.ndarray)
-                else _check_scalar_index(buffer, d, i)
+                sl
+                if sl is not None and d == at
+                else _checked(ctx, buffer, d, i)
                 for d, i in enumerate(idx)
             ]
         finally:
             ctx.axis_k, ctx.vmask = old_k, old_v
+        if sl is not None:
+            lead = (slice(None),) if self.batched else ()
+            view = arr[lead + tuple(full)]  # (L, n), or (n,) when shared
+            if sel is None:
+                np.copyto(view, val, casting="unsafe")
+            else:
+                np.copyto(view, val, where=sel, casting="unsafe")
+            return
         if sel is None:
             if self.batched:
                 arr[(ctx.lanes[:, None],) + tuple(full)] = val
@@ -1002,13 +1112,15 @@ class _StmtCompiler:
             return None
         ax = _ExprCompiler(self.plan, axis_var=var)
         try:
-            rfn, _ = ax.compile(rest)
+            ufunc = _SCAN_UFUNCS.get(type(rest))
+            parts = [rest] if ufunc is None else [rest.a, rest.b]
+            compiled = (ufunc, [ax.compile(e)[0] for e in parts])
         except VectorizeError:
             return None
         idx_fns = [self.expr.compile(i)[0] for i in idx]
         generic = self._generic_for(stmt, efn, edep)
         return _VecReduceOp(
-            self.plan, target, idx_fns, efn, edep, rfn, generic
+            self.plan, target, idx_fns, efn, edep, compiled, generic
         )
 
     def _try_map(self, stmt: For, efn, edep):
@@ -1047,12 +1159,12 @@ class _StmtCompiler:
             return None
         ax = _ExprCompiler(self.plan, axis_var=var)
         try:
-            idx_fns = [ax.compile(i)[0] for i in store.indices]
+            indices = ax.indices(store.indices)
             vfn, _ = ax.compile(store.value)
             cfn = ax.compile(cond) if cond is not None else None
         except VectorizeError:
             return None
-        return _VecMapOp(target, batched, idx_fns, efn, edep, vfn, cfn)
+        return _VecMapOp(target, batched, indices, efn, edep, vfn, cfn)
 
 
 # ---------------------------------------------------------------------------
@@ -1082,11 +1194,17 @@ class KernelPlan:
     The lane axis is the *lane space* of a batch of executions of the
     program: item-major, one lane per (item, grid point) — lane
     ``i * G + g`` is grid point ``g`` of item ``i``, and a lone ``run``
-    is the batch of one.  H2D tile fills gather every lane's tile from
-    its own item's host tensors, the kernel op tree runs once over
-    ``(L, ...)`` batched local buffers, and D2H scatters every lane's
-    valid tile region back to its item's tensors.  Chunks the lane axis
-    to bound peak memory.
+    is the batch of one.  The kernel op tree runs once over ``(L, ...)``
+    batched local buffers.  Chunks the lane axis to bound peak memory.
+
+    Transfers split a chunk's lanes into *interior* and *boundary*
+    (:class:`_Placement`): a lane whose tile lies wholly on its item's
+    host tensor is interior, and all interior lanes of a tensor move as
+    one block — H2D as one gather of tensor windows, which *is* the
+    ``(L, *tile)`` local buffer (no zero fill, no index, no mask), D2H as
+    one scatter in lane order; only lanes whose tile crosses a tensor
+    edge are filled and written back element by element, zero-padded and
+    masked as the scalar executor does per grid point.
     """
 
     kind = "kernel"
@@ -1176,12 +1294,12 @@ class KernelPlan:
         bufs = dict(runs[0][0]) if len(runs) == 1 else {}
         ctx = _Ctx(self, bufs, lane_vals, L)
         for spec, base_fns in self._tiles:
-            tile = np.zeros(
-                (L,) + tuple(spec.shape), _np_dtype(spec.local_buffer)
-            )
-            bufs[spec.local_buffer] = tile
             if base_fns is not None:
-                self._fill(ctx, runs, spec, base_fns, tile)
+                bufs[spec.local_buffer] = self._fill(ctx, runs, spec, base_fns)
+            else:
+                bufs[spec.local_buffer] = np.zeros(
+                    (L,) + tuple(spec.shape), _np_dtype(spec.local_buffer)
+                )
         for buf in module.mram_internal:
             bufs[buf] = np.zeros((L,) + tuple(buf.shape), _np_dtype(buf))
         for buf in module.wram_buffers:
@@ -1191,25 +1309,6 @@ class KernelPlan:
             self._writeback(ctx, runs, spec, base_fns)
 
     # -- transfers ----------------------------------------------------------
-    @staticmethod
-    def _tile_index(ctx, spec, bases):
-        """Per-dim global index arrays + validity mask for all lanes."""
-        gshape = spec.global_buffer.shape
-        nd = len(spec.shape)
-        idxs, vmask = [], None
-        for d, (b, ext, dim) in enumerate(zip(bases, spec.shape, gshape)):
-            k = np.arange(ext).reshape(
-                (1,) * (d + 1) + (ext,) + (1,) * (nd - d - 1)
-            )
-            b = np.asarray(b)
-            if b.ndim:
-                b = b.reshape((ctx.L,) + (1,) * nd)
-            i = b + k
-            m = (i >= 0) & (i < dim)
-            vmask = m if vmask is None else (vmask & m)
-            idxs.append(np.clip(i, 0, dim - 1))
-        return idxs, vmask
-
     @staticmethod
     def _tensor_runs(runs, buffer):
         """``runs`` as (host tensor, first lane, end lane), neighbouring
@@ -1223,72 +1322,163 @@ class KernelPlan:
                 merged.append([arr, a, b])
         return merged
 
-    def _fill(self, ctx, runs, spec, base_fns, tile) -> None:
-        bases = [f(ctx) for f, _ in base_fns]
+    def _fill(self, ctx, runs, spec, base_fns) -> np.ndarray:
+        """Every lane's H2D tile, zero-padded where it leaves the tensor."""
+        place = _Placement(ctx.L, spec, [f(ctx) for f, _ in base_fns])
         sources = self._tensor_runs(runs, spec.global_buffer)
-        if all(not isinstance(b, np.ndarray) for b in bases):
-            base = [int(b) for b in bases]
-            valid = [
-                max(0, min(ext, dim - b))
-                for b, ext, dim in zip(
-                    base, spec.shape, spec.global_buffer.shape
-                )
-            ]
-            if all(v > 0 for v in valid):
-                src_sl = tuple(
-                    slice(b, b + v) for b, v in zip(base, valid)
-                )
-                dst_sl = tuple(slice(0, v) for v in valid)
-                for src, a, b in sources:
-                    tile[(slice(a, b),) + dst_sl] = src[src_sl]
-            return
-        idxs, vmask = self._tile_index(ctx, spec, bases)
-        where = np.broadcast_to(vmask, (ctx.L,) + tuple(spec.shape))
-        for src, a, b in sources:
-            # Index arrays lead with the lane axis (length 1 when the
-            # dimension's base is the same for every lane).
-            own = tuple(
-                i if i.shape[0] == 1 or b - a == ctx.L else i[a:b]
-                for i in idxs
+        shape = (ctx.L,) + tuple(spec.shape)
+        dtype = _np_dtype(spec.local_buffer)
+        partial = place.partial
+        if place.empty:
+            return np.zeros(shape, dtype)
+        if partial is not None and partial.all():
+            tile = np.zeros(shape, dtype)
+        elif place.full and len(sources) == 1:
+            # The block gather *is* the tile: no zero fill, no copy.
+            tile = np.ascontiguousarray(
+                place.windows(sources[0][0])[place.index(0, ctx.L)]
             )
-            # tile is pre-zeroed
-            np.copyto(tile[a:b], src[own], where=where[a:b])
+        else:
+            tile = np.zeros(shape, dtype)
+            for src, a, b in sources:
+                tile[(slice(a, b),) + place.box] = place.windows(src)[
+                    place.index(a, b)
+                ]
+        if partial is not None:
+            # Lanes on a tensor edge were gathered from a window pulled
+            # inside it; redo their rows element by element.
+            lanes = np.flatnonzero(partial)
+            idxs, valid = place.elements(lanes)
+            for src, a, b in sources:
+                own = (lanes >= a) & (lanes < b)
+                if own.any():
+                    picked = src[tuple(i[own] for i in idxs)]
+                    tile[lanes[own]] = np.where(valid[own], picked, 0)
+        return tile
 
     def _writeback(self, ctx, runs, spec, base_fns) -> None:
+        """D2H: every lane's tile back onto its tensor, in lane order —
+        tiles may overlap (``va``'s 544-wide tiles sit 512 apart) and the
+        scalar path's last writer must stay the last writer."""
         tile = ctx.bufs[spec.local_buffer]
-        bases = [f(ctx) for f, _ in base_fns]
-        if ctx.L == 1 and all(not isinstance(b, np.ndarray) for b in bases):
-            dst = runs[0][0][spec.global_buffer]
-            base = [int(b) for b in bases]
-            valid = [
-                max(0, min(ext, dim - b))
-                for b, ext, dim in zip(
-                    base, spec.shape, spec.global_buffer.shape
-                )
-            ]
-            if all(v > 0 for v in valid):
-                dst_sl = tuple(slice(b, b + v) for b, v in zip(base, valid))
-                src_sl = (0,) + tuple(slice(0, v) for v in valid)
-                dst[dst_sl] = tile[src_sl]
+        place = _Placement(ctx.L, spec, [f(ctx) for f, _ in base_fns])
+        if place.empty:
             return
-        idxs, vmask = self._tile_index(ctx, spec, bases)
-        strides = []
-        s = 1
-        for dim in reversed(spec.global_buffer.shape):
-            strides.append(s)
-            s *= dim
-        strides.reverse()
-        flat = 0
-        for i, st in zip(idxs, strides):
-            flat = flat + i * st
-        full_shape = (ctx.L,) + tuple(spec.shape)
-        flat = np.broadcast_to(flat, full_shape)
-        where = np.broadcast_to(vmask, full_shape)
-        # Lanes write disjoint (or identical-valued padded) regions; the
-        # row-major scatter preserves the scalar path's point order.
-        for dst, a, b in self._tensor_runs(runs, spec.global_buffer):
-            own = where[a:b]
-            dst.reshape(-1)[flat[a:b][own]] = tile[a:b][own]
+        sources = self._tensor_runs(runs, spec.global_buffer)
+        for dst, a, b, partial in place.spans(sources):
+            if not partial:
+                place.windows(dst, writeable=True)[place.index(a, b)] = tile[
+                    (slice(a, b),) + place.box
+                ]
+                continue
+            idxs, valid = place.elements(np.arange(a, b))
+            dst[tuple(i[valid] for i in idxs)] = tile[a:b][valid]
+
+
+class _Placement:
+    """Where the lanes of a chunk put one transfer's tile on its tensor.
+
+    The lowering makes a tile origin affine in the grid, so per tensor
+    dimension it is either one number for the whole chunk or an ``(L,)``
+    array.  A dimension of the first kind is cut once, for every lane,
+    to the part of the tile that lies on the tensor (``box``; a padded
+    tile such as 16 columns over a 12-column tensor is still one block).
+    A dimension of the second kind is tested per *lane*, on the origin:
+    a lane whose tile fits (``0 <= origin <= dim - extent``) is *whole*
+    and moves as a block — one window of the tensor, no index, no mask —
+    and only the rest (``partial``: the lanes on a tensor edge) take the
+    checked path, element by element.
+    """
+
+    __slots__ = ("spec", "bases", "origin", "box", "extent", "partial")
+
+    def __init__(self, L: int, spec: TransferSpec, bases) -> None:
+        self.spec, self.bases = spec, bases
+        origin, lo, hi = [], [], []
+        partial = None  # (L,) bool once some lane is off an edge
+        for b, ext, dim in zip(bases, spec.shape, spec.global_buffer.shape):
+            if isinstance(b, np.ndarray):
+                if ext > dim:  # no window of this extent exists
+                    moved = np.ones(L, bool)
+                else:
+                    b, moved = _clamp(b, dim - ext + 1)
+                if moved is not None:
+                    partial = moved if partial is None else partial | moved
+                lo.append(0)
+                hi.append(ext)
+            else:
+                b = int(b)
+                lo.append(min(max(-b, 0), ext))
+                hi.append(max(min(ext, dim - b), lo[-1]))
+                b += lo[-1]
+            origin.append(b)
+        if not any(isinstance(o, np.ndarray) for o in origin):
+            origin[0] = np.full(L, origin[0])  # gathers need a lane axis
+        #: Window origin on the tensor per dimension; an edge lane's is
+        #: pulled inside, so that one gather may cover the whole chunk.
+        self.origin = origin
+        self.box = tuple(slice(l, h) for l, h in zip(lo, hi))
+        self.extent = tuple(h - l for l, h in zip(lo, hi))
+        self.partial = partial
+
+    @property
+    def empty(self) -> bool:
+        """No lane's tile touches the tensor at all."""
+        return 0 in self.extent
+
+    @property
+    def full(self) -> bool:
+        return self.extent == tuple(self.spec.shape)
+
+    def windows(self, arr: np.ndarray, writeable: bool = False):
+        """Every placement of the box on ``arr``, as a view indexed by
+        origin: shape ``(dim - extent + 1, ...) + extent``."""
+        free = tuple(d - e + 1 for d, e in zip(arr.shape, self.extent))
+        return as_strided(
+            arr, free + self.extent, arr.strides * 2, writeable=writeable
+        )
+
+    def index(self, a: int, b: int) -> tuple:
+        """The window of each of lanes ``a:b``."""
+        return tuple(
+            o[a:b] if isinstance(o, np.ndarray) else o for o in self.origin
+        )
+
+    def spans(self, sources):
+        """``sources`` cut where lanes turn from whole to partial or
+        back: ``(tensor, first lane, end lane, partial)`` in lane order."""
+        if self.partial is None:
+            return [(arr, a, b, False) for arr, a, b in sources]
+        flips = np.flatnonzero(self.partial[1:] != self.partial[:-1]) + 1
+        out = []
+        for arr, a, b in sources:
+            edges = [a, *flips[(flips > a) & (flips < b)].tolist(), b]
+            for x, y in zip(edges, edges[1:]):
+                out.append((arr, x, y, bool(self.partial[x])))
+        return out
+
+    def elements(self, lanes: np.ndarray):
+        """The checked form, for ``lanes`` only: per-dimension tensor
+        index of every tile element (clamped), each broadcast to
+        ``(len(lanes),) + tile shape``, and which elements are on the
+        tensor."""
+        spec = self.spec
+        nd = len(spec.shape)
+        shape = (len(lanes),) + tuple(spec.shape)
+        idxs, valid = [], np.True_
+        for d, (b, ext, dim) in enumerate(
+            zip(self.bases, spec.shape, spec.global_buffer.shape)
+        ):
+            k = np.arange(ext).reshape(
+                (1,) * (d + 1) + (ext,) + (1,) * (nd - d - 1)
+            )
+            if isinstance(b, np.ndarray):
+                b = b[lanes].reshape((-1,) + (1,) * nd)
+            i, moved = _clamp(b + k, dim)
+            if moved is not None:
+                valid = valid & ~moved
+            idxs.append(np.broadcast_to(i, shape))
+        return idxs, np.broadcast_to(valid, shape)
 
 
 # ---------------------------------------------------------------------------

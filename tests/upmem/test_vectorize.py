@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from repro.autotune.compile import default_engine
-from repro.lowering import GridDim, LoweredModule
+from repro.lowering import GridDim, LoweredModule, TransferSpec
 from repro.tir import (
     Allocate,
     Buffer,
     BufferLoad,
     BufferStore,
     Call,
+    DmaCopy,
     Evaluate,
     For,
+    IfThenElse,
     IntImm,
     SeqStmt,
     Var,
@@ -264,6 +266,180 @@ class TestFallbacks:
         with pytest.raises(ValueError):
             sim_mode()
         assert sim_mode("vector") == "vector"
+
+
+#: The per-DPU output row of :func:`_tile_module`, by width.
+_O_M = {w: Buffer("O_m", (1, w), "float32", scope="mram") for w in (2, 4)}
+
+
+def _tile_module(kernel, gvar, lanes, width, wram=(), h2d=None):
+    """``lanes`` DPUs, each with an ``O_m`` row of ``width`` that D2H
+    puts on row ``blockIdx`` of ``Out``; ``h2d = (In, In_m)`` hands every
+    lane a copy of the whole ``In``."""
+    out = Buffer("Out", (lanes, width), "float32")
+    tile = _O_M[width]
+    transfers = [TransferSpec("d2h", out, tile, (gvar, IntImm(0)), (1, width))]
+    inputs = []
+    if h2d is not None:
+        src, local = h2d
+        transfers.insert(
+            0, TransferSpec("h2d", src, local, (IntImm(0),), local.shape)
+        )
+        inputs = [src]
+    return LoweredModule(
+        name="toy", grid=[GridDim("blockIdx.x", gvar, lanes)], kernel=kernel,
+        transfers=transfers, host_pre=[], host_post=[], inputs=inputs,
+        outputs=[out], wram_buffers=list(wram),
+    )
+
+
+def _both_modes(module, inputs, monkeypatch):
+    """(scalar bytes, vector bytes), or the InterpError each raised."""
+    got = []
+    for mode in ("scalar", "vector"):
+        monkeypatch.setenv("REPRO_SIM_MODE", mode)
+        try:
+            out, = FunctionalExecutor(module).run(inputs)
+            got.append(out.tobytes())
+        except InterpError as err:
+            got.append(err)
+    return got
+
+
+class TestAxisIndexUnderLaneMask:
+    """Inside an axis op a 1-D index is axis-shaped ``(n,)``; the lane
+    mask must excuse *lanes*, never axis positions."""
+
+    @staticmethod
+    def _module(lanes, width, active_below, extent):
+        """``if b < active_below: for k in range(extent(b)): O_m[0, k] = b + k``"""
+        b, k = Var("b"), Var("k")
+        store = BufferStore(_O_M[width], b + k + 1.0, [IntImm(0), k])
+        kernel = IfThenElse(b < active_below, For(k, extent(b), store))
+        return _tile_module(kernel, b, lanes, width)
+
+    def test_masked_lanes_long_trips_are_excused(self, monkeypatch):
+        """n != L: the two live lanes stay inside the row; the masked
+        lanes' longer trip counts (n = 6 over a 4-wide row, L = 4) used
+        to die on a NumPy broadcast error."""
+        module = self._module(4, 4, 2, lambda b: b + 3)
+        scalar, vector = _both_modes(module, {}, monkeypatch)
+        assert isinstance(scalar, bytes) and scalar == vector
+        want = np.zeros((4, 4), np.float32)
+        want[0, :3] = [1, 2, 3]
+        want[1, :4] = [2, 3, 4, 5]
+        assert vector == want.tobytes()
+
+    @pytest.mark.parametrize("trips", [4, 3], ids=["n==L", "n!=L"])
+    def test_live_lane_off_the_row_is_reported(self, trips, monkeypatch):
+        """Positions 2.. are off a 2-wide row for the live lanes 0 and 1.
+        With n == L, ANDing the position mask with the lane mask
+        ``[T, T, F, F]`` excused them and the store was clamped."""
+        module = self._module(4, 2, 2, lambda b: IntImm(trips))
+        for got in _both_modes(module, {}, monkeypatch):
+            assert isinstance(got, InterpError) and "O_m" in str(got)
+
+
+class TestOutOfRangeIsNeverClamped:
+    """An unmasked access whose *endpoint* leaves the buffer must not
+    take the block form: vector raises exactly where scalar does."""
+
+    S = Buffer("S_w", (4,), "float32", scope="wram")
+
+    def _raises_naming(self, kernel, b, name, monkeypatch):
+        module = _tile_module(kernel, b, 3, 4, wram=[self.S])
+        for got in _both_modes(module, {}, monkeypatch):
+            assert isinstance(got, InterpError), got
+            assert name in str(got)
+
+    @pytest.mark.parametrize("coeff,offset", [(1, 1), (1, -1), (-1, 4), (2, -2)])
+    def test_axis_affine_load(self, coeff, offset, monkeypatch):
+        b, k = Var("b"), Var("k")
+        load = BufferLoad(self.S, [k * coeff + offset])
+        kernel = For(k, 4 if abs(coeff) == 1 else 3,
+                     BufferStore(_O_M[4], load, [IntImm(0), k]))
+        self._raises_naming(kernel, b, "S_w", monkeypatch)
+
+    @pytest.mark.parametrize("coeff,offset", [(1, 1), (-1, 4), (-1, 2)])
+    def test_axis_affine_store(self, coeff, offset, monkeypatch):
+        b, k = Var("b"), Var("k")
+        kernel = For(k, 4, BufferStore(_O_M[4], b + 1.0,
+                                       [IntImm(0), k * coeff + offset]))
+        self._raises_naming(kernel, b, "O_m", monkeypatch)
+
+    def test_load_inside_a_reduction(self, monkeypatch):
+        b, k = Var("b"), Var("k")
+        cell = [IntImm(0), IntImm(0)]
+        kernel = For(k, 5, BufferStore(
+            _O_M[4],
+            BufferLoad(_O_M[4], cell) + BufferLoad(self.S, [k]),
+            cell,
+        ))
+        self._raises_naming(kernel, b, "S_w", monkeypatch)
+
+    def test_scalar_index(self, monkeypatch):
+        b = Var("b")
+        kernel = BufferStore(_O_M[4], BufferLoad(self.S, [IntImm(4)]),
+                             [IntImm(0), IntImm(0)])
+        self._raises_naming(kernel, b, "S_w", monkeypatch)
+
+    def test_tile_base_past_the_tensor_moves_nothing(self, monkeypatch):
+        """The scalar path gives a tile that lies wholly off its tensor
+        no elements (H2D: zeros; D2H: no write) and raises nothing; the
+        block path must not pull such a base back inside."""
+        src = Buffer("In", (6,), "float32")
+        out = Buffer("Out", (6,), "float32")
+        in_m = Buffer("In_m", (2,), "float32", scope="mram")
+        out_m = Buffer("Out_m", (2,), "float32", scope="mram")
+        b, k = Var("b"), Var("k")
+        kernel = For(k, 2, BufferStore(
+            out_m, BufferLoad(in_m, [k]) + 10.0, [k]))
+        module = LoweredModule(
+            name="toy", grid=[GridDim("blockIdx.x", b, 5)], kernel=kernel,
+            transfers=[
+                # lanes 3 and 4 read from 7 and 9, past the 6 elements
+                TransferSpec("h2d", src, in_m, (b * 2 + 1,), (2,)),
+                # lane 3 writes at 6, lane 4 at 8: off the tensor
+                TransferSpec("d2h", out, out_m, (b * 2,), (2,)),
+            ],
+            host_pre=[], host_post=[], inputs=[src], outputs=[out],
+        )
+        feed = {"In": np.arange(1, 7, dtype=np.float32)}
+        scalar, vector = _both_modes(module, feed, monkeypatch)
+        want = np.array([12, 13, 14, 15, 16, 10], np.float32)
+        assert scalar == vector == want.tobytes()
+
+
+class TestClampedDma:
+    """A DMA base is clamped per dimension into its buffer (the scalar
+    interpreter's ``ravel_multi_index(mode="clip")``) and the burst is cut
+    at the buffer's end — in both modes, for a base shared by all lanes
+    and for one base per lane."""
+
+    @pytest.mark.parametrize(
+        "base,want",
+        [
+            (lambda b: IntImm(-3), [[1, 2, 3, 4]] * 4),  # negative: from 0
+            (lambda b: IntImm(6), [[7, 8, 0, 0]] * 4),  # cut at the end
+            (lambda b: IntImm(11), [[8, 0, 0, 0]] * 4),  # past: last element
+            (lambda b: b * 5 - 3, [[1, 2, 3, 4], [3, 4, 5, 6],
+                                   [8, 0, 0, 0], [8, 0, 0, 0]]),
+        ],
+        ids=["negative", "tail", "past-the-end", "per-lane"],
+    )
+    def test_base_outside_the_buffer(self, base, want, monkeypatch):
+        src = Buffer("In", (8,), "float32")
+        in_m = Buffer("In_m", (8,), "float32", scope="mram")
+        w = Buffer("W", (4,), "float32", scope="wram")
+        b = Var("b")
+        kernel = SeqStmt([
+            DmaCopy(w, [IntImm(0)], in_m, [base(b)], 4),
+            DmaCopy(_O_M[4], [IntImm(0), IntImm(0)], w, [IntImm(0)], 4),
+        ])
+        module = _tile_module(kernel, b, 4, 4, wram=[w], h2d=(src, in_m))
+        feed = {"In": np.arange(1, 9, dtype=np.float32)}
+        scalar, vector = _both_modes(module, feed, monkeypatch)
+        assert scalar == vector == np.array(want, np.float32).tobytes()
 
 
 class TestLaneCapKnob:
