@@ -268,15 +268,16 @@ def decode() -> None:
     #    budget too small to hold them all — both charged through the
     #    explicit transfer model, bit-for-bit at any worker count.
     from repro.decode import DecodeEngine
+    from repro.graph import gptj_layer_nbytes
     from repro.workloads import GPTJConfig
 
     config = GPTJConfig("gptj-demo", n_heads=2, d_model=32, head_dim=16)
-    layer_nbytes = 12 * config.d_model**2 * 4
     engine = DecodeEngine(
         config=config,
         layers=3,
         page_tokens=4,
-        mram_budget_bytes=2 * layer_nbytes,  # 2 of 3 layers fit
+        # 2 of 3 layers' weights fit
+        mram_budget_bytes=2 * gptj_layer_nbytes(config),
     )
     result = engine.decode(tokens=6, prompt_tokens=6)
 

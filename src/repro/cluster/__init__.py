@@ -17,6 +17,13 @@ simulation runs on the deterministic virtual clock: same seed — same
 fault schedule, same batch compositions, same recovery order, same
 token digests, at any host thread count.
 
+:class:`ClusterConfig` is the one configuration object: its init
+fields are the knobs some caller sets (``n_workers``, ``mode``,
+``max_batch``, ``queue_cap``, ``page_tokens``, ``max_pages``,
+``max_ticks``); everything else (tick length, model, engine seed,
+dispatch overhead, replica groups, supervisor thresholds, backoff) is a
+class constant read the same way.  Workers read it directly.
+
 Quick start::
 
     from repro.cluster import (
@@ -52,7 +59,7 @@ from .traffic import (
     generate_cluster_trace,
     sessions_from_trace,
 )
-from .worker import TokenEvent, Worker, WorkerConfig, WorkerIteration
+from .worker import TokenEvent, Worker, WorkerIteration
 
 __all__ = [
     "Session", "token_digest",
@@ -62,7 +69,7 @@ __all__ = [
     "FaultEvent", "FaultInjector", "KILL", "STALL",
     "Supervisor", "HEALTHY", "DEGRADED", "DEAD", "RECOVERING",
     "Router",
-    "Worker", "WorkerConfig", "WorkerIteration", "TokenEvent",
+    "Worker", "WorkerIteration", "TokenEvent",
     "ContinuousScheduler",
     "Cluster", "ClusterConfig", "ClusterResult", "CLUSTER_SIM",
 ]

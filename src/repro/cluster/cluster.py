@@ -49,7 +49,7 @@ from .router import Router
 from .session import COMPLETED, QUEUED, REJECTED, RUNNING, Session
 from .supervisor import DEAD, RECOVERING, Supervisor
 from .traffic import TenantSpec
-from .worker import Worker, WorkerConfig, WorkerIteration
+from .worker import Worker, WorkerIteration
 
 __all__ = ["CLUSTER_SIM", "ClusterConfig", "ClusterResult", "Cluster"]
 
@@ -62,30 +62,41 @@ CLUSTER_SIM = GPTJConfig("gptj-cluster-sim", n_heads=2, d_model=32, head_dim=16)
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs of one cluster simulation (all deterministic inputs)."""
+    """Knobs of one cluster simulation (all deterministic inputs).
+
+    The annotated fields are the ones some caller sets; the rest of the
+    simulation's parameters are the class constants below them — read
+    the same way (``config.tick_s``), fixed for every cluster.
+    """
 
     n_workers: int = 2
     #: "continuous" (iteration-level batching) or "whole"
     #: (whole-request flushing — the PR-4-era baseline behavior).
     mode: str = "continuous"
     max_batch: int = 8
-    #: Virtual seconds per control tick (arrival/heartbeat/placement
-    #: granularity; device time is continuous on the same clock).
-    tick_s: float = 0.02
     queue_cap: int = 64
-    model: GPTJConfig = field(default_factory=lambda: CLUSTER_SIM)
     page_tokens: int = 4
+    #: KV page pool per engine — the resource preemption fights over.
     max_pages: int = 48
-    engine_seed: int = 0
-    dispatch_overhead_s: float = 1e-4
-    replica_groups: int = 4
-    check_references: bool = False
-    degraded_after: int = 2
-    dead_after: int = 4
-    recovery_ticks: int = 3
-    backoff_base_s: float = 0.04
     #: Hard stop for the tick loop (a stuck simulation fails loudly).
     max_ticks: int = 100_000
+
+    #: Virtual seconds per control tick (arrival/heartbeat/placement
+    #: granularity; device time is continuous on the same clock).
+    tick_s = 0.02
+    model = CLUSTER_SIM
+    #: Every worker builds its engines from this seed: model weights are
+    #: identical fleet-wide, which replay-on-recovery depends on.
+    engine_seed = 0
+    dispatch_overhead_s = 1e-4
+    #: Idle DPU groups an iteration's kernels replicate across.
+    replica_groups = 4
+    check_references = False
+    #: Supervisor thresholds, in missed / answered heartbeats.
+    degraded_after = 2
+    dead_after = 4
+    recovery_ticks = 3
+    backoff_base_s = 0.04
 
     def __post_init__(self) -> None:
         if self.mode not in ("continuous", "whole"):
@@ -94,19 +105,6 @@ class ClusterConfig:
             )
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.tick_s <= 0:
-            raise ValueError(f"tick_s must be > 0, got {self.tick_s}")
-
-    def worker_config(self) -> WorkerConfig:
-        return WorkerConfig(
-            model=self.model,
-            page_tokens=self.page_tokens,
-            max_pages=self.max_pages,
-            engine_seed=self.engine_seed,
-            dispatch_overhead_s=self.dispatch_overhead_s,
-            replica_groups=self.replica_groups,
-            check_references=self.check_references,
-        )
 
     @property
     def ttft_floor_s(self) -> float:
@@ -205,15 +203,14 @@ class Cluster:
         config: Optional[ClusterConfig] = None,
         tenants: Optional[Sequence[TenantSpec]] = None,
         faults: Optional[FaultInjector] = None,
-        pool: Optional[ExecutablePool] = None,
     ) -> None:
         self.config = config or ClusterConfig()
         self.tenants = list(tenants or [])
         self.faults = faults
-        self.pool = pool if pool is not None else ExecutablePool(capacity=128)
-        wc = self.config.worker_config()
+        self.pool = ExecutablePool(capacity=128)
         self.workers = [
-            Worker(i, wc, self.pool) for i in range(self.config.n_workers)
+            Worker(i, self.config, self.pool)
+            for i in range(self.config.n_workers)
         ]
         self.router = Router()
         self.supervisor = Supervisor(

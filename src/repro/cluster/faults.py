@@ -47,7 +47,6 @@ class FaultInjector:
         n_faults: int = 0,
         horizon_s: float = 1.0,
         stall_s: float = 0.2,
-        kinds: Sequence[str] = (KILL, STALL),
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -58,7 +57,7 @@ class FaultInjector:
                 FaultEvent(
                     at_s=float(rng.uniform(0.0, horizon_s)),
                     worker=int(rng.integers(n_workers)),
-                    kind=kinds[int(rng.integers(len(kinds)))],
+                    kind=(KILL, STALL)[int(rng.integers(2))],
                     duration_s=stall_s,
                 )
             )

@@ -20,8 +20,7 @@ __all__ = ["Router"]
 
 
 class Router:
-    def __init__(self, affinity: bool = True) -> None:
-        self.affinity = affinity
+    def __init__(self) -> None:
         #: tenant -> last worker their sessions were placed on.
         self._tenant_home: Dict[str, int] = {}
         self.placements = 0
@@ -56,12 +55,11 @@ class Router:
         if not candidates:
             return None
         self.placements += 1
-        if self.affinity:
-            home = self._tenant_home.get(session.tenant)
-            for worker in candidates:
-                if worker.worker_id == home:
-                    self.affinity_hits += 1
-                    return worker
+        home = self._tenant_home.get(session.tenant)
+        for worker in candidates:
+            if worker.worker_id == home:
+                self.affinity_hits += 1
+                return worker
         chosen = min(
             candidates,
             key=lambda w: (

@@ -21,31 +21,20 @@ its digest so the cluster can retire, meter and trace it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..decode.engine import DecodeEngine, StepReport
 from ..serve.pool import ExecutablePool
-from ..workloads.gptj import GPTJConfig
 from .session import Session, token_digest
 
-__all__ = ["WorkerConfig", "TokenEvent", "WorkerIteration", "Worker"]
+if TYPE_CHECKING:  # cluster.py imports this module
+    from .cluster import ClusterConfig
 
+__all__ = ["TokenEvent", "WorkerIteration", "Worker"]
 
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Everything a worker needs to build (and rebuild) its engines."""
-
-    model: GPTJConfig
-    page_tokens: int = 4
-    #: KV page pool per engine — the resource preemption fights over.
-    max_pages: int = 64
-    engine_seed: int = 0
-    dispatch_overhead_s: float = 1e-4
-    #: Idle DPU groups an iteration's kernels replicate across.
-    replica_groups: int = 4
-    check_references: bool = False
-    #: Capacity epochs each engine keeps compiled (mixed positions).
-    max_resident_epochs: int = 4
+#: Capacity epochs each engine keeps compiled: residents sit at mixed
+#: positions, so an iteration revisits several capacities.
+MAX_RESIDENT_EPOCHS = 4
 
 
 @dataclass(frozen=True)
@@ -81,9 +70,10 @@ class Worker:
     """One simulated serving node."""
 
     def __init__(
-        self, worker_id: int, config: WorkerConfig, pool: ExecutablePool
+        self, worker_id: int, config: ClusterConfig, pool: ExecutablePool
     ) -> None:
         self.worker_id = worker_id
+        #: Everything a worker needs to build (and rebuild) its engines.
         self.config = config
         self.pool = pool
         self.engines: Dict[int, DecodeEngine] = {}
@@ -113,7 +103,7 @@ class Worker:
                 max_pages=self.config.max_pages,
                 seed=self.config.engine_seed,
                 check_references=self.config.check_references,
-                max_resident_epochs=self.config.max_resident_epochs,
+                max_resident_epochs=MAX_RESIDENT_EPOCHS,
             )
             self.engines[layers] = eng
         return eng

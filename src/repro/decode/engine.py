@@ -49,11 +49,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graph import GraphExecutable, gptj_model_graph, place, plan_memory
-from ..graph.builder import GPTJ_SIM
+from ..graph import (
+    ATTN_MASK,
+    GPTJ_SIM,
+    GraphExecutable,
+    gptj_layer_io,
+    gptj_layer_nbytes,
+    gptj_model_graph,
+    place,
+    plan_memory,
+)
+from ..graph.executable import pool_keys
 from ..obs import current_tracer
 from ..serve.pool import ExecutablePool
-from ..upmem.config import UpmemConfig
 from ..workloads.gptj import GPTJConfig
 from .kv_cache import CacheError, CacheExtension, PagedKVCache
 from .residency import StageEvent, WeightResidencyPlanner
@@ -100,6 +108,8 @@ class StepReport:
     """
 
     step: int
+    #: Which sequence this step decoded.
+    sequence: str
     #: Sequence length when the step ran (the positions attention saw).
     position: int
     #: Allocated cache tokens the step's graph was sized to.
@@ -117,9 +127,6 @@ class StepReport:
     per_layer: Tuple[Dict, ...] = ()
     stage_events: Tuple[StageEvent, ...] = ()
     cache_events: Tuple[CacheExtension, ...] = ()
-    #: Which sequence this step decoded (``"seq0"`` is the one
-    #: :meth:`DecodeEngine.decode` drives).
-    sequence: str = "seq0"
 
     @property
     def total_s(self) -> float:
@@ -333,17 +340,10 @@ class DecodeEngine:
         config: Optional[GPTJConfig] = None,
         layers: int = 2,
         page_tokens: int = 4,
-        policy: str = "upmem",
-        target: Any = "upmem",
-        host_target: Any = "cpu",
         pool: Optional[ExecutablePool] = None,
         mram_budget_bytes: Optional[int] = None,
-        residency_policy: str = "belady",
-        params: Optional[Dict[str, Dict[str, int]]] = None,
-        pin_small_grids: bool = True,
         max_pages: int = 1024,
         seed: int = 0,
-        upmem_config: Optional[UpmemConfig] = None,
         check_references: bool = True,
         max_resident_epochs: int = 1,
     ) -> None:
@@ -355,11 +355,6 @@ class DecodeEngine:
                 f"max_resident_epochs must be >= 1, got {max_resident_epochs}"
             )
         self.layers = layers
-        self.policy = policy
-        self.target = target
-        self.host_target = host_target
-        self.params = params
-        self.pin_small_grids = pin_small_grids
         self.seed = seed
         self.check_references = check_references
         #: How many capacity epochs stay compiled side by side.  1 is
@@ -368,54 +363,38 @@ class DecodeEngine:
         #: sequences at different positions revisit different
         #: capacities every iteration.
         self.max_resident_epochs = max_resident_epochs
-        self.upmem_config = upmem_config or UpmemConfig()
-        d = self.config.d_model
         self.cache = PagedKVCache(
-            d_model=d,
+            d_model=self.config.d_model,
             layers=layers,
             page_tokens=page_tokens,
             max_pages=max_pages,
-            config=self.upmem_config,
         )
-        self.cache.add_sequence("seq0")
+        #: Per layer, the model graph's tensor names (weights, per-head
+        #: caches, new K/V rows) — the builder's, never re-derived here.
+        self._io = [
+            gptj_layer_io(self.config, layer) for layer in range(layers)
+        ]
         # Deterministic weights: one seeded stream, fixed layer/name
         # order.  Scaled small so the residual recurrence stays tame.
         rng = np.random.default_rng(seed)
-        self.weights: Dict[str, np.ndarray] = {}
-        for layer in range(layers):
-            for name, shape in (
-                (f"w_qkv_L{layer}", (3 * d, d)),
-                (f"w_proj_L{layer}", (d, d)),
-                (f"w_fc_L{layer}", (4 * d, d)),
-                (f"w_fc_proj_L{layer}", (d, 4 * d)),
-            ):
-                self.weights[name] = (
-                    rng.standard_normal(shape, dtype=np.float32)
-                    * _WEIGHT_SCALE
-                )
-        layer_nbytes = 12 * d * d * 4  # the four FC weights, float32
+        self.weights: Dict[str, np.ndarray] = {
+            name: rng.standard_normal(shape, dtype=np.float32) * _WEIGHT_SCALE
+            for io in self._io
+            for name, shape in io.weights
+        }
+        layer_nbytes = gptj_layer_nbytes(self.config)
         budget = (
             mram_budget_bytes
             if mram_budget_bytes is not None
             else layers * layer_nbytes  # whole model fits: load once
         )
         self.residency = WeightResidencyPlanner(
-            [layer_nbytes] * layers,
-            budget,
-            policy=residency_policy,
-            config=self.upmem_config,
+            [layer_nbytes] * layers, budget
         )
         # `pool or ...` would drop a caller's pool: an empty pool has
         # __len__ == 0 and is falsy.
         self.pool = pool if pool is not None else ExecutablePool(capacity=64)
-        self._rng = rng
-        self._seqs: Dict[str, _SequenceState] = {
-            # seq0 draws from the engine's own stream: weights, then
-            # its initial hidden state, then its prompt rows.
-            "seq0": _SequenceState(
-                "seq0", rng.standard_normal((d,), dtype=np.float32), rng
-            )
-        }
+        self._seqs: Dict[str, _SequenceState] = {}
         self._epochs: "OrderedDict[int, _Epoch]" = OrderedDict()
         self._global_step = 0
 
@@ -531,33 +510,16 @@ class DecodeEngine:
             args={"layers": self.layers, "capacity": capacity},
         ):
             graph = gptj_model_graph(
-                self.config,
-                layers=self.layers,
-                capacity=capacity,
-                params=self.params,
-                pin_small_grids=self.pin_small_grids,
+                self.config, layers=self.layers, capacity=capacity
             )
-            placement = place(
-                graph, policy=self.policy,
-                pim=self.target, host=self.host_target,
-            )
+            placement = place(graph)
             # Pin the epoch's working set BEFORE compiling: pinning after
             # the fact would let a small pool evict the epoch's own
             # programs while later nodes of the same graph still compile.
-            keys = {
-                ExecutablePool.key_for(
-                    node.workload, placement[node.name], node.params
-                )
-                for node in graph.nodes
-            }
+            keys = pool_keys(graph, placement)
             for key in sorted(keys, key=repr):
                 self.pool.pin(key)
-            exe = GraphExecutable(
-                graph,
-                placement,
-                target=self.target,
-                pool=self.pool,
-            )
+            exe = GraphExecutable(graph, placement, pool=self.pool)
             layer_costs, step_costs = self._profile_costs(exe)
             epoch = _Epoch(capacity, exe, graph, keys, layer_costs, step_costs)
             self._epochs[capacity] = epoch
@@ -667,19 +629,15 @@ class DecodeEngine:
             )
 
         inputs: Dict[str, np.ndarray] = dict(self.weights)
-        inputs["x"] = state.x
-        inputs["attn_mask"] = self.cache.attention_mask(name)
-        d, hd = self.config.d_model, self.config.head_dim
-        for layer in range(self.layers):
+        inputs[self._io[0].x] = state.x
+        inputs[ATTN_MASK] = self.cache.attention_mask(name)
+        hd = self.config.head_dim
+        for layer, io in enumerate(self._io):
             k, v = self.cache.dense_kv(name, layer)
-            for h in range(self.config.n_heads):
+            for h, (k_cache, v_cache_t) in enumerate(io.kv_cache):
                 sl = slice(h * hd, (h + 1) * hd)
-                inputs[f"k_cache_L{layer}_h{h}"] = np.ascontiguousarray(
-                    k[None, :, sl]
-                )
-                inputs[f"v_cache_t_L{layer}_h{h}"] = np.ascontiguousarray(
-                    v[:, sl].T
-                )
+                inputs[k_cache] = np.ascontiguousarray(k[None, :, sl])
+                inputs[v_cache_t] = np.ascontiguousarray(v[:, sl].T)
         outs = epoch.exe.run_tensors(inputs)
 
         reference_ok: Optional[bool] = None
@@ -689,13 +647,10 @@ class DecodeEngine:
                 _matches_reference(outs[name_], ref[name_]) for name_ in ref
             )
 
-        state.x = outs[f"h{self.layers}"]
+        state.x = outs[self._io[-1].y]
         cache_events = self.cache.append(
             name,
-            [
-                (outs[f"k_new_L{layer}"], outs[f"v_new_L{layer}"])
-                for layer in range(self.layers)
-            ],
+            [(outs[io.kv_new[0]], outs[io.kv_new[1]]) for io in self._io],
         )
 
         per_layer = []
@@ -753,7 +708,7 @@ class DecodeEngine:
         self._global_step += 1
         return report
 
-    def hidden_state(self, name: str = "seq0") -> np.ndarray:
+    def hidden_state(self, name: str) -> np.ndarray:
         """The sequence's current hidden state (the last decoded
         token's final-layer output — the engine's "response" payload)."""
         if name not in self._seqs:
@@ -763,17 +718,20 @@ class DecodeEngine:
     def decode(
         self, tokens: int, prompt_tokens: int = 4
     ) -> DecodeResult:
-        """Prefill then decode ``tokens`` tokens of ``seq0`` end to end."""
+        """Decode ``tokens`` tokens of the sequence ``"seq0"`` end to
+        end: ``add_sequence("seq0", prompt_tokens)`` (unless an earlier
+        call already did, in which case it continues) followed by
+        ``tokens`` single-sequence :meth:`step_batch` iterations."""
         if tokens < 1:
             raise ValueError(f"tokens must be >= 1, got {tokens}")
-        if self.cache.length("seq0") == 0:
+        if "seq0" not in self._seqs:
             # Deterministic K/V rows standing in for a prompt pass: the
             # loop needs at least one cached position to attend over.
             if prompt_tokens < 1:
                 raise ValueError(
                     f"prompt_tokens must be >= 1, got {prompt_tokens}"
                 )
-            self._prefill_sequence("seq0", prompt_tokens)
+            self.add_sequence("seq0", prompt_tokens)
         result = DecodeResult(
             layers=self.layers,
             tokens=tokens,

@@ -22,7 +22,7 @@ visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..obs import current_tracer
 from ..upmem.config import UpmemConfig
@@ -67,7 +67,6 @@ class WeightResidencyPlanner:
         layer_nbytes: Sequence[int],
         budget_nbytes: int,
         policy: str = "belady",
-        config: Optional[UpmemConfig] = None,
     ) -> None:
         if not layer_nbytes:
             raise ResidencyError("layer_nbytes must name at least one layer")
@@ -84,7 +83,7 @@ class WeightResidencyPlanner:
         self.layer_nbytes = tuple(int(n) for n in layer_nbytes)
         self.budget_nbytes = int(budget_nbytes)
         self.policy = policy
-        self.config = config or UpmemConfig()
+        self.config = UpmemConfig()
         self._resident: Dict[int, int] = {}  # layer -> lru tick of last use
         self._tick = 0
         self.events: List[StageEvent] = []
@@ -186,7 +185,7 @@ class WeightResidencyPlanner:
         on a *copy* of the current state — the offline schedule a
         deployment would precompute — without disturbing this planner."""
         shadow = WeightResidencyPlanner(
-            self.layer_nbytes, self.budget_nbytes, self.policy, self.config
+            self.layer_nbytes, self.budget_nbytes, self.policy
         )
         shadow._resident = dict(self._resident)
         shadow._tick = self._tick

@@ -23,8 +23,12 @@ Quick tour::
 """
 
 from .builder import (
+    ATTN_MASK,
     GPTJ_SIM,
+    LayerIO,
     gptj_decoder_graph,
+    gptj_layer_io,
+    gptj_layer_nbytes,
     gptj_model_graph,
     small_grid_params,
 )
@@ -54,6 +58,10 @@ __all__ = [
     "PIM_OP_NAMES",
     "PLACEMENT_POLICIES",
     "GPTJ_SIM",
+    "ATTN_MASK",
+    "LayerIO",
+    "gptj_layer_io",
+    "gptj_layer_nbytes",
     "gptj_decoder_graph",
     "gptj_model_graph",
     "small_grid_params",

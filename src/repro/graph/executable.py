@@ -47,6 +47,7 @@ __all__ = [
     "GraphProfile",
     "GraphExecutable",
     "compile_graph",
+    "pool_keys",
     "PIM_SUBSTRATE_KINDS",
 ]
 
@@ -114,6 +115,18 @@ class GraphProfile:
         return self.latency.total - self.staging_s
 
 
+def pool_keys(graph: ModelGraph, placement: Dict[str, Target]) -> set:
+    """Residency keys of every (workload, target, params) program a
+    placed graph binds — what a long-lived loop pins in the pool, and
+    can pin *before* compiling."""
+    return {
+        ExecutablePool.key_for(
+            node.workload, placement[node.name], node.params
+        )
+        for node in graph.nodes
+    }
+
+
 class GraphExecutable(Executable):
     """A model graph compiled node-by-node for a placement."""
 
@@ -169,14 +182,8 @@ class GraphExecutable(Executable):
         return sum(1 for _, loaded in self._exes.values() if loaded)
 
     def pool_keys(self) -> set:
-        """Residency keys of every (node, target, params) program this
-        graph binds — what a long-lived loop pins in the pool."""
-        return {
-            ExecutablePool.key_for(
-                node.workload, self.placement[node.name], node.params
-            )
-            for node in self._order
-        }
+        """:func:`pool_keys` of this executable's graph and placement."""
+        return pool_keys(self.graph, self.placement)
 
     @property
     def memory_plan(self):
@@ -400,7 +407,6 @@ class GraphExecutable(Executable):
 def compile_graph(
     graph: ModelGraph,
     target: Union[str, Target] = "upmem",
-    host_target: Union[str, Target] = "cpu",
     placement: Optional[Dict[str, Target]] = None,
     policy: str = "default",
     pool: Optional[Any] = None,
@@ -419,7 +425,7 @@ def compile_graph(
     params.
     """
     if placement is None:
-        placement = place(graph, policy=policy, pim=target, host=host_target)
+        placement = place(graph, policy=policy, pim=target)
     if pool is None:
         pool = ExecutablePool(
             capacity=max(8, len(graph.nodes)),

@@ -50,8 +50,9 @@ class Node:
 
     ``inputs`` maps the *workload's* input tensor names (``"A"``,
     ``"B"``, ...) to graph tensor names; ``output`` names the graph
-    tensor this node defines.  ``target`` optionally pins the node to a
-    backend, overriding whatever the placement pass would choose;
+    tensor this node defines.  ``target`` (assigned on a built graph:
+    ``graph.nodes[i].target = "upmem"``) pins the node to a backend,
+    overriding whatever the placement pass would choose;
     ``params`` carries explicit schedule parameters for compiling
     targets (serving-grade graphs pin small grids — the canonical
     max-parallelism defaults cost seconds of simulator host time per
@@ -121,7 +122,6 @@ class ModelGraph:
         workload: Workload,
         inputs: Dict[str, str],
         output: str,
-        target: Optional[Any] = None,
         params: Optional[Dict[str, int]] = None,
         tags: Sequence[str] = (),
     ) -> Node:
@@ -136,7 +136,6 @@ class ModelGraph:
             workload=workload,
             inputs=dict(inputs),
             output=output,
-            target=target,
             params=dict(params) if params else None,
             tags=frozenset(tags),
         )

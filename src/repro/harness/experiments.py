@@ -27,8 +27,14 @@ from ..cluster import (
     sessions_from_trace,
 )
 from ..decode import DecodeEngine
-from ..graph import compile_graph, gptj_decoder_graph, place, plan_memory
-from ..graph.builder import GPTJ_SIM
+from ..graph import (
+    GPTJ_SIM,
+    compile_graph,
+    gptj_decoder_graph,
+    gptj_layer_nbytes,
+    place,
+    plan_memory,
+)
 from ..serve import (
     ExecutablePool,
     Server,
@@ -815,9 +821,7 @@ def fig17_multilayer(
     page_tokens: int = 4,
     config=None,
     seed: int = 0,
-    policy: str = "upmem",
     mram_budget_layers: Optional[int] = None,
-    residency_policy: str = "belady",
 ) -> Dict:
     """Full-model decode: N layers x T tokens over managed device memory.
 
@@ -838,14 +842,11 @@ def fig17_multilayer(
     cfg = config or GPTJ_SIM
     if mram_budget_layers is None:
         mram_budget_layers = layers - 1 if layers > 1 else 1
-    layer_nbytes = 12 * cfg.d_model * cfg.d_model * 4
     engine = DecodeEngine(
         config=cfg,
         layers=layers,
         page_tokens=page_tokens,
-        policy=policy,
-        mram_budget_bytes=mram_budget_layers * layer_nbytes,
-        residency_policy=residency_policy,
+        mram_budget_bytes=mram_budget_layers * gptj_layer_nbytes(cfg),
         seed=seed,
     )
     result = engine.decode(tokens=tokens, prompt_tokens=prompt_tokens)
@@ -853,7 +854,7 @@ def fig17_multilayer(
     payload["rows"] = payload.pop("steps")
     payload["graph"] = result.graph_name
     payload["mram_budget_layers"] = mram_budget_layers
-    payload["residency_policy"] = residency_policy
+    payload["residency_policy"] = engine.residency.policy
     return payload
 
 

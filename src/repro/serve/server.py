@@ -51,6 +51,11 @@ from .scheduler import DynamicBatcher, PendingRequest
 
 __all__ = ["Server", "SyncClient", "ServeError"]
 
+#: Per-flush host-side cost (request handling, command assembly, rank
+#: broadcast setup) — the overhead dynamic batching exists to amortize;
+#: see :meth:`Server._batch_duration` for the full model.
+DISPATCH_OVERHEAD_S = 1e-4
+
 
 class ServeError(RuntimeError):
     """A request could not be served (rejected or unservable)."""
@@ -72,7 +77,6 @@ class Server:
         max_wait_ticks: int = 4,
         queue_limit: Optional[int] = 64,
         tick_seconds: float = 1e-4,
-        dispatch_overhead_s: float = 1e-4,
         execute: bool = True,
     ) -> None:
         if queue_limit is not None and queue_limit < 1:
@@ -86,10 +90,6 @@ class Server:
         self.metrics = ServerMetrics()
         self.queue_limit = queue_limit
         self.tick_seconds = tick_seconds
-        #: Per-flush host-side cost (request handling, command assembly,
-        #: rank broadcast setup) — the overhead dynamic batching exists
-        #: to amortize; see :meth:`_batch_duration` for the full model.
-        self.dispatch_overhead_s = dispatch_overhead_s
         #: ``execute=False`` skips functional execution (responses carry
         #: ``outputs=None``) while keeping the full timing model — for
         #: latency-only targets and pure scheduling studies.
@@ -403,7 +403,7 @@ class Server:
         groups = self._replica_groups(exe)
         rounds = -(-batch_size // groups)  # ceil division
         duration = (
-            self.dispatch_overhead_s
+            DISPATCH_OVERHEAD_S
             + launch
             + rounds * kernel
             + batch_size * serial

@@ -92,7 +92,7 @@ def compile(
         graph_hints = {
             k: v
             for k, v in hints.items()
-            if k in ("host_target", "placement", "policy", "pool")
+            if k in ("placement", "policy", "pool")
         }
         return compile_graph(
             workload_or_schedule,

@@ -129,26 +129,34 @@ class FunctionalExecutor:
         for buf in module.outputs + module.intermediates:
             arrays.setdefault(buf, np.zeros(buf.shape, _np_dtype(buf)))
 
-        mode = self._mode()
-        if not module.host_pre:
-            return arrays
-        if mode == "scalar":
-            host = Interpreter(arrays)
-            for stmt in module.host_pre:
-                host.run(stmt, {})
-            return arrays
-        if mode == "vector":
-            self._host_program("pre").run(arrays)
-            return arrays
-        # verify: run the compiled program for real, the interpreter on
-        # copies, and compare every buffer bitwise.
-        shadow = {buf: arr.copy() for buf, arr in arrays.items()}
-        self._host_program("pre").run(arrays)
-        host = Interpreter(shadow)
-        for stmt in module.host_pre:
-            host.run(stmt, {})
-        _compare_buffers(arrays, shadow, "host_pre")
+        self._run_host("pre", module.host_pre, arrays)
         return arrays
+
+    def _run_host(
+        self, which: str, stmts: Sequence, arrays: Dict[Buffer, np.ndarray]
+    ) -> None:
+        """Run the ``host_pre`` / ``host_post`` statements on ``arrays``
+        in the current mode."""
+        if not stmts:
+            return
+
+        def interpret(store: Dict[Buffer, np.ndarray]) -> None:
+            host = Interpreter(store)
+            for stmt in stmts:
+                host.run(stmt, {})
+
+        mode = self._mode()
+        if mode == "scalar":
+            interpret(arrays)
+        elif mode == "vector":
+            self._host_program(which).run(arrays)
+        else:
+            # verify: run the compiled program for real, the interpreter
+            # on copies, and compare every buffer bitwise.
+            shadow = {buf: arr.copy() for buf, arr in arrays.items()}
+            self._host_program(which).run(arrays)
+            interpret(shadow)
+            _compare_buffers(arrays, shadow, f"host_{which}")
 
     def grid_points(self) -> List[tuple]:
         """All DPU grid coordinates in canonical (row-major) order."""
@@ -185,23 +193,8 @@ class FunctionalExecutor:
 
     def finalize(self, arrays: Dict[Buffer, np.ndarray]) -> List[np.ndarray]:
         """Run host post-processing; returns the output arrays."""
-        module = self.module
-        mode = self._mode()
-        if module.host_post:
-            if mode == "scalar":
-                host = Interpreter(arrays)
-                for stmt in module.host_post:
-                    host.run(stmt, {})
-            elif mode == "vector":
-                self._host_program("post").run(arrays)
-            else:
-                shadow = {buf: arr.copy() for buf, arr in arrays.items()}
-                self._host_program("post").run(arrays)
-                host = Interpreter(shadow)
-                for stmt in module.host_post:
-                    host.run(stmt, {})
-                _compare_buffers(arrays, shadow, "host_post")
-        return [arrays[buf] for buf in module.outputs]
+        self._run_host("post", self.module.host_post, arrays)
+        return [arrays[buf] for buf in self.module.outputs]
 
     def run(self, inputs: Dict[str, np.ndarray]) -> List[np.ndarray]:
         """Execute with named input arrays; returns the output arrays."""
@@ -242,20 +235,17 @@ class FunctionalExecutor:
     ) -> None:
         module = self.module
 
-        # H2D: fill MRAM tiles from the valid global region, zero-pad the
-        # rest (local padding, §5.3.1).
+        # H2D: fill MRAM tiles from the part of the tile that lies on the
+        # tensor, zero-pad the rest (local padding, §5.3.1).
         for spec in module.transfers:
             tile = np.zeros(spec.shape, _np_dtype(spec.local_buffer))
             local[spec.local_buffer] = tile
             if spec.direction == "h2d":
-                src = global_arrays[spec.global_buffer]
-                base, valid = self._valid_region(spec, interp, env)
-                if all(v > 0 for v in valid):
-                    src_slices = tuple(
-                        slice(b, b + v) for b, v in zip(base, valid)
-                    )
-                    dst_slices = tuple(slice(0, v) for v in valid)
-                    tile[dst_slices] = src[src_slices]
+                box = self._tile_box(spec, interp, env)
+                if box is not None:
+                    on_tensor, on_tile = box
+                    src = global_arrays[spec.global_buffer]
+                    tile[on_tile] = src[on_tensor]
         for buf in module.mram_internal:
             local[buf] = np.zeros(buf.shape, _np_dtype(buf))
         for buf in module.wram_buffers:
@@ -263,17 +253,15 @@ class FunctionalExecutor:
 
         interp.run(module.kernel, dict(env))
 
-        # D2H: copy the valid tile region back to the host tensor.
+        # D2H: copy the on-tensor part of the tile back to the host.
         for spec in module.transfers:
             if spec.direction != "d2h":
                 continue
-            dst = global_arrays[spec.global_buffer]
-            tile = local[spec.local_buffer]
-            base, valid = self._valid_region(spec, interp, env)
-            if all(v > 0 for v in valid):
-                dst_slices = tuple(slice(b, b + v) for b, v in zip(base, valid))
-                src_slices = tuple(slice(0, v) for v in valid)
-                dst[dst_slices] = tile[src_slices]
+            box = self._tile_box(spec, interp, env)
+            if box is not None:
+                on_tensor, on_tile = box
+                dst = global_arrays[spec.global_buffer]
+                dst[on_tensor] = local[spec.local_buffer][on_tile]
 
     # -- equivalence gate ----------------------------------------------------
     def _run_points_verify(
@@ -304,12 +292,10 @@ class FunctionalExecutor:
             for point in points:
                 env = dict(zip(grid_vars, point))
                 for spec in d2h:
-                    base, valid = self._valid_region(spec, probe, env)
-                    if not all(v > 0 for v in valid):
+                    box = self._tile_box(spec, probe, env)
+                    if box is None:
                         continue
-                    region = tuple(
-                        slice(b, b + v) for b, v in zip(base, valid)
-                    )
+                    region = box[0]
                     got = states[item][spec.global_buffer][region]
                     want = shadow[spec.global_buffer][region]
                     if got.tobytes() != want.tobytes():
@@ -320,15 +306,24 @@ class FunctionalExecutor:
                         )
 
     @staticmethod
-    def _valid_region(
+    def _tile_box(
         spec: TransferSpec, interp: Interpreter, env: Dict[Var, int]
     ):
-        base = [int(interp.eval(b, env)) for b in spec.base]
-        valid = [
-            max(0, min(ext, dim - b))
-            for b, ext, dim in zip(base, spec.shape, spec.global_buffer.shape)
-        ]
-        return base, valid
+        """The part of a tile that lies on its tensor, as ``(tensor
+        slices, tile slices)``; ``None`` when no element does.  The tile
+        is cut at *both* faces of the tensor: a negative origin handed to
+        NumPy as a slice start would count from the end."""
+        on_tensor, on_tile = [], []
+        for origin, extent, dim in zip(
+            spec.base, spec.shape, spec.global_buffer.shape
+        ):
+            start = int(interp.eval(origin, env))
+            lo, hi = max(start, 0), min(start + extent, dim)
+            if lo >= hi:
+                return None
+            on_tensor.append(slice(lo, hi))
+            on_tile.append(slice(lo - start, hi - start))
+        return tuple(on_tensor), tuple(on_tile)
 
 
 def _compare_buffers(

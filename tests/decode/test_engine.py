@@ -168,8 +168,9 @@ class TestExecution:
 
     def test_decode_requires_prompt(self):
         engine = tiny_engine()
+        engine.add_sequence("empty")
         with pytest.raises(RuntimeError, match="no cached positions"):
-            engine.step_batch(["seq0"])
+            engine.step_batch(["empty"])
         with pytest.raises(ValueError, match="prompt_tokens"):
             engine.decode(tokens=1, prompt_tokens=0)
 

@@ -29,11 +29,24 @@ class TestSequenceLifecycle:
     def test_add_and_remove(self):
         eng = multi_engine()
         eng.add_sequence("a", prompt_tokens=3)
-        assert set(eng.sequences()) == {"seq0", "a"}
+        assert eng.sequences() == ("a",)
         assert eng.cache.length("a") == 3
         freed = eng.remove_sequence("a")
         assert freed > 0
         assert "a" not in eng.sequences()
+
+    def test_no_phantom_sequence(self):
+        """The engine registers nothing at construction: a server of
+        eight sequences reports eight, not nine."""
+        eng = multi_engine()
+        assert eng.sequences() == ()
+        assert eng.cache.stats()["sequences"] == 0
+        for i in range(8):
+            eng.add_sequence(f"s{i}", prompt_tokens=1)
+        assert len(eng.sequences()) == 8
+        assert eng.cache.stats()["sequences"] == 8
+        with pytest.raises(ValueError, match="unknown sequence 'seq0'"):
+            eng.hidden_state("seq0")
 
     def test_duplicate_add_rejected(self):
         eng = multi_engine()
@@ -259,6 +272,34 @@ class TestLegacySurface:
         r2 = crowded.decode(tokens=4, prompt_tokens=2)
         for a, b in zip(r1.hidden_states, r2.hidden_states):
             np.testing.assert_array_equal(a, b)
+
+    def test_decode_leaves_named_sequences_untouched(self):
+        """decode() is add_sequence("seq0") + step_batch(["seq0"]): it
+        draws from seq0's own stream, so sequences already on the engine
+        end byte-identical to a run that never called decode()."""
+        def run(with_decode):
+            eng = multi_engine()
+            for name in ("a", "b"):
+                eng.add_sequence(name, prompt_tokens=3)
+            eng.step_batch(["a", "b"])
+            if with_decode:
+                eng.decode(tokens=3, prompt_tokens=2)
+            eng.step_batch(["a", "b"])
+            return [eng.hidden_state(n).tobytes() for n in ("a", "b")]
+
+        assert run(with_decode=True) == run(with_decode=False)
+
+    def test_decode_is_the_named_sequence_path(self):
+        via_decode = multi_engine()
+        result = via_decode.decode(tokens=3, prompt_tokens=2)
+        by_hand = multi_engine()
+        by_hand.add_sequence("seq0", prompt_tokens=2)
+        for _ in range(3):
+            by_hand.step_batch(["seq0"])
+        np.testing.assert_array_equal(
+            via_decode.hidden_state("seq0"), by_hand.hidden_state("seq0")
+        )
+        assert {r.sequence for r in result.steps} == {"seq0"}
 
     def test_shared_pool_across_engines(self):
         pool = ExecutablePool(capacity=64)

@@ -442,6 +442,76 @@ class TestClampedDma:
         assert scalar == vector == np.array(want, np.float32).tobytes()
 
 
+class TestTileOffTheTensor:
+    """A transfer tile whose origin is off its tensor — before the start
+    or past the end — moves only its on-tensor part; the rest is padding
+    on the way in and dropped on the way out.  The scalar reference used
+    to hand a negative origin to NumPy as a from-the-end slice."""
+
+    @staticmethod
+    def _run_all(module, feed, monkeypatch):
+        got = {}
+        for mode in ("scalar", "vector", "verify"):
+            monkeypatch.setenv("REPRO_SIM_MODE", mode)
+            out, = FunctionalExecutor(module).run(feed)
+            got[mode] = out.tobytes()
+        return got
+
+    @pytest.mark.parametrize(
+        "origin,want",
+        [
+            (lambda b: b * 4 - 2, [[0, 0, 1, 2], [3, 4, 5, 6],
+                                   [7, 8, 0, 0], [0, 0, 0, 0]]),
+            (lambda b: b - 5, [[0, 0, 0, 0], [0, 0, 0, 0],
+                               [0, 0, 0, 1], [0, 0, 1, 2]]),
+            (lambda b: b * 3 + 5, [[6, 7, 8, 0], [0, 0, 0, 0],
+                                   [0, 0, 0, 0], [0, 0, 0, 0]]),
+        ],
+        ids=["straddles-both-ends", "negative", "past-the-end"],
+    )
+    def test_h2d_pads_the_off_tensor_part(self, origin, want, monkeypatch):
+        src = Buffer("In", (8,), "float32")
+        in_m = Buffer("In_m", (4,), "float32", scope="mram")
+        w = Buffer("W", (4,), "float32", scope="wram")
+        b = Var("b")
+        kernel = SeqStmt([
+            DmaCopy(w, [IntImm(0)], in_m, [IntImm(0)], 4),
+            DmaCopy(_O_M[4], [IntImm(0), IntImm(0)], w, [IntImm(0)], 4),
+        ])
+        module = _tile_module(kernel, b, 4, 4, wram=[w])
+        module.transfers.insert(
+            0, TransferSpec("h2d", src, in_m, (origin(b),), (4,))
+        )
+        module.inputs.append(src)
+        feed = {"In": np.arange(1, 9, dtype=np.float32)}
+        got = self._run_all(module, feed, monkeypatch)
+        assert set(got.values()) == {np.array(want, np.float32).tobytes()}
+
+    @pytest.mark.parametrize(
+        "origin,want",
+        [
+            (lambda b: b * 4 - 2, [12, 13, 20, 21, 22, 23, 30, 31, 32, 33]),
+            (lambda b: b * 4 - 9, [31, 32, 33, 40, 41, 42, 43, 0, 0, 0]),
+            (lambda b: b * 4 + 7, [0, 0, 0, 0, 0, 0, 0, 10, 11, 12]),
+        ],
+        ids=["straddles-both-ends", "negative", "past-the-end"],
+    )
+    def test_d2h_drops_the_off_tensor_part(self, origin, want, monkeypatch):
+        """Lane ``b`` writes ``10 * (b + 1) + k`` at tile position ``k``."""
+        out = Buffer("Out", (10,), "float32")
+        o_m = Buffer("O_m", (4,), "float32", scope="mram")
+        b, k = Var("b"), Var("k")
+        kernel = For(k, 4, BufferStore(o_m, (b + 1) * 10.0 + k, [k]))
+        module = LoweredModule(
+            name="toy", grid=[GridDim("blockIdx.x", b, 4)], kernel=kernel,
+            transfers=[TransferSpec("d2h", out, o_m, (origin(b),), (4,))],
+            host_pre=[], host_post=[], inputs=[], outputs=[out],
+            wram_buffers=[],
+        )
+        got = self._run_all(module, {}, monkeypatch)
+        assert set(got.values()) == {np.array(want, np.float32).tobytes()}
+
+
 class TestLaneCapKnob:
     @pytest.mark.parametrize("bad", ["abc", "0", "-3", ""])
     def test_invalid_lane_cap_rejected(self, bad, monkeypatch):
