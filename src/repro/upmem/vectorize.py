@@ -6,7 +6,8 @@ one batched "lane" axis — one lane per grid point — instead of re-walking
 the AST per point.  Inner ``For`` loops over affine buffer indices are
 further vectorized across the loop axis (sequential ``np.add.accumulate``
 for reductions, injective scatter for maps), and ``DmaCopy`` becomes a
-flat slice copy over all lanes at once.
+flat slice copy over all lanes at once — or nothing at all, when it only
+stages what the next scan reads (see "Reading through WRAM staging").
 
 The compiled program is **bit-for-bit identical** to the scalar
 :class:`~repro.upmem.interp.Interpreter` reference semantics:
@@ -59,6 +60,59 @@ A block-form load is a *view* of its buffer.  Nothing holds one across a
 store: a vectorised map never loads the buffer it stores to
 (``_try_map``), a reduction's summand never loads its accumulator, and
 NumPy buffers a single assignment whose source overlaps its destination.
+
+**Reading through WRAM staging.**  Every kernel the sketches emit stages
+its operands (``cache_read`` + ``compute_at``, then DMA-aware lowering)::
+
+    for k.o in E:
+        dma_copy(A_wram[0, 0] <- A_mram[i, k.o * c], n=c)
+        dma_copy(B_wram[0] <- B_mram[k.o * c], n=c)
+        for k.i in c:
+            C_wram[0] = C_wram[0] + A_wram[0, k.i] * B_wram[k.i]
+
+The virtual clock prices those bursts (``KernelAnalyzer``); the
+functional simulator does not have to perform them, because a tile that
+was just DMA'd *is* a window of its MRAM tile.  When the plan is built
+(:func:`_normalise`) a burst ``DmaCopy(W <- M[b], n)`` is dropped and
+every load ``W[.., j]`` becomes ``M[b[:-1].., b[-1] + j]`` if, and only
+if, all of this is proved from the TIR (:class:`_StagingScan`):
+
+1. *whole* — ``W`` is a WRAM buffer the burst overwrites entirely:
+   ``dst_base`` all zero, ``n == W.size``, leading dimensions 1, the
+   dtype of ``M``.  Nothing of an earlier ``W`` survives the burst;
+2. *read-only source* — ``M`` is an H2D tile that no ``BufferStore`` and
+   no ``DmaCopy`` in the kernel writes, so ``M[b + j]`` at the load is
+   what the burst copied;
+3. *never clipped* — for every value of the grid and enclosing loop
+   variables (interval arithmetic over their extents) ``b[:-1]`` lies
+   inside ``M``'s leading dimensions and ``b[-1] + n`` inside its last,
+   so the DMA's clamp and its ``n_eff`` cut can never have applied; and
+   each load's leading indices are 0 and its ``j`` lies in ``[0, n)``,
+   so the load could not have raised either;
+4. *one writer* — the burst is the only statement that writes ``W``, and
+   ``W`` is never a DMA's source (a write-back reads the buffer whole);
+5. *reads follow the burst* — every load of ``W`` sits after the burst
+   inside the same ``SeqStmt``, none before it and none outside, and no
+   loop in between rebinds a variable of ``b``.
+
+Then ``for k.o in E: for k.i in c: T[i] = T[i] + f(k.o, k.i)`` folds into
+``for k in E * c`` (:class:`_FoldBlocks`) when ``i`` uses neither
+variable and they occur in ``f`` only inside load indices affine in both
+with ``coeff(k.o) == c * coeff(k.i)`` — the same left fold in the same
+order, so ``np.add.accumulate`` stays the only summation.  The folded
+scan is cut into slabs that carry the accumulator (:class:`_VecReduceOp`,
+:data:`_SCAN_BYTES`), so its workspace does not grow with the row.  There
+is no option and no second path: a kernel that does not match compiles
+exactly as lowered (the element-copy loops of O0-O2 are not bursts), and
+the module keeps the lowered kernel — the scalar interpreter, hence
+``REPRO_SIM_MODE=verify``, checks the rewrite against the original.
+
+Weak numbers: the interpreter binds variables to Python ints, casts with
+``int()``/``float()`` and calls ``math.exp``/``math.sqrt``, and a Python
+number beside a NumPy value takes that value's dtype (NEP 50).  Batched,
+those values are int64/float64 *arrays*; :meth:`_ExprCompiler.operands`
+casts one to the dtype its Python number would take before it meets a
+buffer's dtype (:func:`_weak`, :func:`_meet`).
 """
 
 from __future__ import annotations
@@ -68,7 +122,7 @@ import math
 import operator
 import os
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import weakref
 
@@ -95,12 +149,14 @@ from ..tir import (
     CmpOp,
     DmaCopy,
     Evaluate,
+    ExprMutator,
     FloatImm,
     FloorDiv,
     FloorMod,
     For,
     IfThenElse,
     IntImm,
+    Interval,
     Max,
     Min,
     Mul,
@@ -110,12 +166,18 @@ from ..tir import (
     Select,
     SeqStmt,
     Stmt,
+    StmtMutator,
     StmtVisitor,
     Sub,
     Var,
+    affine_coeffs,
     collect_loads,
+    eval_interval,
     free_vars,
+    is_const_int,
     iter_stmts,
+    simplify,
+    substitute,
 )
 from .executor import positive_int_env
 from .interp import _INTRINSICS, InterpError, Interpreter, _np_dtype
@@ -214,6 +276,50 @@ def _expr_eq(a: PrimExpr, b: PrimExpr) -> bool:
             and all(_expr_eq(x, y) for x, y in zip(a.args, b.args))
         )
     return False
+
+
+def _weak(e: PrimExpr):
+    """``0`` or ``0.0`` when the scalar interpreter's value of ``e`` is a
+    Python int or float, ``None`` when it is a NumPy value.
+
+    Under NEP 50 a Python number is *weak*: next to a NumPy value it
+    takes that value's dtype (``np.float32(x) * 3`` is a float32).  The
+    interpreter binds every variable to a Python int, casts with
+    ``int()``/``float()`` and calls ``math.exp``/``math.sqrt``, so all of
+    those, the immediates, and arithmetic among them are weak; a buffer
+    load has its buffer's dtype and a comparison is a bool.
+    """
+    if isinstance(e, (IntImm, Var)):
+        return 0
+    if isinstance(e, FloatImm):
+        return 0.0
+    if isinstance(e, Cast):
+        return 0 if e.dtype.startswith("int") else 0.0
+    if isinstance(e, Call):
+        return _weak(e.args[0]) if e.op == "abs" else 0.0
+    if isinstance(e, (CmpOp, And, Or)):
+        return None
+    if isinstance(e, Select):
+        ka, kb = _weak(e.true_value), _weak(e.false_value)
+    elif isinstance(e, BinaryOp):
+        ka, kb = _weak(e.a), _weak(e.b)
+    else:
+        return None
+    return None if ka is None or kb is None else ka + kb
+
+
+def _meet(weak, strong, kind):
+    """``weak`` as the scalar path's operator sees it beside ``strong``.
+
+    Batched, a weak value is an int64/float64 *array* — strongly typed,
+    so ``float32 array * int64 array`` would compute in float64 and round
+    a second time on the store.  Cast it to the dtype the Python number
+    would take (``kind`` is :func:`_weak`'s zero).
+    """
+    dtype = getattr(strong, "dtype", None)
+    if dtype is None or not isinstance(weak, np.ndarray):
+        return weak
+    return weak.astype(np.result_type(dtype, kind), copy=False)
 
 
 class _Ctx:
@@ -382,21 +488,47 @@ class _ExprCompiler:
         return fn, 0
 
     # -- arithmetic ---------------------------------------------------------
+    def operands(self, ea: PrimExpr, eb: PrimExpr):
+        """Compile the two operands of one operator: ``(a, b, met, dep)``.
+
+        ``met`` is None when ``a(ctx)`` and ``b(ctx)`` promote as the
+        scalar path's values do.  When exactly one of them is weak
+        (:func:`_weak`) and batched, ``met(ctx)`` returns the pair with
+        the weak array cast as :func:`_meet` says.
+        """
+        a, da = self.compile(ea)
+        b, db = self.compile(eb)
+        ka, kb = _weak(ea), _weak(eb)
+        met = None
+        if ka is None and kb is not None and db:
+
+            def met(ctx):
+                x = a(ctx)
+                return x, _meet(b(ctx), x, kb)
+
+        elif kb is None and ka is not None and da:
+
+            def met(ctx):
+                x, y = a(ctx), b(ctx)
+                return _meet(x, y, ka), y
+
+        return a, b, met, da | db
+
     def _binary(self, e) -> Tuple[Callable, int]:
-        a, da = self.compile(e.a)
-        b, db = self.compile(e.b)
-        dep = da | db
+        a, b, met, dep = self.operands(e.a, e.b)
         op = _BINOPS[type(e)]
+        if met is not None:
+            return (lambda ctx: op(*met(ctx))), dep
         return (lambda ctx: op(a(ctx), b(ctx))), dep
 
     def _minmax(self, e) -> Tuple[Callable, int]:
-        a, da = self.compile(e.a)
-        b, db = self.compile(e.b)
-        dep = da | db
+        a, b, met, dep = self.operands(e.a, e.b)
         if dep == 0:
             fn = min if isinstance(e, Min) else max
             return (lambda ctx: fn(a(ctx), b(ctx))), 0
         ufn = np.minimum if isinstance(e, Min) else np.maximum
+        if met is not None:
+            return (lambda ctx: ufn(*met(ctx))), dep
         return (lambda ctx: ufn(a(ctx), b(ctx))), dep
 
     def _and_or(self, e, is_and: bool) -> Tuple[Callable, int]:
@@ -412,12 +544,13 @@ class _ExprCompiler:
 
     def _select(self, e: Select) -> Tuple[Callable, int]:
         c, dc = self.compile(e.cond)
-        t, dt = self.compile(e.true_value)
-        f, df = self.compile(e.false_value)
+        t, f, met, dep = self.operands(e.true_value, e.false_value)
         if dc == 0:
             # Lazy, like the scalar interpreter.
-            return (lambda ctx: t(ctx) if c(ctx) else f(ctx)), dt | df
-        return (lambda ctx: np.where(c(ctx), t(ctx), f(ctx))), dc | dt | df
+            return (lambda ctx: t(ctx) if c(ctx) else f(ctx)), dep
+        if met is not None:
+            return (lambda ctx: np.where(c(ctx), *met(ctx))), dc | dep
+        return (lambda ctx: np.where(c(ctx), t(ctx), f(ctx))), dc | dep
 
     def _cast(self, e: Cast) -> Tuple[Callable, int]:
         v, dv = self.compile(e.value)
@@ -865,19 +998,55 @@ class _FallbackOp:
 #: :class:`_VecReduceOp`.
 _SCAN_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
 
+#: Bytes of scan buffer a :class:`_VecReduceOp` holds per chunk.  A
+#: folded block loop scans a whole row — ``mtv`` 64MB is 4 096 steps x
+#: 2 048 lanes, 32 MB in one piece, which read +12 % ``peak_rss_mb`` on
+#: the ``kernels`` benchmark; 1 MB (256 steps x 1 024 lanes) keeps the
+#: slab and its operands' windows in cache and costs nothing in time
+#: (any slab of >= 128 steps scans at the same rate).
+_SCAN_BYTES = 1024 * 1024
+
+
+def _reduction(body: Stmt, loop_vars: Sequence[Var]) -> Optional[PrimExpr]:
+    """The summand of ``T[i] = T[i] + rest`` (either operand order) if
+    ``body`` is that store, ``i`` uses none of ``loop_vars`` and ``rest``
+    has ``T``'s dtype and does not read ``T``; else None."""
+    if not isinstance(body, BufferStore) or not isinstance(body.value, Add):
+        return None
+    target, idx, val = body.buffer, body.indices, body.value
+    if any(_contains_var(i, v) for i in idx for v in loop_vars):
+        return None
+    for acc, rest in ((val.a, val.b), (val.b, val.a)):
+        if (
+            isinstance(acc, BufferLoad)
+            and acc.buffer is target
+            and len(acc.indices) == len(idx)
+            and all(_expr_eq(x, y) for x, y in zip(acc.indices, idx))
+        ):
+            break
+    else:
+        return None
+    if _loads_buffer(rest, target) or rest.dtype != target.dtype:
+        return None
+    return rest
+
 
 class _VecReduceOp:
     """``for k in extent: T[i] = T[i] + rest(k)`` as one sequential scan.
 
     ``np.add.accumulate`` is a strict left fold, so the partial sums match
-    the scalar loop bit for bit.  Lane-dependent extents gather the prefix
-    at each lane's own trip count.  Falls back to the generic masked loop
-    when an enclosing mask is active or the value dtype is off-model.
+    the scalar loop bit for bit.  A long axis is scanned in slabs of at
+    most :data:`_SCAN_BYTES` that carry the accumulator from one to the
+    next — the same fold, cut anywhere.  Lane-dependent extents gather
+    the prefix at each lane's own trip count.  Under a lane mask every
+    lane is scanned (``_checked`` clamps a masked lane's index instead of
+    raising) and only the live lanes are written back.  Falls back to
+    the generic masked loop when the value dtype is off-model.
 
-    ``rest`` is ``(ufunc, fns)``: for ``a * b`` (``+``, ``-``) at the top
-    of the summand the two operands are compiled separately and the
-    ufunc writes their product straight into the chunk's ``(L, n + 1)``
-    scan buffer; anything else is ``(None, [fn])`` and is copied there.
+    ``rest`` is ``(ufunc, operands)``: for ``a * b`` (``+``, ``-``) at the
+    top of the summand ``operands(ctx)`` is the pair and the ufunc writes
+    their product straight into the chunk's scan buffer; anything else is
+    ``(None, fn)`` and ``(fn(ctx),)`` is copied there.
     """
 
     def __init__(self, plan, target, idx_fns, efn, edep, rest, generic):
@@ -886,11 +1055,12 @@ class _VecReduceOp:
         self.batched = target in plan.batched
         self.idx_fns = idx_fns
         self.efn, self.edep = efn, edep
-        self.ufunc, self.rest_fns = rest
+        self.ufunc, self.operands = rest
         self.generic = generic
 
     def run(self, ctx):
-        if ctx.mask is not None:
+        mask = ctx.mask
+        if mask is not None and not self.batched:
             return self.generic.run(ctx)
         buffer = self.target
         arr = ctx.get_array(buffer)
@@ -907,39 +1077,58 @@ class _VecReduceOp:
         else:
             windex = (ctx.lanes,) + full
         acc = arr[windex]
-        if isinstance(ext, np.ndarray):
-            n = int(ext.max()) if ext.size else 0
-        else:
+        trips = ext if isinstance(ext, np.ndarray) else None
+        if trips is None:
             n = int(ext)
+        else:
+            live = trips if mask is None else trips[mask]
+            n = int(live.max()) if live.size else 0
         if n <= 0:
             return
+        npt = arr.dtype
+        slab = max(1, min(n, _SCAN_BYTES // (ctx.L * npt.itemsize)))
+        space = ctx.workspace((ctx.L, slab + 1), npt)
         old_k, old_v = ctx.axis_k, ctx.vmask
-        ctx.axis_k = np.arange(n)
-        if isinstance(ext, np.ndarray):
-            ctx.vmask = ctx.axis_k < ext[:, None]
         try:
-            args = [f(ctx) for f in self.rest_fns]
+            for lo in range(0, n, slab):
+                width = min(slab, n - lo)
+                ctx.axis_k = np.arange(lo, lo + width)
+                if trips is not None:
+                    ctx.vmask = ctx.axis_k < trips[:, None]
+                args = self.operands(ctx)
+                if lo == 0 and np.result_type(*args) != npt:
+                    # Per-step cast rounding differs from one wide
+                    # accumulate.  Nothing is written yet.
+                    acc = None
+                    break
+                w = space[:, : width + 1]
+                w[:, 0] = acc
+                if self.ufunc is None:
+                    w[:, 1:] = args[0]
+                else:
+                    self.ufunc(*args, out=w[:, 1:])
+                np.add.accumulate(w, axis=1, out=w)
+                if trips is None:
+                    acc = w[:, width]
+                else:
+                    acc = w[ctx.lanes, np.clip(trips - lo, 0, width)]
         finally:
             ctx.axis_k, ctx.vmask = old_k, old_v
-        npt = arr.dtype
-        if np.result_type(*args) != npt:
-            # Per-step cast rounding differs from one wide accumulate.
-            return self.generic.run(ctx)
-        w = ctx.workspace((ctx.L, n + 1), npt)
-        w[:, 0] = acc
-        if self.ufunc is None:
-            w[:, 1:] = args[0]
+        if acc is None:
+            self.generic.run(ctx)
+        elif not self.batched:
+            arr[windex] = acc[0] if scalar_idx else acc
+        elif mask is None:
+            arr[windex] = acc
+        elif scalar_idx:
+            np.copyto(arr[windex], acc, where=mask)
         else:
-            self.ufunc(*args, out=w[:, 1:])
-        np.add.accumulate(w, axis=1, out=w)
-        if isinstance(ext, np.ndarray):
-            res = w[ctx.lanes, np.maximum(ext, 0)]  # ext <= n == ext.max()
-        else:
-            res = w[:, n]
-        if self.batched:
-            arr[windex] = res
-        else:
-            arr[windex] = res[0] if scalar_idx else res
+            arr[
+                tuple(
+                    i[mask] if isinstance(i, np.ndarray) else i
+                    for i in windex
+                )
+            ] = acc[mask]
 
 
 class _VecMapOp:
@@ -1085,42 +1274,35 @@ class _StmtCompiler:
         return _ForOp(stmt.var, efn, edep, self.compile(stmt.body))
 
     def _try_reduce(self, stmt: For, efn, edep):
-        var, body = stmt.var, stmt.body
-        if not isinstance(body, BufferStore):
+        var = stmt.var
+        rest = _reduction(stmt.body, (var,))
+        if rest is None:
             return None
-        val = body.value
-        if not isinstance(val, Add):
-            return None
-        target, idx = body.buffer, body.indices
-        if any(_contains_var(i, var) for i in idx):
-            return None
-        for acc, rest in ((val.a, val.b), (val.b, val.a)):
-            if (
-                isinstance(acc, BufferLoad)
-                and acc.buffer is target
-                and len(acc.indices) == len(idx)
-                and all(_expr_eq(x, y) for x, y in zip(acc.indices, idx))
-            ):
-                break
-        else:
-            return None
-        if _loads_buffer(rest, target):
-            return None
-        if getattr(rest, "dtype", None) != target.dtype:
-            return None
+        target, idx = stmt.body.buffer, stmt.body.indices
         if target not in self.plan.batched and not self.plan.allow_shared_store:
             return None
         ax = _ExprCompiler(self.plan, axis_var=var)
         try:
             ufunc = _SCAN_UFUNCS.get(type(rest))
-            parts = [rest] if ufunc is None else [rest.a, rest.b]
-            compiled = (ufunc, [ax.compile(e)[0] for e in parts])
+            if ufunc is None:
+                fn, _ = ax.compile(rest)
+
+                def operands(ctx):
+                    return (fn(ctx),)
+
+            else:
+                a, b, operands, _ = ax.operands(rest.a, rest.b)
+                if operands is None:
+
+                    def operands(ctx):
+                        return a(ctx), b(ctx)
+
         except VectorizeError:
             return None
         idx_fns = [self.expr.compile(i)[0] for i in idx]
         generic = self._generic_for(stmt, efn, edep)
         return _VecReduceOp(
-            self.plan, target, idx_fns, efn, edep, compiled, generic
+            self.plan, target, idx_fns, efn, edep, (ufunc, operands), generic
         )
 
     def _try_map(self, stmt: For, efn, edep):
@@ -1165,6 +1347,202 @@ class _StmtCompiler:
         except VectorizeError:
             return None
         return _VecMapOp(target, batched, indices, efn, edep, vfn, cfn)
+
+
+# ---------------------------------------------------------------------------
+# kernel normalisation: read through WRAM staging, fold the block loop
+# ---------------------------------------------------------------------------
+
+
+def _proved(expr: PrimExpr, lo: int, hi: int, env: Dict[Var, Interval]) -> bool:
+    """``lo <= expr <= hi`` for every value of the variables in ``env``."""
+    iv = eval_interval(expr, env)
+    return (
+        iv is not None
+        and iv.lo is not None
+        and iv.hi is not None
+        and lo <= iv.lo
+        and iv.hi <= hi
+    )
+
+
+class _StagingScan(StmtVisitor):
+    """One walk of a kernel that finds the staging bursts it can read
+    through — the rule and its proofs are in the module docstring."""
+
+    def __init__(self, module: LoweredModule) -> None:
+        self.wram = set(module.wram_buffers)
+        self.tiles = {s.local_buffer for s in module.transfer("h2d")}
+        #: Grid and enclosing loop variables -> the values they take.
+        self.env = {d.var: Interval(0, d.extent - 1) for d in module.grid}
+        self.writes: Counter = Counter()  # stores and DMAs into a buffer
+        self.dma_sources: set = set()
+        self.bursts: Dict[Buffer, DmaCopy] = {}  # W -> its proved burst
+        #: W -> burst, while walking what follows it in its SeqStmt.
+        self.live: Dict[Buffer, DmaCopy] = {}
+        self.refused: set = set()  # W with a load that cannot move
+
+    def forwardable(self) -> Dict[Buffer, DmaCopy]:
+        return {
+            w: dma
+            for w, dma in self.bursts.items()
+            if self.writes[w] == 1
+            and not self.writes[dma.src]
+            and w not in self.dma_sources
+            and w not in self.refused
+        }
+
+    def _whole_burst(self, dma: DmaCopy) -> bool:
+        """``W <- M[b]`` overwrites all of ``W`` from inside one row of
+        an H2D tile, whatever the grid point and loop iteration."""
+        w, m, n = dma.dst, dma.src, dma.size
+        if w not in self.wram or m not in self.tiles or w.dtype != m.dtype:
+            return False
+        if n != w.size or w.shape[-1] != n:
+            return False
+        if not all(is_const_int(i, 0) for i in dma.dst_base):
+            return False
+        *rows, last = dma.src_base
+        *dims, width = m.shape
+        return all(
+            _proved(b, 0, dim - 1, self.env) for b, dim in zip(rows, dims)
+        ) and _proved(last, 0, width - n, self.env)
+
+    def visit_BufferStore(self, node) -> None:
+        self.writes[node.buffer] += 1
+
+    def visit_DmaCopy(self, node) -> None:
+        self.writes[node.dst] += 1
+        self.dma_sources.add(node.src)
+        if self._whole_burst(node):
+            self.bursts[node.dst] = node
+
+    def visit_BufferLoad(self, node) -> None:
+        if node.buffer not in self.wram:
+            return
+        dma = self.live.get(node.buffer)
+        *lead, j = node.indices
+        if (
+            dma is None
+            or not all(is_const_int(i, 0) for i in lead)
+            or not _proved(j, 0, dma.size - 1, self.env)
+        ):
+            self.refused.add(node.buffer)
+
+    def generic_visit_stmt(self, node: Stmt) -> None:
+        if isinstance(node, For):
+            self.visit(node.extent)
+            for w, dma in self.live.items():
+                # Rebinding a variable of ``b`` would change its meaning.
+                if any(_contains_var(b, node.var) for b in dma.src_base):
+                    self.refused.add(w)
+            trips = eval_interval(node.extent, self.env)
+            outer = self.env.get(node.var)
+            self.env[node.var] = Interval(
+                0, None if trips is None or trips.hi is None else trips.hi - 1
+            )
+            self.visit_stmt(node.body)
+            if outer is None:
+                del self.env[node.var]
+            else:
+                self.env[node.var] = outer
+        elif isinstance(node, SeqStmt):
+            opened = []
+            for s in node.stmts:
+                self.visit_stmt(s)
+                if isinstance(s, DmaCopy) and self.bursts.get(s.dst) is s:
+                    self.live[s.dst] = s
+                    opened.append(s.dst)
+            for w in opened:
+                del self.live[w]
+        else:
+            super().generic_visit_stmt(node)
+
+
+class _ReadThrough(StmtMutator):
+    """Drops the staging bursts in ``forward`` and loads ``M[.., b + j]``
+    where the kernel loads ``W[.., j]``."""
+
+    def __init__(self, forward: Dict[Buffer, DmaCopy]) -> None:
+        self.forward = forward
+
+    def visit_DmaCopy(self, node):
+        if self.forward.get(node.dst) is node:
+            return None
+        return self.generic_visit_stmt(node)
+
+    def visit_BufferLoad(self, node):
+        dma = self.forward.get(node.buffer)
+        if dma is None:
+            return None
+        *rows, b = dma.src_base
+        j = self.visit(node.indices[-1])
+        return BufferLoad(dma.src, [*rows, simplify(b + j)])
+
+
+class _FoldBlocks(StmtMutator):
+    """``for k.o in E: for k.i in c: T[i] = T[i] + f(k.o, k.i)`` becomes
+    ``for k in E * c: T[i] = T[i] + f'(k)`` — the same left fold in the
+    same order — when ``i`` uses neither variable and they occur in ``f``
+    only inside load indices affine in both with ``coeff(k.o) == c *
+    coeff(k.i)``, which are then affine in ``k = c * k.o + k.i``."""
+
+    def __init__(self) -> None:
+        self.folded = 0
+
+    def visit_For(self, node):
+        node = self.generic_visit_stmt(node)  # innermost pair first
+        inner = node.body if isinstance(node, For) else None
+        if not isinstance(inner, For) or not is_const_int(inner.extent):
+            return node
+        c, pair = inner.extent.value, (node.var, inner.var)
+        if c < 1 or _reduction(inner.body, pair) is None:
+            return node
+        k = Var(f"{node.var.name}:{inner.var.name}")
+        value = _BlockIndex(pair, c, k).visit(inner.body.value)
+        if any(v in pair for v in free_vars(value)):
+            return node
+        self.folded += 1
+        store = BufferStore(inner.body.buffer, value, inner.body.indices)
+        return For(k, simplify(node.extent * c), store)
+
+
+class _BlockIndex(ExprMutator):
+    """Rewrites the load indices :class:`_FoldBlocks` can express in the
+    folded variable; any other use of the pair is left in place, for the
+    caller to find."""
+
+    def __init__(self, pair, c: int, k: Var) -> None:
+        self.pair, self.c = pair, c
+        self.to_k = {pair[0]: IntImm(0), pair[1]: k}
+
+    def visit_BufferLoad(self, node):
+        outer, inner = self.pair
+        indices = list(node.indices)
+        for d, i in enumerate(indices):
+            if _contains_var(i, outer) or _contains_var(i, inner):
+                dec = affine_coeffs(i)
+                if dec is None:
+                    return node
+                coeffs = dec[0]
+                if coeffs.get(outer, 0) != self.c * coeffs.get(inner, 0):
+                    return node
+                indices[d] = simplify(substitute(i, self.to_k))
+        return BufferLoad(node.buffer, indices)
+
+
+def _normalise(module: LoweredModule) -> Tuple[Stmt, int, int]:
+    """The kernel the plan compiles, the staging bursts it reads through
+    and the block loops it folded.  The module is left as lowered: the
+    scalar interpreter — and so ``REPRO_SIM_MODE=verify`` — runs that."""
+    scan = _StagingScan(module)
+    scan.visit_stmt(module.kernel)
+    forward = scan.forwardable()
+    kernel = module.kernel
+    if forward:
+        kernel = _ReadThrough(forward).visit_stmt(kernel) or SeqStmt([])
+    fold = _FoldBlocks()
+    return fold.visit_stmt(kernel), len(forward), fold.folded
 
 
 # ---------------------------------------------------------------------------
@@ -1232,7 +1610,10 @@ class KernelPlan:
             (spec, [ec.compile(b) for b in spec.base])
             for spec in module.transfer("d2h")
         ]
-        self.kernel_op = _StmtCompiler(self).compile(module.kernel)
+        #: The kernel as compiled, and how many staging bursts it reads
+        #: through / block loops it folded (see :func:`_normalise`).
+        self.kernel, self.forwarded, self.folded = _normalise(module)
+        self.kernel_op = _StmtCompiler(self).compile(self.kernel)
         self._bytes_per_lane = module.local_bytes_per_dpu()
         #: Grid coordinates in canonical (row-major) order, one row per
         #: grid point: what a lane's position inside its item selects.
