@@ -8,11 +8,11 @@
 
 import random
 
+import repro
 from repro.autotune import Tuner, autotune, param_space
 from repro.autotune.compile import default_engine
 from repro.harness import render_table
-from repro.lowering import LowerOptions, lower
-from repro.optim import optimize_module
+from repro.lowering import LowerOptions
 from repro.upmem import UpmemConfig
 from repro.upmem.system import PerformanceModel
 from repro.workloads import make_workload, mtv
@@ -29,9 +29,9 @@ def test_transfer_mode_ablation(benchmark):
         for mode in ("element", "bulk", "parallel"):
             sch = make_mtv_schedule(2048, 2048, m_dpus=64, n_tasklets=16,
                                     cache=64)
-            module = optimize_module(
-                lower(sch, options=LowerOptions(transfer_mode=mode)), "O3"
-            )
+            module = repro.compile(
+                sch, options=LowerOptions(transfer_mode=mode)
+            ).lowered
             prof = model.profile(module)
             rows.append(
                 {

@@ -14,11 +14,11 @@ Run:  python examples/boundary_optimizations.py
 import numpy as np
 
 from repro.autotune.compile import default_engine
+from repro.optim import LEVELS
 from repro.upmem import FunctionalExecutor
 from repro.upmem.system import PerformanceModel
 from repro.workloads import gemv
 
-LEVELS = ("O0", "O1", "O2", "O3")
 PARAMS = {
     "m_dpus": 8,
     "k_dpus": 1,
@@ -38,7 +38,7 @@ def main() -> None:
           f"{'branches':>10} {'DMA calls':>10}")
     baseline = None
     for level in LEVELS:
-        module = default_engine().compile(wl, PARAMS, optimize=level).module
+        module = default_engine().compile(wl, PARAMS, opt_level=level).module
         (out,) = FunctionalExecutor(module).run(inputs)
         np.testing.assert_allclose(out, ref, rtol=1e-3)
         prof = model.profile(module)
@@ -52,7 +52,7 @@ def main() -> None:
         )
 
     print("\n--- O3 kernel TIR (note dma_copy, min() bounds, hoisted ifs) ---")
-    module = default_engine().compile(wl, PARAMS, optimize="O3").module
+    module = default_engine().compile(wl, PARAMS, opt_level="O3").module
     print("\n".join(module.kernel.__repr__().splitlines()[:25]))
 
 

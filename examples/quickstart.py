@@ -8,7 +8,8 @@ Walks the ATiM flow around the single entry point
    inspect the simulated latency breakdown;
 2. hand-build a schedule with the Table-2 primitives (DPU binding,
    tasklet binding, WRAM caching, hierarchical reduction) and compile it
-   through the same front door, with per-pass timing in a PassContext;
+   through the same front door, reading per-pass wall time from a
+   wall-clock ``Tracer``;
 3. compare one workload across every registered target — UPMEM, the
    PrIM/SimplePIM baselines, the CPU/GPU rooflines and the HBM-PIM
    estimate — in one generic loop;
@@ -51,7 +52,7 @@ import tempfile
 import numpy as np
 
 import repro
-from repro import PassContext, te
+from repro import te
 from repro.autotune import TuningCache, autotune
 from repro.schedule import Schedule
 from repro.workloads import make_workload, mtv
@@ -121,10 +122,13 @@ def compile_schedule() -> None:
     fo, _ = final.split(final.op.axis[0], nparts=16)
     final.parallel(fo)  # host post-processing
 
-    ctx = PassContext()
-    exe = repro.compile(sch, target="upmem", name="mtv_quickstart", ctx=ctx)
+    tracer = repro.Tracer(wall_clock=True)
+    with repro.use_tracer(tracer):
+        exe = repro.compile(sch, target="upmem", name="mtv_quickstart")
     print("--- compile pipeline ---")
-    print(ctx.timing_report())
+    for span in tracer.spans:
+        if span.track == "pipeline" and "wall_ms" in (span.args or {}):
+            print(f"{span.name:<32} {span.args['wall_ms']:8.3f} ms")
     print(f"grid: {exe.lowered.n_dpus} DPUs x {exe.lowered.n_tasklets} tasklets")
     print("--- generated UPMEM-C kernel (excerpt) ---")
     print("\n".join(exe.source().splitlines()[:20]))

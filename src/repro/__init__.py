@@ -19,7 +19,6 @@ Explicit schedules still compile the same way::
 
 from . import pipeline, te, tir
 from .lowering import LowerOptions, lower
-from .pipeline import PassContext, PassManager, get_pipeline
 from .schedule import Schedule
 from .target import (
     Executable,
@@ -58,9 +57,6 @@ __all__ = [
     "register_target",
     "lower",
     "LowerOptions",
-    "PassContext",
-    "PassManager",
-    "get_pipeline",
     "Schedule",
     "UpmemConfig",
     "DEFAULT_CONFIG",

@@ -1,4 +1,4 @@
-"""Candidate compilation through the unified pipeline, with caching.
+"""Candidate compilation through the ``build`` pipeline, with caching.
 
 :meth:`CompileEngine.compile` is the only spelling of "(workload,
 params) → lowered module": sketch → ``build`` pipeline (lower + §5.3
@@ -22,7 +22,7 @@ from ..pipeline import (
     CompiledArtifact,
     PassContext,
     artifact_key,
-    get_pipeline,
+    build,
 )
 from ..schedule import ScheduleError
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
@@ -54,7 +54,7 @@ class CompileEngine:
         self,
         workload: Workload,
         params: Dict[str, int],
-        optimize: str = "O3",
+        opt_level: str = "O3",
         config: Optional[UpmemConfig] = None,
         target: object = None,
     ) -> CompiledArtifact:
@@ -78,7 +78,7 @@ class CompileEngine:
         # one cache entry (callers spell the default both ways).
         config = config if config is not None else DEFAULT_CONFIG
         key = artifact_key(
-            workload, params, config, opt_level=optimize, target=target
+            workload, params, config, opt_level=opt_level, target=target
         )
         tracer = current_tracer()
         artifact = self.cache.get(key)
@@ -89,7 +89,7 @@ class CompileEngine:
                 cat="compile",
                 args={
                     "workload": workload.name,
-                    "opt_level": optimize,
+                    "opt_level": opt_level,
                     "key": key[:12],
                 },
             )
@@ -101,7 +101,7 @@ class CompileEngine:
             )
         if artifact is None:
             artifact = self.cache.put(
-                self._compile(key, workload, params, optimize, config)
+                self._compile(key, workload, params, opt_level, config)
             )
         return artifact
 
@@ -110,15 +110,13 @@ class CompileEngine:
         key: str,
         workload: Workload,
         params: Dict[str, int],
-        optimize: str,
+        opt_level: str,
         config: UpmemConfig,
     ) -> CompiledArtifact:
-        ctx = PassContext(
-            config=config, opt_level=optimize, module_name=workload.name
-        )
+        ctx = PassContext(opt_level=opt_level, module_name=workload.name)
         try:
             schedule = generate_schedule(workload, params)
-            module = get_pipeline("build").run(schedule, ctx)
+            module = build.run(schedule, ctx)
         except (SketchError, ScheduleError, LoweringError) as exc:
             return CompiledArtifact(
                 key, None, error=f"{type(exc).__name__}: {exc}"

@@ -3,8 +3,7 @@
 Two layers:
 
 * :class:`Database` — the in-memory store one search run works against,
-  deduplicated on parameter key (the best latency wins), with
-  ``save``/``load``/``merge`` for explicit persistence.
+  deduplicated on parameter key (the best latency wins).
 * :class:`TuningCache` — a persistent JSON-lines file holding records for
   *many* (workload, target, config) groups, addressed by the digest from
   :func:`repro.pipeline.tuning_key`.  Records are appended incrementally
@@ -73,8 +72,8 @@ class TuningRecord:
     features: Optional[np.ndarray] = None
     trial: int = 0
     #: :class:`TuningCache` group digest the record was loaded from
-    #: ("" for in-run records and standalone snapshots); not serialized
-    #: here — the cache line's ``key`` field carries it.
+    #: ("" for in-run records); not serialized here — the cache line's
+    #: ``key`` field carries it.
     group: str = ""
 
     @property
@@ -82,14 +81,9 @@ class TuningRecord:
         return tuple(sorted(self.params.items()))
 
     def to_json(self) -> Dict:
-        """JSON-safe payload (features become a plain list).
-
-        A non-empty ``group`` is emitted as the line's ``key`` field so
-        a :meth:`Database.save` → :meth:`Database.load` round-trip of a
-        multi-group database preserves group identity (``TuningCache``
-        appends overwrite it with the group being written to).
-        """
-        payload = {
+        """JSON-safe payload (features become a plain list);
+        :meth:`TuningCache.append` adds the group as the line's ``key``."""
+        return {
             "params": dict(self.params),
             "subspace": self.subspace,
             "latency": float(self.latency),
@@ -99,9 +93,6 @@ class TuningRecord:
             ),
             "trial": int(self.trial),
         }
-        if self.group:
-            payload["key"] = self.group
-        return payload
 
     @classmethod
     def from_json(cls, payload: Dict) -> "TuningRecord":
@@ -198,35 +189,9 @@ class Database:
         y = np.array([r.latency for r in rows])
         return X, y
 
-    # -- persistence --------------------------------------------------------
-    def merge(self, other: "Database") -> int:
-        """Fold another database in (best-latency-wins); returns the
-        number of records that changed this database."""
-        return sum(1 for record in other.records() if self.add(record))
-
-    def save(self, path: Union[str, os.PathLike]) -> None:
-        """Write all records as a standalone versioned JSON-lines file."""
-        with open(path, "w") as fh:
-            fh.write(json.dumps(_header()) + "\n")
-            for record in self._records:
-                fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path: Union[str, os.PathLike]) -> "Database":
-        """Read a file written by :meth:`save` (or a :class:`TuningCache`
-        file — every record loads, deduplicated within its own group, so
-        coincidentally equal param dicts from different workloads/targets
-        stay distinct; note ``top_k``/``best`` over such a mixed load
-        compare latencies across workloads)."""
-        db = cls()
-        for payload in _read_records(path):
-            if "params" in payload:  # skip event/meta lines
-                db.add(TuningRecord.from_json(payload))
-        return db
-
 
 # ---------------------------------------------------------------------------
-# file helpers shared by Database and TuningCache
+# file helpers
 # ---------------------------------------------------------------------------
 
 
@@ -309,8 +274,7 @@ class TuningCache:
     The store assumes **one writer at a time** (readers are always
     safe): the torn-tail heal in ``_append_lines`` cannot tell a dead
     writer's fragment from a live writer's in-flight batch.  Point
-    concurrent sweeps at separate files and fold them together with
-    :meth:`Database.merge`.
+    concurrent sweeps at separate files.
     """
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:

@@ -45,6 +45,11 @@ __all__ = [
 #: warm-start hits/misses here so the harness can report warm vs cold.
 _MEASURE_STATS = CacheStats()
 
+#: Database elites mutated (twice each) into every round's pool.
+_ELITES = 10
+#: Pool members sketched and ranked per measured batch slot.
+_POOL_PER_BATCH = 4
+
 
 def measure_stats() -> CacheStats:
     """Snapshot of process-wide measurement-memo hit/miss counters."""
@@ -144,9 +149,7 @@ class Tuner:
         seed: int = 0,
         balanced: bool = True,
         adaptive_epsilon: bool = True,
-        optimize: str = "O3",
-        top_k: int = 10,
-        pool_multiplier: int = 4,
+        opt_level: str = "O3",
         seed_defaults: bool = True,
         engine: Optional[CompileEngine] = None,
         db: Optional[object] = None,
@@ -164,9 +167,7 @@ class Tuner:
         self.rng = random.Random(seed)
         self.balanced = balanced
         self.adaptive_epsilon = adaptive_epsilon
-        self.optimize = optimize
-        self.top_k = top_k
-        self.pool_multiplier = pool_multiplier
+        self.opt_level = opt_level
         #: Measure canonical sketch defaults first (Ansor-style warm
         #: start).  Disabled for search-dynamics studies (Fig. 14), where
         #: the cold-start bias between design subspaces is the subject.
@@ -196,7 +197,7 @@ class Tuner:
         if resume and self.tuning_cache is None:
             raise ValueError("resume=True requires a db to resume from")
         self.db_key = tuning_key(
-            workload, self.config, self.target, opt_level=self.optimize
+            workload, self.config, self.target, opt_level=self.opt_level
         )
         self._warm: Dict[Tuple, TuningRecord] = {}
         if resume and self.tuning_cache is not None:
@@ -235,7 +236,7 @@ class Tuner:
         artifact = self.engine.compile(
             self.workload,
             params,
-            optimize=self.optimize,
+            opt_level=self.opt_level,
             config=self.config,
             target=self.target,
         )
@@ -273,7 +274,7 @@ class Tuner:
                     cand.is_seed = True
                     pool.append(cand)
         # Mutations of the current elite.
-        for record in self.database.top_k(self.top_k):
+        for record in self.database.top_k(_ELITES):
             for _ in range(2):
                 params = self._mutate_params(record.params)
                 cand = self._try_candidate(params, seen)
@@ -377,7 +378,7 @@ class Tuner:
 
         while trial < self.n_trials:
             start = time.perf_counter()
-            pool = self._sample_pool(self.batch_size * self.pool_multiplier)
+            pool = self._sample_pool(self.batch_size * _POOL_PER_BATCH)
             batch = self._select_batch(pool, trial)
             if not batch:
                 break
@@ -503,7 +504,7 @@ def tuned_params(
     n_trials: int = 64,
     seed: int = 0,
     resume: Optional[bool] = None,
-    optimize: str = "O3",
+    opt_level: str = "O3",
     **kwargs,
 ) -> Dict[str, int]:
     """Best-known schedule params for a workload on a target.
@@ -525,7 +526,7 @@ def tuned_params(
         cache = TuningCache.ensure(db)
         resolved = _resolve_target(target, kwargs.get("config"))
         key = tuning_key(
-            workload, resolved.search_config, resolved, opt_level=optimize
+            workload, resolved.search_config, resolved, opt_level=opt_level
         )
         best, completed = cache.group_summary(key)
         if completed >= n_trials and best is not None:
@@ -537,7 +538,7 @@ def tuned_params(
         seed=seed,
         db=db,
         resume=resume,
-        optimize=optimize,
+        opt_level=opt_level,
         **kwargs,
     )
     return dict(tuner.tune().best_params)

@@ -184,11 +184,6 @@ class IterationReport:
     def sequences(self) -> Tuple[str, ...]:
         return tuple(r.sequence for r in self.reports)
 
-    @property
-    def sum_total_s(self) -> float:
-        """What the same steps cost decoded back-to-back (no sharing)."""
-        return sum(r.total_s for r in self.reports)
-
     def device_seconds(
         self,
         dispatch_overhead_s: float = 0.0,

@@ -1,24 +1,10 @@
 """Backend extension sketches beyond UPMEM (paper §8).
 
-Importing an extension registers its target-specific compile pipeline
-with :mod:`repro.pipeline` (e.g. ``hbm-pim``), so backends plug into the
-shared :class:`~repro.pipeline.PassManager` flow instead of forking it.
+An extension is a performance model over the module the shared
+``build`` pipeline lowers; :class:`repro.target.HbmPimTarget` is the
+front end of the one here.
 """
 
-from .hbm_pim import (
-    HbmPimConfig,
-    HbmPimEstimate,
-    HbmPimEstimatePass,
-    HbmPimEstimator,
-    estimate_lowered,
-    estimate_schedule,
-)
+from .hbm_pim import HbmPimConfig, HbmPimEstimate, HbmPimEstimator
 
-__all__ = [
-    "HbmPimConfig",
-    "HbmPimEstimate",
-    "HbmPimEstimatePass",
-    "HbmPimEstimator",
-    "estimate_lowered",
-    "estimate_schedule",
-]
+__all__ = ["HbmPimConfig", "HbmPimEstimate", "HbmPimEstimator"]

@@ -16,7 +16,7 @@ command counts, showing that the two-level binding the paper describes
 The user-facing surface is the first-class ``hbm-pim`` target
 (``repro.compile(workload, target="hbm-pim")``, cross-target tuning via
 ``autotune(wl, target="hbm-pim")``); this module provides the estimator
-and registers the ``hbm-pim`` pipeline it runs on.
+it applies to the module the shared ``build`` pipeline lowers.
 """
 
 from __future__ import annotations
@@ -26,27 +26,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..lowering import LoweredModule
-from ..pipeline import (
-    KernelPass,
-    LowerSchedulePass,
-    Pass,
-    PassContext,
-    PassManager,
-    get_pipeline,
-    has_pipeline,
-    kernel_passes,
-    register_pipeline,
-)
 from ..upmem.system import Latency
 
-__all__ = [
-    "HbmPimConfig",
-    "HbmPimEstimator",
-    "HbmPimEstimate",
-    "HbmPimEstimatePass",
-    "estimate_schedule",
-    "estimate_lowered",
-]
+__all__ = ["HbmPimConfig", "HbmPimEstimator", "HbmPimEstimate"]
 
 
 @dataclass(frozen=True)
@@ -135,85 +117,3 @@ class HbmPimEstimator:
     def supports(self, combiner: Optional[str]) -> bool:
         """HBM-PIM accelerates MAC reductions only."""
         return combiner == "add"
-
-
-# ---------------------------------------------------------------------------
-# pipeline integration
-# ---------------------------------------------------------------------------
-
-
-class HbmPimEstimatePass(Pass):
-    """Terminal pipeline stage mapping the module onto PU command streams.
-
-    Reads ``ctx.attrs["total_macs"]`` (and optionally
-    ``ctx.attrs["hbm_pim_config"]``) and publishes the resulting
-    :class:`HbmPimEstimate` as ``ctx.attrs["hbm_pim_estimate"]``.  The
-    module passes through unchanged, so the stage composes after the
-    standard §5.3 kernel passes.
-    """
-
-    name = "hbm_pim.estimate"
-
-    def __init__(self, config: Optional[HbmPimConfig] = None) -> None:
-        self.config = config
-
-    def run(self, module: LoweredModule, ctx: PassContext) -> LoweredModule:
-        config = self.config or ctx.attrs.get("hbm_pim_config")
-        total_macs = float(ctx.attrs.get("total_macs", 0.0))
-        estimator = HbmPimEstimator(config)
-        ctx.attrs["hbm_pim_estimate"] = estimator.estimate(module, total_macs)
-        return module
-
-
-def _hbm_pim_pipeline() -> PassManager:
-    """Target pipeline: lower, UPMEM §5.3 passes, then the PU mapping."""
-    return PassManager(
-        [LowerSchedulePass(), *kernel_passes(), HbmPimEstimatePass()],
-        name="hbm-pim",
-    )
-
-
-if not has_pipeline("hbm-pim"):
-    register_pipeline("hbm-pim", _hbm_pim_pipeline)
-
-
-def _run_estimate(pipeline: PassManager, obj, total_macs, config, ctx=None):
-    ctx = ctx or PassContext()
-    ctx.attrs["total_macs"] = total_macs
-    if config is not None:
-        ctx.attrs["hbm_pim_config"] = config
-    pipeline.run(obj, ctx)
-    return ctx.attrs["hbm_pim_estimate"]
-
-
-def estimate_schedule(
-    schedule,
-    total_macs: float,
-    config: Optional[HbmPimConfig] = None,
-    ctx: Optional[PassContext] = None,
-) -> HbmPimEstimate:
-    """Compile a schedule through the registered ``hbm-pim`` pipeline and
-    return the feasibility estimate."""
-    return _run_estimate(get_pipeline("hbm-pim"), schedule, total_macs, config, ctx)
-
-
-def estimate_lowered(
-    module: LoweredModule,
-    total_macs: float,
-    config: Optional[HbmPimConfig] = None,
-    ctx: Optional[PassContext] = None,
-) -> HbmPimEstimate:
-    """Estimate an already-compiled module (e.g. a tuner's best candidate).
-
-    Runs only the ``hbm-pim`` pipeline's analysis stages: lowering and
-    the §5.3 kernel passes already happened when the module was built,
-    so re-running them would both waste work and estimate a differently
-    optimized kernel than the caller actually has.
-    """
-    pipeline = get_pipeline("hbm-pim")
-    pipeline.passes = [
-        p
-        for p in pipeline.passes
-        if not isinstance(p, (LowerSchedulePass, KernelPass))
-    ]
-    return _run_estimate(pipeline, module, total_macs, config, ctx)

@@ -169,9 +169,6 @@ class GraphExecutable(Executable):
         self._plan = None
 
     # -- introspection -------------------------------------------------------
-    def node_executable(self, name: str) -> Executable:
-        return self._exes[name][0]
-
     @property
     def loaded_program_count(self) -> int:
         """Programs this compile actually loaded (pool misses) rather

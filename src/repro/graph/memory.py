@@ -93,12 +93,6 @@ class MemoryPlan:
             "fragmentation"
         ]
 
-    def slot_of(self, tensor: str) -> int:
-        for a in self.assignments:
-            if a.tensor == tensor:
-                return a.slot
-        raise KeyError(f"tensor {tensor!r} is not planned")
-
     def to_dict(self) -> Dict:
         """The ``--json`` payload."""
         return {

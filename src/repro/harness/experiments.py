@@ -35,6 +35,7 @@ from ..graph import (
     place,
     plan_memory,
 )
+from ..optim import LEVELS
 from ..serve import (
     ExecutablePool,
     Server,
@@ -455,8 +456,6 @@ def fig11_mmtv_scaling(
 # Fig. 12 / Fig. 13 — PIM-aware optimization ablation
 # ---------------------------------------------------------------------------
 
-_OPT_LEVELS = ("O0", "O1", "O2", "O3")
-
 
 def fig12_pim_opts(
     lengths: Sequence[int] = (72, 91, 123, 145, 164, 196, 212, 245),
@@ -467,7 +466,7 @@ def fig12_pim_opts(
 
     def sweep(wl: Workload, params: Dict[str, int], tag: str, misalign: str):
         entry = {"case": tag, "misalignment": misalign}
-        for level in _OPT_LEVELS:
+        for level in LEVELS:
             prof = repro_compile(wl, params=params, opt_level=level).profile()
             entry[f"kernel_ms_{level}"] = prof.latency.kernel * 1e3
         entry["speedup_o3_vs_o0"] = (
@@ -514,7 +513,7 @@ def fig13_breakdown(
     ]
     for wl, params, tag in cases:
         base_instr = None
-        for level in _OPT_LEVELS:
+        for level in LEVELS:
             prof = repro_compile(wl, params=params, opt_level=level).profile()
             frac = prof.dpu.fractions()
             if base_instr is None:

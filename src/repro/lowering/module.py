@@ -14,7 +14,8 @@ TRANSFER_MODES = ("element", "bulk", "parallel")
 
 @dataclass
 class LowerOptions:
-    """Knobs of the lowering pipeline.
+    """Knobs of lowering (the §5.3 level is not one of them: it gates
+    the passes that run *after* lowering, ``PassContext.opt_level``).
 
     transfer_mode:
         ``element`` — one intrinsic call per element (Fig. 7b);
@@ -23,22 +24,14 @@ class LowerOptions:
     boundary_checks:
         Insert boundary predicates for imperfect tiles.  Disabling them is
         only valid for perfectly aligned shapes (used in tests).
-    optimize:
-        Name of the PIM-aware optimization level applied after lowering:
-        ``O0`` (none), ``O1`` (+DMA-aware boundary-check elimination),
-        ``O2`` (+loop-bound tightening), ``O3`` (+invariant branch
-        hoisting) — paper §5.3 / Fig. 13.
     """
 
     transfer_mode: str = "parallel"
     boundary_checks: bool = True
-    optimize: str = "O3"
 
     def __post_init__(self) -> None:
         if self.transfer_mode not in TRANSFER_MODES:
             raise ValueError(f"transfer_mode must be one of {TRANSFER_MODES}")
-        if self.optimize not in ("O0", "O1", "O2", "O3"):
-            raise ValueError("optimize must be O0..O3")
 
 
 @dataclass

@@ -13,8 +13,7 @@ thing that makes a trace machine-dependent.
 Tracing is off by default: the ambient tracer is a shared
 :data:`NULL_TRACER` whose every method is a no-op, so instrumented hot
 paths pay nothing when nobody is looking.  Scope a real tracer with
-:func:`use_tracer` (or install one with :func:`set_tracer`), then
-export:
+:func:`use_tracer`, then export:
 
 * :func:`write_chrome_trace` — Chrome trace-event JSON (loads in
   Perfetto / ``chrome://tracing``): one process per subsystem, one
@@ -43,11 +42,9 @@ from .tracer import (
     TraceEvent,
     Tracer,
     current_tracer,
-    set_tracer,
-    tracing_enabled,
     use_tracer,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .export import (
     chrome_trace,
     jsonl_events,
@@ -63,11 +60,8 @@ __all__ = [
     "TraceEvent",
     "SpanRecord",
     "current_tracer",
-    "set_tracer",
     "use_tracer",
-    "tracing_enabled",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "chrome_trace",

@@ -1,4 +1,4 @@
-"""Labeled metric series: counters, gauges, histograms.
+"""Labeled metric series: counters and histograms.
 
 A :class:`MetricsRegistry` holds named metric families; each family
 fans out into one series per distinct label set (Prometheus-style, but
@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
 Labels = Optional[Dict[str, str]]
 _LabelKey = Tuple[Tuple[str, str], ...]
@@ -44,40 +44,6 @@ class Counter:
             raise ValueError(
                 f"counter {self.name!r} cannot decrease (inc by {amount})"
             )
-        key = _label_key(labels)
-        with self._lock:
-            value = self._values.get(key, 0.0) + amount
-            self._values[key] = value
-            return value
-
-    def value(self, labels: Labels = None) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def export(self) -> Dict[str, Any]:
-        with self._lock:
-            series = [
-                {"labels": dict(key), "value": value}
-                for key, value in sorted(self._values.items())
-            ]
-        return {"name": self.name, "kind": self.kind, "series": series}
-
-
-class Gauge:
-    """A value that can go up and down (queue depth, bytes resident)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._values: Dict[_LabelKey, float] = {}
-        self._lock = threading.Lock()
-
-    def set(self, value: float, labels: Labels = None) -> float:
-        with self._lock:
-            self._values[_label_key(labels)] = float(value)
-        return float(value)
-
-    def add(self, amount: float, labels: Labels = None) -> float:
         key = _label_key(labels)
         with self._lock:
             value = self._values.get(key, 0.0) + amount
@@ -180,7 +146,7 @@ class Histogram:
         }
 
 
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Histogram]
 
 
 class MetricsRegistry:
@@ -211,9 +177,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
 
     def histogram(
         self, name: str, edges: Optional[Sequence[float]] = None

@@ -41,9 +41,7 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "current_tracer",
-    "set_tracer",
     "use_tracer",
-    "tracing_enabled",
 ]
 
 
@@ -107,9 +105,9 @@ class Tracer:
     """Collects spans/instants/counters; owns a :class:`MetricsRegistry`.
 
     One tracer is one trace.  Install it as the ambient tracer with
-    :func:`use_tracer`/:func:`set_tracer`; instrumented code finds it
-    via :func:`current_tracer` and checks :attr:`enabled` before doing
-    any per-event work.
+    :func:`use_tracer`; instrumented code finds it via
+    :func:`current_tracer` and checks :attr:`enabled` before doing any
+    per-event work.
     """
 
     enabled = True
@@ -336,18 +334,6 @@ _ACTIVE: List[Tracer] = [NULL_TRACER]
 def current_tracer() -> Tracer:
     """The innermost active tracer (the shared null tracer when none)."""
     return _ACTIVE[-1]
-
-
-def tracing_enabled() -> bool:
-    return _ACTIVE[-1].enabled
-
-
-def set_tracer(tracer: Optional[Tracer]) -> Tracer:
-    """Install ``tracer`` at the current scope (``None`` disables).
-    Returns the tracer it replaced, so callers can restore it."""
-    previous = _ACTIVE[-1]
-    _ACTIVE[-1] = tracer if tracer is not None else NULL_TRACER
-    return previous
 
 
 @contextmanager

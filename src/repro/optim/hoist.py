@@ -157,10 +157,14 @@ class _Hoister(StmtMutator):
         return False
 
 
-def hoist_invariant_branches(kernel: Stmt, max_iter: int = 8) -> Stmt:
+#: Rounds of unswitch + sink before giving up on a fixpoint.
+_MAX_ROUNDS = 8
+
+
+def hoist_invariant_branches(kernel: Stmt) -> Stmt:
     """Apply §5.3.3 to a kernel statement tree (iterated to fixpoint)."""
     current = kernel
-    for _ in range(max_iter):
+    for _ in range(_MAX_ROUNDS):
         hoister = _Hoister()
         result = hoister.visit_stmt(current)
         assert result is not None

@@ -1,32 +1,24 @@
-"""Unified compile pipeline: passes, contexts, managers and artifacts.
+"""The compile pipeline and the artifacts it produces.
 
-Every compile in the repository — ``repro.compile`` (for any target),
-``optimize_module``, the autotuner, the baselines and the experiment
-harness — routes through a :class:`PassManager` over the same named
-passes, with a :class:`PassContext` carrying configuration and
-observability hooks; every (workload, params) compile is one
+Every compile in the repository — ``repro.compile`` for any
+module-compiling target, the autotuner, the baselines and the experiment
+harness — is :data:`build` run over a schedule under a
+:class:`PassContext`; every (workload, params) compile is one
 :meth:`repro.autotune.CompileEngine.compile` call, memoized as a
 :class:`CompiledArtifact` in an :class:`ArtifactCache`.
 
-Quick tour::
+::
 
-    from repro.pipeline import PassContext, get_pipeline
+    from repro.pipeline import PassContext, build
 
-    ctx = PassContext(opt_level="O2", dump_ir=True)
-    module = get_pipeline("build").run(schedule, ctx)
-    print(ctx.timing_report())
+    module = build.run(schedule, PassContext(opt_level="O2"))
+
+Per-pass wall time is the ``wall_ms`` argument of the pass spans a
+``Tracer(wall_clock=True)`` records; the kernel after level *k* is
+``repro.compile(schedule, opt_level="Ok").lowered.kernel``.
 """
 
-from .core import (
-    OPT_LEVELS,
-    FunctionPass,
-    Pass,
-    PassContext,
-    PassInstrument,
-    PassManager,
-    PassTiming,
-    PipelineError,
-)
+from .core import Pass, PassContext, PassManager, PipelineError
 from .artifact import (
     ArtifactCache,
     CacheStats,
@@ -35,44 +27,20 @@ from .artifact import (
     tuning_key,
     workload_signature,
 )
-from .passes import (
-    EliminateCopyChecks,
-    HoistInvariantBranches,
-    KernelPass,
-    LowerSchedulePass,
-    TightenLoopBounds,
-    kernel_passes,
-)
-from .registry import (
-    get_pipeline,
-    has_pipeline,
-    list_pipelines,
-    register_pipeline,
-)
+from .passes import KernelPass, LowerSchedulePass, build
 
 __all__ = [
-    "OPT_LEVELS",
     "Pass",
-    "FunctionPass",
     "KernelPass",
-    "PassContext",
-    "PassInstrument",
-    "PassManager",
-    "PassTiming",
-    "PipelineError",
     "LowerSchedulePass",
-    "EliminateCopyChecks",
-    "TightenLoopBounds",
-    "HoistInvariantBranches",
-    "kernel_passes",
+    "PassContext",
+    "PassManager",
+    "PipelineError",
+    "build",
     "ArtifactCache",
     "CacheStats",
     "CompiledArtifact",
     "artifact_key",
     "tuning_key",
     "workload_signature",
-    "register_pipeline",
-    "get_pipeline",
-    "has_pipeline",
-    "list_pipelines",
 ]

@@ -38,7 +38,8 @@ __all__ = [
 #: v3: int32 buffers are now actually int32 (were widened to int64).
 #: v4: ``CompiledArtifact.verified`` is a plain bool (was tri-state);
 #: disk entries lead with a SHA-256 of the pickle that follows.
-CACHE_SCHEMA_VERSION = 4
+#: v5: ``LowerOptions`` (pickled inside every module) lost ``optimize``.
+CACHE_SCHEMA_VERSION = 5
 
 _DIGEST_BYTES = hashlib.sha256().digest_size
 

@@ -1,8 +1,7 @@
-"""Concrete passes composing the ATiM compile flow.
+"""The ATiM compile flow as passes, and the one pipeline made of them.
 
-The stages the paper describes — schedule → loop TIR (§5.2.2) and the
-O1–O3 PIM-aware kernel optimizations (§5.3) — each become one named
-:class:`Pass` so pipelines can compose, reorder and instrument them.
+Schedule → loop TIR (§5.2.2), then the O1–O3 PIM-aware kernel
+optimizations (§5.3) in their fixed order: :data:`build`.
 Hardware-constraint verification (§5.2.4) follows the pipeline inside
 :meth:`repro.autotune.CompileEngine.compile`.
 """
@@ -10,23 +9,18 @@ Hardware-constraint verification (§5.2.4) follows the pipeline inside
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, List, Optional
+from typing import Callable
 
-from ..lowering import LoweredModule, LowerOptions, lower
-from ..optim.dma_elim import eliminate_copy_checks
-from ..optim.hoist import hoist_invariant_branches
-from ..optim.tighten import tighten_loop_bounds
+from ..lowering import LoweredModule, lower
+from ..optim import (
+    eliminate_copy_checks,
+    hoist_invariant_branches,
+    tighten_loop_bounds,
+)
 from ..tir import Stmt
-from .core import Pass, PassContext, PipelineError
+from .core import Pass, PassContext, PassManager
 
-__all__ = [
-    "LowerSchedulePass",
-    "KernelPass",
-    "EliminateCopyChecks",
-    "TightenLoopBounds",
-    "HoistInvariantBranches",
-    "kernel_passes",
-]
+__all__ = ["LowerSchedulePass", "KernelPass", "build"]
 
 
 class LowerSchedulePass(Pass):
@@ -36,69 +30,35 @@ class LowerSchedulePass(Pass):
     name = "lower"
 
     def run(self, schedule, ctx: PassContext) -> LoweredModule:
-        options = ctx.options or LowerOptions(optimize=ctx.opt_level)
-        return lower(schedule, name=ctx.module_name, options=options)
+        return lower(schedule, name=ctx.module_name, options=ctx.options)
 
 
 class KernelPass(Pass):
-    """A kernel-level ``Stmt -> Stmt`` rewrite lifted to module level.
+    """A kernel-level ``Stmt -> Stmt`` rewrite applied to a module's
+    kernel, named after the rewrite."""
 
-    Accepts either a :class:`LoweredModule` (rewrites its ``kernel``) or a
-    bare kernel :class:`Stmt`, so the same pass objects back both
-    ``optimize_module`` and ``optimize_kernel``.
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[Stmt], Stmt],
-        name: Optional[str] = None,
-        min_level: str = "O0",
-    ) -> None:
+    def __init__(self, fn: Callable[[Stmt], Stmt], min_level: str) -> None:
         self.fn = fn
-        self.name = name or fn.__name__
+        self.name = fn.__name__
         self.min_level = min_level
 
-    def run(self, obj, ctx: PassContext):
-        if isinstance(obj, LoweredModule):
-            kernel = self.fn(obj.kernel)
-            if kernel is obj.kernel:
-                return obj
-            return replace(obj, kernel=kernel)
-        if isinstance(obj, Stmt):
-            return self.fn(obj)
-        raise PipelineError(
-            f"kernel pass {self.name!r} needs a LoweredModule or Stmt,"
-            f" got {type(obj).__name__}"
-        )
+    def run(self, module: LoweredModule, ctx: PassContext) -> LoweredModule:
+        kernel = self.fn(module.kernel)
+        if kernel is module.kernel:
+            return module
+        return replace(module, kernel=kernel)
 
 
-class EliminateCopyChecks(KernelPass):
-    """O1 — DMA-aware boundary-check elimination (paper §5.3.1)."""
-
-    def __init__(self) -> None:
-        super().__init__(
-            eliminate_copy_checks, name="eliminate_copy_checks", min_level="O1"
-        )
-
-
-class TightenLoopBounds(KernelPass):
-    """O2 — loop-bound tightening for imperfect tiles (paper §5.3.2)."""
-
-    def __init__(self) -> None:
-        super().__init__(
-            tighten_loop_bounds, name="tighten_loop_bounds", min_level="O2"
-        )
-
-
-class HoistInvariantBranches(KernelPass):
-    """O3 — invariant branch hoisting out of hot loops (paper §5.3.3)."""
-
-    def __init__(self) -> None:
-        super().__init__(
-            hoist_invariant_branches, name="hoist_invariant_branches", min_level="O3"
-        )
-
-
-def kernel_passes() -> List[KernelPass]:
-    """Fresh instances of the §5.3 kernel passes in canonical O1→O3 order."""
-    return [EliminateCopyChecks(), TightenLoopBounds(), HoistInvariantBranches()]
+#: The compile pipeline every module goes through: lowering, then
+#: O1 — DMA-aware boundary-check elimination (§5.3.1), O2 — loop-bound
+#: tightening for imperfect tiles (§5.3.2), O3 — invariant branch
+#: hoisting out of hot loops (§5.3.3), each gated on the context's level.
+build = PassManager(
+    [
+        LowerSchedulePass(),
+        KernelPass(eliminate_copy_checks, min_level="O1"),
+        KernelPass(tighten_loop_bounds, min_level="O2"),
+        KernelPass(hoist_invariant_branches, min_level="O3"),
+    ],
+    name="build",
+)

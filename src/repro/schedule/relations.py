@@ -76,11 +76,6 @@ def reconstruct_roots(
     return {root.var: values.get(root.var, root.var) for root in roots}
 
 
-def leaf_ranges(leaves: Sequence[IterVar]) -> Dict[Var, tuple]:
-    """Map each leaf var to ``(0, extent)`` for interval analyses."""
-    return {iv.var: (0, iv.extent) for iv in leaves}
-
-
 def derives_from_reduce(iv: IterVar, relations: Sequence[object]) -> bool:
     """Whether ``iv`` descends (possibly transitively) from a reduce axis."""
     reduce_set: List[IterVar] = []

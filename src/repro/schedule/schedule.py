@@ -259,10 +259,6 @@ class Schedule:
         except KeyError:
             raise ScheduleError(f"no stage for buffer {buffer!r}") from None
 
-    def compute_stages(self) -> List[Stage]:
-        """Root compute stages in dependency order."""
-        return [s for s in self.stages if s.kind == "compute"]
-
     # -- caching primitives ---------------------------------------------------
     def cache_read(
         self,

@@ -68,8 +68,7 @@ class Target(abc.ABC):
         may share cache entries with any other caller producing the same
         module (e.g. the UPMEM target and the PrIM baselines' grid
         search).  Override to return a stable token when a target
-        alters compilation *beyond* those knobs (extra pass
-        configuration, context attributes, ...), so its artifacts never
+        alters compilation *beyond* those knobs, so its artifacts never
         alias ones it would compile differently.
         """
         return None

@@ -65,7 +65,9 @@ def compile(
         Persistent-store path and search budget/seed for ``tuned=True``.
     hints:
         Target-specific extras, e.g. ``size="64MB"`` (PrIM parameter
-        table row) or ``total_macs=`` (HBM-PIM schedule estimates).
+        table row), ``total_macs=`` (HBM-PIM schedule estimates) or
+        ``options=`` (the :class:`repro.lowering.LowerOptions` an
+        explicit schedule lowers under on ``upmem``).
         Targets ignore hints they do not understand.
 
     Returns the target's :class:`Executable` with the uniform
@@ -118,7 +120,7 @@ def compile(
             # Tune at the level the result will compile at: O0 and O3
             # measure differently, so they form separate db groups and
             # must not trade winners.
-            optimize=opt_level,
+            opt_level=opt_level,
         )
     return target.compile(
         workload_or_schedule, opt_level=opt_level, params=params, **hints

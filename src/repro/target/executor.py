@@ -19,8 +19,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, List
 
-from ..upmem.executor import positive_int_env
-
 __all__ = ["Executor", "default_workers", "MIN_JOB_BYTES"]
 
 #: Smallest working set (lanes x bytes of per-lane buffers) worth a job
@@ -74,9 +72,17 @@ def default_workers() -> int:
     for machines where 8 threads under- or over-subscribe the simulator.
     """
     env = os.environ.get("REPRO_MAX_WORKERS")
-    if env is not None:
-        return positive_int_env("REPRO_MAX_WORKERS", env)
-    return max(1, min(8, os.cpu_count() or 1))
+    if env is None:
+        return max(1, min(8, os.cpu_count() or 1))
+    try:
+        width = int(env)
+    except ValueError:
+        width = 0
+    if width < 1:
+        raise ValueError(
+            f"REPRO_MAX_WORKERS must be an integer >= 1, got {env!r}"
+        )
+    return width
 
 
 class Executor:

@@ -3,7 +3,7 @@
 All module-compiling targets share the UPMEM scheduling substrate — PrIM
 and SimplePIM baselines are *structural* reproductions as schedules, and
 the HBM-PIM estimate reinterprets the lowered grid/tile structure — so
-they compile through the same named pipelines and differ in parameter
+they compile through the same ``build`` pipeline and differ in parameter
 choice and performance model.  The CPU/GPU targets are rooflines with
 numpy functional execution.
 """
@@ -22,8 +22,9 @@ from ..autotune.sketch import (
 from ..baselines.cpu import CpuModel, GpuModel
 from ..baselines.prim import prim_params, prim_search
 from ..baselines.simplepim import SIMPLEPIM_WORKLOADS, simplepim_build
+from ..extensions.hbm_pim import HbmPimConfig, HbmPimEstimator
 from ..lowering import LowerOptions
-from ..pipeline import PassContext, get_pipeline
+from ..pipeline import PassContext, build
 from ..schedule import Schedule
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..upmem.system import PerformanceModel
@@ -65,22 +66,15 @@ class UpmemTarget(Target):
     (lowering + the §5.3 passes); workloads without explicit ``params``
     get the sketch defaults (run the autotuner for tuned parameters).
 
-    With an explicit schedule, ``ctx`` takes a
-    :class:`repro.pipeline.PassContext` carrying instruments or
-    collecting per-pass timings/IR dumps; the call's ``opt_level``,
-    ``name`` (when given) and this target's machine are written into it.
+    With an explicit schedule, ``options`` takes the
+    :class:`repro.lowering.LowerOptions` to lower it under and ``name``
+    the module's name.
     """
 
     kind = "upmem"
 
-    def __init__(
-        self,
-        config: Optional[UpmemConfig] = None,
-        engine: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, config: Optional[UpmemConfig] = None) -> None:
         self.config = config or DEFAULT_CONFIG
-        #: Compile engine (process-wide default unless one was injected).
-        self.engine = engine if engine is not None else default_engine()
 
     @property
     def search_config(self) -> UpmemConfig:
@@ -98,24 +92,22 @@ class UpmemTarget(Target):
         workload_or_schedule: Any,
         opt_level: str = "O3",
         params: Optional[Dict[str, int]] = None,
-        name: Optional[str] = None,
-        ctx: Optional[Any] = None,
+        name: str = "main",
+        options: Optional[LowerOptions] = None,
         **hints: Any,
     ) -> Executable:
         if isinstance(workload_or_schedule, Schedule):
-            if ctx is None:
-                ctx = PassContext(module_name=name or "main")
-            elif name is not None:
-                ctx.module_name = name
-            ctx.options = LowerOptions(optimize=opt_level)
-            ctx.opt_level = opt_level
-            ctx.config = self.config
-            lowered = get_pipeline("build").run(workload_or_schedule, ctx)
+            ctx = PassContext(
+                opt_level=opt_level,
+                options=options or LowerOptions(),
+                module_name=name,
+            )
+            lowered = build.run(workload_or_schedule, ctx)
             return UpmemExecutable(lowered, self, params=params)
         workload = workload_or_schedule
         params = params or default_params(workload, self.config)
-        artifact = self.engine.compile(
-            workload, params, optimize=opt_level, config=self.config,
+        artifact = default_engine().compile(
+            workload, params, opt_level=opt_level, config=self.config,
             target=self,
         )
         if not artifact.ok:
@@ -314,22 +306,19 @@ class HbmPimTarget(Target):
     """Samsung HBM-PIM (Aquabolt-XL) feasibility estimate — paper §8.
 
     First-class target wrapping :mod:`repro.extensions.hbm_pim`: MAC
-    reductions compile through the registered ``hbm-pim`` pipeline and
-    yield a PU-command-stream latency estimate.  Not functionally
-    executable (the paper models command streams, not an ISA).
+    reductions compile through the ``build`` pipeline and the lowered
+    module yields a PU-command-stream latency estimate.  Not
+    functionally executable (the paper models command streams, not an
+    ISA).
     """
 
     kind = "hbm-pim"
 
     def __init__(
         self,
-        config: Optional[Any] = None,  # HbmPimConfig
+        config: Optional[HbmPimConfig] = None,
         upmem_config: Optional[UpmemConfig] = None,
     ) -> None:
-        # Local: importing the extension registers its "hbm-pim"
-        # pipeline, which `import repro` alone must not do.
-        from ..extensions.hbm_pim import HbmPimConfig, HbmPimEstimator
-
         self.config = config or HbmPimConfig()
         self.estimator = HbmPimEstimator(self.config)
         #: UPMEM machine description bounding the sketch substrate the
@@ -357,9 +346,6 @@ class HbmPimTarget(Target):
         total_macs: Optional[float] = None,
         **hints: Any,
     ) -> Executable:
-        # Local for the same reason as in ``__init__``.
-        from ..extensions.hbm_pim import estimate_schedule
-
         workload = None
         if isinstance(workload_or_schedule, Schedule):
             schedule = workload_or_schedule
@@ -385,8 +371,8 @@ class HbmPimTarget(Target):
                 ) from exc
             if total_macs is None:
                 total_macs = self.total_macs(workload)
-        ctx = PassContext(config=self.upmem_config, opt_level=opt_level)
-        estimate = estimate_schedule(schedule, total_macs, self.config, ctx)
+        lowered = build.run(schedule, PassContext(opt_level=opt_level))
+        estimate = self.estimator.estimate(lowered, float(total_macs))
         return EstimateExecutable(estimate, self, workload, params)
 
     def measure(self, module: Any, workload: Any = None) -> float:

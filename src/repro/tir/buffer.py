@@ -14,7 +14,7 @@ Scopes model the UPMEM memory hierarchy:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .expr import IntImm, PrimExpr, as_expr
 
@@ -100,10 +100,6 @@ class Buffer:
     @property
     def elem_bytes(self) -> int:
         return dtype_bytes(self.dtype)
-
-    def with_scope(self, scope: str, name: Optional[str] = None) -> "Buffer":
-        """Copy of this buffer in another storage scope."""
-        return Buffer(name or self.name, self.shape, self.dtype, scope)
 
     def flat_index(self, indices: Sequence[PrimExpr]) -> PrimExpr:
         """Row-major linearization of ``indices`` (for address calculation)."""

@@ -156,9 +156,6 @@ class PrimExpr:
         """Build an equality comparison node (``==`` is kept for hashing)."""
         return EQ(self, as_expr(other))
 
-    def not_equal(self, other) -> "NE":
-        return NE(self, as_expr(other))
-
     # ``==`` is not overloaded: nodes compare and hash by identity (the
     # object default), so they can live in dicts/sets.
 

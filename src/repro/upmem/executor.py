@@ -38,7 +38,6 @@ __all__ = [
     "FunctionalExecutor",
     "VerifyMismatch",
     "sim_mode",
-    "positive_int_env",
     "SIM_MODES",
 ]
 
@@ -58,17 +57,6 @@ def sim_mode(override: Optional[str] = None) -> str:
             f"REPRO_SIM_MODE must be one of {SIM_MODES}, got {mode!r}"
         )
     return mode
-
-
-def positive_int_env(name: str, text: str) -> int:
-    """Parse the value of an integer environment knob that must be >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {text!r}")
-    return value
 
 
 class FunctionalExecutor:

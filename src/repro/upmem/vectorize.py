@@ -120,7 +120,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 import threading
 from collections import Counter, OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -179,7 +178,6 @@ from ..tir import (
     simplify,
     substitute,
 )
-from .executor import positive_int_env
 from .interp import _INTRINSICS, InterpError, Interpreter, _np_dtype
 
 __all__ = [
@@ -199,12 +197,6 @@ class VectorizeError(Exception):
 # value varies along.  0 means a plain Python/numpy scalar.
 LANE = 1  # varies per lane (grid point / host lane-loop iteration)
 AXIS = 2  # varies along the vectorized inner-loop axis
-
-_BIG_PY_OPS = {
-    Add: lambda a, b: a + b,
-    Sub: lambda a, b: a - b,
-    Mul: lambda a, b: a * b,
-}
 
 # ``exp`` must match math.exp per element; np.exp differs in the last ulp.
 _VEXP = np.frompyfunc(math.exp, 1, 1)
@@ -716,11 +708,6 @@ class _SeqOp:
             op.run(ctx)
 
 
-class _NoOp:
-    def run(self, ctx):
-        pass
-
-
 class _StoreOp:
     def __init__(self, plan, stmt: BufferStore, ec: "_ExprCompiler"):
         self.buffer = stmt.buffer
@@ -1005,6 +992,10 @@ _SCAN_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
 #: slab and its operands' windows in cache and costs nothing in time
 #: (any slab of >= 128 steps scans at the same rate).
 _SCAN_BYTES = 1024 * 1024
+
+#: Bytes of per-lane buffers one chunk of :meth:`KernelPlan.run_points`
+#: may stack: longer lane ranges run as several chunks.
+_LANE_BUDGET_BYTES = 256 * 1024 * 1024
 
 
 def _reduction(body: Stmt, loop_vars: Sequence[Var]) -> Optional[PrimExpr]:
@@ -1635,11 +1626,7 @@ class KernelPlan:
 
     # -- driving ------------------------------------------------------------
     def max_lanes(self, total: int) -> int:
-        env = os.environ.get("REPRO_VECTOR_LANES")
-        if env is not None:
-            return min(total, positive_int_env("REPRO_VECTOR_LANES", env))
-        budget = 256 * 1024 * 1024
-        return max(1, min(total, budget // self._bytes_per_lane))
+        return max(1, min(total, _LANE_BUDGET_BYTES // self._bytes_per_lane))
 
     def run_points(
         self,

@@ -53,27 +53,39 @@ class TestDedupe:
         assert db._seen[(("x", 1),)] == 1.0
 
     def test_merge_counts_changes(self):
+        # Folding one database into another is ``add`` per record:
+        # best latency wins and ``add`` says whether anything changed.
         a = Database()
         a.add(_record(2.0, x=1))
         b = Database()
         b.add(_record(1.0, x=1))   # improves
         b.add(_record(3.0, x=2))   # new
         b.add(_record(9.0, x=1))   # worse than both: no-op
-        assert a.merge(b) == 2
+        assert sum(a.add(record) for record in b.records()) == 2
         assert len(a) == 2
         assert a.best().latency == 1.0
 
 
+def _store(path, *records):
+    """A one-group store at ``path`` holding ``records``."""
+    cache = TuningCache(path)
+    cache.append("k", list(records))
+    return cache
+
+
 class TestSaveLoad:
+    """The on-disk format, written by ``TuningCache.append`` and read by
+    ``TuningCache.load`` — the one writer and the one reader."""
+
     def test_roundtrip_preserves_records_and_features(self, tmp_path):
-        path = tmp_path / "db.jsonl"
-        db = Database()
         feats = np.arange(4, dtype=np.float64)
-        db.add(_record(1.5, subspace="rfactor", trial=3, features=feats,
-                       m_dpus=64, cache=32))
-        db.add(_record(2.5, x=7))
-        db.save(path)
-        loaded = Database.load(path)
+        cache = _store(
+            tmp_path / "db.jsonl",
+            _record(1.5, subspace="rfactor", trial=3, features=feats,
+                    m_dpus=64, cache=32),
+            _record(2.5, x=7),
+        )
+        loaded = cache.load()
         assert len(loaded) == 2
         best = loaded.best()
         assert best.params == {"m_dpus": 64, "cache": 32}
@@ -84,7 +96,7 @@ class TestSaveLoad:
 
     def test_header_written_with_version(self, tmp_path):
         path = tmp_path / "db.jsonl"
-        Database().save(path)
+        _store(path, _record(1.0, x=1))
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {"format": DB_FORMAT, "version": DB_SCHEMA_VERSION}
 
@@ -92,62 +104,51 @@ class TestSaveLoad:
         # A killed writer leaves a partial final line; loading must keep
         # the intact prefix.
         path = tmp_path / "db.jsonl"
-        db = Database()
-        db.add(_record(1.0, x=1))
-        db.add(_record(2.0, x=2))
-        db.save(path)
+        cache = _store(path, _record(1.0, x=1), _record(2.0, x=2))
         with open(path, "a") as fh:
             fh.write('{"params": {"x": 3}, "laten')
-        assert len(Database.load(path)) == 2
+        assert len(cache.load()) == 2
 
     def test_complete_corrupt_final_line_rejected(self, tmp_path):
         # A corrupt but newline-terminated final line is damage, not a
         # killed writer — it must raise, not be silently dropped.
         path = tmp_path / "db.jsonl"
-        db = Database()
-        db.add(_record(1.0, x=1))
-        db.save(path)
+        cache = _store(path, _record(1.0, x=1))
         with open(path, "a") as fh:
             fh.write("corrupt but complete line\n")
         with pytest.raises(DatabaseFormatError):
-            Database.load(path)
+            cache.load()
 
     def test_non_object_json_line_rejected(self, tmp_path):
         # Valid JSON that is not a record object is damage too, not a
         # TypeError waiting to happen in consumers.
-        for stray in ("42\n", "[1, 2]\n"):
-            path = tmp_path / "db.jsonl"
-            db = Database()
-            db.add(_record(1.0, x=1))
-            db.save(path)
+        for n, stray in enumerate(("42\n", "[1, 2]\n")):
+            path = tmp_path / f"db{n}.jsonl"
+            cache = _store(path, _record(1.0, x=1))
             with open(path, "a") as fh:
                 fh.write(stray)
             with pytest.raises(DatabaseFormatError):
-                Database.load(path)
+                cache.load()
 
     def test_multi_group_roundtrip_preserves_groups(self, tmp_path):
-        # save() of a multi-group database must not collapse
-        # coincidentally equal params from different groups on reload.
+        # A whole-file load must not collapse coincidentally equal
+        # params from different groups.
         cache = TuningCache(tmp_path / "store.jsonl")
         cache.append("k1", [_record(5.0, n_dpus=512)])
         cache.append("k2", [_record(1.0, n_dpus=512)])
-        snapshot = tmp_path / "snapshot.jsonl"
-        cache.load().save(snapshot)
-        db = Database.load(snapshot)
+        db = TuningCache(tmp_path / "store.jsonl").load()
         assert len(db) == 2
         assert {r.group for r in db.records()} == {"k1", "k2"}
 
     def test_corrupt_interior_line_rejected(self, tmp_path):
         path = tmp_path / "db.jsonl"
-        db = Database()
-        db.add(_record(1.0, x=1))
-        db.save(path)
+        cache = _store(path, _record(1.0, x=1))
         text = path.read_text() + '{"params": {"x": 2}, "latency": 2.0}\n'
         lines = text.splitlines()
         lines.insert(1, "not json")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatabaseFormatError):
-            Database.load(path)
+            cache.load()
 
     def test_torn_header_reads_as_empty_store(self, tmp_path):
         # A writer killed during the very first append leaves only a
@@ -155,7 +156,6 @@ class TestSaveLoad:
         # crash every later --resume / tuned=True on the path.
         path = tmp_path / "db.jsonl"
         path.write_text(json.dumps({"format": DB_FORMAT})[:14])
-        assert len(Database.load(path)) == 0
         cache = TuningCache(path)
         assert len(cache.load()) == 0
         assert cache.completed_trials("k") == 0
@@ -169,7 +169,7 @@ class TestSaveLoad:
         path = tmp_path / "junk.jsonl"
         path.write_text("definitely not a tuning db")
         with pytest.raises(DatabaseFormatError):
-            Database.load(path)
+            TuningCache(path).load()
 
     def test_newer_version_refused(self, tmp_path):
         path = tmp_path / "db.jsonl"
@@ -178,13 +178,13 @@ class TestSaveLoad:
                         "version": DB_SCHEMA_VERSION + 1}) + "\n"
         )
         with pytest.raises(DatabaseFormatError):
-            Database.load(path)
+            TuningCache(path).load()
 
     def test_non_database_file_refused(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text('{"something": "else"}\n')
         with pytest.raises(DatabaseFormatError):
-            Database.load(path)
+            TuningCache(path).load()
 
 
 class TestTuningCache:

@@ -117,9 +117,9 @@ class TestPersistentWarmStart:
         # search — the same candidate measures differently per level.
         db = tmp_path / "tune.jsonl"
         o0 = autotune(mtv(256, 256), n_trials=8, seed=0, db=str(db),
-                      optimize="O0")
+                      opt_level="O0")
         o3 = autotune(mtv(256, 256), n_trials=8, seed=0, db=str(db),
-                      optimize="O3", resume=True)
+                      opt_level="O3", resume=True)
         assert o0.db_key != o3.db_key
         assert o3.measure_cache_hits == 0
 

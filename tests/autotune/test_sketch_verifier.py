@@ -131,7 +131,7 @@ class TestSketchCorrectness:
         ids=[f"{w.name}-{i}" for i, (w, _p) in enumerate(CASES)],
     )
     def test_sketch_correct(self, workload, params):
-        module = default_engine().compile(workload, params, optimize="O3").module
+        module = default_engine().compile(workload, params, opt_level="O3").module
         assert module is not None
         inputs = workload.random_inputs(7)
         out, = FunctionalExecutor(module).run(inputs)
@@ -143,7 +143,7 @@ class TestSketchCorrectness:
         wl = mtv(37, 53)
         params = {"m_dpus": 4, "k_dpus": 2, "n_tasklets": 2, "cache": 16,
                   "host_threads": 1}
-        module = default_engine().compile(wl, params, optimize=level).module
+        module = default_engine().compile(wl, params, opt_level=level).module
         inputs = wl.random_inputs(3)
         out, = FunctionalExecutor(module).run(inputs)
         np.testing.assert_allclose(

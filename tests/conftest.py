@@ -8,10 +8,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import repro
 import repro.target.executor as executor_module
 from repro import te
-from repro.lowering import LowerOptions, lower
-from repro.optim import optimize_module
 from repro.schedule import Schedule
 from repro.upmem import FunctionalExecutor, UpmemConfig
 
@@ -101,11 +100,10 @@ def make_mtv_schedule(
     return sch
 
 
-def run_and_check(sch, inputs: dict, reference: np.ndarray, optimize="O3",
+def run_and_check(sch, inputs: dict, reference: np.ndarray, opt_level="O3",
                   rtol=1e-3, atol=1e-5):
-    """Lower+optimize+execute a schedule; assert output matches reference."""
-    module = lower(sch, options=LowerOptions(optimize=optimize))
-    module = optimize_module(module, optimize)
+    """Compile+execute a schedule; assert output matches reference."""
+    module = repro.compile(sch, opt_level=opt_level).lowered
     out, = FunctionalExecutor(module).run(inputs)
     np.testing.assert_allclose(out, reference, rtol=rtol, atol=atol)
     return module

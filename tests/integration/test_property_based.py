@@ -96,7 +96,7 @@ def test_mtv_correct_for_any_tiling(m, k, m_dpus, k_dpus, tasklets, cache, level
         "cache": cache,
         "host_threads": 1,
     }
-    module = default_engine().compile(wl, params, optimize=level).module
+    module = default_engine().compile(wl, params, opt_level=level).module
     if module is None:
         return  # schedule invalid for this shape — acceptable
     inputs = wl.random_inputs(0)
@@ -116,7 +116,7 @@ def test_mtv_correct_for_any_tiling(m, k, m_dpus, k_dpus, tasklets, cache, level
 def test_va_correct_for_any_tiling(n, n_dpus, tasklets, cache):
     wl = va(n)
     params = {"n_dpus": n_dpus, "n_tasklets": tasklets, "cache": cache}
-    module = default_engine().compile(wl, params, optimize="O3").module
+    module = default_engine().compile(wl, params, opt_level="O3").module
     if module is None:
         return
     inputs = wl.random_inputs(0)
@@ -146,7 +146,7 @@ def test_opt_levels_agree(m, k):
     inputs = wl.random_inputs(1)
     outputs = []
     for level in ("O0", "O1", "O2", "O3"):
-        module = default_engine().compile(wl, params, optimize=level).module
+        module = default_engine().compile(wl, params, opt_level=level).module
         if module is None:
             return
         out, = FunctionalExecutor(module).run(inputs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import te
-from repro.lowering import LoweringError, LowerOptions, lower
+from repro.lowering import LoweringError, lower
 from repro.schedule import Schedule
 from repro.tir import DmaCopy, For, ForKind, IfThenElse, iter_stmts
 from repro.upmem import FunctionalExecutor
@@ -111,7 +111,7 @@ class TestModuleStructure:
             lower(sch)
 
     def test_boundary_checks_inserted_for_misaligned(self):
-        mod = lower(make_mtv_schedule(37, 50), LowerOptions(optimize="O0"))
+        mod = lower(make_mtv_schedule(37, 50))
         conds = [s for s in iter_stmts(mod.kernel) if isinstance(s, IfThenElse)]
         assert conds
 
@@ -127,7 +127,7 @@ class TestFunctionalCorrectness:
         rng = np.random.default_rng(0)
         a = rng.random((m, k), dtype=np.float32)
         b = rng.random(k, dtype=np.float32)
-        run_and_check(sch, {"A": a, "B": b}, a @ b, optimize="O0")
+        run_and_check(sch, {"A": a, "B": b}, a @ b, opt_level="O0")
 
     def test_mtv_aligned(self):
         self._check_mtv(64, 32)
@@ -153,14 +153,14 @@ class TestFunctionalCorrectness:
         rng = np.random.default_rng(1)
         a = rng.random(n, dtype=np.float32)
         b = rng.random(n, dtype=np.float32)
-        run_and_check(sch, {"A": a, "B": b}, a + b, optimize="O0")
+        run_and_check(sch, {"A": a, "B": b}, a + b, opt_level="O0")
 
     def test_va_single_element_tail(self):
         sch = make_va_schedule(97, n_dpus=4, n_tasklets=2, cache=8)
         rng = np.random.default_rng(2)
         a = rng.random(97, dtype=np.float32)
         b = rng.random(97, dtype=np.float32)
-        run_and_check(sch, {"A": a, "B": b}, a + b, optimize="O0")
+        run_and_check(sch, {"A": a, "B": b}, a + b, opt_level="O0")
 
     def test_missing_input_raises(self):
         mod = lower(make_mtv_schedule(64, 32))

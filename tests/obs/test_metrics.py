@@ -1,4 +1,4 @@
-"""MetricsRegistry: labeled counters/gauges/histograms, stable export."""
+"""MetricsRegistry: labeled counters/histograms, stable export."""
 
 import json
 
@@ -34,14 +34,6 @@ class TestCounter:
             MetricsRegistry().counter("hits").inc(-1)
 
 
-class TestGauge:
-    def test_set_add_value(self):
-        g = MetricsRegistry().gauge("depth")
-        g.set(4)
-        assert g.add(-1.5) == 2.5
-        assert g.value() == 2.5
-
-
 class TestHistogram:
     def test_observe_buckets_and_summary(self):
         h = MetricsRegistry().histogram("lat", edges=[1.0, 2.0])
@@ -71,12 +63,12 @@ class TestRegistry:
         m = MetricsRegistry()
         m.counter("x")
         with pytest.raises(TypeError):
-            m.gauge("x")
+            m.histogram("x")
 
     def test_export_is_json_safe_and_sorted(self):
         m = MetricsRegistry()
         m.counter("b").inc(labels={"k": "1"})
-        m.gauge("a").set(2)
+        m.counter("a").inc(2)
         m.histogram("c").observe(0.5)
         out = m.export()
         assert list(out) == ["a", "b", "c"]

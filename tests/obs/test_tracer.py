@@ -7,8 +7,6 @@ from repro.obs import (
     NullTracer,
     Tracer,
     current_tracer,
-    set_tracer,
-    tracing_enabled,
     use_tracer,
 )
 
@@ -110,32 +108,22 @@ class TestQueries:
 class TestScoping:
     def test_default_is_null(self):
         assert current_tracer() is NULL_TRACER
-        assert not tracing_enabled()
+        assert not current_tracer().enabled
 
     def test_use_tracer_scopes_and_restores(self):
         t = Tracer()
         with use_tracer(t) as active:
             assert active is t
             assert current_tracer() is t
-            assert tracing_enabled()
+            assert current_tracer().enabled
         assert current_tracer() is NULL_TRACER
 
     def test_use_tracer_none_disables(self):
         t = Tracer()
         with use_tracer(t):
             with use_tracer(None):
-                assert not tracing_enabled()
+                assert not current_tracer().enabled
             assert current_tracer() is t
-
-    def test_set_tracer_returns_previous(self):
-        t = Tracer()
-        prev = set_tracer(t)
-        try:
-            assert prev is NULL_TRACER
-            assert current_tracer() is t
-        finally:
-            set_tracer(prev)
-        assert current_tracer() is NULL_TRACER
 
 
 class TestNullTracer:

@@ -6,9 +6,9 @@ import pytest
 from repro.optim import (
     eliminate_copy_checks,
     hoist_invariant_branches,
-    optimize_kernel,
     tighten_loop_bounds,
 )
+from repro.pipeline import PassContext, build
 from repro.tir import (
     Buffer,
     BufferLoad,
@@ -233,10 +233,9 @@ class TestHoist:
 
 class TestPipeline:
     def test_levels_validated(self):
-        loop, _, _ = guarded_copy_loop()
         with pytest.raises(ValueError):
-            optimize_kernel(loop, "O7")
+            PassContext(opt_level="O7")
 
     def test_o0_identity(self):
-        loop, _, _ = guarded_copy_loop()
-        assert optimize_kernel(loop, "O0") is loop
+        ctx = PassContext(opt_level="O0")
+        assert [p.name for p in build.passes if p.enabled(ctx)] == ["lower"]

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.lowering import LowerOptions, lower
-from repro.optim import optimize_module
+import repro
+from repro.optim import LEVELS
 from repro.upmem import FunctionalExecutor
 from repro.upmem.system import PerformanceModel
 
 from ..conftest import make_mtv_schedule
-
-LEVELS = ("O0", "O1", "O2", "O3")
 
 
 def profiles_for_levels(m, k, **kwargs):
@@ -22,9 +20,7 @@ def profiles_for_levels(m, k, **kwargs):
     results = {}
     for level in LEVELS:
         sch = make_mtv_schedule(m, k, **kwargs)
-        module = optimize_module(
-            lower(sch, options=LowerOptions(optimize=level)), level
-        )
+        module = repro.compile(sch, opt_level=level).lowered
         out, = FunctionalExecutor(module).run({"A": a, "B": b})
         np.testing.assert_allclose(out, ref, rtol=1e-3)
         results[level] = model.profile(module)

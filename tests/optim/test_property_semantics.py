@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.optim import (
     eliminate_copy_checks,
     hoist_invariant_branches,
-    optimize_kernel,
     tighten_loop_bounds,
 )
 from repro.tir import (
@@ -89,7 +88,9 @@ def test_passes_preserve_output(tile, n_tiles, slack, rows, row_slack, seed):
         eliminate_copy_checks,
         tighten_loop_bounds,
         hoist_invariant_branches,
-        lambda s: optimize_kernel(s, "O3"),
+        lambda s: hoist_invariant_branches(
+            tighten_loop_bounds(eliminate_copy_checks(s))
+        ),
     ):
         stmt, bufs = _guarded_pipeline(tile, n_tiles, bound, rows, row_bound)
         after = _run(transform(stmt), bufs, seed)

@@ -102,8 +102,8 @@ class TestHitMiss:
         assert engine.stats.hits == 0 and engine.stats.misses == 2
 
     def test_opt_level_change_invalidates(self, wl, engine):
-        o1 = engine.compile(wl, PARAMS, optimize="O1")
-        o3 = engine.compile(wl, PARAMS, optimize="O3")
+        o1 = engine.compile(wl, PARAMS, opt_level="O1")
+        o3 = engine.compile(wl, PARAMS, opt_level="O3")
         assert engine.stats.misses == 2
         assert o1.module is not o3.module
 

@@ -1,9 +1,8 @@
-"""The unified pipeline reproduces the legacy hard-wired compile flow.
+"""The pipeline reproduces the hard-wired §5.3 compile flow.
 
-O0–O3 through ``optimize_kernel``/``optimize_module`` must emit exactly
-the IR the old ad-hoc pass sequence produced, and ``repro.compile`` of a
-schedule (the ``build`` pipeline) must match lower-then-optimize
-composition.
+O0–O3 through ``repro.compile`` (the ``build`` pipeline) must emit
+exactly the IR that lowering followed by the three rewrites, composed
+by hand in their fixed order, produces.
 """
 
 import numpy as np
@@ -15,13 +14,10 @@ from repro.optim import (
     LEVELS,
     eliminate_copy_checks,
     hoist_invariant_branches,
-    optimize_kernel,
-    optimize_module,
     tighten_loop_bounds,
 )
-from repro.pipeline import PassContext
+from repro.pipeline import PassContext, build
 from repro.tir import stmt_to_str
-from repro.upmem import FunctionalExecutor
 
 from ..conftest import make_mtv_schedule
 
@@ -41,34 +37,33 @@ def legacy_optimize_kernel(kernel, level):
 @pytest.mark.parametrize("level", LEVELS)
 @pytest.mark.parametrize("shape", [(37, 50), (64, 64)])
 def test_optimize_kernel_matches_legacy(level, shape):
-    sch = make_mtv_schedule(*shape)
-    kernel = lower(sch, options=LowerOptions(optimize=level)).kernel
-    new = optimize_kernel(kernel, level)
-    old = legacy_optimize_kernel(kernel, level)
-    assert stmt_to_str(new) == stmt_to_str(old)
+    new = build.run(make_mtv_schedule(*shape), PassContext(opt_level=level))
+    old = legacy_optimize_kernel(lower(make_mtv_schedule(*shape)).kernel, level)
+    assert stmt_to_str(new.kernel) == stmt_to_str(old)
 
 
 def test_optimize_kernel_rejects_unknown_level():
-    with pytest.raises(ValueError):
-        optimize_kernel(lower(make_mtv_schedule(8, 8)).kernel, "O7")
-    with pytest.raises(ValueError):
-        optimize_module(lower(make_mtv_schedule(8, 8)), "fast")
+    for level in ("O7", "fast"):
+        with pytest.raises(ValueError):
+            repro.compile(make_mtv_schedule(8, 8), opt_level=level)
 
 
 def test_optimize_module_identity_at_o0():
-    module = lower(make_mtv_schedule(37, 50), options=LowerOptions(optimize="O0"))
-    assert optimize_module(module, "O0") is module
+    # Regression: nothing returns an unoptimised kernel under a level's
+    # name — O0 is the lowered kernel and says so, O3 is not.
+    lowered = stmt_to_str(lower(make_mtv_schedule(37, 50)).kernel)
+    assert repro.compile(make_mtv_schedule(37, 50), opt_level="O0").script() == lowered
+    assert repro.compile(make_mtv_schedule(37, 50), opt_level="O3").script() != lowered
+    assert not hasattr(LowerOptions(), "optimize")
 
 
 def test_build_matches_lower_plus_optimize():
     for level in LEVELS:
-        sch = make_mtv_schedule(37, 50)
-        options = LowerOptions(optimize=level)
-        built = repro.compile(sch, name="mtv", opt_level=level)
-        manual = optimize_module(
-            lower(make_mtv_schedule(37, 50), name="mtv", options=options), level
+        built = repro.compile(make_mtv_schedule(37, 50), name="mtv", opt_level=level)
+        manual = legacy_optimize_kernel(
+            lower(make_mtv_schedule(37, 50), name="mtv").kernel, level
         )
-        assert built.script() == stmt_to_str(manual.kernel)
+        assert built.script() == stmt_to_str(manual)
 
 
 def test_build_pipeline_executes_correctly():
@@ -82,34 +77,28 @@ def test_build_pipeline_executes_correctly():
 
 
 def test_build_accepts_explicit_context():
-    ctx = PassContext()
+    options = LowerOptions(transfer_mode="bulk")
     mod = repro.compile(
-        make_mtv_schedule(16, 16), name="mtv", opt_level="O2", ctx=ctx
+        make_mtv_schedule(16, 16), name="mtv", opt_level="O2", options=options
     )
-    assert ctx.opt_level == "O2"
-    ran = [t.name for t in ctx.timings if not t.skipped]
-    skipped = [t.name for t in ctx.timings if t.skipped]
-    assert "tighten_loop_bounds" in ran
-    assert skipped == ["hoist_invariant_branches"]
     assert mod.lowered.name == "mtv"
+    assert mod.lowered.options is options
 
 
 def test_build_respects_context_only_settings():
-    # The module name is the one setting only the context may carry: with
-    # no name= it stands, while the call's opt_level and the target's
-    # machine are written into the context.
-    cfg = repro.UpmemConfig().with_(n_ranks=2)
-    ctx = PassContext(module_name="ctx_mtv")
-    mod = repro.compile(
-        make_mtv_schedule(16, 16),
-        target=repro.target.UpmemTarget(cfg),
-        opt_level="O1",
-        ctx=ctx,
-    )
-    assert mod.lowered.name == "ctx_mtv"
-    assert ctx.config is cfg and ctx.opt_level == "O1"
-    skipped = [t.name for t in ctx.timings if t.skipped]
-    assert skipped == ["tighten_loop_bounds", "hoist_invariant_branches"]
+    # Regression: the lowering options are what only the caller can
+    # say; the level used to be written over them (a fresh
+    # ``LowerOptions(optimize=level)``), so ``bulk`` came back
+    # ``parallel`` and unchecked lowering came back checked.
+    for level in LEVELS:
+        mod = repro.compile(
+            make_mtv_schedule(16, 16),
+            target="upmem",
+            opt_level=level,
+            options=LowerOptions(transfer_mode="bulk", boundary_checks=False),
+        )
+        assert mod.lowered.options.transfer_mode == "bulk"
+        assert mod.lowered.options.boundary_checks is False
 
 
 def test_module_source_via_emit_pass():

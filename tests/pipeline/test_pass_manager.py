@@ -1,24 +1,28 @@
-"""PassManager composition, gating, instrumentation and observability."""
+"""PassManager ordering, level gating, and the tracer events it emits."""
 
 import pytest
 
-from repro.lowering import LowerOptions, lower
+import repro
+from repro.lowering import lower
+from repro.obs import Tracer, use_tracer
 from repro.pipeline import (
-    FunctionPass,
+    KernelPass,
     Pass,
     PassContext,
-    PassInstrument,
     PassManager,
     PipelineError,
-    get_pipeline,
-    has_pipeline,
-    kernel_passes,
-    list_pipelines,
-    register_pipeline,
+    build,
 )
 from repro.tir import stmt_to_str
 
 from ..conftest import make_mtv_schedule
+
+BUILD_PASSES = [
+    "lower",
+    "eliminate_copy_checks",
+    "tighten_loop_bounds",
+    "hoist_invariant_branches",
+]
 
 
 class _Tag(Pass):
@@ -33,43 +37,30 @@ class _Tag(Pass):
         return obj
 
 
+def _traced(pipeline, obj, ctx, wall_clock=False):
+    tracer = Tracer(wall_clock=wall_clock)
+    with use_tracer(tracer):
+        out = pipeline.run(obj, ctx)
+    return out, tracer
+
+
+def _events(tracer):
+    return [(e.phase, e.name) for e in tracer.events]
+
+
 class TestOrdering:
     def test_passes_run_in_sequence(self):
         pm = PassManager([_Tag("a"), _Tag("b"), _Tag("c")])
         assert pm.run([]) == ["a", "b", "c"]
 
-    def test_reorder(self):
-        pm = PassManager([_Tag("a"), _Tag("b"), _Tag("c")])
-        pm.reorder(["c", "a", "b"])
-        assert pm.run([]) == ["c", "a", "b"]
-
-    def test_reorder_must_be_complete(self):
-        pm = PassManager([_Tag("a"), _Tag("b")])
-        with pytest.raises(PipelineError):
-            pm.reorder(["a"])
-
-    def test_insert_and_remove(self):
-        pm = PassManager([_Tag("a"), _Tag("c")])
-        pm.insert_after("a", _Tag("b"))
-        pm.insert_before("a", _Tag("pre"))
-        assert pm.pass_names() == ["pre", "a", "b", "c"]
-        pm.remove("pre")
-        assert pm.run([]) == ["a", "b", "c"]
-
-    def test_unknown_pass_name(self):
-        pm = PassManager([_Tag("a")])
-        with pytest.raises(KeyError):
-            pm.index("nope")
-
 
 class TestGating:
     def test_min_level_skips_and_records(self):
         pm = PassManager([_Tag("base"), _Tag("o2", min_level="O2")])
-        ctx = PassContext(opt_level="O1")
-        assert pm.run([], ctx) == ["base"]
-        by_name = {t.name: t for t in ctx.timings}
-        assert by_name["o2"].skipped
-        assert not by_name["base"].skipped
+        out, tracer = _traced(pm, [], PassContext(opt_level="O1"))
+        assert out == ["base"]
+        assert ("i", "skip o2") in _events(tracer)
+        assert [s.name for s in tracer.spans] == ["base", "pipeline pipeline"]
 
     def test_level_enables(self):
         pm = PassManager([_Tag("o2", min_level="O2")])
@@ -78,107 +69,104 @@ class TestGating:
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError):
             PassContext(opt_level="O9")
-
-
-class _Recorder(PassInstrument):
-    def __init__(self):
-        self.events = []
-
-    def run_before_pass(self, pass_name, obj, ctx):
-        self.events.append(("before", pass_name))
-
-    def run_after_pass(self, pass_name, obj, ctx):
-        self.events.append(("after", pass_name))
+        with pytest.raises(ValueError):
+            repro.compile(make_mtv_schedule(8, 8), opt_level="O7")
 
 
 class TestInstruments:
+    """The ambient tracer is the one instrument: a span per executed
+    pass inside the pipeline's span, an instant per gated one."""
+
     def test_hooks_fire_in_order(self):
-        rec = _Recorder()
-        ctx = PassContext(instruments=[rec])
-        PassManager([_Tag("a"), _Tag("b")]).run([], ctx)
-        assert rec.events == [
-            ("before", "a"), ("after", "a"), ("before", "b"), ("after", "b"),
+        _, tracer = _traced(
+            PassManager([_Tag("a"), _Tag("b")], name="p"), [], PassContext()
+        )
+        assert _events(tracer) == [
+            ("B", "pipeline p"),
+            ("B", "a"), ("E", "a"), ("B", "b"), ("E", "b"),
+            ("E", "pipeline p"),
         ]
 
     def test_skipped_passes_not_instrumented(self):
-        rec = _Recorder()
-        ctx = PassContext(opt_level="O0", instruments=[rec])
-        PassManager([_Tag("a"), _Tag("b", min_level="O1")]).run([], ctx)
-        assert rec.events == [("before", "a"), ("after", "a")]
+        pm = PassManager([_Tag("a"), _Tag("b", min_level="O1")], name="p")
+        _, tracer = _traced(pm, [], PassContext(opt_level="O0"))
+        assert _events(tracer) == [
+            ("B", "pipeline p"), ("B", "a"), ("E", "a"), ("i", "skip b"),
+            ("E", "pipeline p"),
+        ]
 
     def test_hooks_fire_on_real_build_pipeline(self):
-        rec = _Recorder()
-        ctx = PassContext(opt_level="O3", instruments=[rec], module_name="mtv")
-        get_pipeline("build").run(make_mtv_schedule(37, 50), ctx)
-        ran = [name for phase, name in rec.events if phase == "after"]
-        assert ran == [
-            "lower",
-            "eliminate_copy_checks",
-            "tighten_loop_bounds",
-            "hoist_invariant_branches",
+        ctx = PassContext(opt_level="O2", module_name="mtv")
+        _, tracer = _traced(build, make_mtv_schedule(37, 50), ctx)
+        assert _events(tracer) == [
+            ("B", "pipeline build"),
+            *[(ph, name) for name in BUILD_PASSES[:3] for ph in "BE"],
+            ("i", "skip hoist_invariant_branches"),
+            ("E", "pipeline build"),
         ]
+        begin = tracer.events[0]
+        assert (begin.track, begin.cat) == ("pipeline", "compile")
+        assert begin.args == {"pipeline": "build", "module": "mtv"}
+        assert [
+            s.args for s in tracer.spans if s.name in BUILD_PASSES
+        ] == [{"opt_level": "O2"}] * 3
 
 
 class TestObservability:
     def test_timings_recorded(self):
         ctx = PassContext(module_name="mtv")
-        get_pipeline("build").run(make_mtv_schedule(37, 50), ctx)
-        executed = [t for t in ctx.timings if not t.skipped]
-        assert len(executed) == 4
-        assert all(t.seconds >= 0 for t in executed)
-        assert "lower" in ctx.timing_report()
+        _, tracer = _traced(
+            build, make_mtv_schedule(37, 50), ctx, wall_clock=True
+        )
+        wall_ms = {
+            s.name: s.args["wall_ms"] for s in tracer.spans
+            if s.name in BUILD_PASSES
+        }
+        assert list(wall_ms) == BUILD_PASSES
+        assert all(ms >= 0 for ms in wall_ms.values())
 
     def test_ir_dumps(self):
-        ctx = PassContext(module_name="mtv", dump_ir=True)
-        module = get_pipeline("build").run(make_mtv_schedule(37, 50), ctx)
-        assert [name for name, _ in ctx.ir_dumps] == [
-            "lower",
-            "eliminate_copy_checks",
-            "tighten_loop_bounds",
-            "hoist_invariant_branches",
+        """The kernel after level *k* is the front door at that level."""
+        scripts = [
+            repro.compile(make_mtv_schedule(37, 50), opt_level=level).script()
+            for level in repro.optim.LEVELS
         ]
-        # The last snapshot is the final kernel.
-        assert ctx.ir_dumps[-1][1] == stmt_to_str(module.kernel)
-
-    def test_ambient_context(self):
-        assert PassContext.current() is None
-        with PassContext() as ctx:
-            assert PassContext.current() is ctx
-        assert PassContext.current() is None
+        assert scripts[0] == stmt_to_str(lower(make_mtv_schedule(37, 50)).kernel)
+        assert len(set(scripts)) == 4
 
 
 class TestErrors:
     def test_none_return_rejected(self):
-        pm = PassManager([FunctionPass(lambda obj: None, name="bad")])
-        with pytest.raises(PipelineError):
-            pm.run([])
+        class Bad(Pass):
+            name = "bad"
 
-    def test_unknown_pipeline(self):
+            def run(self, obj, ctx):
+                return None
+
         with pytest.raises(PipelineError):
-            get_pipeline("no-such-pipeline")
+            PassManager([Bad()]).run([])
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
-        for name in ("build", "optimize"):
-            assert has_pipeline(name)
-            assert name in list_pipelines()
+    """What stands where the registry stood: one module-level object."""
 
-    def test_register_and_duplicate(self):
-        name = "test-custom-pipeline"
-        if not has_pipeline(name):
-            register_pipeline(name, lambda: PassManager([_Tag("x")], name=name))
-        assert get_pipeline(name).run([]) == ["x"]
-        with pytest.raises(PipelineError):
-            register_pipeline(name, lambda: PassManager())
+    def test_builtins_registered(self):
+        assert repro.pipeline.build is build
+        assert build.name == "build"
+        assert [p.name for p in build.passes] == BUILD_PASSES
 
     def test_factory_returns_fresh_instances(self):
-        pm = get_pipeline("build")
-        pm.remove("lower")
-        assert get_pipeline("build").pass_names()[0] == "lower"
+        # Every compile shares ``build``, so no caller may be able to
+        # change what the next one runs.
+        assert isinstance(build.passes, tuple)
+        with pytest.raises(AttributeError):
+            build.passes.append(_Tag("x"))
 
     def test_kernel_passes_levels(self):
-        levels = {p.name: p.min_level for p in kernel_passes()}
+        levels = {
+            p.name: p.min_level for p in build.passes
+            if isinstance(p, KernelPass)
+        }
         assert levels == {
             "eliminate_copy_checks": "O1",
             "tighten_loop_bounds": "O2",

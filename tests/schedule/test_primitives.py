@@ -174,4 +174,4 @@ class TestScheduleGraph:
     def test_compute_stages(self):
         _, _, C = make_matvec()
         sch = Schedule(C)
-        assert [s.name for s in sch.compute_stages()] == ["C"]
+        assert [s.name for s in sch.stages if s.kind == "compute"] == ["C"]

@@ -23,7 +23,7 @@ from repro.graph import gptj_model_graph, place
 from repro.graph.builder import GPTJ_SIM
 from repro.graph.executable import PIM_SUBSTRATE_KINDS
 from repro.serve import ExecutablePool, Request, Server, gptj_serving_mix
-from repro.upmem import VerifyMismatch, plan_for
+from repro.upmem import VerifyMismatch, plan_for, vectorize
 from repro.workloads import make_workload, mtv
 
 
@@ -122,12 +122,16 @@ class TestStackedBatchEqualsSoloRuns:
         grid = len(exe.executor.grid_points())
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REPRO_SIM_MODE", "vector")
-            mp.delenv("REPRO_VECTOR_LANES", raising=False)
             mp.setenv("REPRO_MAX_WORKERS", str(workers))
             want = [[o.copy() for o in exe.run(item)] for item in batch]
             if lane_cap != "unset":
                 cap = {"grid": grid, "grid+1": grid + 1}.get(lane_cap, lane_cap)
-                mp.setenv("REPRO_VECTOR_LANES", str(cap))
+                plan = plan_for(exe.lowered)
+                mp.setattr(
+                    vectorize, "_LANE_BUDGET_BYTES",
+                    cap * plan._bytes_per_lane,
+                )
+                assert plan.max_lanes(10 ** 6) == cap
             if cut_fine:
                 # Up to ``workers`` jobs whatever the size, so job
                 # boundaries fall inside items too.

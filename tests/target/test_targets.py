@@ -118,9 +118,7 @@ class TestUpmemTarget:
 
         sch = make_mtv_schedule(64, 32)
         exe = repro.compile(sch, target="upmem")
-        lowered = repro.get_pipeline("build").run(
-            make_mtv_schedule(64, 32), repro.PassContext()
-        )
+        lowered = repro.pipeline.build.run(make_mtv_schedule(64, 32))
         assert exe.script() == repro.tir.stmt_to_str(lowered.kernel)
         ins = {"A": np.ones((64, 32), np.float32), "B": np.ones(32, np.float32)}
         (a,) = exe.run(ins)

@@ -1,10 +1,17 @@
-"""Package layering of ``src/repro``, asserted from the source text.
+"""Package layering and traffic of ``src/repro``, asserted from the
+source text.
 
 ``repro/__init__`` imports every package, so ``sys.modules`` cannot show
 who depends on whom; this walks the ``import`` statements with ``ast``.
+The second half counts, tree-wide, who sets each constructor option and
+who mentions each public name — under ``src/`` and outside it — and pins
+every survivor nothing in the program reaches with the reason it stays.
 """
 
 import ast
+import collections
+import functools
+import importlib
 import os
 import re
 
@@ -22,20 +29,11 @@ ORDER = (
 #: Every function-local import that crosses a package boundary, with the
 #: reason it cannot sit at module level.
 LOCAL_IMPORTS = {
-    ("optim/pipeline.py", "optimize_kernel", "pipeline"):
-        "upward: pipeline's passes wrap the rewrites optim defines",
-    ("optim/pipeline.py", "optimize_module", "pipeline"):
-        "upward: as optimize_kernel",
     ("autotune/tuner.py", "_resolve_target", "target"):
         "upward: targets compile through the engine and seed from the sketch"
         " table the tuner searches",
     ("target/compile.py", "compile", "graph"):
         "upward: the front door hands a ModelGraph to graph.compile_graph",
-    ("target/targets.py", "HbmPimTarget.__init__", "extensions"):
-        "importing the extension registers its pipeline; `import repro`"
-        " alone must not",
-    ("target/targets.py", "HbmPimTarget.compile", "extensions"):
-        "as HbmPimTarget.__init__",
     ("serve/pool.py", "ExecutablePool._compile", "target"):
         "looked up per call so instrumentation wrapping"
         " repro.target.compile.compile sees pool loads",
@@ -212,11 +210,365 @@ def test_model_graph_tensor_names_live_in_the_builder():
     assert spelled["graph/builder.py"] >= 7
 
 
-#: Packages whose constructor options must each have a caller.
+# ---------------------------------------------------------------------------
+# the traffic count: who sets each option, who references each export
+# ---------------------------------------------------------------------------
+
+#: Packages whose options were read first (PR 20).
 SERVING = ("graph", "decode", "serve", "cluster")
+
+#: Where call sites are counted; ``src`` is the program, the rest are
+#: its tests, benchmarks, examples and the perf ledger.
+TOPS = ("src", "tests", "benchmarks", "examples", "perf")
+
+
+class Traffic(collections.namedtuple("Traffic", "src other")):
+    """Sites that set an option (or reference a name): under ``src/``,
+    and everywhere else in :data:`TOPS`."""
+
+
+@functools.lru_cache(maxsize=None)
+def _trees():
+    """``{path: parsed module}`` for every Python file under TOPS."""
+    repo = os.path.dirname(os.path.dirname(ROOT))
+    trees = {}
+    for top in TOPS:
+        for folder, _, files in os.walk(os.path.join(repo, top)):
+            for name in sorted(files):
+                path = os.path.join(folder, name)
+                # This file's own tables name what they pin.
+                if name.endswith(".py") and path != os.path.abspath(__file__):
+                    with open(path) as fh:
+                        trees[path] = ast.parse(fh.read())
+    return trees
+
+
+def _in_src(path):
+    return path.startswith(ROOT + os.sep)
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return getattr(func, "id", None)
+
+
+def _options(cls):
+    """Constructor options of a class: ``__init__`` parameters, else the
+    init fields of a dataclass."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            return [a.arg for a in item.args.args[1:] + item.args.kwonlyargs]
+    decorators = [getattr(d, "func", d) for d in cls.decorator_list]
+    if not any(getattr(d, "id", None) == "dataclass" for d in decorators):
+        return []
+    return [
+        item.target.id for item in cls.body
+        if isinstance(item, ast.AnnAssign)
+        and "init=False" not in ast.unparse(item)
+    ]
+
+
+def _calls(node, scope=None):
+    """(call, innermost enclosing function or None) under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, scope
+        inner = child if isinstance(child, ast.FunctionDef) else scope
+        yield from _calls(child, inner)
+
+
+def _rebuilds(method, cls):
+    """Whether a method splats its ``**kwargs`` into its own class's
+    constructor or ``dataclasses.replace`` (a functional update)."""
+    kwarg = method.args.kwarg
+    return kwarg is not None and any(
+        _callee(call) in (cls, "replace")
+        and any(
+            k.arg is None and getattr(k.value, "id", None) == kwarg.arg
+            for k in call.keywords
+        )
+        for call, _ in _calls(method)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def option_traffic():
+    """``{class: {option: Traffic}}`` for the public classes of every
+    package (a class name two packages export is keyed
+    ``package.Class`` the second time), counted over :data:`TOPS` and
+    the harness CLI table.
+
+    A call inside the class's own definition does not count.  A call of
+    ``f(**kw)`` counts when ``f`` splats ``kw`` into the constructor
+    (``tiny_engine(**kwargs)``, or a method of the class itself such as
+    ``UpmemConfig.with_``), as do the ``dict(opt=...)`` /
+    ``setdefault("opt", ...)`` defaults such an ``f`` — or any function
+    that splats a mapping into the constructor — builds.  A keyword
+    that hands on the enclosing function's own defaulted parameter
+    counts only if some caller — or the CLI — sets *that* parameter.
+    """
+    from repro.harness.experiments import KEYWORDS, TABLE
+
+    trees = _trees()
+    calls = [
+        (call, fn, _in_src(path))
+        for path, tree in trees.items() for call, fn in _calls(tree)
+    ]
+
+    options, own, names = {}, {}, {}
+    for package in ORDER:
+        exported = set(importlib.import_module(f"repro.{package}").__all__)
+        for path, tree in trees.items():
+            if not path.startswith(os.path.join(ROOT, package) + os.sep):
+                continue
+            for node in tree.body:
+                if (
+                    isinstance(node, ast.ClassDef)
+                    and node.name in exported
+                    and _options(node)
+                ):
+                    key = node.name
+                    if key in options:
+                        key = f"{package}.{key}"
+                    options[key] = _options(node)
+                    own[key] = {id(n) for n in ast.walk(node)}
+                    names[key] = {node.name} | {
+                        item.name for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and _rebuilds(item, node.name)
+                    }
+
+    splats = [
+        (_callee(call), fn.name) for call, fn, _ in calls
+        if fn is not None and fn.args.kwarg
+        and any(k.arg is None for k in call.keywords)
+    ]
+    grew = True
+    while grew:
+        grew = False
+        for callee, forwarder in splats:
+            for known in names.values():
+                if callee in known and forwarder not in known:
+                    known.add(forwarder)
+                    grew = True
+
+    passed = {
+        (row.run.__name__, KEYWORDS.get(arg, arg))
+        for row in TABLE for arg in row.args
+    }
+    passed |= {(_callee(c), k.arg) for c, _, _ in calls for k in c.keywords}
+
+    def handed_on(value, fn):
+        if fn is None or not isinstance(value, ast.Name):
+            return False
+        args = fn.args
+        defaulted = args.args[len(args.args) - len(args.defaults):]
+        defaulted += [
+            a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d
+        ]
+        return (
+            value.id in {a.arg for a in defaulted}
+            and (fn.name, value.id) not in passed
+        )
+
+    #: Functions that splat a mapping into a constructor they call
+    #: (``Tuner(wl, **flags)``): the ``dict(...)`` they build sets options.
+    splatting = {
+        (id(fn), cls)
+        for call, fn, _ in calls
+        for cls, known in names.items()
+        if fn is not None and _callee(call) in known
+        and any(k.arg is None for k in call.keywords)
+    }
+    counts = {cls: dict.fromkeys(opts, (0, 0)) for cls, opts in options.items()}
+    for call, fn, in_src in calls:
+        callee = _callee(call)
+        for cls, known in names.items():
+            set_here = []
+            if callee in known and id(call) not in own[cls]:
+                if callee == cls.rpartition(".")[2]:
+                    set_here += options[cls][: len(call.args)]
+                set_here += [
+                    k.arg for k in call.keywords
+                    if not handed_on(k.value, fn)
+                ]
+            elif fn is not None and (
+                fn.name in known or (id(fn), cls) in splatting
+            ):
+                if callee == "dict":
+                    set_here += [k.arg for k in call.keywords]
+                elif callee == "setdefault" and call.args:
+                    set_here.append(getattr(call.args[0], "value", None))
+            for option in set_here:
+                if option in counts[cls]:
+                    src, other = counts[cls][option]
+                    counts[cls][option] = (src + in_src, other + (not in_src))
+    return {
+        cls: {option: Traffic(*n) for option, n in opts.items()}
+        for cls, opts in counts.items()
+    }
+
+
+def _identifiers(node, skip_imports=False):
+    """How often each identifier is mentioned under ``node``: as a name,
+    an attribute, a keyword, an imported name, or a dotted part of a
+    string (``perf/trace.py`` resolves ``"KernelPass.run"`` by name).
+    ``__all__`` lists do not count, nor — with ``skip_imports``, for a
+    package's ``__init__`` — the imports that only re-export."""
+    skipped = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in sub.targets
+        ):
+            skipped.update(id(n) for n in ast.walk(sub))
+    found = collections.Counter()
+    for sub in ast.walk(node):
+        if id(sub) in skipped:
+            continue
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            found[sub.arg] += 1
+        elif isinstance(sub, ast.alias) and not skip_imports:
+            found[sub.name.rpartition(".")[2]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            for part in sub.value.replace(":", ".").split("."):
+                if part.isidentifier():
+                    found[part] += 1
+    return found
+
+
+def _definitions(tree):
+    """(qualified name, defining node) of every public top-level name
+    and public method of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                continue
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (
+                        isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")
+                    ):
+                        yield f"{node.name}.{item.name}", item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, target
+
+
+@functools.lru_cache(maxsize=None)
+def export_traffic():
+    """``{"package/module.py:Name": Traffic}`` for every public
+    top-level name and public method under ``src/repro``: mentions of
+    its (unqualified) name outside its own definition.
+
+    ``Traffic.src`` counts the rest of its module and every other
+    source file; ``Traffic.other`` the tests, benchmarks, examples and
+    perf.  Names are matched as text, so a common one (``run``,
+    ``name``) is over-counted and the names this reports with no
+    ``src`` mention are a lower bound — but each of them is one nothing
+    in the program can reach.
+    """
+    mentions = {True: collections.Counter(), False: collections.Counter()}
+    for path, tree in _trees().items():
+        mentions[_in_src(path)].update(
+            _identifiers(tree, skip_imports=path.endswith("__init__.py"))
+        )
+    traffic = {}
+    for path, tree in _trees().items():
+        if not _in_src(path):
+            continue
+        rel = os.path.relpath(path, ROOT).replace(os.sep, "/")
+        for qualified, node in _definitions(tree):
+            name = qualified.rpartition(".")[2]
+            traffic[f"{rel}:{qualified}"] = Traffic(
+                mentions[True][name] - _identifiers(node)[name],
+                mentions[False][name],
+            )
+    return traffic
+
+
+#: Every option of the class (a machine description or a record has
+#: fields, not knobs: a new one needs no caller of its own).
+ALL = "*"
 
 #: Constructor options no call site sets: {class: (options, why they stay)}.
 UNSET_OPTIONS = {
+    # -- the compiler half ---------------------------------------------------
+    "Counter": (
+        {"name"},
+        "built by MetricsRegistry._get(name, cls): the class is a variable"
+        " at the one construction site",
+    ),
+    "Histogram": (
+        {"name", "edges"},
+        "as Counter; `edges` rides through `_get(..., edges=edges)`",
+    ),
+    "PrimExpr": (
+        {"dtype"},
+        "abstract node base: call sites build the concrete nodes, which"
+        " pass their dtype up positionally",
+    ),
+    "BinaryOp": ({"a", "b", "dtype"}, "as PrimExpr: `Add(a, b)` is the call site"),
+    "CmpOp": ({"a", "b"}, "as PrimExpr: `LT(a, b)` is the call site"),
+    "LoweredModule": (
+        {"const_inputs"},
+        "assigned on the built module (CompileEngine._compile), never at"
+        " construction: lowering does not know the workload",
+    ),
+    "KernelPlan": (
+        {"module"},
+        "built by plan_for(module) through its cache, which holds the"
+        " class as a variable",
+    ),
+    "TuningRecord": (
+        {"group"},
+        "read back from the store: from_json builds through `cls(...)`",
+    ),
+    "Candidate": (
+        {"module", "features", "predicted", "is_seed"},
+        "search state the tuner assigns after sketching the candidate",
+    ),
+    "UpmemConfig": (
+        ALL,
+        "machine description (Table 1 of the paper): each field is a"
+        " hardware parameter the cost model reads; tests shrink the machine"
+        " with `with_(n_ranks=...)`, the program runs the paper's one",
+    ),
+    "HbmPimConfig": (
+        ALL, "machine description (§8, Aquabolt-XL): as UpmemConfig",
+    ),
+    "CpuModel": (
+        ALL, "calibrated roofline of the paper's one CPU (§6): constants",
+    ),
+    "GpuModel": (ALL, "as CpuModel, for the A5000-class GPU of Fig. 4"),
+    "Executable": (
+        {"target", "workload", "params"},
+        "abstract base: the concrete executables pass them up positionally",
+    ),
+    "PrimTarget": (
+        {"config"},
+        "a target's machine description: get_target(kind) builds the"
+        " default, a configured instance is how a caller changes the"
+        " machine (UpmemTarget(config=) is the one in use);"
+        " harness.compare_targets hands on its own never-set config=",
+    ),
+    "SimplePimTarget": ({"config"}, "as PrimTarget"),
+    "CpuTarget": ({"model"}, "as PrimTarget, for the roofline model"),
+    "GpuTarget": ({"model"}, "as CpuTarget"),
+    "HbmPimTarget": (
+        {"upmem_config"},
+        "as PrimTarget: the UPMEM grid the PU binding is derived from",
+    ),
+    # -- the serving half (PR 20) --------------------------------------------
     "Node": (
         {"target"},
         "the per-node placement override: assigned on a built graph"
@@ -256,141 +608,234 @@ UNSET_OPTIONS = {
     ),
 }
 
+#: Constructor options set by tests, benchmarks, examples or perf and by
+#: nothing under ``src/``: {class: (options, why they stay)}.
+OUTSIDE_SRC_OPTIONS = {
+    "Tracer": (
+        {"wall_clock"},
+        "host-profiling opt-in: perf/trace.py and examples/quickstart.py"
+        " turn it on; the program never does (it is the one thing that"
+        " makes a trace machine-dependent)",
+    ),
+    "Var": (
+        {"dtype"},
+        "lowering makes int32 loop variables only; tests/tir builds a"
+        " float32 one to check simplify does not apply integer rules to it",
+    ),
+    "LowerOptions": (
+        {"transfer_mode", "boundary_checks"},
+        "the Fig. 7 ladder: benchmarks/test_ablations.py and the transfer-"
+        "mode tests set them through repro.compile(sch, options=); the"
+        " harness figures all use the paper's default",
+    ),
+    "ArtifactCache": (
+        {"disk_dir", "max_entries"},
+        "deployment settings: where the persistent tier lives and how many"
+        " modules stay in memory",
+    ),
+    "CompileEngine": (
+        {"cache"},
+        "test seam: a shared or disk-backed cache whose counters a test reads",
+    ),
+    "CostModel": (
+        {"l2"}, "ridge strength: tests/autotune fits with another value",
+    ),
+    "TuningCache": (
+        {"path"},
+        "a path: the program builds it through TuningCache.ensure(db)"
+        " (`cls(spec)`); tests open stores directly",
+    ),
+    "Tuner": (
+        {"config", "batch_size"},
+        "`config=` is the machine for a search without a target object"
+        " (autotune hands its own on); `batch_size=` sizes a round — tests"
+        " shrink both, the harness uses the defaults",
+    ),
+    "HbmPimTarget": (
+        {"config"}, "a custom PU array: tests/pipeline/test_tuner_cache.py",
+    ),
+    "Server": (
+        {"max_wait_ticks", "queue_limit", "tick_seconds", "execute"},
+        "batching policy under test (flush age, backpressure, tick length,"
+        " timing-only mode): fig16 runs the defaults",
+    ),
+    "SyncClient": (
+        {"server"}, "the blocking convenience client: README and tests only",
+    ),
+    "PagedKVCache": (
+        {"layers", "page_tokens", "max_pages", "config"},
+        "DecodeEngine hands on its own constructor's values; tests build"
+        " pagers directly to reach page boundaries in a few tokens",
+    ),
+    "WeightResidencyPlanner": (
+        {"policy"}, "eviction policy under test; the engine uses the default",
+    ),
+    "ClusterConfig": (
+        {"queue_cap", "page_tokens", "max_pages", "max_ticks"},
+        "admission and paging limits under test; fig18 runs the defaults",
+    ),
+    "FaultEvent": ({"duration_s"}, "stall length: the chaos tests"),
+    "FaultInjector": (
+        {"n_workers", "seed", "n_faults", "horizon_s", "stall_s"},
+        "the seeded fault generator: fig18 scripts one kill by hand"
+        " (FaultEvent), the cluster tests draw schedules",
+    ),
+}
 
-def _callee(call):
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return getattr(func, "id", None)
+#: Public names nothing under ``src/`` mentions outside their own
+#: definition: {"module:Name": why it stays}.
+PINNED_EXPORTS = {
+    "te/operation.py:max_reduce":
+        "paper-facing API (Table 2 reductions): the golden lowering corpus"
+        " and tests/te compile max-reductions",
+    "te/operation.py:min_reduce": "as max_reduce",
+    "schedule/schedule.py:Stage.fuse":
+        "paper-facing API (Table 2 `fuse`): drawn by the 188-draw golden"
+        " lowering corpus; no registered sketch fuses",
+    "tir/expr.py:PrimExpr.equal":
+        "the one way to build an EQ node (`==` is identity, for hashing)",
+    "tir/expr.py:any_of": "the `or` twin of all_of, which lowering uses",
+    "tir/printer.py:script":
+        "reference printer tests compare lowered text against",
+    "tir/visitor.py:collect_vars":
+        "test oracle: which loop variables a rewritten kernel still binds",
+    "target/executable.py:UpmemExecutable.script":
+        "user-facing: the kernel text of a compiled schedule (examples,"
+        " tests/pipeline) — how IR at a level is read",
+    "harness/reporting.py:summarize_speedups":
+        "benchmarks/ prints its geomean rows with it",
+    "serve/pool.py:ExecutablePool.prewarm":
+        "user-facing serving API (README): load before traffic arrives",
+    "serve/pool.py:ExecutablePool.pinned_keys":
+        "test oracle: pinned programs are never evicted",
+    "serve/server.py:Server.submit_many": "user-facing serving API (README)",
+    "serve/server.py:SyncClient": "user-facing serving API (README)",
+    "serve/server.py:SyncClient.infer": "as SyncClient",
+    "obs/tracer.py:Tracer.advance":
+        "tracer API for costs known outside a span; tests/obs pins its"
+        " cursor semantics",
+    "obs/tracer.py:NullTracer.advance": "the disabled twin of Tracer.advance",
+    "obs/tracer.py:Tracer.top_spans":
+        "user-facing: examples/quickstart.py step 8 and the README",
+    "upmem/config.py:UpmemConfig.with_":
+        "how tests and benchmarks shrink the machine",
+    "upmem/emitter.py:emit_host_pseudocode":
+        "paper-facing: the host half of the emitted UPMEM-C (Fig. 5)",
+    "upmem/system.py:ProfileResult.gflops": "result-record accessor",
+    "workloads/gptj.py:GPTJConfig.d_ff": "model description accessor",
+    "workloads/registry.py:workload_names":
+        "enumerates the registry for sweeps over every workload (tests)",
+    "workloads/registry.py:size_labels": "as workload_names",
+    "workloads/tensor_ops.py:Workload.footprint_mb":
+        "result-record accessor (examples/gptj_attention.py)",
+    "workloads/tensor_ops.py:Workload.reference_output":
+        "reference implementation tests and perf/ compare outputs against",
+    "decode/kv_cache.py:PagedKVCache.block_table":
+        "test oracle: page ownership per sequence",
+    "autotune/cost_model.py:CostModel.rank_error":
+        "ROADMAP item 2(b) reports it per round as autotune.rank_error;"
+        " until then tests/autotune is its caller",
+    "autotune/database.py:TuningCache.completed_trials":
+        "test oracle over run_complete markers (group_summary is what"
+        " tuned_params reads)",
+    "autotune/features.py:FEATURE_NAMES":
+        "names the feature vector's columns; tests pin its length",
+    "autotune/tuner.py:TuneResult.compile_cache_hit_rate":
+        "result-record accessor (README)",
+    "autotune/tuner.py:TuneResult.measure_cache_hit_rate":
+        "resolved by name from perf/ (autotune.measure_cache_hit_rate)",
+    "autotune/tuner.py:TuneResult.best_gflops": "result-record accessor",
+}
+
+#: What this count has cut: names that must not come back unreferenced.
+CUT = (
+    "autotune/database.py:Database.save", "autotune/database.py:Database.load",
+    "autotune/database.py:Database.merge", "obs/metrics.py:Gauge",
+    "obs/metrics.py:MetricsRegistry.gauge", "obs/tracer.py:set_tracer",
+    "obs/tracer.py:tracing_enabled", "schedule/relations.py:leaf_ranges",
+    "schedule/schedule.py:Schedule.compute_stages",
+    "tir/expr.py:PrimExpr.not_equal", "tir/buffer.py:Buffer.with_scope",
+    "graph/executable.py:GraphExecutable.node_executable",
+    "graph/memory.py:MemoryPlan.slot_of",
+    "decode/engine.py:IterationReport.sum_total_s",
+    "upmem/executor.py:positive_int_env",
+    "optim/pipeline.py:optimize_kernel", "optim/pipeline.py:optimize_module",
+    "pipeline/registry.py:register_pipeline",
+    "pipeline/registry.py:get_pipeline", "pipeline/registry.py:has_pipeline",
+    "pipeline/registry.py:list_pipelines", "pipeline/core.py:OPT_LEVELS",
+    "pipeline/core.py:PassInstrument", "pipeline/core.py:PassTiming",
+    "pipeline/core.py:FunctionPass", "pipeline/passes.py:kernel_passes",
+    "pipeline/passes.py:EliminateCopyChecks",
+    "pipeline/passes.py:TightenLoopBounds",
+    "pipeline/passes.py:HoistInvariantBranches",
+    "extensions/hbm_pim.py:HbmPimEstimatePass",
+    "extensions/hbm_pim.py:estimate_schedule",
+    "extensions/hbm_pim.py:estimate_lowered",
+)
 
 
-def _options(cls):
-    """Constructor options of a class: ``__init__`` parameters, else the
-    init fields of a dataclass."""
-    for item in cls.body:
-        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-            return [a.arg for a in item.args.args[1:] + item.args.kwonlyargs]
-    decorators = [getattr(d, "func", d) for d in cls.decorator_list]
-    if not any(getattr(d, "id", None) == "dataclass" for d in decorators):
-        return []
-    return [
-        item.target.id for item in cls.body
-        if isinstance(item, ast.AnnAssign)
-        and "init=False" not in ast.unparse(item)
-    ]
-
-
-def _calls(node, scope=None):
-    """(call, innermost enclosing function or None) under ``node``."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
-            yield child, scope
-        inner = child if isinstance(child, ast.FunctionDef) else scope
-        yield from _calls(child, inner)
-
-
-def option_traffic():
-    """``{class: {option: call sites that set it}}`` for the public
-    classes of the serving packages, counted over src, tests,
-    benchmarks, examples, perf and the harness CLI table.
-
-    A call inside the class's own definition does not count.  A call of
-    ``f(**kw)`` counts when ``f`` splats ``kw`` into the constructor
-    (``tiny_engine(**kwargs)``), as do the ``dict(opt=...)`` /
-    ``setdefault("opt", ...)`` defaults such an ``f`` builds.  A keyword
-    that hands on the enclosing function's own defaulted parameter
-    counts only if some caller — or the CLI — sets *that* parameter.
-    """
-    from repro.harness.experiments import KEYWORDS, TABLE
-
-    repo = os.path.dirname(os.path.dirname(ROOT))
-    trees = {}
-    for top in ("src", "tests", "benchmarks", "examples", "perf"):
-        for folder, _, files in os.walk(os.path.join(repo, top)):
-            for name in sorted(files):
-                if name.endswith(".py"):
-                    path = os.path.join(folder, name)
-                    with open(path) as fh:
-                        trees[path] = ast.parse(fh.read())
-    calls = [pair for tree in trees.values() for pair in _calls(tree)]
-
-    options, own, names = {}, {}, {}
-    for package in SERVING:
-        exported = set(getattr(repro, package).__all__)
-        for path, tree in trees.items():
-            if not path.startswith(os.path.join(ROOT, package) + os.sep):
-                continue
-            for node in tree.body:
-                if (
-                    isinstance(node, ast.ClassDef)
-                    and node.name in exported
-                    and _options(node)
-                ):
-                    options[node.name] = _options(node)
-                    own[node.name] = {id(n) for n in ast.walk(node)}
-                    names[node.name] = {node.name}
-
-    splats = [
-        (_callee(call), fn.name) for call, fn in calls
-        if fn is not None and fn.args.kwarg
-        and any(k.arg is None for k in call.keywords)
-    ]
-    grew = True
-    while grew:
-        grew = False
-        for callee, forwarder in splats:
-            for known in names.values():
-                if callee in known and forwarder not in known:
-                    known.add(forwarder)
-                    grew = True
-
-    passed = {
-        (row.run.__name__, KEYWORDS.get(arg, arg))
-        for row in TABLE for arg in row.args
+def _without_src_caller(want_other):
+    """{class: options with no ``src/`` call site} that tests and the
+    rest do (``want_other``) or do not set either."""
+    return {
+        cls: found
+        for cls, counts in option_traffic().items()
+        if (found := {
+            option for option, n in counts.items()
+            if n.src == 0 and bool(n.other) == want_other
+        })
     }
-    passed |= {(_callee(c), k.arg) for c, _ in calls for k in c.keywords}
 
-    def handed_on(value, fn):
-        if fn is None or not isinstance(value, ast.Name):
-            return False
-        args = fn.args
-        defaulted = args.args[len(args.args) - len(args.defaults):]
-        defaulted += [
-            a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d
-        ]
-        return (
-            value.id in {a.arg for a in defaulted}
-            and (fn.name, value.id) not in passed
-        )
 
-    traffic = {cls: dict.fromkeys(opts, 0) for cls, opts in options.items()}
-    for call, fn in calls:
-        callee = _callee(call)
-        for cls, known in names.items():
-            set_here = []
-            if callee in known and id(call) not in own[cls]:
-                if callee == cls:
-                    set_here += options[cls][: len(call.args)]
-                set_here += [
-                    k.arg for k in call.keywords
-                    if not handed_on(k.value, fn)
-                ]
-            elif fn is not None and fn.name in known:
-                if callee == "dict":
-                    set_here += [k.arg for k in call.keywords]
-                elif callee == "setdefault" and call.args:
-                    set_here.append(getattr(call.args[0], "value", None))
-            for option in set_here:
-                if option in traffic[cls]:
-                    traffic[cls][option] += 1
-    return traffic
+def _pinned(table, found):
+    """``table`` with :data:`ALL` entries spelled out from ``found``."""
+    return {
+        cls: found.get(cls, set()) if options == ALL else options
+        for cls, (options, _) in table.items()
+    }
 
 
 def test_every_serving_option_has_a_caller():
-    unset = {}
-    for cls, counts in option_traffic().items():
-        never = {option for option, n in counts.items() if n == 0}
-        if never:
-            unset[cls] = never
-    assert unset == {cls: opts for cls, (opts, _) in UNSET_OPTIONS.items()}
-    assert all(why.strip() for _, why in UNSET_OPTIONS.values())
+    unset = _without_src_caller(want_other=False)
+    serving = {
+        cls for package in SERVING
+        for cls in importlib.import_module(f"repro.{package}").__all__
+    }
+    assert {cls: o for cls, o in unset.items() if cls in serving} == {
+        cls: o for cls, (o, _) in UNSET_OPTIONS.items() if cls in serving
+    }
+
+
+def test_every_option_without_a_src_caller_is_pinned():
+    """Tree-wide: an option nothing under ``src/`` sets is deleted, or
+    is in one of the two tables with the reason it stays."""
+    unset = _without_src_caller(want_other=False)
+    outside = _without_src_caller(want_other=True)
+    # A machine description or record pinned whole covers both columns.
+    whole = {cls for cls, (o, _) in UNSET_OPTIONS.items() if o == ALL}
+    outside = {cls: o for cls, o in outside.items() if cls not in whole}
+    assert unset == _pinned(UNSET_OPTIONS, unset)
+    assert outside == _pinned(OUTSIDE_SRC_OPTIONS, outside)
+    tables = list(UNSET_OPTIONS.values()) + list(OUTSIDE_SRC_OPTIONS.values())
+    assert all(why.strip() for _, why in tables)
+
+
+def test_every_export_without_a_src_reference_is_pinned():
+    """Tree-wide: a public name or method nothing under ``src/``
+    mentions is deleted, or pinned with the reason it stays; what the
+    count cut stays cut.  Prints the table's totals (``-rA`` shows them)."""
+    traffic = export_traffic()
+    unreferenced = {name for name, n in traffic.items() if n.src == 0}
+    assert unreferenced == set(PINNED_EXPORTS)
+    assert all(why.strip() for why in PINNED_EXPORTS.values())
+    assert not set(CUT) & set(traffic)
+    options = option_traffic()
+    print(
+        f"traffic: {len(traffic)} exports counted,"
+        f" {len(PINNED_EXPORTS)} pinned, {len(CUT)} cut;"
+        f" {sum(map(len, options.values()))} options of {len(options)}"
+        f" classes counted, {len(UNSET_OPTIONS)} classes pinned unset,"
+        f" {len(OUTSIDE_SRC_OPTIONS)} set outside src only"
+    )
+    for name in sorted(unreferenced):
+        print(f"  {name}  other={traffic[name].other}  {PINNED_EXPORTS[name]}")

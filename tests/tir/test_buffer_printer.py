@@ -40,7 +40,7 @@ class TestBuffer:
             Buffer("A", (0,))
 
     def test_with_scope(self):
-        b = Buffer("A", (4,)).with_scope("wram", "A_w")
+        b = Buffer("A_w", (4,), scope="wram")
         assert b.scope == "wram" and b.name == "A_w"
 
     def test_flat_index_row_major(self):

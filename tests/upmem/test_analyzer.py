@@ -7,8 +7,7 @@ for real (a reference counter) and compare.
 
 import pytest
 
-from repro.lowering import LowerOptions, lower
-from repro.optim import optimize_module
+import repro
 from repro.tir import (
     Allocate,
     BufferStore,
@@ -137,9 +136,7 @@ def assert_counts_match(kernel, grid_env):
 
 def module_for(m, k, level="O0", **kwargs):
     sch = make_mtv_schedule(m, k, **kwargs)
-    return optimize_module(
-        lower(sch, options=LowerOptions(optimize=level)), level
-    )
+    return repro.compile(sch, opt_level=level).lowered
 
 
 class TestExactCounting:

@@ -1,7 +1,6 @@
 """UPMEM-C emission from lowered modules."""
 
-from repro.lowering import LowerOptions, lower
-from repro.optim import optimize_module
+import repro
 from repro.upmem.emitter import emit_host_pseudocode, emit_kernel_c
 
 from ..conftest import make_mtv_schedule
@@ -9,9 +8,7 @@ from ..conftest import make_mtv_schedule
 
 def module_for(m=64, k=64, level="O3", **kwargs):
     sch = make_mtv_schedule(m, k, **kwargs)
-    return optimize_module(
-        lower(sch, options=LowerOptions(optimize=level)), level
-    )
+    return repro.compile(sch, opt_level=level).lowered
 
 
 class TestKernelEmission:

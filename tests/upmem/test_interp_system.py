@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.lowering import LowerOptions, lower
 from repro.tir import (
     Buffer,
@@ -164,12 +165,13 @@ class TestPerformanceModel:
         assert prof.gflops(2 * 64 * 64) > 0
 
     def test_transfer_modes_ordering(self):
-        from repro.optim import optimize_module
-
         times = {}
         for mode in ("element", "bulk", "parallel"):
-            sch = make_mtv_schedule(256, 64)
-            mod = lower(sch, options=LowerOptions(transfer_mode=mode))
+            mod = repro.compile(
+                make_mtv_schedule(256, 64),
+                options=LowerOptions(transfer_mode=mode),
+            ).lowered
+            assert mod.options.transfer_mode == mode
             times[mode] = PerformanceModel().profile(mod).latency.d2h
         assert times["parallel"] < times["bulk"] < times["element"]
 

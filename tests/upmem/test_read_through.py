@@ -233,7 +233,7 @@ def test_golden_corpus_draws_under_verify(family, monkeypatch):
         if fam != family:
             continue
         wl = getattr(tensor_ops, family)(*_affordable(shape))
-        module = default_engine().compile(wl, params, optimize="O3").module
+        module = default_engine().compile(wl, params, opt_level="O3").module
         if module is None:
             continue  # the draw's grid does not fit the smaller shape
         inputs = wl.random_inputs(0)
@@ -269,7 +269,7 @@ class TestSlabbedScan:
         wl = mtv(48, 128)
         params = {"m_dpus": 8, "k_dpus": 1, "n_tasklets": 2, "cache": 16,
                   "host_threads": 1, "unroll": 0}
-        module = default_engine().compile(wl, params, optimize="O3").module
+        module = default_engine().compile(wl, params, opt_level="O3").module
         assert plan_for(module).folded == 1
         inputs = wl.random_inputs(3)
         monkeypatch.setenv("REPRO_SIM_MODE", "vector")
@@ -330,7 +330,7 @@ class TestScanUnderALaneMask:
         wl = mtv(384, 128)
         params = {"m_dpus": 64, "k_dpus": 1, "n_tasklets": 4, "cache": 64,
                   "host_threads": 1, "unroll": 0}
-        module = default_engine().compile(wl, params, optimize="O3").module
+        module = default_engine().compile(wl, params, opt_level="O3").module
         plan = plan_for(module)
         assert any(isinstance(s, IfThenElse) for s in iter_stmts(plan.kernel))
         scans = [

@@ -20,6 +20,7 @@ from repro.tir import (
     Var,
 )
 from repro.upmem import FunctionalExecutor, VerifyMismatch, plan_for, sim_mode
+from repro.upmem import vectorize
 from repro.upmem.interp import InterpError, Interpreter, _np_dtype
 from repro.upmem.vectorize import host_program_for
 from repro.workloads import make_workload, size_labels, workload_names
@@ -59,7 +60,7 @@ SWEEP = [
 
 
 def _compile(wl, params, level):
-    module = default_engine().compile(wl, params, optimize=level).module
+    module = default_engine().compile(wl, params, opt_level=level).module
     assert module is not None, f"{wl.name} rejected params {params}"
     return module
 
@@ -110,9 +111,13 @@ class TestEquivalenceGate:
         inputs = wl.random_inputs(2)
         monkeypatch.setenv("REPRO_SIM_MODE", "vector")
         ref = _run(module, inputs, "vector", monkeypatch)
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "3")
-        chunked = _run(module, inputs, "vector", monkeypatch)
-        monkeypatch.delenv("REPRO_VECTOR_LANES")
+        with monkeypatch.context() as mp:
+            mp.setattr(
+                vectorize, "_LANE_BUDGET_BYTES",
+                3 * plan_for(module)._bytes_per_lane,
+            )
+            assert plan_for(module).max_lanes(8) == 3
+            chunked = _run(module, inputs, "vector", mp)
         assert ref[0].tobytes() == chunked[0].tobytes()
         # manual two-shard phased execution (what run_batch does)
         fexec = FunctionalExecutor(module)
@@ -157,7 +162,7 @@ class TestEquivalenceGate:
             assert "4MB" in size_labels(name)
             wl = make_workload(name, "4MB")
             module = default_engine().compile(
-                wl, default_params(wl), optimize="O3"
+                wl, default_params(wl), opt_level="O3"
             ).module
             assert module is not None, name
             out, = FunctionalExecutor(module).run(wl.random_inputs(0))
@@ -513,24 +518,15 @@ class TestTileOffTheTensor:
 
 
 class TestLaneCapKnob:
-    @pytest.mark.parametrize("bad", ["abc", "0", "-3", ""])
-    def test_invalid_lane_cap_rejected(self, bad, monkeypatch):
-        wl = va(64)
-        module = _compile(wl, {"n_dpus": 2, "n_tasklets": 1, "cache": 8},
-                          "O3")
-        monkeypatch.setenv("REPRO_SIM_MODE", "vector")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", bad)
-        with pytest.raises(ValueError, match="REPRO_VECTOR_LANES"):
-            FunctionalExecutor(module).run(wl.random_inputs(0))
-
     def test_cap_above_the_lane_count_is_the_lane_count(self, monkeypatch):
         wl = va(64)
         module = _compile(wl, {"n_dpus": 2, "n_tasklets": 1, "cache": 8},
                           "O3")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1000")
-        assert plan_for(module).max_lanes(2) == 2
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
-        assert plan_for(module).max_lanes(2) == 1
+        plan = plan_for(module)
+        assert plan.max_lanes(2) == 2
+        # A budget below one lane's buffers still runs a lane at a time.
+        monkeypatch.setattr(vectorize, "_LANE_BUDGET_BYTES", 1)
+        assert plan.max_lanes(2) == 1
 
 
 class TestDtypeRegression:
