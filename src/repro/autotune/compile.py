@@ -24,7 +24,7 @@ from ..pipeline import (
     artifact_key,
     build,
 )
-from ..schedule import ScheduleError
+from ..schedule import Schedule, ScheduleError
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..workloads import Workload
 from .sketch import SketchError, generate_schedule
@@ -116,6 +116,17 @@ class CompileEngine:
         ctx = PassContext(opt_level=opt_level, module_name=workload.name)
         try:
             schedule = generate_schedule(workload, params)
+            n_dpus = _grid_dpus(schedule)
+            if n_dpus is not None and n_dpus > config.n_dpus:
+                # ``verify``'s first test, decided before lowering: one
+                # candidate in six of a search asks for more DPUs than
+                # the machine has, and lowering is most of a build.
+                return CompiledArtifact(
+                    key,
+                    None,
+                    error=f"grid needs {n_dpus} DPUs > {config.n_dpus}"
+                    " available",
+                )
             module = build.run(schedule, ctx)
         except (SketchError, ScheduleError, LoweringError) as exc:
             return CompiledArtifact(
@@ -126,6 +137,23 @@ class CompileEngine:
         return CompiledArtifact(
             key, module, verified=verified, verify_reason=verify_reason
         )
+
+
+def _grid_dpus(schedule: Schedule) -> Optional[int]:
+    """DPUs the schedule's grid asks for: the product, over the distinct
+    ``blockIdx.*`` tags its stages bind, of the bound axis's extent —
+    what lowering makes ``module.n_dpus``.  ``None`` when two stages
+    bind one tag at different extents (lowering rejects that itself)."""
+    extents: Dict[str, int] = {}
+    for stage in schedule.stages:
+        for ivar, tag in stage.binds.items():
+            if tag.startswith("blockIdx"):
+                if extents.setdefault(tag, ivar.extent) != ivar.extent:
+                    return None
+    n_dpus = 1
+    for extent in extents.values():
+        n_dpus *= extent
+    return n_dpus
 
 
 #: Process-wide engine shared by ``repro.compile`` and the harness.

@@ -51,6 +51,9 @@ __all__ = [
     "PIM_SUBSTRATE_KINDS",
 ]
 
+#: A node and its ``(workload input name, graph tensor name)`` pairs.
+_Wired = Tuple[Node, List[Tuple[str, str]]]
+
 #: Target kinds whose executables run on the (simulated) PIM machine —
 #: data they produce stays device-resident until a host-placed consumer
 #: or a graph output forces it back over the bus.
@@ -158,12 +161,15 @@ class GraphExecutable(Executable):
         #: Per topological level, its nodes grouped by shared executable
         #: (first-seen order): nodes of one level are independent, so a
         #: group runs as one ``run_batch`` — four heads, one vector call.
-        self._level_groups: List[List[Tuple[Executable, List[Node]]]] = []
+        #: Beside each node, its ``(workload input, graph tensor)`` pairs:
+        #: the wiring is the graph's, a run only looks the tensors up.
+        self._level_groups: List[List[Tuple[Executable, List[_Wired]]]] = []
         for level in graph.levels():
-            groups: Dict[int, Tuple[Executable, List[Node]]] = {}
+            groups: Dict[int, Tuple[Executable, List[_Wired]]] = {}
             for node in level:
                 exe = self._exes[node.name][0]
-                groups.setdefault(id(exe), (exe, []))[1].append(node)
+                pairs = [(wl, name) for wl, name, _ in node.input_bindings()]
+                groups.setdefault(id(exe), (exe, []))[1].append((node, pairs))
             self._level_groups.append(list(groups.values()))
         self._profile: Optional[GraphProfile] = None
         self._plan = None
@@ -213,15 +219,12 @@ class GraphExecutable(Executable):
             )
         env: Dict[str, np.ndarray] = dict(inputs)
         for groups in self._level_groups:
-            for exe, nodes in groups:
+            for exe, wired in groups:
                 feeds = [
-                    {
-                        wl_name: env[graph_name]
-                        for wl_name, graph_name, _ in node.input_bindings()
-                    }
-                    for node in nodes
+                    {wl_name: env[graph_name] for wl_name, graph_name in pairs}
+                    for _, pairs in wired
                 ]
-                for node, (out,) in zip(nodes, exe.run_batch(feeds)):
+                for (node, _), (out,) in zip(wired, exe.run_batch(feeds)):
                     env[node.output] = out
         return {name: env[name] for name in self.graph.output_names}
 

@@ -128,10 +128,16 @@ class LoweredModule:
     def local_bytes_per_dpu(self) -> int:
         """Bytes of DPU-local buffers one grid point holds in the
         functional simulator — MRAM tiles, MRAM-internal and WRAM
-        buffers, one copy each: the working set of one vector lane."""
-        local = {spec.local_buffer for spec in self.transfers}
-        local.update(self.mram_internal, self.wram_buffers)
-        return max(1, sum(buf.nbytes for buf in local))
+        buffers, one copy each: the working set of one vector lane.
+        Worked out on the first call (every ``run_batch`` asks); a
+        module is read-only once it runs."""
+        nbytes = self.__dict__.get("_local_bytes")
+        if nbytes is None:
+            local = {spec.local_buffer for spec in self.transfers}
+            local.update(self.mram_internal, self.wram_buffers)
+            nbytes = max(1, sum(buf.nbytes for buf in local))
+            self.__dict__["_local_bytes"] = nbytes
+        return nbytes
 
     def transfer(self, direction: str) -> List[TransferSpec]:
         return [t for t in self.transfers if t.direction == direction]

@@ -155,11 +155,13 @@ class CompiledArtifact:
     """Outcome of compiling one (workload, params) candidate.
 
     ``module`` is ``None`` for negative artifacts (the sketch or lowering
-    rejected the parameters); ``error`` then names the failure.
-    ``verified`` is the single validity predicate: the module exists
-    *and* passed the hardware-constraint check (``verify_reason`` names
-    the violated constraint otherwise).  A lowered module that failed
-    the check is still there to inspect.
+    rejected the parameters, or the schedule's grid asks for more DPUs
+    than the machine has — decided before lowering); ``error`` then
+    names the failure.  ``verified`` is the single validity predicate:
+    the module exists *and* passed the hardware-constraint check
+    (``verify_reason`` names the violated constraint otherwise).  A
+    module that failed a *post-lowering* check (tasklets, WRAM, MRAM,
+    IRAM) is still there to inspect.
     """
 
     key: str

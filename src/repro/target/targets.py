@@ -111,6 +111,8 @@ class UpmemTarget(Target):
             target=self,
         )
         if not artifact.ok:
+            # Refused before a module existed: by the sketch, by
+            # lowering, or for a grid of more DPUs than the machine has.
             raise TargetError(
                 f"invalid params {params} for {workload.name}:"
                 f" {artifact.error}"

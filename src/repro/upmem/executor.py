@@ -80,15 +80,20 @@ class FunctionalExecutor:
         self.module = module
         self.mode = mode  # None -> read REPRO_SIM_MODE per phase
         self._grid_points: Optional[List[tuple]] = None
+        #: The module's vector plan once a call has needed it: the plan
+        #: cache is a locked lookup, and the module never changes.
+        self._kernel_plan = None
 
     # -- mode plumbing ------------------------------------------------------
     def _mode(self) -> str:
         return sim_mode(self.mode)
 
     def _plan(self):
-        from .vectorize import plan_for
+        if self._kernel_plan is None:
+            from .vectorize import plan_for
 
-        return plan_for(self.module)
+            self._kernel_plan = plan_for(self.module)
+        return self._kernel_plan
 
     def _host_program(self, which: str):
         from .vectorize import host_program_for
@@ -272,6 +277,7 @@ class FunctionalExecutor:
             for spec in d2h:
                 shadow[spec.global_buffer] = shadow[spec.global_buffer].copy()
             shadows.append(shadow)
+        self._audit_resident(lanes)
         self._plan().run_points(states, lanes)
         probe = Interpreter({})
         grid_vars = module.grid_vars()
@@ -292,6 +298,21 @@ class FunctionalExecutor:
                             f" {spec.global_buffer.name} at grid point"
                             f" {point} of batch item {item}"
                         )
+
+    def _audit_resident(self, lanes: range) -> None:
+        """The vector plan's resident chunk geometry for ``lanes``
+        against a fresh build (:meth:`KernelPlan.check_invariants`).
+        Reads the plan cache again, so the plan audited is the plan the
+        next call runs."""
+        from .vectorize import plan_for
+
+        self._kernel_plan = plan = plan_for(self.module)
+        problems = plan.check_invariants(lanes)
+        if problems:
+            raise VerifyMismatch(
+                "resident chunk geometry differs from a fresh build: "
+                + "; ".join(problems)
+            )
 
     @staticmethod
     def _tile_box(

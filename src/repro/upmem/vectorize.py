@@ -46,11 +46,12 @@ position outside the buffer.  Which form runs is decided in one place,
   vectorised loop variable ``k``, any constant ``c != 0`` — ``A_wram[0,
   k]`` inside a reduction) or *lane-dependent*.  An access with scalar
   indices and at most one axis-affine index is a slice of the buffer;
-* **tested per chunk** (:class:`_Placement`, :func:`_axis_slice`): that
-  the slice's two ends lie inside the buffer, and, for H2D/D2H tiles —
-  whose origins are affine in the grid — which *lanes* hold a tile that
-  fits its tensor (one ``(L,)`` comparison per dimension).  Those lanes
-  move as one window gather or scatter;
+* **tested per chunk** (:func:`_axis_slice`): that the slice's two ends
+  lie inside the buffer; and **per chunk shape** (:class:`_Placement`,
+  kept — see "What a call recomputes"), for H2D/D2H tiles — whose
+  origins are affine in the grid — which *lanes* hold a tile that fits
+  its tensor (one ``(L,)`` comparison per dimension).  Those lanes move
+  as one window gather or scatter;
 * **still checked**: the lanes of a chunk whose tile crosses a tensor edge
   (the last DPUs of a trimmed ``va``), an access whose endpoint falls
   outside (so an out-of-range access raises exactly as the scalar path
@@ -106,6 +107,46 @@ is no option and no second path: a kernel that does not match compiles
 exactly as lowered (the element-copy loops of O0-O2 are not bursts), and
 the module keeps the lowered kernel — the scalar interpreter, hence
 ``REPRO_SIM_MODE=verify``, checks the rewrite against the original.
+
+What a call recomputes
+----------------------
+ATiM fixes the host side of an offload when the program is generated:
+which tile of which tensor each DPU receives, which DPUs sit on a tensor
+edge.  So does the plan.  Lane ``i * G + g`` is grid point ``g``
+whatever the item, so the pair *(grid point of a chunk's first lane,
+lane count)* — its **chunk shape** — fixes every lane's coordinates,
+and with them everything about a transfer except the bytes.  A plan
+keeps one :class:`_Chunk` per chunk shape, built by the first call that
+needs it (there is no second path: that call runs the same code and
+leaves the entry behind):
+
+* **resident** — the lane-variable arrays and ``arange(L)``; the lane
+  range of each item the chunk spans; per transfer a :class:`_Placement`
+  (origin, box, extent, partial mask) and what it has worked out: the
+  window-view shape per tensor shape, the origin tuples of a lane range,
+  where a range turns from whole to partial lanes, and the boundary
+  lanes' element index / validity arrays.  Every resident array is
+  read-only.  Also decided once, when the plan is built: an access index
+  that is an ``IntImm`` inside its dimension (:func:`_immediates`) and a
+  DMA base that is one;
+* **per call** — the window *view* (``as_strided`` over this call's
+  array, with this call's strides: a transposed or sliced input is a
+  different view of the same shape), which neighbouring items bind the
+  same array object, every buffer a chunk starts zeroed, the copies, and
+  every test whose outcome can depend on data or on a loop variable:
+  ``_clamp`` on lane- and loop-dependent indices, ``InterpError`` for a
+  live position outside its buffer, ``prepare``'s shape / dtype /
+  missing-input errors.  ``REPRO_MAX_WORKERS`` and ``REPRO_SIM_MODE``
+  are read per call too — tests set them mid-process.
+
+The table is bounded like the plan cache: :data:`_CHUNK_SHAPES` entries
+per plan, oldest dropped first, and :data:`_ELEMENT_BYTES` of
+boundary-lane indices across them (past that they are rebuilt per call,
+as they always were); it is dropped with its plan.  A chunk whose
+geometry raises while being built is not kept, so the error repeats on
+every call.  Under ``REPRO_SIM_MODE=verify`` a chunk served from the
+table is first rebuilt and compared field for field
+(:meth:`KernelPlan.check_invariants`).
 
 Weak numbers: the interpreter binds variables to Python ints, casts with
 ``int()``/``float()`` and calls ``math.exp``/``math.sqrt``, and a Python
@@ -330,12 +371,12 @@ class _Ctx:
         "scratch",
     )
 
-    def __init__(self, plan, bufs, lane_vals, L):
+    def __init__(self, plan, bufs, lane_vals, L, lanes=None):
         self.plan = plan
         self.bufs = bufs  # Buffer -> ndarray (batched arrays lead with L)
         self.env: Dict[Var, int] = {}  # serial loop variables (scalars)
         self.mask = None  # (L,) bool of active lanes, or None == all
-        self.lanes = np.arange(L)
+        self.lanes = np.arange(L) if lanes is None else lanes
         self.lane_vals = lane_vals  # Var -> (L,) int64
         self.L = L
         self.axis_k = None  # arange(n) while inside a vectorized axis op
@@ -400,6 +441,18 @@ def _checked(ctx: _Ctx, buffer: Buffer, d: int, i):
     if moved.any():
         raise InterpError(f"index out of bounds for {buffer!r}")
     return c
+
+
+def _immediates(buffer: Buffer, exprs: Sequence[PrimExpr]) -> List[bool]:
+    """Per index of an access, whether it is an immediate inside its
+    dimension: tested here, once, when the plan is built, so no call has
+    to hand it to :func:`_checked`.  One outside its dimension is left
+    to ``_checked``, which raises on every call as the scalar path does.
+    """
+    return [
+        isinstance(e, IntImm) and 0 <= e.value < dim
+        for e, dim in zip(exprs, buffer.shape)
+    ]
 
 
 def _axis_slice(i: np.ndarray, coeff: int, dim: int) -> Optional[slice]:
@@ -605,6 +658,27 @@ class _ExprCompiler:
                 axis_at = varying[0]
         return fns, deps, axis_at, coeff
 
+    def checked_at(self, buffer: Buffer, exprs: Sequence[PrimExpr], fns=None):
+        """``fn(ctx) -> tuple`` of an access's indices as ``_checked``
+        passes them, the proved immediates (:func:`_immediates`) as
+        constants: an access with nothing else is one resident tuple.
+        ``fns`` are the compiled ``exprs``, if the caller has them."""
+        if fns is None:
+            fns = [self.compile(e)[0] for e in exprs]
+        steps = [
+            (None, e.value) if proved else (f, d)
+            for d, (e, f, proved) in enumerate(
+                zip(exprs, fns, _immediates(buffer, exprs))
+            )
+        ]
+        if all(f is None for f, _ in steps):
+            const = tuple(v for _, v in steps)
+            return lambda ctx: const
+        return lambda ctx: tuple(
+            v if f is None else _checked(ctx, buffer, v, f(ctx))
+            for f, v in steps
+        )
+
     def _load(self, e: BufferLoad) -> Tuple[Callable, int]:
         buffer = e.buffer
         fns, deps, axis_at, coeff = self.indices(e.indices)
@@ -618,22 +692,28 @@ class _ExprCompiler:
         column = batched and axis_mode  # (L,) values broadcast as (L, 1)
 
         if idx_dep == 0:
+            at = self.checked_at(buffer, e.indices, fns)
 
             def fn(ctx):
-                arr = ctx.get_array(buffer)
-                v = arr[
-                    lead
-                    + tuple(
-                        _checked(ctx, buffer, d, f(ctx))
-                        for d, f in enumerate(fns)
-                    )
-                ]
+                v = ctx.get_array(buffer)[lead + at(ctx)]
                 return v[:, None] if column else v
 
             return fn, dep
 
+        # Dimensions a call still tests: all but the proved immediates
+        # and, when its endpoints are inside, the axis-affine one.
+        tested = [
+            d for d, ok in enumerate(_immediates(buffer, e.indices)) if not ok
+        ]
+
+        def test(ctx, idx, skip=None):
+            for d in tested:
+                if d != skip:
+                    idx[d] = _checked(ctx, buffer, d, idx[d])
+            return tuple(idx)
+
         def checked(ctx, arr, idx):
-            full = tuple(_checked(ctx, buffer, d, i) for d, i in enumerate(idx))
+            full = test(ctx, idx)
             if not batched:
                 return arr[full]
             if all(not isinstance(i, np.ndarray) for i in full):
@@ -659,13 +739,7 @@ class _ExprCompiler:
                 return checked(ctx, arr, idx)
             idx[axis_at] = sl
             # A view: (L, n) of a batched buffer, (n,) of a shared one.
-            return arr[
-                lead
-                + tuple(
-                    i if d == axis_at else _checked(ctx, buffer, d, i)
-                    for d, i in enumerate(idx)
-                )
-            ]
+            return arr[lead + test(ctx, idx, skip=axis_at)]
 
         return fn, dep
 
@@ -715,15 +789,12 @@ class _StoreOp:
         if not self.batched and not plan.allow_shared_store:
             raise VectorizeError("store to shared (non-batched) buffer")
         self.vfn, _ = ec.compile(stmt.value)
-        self.idx_fns = [ec.compile(i)[0] for i in stmt.indices]
+        self.at = ec.checked_at(stmt.buffer, stmt.indices)
 
     def run(self, ctx):
         buffer = self.buffer
         arr = ctx.get_array(buffer)
-        full = [
-            _checked(ctx, buffer, d, f(ctx))
-            for d, f in enumerate(self.idx_fns)
-        ]
+        full = self.at(ctx)
         val = self.vfn(ctx)
         scalar_idx = all(not isinstance(i, np.ndarray) for i in full)
         if self.batched:
@@ -732,7 +803,7 @@ class _StoreOp:
                 # NumPy buffers an assignment whose source overlaps its
                 # destination, so a value that is a view of ``arr`` (a
                 # block-form load of the same buffer) is safe.
-                view = arr[(slice(None),) + tuple(full)]
+                view = arr[(slice(None),) + full]
                 if ctx.mask is None:
                     np.copyto(view, val, casting="unsafe")
                 else:
@@ -749,15 +820,14 @@ class _StoreOp:
             return
         # Shared buffer (host lane mode, pre-verified injective, or L == 1).
         if scalar_idx:
-            sl = tuple(full)
             if ctx.mask is None:
-                arr[sl] = val if not isinstance(val, np.ndarray) else val[0]
+                arr[full] = val if not isinstance(val, np.ndarray) else val[0]
                 return
             sel = ctx.mask
             if not sel.any():
                 return
             v = val[sel][-1] if isinstance(val, np.ndarray) else val
-            arr[sl] = v
+            arr[full] = v
             return
         if ctx.mask is not None:
             sel = ctx.mask
@@ -873,20 +943,24 @@ class _DmaOp:
 
     @staticmethod
     def _terms(ec, base, shape):
-        """``(index fn, extent, row-major stride)`` per dimension."""
+        """The immediates' share of the flat offset, clipped here, and
+        ``(index fn, extent, row-major stride)`` per other dimension."""
         strides, stride = [], 1
         for dim in reversed(shape):
             strides.append(stride)
             stride *= dim
-        return [
-            (ec.compile(i)[0], dim, s)
-            for i, dim, s in zip(base, shape, reversed(strides))
-        ]
+        const, terms = 0, []
+        for i, dim, s in zip(base, shape, reversed(strides)):
+            if isinstance(i, IntImm):
+                const += _clamp(i.value, dim)[0] * s
+            else:
+                terms.append((ec.compile(i)[0], dim, s))
+        return const, terms
 
     @staticmethod
-    def _offset(ctx, terms):
+    def _offset(ctx, base):
         """Flat element offset with per-dim clipping (ravel mode="clip")."""
-        off = 0
+        off, terms = base
         for f, dim, s in terms:
             off = off + _clamp(f(ctx), dim)[0] * s
         return off
@@ -1040,11 +1114,11 @@ class _VecReduceOp:
     ``(None, fn)`` and ``(fn(ctx),)`` is copied there.
     """
 
-    def __init__(self, plan, target, idx_fns, efn, edep, rest, generic):
+    def __init__(self, plan, target, at, efn, edep, rest, generic):
         self.plan = plan
         self.target = target
         self.batched = target in plan.batched
-        self.idx_fns = idx_fns
+        self.at = at  # ctx -> the accumulator's checked indices
         self.efn, self.edep = efn, edep
         self.ufunc, self.operands = rest
         self.generic = generic
@@ -1056,10 +1130,7 @@ class _VecReduceOp:
         buffer = self.target
         arr = ctx.get_array(buffer)
         ext = self.efn(ctx)
-        full = tuple(
-            _checked(ctx, buffer, d, f(ctx))
-            for d, f in enumerate(self.idx_fns)
-        )
+        full = self.at(ctx)
         scalar_idx = all(not isinstance(i, np.ndarray) for i in full)
         if not self.batched:
             windex = full
@@ -1132,10 +1203,11 @@ class _VecMapOp:
     lane-dependent index, takes the checked scatter instead.
     """
 
-    def __init__(self, target, batched, indices, efn, edep, vfn, cfn):
+    def __init__(self, target, batched, indices, proved, efn, edep, vfn, cfn):
         self.target = target
         self.batched = batched
         self.idx_fns, _, self.axis_at, self.coeff = indices
+        self.proved = proved  # per index: an immediate inside the buffer
         self.efn, self.edep = efn, edep
         self.vfn = vfn
         self.cfn = cfn  # optional guard, compiled in axis mode
@@ -1179,8 +1251,10 @@ class _VecMapOp:
             full = [
                 sl
                 if sl is not None and d == at
+                else i
+                if proved
                 else _checked(ctx, buffer, d, i)
-                for d, i in enumerate(idx)
+                for d, (i, proved) in enumerate(zip(idx, self.proved))
             ]
         finally:
             ctx.axis_k, ctx.vmask = old_k, old_v
@@ -1290,10 +1364,10 @@ class _StmtCompiler:
 
         except VectorizeError:
             return None
-        idx_fns = [self.expr.compile(i)[0] for i in idx]
+        at = self.expr.checked_at(target, idx)
         generic = self._generic_for(stmt, efn, edep)
         return _VecReduceOp(
-            self.plan, target, idx_fns, efn, edep, (ufunc, operands), generic
+            self.plan, target, at, efn, edep, (ufunc, operands), generic
         )
 
     def _try_map(self, stmt: For, efn, edep):
@@ -1337,7 +1411,10 @@ class _StmtCompiler:
             cfn = ax.compile(cond) if cond is not None else None
         except VectorizeError:
             return None
-        return _VecMapOp(target, batched, indices, efn, edep, vfn, cfn)
+        proved = _immediates(target, store.indices)
+        return _VecMapOp(
+            target, batched, indices, proved, efn, edep, vfn, cfn
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1574,6 +1651,10 @@ class KernelPlan:
     one scatter in lane order; only lanes whose tile crosses a tensor
     edge are filled and written back element by element, zero-padded and
     masked as the scalar executor does per grid point.
+
+    Which lanes those are is the program's, not the call's: the plan
+    keeps one :class:`_Chunk` per chunk shape (see "What a call
+    recomputes" in the module docstring).
     """
 
     kind = "kernel"
@@ -1587,19 +1668,20 @@ class KernelPlan:
         self.batched |= set(module.wram_buffers)
         self.fallbacks: List[Stmt] = []
         ec = _ExprCompiler(self)
-        # (spec, base_fns-or-None) in transfer order; fns only for h2d.
-        self._tiles = [
+        #: Per transfer, in module order: its spec, its tile-origin
+        #: functions, and the dtype of a lane's tile.
+        self._transfers = [
             (
                 spec,
-                [ec.compile(b) for b in spec.base]
-                if spec.direction == "h2d"
-                else None,
+                [ec.compile(b)[0] for b in spec.base],
+                _np_dtype(spec.local_buffer),
             )
             for spec in module.transfers
         ]
-        self._d2h = [
-            (spec, [ec.compile(b) for b in spec.base])
-            for spec in module.transfer("d2h")
+        #: Buffers a chunk starts zeroed besides its D2H tiles.
+        self._zeroed = [
+            (buf, tuple(buf.shape), _np_dtype(buf))
+            for buf in (*module.mram_internal, *module.wram_buffers)
         ]
         #: The kernel as compiled, and how many staging bursts it reads
         #: through / block loops it folded (see :func:`_normalise`).
@@ -1620,6 +1702,12 @@ class KernelPlan:
         refs = _BufferRefs()
         refs.visit_stmt(module.kernel)
         self._stackable = refs.buffers <= self.batched
+        #: ``(first lane's grid point, lanes)`` -> :class:`_Chunk`, oldest
+        #: first; at most :data:`_CHUNK_SHAPES` of them, holding at most
+        #: :data:`_ELEMENT_BYTES` of boundary-lane indices between them.
+        self._chunks: Dict[Tuple[int, int], _Chunk] = {}
+        self._element_bytes = 0
+        self._lock = threading.Lock()  # inserts, evictions, the byte count
 
     def batched_alloc(self, buffer: Buffer) -> None:
         self.batched.add(buffer)  # a kernel-side temp is per lane
@@ -1628,13 +1716,8 @@ class KernelPlan:
     def max_lanes(self, total: int) -> int:
         return max(1, min(total, _LANE_BUDGET_BYTES // self._bytes_per_lane))
 
-    def run_points(
-        self,
-        states: Sequence[Dict[Buffer, np.ndarray]],
-        lanes: range,
-    ) -> None:
-        """Execute ``lanes`` of the lane space of the prepared ``states``
-        (one ``Buffer -> array`` dict per batch item)."""
+    def _cuts(self, lanes: range):
+        """``lanes`` as the ``(lo, hi)`` chunks :meth:`run_points` runs."""
         grid = len(self._grid)
         cap = self.max_lanes(len(lanes))
         lo = lanes.start
@@ -1642,39 +1725,110 @@ class KernelPlan:
             hi = min(lo + cap, lanes.stop)
             if not self._stackable:
                 hi = min(hi, (lo // grid + 1) * grid)
-            self._run_chunk(states, lo, hi)
+            yield lo, hi
             lo = hi
 
+    def run_points(
+        self,
+        states: Sequence[Dict[Buffer, np.ndarray]],
+        lanes: range,
+    ) -> None:
+        """Execute ``lanes`` of the lane space of the prepared ``states``
+        (one ``Buffer -> array`` dict per batch item)."""
+        for lo, hi in self._cuts(lanes):
+            self._run_chunk(states, lo, hi)
+
     def _run_chunk(self, states, lo: int, hi: int) -> None:
-        module = self.module
         L = hi - lo
         grid = len(self._grid)
-        pts = self._grid[np.arange(lo, hi) % grid]
-        lane_vals = {v: pts[:, d] for d, v in enumerate(module.grid_vars())}
+        chunk = self._chunk(lo % grid, L)
         # (state, first lane, end lane) of every item the chunk touches,
         # lane numbers relative to the chunk.
+        item = lo // grid
         runs = [
-            (states[i], max(lo, i * grid) - lo, min(hi, (i + 1) * grid) - lo)
-            for i in range(lo // grid, (hi - 1) // grid + 1)
+            (states[item + j], a, b) for j, (a, b) in enumerate(chunk.items)
         ]
         # Host tensors are visible to the op tree only when the chunk is
         # one item's (a stackable kernel never looks at them).
         bufs = dict(runs[0][0]) if len(runs) == 1 else {}
-        ctx = _Ctx(self, bufs, lane_vals, L)
-        for spec, base_fns in self._tiles:
-            if base_fns is not None:
-                bufs[spec.local_buffer] = self._fill(ctx, runs, spec, base_fns)
-            else:
-                bufs[spec.local_buffer] = np.zeros(
-                    (L,) + tuple(spec.shape), _np_dtype(spec.local_buffer)
-                )
-        for buf in module.mram_internal:
-            bufs[buf] = np.zeros((L,) + tuple(buf.shape), _np_dtype(buf))
-        for buf in module.wram_buffers:
-            bufs[buf] = np.zeros((L,) + tuple(buf.shape), _np_dtype(buf))
+        ctx = _Ctx(self, bufs, chunk.lane_vals, L, chunk.lanes)
+        for (spec, _, dtype), place in zip(self._transfers, chunk.places):
+            shape = (L,) + place.tile
+            bufs[spec.local_buffer] = (
+                self._fill(runs, spec, place, shape, dtype)
+                if spec.direction == "h2d"
+                else np.zeros(shape, dtype)
+            )
+        for buf, shape, dtype in self._zeroed:
+            bufs[buf] = np.zeros((L,) + shape, dtype)
         self.kernel_op.run(ctx)
-        for spec, base_fns in self._d2h:
-            self._writeback(ctx, runs, spec, base_fns)
+        for (spec, _, _), place in zip(self._transfers, chunk.places):
+            if spec.direction == "d2h":
+                self._writeback(runs, spec, place, bufs[spec.local_buffer])
+
+    # -- what a chunk shape fixes -------------------------------------------
+    def _chunk(self, first: int, L: int) -> "_Chunk":
+        """The resident geometry of a chunk of ``L`` lanes whose first
+        lane is grid point ``first``; built, and kept, on first use."""
+        key = (first, L)
+        chunk = self._chunks.get(key)
+        if chunk is None:
+            chunk = self._build_chunk(first, L)  # may raise: nothing kept
+            with self._lock:
+                chunk = self._chunks.setdefault(key, chunk)
+                while len(self._chunks) > _CHUNK_SHAPES:
+                    del self._chunks[next(iter(self._chunks))]
+                    self._element_bytes = sum(
+                        place.held
+                        for kept in self._chunks.values()
+                        for place in kept.places
+                    )
+        return chunk
+
+    def _build_chunk(self, first: int, L: int) -> "_Chunk":
+        grid = len(self._grid)
+        pts = self._grid[np.arange(first, first + L) % grid]
+        lane_vals = {
+            v: _frozen(np.ascontiguousarray(pts[:, d]))
+            for d, v in enumerate(self.module.grid_vars())
+        }
+        lanes = _frozen(np.arange(L))
+        items = [
+            (max(0, i * grid - first), min(L, (i + 1) * grid - first))
+            for i in range((first + L - 1) // grid + 1)
+        ]
+        ctx = _Ctx(self, {}, lane_vals, L, lanes)
+        places = [
+            _Placement(L, spec, [f(ctx) for f in base_fns])
+            for spec, base_fns, _ in self._transfers
+        ]
+        return _Chunk(lane_vals, lanes, items, places)
+
+    def check_invariants(self, lanes: Optional[range] = None) -> List[str]:
+        """Audit the resident chunk geometry against a fresh build.
+
+        Every chunk shape in the table — or, given ``lanes``, every one
+        :meth:`run_points` would serve that range from — is built again
+        from the program and compared field for field, arrays bitwise,
+        memoised indices included.  Returns one line per difference,
+        naming the transfer and the chunk shape; ``[]`` is a clean
+        table.  ``REPRO_SIM_MODE=verify`` runs it before every call.
+        """
+        if lanes is None:
+            keys = list(self._chunks)
+        else:
+            grid = len(self._grid)
+            keys = [(lo % grid, hi - lo) for lo, hi in self._cuts(lanes)]
+        problems: List[str] = []
+        for key in keys:
+            kept = self._chunks.get(key)
+            if kept is None:
+                continue
+            fresh = self._build_chunk(*key)
+            where = f"chunk shape (first grid point {key[0]}, {key[1]} lanes)"
+            for what in kept.differences(fresh):
+                problems.append(f"{self.module.name}: {what} of {where}")
+        return problems
 
     # -- transfers ----------------------------------------------------------
     @staticmethod
@@ -1690,21 +1844,36 @@ class KernelPlan:
                 merged.append([arr, a, b])
         return merged
 
-    def _fill(self, ctx, runs, spec, base_fns) -> np.ndarray:
+    def _elements(self, place: "_Placement", kind: str, a: int, b: int):
+        """``place``'s checked form for its partial lanes in ``a:b`` —
+        ``kind`` is ``"gather"`` (H2D) or ``"scatter"`` (D2H), the
+        :class:`_Placement` method that builds it — kept with the
+        placement while the plan's byte budget lasts."""
+        key = (kind, a, b)
+        hit = place.elements_of.get(key)
+        if hit is None:
+            hit, nbytes = getattr(place, kind)(a, b)
+            with self._lock:
+                if (
+                    self._element_bytes + nbytes <= _ELEMENT_BYTES
+                    and key not in place.elements_of
+                ):
+                    place.elements_of[key] = hit
+                    place.held += nbytes
+                    self._element_bytes += nbytes
+        return hit
+
+    def _fill(self, runs, spec, place, shape, dtype) -> np.ndarray:
         """Every lane's H2D tile, zero-padded where it leaves the tensor."""
-        place = _Placement(ctx.L, spec, [f(ctx) for f, _ in base_fns])
-        sources = self._tensor_runs(runs, spec.global_buffer)
-        shape = (ctx.L,) + tuple(spec.shape)
-        dtype = _np_dtype(spec.local_buffer)
-        partial = place.partial
         if place.empty:
             return np.zeros(shape, dtype)
-        if partial is not None and partial.all():
+        sources = self._tensor_runs(runs, spec.global_buffer)
+        if place.all_partial:
             tile = np.zeros(shape, dtype)
         elif place.full and len(sources) == 1:
             # The block gather *is* the tile: no zero fill, no copy.
             tile = np.ascontiguousarray(
-                place.windows(sources[0][0])[place.index(0, ctx.L)]
+                place.windows(sources[0][0])[place.index(0, shape[0])]
             )
         else:
             tile = np.zeros(shape, dtype)
@@ -1712,35 +1881,105 @@ class KernelPlan:
                 tile[(slice(a, b),) + place.box] = place.windows(src)[
                     place.index(a, b)
                 ]
-        if partial is not None:
+        if place.partial is not None:
             # Lanes on a tensor edge were gathered from a window pulled
             # inside it; redo their rows element by element.
-            lanes = np.flatnonzero(partial)
-            idxs, valid = place.elements(lanes)
             for src, a, b in sources:
-                own = (lanes >= a) & (lanes < b)
-                if own.any():
-                    picked = src[tuple(i[own] for i in idxs)]
-                    tile[lanes[own]] = np.where(valid[own], picked, 0)
+                lanes, idxs, valid = self._elements(place, "gather", a, b)
+                if len(lanes):
+                    tile[lanes] = np.where(valid, src[idxs], 0)
         return tile
 
-    def _writeback(self, ctx, runs, spec, base_fns) -> None:
+    def _writeback(self, runs, spec, place, tile) -> None:
         """D2H: every lane's tile back onto its tensor, in lane order —
         tiles may overlap (``va``'s 544-wide tiles sit 512 apart) and the
         scalar path's last writer must stay the last writer."""
-        tile = ctx.bufs[spec.local_buffer]
-        place = _Placement(ctx.L, spec, [f(ctx) for f, _ in base_fns])
         if place.empty:
             return
-        sources = self._tensor_runs(runs, spec.global_buffer)
-        for dst, a, b, partial in place.spans(sources):
-            if not partial:
-                place.windows(dst, writeable=True)[place.index(a, b)] = tile[
-                    (slice(a, b),) + place.box
-                ]
-                continue
-            idxs, valid = place.elements(np.arange(a, b))
-            dst[tuple(i[valid] for i in idxs)] = tile[a:b][valid]
+        for dst, a, b in self._tensor_runs(runs, spec.global_buffer):
+            for x, y, partial in place.spans(a, b):
+                if not partial:
+                    place.windows(dst, writeable=True)[place.index(x, y)] = (
+                        tile[(slice(x, y),) + place.box]
+                    )
+                    continue
+                idxs, valid = self._elements(place, "scatter", x, y)
+                dst[idxs] = tile[x:y][valid]
+
+
+#: Chunk shapes a plan keeps geometry for (oldest dropped first): one per
+#: batch size a program is called at, two when a job boundary cuts it.
+_CHUNK_SHAPES = 32
+
+#: Bytes of boundary-lane element indices a plan keeps across all its
+#: chunk shapes; past it they are rebuilt per call, as they always were.
+#: The benchmark's programs hold under 100 KB each (a trimmed ``va``:
+#: 8 edge lanes x 544 elements).
+_ELEMENT_BYTES = 1024 * 1024
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, read-only: resident arrays are shared by every call."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _same(a, b) -> bool:
+    """Field equality for the audit: arrays bitwise (dtype and shape
+    too), containers element by element, anything else by ``==``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, dict):
+        return (
+            isinstance(b, dict)
+            and a.keys() == b.keys()
+            and all(_same(v, b[k]) for k, v in a.items())
+        )
+    if isinstance(a, (tuple, list)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(_same(x, y) for x, y in zip(a, b))
+        )
+    return a == b
+
+
+class _Chunk:
+    """What a chunk's shape — the grid point of its first lane and its
+    lane count — fixes for every call: each lane's grid coordinates, the
+    lane ranges of the items it spans, and one :class:`_Placement` per
+    transfer."""
+
+    __slots__ = ("lane_vals", "lanes", "items", "places")
+
+    def __init__(self, lane_vals, lanes, items, places) -> None:
+        self.lane_vals = lane_vals  # Var -> (L,) int64
+        self.lanes = lanes  # arange(L)
+        self.items = items  # [(first lane, end lane)] per item spanned
+        self.places = places  # in ``module.transfers`` order
+
+    def differences(self, fresh: "_Chunk") -> List[str]:
+        """What of this (resident) chunk is not as in ``fresh``."""
+        out = [
+            what
+            for what, field in (
+                ("lane coordinates", "lane_vals"),
+                ("lane numbers", "lanes"),
+                ("item ranges", "items"),
+            )
+            if not _same(getattr(self, field), getattr(fresh, field))
+        ]
+        for kept, new in zip(self.places, fresh.places):
+            spec = kept.spec
+            name = f"{spec.direction} transfer of {spec.global_buffer.name}"
+            out += [f"{what} of the {name}" for what in kept.differences(new)]
+        return out
 
 
 class _Placement:
@@ -1756,9 +1995,18 @@ class _Placement:
     and moves as a block — one window of the tensor, no index, no mask —
     and only the rest (``partial``: the lanes on a tensor edge) take the
     checked path, element by element.
+
+    A placement is a function of the program and the chunk shape alone,
+    and lives as long as its :class:`_Chunk`; what it works out on the
+    way — window shapes, lane-range indices, spans, the edge lanes'
+    element indices — it keeps.  A call brings the arrays.
     """
 
-    __slots__ = ("spec", "bases", "origin", "box", "extent", "partial")
+    __slots__ = (
+        "spec", "bases", "origin", "box", "extent", "partial", "tile",
+        "empty", "full", "window_shapes", "indices", "cuts", "elements_of",
+        "held", "_all_partial",
+    )
 
     def __init__(self, L: int, spec: TransferSpec, bases) -> None:
         self.spec, self.bases = spec, bases
@@ -1782,58 +2030,90 @@ class _Placement:
             origin.append(b)
         if not any(isinstance(o, np.ndarray) for o in origin):
             origin[0] = np.full(L, origin[0])  # gathers need a lane axis
+        for arr in (*bases, *origin, partial):
+            if isinstance(arr, np.ndarray):
+                _frozen(arr)
         #: Window origin on the tensor per dimension; an edge lane's is
         #: pulled inside, so that one gather may cover the whole chunk.
         self.origin = origin
         self.box = tuple(slice(l, h) for l, h in zip(lo, hi))
         self.extent = tuple(h - l for l, h in zip(lo, hi))
         self.partial = partial
+        self._all_partial: Optional[bool] = None
+        self.tile = tuple(spec.shape)
+        #: No lane's tile touches the tensor at all.
+        self.empty = 0 in self.extent
+        self.full = self.extent == self.tile
+        self.window_shapes: Dict[tuple, tuple] = {}  # tensor shape -> view's
+        self.indices: Dict[Tuple[int, int], tuple] = {}
+        self.cuts: Dict[Tuple[int, int], list] = {}
+        #: ``(a, b, scatter)`` -> checked form; filled by the plan, which
+        #: counts ``held`` bytes against its budget.
+        self.elements_of: Dict[tuple, tuple] = {}
+        self.held = 0
 
     @property
-    def empty(self) -> bool:
-        """No lane's tile touches the tensor at all."""
-        return 0 in self.extent
+    def all_partial(self) -> bool:
+        """Every lane is on a tensor edge: there is no block to move."""
+        if self._all_partial is None:
+            self._all_partial = self.partial is not None and bool(
+                self.partial.all()
+            )
+        return self._all_partial
 
-    @property
-    def full(self) -> bool:
-        return self.extent == tuple(self.spec.shape)
+    def window_shape(self, tensor: tuple) -> tuple:
+        """Shape of :meth:`windows` over an array of shape ``tensor``."""
+        shape = self.window_shapes.get(tensor)
+        if shape is None:
+            free = tuple(d - e + 1 for d, e in zip(tensor, self.extent))
+            shape = self.window_shapes[tensor] = free + self.extent
+        return shape
 
     def windows(self, arr: np.ndarray, writeable: bool = False):
         """Every placement of the box on ``arr``, as a view indexed by
-        origin: shape ``(dim - extent + 1, ...) + extent``."""
-        free = tuple(d - e + 1 for d, e in zip(arr.shape, self.extent))
+        origin: shape ``(dim - extent + 1, ...) + extent``.  The shape
+        is the tensor shape's; the strides are this array's."""
         return as_strided(
-            arr, free + self.extent, arr.strides * 2, writeable=writeable
+            arr,
+            self.window_shape(arr.shape),
+            arr.strides * 2,
+            writeable=writeable,
         )
 
     def index(self, a: int, b: int) -> tuple:
         """The window of each of lanes ``a:b``."""
-        return tuple(
-            o[a:b] if isinstance(o, np.ndarray) else o for o in self.origin
-        )
+        at = self.indices.get((a, b))
+        if at is None:
+            at = self.indices[a, b] = tuple(
+                o[a:b] if isinstance(o, np.ndarray) else o
+                for o in self.origin
+            )
+        return at
 
-    def spans(self, sources):
-        """``sources`` cut where lanes turn from whole to partial or
-        back: ``(tensor, first lane, end lane, partial)`` in lane order."""
+    def spans(self, a: int, b: int) -> list:
+        """Lanes ``a:b`` cut where they turn from whole to partial or
+        back: ``(first lane, end lane, partial)`` in lane order."""
         if self.partial is None:
-            return [(arr, a, b, False) for arr, a, b in sources]
-        flips = np.flatnonzero(self.partial[1:] != self.partial[:-1]) + 1
-        out = []
-        for arr, a, b in sources:
-            edges = [a, *flips[(flips > a) & (flips < b)].tolist(), b]
-            for x, y in zip(edges, edges[1:]):
-                out.append((arr, x, y, bool(self.partial[x])))
+            return [(a, b, False)]
+        out = self.cuts.get((a, b))
+        if out is None:
+            part = self.partial[a:b]
+            flips = (np.flatnonzero(part[1:] != part[:-1]) + a + 1).tolist()
+            edges = [a, *flips, b]
+            out = self.cuts[a, b] = [
+                (x, y, bool(self.partial[x])) for x, y in zip(edges, edges[1:])
+            ]
         return out
 
     def elements(self, lanes: np.ndarray):
         """The checked form, for ``lanes`` only: per-dimension tensor
         index of every tile element (clamped), each broadcast to
-        ``(len(lanes),) + tile shape``, and which elements are on the
-        tensor."""
+        ``(len(lanes),) + tile shape``, which elements are on the
+        tensor, and the bytes under those broadcasts."""
         spec = self.spec
         nd = len(spec.shape)
         shape = (len(lanes),) + tuple(spec.shape)
-        idxs, valid = [], np.True_
+        idxs, valid, nbytes = [], np.True_, 0
         for d, (b, ext, dim) in enumerate(
             zip(self.bases, spec.shape, spec.global_buffer.shape)
         ):
@@ -1845,8 +2125,50 @@ class _Placement:
             i, moved = _clamp(b + k, dim)
             if moved is not None:
                 valid = valid & ~moved
+            nbytes += i.nbytes
             idxs.append(np.broadcast_to(i, shape))
-        return idxs, np.broadcast_to(valid, shape)
+        nbytes += np.asarray(valid).nbytes
+        return tuple(idxs), np.broadcast_to(valid, shape), nbytes
+
+    def gather(self, a: int, b: int):
+        """H2D: ``(lanes, index, valid)`` of the partial lanes in
+        ``a:b`` — ``where(valid, tensor[index], 0)`` is their tiles —
+        and the bytes it holds."""
+        lanes = np.flatnonzero(self.partial[a:b]) + a
+        idxs, valid, nbytes = self.elements(lanes)
+        return (lanes, idxs, valid), nbytes + lanes.nbytes
+
+    def scatter(self, a: int, b: int):
+        """D2H: ``(index, valid)`` of lanes ``a:b``, all partial —
+        ``tensor[index] = tile[a:b][valid]`` — and the bytes it holds."""
+        idxs, valid, _ = self.elements(np.arange(a, b))
+        idxs = tuple(i[valid] for i in idxs)
+        valid = np.ascontiguousarray(valid)
+        return (idxs, valid), sum(i.nbytes for i in idxs) + valid.nbytes
+
+    #: What the audit compares: the placement and everything it keeps.
+    AUDITED = (
+        "origin", "box", "extent", "partial", "tile", "empty", "full",
+        "window_shapes", "indices", "cuts", "elements_of",
+    )
+
+    def differences(self, fresh: "_Placement") -> List[str]:
+        """Fields in which this (resident) placement is not ``fresh``,
+        once ``fresh`` has worked out everything this one keeps."""
+        for tensor in list(self.window_shapes):
+            fresh.window_shape(tensor)
+        for a, b in list(self.indices):
+            fresh.index(a, b)
+        for a, b in list(self.cuts):
+            fresh.spans(a, b)
+        for key in list(self.elements_of):
+            kind, a, b = key
+            fresh.elements_of[key], _ = getattr(fresh, kind)(a, b)
+        return [
+            field
+            for field in self.AUDITED
+            if not _same(getattr(self, field), getattr(fresh, field))
+        ]
 
 
 # ---------------------------------------------------------------------------

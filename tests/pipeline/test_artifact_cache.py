@@ -124,8 +124,9 @@ class TestVerification:
         tiny = UpmemConfig().with_(n_ranks=1, dpus_per_rank=4)
         params = dict(PARAMS, m_dpus=64)
         art = engine.compile(wl, params, config=tiny)
-        assert art.ok and art.verified is False
-        assert "DPU" in art.verify_reason
+        # Refused from the schedule, before lowering: no module to hold.
+        assert not art.ok and art.verified is False
+        assert "DPU" in art.error
         art2 = engine.compile(wl, params, config=tiny)
         assert art2.verified is False and engine.stats.hits == 1
 

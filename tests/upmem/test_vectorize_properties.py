@@ -134,6 +134,8 @@ def _every_lane_checked(monkeypatch):
         self.partial = np.ones(L, bool)
 
     monkeypatch.setattr(vectorize._Placement, "__init__", all_partial)
+    # Placements are resident per plan: a plan built under the patch.
+    monkeypatch.setattr(vectorize, "_PLANS", type(vectorize._PLANS)())
 
 
 @settings(max_examples=200, deadline=None)
