@@ -62,6 +62,7 @@ __all__ = [
     "pow2_upto",
     "DPU_CHOICES",
     "TASKLET_CHOICES",
+    "SEED_TASKLETS",
     "CACHE_CHOICES",
 ]
 
@@ -72,6 +73,9 @@ class SketchError(ScheduleError):
 
 DPU_CHOICES = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]
 TASKLET_CHOICES = [1, 2, 4, 8, 16, 24]
+#: ``seed_params``' tasklet count, where every search starts; the graph
+#: builder's pinned grids run at it too.
+SEED_TASKLETS = 16
 CACHE_CHOICES = [8, 16, 32, 64, 128, 256, 512]
 HOST_THREAD_CHOICES = [1, 4, 16, 32]
 #: A reduction split across DPUs leaves each DPU at least this many elements.
@@ -91,7 +95,7 @@ class _Shared(NamedTuple):
 
 
 _SHARED: Dict[str, _Shared] = {
-    "n_tasklets": _Shared(TASKLET_CHOICES, 16, None),
+    "n_tasklets": _Shared(TASKLET_CHOICES, SEED_TASKLETS, None),
     "cache": _Shared(CACHE_CHOICES, 64, None),
     "dpu_combine": _Shared([0, 1], 0, 0),
     "host_threads": _Shared(HOST_THREAD_CHOICES, 32, 1),

@@ -22,9 +22,9 @@ Weights and the KV cache enter the graph as *const* external inputs —
 staged once per load, exactly like :attr:`Workload.const_inputs` in the
 serving model.  Matrix-vector nodes carry pinned small-grid schedule
 params by default (:func:`small_grid_params`): a decode step executes
-every node functionally, and canonical max-parallelism grids cost
-seconds of simulator *host* time per node without changing the
-simulated-latency story.
+every node functionally, and the simulator's *host* time grows with the
+grid — canonical max-parallelism grids cost seconds per node — while
+the tasklet count only splits each DPU's rows and costs no host time.
 
 ``GPTJ_SIM`` is the scaled configuration the end-to-end experiment
 defaults to — the real GPT-J 6B/30B configs build the same graph, but a
@@ -39,7 +39,12 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .. import te
-from ..autotune.sketch import distributed_extents, fixed_params, pow2_upto
+from ..autotune.sketch import (
+    SEED_TASKLETS,
+    distributed_extents,
+    fixed_params,
+    pow2_upto,
+)
 from ..workloads import GPTJConfig, Workload, fc_mtv, mmtv, mtv, va
 from .ir import ModelGraph
 
@@ -67,22 +72,27 @@ ATTN_MASK = "attn_mask"
 def small_grid_params(workload: Workload) -> Dict[str, int]:
     """Pinned small-grid schedule params for one graph node.
 
-    Keeps functional simulation cheap while leaving idle DPU groups for
-    the serving layer to replicate batches across.  Simulated latency is
-    unaffected by the host-side cost of the grid choice.  The grid cap
-    was 8 DPUs when every grid point was interpreted one at a time; the
-    vectorized NumPy backend executes the whole grid as one lane axis,
-    so suites now afford 64.
+    The grid keeps functional simulation cheap while leaving idle DPU
+    groups for the serving layer to replicate batches across: the
+    simulator's host time grows with the number of DPUs (lanes), not
+    with the tasklets inside one.  The grid cap was 8 DPUs when every
+    grid point was interpreted one at a time; the vectorized NumPy
+    backend executes the whole grid as one lane axis, so suites now
+    afford 64.
 
     The outer distributed axis gets up to 64 DPUs, a second one up to 2;
-    2 tasklets, a cache tile of up to 64 elements, no unroll.
+    the tasklet count ``seed_params`` starts every search from
+    (:data:`~repro.autotune.sketch.SEED_TASKLETS`, which the sketch caps
+    at each DPU's rows), a cache tile of up to 64 elements, no unroll.
     """
     dpus = [
         min(cap, pow2_upto(extent)[-1])
         for cap, extent in zip((64, 2), distributed_extents(workload))
     ]
     cache = min(64, pow2_upto(workload.shape[-1])[-1])
-    return fixed_params(workload, dpus, n_tasklets=2, cache=cache, unroll=0)
+    return fixed_params(
+        workload, dpus, n_tasklets=SEED_TASKLETS, cache=cache, unroll=0
+    )
 
 
 class LayerIO(NamedTuple):

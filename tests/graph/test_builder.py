@@ -1,14 +1,24 @@
 """The GPT-J decoder-layer graph builder."""
 
+import math
+
 import numpy as np
 import pytest
 
+import repro
+from repro.autotune import param_space, seed_params
+from repro.autotune.sketch import distributed_extents, family_of
+from repro.cluster import CLUSTER_SIM
 from repro.graph import (
+    ATTN_MASK,
     GPTJ_SIM,
+    compile_graph,
     gptj_decoder_graph,
     gptj_model_graph,
+    place,
     small_grid_params,
 )
+from repro.upmem.config import DEFAULT_CONFIG
 from repro.workloads import GPTJConfig, fc_shapes, mmtv, mtv, red, ttv, va
 
 from .conftest import TINY
@@ -115,13 +125,17 @@ class TestSmallGridParams:
         ids=lambda w: w.name,
     )
     def test_grids_stay_small_and_valid(self, workload):
-        # The cap grew 8 -> 64 once the vectorized backend made the
-        # whole grid one lane axis (PR 6 follow-up); it must still sit
-        # well under the 2048-DPU machine.
+        # The grid is what costs simulator host time (one lane per DPU),
+        # so it stays small: at most 64 DPUs an axis, 128 in all, well
+        # under the 2048-DPU machine.  Tasklets cost no host time; the
+        # pin takes the tasklet count every search starts from.
         params = small_grid_params(workload)
         dpus = [v for k, v in params.items() if k.endswith("dpus")]
         assert all(1 <= v <= 64 for v in dpus)
-        assert params["n_tasklets"] <= 4
+        assert math.prod(dpus) <= 128
+        seed = seed_params(param_space(workload), DEFAULT_CONFIG.n_dpus)[0]
+        assert params["n_tasklets"] == seed["n_tasklets"]
+        assert 1 <= params["n_tasklets"] <= DEFAULT_CONFIG.max_tasklets
         # Every grid dimension fits the workload's extent.
         if workload.name in ("mtv", "gemv"):
             assert params["m_dpus"] <= workload.shape[0]
@@ -136,6 +150,112 @@ class TestSmallGridParams:
 
         with pytest.raises(KeyError):
             small_grid_params(Fake())
+
+
+def _at_two_tasklets(graph):
+    """``graph`` with every pinned node moved back to 2 tasklets (the
+    pin's value before it took the search's seed), grids unchanged."""
+    for node in graph.nodes:
+        if node.params:
+            node.params = {**node.params, "n_tasklets": 2}
+    return graph
+
+
+def _pinned_and_two_tasklets(config, layers, capacity):
+    """The model graph compiled as pinned and at 2 tasklets."""
+    pinned = gptj_model_graph(config, layers, capacity)
+    base = _at_two_tasklets(gptj_model_graph(config, layers, capacity))
+    return compile_graph(pinned), compile_graph(base)
+
+
+def _rows_per_dpu(node) -> int:
+    """Rows of the axis the sketch splits across tasklets, per DPU."""
+    split = node.params[family_of(node.workload).budget[-1]]
+    return -(-distributed_extents(node.workload)[-1] // split)
+
+
+class TestTaskletPin:
+    """The pinned grids run at the search's seed tasklet count: the same
+    grid (the host cost), a lower virtual clock wherever a DPU has more
+    rows than 2 tasklets cover, and the same output bytes."""
+
+    CASES = [
+        (config, capacity)
+        for config in (GPTJ_SIM, CLUSTER_SIM)
+        for capacity in (4, 8, 12)
+    ]
+
+    @pytest.mark.parametrize(
+        "config,capacity", CASES, ids=lambda v: getattr(v, "name", v)
+    )
+    def test_compute_never_rises_and_falls_where_rows_split(
+        self, config, capacity
+    ):
+        pinned, base = _pinned_and_two_tasklets(config, 1, capacity)
+        faster = set()
+        for node, now, then in zip(
+            pinned.graph.nodes, pinned.profile().nodes, base.profile().nodes
+        ):
+            if not node.params or now.target != "upmem":
+                continue
+            assert now.compute_s <= then.compute_s, node.name
+            if now.compute_s < then.compute_s:
+                faster.add(node.name.split(".", 1)[1])
+            # Strictly lower exactly where 2 tasklets left rows unsplit.
+            assert (now.compute_s < then.compute_s) == (
+                _rows_per_dpu(node) > 2
+            ), node.name
+        if config is GPTJ_SIM and capacity > 4:
+            heads = {f"attn_score_{h}" for h in range(config.n_heads)}
+            assert faster == {"qkv_gen", "fc"} | heads
+
+    def test_steady_state_at_least_1_3x_lower(self):
+        pinned, base = _pinned_and_two_tasklets(GPTJ_SIM, 3, 8)
+        now = pinned.profile().steady_state_s
+        then = base.profile().steady_state_s
+        assert then >= 1.3 * now, (then, now)
+
+    @pytest.mark.parametrize(
+        "config,capacity", CASES, ids=lambda v: getattr(v, "name", v)
+    )
+    def test_outputs_bitwise_equal_to_two_tasklets(self, config, capacity):
+        pinned, base = _pinned_and_two_tasklets(config, 1, capacity)
+        inputs = pinned.graph.random_inputs(capacity)
+        inputs[ATTN_MASK][capacity - 1:] = -np.inf  # one unwritten slot
+        got = pinned.run_tensors(inputs)
+        want = base.run_tensors(inputs)
+        assert list(got) == list(want)
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_every_decode_and_cluster_program_under_verify(self, monkeypatch):
+        """Each distinct (workload, params) program the ``decode`` and
+        ``cluster`` model graphs place on the PIM side runs once with the
+        scalar interpreter checking the vector plan bit for bit — the
+        tasklet split now clamps to 6 and 8 rows per DPU, counts the
+        vectorizer suites (pinned at 2 tasklets) do not reach."""
+        programs = {}
+        for config in (GPTJ_SIM, CLUSTER_SIM):
+            for capacity in (4, 8, 12, 16):
+                graph = gptj_model_graph(config, 1, capacity)
+                placement = place(graph)
+                for node in graph.nodes:
+                    if placement[node.name].kind == "upmem":
+                        key = (node.workload.name, node.workload.shape,
+                               tuple(node.params.items()))
+                        programs.setdefault(key, node.workload)
+        assert len(programs) == 24
+        monkeypatch.setenv("REPRO_SIM_MODE", "verify")
+        tasklets = set()
+        for (_, _, params), workload in programs.items():
+            exe = repro.compile(workload, target="upmem", params=dict(params))
+            tasklets.add(exe.lowered.n_tasklets)
+            inputs = workload.random_inputs(0)
+            out, = exe.run(inputs)
+            np.testing.assert_allclose(
+                out, workload.reference_output(inputs), rtol=1e-3, atol=1e-3
+            )
+        assert {6, 8} <= tasklets
 
 
 class TestModelGraph:
