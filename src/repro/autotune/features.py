@@ -14,7 +14,7 @@ import numpy as np
 
 from ..lowering import LoweredModule
 from ..tir import Interval
-from ..upmem.analyzer import KernelAnalyzer, Mixed
+from ..upmem.analyzer import KernelAnalyzer
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 
 __all__ = ["extract_features", "FEATURE_NAMES"]
@@ -56,17 +56,9 @@ def extract_features(
     d2h_pushes = sum(t.tile_elems // t.shape[-1] for t in d2h)
     tile_bytes = sum(t.tile_bytes for t in module.transfers)
 
-    analyzer = KernelAnalyzer(config)
+    # Grid point 0: every grid variable is a point, so the walk resolves.
     env = {dim.var: Interval.point(0) for dim in module.grid}
-    try:
-        cost = analyzer.dpu_cost(module.kernel, env)
-        slots = cost.total.slots
-        branches = cost.total.branches
-        dma_calls = cost.total.dma_calls
-        dma_bytes = cost.total.dma_bytes
-        barriers = cost.total.barriers
-    except Mixed:  # pragma: no cover - grid var 0 is always a point
-        slots = branches = dma_calls = dma_bytes = barriers = 0.0
+    cost = KernelAnalyzer(config).dpu_cost(module.kernel, env).total
 
     return np.array(
         [
@@ -77,11 +69,11 @@ def extract_features(
             _log1p(d2h_bytes),
             _log1p(h2d_pushes),
             _log1p(d2h_pushes),
-            _log1p(slots),
-            _log1p(branches),
-            _log1p(dma_calls),
-            _log1p(dma_bytes),
-            float(barriers > 0),
+            _log1p(cost.slots),
+            _log1p(cost.branches),
+            _log1p(cost.dma_calls),
+            _log1p(cost.dma_bytes),
+            float(cost.barriers > 0),
             float(bool(module.host_post)),
             float(module.host_parallel_threads),
             float(len(module.grid)),

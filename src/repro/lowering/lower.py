@@ -537,7 +537,6 @@ def _extract_mram(
 
     accesses: Dict[Buffer, List[List[PrimExpr]]] = {}
     writes: Dict[Buffer, bool] = {}
-    reads: Dict[Buffer, bool] = {}
 
     def record(buffer: Buffer, indices, is_write: bool) -> None:
         if buffer.scope != "global":
@@ -545,8 +544,6 @@ def _extract_mram(
         accesses.setdefault(buffer, []).append([simplify(i) for i in indices])
         if is_write:
             writes[buffer] = True
-        else:
-            reads[buffer] = True
 
     for stmt in iter_stmts(kernel):
         if isinstance(stmt, BufferStore):
@@ -575,7 +572,6 @@ def _extract_mram(
         local = Buffer(f"{buffer.name}_mram", extents, buffer.dtype, scope="mram")
         mapping[buffer] = (local, base)
         written = writes.get(buffer, False)
-        read = reads.get(buffer, False)
         if buffer in inputs:
             transfers.append(
                 TransferSpec("h2d", buffer, local, tuple(base), tuple(extents))
@@ -584,9 +580,7 @@ def _extract_mram(
             transfers.append(
                 TransferSpec("d2h", buffer, local, tuple(base), tuple(extents))
             )
-        elif written and read:
-            internal.append(local)
-        else:  # pragma: no cover - defensive
+        else:
             internal.append(local)
 
     new_kernel = _TileRewriter(mapping).visit_stmt(kernel)

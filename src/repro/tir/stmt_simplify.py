@@ -41,7 +41,7 @@ class _StmtSimplifier(StmtMutator):
             return then_case if cond.value else else_case
         if then_case is None and else_case is None:
             return None
-        if then_case is None:
+        if then_case is None:  # pragma: no cover - no lowering emits else
             return S.IfThenElse(simplify(E.Not(cond)), else_case)
         return S.IfThenElse(cond, then_case, else_case)
 

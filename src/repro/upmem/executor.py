@@ -208,16 +208,15 @@ class FunctionalExecutor:
         # re-bound (fresh) for every point below.
         local: Dict[Buffer, np.ndarray] = dict(arrays)
         interp = Interpreter(local)
-        baseline = None
+        bound = set(local) | {spec.local_buffer for spec in module.transfers}
+        bound |= set(module.mram_internal) | set(module.wram_buffers)
         for point in points:
             env: Dict[Var, int] = dict(zip(grid_vars, point))
             self._run_dpu(arrays, local, interp, env)
-            if baseline is None:
-                baseline = set(local)
-            elif len(local) != len(baseline):
-                # Kernel-side Allocate: drop so the next point re-zeros.
-                for buf in set(local) - baseline:
-                    del local[buf]
+            # A kernel-side Allocate is per DPU: the next point starts
+            # its temp at zero.
+            for buf in set(local) - bound:
+                del local[buf]
 
     def _run_dpu(
         self,

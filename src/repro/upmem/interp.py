@@ -209,9 +209,6 @@ class Interpreter:
             ) from None
         return fn(self, expr, env)
 
-    def _call(self, expr: Call, env):
-        return _ev_call(self, expr, env)
-
     # -- statements ---------------------------------------------------------
     def run(self, stmt: Stmt, env: Dict[Var, int]) -> None:
         try:

@@ -9,6 +9,16 @@ for reductions, injective scatter for maps), and ``DmaCopy`` becomes a
 flat slice copy over all lanes at once — or nothing at all, when it only
 stages what the next scan reads (see "Reading through WRAM staging").
 
+It compiles exactly what the lowering emits.  Statements: ``SeqStmt``,
+``For``, ``IfThenElse`` (the §5.3 boundary checks), ``BufferStore``,
+``DmaCopy`` between per-DPU buffers and the ``barrier`` ``Evaluate``.
+Expressions: immediates, variables, ``+ - * // %``, ``min``/``max``,
+comparisons, ``and`` and ``BufferLoad``.  Anything else — ``Select``,
+``Not``, ``or``, ``Cast``, intrinsic calls, kernel-side ``Allocate``, a
+DMA to or from a host tensor — raises :class:`VectorizeError` when the
+plan is built, and its statement falls back to the scalar ``Interpreter``
+run lane by lane (:class:`_FallbackOp`; identical by construction).
+
 The compiled program is **bit-for-bit identical** to the scalar
 :class:`~repro.upmem.interp.Interpreter` reference semantics:
 
@@ -17,11 +27,7 @@ The compiled program is **bit-for-bit identical** to the scalar
   float32 arrays behave identically against Python scalars);
 * reductions use ``np.add.accumulate``, which is strictly sequential —
   the same left fold as the scalar loop (``np.sum``/``einsum`` pairwise
-  summation would *not* be bit-identical and is deliberately avoided);
-* ``sqrt`` upcasts to float64 first (``math.sqrt`` semantics), ``exp``
-  routes through ``math.exp`` per element (``np.exp`` differs in ulps);
-* anything out of model falls back, per statement subtree, to the scalar
-  ``Interpreter`` run lane by lane (identical by construction).
+  summation would *not* be bit-identical and is deliberately avoided).
 
 Tasklet loops are executed as ordinary serial loops over batched lanes:
 tasklets on one DPU may legally overlap in their padded DMA writebacks,
@@ -148,18 +154,16 @@ every call.  Under ``REPRO_SIM_MODE=verify`` a chunk served from the
 table is first rebuilt and compared field for field
 (:meth:`KernelPlan.check_invariants`).
 
-Weak numbers: the interpreter binds variables to Python ints, casts with
-``int()``/``float()`` and calls ``math.exp``/``math.sqrt``, and a Python
-number beside a NumPy value takes that value's dtype (NEP 50).  Batched,
-those values are int64/float64 *arrays*; :meth:`_ExprCompiler.operands`
-casts one to the dtype its Python number would take before it meets a
-buffer's dtype (:func:`_weak`, :func:`_meet`).
+Weak numbers: the interpreter binds variables to Python ints, and a
+Python number beside a NumPy value takes that value's dtype (NEP 50).
+Batched, those numbers are int64/float64 *arrays*;
+:meth:`_ExprCompiler.operands` casts one to the dtype its Python number
+would take before it meets a buffer's dtype (:func:`_weak`, :func:`_meet`).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import threading
 from collections import Counter, OrderedDict
@@ -178,14 +182,11 @@ from ..tir import (
     LT,
     NE,
     Add,
-    Allocate,
     And,
     BinaryOp,
     Buffer,
     BufferLoad,
     BufferStore,
-    Call,
-    Cast,
     CmpOp,
     DmaCopy,
     Evaluate,
@@ -200,10 +201,7 @@ from ..tir import (
     Max,
     Min,
     Mul,
-    Not,
-    Or,
     PrimExpr,
-    Select,
     SeqStmt,
     Stmt,
     StmtMutator,
@@ -219,7 +217,7 @@ from ..tir import (
     simplify,
     substitute,
 )
-from .interp import _INTRINSICS, InterpError, Interpreter, _np_dtype
+from .interp import InterpError, Interpreter, _np_dtype
 
 __all__ = [
     "VectorizeError",
@@ -238,9 +236,6 @@ class VectorizeError(Exception):
 # value varies along.  0 means a plain Python/numpy scalar.
 LANE = 1  # varies per lane (grid point / host lane-loop iteration)
 AXIS = 2  # varies along the vectorized inner-loop axis
-
-# ``exp`` must match math.exp per element; np.exp differs in the last ulp.
-_VEXP = np.frompyfunc(math.exp, 1, 1)
 
 
 def _contains_var(expr: PrimExpr, var: Var) -> bool:
@@ -263,52 +258,19 @@ def _affine_coeff(expr: PrimExpr, var: Var) -> Optional[int]:
     if isinstance(expr, Sub):
         a, b = _affine_coeff(expr.a, var), _affine_coeff(expr.b, var)
         return None if a is None or b is None else a - b
-    if isinstance(expr, Mul):
-        if isinstance(expr.a, IntImm):
-            c = _affine_coeff(expr.b, var)
-            return None if c is None else c * expr.a.value
-        if isinstance(expr.b, IntImm):
-            c = _affine_coeff(expr.a, var)
-            return None if c is None else c * expr.b.value
-        return None
+    if isinstance(expr, Mul) and isinstance(expr.b, IntImm):
+        # ``simplify`` puts a constant factor on the right.
+        c = _affine_coeff(expr.a, var)
+        return None if c is None else c * expr.b.value
     return None
 
 
-def _expr_eq(a: PrimExpr, b: PrimExpr) -> bool:
-    """Structural equality (Vars compare by identity, like the IR)."""
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (IntImm, FloatImm)):
-        return a.value == b.value and a.dtype == b.dtype
-    if isinstance(a, Var):
-        return False
-    if isinstance(a, (BinaryOp, CmpOp, And, Or)):
-        return _expr_eq(a.a, b.a) and _expr_eq(a.b, b.b)
-    if isinstance(a, Not):
-        return _expr_eq(a.a, b.a)
-    if isinstance(a, Select):
-        return (
-            _expr_eq(a.cond, b.cond)
-            and _expr_eq(a.true_value, b.true_value)
-            and _expr_eq(a.false_value, b.false_value)
-        )
-    if isinstance(a, BufferLoad):
-        return (
-            a.buffer is b.buffer
-            and len(a.indices) == len(b.indices)
-            and all(_expr_eq(x, y) for x, y in zip(a.indices, b.indices))
-        )
-    if isinstance(a, Cast):
-        return a.dtype == b.dtype and _expr_eq(a.value, b.value)
-    if isinstance(a, Call):
-        return (
-            a.op == b.op
-            and len(a.args) == len(b.args)
-            and all(_expr_eq(x, y) for x, y in zip(a.args, b.args))
-        )
-    return False
+def _same_index(a: PrimExpr, b: PrimExpr) -> bool:
+    """Whether two indices are the same node or equal immediates: the
+    lowering builds ``T[i] = T[i] + ...`` from one index list."""
+    return a is b or (
+        isinstance(a, IntImm) and isinstance(b, IntImm) and a.value == b.value
+    )
 
 
 def _weak(e: PrimExpr):
@@ -317,28 +279,18 @@ def _weak(e: PrimExpr):
 
     Under NEP 50 a Python number is *weak*: next to a NumPy value it
     takes that value's dtype (``np.float32(x) * 3`` is a float32).  The
-    interpreter binds every variable to a Python int, casts with
-    ``int()``/``float()`` and calls ``math.exp``/``math.sqrt``, so all of
-    those, the immediates, and arithmetic among them are weak; a buffer
-    load has its buffer's dtype and a comparison is a bool.
+    interpreter binds every variable to a Python int, so variables, the
+    immediates, and arithmetic among them are weak; a buffer load has
+    its buffer's dtype and a comparison is a bool.
     """
     if isinstance(e, (IntImm, Var)):
         return 0
     if isinstance(e, FloatImm):
         return 0.0
-    if isinstance(e, Cast):
-        return 0 if e.dtype.startswith("int") else 0.0
-    if isinstance(e, Call):
-        return _weak(e.args[0]) if e.op == "abs" else 0.0
-    if isinstance(e, (CmpOp, And, Or)):
-        return None
-    if isinstance(e, Select):
-        ka, kb = _weak(e.true_value), _weak(e.false_value)
-    elif isinstance(e, BinaryOp):
+    if isinstance(e, BinaryOp) and not isinstance(e, (CmpOp, And)):
         ka, kb = _weak(e.a), _weak(e.b)
-    else:
-        return None
-    return None if ka is None or kb is None else ka + kb
+        return None if ka is None or kb is None else ka + kb
+    return None
 
 
 def _meet(weak, strong, kind):
@@ -347,10 +299,12 @@ def _meet(weak, strong, kind):
     Batched, a weak value is an int64/float64 *array* — strongly typed,
     so ``float32 array * int64 array`` would compute in float64 and round
     a second time on the store.  Cast it to the dtype the Python number
-    would take (``kind`` is :func:`_weak`'s zero).
+    would take (``kind`` is :func:`_weak`'s zero).  A ``min``/``max``
+    of a load and a number is typed by the value it returns, as in the
+    interpreter: when that is the Python number, ``weak`` stays as it is.
     """
     dtype = getattr(strong, "dtype", None)
-    if dtype is None or not isinstance(weak, np.ndarray):
+    if dtype is None:
         return weak
     return weak.astype(np.result_type(dtype, kind), copy=False)
 
@@ -359,7 +313,6 @@ class _Ctx:
     """Runtime state of one batched execution (one lane chunk)."""
 
     __slots__ = (
-        "plan",
         "bufs",
         "env",
         "mask",
@@ -371,27 +324,18 @@ class _Ctx:
         "scratch",
     )
 
-    def __init__(self, plan, bufs, lane_vals, L, lanes=None):
-        self.plan = plan
-        self.bufs = bufs  # Buffer -> ndarray (batched arrays lead with L)
+    def __init__(self, bufs, lane_vals, L, lanes):
+        #: Buffer -> ndarray (batched arrays lead with L): every buffer
+        #: the op tree touches is bound before it runs.
+        self.bufs = bufs
         self.env: Dict[Var, int] = {}  # serial loop variables (scalars)
         self.mask = None  # (L,) bool of active lanes, or None == all
-        self.lanes = np.arange(L) if lanes is None else lanes
+        self.lanes = lanes  # arange(L)
         self.lane_vals = lane_vals  # Var -> (L,) int64
         self.L = L
         self.axis_k = None  # arange(n) while inside a vectorized axis op
         self.vmask = None  # validity mask of axis positions, or None
         self.scratch: Dict[tuple, np.ndarray] = {}  # see workspace()
-
-    def get_array(self, buffer: Buffer) -> np.ndarray:
-        arr = self.bufs.get(buffer)
-        if arr is None:
-            shape = buffer.shape
-            if buffer in self.plan.batched:
-                shape = (self.L,) + tuple(shape)
-            arr = np.zeros(shape, _np_dtype(buffer))
-            self.bufs[buffer] = arr
-        return arr
 
     def workspace(self, shape: tuple, dtype) -> np.ndarray:
         """An uninitialised array an op may use until it returns; the
@@ -484,35 +428,19 @@ class _ExprCompiler:
         self.axis_var = axis_var
 
     def compile(self, e: PrimExpr) -> Tuple[Callable, int]:
-        if isinstance(e, IntImm):
-            v = e.value
-            return (lambda ctx: v), 0
-        if isinstance(e, FloatImm):
+        if isinstance(e, (IntImm, FloatImm)):
             v = e.value
             return (lambda ctx: v), 0
         if isinstance(e, Var):
             return self._var(e)
-        if isinstance(e, Min) or isinstance(e, Max):
+        if isinstance(e, (Min, Max)):
             return self._minmax(e)
         if isinstance(e, And):
-            return self._and_or(e, is_and=True)
-        if isinstance(e, Or):
-            return self._and_or(e, is_and=False)
-        if isinstance(e, (BinaryOp, CmpOp)):
+            return self._and(e)
+        if type(e) in _BINOPS:
             return self._binary(e)
-        if isinstance(e, Not):
-            a, da = self.compile(e.a)
-            if da == 0:
-                return (lambda ctx: not a(ctx)), 0
-            return (lambda ctx: np.logical_not(a(ctx))), da
-        if isinstance(e, Select):
-            return self._select(e)
         if isinstance(e, BufferLoad):
             return self._load(e)
-        if isinstance(e, Cast):
-            return self._cast(e)
-        if isinstance(e, Call):
-            return self._call(e)
         raise VectorizeError(f"cannot vectorize {type(e).__name__}")
 
     # -- leaves -------------------------------------------------------------
@@ -576,63 +504,12 @@ class _ExprCompiler:
             return (lambda ctx: ufn(*met(ctx))), dep
         return (lambda ctx: ufn(a(ctx), b(ctx))), dep
 
-    def _and_or(self, e, is_and: bool) -> Tuple[Callable, int]:
+    def _and(self, e: And) -> Tuple[Callable, int]:
         a, da = self.compile(e.a)
         b, db = self.compile(e.b)
-        dep = da | db
-        if dep == 0:
-            if is_and:
-                return (lambda ctx: bool(a(ctx)) and bool(b(ctx))), 0
-            return (lambda ctx: bool(a(ctx)) or bool(b(ctx))), 0
-        ufn = np.logical_and if is_and else np.logical_or
-        return (lambda ctx: ufn(a(ctx), b(ctx))), dep
-
-    def _select(self, e: Select) -> Tuple[Callable, int]:
-        c, dc = self.compile(e.cond)
-        t, f, met, dep = self.operands(e.true_value, e.false_value)
-        if dc == 0:
-            # Lazy, like the scalar interpreter.
-            return (lambda ctx: t(ctx) if c(ctx) else f(ctx)), dep
-        if met is not None:
-            return (lambda ctx: np.where(c(ctx), *met(ctx))), dc | dep
-        return (lambda ctx: np.where(c(ctx), t(ctx), f(ctx))), dc | dep
-
-    def _cast(self, e: Cast) -> Tuple[Callable, int]:
-        v, dv = self.compile(e.value)
-        to_int = e.dtype.startswith("int")
-        if dv == 0:
-            # Scalar semantics: int()/float() — float() widens to float64.
-            if to_int:
-                return (lambda ctx: int(v(ctx))), 0
-            return (lambda ctx: float(v(ctx))), 0
-        if to_int:
-            return (lambda ctx: np.asarray(v(ctx)).astype(np.int64)), dv
-        return (lambda ctx: np.asarray(v(ctx)).astype(np.float64)), dv
-
-    def _call(self, e: Call) -> Tuple[Callable, int]:
-        fns = [self.compile(a) for a in e.args]
-        deps = 0
-        for _, d in fns:
-            deps |= d
-        if e.op not in _INTRINSICS:
-            raise VectorizeError(f"unknown intrinsic {e.op!r}")
-        if deps == 0:
-            sfn = _INTRINSICS[e.op]
-            args = [f for f, _ in fns]
-            return (lambda ctx: sfn(*[f(ctx) for f in args])), 0
-        (a0, _) = fns[0]
-        if e.op == "abs":
-            return (lambda ctx: np.abs(a0(ctx))), deps
-        if e.op == "sqrt":
-            # math.sqrt computes in float64 regardless of input width.
-            return (
-                lambda ctx: np.sqrt(np.asarray(a0(ctx)).astype(np.float64))
-            ), deps
-        if e.op == "exp":
-            return (
-                lambda ctx: _VEXP(a0(ctx)).astype(np.float64)
-            ), deps
-        raise VectorizeError(f"cannot batch intrinsic {e.op!r}")
+        if da | db == 0:
+            return (lambda ctx: bool(a(ctx)) and bool(b(ctx))), 0
+        return (lambda ctx: np.logical_and(a(ctx), b(ctx))), da | db
 
     # -- memory -------------------------------------------------------------
     def indices(self, exprs: Sequence[PrimExpr]):
@@ -695,7 +572,7 @@ class _ExprCompiler:
             at = self.checked_at(buffer, e.indices, fns)
 
             def fn(ctx):
-                v = ctx.get_array(buffer)[lead + at(ctx)]
+                v = ctx.bufs[buffer][lead + at(ctx)]
                 return v[:, None] if column else v
 
             return fn, dep
@@ -713,26 +590,23 @@ class _ExprCompiler:
             return tuple(idx)
 
         def checked(ctx, arr, idx):
-            full = test(ctx, idx)
+            full = test(ctx, idx)  # some index is an array: idx_dep != 0
             if not batched:
                 return arr[full]
-            if all(not isinstance(i, np.ndarray) for i in full):
-                v = arr[lead + full]
-                return v[:, None] if column else v
             rows = ctx.lanes[:, None] if axis_mode else ctx.lanes
             return arr[(rows,) + full]
 
         if axis_at is None:
             return (
                 lambda ctx: checked(
-                    ctx, ctx.get_array(buffer), [f(ctx) for f in fns]
+                    ctx, ctx.bufs[buffer], [f(ctx) for f in fns]
                 )
             ), dep
 
         dim = buffer.shape[axis_at]
 
         def fn(ctx):
-            arr = ctx.get_array(buffer)
+            arr = ctx.bufs[buffer]
             idx = [f(ctx) for f in fns]
             sl = _axis_slice(idx[axis_at], coeff, dim)
             if sl is None:
@@ -744,28 +618,20 @@ class _ExprCompiler:
         return fn, dep
 
 
-_BINOPS = {}
-
-
-def _init_binops():
-    _BINOPS.update(
-        {
-            Add: operator.add,
-            Sub: operator.sub,
-            Mul: operator.mul,
-            FloorDiv: operator.floordiv,
-            FloorMod: operator.mod,
-            LT: operator.lt,
-            LE: operator.le,
-            GT: operator.gt,
-            GE: operator.ge,
-            EQ: operator.eq,
-            NE: operator.ne,
-        }
-    )
-
-
-_init_binops()
+#: The binary operators the compiler takes, as their Python operators.
+_BINOPS = {
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    FloorDiv: operator.floordiv,
+    FloorMod: operator.mod,
+    LT: operator.lt,
+    LE: operator.le,
+    GT: operator.gt,
+    GE: operator.ge,
+    EQ: operator.eq,
+    NE: operator.ne,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +659,7 @@ class _StoreOp:
 
     def run(self, ctx):
         buffer = self.buffer
-        arr = ctx.get_array(buffer)
+        arr = ctx.bufs[buffer]
         full = self.at(ctx)
         val = self.vfn(ctx)
         scalar_idx = all(not isinstance(i, np.ndarray) for i in full)
@@ -818,16 +684,11 @@ class _StoreOp:
                     val = val[sel]
             arr[(rows,) + tuple(full)] = val
             return
-        # Shared buffer (host lane mode, pre-verified injective, or L == 1).
+        # Shared buffer: a host program's.  A lane loop's stores index the
+        # lane variable (``_lane_safe``), so a scalar index is a lone
+        # statement's: one lane, no mask, a scalar value.
         if scalar_idx:
-            if ctx.mask is None:
-                arr[full] = val if not isinstance(val, np.ndarray) else val[0]
-                return
-            sel = ctx.mask
-            if not sel.any():
-                return
-            v = val[sel][-1] if isinstance(val, np.ndarray) else val
-            arr[full] = v
+            arr[full] = val
             return
         if ctx.mask is not None:
             sel = ctx.mask
@@ -838,33 +699,28 @@ class _StoreOp:
 
 
 class _IfOp:
-    def __init__(self, plan, stmt: IfThenElse, sc: "_StmtCompiler"):
+    """A boundary check (§5.3): the lowering emits no ``else``."""
+
+    def __init__(self, stmt: IfThenElse, sc: "_StmtCompiler"):
+        if stmt.else_case is not None:
+            raise VectorizeError("if with an else branch")
         self.cfn, self.cdep = sc.expr.compile(stmt.condition)
         self.then_op = sc.compile(stmt.then_case)
-        self.else_op = (
-            sc.compile(stmt.else_case) if stmt.else_case is not None else None
-        )
 
     def run(self, ctx):
         c = self.cfn(ctx)
         if self.cdep == 0:
             if c:
                 self.then_op.run(ctx)
-            elif self.else_op is not None:
-                self.else_op.run(ctx)
             return
         c = np.asarray(c, dtype=bool)
         old = ctx.mask
         mt = c if old is None else (c & old)
+        if not mt.any():
+            return
+        ctx.mask = None if (old is None and mt.all()) else mt
         try:
-            if mt.any():
-                ctx.mask = None if (old is None and mt.all()) else mt
-                self.then_op.run(ctx)
-            if self.else_op is not None:
-                mf = ~c if old is None else (~c & old)
-                if mf.any():
-                    ctx.mask = None if (old is None and mf.all()) else mf
-                    self.else_op.run(ctx)
+            self.then_op.run(ctx)
         finally:
             ctx.mask = old
 
@@ -906,20 +762,6 @@ class _ForOp:
             ctx.env.pop(var, None)
 
 
-class _AllocOp:
-    def __init__(self, plan, stmt: Allocate, sc: "_StmtCompiler"):
-        self.buffer = stmt.buffer
-        if plan.kind == "lane":
-            # A temp shared by all lanes would be written concurrently.
-            raise VectorizeError("Allocate inside a lane-batched loop")
-        plan.batched_alloc(self.buffer)
-        self.body_op = sc.compile(stmt.body)
-
-    def run(self, ctx):
-        ctx.get_array(self.buffer)  # setdefault semantics
-        self.body_op.run(ctx)
-
-
 class _EvalOp:
     def __init__(self, stmt: Evaluate):
         if stmt.call.op != "barrier":
@@ -930,12 +772,13 @@ class _EvalOp:
 
 
 class _DmaOp:
+    """A burst between two per-lane buffers (an MRAM tile and WRAM): the
+    lowering emits DMA in kernels only."""
+
     def __init__(self, plan, stmt: DmaCopy, ec: "_ExprCompiler"):
         self.dst, self.src = stmt.dst, stmt.src
-        self.dst_b = stmt.dst in plan.batched
-        self.src_b = stmt.src in plan.batched
-        if not self.dst_b and not plan.allow_shared_store:
-            raise VectorizeError("DMA into shared (non-batched) buffer")
+        if not {stmt.dst, stmt.src} <= plan.batched:
+            raise VectorizeError("DMA to or from a shared buffer")
         self.n = stmt.size
         self.dsize, self.ssize = stmt.dst.size, stmt.src.size
         self.dbase = self._terms(ec, stmt.dst_base, stmt.dst.shape)
@@ -966,9 +809,9 @@ class _DmaOp:
         return off
 
     def run(self, ctx):
-        dst = ctx.get_array(self.dst)
-        src = ctx.get_array(self.src)
-        dsize, ssize = self.dsize, self.ssize
+        L, dsize, ssize = ctx.L, self.dsize, self.ssize
+        dst = ctx.bufs[self.dst].reshape(L, dsize)
+        src = ctx.bufs[self.src].reshape(L, ssize)
         doff = self._offset(ctx, self.dbase)
         soff = self._offset(ctx, self.sbase)
         n = self.n
@@ -979,50 +822,21 @@ class _DmaOp:
             # Both bases are clamped into their buffers, so at least one
             # element is left on each side: n_eff >= min(n, 1).
             n_eff = min(n, dsize - doff, ssize - soff)
-            if self.dst_b:
-                d2 = dst.reshape(ctx.L, dsize)
-                if self.src_b:
-                    s2 = src.reshape(ctx.L, ssize)
-                    d2[:, doff : doff + n_eff] = s2[:, soff : soff + n_eff]
-                else:
-                    s1 = src.reshape(ssize)
-                    d2[:, doff : doff + n_eff] = s1[soff : soff + n_eff]
-            else:
-                d1 = dst.reshape(dsize)
-                s1 = src.reshape(-1)[-ssize:] if not self.src_b else None
-                if self.src_b:
-                    # L == 1 shared-dst case
-                    s2 = src.reshape(ctx.L, ssize)
-                    d1[doff : doff + n_eff] = s2[0, soff : soff + n_eff]
-                else:
-                    d1[doff : doff + n_eff] = s1[soff : soff + n_eff]
+            dst[:, doff : doff + n_eff] = src[:, soff : soff + n_eff]
             return
         # General path: per-lane offsets and/or an active-lane mask.
-        L = ctx.L
         doff_a = np.broadcast_to(np.asarray(doff), (L,))
         soff_a = np.broadcast_to(np.asarray(soff), (L,))
         ne = np.minimum(n, np.minimum(dsize - doff_a, ssize - soff_a))
         k = np.arange(n)
-        valid = k < ne[:, None]
+        sel = k < ne[:, None]
         if ctx.mask is not None:
-            valid = valid & ctx.mask[:, None]
-        if not valid.any():
-            return
+            sel = sel & ctx.mask[:, None]
         didx = np.minimum(doff_a[:, None] + k, dsize - 1)
         sidx = np.minimum(soff_a[:, None] + k, ssize - 1)
-        if self.src_b:
-            s2 = src.reshape(L, ssize)
-            svals = s2[ctx.lanes[:, None], sidx]
-        else:
-            svals = src.reshape(ssize)[sidx]
-        sel = valid
-        if self.dst_b:
-            d2 = dst.reshape(L, dsize)
-            rows = np.broadcast_to(ctx.lanes[:, None], sel.shape)
-            d2[rows[sel], didx[sel]] = np.broadcast_to(svals, sel.shape)[sel]
-        else:
-            d1 = dst.reshape(dsize)
-            d1[didx[sel]] = np.broadcast_to(svals, sel.shape)[sel]
+        svals = src[ctx.lanes[:, None], sidx]
+        rows = np.broadcast_to(ctx.lanes[:, None], sel.shape)
+        dst[rows[sel], didx[sel]] = svals[sel]
 
 
 class _FallbackOp:
@@ -1034,13 +848,8 @@ class _FallbackOp:
         plan.fallbacks.append(stmt)
 
     def run(self, ctx):
-        plan = self.plan
-        if plan.kind == "single":
-            env = dict(ctx.env)
-            Interpreter(ctx.bufs).run(self.stmt, env)
-            return
         mask = ctx.mask
-        batched = plan.batched
+        batched = self.plan.batched
         for lane in range(ctx.L):
             if mask is not None and not mask[lane]:
                 continue
@@ -1075,7 +884,8 @@ _LANE_BUDGET_BYTES = 256 * 1024 * 1024
 def _reduction(body: Stmt, loop_vars: Sequence[Var]) -> Optional[PrimExpr]:
     """The summand of ``T[i] = T[i] + rest`` (either operand order) if
     ``body`` is that store, ``i`` uses none of ``loop_vars`` and ``rest``
-    has ``T``'s dtype and does not read ``T``; else None."""
+    does not read ``T``; else None.  (A summand of another dtype than
+    ``T`` is scanned step by step: :class:`_VecReduceOp`.)"""
     if not isinstance(body, BufferStore) or not isinstance(body.value, Add):
         return None
     target, idx, val = body.buffer, body.indices, body.value
@@ -1086,12 +896,12 @@ def _reduction(body: Stmt, loop_vars: Sequence[Var]) -> Optional[PrimExpr]:
             isinstance(acc, BufferLoad)
             and acc.buffer is target
             and len(acc.indices) == len(idx)
-            and all(_expr_eq(x, y) for x, y in zip(acc.indices, idx))
+            and all(_same_index(x, y) for x, y in zip(acc.indices, idx))
         ):
             break
     else:
         return None
-    if _loads_buffer(rest, target) or rest.dtype != target.dtype:
+    if _loads_buffer(rest, target):
         return None
     return rest
 
@@ -1106,7 +916,7 @@ class _VecReduceOp:
     the prefix at each lane's own trip count.  Under a lane mask every
     lane is scanned (``_checked`` clamps a masked lane's index instead of
     raising) and only the live lanes are written back.  Falls back to
-    the generic masked loop when the value dtype is off-model.
+    the generic loop when the summand's dtype is not the accumulator's.
 
     ``rest`` is ``(ufunc, operands)``: for ``a * b`` (``+``, ``-``) at the
     top of the summand ``operands(ctx)`` is the pair and the ufunc writes
@@ -1125,10 +935,7 @@ class _VecReduceOp:
 
     def run(self, ctx):
         mask = ctx.mask
-        if mask is not None and not self.batched:
-            return self.generic.run(ctx)
-        buffer = self.target
-        arr = ctx.get_array(buffer)
+        arr = ctx.bufs[self.target]
         ext = self.efn(ctx)
         full = self.at(ctx)
         scalar_idx = all(not isinstance(i, np.ndarray) for i in full)
@@ -1178,10 +985,9 @@ class _VecReduceOp:
             ctx.axis_k, ctx.vmask = old_k, old_v
         if acc is None:
             self.generic.run(ctx)
-        elif not self.batched:
-            arr[windex] = acc[0] if scalar_idx else acc
         elif mask is None:
-            arr[windex] = acc
+            # A lone host statement's accumulator is one element.
+            arr[windex] = acc[0] if scalar_idx and not self.batched else acc
         elif scalar_idx:
             np.copyto(arr[windex], acc, where=mask)
         else:
@@ -1214,7 +1020,7 @@ class _VecMapOp:
 
     def run(self, ctx):
         buffer = self.target
-        arr = ctx.get_array(buffer)
+        arr = ctx.bufs[buffer]
         ext = self.efn(ctx)
         if isinstance(ext, np.ndarray):
             n = int(ext.max()) if ext.size else 0
@@ -1235,15 +1041,10 @@ class _VecMapOp:
         try:
             idx = [f(ctx) for f in self.idx_fns]
             if self.cfn is not None:
-                c = self.cfn[0](ctx)
-                if self.cfn[1] == 0:
-                    if not c:
-                        return
-                else:
-                    c = np.asarray(c, dtype=bool)
-                    sel = c if sel is None else (sel & c)
-                    if not sel.any():
-                        return
+                c = np.asarray(self.cfn(ctx), dtype=bool)
+                sel = c if sel is None else (sel & c)
+                if not sel.any():
+                    return
             val = self.vfn(ctx)
             at, sl = self.axis_at, None
             if at is not None:
@@ -1266,13 +1067,7 @@ class _VecMapOp:
             else:
                 np.copyto(view, val, where=sel, casting="unsafe")
             return
-        if sel is None:
-            if self.batched:
-                arr[(ctx.lanes[:, None],) + tuple(full)] = val
-            else:
-                arr[tuple(full)] = val
-            return
-        sel = np.broadcast_to(sel, (L, n))
+        sel = np.broadcast_to(True if sel is None else sel, (L, n))
         full = [
             np.broadcast_to(i, (L, n))[sel]
             if isinstance(i, np.ndarray)
@@ -1282,10 +1077,8 @@ class _VecMapOp:
         if isinstance(val, np.ndarray):
             val = np.broadcast_to(val, (L, n))[sel]
         if self.batched:
-            rows = np.broadcast_to(ctx.lanes[:, None], (L, n))[sel]
-            arr[(rows,) + tuple(full)] = val
-        else:
-            arr[tuple(full)] = val
+            full.insert(0, np.broadcast_to(ctx.lanes[:, None], (L, n))[sel])
+        arr[tuple(full)] = val
 
 
 # ---------------------------------------------------------------------------
@@ -1311,13 +1104,11 @@ class _StmtCompiler:
         if isinstance(stmt, For):
             return self._compile_for(stmt)
         if isinstance(stmt, IfThenElse):
-            return _IfOp(self.plan, stmt, self)
+            return _IfOp(stmt, self)
         if isinstance(stmt, BufferStore):
             return _StoreOp(self.plan, stmt, self.expr)
         if isinstance(stmt, DmaCopy):
             return _DmaOp(self.plan, stmt, self.expr)
-        if isinstance(stmt, Allocate):
-            return _AllocOp(self.plan, stmt, self)
         if isinstance(stmt, Evaluate):
             return _EvalOp(stmt)
         raise VectorizeError(f"cannot vectorize {type(stmt).__name__}")
@@ -1388,27 +1179,20 @@ class _StmtCompiler:
             return None
         if cond is not None and _loads_buffer(cond, target):
             return None
-        pos = None
-        for d, i in enumerate(store.indices):
-            if _contains_var(i, var):
-                if pos is not None:
-                    return None
-                coeff = _affine_coeff(i, var)
-                if coeff is None or coeff == 0:
-                    return None
-                pos = d
-        if pos is None:
+        # Each index that carries ``var`` is injective in it.
+        carriers = [i for i in store.indices if _contains_var(i, var)]
+        if not carriers or not all(_affine_coeff(i, var) for i in carriers):
             return None
         batched = target in self.plan.batched
-        if not batched and self.plan.kind != "single":
-            # In lane mode an unbatched scatter may collide across lanes;
-            # the generic masked loop handles it safely instead.
+        if not batched and self.plan.lane_vars:
+            # Across lanes an unbatched scatter may collide; the generic
+            # masked loop handles it safely instead.
             return None
         ax = _ExprCompiler(self.plan, axis_var=var)
         try:
             indices = ax.indices(store.indices)
             vfn, _ = ax.compile(store.value)
-            cfn = ax.compile(cond) if cond is not None else None
+            cfn = ax.compile(cond)[0] if cond is not None else None
         except VectorizeError:
             return None
         proved = _immediates(target, store.indices)
@@ -1657,7 +1441,6 @@ class KernelPlan:
     recomputes" in the module docstring).
     """
 
-    kind = "kernel"
     allow_shared_store = False
 
     def __init__(self, module: LoweredModule) -> None:
@@ -1709,9 +1492,6 @@ class KernelPlan:
         self._element_bytes = 0
         self._lock = threading.Lock()  # inserts, evictions, the byte count
 
-    def batched_alloc(self, buffer: Buffer) -> None:
-        self.batched.add(buffer)  # a kernel-side temp is per lane
-
     # -- driving ------------------------------------------------------------
     def max_lanes(self, total: int) -> int:
         return max(1, min(total, _LANE_BUDGET_BYTES // self._bytes_per_lane))
@@ -1751,7 +1531,7 @@ class KernelPlan:
         # Host tensors are visible to the op tree only when the chunk is
         # one item's (a stackable kernel never looks at them).
         bufs = dict(runs[0][0]) if len(runs) == 1 else {}
-        ctx = _Ctx(self, bufs, chunk.lane_vals, L, chunk.lanes)
+        ctx = _Ctx(bufs, chunk.lane_vals, L, chunk.lanes)
         for (spec, _, dtype), place in zip(self._transfers, chunk.places):
             shape = (L,) + place.tile
             bufs[spec.local_buffer] = (
@@ -1797,7 +1577,7 @@ class KernelPlan:
             (max(0, i * grid - first), min(L, (i + 1) * grid - first))
             for i in range((first + L - 1) // grid + 1)
         ]
-        ctx = _Ctx(self, {}, lane_vals, L, lanes)
+        ctx = _Ctx({}, lane_vals, L, lanes)
         places = [
             _Placement(L, spec, [f(ctx) for f in base_fns])
             for spec, base_fns, _ in self._transfers
@@ -2176,36 +1956,6 @@ class _Placement:
 # ---------------------------------------------------------------------------
 
 
-class _SingleLanePlan:
-    """L == 1, nothing batched: a compiled scalar program over shared bufs."""
-
-    kind = "single"
-    allow_shared_store = True
-    lane_vars: frozenset = frozenset()
-
-    def __init__(self):
-        self.batched = frozenset()
-        self.fallbacks: List[Stmt] = []
-
-    def batched_alloc(self, buffer):  # Allocate stays shared (setdefault)
-        pass
-
-
-class _LanePlan:
-    """Host loop batched across its own iterations (one lane per iter)."""
-
-    kind = "lane"
-    allow_shared_store = True  # injectivity pre-verified by _lane_safe
-
-    def __init__(self, var: Var):
-        self.lane_vars = {var}
-        self.batched = frozenset()
-        self.fallbacks: List[Stmt] = []
-
-    def batched_alloc(self, buffer):
-        raise VectorizeError("Allocate inside a lane-batched loop")
-
-
 def _lane_safe(body: Stmt, var: Var) -> bool:
     """True if batching the loop's iterations as lanes is write-safe.
 
@@ -2225,8 +1975,6 @@ def _lane_safe(body: Stmt, var: Var) -> bool:
             stores.setdefault(s.buffer, set()).update(pos)
         else:
             return False
-    if not stores:
-        return False
     exprs: List[PrimExpr] = []
     for s in iter_stmts(body):
         if isinstance(s, For):
@@ -2248,53 +1996,49 @@ def _lane_safe(body: Stmt, var: Var) -> bool:
     return True
 
 
-class _SingleRunner:
-    def __init__(self, plan, op):
-        self.plan, self.op = plan, op
+class _HostPlan:
+    """One host statement, compiled as a loop over lanes.
 
-    def run(self, arrays) -> None:
-        self.op.run(_Ctx(self.plan, arrays, {}, 1))
+    A loop of constant extent whose iterations write disjoint slices
+    (:func:`_lane_safe`) runs them as lanes, one per iteration; any other
+    statement is a lane loop of one lane with no lane variable.  Host
+    buffers are shared: nothing is batched.
+    """
 
+    allow_shared_store = True
+    batched: frozenset = frozenset()
 
-class _LaneRunner:
-    def __init__(self, plan, var, efn, op):
-        self.plan, self.var, self.efn, self.op = plan, var, efn, op
+    def __init__(self, stmt: Stmt) -> None:
+        self.fallbacks: List[Stmt] = []
+        self.lanes = _frozen(np.arange(1))
+        self.lane_vals: Dict[Var, np.ndarray] = {}
+        if (
+            isinstance(stmt, For)
+            and isinstance(stmt.extent, IntImm)
+            and stmt.extent.value > 0
+            and _lane_safe(stmt.body, stmt.var)
+        ):
+            self.lanes = _frozen(np.arange(stmt.extent.value, dtype=np.int64))
+            self.lane_vals[stmt.var] = self.lanes
+            stmt = stmt.body
+        self.lane_vars = set(self.lane_vals)
+        self.op = _StmtCompiler(self).compile(stmt)
 
-    def run(self, arrays) -> None:
-        lanes = int(self.efn(_Ctx(self.plan, arrays, {}, 1)))
-        if lanes <= 0:
-            return
-        lane_vals = {self.var: np.arange(lanes, dtype=np.int64)}
-        self.op.run(_Ctx(self.plan, arrays, lane_vals, lanes))
+    def run(self, arrays: Dict[Buffer, np.ndarray]) -> None:
+        L = len(self.lanes)
+        self.op.run(_Ctx(arrays, self.lane_vals, L, self.lanes))
 
 
 class HostProgram:
     """Compiled form of a list of host statements (pre or post)."""
 
-    def __init__(self, module: LoweredModule, stmts: Sequence[Stmt]):
-        self.module = module
-        self.fallbacks: List[Stmt] = []
-        self.runners = [self._compile(s) for s in stmts]
-
-    def _compile(self, stmt: Stmt):
-        if isinstance(stmt, For) and _lane_safe(stmt.body, stmt.var):
-            plan = _LanePlan(stmt.var)
-            try:
-                efn, edep = _ExprCompiler(plan).compile(stmt.extent)
-            except VectorizeError:
-                efn, edep = None, LANE
-            if edep == 0:
-                op = _StmtCompiler(plan).compile(stmt.body)
-                self.fallbacks.extend(plan.fallbacks)
-                return _LaneRunner(plan, stmt.var, efn, op)
-        plan = _SingleLanePlan()
-        op = _StmtCompiler(plan).compile(stmt)
-        self.fallbacks.extend(plan.fallbacks)
-        return _SingleRunner(plan, op)
+    def __init__(self, stmts: Sequence[Stmt]):
+        self.plans = [_HostPlan(s) for s in stmts]
+        self.fallbacks = [s for plan in self.plans for s in plan.fallbacks]
 
     def run(self, arrays: Dict[Buffer, np.ndarray]) -> None:
-        for runner in self.runners:
-            runner.run(arrays)
+        for plan in self.plans:
+            plan.run(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -2333,8 +2077,9 @@ def _cached_plan(module: LoweredModule, slot: str, builder):
             _PLANS[key] = entry
             while len(_PLANS) > _PLAN_CACHE_SIZE:
                 _PLANS.popitem(last=False)
-        entry[1][slot] = plan
-    return plan
+        # Threads that first touch a module together each build a plan;
+        # the first to get here stores its own, and all of them return it.
+        return entry[1].setdefault(slot, plan)
 
 
 def plan_for(module: LoweredModule) -> KernelPlan:
@@ -2346,5 +2091,5 @@ def host_program_for(module: LoweredModule, which: str) -> HostProgram:
     """The compiled (cached) host ``"pre"`` or ``"post"`` program."""
     stmts = module.host_pre if which == "pre" else module.host_post
     return _cached_plan(
-        module, "host_" + which, lambda m: HostProgram(m, stmts)
+        module, "host_" + which, lambda m: HostProgram(stmts)
     )

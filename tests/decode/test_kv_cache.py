@@ -169,3 +169,31 @@ class TestValidation:
         cache = make_cache()
         with pytest.raises(CacheError, match="out of range"):
             cache.dense_kv("s", 7)
+
+    @pytest.mark.parametrize(
+        "sizes,match",
+        [
+            ({"d_model": 0}, "d_model/layers"),
+            ({"layers": 0}, "d_model/layers"),
+            ({"page_tokens": 0}, "page_tokens"),
+            ({"layers": 4, "max_pages": 3}, "one page per layer"),
+        ],
+        ids=["d_model", "layers", "page_tokens", "max_pages"],
+    )
+    def test_bad_sizes_rejected_at_construction(self, sizes, match):
+        args = dict(d_model=8, layers=2, page_tokens=4, max_pages=16)
+        args.update(sizes)
+        with pytest.raises(ValueError, match=match):
+            PagedKVCache(**args)
+
+    def test_unknown_sequence_named_by_every_reader(self):
+        cache = make_cache()
+        for read in (
+            lambda: cache.free_sequence("nope"),
+            lambda: cache.block_table("nope", 0),
+            lambda: cache.capacity("nope"),
+            lambda: cache.dense_kv("nope", 0),
+        ):
+            with pytest.raises(CacheError, match="unknown sequence 'nope'"):
+                read()
+        assert cache.free_pages == 16  # nothing was allocated on the way

@@ -171,6 +171,12 @@ class TestPrimTarget:
         exe = PrimTarget(variant="search").compile(mtv(512, 512))
         assert exe.params and "n_tasklets" in exe.params
 
+    def test_invalid_params_raise(self):
+        params = {"m_dpus": 64, "k_dpus": 1, "n_tasklets": 16,
+                  "cache": 65536, "host_threads": 1}
+        with pytest.raises(TargetError, match="PrIM baseline parameters"):
+            repro.compile(mtv(64, 64), target="prim", params=params)
+
 
 class TestSimplePimTarget:
     def test_supports_only_map_reduce(self):
@@ -182,6 +188,12 @@ class TestSimplePimTarget:
     def test_unsupported_rejected(self):
         with pytest.raises(TargetError):
             SimplePimTarget().compile(mtv(32, 32))
+
+    def test_schedule_rejected(self):
+        from tests.conftest import make_mtv_schedule
+
+        with pytest.raises(TargetError, match="compile a Workload"):
+            repro.compile(make_mtv_schedule(16, 16), target="simplepim")
 
     def test_functional_run(self):
         wl = va(4096)
@@ -218,6 +230,12 @@ class TestRooflineTargets:
         with pytest.raises(TargetError):
             repro.compile(make_mtv_schedule(16, 16), target="cpu")
 
+    @pytest.mark.parametrize("target", [CpuTarget, GpuTarget])
+    def test_measure_needs_the_workload(self, target):
+        module = repro.compile(mtv(64, 64), target="upmem").lowered
+        with pytest.raises(TargetError, match="measures workloads"):
+            target().measure(module)
+
 
 class TestHbmPimTarget:
     def test_mac_reduction_supported(self):
@@ -246,6 +264,15 @@ class TestHbmPimTarget:
             make_mtv_schedule(16, 16), target="hbm-pim", total_macs=16 * 16
         )
         assert exe.latency > 0
+
+    def test_params_the_sketch_rejects(self):
+        with pytest.raises(TargetError, match="cannot sketch mtv"):
+            repro.compile(mtv(64, 64), target="hbm-pim", params={"m_dpus": 8})
+
+    def test_measure_needs_the_workload(self):
+        module = repro.compile(mtv(64, 64), target="upmem").lowered
+        with pytest.raises(TargetError, match="needs the workload"):
+            HbmPimTarget().measure(module)
 
 
 class TestCacheKeys:

@@ -771,6 +771,7 @@ CUT = (
     "extensions/hbm_pim.py:HbmPimEstimatePass",
     "extensions/hbm_pim.py:estimate_schedule",
     "extensions/hbm_pim.py:estimate_lowered",
+    "upmem/vectorize.py:KernelPlan.batched_alloc",
 )
 
 

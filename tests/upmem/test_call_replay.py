@@ -232,6 +232,18 @@ class TestAudit:
         with pytest.raises(VerifyMismatch, match="origin of the h2d transfer"):
             exe.run(inputs)
 
+    def test_a_moved_lane_coordinate_is_named(self, monkeypatch):
+        wl, params = _VA_TRIMMED
+        exe = _fresh_exe(wl, params)
+        monkeypatch.setenv("REPRO_SIM_MODE", "vector")
+        exe.run(wl.random_inputs(0))
+        plan = plan_for(exe.lowered)
+        (chunk,) = plan._chunks.values()
+        (var, coords), = chunk.lane_vals.items()
+        chunk.lane_vals[var] = coords[::-1]
+        problems = plan.check_invariants()
+        assert len(problems) == 1 and "lane coordinates" in problems[0]
+
     def test_memoised_indices_are_audited(self, monkeypatch):
         wl, params = _VA_TRIMMED
         exe = _fresh_exe(wl, params)
@@ -443,6 +455,33 @@ class TestThreadsFirstTouch:
         assert two_shapes == [(0, grid // 2), (grid // 2, grid // 2)]
         assert builders == 2
         assert threaded == serial
+
+    def test_threads_that_build_together_share_one_plan(self, monkeypatch):
+        """Two threads that first touch a module at once both build a
+        plan; the cache keeps the first one stored and hands it to both
+        — the other thread's would hold chunk shapes nothing else sees."""
+        exe = _fresh_exe(*_MTV)
+        module = exe.lowered
+        both_building = threading.Barrier(2)
+        init = vectorize.KernelPlan.__init__
+
+        def held_init(plan, m):
+            init(plan, m)
+            both_building.wait(timeout=30)
+
+        monkeypatch.setattr(vectorize.KernelPlan, "__init__", held_init)
+        got = []
+        threads = [
+            threading.Thread(target=lambda: got.append(plan_for(module)))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 2
+        assert got[0] is got[1] is plan_for(module)
 
     def test_many_threads_one_small_plan(self):
         """More threads than cores hammering one plan at four chunk

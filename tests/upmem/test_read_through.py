@@ -17,6 +17,7 @@ from repro.tir import (
     For,
     IfThenElse,
     IntImm,
+    Min,
     SeqStmt,
     Var,
     iter_stmts,
@@ -51,6 +52,8 @@ _FEED = {"In": np.random.default_rng(7).standard_normal(32).astype(np.float32)}
 def _staged_sum(
     base=lambda b, o: b * 8 + o * 4,
     tile=32,
+    w_size=4,
+    w_offset=0,
     before_dma=lambda m, w, o: [],
     after_dma=lambda m, w, o: [],
     after_loop=lambda m, w, o: [],
@@ -68,13 +71,13 @@ def _staged_sum(
     b, o = Var("b"), Var("o")
     k = o if rebind else Var("k")  # rebind: the scan reuses the block's variable
     m = Buffer("In_m", (tile,), "float32", scope="mram")
-    w = Buffer("W", (4,), "float32", scope="wram")
+    w = Buffer("W", (w_size,), "float32", scope="wram")
     o_m = _O_M[4]
     zero = IntImm(0)
     acc = BufferLoad(o_m, [zero, zero])
     body = SeqStmt([
         *before_dma(m, w, o),
-        DmaCopy(w, [zero], m, [base(b, o)], 4),
+        DmaCopy(w, [IntImm(w_offset)], m, [base(b, o)], 4),
         *after_dma(m, w, o),
         For(k, 4, BufferStore(o_m, acc + BufferLoad(w, [k]), [zero, zero])),
         *after_loop(m, w, o),
@@ -91,6 +94,8 @@ def _store(buffer, value, *index):
 _VARIANTS = {
     "legal": ({}, 1, 1),
     "burst-can-clip": ({"tile": 28}, 0, 0),
+    "burst-fills-part-of-w": ({"w_size": 8}, 0, 0),
+    "burst-at-an-offset-in-w": ({"w_offset": 1}, 0, 0),
     "tile-stored-to": (
         {"prologue": lambda m, w: [_store(m, 7.0, 2)]}, 0, 0,
     ),
@@ -389,10 +394,11 @@ class TestScanUnderALaneMask:
 
 
 class TestWeakNumbers:
-    """The interpreter's variables, casts and ``exp``/``sqrt`` results
-    are Python numbers: next to a float32 they compute in float32.
-    Batched they are int64/float64 arrays, which used to pull the
-    arithmetic into float64 and round twice."""
+    """The interpreter's variables are Python numbers: next to a float32
+    they compute in float32.  Batched they are int64/float64 arrays,
+    which used to pull the arithmetic into float64 and round twice.  A
+    ``Cast`` (a Python number too) is nothing the lowering emits: its
+    statement takes the scalar fallback, with the same bytes."""
 
     @staticmethod
     def _module(value):
@@ -410,21 +416,26 @@ class TestWeakNumbers:
         return _tile_module(kernel, b, 4, 4, h2d=(src, a_m))
 
     @pytest.mark.parametrize(
-        "value",
+        "value,falls_back",
         [
-            lambda a, b, k: a * (b + 1) * a,
-            lambda a, b, k: a * (k + 1) * a,
-            lambda a, b, k: a * Cast(b + 3, "float32") * a,
-            lambda a, b, k: (a + (b + 1)) * a,
+            (lambda a, b, k: a * (b + 1) * a, False),
+            (lambda a, b, k: a * (k + 1) * a, False),
+            (lambda a, b, k: a * Cast(b + 3, "float32") * a, True),
+            (lambda a, b, k: (a + (b + 1)) * a, False),
+            (lambda a, b, k: (b + 1) * a * a, False),
+            (lambda a, b, k: Min(a, b + 1) * a, False),
         ],
-        ids=["lane-var", "axis-var", "cast", "sum"],
+        ids=["lane-var", "axis-var", "cast", "sum", "lane-var-first", "min"],
     )
-    def test_float32_times_an_integer_variable(self, value, monkeypatch):
+    def test_float32_times_an_integer_variable(
+        self, value, falls_back, monkeypatch
+    ):
         # ``A_m[k] * (b + 1)`` alone cannot tell the two apart: one
         # float32 product is exact in float64.  A second operation on
         # the unrounded product can.
         rng = np.random.default_rng(11)
         module = self._module(value)
+        assert bool(plan_for(module).fallbacks) == falls_back
         for _ in range(8):
             feed = {"In": rng.standard_normal(4).astype(np.float32)}
             got = _all_modes(module, feed, monkeypatch)

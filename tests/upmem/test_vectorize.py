@@ -7,15 +7,22 @@ from repro.autotune.compile import default_engine
 from repro.lowering import GridDim, LoweredModule, TransferSpec
 from repro.tir import (
     Allocate,
+    And,
     Buffer,
     BufferLoad,
     BufferStore,
     Call,
+    Cast,
     DmaCopy,
     Evaluate,
     For,
     IfThenElse,
     IntImm,
+    Max,
+    Min,
+    Not,
+    Or,
+    Select,
     SeqStmt,
     Var,
 )
@@ -222,6 +229,9 @@ class TestFallbacks:
         assert list(states[2][out]) == [1, 101, 201, 301]
 
     def test_kernel_side_allocate_is_per_lane(self, monkeypatch):
+        """No lowering emits a kernel-side ``Allocate``: the kernel takes
+        the scalar fallback, whose per-lane store gives each lane its
+        own temp."""
         out = Buffer("Out", (4,), "float32")
         tmp = Buffer("tmp", (2,), "float32")
         gvar = Var("b")
@@ -233,12 +243,89 @@ class TestFallbacks:
             ]),
         )
         module, _ = _toy_module(kernel, out, gvar=gvar)
+        assert plan_for(module).fallbacks == [kernel]
         outs = {}
         for mode in ("scalar", "vector"):
             monkeypatch.setenv("REPRO_SIM_MODE", mode)
             outs[mode], = FunctionalExecutor(module).run({})
         assert list(outs["scalar"]) == [0, 2, 4, 6]
         assert outs["scalar"].tobytes() == outs["vector"].tobytes()
+
+    def test_kernel_side_allocate_starts_at_zero_on_every_dpu(
+        self, monkeypatch
+    ):
+        """A temp read before it is written: each grid point sees zeros,
+        in every mode.  The scalar reference used to keep the first
+        point's temp for the rest of the shard."""
+        b = Var("b")
+        cell = BufferLoad(_TMP, [IntImm(0)])
+        kernel = Allocate(_TMP, SeqStmt([
+            BufferStore(_TMP, cell + b + 1.0, [IntImm(0)]),
+            _store_k(cell, IntImm(0)),
+        ]))
+        module = _tile_module(kernel, b, 4, 4)
+        want = [[lane + 1, 0, 0, 0] for lane in range(4)]
+        _modes_agree_on(module, {}, want, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda a, b, k: For(k, 4, _store_k(Select(a > 0.0, a * 2.0, a), k)),
+            lambda a, b, k: For(k, 4, IfThenElse(Not(a > 0.0), _store_k(a, k))),
+            lambda a, b, k: For(k, 4, IfThenElse(Or(b < 1, k > 2), _store_k(a, k))),
+            lambda a, b, k: For(k, 4, _store_k(Call("exp", [a]), k)),
+            lambda a, b, k: For(k, 4, _store_k(Call("sqrt", [a * a]), k)),
+            lambda a, b, k: For(k, 4, _store_k(Call("abs", [a]) * (b + 1), k)),
+            lambda a, b, k: For(k, 4, _store_k(Cast(a * 4.0, "int32"), k)),
+            lambda a, b, k: For(k, 4, _store_k(a + Cast(b * k, "float32"), k)),
+            lambda a, b, k: Allocate(_TMP, SeqStmt([
+                For(k, 4, BufferStore(_TMP, a + b, [k])),
+                For(k, 4, _store_k(BufferLoad(_TMP, [k]) * 2.0, k)),
+            ])),
+            lambda a, b, k: For(k, 4, IfThenElse(
+                b < 2, _store_k(a, k), _store_k(a * 2.0, k)
+            )),
+            lambda a, b, k: SeqStmt([
+                DmaCopy(_A_M, [IntImm(0)], _IN4, [IntImm(1)], 3),
+                For(k, 4, _store_k(a + b, k)),
+            ]),
+            lambda a, b, k: IfThenElse(b < 2, For(k, 4, _store_k(
+                Select(a > 0.0, a, a * 2.0), k
+            ))),
+        ],
+        ids=["select", "not", "or", "exp", "sqrt", "abs", "int-cast",
+             "float-cast", "allocate", "else", "dma-from-host",
+             "under-a-lane-mask"],
+    )
+    def test_what_no_lowering_emits_falls_back(self, kernel, monkeypatch):
+        """The vector compiler takes only what the lowering emits; each
+        other construct puts its statement on the scalar fallback, which
+        runs the live lanes only, and the bytes are the interpreter's in
+        every mode."""
+        b, k = Var("b"), Var("k")
+        module = _tile_module(
+            kernel(BufferLoad(_A_M, [k]), b, k), b, 4, 4, h2d=(_IN4, _A_M)
+        )
+        assert plan_for(module).fallbacks
+        monkeypatch.setenv("REPRO_SIM_MODE", "scalar")
+        want, = FunctionalExecutor(module).run(_FEED4)
+        _modes_agree_on(module, _FEED4, want, monkeypatch)
+
+    def test_reduction_into_a_host_tensor_falls_back(self, monkeypatch):
+        """A kernel that accumulates into a host tensor is not scanned:
+        every grid point adds to the one element, in lane order."""
+        out = Buffer("Out", (2,), "float32")
+        i = Var("i")
+        acc = BufferLoad(out, [IntImm(0)])
+        kernel = For(i, 2, BufferStore(out, acc + (i + 1) * 2.0, [IntImm(0)]))
+        module, _ = _toy_module(kernel, out, grid_extent=4)
+        assert plan_for(module).fallbacks == [kernel]
+        got = set()
+        for mode in ("scalar", "vector"):  # verify shadows D2H tiles only
+            monkeypatch.setenv("REPRO_SIM_MODE", mode)
+            total, = FunctionalExecutor(module).run({})
+            got.add(total.tobytes())
+        assert got == {np.array([24, 0], np.float32).tobytes()}
 
     def test_unknown_intrinsic_raises_in_both_modes(self, monkeypatch):
         out = Buffer("Out", (4,), "float32")
@@ -275,6 +362,18 @@ class TestFallbacks:
 
 #: The per-DPU output row of :func:`_tile_module`, by width.
 _O_M = {w: Buffer("O_m", (1, w), "float32", scope="mram") for w in (2, 4)}
+
+#: A kernel-side temp (no lowering allocates one).
+_TMP = Buffer("tmp", (4,), "float32")
+
+#: A 4-element input, and the per-DPU tile every lane copies it to.
+_IN4 = Buffer("In", (4,), "float32")
+_A_M = Buffer("A_m", (4,), "float32", scope="mram")
+
+
+def _store_k(value, k):
+    """``O_m[0, k] = value`` on a 4-wide output row."""
+    return BufferStore(_O_M[4], value, [IntImm(0), k])
 
 
 def _tile_module(kernel, gvar, lanes, width, wram=(), h2d=None):
@@ -515,6 +614,208 @@ class TestTileOffTheTensor:
         )
         got = self._run_all(module, {}, monkeypatch)
         assert set(got.values()) == {np.array(want, np.float32).tobytes()}
+
+
+#: What :data:`_FEED4` puts in every lane's ``A_m``.
+_FEED4 = {"In": np.array([1.5, -2.25, 0.0, 3.0], np.float32)}
+
+
+def _modes_agree_on(module, feed, want, monkeypatch):
+    """Scalar, vector and verify all give ``want``, byte for byte."""
+    want = np.array(want, np.float32).tobytes()
+    for mode in ("scalar", "vector", "verify"):
+        monkeypatch.setenv("REPRO_SIM_MODE", mode)
+        out, = FunctionalExecutor(module).run(feed)
+        assert out.tobytes() == want, mode
+
+
+#: Every lane's ``O_m[0, 0]``.
+_CELL = BufferLoad(_O_M[4], [IntImm(0), IntImm(0)])
+
+
+class TestUnderALaneMask:
+    """A boundary ``if`` that only some DPUs take: what it guards writes
+    the live lanes only, as the interpreter does point by point."""
+
+    @pytest.mark.parametrize(
+        "kernel,want",
+        [
+            (
+                lambda a, b, k: IfThenElse(
+                    b < 2, BufferStore(_O_M[4], b + 1.0, [IntImm(0), b])
+                ),
+                [[1, 0, 0, 0], [0, 2, 0, 0], [0] * 4, [0] * 4],
+            ),
+            (
+                # Lane b runs b + 1 trips; the loop ends when the live
+                # lanes are done, before lane 3's fourth trip.
+                lambda a, b, k: IfThenElse(
+                    b < 3, For(k, b + 1, _store_k(k + 1.0, IntImm(0)))
+                ),
+                [[1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0], [0] * 4],
+            ),
+            (
+                lambda a, b, k: IfThenElse(b < 2, DmaCopy(
+                    _O_M[4], [IntImm(0), IntImm(0)], _A_M, [b], 3
+                )),
+                [[1.5, -2.25, 0, 0], [-2.25, 0, 3, 0], [0] * 4, [0] * 4],
+            ),
+            (
+                lambda a, b, k: IfThenElse(b < 3, For(k, 4, BufferStore(
+                    _O_M[4], BufferLoad(_O_M[4], [IntImm(0), b]) + a,
+                    [IntImm(0), b],
+                ))),
+                [[2.25, 0, 0, 0], [0, 2.25, 0, 0], [0, 0, 2.25, 0], [0] * 4],
+            ),
+            (
+                lambda a, b, k: For(k, 4, IfThenElse(b > 5, _store_k(a, k))),
+                [[0] * 4] * 4,
+            ),
+        ],
+        ids=["lane-indexed-store", "lane-trip-count", "dma",
+             "lane-indexed-accumulator", "guard-no-lane-passes"],
+    )
+    def test_only_live_lanes_write(self, kernel, want, monkeypatch):
+        b, k = Var("b"), Var("k")
+        module = _tile_module(
+            kernel(BufferLoad(_A_M, [k]), b, k), b, 4, 4, h2d=(_IN4, _A_M)
+        )
+        assert plan_for(module).fallbacks == []
+        _modes_agree_on(module, _FEED4, want, monkeypatch)
+
+
+class TestNotAScan:
+    """Loops shaped almost like a reduction or a map: each runs step by
+    step, with the interpreter's result."""
+
+    @pytest.mark.parametrize(
+        "kernel,want",
+        [
+            (
+                # Each step doubles the accumulator: not a sum of terms.
+                lambda b, k: SeqStmt([
+                    _store_k(b + 1.0, IntImm(0)),
+                    For(k, 4, _store_k(_CELL + _CELL, IntImm(0))),
+                ]),
+                [[16, 0, 0, 0], [32, 0, 0, 0], [48, 0, 0, 0], [64, 0, 0, 0]],
+            ),
+            (
+                # Integer terms: each step rounds into float32 on its own.
+                lambda b, k: For(k, 4, _store_k(_CELL + k * (b + 1), IntImm(0))),
+                [[6, 0, 0, 0], [12, 0, 0, 0], [18, 0, 0, 0], [24, 0, 0, 0]],
+            ),
+            (
+                # The guard reads the row the loop writes, one step ahead.
+                lambda b, k: For(k, 3, IfThenElse(
+                    BufferLoad(_O_M[4], [IntImm(0), k]) < 0.5,
+                    _store_k(k + 1.0, k + 1),
+                )),
+                [[0, 1, 0, 3]] * 4,
+            ),
+        ],
+        ids=["summand-reads-the-accumulator", "integer-terms",
+             "guard-reads-the-row"],
+    )
+    def test_runs_step_by_step(self, kernel, want, monkeypatch):
+        b, k = Var("b"), Var("k")
+        module = _tile_module(kernel(b, k), b, 4, 4)
+        assert plan_for(module).fallbacks == []
+        _modes_agree_on(module, {}, want, monkeypatch)
+
+
+class TestScalarSemantics:
+    """Values that no lane or axis varies are computed as the
+    interpreter computes them, with Python's rules."""
+
+    def test_a_scalar_and_short_circuits(self, monkeypatch):
+        """``j < 4 and In[j] > 0`` never reads ``In[4]``."""
+        b, j = Var("b"), Var("j")
+        cond = And(j < 4, BufferLoad(_IN4, [j]) > 0.0)
+        kernel = For(j, 5, IfThenElse(
+            cond, _store_k(_CELL + 1.0, IntImm(0))
+        ))
+        module = _tile_module(kernel, b, 4, 4)
+        module.inputs.append(_IN4)
+        _modes_agree_on(module, _FEED4, [[2, 0, 0, 0]] * 4, monkeypatch)
+
+    @pytest.mark.parametrize("first", [5.0, 0.1])
+    def test_a_min_is_typed_by_the_value_it_returns(self, first, monkeypatch):
+        """``min(In[0], 3.0)`` is the Python float 3.0 or a float32,
+        whichever is smaller; the lane variable beside it takes that
+        value's type, as in the interpreter."""
+        b, k = Var("b"), Var("k")
+        low = Min(BufferLoad(_IN4, [IntImm(0)]), 3.0)
+        kernel = For(k, 4, _store_k(low * (b + 1) * 0.1, k))
+        module = _tile_module(kernel, b, 4, 4)
+        module.inputs.append(_IN4)
+        feed = {"In": np.array([first, 0, 0, 0], np.float32)}
+        rows = [
+            [float(np.float32(min(np.float32(first), 3.0) * (lane + 1) * 0.1))]
+            * 4
+            for lane in range(4)
+        ]
+        _modes_agree_on(module, feed, rows, monkeypatch)
+
+
+def _host_module(stmt, out, inputs=()):
+    """One DPU that does nothing, then ``stmt`` on the host."""
+    return LoweredModule(
+        name="toy", grid=[GridDim("blockIdx.x", Var("b"), 1)],
+        kernel=Evaluate(Call("barrier", [], "int32")), transfers=[],
+        host_pre=[], host_post=[stmt], inputs=list(inputs), outputs=[out],
+    )
+
+
+class TestHostPrograms:
+    """A host loop runs its iterations as lanes only when they write
+    disjoint slices and read nothing another iteration writes."""
+
+    C = Buffer("C", (4,), "float32")
+
+    @pytest.mark.parametrize(
+        "body,want",
+        [
+            (
+                lambda i, c: BufferStore(
+                    c, BufferLoad(c, [Max(i - 1, 0)]) + 1.0, [i]
+                ),
+                [1, 2, 3, 4],
+            ),
+            (
+                lambda i, c: SeqStmt([
+                    Evaluate(Call("barrier", [], "int32")),
+                    BufferStore(c, i * 2.0, [i]),
+                ]),
+                [0, 2, 4, 6],
+            ),
+        ],
+        ids=["reads-the-last-iteration", "not-only-stores"],
+    )
+    def test_a_loop_that_is_not_lane_safe_runs_serially(
+        self, body, want, monkeypatch
+    ):
+        i = Var("i")
+        module = _host_module(For(i, 4, body(i, self.C)), self.C)
+        plan, = host_program_for(module, "post").plans
+        assert plan.lane_vars == set() and plan.fallbacks == []
+        _modes_agree_on(module, {}, want, monkeypatch)
+
+    def test_a_guarded_reduction_writes_the_guarded_lanes(self, monkeypatch):
+        """``for i: if i < 2: for k: C[i] += P[k, i]`` with ``i`` the lane."""
+        i, k = Var("i"), Var("k")
+        p = Buffer("P", (3, 4), "float32")
+        acc = BufferLoad(self.C, [i])
+        scan = For(k, 3, BufferStore(
+            self.C, acc + BufferLoad(p, [k, i]), [i]
+        ))
+        module = _host_module(
+            For(i, 4, IfThenElse(i < 2, scan)), self.C, inputs=[p]
+        )
+        plan, = host_program_for(module, "post").plans
+        assert plan.lane_vars == {i} and plan.fallbacks == []
+        feed = {"P": np.arange(12, dtype=np.float32).reshape(3, 4) + 0.5}
+        want = [feed["P"][:, 0].sum(), feed["P"][:, 1].sum(), 0, 0]
+        _modes_agree_on(module, feed, want, monkeypatch)
 
 
 class TestLaneCapKnob:
