@@ -11,16 +11,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..lowering import LoweredModule
-from ..tir import (
-    BufferStore,
-    DmaCopy,
-    Evaluate,
-    For,
-    ForKind,
-    IfThenElse,
-    SeqStmt,
-    Stmt,
-)
+from ..tir import For, ForKind, IfThenElse, SeqStmt, Stmt
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 
 __all__ = ["verify", "VerifyResult"]
@@ -75,12 +66,5 @@ def _static_instructions(stmt: Stmt) -> int:
             return body * extent + 2
         return body + 4
     if isinstance(stmt, IfThenElse):
-        total = 3 + _static_instructions(stmt.then_case)
-        if stmt.else_case is not None:
-            total += _static_instructions(stmt.else_case)
-        return total
-    if isinstance(stmt, BufferStore):
-        return 4
-    if isinstance(stmt, (DmaCopy, Evaluate)):
-        return 4
-    return 1
+        return 3 + _static_instructions(stmt.then_case)
+    return 4  # a BufferStore, a DmaCopy or a Barrier

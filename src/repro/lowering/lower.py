@@ -19,17 +19,15 @@ from ..te import ComputeOp, IterVar
 from ..te.operation import identity_value
 from ..tir import (
     Add,
+    Barrier,
     Buffer,
     BufferLoad,
     BufferStore,
-    Call,
-    Evaluate,
     For,
     ForKind,
     IfThenElse,
     Interval,
     IntImm,
-    Intrin,
     Max,
     Min,
     PrimExpr,
@@ -485,7 +483,7 @@ def _assemble_kernel(builders: Sequence[_StageBuilder]):
         joined: List[Stmt] = []
         for i, b in enumerate(bodies):
             if i:
-                joined.append(Evaluate(Call(Intrin.BARRIER, [], "int32")))
+                joined.append(Barrier())
             joined.append(b)
         kernel = SeqStmt(joined)
     return grid, kernel, wram_buffers, per_tasklet, n_tasklets

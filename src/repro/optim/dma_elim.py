@@ -49,7 +49,7 @@ def _is_copy_store(stmt: Stmt) -> bool:
 
 def _strip_guard(stmt: Stmt) -> Optional[BufferStore]:
     """Unwrap ``if boundary: copy`` into the bare copy, if applicable."""
-    if isinstance(stmt, IfThenElse) and stmt.else_case is None:
+    if isinstance(stmt, IfThenElse):
         inner = stmt.then_case
         if _is_copy_store(inner):
             return inner  # type: ignore[return-value]

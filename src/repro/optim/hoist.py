@@ -54,8 +54,6 @@ def _written_wram(stmt: Stmt) -> Optional[Set[Buffer]]:
             if s.dst.scope != "wram":
                 return None
             written.add(s.dst)
-        elif isinstance(s, IfThenElse) and s.else_case is not None:
-            return None
         elif not isinstance(s, (For, SeqStmt, IfThenElse)):
             return None
     return written if written else None
@@ -94,7 +92,6 @@ class _Hoister(StmtMutator):
         inner = node.body
         if (
             isinstance(inner, IfThenElse)
-            and inner.else_case is None
             and node.var not in free_vars(inner.condition)
         ):
             self.changed = True
@@ -119,7 +116,7 @@ class _Hoister(StmtMutator):
         i = 0
         while i < len(stmts):
             s = stmts[i]
-            if isinstance(s, IfThenElse) and s.else_case is None and result:
+            if isinstance(s, IfThenElse) and result:
                 sinkable: List[Stmt] = []
                 consumed = _buffers_read(s.then_case)
                 guard_reads = {ld.buffer for ld in collect_loads(s.condition)}

@@ -78,7 +78,7 @@ class _Tightener(StmtMutator):
         if node.kind is ForKind.THREAD_BINDING:
             return node
         guarded = node.body
-        if not (isinstance(guarded, IfThenElse) and guarded.else_case is None):
+        if not isinstance(guarded, IfThenElse):
             return node
         extent = node.extent
         remaining: List[PrimExpr] = []

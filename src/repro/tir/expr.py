@@ -1,9 +1,9 @@
 """Expression nodes for the loop-based tensor IR.
 
-The IR mirrors the subset of TVM's TIR that ATiM's lowering pipeline
-produces: integer/float scalar expressions with affine index arithmetic,
-comparisons, boolean connectives and buffer loads.  Nodes are immutable;
-transformations build new trees (see :mod:`repro.tir.visitor`).
+The IR holds exactly the expressions ATiM's lowering emits: immediates,
+variables, ``+ - * // %``, ``min``/``max``, the six comparisons, ``and``
+(the conjunction of boundary conditions) and buffer loads.  Nodes are
+immutable; transformations build new trees (see :mod:`repro.tir.visitor`).
 
 Because nodes never change, facts about a subtree are computed once from
 the children's facts and kept on the node: its variables
@@ -15,7 +15,7 @@ the node.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 __all__ = [
     "PrimExpr",
@@ -38,16 +38,10 @@ __all__ = [
     "EQ",
     "NE",
     "And",
-    "Or",
-    "Not",
-    "Select",
     "BufferLoad",
-    "Call",
-    "Cast",
     "const",
     "as_expr",
     "all_of",
-    "any_of",
     "free_vars",
 ]
 
@@ -288,43 +282,6 @@ class And(BinaryOp):
         super().__init__(a, b, dtype="bool")
 
 
-class Or(BinaryOp):
-    op_name = "||"
-
-    def __init__(self, a, b) -> None:
-        super().__init__(a, b, dtype="bool")
-
-
-class Not(PrimExpr):
-    """Boolean negation."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a) -> None:
-        super().__init__("bool")
-        self.a = as_expr(a)
-
-    def children(self):
-        return (self.a,)
-
-
-class Select(PrimExpr):
-    """``cond ? true_value : false_value`` without short-circuiting."""
-
-    __slots__ = ("cond", "true_value", "false_value")
-
-    def __init__(self, cond, true_value, false_value) -> None:
-        tv = as_expr(true_value)
-        fv = as_expr(false_value)
-        super().__init__(_result_dtype(tv, fv))
-        self.cond = as_expr(cond)
-        self.true_value = tv
-        self.false_value = fv
-
-    def children(self):
-        return self.cond, self.true_value, self.false_value
-
-
 class BufferLoad(PrimExpr):
     """Read ``buffer[indices...]``."""
 
@@ -337,33 +294,6 @@ class BufferLoad(PrimExpr):
 
     def children(self):
         return self.indices
-
-
-class Call(PrimExpr):
-    """Opaque intrinsic call, e.g. ``exp`` or a backend builtin."""
-
-    __slots__ = ("op", "args")
-
-    def __init__(self, op: str, args: Iterable, dtype: str = "float32") -> None:
-        super().__init__(dtype)
-        self.op = op
-        self.args = tuple(as_expr(a) for a in args)
-
-    def children(self):
-        return self.args
-
-
-class Cast(PrimExpr):
-    """Convert ``value`` to ``dtype``."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value, dtype: str) -> None:
-        super().__init__(dtype)
-        self.value = as_expr(value)
-
-    def children(self):
-        return (self.value,)
 
 
 def const(value, dtype: str = "int32") -> PrimExpr:
@@ -416,12 +346,4 @@ def all_of(conds: Sequence[PrimExpr]) -> Optional[PrimExpr]:
     result: Optional[PrimExpr] = None
     for cond in conds:
         result = cond if result is None else And(result, cond)
-    return result
-
-
-def any_of(conds: Sequence[PrimExpr]) -> Optional[PrimExpr]:
-    """Disjoin a list of boolean expressions; ``None`` if the list is empty."""
-    result: Optional[PrimExpr] = None
-    for cond in conds:
-        result = cond if result is None else Or(result, cond)
     return result

@@ -89,9 +89,6 @@ class Interval:
     def max_with(self, other: "Interval") -> "Interval":
         return Interval(_opt_strict(max, self.lo, other.lo), _opt(max, self.hi, other.hi))
 
-    def union(self, other: "Interval") -> "Interval":
-        return Interval(_opt(min, self.lo, other.lo), _opt(max, self.hi, other.hi))
-
 
 def _add(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if a is None or b is None:
@@ -134,7 +131,7 @@ def eval_interval(
     """Interval of an integer expression given variable intervals.
 
     Returns ``None`` for expressions the analysis cannot handle (loads,
-    calls, float arithmetic).  Missing variables are treated as unbounded.
+    float immediates).  Missing variables are treated as unbounded.
     """
     kind = type(expr)
     if kind is E.IntImm:
@@ -149,14 +146,6 @@ def eval_interval(
         if a is None or b is None:
             return None
         return combine(a, b)
-    if kind is E.Cast:  # pragma: no cover - no lowering emits Cast
-        return eval_interval(expr.value, env)
-    if kind is E.Select:  # pragma: no cover - no lowering emits Select
-        t = eval_interval(expr.true_value, env)
-        f = eval_interval(expr.false_value, env)
-        if t is None or f is None:
-            return None
-        return t.union(f)
     return None
 
 
@@ -209,16 +198,6 @@ def _and(a: Interval, b: Interval) -> Interval:
     return _EITHER
 
 
-def _or(  # pragma: no cover - no lowering emits or
-    a: Interval, b: Interval
-) -> Interval:
-    if a.is_point and a.lo == 1 or b.is_point and b.lo == 1:
-        return _TRUE
-    if a.is_point and a.lo == 0 and b.is_point and b.lo == 0:
-        return _FALSE
-    return _EITHER
-
-
 _BINARY = {
     E.Add: Interval.__add__,
     E.Sub: Interval.__sub__,
@@ -234,5 +213,4 @@ _BINARY = {
     E.EQ: _eq,
     E.NE: _ne,
     E.And: _and,
-    E.Or: _or,
 }

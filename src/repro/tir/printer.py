@@ -5,10 +5,9 @@ from __future__ import annotations
 from . import expr as E
 from . import stmt as S
 
-__all__ = ["expr_to_str", "stmt_to_str", "script"]
+__all__ = ["expr_to_str", "stmt_to_str"]
 
 _PRECEDENCE = {
-    E.Or: 1,
     E.And: 2,
     E.LT: 3,
     E.LE: 3,
@@ -46,22 +45,10 @@ def expr_to_str(expr: E.PrimExpr, parent_prec: int = 0) -> str:
         if prec < parent_prec:
             return f"({text})"
         return text
-    if isinstance(expr, E.Not):  # pragma: no cover - no lowering emits Not
-        return f"not {expr_to_str(expr.a, 6)}"
-    if isinstance(expr, E.Select):  # pragma: no cover - no lowering emits Select
-        return (
-            f"({expr_to_str(expr.true_value)} if {expr_to_str(expr.cond)} "
-            f"else {expr_to_str(expr.false_value)})"
-        )
     if isinstance(expr, E.BufferLoad):
         idx = ", ".join(expr_to_str(i) for i in expr.indices)
         return f"{expr.buffer.name}[{idx}]"
-    if isinstance(expr, E.Call):
-        args = ", ".join(expr_to_str(a) for a in expr.args)
-        return f"{expr.op}({args})"
-    if isinstance(expr, E.Cast):  # pragma: no cover - no lowering emits Cast
-        return f"{expr.dtype}({expr_to_str(expr.value)})"
-    return f"<{type(expr).__name__}>"
+    raise TypeError(f"cannot print {type(expr).__name__}")
 
 
 def stmt_to_str(stmt: S.Stmt, indent: int = 0) -> str:
@@ -75,27 +62,17 @@ def stmt_to_str(stmt: S.Stmt, indent: int = 0) -> str:
             head += f"  # {stmt.kind.value}"
         return f"{pad}{head}:\n{stmt_to_str(stmt.body, indent + 1)}"
     if isinstance(stmt, S.IfThenElse):
-        text = (
+        return (
             f"{pad}if {expr_to_str(stmt.condition)}:\n"
             f"{stmt_to_str(stmt.then_case, indent + 1)}"
         )
-        if stmt.else_case is not None:  # pragma: no cover - no lowering emits else
-            text += f"\n{pad}else:\n{stmt_to_str(stmt.else_case, indent + 1)}"
-        return text
     if isinstance(stmt, S.BufferStore):
         idx = ", ".join(expr_to_str(i) for i in stmt.indices)
         return f"{pad}{stmt.buffer.name}[{idx}] = {expr_to_str(stmt.value)}"
     if isinstance(stmt, S.SeqStmt):
         return "\n".join(stmt_to_str(s, indent) for s in stmt.stmts)
-    if isinstance(stmt, S.Allocate):  # pragma: no cover - no lowering emits it
-        buf = stmt.buffer
-        dims = "x".join(str(d) for d in buf.shape)
-        return (
-            f"{pad}# alloc {buf.name}: {buf.dtype}[{dims}] @{buf.scope}\n"
-            f"{stmt_to_str(stmt.body, indent)}"
-        )
-    if isinstance(stmt, S.Evaluate):
-        return f"{pad}{expr_to_str(stmt.call)}"
+    if isinstance(stmt, S.Barrier):
+        return f"{pad}barrier()"
     if isinstance(stmt, S.DmaCopy):
         db = ", ".join(expr_to_str(i) for i in stmt.dst_base)
         sb = ", ".join(expr_to_str(i) for i in stmt.src_base)
@@ -103,9 +80,4 @@ def stmt_to_str(stmt: S.Stmt, indent: int = 0) -> str:
             f"{pad}dma_copy({stmt.dst.name}[{db}] <- {stmt.src.name}[{sb}],"
             f" n={stmt.size})"
         )
-    return f"{pad}<{type(stmt).__name__}>"
-
-
-def script(stmt: S.Stmt) -> str:
-    """Public alias used by examples to show lowered programs."""
-    return stmt_to_str(stmt)
+    raise TypeError(f"cannot print {type(stmt).__name__}")

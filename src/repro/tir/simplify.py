@@ -169,7 +169,6 @@ _INT_FOLD = {
     E.EQ: lambda a, b: E.IntImm(1 if a == b else 0, _BOOL),
     E.NE: lambda a, b: E.IntImm(1 if a != b else 0, _BOOL),
     E.And: lambda a, b: E.IntImm(1 if (a and b) else 0, _BOOL),
-    E.Or: lambda a, b: E.IntImm(1 if (a or b) else 0, _BOOL),
 }
 
 _FLOAT_FOLD = {
@@ -194,11 +193,8 @@ def _rule_add(node: E.Add) -> Optional[E.PrimExpr]:
 
 
 def _rule_sub(node: E.Sub) -> Optional[E.PrimExpr]:
-    if is_const_int(node.b, 0):
-        return node.a
-    if _same_affine(node.a, node.b):
-        return E.IntImm(0)
-    return None
+    # an integer ``x - x`` is already 0: _affine_canonical folds it
+    return node.a if is_const_int(node.b, 0) else None
 
 
 def _rule_mul(node: E.Mul) -> Optional[E.PrimExpr]:
@@ -239,17 +235,6 @@ def _rule_and(node: E.And) -> Optional[E.PrimExpr]:
     return None
 
 
-def _rule_or(  # pragma: no cover - no lowering emits or
-    node: E.Or,
-) -> Optional[E.PrimExpr]:
-    for x, y in ((node.a, node.b), (node.b, node.a)):
-        if is_const_int(x, 0):
-            return y
-        if is_const_int(x, 1):
-            return E.IntImm(1, _BOOL)
-    return None
-
-
 def _rule_equal_when_same(node: E.CmpOp) -> Optional[E.PrimExpr]:
     return E.IntImm(1, _BOOL) if _same_affine(node.a, node.b) else None
 
@@ -267,7 +252,6 @@ _BINARY_RULE = {
     E.Min: _rule_minmax,
     E.Max: _rule_minmax,
     E.And: _rule_and,
-    E.Or: _rule_or,
     E.LE: _rule_equal_when_same,
     E.GE: _rule_equal_when_same,
     E.EQ: _rule_equal_when_same,
@@ -298,64 +282,11 @@ def _rewrite_binary(node: E.BinaryOp) -> E.PrimExpr:
     return node if replaced is None else replaced
 
 
-def _simplify_not(  # pragma: no cover - no lowering emits Not
-    node: E.Not,
-) -> E.PrimExpr:
-    a = simplify(node.a)
-    if type(a) is E.IntImm:
-        return E.IntImm(0 if a.value else 1, _BOOL)
-    if type(a) is E.Not:
-        return a.a
-    return node if a is node.a else E.Not(a)
-
-
-def _simplify_select(  # pragma: no cover - no lowering emits Select
-    node: E.Select,
-) -> E.PrimExpr:
-    c = simplify(node.cond)
-    t = simplify(node.true_value)
-    f = simplify(node.false_value)
-    if type(c) is E.IntImm:
-        return t if c.value else f
-    if c is node.cond and t is node.true_value and f is node.false_value:
-        return node
-    return E.Select(c, t, f)
-
-
 def _simplify_load(node: E.BufferLoad) -> E.PrimExpr:
     idx = [simplify(i) for i in node.indices]
     if all(n is o for n, o in zip(idx, node.indices)):
         return node
     return E.BufferLoad(node.buffer, idx)
-
-
-def _simplify_call(node: E.Call) -> E.PrimExpr:
-    args = [simplify(a) for a in node.args]
-    if all(n is o for n, o in zip(args, node.args)):
-        return node
-    return E.Call(node.op, args, node.dtype)  # pragma: no cover - barriers only
-
-
-def _simplify_cast(  # pragma: no cover - no lowering emits Cast
-    node: E.Cast,
-) -> E.PrimExpr:
-    inner = simplify(node.value)
-    if inner.dtype == node.dtype:
-        return inner
-    if type(inner) is E.IntImm:
-        if node.dtype.startswith("float"):
-            return E.FloatImm(float(inner.value), node.dtype)
-        return E.IntImm(inner.value, node.dtype)
-    return node if inner is node.value else E.Cast(inner, node.dtype)
-
-
-_SIMPLIFY_OTHER = {
-    E.Not: _simplify_not,
-    E.Select: _simplify_select,
-    E.BufferLoad: _simplify_load,
-    E.Call: _simplify_call,
-    E.Cast: _simplify_cast,
-}
 
 
 def simplify(expr: E.PrimExpr) -> E.PrimExpr:
@@ -373,9 +304,10 @@ def simplify(expr: E.PrimExpr) -> E.PrimExpr:
         if a is not expr.a or b is not expr.b:
             expr = type(expr)(a, b)
         result = _rewrite_binary(expr)
-    else:
-        rule = _SIMPLIFY_OTHER.get(type(expr))
-        result = expr if rule is None else rule(expr)
+    elif type(expr) is E.BufferLoad:
+        result = _simplify_load(expr)
+    else:  # a leaf read back from a pickle, which drops the mark
+        result = expr
     result._normal = True
     return result
 

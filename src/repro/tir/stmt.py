@@ -1,8 +1,11 @@
 """Statement nodes for loop-based TIR.
 
-The statement language is deliberately small: loop nests, conditionals,
-buffer stores, allocations and intrinsic calls (DMA and host↔DPU transfer
-intrinsics) are sufficient to express every program ATiM generates.
+The statement language holds exactly what ATiM's lowering emits: loop
+nests (``For``, with its :class:`ForKind`), the §5.3 boundary checks
+(``IfThenElse``, which has no ``else``), buffer stores, statement
+sequences, WRAM↔MRAM DMA bursts (``DmaCopy``) and the tasklet
+``Barrier`` between kernel stages.  Host↔DPU transfers are not
+statements: they are the module's :class:`~repro.lowering.TransferSpec`s.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import enum
 from typing import List, Optional, Sequence, Tuple
 
 from .buffer import Buffer
-from .expr import Call, PrimExpr, as_expr
+from .expr import PrimExpr, as_expr
 
 __all__ = [
     "Stmt",
@@ -20,10 +23,8 @@ __all__ = [
     "IfThenElse",
     "BufferStore",
     "SeqStmt",
-    "Allocate",
-    "Evaluate",
+    "Barrier",
     "DmaCopy",
-    "Intrin",
     "seq",
 ]
 
@@ -79,14 +80,13 @@ class For(Stmt):
 
 
 class IfThenElse(Stmt):
-    """Conditional; ``else_case`` may be ``None``."""
+    """``if condition: then_case`` — a §5.3 boundary check (no ``else``)."""
 
-    __slots__ = ("condition", "then_case", "else_case")
+    __slots__ = ("condition", "then_case")
 
-    def __init__(self, condition, then_case: Stmt, else_case: Optional[Stmt] = None):
+    def __init__(self, condition, then_case: Stmt) -> None:
         self.condition = as_expr(condition)
         self.then_case = then_case
-        self.else_case = else_case
 
 
 class BufferStore(Stmt):
@@ -115,23 +115,11 @@ class SeqStmt(Stmt):
         self.stmts: Tuple[Stmt, ...] = tuple(flat)
 
 
-class Allocate(Stmt):
-    """Allocate ``buffer`` (wram/host scratch) for the duration of ``body``."""
+class Barrier(Stmt):
+    """The intra-DPU tasklet barrier (``barrier_wait``) between the stages
+    of a multi-stage kernel."""
 
-    __slots__ = ("buffer", "body")
-
-    def __init__(self, buffer: Buffer, body: Stmt) -> None:
-        self.buffer = buffer
-        self.body = body
-
-
-class Evaluate(Stmt):
-    """Evaluate a call expression for its side effect (intrinsics)."""
-
-    __slots__ = ("call",)
-
-    def __init__(self, call: Call) -> None:
-        self.call = call
+    __slots__ = ()
 
 
 class DmaCopy(Stmt):
@@ -163,23 +151,6 @@ class DmaCopy(Stmt):
     @property
     def nbytes(self) -> int:
         return self.size * self.dst.elem_bytes
-
-
-class Intrin:
-    """Names of backend intrinsics used in lowered TIR.
-
-    DMA intrinsics (kernel side) follow the UPMEM SDK's ``mram_read`` /
-    ``mram_write``; transfer intrinsics (host side) model ``dpu_copy_to`` /
-    ``dpu_prepare_xfer``+``dpu_push_xfer`` (bank-parallel).
-    """
-
-    MRAM_READ = "mram_read"  # (wram_buf, wram_off, mram_buf, mram_off, n_elems)
-    MRAM_WRITE = "mram_write"  # (mram_buf, mram_off, wram_buf, wram_off, n_elems)
-    H2D = "h2d"  # (dpu_buf, dpu_off, host_buf, host_off, n, bank_index)
-    D2H = "d2h"  # (host_buf, host_off, dpu_buf, dpu_off, n, bank_index)
-    PARALLEL_H2D = "parallel_h2d"  # same args, rank-parallel push
-    PARALLEL_D2H = "parallel_d2h"
-    BARRIER = "barrier"  # intra-DPU tasklet barrier
 
 
 def seq(*stmts: Optional[Stmt]) -> Stmt:

@@ -34,16 +34,11 @@ class _StmtSimplifier(StmtMutator):
     def visit_IfThenElse(self, node: S.IfThenElse) -> Optional[S.Stmt]:
         cond = simplify(node.condition)
         then_case = self.visit_stmt(node.then_case)
-        else_case = (
-            self.visit_stmt(node.else_case) if node.else_case is not None else None
-        )
         if isinstance(cond, E.IntImm):
-            return then_case if cond.value else else_case
-        if then_case is None and else_case is None:
+            return then_case if cond.value else None
+        if then_case is None:
             return None
-        if then_case is None:  # pragma: no cover - no lowering emits else
-            return S.IfThenElse(simplify(E.Not(cond)), else_case)
-        return S.IfThenElse(cond, then_case, else_case)
+        return S.IfThenElse(cond, then_case)
 
 
 def simplify_stmt(stmt: S.Stmt) -> Optional[S.Stmt]:

@@ -71,24 +71,6 @@ def _mutate_binary(mutator: "ExprMutator", node: E.BinaryOp) -> E.PrimExpr:
     return type(node)(a, b)
 
 
-def _mutate_not(  # pragma: no cover - no lowering emits Not
-    mutator: "ExprMutator", node: E.Not
-) -> E.PrimExpr:
-    a = mutator.visit(node.a)
-    return node if a is node.a else E.Not(a)
-
-
-def _mutate_select(  # pragma: no cover - no lowering emits Select
-    mutator: "ExprMutator", node: E.Select
-) -> E.PrimExpr:
-    c = mutator.visit(node.cond)
-    t = mutator.visit(node.true_value)
-    f = mutator.visit(node.false_value)
-    if c is node.cond and t is node.true_value and f is node.false_value:
-        return node
-    return E.Select(c, t, f)
-
-
 def _mutate_load(mutator: "ExprMutator", node: E.BufferLoad) -> E.PrimExpr:
     idx = [mutator.visit(i) for i in node.indices]
     if all(n is o for n, o in zip(idx, node.indices)):
@@ -96,32 +78,10 @@ def _mutate_load(mutator: "ExprMutator", node: E.BufferLoad) -> E.PrimExpr:
     return E.BufferLoad(node.buffer, idx)
 
 
-def _mutate_call(mutator: "ExprMutator", node: E.Call) -> E.PrimExpr:
-    args = [mutator.visit(a) for a in node.args]
-    if all(n is o for n, o in zip(args, node.args)):
-        return node
-    return E.Call(node.op, args, node.dtype)  # pragma: no cover - barriers only
-
-
-def _mutate_cast(  # pragma: no cover - no lowering emits Cast
-    mutator: "ExprMutator", node: E.Cast
-) -> E.PrimExpr:
-    v = mutator.visit(node.value)
-    return node if v is node.value else E.Cast(v, node.dtype)
-
-
 _EXPR_REBUILD: Dict[type, Callable] = {
     cls: _mutate_binary for cls in _NODE_TYPES if issubclass(cls, E.BinaryOp)
 }
-_EXPR_REBUILD.update(
-    {
-        E.Not: _mutate_not,
-        E.Select: _mutate_select,
-        E.BufferLoad: _mutate_load,
-        E.Call: _mutate_call,
-        E.Cast: _mutate_cast,
-    }
-)
+_EXPR_REBUILD[E.BufferLoad] = _mutate_load
 
 
 class ExprMutator(_Dispatching):
@@ -171,8 +131,6 @@ class StmtVisitor(ExprVisitor):
         elif isinstance(node, S.IfThenElse):
             self.visit(node.condition)
             self.visit_stmt(node.then_case)
-            if node.else_case is not None:  # pragma: no cover - no lowering emits else
-                self.visit_stmt(node.else_case)
         elif isinstance(node, S.BufferStore):
             self.visit(node.value)
             for i in node.indices:
@@ -180,10 +138,6 @@ class StmtVisitor(ExprVisitor):
         elif isinstance(node, S.SeqStmt):
             for s in node.stmts:
                 self.visit_stmt(s)
-        elif isinstance(node, S.Allocate):
-            self.visit_stmt(node.body)
-        elif isinstance(node, S.Evaluate):
-            self.visit(node.call)
         elif isinstance(node, S.DmaCopy):
             for i in node.dst_base:
                 self.visit(i)
@@ -217,20 +171,11 @@ class StmtMutator(ExprMutator):
         if isinstance(node, S.IfThenElse):
             cond = self.visit(node.condition)
             then_case = self.visit_stmt(node.then_case)
-            else_case = (
-                self.visit_stmt(node.else_case) if node.else_case is not None else None
-            )
-            if then_case is None and else_case is None:
-                return None
             if then_case is None:
-                return S.IfThenElse(E.Not(cond), else_case)
-            if (
-                cond is node.condition
-                and then_case is node.then_case
-                and else_case is node.else_case
-            ):
+                return None
+            if cond is node.condition and then_case is node.then_case:
                 return node
-            return S.IfThenElse(cond, then_case, else_case)
+            return S.IfThenElse(cond, then_case)
         if isinstance(node, S.BufferStore):
             value = self.visit(node.value)
             indices = [self.visit(i) for i in node.indices]
@@ -254,18 +199,6 @@ class StmtMutator(ExprMutator):
             if len(new_stmts) == 1:
                 return new_stmts[0]
             return S.SeqStmt(new_stmts)
-        if isinstance(node, S.Allocate):  # pragma: no cover - no lowering emits it
-            body = self.visit_stmt(node.body)
-            if body is None:
-                return None
-            if body is node.body:
-                return node
-            return S.Allocate(node.buffer, body)
-        if isinstance(node, S.Evaluate):
-            call = self.visit(node.call)
-            if call is node.call:
-                return node
-            return S.Evaluate(call)
         if isinstance(node, S.DmaCopy):
             dst_base = [self.visit(i) for i in node.dst_base]
             src_base = [self.visit(i) for i in node.src_base]
@@ -301,10 +234,6 @@ def iter_stmts(node: S.Stmt) -> Iterator[S.Stmt]:
         yield from iter_stmts(node.body)
     elif isinstance(node, S.IfThenElse):
         yield from iter_stmts(node.then_case)
-        if node.else_case is not None:  # pragma: no cover - no lowering emits else
-            yield from iter_stmts(node.else_case)
     elif isinstance(node, S.SeqStmt):
         for s in node.stmts:
             yield from iter_stmts(s)
-    elif isinstance(node, S.Allocate):  # pragma: no cover - no lowering emits it
-        yield from iter_stmts(node.body)

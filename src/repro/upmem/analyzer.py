@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..tir import (
-    Allocate,
+    Barrier,
     BufferStore,
     DmaCopy,
-    Evaluate,
     For,
     ForKind,
     IfThenElse,
@@ -107,13 +106,9 @@ class KernelAnalyzer:
             elif isinstance(stmt, IfThenElse):
                 found.update(free_vars(stmt.condition))
                 found.update(self._control_vars(stmt.then_case))
-                if stmt.else_case is not None:
-                    found.update(self._control_vars(stmt.else_case))
             elif isinstance(stmt, SeqStmt):
                 for s in stmt.stmts:
                     found.update(self._control_vars(s))
-            elif isinstance(stmt, Allocate):
-                found.update(self._control_vars(stmt.body))
             known = self._control[stmt] = tuple(found)
         return known
 
@@ -122,9 +117,6 @@ class KernelAnalyzer:
         if isinstance(stmt, SeqStmt):
             for s in stmt.stmts:
                 self._walk_sections(s, env, cost)
-            return
-        if isinstance(stmt, Allocate):
-            self._walk_sections(stmt.body, env, cost)
             return
         thread = _find_thread_loop(stmt)
         if thread is not None:
@@ -172,8 +164,6 @@ class KernelAnalyzer:
             for s in stmt.stmts:
                 total += self._walk(s, env)
             return total
-        if isinstance(stmt, Allocate):
-            return self._walk(stmt.body, env)
         if isinstance(stmt, BufferStore):
             c = Counts()
             c += self.coster.cost(stmt.value)
@@ -198,13 +188,8 @@ class KernelAnalyzer:
             c.dma_bytes += max(stmt.nbytes, self.config.dma_align_bytes)
             c.slots += 4  # compute addresses + issue the DMA instruction
             return c
-        if isinstance(stmt, Evaluate):
-            c = Counts()
-            if stmt.call.op == "barrier":
-                c.barriers += 1
-            else:
-                c += self.coster.cost(stmt.call)
-            return c
+        if isinstance(stmt, Barrier):
+            return Counts(barriers=1.0)
         raise TypeError(f"cannot analyze {type(stmt).__name__}")
 
     def _walk_for(self, stmt: For, env: Env) -> Counts:
@@ -256,8 +241,6 @@ class KernelAnalyzer:
             return c
         if truth.lo:
             c += self._walk(stmt.then_case, env)
-        elif stmt.else_case is not None:
-            c += self._walk(stmt.else_case, env)
         return c
 
     # -- helpers --------------------------------------------------------------

@@ -15,10 +15,10 @@ from typing import List
 
 from ..lowering import LoweredModule
 from ..tir import (
+    Barrier,
     Buffer,
     BufferStore,
     DmaCopy,
-    Evaluate,
     For,
     ForKind,
     IfThenElse,
@@ -100,11 +100,6 @@ class _CEmitter:
             self.indent += 1
             self.emit(stmt.then_case)
             self.indent -= 1
-            if stmt.else_case is not None:
-                self.put("} else {")
-                self.indent += 1
-                self.emit(stmt.else_case)
-                self.indent -= 1
             self.put("}")
         elif isinstance(stmt, BufferStore):
             lhs = f"{_cname(stmt.buffer.name)}{_flat(stmt.buffer, stmt.indices)}"
@@ -121,13 +116,10 @@ class _CEmitter:
                 self.put(
                     f"mram_write({src}, (__mram_ptr void *){dst}, {nbytes});"
                 )
-        elif isinstance(stmt, Evaluate):
-            if stmt.call.op == "barrier":
-                self.put("barrier_wait(&my_barrier);")
-            else:
-                self.put(f"{expr_to_str(stmt.call)};")
+        elif isinstance(stmt, Barrier):
+            self.put("barrier_wait(&my_barrier);")
         else:
-            self.put(f"/* {type(stmt).__name__} */")
+            raise TypeError(f"cannot emit {type(stmt).__name__}")
 
 
 def emit_kernel_c(module: LoweredModule) -> str:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..lowering import LoweredModule, TransferSpec
-from ..tir import Buffer, Var
+from ..tir import Buffer, BufferStore, DmaCopy, Var, iter_stmts
 from .interp import Interpreter, _np_dtype
 
 __all__ = [
@@ -208,15 +208,8 @@ class FunctionalExecutor:
         # re-bound (fresh) for every point below.
         local: Dict[Buffer, np.ndarray] = dict(arrays)
         interp = Interpreter(local)
-        bound = set(local) | {spec.local_buffer for spec in module.transfers}
-        bound |= set(module.mram_internal) | set(module.wram_buffers)
         for point in points:
-            env: Dict[Var, int] = dict(zip(grid_vars, point))
-            self._run_dpu(arrays, local, interp, env)
-            # A kernel-side Allocate is per DPU: the next point starts
-            # its temp at zero.
-            for buf in set(local) - bound:
-                del local[buf]
+            self._run_dpu(arrays, local, interp, dict(zip(grid_vars, point)))
 
     def _run_dpu(
         self,
@@ -264,17 +257,26 @@ class FunctionalExecutor:
         """Run the stacked vector call, then the scalar interpreter item
         by item; compare each item's D2H regions bitwise.
 
-        Only the regions written by *these* lanes are compared — under
+        The interpreter runs on copies of every tensor the lanes write —
+        the D2H targets and any host tensor the kernel stores to — so
+        nothing runs twice on the state the caller gets back.  Only the
+        D2H regions written by *these* lanes are compared: under
         ``run_batch`` other threads own the rest of the output arrays.
         """
         module = self.module
         d2h = module.transfer("d2h")
+        written = {spec.global_buffer for spec in d2h}
+        written |= {
+            s.buffer if isinstance(s, BufferStore) else s.dst
+            for s in iter_stmts(module.kernel)
+            if isinstance(s, (BufferStore, DmaCopy))
+        }
         items = list(self._item_points(lanes))
         shadows = []
         for item, _ in items:
             shadow = dict(states[item])
-            for spec in d2h:
-                shadow[spec.global_buffer] = shadow[spec.global_buffer].copy()
+            for buf in written & shadow.keys():
+                shadow[buf] = shadow[buf].copy()
             shadows.append(shadow)
         self._audit_resident(lanes)
         self._plan().run_points(states, lanes)

@@ -10,7 +10,6 @@ the fallback path stays reasonably fast.
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Dict
 
@@ -18,16 +17,13 @@ import numpy as np
 
 from ..tir import (
     Add,
-    Allocate,
     And,
+    Barrier,
     Buffer,
     BufferLoad,
     BufferStore,
-    Call,
-    Cast,
     DmaCopy,
     EQ,
-    Evaluate,
     FloatImm,
     FloorDiv,
     FloorMod,
@@ -42,10 +38,7 @@ from ..tir import (
     Min,
     Mul,
     NE,
-    Not,
-    Or,
     PrimExpr,
-    Select,
     SeqStmt,
     Stmt,
     Sub,
@@ -57,10 +50,6 @@ __all__ = ["Interpreter", "InterpError"]
 
 class InterpError(RuntimeError):
     """Raised on out-of-model constructs or out-of-bounds accesses."""
-
-
-#: Scalar intrinsics; shared with the vectorizer's scalar subexpressions.
-_INTRINSICS = {"exp": math.exp, "sqrt": math.sqrt, "abs": abs}
 
 
 # -- expression dispatch ----------------------------------------------------
@@ -87,40 +76,11 @@ def _ev_and(self, expr, env):
     return bool(self.eval(expr.a, env)) and bool(self.eval(expr.b, env))
 
 
-def _ev_or(self, expr, env):
-    return bool(self.eval(expr.a, env)) or bool(self.eval(expr.b, env))
-
-
-def _ev_not(self, expr, env):
-    return not self.eval(expr.a, env)
-
-
-def _ev_select(self, expr, env):
-    if self.eval(expr.cond, env):
-        return self.eval(expr.true_value, env)
-    return self.eval(expr.false_value, env)
-
-
 def _ev_load(self, expr, env):
     arr = self._array(expr.buffer)
     idx = tuple(int(self.eval(i, env)) for i in expr.indices)
     self._check(expr.buffer, idx)
     return arr[idx]
-
-
-def _ev_cast(self, expr, env):
-    value = self.eval(expr.value, env)
-    if expr.dtype.startswith("int"):
-        return int(value)
-    return float(value)
-
-
-def _ev_call(self, expr, env):
-    args = [self.eval(a, env) for a in expr.args]
-    fn = _INTRINSICS.get(expr.op)
-    if fn is None:
-        raise InterpError(f"unknown intrinsic {expr.op!r}")
-    return fn(*args)
 
 
 _EVAL = {
@@ -141,12 +101,7 @@ _EVAL = {
     EQ: _binop(operator.eq),
     NE: _binop(operator.ne),
     And: _ev_and,
-    Or: _ev_or,
-    Not: _ev_not,
-    Select: _ev_select,
     BufferLoad: _ev_load,
-    Cast: _ev_cast,
-    Call: _ev_call,
 }
 
 
@@ -169,8 +124,6 @@ def _ex_for(self, stmt, env):
 def _ex_if(self, stmt, env):
     if self.eval(stmt.condition, env):
         self.run(stmt.then_case, env)
-    elif stmt.else_case is not None:
-        self.run(stmt.else_case, env)
 
 
 def _ex_store(self, stmt, env):
@@ -180,17 +133,8 @@ def _ex_store(self, stmt, env):
     arr[idx] = self.eval(stmt.value, env)
 
 
-def _ex_alloc(self, stmt, env):
-    self.arrays.setdefault(
-        stmt.buffer, np.zeros(stmt.buffer.shape, _np_dtype(stmt.buffer))
-    )
-    self.run(stmt.body, env)
-
-
-def _ex_eval(self, stmt, env):
-    if stmt.call.op == "barrier":
-        return  # tasklets are interpreted serially
-    self.eval(stmt.call, env)
+def _ex_barrier(self, stmt, env):
+    pass  # tasklets are interpreted serially
 
 
 class Interpreter:
@@ -239,11 +183,10 @@ class Interpreter:
 
     # -- helpers -------------------------------------------------------------
     def _array(self, buffer: Buffer) -> np.ndarray:
-        arr = self.arrays.get(buffer)
-        if arr is None:
-            arr = np.zeros(buffer.shape, _np_dtype(buffer))
-            self.arrays[buffer] = arr
-        return arr
+        try:
+            return self.arrays[buffer]
+        except KeyError:
+            raise InterpError(f"unbound buffer {buffer.name}") from None
 
     def _check(self, buffer: Buffer, idx) -> None:
         for i, extent in zip(idx, buffer.shape):
@@ -259,8 +202,7 @@ _EXEC = {
     IfThenElse: _ex_if,
     BufferStore: _ex_store,
     DmaCopy: Interpreter._dma,
-    Allocate: _ex_alloc,
-    Evaluate: _ex_eval,
+    Barrier: _ex_barrier,
 }
 
 

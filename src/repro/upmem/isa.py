@@ -14,8 +14,6 @@ from ..tir import (
     Add,
     And,
     BufferLoad,
-    Call,
-    Cast,
     CmpOp,
     FloatImm,
     FloorDiv,
@@ -24,10 +22,7 @@ from ..tir import (
     Max,
     Min,
     Mul,
-    Not,
-    Or,
     PrimExpr,
-    Select,
     Sub,
     Var,
 )
@@ -162,33 +157,9 @@ class ExprCoster:
             c += self.cost(expr.b)
             c.slots += 2.0
             return c
-        if isinstance(expr, CmpOp):
+        if isinstance(expr, (CmpOp, And)):
             c += self.cost(expr.a)
             c += self.cost(expr.b)
             c.slots += 1.0
-            return c
-        if isinstance(expr, (And, Or)):
-            c += self.cost(expr.a)
-            c += self.cost(expr.b)
-            c.slots += 1.0
-            return c
-        if isinstance(expr, Not):
-            c += self.cost(expr.a)
-            c.slots += 1.0
-            return c
-        if isinstance(expr, Select):
-            c += self.cost(expr.cond)
-            c += self.cost(expr.true_value)
-            c += self.cost(expr.false_value)
-            c.slots += 2.0
-            return c
-        if isinstance(expr, Cast):
-            c += self.cost(expr.value)
-            c.slots += 1.0
-            return c
-        if isinstance(expr, Call):
-            for a in expr.args:
-                c += self.cost(a)
-            c.slots += 20.0  # libm-style intrinsic
             return c
         raise TypeError(f"cannot cost {type(expr).__name__}")

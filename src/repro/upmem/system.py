@@ -282,11 +282,7 @@ def _host_work(stmt: Stmt) -> Tuple[float, float]:
             r += ri
         return e, r
     if isinstance(stmt, IfThenElse):
-        e, r = _host_work(stmt.then_case)
-        if stmt.else_case is not None:
-            e2, r2 = _host_work(stmt.else_case)
-            e, r = max(e, e2), max(r, r2)
-        return e, r
+        return _host_work(stmt.then_case)
     if isinstance(stmt, BufferStore):
         return 1.0, float(len(collect_loads(stmt.value)))
     return 0.0, 0.0

@@ -9,13 +9,13 @@ for reductions, injective scatter for maps), and ``DmaCopy`` becomes a
 flat slice copy over all lanes at once — or nothing at all, when it only
 stages what the next scan reads (see "Reading through WRAM staging").
 
-It compiles exactly what the lowering emits.  Statements: ``SeqStmt``,
-``For``, ``IfThenElse`` (the §5.3 boundary checks), ``BufferStore``,
-``DmaCopy`` between per-DPU buffers and the ``barrier`` ``Evaluate``.
-Expressions: immediates, variables, ``+ - * // %``, ``min``/``max``,
-comparisons, ``and`` and ``BufferLoad``.  Anything else — ``Select``,
-``Not``, ``or``, ``Cast``, intrinsic calls, kernel-side ``Allocate``, a
-DMA to or from a host tensor — raises :class:`VectorizeError` when the
+It compiles every node kind of :mod:`repro.tir`, which holds exactly what
+the lowering emits.  Statements: ``SeqStmt``, ``For``, ``IfThenElse``
+(the §5.3 boundary checks), ``BufferStore``, ``DmaCopy`` and ``Barrier``
+(a no-op: tasklets run serially).  Expressions: immediates, variables,
+``+ - * // %``, ``min``/``max``, comparisons, ``and`` and
+``BufferLoad``.  What no lowering emits — a kernel that stores to a host
+tensor, a DMA to or from one — raises :class:`VectorizeError` when the
 plan is built, and its statement falls back to the scalar ``Interpreter``
 run lane by lane (:class:`_FallbackOp`; identical by construction).
 
@@ -188,8 +188,8 @@ from ..tir import (
     BufferLoad,
     BufferStore,
     CmpOp,
+    Barrier,
     DmaCopy,
-    Evaluate,
     ExprMutator,
     FloatImm,
     FloorDiv,
@@ -699,11 +699,9 @@ class _StoreOp:
 
 
 class _IfOp:
-    """A boundary check (§5.3): the lowering emits no ``else``."""
+    """A boundary check (§5.3)."""
 
     def __init__(self, stmt: IfThenElse, sc: "_StmtCompiler"):
-        if stmt.else_case is not None:
-            raise VectorizeError("if with an else branch")
         self.cfn, self.cdep = sc.expr.compile(stmt.condition)
         self.then_op = sc.compile(stmt.then_case)
 
@@ -760,15 +758,6 @@ class _ForOp:
         finally:
             ctx.mask = old
             ctx.env.pop(var, None)
-
-
-class _EvalOp:
-    def __init__(self, stmt: Evaluate):
-        if stmt.call.op != "barrier":
-            raise VectorizeError(f"side-effecting call {stmt.call.op!r}")
-
-    def run(self, ctx):
-        pass  # tasklets execute serially; a barrier is a no-op
 
 
 class _DmaOp:
@@ -1109,14 +1098,12 @@ class _StmtCompiler:
             return _StoreOp(self.plan, stmt, self.expr)
         if isinstance(stmt, DmaCopy):
             return _DmaOp(self.plan, stmt, self.expr)
-        if isinstance(stmt, Evaluate):
-            return _EvalOp(stmt)
+        if isinstance(stmt, Barrier):
+            return _SeqOp(())  # tasklets execute serially: a no-op
         raise VectorizeError(f"cannot vectorize {type(stmt).__name__}")
 
     def _compile_for(self, stmt: For):
         efn, edep = self.expr.compile(stmt.extent)
-        if edep & AXIS:
-            raise VectorizeError("axis-dependent loop extent")
         op = self._try_reduce(stmt, efn, edep)
         if op is not None:
             return op
@@ -1138,23 +1125,20 @@ class _StmtCompiler:
         if target not in self.plan.batched and not self.plan.allow_shared_store:
             return None
         ax = _ExprCompiler(self.plan, axis_var=var)
-        try:
-            ufunc = _SCAN_UFUNCS.get(type(rest))
-            if ufunc is None:
-                fn, _ = ax.compile(rest)
+        ufunc = _SCAN_UFUNCS.get(type(rest))
+        if ufunc is None:
+            fn, _ = ax.compile(rest)
+
+            def operands(ctx):
+                return (fn(ctx),)
+
+        else:
+            a, b, operands, _ = ax.operands(rest.a, rest.b)
+            if operands is None:
 
                 def operands(ctx):
-                    return (fn(ctx),)
+                    return a(ctx), b(ctx)
 
-            else:
-                a, b, operands, _ = ax.operands(rest.a, rest.b)
-                if operands is None:
-
-                    def operands(ctx):
-                        return a(ctx), b(ctx)
-
-        except VectorizeError:
-            return None
         at = self.expr.checked_at(target, idx)
         generic = self._generic_for(stmt, efn, edep)
         return _VecReduceOp(
@@ -1166,7 +1150,6 @@ class _StmtCompiler:
         cond = None
         if (
             isinstance(body, IfThenElse)
-            and body.else_case is None
             and isinstance(body.then_case, BufferStore)
         ):
             cond, store = body.condition, body.then_case
@@ -1189,12 +1172,9 @@ class _StmtCompiler:
             # masked loop handles it safely instead.
             return None
         ax = _ExprCompiler(self.plan, axis_var=var)
-        try:
-            indices = ax.indices(store.indices)
-            vfn, _ = ax.compile(store.value)
-            cfn = ax.compile(cond)[0] if cond is not None else None
-        except VectorizeError:
-            return None
+        indices = ax.indices(store.indices)
+        vfn, _ = ax.compile(store.value)
+        cfn = ax.compile(cond)[0] if cond is not None else None
         proved = _immediates(target, store.indices)
         return _VecMapOp(
             target, batched, indices, proved, efn, edep, vfn, cfn

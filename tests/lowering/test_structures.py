@@ -8,7 +8,7 @@ from repro import te
 from repro.autotune.compile import default_engine
 from repro.lowering import LoweringError, lower
 from repro.schedule import Schedule
-from repro.tir import Evaluate, iter_stmts
+from repro.tir import Barrier, iter_stmts
 from repro.upmem import FunctionalExecutor
 from repro.workloads import mmtv, red, ttv
 
@@ -98,11 +98,7 @@ class TestMultiStageKernel:
             {"n_dpus": 4, "n_tasklets": 4, "cache": 16, "dpu_combine": 1,
              "host_threads": 1},
         ).module
-        barriers = [
-            s
-            for s in iter_stmts(mod.kernel)
-            if isinstance(s, Evaluate) and s.call.op == "barrier"
-        ]
+        barriers = [s for s in iter_stmts(mod.kernel) if isinstance(s, Barrier)]
         assert len(barriers) == 1
 
     def test_red_internal_partials_not_transferred(self):

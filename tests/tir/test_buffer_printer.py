@@ -3,6 +3,7 @@
 import pytest
 
 from repro.tir import (
+    Barrier,
     Buffer,
     BufferLoad,
     BufferStore,
@@ -68,6 +69,14 @@ class TestPrinter:
         i, j = Var("i"), Var("j")
         assert expr_to_str(i * 2 + j) == "i * 2 + j"
 
+    def test_bool_immediates_print_as_python(self):
+        assert expr_to_str(IntImm(1, "bool")) == "True"
+        assert expr_to_str(IntImm(0, "bool")) == "False"
+
+    def test_stmt_repr_uses_printer(self):
+        loop = For(Var("i"), 4, BufferStore(Buffer("A", (4,)), 1, [Var("i")]))
+        assert repr(loop) == stmt_to_str(loop)
+
     def test_min_rendered_as_call(self):
         from repro.tir import Min
 
@@ -98,6 +107,10 @@ class TestPrinter:
         text = stmt_to_str(DmaCopy(w, [IntImm(0)], m, [Var("k")], 16))
         assert "dma_copy" in text and "n=16" in text
 
+    def test_barrier_rendering(self):
+        # the spelling the lowering goldens digest
+        assert stmt_to_str(Barrier(), indent=1) == "    barrier()"
+
 
 class TestStmtSimplify:
     def _store(self):
@@ -123,10 +136,10 @@ class TestStmtSimplify:
         node = IfThenElse(IntImm(0, "bool"), self._store())
         assert simplify_stmt(node) is None
 
-    def test_const_false_keeps_else(self):
-        other = self._store()
-        node = IfThenElse(IntImm(0, "bool"), self._store(), other)
-        assert simplify_stmt(node) is other
+    def test_loop_and_branch_around_nothing_removed(self):
+        empty = For(Var("k"), 0, self._store())
+        assert simplify_stmt(For(Var("i"), 4, empty)) is None
+        assert simplify_stmt(IfThenElse(Var("i") < 2, empty)) is None
 
     def test_thread_unit_loop_kept(self):
         loop = For(

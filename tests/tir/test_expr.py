@@ -14,13 +14,9 @@ from repro.tir import (
     IntImm,
     LT,
     Mul,
-    Not,
-    Or,
-    Select,
     Sub,
     Var,
     all_of,
-    any_of,
     as_expr,
     const,
 )
@@ -57,6 +53,10 @@ class TestConstruction:
     def test_as_expr_int(self):
         assert isinstance(as_expr(7), IntImm)
 
+    def test_as_expr_bool(self):
+        c = as_expr(True)
+        assert isinstance(c, IntImm) and c.dtype == "bool" and c.value == 1
+
     def test_as_expr_float(self):
         assert isinstance(as_expr(7.5), FloatImm)
 
@@ -84,6 +84,12 @@ class TestOperators:
     def test_floordiv_and_mod(self):
         assert isinstance(Var("i") // 4, FloorDiv)
         assert isinstance(Var("i") % 4, FloorMod)
+
+    def test_reflected_operators_keep_operand_order(self):
+        i = Var("i")
+        for e, kind in ((2 * i, Mul), (8 // i, FloorDiv), (8 % i, FloorMod)):
+            assert isinstance(e, kind) and e.b is i
+            assert isinstance(e.a, IntImm)
 
     def test_neg_is_zero_minus(self):
         e = -Var("i")
@@ -116,15 +122,9 @@ class TestDtypeInference:
     def test_int_times_float_widens(self):
         assert (Var("i") * 1.5).dtype == "float32"
 
-    def test_select_dtype(self):
-        s = Select(Var("i") < 1, 1.0, 2.0)
-        assert s.dtype == "float32"
-
-    def test_and_or_not_are_bool(self):
+    def test_and_is_bool(self):
         c = Var("i") < 1
         assert And(c, c).dtype == "bool"
-        assert Or(c, c).dtype == "bool"
-        assert Not(c).dtype == "bool"
 
 
 class TestBufferLoad:
@@ -151,10 +151,6 @@ class TestConjunction:
     def test_all_of_multiple_is_and(self):
         c = Var("i") < 1
         assert isinstance(all_of([c, c]), And)
-
-    def test_any_of_multiple_is_or(self):
-        c = Var("i") < 1
-        assert isinstance(any_of([c, c]), Or)
 
     def test_repr_uses_printer(self):
         assert "i" in repr(Var("i") + 1)

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from repro.tir import (
     And,
+    Buffer,
+    BufferLoad,
     EQ,
+    FloatImm,
     Interval,
     IntImm,
     Max,
     Min,
     NE,
-    Or,
     Var,
     eval_interval,
 )
@@ -43,6 +45,19 @@ class TestIntervalOps:
         r = Interval(0, 10).floordiv(Interval.point(3))
         assert (r.lo, r.hi) == (0, 3)
 
+    def test_mul_with_an_unbounded_side(self):
+        r = Interval(None, 5) * Interval(1, 2)
+        assert r.lo is None and r.hi is None
+        r = Interval(None, 5) * Interval.point(0)
+        assert (r.lo, r.hi) == (0, 0)
+
+    def test_divmod_by_a_range_is_unbounded(self):
+        for r in (
+            Interval(0, 10).floordiv(Interval(1, 2)),
+            Interval(0, 10).floormod(Interval(1, 2)),
+        ):
+            assert r.lo is None and r.hi is None
+
     def test_floordiv_negative_divisor(self):
         r = Interval(0, 10).floordiv(Interval.point(-2))
         assert (r.lo, r.hi) == (-5, 0)
@@ -60,13 +75,21 @@ class TestIntervalOps:
         assert (a.min_with(b).lo, a.min_with(b).hi) == (0, 10)
         assert (a.max_with(b).lo, a.max_with(b).hi) == (5, 20)
 
-    def test_union(self):
-        u = Interval(0, 3).union(Interval(10, 12))
-        assert (u.lo, u.hi) == (0, 12)
-
     def test_unbounded_add(self):
         r = Interval(None, 5) + Interval(1, 1)
         assert r.lo is None and r.hi == 6
+
+    def test_unbounded_sub(self):
+        r = Interval(None, 5) - Interval(1, 2)
+        assert r.lo is None and r.hi == 4
+
+    def test_min_with_an_unbounded_side(self):
+        # min's lower end is unbounded if either is; its upper end is
+        # whichever side has one
+        r = Interval(None, 10).min_with(Interval(0, 5))
+        assert r.lo is None and r.hi == 5
+        assert Interval(0, None).min_with(Interval(0, 5)).hi == 5
+        assert Interval(0, 5).min_with(Interval(0, None)).hi == 5
 
 
 class TestEvalInterval:
@@ -112,20 +135,40 @@ class TestEvalInterval:
 
     def test_eq_disjoint(self):
         i = Var("i")
-        r = eval_interval(EQ(i, IntImm(100)), {i: Interval(0, 10)})
-        assert r.is_point and r.lo == 0
+        for other in (100, -5):
+            r = eval_interval(EQ(i, IntImm(other)), {i: Interval(0, 10)})
+            assert r.is_point and r.lo == 0
+
+    def test_eq_points(self):
+        i = Var("i")
+        for value, want in ((3, 1), (4, 0)):
+            r = eval_interval(EQ(i, IntImm(3)), {i: Interval.point(value)})
+            assert r.is_point and r.lo == want
+
+    def test_le_ge(self):
+        i = Var("i")
+        env = {i: Interval(0, 10)}
+        assert eval_interval(i <= 10, env).lo == 1
+        assert eval_interval(i >= 11, env).hi == 0
+        assert not eval_interval(i <= 5, env).is_point
+
+    def test_a_load_or_a_float_has_no_interval(self):
+        i = Var("i")
+        load = BufferLoad(Buffer("A", (4,), "int32"), [i])
+        assert eval_interval(load + 1, {i: Interval(0, 3)}) is None
+        assert eval_interval(FloatImm(1.0), {}) is None
 
     def test_ne(self):
         i = Var("i")
         r = eval_interval(NE(i, IntImm(100)), {i: Interval(0, 10)})
         assert r.is_point and r.lo == 1
 
-    def test_and_or(self):
+    def test_and(self):
         i = Var("i")
         env = {i: Interval(0, 10)}
         t = eval_interval(And(i < 100, i < 200), env)
         assert t.is_point and t.lo == 1
-        f = eval_interval(Or(i < 0, i > 100), env)
+        f = eval_interval(And(i < 100, i > 100), env)
         assert f.is_point and f.lo == 0
 
 

@@ -3,13 +3,12 @@
 from repro.tir import (
     Add,
     And,
+    Buffer,
+    BufferLoad,
     IntImm,
     Max,
     Min,
     Mul,
-    Not,
-    Or,
-    Select,
     Sub,
     Var,
     affine_coeffs,
@@ -91,6 +90,13 @@ class TestIdentities:
     def test_div_by_one(self):
         assert isinstance(simplify(v() // 1), Var)
 
+    def test_zero_floordiv_is_zero(self):
+        assert const_int(simplify(IntImm(0) // v())) == 0
+
+    def test_zero_plus_a_load_is_the_load(self):
+        load = BufferLoad(Buffer("A", (4,)), [v()])
+        assert simplify(IntImm(0) + load) is load
+
     def test_mod_by_one(self):
         assert const_int(simplify(v() % 1)) == 0
 
@@ -101,18 +107,6 @@ class TestIdentities:
     def test_and_false(self):
         c = v() < 5
         assert const_int(simplify(And(IntImm(0, "bool"), c))) == 0
-
-    def test_or_false(self):
-        c = v() < 5
-        assert simplify(Or(IntImm(0, "bool"), c)) is c
-
-    def test_not_not(self):
-        c = v() < 5
-        assert simplify(Not(Not(c))) is c
-
-    def test_select_const_cond(self):
-        s = Select(IntImm(1, "bool"), v("a"), v("b"))
-        assert simplify(s).name == "a"
 
     def test_cmp_equal_operands(self):
         x = v()
@@ -192,6 +186,8 @@ class TestProveLt:
     def test_undecidable(self):
         i = v()
         assert prove_lt(i, IntImm(5), {i: (0, 10)}) is None
+        load = BufferLoad(Buffer("A", (4,), "int32"), [i])
+        assert prove_lt(load, IntImm(5), {i: (0, 4)}) is None
 
     def test_affine_combination(self):
         i, j = v("i"), v("j")

@@ -4,6 +4,7 @@ from repro.tir import (
     Buffer,
     BufferLoad,
     BufferStore,
+    DmaCopy,
     For,
     ForKind,
     IfThenElse,
@@ -49,6 +50,8 @@ def test_substitute_expr():
 def test_substitute_noop_returns_same_object():
     e = Var("i") + 1
     assert substitute(e, {}) is e
+    st = BufferStore(Buffer("A", (8,)), e, [IntImm(0)])
+    assert substitute_stmt(st, {}) is st
 
 
 def test_substitute_stmt():
@@ -57,6 +60,9 @@ def test_substitute_stmt():
     st = BufferStore(buf, IntImm(0), [i])
     st2 = substitute_stmt(st, {i: j})
     assert st2.indices[0] is j
+    w, m = Buffer("W", (8,), scope="wram"), Buffer("M", (64,), scope="mram")
+    dma = substitute_stmt(DmaCopy(w, [IntImm(0)], m, [i * 8], 8), {i: j})
+    assert collect_vars(dma.src_base[0]) == [j] and dma.size == 8
 
 
 def test_iter_stmts_covers_nest():
@@ -94,6 +100,20 @@ def test_mutator_deletes_stmt():
     assert Deleter().visit_stmt(loop) is None
 
 
+def test_mutator_deleting_every_statement_deletes_the_seq():
+    buf = Buffer("A", (8,))
+    body = SeqStmt([
+        BufferStore(buf, IntImm(1), [IntImm(0)]),
+        BufferStore(buf, IntImm(2), [IntImm(1)]),
+    ])
+
+    class Deleter(StmtMutator):
+        def visit_BufferStore(self, node):
+            return None
+
+    assert Deleter().visit_stmt(body) is None
+
+
 def test_mutator_preserves_identity_when_unchanged():
     buf = Buffer("A", (8,))
     store = BufferStore(buf, IntImm(1), [Var("i")])
@@ -101,19 +121,16 @@ def test_mutator_preserves_identity_when_unchanged():
     assert StmtMutator().visit_stmt(loop) is loop
 
 
-def test_mutator_if_deletion_keeps_else_negated():
+def test_mutator_if_deletion_drops_the_if():
     buf = Buffer("A", (8,))
     then = BufferStore(buf, IntImm(1), [IntImm(0)])
-    other = BufferStore(buf, IntImm(2), [IntImm(1)])
-    node = IfThenElse(Var("i") < 2, then, other)
+    node = IfThenElse(Var("i") < 2, then)
 
     class DropThen(StmtMutator):
         def visit_BufferStore(self, n):
-            return None if n is then else n
+            return None
 
-    result = DropThen().visit_stmt(node)
-    assert isinstance(result, IfThenElse)
-    assert result.then_case is other
+    assert DropThen().visit_stmt(node) is None
 
 
 def test_thread_binding_for_requires_tag():

@@ -9,10 +9,9 @@ import pytest
 
 import repro
 from repro.tir import (
-    Allocate,
+    Barrier,
     BufferStore,
     DmaCopy,
-    Evaluate,
     For,
     IfThenElse,
     Interval,
@@ -46,8 +45,6 @@ class ReferenceCounter:
             if isinstance(s, SeqStmt):
                 for sub in s.stmts:
                     run(sub, e)
-            elif isinstance(s, Allocate):
-                run(s.body, e)
             elif isinstance(s, For):
                 extent = int(interp.eval(s.extent, e))
                 from repro.tir import ForKind
@@ -64,8 +61,6 @@ class ReferenceCounter:
                 total.branches += 1
                 if interp.eval(s.condition, e):
                     run(s.then_case, e)
-                elif s.else_case is not None:
-                    run(s.else_case, e)
             elif isinstance(s, BufferStore):
                 c = self.coster.cost(s.value)
                 total.slots += c.slots
@@ -91,9 +86,8 @@ class ReferenceCounter:
                 total.dma_calls += 1
                 total.dma_bytes += max(s.nbytes, self.config.dma_align_bytes)
                 total.slots += 4
-            elif isinstance(s, Evaluate):
-                if s.call.op == "barrier":
-                    total.barriers += 1
+            elif isinstance(s, Barrier):
+                total.barriers += 1
 
         run(stmt, dict(env))
         return total

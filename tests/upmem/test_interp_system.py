@@ -6,16 +6,16 @@ import pytest
 import repro
 from repro.lowering import LowerOptions, lower
 from repro.tir import (
+    Barrier,
     Buffer,
     BufferLoad,
     BufferStore,
-    Call,
     DmaCopy,
-    Evaluate,
     For,
     IfThenElse,
     IntImm,
-    Select,
+    Max,
+    Min,
     Var,
 )
 from repro.upmem import UpmemConfig
@@ -41,29 +41,25 @@ class TestInterpreter:
         Interpreter(arrays).run(For(i, 8, body), {})
         assert arrays[buf].sum() == 4
 
-    def test_else_branch(self):
-        buf = Buffer("A", (2,), "int32")
-        arrays = {buf: np.zeros(2, np.int64)}
-        st = IfThenElse(
-            IntImm(0, "bool"),
-            BufferStore(buf, IntImm(1), [IntImm(0)]),
-            BufferStore(buf, IntImm(2), [IntImm(0)]),
-        )
-        Interpreter(arrays).run(st, {})
-        assert arrays[buf][0] == 2
-
-    def test_select_and_minmax(self):
+    def test_minmax(self):
         i = Var("i")
         interp = Interpreter({})
-        from repro.tir import Max, Min
-
-        assert interp.eval(Select(i < 5, i, IntImm(5)), {i: 3}) == 3
         assert interp.eval(Min(i, IntImm(2)), {i: 7}) == 2
         assert interp.eval(Max(i, IntImm(2)), {i: 7}) == 7
 
     def test_unbound_var_raises(self):
         with pytest.raises(InterpError):
             Interpreter({}).eval(Var("ghost"), {})
+
+    def test_unbound_buffer_raises(self):
+        """Every buffer a program touches is bound before it runs; one
+        that is not is named, never made up as zeros."""
+        buf, ghost = Buffer("A", (4,)), Buffer("ghost", (4,))
+        arrays = {buf: np.zeros(4, np.float32)}
+        copy = BufferStore(buf, BufferLoad(ghost, [IntImm(0)]), [IntImm(0)])
+        with pytest.raises(InterpError, match="unbound buffer ghost"):
+            Interpreter(arrays).run(copy, {})
+        assert list(arrays) == [buf]
 
     def test_out_of_bounds_raises(self):
         buf = Buffer("A", (4,))
@@ -93,17 +89,7 @@ class TestInterpreter:
         assert list(arrays[w][:2]) == [6, 7]
 
     def test_barrier_is_noop(self):
-        Interpreter({}).run(Evaluate(Call("barrier", [], "int32")), {})
-
-    def test_intrinsic_exp(self):
-        import math
-
-        val = Interpreter({}).eval(Call("exp", [IntImm(1)], "float32"), {})
-        assert val == pytest.approx(math.e)
-
-    def test_unknown_intrinsic_raises(self):
-        with pytest.raises(InterpError):
-            Interpreter({}).eval(Call("fused_magic", [], "float32"), {})
+        Interpreter({}).run(Barrier(), {})
 
 
 class TestPerformanceModel:

@@ -4,16 +4,13 @@ import pytest
 
 from repro.tir import (
     Add,
+    And,
     Buffer,
     BufferLoad,
-    Call,
-    Cast,
     FloatImm,
     IntImm,
     Min,
     Mul,
-    Not,
-    Select,
     Sub,
     Var,
 )
@@ -80,12 +77,11 @@ class TestExprCoster:
         assert cost.loads == 2
         assert cost.compute_ops == 2
 
-    def test_select_min_not_cast_costed(self, coster):
-        assert coster.cost(Select(Var("i") < 1, 1, 2)).slots > 0
-        assert coster.cost(Min(Var("i"), IntImm(3))).slots == 2
-        assert coster.cost(Not(Var("i") < 1)).slots == 2
-        assert coster.cost(Cast(Var("i"), "float32")).slots == 1
-        assert coster.cost(Call("exp", [FloatImm(1.0)], "float32")).slots >= 20
+    def test_min_and_boundary_condition_costed(self, coster):
+        i = Var("i")
+        assert coster.cost(Min(i, IntImm(3))).slots == 2
+        assert coster.cost(i < 1).slots == 1
+        assert coster.cost(And(i < 1, i >= 0)).slots == 3
 
 
 class TestCounts:

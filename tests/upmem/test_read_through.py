@@ -12,7 +12,6 @@ from repro.tir import (
     Buffer,
     BufferLoad,
     BufferStore,
-    Cast,
     DmaCopy,
     For,
     IfThenElse,
@@ -396,9 +395,7 @@ class TestScanUnderALaneMask:
 class TestWeakNumbers:
     """The interpreter's variables are Python numbers: next to a float32
     they compute in float32.  Batched they are int64/float64 arrays,
-    which used to pull the arithmetic into float64 and round twice.  A
-    ``Cast`` (a Python number too) is nothing the lowering emits: its
-    statement takes the scalar fallback, with the same bytes."""
+    which used to pull the arithmetic into float64 and round twice."""
 
     @staticmethod
     def _module(value):
@@ -416,26 +413,23 @@ class TestWeakNumbers:
         return _tile_module(kernel, b, 4, 4, h2d=(src, a_m))
 
     @pytest.mark.parametrize(
-        "value,falls_back",
+        "value",
         [
-            (lambda a, b, k: a * (b + 1) * a, False),
-            (lambda a, b, k: a * (k + 1) * a, False),
-            (lambda a, b, k: a * Cast(b + 3, "float32") * a, True),
-            (lambda a, b, k: (a + (b + 1)) * a, False),
-            (lambda a, b, k: (b + 1) * a * a, False),
-            (lambda a, b, k: Min(a, b + 1) * a, False),
+            lambda a, b, k: a * (b + 1) * a,
+            lambda a, b, k: a * (k + 1) * a,
+            lambda a, b, k: (a + (b + 1)) * a,
+            lambda a, b, k: (b + 1) * a * a,
+            lambda a, b, k: Min(a, b + 1) * a,
         ],
-        ids=["lane-var", "axis-var", "cast", "sum", "lane-var-first", "min"],
+        ids=["lane-var", "axis-var", "sum", "lane-var-first", "min"],
     )
-    def test_float32_times_an_integer_variable(
-        self, value, falls_back, monkeypatch
-    ):
+    def test_float32_times_an_integer_variable(self, value, monkeypatch):
         # ``A_m[k] * (b + 1)`` alone cannot tell the two apart: one
         # float32 product is exact in float64.  A second operation on
         # the unrounded product can.
         rng = np.random.default_rng(11)
         module = self._module(value)
-        assert bool(plan_for(module).fallbacks) == falls_back
+        assert plan_for(module).fallbacks == []
         for _ in range(8):
             feed = {"In": rng.standard_normal(4).astype(np.float32)}
             got = _all_modes(module, feed, monkeypatch)

@@ -6,23 +6,17 @@ import pytest
 from repro.autotune.compile import default_engine
 from repro.lowering import GridDim, LoweredModule, TransferSpec
 from repro.tir import (
-    Allocate,
     And,
+    Barrier,
     Buffer,
     BufferLoad,
     BufferStore,
-    Call,
-    Cast,
     DmaCopy,
-    Evaluate,
     For,
     IfThenElse,
     IntImm,
     Max,
     Min,
-    Not,
-    Or,
-    Select,
     SeqStmt,
     Var,
 )
@@ -228,80 +222,25 @@ class TestFallbacks:
         assert list(states[1][out]) == [1, 11, 21, 31]
         assert list(states[2][out]) == [1, 101, 201, 301]
 
-    def test_kernel_side_allocate_is_per_lane(self, monkeypatch):
-        """No lowering emits a kernel-side ``Allocate``: the kernel takes
-        the scalar fallback, whose per-lane store gives each lane its
-        own temp."""
-        out = Buffer("Out", (4,), "float32")
-        tmp = Buffer("tmp", (2,), "float32")
-        gvar = Var("b")
-        kernel = Allocate(
-            tmp,
-            SeqStmt([
-                BufferStore(tmp, gvar * 2, [IntImm(0)]),
-                BufferStore(out, BufferLoad(tmp, [IntImm(0)]), [gvar]),
-            ]),
-        )
-        module, _ = _toy_module(kernel, out, gvar=gvar)
-        assert plan_for(module).fallbacks == [kernel]
-        outs = {}
-        for mode in ("scalar", "vector"):
-            monkeypatch.setenv("REPRO_SIM_MODE", mode)
-            outs[mode], = FunctionalExecutor(module).run({})
-        assert list(outs["scalar"]) == [0, 2, 4, 6]
-        assert outs["scalar"].tobytes() == outs["vector"].tobytes()
-
-    def test_kernel_side_allocate_starts_at_zero_on_every_dpu(
-        self, monkeypatch
-    ):
-        """A temp read before it is written: each grid point sees zeros,
-        in every mode.  The scalar reference used to keep the first
-        point's temp for the rest of the shard."""
-        b = Var("b")
-        cell = BufferLoad(_TMP, [IntImm(0)])
-        kernel = Allocate(_TMP, SeqStmt([
-            BufferStore(_TMP, cell + b + 1.0, [IntImm(0)]),
-            _store_k(cell, IntImm(0)),
-        ]))
-        module = _tile_module(kernel, b, 4, 4)
-        want = [[lane + 1, 0, 0, 0] for lane in range(4)]
-        _modes_agree_on(module, {}, want, monkeypatch)
-
     @pytest.mark.parametrize(
         "kernel",
         [
-            lambda a, b, k: For(k, 4, _store_k(Select(a > 0.0, a * 2.0, a), k)),
-            lambda a, b, k: For(k, 4, IfThenElse(Not(a > 0.0), _store_k(a, k))),
-            lambda a, b, k: For(k, 4, IfThenElse(Or(b < 1, k > 2), _store_k(a, k))),
-            lambda a, b, k: For(k, 4, _store_k(Call("exp", [a]), k)),
-            lambda a, b, k: For(k, 4, _store_k(Call("sqrt", [a * a]), k)),
-            lambda a, b, k: For(k, 4, _store_k(Call("abs", [a]) * (b + 1), k)),
-            lambda a, b, k: For(k, 4, _store_k(Cast(a * 4.0, "int32"), k)),
-            lambda a, b, k: For(k, 4, _store_k(a + Cast(b * k, "float32"), k)),
-            lambda a, b, k: Allocate(_TMP, SeqStmt([
-                For(k, 4, BufferStore(_TMP, a + b, [k])),
-                For(k, 4, _store_k(BufferLoad(_TMP, [k]) * 2.0, k)),
-            ])),
-            lambda a, b, k: For(k, 4, IfThenElse(
-                b < 2, _store_k(a, k), _store_k(a * 2.0, k)
-            )),
             lambda a, b, k: SeqStmt([
                 DmaCopy(_A_M, [IntImm(0)], _IN4, [IntImm(1)], 3),
                 For(k, 4, _store_k(a + b, k)),
             ]),
-            lambda a, b, k: IfThenElse(b < 2, For(k, 4, _store_k(
-                Select(a > 0.0, a, a * 2.0), k
-            ))),
+            lambda a, b, k: SeqStmt([
+                IfThenElse(b < 2, DmaCopy(_A_M, [IntImm(0)], _IN4, [IntImm(1)], 3)),
+                For(k, 4, _store_k(a + b, k)),
+            ]),
         ],
-        ids=["select", "not", "or", "exp", "sqrt", "abs", "int-cast",
-             "float-cast", "allocate", "else", "dma-from-host",
-             "under-a-lane-mask"],
+        ids=["dma-from-host", "under-a-lane-mask"],
     )
     def test_what_no_lowering_emits_falls_back(self, kernel, monkeypatch):
-        """The vector compiler takes only what the lowering emits; each
-        other construct puts its statement on the scalar fallback, which
-        runs the live lanes only, and the bytes are the interpreter's in
-        every mode."""
+        """The vector compiler takes only what the lowering emits; a DMA
+        from a host tensor puts its statement on the scalar fallback,
+        which runs the live lanes only, and the bytes are the
+        interpreter's in every mode."""
         b, k = Var("b"), Var("k")
         module = _tile_module(
             kernel(BufferLoad(_A_M, [k]), b, k), b, 4, 4, h2d=(_IN4, _A_M)
@@ -321,21 +260,25 @@ class TestFallbacks:
         module, _ = _toy_module(kernel, out, grid_extent=4)
         assert plan_for(module).fallbacks == [kernel]
         got = set()
-        for mode in ("scalar", "vector"):  # verify shadows D2H tiles only
+        for mode in ("scalar", "vector", "verify"):
             monkeypatch.setenv("REPRO_SIM_MODE", mode)
             total, = FunctionalExecutor(module).run({})
             got.add(total.tobytes())
         assert got == {np.array([24, 0], np.float32).tobytes()}
 
-    def test_unknown_intrinsic_raises_in_both_modes(self, monkeypatch):
-        out = Buffer("Out", (4,), "float32")
-        kernel = Evaluate(Call("fused_magic", [], "float32"))
-        module, _ = _toy_module(kernel, out)
-        assert plan_for(module).fallbacks
-        for mode in ("scalar", "vector"):
+    def test_a_host_tensor_the_kernel_stores_to_is_written_once(
+        self, monkeypatch
+    ):
+        """Verify runs the interpreter on a copy of every tensor the
+        kernel stores to.  It used to copy the D2H tensors only, so
+        ``H[0] = H[0] + 1`` ran twice on the host tensor itself."""
+        h = Buffer("H", (2,), "float32")
+        kernel = BufferStore(h, BufferLoad(h, [IntImm(0)]) + 1.0, [IntImm(0)])
+        module, _ = _toy_module(kernel, h, grid_extent=4)
+        for mode in ("scalar", "vector", "verify"):
             monkeypatch.setenv("REPRO_SIM_MODE", mode)
-            with pytest.raises(InterpError):
-                FunctionalExecutor(module).run({})
+            out, = FunctionalExecutor(module).run({})
+            assert list(out) == [4, 0], mode
 
     def test_verify_mismatch_raises(self, monkeypatch):
         wl = va(64)
@@ -362,9 +305,6 @@ class TestFallbacks:
 
 #: The per-DPU output row of :func:`_tile_module`, by width.
 _O_M = {w: Buffer("O_m", (1, w), "float32", scope="mram") for w in (2, 4)}
-
-#: A kernel-side temp (no lowering allocates one).
-_TMP = Buffer("tmp", (4,), "float32")
 
 #: A 4-element input, and the per-DPU tile every lane copies it to.
 _IN4 = Buffer("In", (4,), "float32")
@@ -761,7 +701,7 @@ def _host_module(stmt, out, inputs=()):
     """One DPU that does nothing, then ``stmt`` on the host."""
     return LoweredModule(
         name="toy", grid=[GridDim("blockIdx.x", Var("b"), 1)],
-        kernel=Evaluate(Call("barrier", [], "int32")), transfers=[],
+        kernel=Barrier(), transfers=[],
         host_pre=[], host_post=[stmt], inputs=list(inputs), outputs=[out],
     )
 
@@ -783,7 +723,7 @@ class TestHostPrograms:
             ),
             (
                 lambda i, c: SeqStmt([
-                    Evaluate(Call("barrier", [], "int32")),
+                    Barrier(),
                     BufferStore(c, i * 2.0, [i]),
                 ]),
                 [0, 2, 4, 6],
@@ -834,11 +774,9 @@ class TestDtypeRegression:
     def test_int32_buffers_are_int32(self):
         buf = Buffer("I", (4,), "int32")
         assert _np_dtype(buf) is np.int32
-        interp = Interpreter({})
-        arr = interp._array(buf)
-        assert arr.dtype == np.int32
+        arr = np.zeros(buf.shape, _np_dtype(buf))
         i = Var("i")
-        interp.run(For(i, 4, BufferStore(buf, i * 2, [i])), {})
+        Interpreter({buf: arr}).run(For(i, 4, BufferStore(buf, i * 2, [i])), {})
         assert arr.dtype == np.int32 and list(arr) == [0, 2, 4, 6]
 
     def test_int32_round_trip_through_executor(self, monkeypatch):
