@@ -93,12 +93,6 @@ class CompileEngine:
                     "key": key[:12],
                 },
             )
-            tracer.metrics.counter("compile.cache").inc(
-                labels={
-                    "outcome": "miss" if artifact is None else "hit",
-                    "workload": workload.name,
-                }
-            )
         if artifact is None:
             artifact = self.cache.put(
                 self._compile(key, workload, params, opt_level, config)

@@ -681,7 +681,7 @@ class DecodeEngine:
                         "cache_growth_ms": entry["cache_growth_s"] * 1e3,
                     },
                 )
-            epoch.exe.trace(tracer, name=f"step {self._global_step} graph")
+            epoch.exe.trace(name=f"step {self._global_step} graph")
 
         report = StepReport(
             step=self._global_step,

@@ -234,30 +234,25 @@ class GraphExecutable(Executable):
             self._profile = self._build_profile()
         return self._profile
 
-    def trace(
-        self,
-        tracer: Optional[Any] = None,
-        track: str = "graph",
-        include_staging: bool = True,
-        name: Optional[str] = None,
-    ) -> None:
-        """Replay the profiled cost breakdown into a tracer as spans.
+    def trace(self, name: Optional[str] = None) -> None:
+        """Replay the profiled cost breakdown into the ambient tracer as
+        spans on the "graph" track.
 
-        One wrapping span for the whole graph, one child span per node
-        in topological order, with H2D / compute / D2H sub-spans — the
+        One wrapping span for the whole graph (``name``, by default
+        "graph <graph name>"), one child span per node in topological
+        order, with staging / H2D / compute / D2H sub-spans — the
         virtual-clock timeline of a single run.  Spans are emitted from
         the calling thread in deterministic topological order (never
         from inside node execution), so traced output does not depend on
-        host threads.  Uses the ambient tracer when ``tracer`` is not
-        given; a no-op when tracing is disabled.
+        host threads.  A no-op when tracing is disabled.
         """
-        tracer = tracer if tracer is not None else current_tracer()
+        tracer = current_tracer()
         if not tracer.enabled:
             return
         profile = self.profile()
         with tracer.span(
             name or f"graph {self.graph.name}",
-            track=track,
+            track="graph",
             cat="graph",
             args={
                 "nodes": len(profile.nodes),
@@ -268,26 +263,26 @@ class GraphExecutable(Executable):
             for cost in profile.nodes:
                 with tracer.span(
                     cost.node,
-                    track=track,
+                    track="graph",
                     cat="graph",
                     args={"op": cost.op, "target": cost.target},
                 ):
-                    if include_staging and cost.staging_s > 0:
+                    if cost.staging_s > 0:
                         tracer.timed_span(
-                            "staging", track=track, cat="graph",
+                            "staging", track="graph", cat="graph",
                             dur_s=cost.staging_s,
                         )
                     if cost.h2d_s > 0:
                         tracer.timed_span(
-                            "h2d", track=track, cat="graph", dur_s=cost.h2d_s
+                            "h2d", track="graph", cat="graph", dur_s=cost.h2d_s
                         )
                     tracer.timed_span(
-                        "compute", track=track, cat="graph",
+                        "compute", track="graph", cat="graph",
                         dur_s=cost.compute_s,
                     )
                     if cost.d2h_s > 0:
                         tracer.timed_span(
-                            "d2h", track=track, cat="graph", dur_s=cost.d2h_s
+                            "d2h", track="graph", cat="graph", dur_s=cost.d2h_s
                         )
 
     @property

@@ -22,9 +22,7 @@ across PRs.
 ``--trace PATH`` records every experiment in the run into a
 :mod:`repro.obs` virtual-clock tracer and writes a Chrome trace-event
 JSON — deterministic (bit-for-bit identical at any
-``REPRO_MAX_WORKERS``) and viewable in Perfetto.  ``--trace-jsonl PATH``
-additionally dumps
-the flat event log.
+``REPRO_MAX_WORKERS``) and viewable in Perfetto.
 
 ``--db PATH`` appends every measured tuning candidate to a persistent
 JSON-lines database; ``--resume`` warm-starts searches from it (an
@@ -41,13 +39,8 @@ import json
 import sys
 
 from ..autotune import default_engine, measure_stats
-from ..obs import (
-    Tracer,
-    trace_lint,
-    use_tracer,
-    write_chrome_trace,
-    write_jsonl,
-)
+from ..obs import Tracer, trace_lint, use_tracer, write_chrome_trace
+from ..obs.export import _jsonable
 from .experiments import KEYWORDS, TABLE
 
 
@@ -66,21 +59,6 @@ def run_experiment(name: str, args: argparse.Namespace):
 
 
 EXPERIMENTS = tuple(dict.fromkeys(row.name for row in TABLE))
-
-
-def _jsonable(obj):
-    """Best-effort conversion of experiment data to JSON-safe values."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj if obj == obj and abs(obj) != float("inf") else repr(obj)
-    if hasattr(obj, "item"):  # numpy scalars
-        return _jsonable(obj.item())
-    return repr(obj)
 
 
 #: Version of the ``--json`` dump layout.  Bump when the payload's
@@ -177,10 +155,6 @@ def main(argv=None) -> int:
              " chrome://tracing)",
     )
     parser.add_argument(
-        "--trace-jsonl", metavar="PATH", default=None,
-        help="also write the raw trace events as JSON-lines to PATH",
-    )
-    parser.add_argument(
         "--db", metavar="PATH", default=None,
         help="persistent tuning database (JSON-lines); measured"
              " candidates append to it as the search runs",
@@ -195,7 +169,7 @@ def main(argv=None) -> int:
         parser.error("--resume requires --db PATH")
 
     names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    tracer = Tracer() if (args.trace or args.trace_jsonl) else None
+    tracer = Tracer() if args.trace else None
     results = {}
     with use_tracer(tracer):
         for name in names:
@@ -211,9 +185,6 @@ def main(argv=None) -> int:
             for problem in problems:
                 print(f"trace-lint: {problem}", file=sys.stderr)
             return 1
-    if args.trace_jsonl:
-        count = write_jsonl(tracer, args.trace_jsonl)
-        print(f"wrote {count} trace events to {args.trace_jsonl}")
     if args.json:
         write_json(args.json, results, args)
         print(f"wrote JSON results to {args.json}")

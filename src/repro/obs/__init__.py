@@ -1,4 +1,4 @@
-"""Unified observability: virtual-clock tracing, metrics, exporters.
+"""Unified observability: virtual-clock tracing, its export and lint.
 
 One timeline from compile to decode.  Every subsystem (pipeline, pool,
 serve, graph, KV cache, weight residency, decode loop) reports into the
@@ -13,15 +13,16 @@ thing that makes a trace machine-dependent.
 Tracing is off by default: the ambient tracer is a shared
 :data:`NULL_TRACER` whose every method is a no-op, so instrumented hot
 paths pay nothing when nobody is looking.  Scope a real tracer with
-:func:`use_tracer`, then export:
+:func:`use_tracer`; its :attr:`Tracer.events` list is the whole trace
+(:attr:`Tracer.spans` and :meth:`Tracer.top_spans` fold it).  Then:
 
 * :func:`write_chrome_trace` — Chrome trace-event JSON (loads in
   Perfetto / ``chrome://tracing``): one process per subsystem, one
-  thread per track, balanced B/E span events;
-* :func:`write_jsonl` — a flat JSON-lines event log for ad-hoc tooling;
+  thread per track, balanced B/E span events; :func:`chrome_trace` is
+  the same object in memory;
 * :func:`trace_lint` — structural validation (valid JSON, monotonic
   timestamps per track, balanced B/E events), also runnable as
-  ``python -m repro.obs.lint trace.json``.
+  ``python -m repro.obs trace.json``.
 
 ::
 
@@ -44,13 +45,7 @@ from .tracer import (
     current_tracer,
     use_tracer,
 )
-from .metrics import Counter, Histogram, MetricsRegistry
-from .export import (
-    chrome_trace,
-    jsonl_events,
-    write_chrome_trace,
-    write_jsonl,
-)
+from .export import chrome_trace, write_chrome_trace
 from .lint import trace_lint
 
 __all__ = [
@@ -61,12 +56,7 @@ __all__ = [
     "SpanRecord",
     "current_tracer",
     "use_tracer",
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
     "chrome_trace",
     "write_chrome_trace",
-    "jsonl_events",
-    "write_jsonl",
     "trace_lint",
 ]

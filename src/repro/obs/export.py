@@ -1,6 +1,9 @@
-"""Trace exporters: Chrome trace-event JSON and a flat JSONL log.
+"""The trace exporter: Chrome trace-event JSON.
 
-The Chrome export loads directly in Perfetto / ``chrome://tracing``.
+:func:`chrome_trace` is the export in memory and
+:func:`write_chrome_trace` the same object on disk; it loads directly
+in Perfetto / ``chrome://tracing``.
+
 Track-to-lane mapping: the prefix before the first ``.`` in a track
 name is its *subsystem* and becomes the Chrome ``pid`` (so "pipeline",
 "serve.requests" and "serve.device" render as separate process groups
@@ -16,34 +19,35 @@ keep float formatting stable across platforms.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List, Tuple
 
 from .tracer import Tracer
 
-__all__ = [
-    "chrome_trace",
-    "write_chrome_trace",
-    "jsonl_events",
-    "write_jsonl",
-]
+__all__ = ["chrome_trace", "write_chrome_trace"]
 
 
 def _jsonable(value: Any) -> Any:
-    """Best-effort conversion to plain JSON types (tuples, numpy...)."""
+    """``value`` in plain JSON types, for the trace's args and the
+    harness's ``--json`` rows: finite floats as they are, NaN and ±inf
+    as their ``repr`` (bare ``NaN`` is not JSON), tuples as lists, sets
+    as lists sorted by ``repr``, NumPy scalars through ``item()``,
+    anything else as its ``repr``."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        return value
+        return value if math.isfinite(value) else repr(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        seq = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in seq]
-    item = getattr(value, "item", None)  # numpy scalars
+    if isinstance(value, (set, frozenset)):
+        value = sorted(value, key=repr)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    item = getattr(value, "item", None)  # NumPy scalars
     if callable(item):
         try:
             return _jsonable(item())
-        except (TypeError, ValueError):
+        except (TypeError, ValueError):  # an array of more than one value
             pass
     return repr(value)
 
@@ -87,34 +91,30 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
                 "args": {"name": track},
             }
         )
-    for event in tracer.events:
-        pid, tid, _ = lanes[event.track]
+    for phase, name, track, ts, cat, args, wall_ts in tracer.events:
+        pid, tid, _ = lanes[track]
         out: Dict[str, Any] = {
-            "ph": event.phase,
-            "name": event.name,
+            "ph": phase,
+            "name": name,
             "pid": pid,
             "tid": tid,
-            "ts": _us(event.ts),
+            "ts": _us(ts),
         }
-        if event.cat:
-            out["cat"] = event.cat
-        if event.phase == "i":
+        if cat:
+            out["cat"] = cat
+        if phase == "i":
             out["s"] = "t"
-        args = _jsonable(event.args) if event.args else None
-        if event.wall_ts is not None:
+        args = _jsonable(args) if args else None
+        if wall_ts is not None:
             args = dict(args or {})
-            args["wall_ms"] = round(event.wall_ts * 1e3, 6)
+            args["wall_ms"] = round(wall_ts * 1e3, 6)
         if args:
             out["args"] = args
         events.append(out)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {
-            "clock": "virtual",
-            "generator": "repro.obs",
-            "metrics": tracer.metrics.export(),
-        },
+        "otherData": {"clock": "virtual", "generator": "repro.obs"},
     }
 
 
@@ -127,32 +127,3 @@ def write_chrome_trace(tracer: Tracer, path: str) -> Dict[str, Any]:
         f.write("\n")
     return payload
 
-
-def jsonl_events(tracer: Tracer) -> List[Dict[str, Any]]:
-    """The raw event stream as flat JSON-safe dicts, one per event."""
-    out = []
-    for event in tracer.events:
-        row: Dict[str, Any] = {
-            "ph": event.phase,
-            "name": event.name,
-            "track": event.track,
-            "ts": round(event.ts, 9),
-        }
-        if event.cat:
-            row["cat"] = event.cat
-        if event.args:
-            row["args"] = _jsonable(event.args)
-        if event.wall_ts is not None:
-            row["wall_ts"] = event.wall_ts
-        out.append(row)
-    return out
-
-
-def write_jsonl(tracer: Tracer, path: str) -> int:
-    """Write one JSON object per line to ``path``; returns the count."""
-    rows = jsonl_events(tracer)
-    with open(path, "w") as f:
-        for row in rows:
-            json.dump(row, f, sort_keys=True)
-            f.write("\n")
-    return len(rows)

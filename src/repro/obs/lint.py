@@ -9,18 +9,12 @@ trust an uploaded trace artifact:
 * per lane, "B"/"E" events balance like parentheses and each "E"
   closes the "B" with the matching name.
 
-Runnable standalone::
-
-    python -m repro.obs.lint trace.json
-
-exits 0 and prints a one-line summary when clean, exits 1 with the
-problem list otherwise.
+``python -m repro.obs TRACE.json`` runs it on a file.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from typing import Any, Dict, List, Tuple
 
 __all__ = ["trace_lint"]
@@ -31,16 +25,13 @@ _TIMED_PHASES = ("B", "E", "i", "C", "X")
 def trace_lint(payload: Any) -> List[str]:
     """Return the list of problems found (empty == clean).
 
-    ``payload`` is a parsed trace object, a JSON string, or a path to a
-    trace file.
+    ``payload`` is a parsed trace (an object or a bare event array) or
+    the path of a trace file.
     """
     if isinstance(payload, str):
         try:
-            if payload.lstrip().startswith(("{", "[")):
-                payload = json.loads(payload)
-            else:
-                with open(payload) as f:
-                    payload = json.load(f)
+            with open(payload) as f:
+                payload = json.load(f)
         except (OSError, ValueError) as exc:
             return [f"not valid trace JSON: {exc}"]
 
@@ -112,20 +103,3 @@ def trace_lint(payload: Any) -> List[str]:
             )
     return problems
 
-
-def main(argv: List[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python -m repro.obs.lint TRACE.json", file=sys.stderr)
-        return 2
-    problems = trace_lint(argv[0])
-    if problems:
-        for problem in problems:
-            print(f"trace-lint: {problem}", file=sys.stderr)
-        print(f"trace-lint: {argv[0]}: {len(problems)} problem(s)")
-        return 1
-    print(f"trace-lint: {argv[0]}: OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

@@ -4,11 +4,15 @@ A *track* is one named timeline ("pipeline", "pool", "serve.device",
 "kv-cache", ...) with its own monotonic virtual-clock cursor starting
 at 0.  Simulated durations advance the cursor explicitly —
 :meth:`Tracer.timed_span` for a cost of known length,
-:meth:`Tracer.advance` for bare time, :meth:`Tracer.span` for a nested
-region whose extent is whatever its children charged.  Nothing ever
-moves a cursor backwards, so per-track timestamps are non-decreasing by
-construction and the exported trace passes the B/E-balance and
-monotonicity lint.
+:meth:`Tracer.span` for a nested region whose extent is whatever its
+children charged (or an explicit ``ts_s`` jumps it forward).  Nothing
+ever moves a cursor backwards, so per-track timestamps are
+non-decreasing by construction and the exported trace passes the
+B/E-balance and monotonicity lint.
+
+:attr:`Tracer.events` is the whole trace: a span is its "B"/"E" pair
+there, and :attr:`Tracer.spans` folds the pairs into
+:class:`SpanRecord` objects when it is read.
 
 Determinism contract: all virtual timestamps derive from the simulated
 cost models and the (deterministic) order instrumented code runs in on
@@ -30,9 +34,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
-
-from .metrics import MetricsRegistry
+from typing import Any, Dict, List, NamedTuple, Optional
 
 __all__ = [
     "TraceEvent",
@@ -45,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One raw event: span begin/end ("B"/"E"), instant ("i") or
     counter sample ("C"), stamped on a track's virtual timeline."""
 
@@ -62,7 +63,7 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One completed span (the B/E pair, folded for queries)."""
+    """One completed span: a B/E pair of :attr:`Tracer.events`, folded."""
 
     name: str
     track: str
@@ -77,8 +78,7 @@ class _OpenSpan:
     """Context-manager handle for one in-flight :meth:`Tracer.span`."""
 
     __slots__ = (
-        "_tracer", "name", "track", "cat", "args", "dur_s", "ts_s",
-        "_begin", "_wall0",
+        "_tracer", "name", "track", "cat", "args", "dur_s", "ts_s", "_begin",
     )
 
     def __init__(self, tracer, name, track, cat, args, dur_s, ts_s):
@@ -90,7 +90,6 @@ class _OpenSpan:
         self.dur_s = dur_s
         self.ts_s = ts_s
         self._begin = 0.0
-        self._wall0 = None
 
     def __enter__(self) -> "_OpenSpan":
         self._tracer._begin_span(self)
@@ -102,7 +101,7 @@ class _OpenSpan:
 
 
 class Tracer:
-    """Collects spans/instants/counters; owns a :class:`MetricsRegistry`.
+    """Collects spans, instants and counters as one list of events.
 
     One tracer is one trace.  Install it as the ambient tracer with
     :func:`use_tracer`; instrumented code finds it via
@@ -115,10 +114,7 @@ class Tracer:
     def __init__(self, wall_clock: bool = False) -> None:
         self.wall_clock = wall_clock
         self.events: List[TraceEvent] = []
-        self.spans: List[SpanRecord] = []
-        self.metrics = MetricsRegistry()
         self._cursors: Dict[str, float] = {}
-        self._depths: Dict[str, int] = {}
         self._lock = threading.RLock()
 
     # -- clocks -------------------------------------------------------------
@@ -130,16 +126,6 @@ class Tracer:
         """Every track that has recorded at least one event, sorted."""
         with self._lock:
             return sorted({e.track for e in self.events})
-
-    def advance(self, track: str, seconds: float) -> float:
-        """Charge ``seconds`` of virtual time to ``track``; returns the
-        new cursor.  Time only moves forward."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance by {seconds} s (negative)")
-        with self._lock:
-            now = self._cursors.get(track, 0.0) + seconds
-            self._cursors[track] = now
-            return now
 
     def _at(self, track: str, ts_s: Optional[float]) -> float:
         """Resolve an explicit/implicit timestamp against the cursor.
@@ -165,7 +151,7 @@ class Tracer:
 
         The span begins at the track cursor (or ``ts_s`` if later) and
         ends wherever the cursor sits on exit — children opened inside
-        (:meth:`timed_span`, :meth:`advance`) extend it.  ``dur_s``
+        (:meth:`timed_span`, nested :meth:`span`) extend it.  ``dur_s``
         sets a minimum extent for spans whose cost is known up front.
         """
         return _OpenSpan(self, name, track, cat, args, dur_s, ts_s)
@@ -174,11 +160,11 @@ class Tracer:
         with self._lock:
             ts = self._at(h.track, h.ts_s)
             self._cursors[h.track] = ts
-            self._depths[h.track] = self._depths.get(h.track, 0) + 1
             h._begin = ts
-            h._wall0 = self._wall()
             self.events.append(
-                TraceEvent("B", h.name, h.track, ts, h.cat, h.args, h._wall0)
+                TraceEvent(
+                    "B", h.name, h.track, ts, h.cat, h.args, self._wall()
+                )
             )
 
     def _end_span(self, h: _OpenSpan) -> None:
@@ -187,20 +173,9 @@ class Tracer:
             if h.dur_s is not None:
                 end = max(end, h._begin + h.dur_s)
             self._cursors[h.track] = end
-            self._depths[h.track] -= 1
-            wall1 = self._wall()
             self.events.append(
-                TraceEvent("E", h.name, h.track, end, h.cat, None, wall1)
-            )
-            self.spans.append(
-                SpanRecord(
-                    h.name,
-                    h.track,
-                    h._begin,
-                    end - h._begin,
-                    h.cat,
-                    h.args,
-                    None if h._wall0 is None else wall1 - h._wall0,
+                TraceEvent(
+                    "E", h.name, h.track, end, h.cat, None, self._wall()
                 )
             )
 
@@ -212,7 +187,7 @@ class Tracer:
         cat: str = "",
         args: Optional[Dict[str, Any]] = None,
         ts_s: Optional[float] = None,
-    ) -> SpanRecord:
+    ) -> None:
         """Record a complete span of known simulated duration and
         advance the track cursor past it."""
         if dur_s < 0:
@@ -228,9 +203,6 @@ class Tracer:
             self.events.append(
                 TraceEvent("E", name, track, end, cat, None, wall)
             )
-            record = SpanRecord(name, track, ts, dur_s, cat, args, None)
-            self.spans.append(record)
-            return record
 
     # -- points -------------------------------------------------------------
     def instant(
@@ -267,15 +239,38 @@ class Tracer:
             )
 
     # -- queries ------------------------------------------------------------
+    @property
+    def spans(self) -> List[SpanRecord]:
+        """Every completed span, folded from its track's B/E pair, in the
+        order the spans ended."""
+        open_: Dict[str, List[TraceEvent]] = {}
+        spans: List[SpanRecord] = []
+        with self._lock:
+            for event in self.events:
+                if event.phase == "B":
+                    open_.setdefault(event.track, []).append(event)
+                elif event.phase == "E":
+                    begin = open_[event.track].pop()
+                    spans.append(
+                        SpanRecord(
+                            begin.name,
+                            begin.track,
+                            begin.ts,
+                            event.ts - begin.ts,
+                            begin.cat,
+                            begin.args,
+                            None if begin.wall_ts is None
+                            else event.wall_ts - begin.wall_ts,
+                        )
+                    )
+        return spans
+
     def top_spans(self, n: int = 5) -> List[SpanRecord]:
         """The ``n`` longest completed spans (ties broken by start
         time, track, name — a total, deterministic order)."""
-        with self._lock:
-            ordered = sorted(
-                self.spans,
-                key=lambda s: (-s.dur, s.ts, s.track, s.name),
-            )
-        return ordered[:n]
+        return sorted(
+            self.spans, key=lambda s: (-s.dur, s.ts, s.track, s.name)
+        )[:n]
 
     def __len__(self) -> int:
         return len(self.events)
@@ -308,9 +303,6 @@ class NullTracer(Tracer):
 
     def __init__(self) -> None:
         super().__init__(wall_clock=False)
-
-    def advance(self, track, seconds):  # noqa: D102 - no-op
-        return 0.0
 
     def span(self, *args, **kwargs):
         return _NULL_SPAN

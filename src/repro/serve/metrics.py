@@ -10,7 +10,7 @@ returns a JSON-safe dict the harness embeds in its ``--json`` dumps.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
 __all__ = ["METRICS_SCHEMA_VERSION", "LatencyStats", "ServerMetrics"]
 
@@ -85,48 +85,6 @@ class LatencyStats:
     def max(self) -> float:
         """Sample maximum (== ``percentile(100)``); 0.0 when empty."""
         return self.percentile(100)
-
-    def histogram(
-        self, bins: Union[int, Sequence[float]] = 10, scale: float = 1.0
-    ) -> Dict:
-        """Bucket the sample into a JSON-safe histogram.
-
-        ``bins`` is either a bin *count* (equal-width edges spanning
-        [min, max] of the scaled sample) or an explicit increasing edge
-        sequence (in scaled units).  Returns ``{"edges": [...],
-        "counts": [...]}`` with ``len(counts) == len(edges) - 1``;
-        values are assigned half-open ``[lo, hi)`` except the last bin,
-        which is closed so the maximum lands inside.  Degenerate
-        samples (empty, or all values equal with an integer ``bins``)
-        still return well-formed edges.
-        """
-        values = sorted(v * scale for v in self._values)
-        if isinstance(bins, int):
-            if bins < 1:
-                raise ValueError(f"bins must be >= 1, got {bins}")
-            lo = values[0] if values else 0.0
-            hi = values[-1] if values else 1.0
-            if hi <= lo:  # all-equal or empty: give the bins width
-                hi = lo + 1.0
-            width = (hi - lo) / bins
-            edges = [lo + i * width for i in range(bins)] + [hi]
-        else:
-            edges = [float(e) for e in bins]
-            if len(edges) < 2 or edges != sorted(edges) or len(set(edges)) != len(edges):
-                raise ValueError(
-                    f"explicit edges must be >= 2 strictly increasing"
-                    f" values, got {edges}"
-                )
-        counts = [0] * (len(edges) - 1)
-        for v in values:
-            if v < edges[0] or v > edges[-1]:
-                continue  # explicit edges may not cover the sample
-            for i in range(len(counts)):
-                last = i == len(counts) - 1
-                if edges[i] <= v < edges[i + 1] or (last and v == edges[-1]):
-                    counts[i] += 1
-                    break
-        return {"edges": edges, "counts": counts}
 
     def to_dict(self, scale: float = 1.0) -> Dict[str, float]:
         """Summary dict; ``scale`` converts units (e.g. 1e3 for ms)."""

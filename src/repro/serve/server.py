@@ -118,11 +118,6 @@ class Server:
         return self._tick
 
     @property
-    def now(self) -> float:
-        """Arrival-clock timestamp in simulated seconds."""
-        return self._now
-
-    @property
     def elapsed(self) -> float:
         """Simulated seconds the trace has spanned so far (arrival clock
         or device busy time, whichever is further along)."""
@@ -324,7 +319,6 @@ class Server:
                     "rids": [entry.ticket.request.request_id for entry in group],
                 },
             )
-            tracer.metrics.histogram("serve.batch_size").observe(len(group))
         responses: List[Response] = []
         for entry, outs in zip(group, outputs):
             request = entry.ticket.request

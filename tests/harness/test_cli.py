@@ -187,17 +187,6 @@ class TestTraceFlag:
         }
         assert {"pipeline", "pool", "graph", "kv-cache", "decode"} <= names
 
-    def test_trace_jsonl_written(self, tmp_path, capsys):
-        path = tmp_path / "trace.jsonl"
-        assert main([
-            "fig17", "--tokens", "2", "--trace-jsonl", str(path)
-        ]) == 0
-        assert "trace events" in capsys.readouterr().out
-        lines = path.read_text().splitlines()
-        assert lines
-        rows = [json.loads(line) for line in lines]
-        assert all({"ph", "name", "track", "ts"} <= set(r) for r in rows)
-
     def test_no_trace_flag_leaves_no_tracer_active(self, capsys):
         from repro.obs import NULL_TRACER, current_tracer
 

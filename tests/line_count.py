@@ -20,10 +20,11 @@ in one of three groups:
 * **other** -- code nothing runs.
 
 Exit status is non-zero when a test or a workload check failed, or when
-a file under one of the :data:`GATED` paths (``tir/`` and
+a file under one of the :data:`GATED` paths (``tir/``, ``obs/`` and
 ``upmem/vectorize.py``) has a line in the "other" group: the IR holds
-only what the lowering emits and the vector compiler takes only that, so
-all of both must run.
+only what the lowering emits, the vector compiler takes only that, and
+the tracer keeps only what the program records and exports, so all of
+each must run.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "repro")
 #: The paths (a file, or a directory ending in ``/``) whose "other"
 #: lines fail the count.
-GATED = ("upmem/vectorize.py", "tir/")
+GATED = ("upmem/vectorize.py", "tir/", "obs/")
 PRAGMA = "pragma: no cover"
 GROUPS = ("pinned", "error path", "other")
 

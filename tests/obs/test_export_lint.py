@@ -1,15 +1,13 @@
-"""Exporters and the lint: Chrome mapping, JSONL, structural checks."""
+"""The export and the lint: Chrome mapping, JSON safety, structural
+checks, and the ``python -m repro.obs`` command."""
 
 import json
 
-from repro.obs import (
-    Tracer,
-    chrome_trace,
-    jsonl_events,
-    trace_lint,
-    write_chrome_trace,
-    write_jsonl,
-)
+import numpy as np
+import pytest
+
+from repro.obs import Tracer, chrome_trace, trace_lint, write_chrome_trace
+from repro.obs.__main__ import main
 
 
 def sample_tracer() -> Tracer:
@@ -20,7 +18,6 @@ def sample_tracer() -> Tracer:
     t.instant("admit", track="serve.requests", args={"rid": 0})
     t.timed_span("flush", track="serve.device", dur_s=0.1, ts_s=0.5)
     t.counter("pool.size", 3, track="pool")
-    t.metrics.counter("pool.hits").inc()
     return t
 
 
@@ -67,9 +64,11 @@ class TestChromeExport:
         inst = [e for e in payload["traceEvents"] if e["ph"] == "i"][0]
         assert inst["s"] == "t"
 
-    def test_metrics_ride_in_other_data(self):
+    def test_other_data_is_clock_and_generator(self):
         payload = chrome_trace(sample_tracer())
-        assert "pool.hits" in payload["otherData"]["metrics"]
+        assert payload["otherData"] == {
+            "clock": "virtual", "generator": "repro.obs",
+        }
 
     def test_write_is_byte_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -85,29 +84,57 @@ class TestChromeExport:
         ev = [e for e in payload["traceEvents"] if e["ph"] == "i"][0]
         assert ev["args"] == {"pages": [1, 2], "n": 3}
 
+    def test_non_finite_args_export_as_json(self, tmp_path):
+        t = Tracer()
+        t.instant("i", track="x", args={"x": float("nan")})
+        t.instant("j", track="x", args={"up": float("inf"), "ok": 0.5})
+        path = tmp_path / "t.json"
+        write_chrome_trace(t, str(path))
 
-class TestJsonl:
-    def test_one_row_per_event(self, tmp_path):
-        t = sample_tracer()
-        path = tmp_path / "t.jsonl"
-        count = write_jsonl(t, str(path))
-        lines = path.read_text().splitlines()
-        assert count == len(lines) == len(t.events)
-        rows = [json.loads(line) for line in lines]
-        assert rows == jsonl_events(t)
-        assert {"ph", "name", "track", "ts"} <= set(rows[0])
+        def reject(constant):
+            raise ValueError(f"bare {constant} is not JSON")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        args = [e["args"] for e in payload["traceEvents"] if e["ph"] == "i"]
+        assert args == [{"x": "nan"}, {"up": "inf", "ok": 0.5}]
+
+    def test_args_sets_numpy_and_objects(self):
+        t = Tracer()
+        t.instant("i", track="x", args={
+            "set": {3, 1, 2},
+            "scalar": np.int64(7),
+            "array": np.arange(2),
+            "key": object,
+        })
+        ev = [e for e in chrome_trace(t)["traceEvents"] if e["ph"] == "i"][0]
+        assert ev["args"] == {
+            "set": [1, 2, 3],
+            "scalar": 7,
+            "array": repr(np.arange(2)),
+            "key": repr(object),
+        }
+
+    def test_wall_clock_adds_wall_ms(self):
+        t = Tracer(wall_clock=True)
+        t.instant("i", track="x")
+        t.instant("j", track="x", args={"n": 1})
+        events = [e for e in chrome_trace(t)["traceEvents"] if e["ph"] == "i"]
+        assert [sorted(e["args"]) for e in events] == [
+            ["wall_ms"], ["n", "wall_ms"],
+        ]
+        assert events[0]["args"]["wall_ms"] <= events[1]["args"]["wall_ms"]
+        assert trace_lint(chrome_trace(t)) == []
 
 
 class TestLint:
     def test_clean_trace_passes(self):
         assert trace_lint(chrome_trace(sample_tracer())) == []
 
-    def test_accepts_path_and_json_string(self, tmp_path):
-        t = sample_tracer()
+    def test_accepts_path(self, tmp_path):
         path = tmp_path / "t.json"
-        payload = write_chrome_trace(t, str(path))
+        payload = write_chrome_trace(sample_tracer(), str(path))
         assert trace_lint(str(path)) == []
-        assert trace_lint(json.dumps(payload)) == []
+        assert trace_lint(payload["traceEvents"]) == []  # a bare array
 
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -117,6 +144,38 @@ class TestLint:
 
     def test_rejects_empty_trace(self):
         assert trace_lint({"traceEvents": []}) == ["traceEvents is empty"]
+
+    @pytest.mark.parametrize("payload", [3, None, "a"])
+    def test_rejects_a_payload_that_is_not_a_trace(self, payload, tmp_path):
+        if isinstance(payload, str):  # a path: the file holds a string
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps(payload))
+            payload = str(path)
+        problems = trace_lint(payload)
+        assert len(problems) == 1
+        assert problems[0].startswith("trace must be an object or array")
+
+    @pytest.mark.parametrize("payload", [{}, {"traceEvents": {"ph": "B"}}])
+    def test_rejects_missing_or_non_list_events(self, payload):
+        assert trace_lint(payload) == ["traceEvents is missing or not a list"]
+
+    def test_flags_an_event_that_is_not_an_object(self):
+        events = ["B", {"ph": "i", "name": "a", "pid": 1, "tid": 1, "ts": 0}]
+        assert trace_lint(events) == ["event #0 is not an object"]
+
+    @pytest.mark.parametrize("phase", [None, "", 4])
+    def test_flags_a_missing_phase(self, phase):
+        event = {"name": "a", "pid": 1, "tid": 1, "ts": 0.0}
+        if phase is not None:
+            event["ph"] = phase
+        assert trace_lint([event]) == ["event #0 has no phase ('ph')"]
+
+    @pytest.mark.parametrize("ts", [None, "1.0", [1.0]])
+    def test_flags_a_non_numeric_ts(self, ts):
+        event = {"ph": "B", "name": "a", "pid": 1, "tid": 1, "ts": ts}
+        problems = trace_lint([event])
+        # The event is skipped, so its "B" is not left open either.
+        assert problems == ["event #0 (B 'a') has no numeric ts"]
 
     def test_catches_backwards_timestamps(self):
         events = [
@@ -155,13 +214,15 @@ class TestLint:
         problems = trace_lint({"traceEvents": events})
         assert any("open span" in p for p in problems)
 
-    def test_cli_entrypoint(self, tmp_path):
-        from repro.obs.lint import main
-
+    def test_cli_entrypoint(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         write_chrome_trace(sample_tracer(), str(path))
         assert main([str(path)]) == 0
+        assert capsys.readouterr().out == f"trace-lint: {path}: OK\n"
         bad = tmp_path / "bad.json"
         bad.write_text('{"traceEvents": []}')
         assert main([str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert "1 problem(s)" in out and "traceEvents is empty" in err
         assert main([]) == 2
+        assert "usage: python -m repro.obs" in capsys.readouterr().err

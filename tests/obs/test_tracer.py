@@ -37,10 +37,6 @@ class TestVirtualClock:
         t.instant("late", track="x", ts_s=0.5)
         assert t.events[-1].ts == 2.1
 
-    def test_advance_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Tracer().advance("x", -1.0)
-
     def test_timed_span_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             Tracer().timed_span("a", dur_s=-0.1)
@@ -135,7 +131,6 @@ class TestNullTracer:
         assert n.timed_span("b", dur_s=1.0) is None
         n.instant("i")
         n.counter("c", 1.0)
-        assert n.advance("x", 5.0) == 0.0
         assert len(n) == 0
         assert n.spans == []
 
@@ -157,3 +152,27 @@ class TestWallClock:
         assert all(e.wall_ts is not None for e in t.events)
         assert t.spans[0].wall_dur is not None
         assert t.spans[0].wall_dur >= 0.0
+
+    def test_wall_dur_is_the_pairs_wall_distance(self):
+        t = Tracer(wall_clock=True)
+        t.timed_span("a", track="x", dur_s=0.5)
+        with t.span("b", track="x"):
+            pass
+        b_begin, b_end = t.events[2:]
+        assert [s.wall_dur for s in t.spans] == [
+            0.0, b_end.wall_ts - b_begin.wall_ts,
+        ]
+        assert [s.wall_dur for s in Tracer().spans] == []
+
+
+class TestSpanFold:
+    """The fold itself is checked against the events under generated
+    operation sequences in test_trace_invariants.py."""
+
+    def test_spans_is_read_only(self):
+        t = Tracer()
+        with pytest.raises(AttributeError):
+            t.spans = []
+
+    def test_timed_span_returns_nothing(self):
+        assert Tracer().timed_span("a", dur_s=0.1) is None

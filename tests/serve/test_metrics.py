@@ -75,58 +75,6 @@ class TestLatencyStats:
         assert stats.max == 0.0
 
 
-class TestLatencyHistogram:
-    def test_integer_bins_span_min_to_max(self):
-        stats = LatencyStats()
-        for v in (0.0, 1.0, 2.0, 3.0, 4.0):
-            stats.add(v)
-        h = stats.histogram(bins=4)
-        assert h["edges"] == [0.0, 1.0, 2.0, 3.0, 4.0]
-        # Half-open [lo, hi) bins, last closed so the max lands inside.
-        assert h["counts"] == [1, 1, 1, 2]
-        assert sum(h["counts"]) == len(stats)
-
-    def test_explicit_edges(self):
-        stats = LatencyStats()
-        for v in (0.5, 1.5, 1.7, 9.0):
-            stats.add(v)
-        h = stats.histogram(bins=[0.0, 1.0, 2.0])
-        assert h["edges"] == [0.0, 1.0, 2.0]
-        assert h["counts"] == [1, 2]  # 9.0 falls outside and is dropped
-
-    def test_scale_applies_before_bucketing(self):
-        stats = LatencyStats()
-        stats.add(0.5)
-        h = stats.histogram(bins=[0.0, 1000.0], scale=1e3)
-        assert h["counts"] == [1]
-
-    def test_empty_and_constant_samples_are_well_formed(self):
-        empty = LatencyStats().histogram(bins=3)
-        assert len(empty["edges"]) == 4
-        assert empty["counts"] == [0, 0, 0]
-        const = LatencyStats()
-        const.add(2.0)
-        const.add(2.0)
-        h = const.histogram(bins=2)
-        assert sum(h["counts"]) == 2
-        assert h["edges"][0] < h["edges"][-1]
-
-    def test_invalid_bins_raise(self):
-        stats = LatencyStats()
-        stats.add(1.0)
-        with pytest.raises(ValueError):
-            stats.histogram(bins=0)
-        with pytest.raises(ValueError):
-            stats.histogram(bins=[1.0])
-        with pytest.raises(ValueError):
-            stats.histogram(bins=[2.0, 1.0])
-
-    def test_json_safe(self):
-        stats = LatencyStats()
-        stats.add(0.25)
-        json.dumps(stats.histogram(bins=4))  # must not raise
-
-
 class TestServerMetrics:
     def test_counter_flow(self):
         m = ServerMetrics()

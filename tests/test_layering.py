@@ -503,15 +503,6 @@ ALL = "*"
 #: Constructor options no call site sets: {class: (options, why they stay)}.
 UNSET_OPTIONS = {
     # -- the compiler half ---------------------------------------------------
-    "Counter": (
-        {"name"},
-        "built by MetricsRegistry._get(name, cls): the class is a variable"
-        " at the one construction site",
-    ),
-    "Histogram": (
-        {"name", "edges"},
-        "as Counter; `edges` rides through `_get(..., edges=edges)`",
-    ),
     "PrimExpr": (
         {"dtype"},
         "abstract node base: call sites build the concrete nodes, which"
@@ -708,10 +699,9 @@ PINNED_EXPORTS = {
     "serve/server.py:Server.submit_many": "user-facing serving API (README)",
     "serve/server.py:SyncClient": "user-facing serving API (README)",
     "serve/server.py:SyncClient.infer": "as SyncClient",
-    "obs/tracer.py:Tracer.advance":
-        "tracer API for costs known outside a span; tests/obs pins its"
-        " cursor semantics",
-    "obs/tracer.py:NullTracer.advance": "the disabled twin of Tracer.advance",
+    "obs/tracer.py:Tracer.now":
+        "test oracle: a track's virtual cursor, which tests/obs checks"
+        " against a model of the clock",
     "obs/tracer.py:Tracer.top_spans":
         "user-facing: examples/quickstart.py step 8 and the README",
     "upmem/config.py:UpmemConfig.with_":
@@ -773,6 +763,11 @@ CUT = (
     "tir/expr.py:Cast", "tir/expr.py:Call", "tir/expr.py:any_of",
     "tir/stmt.py:Evaluate", "tir/stmt.py:Intrin", "tir/stmt.py:Allocate",
     "tir/interval.py:Interval.union", "tir/printer.py:script",
+    "obs/metrics.py:MetricsRegistry", "obs/metrics.py:Counter",
+    "obs/metrics.py:Histogram", "obs/export.py:jsonl_events",
+    "obs/export.py:write_jsonl", "obs/tracer.py:Tracer.advance",
+    "obs/tracer.py:NullTracer.advance", "obs/lint.py:main",
+    "serve/metrics.py:LatencyStats.histogram", "serve/server.py:Server.now",
 )
 
 
