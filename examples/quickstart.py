@@ -10,14 +10,14 @@ Walks the ATiM flow around the single entry point
    tasklet binding, WRAM caching, hierarchical reduction) and compile it
    through the same front door, reading per-pass wall time from a
    wall-clock ``Tracer``;
-3. compare one workload across every registered target — UPMEM, the
+3. compare one workload across every target — UPMEM, the
    PrIM/SimplePIM baselines, the CPU/GPU rooflines and the HBM-PIM
    estimate — in one generic loop;
 4. autotune with a persistent database: measured candidates append to a
    JSON-lines store as the search runs, a second search warm-starts from
    it (replaying measurements instead of re-simulating), and
-   ``repro.compile(wl, tuned=True, db=...)`` resolves the stored best
-   without searching again;
+   ``repro.compile(wl, params=tuned_params(wl, db=...))`` compiles the
+   stored best without searching again;
 5. serve a stream of requests: a ``repro.serve.Server`` batches mixed
    GPT-J + tensor-op traffic dynamically (grouped by compiled program,
    flushed on batch size or virtual-clock age — wall time never enters
@@ -53,7 +53,7 @@ import numpy as np
 
 import repro
 from repro import te
-from repro.autotune import TuningCache, autotune
+from repro.autotune import TuningCache, autotune, tuned_params
 from repro.schedule import Schedule
 from repro.workloads import make_workload, mtv
 
@@ -171,13 +171,13 @@ def persistent_tuning() -> None:
             f"({warm.measure_cache_hits} measurements served from the db)"
         )
 
-        # tuned=True resolves the stored best without searching at all.
-        exe = repro.compile(wl, target="upmem", tuned=True, db=db,
-                            tune_trials=32)
+        # tuned_params reads the stored best without searching at all.
+        params = tuned_params(wl, db=db, n_trials=32)
+        exe = repro.compile(wl, target="upmem", params=params)
         assert exe.params == cold.best_params
         records = TuningCache(db).load(cold.db_key)
         print(
-            f"tuned=True compile reused the stored best "
+            f"tuned compile reused the stored best "
             f"({len(records)} records on disk): {exe.params}"
         )
 

@@ -27,7 +27,6 @@ from .target import (
     compile,
     get_target,
     list_targets,
-    register_target,
 )
 from .upmem import DEFAULT_CONFIG, UpmemConfig
 from . import serve
@@ -54,7 +53,6 @@ __all__ = [
     "Executable",
     "get_target",
     "list_targets",
-    "register_target",
     "lower",
     "LowerOptions",
     "Schedule",

@@ -56,17 +56,11 @@ class CompileEngine:
         params: Dict[str, int],
         opt_level: str = "O3",
         config: Optional[UpmemConfig] = None,
-        target: object = None,
     ) -> CompiledArtifact:
         """Sketch → lower → optimize → verify; always returns an artifact.
 
         ``artifact.verified`` says whether ``artifact.module`` may run
-        on ``config``'s machine.  ``target`` (a
-        :class:`repro.target.Target`, when compiling on behalf of one)
-        contributes its ``cache_token()`` to the cache key: ``None`` for
-        targets whose compilation the key already fully describes (they
-        share artifacts with equivalent compiles), a stable token for
-        targets that alter compilation beyond the standard knobs.
+        on ``config``'s machine.
 
         **Immutability contract:** cache hits return the *shared* cached
         ``LoweredModule`` — callers must treat it as read-only (executing
@@ -77,9 +71,7 @@ class CompileEngine:
         # Normalize so config=None and an explicit DEFAULT_CONFIG share
         # one cache entry (callers spell the default both ways).
         config = config if config is not None else DEFAULT_CONFIG
-        key = artifact_key(
-            workload, params, config, opt_level=opt_level, target=target
-        )
+        key = artifact_key(workload, params, config, opt_level=opt_level)
         tracer = current_tracer()
         artifact = self.cache.get(key)
         if tracer.enabled:

@@ -313,8 +313,8 @@ class TuningCache:
 
     def group_summary(self, key: str) -> Tuple[Optional[TuningRecord], int]:
         """(best record, largest completed budget) of a group — one file
-        scan, no :class:`Database` construction; the lookup fast paths
-        (``tuned=True``) stay O(file) even for huge stores."""
+        scan, no :class:`Database` construction; the lookup fast path
+        (``tuned_params``) stays O(file) even for huge stores."""
         best: Optional[TuningRecord] = None
         completed = 0
         if not self.exists():
@@ -356,11 +356,11 @@ class TuningCache:
     ) -> None:
         """Record that a search over this group ran to completion.
 
-        Written as an ``event`` line (skipped by record loads); consumers
-        like ``tuned=True`` use :meth:`completed_trials` to decide
-        whether a stored group already covers a requested search budget —
-        record *count* alone cannot tell a finished run from the union
-        of several interrupted or differently-seeded ones.
+        Written as an ``event`` line (skipped by record loads);
+        ``tuned_params`` reads it (through :meth:`group_summary`) to
+        decide whether a stored group already covers a requested search
+        budget — record *count* alone cannot tell a finished run from
+        the union of several interrupted or differently-seeded ones.
         """
         payload = dict(meta or {})
         payload.update(

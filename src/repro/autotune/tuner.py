@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..pipeline import CacheStats, tuning_key
-from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..workloads import Workload
 from .compile import CompileEngine
 from .cost_model import CostModel
@@ -54,22 +53,6 @@ _POOL_PER_BATCH = 4
 def measure_stats() -> CacheStats:
     """Snapshot of process-wide measurement-memo hit/miss counters."""
     return _MEASURE_STATS.snapshot()
-
-
-def _resolve_target(target: Optional[object], config: Optional[UpmemConfig]):
-    """The Tuner's target semantics, shared with the ``tuned_params``
-    fast path so both compute identical ``tuning_key`` groups:
-    ``target`` supersedes the raw-config interface; ``config`` is sugar
-    for an UPMEM target with a custom machine description."""
-    # Local: ``target`` sits above ``autotune`` (targets compile through
-    # the engine and seed from the tuner).
-    from ..target import UpmemTarget, get_target
-
-    if target is not None:
-        if config is not None:
-            raise ValueError("pass either target or config, not both")
-        return get_target(target)
-    return UpmemTarget(config=config or DEFAULT_CONFIG)
 
 
 @dataclass
@@ -142,8 +125,7 @@ class Tuner:
     def __init__(
         self,
         workload: Workload,
-        config: Optional[UpmemConfig] = None,
-        target: Optional[object] = None,
+        target: object = "upmem",
         n_trials: int = 256,
         batch_size: int = 16,
         seed: int = 0,
@@ -155,10 +137,15 @@ class Tuner:
         db: Optional[object] = None,
         resume: bool = False,
     ) -> None:
+        # Local: ``target`` sits above ``autotune`` (targets compile
+        # through the engine and sketch from its table).
+        from ..target import get_target
+
         # Candidates are sketched on the UPMEM grid but *scored* by the
         # target's own performance model, so the same search drives
-        # UPMEM, HBM-PIM or any registered backend.
-        self.target = _resolve_target(target, config)
+        # UPMEM or HBM-PIM (a machine of another size is a configured
+        # target: ``target=UpmemTarget(config)``).
+        self.target = get_target(target)
         self.workload = workload
         self.config = self.target.search_config
         self.n_trials = n_trials
@@ -197,7 +184,7 @@ class Tuner:
         if resume and self.tuning_cache is None:
             raise ValueError("resume=True requires a db to resume from")
         self.db_key = tuning_key(
-            workload, self.config, self.target, opt_level=self.opt_level
+            workload, self.config, self.target.kind, opt_level=self.opt_level
         )
         self._warm: Dict[Tuple, TuningRecord] = {}
         if resume and self.tuning_cache is not None:
@@ -238,7 +225,6 @@ class Tuner:
             params,
             opt_level=self.opt_level,
             config=self.config,
-            target=self.target,
         )
         if not artifact.verified:
             return None
@@ -426,7 +412,7 @@ class Tuner:
             # space first (``trial`` < n_trials with an empty batch), so
             # the marker records n_trials: an exhausted-space group must
             # still resolve instantly for the same budget instead of
-            # re-searching on every tuned=True compile.
+            # re-searching on every tuned_params call.
             self.tuning_cache.mark_complete(
                 self.db_key,
                 self.n_trials,
@@ -470,8 +456,7 @@ class Tuner:
 def autotune(
     workload: Workload,
     n_trials: int = 256,
-    config: Optional[UpmemConfig] = None,
-    target: Optional[object] = None,
+    target: object = "upmem",
     seed: int = 0,
     **kwargs,
 ) -> TuneResult:
@@ -479,8 +464,9 @@ def autotune(
 
     ``target`` selects the backend whose performance model scores the
     candidates (default: the simulated UPMEM system); pass a kind string
-    (``"upmem"``, ``"hbm-pim"``, ...) or a configured
-    :class:`repro.target.Target` instance.
+    (``"upmem"``, ``"hbm-pim"``) or a configured
+    :class:`repro.target.Target` instance.  Other targets cannot price a
+    module and raise :class:`repro.target.TargetError`.
 
     Persistence knobs forward to :class:`Tuner`:
     ``db=`` (path or :class:`TuningCache`) appends measured records to a
@@ -488,7 +474,6 @@ def autotune(
     """
     tuner = Tuner(
         workload,
-        config=config,
         target=target,
         n_trials=n_trials,
         seed=seed,
@@ -499,7 +484,7 @@ def autotune(
 
 def tuned_params(
     workload: Workload,
-    target: Optional[object] = None,
+    target: object = "upmem",
     db: Optional[object] = None,
     n_trials: int = 64,
     seed: int = 0,
@@ -518,15 +503,19 @@ def tuned_params(
     search, warm-started and persisting into ``db`` when given, and
     returns its winner.  ``resume`` defaults to warm-starting whenever
     ``db`` is given; pass ``resume=False`` to persist without
-    warm-starting (which also forces a fresh search).  This backs
-    ``repro.compile(workload, target=..., tuned=True)``.
+    warm-starting (which also forces a fresh search).  Compile the
+    winner with ``repro.compile(workload, target, params=...)``.
     """
     resume = db is not None if resume is None else resume
     if db is not None and resume:
+        # Local: as in ``Tuner.__init__``.
+        from ..target import get_target
+
         cache = TuningCache.ensure(db)
-        resolved = _resolve_target(target, kwargs.get("config"))
+        resolved = get_target(target)
         key = tuning_key(
-            workload, resolved.search_config, resolved, opt_level=opt_level
+            workload, resolved.search_config, resolved.kind,
+            opt_level=opt_level,
         )
         best, completed = cache.group_summary(key)
         if completed >= n_trials and best is not None:

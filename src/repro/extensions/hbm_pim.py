@@ -13,10 +13,11 @@ module's per-DPU tiles onto PU command streams and estimates latency from
 command counts, showing that the two-level binding the paper describes
 (bank level + PU level) drops out of the existing grid/tile structure.
 
-The user-facing surface is the first-class ``hbm-pim`` target
-(``repro.compile(workload, target="hbm-pim")``, cross-target tuning via
-``autotune(wl, target="hbm-pim")``); this module provides the estimator
-it applies to the module the shared ``build`` pipeline lowers.
+The user-facing surface is the ``hbm-pim`` target
+(``repro.compile(workload, target="hbm-pim")``; ``autotune(wl,
+target="hbm-pim")`` scores a search with this estimator); this module
+provides the estimator it applies to the module the shared ``build``
+pipeline lowers.
 """
 
 from __future__ import annotations

@@ -355,9 +355,10 @@ def gptj_decoder_graph(
 ) -> ModelGraph:
     """Build one GPT-J decoder-layer decode step as a :class:`ModelGraph`.
 
-    ``params`` overrides the pinned schedule params per *node name*;
-    ``pin_small_grids=False`` leaves matvec nodes unpinned so a tuned
-    pool (``tuned=True`` + a tuning db) resolves their parameters.
+    ``params`` overrides the pinned schedule params per *node name*
+    (tuned ones included: ``tuned_params(node.workload, db=...)``);
+    ``pin_small_grids=False`` leaves matvec nodes unpinned, so the pool
+    compiles them with the target's canonical defaults.
     """
     io = gptj_layer_io(config)
     g = ModelGraph(f"{config.name}-decoder-t{tokens}")

@@ -2,8 +2,8 @@
 
 Every node compiles through the serving layer's
 :class:`~repro.serve.pool.ExecutablePool` (so per-head operators that
-share one program compile once, and ``tuned=True`` pools warm-start
-node parameters from a persistent tuning database).  Execution walks the
+share one program compile once) with the node's own ``params`` — the
+builder's pinned grids, or tuned ones assigned per node.  Execution walks the
 graph's topological levels — nodes of one level are independent, so
 those that share an executable run as one ``run_batch`` (stacked on the
 simulator's lane axis) — and is bit-for-bit identical to calling each
@@ -406,27 +406,18 @@ def compile_graph(
     policy: str = "default",
     pool: Optional[Any] = None,
     opt_level: str = "O3",
-    tuned: bool = False,
-    db: Optional[Any] = None,
-    tune_trials: int = 64,
 ) -> GraphExecutable:
     """Compile a model graph: place every node, then compile each
     through an :class:`~repro.serve.pool.ExecutablePool`.
 
     ``target`` is the PIM side of the placement (``repro.compile``
-    routes its ``target=`` here); pass an explicit ``placement`` dict to
-    bypass the policy entirely.  ``tuned``/``db``/``tune_trials`` build
-    the pool in tuning-DB warm-start mode for nodes without pinned
-    params.
+    routes its ``target=`` and its other keywords here); pass an
+    explicit ``placement`` dict to bypass the policy entirely.
     """
     if placement is None:
         placement = place(graph, policy=policy, pim=target)
     if pool is None:
         pool = ExecutablePool(
-            capacity=max(8, len(graph.nodes)),
-            opt_level=opt_level,
-            tuned=tuned,
-            db=db,
-            tune_trials=tune_trials,
+            capacity=max(8, len(graph.nodes)), opt_level=opt_level
         )
     return GraphExecutable(graph, placement, target=target, pool=pool)

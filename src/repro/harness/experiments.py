@@ -269,7 +269,13 @@ def compare_targets(
     for target in targets:
         if not target.supports(workload):
             continue
-        exe = target.compile(workload, size=size)
+        # Only the PrIM tables are sized; every other target takes the
+        # generic signature.
+        exe = (
+            target.compile(workload, size=size)
+            if isinstance(target, PrimTarget)
+            else target.compile(workload)
+        )
         latencies[target.label] = exe.latency
         row[f"{target.label}_ms"] = exe.latency * 1e3
         if exe.params is not None and target.label != "prim":

@@ -14,9 +14,17 @@ __all__ = [
     "tighten_loop_bounds",
     "hoist_invariant_branches",
     "LEVELS",
+    "check_level",
 ]
 
 #: The §5.3 optimization levels, the only spelling of them: ``O0`` — no
 #: rewrite; ``O1`` — DMA-aware boundary-check elimination; ``O2`` — +
 #: loop-bound tightening; ``O3`` — + invariant branch hoisting.
 LEVELS = ("O0", "O1", "O2", "O3")
+
+
+def check_level(opt_level: str) -> None:
+    """Refuse a level outside :data:`LEVELS` (every target checks it,
+    whether or not it runs the passes)."""
+    if opt_level not in LEVELS:
+        raise ValueError(f"opt_level must be one of {LEVELS}")

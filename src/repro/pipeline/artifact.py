@@ -7,7 +7,7 @@ and the winning candidate is rebuilt after the search.  A
 :class:`CompiledArtifact` wraps the outcome of one compile (including
 *negative* outcomes, so invalid parameter combinations are rejected
 without re-sketching), keyed by a digest of (workload signature, schedule
-params, hardware config, opt level, target token).  The cache is
+params, hardware config, opt level).  The cache is
 in-memory with an optional on-disk tier that persists across processes.
 """
 
@@ -91,15 +91,13 @@ def artifact_key(
     params: Optional[Dict[str, int]] = None,
     config: Any = None,
     opt_level: str = "O3",
-    target: Any = None,
 ) -> str:
     """Content-addressed digest identifying one compile's inputs.
 
-    ``target`` is a :class:`repro.target.Target` (its ``cache_token()``
-    enters the key — ``None`` when the other key fields already fully
-    describe the target's compilation) or any stable raw token.
+    Every target that compiles a (workload, params) pair compiles it
+    alike, so the upmem target, the PrIM baselines' grid search and the
+    tuner share artifacts.
     """
-    token = target.identity()[2] if hasattr(target, "identity") else target
     payload = (
         CACHE_SCHEMA_VERSION,
         workload_signature(workload) if workload is not None else None,
@@ -107,10 +105,11 @@ def artifact_key(
         repr(config),
         opt_level,
         # Every module compiles through the one ``build`` pipeline; the
-        # two constants keep digests (and the disk tier) as they were
-        # when the pipeline name and an extra token were arguments.
+        # constants keep digests (and the disk tier) as they were when
+        # the pipeline name, a target's cache token and an extra token
+        # were arguments.
         "build",
-        token,
+        None,
         None,
     )
     return hashlib.sha256(repr(payload).encode()).hexdigest()
@@ -119,10 +118,10 @@ def artifact_key(
 def tuning_key(
     workload: Any,
     config: Any = None,
-    target: Any = None,
+    kind: Optional[str] = None,
     opt_level: str = "O3",
 ) -> str:
-    """Digest grouping tuning records by (workload, target, config,
+    """Digest grouping tuning records by (workload, target kind, config,
     opt level).
 
     The persistent tuning database shares this machinery with the
@@ -135,16 +134,14 @@ def tuning_key(
     schedule params are *not* part of the key — a group holds every
     measured candidate of one search space.
     """
-    if hasattr(target, "identity"):
-        kind, _config, token = target.identity()
-    else:
-        kind, token = (target if isinstance(target, str) else None), None
     payload = (
         CACHE_SCHEMA_VERSION,
         workload_signature(workload) if workload is not None else None,
         repr(config),
         kind,
-        token,
+        # Where a target's cache token sat: kept so stored groups keep
+        # their digests.
+        None,
         opt_level,
     )
     return hashlib.sha256(repr(payload).encode()).hexdigest()

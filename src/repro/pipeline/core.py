@@ -17,7 +17,7 @@ from typing import Any, Optional, Sequence, Tuple
 
 from ..lowering import LowerOptions
 from ..obs import current_tracer
-from ..optim import LEVELS
+from ..optim import LEVELS, check_level
 
 __all__ = ["Pass", "PassContext", "PassManager", "PipelineError"]
 
@@ -36,8 +36,7 @@ class PassContext:
     module_name: str = "main"
 
     def __post_init__(self) -> None:
-        if self.opt_level not in LEVELS:
-            raise ValueError(f"opt_level must be one of {LEVELS}")
+        check_level(self.opt_level)
 
 
 class Pass:

@@ -6,9 +6,9 @@ by MRAM capacity for staged weights; here residency also carries the
 compiled module).  The pool compiles lazily per (workload, target,
 params) key, reuses the process-wide artifact cache underneath (so an
 evicted-then-reloaded program re-wraps the cached lowered module instead
-of re-lowering), warm-starts schedule parameters from a persistent
-tuning database when ``tuned=True``, and evicts least-recently-used
-entries beyond ``capacity``.
+of re-lowering), and evicts least-recently-used entries beyond
+``capacity``.  Requests carry their schedule params (tuned ones come
+from ``tuned_params``); ``None`` compiles the target's defaults.
 """
 
 from __future__ import annotations
@@ -31,22 +31,11 @@ class ExecutablePool:
         self,
         capacity: int = 8,
         opt_level: str = "O3",
-        tuned: bool = False,
-        db: Optional[Any] = None,
-        tune_trials: int = 64,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.opt_level = opt_level
-        #: With ``tuned=True`` (and typically a ``db`` pointing at a
-        #: persistent :class:`~repro.autotune.TuningCache`), compiles
-        #: resolve autotuned parameters — a stored completed search is
-        #: a single file scan, so serving warm-starts from prior tuning
-        #: runs without searching inline.
-        self.tuned = tuned
-        self.db = db
-        self.tune_trials = tune_trials
         self._entries: "OrderedDict[Tuple, Executable]" = OrderedDict()
         self._pinned: set = set()
         self._key_hits: Dict[Tuple, int] = {}
@@ -62,7 +51,7 @@ class ExecutablePool:
         """Batching/residency identity of one compiled program.
 
         Structural workload signature (not object identity) + target
-        identity (kind, configuration, cache token) + explicit params:
+        identity (kind, configuration) + explicit params:
         two separately constructed but equal workloads share an
         executable; differently parameterized or differently configured
         requests never do.  The signature walks the workload's compute
@@ -86,9 +75,8 @@ class ExecutablePool:
                 pass
         return (
             memo[1],
-            # A kind string resolves through the registry *per call*, so
-            # it shares identity with an explicitly constructed default
-            # target and tracks ``register_target(..., overwrite=True)``.
+            # A kind string shares identity with an explicitly
+            # constructed default target.
             get_target(target).identity(),
             tuple(sorted((params or {}).items())),
         )
@@ -189,13 +177,7 @@ class ExecutablePool:
         from ..target.compile import compile as _compile
 
         return _compile(
-            workload,
-            target=get_target(target),
-            opt_level=self.opt_level,
-            params=params,
-            tuned=self.tuned and params is None,
-            db=self.db,
-            tune_trials=self.tune_trials,
+            workload, target=target, opt_level=self.opt_level, params=params
         )
 
     def prewarm(

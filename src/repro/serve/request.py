@@ -29,7 +29,7 @@ class Request:
 
     workload: Any  # repro.workloads.Workload
     inputs: Optional[Dict[str, np.ndarray]] = None
-    target: Any = "upmem"  # registered kind string or Target instance
+    target: Any = "upmem"  # kind string or Target instance
     params: Optional[Dict[str, int]] = None
     #: Assigned by the server at admission (submission order).
     request_id: Optional[int] = None

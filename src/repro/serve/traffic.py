@@ -48,8 +48,7 @@ class TraceEvent:
 @dataclass(frozen=True)
 class MixEntry:
     """One mix member: the workload plus the schedule params requests
-    are served with (``None`` lets the pool pick — canonical defaults,
-    or database-tuned params for a ``tuned=True`` pool)."""
+    are served with (``None``: the target's canonical defaults)."""
 
     workload: Workload
     params: Optional[Dict[str, int]] = None

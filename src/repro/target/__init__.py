@@ -3,18 +3,11 @@
 A :class:`Target` bundles a backend's configuration, compile pipeline,
 performance model and (where supported) functional executor;
 :func:`compile` turns a workload or schedule into a uniform
-:class:`Executable`.  See :mod:`repro.target.base` for the registry and
-:mod:`repro.target.targets` for the six built-in kinds.
+:class:`Executable`.  See :mod:`repro.target.base` for the protocol and
+:mod:`repro.target.targets` for the six kinds.
 """
 
-from .base import (
-    Target,
-    TargetError,
-    get_target,
-    has_target,
-    list_targets,
-    register_target,
-)
+from .base import Target, TargetError
 from .compile import compile
 from .executable import (
     EstimateExecutable,
@@ -32,15 +25,15 @@ from .targets import (
     SimplePimTarget,
     UpmemTarget,
     default_params,
+    get_target,
+    list_targets,
 )
 
 __all__ = [
     "compile",
     "Target",
     "TargetError",
-    "register_target",
     "get_target",
-    "has_target",
     "list_targets",
     "Executable",
     "UpmemExecutable",

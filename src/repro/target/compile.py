@@ -9,18 +9,17 @@
     out, = exe.run(A=a, B=b)
     print(exe.latency, repro.list_targets())
 
-One call works for every registered target, for workloads, explicit
-schedules and model graphs alike; there is no other way in.
+One call works for every target, for workloads, explicit schedules and
+model graphs alike; there is no other way in.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Union
 
-from ..autotune.tuner import tuned_params
-from ..schedule import Schedule
-from .base import Target, get_target
+from .base import Target
 from .executable import Executable
+from .targets import get_target
 
 __all__ = ["compile"]
 
@@ -30,11 +29,7 @@ def compile(
     target: Union[str, Target] = "upmem",
     opt_level: str = "O3",
     params: Optional[Dict[str, int]] = None,
-    tuned: bool = False,
-    db: Optional[Any] = None,
-    tune_trials: int = 64,
-    tune_seed: int = 0,
-    **hints: Any,
+    **target_args: Any,
 ) -> Executable:
     """Compile a workload or explicit schedule for a target.
 
@@ -46,36 +41,31 @@ def compile(
         :class:`repro.schedule.Schedule` (targets with a compile pipeline
         only).
     target:
-        Registered kind string (see :func:`repro.target.list_targets`) or
-        a configured :class:`Target` instance.
+        A kind string (see :func:`repro.target.list_targets`) or a
+        configured :class:`Target` instance.
     opt_level:
         PIM-aware optimization level ``O0``..``O3`` (§5.3).
     params:
         Explicit sketch parameters for workload compilation; default is
         the target's canonical choice (sketch seed, PrIM table, ...).
-    tuned:
-        Use autotuned parameters instead of the target's canonical
-        defaults.  With ``db=`` pointing at an on-disk tuning database
-        (see :class:`repro.autotune.TuningCache`), a previously tuned
-        (workload, target, config) group resolves instantly from the
-        stored best; otherwise ``tune_trials`` search trials run first
-        (and persist into ``db`` when given).  Ignored for explicit
-        schedules and when ``params`` is passed.
-    db / tune_trials / tune_seed:
-        Persistent-store path and search budget/seed for ``tuned=True``.
-    hints:
-        Target-specific extras, e.g. ``size="64MB"`` (PrIM parameter
-        table row), ``total_macs=`` (HBM-PIM schedule estimates) or
-        ``options=`` (the :class:`repro.lowering.LowerOptions` an
-        explicit schedule lowers under on ``upmem``).
-        Targets ignore hints they do not understand.
+        Tuned parameters come from the search:
+        ``params=tuned_params(workload, db=...)``.
+    target_args:
+        Handed unchanged to the target's own ``compile``, which names
+        every keyword it reads: ``size=`` (prim's parameter table row),
+        ``total_macs=`` (hbm-pim schedule estimates), ``name=`` /
+        ``options=`` (the module name and
+        :class:`repro.lowering.LowerOptions` of an explicit schedule on
+        upmem).  Any other keyword raises ``TypeError``.
 
     Returns the target's :class:`Executable` with the uniform
     ``run`` / ``run_batch`` / ``profile`` / ``latency`` surface.
 
     A :class:`repro.graph.ModelGraph` compiles node-by-node instead:
     ``target`` becomes the PIM side of the placement (glue nodes stay on
-    the host), and the result is a
+    the host), ``target_args`` go to
+    :func:`~repro.graph.executable.compile_graph` (``placement=``,
+    ``policy=``, ``pool=``), and the result is a
     :class:`~repro.graph.executable.GraphExecutable`.
     """
     # Local: ``graph`` sits above ``target`` (its executables hold
@@ -90,38 +80,13 @@ def compile(
                 " parameters per node (Node.params / the builder's"
                 " params= overrides)"
             )
-
-        graph_hints = {
-            k: v
-            for k, v in hints.items()
-            if k in ("placement", "policy", "pool")
-        }
         return compile_graph(
             workload_or_schedule,
             target=target,
             opt_level=opt_level,
-            tuned=tuned,
-            db=db,
-            tune_trials=tune_trials,
-            **graph_hints,
+            **target_args,
         )
-    target = get_target(target)
-    if (
-        tuned
-        and params is None
-        and not isinstance(workload_or_schedule, Schedule)
-    ):
-        params = tuned_params(
-            workload_or_schedule,
-            target=target,
-            db=db,
-            n_trials=tune_trials,
-            seed=tune_seed,
-            # Tune at the level the result will compile at: O0 and O3
-            # measure differently, so they form separate db groups and
-            # must not trade winners.
-            opt_level=opt_level,
-        )
-    return target.compile(
-        workload_or_schedule, opt_level=opt_level, params=params, **hints
+    return get_target(target).compile(
+        workload_or_schedule, opt_level=opt_level, params=params,
+        **target_args,
     )

@@ -10,7 +10,7 @@ numpy functional execution.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from ..autotune.compile import default_engine
 from ..autotune.sketch import (
@@ -24,12 +24,13 @@ from ..baselines.prim import prim_params, prim_search
 from ..baselines.simplepim import SIMPLEPIM_WORKLOADS, simplepim_build
 from ..extensions.hbm_pim import HbmPimConfig, HbmPimEstimator
 from ..lowering import LowerOptions
+from ..optim import check_level
 from ..pipeline import PassContext, build
 from ..schedule import Schedule
 from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..upmem.system import PerformanceModel
 from ..workloads import Workload
-from .base import Target, TargetError, has_target, register_target
+from .base import Target, TargetError
 from .executable import (
     EstimateExecutable,
     Executable,
@@ -45,6 +46,8 @@ __all__ = [
     "GpuTarget",
     "HbmPimTarget",
     "default_params",
+    "get_target",
+    "list_targets",
 ]
 
 
@@ -59,6 +62,17 @@ def default_params(
     return seed_params(space, cfg.n_dpus)[0]
 
 
+def _fixed_structure_level(kind: str, opt_level: str) -> None:
+    """prim and simplepim reproduce one hand-written structure, built
+    at O3: another level would silently return the O3 module."""
+    check_level(opt_level)
+    if opt_level != "O3":
+        raise TargetError(
+            f"the {kind} target compiles its fixed structure at O3,"
+            f" not {opt_level}"
+        )
+
+
 class UpmemTarget(Target):
     """The simulated UPMEM machine — ATiM's primary backend.
 
@@ -68,7 +82,8 @@ class UpmemTarget(Target):
 
     With an explicit schedule, ``options`` takes the
     :class:`repro.lowering.LowerOptions` to lower it under and ``name``
-    the module's name.
+    the module's name; a workload lowers under the defaults, so either
+    with a workload raises :class:`TargetError`.
     """
 
     kind = "upmem"
@@ -92,23 +107,26 @@ class UpmemTarget(Target):
         workload_or_schedule: Any,
         opt_level: str = "O3",
         params: Optional[Dict[str, int]] = None,
-        name: str = "main",
+        name: Optional[str] = None,
         options: Optional[LowerOptions] = None,
-        **hints: Any,
     ) -> Executable:
         if isinstance(workload_or_schedule, Schedule):
             ctx = PassContext(
                 opt_level=opt_level,
                 options=options or LowerOptions(),
-                module_name=name,
+                module_name=name or "main",
             )
             lowered = build.run(workload_or_schedule, ctx)
             return UpmemExecutable(lowered, self, params=params)
         workload = workload_or_schedule
+        if name is not None or options is not None:
+            raise TargetError(
+                "name= and options= apply to an explicit schedule; a"
+                f" workload ({workload.name}) compiles under the defaults"
+            )
         params = params or default_params(workload, self.config)
         artifact = default_engine().compile(
-            workload, params, opt_level=opt_level, config=self.config,
-            target=self,
+            workload, params, opt_level=opt_level, config=self.config
         )
         if not artifact.ok:
             # Refused before a module existed: by the sketch, by
@@ -163,10 +181,6 @@ class PrimTarget(Target):
             return False
         return True
 
-    @property
-    def search_config(self) -> UpmemConfig:
-        return self.config
-
     def params_for(
         self, workload: Workload, size: Optional[str] = None
     ) -> Dict[str, int]:
@@ -175,7 +189,7 @@ class PrimTarget(Target):
         variants inherently profile candidates to pick a winner."""
         if self.variant == "default":
             return prim_params(workload, size=size)
-        return self.compile(workload, size=size).params
+        return self.compile(workload).params
 
     def compile(
         self,
@@ -183,13 +197,13 @@ class PrimTarget(Target):
         opt_level: str = "O3",
         params: Optional[Dict[str, int]] = None,
         size: Optional[str] = None,
-        **hints: Any,
     ) -> Executable:
         if isinstance(workload_or_schedule, Schedule):
             raise TargetError(
                 "the prim target reproduces fixed kernel structures; compile"
                 " a Workload (explicit schedules belong on target='upmem')"
             )
+        _fixed_structure_level(self.kind, opt_level)
         workload = workload_or_schedule
         profile_override = None
         if self.variant == "default":
@@ -210,9 +224,6 @@ class PrimTarget(Target):
             artifact.module, self, workload, params, profile_override
         )
 
-    def measure(self, module: Any, workload: Any = None) -> float:
-        return PerformanceModel(self.config).profile(module).latency.total
-
 
 class SimplePimTarget(Target):
     """SimplePIM framework baseline (Chen et al., PACT 2023): VA / GEVA /
@@ -226,22 +237,18 @@ class SimplePimTarget(Target):
     def supports(self, workload: Workload) -> bool:
         return getattr(workload, "name", None) in SIMPLEPIM_WORKLOADS
 
-    @property
-    def search_config(self) -> UpmemConfig:
-        return self.config
-
     def compile(
         self,
         workload_or_schedule: Any,
         opt_level: str = "O3",
         params: Optional[Dict[str, int]] = None,
-        **hints: Any,
     ) -> Executable:
         if isinstance(workload_or_schedule, Schedule):
             raise TargetError(
                 "the simplepim target reproduces the framework's fixed"
                 " handler structure; compile a Workload"
             )
+        _fixed_structure_level(self.kind, opt_level)
         workload = workload_or_schedule
         if not self.supports(workload):
             raise TargetError(
@@ -252,7 +259,10 @@ class SimplePimTarget(Target):
 
 
 class _RooflineTarget(Target):
-    """Shared behaviour of the CPU/GPU roofline baselines."""
+    """Shared behaviour of the CPU/GPU roofline baselines: a roofline
+    prices the workload, not a module, so it ignores ``params`` and
+    accepts every level (a graph's host glue compiles at the pool's
+    level)."""
 
     def __init__(self, model: Any) -> None:
         self.model = model
@@ -269,25 +279,22 @@ class _RooflineTarget(Target):
         workload_or_schedule: Any,
         opt_level: str = "O3",
         params: Optional[Dict[str, int]] = None,
-        **hints: Any,
     ) -> Executable:
         if isinstance(workload_or_schedule, Schedule):
             raise TargetError(
                 f"the {self.kind} roofline models workloads analytically;"
                 " explicit schedules belong on target='upmem'"
             )
+        check_level(opt_level)
         return RooflineExecutable(self, workload_or_schedule, self.model)
-
-    def measure(self, module: Any, workload: Any = None) -> float:
-        if workload is None:
-            raise TargetError(
-                f"the {self.kind} roofline measures workloads, not modules"
-            )
-        return self.model.latency(workload)
 
 
 class CpuTarget(_RooflineTarget):
-    """TVM-autotuned CPU baseline as a calibrated roofline (§6)."""
+    """TVM-autotuned CPU baseline as a calibrated roofline (§6).
+
+    ``params`` is ignored: fig16 replays one request mix, upmem params
+    included, across upmem and cpu.
+    """
 
     kind = "cpu"
 
@@ -346,7 +353,6 @@ class HbmPimTarget(Target):
         opt_level: str = "O3",
         params: Optional[Dict[str, int]] = None,
         total_macs: Optional[float] = None,
-        **hints: Any,
     ) -> Executable:
         workload = None
         if isinstance(workload_or_schedule, Schedule):
@@ -388,16 +394,33 @@ class HbmPimTarget(Target):
 
 
 # ---------------------------------------------------------------------------
-# registration
+# the target table
 # ---------------------------------------------------------------------------
 
-for _kind, _factory in (
-    ("upmem", UpmemTarget),
-    ("prim", PrimTarget),
-    ("simplepim", SimplePimTarget),
-    ("cpu", CpuTarget),
-    ("gpu", GpuTarget),
-    ("hbm-pim", HbmPimTarget),
-):
-    if not has_target(_kind):
-        register_target(_kind, _factory)
+#: Every kind ``get_target`` resolves, to the class it constructs.
+_TARGETS: Dict[str, type] = {
+    cls.kind: cls
+    for cls in (
+        UpmemTarget, PrimTarget, SimplePimTarget, CpuTarget, GpuTarget,
+        HbmPimTarget,
+    )
+}
+
+
+def get_target(spec: Union[str, Target]) -> Target:
+    """Resolve a target spec: instances pass through, a kind string
+    constructs a fresh default-configured instance."""
+    if isinstance(spec, Target):
+        return spec
+    try:
+        cls = _TARGETS[spec]
+    except (KeyError, TypeError):
+        raise TargetError(
+            f"unknown target {spec!r}; known: {list_targets()}"
+        ) from None
+    return cls()
+
+
+def list_targets() -> List[str]:
+    """The target kinds, sorted."""
+    return sorted(_TARGETS)

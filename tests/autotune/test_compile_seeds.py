@@ -4,6 +4,7 @@ import pytest
 
 from repro.autotune import Tuner
 from repro.autotune.compile import default_engine
+from repro.target import UpmemTarget
 from repro.upmem.config import UpmemConfig
 from repro.workloads import mha_mmtv, GPTJ_30B, mmtv, mtv, red, va
 
@@ -100,6 +101,6 @@ class TestSeeding:
 
     def test_small_system_respected(self):
         cfg = UpmemConfig().with_(n_ranks=1)  # 64 DPUs
-        tuner = Tuner(mtv(4096, 4096), config=cfg, n_trials=8)
+        tuner = Tuner(mtv(4096, 4096), target=UpmemTarget(cfg), n_trials=8)
         for params in tuner._seed_params():
             assert params["m_dpus"] * params.get("k_dpus", 1) <= 64

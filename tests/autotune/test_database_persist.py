@@ -153,7 +153,7 @@ class TestSaveLoad:
     def test_torn_header_reads_as_empty_store(self, tmp_path):
         # A writer killed during the very first append leaves only a
         # partial header; readers must treat that as an empty store, not
-        # crash every later --resume / tuned=True on the path.
+        # crash every later --resume / tuned_params on the path.
         path = tmp_path / "db.jsonl"
         path.write_text(json.dumps({"format": DB_FORMAT})[:14])
         cache = TuningCache(path)
@@ -320,8 +320,9 @@ class TestTuningKey:
         ) != base
 
     def test_target_instance_and_kind_string_agree(self):
+        from repro.autotune import Tuner
         from repro.target import UpmemTarget
 
-        assert tuning_key(
-            mtv(64, 64), DEFAULT_CONFIG, UpmemTarget()
-        ) == tuning_key(mtv(64, 64), DEFAULT_CONFIG, "upmem")
+        key = tuning_key(mtv(64, 64), DEFAULT_CONFIG, "upmem")
+        assert Tuner(mtv(64, 64), target=UpmemTarget()).db_key == key
+        assert Tuner(mtv(64, 64), target="upmem").db_key == key

@@ -93,7 +93,7 @@ class TestPersistentWarmStart:
 
     def test_exhausted_space_still_marks_requested_budget(self, tmp_path):
         # Regression: a search that ran out of candidates before
-        # n_trials used to mark only the measured count, so tuned=True
+        # n_trials used to mark only the measured count, so tuned_params
         # re-ran the search forever for such workloads.
         db = tmp_path / "tune.jsonl"
         tuner = Tuner(mtv(256, 256), n_trials=64, batch_size=8, seed=0,
@@ -143,8 +143,8 @@ class TestTunedCompile:
         wl = mtv(256, 256)
         result = autotune(wl, n_trials=12, seed=0, db=str(db))
 
-        exe = repro.compile(wl, target="upmem", tuned=True, db=str(db),
-                            tune_trials=12, tune_seed=0)
+        params = tuned_params(wl, db=str(db), n_trials=12, seed=0)
+        exe = repro.compile(wl, target="upmem", params=params)
         assert exe.params == result.best_params
         # The store was not re-tuned: still exactly one group with the
         # original record count.
@@ -154,10 +154,10 @@ class TestTunedCompile:
     def test_tuned_true_cold_runs_search_and_persists(self, tmp_path):
         db = tmp_path / "tune.jsonl"
         wl = mtv(256, 256)
-        exe = repro.compile(wl, target="upmem", tuned=True, db=str(db),
-                            tune_trials=8, tune_seed=0)
+        params = tuned_params(wl, db=str(db), n_trials=8, seed=0)
+        exe = repro.compile(wl, target="upmem", params=params)
         key = tuning_key(wl, repro.get_target("upmem").search_config,
-                         repro.get_target("upmem"))
+                         "upmem")
         best = TuningCache(db).best(key)
         assert best is not None
         assert exe.params == best.params
@@ -203,14 +203,18 @@ class TestTunedCompile:
                               resume=False)
         full = autotune(wl, n_trials=8, seed=0)
         assert params == full.best_params
-        target = repro.get_target("upmem")
-        key = tuning_key(wl, target.search_config, target)
+        key = tuning_key(wl, repro.get_target("upmem").search_config,
+                         "upmem")
         assert TuningCache(db).completed_trials(key) == 8
 
     def test_explicit_params_win_over_tuned(self):
+        """Explicit params are the one route in: the front door has no
+        tuning switch to override them."""
         wl = mtv(256, 256)
         from repro.target.targets import default_params
 
         params = default_params(wl)
-        exe = repro.compile(wl, target="upmem", tuned=True, params=params)
+        exe = repro.compile(wl, target="upmem", params=params)
         assert exe.params == params
+        with pytest.raises(TypeError, match="tuned"):
+            repro.compile(wl, target="upmem", tuned=True, params=params)

@@ -6,7 +6,7 @@ import repro
 from repro.autotune import Tuner
 from repro.extensions import HbmPimConfig, HbmPimEstimator
 from repro.obs import Tracer, use_tracer
-from repro.target import HbmPimTarget
+from repro.target import HbmPimTarget, UpmemTarget
 from repro.upmem import UpmemConfig
 from repro.workloads import mtv
 
@@ -17,7 +17,7 @@ from ..conftest import make_mtv_schedule
 def tune_result():
     tuner = Tuner(
         mtv(256, 256),
-        config=UpmemConfig().with_(n_ranks=2),
+        target=UpmemTarget(UpmemConfig().with_(n_ranks=2)),
         n_trials=24,
         batch_size=8,
         seed=0,
@@ -77,7 +77,7 @@ class TestTunerCaching:
 
         cfg = UpmemConfig().with_(n_ranks=2)
         engine = CompileEngine()
-        kwargs = dict(config=cfg, n_trials=8, batch_size=4, seed=2)
+        kwargs = dict(target=UpmemTarget(cfg), n_trials=8, batch_size=4, seed=2)
         r1 = Tuner(mtv(256, 256), engine=engine, **kwargs).tune()
         r2 = Tuner(mtv(256, 256), engine=engine, **kwargs).tune()
         # Per-run deltas sum to the engine totals, and the second
@@ -92,7 +92,7 @@ class TestTunerCaching:
 class TestDeterminism:
     def test_same_seed_same_result(self):
         cfg = UpmemConfig().with_(n_ranks=2)
-        kwargs = dict(config=cfg, n_trials=16, batch_size=8, seed=3)
+        kwargs = dict(target=UpmemTarget(cfg), n_trials=16, batch_size=8, seed=3)
         r1 = Tuner(mtv(256, 256), **kwargs).tune()
         r2 = Tuner(mtv(256, 256), **kwargs).tune()
         assert r1.best_params == r2.best_params

@@ -1,9 +1,9 @@
-"""ExecutablePool: lazy compile, LRU residency, tuned warm-start."""
+"""ExecutablePool: lazy compile, LRU residency, tuned params."""
 
 import numpy as np
 import pytest
 
-from repro.autotune import autotune
+from repro.autotune import autotune, tuned_params
 from repro.serve import ExecutablePool
 from repro.workloads import mtv, va
 
@@ -53,22 +53,6 @@ class TestKeying:
         assert ExecutablePool.key_for(wl, "upmem") == (
             ExecutablePool.key_for(wl, UpmemTarget())
         )
-
-    def test_kind_string_tracks_reregistration(self):
-        """register_target(..., overwrite=True) must change the keys of
-        kind-string requests — no stale cached identity."""
-        from repro.target import UpmemTarget, register_target
-        from repro.upmem import UpmemConfig
-
-        kind = "pool-rereg-test"
-        register_target(kind, UpmemTarget)
-        wl = mtv(32, 64)
-        before = ExecutablePool.key_for(wl, kind)
-        small_config = UpmemConfig().with_(n_ranks=2)
-        register_target(
-            kind, lambda: UpmemTarget(config=small_config), overwrite=True
-        )
-        assert ExecutablePool.key_for(wl, kind) != before
 
     def test_workload_params_mutation_invalidates_memo(self):
         """The per-instance signature memo revalidates on params
@@ -242,19 +226,21 @@ class TestPrewarm:
 
 class TestTunedWarmStart:
     def test_pool_resolves_params_from_database(self, tmp_path):
-        """tuned=True + a completed search in the db: the pool compiles
-        with the stored best params, no inline search."""
+        """A completed search in the db: ``tuned_params`` returns the
+        stored best without searching, and the pool compiles it."""
         db = str(tmp_path / "tune.jsonl")
         wl = mtv(64, 64)
         result = autotune(wl, n_trials=8, seed=0, db=db)
-        pool = ExecutablePool(tuned=True, db=db, tune_trials=8)
-        exe, loaded = pool.get(mtv(64, 64), "upmem")
+        pool = ExecutablePool()
+        params = tuned_params(mtv(64, 64), db=db, n_trials=8)
+        exe, loaded = pool.get(mtv(64, 64), "upmem", params)
         assert loaded
         assert exe.params == result.best_params
 
-    def test_explicit_params_bypass_tuning(self, tmp_path):
-        pool = ExecutablePool(
-            tuned=True, db=str(tmp_path / "absent.jsonl"), tune_trials=4
-        )
-        exe, _ = pool.get(mtv(32, 64), "upmem", MTV_PARAMS)
+    def test_explicit_params_bypass_tuning(self):
+        """The pool compiles the params a request carries; it has no
+        tuning mode of its own."""
+        exe, _ = ExecutablePool().get(mtv(32, 64), "upmem", MTV_PARAMS)
         assert exe.params == MTV_PARAMS
+        with pytest.raises(TypeError, match="tuned"):
+            ExecutablePool(tuned=True)

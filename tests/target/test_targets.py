@@ -1,26 +1,23 @@
-"""The Target registry and the ``repro.compile`` front door."""
+"""The target table and the ``repro.compile`` front door."""
 
 import numpy as np
 import pytest
 
 import repro
-from repro.autotune import autotune
-from repro.pipeline import artifact_key
-from repro.schedule import Schedule
+from repro.autotune import autotune, default_engine
+from repro.lowering import LowerOptions
+from repro.pipeline import artifact_key, tuning_key
 from repro.target import (
     CpuTarget,
     EstimateExecutable,
-    GpuTarget,
     HbmPimTarget,
     PrimTarget,
     SimplePimTarget,
-    Target,
     TargetError,
     UpmemTarget,
     default_params,
     get_target,
     list_targets,
-    register_target,
 )
 from repro.upmem import DEFAULT_CONFIG, UpmemConfig
 from repro.workloads import make_workload, mtv, red, va
@@ -30,9 +27,9 @@ SMALL = UpmemConfig().with_(n_ranks=2)
 
 class TestRegistry:
     def test_all_six_kinds_registered(self):
-        assert set(list_targets()) >= {
-            "upmem", "hbm-pim", "cpu", "gpu", "prim", "simplepim"
-        }
+        assert list_targets() == [
+            "cpu", "gpu", "hbm-pim", "prim", "simplepim", "upmem"
+        ]
 
     def test_get_target_by_kind(self):
         assert isinstance(get_target("upmem"), UpmemTarget)
@@ -46,20 +43,68 @@ class TestRegistry:
         with pytest.raises(TargetError):
             get_target("fpga")
 
-    def test_no_silent_clobbering(self):
-        with pytest.raises(TargetError):
-            register_target("upmem", UpmemTarget)
+    def test_labels_name_the_harness_columns(self):
+        assert [get_target(kind).label for kind in list_targets()] == [
+            "cpu", "gpu", "hbm_pim", "prim", "simplepim", "upmem"
+        ]
 
-    def test_custom_registration(self):
-        class Dummy(Target):
-            kind = "dummy-test"
 
-            def compile(self, obj, opt_level="O3", params=None, **hints):
-                raise TargetError("dummy")
+class TestStrictFrontDoor:
+    """``repro.compile`` hands its extra keywords to a target that names
+    every one it reads: a keyword it does not read raises instead of
+    leaving the number at the default."""
 
-        register_target("dummy-test", Dummy, overwrite=True)
-        assert "dummy-test" in list_targets()
-        assert isinstance(get_target("dummy-test"), Dummy)
+    def test_options_with_a_workload_raise(self):
+        options = LowerOptions(transfer_mode="bulk", boundary_checks=True)
+        with pytest.raises(TargetError, match="explicit schedule"):
+            repro.compile(mtv(256, 256), options=options)
+        with pytest.raises(TargetError, match="explicit schedule"):
+            repro.compile(mtv(256, 256), name="mtv")
+
+    def test_misspelled_keyword_raises(self):
+        with pytest.raises(TypeError, match="sise"):
+            repro.compile(mtv(64, 64), target="prim", sise="64MB")
+
+    def test_size_on_upmem_raises(self):
+        with pytest.raises(TypeError, match="size"):
+            repro.compile(mtv(64, 64), target="upmem", size="64MB")
+
+    def test_total_macs_on_cpu_raises(self):
+        with pytest.raises(TypeError, match="total_macs"):
+            repro.compile(mtv(64, 64), target="cpu", total_macs=4096)
+
+    def test_unknown_keyword_with_a_graph_raises(self):
+        from ..graph.conftest import chain_graph
+
+        with pytest.raises(TypeError, match="size"):
+            repro.compile(chain_graph(), size="64MB")
+
+
+class TestOptLevelChecked:
+    @pytest.mark.parametrize(
+        "kind", ["cpu", "gpu", "hbm-pim", "prim", "simplepim", "upmem"]
+    )
+    def test_unknown_level_raises_everywhere(self, kind):
+        with pytest.raises(ValueError, match="opt_level"):
+            repro.compile(red(4096), target=kind, opt_level="O9")
+
+    @pytest.mark.parametrize("kind", ["prim", "simplepim"])
+    def test_fixed_structures_compile_only_at_O3(self, kind):
+        """The O3 module is all these targets build; another level used
+        to return it unchanged."""
+        for level in ("O0", "O1", "O2"):
+            with pytest.raises(TargetError, match="at O3"):
+                repro.compile(va(4096), target=kind, opt_level=level)
+        assert repro.compile(va(4096), target=kind).latency > 0
+
+    @pytest.mark.parametrize("kind", ["cpu", "gpu"])
+    def test_rooflines_accept_every_level(self, kind):
+        """A graph's host glue compiles at the pool's level."""
+        latencies = {
+            repro.compile(va(4096), target=kind, opt_level=level).latency
+            for level in ("O0", "O1", "O2", "O3")
+        }
+        assert len(latencies) == 1
 
 
 class TestCompileAllTargets:
@@ -171,6 +216,18 @@ class TestPrimTarget:
         exe = PrimTarget(variant="search").compile(mtv(512, 512))
         assert exe.params and "n_tasklets" in exe.params
 
+    def test_params_for_matches_compile(self):
+        wl = make_workload("mtv", "4MB")
+        default = PrimTarget()
+        assert default.params_for(wl, size="4MB") == (
+            default.compile(wl, size="4MB").params
+        )
+        e = PrimTarget(variant="e")
+        assert e.params_for(wl) == e.compile(wl).params
+
+    def test_supports_the_prim_table(self):
+        assert PrimTarget().supports(mtv(64, 64))
+
     def test_invalid_params_raise(self):
         params = {"m_dpus": 64, "k_dpus": 1, "n_tasklets": 16,
                   "cache": 65536, "host_threads": 1}
@@ -230,12 +287,6 @@ class TestRooflineTargets:
         with pytest.raises(TargetError):
             repro.compile(make_mtv_schedule(16, 16), target="cpu")
 
-    @pytest.mark.parametrize("target", [CpuTarget, GpuTarget])
-    def test_measure_needs_the_workload(self, target):
-        module = repro.compile(mtv(64, 64), target="upmem").lowered
-        with pytest.raises(TargetError, match="measures workloads"):
-            target().measure(module)
-
 
 class TestHbmPimTarget:
     def test_mac_reduction_supported(self):
@@ -280,44 +331,35 @@ class TestCacheKeys:
                "host_threads": 1}
 
     def test_same_pipeline_targets_share_artifacts(self):
-        """Targets whose compilation is fully described by the key's
-        (pipeline, config, opt, params) produce byte-identical modules
-        and must share cache entries — the tuner's candidates and a bare
-        direct engine sweep over the same points compile once."""
+        """The upmem target and the PrIM baselines compile one (workload,
+        params) pair alike, so they share one cache entry: a tuner's
+        candidates and a baseline sweep over the same points compile
+        once."""
         wl = mtv(64, 64)
-        base = artifact_key(wl, self._PARAMS, DEFAULT_CONFIG)
-        upmem = artifact_key(
-            wl, self._PARAMS, DEFAULT_CONFIG, target=UpmemTarget()
-        )
-        prim = artifact_key(
-            wl, self._PARAMS, DEFAULT_CONFIG, target=PrimTarget()
-        )
-        assert base == upmem == prim
+        upmem = repro.compile(wl, target="upmem", params=self._PARAMS)
+        prim = repro.compile(wl, target="prim", params=self._PARAMS)
+        assert upmem.lowered is prim.lowered
+        assert upmem.lowered is default_engine().compile(
+            wl, self._PARAMS, config=DEFAULT_CONFIG
+        ).module
 
-    def test_custom_token_partitions(self):
-        """A target that alters compilation beyond the standard knobs
-        declares it via cache_token() and gets its own artifacts."""
-
-        class TunedPassTarget(UpmemTarget):
-            def cache_token(self):
-                return "custom-pass-config-v1"
-
+    def test_digests_are_pinned(self):
+        """A disk tier or tuning database written by an earlier build is
+        read only while these digests hold; a change here needs a
+        ``CACHE_SCHEMA_VERSION`` bump."""
         wl = mtv(64, 64)
-        base = artifact_key(wl, self._PARAMS, DEFAULT_CONFIG)
-        custom = artifact_key(
-            wl, self._PARAMS, DEFAULT_CONFIG, target=TunedPassTarget()
+        assert artifact_key(wl, self._PARAMS, DEFAULT_CONFIG, "O3") == (
+            "a81427eca7c7edea1e489a108c75424549e9f5aafb77ef26b2d7f76008ceb92c"
         )
-        assert base != custom
-        again = artifact_key(
-            wl, self._PARAMS, DEFAULT_CONFIG, target=TunedPassTarget()
+        assert artifact_key(wl, self._PARAMS, DEFAULT_CONFIG, "O0") == (
+            "9b65b00d9a84d7460fee9f89e4b105c44d08ac95041fcdfc4d34274763d1135c"
         )
-        assert custom == again
-
-    def test_raw_token_accepted(self):
-        wl = mtv(64, 64)
-        k1 = artifact_key(wl, self._PARAMS, DEFAULT_CONFIG, target="tok-a")
-        k2 = artifact_key(wl, self._PARAMS, DEFAULT_CONFIG, target="tok-b")
-        assert k1 != k2
+        assert tuning_key(wl, DEFAULT_CONFIG, "upmem", "O3") == (
+            "f1f7f0a17cba0065e78f876221a95d6ab999c341001fbe6a234ef5d93e746c8e"
+        )
+        assert tuning_key(wl, DEFAULT_CONFIG, "hbm-pim", "O0") == (
+            "6aa1437cd7b37e52f45795ddf6ba05fa0c21acc31dd5c5bfd428b5d3303261bc"
+        )
 
 
 class TestCrossTargetTuning:
@@ -328,11 +370,11 @@ class TestCrossTargetTuning:
         assert r_default.best_params == r_target.best_params
         assert r_default.best_latency == r_target.best_latency
 
-    def test_tuner_rejects_target_plus_config(self):
-        from repro.autotune import Tuner
-
-        with pytest.raises(ValueError):
-            Tuner(mtv(64, 64), config=SMALL, target="upmem")
+    @pytest.mark.parametrize("kind", ["cpu", "gpu", "prim", "simplepim"])
+    def test_baseline_tuning_raises(self, kind):
+        """Only a target whose model prices a module can score a search."""
+        with pytest.raises(TargetError, match="cannot measure modules"):
+            autotune(va(4096), n_trials=2, batch_size=2, target=kind)
 
     def test_hbm_pim_tuning(self):
         wl = mtv(256, 256)

@@ -29,9 +29,12 @@ ORDER = (
 #: Every function-local import that crosses a package boundary, with the
 #: reason it cannot sit at module level.
 LOCAL_IMPORTS = {
-    ("autotune/tuner.py", "_resolve_target", "target"):
+    ("autotune/tuner.py", "Tuner.__init__", "target"):
         "upward: targets compile through the engine and seed from the sketch"
         " table the tuner searches",
+    ("autotune/tuner.py", "tuned_params", "target"):
+        "upward, as Tuner.__init__: the stored-best fast path keys the"
+        " group by the target it resolves",
     ("target/compile.py", "compile", "graph"):
         "upward: the front door hands a ModelGraph to graph.compile_graph",
     ("serve/pool.py", "ExecutablePool._compile", "target"):
@@ -549,8 +552,7 @@ UNSET_OPTIONS = {
         {"config"},
         "a target's machine description: get_target(kind) builds the"
         " default, a configured instance is how a caller changes the"
-        " machine (UpmemTarget(config=) is the one in use);"
-        " harness.compare_targets hands on its own never-set config=",
+        " machine (UpmemTarget(config=) is the one tests use)",
     ),
     "SimplePimTarget": ({"config"}, "as PrimTarget"),
     "CpuTarget": ({"model"}, "as PrimTarget, for the roofline model"),
@@ -637,10 +639,17 @@ OUTSIDE_SRC_OPTIONS = {
         " (`cls(spec)`); tests open stores directly",
     ),
     "Tuner": (
-        {"config", "batch_size"},
-        "`config=` is the machine for a search without a target object"
-        " (autotune hands its own on); `batch_size=` sizes a round — tests"
-        " shrink both, the harness uses the defaults",
+        {"batch_size", "opt_level"},
+        "`batch_size=` sizes a round, `opt_level=` is the §5.3 level the"
+        " candidates compile and measure at (O0 and O3 form separate db"
+        " groups) — tests shrink the one and vary the other, the harness"
+        " tunes at the defaults",
+    ),
+    "UpmemTarget": (
+        {"config"},
+        "a target's machine description: tests and benchmarks tune and"
+        " compile for a smaller machine (`UpmemTarget(config=SMALL)`);"
+        " the program runs the paper's one",
     ),
     "HbmPimTarget": (
         {"config"}, "a custom PU array: tests/pipeline/test_tuner_cache.py",
@@ -732,6 +741,10 @@ PINNED_EXPORTS = {
     "autotune/tuner.py:TuneResult.measure_cache_hit_rate":
         "resolved by name from perf/ (autotune.measure_cache_hit_rate)",
     "autotune/tuner.py:TuneResult.best_gflops": "result-record accessor",
+    "autotune/tuner.py:tuned_params":
+        "user-facing: the one route from a tuning database to compile"
+        " params (`repro.compile(wl, params=tuned_params(wl, db=...))`;"
+        " examples/quickstart.py, README); the harness tunes with autotune",
 }
 
 #: What this count has cut: names that must not come back unreferenced.
@@ -768,6 +781,8 @@ CUT = (
     "obs/export.py:write_jsonl", "obs/tracer.py:Tracer.advance",
     "obs/tracer.py:NullTracer.advance", "obs/lint.py:main",
     "serve/metrics.py:LatencyStats.histogram", "serve/server.py:Server.now",
+    "target/base.py:register_target", "target/base.py:has_target",
+    "target/base.py:Target.cache_token",
 )
 
 
