@@ -200,7 +200,7 @@ def serving() -> None:
 
     mix = gptj_serving_mix(tokens=4)
     trace = generate_trace(
-        100, sorted(mix), pattern="burst", seed=0, burst=16, gap_ticks=8
+        100, sorted(mix), seed=0, burst=16, gap_ticks=8
     )
     with Server(
         ExecutablePool(capacity=8),

@@ -35,14 +35,13 @@ __all__ = ["ContinuousScheduler"]
 
 
 class ContinuousScheduler:
-    """Iteration composer for one cluster (stateless between calls
-    except for counters — all inputs come from cluster state)."""
+    """Iteration composer for one cluster (stateless between calls —
+    all inputs come from cluster state)."""
 
     def __init__(self, max_batch: int = 8) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = max_batch
-        self.deferred_steps = 0
 
     @staticmethod
     def by_priority(sessions: List[Session]) -> List[Session]:
@@ -63,7 +62,6 @@ class ContinuousScheduler:
             )
             need = engine.step_pages(session.sequence)
             if need > budget:
-                self.deferred_steps += 1
                 continue
             free[session.layers] = budget - need
             chosen.append(session)

@@ -88,6 +88,9 @@ class ClusterConfig:
     #: Every worker builds its engines from this seed: model weights are
     #: identical fleet-wide, which replay-on-recovery depends on.
     engine_seed = 0
+    #: Per-iteration dispatch cost — also the admission-time TTFT floor:
+    #: even an otherwise-empty cluster pays one dispatch before the first
+    #: token.
     dispatch_overhead_s = 1e-4
     #: Idle DPU groups an iteration's kernels replicate across.
     replica_groups = 4
@@ -105,13 +108,6 @@ class ClusterConfig:
             )
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-
-    @property
-    def ttft_floor_s(self) -> float:
-        """Admission-time SLO floor: even an otherwise-empty cluster
-        pays one dispatch before the first token, so a TTFT deadline
-        below it is unsatisfiable at submit time."""
-        return self.dispatch_overhead_s
 
 
 @dataclass
@@ -221,6 +217,10 @@ class Cluster:
         )
         self.scheduler = ContinuousScheduler(max_batch=self.config.max_batch)
         self.metrics = ServerMetrics()
+        #: The admission queue and the orphans awaiting detection, per
+        #: dead worker; ``None`` until :meth:`run` starts.
+        self._queue: Optional[List[Session]] = None
+        self._orphans: Dict[int, List[Session]] = {}
 
     # -- admission -----------------------------------------------------------
     def _submit(
@@ -228,7 +228,7 @@ class Cluster:
     ) -> None:
         workload = f"L{session.layers}"
         tracer = current_tracer()
-        if session.ttft_deadline_s < self.config.ttft_floor_s:
+        if session.ttft_deadline_s < self.config.dispatch_overhead_s:
             # SLO unsatisfiable at submit time: even an empty cluster
             # pays one dispatch before the first token.  Refuse now —
             # with a per-tenant count — rather than let it time out.
@@ -321,6 +321,12 @@ class Cluster:
             if worker is None:
                 self._backoff(session, now_s)
                 return False
+        self._admit(worker, session, now_s)
+        return True
+
+    def _admit(self, worker: Worker, session: Session, now_s: float) -> None:
+        """Admit ``session`` on ``worker``: a replay's device seconds go
+        on the worker's busy clock (and the trace), then it runs."""
         replay_s = worker.admit(session, now_s)
         if replay_s:
             worker.busy_until_s = (
@@ -337,7 +343,6 @@ class Cluster:
                 },
             )
         session.status = RUNNING
-        return True
 
     def _requeue_evicted(
         self, evicted: List[Session], worker: Worker, now_s: float
@@ -438,12 +443,7 @@ class Cluster:
                     worker.free_pages(session.layers)
                     >= worker.pages_needed(session)
                 ):
-                    replay_s = worker.admit(session, now_s)
-                    if replay_s:
-                        worker.busy_until_s = (
-                            max(now_s, worker.busy_until_s) + replay_s
-                        )
-                    session.status = RUNNING
+                    self._admit(worker, session, now_s)
                     self._queue.remove(session)
                     running[session.tenant] = (
                         running.get(session.tenant, 0) + 1
@@ -512,9 +512,7 @@ class Cluster:
         self, iteration: WorkerIteration, worker: Worker
     ) -> None:
         for token in iteration.tokens:
-            session = worker.residents.get(token.session_id)
-            if session is None:
-                continue
+            session = worker.residents[token.session_id]
             session.record_token(token.t_s, token.digest)
             if session.done:
                 worker.evict(session)
@@ -538,12 +536,15 @@ class Cluster:
 
     # -- the loop ------------------------------------------------------------
     def run(self, sessions: Sequence[Session]) -> ClusterResult:
-        """Replay a materialized trace to completion."""
+        """Replay a materialized trace to completion.  A cluster's
+        workers, metrics, router and fault schedule carry one run's
+        state, so a second call raises :class:`RuntimeError`."""
+        if self._queue is not None:
+            raise RuntimeError("a Cluster replays one trace; build a new one")
         pending = sorted(
             sessions, key=lambda s: (s.arrival_s, s.session_id)
         )
-        self._queue: List[Session] = []
-        self._orphans: Dict[int, List[Session]] = {}
+        self._queue = []
         result = ClusterResult(
             config=self.config, sessions=list(pending), metrics=self.metrics
         )
@@ -579,14 +580,14 @@ class Cluster:
                 if cfg.mode == "continuous":
                     batch = self.scheduler.compose(worker)
                     if not batch:
+                        # Admission caps a session's pages at max_pages,
+                        # so evicting the head's peers always lets it step.
                         self._preempt_wedged(worker, now_s)
                         batch = self.scheduler.compose(worker)
                 else:
                     batch = self.scheduler.by_priority(
                         list(worker.residents.values())
                     )
-                if not batch:
-                    continue
                 iteration = worker.iterate(now_s, batch)
                 result.iterations += 1
                 result.occupancy_samples.append(iteration.batch_size)

@@ -65,8 +65,6 @@ class FaultInjector:
         # against different workers fire low-id first).
         self._schedule = sorted(events, key=lambda e: (e.at_s, e.worker))
         self._cursor = 0
-        #: Faults already fired, in firing order (for reports/tests).
-        self.fired: List[FaultEvent] = []
 
     @classmethod
     def from_events(
@@ -92,5 +90,4 @@ class FaultInjector:
         ):
             due.append(self._schedule[self._cursor])
             self._cursor += 1
-        self.fired.extend(due)
         return due

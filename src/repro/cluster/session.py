@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -129,22 +129,3 @@ class Session:
             return 0.0
         span = self.last_token_s - self.first_token_s
         return span / (self.decode_tokens - 1)
-
-    def to_dict(self) -> Dict:
-        return {
-            "session_id": self.session_id,
-            "tenant": self.tenant,
-            "status": self.status,
-            "layers": self.layers,
-            "prompt_tokens": self.prompt_tokens,
-            "decode_tokens": self.decode_tokens,
-            "tokens_done": self.tokens_done,
-            "arrival_s": self.arrival_s,
-            "ttft_ms": None if self.ttft_s is None else self.ttft_s * 1e3,
-            "tpot_ms": None if self.tpot_s is None else self.tpot_s * 1e3,
-            "retries": self.retries,
-            "preemptions": self.preemptions,
-            "replays": self.replays,
-            "replay_ok": self.replay_ok,
-            "final_digest": self.token_digests[-1] if self.token_digests else None,
-        }

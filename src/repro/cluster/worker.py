@@ -27,7 +27,8 @@ from ..decode.engine import DecodeEngine, StepReport
 from ..serve.pool import ExecutablePool
 from .session import Session, token_digest
 
-if TYPE_CHECKING:  # cluster.py imports this module
+# cluster.py imports this module, so ClusterConfig is for annotations.
+if TYPE_CHECKING:  # pragma: no cover - never true at run time
     from .cluster import ClusterConfig
 
 __all__ = ["TokenEvent", "WorkerIteration", "Worker"]
@@ -226,9 +227,7 @@ class Worker:
     # -- introspection -------------------------------------------------------
     def kv_utilization(self) -> float:
         """Allocated fraction of this worker's page pools (mean over
-        its engines; 0.0 with no engines built)."""
-        if not self.engines:
-            return 0.0
+        its engines; read after an iteration, so one is built)."""
         fractions = [
             1.0 - eng.cache.free_pages / eng.cache.max_pages
             for eng in self.engines.values()

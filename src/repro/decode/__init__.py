@@ -5,7 +5,7 @@ for T tokens, where the KV cache grows page by page
 (:class:`PagedKVCache` — block tables over a fixed page pool, growth
 without replanning the step graph), layer weights stage and evict under
 an MRAM budget (:class:`WeightResidencyPlanner` — offline-optimal
-"belady" or "lru" over the cyclic layer scan), and one
+"belady" eviction over the cyclic layer scan), and one
 :class:`~repro.serve.pool.ExecutablePool` keeps every shared program
 compiled exactly once across all layers, steps, and capacity epochs
 (:class:`DecodeEngine`).
@@ -26,7 +26,7 @@ come from ``default_rng((engine seed, hash of the name))``), and
 ``decode()`` is ``add_sequence("seq0", prompt_tokens)`` plus one
 ``step_batch(["seq0"])`` per token.  The engine always places with the
 default policy on the ``upmem`` target, pins the builder's small grids
-and plans residency with ``"belady"`` — options no caller set were
+and plans residency with Belady's rule — options no caller set were
 removed; the model graph's tensor names and layer size come from
 :func:`repro.graph.gptj_layer_io` / :func:`repro.graph.gptj_layer_nbytes`.
 

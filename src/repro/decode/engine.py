@@ -180,10 +180,6 @@ class IterationReport:
 
     reports: Tuple[StepReport, ...]
 
-    @property
-    def sequences(self) -> Tuple[str, ...]:
-        return tuple(r.sequence for r in self.reports)
-
     def device_seconds(
         self,
         dispatch_overhead_s: float = 0.0,
@@ -394,10 +390,6 @@ class DecodeEngine:
         self._global_step = 0
 
     # -- sequence lifecycle ---------------------------------------------------
-    def sequences(self) -> Tuple[str, ...]:
-        """Registered sequence names, insertion-ordered."""
-        return tuple(self._seqs)
-
     def add_sequence(
         self,
         name: str,
@@ -514,7 +506,7 @@ class DecodeEngine:
             keys = pool_keys(graph, placement)
             for key in sorted(keys, key=repr):
                 self.pool.pin(key)
-            exe = GraphExecutable(graph, placement, pool=self.pool)
+            exe = GraphExecutable(graph, placement, self.pool)
             layer_costs, step_costs = self._profile_costs(exe)
             epoch = _Epoch(capacity, exe, graph, keys, layer_costs, step_costs)
             self._epochs[capacity] = epoch

@@ -22,7 +22,7 @@ arena plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,16 +70,6 @@ class CacheExtension:
     pages_allocated: Tuple[int, ...]
     nbytes: int
     seconds: float
-
-    def to_dict(self) -> Dict:
-        return {
-            "sequence": self.sequence,
-            "layer": self.layer,
-            "position": self.position,
-            "pages_allocated": list(self.pages_allocated),
-            "nbytes": self.nbytes,
-            "seconds": self.seconds,
-        }
 
 
 @dataclass
@@ -132,7 +122,10 @@ class PagedKVCache:
         #: sequence -> per-layer block tables (list of page ids).
         self._tables: Dict[str, List[List[int]]] = {}
         self._lengths: Dict[str, int] = {}
-        self.events: List[CacheExtension] = []
+        #: Running totals over every extension event, for :meth:`stats`.
+        self.extension_events = 0
+        self.extension_bytes = 0
+        self.extension_seconds = 0.0
 
     # -- page-size accounting ------------------------------------------------
     @property
@@ -206,7 +199,7 @@ class PagedKVCache:
         layer_rows: List[Tuple[np.ndarray, np.ndarray]],
     ) -> List[CacheExtension]:
         """Append one token's (k_row, v_row) per layer; returns the
-        per-layer extension events (also accumulated on ``events``).
+        per-layer extension events (also added to the running totals).
 
         Every append is an explicit host→device transfer of the two new
         rows; an append crossing a page boundary additionally allocates
@@ -244,8 +237,10 @@ class PagedKVCache:
                 seconds=h2d_seconds(nbytes, self.config),
             )
             new_events.append(event)
+            self.extension_events += 1
+            self.extension_bytes += nbytes
+            self.extension_seconds += event.seconds
         self._lengths[sequence] = position + 1
-        self.events.extend(new_events)
         tracer = current_tracer()
         if tracer.enabled:
             for event in new_events:
@@ -290,9 +285,6 @@ class PagedKVCache:
         operators bind as const inputs).  The concatenation copies, so
         subsequent in-place page writes never alias a running step."""
         table = self._table(sequence, layer)
-        if not table:
-            z = np.zeros((0, self.d_model), dtype=np.float32)
-            return z, z.copy()
         k = np.concatenate([self._pages[p].k for p in table], axis=0)
         v = np.concatenate([self._pages[p].v for p in table], axis=0)
         return k, v
@@ -315,8 +307,6 @@ class PagedKVCache:
         token_capacity = sum(
             self.capacity(seq) for seq in self._tables
         )
-        growth_s = sum(e.seconds for e in self.events)
-        growth_bytes = sum(e.nbytes for e in self.events)
         return {
             "sequences": len(self._tables),
             "page_tokens": self.page_tokens,
@@ -325,8 +315,8 @@ class PagedKVCache:
             "allocated_bytes": allocated_pages * self.page_nbytes,
             "cached_tokens": cached_tokens,
             "token_capacity": token_capacity,
-            "extension_events": len(self.events),
-            "extension_bytes": growth_bytes,
-            "extension_seconds": growth_s,
+            "extension_events": self.extension_events,
+            "extension_bytes": self.extension_bytes,
+            "extension_seconds": self.extension_seconds,
             **arena_stats(token_capacity * self.layers, cached_tokens * self.layers),
         }

@@ -13,16 +13,13 @@ weights are read-only — dropping them writes nothing back).
 Decode accesses layers cyclically (0, 1, …, L-1, step after step),
 which makes the offline-optimal ("belady") policy computable exactly:
 the resident layer reused furthest in the future is always the one just
-*behind* the cursor.  LRU — the natural online policy — is provided for
-contrast; under a cyclic scan shorter than the working set LRU famously
-thrashes on every access, and the per-layer breakdown makes that
-visible.
+*behind* the cursor, and that is the one the planner evicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set
 
 from ..obs import current_tracer
 from ..upmem.config import UpmemConfig
@@ -30,11 +27,9 @@ from .kv_cache import h2d_seconds
 
 __all__ = ["ResidencyError", "StageEvent", "WeightResidencyPlanner"]
 
-POLICIES = ("belady", "lru")
-
 
 class ResidencyError(RuntimeError):
-    """Budget cannot hold a single layer, or the policy is unknown."""
+    """Budget cannot hold a single layer, or a layer is out of range."""
 
 
 @dataclass(frozen=True)
@@ -49,31 +44,13 @@ class StageEvent:
     nbytes: int
     seconds: float
 
-    def to_dict(self) -> Dict:
-        return {
-            "step": self.step,
-            "layer": self.layer,
-            "action": self.action,
-            "nbytes": self.nbytes,
-            "seconds": self.seconds,
-        }
-
 
 class WeightResidencyPlanner:
     """Stateful stage/evict scheduler over one model's layer weights."""
 
-    def __init__(
-        self,
-        layer_nbytes: Sequence[int],
-        budget_nbytes: int,
-        policy: str = "belady",
-    ) -> None:
+    def __init__(self, layer_nbytes: Sequence[int], budget_nbytes: int) -> None:
         if not layer_nbytes:
             raise ResidencyError("layer_nbytes must name at least one layer")
-        if policy not in POLICIES:
-            raise ResidencyError(
-                f"unknown residency policy {policy!r}; choose from {POLICIES}"
-            )
         biggest = max(layer_nbytes)
         if budget_nbytes < biggest:
             raise ResidencyError(
@@ -82,13 +59,12 @@ class WeightResidencyPlanner:
             )
         self.layer_nbytes = tuple(int(n) for n in layer_nbytes)
         self.budget_nbytes = int(budget_nbytes)
-        self.policy = policy
         self.config = UpmemConfig()
-        self._resident: Dict[int, int] = {}  # layer -> lru tick of last use
-        self._tick = 0
-        self.events: List[StageEvent] = []
+        self._resident: Set[int] = set()
         self.stages = 0
         self.evictions = 0
+        #: Running total of every stage's transfer seconds.
+        self.staging_seconds = 0.0
 
     @property
     def all_fit(self) -> bool:
@@ -97,21 +73,14 @@ class WeightResidencyPlanner:
         return sum(self.layer_nbytes) <= self.budget_nbytes
 
     @property
-    def resident_layers(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._resident))
-
-    @property
     def resident_nbytes(self) -> int:
         return sum(self.layer_nbytes[l] for l in self._resident)
 
     # -- the schedule --------------------------------------------------------
     def _victim(self, incoming: int) -> int:
-        """Deterministic eviction choice among resident layers."""
-        if self.policy == "lru":
-            return min(self._resident, key=lambda l: (self._resident[l], l))
-        # Belady under the cyclic access pattern: next use of resident
-        # layer r while staging layer l is (r - l) mod L steps away;
-        # evict the furthest (the layer just behind the cursor).
+        """Belady under the cyclic access pattern: next use of resident
+        layer r while staging layer l is (r - l) mod L steps away; evict
+        the furthest (the layer just behind the cursor)."""
         n = len(self.layer_nbytes)
         return max(
             self._resident, key=lambda l: ((l - incoming) % n, l)
@@ -129,15 +98,13 @@ class WeightResidencyPlanner:
                 f"layer {layer} out of range for"
                 f" {len(self.layer_nbytes)} layers"
             )
-        self._tick += 1
         if layer in self._resident:
-            self._resident[layer] = self._tick
             return []
         new_events: List[StageEvent] = []
         need = self.layer_nbytes[layer]
         while self.resident_nbytes + need > self.budget_nbytes:
             victim = self._victim(layer)
-            del self._resident[victim]
+            self._resident.remove(victim)
             self.evictions += 1
             new_events.append(
                 StageEvent(
@@ -148,18 +115,17 @@ class WeightResidencyPlanner:
                     seconds=0.0,
                 )
             )
-        self._resident[layer] = self._tick
+        self._resident.add(layer)
         self.stages += 1
-        new_events.append(
-            StageEvent(
-                step=step,
-                layer=layer,
-                action="stage",
-                nbytes=need,
-                seconds=h2d_seconds(need, self.config),
-            )
+        stage = StageEvent(
+            step=step,
+            layer=layer,
+            action="stage",
+            nbytes=need,
+            seconds=h2d_seconds(need, self.config),
         )
-        self.events.extend(new_events)
+        new_events.append(stage)
+        self.staging_seconds += stage.seconds
         tracer = current_tracer()
         if tracer.enabled:
             for event in new_events:
@@ -180,25 +146,10 @@ class WeightResidencyPlanner:
                     )
         return new_events
 
-    def plan(self, steps: int) -> List[StageEvent]:
-        """Dry-run the full cyclic schedule for ``steps`` decode steps
-        on a *copy* of the current state — the offline schedule a
-        deployment would precompute — without disturbing this planner."""
-        shadow = WeightResidencyPlanner(
-            self.layer_nbytes, self.budget_nbytes, self.policy
-        )
-        shadow._resident = dict(self._resident)
-        shadow._tick = self._tick
-        out: List[StageEvent] = []
-        for step in range(steps):
-            for layer in range(len(self.layer_nbytes)):
-                out.extend(shadow.access(step, layer))
-        return out
-
     # -- introspection -------------------------------------------------------
     def stats(self) -> Dict[str, float]:
         return {
-            "policy": self.policy,
+            "policy": "belady",
             "layers": len(self.layer_nbytes),
             "budget_bytes": self.budget_nbytes,
             "resident_layers": len(self._resident),
@@ -206,5 +157,5 @@ class WeightResidencyPlanner:
             "all_fit": self.all_fit,
             "stages": self.stages,
             "evictions": self.evictions,
-            "staging_seconds": sum(e.seconds for e in self.events),
+            "staging_seconds": self.staging_seconds,
         }

@@ -137,8 +137,8 @@ class GraphExecutable(Executable):
         self,
         graph: ModelGraph,
         placement: Dict[str, Target],
+        pool: ExecutablePool,
         target: Any = "upmem",
-        pool: Optional[Any] = None,
     ) -> None:
         super().__init__(get_target(target), workload=graph, params=None)
         graph.validate()
@@ -147,9 +147,6 @@ class GraphExecutable(Executable):
             raise ValueError(f"placement misses nodes {missing}")
         self.graph = graph
         self.placement = placement
-        if pool is None:
-            pool = ExecutablePool(capacity=max(8, len(graph.nodes)))
-        self.pool = pool
         self._order = graph.topological_order()
         #: node name -> (Executable, freshly loaded by this compile).
         self._exes: Dict[str, Tuple[Executable, bool]] = {}
@@ -183,10 +180,6 @@ class GraphExecutable(Executable):
         later epochs load only capacity-dependent attention programs,
         and steps inside an epoch build no executable at all."""
         return sum(1 for _, loaded in self._exes.values() if loaded)
-
-    def pool_keys(self) -> set:
-        """:func:`pool_keys` of this executable's graph and placement."""
-        return pool_keys(self.graph, self.placement)
 
     @property
     def memory_plan(self):
@@ -420,4 +413,4 @@ def compile_graph(
         pool = ExecutablePool(
             capacity=max(8, len(graph.nodes)), opt_level=opt_level
         )
-    return GraphExecutable(graph, placement, target=target, pool=pool)
+    return GraphExecutable(graph, placement, pool, target=target)

@@ -9,7 +9,9 @@ tensor whose last reader has already run frees its slot for the next
 definition (best fit by size; a new slot opens only when nothing free
 fits).  The resulting arena is what a memory-constrained host would
 actually allocate for the serial schedule; weights and external inputs
-are accounted separately since they are resident, not transient.
+are accounted separately since they are resident, not transient.  How
+well the arena packs (the serial live peak over the arena) is the
+:func:`arena_stats` pair in :meth:`MemoryPlan.to_dict`.
 """
 
 from __future__ import annotations
@@ -76,22 +78,6 @@ class MemoryPlan:
     def reuse_ratio(self) -> float:
         """naive / arena — how much the planner shrank the footprint."""
         return self.naive_bytes / self.arena_bytes if self.arena_bytes else 1.0
-
-    @property
-    def utilization(self) -> float:
-        """Serial live peak / arena: how much of the planned arena the
-        schedule's working set actually fills (1.0 is a perfect pack)."""
-        return arena_stats(self.arena_bytes, self.peak_live_bytes)[
-            "utilization"
-        ]
-
-    @property
-    def fragmentation(self) -> float:
-        """1 - utilization: arena bytes held by slots but never
-        simultaneously live (best-fit padding, size-mismatched reuse)."""
-        return arena_stats(self.arena_bytes, self.peak_live_bytes)[
-            "fragmentation"
-        ]
 
     def to_dict(self) -> Dict:
         """The ``--json`` payload."""

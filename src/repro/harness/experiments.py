@@ -683,13 +683,11 @@ def fig16_serving(
     n_requests: int = 32,
     batch_sizes: Sequence[int] = (1, 4, 16),
     targets: Sequence[str] = ("upmem", "cpu"),
-    pattern: str = "burst",
     seed: int = 0,
     tokens: int = 16,
     max_wait_ticks: int = 4,
     queue_limit: Optional[int] = None,
     pool_capacity: int = 8,
-    execute: bool = True,
 ) -> Dict:
     """Serve one seeded GPT-J + tensor-op traffic trace at several
     dynamic-batching limits, per target.
@@ -707,7 +705,6 @@ def fig16_serving(
     trace = generate_trace(
         n_requests,
         sorted(mix),
-        pattern=pattern,
         seed=seed,
         burst=16,
         gap_ticks=8,
@@ -721,7 +718,6 @@ def fig16_serving(
                 max_batch_size=max_batch,
                 max_wait_ticks=max_wait_ticks,
                 queue_limit=queue_limit,
-                execute=execute,
             ) as server:
                 replay_trace(server, trace, mix, target=target)
                 snapshot = server.metrics_dict()
@@ -859,7 +855,7 @@ def fig17_multilayer(
     payload["rows"] = payload.pop("steps")
     payload["graph"] = result.graph_name
     payload["mram_budget_layers"] = mram_budget_layers
-    payload["residency_policy"] = engine.residency.policy
+    payload["residency_policy"] = payload["residency"]["policy"]
     return payload
 
 
@@ -950,7 +946,7 @@ def fig18_cluster(
         payload["fault_scenario"] = {
             "faults": [
                 {"at_s": e.at_s, "worker": e.worker, "kind": e.kind}
-                for e in injector.fired
+                for e in result.faults_fired
             ],
             "completed": summary["completed"],
             "replays": summary["replays"],

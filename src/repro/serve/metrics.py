@@ -44,9 +44,6 @@ class LatencyStats:
         self._values.append(float(value))
         self._sorted = False
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     @property
     def count(self) -> int:
         return len(self._values)

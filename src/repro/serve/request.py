@@ -42,8 +42,8 @@ class Response:
     request_id: int
     workload: str
     #: Output arrays — bit-for-bit what ``Executable.run(inputs)`` would
-    #: return (``None`` when the server runs with ``execute=False``).
-    outputs: Optional[List[np.ndarray]]
+    #: return.
+    outputs: List[np.ndarray]
     #: End-to-end simulated latency: queue wait + batch execution.
     latency_s: float
     #: Simulated seconds spent waiting (batching delay + device busy).

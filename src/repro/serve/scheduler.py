@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .request import Ticket
 
@@ -55,10 +55,6 @@ class DynamicBatcher:
     def pending(self) -> int:
         return len(self)
 
-    def groups(self) -> Dict[Tuple, int]:
-        """Current group sizes (diagnostics)."""
-        return {key: len(group) for key, group in self._groups.items()}
-
     # -- mutation -----------------------------------------------------------
     def add(self, key: Tuple, entry: PendingRequest) -> bool:
         """Queue an entry under its batch key; True when the group is now
@@ -78,14 +74,12 @@ class DynamicBatcher:
         ripe = [
             (group[0].seq, key)
             for key, group in self._groups.items()
-            if group and tick - group[0].arrival_tick >= self.max_wait_ticks
+            if tick - group[0].arrival_tick >= self.max_wait_ticks
         ]
         ripe.sort()
         return [key for _seq, key in ripe]
 
     def drain_keys(self) -> List[Tuple]:
-        """Every non-empty key, oldest-first — the ``drain()`` order."""
-        ripe = sorted(
-            (group[0].seq, key) for key, group in self._groups.items() if group
-        )
+        """Every key, oldest-first — the ``drain()`` order."""
+        ripe = sorted((group[0].seq, key) for key, group in self._groups.items())
         return [key for _seq, key in ripe]

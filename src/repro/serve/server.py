@@ -4,13 +4,14 @@
 driven by a deterministic virtual clock:
 
 * **time** — ``tick()`` advances the arrival clock in fixed
-  ``tick_seconds`` steps; batching decisions consume only tick counts
+  :data:`TICK_S` steps; batching decisions consume only tick counts
   (never wall time), execution durations come from the targets'
   simulated/analytic performance models.  The same traffic trace
   therefore produces bit-identical batches, responses and metrics on
   any machine and at any host thread count.
 * **admission** — a bounded pending queue; requests beyond
-  ``queue_limit`` are rejected at submit time and counted per workload.
+  ``queue_limit``, and requests without inputs (the server always
+  executes), are rejected at submit time and counted per workload.
 * **batching** — pending requests group by compiled-program identity
   and flush on max-batch-size or max-wait (see
   :class:`~repro.serve.scheduler.DynamicBatcher`).
@@ -55,6 +56,8 @@ __all__ = ["Server", "SyncClient", "ServeError"]
 #: broadcast setup) — the overhead dynamic batching exists to amortize;
 #: see :meth:`Server._batch_duration` for the full model.
 DISPATCH_OVERHEAD_S = 1e-4
+#: Simulated seconds per arrival-clock tick.
+TICK_S = 1e-4
 
 
 class ServeError(RuntimeError):
@@ -76,26 +79,17 @@ class Server:
         max_batch_size: int = 16,
         max_wait_ticks: int = 4,
         queue_limit: Optional[int] = 64,
-        tick_seconds: float = 1e-4,
-        execute: bool = True,
     ) -> None:
         if queue_limit is not None and queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
-        if tick_seconds <= 0:
-            raise ValueError(f"tick_seconds must be > 0, got {tick_seconds}")
         # `pool or ...` would discard a caller's *empty* pool (len 0 is
         # falsy), silently serving from a default one.
         self.pool = pool if pool is not None else ExecutablePool()
         self.batcher = DynamicBatcher(max_batch_size, max_wait_ticks)
         self.metrics = ServerMetrics()
         self.queue_limit = queue_limit
-        self.tick_seconds = tick_seconds
-        #: ``execute=False`` skips functional execution (responses carry
-        #: ``outputs=None``) while keeping the full timing model — for
-        #: latency-only targets and pure scheduling studies.
-        self.execute = execute
         self._tick = 0
-        self._now = 0.0  # arrival clock: _tick * tick_seconds
+        self._now = 0.0  # arrival clock: _tick * TICK_S
         self._busy_until = 0.0  # simulated device availability
         self._seq = 0
         #: Batch-key -> derived unit costs.  Keyed by program identity
@@ -132,7 +126,7 @@ class Server:
         responses: List[Response] = []
         for _ in range(n):
             self._tick += 1
-            self._now = self._tick * self.tick_seconds
+            self._now = self._tick * TICK_S
             for key in self.batcher.due(self._tick):
                 responses.extend(self._flush(key))
         return responses
@@ -148,7 +142,7 @@ class Server:
         self._check_open()
         tracer = current_tracer()
         name = _workload_name(request)
-        if self.execute and request.inputs is None:
+        if request.inputs is None:
             # Catch input-less requests at admission — most commonly a
             # Request object resubmitted after being served (the server
             # nulls inputs on completion).  Failing here keeps the
@@ -165,7 +159,7 @@ class Server:
                 status="rejected",
                 reject_reason=(
                     "request has no inputs (already served once?);"
-                    " executing servers need an inputs dict"
+                    " the server needs an inputs dict"
                 ),
             )
         if (
@@ -269,8 +263,6 @@ class Server:
     # -- dispatch -----------------------------------------------------------
     def _flush(self, key: Tuple) -> List[Response]:
         group = self.batcher.take(key)
-        if not group:
-            return []
         first = group[0].ticket.request
         try:
             exe, loaded = self.pool.get(
@@ -281,12 +273,9 @@ class Server:
             duration = self._batch_duration(
                 exe, len(group), key in self._unpaid_staging, key
             )
-            if self.execute:
-                outputs = exe.run_batch(
-                    [entry.ticket.request.inputs or {} for entry in group]
-                )
-            else:
-                outputs = [None] * len(group)
+            outputs = exe.run_batch(
+                [entry.ticket.request.inputs for entry in group]
+            )
         except Exception as exc:
             # Isolate the failure to this group: its tickets fail
             # visibly (bad input names, a target that cannot execute,
@@ -441,8 +430,6 @@ class Server:
         if not const_names or not inputs:
             return 0.0
         total = sum(t.buffer.nbytes for t in inputs)
-        if not total:
-            return 0.0
         const = sum(
             t.buffer.nbytes for t in inputs if t.name in const_names
         )

@@ -1,7 +1,8 @@
 """Seeded synthetic traffic for serving experiments.
 
 A *trace* is a list of :class:`TraceEvent` — (arrival tick, workload
-name, per-request input seed) — generated once from an rng seed and then
+name, per-request input seed) — generated once from an rng seed, with
+requests landing in fixed-size bursts on the virtual tick grid, and then
 replayable against any server configuration: every decision the server
 makes depends only on the trace and its own deterministic knobs, so two
 replays (or two batch-size settings over the same trace) are directly
@@ -31,9 +32,6 @@ __all__ = [
     "generate_trace",
     "replay_trace",
 ]
-
-#: Arrival patterns understood by :func:`generate_trace`.
-PATTERNS = ("burst", "uniform", "poisson")
 
 
 @dataclass(frozen=True)
@@ -119,40 +117,25 @@ def gptj_serving_mix(tokens: int = 16) -> Dict[str, MixEntry]:
 def generate_trace(
     n_requests: int,
     workloads: Sequence[str],
-    pattern: str = "burst",
     seed: int = 0,
     burst: int = 8,
     gap_ticks: int = 4,
 ) -> List[TraceEvent]:
-    """Deterministic arrival trace over a named workload mix.
-
-    Patterns (all on the virtual tick grid):
-
-    * ``burst`` — ``burst`` requests land together every ``gap_ticks``
-      (the bursty decode traffic a batcher exists for);
-    * ``uniform`` — one request per tick;
-    * ``poisson`` — Poisson-distributed inter-arrival ticks with mean
-      ``gap_ticks / burst`` (open-loop random load).
+    """Deterministic bursty arrival trace over a named workload mix:
+    ``burst`` requests land together every ``gap_ticks`` virtual ticks
+    (the bursty decode traffic a batcher exists for).
 
     Workloads are drawn independently per event from ``workloads`` with
     equal probability; ``input_seed`` is unique per event so every
     request carries distinct input tensors.
     """
-    if pattern not in PATTERNS:
-        raise ValueError(f"pattern must be one of {PATTERNS}, got {pattern!r}")
     if not workloads:
         raise ValueError("workloads must name at least one mix entry")
     rng = np.random.default_rng(seed)
     names = list(workloads)
     events: List[TraceEvent] = []
-    tick = 0
     for i in range(n_requests):
-        if pattern == "burst":
-            tick = (i // max(1, burst)) * gap_ticks
-        elif pattern == "uniform":
-            tick = i
-        else:  # poisson
-            tick += int(rng.poisson(gap_ticks / max(1, burst)))
+        tick = (i // max(1, burst)) * gap_ticks
         name = names[int(rng.integers(len(names)))]
         events.append(
             TraceEvent(tick=tick, workload=name, input_seed=seed * 100003 + i)
@@ -165,29 +148,19 @@ def replay_trace(
     trace: Sequence[TraceEvent],
     mix: Dict[str, MixEntry],
     target: str = "upmem",
-    with_inputs: bool = True,
 ) -> List[Ticket]:
     """Drive a server through a trace: tick to each arrival, submit,
-    drain at the end.  Returns every ticket in submission order.
-
-    ``with_inputs=False`` submits input-less requests — pair it with a
-    ``Server(execute=False)`` timing-only study.
-    """
+    drain at the end.  Returns every ticket in submission order."""
     tickets: List[Ticket] = []
     for event in trace:
         if event.tick > server.current_tick:
             server.tick(event.tick - server.current_tick)
         entry = mix[event.workload]
-        inputs = (
-            entry.workload.random_inputs(seed=event.input_seed)
-            if with_inputs
-            else None
-        )
         tickets.append(
             server.submit(
                 Request(
                     workload=entry.workload,
-                    inputs=inputs,
+                    inputs=entry.workload.random_inputs(seed=event.input_seed),
                     target=target,
                     params=entry.params,
                 )

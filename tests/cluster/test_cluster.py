@@ -14,7 +14,11 @@ from repro.cluster import (
     FaultInjector,
     Session,
     TenantSpec,
+    default_tenants,
+    generate_cluster_trace,
+    sessions_from_trace,
 )
+from repro.obs import Tracer, chrome_trace, trace_lint, use_tracer
 
 from .conftest import run_small, small_config, small_trace
 
@@ -221,6 +225,37 @@ class TestPreemption:
         cluster.run([lax, urgent])
         assert urgent.finish_s < lax.finish_s
 
+    def test_wedged_worker_evicts_only_the_heads_model_size(self):
+        """Two 2-layer and two 1-layer sessions each fill half of their
+        engine's 8-page pool with a whole-page prompt, so every first
+        step crosses a page boundary and the first iteration composes
+        nothing.  The 1-layer sessions rank lowest but sit in another
+        engine: evicting them frees no page the 2-layer head can use,
+        so the same-size peer is evicted instead."""
+        def session(name, layers, prompt, ttft_s):
+            return Session(
+                session_id=name, tenant="t", arrival_s=0.0,
+                prompt_tokens=prompt, decode_tokens=4, layers=layers,
+                ttft_deadline_s=ttft_s, tpot_deadline_s=ttft_s,
+            )
+
+        head = session("head", 2, 8, 0.1)
+        peer = session("peer", 2, 8, 5.0)
+        low = [session("low0", 1, 16, 10.0), session("low1", 1, 16, 20.0)]
+        cluster = Cluster(
+            small_config(n_workers=1, max_pages=8, page_tokens=4)
+        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = cluster.run([head, peer, *low])
+        assert {s.status for s in result.sessions} == {COMPLETED}
+        preempted = [
+            e.args["session"] for e in tracer.events if e.name == "preempt"
+        ]
+        assert preempted[0] == "peer"
+        assert head.preemptions == 0
+        assert result.replay_ok is True
+
 
 class TestQuotas:
     def test_tenant_quota_serializes_admissions(self):
@@ -238,6 +273,25 @@ class TestQuotas:
         first, second = sorted(result.completed, key=lambda s: s.admitted_s)
         # Quota 1: the second session waits for the first to finish
         # even with an idle second worker available.
+        assert second.admitted_s >= first.finish_s
+
+    def test_quota_throttles_whole_batches(self):
+        """Whole-request mode fills a batch from the queue, skipping
+        sessions whose tenant is already at its quota."""
+        tenants = [TenantSpec("solo", quota=1, ttft_slo_s=10.0,
+                              tpot_slo_s=10.0)]
+        sessions = [
+            Session(session_id=f"w{i}", tenant="solo", arrival_s=0.0,
+                    prompt_tokens=2, decode_tokens=3,
+                    ttft_deadline_s=10.0, tpot_deadline_s=10.0)
+            for i in range(2)
+        ]
+        cluster = Cluster(
+            small_config(n_workers=1, mode="whole"), tenants=tenants
+        )
+        result = cluster.run(sessions)
+        assert len(result.completed) == 2
+        first, second = sorted(result.completed, key=lambda s: s.admitted_s)
         assert second.admitted_s >= first.finish_s
 
     def test_unknown_tenant_unthrottled(self):
@@ -314,6 +368,36 @@ class TestFaults:
         }
         assert clean_digests == faulty_digests
 
+    def test_replay_digest_mismatch_is_reported(self):
+        """The replay check is what proves recovery bit-for-bit: corrupt
+        one orphan's recorded digest before it is re-admitted and the
+        replay must flag that session, and only that one."""
+        faults = FaultInjector.from_events(
+            [FaultEvent(0.06, 0, KILL)], n_workers=2
+        )
+        tenants, sessions = small_trace(n=8)
+        cluster = Cluster(small_config(), tenants=tenants, faults=faults)
+        apply_faults = cluster._apply_faults
+        corrupted = []
+
+        def apply_and_corrupt(now_s):
+            fired = apply_faults(now_s)
+            for orphans in cluster._orphans.values():
+                for session in orphans:
+                    if session.tokens_done and not corrupted:
+                        session.token_digests[0] = "0" * 16
+                        corrupted.append(session)
+            return fired
+
+        cluster._apply_faults = apply_and_corrupt
+        result = cluster.run(sessions)
+        (bad,) = corrupted
+        assert bad.replays == 1 and bad.replay_ok is False
+        assert result.replay_ok is False
+        assert result.summary()["replay_ok"] is False
+        assert all(s.replay_ok for s in result.sessions if s is not bad)
+        assert len(result.completed) == 8
+
     def test_single_worker_cluster_survives_kill(self):
         faults = FaultInjector.from_events(
             [FaultEvent(0.06, 0, KILL)], n_workers=1
@@ -332,8 +416,54 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_workers"):
             ClusterConfig(n_workers=0)
 
+    def test_second_run_raises(self):
+        """A second run on one instance used to merge into the first:
+        the busy clocks, metrics, router and fault cursor carried over."""
+        def trace():
+            tenants = default_tenants()
+            return sessions_from_trace(
+                generate_cluster_trace(
+                    6, tenants, seed=1, decode_tokens=(2, 4)
+                ),
+                tenants,
+            )
+
+        cluster = Cluster(tenants=default_tenants())
+        result = cluster.run(trace())
+        assert result.metrics.completed == 6
+        with pytest.raises(RuntimeError, match="replays one trace"):
+            cluster.run(trace())
+        assert result.metrics.completed == 6
+        assert cluster.router.placements == 6
+
     def test_nonconvergence_raises(self):
         tenants, sessions = small_trace(n=2)
         cluster = Cluster(small_config(max_ticks=1), tenants=tenants)
         with pytest.raises(RuntimeError, match="did not converge"):
             cluster.run(sessions)
+
+
+class TestEmptyTrace:
+    def test_aggregates_are_zero(self):
+        result = Cluster(small_config()).run([])
+        assert (result.ticks, result.iterations) == (0, 0)
+        assert result.throughput_tokens_per_s == 0.0
+        assert result.mean_occupancy == 0.0
+        assert result.mean_kv_utilization == 0.0
+        assert result.summary()["completed"] == 0
+
+
+class TestTracing:
+    def test_traced_continuous_run_lints_clean(self):
+        """One ``iter`` span per iteration on the worker lanes, and one
+        batch-occupancy and one KV-utilization sample with each."""
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result, _ = run_small(n=4)
+        assert trace_lint(chrome_trace(tracer)) == []
+        lanes = [e for e in tracer.events if e.track.startswith("cluster.w")]
+        iters = [e for e in lanes if e.phase == "B" and e.name.startswith("iter ")]
+        assert len(iters) == result.iterations > 0
+        for series in ("batch_occupancy", "kv_utilization"):
+            samples = [e for e in lanes if e.phase == "C" and e.name == series]
+            assert len(samples) == result.iterations

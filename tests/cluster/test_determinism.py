@@ -2,6 +2,8 @@
 identical fault schedule, batch compositions, recovery order and final
 responses — at any host thread count and under REPRO_SIM_MODE=verify."""
 
+import dataclasses
+
 from repro.cluster import KILL, FaultEvent, FaultInjector
 
 from ..conftest import at_both_widths
@@ -12,7 +14,7 @@ def _fingerprint(result):
     """Everything observable about a run, in a comparable form."""
     return {
         "summary": result.summary(),
-        "sessions": [s.to_dict() for s in result.sessions],
+        "sessions": [dataclasses.asdict(s) for s in result.sessions],
         "occupancy": result.occupancy_samples,
         "kv": result.kv_samples,
         "transitions": result.supervisor_transitions,

@@ -61,14 +61,6 @@ class TestAccounting:
         s.record_token(0.1, "d0")
         assert s.total_tokens == 4
 
-    def test_to_dict_json_safe(self):
-        import json
-
-        s = make()
-        s.record_token(0.1, "abc")
-        json.dumps(s.to_dict())
-        assert s.to_dict()["final_digest"] == "abc"
-
 
 class TestDigest:
     def test_digest_stable_and_value_sensitive(self):

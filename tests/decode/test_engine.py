@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.decode import DecodeEngine
+from repro.graph.executable import pool_keys
 from repro.serve.pool import ExecutablePool
 
 from .conftest import TINY, TINY_LAYER_NBYTES, tiny_engine
@@ -41,7 +42,7 @@ class TestEpochs:
         engine.decode(tokens=4, prompt_tokens=6)
         pinned = engine.pool.pinned_keys()
         (epoch,) = engine._epochs.values()
-        current = epoch.exe.pool_keys()
+        current = pool_keys(epoch.graph, epoch.exe.placement)
         assert current <= pinned or current == pinned
         # Retired capacity-dependent programs are unpinned once their
         # epoch ends.

@@ -142,8 +142,9 @@ class TestCharging:
         assert stats["utilization"] == expected["utilization"]
         assert stats["fragmentation"] == expected["fragmentation"]
         assert stats["extension_events"] == 10  # 5 tokens x 2 layers
+        assert stats["extension_bytes"] == 10 * 2 * cache.row_nbytes
         assert stats["extension_seconds"] == pytest.approx(
-            sum(e.seconds for e in cache.events)
+            10 * h2d_seconds(2 * cache.row_nbytes, cache.config)
         )
 
 

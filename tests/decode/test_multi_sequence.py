@@ -29,21 +29,21 @@ class TestSequenceLifecycle:
     def test_add_and_remove(self):
         eng = multi_engine()
         eng.add_sequence("a", prompt_tokens=3)
-        assert eng.sequences() == ("a",)
+        assert eng.cache.stats()["sequences"] == 1
         assert eng.cache.length("a") == 3
         freed = eng.remove_sequence("a")
         assert freed > 0
-        assert "a" not in eng.sequences()
+        assert eng.cache.stats()["sequences"] == 0
+        with pytest.raises(ValueError, match="unknown sequence 'a'"):
+            eng.hidden_state("a")
 
     def test_no_phantom_sequence(self):
         """The engine registers nothing at construction: a server of
         eight sequences reports eight, not nine."""
         eng = multi_engine()
-        assert eng.sequences() == ()
         assert eng.cache.stats()["sequences"] == 0
         for i in range(8):
             eng.add_sequence(f"s{i}", prompt_tokens=1)
-        assert len(eng.sequences()) == 8
         assert eng.cache.stats()["sequences"] == 8
         with pytest.raises(ValueError, match="unknown sequence 'seq0'"):
             eng.hidden_state("seq0")
@@ -174,19 +174,22 @@ class TestIterationReport:
         eng.add_sequence("a", prompt_tokens=2)
         eng.add_sequence("b", prompt_tokens=2)
         eng.add_sequence("empty")
+        names = ("a", "b", "empty")
         before = {
             n: (eng.cache.length(n), eng.hidden_state(n).tobytes())
-            for n in eng.sequences()
+            for n in names
         }
         with pytest.raises(error):
             eng.step_batch(batch)
         assert before == {
             n: (eng.cache.length(n), eng.hidden_state(n).tobytes())
-            for n in eng.sequences()
+            for n in names
         }
+        assert eng.cache.stats()["sequences"] == len(names)
         assert eng._global_step == 0 and not eng._epochs
         # ... and the engine still steps a batch that fits.
-        assert eng.step_batch(["a"]).sequences == ("a",)
+        (report,) = eng.step_batch(["a"]).reports
+        assert report.sequence == "a"
 
     def test_device_seconds_amortizes_kernels(self):
         """Two same-capacity sequences in one replica group pay the

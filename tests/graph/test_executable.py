@@ -119,7 +119,7 @@ class TestExecution:
         placement = place(tiny_decoder, policy="default")
         placement.pop("gelu")
         with pytest.raises(ValueError, match="placement misses"):
-            GraphExecutable(tiny_decoder, placement)
+            GraphExecutable(tiny_decoder, placement, ExecutablePool())
 
     def test_shared_programs_compile_once(self, tiny_decoder):
         pool = ExecutablePool(capacity=64)

@@ -82,19 +82,18 @@ class TestLinearScan:
 
     def test_utilization_and_fragmentation(self, tiny_decoder):
         plan = plan_memory(tiny_decoder)
-        assert plan.utilization == plan.peak_live_bytes / plan.arena_bytes
-        assert plan.fragmentation == 1.0 - plan.utilization
-        assert 0.0 < plan.utilization <= 1.0
         payload = plan.to_dict()
-        assert payload["utilization"] == plan.utilization
-        assert payload["fragmentation"] == plan.fragmentation
+        utilization = payload["utilization"]
+        assert utilization == plan.peak_live_bytes / plan.arena_bytes
+        assert payload["fragmentation"] == 1.0 - utilization
+        assert 0.0 < utilization <= 1.0
 
     def test_perfectly_packed_chain_has_no_fragmentation(self):
         # The VA chain ping-pongs two equal-size slots, both live at the
         # peak: the arena is exactly the working set.
-        plan = plan_memory(_linear(6))
-        assert plan.utilization == 1.0
-        assert plan.fragmentation == 0.0
+        payload = plan_memory(_linear(6)).to_dict()
+        assert payload["utilization"] == 1.0
+        assert payload["fragmentation"] == 0.0
 
 
 class TestArenaStats:

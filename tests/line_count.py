@@ -21,11 +21,12 @@ in one of three groups:
 
 Exit status is non-zero when a test or a workload check failed, or when
 a file under one of the :data:`GATED` paths (``tir/``, ``obs/``,
-``target/`` and ``upmem/vectorize.py``) has a line in the "other"
-group: the IR holds only what the lowering emits, the vector compiler
-takes only that, the tracer keeps only what the program records and
-exports, and a target only what the front door reaches, so all of each
-must run.
+``target/``, ``upmem/vectorize.py`` and the serving half: ``serve/``,
+``decode/``, ``graph/``, ``cluster/``) has a line in the "other" group:
+the IR holds only what the lowering emits, the vector compiler takes
+only that, the tracer keeps only what the program records and exports,
+a target only what the front door reaches, and the serving half only
+what its workloads run, so all of each must run.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "repro")
 #: The paths (a file, or a directory ending in ``/``) whose "other"
 #: lines fail the count.
-GATED = ("upmem/vectorize.py", "tir/", "obs/", "target/")
+GATED = (
+    "upmem/vectorize.py", "tir/", "obs/", "target/",
+    "serve/", "decode/", "graph/", "cluster/",
+)
 PRAGMA = "pragma: no cover"
 GROUPS = ("pinned", "error path", "other")
 

@@ -31,24 +31,20 @@ def _serve(trace, mix):
 
 class TestTraceGeneration:
     def test_same_seed_same_trace(self):
-        a = generate_trace(30, ["x", "y"], pattern="poisson", seed=7)
-        b = generate_trace(30, ["x", "y"], pattern="poisson", seed=7)
+        a = generate_trace(30, ["x", "y"], seed=7)
+        b = generate_trace(30, ["x", "y"], seed=7)
         assert a == b
 
     def test_different_seed_different_trace(self):
-        a = generate_trace(30, ["x", "y"], pattern="poisson", seed=7)
-        b = generate_trace(30, ["x", "y"], pattern="poisson", seed=8)
+        a = generate_trace(30, ["x", "y"], seed=7)
+        b = generate_trace(30, ["x", "y"], seed=8)
         assert a != b
 
     def test_patterns_place_arrivals_on_tick_grid(self):
-        burst = generate_trace(8, ["x"], pattern="burst", seed=0, burst=4,
-                               gap_ticks=10)
+        burst = generate_trace(8, ["x"], seed=0, burst=4, gap_ticks=10)
         assert [e.tick for e in burst] == [0] * 4 + [10] * 4
-        uniform = generate_trace(4, ["x"], pattern="uniform", seed=0)
-        assert [e.tick for e in uniform] == [0, 1, 2, 3]
-        poisson = generate_trace(16, ["x"], pattern="poisson", seed=0)
-        ticks = [e.tick for e in poisson]
-        assert ticks == sorted(ticks)
+        single = generate_trace(4, ["x"], seed=0, burst=1, gap_ticks=1)
+        assert [e.tick for e in single] == [0, 1, 2, 3]
 
     def test_event_seeds_unique(self):
         trace = generate_trace(50, ["x"], seed=3)
@@ -59,9 +55,7 @@ class TestTraceGeneration:
 class TestWorkerCountInvariance:
     def test_metrics_identical_1_vs_4_workers(self):
         mix = tiny_mix()
-        trace = generate_trace(
-            24, sorted(mix), pattern="burst", seed=5, burst=6, gap_ticks=3
-        )
+        trace = generate_trace(24, sorted(mix), seed=5, burst=6, gap_ticks=3)
         (_, metrics_1), (_, metrics_4) = at_both_widths(
             lambda: _serve(trace, mix)
         )
@@ -70,9 +64,7 @@ class TestWorkerCountInvariance:
 
     def test_responses_identical_1_vs_4_workers(self):
         mix = tiny_mix()
-        trace = generate_trace(
-            24, sorted(mix), pattern="poisson", seed=11, gap_ticks=2
-        )
+        trace = generate_trace(24, sorted(mix), seed=11, burst=4, gap_ticks=2)
         (tickets_1, _), (tickets_4, _) = at_both_widths(
             lambda: _serve(trace, mix)
         )
@@ -91,9 +83,7 @@ class TestWorkerCountInvariance:
         """Two replays of the same trace are indistinguishable (no
         hidden global state)."""
         mix = tiny_mix()
-        trace = generate_trace(
-            16, sorted(mix), pattern="uniform", seed=2
-        )
+        trace = generate_trace(16, sorted(mix), seed=2, burst=1, gap_ticks=1)
         _, first = _serve(trace, mix)
         _, second = _serve(trace, mix)
         assert first == second

@@ -76,6 +76,13 @@ class TestLatencyStats:
 
 
 class TestServerMetrics:
+    def test_rejection_only_bucket_has_no_latency(self):
+        m = ServerMetrics()
+        m.record_reject("va")
+        assert m.to_dict()["per_workload"] == {
+            "va": {"submitted": 1, "rejected": 1, "completed": 0, "failed": 0}
+        }
+
     def test_counter_flow(self):
         m = ServerMetrics()
         m.record_submit("mtv")

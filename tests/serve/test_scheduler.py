@@ -80,9 +80,11 @@ class TestDrain:
     def test_drain_keys_empty(self):
         assert DynamicBatcher().drain_keys() == []
 
-    def test_groups_snapshot(self):
+    def test_pending_counts_every_group(self):
         b = DynamicBatcher(max_batch_size=8)
         b.add("a", _pending(0))
         b.add("a", _pending(1))
         b.add("b", _pending(2))
-        assert b.groups() == {"a": 2, "b": 1}
+        assert b.pending == 3
+        assert [len(b.take(key)) for key in b.drain_keys()] == [2, 1]
+        assert b.pending == 0

@@ -44,9 +44,7 @@ def _assert_outputs_equal(actual, expected):
 class TestEndToEnd:
     def test_served_responses_match_individual_runs(self):
         mix = tiny_mix()
-        trace = generate_trace(
-            40, sorted(mix), pattern="burst", seed=3, burst=8, gap_ticks=4
-        )
+        trace = generate_trace(40, sorted(mix), seed=3, burst=8, gap_ticks=4)
         with Server(
             ExecutablePool(capacity=4), max_batch_size=8, max_wait_ticks=2
         ) as server:
@@ -63,7 +61,7 @@ class TestEndToEnd:
         every response bit-identical to an individual run."""
         mix = gptj_serving_mix(tokens=4)
         trace = generate_trace(
-            200, sorted(mix), pattern="burst", seed=0, burst=16, gap_ticks=4
+            200, sorted(mix), seed=0, burst=16, gap_ticks=4
         )
         with Server(
             ExecutablePool(capacity=8), max_batch_size=16, max_wait_ticks=4
@@ -265,19 +263,15 @@ class TestBatchingBehavior:
 
     def test_batched_throughput_beats_singletons(self):
         """Acceptance shape: same trace, batch 16 completes in less
-        simulated time than batch 1 (timing model only; execute=False
-        keeps this test fast)."""
+        simulated time than batch 1."""
         mix = tiny_mix()
-        trace = generate_trace(
-            48, sorted(mix), pattern="burst", seed=1, burst=16, gap_ticks=4
-        )
+        trace = generate_trace(48, sorted(mix), seed=1, burst=16, gap_ticks=4)
         throughput = {}
         for max_batch in (1, 16):
             with Server(
-                max_batch_size=max_batch, max_wait_ticks=4,
-                queue_limit=None, execute=False,
+                max_batch_size=max_batch, max_wait_ticks=4, queue_limit=None,
             ) as server:
-                replay_trace(server, trace, mix, with_inputs=False)
+                replay_trace(server, trace, mix)
                 metrics = server.metrics_dict()
             assert metrics["completed"] == 48
             throughput[max_batch] = metrics["throughput_rps"]
@@ -509,17 +503,12 @@ class TestLifecycle:
             assert again.rejected
             assert "no inputs" in again.reject_reason
 
-    def test_inputless_requests_fine_without_execution(self):
-        mix = tiny_mix()
-        entry = mix["va"]
-        with Server(max_batch_size=1, execute=False) as server:
-            ticket = server.submit(
-                Request(entry.workload, params=entry.params)
-            )
-        assert ticket.done
-        assert ticket.response.outputs is None
-        assert ticket.response.execute_s > 0
-
-    def test_tick_seconds_validated(self):
-        with pytest.raises(ValueError, match="tick_seconds"):
-            Server(tick_seconds=0.0)
+    def test_inputless_requests_rejected_at_admission(self):
+        entry = tiny_mix()["va"]
+        with Server(max_batch_size=1) as server:
+            ticket = server.submit(Request(entry.workload, params=entry.params))
+            assert ticket.rejected
+            assert "no inputs" in ticket.reject_reason
+            metrics = server.metrics_dict()
+        assert metrics["rejected"] == 1 and metrics["accepted"] == 0
+        assert metrics["pool"]["misses"] == 0  # nothing compiled

@@ -655,9 +655,9 @@ OUTSIDE_SRC_OPTIONS = {
         {"config"}, "a custom PU array: tests/pipeline/test_tuner_cache.py",
     ),
     "Server": (
-        {"max_wait_ticks", "queue_limit", "tick_seconds", "execute"},
-        "batching policy under test (flush age, backpressure, tick length,"
-        " timing-only mode): fig16 runs the defaults",
+        {"max_wait_ticks", "queue_limit"},
+        "batching policy under test (flush age, backpressure): fig16 runs"
+        " the defaults",
     ),
     "SyncClient": (
         {"server"}, "the blocking convenience client: README and tests only",
@@ -666,9 +666,6 @@ OUTSIDE_SRC_OPTIONS = {
         {"layers", "page_tokens", "max_pages", "config"},
         "DecodeEngine hands on its own constructor's values; tests build"
         " pagers directly to reach page boundaries in a few tokens",
-    ),
-    "WeightResidencyPlanner": (
-        {"policy"}, "eviction policy under test; the engine uses the default",
     ),
     "ClusterConfig": (
         {"queue_cap", "page_tokens", "max_pages", "max_ticks"},
@@ -783,6 +780,18 @@ CUT = (
     "serve/metrics.py:LatencyStats.histogram", "serve/server.py:Server.now",
     "target/base.py:register_target", "target/base.py:has_target",
     "target/base.py:Target.cache_token",
+    "serve/traffic.py:PATTERNS", "serve/scheduler.py:DynamicBatcher.groups",
+    "decode/residency.py:POLICIES", "decode/residency.py:StageEvent.to_dict",
+    "decode/residency.py:WeightResidencyPlanner.plan",
+    "decode/residency.py:WeightResidencyPlanner.resident_layers",
+    "decode/kv_cache.py:CacheExtension.to_dict",
+    "decode/engine.py:DecodeEngine.sequences",
+    "decode/engine.py:IterationReport.sequences",
+    "graph/executable.py:GraphExecutable.pool_keys",
+    "graph/memory.py:MemoryPlan.utilization",
+    "graph/memory.py:MemoryPlan.fragmentation",
+    "cluster/cluster.py:ClusterConfig.ttft_floor_s",
+    "cluster/session.py:Session.to_dict",
 )
 
 
