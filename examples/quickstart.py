@@ -23,7 +23,7 @@ Walks the ATiM flow around the single entry point
    flushed on batch size or virtual-clock age — wall time never enters
    the decision path) and reports simulated throughput and tail latency;
 6. build a whole GPT-J decoder-layer decode step as a
-   ``repro.graph.ModelGraph`` — per-head attention MMTVs, the four
+   ``repro.graph.ModelGraph`` — the multi-head attention MMTVs, the four
    FC-shape MTVs, host-side glue — compile it through the same front
    door (placement puts matvecs on PIM, glue on the CPU), run it
    bit-for-bit against the per-op path, and print the fig17-style

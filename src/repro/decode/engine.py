@@ -360,8 +360,9 @@ class DecodeEngine:
             page_tokens=page_tokens,
             max_pages=max_pages,
         )
-        #: Per layer, the model graph's tensor names (weights, per-head
-        #: caches, new K/V rows) — the builder's, never re-derived here.
+        #: Per layer, the model graph's tensor names (weights, K and
+        #: transposed V caches, new K/V rows) — the builder's, never
+        #: re-derived here.
         self._io = [
             gptj_layer_io(self.config, layer) for layer in range(layers)
         ]
@@ -618,13 +619,13 @@ class DecodeEngine:
         inputs: Dict[str, np.ndarray] = dict(self.weights)
         inputs[self._io[0].x] = state.x
         inputs[ATTN_MASK] = self.cache.attention_mask(name)
-        hd = self.config.head_dim
+        by_head = (-1, self.config.n_heads, self.config.head_dim)
         for layer, io in enumerate(self._io):
             k, v = self.cache.dense_kv(name, layer)
-            for h, (k_cache, v_cache_t) in enumerate(io.kv_cache):
-                sl = slice(h * hd, (h + 1) * hd)
-                inputs[k_cache] = np.ascontiguousarray(k[None, :, sl])
-                inputs[v_cache_t] = np.ascontiguousarray(v[:, sl].T)
+            k_cache, v_cache_t = io.kv_cache
+            # Contiguous (heads, span, hd) K and (heads, hd, span) V^T.
+            inputs[k_cache] = k.reshape(by_head).transpose(1, 0, 2).copy()
+            inputs[v_cache_t] = v.reshape(by_head).transpose(1, 2, 0).copy()
         outs = epoch.exe.run_tensors(inputs)
 
         reference_ok: Optional[bool] = None

@@ -2,15 +2,15 @@
 
 One decode step of a GPT-J layer (batch 1, ``tokens`` cached positions)
 built from the paper's shape helpers (:func:`repro.workloads.fc_shapes`
-gives the four FC-layer MTVs; attention is the per-head MMTV family of
-Fig. 10):
+gives the four FC-layer MTVs; attention is the multi-head MMTV of
+Fig. 10, :func:`repro.workloads.mha_mmtv`):
 
 * ``qkv_gen``  — MTV (3d x d) producing the fused Q/K/V vector;
-* per head ``h``: a glue slice extracting the head's query, the
-  attention-score MMTV ``(1, tokens, head_dim)`` against the resident
-  K cache, a scaled-softmax glue, and the value MTV ``(head_dim,
+* a glue slice viewing the query as ``(heads, head_dim)``, the score
+  MMTV ``(heads, tokens, head_dim)`` against the resident K cache, a
+  scaled-softmax glue per head, and the value MMTV ``(heads, head_dim,
   tokens)`` against the (transposed) resident V cache;
-* ``concat_heads`` glue, then ``attn_proj`` — MTV (d x d);
+* ``concat_heads`` glue (a reshape), then ``attn_proj`` — MTV (d x d);
 * the parallel GPT-J FF branch: ``fc`` — MTV (4d x d), ``gelu`` glue,
   ``fc_proj`` — MTV (d x 4d);
 * two ``va`` residual adds folding attention and FF back into the
@@ -45,7 +45,7 @@ from ..autotune.sketch import (
     fixed_params,
     pow2_upto,
 )
-from ..workloads import GPTJConfig, Workload, fc_mtv, mmtv, mtv, va
+from ..workloads import GPTJConfig, Workload, fc_mtv, mmtv, va
 from .ir import ModelGraph
 
 __all__ = [
@@ -80,14 +80,15 @@ def small_grid_params(workload: Workload) -> Dict[str, int]:
     backend executes the whole grid as one lane axis, so suites now
     afford 64.
 
-    The outer distributed axis gets up to 64 DPUs, a second one up to 2;
-    the tasklet count ``seed_params`` starts every search from
+    The outer distributed axis gets up to 64 DPUs and a second one (the
+    attention MMTVs' rows) up to 32, as host time falls with lanes per
+    call; the tasklet count ``seed_params`` starts every search from
     (:data:`~repro.autotune.sketch.SEED_TASKLETS`, which the sketch caps
     at each DPU's rows), a cache tile of up to 64 elements, no unroll.
     """
     dpus = [
         min(cap, pow2_upto(extent)[-1])
-        for cap, extent in zip((64, 2), distributed_extents(workload))
+        for cap, extent in zip((64, 32), distributed_extents(workload))
     ]
     cache = min(64, pow2_upto(workload.shape[-1])[-1])
     return fixed_params(
@@ -104,22 +105,22 @@ class LayerIO(NamedTuple):
     y: str
     #: ``(name, shape)`` of the four FC weights, in declaration order.
     weights: Tuple[Tuple[str, Tuple[int, int]], ...]
-    #: Per head: (K cache ``(1, span, head_dim)``, V cache stored
-    #: transposed ``(head_dim, span)`` so the value contraction is a
-    #: plain MTV).
-    kv_cache: Tuple[Tuple[str, str], ...]
+    #: The layer's K cache ``(heads, span, head_dim)`` and V cache,
+    #: stored transposed ``(heads, head_dim, span)`` so the value
+    #: contraction is an MMTV too.
+    kv_cache: Tuple[str, str]
     #: The step's freshly generated (key, value) rows — outputs of the
     #: model graph only.
     kv_new: Tuple[str, str]
 
 
-def _naming(layer: Optional[int]) -> Tuple[str, str, str, str]:
-    """(node-name prefix, tensor tag, per-head tensor tag, first
-    residual's tensor): bare for the single-layer decoder graph
-    (``layer=None``), per layer for the model graph."""
+def _naming(layer: Optional[int]) -> Tuple[str, str, str]:
+    """(node-name prefix, tensor tag, first residual's tensor): bare for
+    the single-layer decoder graph (``layer=None``), per layer for the
+    model graph."""
     if layer is None:
-        return "", "", "_", "resid_1"
-    return f"L{layer}.", f"_L{layer}", f"_L{layer}_h", f"resid_L{layer}"
+        return "", "", "resid_1"
+    return f"L{layer}.", f"_L{layer}", f"resid_L{layer}"
 
 
 def gptj_layer_io(config: GPTJConfig, layer: Optional[int] = None) -> LayerIO:
@@ -128,7 +129,7 @@ def gptj_layer_io(config: GPTJConfig, layer: Optional[int] = None) -> LayerIO:
     state ``h{l}`` (``h0`` is the graph input ``x``) and writes
     ``h{l+1}``; the last layer's ``y`` is the step's result."""
     d = config.d_model
-    _, tag, head, _ = _naming(layer)
+    _, tag, _ = _naming(layer)
     return LayerIO(
         x="x" if not layer else f"h{layer}",
         y="y" if layer is None else f"h{layer + 1}",
@@ -138,10 +139,7 @@ def gptj_layer_io(config: GPTJConfig, layer: Optional[int] = None) -> LayerIO:
             (f"w_fc{tag}", (4 * d, d)),
             (f"w_fc_proj{tag}", (d, 4 * d)),
         ),
-        kv_cache=tuple(
-            (f"k_cache{head}{h}", f"v_cache_t{head}{h}")
-            for h in range(config.n_heads)
-        ),
+        kv_cache=(f"k_cache{tag}", f"v_cache_t{tag}"),
         kv_new=(f"k_new{tag}", f"v_new{tag}"),
     )
 
@@ -176,9 +174,9 @@ def _glue(
 
 
 def _layer_ops(config: GPTJConfig, span: int, masked: bool) -> SimpleNamespace:
-    """The workloads a layer binds, built once per graph: every head and
-    every layer shares each instance, so the pool compiles each program
-    once for the whole model.  ``span`` is the number of cache positions
+    """The workloads a layer binds, built once per graph: every layer
+    shares each instance, so the pool compiles each program once for
+    the whole model.  ``span`` is the number of cache positions
     attention reads; ``masked`` gives the softmax its additive mask
     input (the model graph's paged cache has unwritten tail slots)."""
     d, hd, heads = config.d_model, config.head_dim, config.n_heads
@@ -187,21 +185,21 @@ def _layer_ops(config: GPTJConfig, span: int, masked: bool) -> SimpleNamespace:
             f"{config.name}: n_heads*head_dim ({heads}*{hd}) must equal"
             f" d_model ({d})"
         )
-    score = mmtv(1, span, hd)
+    score = mmtv(heads, span, hd)
     score.params.update({"model": config.name, "layer": "mha_score"})
-    value = mtv(hd, span)
+    value = mmtv(heads, hd, span)
     value.params.update({"model": config.name, "layer": "mha_value"})
     scale = np.float32(np.sqrt(hd))
 
     def softmax_ref(
         s: np.ndarray, m: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        z = s[0].astype(np.float32) / scale
+        z = s.astype(np.float32) / scale
         if m is not None:
             z = z + m.astype(np.float32)
-        z = z - z.max()
+        z = z - z.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        return (e / e.sum()).astype(np.float32)
+        return (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
 
     def gelu_ref(a: np.ndarray) -> np.ndarray:
         a = a.astype(np.float32)
@@ -212,7 +210,7 @@ def _layer_ops(config: GPTJConfig, span: int, masked: bool) -> SimpleNamespace:
         ).astype(np.float32)
 
     def qkv_slice(name: str, offset: int, out_shape: Tuple) -> Workload:
-        width = out_shape[-1]
+        width = int(np.prod(out_shape))
         return _glue(
             name,
             [te.placeholder((3 * d,), "float32", "A")],
@@ -233,24 +231,22 @@ def _layer_ops(config: GPTJConfig, span: int, masked: bool) -> SimpleNamespace:
         residual=va(d),
         softmax=_glue(
             "masked_softmax" if masked else "softmax",
-            [te.placeholder((1, span), "float32", "S")] + mask_input,
-            (span,),
+            [te.placeholder((heads, span), "float32", "S")] + mask_input,
+            (heads, span),
             softmax_ref,
-            flops=(6.0 if masked else 5.0) * span,
+            flops=(6.0 if masked else 5.0) * heads * span,
             params={
                 "capacity" if masked else "tokens": span, "scale_dim": hd,
             },
         ),
-        slice_q=[
-            qkv_slice("slice_q", h * hd, (1, hd)) for h in range(heads)
-        ],
+        slice_q=qkv_slice("slice_q", 0, (heads, hd)),
         # The fused vector is [q | k | v]: this step's new K and V rows.
         slice_kv=[qkv_slice("slice_kv", n * d, (d,)) for n in (1, 2)],
         concat=_glue(
             "concat_heads",
-            [te.placeholder((hd,), "float32", f"H{h}") for h in range(heads)],
+            [te.placeholder((heads, hd), "float32", "A")],
             (d,),
-            lambda *hs: np.concatenate(hs).astype(np.float32),
+            lambda a: a.reshape(d),
             flops=0.0,
             params={"heads": heads, "width": hd},
         ),
@@ -266,14 +262,15 @@ def _layer_ops(config: GPTJConfig, span: int, masked: bool) -> SimpleNamespace:
 
 
 def _declare_inputs(
-    g: ModelGraph, io: LayerIO, head_dim: int, span: int
+    g: ModelGraph, io: LayerIO, config: GPTJConfig, span: int
 ) -> None:
-    """A layer's weights and per-head KV caches, as const inputs."""
+    """A layer's weights and KV cache, as const inputs."""
     for name, shape in io.weights:
         g.add_input(name, shape, const=True)
-    for k_cache, v_cache_t in io.kv_cache:
-        g.add_input(k_cache, (1, span, head_dim), const=True)
-        g.add_input(v_cache_t, (head_dim, span), const=True)
+    heads, hd = config.n_heads, config.head_dim
+    k_cache, v_cache_t = io.kv_cache
+    g.add_input(k_cache, (heads, span, hd), const=True)
+    g.add_input(v_cache_t, (heads, hd, span), const=True)
 
 
 def _emit_layer(
@@ -292,12 +289,13 @@ def _emit_layer(
     as ``io.kv_new``.  ``overrides`` replaces the pinned schedule params
     of the named nodes (names without the layer prefix).
     """
-    prefix, tag, head, resid = _naming(layer)
+    prefix, tag, resid = _naming(layer)
     (w_qkv, _), (w_proj, _), (w_fc, _), (w_fc_proj, _) = io.weights
+    k_cache, v_cache_t = io.kv_cache
 
-    def t(base: str, h: Optional[int] = None) -> str:
-        """An intermediate tensor of this layer (of head ``h``)."""
-        return f"{base}{tag}" if h is None else f"{base}{head}{h}"
+    def t(base: str) -> str:
+        """An intermediate tensor of this layer."""
+        return f"{base}{tag}"
 
     def node_params(name: str, wl: Workload) -> Optional[Dict[str, int]]:
         if overrides and name in overrides:
@@ -320,20 +318,15 @@ def _emit_layer(
             ("slice_k", "slice_v"), ops.slice_kv, io.kv_new
         ):
             glue(name, wl, {"A": t("qkv")}, out, "attn", "kv")
-    for h, (k_cache, v_cache_t) in enumerate(io.kv_cache):
-        q, score, probs = t("q", h), t("score", h), t("probs", h)
-        scores = {"S": score} if mask is None else {"S": score, "M": mask}
-        glue(f"slice_q_{h}", ops.slice_q[h], {"A": t("qkv")}, q, "attn")
-        op(f"attn_score_{h}", ops.score, k_cache, q, score, "attn")
-        glue(f"softmax_{h}", ops.softmax, scores, probs, "attn")
-        op(
-            f"attn_value_{h}", ops.value,
-            v_cache_t, probs, t("head", h), "attn",
-        )
+    q, score, probs = t("q"), t("score"), t("probs")
+    scores = {"S": score} if mask is None else {"S": score, "M": mask}
+    glue("slice_q", ops.slice_q, {"A": t("qkv")}, q, "attn")
+    op("attn_score", ops.score, k_cache, q, score, "attn")
+    glue("softmax", ops.softmax, scores, probs, "attn")
+    op("attn_value", ops.value, v_cache_t, probs, t("heads"), "attn")
     glue(
-        "concat_heads", ops.concat,
-        {f"H{h}": t("head", h) for h in range(len(io.kv_cache))},
-        t("attn_concat"), "attn",
+        "concat_heads", ops.concat, {"A": t("heads")}, t("attn_concat"),
+        "attn",
     )
     op("attn_proj", ops.proj, w_proj, t("attn_concat"), t("attn_out"), "attn")
 
@@ -363,7 +356,7 @@ def gptj_decoder_graph(
     io = gptj_layer_io(config)
     g = ModelGraph(f"{config.name}-decoder-t{tokens}")
     g.add_input(io.x, (config.d_model,))
-    _declare_inputs(g, io, config.head_dim, tokens)
+    _declare_inputs(g, io, config, tokens)
     _emit_layer(
         g, _layer_ops(config, tokens, masked=False), io,
         overrides=params, pin_small_grids=pin_small_grids,
@@ -403,7 +396,7 @@ def gptj_model_graph(
       over them.
 
     :func:`gptj_layer_io` names every external tensor of layer ``l``;
-    weights and per-head caches are const (device-resident, staged per
+    weights and KV caches are const (device-resident, staged per
     the weight-residency plan).
     """
     if layers < 1:
@@ -415,7 +408,7 @@ def gptj_model_graph(
     g.add_input(ios[0].x, (config.d_model,))
     g.add_input(ATTN_MASK, (capacity,))
     for io in ios:
-        _declare_inputs(g, io, config.head_dim, capacity)
+        _declare_inputs(g, io, config, capacity)
     ops = _layer_ops(config, capacity, masked=True)
     for layer, io in enumerate(ios):
         _emit_layer(g, ops, io, layer, mask=ATTN_MASK)

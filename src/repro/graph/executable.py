@@ -1,9 +1,10 @@
 """GraphExecutable: a compiled model graph with an end-to-end cost model.
 
 Every node compiles through the serving layer's
-:class:`~repro.serve.pool.ExecutablePool` (so per-head operators that
-share one program compile once) with the node's own ``params`` — the
-builder's pinned grids, or tuned ones assigned per node.  Execution walks the
+:class:`~repro.serve.pool.ExecutablePool` (so nodes that share one
+program, such as every layer's ``fc``, compile it once) with the node's
+own ``params`` — the builder's pinned grids, or tuned ones assigned per
+node.  Execution walks the
 graph's topological levels — nodes of one level are independent, so
 those that share an executable run as one ``run_batch`` (stacked on the
 simulator's lane axis) — and is bit-for-bit identical to calling each

@@ -33,7 +33,6 @@ from repro.workloads import (
     fc_shapes,
     make_workload,
     mmtv,
-    mtv,
     va,
 )
 
@@ -52,8 +51,9 @@ def cases() -> Iterator[Tuple[str, Workload, Optional[str]]]:
         for layer, _m, _k in fc_shapes(model):
             yield f"{model.name}/{layer}", fc_mtv(model, layer), None
         for c in CAPACITIES:
-            yield f"{model.name}/score-c{c}", mmtv(1, c, model.head_dim), None
-            yield f"{model.name}/value-c{c}", mtv(model.head_dim, c), None
+            heads, hd = model.n_heads, model.head_dim
+            yield f"{model.name}/score-c{c}", mmtv(heads, c, hd), None
+            yield f"{model.name}/value-c{c}", mmtv(heads, hd, c), None
         yield f"{model.name}/residual", va(model.d_model), None
 
 

@@ -1,6 +1,11 @@
 """Decode determinism: host threads and simulator backends are
 invisible — outputs, timings, plans, and schedules are bit-for-bit."""
 
+import hashlib
+
+from repro.decode import DecodeEngine
+from repro.graph import GPTJ_SIM
+
 from ..conftest import at_both_widths, host_threads
 from .conftest import tiny_engine
 
@@ -89,3 +94,29 @@ class TestExperimentPayload:
         assert [s.compiled_programs for s in a.steps] == [
             s.compiled_programs for s in b.steps
         ]
+
+
+class TestPinnedHiddenStates:
+    """The final hidden states of a fixed multi-sequence run, pinned by
+    digest: a change to how the engine lays the K/V planes out per head
+    (head order, a transpose) moves them."""
+
+    #: sha256 over the eight sequences' final hidden states, in order.
+    DIGEST = "5076b60da2ad6ab6347e7e07e99829aa7829f39912bfe39cffc2bcdcaebf8fa8"
+
+    def test_multi_sequence_run_is_pinned(self):
+        engine = DecodeEngine(
+            config=GPTJ_SIM, layers=3, page_tokens=4, seed=5,
+            max_resident_epochs=4,
+        )
+        names = [f"s{i}" for i in range(8)]
+        for i, name in enumerate(names):
+            engine.add_sequence(name, prompt_tokens=3 + i % 4)
+        reports = []
+        for _ in range(6):
+            reports.extend(engine.step_batch(names).reports)
+        assert all(r.reference_ok for r in reports)
+        digest = hashlib.sha256()
+        for name in names:
+            digest.update(engine.hidden_state(name).tobytes())
+        assert digest.hexdigest() == self.DIGEST

@@ -19,16 +19,19 @@ from repro.graph import (
     small_grid_params,
 )
 from repro.upmem.config import DEFAULT_CONFIG
-from repro.workloads import GPTJConfig, fc_shapes, mmtv, mtv, red, ttv, va
+from repro.workloads import (
+    GPTJConfig, fc_shapes, mha_mmtv, mmtv, mtv, red, ttv, va,
+)
 
 from .conftest import TINY
 
 
 class TestTopology:
-    def test_node_count_scales_with_heads(self):
+    def test_node_count_does_not_scale_with_heads(self):
         g = gptj_decoder_graph(TINY, tokens=4)
-        # qkv + 4 per head + concat + proj + fc + gelu + fc_proj + 2 va
-        assert len(g) == 8 + 4 * TINY.n_heads
+        # qkv + slice_q, score, softmax, value + concat + proj + fc +
+        # gelu + fc_proj + 2 va
+        assert len(g) == 12
         assert g.output_names == ["y"]
 
     def test_uses_all_four_fc_shapes(self):
@@ -40,25 +43,17 @@ class TestTopology:
         }
         assert {name for name, _, _ in fc_shapes(TINY)} <= mtv_layers
 
-    def test_per_head_programs_are_shared(self):
-        """All heads reference one score workload and one value workload
-        — the pool compiles each program once."""
+    def test_attention_is_one_score_and_one_value_node(self):
+        """All heads run in one score and one value MMTV."""
         g = gptj_decoder_graph(TINY, tokens=4)
-        scores = {
-            id(n.workload) for n in g.nodes if n.name.startswith("attn_score")
-        }
-        values = {
-            id(n.workload) for n in g.nodes if n.name.startswith("attn_value")
-        }
-        assert len(scores) == 1 and len(values) == 1
+        mmtvs = [n.name for n in g.nodes if n.workload.name == "mmtv"]
+        assert mmtvs == ["attn_score", "attn_value"]
 
     def test_weights_and_kv_cache_are_const(self):
         g = gptj_decoder_graph(TINY, tokens=4)
         const = g.const_inputs
         assert {"w_qkv", "w_proj", "w_fc", "w_fc_proj"} <= const
-        for h in range(TINY.n_heads):
-            assert f"k_cache_{h}" in const
-            assert f"v_cache_t_{h}" in const
+        assert {"k_cache", "v_cache_t"} <= const
         assert "x" not in const
 
     def test_mismatched_head_geometry_rejected(self):
@@ -86,25 +81,29 @@ class TestTopology:
 
 class TestReference:
     def test_reference_matches_hand_rolled_numpy(self):
+        """Head ``h`` owns columns ``h*hd:(h+1)*hd`` of the dense
+        ``(tokens, d)`` K and V planes; the expected value attends head
+        by head over those column slices."""
         g = gptj_decoder_graph(TINY, tokens=4)
         ins = g.random_inputs(7)
+        hd, H, T = TINY.head_dim, TINY.n_heads, 4
+        rng = np.random.default_rng(7)
+        K = rng.standard_normal((T, TINY.d_model), dtype=np.float32)
+        V = rng.standard_normal((T, TINY.d_model), dtype=np.float32)
+        cols = [slice(h * hd, (h + 1) * hd) for h in range(H)]
+        ins["k_cache"] = np.stack([K[:, sl] for sl in cols])
+        ins["v_cache_t"] = np.stack([V[:, sl].T for sl in cols])
         out = g.reference_outputs(ins)["y"]
 
-        d, hd, H, T = (
-            TINY.d_model, TINY.head_dim, TINY.n_heads, 4
-        )
         qkv = ins["w_qkv"] @ ins["x"]
         heads = []
-        for h in range(H):
-            q = qkv[h * hd:(h + 1) * hd]
-            scores = np.einsum(
-                "ijl,il->ij", ins[f"k_cache_{h}"], q[None, :]
-            )[0]
+        for sl in cols:
+            scores = K[:, sl] @ qkv[sl]
             z = scores.astype(np.float32) / np.float32(np.sqrt(hd))
             z = z - z.max()
             e = np.exp(z)
             probs = (e / e.sum()).astype(np.float32)
-            heads.append(ins[f"v_cache_t_{h}"] @ probs)
+            heads.append(V[:, sl].T @ probs)
         attn = ins["w_proj"] @ np.concatenate(heads).astype(np.float32)
         hidden = ins["w_fc"] @ ins["x"]
         c = np.float32(np.sqrt(2.0 / np.pi))
@@ -126,9 +125,10 @@ class TestSmallGridParams:
     )
     def test_grids_stay_small_and_valid(self, workload):
         # The grid is what costs simulator host time (one lane per DPU),
-        # so it stays small: at most 64 DPUs an axis, 128 in all, well
-        # under the 2048-DPU machine.  Tasklets cost no host time; the
-        # pin takes the tasklet count every search starts from.
+        # so it stays small: at most 64 DPUs an axis (32 on a second),
+        # 128 in all at these shapes, well under the 2048-DPU machine.
+        # Tasklets cost no host time; the pin takes the tasklet count
+        # every search starts from.
         params = small_grid_params(workload)
         dpus = [v for k, v in params.items() if k.endswith("dpus")]
         assert all(1 <= v <= 64 for v in dpus)
@@ -205,9 +205,9 @@ class TestTaskletPin:
             assert (now.compute_s < then.compute_s) == (
                 _rows_per_dpu(node) > 2
             ), node.name
-        if config is GPTJ_SIM and capacity > 4:
-            heads = {f"attn_score_{h}" for h in range(config.n_heads)}
-            assert faster == {"qkv_gen", "fc"} | heads
+        if config is GPTJ_SIM:
+            # The attention MMTVs spread one row over each DPU.
+            assert faster == {"qkv_gen", "fc"}
 
     def test_steady_state_at_least_1_3x_lower(self):
         pinned, base = _pinned_and_two_tasklets(GPTJ_SIM, 3, 8)
@@ -244,7 +244,7 @@ class TestTaskletPin:
                         key = (node.workload.name, node.workload.shape,
                                tuple(node.params.items()))
                         programs.setdefault(key, node.workload)
-        assert len(programs) == 24
+        assert len(programs) == 23
         monkeypatch.setenv("REPRO_SIM_MODE", "verify")
         tasklets = set()
         for (_, _, params), workload in programs.items():
@@ -258,10 +258,48 @@ class TestTaskletPin:
         assert {6, 8} <= tasklets
 
 
+class TestPaperAttention:
+    """Each layer runs fig10's multi-head MMTV: one score node against K
+    as ``(heads, span, head_dim)`` and one value node against Vᵀ as
+    ``(heads, head_dim, span)``, both on the PIM side."""
+
+    @pytest.mark.parametrize(
+        "config,capacity", TestTaskletPin.CASES,
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_one_score_and_one_value_mmtv_per_layer(self, config, capacity):
+        layers = 2
+        g = gptj_model_graph(config, layers, capacity)
+        placement = place(g)
+        for layer in range(layers):
+            nodes = {
+                n.name.split(".", 1)[1]: n for n in g.nodes
+                if n.name.startswith(f"L{layer}.")
+            }
+            assert nodes["attn_score"].workload.shape == (
+                mha_mmtv(config, 1, capacity).shape
+            )
+            assert nodes["attn_value"].workload.shape == (
+                config.n_heads, config.head_dim, capacity
+            )
+            on_pim = [
+                name for name, n in nodes.items()
+                if n.workload.name == "mmtv"
+                and placement[n.name].kind == "upmem"
+            ]
+            assert on_pim == ["attn_score", "attn_value"]
+
+    def test_three_layer_step_size(self):
+        g = gptj_model_graph(GPTJ_SIM, 3, 8)
+        placement = place(g)
+        assert len(g) == 42
+        assert sum(t.kind == "upmem" for t in placement.values()) == 18
+
+
 class TestModelGraph:
     def test_layers_chain_through_hidden_states(self):
         g = gptj_model_graph(TINY, layers=3, capacity=8)
-        per_layer = 8 + 4 * TINY.n_heads + 2  # decoder nodes + k/v slices
+        per_layer = 12 + 2  # decoder nodes + k/v slices
         assert len(g) == 3 * per_layer
         assert g.output_names == [
             "k_new_L0", "v_new_L0", "k_new_L1", "v_new_L1",
@@ -293,8 +331,8 @@ class TestModelGraph:
 
     def test_capacity_sizes_attention_not_sequence_length(self):
         g = gptj_model_graph(TINY, layers=1, capacity=12)
-        score = next(n for n in g.nodes if n.name == "L0.attn_score_0")
-        assert score.workload.shape == (1, 12, TINY.head_dim)
+        score = next(n for n in g.nodes if n.name == "L0.attn_score")
+        assert score.workload.shape == (TINY.n_heads, 12, TINY.head_dim)
         assert g.tensor_nbytes("attn_mask") == 12 * 4
 
     def test_mask_folds_into_softmax_reference(self):
@@ -306,11 +344,10 @@ class TestModelGraph:
         mask[5:] = -np.inf
         ins["attn_mask"] = mask
         out_a = g.reference_outputs(ins)
-        for h in range(TINY.n_heads):
-            ins[f"k_cache_L0_h{h}"] = ins[f"k_cache_L0_h{h}"].copy()
-            ins[f"k_cache_L0_h{h}"][:, 5:] = 9.9
-            ins[f"v_cache_t_L0_h{h}"] = ins[f"v_cache_t_L0_h{h}"].copy()
-            ins[f"v_cache_t_L0_h{h}"][:, 5:] = -7.7
+        ins["k_cache_L0"] = ins["k_cache_L0"].copy()
+        ins["k_cache_L0"][:, 5:] = 9.9
+        ins["v_cache_t_L0"] = ins["v_cache_t_L0"].copy()
+        ins["v_cache_t_L0"][:, :, 5:] = -7.7
         out_b = g.reference_outputs(ins)
         for name in out_a:
             np.testing.assert_array_equal(out_a[name], out_b[name])
@@ -350,9 +387,8 @@ class TestModelGraph:
             "w_fc_L0": ins_legacy["w_fc"],
             "w_fc_proj_L0": ins_legacy["w_fc_proj"],
         }
-        for h in range(TINY.n_heads):
-            ins[f"k_cache_L0_h{h}"] = ins_legacy[f"k_cache_{h}"]
-            ins[f"v_cache_t_L0_h{h}"] = ins_legacy[f"v_cache_t_{h}"]
+        ins["k_cache_L0"] = ins_legacy["k_cache"]
+        ins["v_cache_t_L0"] = ins_legacy["v_cache_t"]
         np.testing.assert_allclose(
             g.reference_outputs(ins)["h1"],
             legacy.reference_outputs(ins_legacy)["y"],

@@ -13,7 +13,7 @@ from repro.graph import (
 )
 from repro.serve.pool import ExecutablePool
 
-from .conftest import TINY, chain_graph
+from .conftest import chain_graph
 
 
 class TestPlacement:
@@ -32,7 +32,7 @@ class TestPlacement:
 
     def test_mixed_policy_splits_attention_from_ffn(self, tiny_decoder):
         placement = place(tiny_decoder, policy="mixed")
-        assert placement["attn_score_0"].kind == "upmem"
+        assert placement["attn_score"].kind == "upmem"
         assert placement["fc"].kind == "cpu"
         assert placement["fc_proj"].kind == "cpu"
 
@@ -145,8 +145,8 @@ class TestCostModel:
     def test_staging_charged_once_per_const_tensor(self, tiny_decoder):
         exe = compile_graph(tiny_decoder, target="upmem")
         staged = [c for c in exe.profile().nodes if c.staging_s > 0]
-        # qkv_gen, per-head score+value, attn_proj, fc, fc_proj.
-        assert len(staged) == 4 + 2 * TINY.n_heads
+        # qkv_gen, attn_score, attn_value, attn_proj, fc, fc_proj.
+        assert len(staged) == 6
         assert exe.profile().steady_state_s < exe.profile().total
 
     def test_dynamic_input_in_const_slot_pays_recurring_h2d(self):
@@ -199,12 +199,12 @@ class TestCostModel:
             tiny_decoder, placement=place(tiny_decoder, policy="mixed")
         )
         costs = {c.node: c for c in exe.profile().nodes}
-        # PIM score nodes read the host-produced query slice.
-        assert costs["attn_score_0"].crossing_in
-        assert costs["attn_score_0"].h2d_s > 0
-        # ... and feed the host softmax.
-        assert costs["attn_score_0"].crossing_out
-        assert costs["attn_score_0"].d2h_s > 0
+        # The PIM score node reads the host-produced query slice.
+        assert costs["attn_score"].crossing_in
+        assert costs["attn_score"].h2d_s > 0
+        # ... and feeds the host softmax.
+        assert costs["attn_score"].crossing_out
+        assert costs["attn_score"].d2h_s > 0
 
     def test_profile_totals_are_additive(self, tiny_decoder):
         profile = compile_graph(tiny_decoder, target="upmem").profile()

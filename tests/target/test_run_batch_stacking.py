@@ -140,7 +140,7 @@ class TestStackedBatchEqualsSoloRuns:
         _assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("mode", ["scalar", "verify"])
-    @pytest.mark.parametrize("label", ["serve:red", "decode:L0.attn_score_0",
+    @pytest.mark.parametrize("label", ["serve:red", "decode:L0.attn_score",
                                        "mtv-rfactor"])
     def test_other_sim_modes(self, label, mode, monkeypatch):
         exe = _exe(label)

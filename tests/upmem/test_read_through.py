@@ -176,10 +176,10 @@ _DECODE = {
     ("mtv", (128, 128)): (2, 1),  # attn_proj
     ("mtv", (512, 128)): (2, 1),  # fc
     ("mtv", (128, 512)): (2, 1),  # fc_proj
-    ("mmtv", (1, 8, 32)): (2, 0),  # attn_score: one block
-    ("mtv", (32, 8)): (2, 0),  # attn_value: one block
-    ("mmtv", (1, 12, 32)): (2, 0),
-    ("mtv", (32, 12)): (2, 0),  # two blocks, the second one short
+    ("mmtv", (4, 8, 32)): (2, 0),  # attn_score: one block
+    ("mmtv", (4, 32, 8)): (2, 0),  # attn_value: one block
+    ("mmtv", (4, 12, 32)): (2, 0),
+    ("mmtv", (4, 32, 12)): (2, 0),  # two blocks, the second one short
 }
 
 
