@@ -4,7 +4,7 @@ from repro.harness import (
     fig3a_cache_tile_sweep,
     fig3b_tiling_schemes,
     fig3c_dpu_sweep,
-    render_table,
+    text_report,
 )
 
 from .conftest import save_report
@@ -14,7 +14,7 @@ def test_fig3a_cache_tile_size(benchmark):
     rows = benchmark.pedantic(
         fig3a_cache_tile_sweep, rounds=1, iterations=1
     )
-    save_report("fig3a_cache_tiles", render_table(rows, title="Fig 3a: 512x512 GEMV, 1 DPU"))
+    save_report("fig3a_cache_tiles", text_report(fig3a_cache_tile_sweep, rows))
     by_tile = {r["cache_elems"]: r["kernel_ms"] for r in rows}
     # Tiny tiles drown in DMA setup; the curve flattens by 64 elements.
     assert by_tile[4] > 1.3 * by_tile[64]
@@ -25,7 +25,7 @@ def test_fig3b_tiling_schemes(benchmark):
     rows = benchmark.pedantic(fig3b_tiling_schemes, rounds=1, iterations=1)
     save_report(
         "fig3b_tiling_schemes",
-        render_table(rows, title="Fig 3b: 8192x8192 GEMV on 2048 DPUs"),
+        text_report(fig3b_tiling_schemes, rows),
     )
     totals = {(r["m_dpus"], r["k_dpus"]): r["total_ms"] for r in rows}
     best = min(rows, key=lambda r: r["total_ms"])
@@ -42,9 +42,9 @@ def test_fig3c_dpu_count_sweep(benchmark):
                           dpu_counts=(64, 256, 512, 1024, 2048))
     save_report(
         "fig3c_dpu_sweep",
-        render_table(small, title="Fig 3c (512x512)")
+        text_report(fig3c_dpu_sweep, small)
         + "\n\n"
-        + render_table(big, title="Fig 3c (8192x8192)"),
+        + text_report(fig3c_dpu_sweep, big),
     )
     # Large tensors want the full system; small tensors plateau early.
     assert min(big, key=lambda r: r["total_ms"])["n_dpus"] >= 1024

@@ -1,6 +1,6 @@
 """Fig. 4 — boundary-check overhead on CPU / GPU / UPMEM."""
 
-from repro.harness import fig4_boundary_checks, render_table
+from repro.harness import fig4_boundary_checks, text_report
 
 from .conftest import save_report
 
@@ -9,7 +9,7 @@ def test_fig4_boundary_check_speedups(benchmark):
     rows = benchmark.pedantic(fig4_boundary_checks, rounds=1, iterations=1)
     save_report(
         "fig4_boundary_checks",
-        render_table(rows, title="Fig 4: speedup from eliminating boundary checks"),
+        text_report(fig4_boundary_checks, rows),
     )
     assert len(rows) == 9
     for row in rows:

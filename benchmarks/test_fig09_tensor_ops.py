@@ -1,16 +1,8 @@
 """Fig. 9 — autotuned tensor-program performance vs all baselines."""
 
-from repro.harness import fig9_tensor_ops, render_table, summarize_speedups
+from repro.harness import fig9_tensor_ops, summarize_speedups, text_report
 
 from .conftest import save_report
-
-COLUMNS = [
-    "workload", "size", "prim_ms", "prim_e_ms", "prim_search_ms",
-    "simplepim_ms", "atim_ms", "cpu_ms",
-    "atim_speedup_vs_prim", "atim_speedup_vs_prim_search",
-    "atim_speedup_vs_cpu",
-]
-
 
 def test_fig9_all_workloads_64mb(benchmark):
     rows = benchmark.pedantic(
@@ -19,13 +11,7 @@ def test_fig9_all_workloads_64mb(benchmark):
         rounds=1,
         iterations=1,
     )
-    save_report(
-        "fig9_tensor_ops_64mb",
-        render_table(rows, COLUMNS, title="Fig 9 (64MB instances)")
-        + f"\nATiM vs PrIM: {summarize_speedups(rows, 'atim_speedup_vs_prim')}"
-        + f"\nATiM vs PrIM+search:"
-        f" {summarize_speedups(rows, 'atim_speedup_vs_prim_search')}",
-    )
+    save_report("fig9_tensor_ops_64mb", text_report(fig9_tensor_ops, rows))
     assert len(rows) == 7
     for row in rows:
         # ATiM never loses to PrIM (it searches a superset space).
@@ -52,9 +38,7 @@ def test_fig9_mtv_size_scaling(benchmark):
         rounds=1,
         iterations=1,
     )
-    save_report(
-        "fig9_mtv_sizes", render_table(rows, COLUMNS, title="Fig 9(d): MTV sizes")
-    )
+    save_report("fig9_mtv_sizes", text_report(fig9_tensor_ops, rows))
     # PIM-over-CPU advantage grows with tensor size (paper §7.1).
     cpu_speedups = [r["atim_speedup_vs_cpu"] for r in rows]
     assert cpu_speedups[-1] > cpu_speedups[0]
@@ -69,9 +53,7 @@ def test_fig9_simplepim_comparison(benchmark):
         rounds=1,
         iterations=1,
     )
-    save_report(
-        "fig9_simplepim", render_table(rows, title="Fig 9: SimplePIM cases")
-    )
+    save_report("fig9_simplepim", text_report(fig9_tensor_ops, rows))
     for row in rows:
         # Paper: ATiM outperforms SimplePIM (2.86x average across sizes).
         assert row["atim_speedup_vs_simplepim"] > 1.2

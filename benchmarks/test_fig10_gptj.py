@@ -1,16 +1,9 @@
 """Fig. 10 — GPT-J 6B/30B MHA (MMTV) and FC (MTV) layers."""
 
-from repro.harness import fig10_gptj, render_table, summarize_speedups
+from repro.harness import fig10_gptj, summarize_speedups, text_report
 from repro.workloads import GPTJ_6B, GPTJ_30B
 
 from .conftest import save_report
-
-COLUMNS = [
-    "model", "op", "batch", "tokens", "layer", "m", "k",
-    "prim_ms", "prim_search_ms", "atim_ms", "cpu_ms",
-    "atim_speedup_vs_prim", "atim_speedup_vs_cpu",
-]
-
 
 def test_fig10_mmtv_layers(benchmark):
     rows = benchmark.pedantic(
@@ -25,9 +18,7 @@ def test_fig10_mmtv_layers(benchmark):
         rounds=1,
         iterations=1,
     )
-    save_report(
-        "fig10_gptj_mmtv", render_table(rows, COLUMNS, title="Fig 10(a)/(c): MMTV")
-    )
+    save_report("fig10_gptj_mmtv", text_report(fig10_gptj, rows))
     assert len(rows) == 8
     for row in rows:
         # Within a few percent of PrIM at worst (reduced trial budget);
@@ -55,9 +46,7 @@ def test_fig10_mtv_layers(benchmark):
         rounds=1,
         iterations=1,
     )
-    save_report(
-        "fig10_gptj_mtv", render_table(rows, COLUMNS, title="Fig 10(b): FC MTV")
-    )
+    save_report("fig10_gptj_mtv", text_report(fig10_gptj, rows))
     assert len(rows) == 4  # qkv_proj, qkv_gen, fc, fc_proj
     summary = summarize_speedups(rows, "atim_speedup_vs_prim")
     assert summary["gmean"] > 1.5  # paper: up to 8.21x on FC layers

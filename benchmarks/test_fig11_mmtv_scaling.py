@@ -1,6 +1,6 @@
 """Fig. 11 — ATiM's MMTV speedup vs spatial-dimension size."""
 
-from repro.harness import fig11_mmtv_scaling, render_table
+from repro.harness import fig11_mmtv_scaling, text_report
 
 from .conftest import save_report
 
@@ -9,7 +9,7 @@ def test_fig11_speedup_vs_spatial_size(benchmark):
     rows = benchmark.pedantic(
         fig11_mmtv_scaling, kwargs=dict(n_trials=24), rounds=1, iterations=1
     )
-    save_report("fig11_mmtv_scaling", render_table(rows, title="Fig 11"))
+    save_report("fig11_mmtv_scaling", text_report(fig11_mmtv_scaling, rows))
     assert all(r["speedup_vs_prim"] >= 0.95 for r in rows)
     # The paper: speedups are largest for small spatial dimensions (where
     # reduction tiling matters) and plateau as spatial size grows.

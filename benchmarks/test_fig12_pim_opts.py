@@ -1,6 +1,6 @@
 """Fig. 12 — PIM-aware optimization ablation on misaligned shapes."""
 
-from repro.harness import fig12_pim_opts, render_table
+from repro.harness import fig12_pim_opts, text_report
 
 from .conftest import save_report
 
@@ -13,7 +13,7 @@ def test_fig12_opt_ablation(benchmark):
         rounds=1,
         iterations=1,
     )
-    save_report("fig12_pim_opts", render_table(rows, title="Fig 12"))
+    save_report("fig12_pim_opts", text_report(fig12_pim_opts, rows))
 
     for row in rows:
         # Each added pass never hurts (kernel time non-increasing O0→O3).

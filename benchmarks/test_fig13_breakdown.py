@@ -1,13 +1,13 @@
 """Fig. 13 — single-DPU cycle attribution under O0..O3 (uPIMulator role)."""
 
-from repro.harness import fig13_breakdown, render_table
+from repro.harness import fig13_breakdown, text_report
 
 from .conftest import save_report
 
 
 def test_fig13_cycle_breakdown(benchmark):
     rows = benchmark.pedantic(fig13_breakdown, rounds=1, iterations=1)
-    save_report("fig13_breakdown", render_table(rows, title="Fig 13"))
+    save_report("fig13_breakdown", text_report(fig13_breakdown, rows))
 
     gemv = {r["level"]: r for r in rows if r["case"].startswith("gemv")}
     va = {r["level"]: r for r in rows if r["case"].startswith("va")}

@@ -1,6 +1,6 @@
 """Fig. 14 — balanced sampling + adaptive ε-greedy search convergence."""
 
-from repro.harness import fig14_search_strategies, render_curve
+from repro.harness import fig14_search_strategies, text_report
 
 from .conftest import save_report
 
@@ -12,12 +12,10 @@ def test_fig14_search_strategy_convergence(benchmark):
         rounds=1,
         iterations=1,
     )
-    report = "\n\n".join(
-        render_curve(curve, title=name) for name, curve in curves.items()
+    save_report(
+        "fig14_search_strategies", text_report(fig14_search_strategies, curves)
     )
     finals = {name: curve[-1][1] for name, curve in curves.items()}
-    report += f"\n\nfinal GFLOPS: {finals}"
-    save_report("fig14_search_strategies", report)
 
     # All variants improve over their first measurement.
     for name, curve in curves.items():

@@ -1,8 +1,6 @@
 """Fig. 15 — autotuning overhead: round times and candidate scatter."""
 
-import statistics
-
-from repro.harness import fig15_tuning_overhead
+from repro.harness import fig15_tuning_overhead, text_report
 
 from .conftest import save_report
 
@@ -16,15 +14,9 @@ def test_fig15_tuning_overhead(benchmark):
     )
     upmem = data["upmem_measured"]
     cpu = data["cpu_measured"]
-    lines = [
-        "Fig 15: candidate execution times (s)",
-        f"UPMEM: n={len(upmem)} min={min(upmem):.4g} max={max(upmem):.4g}"
-        f" median={statistics.median(upmem):.4g}",
-        f"CPU:   n={len(cpu)} min={min(cpu):.4g} max={max(cpu):.4g}"
-        f" median={statistics.median(cpu):.4g}",
-        f"rounds: {[round(t, 3) for t in data['upmem_round_times']]}",
-    ]
-    save_report("fig15_tuning_overhead", "\n".join(lines))
+    save_report(
+        "fig15_tuning_overhead", text_report(fig15_tuning_overhead, data)
+    )
 
     # The paper's observation: UPMEM candidates show much larger spread
     # (bad tiling configurations are catastrophically slow) than CPU ones.

@@ -6,16 +6,9 @@ cell; throughput must rise with the batch limit on the PIM target
 (kernels replicate across idle DPU groups, launch/dispatch amortizes).
 """
 
-from repro.harness import fig16_serving, render_table
+from repro.harness import fig16_serving, text_report
 
 from .conftest import save_report
-
-COLUMNS = [
-    "target", "max_batch", "requests", "completed", "rejected", "flushes",
-    "mean_batch", "throughput_rps", "p50_ms", "p95_ms", "p99_ms",
-    "pool_hit_rate",
-]
-
 
 def test_fig16_batching_throughput(benchmark):
     data = benchmark.pedantic(
@@ -25,12 +18,7 @@ def test_fig16_batching_throughput(benchmark):
         iterations=1,
     )
     rows = data["rows"]
-    save_report(
-        "fig16_serving",
-        render_table(
-            rows, COLUMNS, title="Fig 16: serving with dynamic batching"
-        ),
-    )
+    save_report("fig16_serving", text_report(fig16_serving, data))
     by_cell = {(r["target"], r["max_batch"]): r for r in rows}
     assert len(rows) == 6  # {upmem, cpu} x {1, 4, 16}
 

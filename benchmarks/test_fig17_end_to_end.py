@@ -8,16 +8,9 @@ parity with per-op execution, reference-matched outputs everywhere, and
 a planned memory arena strictly below the naive allocation.
 """
 
-from repro.harness import fig17_end_to_end, render_table
+from repro.harness import fig17_end_to_end, text_report
 
 from .conftest import save_report
-
-COLUMNS = [
-    "placement", "nodes", "pim_nodes", "host_nodes", "total_ms",
-    "steady_state_ms", "compute_ms", "h2d_ms", "d2h_ms", "staging_ms",
-    "matches_reference",
-]
-
 
 def test_fig17_decode_step(benchmark):
     data = benchmark.pedantic(
@@ -27,17 +20,7 @@ def test_fig17_decode_step(benchmark):
         iterations=1,
     )
     rows = data["rows"]
-    save_report(
-        "fig17_end_to_end",
-        render_table(
-            rows, COLUMNS, title="Fig 17: end-to-end GPT-J decode step"
-        )
-        + "\n\n"
-        + render_table(
-            data["breakdown"]["mixed"],
-            title="Fig 17: per-node breakdown (mixed placement)",
-        ),
-    )
+    save_report("fig17_end_to_end", text_report(fig17_end_to_end, data))
     by_placement = {r["placement"]: r for r in rows}
     assert set(by_placement) == {"upmem", "cpu", "mixed"}
 

@@ -10,7 +10,7 @@ weight stage/evict events land in the per-layer breakdown, and every
 total reproduces bit-for-bit at any worker count.
 """
 
-from repro.harness import fig17_multilayer, render_table
+from repro.harness import fig17_multilayer, text_report
 
 from .conftest import save_report
 
@@ -18,33 +18,11 @@ KWARGS = dict(
     layers=3, tokens=6, prompt_tokens=6, page_tokens=4, seed=0
 )
 
-STEP_COLUMNS = [
-    "step", "position", "capacity", "compiled_programs", "replanned",
-    "compute_ms", "h2d_ms", "d2h_ms", "staging_ms", "cache_growth_ms",
-    "total_ms", "reference_ok",
-]
-LAYER_COLUMNS = [
-    "layer", "compute_ms", "h2d_ms", "d2h_ms", "staging_ms",
-    "cache_growth_ms", "stages", "evictions",
-]
-
-
 def test_fig17_multilayer_decode(benchmark):
     data = benchmark.pedantic(
         fig17_multilayer, kwargs=KWARGS, rounds=1, iterations=1
     )
-    save_report(
-        "fig17_multilayer",
-        render_table(
-            data["rows"], STEP_COLUMNS,
-            title="Fig 17 (multi-layer): full-model decode steps",
-        )
-        + "\n\n"
-        + render_table(
-            data["per_layer"], LAYER_COLUMNS,
-            title="Fig 17 (multi-layer): per-layer totals",
-        ),
-    )
+    save_report("fig17_multilayer", text_report(fig17_multilayer, data))
     rows = data["rows"]
     assert len(rows) == 6
     assert all(r["reference_ok"] is True for r in rows)

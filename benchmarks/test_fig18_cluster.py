@@ -10,29 +10,17 @@ TTFT, and a seeded mid-decode worker kill recovers every orphaned
 session via digest-verified replay.
 """
 
-from repro.harness import fig18_cluster, render_table
+from repro.harness import fig18_cluster, text_report
 
 from .conftest import save_report
 
 KWARGS = dict(n_requests=24, n_workers=2, seed=7, max_batch=8)
 
-COLUMNS = [
-    "mode", "completed", "tokens_per_s", "p99_ttft_ms", "p99_tpot_ms",
-    "kv_utilization", "mean_batch", "preemptions",
-]
-
-
 def test_fig18_cluster_serving(benchmark):
     data = benchmark.pedantic(
         fig18_cluster, kwargs=KWARGS, rounds=1, iterations=1
     )
-    save_report(
-        "fig18_cluster",
-        render_table(
-            data["rows"], COLUMNS,
-            title="Fig 18 (cluster): continuous vs whole-request batching",
-        ),
-    )
+    save_report("fig18_cluster", text_report(fig18_cluster, data))
     by_mode = {r["mode"]: r for r in data["rows"]}
     cont, whole = by_mode["continuous"], by_mode["whole"]
 

@@ -11,17 +11,14 @@ successive PRs can diff the trajectory.
 import json
 import math
 
-from repro.harness import render_table, sim_speed
+from repro.harness import sim_speed, text_report
 
 from .conftest import RESULTS_DIR, save_report
 
 
 def test_sim_speed_vector_vs_scalar(benchmark):
     rows = benchmark.pedantic(sim_speed, rounds=1, iterations=1)
-    save_report(
-        "sim_speed",
-        render_table(rows, title="Simulator speed: scalar vs vector"),
-    )
+    save_report("sim_speed", text_report(sim_speed, rows))
     payload = {
         "rows": rows,
         "geomean_speedup": math.exp(

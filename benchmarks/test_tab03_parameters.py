@@ -1,6 +1,6 @@
 """Table 3 — autotuned parameters found for each workload/size."""
 
-from repro.harness import render_table, table3_parameters
+from repro.harness import table3_parameters, text_report
 
 from .conftest import save_report
 
@@ -12,7 +12,7 @@ def test_table3_parameters(benchmark):
         rounds=1,
         iterations=1,
     )
-    save_report("table3_parameters", render_table(rows, title="Table 3"))
+    save_report("table3_parameters", text_report(table3_parameters, rows))
     by_key = {(r["workload"], r["size"]): r for r in rows}
 
     # PrIM never tiles the reduction dimension; ATiM may.

@@ -13,6 +13,7 @@ free.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from ..lowering import LoweringError
@@ -103,7 +104,7 @@ class CompileEngine:
         try:
             schedule = generate_schedule(workload, params)
             n_dpus = _grid_dpus(schedule)
-            if n_dpus is not None and n_dpus > config.n_dpus:
+            if n_dpus > config.n_dpus:
                 # ``verify``'s first test, decided before lowering: one
                 # candidate in six of a search asks for more DPUs than
                 # the machine has, and lowering is most of a build.
@@ -125,21 +126,18 @@ class CompileEngine:
         )
 
 
-def _grid_dpus(schedule: Schedule) -> Optional[int]:
+def _grid_dpus(schedule: Schedule) -> int:
     """DPUs the schedule's grid asks for: the product, over the distinct
     ``blockIdx.*`` tags its stages bind, of the bound axis's extent —
-    what lowering makes ``module.n_dpus``.  ``None`` when two stages
-    bind one tag at different extents (lowering rejects that itself)."""
-    extents: Dict[str, int] = {}
-    for stage in schedule.stages:
-        for ivar, tag in stage.binds.items():
-            if tag.startswith("blockIdx"):
-                if extents.setdefault(tag, ivar.extent) != ivar.extent:
-                    return None
-    n_dpus = 1
-    for extent in extents.values():
-        n_dpus *= extent
-    return n_dpus
+    what lowering makes ``module.n_dpus`` (a sketch binds each tag at
+    one extent)."""
+    extents = {
+        tag: ivar.extent
+        for stage in schedule.stages
+        for ivar, tag in stage.binds.items()
+        if tag.startswith("blockIdx")
+    }
+    return math.prod(extents.values())
 
 
 #: Process-wide engine shared by ``repro.compile`` and the harness.

@@ -183,8 +183,6 @@ class Database:
 
     def training_data(self) -> Tuple[np.ndarray, np.ndarray]:
         rows = [r for r in self._records if r.features is not None]
-        if not rows:
-            return np.zeros((0, 0)), np.zeros(0)
         X = np.stack([r.features for r in rows])
         y = np.array([r.latency for r in rows])
         return X, y

@@ -27,8 +27,6 @@ def verify(module: LoweredModule, config: Optional[UpmemConfig] = None) -> Verif
     """
     cfg = config or DEFAULT_CONFIG
     n_dpus = module.n_dpus
-    if n_dpus < 1:
-        return False, "empty DPU grid"
     if n_dpus > cfg.n_dpus:
         return False, f"grid needs {n_dpus} DPUs > {cfg.n_dpus} available"
     if module.n_tasklets < 1 or module.n_tasklets > cfg.max_tasklets:

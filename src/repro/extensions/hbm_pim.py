@@ -66,8 +66,6 @@ class HbmPimEstimate:
     rows_touched: float
     latency_s: float
     n_pus: int
-    supported: bool
-    reason: str = ""
 
     @property
     def latency(self) -> Latency:
@@ -91,8 +89,6 @@ class HbmPimEstimator:
 
     def estimate(self, module: LoweredModule, total_macs: float) -> HbmPimEstimate:
         cfg = self.config
-        if not module.transfers:
-            return HbmPimEstimate(0, 0, 0.0, cfg.n_pus, False, "no tiles")
         # Total MAC work distributed over PUs, command-granular.
         commands = math.ceil(total_macs / cfg.macs_per_command)
         commands_per_pu = commands / cfg.n_pus
@@ -112,7 +108,6 @@ class HbmPimEstimator:
             rows_touched=rows,
             latency_s=latency,
             n_pus=cfg.n_pus,
-            supported=True,
         )
 
     def supports(self, combiner: Optional[str]) -> bool:

@@ -4,11 +4,9 @@ Every node compiles through the serving layer's
 :class:`~repro.serve.pool.ExecutablePool` (so nodes that share one
 program, such as every layer's ``fc``, compile it once) with the node's
 own ``params`` — the builder's pinned grids, or tuned ones assigned per
-node.  Execution walks the
-graph's topological levels — nodes of one level are independent, so
-those that share an executable run as one ``run_batch`` (stacked on the
-simulator's lane axis) — and is bit-for-bit identical to calling each
-node's ``Executable.run`` by hand at any ``REPRO_MAX_WORKERS``.
+node.  Execution walks the graph's topological order, one
+``Executable.run`` per node, and is bit-for-bit identical to calling
+each node's ``Executable.run`` by hand at any ``REPRO_MAX_WORKERS``.
 
 The latency model mirrors the serving timing model (§5.4), extended with
 placement boundaries:
@@ -51,9 +49,6 @@ __all__ = [
     "pool_keys",
     "PIM_SUBSTRATE_KINDS",
 ]
-
-#: A node and its ``(workload input name, graph tensor name)`` pairs.
-_Wired = Tuple[Node, List[Tuple[str, str]]]
 
 #: Target kinds whose executables run on the (simulated) PIM machine —
 #: data they produce stays device-resident until a host-placed consumer
@@ -156,19 +151,17 @@ class GraphExecutable(Executable):
                 node.workload, placement[node.name], node.params
             )
             self._exes[node.name] = (exe, loaded)
-        #: Per topological level, its nodes grouped by shared executable
-        #: (first-seen order): nodes of one level are independent, so a
-        #: group runs as one ``run_batch`` — four heads, one vector call.
-        #: Beside each node, its ``(workload input, graph tensor)`` pairs:
-        #: the wiring is the graph's, a run only looks the tensors up.
-        self._level_groups: List[List[Tuple[Executable, List[_Wired]]]] = []
-        for level in graph.levels():
-            groups: Dict[int, Tuple[Executable, List[_Wired]]] = {}
-            for node in level:
-                exe = self._exes[node.name][0]
-                pairs = [(wl, name) for wl, name, _ in node.input_bindings()]
-                groups.setdefault(id(exe), (exe, []))[1].append((node, pairs))
-            self._level_groups.append(list(groups.values()))
+        #: Per node in topological order, its executable and its
+        #: ``(workload input, graph tensor)`` pairs: the wiring is the
+        #: graph's, a run only looks the tensors up.
+        self._steps: List[Tuple[Node, Executable, List[Tuple[str, str]]]] = [
+            (
+                node,
+                self._exes[node.name][0],
+                [(wl, name) for wl, name, _ in node.input_bindings()],
+            )
+            for node in self._order
+        ]
         self._profile: Optional[GraphProfile] = None
         self._plan = None
 
@@ -196,9 +189,7 @@ class GraphExecutable(Executable):
         self, inputs: Optional[Dict[str, np.ndarray]] = None, **named
     ) -> List[np.ndarray]:
         """Execute the DAG; returns the graph outputs in declaration
-        order.  Independent nodes of one topological level that share an
-        executable run as one ``run_batch``; every node's output is
-        exactly what a lone ``Executable.run`` call would produce."""
+        order."""
         env = self.run_tensors(self._named_inputs(inputs, named))
         return [env[name] for name in self.graph.output_names]
 
@@ -212,14 +203,10 @@ class GraphExecutable(Executable):
                 f"graph {self.graph.name!r} missing inputs {missing}"
             )
         env: Dict[str, np.ndarray] = dict(inputs)
-        for groups in self._level_groups:
-            for exe, wired in groups:
-                feeds = [
-                    {wl_name: env[graph_name] for wl_name, graph_name in pairs}
-                    for _, pairs in wired
-                ]
-                for (node, _), (out,) in zip(wired, exe.run_batch(feeds)):
-                    env[node.output] = out
+        for node, exe, pairs in self._steps:
+            (env[node.output],) = exe.run(
+                {wl_name: env[graph_name] for wl_name, graph_name in pairs}
+            )
         return {name: env[name] for name in self.graph.output_names}
 
     # -- performance ---------------------------------------------------------

@@ -264,22 +264,6 @@ class ModelGraph:
             raise GraphError(f"graph {self.name!r} has a cycle through {stuck}")
         return order
 
-    def levels(self) -> List[List[Node]]:
-        """Topological waves: every node's dependencies live in strictly
-        earlier levels, so the nodes of one level are independent and may
-        execute concurrently."""
-        depth: Dict[str, int] = {}
-        levels: Dict[int, List[Node]] = {}
-        for node in self.topological_order():
-            d = 0
-            for graph_name in node.inputs.values():
-                producer = self._producers.get(graph_name)
-                if producer is not None:
-                    d = max(d, depth[producer.name] + 1)
-            depth[node.name] = d
-            levels.setdefault(d, []).append(node)
-        return [levels[d] for d in sorted(levels)]
-
     # -- identity -----------------------------------------------------------
     def structural_signature(self) -> tuple:
         """Stable structural identity for cache/pool keying: two

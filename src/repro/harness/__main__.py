@@ -41,7 +41,7 @@ import sys
 from ..autotune import default_engine, measure_stats
 from ..obs import Tracer, trace_lint, use_tracer, write_chrome_trace
 from ..obs.export import _jsonable
-from .experiments import KEYWORDS, TABLE
+from .experiments import KEYWORDS, TABLE, text_report
 
 
 def run_experiment(name: str, args: argparse.Namespace):
@@ -54,7 +54,7 @@ def run_experiment(name: str, args: argparse.Namespace):
     data = row.run(
         **{KEYWORDS.get(arg, arg): getattr(args, arg) for arg in row.args}
     )
-    row.show(data)
+    print(text_report(row.run, data), end="\n\n")
     return data
 
 
@@ -141,10 +141,6 @@ def main(argv=None) -> int:
              " decode engine (paged KV cache + weight residency)",
     )
     parser.add_argument(
-        "--cache-stats", action="store_true",
-        help="print compile-cache hit/miss counters after the run",
-    )
-    parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="also dump figure rows + cache stats as JSON to PATH",
     )
@@ -188,12 +184,6 @@ def main(argv=None) -> int:
     if args.json:
         write_json(args.json, results, args)
         print(f"wrote JSON results to {args.json}")
-    if args.cache_stats:
-        stats = default_engine().stats
-        print(
-            f"compile cache: {stats.hits} hits / {stats.misses} misses"
-            f" ({stats.hit_rate:.1%} hit rate)"
-        )
     return 0
 
 

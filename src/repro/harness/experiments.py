@@ -68,12 +68,13 @@ from ..workloads import (
     va,
 )
 from .reporting import (
-    print_fig14,
-    print_fig15,
-    print_fig17_end_to_end,
-    print_fig17_multilayer,
-    print_fig18,
-    rows_printer,
+    fig9_report,
+    fig14_report,
+    fig15_report,
+    fig17_end_to_end_report,
+    fig17_multilayer_report,
+    fig18_report,
+    rows_report,
 )
 
 # ---------------------------------------------------------------------------
@@ -864,7 +865,6 @@ def fig18_cluster(
     n_workers: int = 2,
     seed: int = 7,
     max_batch: int = 8,
-    fault: bool = True,
 ) -> Dict:
     """Fig 18: continuous vs. whole-request batching on a multi-tenant
     cluster, plus a seeded fault-injection recovery scenario.
@@ -927,39 +927,38 @@ def fig18_cluster(
         "seed": seed,
     }
 
-    if fault:
-        # Kill worker 0 mid-trace: by 0.12 virtual seconds the trace
-        # has mid-stream sessions in flight on both workers, so the
-        # recovery path actually replays decoded tokens.
-        injector = FaultInjector.from_events(
-            [FaultEvent(at_s=0.12, worker=0, kind="kill")],
-            n_workers=n_workers,
-        )
-        cluster = Cluster(
-            ClusterConfig(
-                n_workers=n_workers, mode="continuous", max_batch=max_batch
-            ),
-            tenants=tenants, faults=injector,
-        )
-        result = cluster.run(sessions_from_trace(trace, tenants))
-        summary = result.summary()
-        payload["fault_scenario"] = {
-            "faults": [
-                {"at_s": e.at_s, "worker": e.worker, "kind": e.kind}
-                for e in result.faults_fired
-            ],
-            "completed": summary["completed"],
-            "replays": summary["replays"],
-            "replay_ok": summary["replay_ok"],
-            "throughput_tokens_per_s": summary["throughput_tokens_per_s"],
-            "transitions": [
-                {"tick": t, "worker": w, "from": old, "to": new}
-                for t, w, old, new in result.supervisor_transitions
-            ],
-            "recovered_sessions": sum(
-                1 for s in result.sessions if s.replays > 0
-            ),
-        }
+    # Kill worker 0 mid-trace: by 0.12 virtual seconds the trace
+    # has mid-stream sessions in flight on both workers, so the
+    # recovery path actually replays decoded tokens.
+    injector = FaultInjector.from_events(
+        [FaultEvent(at_s=0.12, worker=0, kind="kill")],
+        n_workers=n_workers,
+    )
+    cluster = Cluster(
+        ClusterConfig(
+            n_workers=n_workers, mode="continuous", max_batch=max_batch
+        ),
+        tenants=tenants, faults=injector,
+    )
+    result = cluster.run(sessions_from_trace(trace, tenants))
+    summary = result.summary()
+    payload["fault_scenario"] = {
+        "faults": [
+            {"at_s": e.at_s, "worker": e.worker, "kind": e.kind}
+            for e in result.faults_fired
+        ],
+        "completed": summary["completed"],
+        "replays": summary["replays"],
+        "replay_ok": summary["replay_ok"],
+        "throughput_tokens_per_s": summary["throughput_tokens_per_s"],
+        "transitions": [
+            {"tick": t, "worker": w, "from": old, "to": new}
+            for t, w, old, new in result.supervisor_transitions
+        ],
+        "recovered_sessions": sum(
+            1 for s in result.sessions if s.replays > 0
+        ),
+    }
     return payload
 
 
@@ -973,8 +972,8 @@ class Experiment(NamedTuple):
     run: Callable
     #: CLI arguments the driver takes (as keywords, see ``KEYWORDS``).
     args: Tuple[str, ...]
-    #: Prints the driver's return value as the text report.
-    show: Callable
+    #: What ``run`` returns, as the text report.
+    report: Callable
     #: Picks among rows sharing a name, from the parsed CLI arguments.
     when: Callable = lambda args: True
 
@@ -989,45 +988,69 @@ KEYWORDS = {
 _TUNING = ("trials", "seed", "db", "resume")
 
 TABLE: Tuple[Experiment, ...] = (
-    Experiment("fig3a", fig3a_cache_tile_sweep, (), rows_printer("Fig 3a")),
-    Experiment("fig3b", fig3b_tiling_schemes, (), rows_printer("Fig 3b")),
-    Experiment("fig3c", fig3c_dpu_sweep, (), rows_printer("Fig 3c")),
-    Experiment("fig4", fig4_boundary_checks, (), rows_printer("Fig 4")),
+    Experiment(
+        "fig3a", fig3a_cache_tile_sweep, (),
+        rows_report("Fig 3a: 512x512 GEMV, 1 DPU"),
+    ),
+    Experiment(
+        "fig3b", fig3b_tiling_schemes, (),
+        rows_report("Fig 3b: 8192x8192 GEMV on 2048 DPUs"),
+    ),
+    Experiment("fig3c", fig3c_dpu_sweep, (), rows_report("Fig 3c")),
+    Experiment(
+        "fig4", fig4_boundary_checks, (),
+        rows_report("Fig 4: speedup from eliminating boundary checks"),
+    ),
     Experiment(
         "fig9", fig9_tensor_ops, ("workloads", "sizes", *_TUNING),
-        rows_printer("Fig 9"),
+        fig9_report,
     ),
     Experiment(
         "tab3", table3_parameters, ("workloads", *_TUNING),
-        rows_printer("Table 3"),
+        rows_report("Table 3"),
     ),
-    Experiment("fig10", fig10_gptj, _TUNING, rows_printer("Fig 10")),
-    Experiment("fig11", fig11_mmtv_scaling, _TUNING, rows_printer("Fig 11")),
-    Experiment("fig12", fig12_pim_opts, (), rows_printer("Fig 12")),
-    Experiment("fig13", fig13_breakdown, (), rows_printer("Fig 13")),
-    Experiment("fig14", fig14_search_strategies, _TUNING, print_fig14),
-    Experiment("fig15", fig15_tuning_overhead, _TUNING, print_fig15),
+    Experiment(
+        "fig10", fig10_gptj, _TUNING,
+        rows_report("Fig 10", (
+            "model", "op", "batch", "tokens", "layer", "m", "k",
+            "prim_ms", "prim_search_ms", "atim_ms", "cpu_ms",
+            "atim_speedup_vs_prim", "atim_speedup_vs_cpu",
+        )),
+    ),
+    Experiment("fig11", fig11_mmtv_scaling, _TUNING, rows_report("Fig 11")),
+    Experiment("fig12", fig12_pim_opts, (), rows_report("Fig 12")),
+    Experiment("fig13", fig13_breakdown, (), rows_report("Fig 13")),
+    Experiment("fig14", fig14_search_strategies, _TUNING, fig14_report),
+    Experiment("fig15", fig15_tuning_overhead, _TUNING, fig15_report),
     Experiment(
         "fig16", fig16_serving, ("requests", "seed"),
-        rows_printer("Fig 16 (serving: dynamic batching)"),
+        rows_report("Fig 16: serving with dynamic batching"),
     ),
     Experiment(
         "fig17", fig17_multilayer, ("layers", "tokens", "seed"),
-        print_fig17_multilayer, when=lambda args: args.layers > 1,
+        fig17_multilayer_report, when=lambda args: args.layers > 1,
     ),
     Experiment(
-        "fig17", fig17_end_to_end, ("tokens", "seed"), print_fig17_end_to_end
+        "fig17", fig17_end_to_end, ("tokens", "seed"), fig17_end_to_end_report
     ),
     Experiment(
-        "fig18", fig18_cluster, ("requests", "workers", "seed"), print_fig18
+        "fig18", fig18_cluster, ("requests", "workers", "seed"), fig18_report
     ),
     Experiment(
         "sim_speed", sim_speed, ("seed",),
-        rows_printer("Simulator speed (scalar vs vector)"),
+        rows_report("Simulator speed: scalar vs vector"),
     ),
 )
 
+
+def text_report(run: Callable, data) -> str:
+    """``data``, what ``run`` returned, as the text report its table row
+    names: what the CLI prints and the benchmarks save."""
+    return next(row for row in TABLE if row.run is run).report(data)
+
+
 __all__ = [
     "compare_targets",
+    "text_report",
     *(row.run.__name__ for row in TABLE),
 ]

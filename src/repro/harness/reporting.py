@@ -1,11 +1,13 @@
 """Plain-text rendering of experiment rows (the harness's "plots"),
-and the per-figure printers the CLI's dispatch table names."""
+and the per-figure reports the CLI's dispatch table names."""
 
 from __future__ import annotations
 
+import math
+import statistics
 from typing import Callable, Dict, List, Sequence
 
-__all__ = ["render_table", "render_curve", "summarize_speedups"]
+__all__ = ["render_table", "summarize_speedups"]
 
 
 def _fmt(value) -> str:
@@ -57,8 +59,6 @@ def render_curve(points, title: str = "", width: int = 60) -> str:
 
 def summarize_speedups(rows: List[Dict], key: str) -> Dict[str, float]:
     """Geometric mean / max of a speedup column."""
-    import math
-
     values = [r[key] for r in rows if key in r and r[key] > 0]
     if not values:
         return {"gmean": 0.0, "max": 0.0, "min": 0.0}
@@ -67,71 +67,91 @@ def summarize_speedups(rows: List[Dict], key: str) -> Dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# printers: experiment data -> stdout
+# reports: one text report per figure, which the CLI prints and the
+# benchmarks save
 # ---------------------------------------------------------------------------
 
 
-def _print_rows(rows: List[Dict], title: str) -> None:
-    print(render_table(rows, title=title))
-    print()
-
-
-def rows_printer(title: str) -> Callable:
-    """Printer for experiments whose report is one table: the data
+def rows_report(title: str, columns: Sequence[str] = None) -> Callable:
+    """Report of an experiment whose result is one table: the data
     itself, or its ``"rows"`` entry."""
 
-    def show(data) -> None:
-        _print_rows(data["rows"] if isinstance(data, dict) else data, title)
+    def report(data) -> str:
+        rows = data["rows"] if isinstance(data, dict) else data
+        return render_table(rows, columns, title=title)
 
-    return show
-
-
-def print_fig14(data: Dict) -> None:
-    for label, curve in data.items():
-        print(render_curve(curve, title=f"Fig 14: {label}"))
-        print()
+    return report
 
 
-def print_fig15(data: Dict) -> None:
-    print("Fig 15: UPMEM candidate latencies (s):")
-    print(sorted(data["upmem_measured"])[:10], "...")
-    print("CPU candidate latencies (s):")
-    print(sorted(data["cpu_measured"])[:10], "...")
+FIG9_COLUMNS = (
+    "workload", "size", "prim_ms", "prim_e_ms", "prim_search_ms",
+    "simplepim_ms", "atim_ms", "cpu_ms",
+    "atim_speedup_vs_prim", "atim_speedup_vs_prim_search",
+    "atim_speedup_vs_simplepim", "atim_speedup_vs_cpu",
+)
+
+
+def fig9_report(rows: List[Dict]) -> str:
+    return "\n".join([
+        render_table(rows, FIG9_COLUMNS, title="Fig 9"),
+        f"ATiM vs PrIM: {summarize_speedups(rows, 'atim_speedup_vs_prim')}",
+        "ATiM vs PrIM+search:"
+        f" {summarize_speedups(rows, 'atim_speedup_vs_prim_search')}",
+    ])
+
+
+def fig14_report(curves: Dict) -> str:
+    finals = {name: curve[-1][1] for name, curve in curves.items()}
+    return "\n\n".join([
+        *(render_curve(curve, title=f"Fig 14: {name}")
+          for name, curve in curves.items()),
+        f"final GFLOPS: {finals}",
+    ])
+
+
+def fig15_report(data: Dict) -> str:
+    lines = ["Fig 15: candidate execution times (s)"]
+    for label, times in (
+        ("UPMEM:", data["upmem_measured"]), ("CPU:  ", data["cpu_measured"])
+    ):
+        lines.append(
+            f"{label} n={len(times)} min={min(times):.4g}"
+            f" max={max(times):.4g} median={statistics.median(times):.4g}"
+        )
+    lines.append(f"rounds: {[round(t, 3) for t in data['upmem_round_times']]}")
     hits = int(data["measure_cache_hits"][0])
     misses = int(data["measure_cache_misses"][0])
-    print(f"measurements: {hits} warm (from --db) / {misses} cold")
+    lines.append(f"measurements: {hits} warm (from --db) / {misses} cold")
+    return "\n".join(lines)
 
 
-def print_fig17_end_to_end(data: Dict) -> None:
-    _print_rows(
-        data["rows"], f"Fig 17 (end-to-end decode step: {data['graph']})"
-    )
-    mixed_rows = data["breakdown"].get("mixed") or next(
-        iter(data["breakdown"].values())
-    )
-    _print_rows(mixed_rows, "Fig 17: per-node breakdown (mixed)")
+def fig17_end_to_end_report(data: Dict) -> str:
     mem = data["memory"]
-    print(
+    return "\n\n".join([
+        render_table(
+            data["rows"],
+            title=f"Fig 17: end-to-end decode step ({data['graph']})",
+        ),
+        render_table(
+            data["breakdown"]["mixed"],
+            title="Fig 17: per-node breakdown (mixed placement)",
+        ),
         f"memory plan: arena {mem['arena_bytes']} B over"
         f" {mem['slots']} slots vs naive {mem['naive_bytes']} B"
         f" ({mem['reuse_ratio']:.2f}x reuse;"
         f" peak live {mem['peak_live_bytes']} B;"
-        f" utilization {mem['utilization']:.2f})"
-    )
+        f" utilization {mem['utilization']:.2f})",
+    ])
 
 
-def print_fig17_multilayer(data: Dict) -> None:
-    _print_rows(
-        data["rows"],
-        f"Fig 17 (full-model decode: {data['graph']},"
-        f" {data['tokens']} tokens)",
-    )
-    _print_rows(
-        data["per_layer"],
-        "Fig 17: per-layer totals (compute / transfers / staging"
-        " / cache growth)",
-    )
-    print(
+def fig17_multilayer_report(data: Dict) -> str:
+    return "\n\n".join([
+        render_table(
+            data["rows"],
+            title=f"Fig 17: full-model decode ({data['graph']},"
+            f" {data['tokens']} tokens)",
+        ),
+        render_table(data["per_layer"], title="Fig 17: per-layer totals"),
         f"replans: {data['replans']} (page-boundary epochs);"
         f" programs compiled: {data['compiled_programs']};"
         f" residency: {data['residency']['stages']} stages /"
@@ -139,24 +159,22 @@ def print_fig17_multilayer(data: Dict) -> None:
         f" ({data['residency_policy']},"
         f" budget {data['mram_budget_layers']} layers);"
         f" cache: {data['cache']['pages_allocated']} pages,"
-        f" fragmentation {data['cache']['fragmentation']:.3f}"
-    )
+        f" fragmentation {data['cache']['fragmentation']:.3f}",
+    ])
 
 
-def print_fig18(data: Dict) -> None:
-    _print_rows(
-        data["rows"],
-        "Fig 18 (cluster: whole-request vs continuous batching)",
+def fig18_report(data: Dict) -> str:
+    fault = data["fault_scenario"]
+    order = " -> ".join(
+        f"w{t['worker']}:{t['to']}" for t in fault["transitions"]
     )
-    fault = data.get("fault_scenario")
-    if fault:
-        order = " -> ".join(
-            f"w{t['worker']}:{t['to']}" for t in fault["transitions"]
-        )
-        print(
-            f"fault scenario: {len(fault['faults'])} fault(s);"
-            f" {fault['recovered_sessions']} session(s) replayed"
-            f" ({fault['replays']} replays,"
-            f" digests {'OK' if fault['replay_ok'] else 'MISMATCH'});"
-            f" {fault['completed']} completed; {order}"
-        )
+    return "\n\n".join([
+        render_table(
+            data["rows"], title="Fig 18: continuous vs whole-request batching"
+        ),
+        f"fault scenario: {len(fault['faults'])} fault(s);"
+        f" {fault['recovered_sessions']} session(s) replayed"
+        f" ({fault['replays']} replays,"
+        f" digests {'OK' if fault['replay_ok'] else 'MISMATCH'});"
+        f" {fault['completed']} completed; {order}",
+    ])

@@ -270,11 +270,9 @@ class _StageBuilder:
         self._init_emitted = False
         return self._emit(0)
 
-    def _first_reduce_pos(self) -> Optional[int]:
-        for i, iv in enumerate(self.leaves):
-            if iv.is_reduce:
-                return i
-        return None
+    def _first_reduce_pos(self) -> int:
+        """Leaf position of a reduction's outermost reduce axis."""
+        return next(i for i, iv in enumerate(self.leaves) if iv.is_reduce)
 
     def _emit(self, pos: int) -> Stmt:
         if (
@@ -547,12 +545,6 @@ def _extract_mram(
         if isinstance(stmt, BufferStore):
             record(stmt.buffer, stmt.indices, True)
             for load in collect_loads(stmt.value):
-                record(load.buffer, load.indices, False)
-            for i in stmt.indices:
-                for load in collect_loads(i):
-                    record(load.buffer, load.indices, False)
-        elif isinstance(stmt, IfThenElse):
-            for load in collect_loads(stmt.condition):
                 record(load.buffer, load.indices, False)
 
     mapping: Dict[Buffer, Tuple[Buffer, List[PrimExpr]]] = {}

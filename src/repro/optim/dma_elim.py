@@ -24,7 +24,6 @@ from ..tir import (
     IfThenElse,
     IntImm,
     PrimExpr,
-    SeqStmt,
     Stmt,
     Var,
     affine_coeffs,
@@ -76,16 +75,13 @@ def _zero_var(exprs, var: Var):
 class _DmaEliminator(StmtMutator):
     """Bottom-up rewrite of guarded copy loops into DMA bursts."""
 
-    def visit_For(self, node: For) -> Optional[Stmt]:
+    def visit_For(self, node: For) -> Stmt:
         body = self.visit_stmt(node.body)
-        if body is None:
-            return None
         node = node.with_body(body) if body is not node.body else node
         if node.kind is ForKind.THREAD_BINDING:
             return node
+        # Lowering refuses a kernel loop of non-constant extent.
         extent = node.extent
-        if not isinstance(extent, IntImm):
-            return node
 
         copy = _strip_guard(node.body)
         if copy is not None:

@@ -20,7 +20,6 @@ from typing import List, Optional, Set
 
 from ..tir import (
     Buffer,
-    BufferLoad,
     BufferStore,
     DmaCopy,
     For,
@@ -81,10 +80,8 @@ class _Hoister(StmtMutator):
         self.changed = False
 
     # (1) loop unswitching --------------------------------------------------
-    def visit_For(self, node: For) -> Optional[Stmt]:
+    def visit_For(self, node: For) -> Stmt:
         body = self.visit_stmt(node.body)
-        if body is None:
-            return None
         if body is not node.body:
             node = node.with_body(body)
         if node.kind is ForKind.THREAD_BINDING:
@@ -103,15 +100,8 @@ class _Hoister(StmtMutator):
         return node
 
     # (2) PDCE sinking -----------------------------------------------------------
-    def visit_SeqStmt(self, node: SeqStmt) -> Optional[Stmt]:
-        stmts: List[Stmt] = []
-        for s in node.stmts:
-            ns = self.visit_stmt(s)
-            if ns is not None:
-                stmts.append(ns)
-        if not stmts:
-            return None
-
+    def visit_SeqStmt(self, node: SeqStmt) -> Stmt:
+        stmts = [self.visit_stmt(s) for s in node.stmts]
         result: List[Stmt] = []
         i = 0
         while i < len(stmts):

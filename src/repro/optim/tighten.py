@@ -10,7 +10,7 @@ run time instead of being tested and rejected.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..tir import (
     And,
@@ -22,7 +22,6 @@ from ..tir import (
     Max,
     Min,
     PrimExpr,
-    SeqStmt,
     Stmt,
     affine_coeffs,
     all_of,
@@ -69,10 +68,8 @@ def _tighten_extent(
 
 
 class _Tightener(StmtMutator):
-    def visit_For(self, node: For) -> Optional[Stmt]:
+    def visit_For(self, node: For) -> Stmt:
         body = self.visit_stmt(node.body)
-        if body is None:
-            return None
         if body is not node.body:
             node = node.with_body(body)
         if node.kind is ForKind.THREAD_BINDING:

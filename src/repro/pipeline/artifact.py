@@ -45,10 +45,8 @@ _DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 def _tensor_signature(tensor: Any) -> tuple:
-    """(name, dtype, shape) of a TE tensor, tolerant of plain objects."""
-    buffer = getattr(tensor, "buffer", None)
-    if buffer is None:
-        return (repr(tensor),)
+    """(name, dtype, shape) of a TE tensor."""
+    buffer = tensor.buffer
     return (buffer.name, buffer.dtype, tuple(buffer.shape))
 
 

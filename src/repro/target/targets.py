@@ -387,10 +387,9 @@ class HbmPimTarget(Target):
         """Estimate an already-lowered module (cross-target tuning)."""
         if workload is None:
             raise TargetError("hbm-pim measurement needs the workload")
-        estimate = self.estimator.estimate(
+        return self.estimator.estimate(
             module, self.total_macs(workload)
-        )
-        return estimate.latency_s if estimate.supported else float("inf")
+        ).latency_s
 
 
 # ---------------------------------------------------------------------------

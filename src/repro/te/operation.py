@@ -137,10 +137,6 @@ class Tensor:
     def name(self) -> str:
         return self.buffer.name
 
-    @property
-    def ndim(self) -> int:
-        return self.buffer.ndim
-
     def __getitem__(self, indices) -> BufferLoad:
         if not isinstance(indices, tuple):
             indices = (indices,)

@@ -50,9 +50,6 @@ class Mixed(Exception):
         super().__init__()
         self.variables = variables
 
-    def __str__(self) -> str:
-        return f"mixed over {sorted(v.name for v in self.variables)}"
-
 
 @dataclass
 class DpuCost:
@@ -232,13 +229,8 @@ class KernelAnalyzer:
         c.branches += 1
         truth = eval_interval(stmt.condition, env)
         if truth is None or not truth.is_point:
-            mixed = self._range_vars(stmt.condition, env)
-            if mixed:
-                raise Mixed(mixed)
-            # All vars are points yet interval analysis failed: be
-            # conservative and assume the branch is taken.
-            c += self._walk(stmt.then_case, env)
-            return c
+            # Over point ranges a lowered condition always evaluates.
+            raise Mixed(self._range_vars(stmt.condition, env))
         if truth.lo:
             c += self._walk(stmt.then_case, env)
         return c

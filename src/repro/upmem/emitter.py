@@ -53,9 +53,8 @@ def _decl(buffer: Buffer) -> str:
     dims = "".join(f"[{d}]" for d in buffer.shape)
     if buffer.scope == "mram":
         return f"__mram_noinit {_ctype(buffer)} {_cname(buffer.name)}{dims};"
-    if buffer.scope == "wram":
-        return f"__dma_aligned {_ctype(buffer)} {_cname(buffer.name)}{dims};"
-    return f"{_ctype(buffer)} {_cname(buffer.name)}{dims};"
+    # The kernel declares MRAM tiles and WRAM buffers only.
+    return f"__dma_aligned {_ctype(buffer)} {_cname(buffer.name)}{dims};"
 
 
 def _flat(buffer: Buffer, indices) -> str:

@@ -7,7 +7,7 @@ instruction-level characterization in PrIM (§3.1) and uPIMulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..tir import (
@@ -77,11 +77,6 @@ class Counts:
             stores=self.stores * n,
             loads=self.loads * n,
         )
-
-    @property
-    def instructions(self) -> float:
-        """Total dynamic instruction estimate (Fig. 13's line series)."""
-        return self.slots
 
 
 def _pow2_const_operand(expr: Mul) -> bool:

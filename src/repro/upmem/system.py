@@ -9,14 +9,12 @@ Figs. 9–10), plus the per-DPU cycle attribution used for Fig. 13.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..lowering import LoweredModule
 from ..tir import (
-    BufferStore,
     For,
-    ForKind,
     IfThenElse,
     SeqStmt,
     Stmt,
@@ -48,15 +46,6 @@ class Latency:
         """The paper's combined "D2H + reduction" bar."""
         return self.d2h + self.host
 
-    def scaled(self, factor: float) -> "Latency":
-        return Latency(
-            self.h2d * factor,
-            self.kernel * factor,
-            self.d2h * factor,
-            self.host * factor,
-            self.launch * factor,
-        )
-
 
 @dataclass
 class DpuProfile:
@@ -71,8 +60,6 @@ class DpuProfile:
     dma_bytes: float = 0.0
 
     def fractions(self) -> Dict[str, float]:
-        if self.cycles <= 0:
-            return {"issuable": 0.0, "idle_memory": 0.0, "idle_core": 0.0}
         return {
             "issuable": self.issuable / self.cycles,
             "idle_memory": self.idle_memory / self.cycles,
@@ -199,8 +186,6 @@ class PerformanceModel:
     def _transfer_time(self, module: LoweredModule, direction: str) -> float:
         cfg = self.config
         specs = module.transfer(direction)
-        if not specs:
-            return 0.0
         n_dpus = module.n_dpus
         ranks_used = max(1, math.ceil(n_dpus / cfg.dpus_per_rank))
         aggregate = (
@@ -283,6 +268,5 @@ def _host_work(stmt: Stmt) -> Tuple[float, float]:
         return e, r
     if isinstance(stmt, IfThenElse):
         return _host_work(stmt.then_case)
-    if isinstance(stmt, BufferStore):
-        return 1.0, float(len(collect_loads(stmt.value)))
-    return 0.0, 0.0
+    # A BufferStore: host programs hold no other statement kind.
+    return 1.0, float(len(collect_loads(stmt.value)))

@@ -94,6 +94,16 @@ class TestSaveLoad:
         np.testing.assert_allclose(best.features, feats)
         assert loaded.top_k(2)[1].features is None
 
+    def test_empty_file_and_blank_lines_load(self, tmp_path):
+        path = tmp_path / "db.jsonl"
+        path.write_text("")
+        assert len(TuningCache(path).load()) == 0
+        cache = _store(path, _record(1.0, x=1))
+        with open(path, "a") as fh:
+            fh.write("\n")
+        cache.append("g", [_record(2.0, x=2)])
+        assert len(cache.load()) == 2
+
     def test_header_written_with_version(self, tmp_path):
         path = tmp_path / "db.jsonl"
         _store(path, _record(1.0, x=1))

@@ -34,6 +34,11 @@ class TestMutationReflects:
                 domain.index(mutated[key]) - domain.index(params[key])
             ) == 1
 
+    def test_space_without_choices_mutates_to_itself(self):
+        tuner = Tuner(mtv(64, 64), n_trials=4)
+        tuner.space = {"n_tasklets": [16]}
+        assert tuner._mutate_params({"n_tasklets": 16}) == {"n_tasklets": 16}
+
 
 class TestTinyBudgetExploration:
     def test_tiny_budget_keeps_one_exploratory_trial(self):
@@ -48,6 +53,65 @@ class TestTinyBudgetExploration:
     def test_larger_budgets_unchanged(self):
         tuner = Tuner(mtv(64, 64), n_trials=100)
         assert tuner._explore_until == 40
+
+
+class TestSmallSearch:
+    """2-4 trial searches: the paths the slow classes below take at
+    full budget, in well under a second each."""
+
+    def test_resume_replays_every_measurement(self, tmp_path):
+        db = str(tmp_path / "tune.jsonl")
+        cold = autotune(mtv(256, 256), n_trials=4, seed=0, db=db)
+        warm = autotune(mtv(256, 256), n_trials=4, seed=0, db=db, resume=True)
+        assert warm.history == cold.history
+        assert (warm.measure_cache_hits, warm.measure_cache_misses) == (4, 0)
+        assert warm.measure_cache_hit_rate == 1.0
+        assert cold.measure_cache_hit_rate == 0.0
+        assert 0.0 <= cold.compile_cache_hit_rate <= 1.0
+        assert cold.best_gflops() == pytest.approx(
+            cold.workload.flops / cold.best_latency / 1e9
+        )
+
+    def test_tuned_params_searches_once(self, tmp_path, monkeypatch):
+        db = str(tmp_path / "tune.jsonl")
+        searched = tuned_params(mtv(256, 256), db=db, n_trials=2)
+        # The completed group answers from the store, without a search.
+        monkeypatch.setattr(
+            Tuner, "tune", lambda self: pytest.fail("searched again")
+        )
+        assert tuned_params(mtv(256, 256), db=db, n_trials=2) == searched
+
+    def test_dry_pool_ends_the_search(self):
+        tuner = Tuner(mtv(256, 256), n_trials=8, batch_size=4, seed=0)
+        first_round = tuner._sample_pool
+        rounds = []
+
+        def one_round_then_dry(size):
+            rounds.append(size)
+            return first_round(size) if len(rounds) == 1 else []
+
+        tuner._sample_pool = one_round_then_dry
+        assert len(tuner.tune().measured) == 4
+        assert len(rounds) == 2
+
+    def test_a_batch_of_one_still_measures_every_seed(self):
+        tuner = Tuner(mtv(256, 256), n_trials=3, batch_size=1, seed=0)
+        seeds = tuner._seed_params()
+        assert len(seeds) == 3  # the sketch defaults, plain and rfactor
+        measured = tuner.tune().database.top_k(3)
+        assert sorted(map(str, (r.params for r in measured))) == sorted(
+            map(str, seeds)
+        )
+
+    def test_cold_start_explores_deterministically(self):
+        # No seeded defaults: at epsilon(0) = 0.5 each batch slot may be
+        # swapped for a random pool member, from the seeded rng.
+        def run():
+            return Tuner(
+                mtv(256, 256), n_trials=4, seed=0, seed_defaults=False
+            ).tune().history
+
+        assert run() == run()
 
 
 @pytest.mark.slow

@@ -62,6 +62,8 @@ class TestCostModel:
         pred = model.predict(X)
         # Rank correlation: ordering mostly preserved.
         assert model.rank_error(X, y) < 0.2
+        assert model.rank_error(X, 1.0 / y) > 0.8  # ordering reversed
+        assert CostModel().rank_error(X, y) == 0.5  # untrained: a coin
 
     def test_small_sample_ignored(self):
         model = CostModel()

@@ -197,3 +197,8 @@ class TestVerifier:
         cfg = UpmemConfig().with_(mram_bytes=1024)
         ok, reason = verify(self._module(), cfg)
         assert not ok and "MRAM" in reason
+
+    def test_iram_limit(self):
+        cfg = UpmemConfig().with_(iram_instructions=8)
+        ok, reason = verify(self._module(), cfg)
+        assert not ok and "IRAM" in reason

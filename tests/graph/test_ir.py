@@ -101,17 +101,6 @@ class TestOrdering:
         ]
         assert order1 == rebuilt
 
-    def test_levels_respect_dependencies(self, tiny_decoder):
-        level_of = {}
-        for i, level in enumerate(tiny_decoder.levels()):
-            for node in level:
-                level_of[node.name] = i
-        for node in tiny_decoder.nodes:
-            for tensor in node.inputs.values():
-                producer = tiny_decoder.producer(tensor)
-                if producer is not None:
-                    assert level_of[producer.name] < level_of[node.name]
-
 
 class TestTensors:
     def test_outputs_are_unconsumed_tensors(self):

@@ -1,9 +1,13 @@
 """The `python -m repro.harness` CLI."""
 
 import json
+import runpy
+import sys
 
 import pytest
 
+from repro.harness import fig14_search_strategies, fig18_cluster, text_report
+from repro.harness import __main__ as cli
 from repro.harness.__main__ import EXPERIMENTS, JSON_SCHEMA_VERSION, main
 
 
@@ -98,6 +102,45 @@ def test_fig9_with_filters(capsys):
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["fig99"])
+
+
+def test_python_dash_m_entry_point(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["python -m repro.harness", "fig3b"])
+    # As under ``python -m``: the package imported, its __main__ not yet.
+    monkeypatch.delitem(sys.modules, "repro.harness.__main__")
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("repro.harness", run_name="__main__")
+    assert exited.value.code == 0
+    assert "Fig 3b" in capsys.readouterr().out
+
+
+def test_resume_without_db_rejected(capsys):
+    with pytest.raises(SystemExit):
+        main(["fig15", "--resume"])
+    assert "--resume requires --db PATH" in capsys.readouterr().err
+
+
+def test_trace_lint_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "trace_lint", lambda payload: ["bad span"])
+    assert main(["fig3b", "--trace", str(tmp_path / "t.json")]) == 1
+    assert "trace-lint: bad span" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, run, kwargs", [
+    (
+        ["fig14", "--trials", "2"], fig14_search_strategies,
+        dict(n_trials=2, seed=0, db=None, resume=False),
+    ),
+    (
+        ["fig18", "--requests", "4"], fig18_cluster,
+        dict(n_requests=4, n_workers=2, seed=0),
+    ),
+])
+def test_cli_prints_the_benchmark_report(argv, run, kwargs, capsys):
+    """The CLI prints, for one call, exactly the text a benchmark saves."""
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed == text_report(run, run(**kwargs)) + "\n\n"
 
 
 class TestJsonDump:
@@ -217,7 +260,3 @@ class TestPersistentTuningFlags:
         assert payload["tuning_stats"]["measure_hits"] >= 8
         assert payload["settings"]["db"] == str(db)
         assert payload["settings"]["resume"] is True
-
-    def test_resume_without_db_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["fig15", "--resume"])

@@ -45,6 +45,11 @@ class TestMotivation:
         assert row["gpu_speedup"] < 1.02
 
 
+def test_fig9_skips_sizes_a_workload_lacks():
+    # va has no 512MB instance: the explicit size filter drops it.
+    assert fig9_tensor_ops(workloads=["va"], sizes=["512MB"]) == []
+
+
 @pytest.mark.slow
 class TestMainResults:
     @pytest.fixture(scope="class")
@@ -120,6 +125,7 @@ class TestReporting:
     def test_render_curve(self):
         text = render_curve([(1, 1.0), (2, 2.0)], title="C")
         assert "C" in text and "#" in text
+        assert "(no points)" in render_curve([], title="C")
 
     def test_summarize_empty(self):
         assert summarize_speedups([], "x")["gmean"] == 0.0

@@ -55,6 +55,11 @@ class TestSymbolicBound:
 
         assert o in collect_vars(hi)
 
+    def test_product_with_outer_var_on_the_right(self):
+        i, o = Var("i"), Var("o")
+        hi = symbolic_bound(i * o, {i: 4}, want_lo=False)
+        assert const_int(simplify(hi - o * 3)) == 0
+
 
 class TestInferRegion:
     def test_tile_region(self):

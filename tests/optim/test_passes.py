@@ -10,10 +10,12 @@ from repro.optim import (
 )
 from repro.pipeline import PassContext, build
 from repro.tir import (
+    Barrier,
     Buffer,
     BufferLoad,
     BufferStore,
     DmaCopy,
+    FloatImm,
     For,
     ForKind,
     IfThenElse,
@@ -104,6 +106,20 @@ class TestDmaElim:
         loop = For(v, 16, BufferStore(a, BufferLoad(b, [v]), [v]))
         assert isinstance(eliminate_copy_checks(loop), For)
 
+    def test_unguarded_strided_copy_keeps_loop(self):
+        w = Buffer("W", (16,), "float32", scope="wram")
+        m = Buffer("M", (256,), "float32", scope="mram")
+        v = Var("v")
+        loop = For(v, 16, BufferStore(w, BufferLoad(m, [v * 2]), [v]))
+        assert eliminate_copy_checks(loop) is loop
+
+    def test_non_affine_copy_keeps_loop(self):
+        w = Buffer("W", (16,), "float32", scope="wram")
+        m = Buffer("M", (256,), "float32", scope="mram")
+        v = Var("v")
+        loop = For(v, 16, BufferStore(w, BufferLoad(m, [v * v]), [v]))
+        assert eliminate_copy_checks(loop) is loop
+
     def test_thread_loop_never_converted(self):
         loop, _, _ = guarded_copy_loop(guard=False)
         tloop = For(
@@ -162,6 +178,14 @@ class TestTighten:
         result = tighten_loop_bounds(loop)
         assert isinstance(result.body, SeqStmt)
 
+    def test_only_affine_less_than_checks_tighten(self):
+        v = Var("v")
+        for cond in (v >= 3, v * v < 10):
+            loop, _ = self._compute_loop(16, 10, extra_cond=cond)
+            result = tighten_loop_bounds(loop)
+            assert isinstance(result.body, IfThenElse)
+            assert result.body.condition is cond
+
     def test_negative_coefficient_not_tightened(self):
         w = Buffer("W", (64,), "float32", scope="wram")
         v = Var("v")
@@ -215,6 +239,41 @@ class TestHoist:
         )
         result = hoist_invariant_branches(SeqStmt([fill, consume]))
         assert isinstance(result, SeqStmt)
+
+    def test_only_wram_fills_sink(self):
+        i, v = Var("i"), Var("v")
+        w = Buffer("W", (16,), "float32", scope="wram")
+        m = Buffer("M", (64,), "float32", scope="mram")
+        consume = IfThenElse(
+            i < 7, BufferStore(w, BufferLoad(w, [v]) + 1.0, [v])
+        )
+        for before in (
+            BufferStore(m, BufferLoad(w, [v]), [v]),  # an MRAM store
+            DmaCopy(m, [IntImm(0)], w, [IntImm(0)], 16),  # a write-back
+            Barrier(),
+        ):
+            result = hoist_invariant_branches(SeqStmt([before, consume]))
+            assert isinstance(result, SeqStmt)
+            assert result.stmts[0] is before
+
+    def test_fill_read_outside_the_guard_not_sunk(self):
+        i, v = Var("i"), Var("v")
+        w = Buffer("W", (16,), "float32", scope="wram")
+        x = Buffer("X", (16,), "float32", scope="wram")
+        m = Buffer("M", (64,), "float32", scope="mram")
+        fill = DmaCopy(w, [IntImm(0)], m, [IntImm(0)], 16)
+        consume = IfThenElse(
+            i < 7, BufferStore(w, BufferLoad(w, [v]) + 1.0, [v])
+        )
+        w0 = BufferLoad(w, [IntImm(0)])
+        for reader in (
+            BufferStore(x, FloatImm(0.0), [w0]),  # W read in an index
+            IfThenElse(w0 < 1.0, BufferStore(x, FloatImm(0.0), [v])),
+        ):
+            result = hoist_invariant_branches(
+                SeqStmt([fill, consume, reader])
+            )
+            assert result.stmts[0] is fill
 
     def test_hoist_composes_through_outer_loop(self):
         # Fig. 8(d): sink fills, then hoist above the enclosing loop.

@@ -119,7 +119,7 @@ class TestHbmPimPipeline:
             make_mtv_schedule(64, 64), target="hbm-pim", total_macs=64 * 64
         )
         est = exe.estimate
-        assert est.supported and est.n_pus == 512
+        assert est.n_pus == 512
         assert est.latency_s.hex() == "0x1.0caf9f22d3cddp-19"
         assert est.commands_per_pu == 0.5 and est.rows_touched == 0.032226562500
 

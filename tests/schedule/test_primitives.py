@@ -88,6 +88,16 @@ class TestFuseReorder:
         with pytest.raises(ScheduleError):
             s.fuse(i, k)
 
+    def test_fused_axis_keeps_its_kind(self):
+        _, _, C = make_matvec()
+        s = Schedule(C)[C]
+        io, ii = s.split(s.op.axis[0], factor=8)
+        ko, ki = s.split(s.op.reduce_axis[0], factor=8)
+        spatial = s.fuse(io, ii)
+        reduce = s.fuse(ko, ki)
+        assert not s.leaf_is_reduce(spatial)
+        assert s.leaf_is_reduce(reduce)
+
     def test_fuse_mixed_kinds_rejected(self):
         _, _, C = make_matvec()
         s = Schedule(C)[C]
@@ -163,6 +173,15 @@ class TestScheduleGraph:
         names = [s.name for s in sch.stages]
         assert names.index("A") < names.index("C")
         assert names.index("B") < names.index("C")
+
+    def test_shared_producer_staged_once(self):
+        A = te.placeholder((8,), "float32", "A")
+        B = te.compute((8,), lambda i: A[i] * 2.0, "B")
+        C = te.compute((8,), lambda i: A[i] + 1.0, "C")
+        D = te.compute((8,), lambda i: B[i] + C[i], "D")
+        names = [s.name for s in Schedule(D).stages]
+        assert sorted(names) == ["A", "B", "C", "D"]
+        assert names.index("A") < names.index("B") < names.index("D")
 
     def test_unknown_buffer_rejected(self):
         _, _, C = make_matvec()

@@ -301,8 +301,8 @@ class TestHbmPimTarget:
     def test_estimate_executable(self):
         exe = repro.compile(mtv(256, 256), target="hbm-pim")
         assert isinstance(exe, EstimateExecutable)
-        assert exe.estimate.supported
         assert exe.latency == exe.estimate.latency_s
+        assert exe.profile().latency.total == exe.latency
         with pytest.raises(TargetError):
             exe.run({})
 

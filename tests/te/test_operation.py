@@ -110,6 +110,8 @@ class TestIterVar:
         assert isinstance(identity_value("add", "float32"), FloatImm)
         assert identity_value("add", "int32").value == 0
         assert identity_value("max", "float32").value < 0
+        assert identity_value("min", "float32").value > 0
+        assert identity_value("min", "int32").value == 2**31 - 1
         with pytest.raises(ValueError):
             identity_value("xor", "int32")
 

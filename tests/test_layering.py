@@ -696,8 +696,6 @@ PINNED_EXPORTS = {
     "target/executable.py:UpmemExecutable.script":
         "user-facing: the kernel text of a compiled schedule (examples,"
         " tests/pipeline) — how IR at a level is read",
-    "harness/reporting.py:summarize_speedups":
-        "benchmarks/ prints its geomean rows with it",
     "serve/pool.py:ExecutablePool.prewarm":
         "user-facing serving API (README): load before traffic arrives",
     "serve/pool.py:ExecutablePool.pinned_keys":
@@ -792,6 +790,8 @@ CUT = (
     "graph/memory.py:MemoryPlan.fragmentation",
     "cluster/cluster.py:ClusterConfig.ttft_floor_s",
     "cluster/session.py:Session.to_dict",
+    "graph/ir.py:ModelGraph.levels", "upmem/system.py:Latency.scaled",
+    "upmem/isa.py:Counts.instructions", "te/operation.py:Tensor.ndim",
 )
 
 

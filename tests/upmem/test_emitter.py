@@ -1,6 +1,7 @@
 """UPMEM-C emission from lowered modules."""
 
 import repro
+from repro.lowering import LowerOptions
 from repro.upmem.emitter import emit_host_pseudocode, emit_kernel_c
 
 from ..conftest import make_mtv_schedule
@@ -43,6 +44,13 @@ class TestKernelEmission:
         code = emit_kernel_c(module_for(37, 50, level="O0"))
         assert "if (" in code
 
+    def test_unrolled_loop_annotated(self):
+        sch = make_mtv_schedule(64, 64)
+        stage = next(s for s in sch.stages if s.name == "C")
+        stage.unroll(stage.leaf_iter_vars[-1])
+        code = emit_kernel_c(repro.compile(sch).lowered)
+        assert "#pragma unroll" in code
+
     def test_barrier_for_multi_stage_kernels(self):
         from repro.autotune.compile import default_engine
         from repro.workloads import red
@@ -61,6 +69,14 @@ class TestHostEmission:
         assert "dpu_alloc(4" in text
         assert "dpu_launch" in text
         assert "DPU_XFER_FROM_DPU" in text
+
+    def test_serial_transfers_copy_per_dpu(self):
+        sch = make_mtv_schedule(64, 64)
+        module = repro.compile(
+            sch, options=LowerOptions(transfer_mode="bulk")
+        ).lowered
+        text = emit_host_pseudocode(module)
+        assert "dpu_copy_to, A -> A_mram" in text
 
     def test_host_reduction_rendered(self):
         text = emit_host_pseudocode(module_for(64, 64, k_dpus=2))

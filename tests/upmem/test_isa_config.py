@@ -8,6 +8,8 @@ from repro.tir import (
     Buffer,
     BufferLoad,
     FloatImm,
+    FloorDiv,
+    FloorMod,
     IntImm,
     Min,
     Mul,
@@ -76,6 +78,11 @@ class TestExprCoster:
         cost = coster.cost(e)
         assert cost.loads == 2
         assert cost.compute_ops == 2
+
+    def test_division_costs_a_call_unless_by_a_constant(self, coster):
+        i, n = Var("i"), Var("n")
+        assert coster.cost(FloorDiv(i, IntImm(4))).slots == 2
+        assert coster.cost(FloorMod(i, n)).slots == 10
 
     def test_min_and_boundary_condition_costed(self, coster):
         i = Var("i")
