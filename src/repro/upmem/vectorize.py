@@ -4,8 +4,8 @@ Compiles a :class:`LoweredModule`'s kernel and host statements *once* into
 a tree of closure-based ops that execute all DPU grid points of a chunk as
 one batched "lane" axis — one lane per grid point — instead of re-walking
 the AST per point.  Inner ``For`` loops over affine buffer indices are
-further vectorized across the loop axis (sequential ``np.add.accumulate``
-for reductions, injective scatter for maps), and ``DmaCopy`` becomes a
+further vectorized across the loop axis (a strict left fold for
+reductions, injective scatter for maps), and ``DmaCopy`` becomes a
 flat slice copy over all lanes at once — or nothing at all, when it only
 stages what the next scan reads (see "Reading through WRAM staging").
 
@@ -25,9 +25,19 @@ The compiled program is **bit-for-bit identical** to the scalar
 * float arithmetic batches elementwise ops whose operand/result dtypes
   match the scalar path exactly (NEP 50 makes ``np.float32`` scalars and
   float32 arrays behave identically against Python scalars);
-* reductions use ``np.add.accumulate``, which is strictly sequential —
-  the same left fold as the scalar loop (``np.sum``/``einsum`` pairwise
-  summation would *not* be bit-identical and is deliberately avoided).
+* reductions are the same left fold as the scalar loop, vectorised
+  across lanes (:func:`_fold`): the scan buffer is copied transposed, so
+  the fold runs down its slow axis, where ``np.add.reduce`` adds one row
+  of all lanes at a time, in order.  Along the fast axis NumPy sums
+  pairwise, which would *not* be bit-identical (``np.sum``/``einsum``
+  are avoided for that reason), so a one-lane fold, whose column *is*
+  the fast axis, keeps the strictly sequential ``np.add.accumulate``.
+  The reduce is told to start from -0.0, not its default +0.0, which
+  would turn a lane of all -0.0 terms into +0.0; and its rows are padded
+  to whole SIMD registers so NaN + NaN keeps the accumulator's NaN, as
+  ``np.add.accumulate`` does (:data:`_FOLD_ALIGN` says where the scalar
+  path's NaN differs).  ``TestAccumulateContract`` pins each of these
+  NumPy behaviours.
 
 Tasklet loops are executed as ordinary serial loops over batched lanes:
 tasklets on one DPU may legally overlap in their padded DMA writebacks,
@@ -106,7 +116,7 @@ Then ``for k.o in E: for k.i in c: T[i] = T[i] + f(k.o, k.i)`` folds into
 ``for k in E * c`` (:class:`_FoldBlocks`) when ``i`` uses neither
 variable and they occur in ``f`` only inside load indices affine in both
 with ``coeff(k.o) == c * coeff(k.i)`` — the same left fold in the same
-order, so ``np.add.accumulate`` stays the only summation.  The folded
+order, so :func:`_fold` stays the only summation.  The folded
 scan is cut into slabs that carry the accumulator (:class:`_VecReduceOp`,
 :data:`_SCAN_BYTES`), so its workspace does not grow with the row.  There
 is no option and no second path: a kernel that does not match compiles
@@ -337,12 +347,15 @@ class _Ctx:
         self.vmask = None  # validity mask of axis positions, or None
         self.scratch: Dict[tuple, np.ndarray] = {}  # see workspace()
 
-    def workspace(self, shape: tuple, dtype) -> np.ndarray:
-        """An uninitialised array an op may use until it returns; the
-        same one for every request of that shape in this chunk."""
-        w = self.scratch.get((shape, dtype))
+    def workspace(self, use: str, shape: tuple, dtype) -> np.ndarray:
+        """An array an op may use until it returns, zero-filled when first
+        made; the same one for every request of that use, shape and
+        dtype in this chunk.  Two uses never share one, whatever their
+        shapes."""
+        key = (use, shape, dtype)
+        w = self.scratch.get(key)
         if w is None:
-            w = self.scratch[shape, dtype] = np.empty(shape, dtype)
+            w = self.scratch[key] = np.zeros(shape, dtype)
         return w
 
 
@@ -895,14 +908,76 @@ def _reduction(body: Stmt, loop_vars: Sequence[Var]) -> Optional[PrimExpr]:
     return rest
 
 
+#: Bytes the fold's rows are padded to: the widest SIMD register NumPy
+#: adds with (AVX-512).  Its ``add`` loop takes whole registers in one
+#: operand order and a row's short tail in the other, which decides whose
+#: NaN comes out of NaN + NaN.  Padded rows have no tail, so every lane
+#: keeps the accumulator's NaN, as ``np.add.accumulate`` does.  (The
+#: scalar interpreter's NumPy scalars keep the summand's, so where two
+#: NaNs meet, vector and scalar bytes may differ.)
+_FOLD_ALIGN = 64
+
+
+def _fold_rows(lanes: int, steps: int, dtype) -> tuple:
+    """The shape of the scratch :func:`_fold` transposes a scan buffer of
+    ``lanes`` x ``steps`` into."""
+    per = _FOLD_ALIGN // np.dtype(dtype).itemsize
+    return (steps, -(-lanes // per) * per)
+
+
+def _fold(w: np.ndarray, rows: np.ndarray, stops=None) -> np.ndarray:
+    """Each row of the scan buffer ``w`` — an accumulator in column 0,
+    then its summands — folded strictly left to right up to column
+    ``stops[lane]`` (the last when ``stops`` is None): the bytes of
+    ``np.add.accumulate(w, axis=1)`` at those columns, which are the
+    scalar loop's partial sums.
+
+    ``w`` is copied transposed into ``rows``, zero-filled scratch of at
+    least :func:`_fold_rows` shape whose padding columns this never
+    writes.  The fold then runs down the slow axis, where
+    ``np.add.reduce`` adds one whole row at a time: a left fold per lane,
+    vectorised across lanes.  Lanes that stop early are grouped by stop,
+    shortest first, and each group starts from the partial sums of the
+    one before, written into the row it starts at, so every row is added
+    once however many groups there are.  One lane keeps the sequential
+    ``np.add.accumulate`` along its row of ``w``: an unpadded ``(n, 1)``
+    column would be contiguous along the fold, which NumPy sums pairwise,
+    not left to right, and the padded one is several times the work of
+    the accumulate.
+    """
+    lanes, n = w.shape
+    if lanes == 1:
+        sums = np.add.accumulate(w[0], dtype=w.dtype)
+        return sums[-1:] if stops is None else sums[stops]
+    t = rows[:n]
+    t[:, :lanes] = w.T
+    # NumPy's reduce starts from +0.0, and +0.0 + -0.0 is +0.0: a lane of
+    # nothing but -0.0 would lose its sign.  -0.0 + x is x for every x.
+    start = w.dtype.type(-0.0)
+    if stops is None:
+        return np.add.reduce(t, axis=0, dtype=w.dtype, initial=start)[:lanes]
+    out = np.empty(lanes, w.dtype)
+    lo = 0
+    for stop in np.unique(stops):
+        if lo:
+            t[lo, :lanes] = acc
+        acc = np.add.reduce(
+            t[lo : stop + 1], axis=0, dtype=w.dtype, initial=start
+        )[:lanes]
+        np.copyto(out, acc, where=stops == stop)
+        lo = stop
+    return out
+
+
 class _VecReduceOp:
     """``for k in extent: T[i] = T[i] + rest(k)`` as one sequential scan.
 
-    ``np.add.accumulate`` is a strict left fold, so the partial sums match
-    the scalar loop bit for bit.  A long axis is scanned in slabs of at
-    most :data:`_SCAN_BYTES` that carry the accumulator from one to the
-    next — the same fold, cut anywhere.  Lane-dependent extents gather
-    the prefix at each lane's own trip count.  Under a lane mask every
+    Each slab's scan buffer (the accumulator, then the summands) goes to
+    :func:`_fold`, a strict left fold, so the partial sums match the
+    scalar loop bit for bit.  A long axis is scanned in slabs of at most
+    :data:`_SCAN_BYTES` that carry the accumulator from one to the next
+    — the same fold, cut anywhere.  Lane-dependent extents stop each
+    lane at its own trip count.  Under a lane mask every
     lane is scanned (``_checked`` clamps a masked lane's index instead of
     raising) and only the live lanes are written back.  Falls back to
     the generic loop when the summand's dtype is not the accumulator's.
@@ -945,7 +1020,8 @@ class _VecReduceOp:
             return
         npt = arr.dtype
         slab = max(1, min(n, _SCAN_BYTES // (ctx.L * npt.itemsize)))
-        space = ctx.workspace((ctx.L, slab + 1), npt)
+        space = ctx.workspace("scan", (ctx.L, slab + 1), npt)
+        rows = ctx.workspace("fold", _fold_rows(ctx.L, slab + 1, npt), npt)
         old_k, old_v = ctx.axis_k, ctx.vmask
         try:
             for lo in range(0, n, slab):
@@ -956,7 +1032,7 @@ class _VecReduceOp:
                 args = self.operands(ctx)
                 if lo == 0 and np.result_type(*args) != npt:
                     # Per-step cast rounding differs from one wide
-                    # accumulate.  Nothing is written yet.
+                    # fold.  Nothing is written yet.
                     acc = None
                     break
                 w = space[:, : width + 1]
@@ -965,11 +1041,10 @@ class _VecReduceOp:
                     w[:, 1:] = args[0]
                 else:
                     self.ufunc(*args, out=w[:, 1:])
-                np.add.accumulate(w, axis=1, out=w)
-                if trips is None:
-                    acc = w[:, width]
-                else:
-                    acc = w[ctx.lanes, np.clip(trips - lo, 0, width)]
+                acc = _fold(
+                    w, rows,
+                    None if trips is None else np.clip(trips - lo, 0, width),
+                )
         finally:
             ctx.axis_k, ctx.vmask = old_k, old_v
         if acc is None:

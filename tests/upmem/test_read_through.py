@@ -284,9 +284,10 @@ class TestSlabbedScan:
         slabs = set()
         workspace = vectorize._Ctx.workspace
 
-        def spy(ctx, shape, dtype):
-            slabs.add(shape[1] - 1)
-            return workspace(ctx, shape, dtype)
+        def spy(ctx, use, shape, dtype):
+            if use == "scan":
+                slabs.add(shape[1] - 1)
+            return workspace(ctx, use, shape, dtype)
 
         monkeypatch.setattr(vectorize._Ctx, "workspace", spy)
         slabbed, = FunctionalExecutor(module).run(inputs)
@@ -295,6 +296,35 @@ class TestSlabbedScan:
         monkeypatch.setenv("REPRO_SIM_MODE", "scalar")
         scalar, = FunctionalExecutor(module).run(inputs)
         assert scalar.tobytes() == whole
+
+    def test_scan_and_fold_buffers_never_alias(self, monkeypatch):
+        """16 lanes, 15-step slabs: the ``(L, slab + 1)`` scan buffer and
+        the ``(slab + 1, L)`` transposed one have one shape, and are still
+        two arrays (one would make NumPy copy through a temporary)."""
+        wl = mtv(48, 128)
+        params = {"m_dpus": 16, "k_dpus": 1, "n_tasklets": 1, "cache": 16,
+                  "host_threads": 1, "unroll": 0}
+        module = default_engine().compile(wl, params, opt_level="O3").module
+        assert plan_for(module).folded == 1 and module.n_dpus == 16
+        inputs = wl.random_inputs(5)
+        monkeypatch.setenv("REPRO_SIM_MODE", "scalar")
+        scalar, = FunctionalExecutor(module).run(inputs)
+        monkeypatch.setattr(vectorize, "_SCAN_BYTES", 15 * 16 * 4)
+        held = {}
+        workspace = vectorize._Ctx.workspace
+
+        def spy(ctx, use, shape, dtype):
+            held.setdefault(use, set()).add(shape)
+            held[use, shape] = out = workspace(ctx, use, shape, dtype)
+            return out
+
+        monkeypatch.setattr(vectorize._Ctx, "workspace", spy)
+        monkeypatch.setenv("REPRO_SIM_MODE", "vector")
+        vector, = FunctionalExecutor(module).run(inputs)
+        assert held["scan"] == held["fold"] == {(16, 16)}
+        scan, fold = held["scan", (16, 16)], held["fold", (16, 16)]
+        assert not np.shares_memory(scan, fold)
+        assert vector.tobytes() == scalar.tobytes()
 
     def test_lane_dependent_trip_counts_across_slabs(self, monkeypatch):
         """``for k in range(b * 3 + 1)``: every lane picks its own prefix,

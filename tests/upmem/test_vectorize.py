@@ -829,3 +829,57 @@ class TestAccumulateContract:
                 s = s + x[r, c]
                 ref[r, c] = s
         assert acc.tobytes() == ref.tobytes()
+
+    @staticmethod
+    def _left_fold(column):
+        s = column[0]
+        for v in column[1:]:
+            s = s + v
+        return s
+
+    @pytest.mark.parametrize("lanes", [2, 3, 17, 64])
+    def test_np_reduce_down_the_slow_axis_is_left_fold(self, lanes):
+        """``_fold`` copies its scan buffer transposed and reduces down
+        the slow axis of the C-contiguous copy: NumPy must add one row of
+        every lane at a time, in row order."""
+        rng = np.random.default_rng(lanes)
+        x = (rng.standard_normal((300, lanes)) * 10.0 ** rng.integers(
+            -8, 8, (300, lanes))).astype(np.float32)
+        got = np.add.reduce(x, axis=0)
+        want = np.array([self._left_fold(x[:, j]) for j in range(lanes)])
+        assert x.flags.c_contiguous
+        assert got.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_np_reduce_of_negative_zeros_is_positive_zero(self):
+        """The reduce starts from +0.0, not from the first term, so a
+        column of -0.0 comes back +0.0 where the left fold keeps -0.0:
+        why ``_fold`` passes ``initial=-0.0``, which keeps it."""
+        x = np.full((5, 3), -0.0, np.float32)
+        assert not np.signbit(np.add.reduce(x, axis=0)).any()
+        assert np.signbit(np.add.reduce(x, axis=0, initial=-0.0)).all()
+        assert np.signbit(self._left_fold(x[:, 0]))
+
+    def test_np_reduce_of_one_long_column_is_pairwise(self):
+        """One lane unpadded is contiguous along the fold, and NumPy sums
+        that pairwise, not as the left fold: why ``_fold`` keeps
+        ``np.add.accumulate`` for one lane (and pads wider rows)."""
+        x = np.random.default_rng(3).random((10_000, 1), dtype=np.float32)
+        want = self._left_fold(x[:, 0])
+        assert np.add.reduce(x, axis=0)[0].tobytes() != want.tobytes()
+        assert np.add.accumulate(x[:, 0])[-1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lanes", [2, 17, 33])
+    def test_np_reduce_of_padded_rows_keeps_the_first_nan(self, dtype, lanes):
+        """NaN + NaN keeps one operand's NaN, and NumPy's ``add`` picks by
+        code path.  On rows padded to whole SIMD registers every lane
+        keeps the accumulator's, as ``np.add.accumulate`` does."""
+        nan = np.array(np.nan, dtype)
+        steps, width = vectorize._fold_rows(lanes, 2, dtype)
+        for first, second in ((nan, -nan), (-nan, nan)):
+            x = np.zeros((steps, width), dtype)
+            x[0], x[1] = first, second
+            want = np.add.accumulate(x[:, :lanes].T.copy(), axis=1)[:, -1]
+            got = np.add.reduce(x, axis=0)[:lanes]
+            assert got.tobytes() == want.tobytes()
+            assert (np.signbit(got) == np.signbit(first)).all()

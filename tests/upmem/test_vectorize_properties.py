@@ -11,11 +11,15 @@ Two families of generated modules, built directly in TIR:
 * axis-affine accesses — ``T[cs*k + ds] = S[cl*k + dl]`` maps and
   reductions with lane-dependent trip counts under a lane mask.  Vector
   and scalar must agree on every byte, or both raise ``InterpError``.
+
+And one on the reduction fold itself: ``vectorize._fold`` against
+``np.add.accumulate``'s prefix at each lane's stop, on generated scan
+buffers full of the float values a fold can get wrong.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lowering import GridDim, LoweredModule, TransferSpec
@@ -260,3 +264,81 @@ def test_store_from_a_view_of_its_own_target(shift):
     scalar = _outcome(module, "scalar", {})
     assert isinstance(scalar, bytes)
     assert _outcome(module, "vector", {}) == scalar
+
+
+# ---------------------------------------------------------------------------
+# the reduction fold
+# ---------------------------------------------------------------------------
+
+#: Every float class a fold can meet: signed zeros, infinities, NaN of
+#: both signs, subnormals and the float32 extremes.
+_SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45,
+             3.4e38, -3.4e38)
+
+
+def _scan_buffer(dtype, lanes, width, seed, special_share, zero_lanes):
+    """``(lanes, width + 1)``: an accumulator, then ``width`` summands."""
+    rng = np.random.default_rng(seed)
+    shape = (lanes, width + 1)
+    if dtype == np.int32:
+        return rng.integers(-2**31, 2**31, shape, dtype=np.int64).astype(dtype)
+    magnitudes = rng.standard_normal(shape) * 10.0 ** rng.integers(
+        -45, 39, shape)
+    specials = np.array(_SPECIALS)[rng.integers(0, len(_SPECIALS), shape)]
+    w = np.where(rng.random(shape) < special_share, specials, magnitudes)
+    w[rng.random(lanes) < zero_lanes] = -0.0
+    with np.errstate(over="ignore"):
+        return w.astype(dtype)
+
+
+def _fold_of(w, stops):
+    rows = np.zeros(vectorize._fold_rows(*w.shape, w.dtype), w.dtype)
+    with np.errstate(all="ignore"):
+        return vectorize._fold(w, rows, stops)
+
+
+def _accumulated(w, stops):
+    with np.errstate(all="ignore"):
+        sums = np.add.accumulate(w, axis=1, dtype=w.dtype)
+    if stops is None:
+        return sums[:, -1]
+    return sums[np.arange(len(w)), stops]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64, np.int32]),
+    lanes=st.one_of(st.just(2), st.integers(1, 300)),
+    width=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+    special_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    zero_lanes=st.sampled_from([0.0, 0.5]),
+    stopped=st.booleans(),
+)
+@example(  # one long lane, which takes np.add.accumulate
+    dtype=np.float32, lanes=1, width=600, seed=0, special_share=0.0,
+    zero_lanes=0.0, stopped=False,
+)
+def test_fold_equals_accumulate(
+    dtype, lanes, width, seed, special_share, zero_lanes, stopped
+):
+    """``_fold`` against the sequential prefix sums, byte for byte, at
+    each lane's stop (``stops`` from 0, the accumulator alone, to
+    ``width``)."""
+    w = _scan_buffer(dtype, lanes, width, seed, special_share, zero_lanes)
+    stops = None
+    if stopped:
+        stops = np.random.default_rng(seed + 1).integers(0, width + 1, lanes)
+    assert _fold_of(w, stops).tobytes() == _accumulated(w, stops).tobytes()
+
+
+@pytest.mark.parametrize("stops", [None, [3, 0, 5, 3]])
+def test_fold_of_negative_zeros_is_negative_zero(stops):
+    """Lanes of nothing but -0.0 sum to -0.0 in the left fold; NumPy's
+    reduce returns +0.0 unless it starts from -0.0."""
+    w = np.full((4, 6), -0.0, np.float32)
+    w[1, 1] = 0.0  # one lane with a +0.0 among them folds to +0.0
+    stops = None if stops is None else np.array(stops)
+    got = _fold_of(w, stops)
+    assert got.tobytes() == _accumulated(w, stops).tobytes()
+    assert np.signbit(got).tolist() == [True, stops is not None, True, True]
