@@ -12,10 +12,11 @@ variable or a per-executor override:
 ``vector`` (default)
     The TIR->NumPy compiled plan from :mod:`repro.upmem.vectorize`:
     all lanes of a chunk — grid points, of one item or of several
-    stacked batch items — execute as one batched lane axis.
+    stacked batch items — execute as one batched lane axis.  A kernel
+    that addresses a host tensor raises ``VectorizeError``.
 ``scalar``
     The reference :class:`~repro.upmem.interp.Interpreter`, walking the
-    AST point by point.
+    AST point by point; it runs any module.
 ``verify``
     Runs *both* paths and asserts their outputs are identical down to
     the last bit (the equivalence gate); raises :class:`VerifyMismatch`
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..lowering import LoweredModule, TransferSpec
-from ..tir import Buffer, BufferStore, DmaCopy, Var, iter_stmts
+from ..tir import Buffer, Var
 from .interp import Interpreter, _np_dtype
 
 __all__ = [
@@ -257,20 +258,15 @@ class FunctionalExecutor:
         """Run the stacked vector call, then the scalar interpreter item
         by item; compare each item's D2H regions bitwise.
 
-        The interpreter runs on copies of every tensor the lanes write —
-        the D2H targets and any host tensor the kernel stores to — so
-        nothing runs twice on the state the caller gets back.  Only the
-        D2H regions written by *these* lanes are compared: under
-        ``run_batch`` other threads own the rest of the output arrays.
+        The interpreter runs on copies of the D2H targets — the only
+        tensors a kernel the plan takes can write — so nothing runs twice
+        on the state the caller gets back.  Only the D2H regions written
+        by *these* lanes are compared: under ``run_batch`` other threads
+        own the rest of the output arrays.
         """
         module = self.module
         d2h = module.transfer("d2h")
         written = {spec.global_buffer for spec in d2h}
-        written |= {
-            s.buffer if isinstance(s, BufferStore) else s.dst
-            for s in iter_stmts(module.kernel)
-            if isinstance(s, (BufferStore, DmaCopy))
-        }
         items = list(self._item_points(lanes))
         shadows = []
         for item, _ in items:

@@ -3,9 +3,9 @@
 Interprets lowered host/kernel statements against numpy-backed buffers.
 It is intentionally simple (and slow) and defines the *reference
 semantics*: the vectorized compiler in :mod:`repro.upmem.vectorize` must
-match it bit for bit, and falls back to it for out-of-model constructs.
-Dispatch is a type-keyed table rather than an ``isinstance`` ladder so
-the fallback path stays reasonably fast.
+match it bit for bit, and it alone runs a kernel outside that compiler's
+model.  Dispatch is a type-keyed table rather than an ``isinstance``
+ladder.
 """
 
 from __future__ import annotations

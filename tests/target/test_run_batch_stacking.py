@@ -23,7 +23,8 @@ from repro.graph import gptj_model_graph, place
 from repro.graph.builder import GPTJ_SIM
 from repro.graph.executable import PIM_SUBSTRATE_KINDS
 from repro.serve import ExecutablePool, Request, Server, gptj_serving_mix
-from repro.upmem import VerifyMismatch, plan_for, vectorize
+from repro.upmem import VerifyMismatch, plan_for
+from repro.upmem.vectorize import plan as plan_module
 from repro.workloads import make_workload, mtv
 
 
@@ -128,7 +129,7 @@ class TestStackedBatchEqualsSoloRuns:
                 cap = {"grid": grid, "grid+1": grid + 1}.get(lane_cap, lane_cap)
                 plan = plan_for(exe.lowered)
                 mp.setattr(
-                    vectorize, "_LANE_BUDGET_BYTES",
+                    plan_module, "_LANE_BUDGET_BYTES",
                     cap * plan._bytes_per_lane,
                 )
                 assert plan.max_lanes(10 ** 6) == cap

@@ -162,6 +162,69 @@ def test_function_local_imports_are_the_listed_ones():
     assert local == set(LOCAL_IMPORTS)
 
 
+#: The vector runtime's modules (``upmem/vectorize/``), lowest first, and
+#: the sibling modules each may import.  The expression compiler and the
+#: TIR -> TIR staging rewrites stand alone; nothing below the plan
+#: imports the plan or the host programs.
+VECTORIZE_ORDER = {
+    "expr": set(),
+    "staging": set(),
+    "ops": {"expr", "staging"},
+    "plan": {"expr", "ops", "staging"},
+    "host": {"expr", "ops", "plan"},
+    "__init__": {"expr", "host", "plan"},
+}
+
+
+def _vectorize_sources():
+    folder = os.path.join(ROOT, "upmem", "vectorize")
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name)) as fh:
+                yield name[:-3], fh.read()
+
+
+def test_vector_runtime_modules_import_down():
+    found = {}
+    for module, text in _vectorize_sources():
+        siblings = set()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                parts = node.module.split(".") if node.module else []
+            elif (node.module or "").startswith("repro.upmem.vectorize"):
+                parts = node.module.split(".")[3:]
+            else:
+                continue
+            siblings.update(
+                parts[:1] or [alias.name for alias in node.names]
+            )
+        found[module] = siblings
+    assert found.keys() == VECTORIZE_ORDER.keys()
+    upward = {
+        module: sorted(siblings - VECTORIZE_ORDER[module])
+        for module, siblings in found.items()
+        if siblings - VECTORIZE_ORDER[module]
+    }
+    assert upward == {}
+
+
+def test_only_the_executor_runs_the_reference():
+    """The vector runtime has one path: no module of it names the scalar
+    ``Interpreter``, and only ``upmem/executor.py`` builds one."""
+    for module, text in _vectorize_sources():
+        assert not re.search(r"\bInterpreter\b|_FallbackOp", text), module
+    builders = {
+        os.path.relpath(path, ROOT).replace(os.sep, "/")
+        for path, tree in _sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "Interpreter"
+    }
+    assert builders == {"upmem/executor.py"}
+
+
 def test_sketch_parameter_names_live_in_the_sketch_table():
     found = set()
 
@@ -708,6 +771,9 @@ PINNED_EXPORTS = {
         " against a model of the clock",
     "obs/tracer.py:Tracer.top_spans":
         "user-facing: examples/quickstart.py step 8 and the README",
+    "upmem/vectorize/plan.py:KernelPlan.fallbacks":
+        "always empty: perf/adapters.py and perf/trace.py still count it"
+        " (upmem.fallbacks), and perf/ changes only in a benchmark PR",
     "upmem/config.py:UpmemConfig.with_":
         "how tests and benchmarks shrink the machine",
     "upmem/emitter.py:emit_host_pseudocode":
@@ -766,7 +832,7 @@ CUT = (
     "extensions/hbm_pim.py:HbmPimEstimatePass",
     "extensions/hbm_pim.py:estimate_schedule",
     "extensions/hbm_pim.py:estimate_lowered",
-    "upmem/vectorize.py:KernelPlan.batched_alloc",
+    "upmem/vectorize/plan.py:KernelPlan.batched_alloc",
     "tir/expr.py:Or", "tir/expr.py:Not", "tir/expr.py:Select",
     "tir/expr.py:Cast", "tir/expr.py:Call", "tir/expr.py:any_of",
     "tir/stmt.py:Evaluate", "tir/stmt.py:Intrin", "tir/stmt.py:Allocate",

@@ -26,7 +26,7 @@ from repro.tir import (
     Var,
 )
 from repro.upmem import FunctionalExecutor, VerifyMismatch, plan_for
-from repro.upmem import vectorize
+from repro.upmem.vectorize import host, plan as plan_module
 from repro.upmem.interp import InterpError
 from repro.workloads import GPTJConfig, make_workload, tensor_ops
 from repro.workloads.tensor_ops import mtv, va
@@ -49,7 +49,7 @@ def _forget_plan(exe):
     """Drop ``exe``'s vector plan — the cache's and the executor's — so
     the next call builds one nothing is resident in."""
     module = exe.lowered
-    vectorize._PLANS.pop(getattr(module, "plan_key", id(module)), None)
+    host._PLANS.pop(getattr(module, "plan_key", id(module)), None)
     exe.executor._kernel_plan = None
 
 
@@ -71,7 +71,7 @@ def counters(monkeypatch):
     """Counts ``_Placement`` constructions, runs of the body of
     ``local_bytes_per_dpu`` and ``Node.input_bindings`` calls."""
     seen = {"placements": 0, "local_bytes": 0, "bindings": 0}
-    init = vectorize._Placement.__init__
+    init = plan_module._Placement.__init__
     local_bytes = LoweredModule.local_bytes_per_dpu
     bindings = Node.input_bindings
 
@@ -87,7 +87,7 @@ def counters(monkeypatch):
         seen["bindings"] += 1
         return bindings(self)
 
-    monkeypatch.setattr(vectorize._Placement, "__init__", counted_init)
+    monkeypatch.setattr(plan_module._Placement, "__init__", counted_init)
     monkeypatch.setattr(
         LoweredModule, "local_bytes_per_dpu", counted_local_bytes
     )
@@ -133,7 +133,7 @@ class TestSecondCallDerivesNothing:
         (chunk,) = plan._chunks.values()
         assert any(p.partial is not None for p in chunk.places)
         held = sum(p.held for p in chunk.places)
-        assert 0 < held == plan._element_bytes <= vectorize._ELEMENT_BYTES
+        assert 0 < held == plan._element_bytes <= plan_module._ELEMENT_BYTES
 
     def test_one_decode_layer_graph(self, counters, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_MODE", "vector")
@@ -205,8 +205,8 @@ def test_resident_geometry_equals_fresh_and_modes_agree(
         assert got["vector"] == got["scalar"] == got["verify"], draw_id
         assert plan.check_invariants() == [], draw_id
     assert plan._chunks  # something was resident to audit
-    assert len(plan._chunks) <= vectorize._CHUNK_SHAPES
-    assert plan._element_bytes <= vectorize._ELEMENT_BYTES
+    assert len(plan._chunks) <= plan_module._CHUNK_SHAPES
+    assert plan._element_bytes <= plan_module._ELEMENT_BYTES
 
 
 class TestAudit:
@@ -430,7 +430,7 @@ class TestThreadsFirstTouch:
         exe = repro.compile(wl, target="upmem")
         module = exe.lowered
 
-        build_chunk = vectorize.KernelPlan._build_chunk
+        build_chunk = plan_module.KernelPlan._build_chunk
 
         def run_at(width):
             _forget_plan(exe)
@@ -441,7 +441,7 @@ class TestThreadsFirstTouch:
                 threads.add(threading.get_ident())
                 return build_chunk(plan, first, L)
 
-            monkeypatch.setattr(vectorize.KernelPlan, "_build_chunk", spy)
+            monkeypatch.setattr(plan_module.KernelPlan, "_build_chunk", spy)
             out, = exe.run(inputs)
             builders = len(threads)
             plan = plan_for(module)
@@ -463,13 +463,13 @@ class TestThreadsFirstTouch:
         exe = _fresh_exe(*_MTV)
         module = exe.lowered
         both_building = threading.Barrier(2)
-        init = vectorize.KernelPlan.__init__
+        init = plan_module.KernelPlan.__init__
 
         def held_init(plan, m):
             init(plan, m)
             both_building.wait(timeout=30)
 
-        monkeypatch.setattr(vectorize.KernelPlan, "__init__", held_init)
+        monkeypatch.setattr(plan_module.KernelPlan, "__init__", held_init)
         got = []
         threads = [
             threading.Thread(target=lambda: got.append(plan_for(module)))
@@ -546,7 +546,7 @@ class TestTableBounds:
         monkeypatch.setenv("REPRO_SIM_MODE", "vector")
         # A budget a few chunk shapes exhaust: indices past it are
         # rebuilt per call, and the answers do not change.
-        monkeypatch.setattr(vectorize, "_ELEMENT_BYTES", 4096)
+        monkeypatch.setattr(plan_module, "_ELEMENT_BYTES", 4096)
         wl, params = _VA_TRIMMED
         exe = _fresh_exe(wl, params)
         inputs = wl.random_inputs(0)
@@ -555,13 +555,13 @@ class TestTableBounds:
         for n in range(1, 101):
             outs = exe.run_batch([inputs] * n)
             assert outs[-1][0].tobytes() == want.tobytes()
-            assert len(plan._chunks) <= vectorize._CHUNK_SHAPES
+            assert len(plan._chunks) <= plan_module._CHUNK_SHAPES
             held = sum(p.held for c in plan._chunks.values() for p in c.places)
             assert held <= plan._element_bytes <= 4096
-        assert len(plan._chunks) == vectorize._CHUNK_SHAPES
+        assert len(plan._chunks) == plan_module._CHUNK_SHAPES
         # oldest first: the survivors are the last batch sizes run
         assert min(L for _, L in plan._chunks) == (
-            101 - vectorize._CHUNK_SHAPES
+            101 - plan_module._CHUNK_SHAPES
         ) * exe.lowered.n_dpus
         assert plan.check_invariants() == []
 
@@ -570,11 +570,11 @@ class TestTableBounds:
         wl, params = _MTV
         module = default_engine().compile(wl, params, opt_level="O3").module
         key = getattr(module, "plan_key", id(module))
-        vectorize._PLANS.pop(key, None)
+        host._PLANS.pop(key, None)
         plan = plan_for(module)
         state = FunctionalExecutor(module).prepare(wl.random_inputs(0))
         plan.run_points([state], range(module.n_dpus))
-        del vectorize._PLANS[key]  # the cache lets go: ours is the last
+        del host._PLANS[key]  # the cache lets go: ours is the last
         (chunk,) = plan._chunks.values()
         # (slotted records take no weak reference; their arrays do)
         refs = [weakref.ref(plan), weakref.ref(chunk.lanes),

@@ -22,7 +22,7 @@ from repro.tir import (
     iter_stmts,
 )
 from repro.upmem import FunctionalExecutor, plan_for
-from repro.upmem import vectorize
+from repro.upmem.vectorize import expr, ops
 from repro.workloads import SIZED_WORKLOADS, tensor_ops
 from repro.workloads.tensor_ops import mtv
 
@@ -129,7 +129,6 @@ class TestLegality:
         module = _staged_sum(**kwargs)
         plan = plan_for(module)
         assert (plan.forwarded, plan.folded) == (forwarded, folded)
-        assert plan.fallbacks == []
         if not forwarded:
             assert plan.kernel is module.kernel  # left exactly as lowered
         got = _all_modes(module, _FEED, monkeypatch)
@@ -190,7 +189,6 @@ class TestPinnedSites:
         wl = getattr(tensor_ops, op)(*outer, last - trim)
         plan = plan_for(repro.compile(wl, target="upmem").lowered)
         assert (plan.forwarded, plan.folded) == _KERNELS[op, size, trim]
-        assert plan.fallbacks == []
 
     def test_decode_layer_programs(self):
         seen = {}
@@ -203,7 +201,6 @@ class TestPinnedSites:
                     node.workload, target="upmem", params=node.params
                 )
                 plan = plan_for(exe.lowered)
-                assert plan.fallbacks == [], node.name
                 key = (node.workload.name, tuple(node.workload.shape))
                 seen[key] = (plan.forwarded, plan.folded)
         assert seen == _DECODE
@@ -254,7 +251,6 @@ def test_golden_corpus_draws_under_verify(family, monkeypatch):
             fexec.run_points([state], range(32))
             fexec.run_points([state], range(grid - 32, grid))
         plan = plan_for(module)
-        assert plan.fallbacks == [], draw_id
         ran += 1
         forwarded += plan.forwarded
     assert ran >= 20 and forwarded >= ran
@@ -280,16 +276,16 @@ class TestSlabbedScan:
         whole, = FunctionalExecutor(module).run(inputs)
         whole = whole.tobytes()
         lanes = module.n_dpus
-        monkeypatch.setattr(vectorize, "_SCAN_BYTES", steps * lanes * 4)
+        monkeypatch.setattr(ops, "_SCAN_BYTES", steps * lanes * 4)
         slabs = set()
-        workspace = vectorize._Ctx.workspace
+        workspace = expr._Ctx.workspace
 
         def spy(ctx, use, shape, dtype):
             if use == "scan":
                 slabs.add(shape[1] - 1)
             return workspace(ctx, use, shape, dtype)
 
-        monkeypatch.setattr(vectorize._Ctx, "workspace", spy)
+        monkeypatch.setattr(expr._Ctx, "workspace", spy)
         slabbed, = FunctionalExecutor(module).run(inputs)
         assert slabs == {steps}
         assert slabbed.tobytes() == whole
@@ -309,16 +305,16 @@ class TestSlabbedScan:
         inputs = wl.random_inputs(5)
         monkeypatch.setenv("REPRO_SIM_MODE", "scalar")
         scalar, = FunctionalExecutor(module).run(inputs)
-        monkeypatch.setattr(vectorize, "_SCAN_BYTES", 15 * 16 * 4)
+        monkeypatch.setattr(ops, "_SCAN_BYTES", 15 * 16 * 4)
         held = {}
-        workspace = vectorize._Ctx.workspace
+        workspace = expr._Ctx.workspace
 
         def spy(ctx, use, shape, dtype):
             held.setdefault(use, set()).add(shape)
             held[use, shape] = out = workspace(ctx, use, shape, dtype)
             return out
 
-        monkeypatch.setattr(vectorize._Ctx, "workspace", spy)
+        monkeypatch.setattr(expr._Ctx, "workspace", spy)
         monkeypatch.setenv("REPRO_SIM_MODE", "vector")
         vector, = FunctionalExecutor(module).run(inputs)
         assert held["scan"] == held["fold"] == {(16, 16)}
@@ -341,7 +337,7 @@ class TestSlabbedScan:
         module = _tile_module(kernel, b, 6, 2, h2d=(src, m))
         feed = {"In": np.random.default_rng(1).standard_normal(16).astype(
             np.float32)}
-        monkeypatch.setattr(vectorize, "_SCAN_BYTES", 4 * 6 * 4)
+        monkeypatch.setattr(ops, "_SCAN_BYTES", 4 * 6 * 4)
         got = _all_modes(module, feed, monkeypatch)
         assert got["scalar"] == got["vector"] == got["verify"]
 
@@ -369,7 +365,7 @@ class TestScanUnderALaneMask:
         assert any(isinstance(s, IfThenElse) for s in iter_stmts(plan.kernel))
         scans = [
             op for op in _ops(plan.kernel_op)
-            if isinstance(op, vectorize._VecReduceOp)
+            if isinstance(op, ops._VecReduceOp)
         ]
         assert scans
         masked, looped = [], []
@@ -459,7 +455,6 @@ class TestWeakNumbers:
         # the unrounded product can.
         rng = np.random.default_rng(11)
         module = self._module(value)
-        assert plan_for(module).fallbacks == []
         for _ in range(8):
             feed = {"In": rng.standard_normal(4).astype(np.float32)}
             got = _all_modes(module, feed, monkeypatch)

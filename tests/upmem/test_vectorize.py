@@ -1,4 +1,5 @@
-"""The TIR->NumPy vectorizer: bit-for-bit equivalence gate and fallbacks."""
+"""The TIR->NumPy vectorizer: bit-for-bit equivalence gate, and the
+out-of-model kernels it refuses."""
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from repro.tir import (
     SeqStmt,
     Var,
 )
-from repro.upmem import FunctionalExecutor, VerifyMismatch, plan_for, sim_mode
-from repro.upmem import vectorize
+from repro.upmem import (
+    FunctionalExecutor, VectorizeError, VerifyMismatch, plan_for, sim_mode,
+)
+from repro.upmem.vectorize import host, host_program_for, ops, plan as plan_module
 from repro.upmem.interp import InterpError, Interpreter, _np_dtype
-from repro.upmem.vectorize import host_program_for
 from repro.workloads import make_workload, size_labels, workload_names
 from repro.workloads.tensor_ops import gemv, geva, mmtv, mtv, red, ttv, va
 
@@ -95,13 +97,15 @@ class TestEquivalenceGate:
         )
 
     def test_no_fallbacks_on_registered_workloads(self, monkeypatch):
+        """Every plan of every family builds: a kernel outside the
+        vector model would raise ``VectorizeError`` here."""
         monkeypatch.setenv("REPRO_SIM_MODE", "vector")
         for label, wl, params in SWEEP:
             module = _compile(wl, params, "O3")
             FunctionalExecutor(module).run(wl.random_inputs(1))
-            assert plan_for(module).fallbacks == [], label
+            plan_for(module)
             for which in ("pre", "post"):
-                assert host_program_for(module, which).fallbacks == []
+                host_program_for(module, which)
 
     def test_lane_chunking_is_bitwise_stable(self, monkeypatch):
         """Odd chunk sizes and sharded run_points agree with one shot."""
@@ -114,7 +118,7 @@ class TestEquivalenceGate:
         ref = _run(module, inputs, "vector", monkeypatch)
         with monkeypatch.context() as mp:
             mp.setattr(
-                vectorize, "_LANE_BUDGET_BYTES",
+                plan_module, "_LANE_BUDGET_BYTES",
                 3 * plan_for(module)._bytes_per_lane,
             )
             assert plan_for(module).max_lanes(8) == 3
@@ -185,122 +189,6 @@ def _toy_module(kernel, out_buf, grid_extent=4, gvar=None, inputs=()):
         inputs=list(inputs),
         outputs=[out_buf],
     ), gvar
-
-
-class TestFallbacks:
-    def test_store_to_shared_buffer_falls_back(self, monkeypatch):
-        """A kernel writing a global buffer directly is out of model:
-        the statement must degrade to the scalar interpreter per lane
-        and still produce scalar-identical bytes."""
-        out = Buffer("Out", (8,), "float32")
-        i = Var("i")
-        body = For(i, 2, BufferStore(out, (i + 1) * 2, [IntImm(0)]))
-        module, gvar = _toy_module(body, out, grid_extent=4)
-        plan = plan_for(module)
-        assert plan.fallbacks, "expected the shared store to fall back"
-        monkeypatch.setenv("REPRO_SIM_MODE", "scalar")
-        s, = FunctionalExecutor(module).run({})
-        monkeypatch.setenv("REPRO_SIM_MODE", "vector")
-        v, = FunctionalExecutor(module).run({})
-        assert s.tobytes() == v.tobytes()
-
-    def test_global_touching_kernel_never_shares_a_chunk(self, monkeypatch):
-        """Stacked items whose kernel reads and writes host tensors
-        directly must run item by item: in a shared chunk the op tree
-        could not tell whose tensor it is looking at."""
-        inp = Buffer("In", (4,), "float32")
-        out = Buffer("Out", (4,), "float32")
-        gvar = Var("b")
-        kernel = BufferStore(out, BufferLoad(inp, [gvar]) + 1.0, [gvar])
-        module, _ = _toy_module(kernel, out, gvar=gvar, inputs=[inp])
-        monkeypatch.setenv("REPRO_SIM_MODE", "vector")
-        fexec = FunctionalExecutor(module)
-        feeds = [np.arange(4, dtype=np.float32) * k for k in (1, 10, 100)]
-        states = [fexec.prepare({"In": feed}) for feed in feeds]
-        fexec.run_points(states, range(2, 12))  # cuts items 0 and 2
-        assert list(states[0][out]) == [0, 0, 3, 4]
-        assert list(states[1][out]) == [1, 11, 21, 31]
-        assert list(states[2][out]) == [1, 101, 201, 301]
-
-    @pytest.mark.parametrize(
-        "kernel",
-        [
-            lambda a, b, k: SeqStmt([
-                DmaCopy(_A_M, [IntImm(0)], _IN4, [IntImm(1)], 3),
-                For(k, 4, _store_k(a + b, k)),
-            ]),
-            lambda a, b, k: SeqStmt([
-                IfThenElse(b < 2, DmaCopy(_A_M, [IntImm(0)], _IN4, [IntImm(1)], 3)),
-                For(k, 4, _store_k(a + b, k)),
-            ]),
-        ],
-        ids=["dma-from-host", "under-a-lane-mask"],
-    )
-    def test_what_no_lowering_emits_falls_back(self, kernel, monkeypatch):
-        """The vector compiler takes only what the lowering emits; a DMA
-        from a host tensor puts its statement on the scalar fallback,
-        which runs the live lanes only, and the bytes are the
-        interpreter's in every mode."""
-        b, k = Var("b"), Var("k")
-        module = _tile_module(
-            kernel(BufferLoad(_A_M, [k]), b, k), b, 4, 4, h2d=(_IN4, _A_M)
-        )
-        assert plan_for(module).fallbacks
-        monkeypatch.setenv("REPRO_SIM_MODE", "scalar")
-        want, = FunctionalExecutor(module).run(_FEED4)
-        _modes_agree_on(module, _FEED4, want, monkeypatch)
-
-    def test_reduction_into_a_host_tensor_falls_back(self, monkeypatch):
-        """A kernel that accumulates into a host tensor is not scanned:
-        every grid point adds to the one element, in lane order."""
-        out = Buffer("Out", (2,), "float32")
-        i = Var("i")
-        acc = BufferLoad(out, [IntImm(0)])
-        kernel = For(i, 2, BufferStore(out, acc + (i + 1) * 2.0, [IntImm(0)]))
-        module, _ = _toy_module(kernel, out, grid_extent=4)
-        assert plan_for(module).fallbacks == [kernel]
-        got = set()
-        for mode in ("scalar", "vector", "verify"):
-            monkeypatch.setenv("REPRO_SIM_MODE", mode)
-            total, = FunctionalExecutor(module).run({})
-            got.add(total.tobytes())
-        assert got == {np.array([24, 0], np.float32).tobytes()}
-
-    def test_a_host_tensor_the_kernel_stores_to_is_written_once(
-        self, monkeypatch
-    ):
-        """Verify runs the interpreter on a copy of every tensor the
-        kernel stores to.  It used to copy the D2H tensors only, so
-        ``H[0] = H[0] + 1`` ran twice on the host tensor itself."""
-        h = Buffer("H", (2,), "float32")
-        kernel = BufferStore(h, BufferLoad(h, [IntImm(0)]) + 1.0, [IntImm(0)])
-        module, _ = _toy_module(kernel, h, grid_extent=4)
-        for mode in ("scalar", "vector", "verify"):
-            monkeypatch.setenv("REPRO_SIM_MODE", mode)
-            out, = FunctionalExecutor(module).run({})
-            assert list(out) == [4, 0], mode
-
-    def test_verify_mismatch_raises(self, monkeypatch):
-        wl = va(64)
-        module = _compile(wl, {"n_dpus": 2, "n_tasklets": 1, "cache": 8},
-                          "O3")
-        fexec = FunctionalExecutor(module, mode="verify")
-
-        class _LyingPlan:
-            def run_points(self, states, lanes):
-                plan_for(module).run_points(states, lanes)
-                out = module.outputs[0]
-                states[0][out] += np.float32(1.0)  # corrupt the vector result
-
-        monkeypatch.setattr(fexec, "_plan", lambda: _LyingPlan())
-        with pytest.raises(VerifyMismatch):
-            fexec.run(wl.random_inputs(0))
-
-    def test_bad_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_MODE", "warp-speed")
-        with pytest.raises(ValueError):
-            sim_mode()
-        assert sim_mode("vector") == "vector"
 
 
 #: The per-DPU output row of :func:`_tile_module`, by width.
@@ -569,6 +457,137 @@ def _modes_agree_on(module, feed, want, monkeypatch):
         assert out.tobytes() == want, mode
 
 
+def _items(module, feeds, lanes):
+    """Each item's output once ``lanes`` of the items prepared from
+    ``feeds`` have run."""
+    fexec = FunctionalExecutor(module)
+    states = [fexec.prepare(feed) for feed in feeds]
+    fexec.run_points(states, lanes)
+    return [fexec.finalize(state)[0].tolist() for state in states]
+
+
+def _store_to_host():
+    out = Buffer("Out", (8,), "float32")
+    i = Var("i")
+    body = For(i, 2, BufferStore(out, (i + 1) * 2, [IntImm(0)]))
+    return _toy_module(body, out, grid_extent=4)[0], "BufferStore", "Out"
+
+
+def _stacked_host_access():
+    inp = Buffer("In", (4,), "float32")
+    out = Buffer("Out", (4,), "float32")
+    gvar = Var("b")
+    kernel = BufferStore(out, BufferLoad(inp, [gvar]) + 1.0, [gvar])
+    module, _ = _toy_module(kernel, out, gvar=gvar, inputs=[inp])
+    return module, "BufferStore", "Out"
+
+
+def _dma_from_host(guarded):
+    b, k = Var("b"), Var("k")
+    dma = DmaCopy(_A_M, [IntImm(0)], _IN4, [IntImm(1)], 3)
+    kernel = SeqStmt([
+        IfThenElse(b < 2, dma) if guarded else dma,
+        For(k, 4, _store_k(BufferLoad(_A_M, [k]) + b, k)),
+    ])
+    module = _tile_module(kernel, b, 4, 4, h2d=(_IN4, _A_M))
+    return module, "DmaCopy", "In"
+
+
+def _reduction_into_host():
+    out = Buffer("Out", (2,), "float32")
+    i = Var("i")
+    acc = BufferLoad(out, [IntImm(0)])
+    kernel = For(i, 2, BufferStore(out, acc + (i + 1) * 2.0, [IntImm(0)]))
+    return _toy_module(kernel, out, grid_extent=4)[0], "BufferStore", "Out"
+
+
+def _host_read_modify_write():
+    h = Buffer("H", (2,), "float32")
+    kernel = BufferStore(h, BufferLoad(h, [IntImm(0)]) + 1.0, [IntImm(0)])
+    return _toy_module(kernel, h, grid_extent=4)[0], "BufferStore", "H"
+
+
+#: Kernels that address a host tensor: (module builder, feeds, lanes,
+#: what the scalar reference writes to each item's output).
+OUT_OF_MODEL = [
+    (_store_to_host, [{}], range(4), [[4, 0, 0, 0, 0, 0, 0, 0]]),
+    (
+        # Three stacked items, the first cut: lanes 2-11.
+        _stacked_host_access,
+        [{"In": np.arange(4, dtype=np.float32) * k} for k in (1, 10, 100)],
+        range(2, 12),
+        [[0, 0, 3, 4], [1, 11, 21, 31], [1, 101, 201, 301]],
+    ),
+    (
+        lambda: _dma_from_host(guarded=False), [_FEED4], range(4),
+        [[[-2.25, 0, 3, 3], [-1.25, 1, 4, 4], [-0.25, 2, 5, 5],
+          [0.75, 3, 6, 6]]],
+    ),
+    (
+        lambda: _dma_from_host(guarded=True), [_FEED4], range(4),
+        [[[-2.25, 0, 3, 3], [-1.25, 1, 4, 4], [3.5, -0.25, 2, 5],
+          [4.5, 0.75, 3, 6]]],
+    ),
+    (_reduction_into_host, [{}], range(4), [[24, 0]]),
+    (_host_read_modify_write, [{}], range(4), [[4, 0]]),
+]
+
+
+class TestFallbacks:
+    """There are none: a kernel the vector plan cannot run is refused."""
+
+    @pytest.mark.parametrize(
+        "build,feeds,lanes,want",
+        OUT_OF_MODEL,
+        ids=["store-to-host", "stacked-items-touch-host", "dma-from-host",
+             "dma-from-host-under-a-lane-mask", "reduction-into-host",
+             "host-read-modify-write"],
+    )
+    def test_out_of_model_kernel_fails_loudly(
+        self, build, feeds, lanes, want, monkeypatch
+    ):
+        """A kernel that loads, stores or DMAs a host tensor (nothing the
+        lowering emits) raises ``VectorizeError`` naming the statement
+        and the buffer when its plan is built, under vector and verify
+        alike, and no plan is kept.  The scalar reference still runs it
+        and writes what it always wrote."""
+        module, kind, name = build()
+        for mode in ("vector", "verify"):
+            monkeypatch.setenv("REPRO_SIM_MODE", mode)
+            with pytest.raises(
+                VectorizeError, match=f"{kind} of host buffer '{name}'"
+            ):
+                _items(module, feeds, lanes)
+        assert id(module) not in host._PLANS
+        monkeypatch.setenv("REPRO_SIM_MODE", "scalar")
+        got = _items(module, feeds, lanes)
+        assert np.array(got, np.float32).tobytes() == (
+            np.array(want, np.float32).tobytes()
+        )
+
+    def test_verify_mismatch_raises(self, monkeypatch):
+        wl = va(64)
+        module = _compile(wl, {"n_dpus": 2, "n_tasklets": 1, "cache": 8},
+                          "O3")
+        fexec = FunctionalExecutor(module, mode="verify")
+
+        class _LyingPlan:
+            def run_points(self, states, lanes):
+                plan_for(module).run_points(states, lanes)
+                out = module.outputs[0]
+                states[0][out] += np.float32(1.0)  # corrupt the vector result
+
+        monkeypatch.setattr(fexec, "_plan", lambda: _LyingPlan())
+        with pytest.raises(VerifyMismatch):
+            fexec.run(wl.random_inputs(0))
+
+    def test_bad_mode_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_MODE", "warp-speed")
+        with pytest.raises(ValueError):
+            sim_mode()
+        assert sim_mode("vector") == "vector"
+
+
 #: Every lane's ``O_m[0, 0]``.
 _CELL = BufferLoad(_O_M[4], [IntImm(0), IntImm(0)])
 
@@ -620,7 +639,6 @@ class TestUnderALaneMask:
         module = _tile_module(
             kernel(BufferLoad(_A_M, [k]), b, k), b, 4, 4, h2d=(_IN4, _A_M)
         )
-        assert plan_for(module).fallbacks == []
         _modes_agree_on(module, _FEED4, want, monkeypatch)
 
 
@@ -659,42 +677,45 @@ class TestNotAScan:
     def test_runs_step_by_step(self, kernel, want, monkeypatch):
         b, k = Var("b"), Var("k")
         module = _tile_module(kernel(b, k), b, 4, 4)
-        assert plan_for(module).fallbacks == []
         _modes_agree_on(module, {}, want, monkeypatch)
 
 
 class TestScalarSemantics:
     """Values that no lane or axis varies are computed as the
-    interpreter computes them, with Python's rules."""
+    interpreter computes them, with Python's rules.  Only a host program
+    reads a host tensor, so these run there."""
+
+    C = Buffer("C", (4,), "float32")
 
     def test_a_scalar_and_short_circuits(self, monkeypatch):
         """``j < 4 and In[j] > 0`` never reads ``In[4]``."""
-        b, j = Var("b"), Var("j")
+        j = Var("j")
         cond = And(j < 4, BufferLoad(_IN4, [j]) > 0.0)
-        kernel = For(j, 5, IfThenElse(
-            cond, _store_k(_CELL + 1.0, IntImm(0))
-        ))
-        module = _tile_module(kernel, b, 4, 4)
-        module.inputs.append(_IN4)
-        _modes_agree_on(module, _FEED4, [[2, 0, 0, 0]] * 4, monkeypatch)
+        count = BufferStore(
+            self.C, BufferLoad(self.C, [IntImm(0)]) + 1.0, [IntImm(0)]
+        )
+        module = _host_module(
+            For(j, 5, IfThenElse(cond, count)), self.C, inputs=[_IN4]
+        )
+        _modes_agree_on(module, _FEED4, [2, 0, 0, 0], monkeypatch)
 
     @pytest.mark.parametrize("first", [5.0, 0.1])
     def test_a_min_is_typed_by_the_value_it_returns(self, first, monkeypatch):
         """``min(In[0], 3.0)`` is the Python float 3.0 or a float32,
         whichever is smaller; the lane variable beside it takes that
         value's type, as in the interpreter."""
-        b, k = Var("b"), Var("k")
+        k = Var("k")
         low = Min(BufferLoad(_IN4, [IntImm(0)]), 3.0)
-        kernel = For(k, 4, _store_k(low * (b + 1) * 0.1, k))
-        module = _tile_module(kernel, b, 4, 4)
-        module.inputs.append(_IN4)
+        store = BufferStore(self.C, low * (k + 1) * 0.1, [k])
+        module = _host_module(For(k, 4, store), self.C, inputs=[_IN4])
+        plan, = host_program_for(module, "post").plans
+        assert plan.lane_vars == {k}
         feed = {"In": np.array([first, 0, 0, 0], np.float32)}
-        rows = [
-            [float(np.float32(min(np.float32(first), 3.0) * (lane + 1) * 0.1))]
-            * 4
+        row = [
+            float(np.float32(min(np.float32(first), 3.0) * (lane + 1) * 0.1))
             for lane in range(4)
         ]
-        _modes_agree_on(module, feed, rows, monkeypatch)
+        _modes_agree_on(module, feed, row, monkeypatch)
 
 
 def _host_module(stmt, out, inputs=()):
@@ -737,7 +758,7 @@ class TestHostPrograms:
         i = Var("i")
         module = _host_module(For(i, 4, body(i, self.C)), self.C)
         plan, = host_program_for(module, "post").plans
-        assert plan.lane_vars == set() and plan.fallbacks == []
+        assert plan.lane_vars == set()
         _modes_agree_on(module, {}, want, monkeypatch)
 
     def test_a_guarded_reduction_writes_the_guarded_lanes(self, monkeypatch):
@@ -752,10 +773,24 @@ class TestHostPrograms:
             For(i, 4, IfThenElse(i < 2, scan)), self.C, inputs=[p]
         )
         plan, = host_program_for(module, "post").plans
-        assert plan.lane_vars == {i} and plan.fallbacks == []
+        assert plan.lane_vars == {i}
         feed = {"P": np.arange(12, dtype=np.float32).reshape(3, 4) + 0.5}
         want = [feed["P"][:, 0].sum(), feed["P"][:, 1].sum(), 0, 0]
         _modes_agree_on(module, feed, want, monkeypatch)
+
+    def test_an_inner_map_under_a_lane_loop_runs_step_by_step(
+        self, monkeypatch
+    ):
+        """``for i: for k: Q[k, i] = P[k, i] * 2`` with ``i`` the lane: the
+        inner loop is not scattered across lanes of a shared buffer."""
+        i, k = Var("i"), Var("k")
+        p, q = Buffer("P", (3, 4), "float32"), Buffer("Q", (3, 4), "float32")
+        body = For(k, 3, BufferStore(q, BufferLoad(p, [k, i]) * 2.0, [k, i]))
+        module = _host_module(For(i, 4, body), q, inputs=[p])
+        plan, = host_program_for(module, "post").plans
+        assert plan.lane_vars == {i} and isinstance(plan.op, ops._ForOp)
+        feed = {"P": np.arange(12, dtype=np.float32).reshape(3, 4) - 5.5}
+        _modes_agree_on(module, feed, feed["P"] * 2, monkeypatch)
 
 
 class TestLaneCapKnob:
@@ -766,7 +801,7 @@ class TestLaneCapKnob:
         plan = plan_for(module)
         assert plan.max_lanes(2) == 2
         # A budget below one lane's buffers still runs a lane at a time.
-        monkeypatch.setattr(vectorize, "_LANE_BUDGET_BYTES", 1)
+        monkeypatch.setattr(plan_module, "_LANE_BUDGET_BYTES", 1)
         assert plan.max_lanes(2) == 1
 
 
@@ -780,11 +815,17 @@ class TestDtypeRegression:
         assert arr.dtype == np.int32 and list(arr) == [0, 2, 4, 6]
 
     def test_int32_round_trip_through_executor(self, monkeypatch):
+        """An int32 MRAM tile written by the kernel and copied D2H."""
         out = Buffer("Out", (4,), "int32")
-        i = Var("i")
-        kernel = For(i, 4, BufferStore(out, i + 1, [i]))
-        module, _ = _toy_module(kernel, out, grid_extent=1)
-        for mode in ("scalar", "vector"):
+        tile = Buffer("O_i", (4,), "int32", scope="mram")
+        b, i = Var("b"), Var("i")
+        module = LoweredModule(
+            name="toy", grid=[GridDim("blockIdx.x", b, 1)],
+            kernel=For(i, 4, BufferStore(tile, i + 1, [i])),
+            transfers=[TransferSpec("d2h", out, tile, (IntImm(0),), (4,))],
+            host_pre=[], host_post=[], inputs=[], outputs=[out],
+        )
+        for mode in ("scalar", "vector", "verify"):
             monkeypatch.setenv("REPRO_SIM_MODE", mode)
             o, = FunctionalExecutor(module).run({})
             assert o.dtype == np.int32
@@ -875,7 +916,7 @@ class TestAccumulateContract:
         code path.  On rows padded to whole SIMD registers every lane
         keeps the accumulator's, as ``np.add.accumulate`` does."""
         nan = np.array(np.nan, dtype)
-        steps, width = vectorize._fold_rows(lanes, 2, dtype)
+        steps, width = ops._fold_rows(lanes, 2, dtype)
         for first, second in ((nan, -nan), (-nan, nan)):
             x = np.zeros((steps, width), dtype)
             x[0], x[1] = first, second

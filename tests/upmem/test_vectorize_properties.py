@@ -12,7 +12,7 @@ Two families of generated modules, built directly in TIR:
   reductions with lane-dependent trip counts under a lane mask.  Vector
   and scalar must agree on every byte, or both raise ``InterpError``.
 
-And one on the reduction fold itself: ``vectorize._fold`` against
+And one on the reduction fold itself: ``ops._fold`` against
 ``np.add.accumulate``'s prefix at each lane's stop, on generated scan
 buffers full of the float values a fold can get wrong.
 """
@@ -35,7 +35,7 @@ from repro.tir import (
     Var,
 )
 from repro.upmem import FunctionalExecutor
-from repro.upmem import vectorize
+from repro.upmem.vectorize import host, ops, plan as plan_module
 from repro.upmem.interp import InterpError
 
 # ---------------------------------------------------------------------------
@@ -131,15 +131,15 @@ def _run_pieces(module, out, mode, shape, share, cuts):
 
 def _every_lane_checked(monkeypatch):
     """Make every lane of every placement partial: the parent's path."""
-    init = vectorize._Placement.__init__
+    init = plan_module._Placement.__init__
 
     def all_partial(self, L, spec, bases):
         init(self, L, spec, bases)
         self.partial = np.ones(L, bool)
 
-    monkeypatch.setattr(vectorize._Placement, "__init__", all_partial)
+    monkeypatch.setattr(plan_module._Placement, "__init__", all_partial)
     # Placements are resident per plan: a plan built under the patch.
-    monkeypatch.setattr(vectorize, "_PLANS", type(vectorize._PLANS)())
+    monkeypatch.setattr(host, "_PLANS", type(host._PLANS)())
 
 
 @settings(max_examples=200, deadline=None)
@@ -292,9 +292,9 @@ def _scan_buffer(dtype, lanes, width, seed, special_share, zero_lanes):
 
 
 def _fold_of(w, stops):
-    rows = np.zeros(vectorize._fold_rows(*w.shape, w.dtype), w.dtype)
+    rows = np.zeros(ops._fold_rows(*w.shape, w.dtype), w.dtype)
     with np.errstate(all="ignore"):
-        return vectorize._fold(w, rows, stops)
+        return ops._fold(w, rows, stops)
 
 
 def _accumulated(w, stops):
