@@ -406,9 +406,12 @@ def fixed_params(
     """One point of the family's space from a caller's *policy*: DPUs for
     each of :func:`distributed_extents`, tasklets and cache tile.
 
-    The reduction is not split across DPUs beyond that, and the optional
-    parameters take their :data:`_SHARED` ``fixed`` value (or are left
-    out) unless ``fixed`` names them.
+    A caller may name the reduction split in ``fixed`` (the family's
+    ``rfactor`` parameter, ``k_dpus=8``: the graph builder's pinned
+    grids do); otherwise the reduction is not split across DPUs beyond
+    the distribution.  The optional parameters take their
+    :data:`_SHARED` ``fixed`` value (or are left out) unless ``fixed``
+    names them.
     """
     row = family_of(workload)
     if len(dpus_per_axis) != len(row.budget):

@@ -25,6 +25,8 @@ params by default (:func:`small_grid_params`): a decode step executes
 every node functionally, and the simulator's *host* time grows with the
 grid — canonical max-parallelism grids cost seconds per node — while
 the tasklet count only splits each DPU's rows and costs no host time.
+The FC nodes also split their reduction across DPUs (ATiM's rfactor
+sketch) and fold the parts on the host.
 
 ``GPTJ_SIM`` is the scaled configuration the end-to-end experiment
 defaults to — the real GPT-J 6B/30B configs build the same graph, but a
@@ -33,6 +35,7 @@ single 16384x4096 FC is minutes of functional simulation.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -42,7 +45,9 @@ from .. import te
 from ..autotune.sketch import (
     SEED_TASKLETS,
     distributed_extents,
+    family_of,
     fixed_params,
+    param_space,
     pow2_upto,
 )
 from ..workloads import GPTJConfig, Workload, fc_mtv, mmtv, va
@@ -68,6 +73,11 @@ GPTJ_SIM = GPTJConfig("gptj-6b-sim", n_heads=4, d_model=128, head_dim=32)
 #: ``-inf`` for the unwritten tail of the last page.
 ATTN_MASK = "attn_mask"
 
+#: DPUs a pinned grid may give its first and second distributed axes.
+#: Their product, 2 048, is also the most a whole pinned grid takes, the
+#: reduction split included: the default machine's DPU count.
+_AXIS_CAPS = (64, 32)
+
 
 def small_grid_params(workload: Workload) -> Dict[str, int]:
     """Pinned small-grid schedule params for one graph node.
@@ -85,14 +95,42 @@ def small_grid_params(workload: Workload) -> Dict[str, int]:
     call; the tasklet count ``seed_params`` starts every search from
     (:data:`~repro.autotune.sketch.SEED_TASKLETS`, which the sketch caps
     at each DPU's rows), a cache tile of up to 64 elements, no unroll.
+
+    A spatial-reduce node also splits its reduction across DPUs, as
+    ATiM's ``rfactor`` sketch does (§5.2.1): the largest split in
+    ``param_space(workload)[row.rfactor]`` — every DPU keeps at least 64
+    elements, at most 64 parts for ``mtv``, 8 for ``mmtv`` — whose grid
+    stays within the axis caps' product, 64 x 32 = 2 048 DPUs, on top of
+    the row axis's cap; a host fold sums the parts.  (A large shape,
+    such as a real GPT-J FC, stops there: ``mtv`` at 64 row DPUs splits
+    32 ways, not 64, so the grid still compiles on the default machine.)
+    On ``GPTJ_SIM`` that is 2 parts for ``qkv_gen``,
+    ``attn_proj`` and ``fc`` and 8 for ``fc_proj``, which lowers a
+    layer's steady step from 1 173 to 752 µs of virtual time; the
+    attention MMTVs (reductions of at most 32) stay unsplit.  The host
+    pays k lanes where there was one and a fold of about 27 µs per call
+    inside a decode pass (61–63 µs before lane slices): the ``decode``
+    benchmark's ``wall_s`` rose about 13 % while its ``virtual_ms`` fell
+    170.3 → 109.7 ms.  Holding each node at 64 DPUs
+    instead (64 / k row DPUs) reached only 125.0 ms, with ``wall_s``
+    another 30 % higher: a DPU's extra rows run as tasklet iterations
+    of the op tree, which cost more than extra lanes.
     """
     dpus = [
         min(cap, pow2_upto(extent)[-1])
-        for cap, extent in zip((64, 32), distributed_extents(workload))
+        for cap, extent in zip(_AXIS_CAPS, distributed_extents(workload))
     ]
     cache = min(64, pow2_upto(workload.shape[-1])[-1])
+    row = family_of(workload)
+    split = {}
+    if row.rfactor:
+        room = math.prod(_AXIS_CAPS) // math.prod(dpus)
+        split[row.rfactor] = max(
+            d for d in param_space(workload)[row.rfactor] if d <= room
+        )
     return fixed_params(
-        workload, dpus, n_tasklets=SEED_TASKLETS, cache=cache, unroll=0
+        workload, dpus, n_tasklets=SEED_TASKLETS, cache=cache, unroll=0,
+        **split,
     )
 
 

@@ -56,7 +56,7 @@ import numpy as np
 from ...tir import (
     EQ, GE, GT, LE, LT, NE, Add, And, BinaryOp, Buffer, BufferLoad, CmpOp,
     FloatImm, FloorDiv, FloorMod, IntImm, Max, Min, Mul, PrimExpr, Sub, Var,
-    free_vars,
+    collect_loads, free_vars,
 )
 from ..interp import InterpError
 
@@ -357,19 +357,57 @@ class _ExprCompiler:
                 axis_at = varying[0]
         return fns, deps, axis_at, coeff
 
+    def lane_values(self, e: PrimExpr) -> Optional[np.ndarray]:
+        """``e`` in every lane, ``(L,)``, when the plan fixes its lanes
+        (a host program's loop nest: ``plan.fixed_lanes``) and ``e``
+        reads nothing but their variables and constants; else None."""
+        lanes = self.plan.fixed_lanes
+        names = free_vars(e)
+        if (
+            lanes is None
+            or not names
+            or not self.plan.lane_vars.issuperset(names)
+            or collect_loads(e)
+        ):
+            return None
+        fn, _ = _ExprCompiler(self.plan).compile(e)
+        return np.broadcast_to(fn(lanes), (lanes.L,))
+
+    def lane_slice(self, e: PrimExpr, dim: int) -> Optional[slice]:
+        """Index ``e`` as the basic slice it is over a host program's
+        lanes — its :meth:`lane_values` an arithmetic progression with a
+        nonzero step, both ends inside ``[0, dim)`` — proved when the
+        plan is built; None for any other index."""
+        v = self.lane_values(e)
+        if v is None:
+            return None
+        step = int(v[1] - v[0]) if len(v) > 1 else 1
+        if step == 0 or not np.array_equal(v, v[0] + step * np.arange(len(v))):
+            return None
+        return _axis_slice(v, step, dim)
+
     def checked_at(self, buffer: Buffer, exprs: Sequence[PrimExpr], fns=None):
         """``fn(ctx) -> tuple`` of an access's indices as ``_checked``
-        passes them, the proved immediates (:func:`_immediates`) as
-        constants: an access with nothing else is one resident tuple.
-        ``fns`` are the compiled ``exprs``, if the caller has them."""
+        passes them, the proved immediates (:func:`_immediates`) and
+        lane slices (:meth:`lane_slice`) as constants: an access with
+        nothing else is one resident tuple.  A lane slice needs every
+        other index lane-invariant, as :meth:`_lane_view`'s loads do: a
+        slice beside an ``(L,)`` index would address their outer
+        product.  ``fns`` are the compiled ``exprs``, if the caller has
+        them."""
+        compiled = [self.compile(e) for e in exprs]
         if fns is None:
-            fns = [self.compile(e)[0] for e in exprs]
-        steps = [
-            (None, e.value) if proved else (f, d)
-            for d, (e, f, proved) in enumerate(
-                zip(exprs, fns, _immediates(buffer, exprs))
-            )
-        ]
+            fns = [f for f, _ in compiled]
+        sliceable = sum(bool(dep & LANE) for _, dep in compiled) == 1
+        steps = []
+        for d, (e, f, proved) in enumerate(
+            zip(exprs, fns, _immediates(buffer, exprs))
+        ):
+            if proved:
+                steps.append((None, e.value))
+                continue
+            sl = self.lane_slice(e, buffer.shape[d]) if sliceable else None
+            steps.append((f, d) if sl is None else (None, sl))
         if all(f is None for f, _ in steps):
             const = tuple(v for _, v in steps)
             return lambda ctx: const
@@ -405,9 +443,9 @@ class _ExprCompiler:
             d for d, ok in enumerate(_immediates(buffer, e.indices)) if not ok
         ]
 
-        def test(ctx, idx, skip=None):
+        def test(ctx, idx, skip=()):
             for d in tested:
-                if d != skip:
+                if d not in skip:
                     idx[d] = _checked(ctx, buffer, d, idx[d])
             return tuple(idx)
 
@@ -418,12 +456,14 @@ class _ExprCompiler:
             rows = ctx.lanes[:, None] if axis_mode else ctx.lanes
             return arr[(rows,) + full]
 
+        def slow(ctx):
+            return checked(ctx, ctx.bufs[buffer], [f(ctx) for f in fns])
+
+        view = self._lane_view(buffer, e.indices, fns, deps, test, slow)
+        if view is not None:
+            return view, dep
         if axis_at is None:
-            return (
-                lambda ctx: checked(
-                    ctx, ctx.bufs[buffer], [f(ctx) for f in fns]
-                )
-            ), dep
+            return slow, dep
 
         dim = buffer.shape[axis_at]
 
@@ -435,9 +475,53 @@ class _ExprCompiler:
                 return checked(ctx, arr, idx)
             idx[axis_at] = sl
             # A view: (L, n) of a batched buffer, (n,) of a shared one.
-            return arr[lead + test(ctx, idx, skip=axis_at)]
+            return arr[lead + test(ctx, idx, skip=(axis_at,))]
 
         return fn, dep
+
+    def _lane_view(self, buffer, exprs, fns, deps, test, slow):
+        """A shared buffer's load whose one lane-dependent index is a
+        lane slice (:meth:`lane_slice`), the others scalar or at most
+        one axis-affine, as ``fn(ctx)`` returning a view — ``(L,)``,
+        ``(L, 1)`` in axis mode, ``(L, n)`` with the axis index — or
+        None for any other load.  ``slow`` is the checked form, for an
+        axis index whose ends fall outside the buffer."""
+        lane_dims = [d for d, dep in enumerate(deps) if dep & LANE]
+        axes = [d for d, dep in enumerate(deps) if dep == AXIS]
+        if (
+            len(lane_dims) != 1
+            or deps[lane_dims[0]] != LANE
+            or len(axes) > 1
+            or buffer in self.plan.batched
+        ):
+            return None
+        at = lane_dims[0]
+        lanes = self.lane_slice(exprs[at], buffer.shape[at])
+        ax = axes[0] if axes else None
+        coeff = None if ax is None else _affine_coeff(exprs[ax], self.axis_var)
+        if lanes is None or (ax is not None and not coeff):
+            return None
+        column = self.axis_var is not None and ax is None
+        flip = ax is not None and ax < at  # the buffer's order: (n, L)
+        # The other indices are scalar: compiled, then tested per call.
+        rest = [(d, fns[d]) for d in range(len(fns)) if d not in (at, ax)]
+        template = [lanes] * len(fns)
+        dim = None if ax is None else buffer.shape[ax]
+        axis_fn = None if ax is None else fns[ax]
+
+        def fn(ctx):
+            idx = template.copy()
+            for d, f in rest:
+                idx[d] = f(ctx)
+            if ax is not None:
+                sl = _axis_slice(axis_fn(ctx), coeff, dim)
+                if sl is None:
+                    return slow(ctx)
+                idx[ax] = sl
+            v = ctx.bufs[buffer][test(ctx, idx, (at, ax))]
+            return v[:, None] if column else v.T if flip else v
+
+        return fn
 
 
 #: The binary operators the compiler takes, as their Python operators.

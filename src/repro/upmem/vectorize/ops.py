@@ -87,11 +87,14 @@ class _StoreOp:
                     val = val[sel]
             arr[(rows,) + tuple(full)] = val
             return
-        # Shared buffer: a host program's.  A lane loop's stores index the
-        # lane variable (``_lane_safe``), so a scalar index is a lone
-        # statement's: one lane, no mask, a scalar value.
+        # Shared buffer: a host program's.  A lane loop's stores index its
+        # lanes (``_lane_safe``), so a basic index is a lone statement's
+        # (one lane, no mask) or holds a lane slice: a view of the lanes.
         if scalar_idx:
-            arr[full] = val
+            if ctx.mask is None:
+                arr[full] = val
+            else:
+                np.copyto(arr[full], val, where=ctx.mask, casting="unsafe")
             return
         if ctx.mask is not None:
             sel = ctx.mask
@@ -387,8 +390,9 @@ class _VecReduceOp:
         if acc is None:
             self.generic.run(ctx)
         elif mask is None:
-            # A lone host statement's accumulator is one element.
-            arr[windex] = acc[0] if scalar_idx and not self.batched else acc
+            # One lane's accumulator is one element (a lone host
+            # statement's, or the single lane's of a view).
+            arr[windex] = acc[0] if ctx.L == 1 else acc
         elif scalar_idx:
             np.copyto(arr[windex], acc, where=mask)
         else:

@@ -99,10 +99,12 @@ class TestExperimentPayload:
 class TestPinnedHiddenStates:
     """The final hidden states of a fixed multi-sequence run, pinned by
     digest: a change to how the engine lays the K/V planes out per head
-    (head order, a transpose) moves them."""
+    (head order, a transpose) moves them, and so does a change to how a
+    node splits its reduction (the FC nodes sum ``k_dpus`` partial sums
+    per row on the host, in a different order than one DPU's loop)."""
 
     #: sha256 over the eight sequences' final hidden states, in order.
-    DIGEST = "5076b60da2ad6ab6347e7e07e99829aa7829f39912bfe39cffc2bcdcaebf8fa8"
+    DIGEST = "2a3a53f82d4a2a81c690e32c61a1fd5ec689bd424c14cfe8464f5cc8b47c125e"
 
     def test_multi_sequence_run_is_pinned(self):
         engine = DecodeEngine(

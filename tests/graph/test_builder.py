@@ -7,8 +7,9 @@ import pytest
 
 import repro
 from repro.autotune import param_space, seed_params
-from repro.autotune.sketch import distributed_extents, family_of
+from repro.autotune.sketch import distributed_extents, family_of, pow2_upto
 from repro.cluster import CLUSTER_SIM
+from repro.decode import DecodeEngine
 from repro.graph import (
     ATTN_MASK,
     GPTJ_SIM,
@@ -23,6 +24,7 @@ from repro.workloads import (
     GPTJConfig, fc_shapes, mha_mmtv, mmtv, mtv, red, ttv, va,
 )
 
+from ..autotune.golden_params import cases as golden_cases
 from .conftest import TINY
 
 
@@ -117,22 +119,42 @@ class TestReference:
         np.testing.assert_allclose(out, want, rtol=1e-4)
 
 
+#: Small shapes, then every shape ``golden_params.json`` pins a grid for:
+#: the sized benchmark workloads (up to 512 MB) and the graph nodes.
+_PINNED = [
+    (w.name, w)
+    for w in (va(1024), red(4096), mtv(64, 128), mmtv(2, 8, 32), ttv(4, 8, 64))
+] + [(case, w) for case, w, _ in golden_cases()]
+
+
 class TestSmallGridParams:
     @pytest.mark.parametrize(
         "workload",
-        [va(1024), red(4096), mtv(64, 128), mmtv(2, 8, 32), ttv(4, 8, 64)],
-        ids=lambda w: w.name,
+        [w for _, w in _PINNED],
+        ids=[case for case, _ in _PINNED],
     )
     def test_grids_stay_small_and_valid(self, workload):
         # The grid is what costs simulator host time (one lane per DPU),
-        # so it stays small: at most 64 DPUs an axis (32 on a second),
-        # 128 in all at these shapes, well under the 2048-DPU machine.
-        # Tasklets cost no host time; the pin takes the tasklet count
-        # every search starts from.
+        # so it stays small: at most 64 DPUs on the row axis (32 on a
+        # second), times the reduction split — the sketch table's
+        # largest that keeps the whole grid within 64 x 32 = 2048 DPUs,
+        # the machine, so every pin compiles (a 512 MB mtv splits 32
+        # ways, not 64).  The split leaves every DPU at least 64
+        # elements.  Tasklets cost no host time; the pin takes the
+        # tasklet count every search starts from.
         params = small_grid_params(workload)
+        row = family_of(workload)
+        for key, cap in zip(row.budget, (64, 32)):
+            assert 1 <= params[key] <= cap
+        rows = math.prod(params[key] for key in row.budget)
+        if row.rfactor:
+            split = params[row.rfactor]
+            room = 64 * 32 // rows
+            domain = param_space(workload)[row.rfactor]
+            assert split == max(d for d in domain if d <= room)
+            assert workload.shape[-1] // split >= 64 or split == 1
         dpus = [v for k, v in params.items() if k.endswith("dpus")]
-        assert all(1 <= v <= 64 for v in dpus)
-        assert math.prod(dpus) <= 128
+        assert math.prod(dpus) <= 64 * 32 == DEFAULT_CONFIG.n_dpus
         seed = seed_params(param_space(workload), DEFAULT_CONFIG.n_dpus)[0]
         assert params["n_tasklets"] == seed["n_tasklets"]
         assert 1 <= params["n_tasklets"] <= DEFAULT_CONFIG.max_tasklets
@@ -150,6 +172,57 @@ class TestSmallGridParams:
 
         with pytest.raises(KeyError):
             small_grid_params(Fake())
+
+
+class TestReductionSplit:
+    """Every FC node splits its reduction across DPUs (ATiM's rfactor
+    sketch, §5.2.1) as far as the sketch table allows, keeps its row
+    axis at the cap, and is then the cheapest of the table's splits."""
+
+    FC = [
+        (config, name, m, k)
+        for config in (GPTJ_SIM, CLUSTER_SIM)
+        for name, m, k in fc_shapes(config)
+    ]
+
+    @pytest.mark.parametrize(
+        "config,name,m,k", FC,
+        ids=[f"{c.name}-{n}" for c, n, _, _ in FC],
+    )
+    def test_largest_split_row_cap_and_cheapest(self, config, name, m, k):
+        workload = mtv(m, k)
+        params = small_grid_params(workload)
+        domain = param_space(workload)["k_dpus"]
+        assert params["k_dpus"] == domain[-1]
+        assert params["m_dpus"] == min(64, pow2_upto(m)[-1])
+        graph = gptj_decoder_graph(config, tokens=8)
+        node = next(n for n in graph.nodes if n.workload.shape == (m, k))
+        assert node.params == params
+
+        def cost(split):
+            pinned = {node.name: {**params, "k_dpus": split}}
+            g = gptj_decoder_graph(config, tokens=8, params=pinned)
+            nodes = compile_graph(g).profile().nodes
+            return next(c for c in nodes if c.node == node.name).total_s
+
+        costs = {split: cost(split) for split in domain}
+        assert costs[params["k_dpus"]] == min(costs.values()), costs
+
+    def test_decode_steps_under_verify(self, monkeypatch):
+        """A 2-layer decode over a page boundary with the scalar
+        interpreter checking every FC program, its rfactor host fold
+        included, byte for byte."""
+        monkeypatch.setenv("REPRO_SIM_MODE", "verify")
+        engine = DecodeEngine(
+            config=GPTJ_SIM, layers=2, page_tokens=4, seed=3,
+            max_resident_epochs=4,
+        )
+        engine.add_sequence("a", prompt_tokens=3)
+        engine.add_sequence("b", prompt_tokens=5)
+        reports = []
+        for _ in range(2):
+            reports.extend(engine.step_batch(["a", "b"]).reports)
+        assert reports and all(r.reference_ok for r in reports)
 
 
 def _at_two_tasklets(graph):

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.lib.stride_tricks import as_strided
 from hypothesis import strategies as st
 
 import repro
@@ -413,6 +414,44 @@ class TestNonContiguousInputs:
             assert one.tobytes() == two.tobytes() == want.tobytes()
             assert [o.tobytes() for (o,) in mixed] == [want.tobytes()] * 3
         np.testing.assert_allclose(want, a @ b, rtol=1e-3, atol=1e-4)
+
+
+    @staticmethod
+    def _arrays():
+        base = np.arange(7 * 9, dtype=np.float32).reshape(7, 9)
+        frozen = base.copy()
+        frozen.flags.writeable = False
+        return {
+            "contiguous": base.copy(),
+            "sliced rows": base.copy()[2:6],  # C-contiguous, offset
+            "sliced columns": base.copy()[:, 1:8],
+            "transposed": base.copy().T,
+            "read-only": frozen,
+        }
+
+    @pytest.mark.parametrize("writeable", [False, True])
+    @pytest.mark.parametrize(
+        "name", ["contiguous", "sliced rows", "sliced columns",
+                 "transposed", "read-only"],
+    )
+    def test_window_views_equal_as_strided(self, name, writeable):
+        """A C-contiguous array's windows come straight from its buffer;
+        shape, strides, bytes and writeability are ``as_strided``'s."""
+        arr = self._arrays()[name]
+        extent = (2, 3)
+        shape = tuple(d - e + 1 for d, e in zip(arr.shape, extent)) + extent
+        got = plan_module._window_view(arr, shape, arr.strides * 2, writeable)
+        want = as_strided(arr, shape, arr.strides * 2, writeable=writeable)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable == want.flags.writeable
+        assert got.flags.writeable == (writeable and arr.flags.writeable)
+        if not got.flags.writeable:
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0, 0, 0] = -1.0
+        else:
+            got[1, 2, 0, 1] = -1.0  # element (1, 3) of the array
+            assert arr[1, 3] == -1.0
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,14 @@ _KERNELS = {
 }
 
 #: The six PIM programs of a GPT-J decode layer at capacity 8 and 12.
+#: The FC MTVs split their reduction across DPUs (``small_grid_params``)
+#: down to 64 elements a DPU, one 64-element cache block: no block loop
+#: is left to fold.
 _DECODE = {
-    ("mtv", (384, 128)): (2, 1),  # qkv_gen
-    ("mtv", (128, 128)): (2, 1),  # attn_proj
-    ("mtv", (512, 128)): (2, 1),  # fc
-    ("mtv", (128, 512)): (2, 1),  # fc_proj
+    ("mtv", (384, 128)): (2, 0),  # qkv_gen
+    ("mtv", (128, 128)): (2, 0),  # attn_proj
+    ("mtv", (512, 128)): (2, 0),  # fc
+    ("mtv", (128, 512)): (2, 0),  # fc_proj
     ("mmtv", (4, 8, 32)): (2, 0),  # attn_score: one block
     ("mmtv", (4, 32, 8)): (2, 0),  # attn_value: one block
     ("mmtv", (4, 12, 32)): (2, 0),
@@ -204,6 +207,33 @@ class TestPinnedSites:
                 key = (node.workload.name, tuple(node.workload.shape))
                 seen[key] = (plan.forwarded, plan.folded)
         assert seen == _DECODE
+
+    @pytest.mark.parametrize("k_dpus", [1, 8])
+    def test_a_staging_buffer_read_through_is_never_allocated(
+        self, k_dpus, monkeypatch
+    ):
+        """``fc_proj``'s kernel reads its A and B tiles through their WRAM
+        staging buffers, so a chunk allocates only the accumulator's; the
+        scalar path, which runs the kernel as lowered, still zeroes and
+        fills all three, and verify agrees with it byte for byte."""
+        wl = mtv(128, 512)
+        params = {"m_dpus": 64, "k_dpus": k_dpus, "n_tasklets": 16,
+                  "cache": 64, "host_threads": 1, "unroll": 0}
+        module = repro.compile(wl, target="upmem", params=params).lowered
+        plan = plan_for(module)
+        assert plan.forwarded == 2
+        assert {b.name for b in module.wram_buffers} == {
+            "A_wram", "B_wram", "C.rf_wram" if k_dpus > 1 else "C_wram"
+        }
+        assert [buf.name for buf, _, _ in plan._zeroed] == [
+            "C.rf_wram" if k_dpus > 1 else "C_wram"
+        ]
+        inputs = wl.random_inputs(4)
+        monkeypatch.setenv("REPRO_SIM_MODE", "verify")
+        out, = FunctionalExecutor(module).run(inputs)
+        np.testing.assert_allclose(
+            out, wl.reference_output(inputs), rtol=1e-4, atol=1e-4
+        )
 
 
 # ---------------------------------------------------------------------------

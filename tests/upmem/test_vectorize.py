@@ -781,16 +781,23 @@ class TestHostPrograms:
     def test_an_inner_map_under_a_lane_loop_runs_step_by_step(
         self, monkeypatch
     ):
-        """``for i: for k: Q[k, i] = P[k, i] * 2`` with ``i`` the lane: the
-        inner loop is not scattered across lanes of a shared buffer."""
+        """``for i: for k in min(i + 1, 3): Q[k, i] = P[k, i] * 2`` with
+        ``i`` the lane: the inner loop is not scattered across lanes of a
+        shared buffer.  (Its extent varies with ``i``, so it cannot join
+        the lane nest as a constant-extent loop does.)"""
         i, k = Var("i"), Var("k")
         p, q = Buffer("P", (3, 4), "float32"), Buffer("Q", (3, 4), "float32")
-        body = For(k, 3, BufferStore(q, BufferLoad(p, [k, i]) * 2.0, [k, i]))
+        body = For(
+            k, Min(i + 1, 3),
+            BufferStore(q, BufferLoad(p, [k, i]) * 2.0, [k, i]),
+        )
         module = _host_module(For(i, 4, body), q, inputs=[p])
         plan, = host_program_for(module, "post").plans
         assert plan.lane_vars == {i} and isinstance(plan.op, ops._ForOp)
         feed = {"P": np.arange(12, dtype=np.float32).reshape(3, 4) - 5.5}
-        _modes_agree_on(module, feed, feed["P"] * 2, monkeypatch)
+        rows, cols = np.indices((3, 4))
+        want = np.where(rows <= cols, feed["P"] * 2, 0)
+        _modes_agree_on(module, feed, want, monkeypatch)
 
 
 class TestLaneCapKnob:
