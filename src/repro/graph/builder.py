@@ -6,17 +6,24 @@ gives the four FC-layer MTVs; attention is the multi-head MMTV of
 Fig. 10, :func:`repro.workloads.mha_mmtv`):
 
 * ``qkv_gen``  — MTV (3d x d) producing the fused Q/K/V vector;
-* a glue slice viewing the query as ``(heads, head_dim)``, the score
-  MMTV ``(heads, tokens, head_dim)`` against the resident K cache, a
-  scaled-softmax glue per head, and the value MMTV ``(heads, head_dim,
-  tokens)`` against the (transposed) resident V cache;
-* ``concat_heads`` glue (a reshape), then ``attn_proj`` — MTV (d x d);
+* the query as a view of its first ``d`` elements, shaped ``(heads,
+  head_dim)``; the score MMTV ``(heads, tokens, head_dim)`` against the
+  resident K cache, a scaled-softmax glue per head, and the value MMTV
+  ``(heads, head_dim, tokens)`` against the (transposed) resident V
+  cache;
+* the heads as a view shaped ``(d,)``, then ``attn_proj`` — MTV (d x d);
 * the parallel GPT-J FF branch: ``fc`` — MTV (4d x d), ``gelu`` glue,
   ``fc_proj`` — MTV (d x 4d);
 * two ``va`` residual adds folding attention and FF back into the
   stream (GPT-J's parallel block: ``y = x + attn + ff``; layer norms
   are omitted — they move no tensor the planner or the placement story
   cares about).
+
+The slices and the reshape compute nothing, so they are graph views
+(:meth:`ModelGraph.add_view`), not nodes: no program, no ``exe.run``,
+no buffer and no compute line — a 3-layer model step is 30 nodes.  A
+view still sits on the host, so the PIM node it reads from pays its D2H
+and the PIM node reading it its H2D, as when the glue was a node.
 
 Weights and the KV cache enter the graph as *const* external inputs —
 staged once per load, exactly like :attr:`Workload.const_inputs` in the
@@ -247,19 +254,10 @@ def _layer_ops(config: GPTJConfig, span: int, masked: bool) -> SimpleNamespace:
             * (np.float32(1.0) + np.tanh(c * (a + np.float32(0.044715) * a ** 3)))
         ).astype(np.float32)
 
-    def qkv_slice(name: str, offset: int, out_shape: Tuple) -> Workload:
-        width = int(np.prod(out_shape))
-        return _glue(
-            name,
-            [te.placeholder((3 * d,), "float32", "A")],
-            out_shape,
-            lambda a: a[offset:offset + width].reshape(out_shape),
-            flops=0.0,
-            params={"offset": offset, "width": width},
-        )
-
     mask_input = [te.placeholder((span,), "float32", "M")] if masked else []
     return SimpleNamespace(
+        d=d,
+        head_shape=(heads, hd),
         qkv=fc_mtv(config, "qkv_gen"),
         proj=fc_mtv(config, "qkv_proj"),
         fc=fc_mtv(config, "fc"),
@@ -276,17 +274,6 @@ def _layer_ops(config: GPTJConfig, span: int, masked: bool) -> SimpleNamespace:
             params={
                 "capacity" if masked else "tokens": span, "scale_dim": hd,
             },
-        ),
-        slice_q=qkv_slice("slice_q", 0, (heads, hd)),
-        # The fused vector is [q | k | v]: this step's new K and V rows.
-        slice_kv=[qkv_slice("slice_kv", n * d, (d,)) for n in (1, 2)],
-        concat=_glue(
-            "concat_heads",
-            [te.placeholder((heads, hd), "float32", "A")],
-            (d,),
-            lambda a: a.reshape(d),
-            flops=0.0,
-            params={"heads": heads, "width": hd},
         ),
         gelu=_glue(
             "gelu",
@@ -323,7 +310,7 @@ def _emit_layer(
     """Append one GPT-J decoder layer's decode step to ``g``.
 
     With ``mask`` (the model graph) the softmax folds it in and the
-    layer also slices its new key/value rows out of the fused QKV vector
+    layer also views its new key/value rows in the fused QKV vector
     as ``io.kv_new``.  ``overrides`` replaces the pinned schedule params
     of the named nodes (names without the layer prefix).
     """
@@ -352,20 +339,16 @@ def _emit_layer(
     # -- attention branch ---------------------------------------------------
     op("qkv_gen", ops.qkv, w_qkv, io.x, t("qkv"), "attn")
     if mask is not None:
-        for name, wl, out in zip(
-            ("slice_k", "slice_v"), ops.slice_kv, io.kv_new
-        ):
-            glue(name, wl, {"A": t("qkv")}, out, "attn", "kv")
+        # The fused vector is [q | k | v]: this step's new K and V rows.
+        for n, out in enumerate(io.kv_new, start=1):
+            g.add_view(out, t("qkv"), n * ops.d, (ops.d,))
     q, score, probs = t("q"), t("score"), t("probs")
     scores = {"S": score} if mask is None else {"S": score, "M": mask}
-    glue("slice_q", ops.slice_q, {"A": t("qkv")}, q, "attn")
+    g.add_view(q, t("qkv"), 0, ops.head_shape)
     op("attn_score", ops.score, k_cache, q, score, "attn")
     glue("softmax", ops.softmax, scores, probs, "attn")
     op("attn_value", ops.value, v_cache_t, probs, t("heads"), "attn")
-    glue(
-        "concat_heads", ops.concat, {"A": t("heads")}, t("attn_concat"),
-        "attn",
-    )
+    g.add_view(t("attn_concat"), t("heads"), 0, (ops.d,))
     op("attn_proj", ops.proj, w_proj, t("attn_concat"), t("attn_out"), "attn")
 
     # -- feed-forward branch (parallel to attention in GPT-J) ---------------

@@ -5,8 +5,10 @@ Every node compiles through the serving layer's
 program, such as every layer's ``fc``, compile it once) with the node's
 own ``params`` — the builder's pinned grids, or tuned ones assigned per
 node.  Execution walks the graph's topological order, one
-``Executable.run`` per node, and is bit-for-bit identical to calling
-each node's ``Executable.run`` by hand at any ``REPRO_MAX_WORKERS``.
+``Executable.run`` per node — a view is no node: it is bound as a NumPy
+view of its base once the base exists, at no cost — and is bit-for-bit
+identical to calling each node's ``Executable.run`` by hand at any
+``REPRO_MAX_WORKERS``.
 
 The latency model mirrors the serving timing model (§5.4), extended with
 placement boundaries:
@@ -14,10 +16,14 @@ placement boundaries:
 * **compute** (launch + kernel + host reduce) is charged per node from
   the node's own target profile;
 * **dynamic H2D** is charged only for inputs *crossing* onto the device
-  — produced by a host-placed node or arriving as a non-constant
-  external input; a PIM-resident producer hands off in MRAM for free;
+  — produced by a host-placed node, arriving as a non-constant
+  external input, or read through a view; a PIM-resident producer hands
+  off in MRAM for free;
 * **D2H** is charged only when the node's output *leaves* the device
-  (a host-placed consumer, or a graph output);
+  (a host-placed consumer, a view, or a graph output);
+* a **view** is a host-side alias with no cost line of its own: it
+  prices as the host glue it replaces minus that glue's compute, so its
+  PIM base still pays the D2H and its PIM readers the H2D;
 * **weight staging** (the constant-input share of H2D — weights, the KV
   cache) is charged once per pool load, not per run: the paper's
   "constant tensors ... transferred once before kernel launches".
@@ -38,7 +44,7 @@ from ..obs import current_tracer
 from ..serve.pool import ExecutablePool
 from ..target import Executable, Target, get_target
 from ..upmem.system import Latency
-from .ir import ModelGraph, Node
+from .ir import ModelGraph, Node, View
 from .placement import place
 
 __all__ = [
@@ -151,16 +157,22 @@ class GraphExecutable(Executable):
                 node.workload, placement[node.name], node.params
             )
             self._exes[node.name] = (exe, loaded)
-        #: Per node in topological order, its executable and its
-        #: ``(workload input, graph tensor)`` pairs: the wiring is the
-        #: graph's, a run only looks the tensors up.
-        self._steps: List[Tuple[Node, Executable, List[Tuple[str, str]]]] = [
+        #: Per node in topological order, its executable, its
+        #: ``(workload input, graph tensor)`` pairs and the views over
+        #: its output: the wiring is the graph's, a run only looks the
+        #: tensors up.  ``_input_views`` are the views over inputs.
+        schedule = graph.view_schedule(self._order)
+        self._input_views = schedule[0]
+        self._steps: List[
+            Tuple[Node, Executable, List[Tuple[str, str]], List[View]]
+        ] = [
             (
                 node,
                 self._exes[node.name][0],
                 [(wl, name) for wl, name, _ in node.input_bindings()],
+                views,
             )
-            for node in self._order
+            for node, views in zip(self._order, schedule[1:])
         ]
         self._profile: Optional[GraphProfile] = None
         self._plan = None
@@ -203,10 +215,14 @@ class GraphExecutable(Executable):
                 f"graph {self.graph.name!r} missing inputs {missing}"
             )
         env: Dict[str, np.ndarray] = dict(inputs)
-        for node, exe, pairs in self._steps:
+        for view in self._input_views:
+            env[view.name] = view.bind(env[view.base])
+        for node, exe, pairs, views in self._steps:
             (env[node.output],) = exe.run(
                 {wl_name: env[graph_name] for wl_name, graph_name in pairs}
             )
+            for view in views:
+                env[view.name] = view.bind(env[view.base])
         return {name: env[name] for name in self.graph.output_names}
 
     # -- performance ---------------------------------------------------------
@@ -274,6 +290,7 @@ class GraphExecutable(Executable):
 
     def _build_profile(self) -> GraphProfile:
         graph_outputs = set(self.graph.output_names)
+        viewed = {view.base for view in self.graph.views.values()}
         costs: List[NodeCost] = []
         agg = dict(h2d=0.0, kernel=0.0, d2h=0.0, host=0.0, launch=0.0)
         staging_total = 0.0
@@ -318,9 +335,13 @@ class GraphExecutable(Executable):
                         if graph_name not in staged_tensors:
                             staged_tensors.add(graph_name)
                             staging += nbytes * per_byte
-                leaves = node.output in graph_outputs or any(
-                    self.placement[c.name].kind not in PIM_SUBSTRATE_KINDS
-                    for c in self.graph.consumers(node.output)
+                leaves = (
+                    node.output in graph_outputs
+                    or node.output in viewed
+                    or any(
+                        self.placement[c.name].kind not in PIM_SUBSTRATE_KINDS
+                        for c in self.graph.consumers(node.output)
+                    )
                 )
                 d2h = lat.d2h if leaves else 0.0
                 cost = NodeCost(
@@ -371,7 +392,7 @@ class GraphExecutable(Executable):
                 continue
             producer = self.graph.producer(graph_name)
             if producer is None:
-                # Dynamic external input: arrives from the host.
+                # A dynamic external input or a view: on the host.
                 crossing += nbytes
             elif (
                 self.placement[producer.name].kind not in PIM_SUBSTRATE_KINDS

@@ -1,10 +1,13 @@
 """Model-graph IR: named tensors, operator nodes, deterministic order.
 
 A :class:`ModelGraph` is a DAG of :class:`Node` operators over *named
-graph tensors*.  Every tensor is either an external input (declared with
+graph tensors*.  Every tensor is an external input (declared with
 :meth:`ModelGraph.add_input`, optionally constant — weights, the KV
-cache) or the output of exactly one node; a node binds each of its
-workload's input tensors to a graph tensor by name.  Graphs validate
+cache), the output of exactly one node, or a :class:`View` (declared
+with :meth:`ModelGraph.add_view`): a contiguous slice or reshape of
+another tensor, which no node computes and no buffer holds — TVM's
+``Buffer`` with an element offset.  A node binds each of its workload's
+input tensors to a graph tensor by name.  Graphs validate
 structurally (unique names, resolvable references, shape agreement,
 acyclicity) and expose a *deterministic* topological order — ties break
 on node insertion order, so two identically built graphs schedule, plan
@@ -18,6 +21,7 @@ and the memory planner walks :meth:`topological_order`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +32,7 @@ from ..pipeline import workload_signature
 from ..target.base import Target
 from ..workloads import Workload
 
-__all__ = ["GraphError", "Node", "ModelGraph"]
+__all__ = ["GraphError", "Node", "View", "ModelGraph"]
 
 
 def _target_identity(target: Any):
@@ -84,6 +88,29 @@ class Node:
         return out
 
 
+@dataclass(frozen=True)
+class View:
+    """A graph tensor that aliases another: the ``prod(shape)`` elements
+    of ``base``'s row-major storage from element ``offset`` on, read as
+    ``shape``.  Zero flops, zero bytes: a run binds it to a NumPy view of
+    the base's array."""
+
+    name: str
+    base: str
+    offset: int
+    shape: Tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def bind(self, base: np.ndarray) -> np.ndarray:
+        """This view of ``base``'s array (sharing its memory when the
+        array is contiguous, as every graph tensor is)."""
+        flat = base.reshape(-1)
+        return flat[self.offset:self.offset + self.size].reshape(self.shape)
+
+
 class ModelGraph:
     """A validated DAG of workloads over named tensors."""
 
@@ -97,6 +124,10 @@ class ModelGraph:
         self._const: set = set()
         self.nodes: List[Node] = []
         self._producers: Dict[str, Node] = {}
+        #: Views by name, in declaration order.
+        self.views: Dict[str, View] = {}
+        #: Node outputs and views, in declaration order.
+        self._defined: List[str] = []
 
     # -- construction -------------------------------------------------------
     def add_input(
@@ -109,7 +140,7 @@ class ModelGraph:
         """Declare an external input tensor.  ``const`` marks weights /
         KV-cache tensors that stay resident on the device across runs
         (staged once per load, like :attr:`Workload.const_inputs`)."""
-        if name in self._inputs or name in self._producers:
+        if self._defines(name):
             raise GraphError(f"tensor {name!r} is already defined")
         self._inputs[name] = te.placeholder(tuple(shape), dtype, name)
         if const:
@@ -129,7 +160,7 @@ class ModelGraph:
         a later node defines are allowed; :meth:`validate` settles them."""
         if any(node.name == name for node in self.nodes):
             raise GraphError(f"node {name!r} is already defined")
-        if output in self._inputs or output in self._producers:
+        if self._defines(output):
             raise GraphError(f"tensor {output!r} is already defined")
         node = Node(
             name=name,
@@ -141,7 +172,45 @@ class ModelGraph:
         )
         self.nodes.append(node)
         self._producers[output] = node
+        self._defined.append(output)
         return node
+
+    def add_view(
+        self, name: str, base: str, offset: int, shape: Sequence[int]
+    ) -> str:
+        """Declare ``name`` as the ``shape``-shaped block of ``base``'s
+        row-major elements starting at ``offset``: a slice, a reshape,
+        or both.  ``base`` (an input, a node output or another view)
+        must already be defined; the block must lie inside it."""
+        where = f"view {name!r}"
+        if self._defines(name):
+            raise GraphError(f"{where}: tensor {name!r} is already defined")
+        if not self._defines(base):
+            raise GraphError(f"{where}: unknown base tensor {base!r}")
+        shape = tuple(shape)
+        if not shape or not all(
+            isinstance(n, (int, np.integer)) and n > 0 for n in shape
+        ):
+            raise GraphError(
+                f"{where}: shape {shape} is not a contiguous block"
+                " (a non-empty tuple of positive extents)"
+            )
+        view = View(name, base, int(offset), tuple(int(n) for n in shape))
+        room = math.prod(self.tensor_shape(base))
+        if view.offset < 0 or view.offset + view.size > room:
+            raise GraphError(
+                f"{where}: elements [{view.offset}, {view.offset + view.size})"
+                f" are out of range of {base!r} ({room} elements)"
+            )
+        self.views[name] = view
+        self._defined.append(name)
+        return name
+
+    def _defines(self, name: str) -> bool:
+        return (
+            name in self._inputs or name in self._producers
+            or name in self.views
+        )
 
     # -- tensors ------------------------------------------------------------
     @property
@@ -160,16 +229,17 @@ class ModelGraph:
 
     @property
     def output_names(self) -> List[str]:
-        """Graph outputs: node-defined tensors no node consumes, in
-        producing-node order."""
-        consumed = {g for node in self.nodes for g in node.inputs.values()}
-        return [
-            node.output for node in self.nodes if node.output not in consumed
-        ]
+        """Graph outputs: node outputs and views that no node and no
+        view reads, in declaration order."""
+        read = {g for node in self.nodes for g in node.inputs.values()}
+        read.update(view.base for view in self.views.values())
+        return [name for name in self._defined if name not in read]
 
     def tensor_shape(self, name: str) -> Tuple[int, ...]:
         if name in self._inputs:
             return tuple(self._inputs[name].shape)
+        if name in self.views:
+            return self.views[name].shape
         try:
             return tuple(self._producers[name].workload.output.shape)
         except KeyError:
@@ -178,14 +248,37 @@ class ModelGraph:
     def tensor_nbytes(self, name: str) -> int:
         if name in self._inputs:
             return self._inputs[name].buffer.nbytes
+        if name in self.views:
+            view = self.views[name]
+            base = self.tensor_nbytes(view.base)
+            return base // math.prod(self.tensor_shape(view.base)) * view.size
         try:
             return self._producers[name].workload.output.buffer.nbytes
         except KeyError:
             raise GraphError(f"unknown tensor {name!r}") from None
 
     def producer(self, name: str) -> Optional[Node]:
-        """The node defining ``name`` (None for external inputs)."""
+        """The node defining ``name`` (None for external inputs and
+        views)."""
         return self._producers.get(name)
+
+    def storage(self, name: str) -> str:
+        """The tensor whose memory ``name`` is: ``name`` itself, or the
+        input or node output its chain of views ends at."""
+        while name in self.views:
+            name = self.views[name].base
+        return name
+
+    def view_schedule(self, order: Sequence[Node]) -> List[List[View]]:
+        """When a run in ``order`` binds each view: entry 0 holds the
+        views over external inputs, entry ``i + 1`` those over
+        ``order[i]``'s output — each in declaration order, so a view of
+        a view comes after its base."""
+        at = {node.output: i + 1 for i, node in enumerate(order)}
+        schedule: List[List[View]] = [[] for _ in range(len(order) + 1)]
+        for view in self.views.values():
+            schedule[at.get(self.storage(view.name), 0)].append(view)
+        return schedule
 
     def consumers(self, name: str) -> List[Node]:
         """Nodes reading ``name``, in insertion order."""
@@ -199,10 +292,7 @@ class ModelGraph:
             raise GraphError(f"graph {self.name!r} has no nodes")
         for node in self.nodes:
             for wl_name, graph_name, shape in node.input_bindings():
-                if (
-                    graph_name not in self._inputs
-                    and graph_name not in self._producers
-                ):
+                if not self._defines(graph_name):
                     raise GraphError(
                         f"node {node.name!r} reads undefined tensor"
                         f" {graph_name!r}"
@@ -228,15 +318,16 @@ class ModelGraph:
 
     def topological_order(self) -> List[Node]:
         """Kahn's algorithm with insertion-order tie-breaking: among
-        ready nodes, the earliest-added runs first.  Purely structural —
-        the same graph orders identically everywhere."""
+        ready nodes, the earliest-added runs first.  A node reading a
+        view depends on whatever produces the view's storage.  Purely
+        structural — the same graph orders identically everywhere."""
         index = {node.name: i for i, node in enumerate(self.nodes)}
         deps: Dict[str, List[str]] = {}
         dependents: Dict[str, List[str]] = {n.name: [] for n in self.nodes}
         for node in self.nodes:
             node_deps = []
             for graph_name in node.inputs.values():
-                producer = self._producers.get(graph_name)
+                producer = self._producers.get(self.storage(graph_name))
                 if producer is not None and producer.name != node.name:
                     node_deps.append(producer.name)
             deps[node.name] = node_deps
@@ -297,6 +388,10 @@ class ModelGraph:
                 )
                 for node in self.nodes
             ),
+            tuple(
+                (view.name, view.base, view.offset, view.shape)
+                for view in self.views.values()
+            ),
         )
 
     # -- reference execution -------------------------------------------------
@@ -313,15 +408,22 @@ class ModelGraph:
         self, inputs: Dict[str, np.ndarray], all_tensors: bool = False
     ) -> Dict[str, np.ndarray]:
         """NumPy reference of the whole graph: every node's reference
-        implementation, in topological order.  Returns the graph outputs
-        (or every tensor with ``all_tensors=True``)."""
+        implementation, in topological order, each view bound once its
+        base exists.  Returns the graph outputs (or every tensor with
+        ``all_tensors=True``)."""
         env: Dict[str, np.ndarray] = dict(inputs)
-        for node in self.topological_order():
+        order = self.topological_order()
+        schedule = self.view_schedule(order)
+        for view in schedule[0]:
+            env[view.name] = view.bind(env[view.base])
+        for node, views in zip(order, schedule[1:]):
             args = [
                 env[graph_name]
                 for _, graph_name, _ in node.input_bindings()
             ]
             env[node.output] = node.workload.reference(*args)
+            for view in views:
+                env[view.name] = view.bind(env[view.base])
         if all_tensors:
             return env
         return {name: env[name] for name in self.output_names}

@@ -9,7 +9,9 @@ tensor whose last reader has already run frees its slot for the next
 definition (best fit by size; a new slot opens only when nothing free
 fits).  The resulting arena is what a memory-constrained host would
 actually allocate for the serial schedule; weights and external inputs
-are accounted separately since they are resident, not transient.  How
+are accounted separately since they are resident, not transient.  A
+view (:meth:`ModelGraph.add_view`) gets no buffer: it lives in its
+base's, so its readers extend the base's live range.  How
 well the arena packs (the serial live peak over the arena) is the
 :func:`arena_stats` pair in :meth:`MemoryPlan.to_dict`.
 """
@@ -105,12 +107,19 @@ def plan_memory(graph: ModelGraph) -> MemoryPlan:
     position = {node.name: i for i, node in enumerate(order)}
     outputs = set(graph.output_names)
 
+    # Each node output with the views that live in its buffer.
+    aliases: Dict[str, List[str]] = {}
+    for name in graph.views:
+        aliases.setdefault(graph.storage(name), []).append(name)
+
     # Live ranges of intermediates (node outputs), in definition order.
     ranges: List[Tuple[str, int, int, int]] = []  # (tensor, def, last, nbytes)
     for i, node in enumerate(order):
-        last = len(order) if node.output in outputs else i
-        for consumer in graph.consumers(node.output):
-            last = max(last, position[consumer.name])
+        names = [node.output, *aliases.get(node.output, ())]
+        last = len(order) if outputs.intersection(names) else i
+        for name in names:
+            for consumer in graph.consumers(name):
+                last = max(last, position[consumer.name])
         ranges.append((node.output, i, last, graph.tensor_nbytes(node.output)))
 
     plan = MemoryPlan()

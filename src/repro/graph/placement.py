@@ -2,14 +2,18 @@
 
 The policy mirrors the paper's system split — the matrix-vector family
 (MTV/GEMV/MMTV/TTV, the ops PIM wins on) compiles for the PIM target,
-element-wise glue (slices, softmax, activations, residual adds) stays on
-the host — with three stock policies:
+element-wise glue (softmax, activations, residual adds) stays on the
+host — with three stock policies:
 
 * ``default`` — matvec ops on the PIM target, everything else on host;
 * ``cpu``     — the whole graph on the host roofline (the paper's CPU
   baseline for a full decode step);
 * ``mixed``   — attention matvecs (tagged ``attn``) on PIM, FC-layer
   matvecs on host: the hybrid the end-to-end experiment compares.
+
+Slices and reshapes are no nodes but graph views
+(:meth:`~repro.graph.ir.ModelGraph.add_view`): nothing places them, and
+they sit on the host under every policy.
 
 A node's explicit ``target`` override always wins; the pass validates
 that an override (or a policy choice) can actually compile the node —

@@ -632,20 +632,29 @@ class _Placement:
         "window_shapes", "indices", "cuts", "elements_of",
     )
 
+    #: The memos among them, which calls on other threads keep filling.
+    MEMOS = ("window_shapes", "indices", "cuts", "elements_of")
+
     def differences(self, fresh: "_Placement") -> List[str]:
         """Fields in which this (resident) placement is not ``fresh``,
-        once ``fresh`` has worked out everything this one keeps."""
-        for tensor in list(self.window_shapes):
+        once ``fresh`` has worked out everything this one keeps.  Each
+        memo is copied once, up front, and only the copy is audited: an
+        entry a concurrent call adds meanwhile is not a difference."""
+        kept = {memo: dict(getattr(self, memo)) for memo in self.MEMOS}
+        for tensor in kept["window_shapes"]:
             fresh.window_shape(tensor)
-        for a, b in list(self.indices):
+        for a, b in kept["indices"]:
             fresh.index(a, b)
-        for a, b in list(self.cuts):
+        for a, b in kept["cuts"]:
             fresh.spans(a, b)
-        for key in list(self.elements_of):
+        for key in kept["elements_of"]:
             kind, a, b = key
             fresh.elements_of[key], _ = getattr(fresh, kind)(a, b)
         return [
             field
             for field in self.AUDITED
-            if not _same(getattr(self, field), getattr(fresh, field))
+            if not _same(
+                kept[field] if field in kept else getattr(self, field),
+                getattr(fresh, field),
+            )
         ]

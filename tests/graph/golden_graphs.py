@@ -4,8 +4,9 @@
 ``GPTJ_SIM`` at 4/8/16 tokens, pinned and unpinned, plus one ``params=``
 override) and :func:`gptj_model_graph` (TINY, ``GPTJ_SIM``,
 ``CLUSTER_SIM`` x 1/2/3 layers x capacity 4/8/12), the digest of
-``structural_signature()`` — names, shapes, wiring, tags, pinned params
-— and, readable in a diff, the input order, output order and node order.
+``structural_signature()`` — names, shapes, wiring, tags, pinned params,
+views — and, readable in a diff, the input order, output order, node
+order and each view as ``[name, base, offset, shape]``.
 The signature is the serving batch key and the node order is the
 executable's schedule, so any diff here changes pool keys, traces and
 latencies.  Regenerate (only when the emitted graph is *meant* to
@@ -71,6 +72,10 @@ def compute_table() -> Dict[str, Dict]:
             "inputs": graph.input_names,
             "outputs": graph.output_names,
             "nodes": [node.name for node in graph.nodes],
+            "views": [
+                [v.name, v.base, v.offset, list(v.shape)]
+                for v in graph.views.values()
+            ],
         }
         for case, graph in cases()
     }

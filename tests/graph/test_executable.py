@@ -65,14 +65,18 @@ class TestPlacement:
 class TestExecution:
     def test_graph_run_bit_for_bit_equals_per_op_runs(self, tiny_decoder):
         """The acceptance contract: orchestrated execution is exactly a
-        chain of individual ``Executable.run`` calls."""
+        chain of individual ``Executable.run`` calls, views read as
+        NumPy views of their bases."""
         exe = compile_graph(tiny_decoder, target="upmem")
         inputs = tiny_decoder.random_inputs(5)
         got = exe.run_tensors(inputs)
 
         env = dict(inputs)
         placement = exe.placement
-        for node in tiny_decoder.topological_order():
+        order = tiny_decoder.topological_order()
+        views = tiny_decoder.view_schedule(order)
+        assert views[0] == []  # no view over an input here
+        for node, node_views in zip(order, views[1:]):
             single = repro.compile(
                 node.workload,
                 target=placement[node.name],
@@ -83,6 +87,11 @@ class TestExecution:
                 for wl_name, graph_name, _ in node.input_bindings()
             }
             (env[node.output],) = single.run(feed)
+            for view in node_views:
+                flat = env[view.base].reshape(-1)
+                env[view.name] = flat[
+                    view.offset:view.offset + view.size
+                ].reshape(view.shape)
         for name in tiny_decoder.output_names:
             assert got[name].tobytes() == env[name].tobytes()
 

@@ -259,6 +259,34 @@ class TestAudit:
         problems = plan.check_invariants()
         assert any("elements_of of the h2d" in p for p in problems)
 
+    def test_an_entry_added_mid_audit_is_no_difference(self, monkeypatch):
+        """A call on another thread may memoise a new lane range while
+        the audit runs: the audit compares the entries it copied, so a
+        clean table stays clean."""
+        wl, params = _VA_TRIMMED
+        exe = _fresh_exe(wl, params)
+        monkeypatch.setenv("REPRO_SIM_MODE", "vector")
+        exe.run(wl.random_inputs(0))
+        plan = plan_for(exe.lowered)
+        (chunk,) = plan._chunks.values()
+        kept = chunk.places[0]
+        assert (1, 3) not in kept.indices and (1, 3) not in kept.cuts
+        index, spans = plan_module._Placement.index, plan_module._Placement.spans
+        inserted = []
+
+        def index_then_insert(place, a, b):
+            # The audit's first memo fill on the fresh placement: now the
+            # "other thread" adds a range to the resident one.
+            if place is not kept and not inserted:
+                inserted.append((index(kept, 1, 3), spans(kept, 1, 3)))
+            return index(place, a, b)
+
+        monkeypatch.setattr(plan_module._Placement, "index", index_then_insert)
+        assert plan.check_invariants() == []
+        assert inserted and (1, 3) in kept.indices and (1, 3) in kept.cuts
+        monkeypatch.setattr(plan_module._Placement, "index", index)
+        assert plan.check_invariants() == []  # the next audit sees them
+
     def test_resident_arrays_are_read_only(self, monkeypatch):
         wl, params = _MTV
         exe = _fresh_exe(wl, params)
