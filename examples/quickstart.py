@@ -11,8 +11,8 @@ Walks the ATiM flow around the single entry point
    through the same front door, reading per-pass wall time from a
    wall-clock ``Tracer``;
 3. compare one workload across every target — UPMEM, the
-   PrIM/SimplePIM baselines, the CPU/GPU rooflines and the HBM-PIM
-   estimate — in one generic loop;
+   PrIM/SimplePIM baselines and the CPU/GPU rooflines — in one generic
+   loop;
 4. autotune with a persistent database: measured candidates append to a
    JSON-lines store as the search runs, a second search warm-starts from
    it (replaying measurements instead of re-simulating), and

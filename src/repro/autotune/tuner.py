@@ -119,6 +119,20 @@ class TuneResult:
         ]
 
 
+def _search_target(target: object):
+    """Resolve ``target`` to the :class:`~repro.target.UpmemTarget` a
+    search sketches on and scores with: upmem is the one target whose
+    model prices a module."""
+    # Local: ``target`` sits above ``autotune`` (targets compile
+    # through the engine and sketch from its table).
+    from ..target import TargetError, UpmemTarget, get_target
+
+    resolved = get_target(target)
+    if not isinstance(resolved, UpmemTarget):
+        raise TargetError(f"target {resolved.kind!r} cannot measure modules")
+    return resolved
+
+
 class Tuner:
     """Search driver for one workload."""
 
@@ -137,17 +151,11 @@ class Tuner:
         db: Optional[object] = None,
         resume: bool = False,
     ) -> None:
-        # Local: ``target`` sits above ``autotune`` (targets compile
-        # through the engine and sketch from its table).
-        from ..target import get_target
-
-        # Candidates are sketched on the UPMEM grid but *scored* by the
-        # target's own performance model, so the same search drives
-        # UPMEM or HBM-PIM (a machine of another size is a configured
-        # target: ``target=UpmemTarget(config)``).
-        self.target = get_target(target)
+        # A machine of another size is a configured target:
+        # ``target=UpmemTarget(config)``.
+        self.target = _search_target(target)
         self.workload = workload
-        self.config = self.target.search_config
+        self.config = self.target.config
         self.n_trials = n_trials
         self.batch_size = batch_size
         self.seed = seed
@@ -328,7 +336,7 @@ class Tuner:
 
     # -- measurement ----------------------------------------------------------------
     def _measure(self, cand: Candidate) -> float:
-        return self.target.measure(cand.module, self.workload)
+        return self.target.measure(cand.module)
 
     def _measure_batch(self, batch: Sequence[Candidate]) -> List[float]:
         """Evaluate a measurement batch on the simulated system.
@@ -462,11 +470,10 @@ def autotune(
 ) -> TuneResult:
     """Autotune a workload (ATiM's flow).
 
-    ``target`` selects the backend whose performance model scores the
-    candidates (default: the simulated UPMEM system); pass a kind string
-    (``"upmem"``, ``"hbm-pim"``) or a configured
-    :class:`repro.target.Target` instance.  Other targets cannot price a
-    module and raise :class:`repro.target.TargetError`.
+    ``target`` is ``"upmem"`` or a configured
+    :class:`repro.target.UpmemTarget` (a machine of another size), whose
+    performance model scores the candidates.  Other targets cannot
+    price a module and raise :class:`repro.target.TargetError`.
 
     Persistence knobs forward to :class:`Tuner`:
     ``db=`` (path or :class:`TuningCache`) appends measured records to a
@@ -507,15 +514,11 @@ def tuned_params(
     winner with ``repro.compile(workload, target, params=...)``.
     """
     resume = db is not None if resume is None else resume
+    target = _search_target(target)
     if db is not None and resume:
-        # Local: as in ``Tuner.__init__``.
-        from ..target import get_target
-
         cache = TuningCache.ensure(db)
-        resolved = get_target(target)
         key = tuning_key(
-            workload, resolved.search_config, resolved.kind,
-            opt_level=opt_level,
+            workload, target.config, target.kind, opt_level=opt_level
         )
         best, completed = cache.group_summary(key)
         if completed >= n_trials and best is not None:

@@ -39,7 +39,9 @@ __all__ = [
 #: v4: ``CompiledArtifact.verified`` is a plain bool (was tri-state);
 #: disk entries lead with a SHA-256 of the pickle that follows.
 #: v5: ``LowerOptions`` (pickled inside every module) lost ``optimize``.
-CACHE_SCHEMA_VERSION = 5
+#: v6: ``UpmemConfig`` (whose repr every key holds) lost three unread
+#: fields.
+CACHE_SCHEMA_VERSION = 6
 
 _DIGEST_BYTES = hashlib.sha256().digest_size
 

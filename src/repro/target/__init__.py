@@ -4,13 +4,12 @@ A :class:`Target` bundles a backend's configuration, compile pipeline,
 performance model and (where supported) functional executor;
 :func:`compile` turns a workload or schedule into a uniform
 :class:`Executable`.  See :mod:`repro.target.base` for the protocol and
-:mod:`repro.target.targets` for the six kinds.
+:mod:`repro.target.targets` for the five kinds.
 """
 
 from .base import Target, TargetError
 from .compile import compile
 from .executable import (
-    EstimateExecutable,
     Executable,
     RooflineExecutable,
     RooflineProfile,
@@ -20,7 +19,6 @@ from .executor import Executor, default_workers
 from .targets import (
     CpuTarget,
     GpuTarget,
-    HbmPimTarget,
     PrimTarget,
     SimplePimTarget,
     UpmemTarget,
@@ -39,7 +37,6 @@ __all__ = [
     "UpmemExecutable",
     "RooflineExecutable",
     "RooflineProfile",
-    "EstimateExecutable",
     "Executor",
     "default_workers",
     "UpmemTarget",
@@ -47,6 +44,5 @@ __all__ = [
     "SimplePimTarget",
     "CpuTarget",
     "GpuTarget",
-    "HbmPimTarget",
     "default_params",
 ]

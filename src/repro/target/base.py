@@ -3,7 +3,7 @@
 A target bundles everything needed to take a workload (or an explicit
 schedule) to something executable/measurable on one of the paper's four
 evaluation systems: a hardware/model configuration, a performance model,
-and — where the backend supports it — a functional executor.  The six
+and — where the backend supports it — a functional executor.  The five
 kinds, which :func:`repro.target.get_target` resolves:
 
 ========== ==========================================================
@@ -14,7 +14,6 @@ prim       PrIM hand-written baselines (default / E / +search variants)
 simplepim  SimplePIM framework baseline (VA / GEVA / RED)
 cpu        TVM-autotuned CPU roofline (functional run via numpy)
 gpu        A5000-class GPU roofline (functional run via numpy)
-hbm-pim    Aquabolt-XL MAC-accelerator feasibility estimate (§8)
 ========== ==========================================================
 
 ``get_target("upmem")`` returns a fresh default-configured instance;
@@ -27,8 +26,6 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, Optional, Tuple
 
-from ..upmem.config import DEFAULT_CONFIG
-
 __all__ = ["Target", "TargetError"]
 
 
@@ -40,8 +37,7 @@ class Target(abc.ABC):
     """One backend the front door can compile for.
 
     Subclasses set :attr:`kind` (the table key) and implement
-    :meth:`compile`.  :meth:`measure` makes a target usable as the
-    measurement side of the autotuner (upmem and hbm-pim override it).
+    :meth:`compile`.
     """
 
     #: Table key, e.g. ``"upmem"``.
@@ -50,7 +46,7 @@ class Target(abc.ABC):
     @property
     def label(self) -> str:
         """Column label used by the experiment harness (``fig9`` etc.)."""
-        return self.kind.replace("-", "_")
+        return self.kind
 
     def identity(self) -> Tuple[str, str]:
         """(kind, config repr): what pool and graph keys hold of a
@@ -79,22 +75,6 @@ class Target(abc.ABC):
         Every target takes these three arguments, so generic drivers
         (the serving pool, ``harness.compare_targets``) call any of them
         alike; a target adds only the keywords it reads (``size=`` on
-        prim, ``total_macs=`` on hbm-pim, ``name=``/``options=`` on
-        upmem), and any other keyword raises ``TypeError``.
+        prim, ``name=``/``options=`` on upmem), and any other keyword
+        raises ``TypeError``.
         """
-
-    # -- tuning support -----------------------------------------------------
-    def measure(self, module: Any, workload: Any) -> float:
-        """Latency (seconds) of a compiled module on this target.
-
-        Used by the autotuner to score candidates; only targets whose
-        model prices a module (upmem, hbm-pim) override it.
-        """
-        raise TargetError(f"target {self.kind!r} cannot measure modules")
-
-    @property
-    def search_config(self):
-        """The :class:`~repro.upmem.UpmemConfig` bounding the sketch
-        space when tuning for this target (the UPMEM grid is the shared
-        scheduling substrate)."""
-        return DEFAULT_CONFIG

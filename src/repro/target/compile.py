@@ -53,8 +53,7 @@ def compile(
     target_args:
         Handed unchanged to the target's own ``compile``, which names
         every keyword it reads: ``size=`` (prim's parameter table row),
-        ``total_macs=`` (hbm-pim schedule estimates), ``name=`` /
-        ``options=`` (the module name and
+        ``name=`` / ``options=`` (the module name and
         :class:`repro.lowering.LowerOptions` of an explicit schedule on
         upmem).  Any other keyword raises ``TypeError``.
 

@@ -2,9 +2,8 @@
 
 Every target returns an :class:`Executable`; callers interact with one
 interface regardless of whether the backend is the simulated UPMEM
-machine (full functional execution), a roofline model (numpy reference
-execution, analytic latency) or the HBM-PIM feasibility estimator
-(latency only).
+machine (full functional execution) or a roofline model (numpy reference
+execution, analytic latency).
 """
 
 from __future__ import annotations
@@ -19,14 +18,12 @@ from ..tir import stmt_to_str
 from ..upmem import FunctionalExecutor
 from ..upmem.emitter import emit_kernel_c
 from ..upmem.system import Latency, PerformanceModel, ProfileResult
-from .base import TargetError
 from .executor import Executor
 
 __all__ = [
     "Executable",
     "UpmemExecutable",
     "RooflineExecutable",
-    "EstimateExecutable",
     "RooflineProfile",
 ]
 
@@ -56,26 +53,18 @@ class Executable:
         #: target has no parameter space, e.g. rooflines).
         self.params = params
 
-    # -- execution ----------------------------------------------------------
-    def run(
-        self, inputs: Optional[Dict[str, np.ndarray]] = None, **named
-    ) -> List[np.ndarray]:
-        raise TargetError(
-            f"target {self.target.kind!r} does not support functional"
-            " execution"
-        )
-
     def run_batch(
         self, batch: Sequence[Dict[str, np.ndarray]]
     ) -> List[List[np.ndarray]]:
         """Execute independent input dicts; results in input order.
 
         The default treats each item as one unit of work the size of its
-        input arrays (right for roofline targets, whose ``run`` is one
-        numpy expression over them) and lets :meth:`Executor.jobs` cut
-        the batch: small batches run in order on the caller's thread,
-        big ones as a few contiguous jobs on a pool.  An empty batch
-        returns ``[]`` without touching any pool.
+        input arrays (right for roofline and graph executables, whose
+        ``run`` is one numpy expression or one node walk over them) and
+        lets :meth:`Executor.jobs` cut the batch: small batches run in
+        order on the caller's thread, big ones as a few contiguous jobs
+        on a pool.  An empty batch returns ``[]`` without touching any
+        pool.
         """
         batch = list(batch)
         if not batch:
@@ -90,10 +79,6 @@ class Executable:
             executor.jobs(len(batch), item_bytes),
         )
         return [out for job in outs for out in job]
-
-    # -- performance --------------------------------------------------------
-    def profile(self) -> Any:
-        raise TargetError(f"target {self.target.kind!r} does not profile")
 
     @property
     def latency(self) -> float:
@@ -237,25 +222,3 @@ class RooflineExecutable(Executable):
     @property
     def latency(self) -> float:
         return self.model.latency(self.workload)
-
-
-class EstimateExecutable(Executable):
-    """HBM-PIM feasibility estimate (§8): latency only, no execution —
-    the paper models PU command streams, not a functional ISA."""
-
-    def __init__(
-        self,
-        estimate: Any,  # extensions.hbm_pim.HbmPimEstimate
-        target: Any,
-        workload: Any = None,
-        params: Optional[Dict[str, int]] = None,
-    ) -> None:
-        super().__init__(target, workload, params)
-        self.estimate = estimate
-
-    def profile(self):
-        return self.estimate
-
-    @property
-    def latency(self) -> float:
-        return self.estimate.latency_s

@@ -1,8 +1,7 @@
-"""The six built-in targets (paper §6: evaluated systems).
+"""The five built-in targets (paper §6: evaluated systems).
 
 All module-compiling targets share the UPMEM scheduling substrate — PrIM
-and SimplePIM baselines are *structural* reproductions as schedules, and
-the HBM-PIM estimate reinterprets the lowered grid/tile structure — so
+and SimplePIM baselines are *structural* reproductions as schedules — so
 they compile through the same ``build`` pipeline and differ in parameter
 choice and performance model.  The CPU/GPU targets are rooflines with
 numpy functional execution.
@@ -13,16 +12,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Union
 
 from ..autotune.compile import default_engine
-from ..autotune.sketch import (
-    family_of,
-    generate_schedule,
-    param_space,
-    seed_params,
-)
+from ..autotune.sketch import family_of, param_space, seed_params
 from ..baselines.cpu import CpuModel, GpuModel
 from ..baselines.prim import prim_params, prim_search
 from ..baselines.simplepim import SIMPLEPIM_WORKLOADS, simplepim_build
-from ..extensions.hbm_pim import HbmPimConfig, HbmPimEstimator
 from ..lowering import LowerOptions
 from ..optim import check_level
 from ..pipeline import PassContext, build
@@ -31,12 +24,7 @@ from ..upmem.config import DEFAULT_CONFIG, UpmemConfig
 from ..upmem.system import PerformanceModel
 from ..workloads import Workload
 from .base import Target, TargetError
-from .executable import (
-    EstimateExecutable,
-    Executable,
-    RooflineExecutable,
-    UpmemExecutable,
-)
+from .executable import Executable, RooflineExecutable, UpmemExecutable
 
 __all__ = [
     "UpmemTarget",
@@ -44,7 +32,6 @@ __all__ = [
     "SimplePimTarget",
     "CpuTarget",
     "GpuTarget",
-    "HbmPimTarget",
     "default_params",
     "get_target",
     "list_targets",
@@ -90,10 +77,6 @@ class UpmemTarget(Target):
 
     def __init__(self, config: Optional[UpmemConfig] = None) -> None:
         self.config = config or DEFAULT_CONFIG
-
-    @property
-    def search_config(self) -> UpmemConfig:
-        return self.config
 
     def supports(self, workload: Workload) -> bool:
         try:
@@ -142,7 +125,9 @@ class UpmemTarget(Target):
             )
         return UpmemExecutable(artifact.module, self, workload, params)
 
-    def measure(self, module: Any, workload: Any = None) -> float:
+    def measure(self, module: Any) -> float:
+        """Latency (seconds) of a lowered module on this machine: what
+        the autotuner scores a candidate with."""
         return PerformanceModel(self.config).profile(module).latency.total
 
 
@@ -311,87 +296,6 @@ class GpuTarget(_RooflineTarget):
         super().__init__(model or GpuModel())
 
 
-class HbmPimTarget(Target):
-    """Samsung HBM-PIM (Aquabolt-XL) feasibility estimate — paper §8.
-
-    First-class target wrapping :mod:`repro.extensions.hbm_pim`: MAC
-    reductions compile through the ``build`` pipeline and the lowered
-    module yields a PU-command-stream latency estimate.  Not
-    functionally executable (the paper models command streams, not an
-    ISA).
-    """
-
-    kind = "hbm-pim"
-
-    def __init__(
-        self,
-        config: Optional[HbmPimConfig] = None,
-        upmem_config: Optional[UpmemConfig] = None,
-    ) -> None:
-        self.config = config or HbmPimConfig()
-        self.estimator = HbmPimEstimator(self.config)
-        #: UPMEM machine description bounding the sketch substrate the
-        #: two-level PU binding is derived from.
-        self.upmem_config = upmem_config or DEFAULT_CONFIG
-
-    @property
-    def search_config(self) -> UpmemConfig:
-        return self.upmem_config
-
-    def supports(self, workload: Workload) -> bool:
-        op = getattr(getattr(workload, "output", None), "op", None)
-        combiner = getattr(op, "combiner", None)
-        return self.estimator.supports(combiner)
-
-    def total_macs(self, workload: Workload) -> float:
-        """MAC count of a reduction workload (multiply+accumulate pairs)."""
-        return workload.flops / 2.0
-
-    def compile(
-        self,
-        workload_or_schedule: Any,
-        opt_level: str = "O3",
-        params: Optional[Dict[str, int]] = None,
-        total_macs: Optional[float] = None,
-    ) -> Executable:
-        workload = None
-        if isinstance(workload_or_schedule, Schedule):
-            schedule = workload_or_schedule
-            if total_macs is None:
-                raise TargetError(
-                    "compiling a raw schedule for hbm-pim requires"
-                    " total_macs= (workloads derive it from their flop"
-                    " count)"
-                )
-        else:
-            workload = workload_or_schedule
-            if not self.supports(workload):
-                raise TargetError(
-                    f"hbm-pim accelerates MAC reductions only;"
-                    f" {workload.name!r} is not one"
-                )
-            params = params or default_params(workload, self.upmem_config)
-            try:
-                schedule = generate_schedule(workload, params)
-            except Exception as exc:
-                raise TargetError(
-                    f"cannot sketch {workload.name} for hbm-pim: {exc}"
-                ) from exc
-            if total_macs is None:
-                total_macs = self.total_macs(workload)
-        lowered = build.run(schedule, PassContext(opt_level=opt_level))
-        estimate = self.estimator.estimate(lowered, float(total_macs))
-        return EstimateExecutable(estimate, self, workload, params)
-
-    def measure(self, module: Any, workload: Any = None) -> float:
-        """Estimate an already-lowered module (cross-target tuning)."""
-        if workload is None:
-            raise TargetError("hbm-pim measurement needs the workload")
-        return self.estimator.estimate(
-            module, self.total_macs(workload)
-        ).latency_s
-
-
 # ---------------------------------------------------------------------------
 # the target table
 # ---------------------------------------------------------------------------
@@ -400,8 +304,7 @@ class HbmPimTarget(Target):
 _TARGETS: Dict[str, type] = {
     cls.kind: cls
     for cls in (
-        UpmemTarget, PrimTarget, SimplePimTarget, CpuTarget, GpuTarget,
-        HbmPimTarget,
+        UpmemTarget, PrimTarget, SimplePimTarget, CpuTarget, GpuTarget
     )
 }
 

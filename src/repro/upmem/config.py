@@ -40,7 +40,6 @@ class UpmemConfig:
 
     # ---- memories ----------------------------------------------------------
     wram_bytes: int = 64 * 1024
-    iram_bytes: int = 24 * 1024
     #: IRAM holds 48-bit instructions: 24 KB == 4096 instructions.
     iram_instructions: int = 4096
     mram_bytes: int = 64 * 1024 * 1024
@@ -53,9 +52,6 @@ class UpmemConfig:
     dma_cycles_per_byte: float = 0.5
     #: Minimum transfer granularity/alignment in bytes.
     dma_align_bytes: int = 8
-    #: Cycles for a single 8-byte WRAM<->MRAM access issued without DMA
-    #: batching (element-wise ``mram_read`` of one value).
-    dma_small_access_cycles: float = 88.0
 
     # ---- host <-> DPU link (PrIM §3.3) ---------------------------------------
     #: Aggregate H2D bandwidth with rank-parallel pushes, full system.
@@ -92,9 +88,6 @@ class UpmemConfig:
     #: matches the paper's steady-state measurement where e.g. 2-D tiling
     #: shrinks H2D by cutting the broadcast footprint of the input vector.
     resident_partitioned_inputs: bool = True
-    #: (Reserved) slack factor for residency decisions; the current model
-    #: charges exactly the duplicated bytes, so no threshold is needed.
-    residency_slack: float = 1.25
 
     # ---- intra-DPU synchronization -------------------------------------------
     barrier_cycles: float = 200.0

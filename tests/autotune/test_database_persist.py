@@ -320,7 +320,7 @@ class TestTuningKey:
         base = tuning_key(mtv(64, 64), DEFAULT_CONFIG, "upmem")
         assert tuning_key(mtv(128, 64), DEFAULT_CONFIG, "upmem") != base
         assert tuning_key(red(1000), DEFAULT_CONFIG, "upmem") != base
-        assert tuning_key(mtv(64, 64), DEFAULT_CONFIG, "hbm-pim") != base
+        assert tuning_key(mtv(64, 64), DEFAULT_CONFIG, "prim") != base
         assert tuning_key(
             mtv(64, 64), DEFAULT_CONFIG.with_(n_ranks=2), "upmem"
         ) != base

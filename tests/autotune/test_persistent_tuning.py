@@ -220,8 +220,7 @@ class TestTunedCompile:
         wl = mtv(256, 256)
         params = tuned_params(wl, db=str(db), n_trials=8, seed=0)
         exe = repro.compile(wl, target="upmem", params=params)
-        key = tuning_key(wl, repro.get_target("upmem").search_config,
-                         "upmem")
+        key = tuning_key(wl, repro.get_target("upmem").config, "upmem")
         best = TuningCache(db).best(key)
         assert best is not None
         assert exe.params == best.params
@@ -267,8 +266,7 @@ class TestTunedCompile:
                               resume=False)
         full = autotune(wl, n_trials=8, seed=0)
         assert params == full.best_params
-        key = tuning_key(wl, repro.get_target("upmem").search_config,
-                         "upmem")
+        key = tuning_key(wl, repro.get_target("upmem").config, "upmem")
         assert TuningCache(db).completed_trials(key) == 8
 
     def test_explicit_params_win_over_tuned(self):

@@ -2,15 +2,10 @@
 
 import pytest
 
-import repro
 from repro.autotune import Tuner
-from repro.extensions import HbmPimConfig, HbmPimEstimator
-from repro.obs import Tracer, use_tracer
-from repro.target import HbmPimTarget, UpmemTarget
+from repro.target import UpmemTarget
 from repro.upmem import UpmemConfig
 from repro.workloads import mtv
-
-from ..conftest import make_mtv_schedule
 
 
 @pytest.fixture(scope="module")
@@ -98,57 +93,3 @@ class TestDeterminism:
         assert r1.best_params == r2.best_params
         assert r1.best_latency == r2.best_latency
         assert r1.history == r2.history
-
-
-class TestHbmPimPipeline:
-    """HBM-PIM compiles through ``build`` and estimates the lowered
-    module; the pinned values are the parent commit's, to the last bit."""
-
-    def test_registered(self):
-        tracer = Tracer()
-        with use_tracer(tracer):
-            exe = repro.compile(mtv(256, 256), target="hbm-pim")
-        assert exe.target.kind == "hbm-pim"
-        pipelines = [s.name for s in tracer.spans if s.track == "pipeline"]
-        assert "pipeline build" in pipelines
-        assert not any("hbm" in name for name in pipelines)
-        assert exe.latency == 2.0404166666666663e-06
-
-    def test_estimate_schedule(self):
-        exe = repro.compile(
-            make_mtv_schedule(64, 64), target="hbm-pim", total_macs=64 * 64
-        )
-        est = exe.estimate
-        assert est.n_pus == 512
-        assert est.latency_s.hex() == "0x1.0caf9f22d3cddp-19"
-        assert est.commands_per_pu == 0.5 and est.rows_touched == 0.032226562500
-
-    def test_estimate_lowered_matches_direct(self):
-        sch = make_mtv_schedule(64, 64)
-        module = repro.compile(sch, name="mtv").lowered
-        via_target = repro.compile(
-            make_mtv_schedule(64, 64), target="hbm-pim", total_macs=64 * 64
-        ).estimate
-        direct = HbmPimEstimator().estimate(module, total_macs=64 * 64)
-        assert via_target.latency_s == direct.latency_s
-        assert via_target.commands_per_pu == direct.commands_per_pu
-
-    def test_estimate_lowered_skips_recompilation(self):
-        wl = mtv(64, 64)
-        module = repro.compile(wl).lowered
-        tracer = Tracer()
-        with use_tracer(tracer):
-            latency = repro.get_target("hbm-pim").measure(module, wl)
-        assert latency > 0 and len(tracer) == 0
-
-    def test_custom_config_through_context(self):
-        def estimate(channels):
-            target = HbmPimTarget(HbmPimConfig(n_pseudo_channels=channels))
-            return repro.compile(
-                make_mtv_schedule(64, 64), target=target, total_macs=1 << 24
-            ).estimate
-
-        small, big = estimate(8), estimate(64)
-        assert (small.n_pus, big.n_pus) == (64, 512)
-        assert small.latency_s.hex() == "0x1.44a2229bd2f68p-15"
-        assert big.latency_s.hex() == "0x1.ba12e800cc755p-18"

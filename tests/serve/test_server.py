@@ -346,13 +346,15 @@ class TestFailureIsolation:
             repro.compile(chain_graph(), policy="cpu").profile()
 
     def test_non_executable_target_fails_not_strands(self):
+        """A target resolves at admission, so a ``TargetError`` from
+        its compile (SimplePIM has no MTV) fails the flushed group."""
         mix = tiny_mix()
-        entry = mix["va"]
+        entry = mix["mtv"]
         with Server(max_batch_size=1) as server:
             ticket = server.submit(
                 Request(entry.workload,
                         entry.workload.random_inputs(seed=0),
-                        target="hbm-pim")
+                        target="simplepim")
             )
         assert ticket.failed
         assert "TargetError" in ticket.error

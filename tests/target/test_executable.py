@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.target import Executor, TargetError
+from repro.target import Executor
 from repro.target.executor import MIN_JOB_BYTES
 from repro.upmem.system import PerformanceModel
 from repro.workloads import mtv, red, va
@@ -178,7 +178,27 @@ class TestExecutableSurface:
             out, wl.reference_output(ins), rtol=1e-3
         )
 
-    def test_estimate_executable_rejects_run_batch(self):
-        exe = repro.compile(mtv(64, 64), target="hbm-pim")
-        with pytest.raises(TargetError):
-            exe.run_batch([{}, {}])
+
+class TestEveryKindExecutes:
+    """Every target's executable runs and profiles: the base class has
+    no "cannot run" default left to fall back on."""
+
+    KINDS = ["cpu", "gpu", "prim", "simplepim", "upmem"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_and_profile(self, kind):
+        wl = va(4096)
+        exe = repro.compile(wl, target=kind)
+        ins = wl.random_inputs(seed=1)
+        (out,) = exe.run(ins)
+        np.testing.assert_allclose(out, wl.reference_output(ins), rtol=1e-5)
+        assert exe.profile().latency.total == pytest.approx(exe.latency)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_batch_matches_lone_runs(self, kind):
+        wl = va(4096)
+        exe = repro.compile(wl, target=kind)
+        batch = [wl.random_inputs(seed=i) for i in range(3)]
+        lone = [exe.run(inputs) for inputs in batch]
+        _assert_batches_identical(lone, exe.run_batch(batch))
+        assert exe.run_batch([]) == []

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 import repro
-from repro.autotune import autotune, default_engine
+from repro.autotune import (
+    Tuner,
+    TuningCache,
+    autotune,
+    default_engine,
+    tuned_params,
+)
 from repro.lowering import LowerOptions
+from repro.obs import Tracer, use_tracer
 from repro.pipeline import artifact_key, tuning_key
 from repro.target import (
     CpuTarget,
-    EstimateExecutable,
-    HbmPimTarget,
     PrimTarget,
     SimplePimTarget,
     TargetError,
@@ -26,14 +31,12 @@ SMALL = UpmemConfig().with_(n_ranks=2)
 
 
 class TestRegistry:
-    def test_all_six_kinds_registered(self):
-        assert list_targets() == [
-            "cpu", "gpu", "hbm-pim", "prim", "simplepim", "upmem"
-        ]
+    def test_all_five_kinds_registered(self):
+        assert list_targets() == ["cpu", "gpu", "prim", "simplepim", "upmem"]
 
     def test_get_target_by_kind(self):
         assert isinstance(get_target("upmem"), UpmemTarget)
-        assert isinstance(get_target("hbm-pim"), HbmPimTarget)
+        assert isinstance(get_target("prim"), PrimTarget)
 
     def test_get_target_passthrough(self):
         target = UpmemTarget(config=SMALL)
@@ -45,7 +48,7 @@ class TestRegistry:
 
     def test_labels_name_the_harness_columns(self):
         assert [get_target(kind).label for kind in list_targets()] == [
-            "cpu", "gpu", "hbm_pim", "prim", "simplepim", "upmem"
+            "cpu", "gpu", "prim", "simplepim", "upmem"
         ]
 
 
@@ -82,7 +85,7 @@ class TestStrictFrontDoor:
 
 class TestOptLevelChecked:
     @pytest.mark.parametrize(
-        "kind", ["cpu", "gpu", "hbm-pim", "prim", "simplepim", "upmem"]
+        "kind", ["cpu", "gpu", "prim", "simplepim", "upmem"]
     )
     def test_unknown_level_raises_everywhere(self, kind):
         with pytest.raises(ValueError, match="opt_level"):
@@ -108,11 +111,9 @@ class TestOptLevelChecked:
 
 
 class TestCompileAllTargets:
-    """`repro.compile(w, target=t)` works for all six registered kinds."""
+    """`repro.compile(w, target=t)` works for all five registered kinds."""
 
-    @pytest.mark.parametrize(
-        "kind", ["upmem", "hbm-pim", "cpu", "gpu", "prim"]
-    )
+    @pytest.mark.parametrize("kind", ["upmem", "cpu", "gpu", "prim"])
     def test_mtv_compiles(self, kind):
         exe = repro.compile(mtv(128, 128), target=kind)
         assert exe.latency > 0
@@ -128,7 +129,7 @@ class TestCompileAllTargets:
         wl = make_workload("mtv", "4MB")
         latencies = {
             kind: repro.compile(wl, target=kind).latency
-            for kind in ("upmem", "cpu", "gpu", "prim", "hbm-pim")
+            for kind in ("upmem", "cpu", "gpu", "prim")
         }
         assert all(
             isinstance(v, float) and v > 0 for v in latencies.values()
@@ -185,6 +186,21 @@ class TestUpmemTarget:
         params = default_params(wl, DEFAULT_CONFIG)
         exe = repro.compile(wl, target="upmem")
         assert exe.params == params
+
+    def test_measure_is_the_compiled_latency(self):
+        """``measure`` scores a lowered module with the machine's model:
+        the latency its executable reports."""
+        wl = mtv(128, 128)
+        for target in (UpmemTarget(), UpmemTarget(config=SMALL)):
+            exe = repro.compile(wl, target=target)
+            assert target.measure(exe.lowered) == exe.latency
+
+    def test_measure_skips_recompilation(self):
+        module = repro.compile(mtv(64, 64)).lowered
+        tracer = Tracer()
+        with use_tracer(tracer):
+            latency = UpmemTarget().measure(module)
+        assert latency > 0 and len(tracer) == 0
 
 
 class TestPrimTarget:
@@ -288,44 +304,6 @@ class TestRooflineTargets:
             repro.compile(make_mtv_schedule(16, 16), target="cpu")
 
 
-class TestHbmPimTarget:
-    def test_mac_reduction_supported(self):
-        target = HbmPimTarget()
-        assert target.supports(mtv(64, 64))
-        assert not target.supports(va(64))
-
-    def test_non_mac_rejected(self):
-        with pytest.raises(TargetError):
-            repro.compile(va(1024), target="hbm-pim")
-
-    def test_estimate_executable(self):
-        exe = repro.compile(mtv(256, 256), target="hbm-pim")
-        assert isinstance(exe, EstimateExecutable)
-        assert exe.latency == exe.estimate.latency_s
-        assert exe.profile().latency.total == exe.latency
-        with pytest.raises(TargetError):
-            exe.run({})
-
-    def test_schedule_requires_total_macs(self):
-        from tests.conftest import make_mtv_schedule
-
-        with pytest.raises(TargetError):
-            repro.compile(make_mtv_schedule(16, 16), target="hbm-pim")
-        exe = repro.compile(
-            make_mtv_schedule(16, 16), target="hbm-pim", total_macs=16 * 16
-        )
-        assert exe.latency > 0
-
-    def test_params_the_sketch_rejects(self):
-        with pytest.raises(TargetError, match="cannot sketch mtv"):
-            repro.compile(mtv(64, 64), target="hbm-pim", params={"m_dpus": 8})
-
-    def test_measure_needs_the_workload(self):
-        module = repro.compile(mtv(64, 64), target="upmem").lowered
-        with pytest.raises(TargetError, match="needs the workload"):
-            HbmPimTarget().measure(module)
-
-
 class TestCacheKeys:
     _PARAMS = {"m_dpus": 8, "k_dpus": 1, "n_tasklets": 4, "cache": 16,
                "host_threads": 1}
@@ -349,16 +327,16 @@ class TestCacheKeys:
         ``CACHE_SCHEMA_VERSION`` bump."""
         wl = mtv(64, 64)
         assert artifact_key(wl, self._PARAMS, DEFAULT_CONFIG, "O3") == (
-            "a81427eca7c7edea1e489a108c75424549e9f5aafb77ef26b2d7f76008ceb92c"
+            "a8eabcd19da8ffdfe73d1b1d6e23a5eb12758eafc91e2ad3c8dd5bac747b01df"
         )
         assert artifact_key(wl, self._PARAMS, DEFAULT_CONFIG, "O0") == (
-            "9b65b00d9a84d7460fee9f89e4b105c44d08ac95041fcdfc4d34274763d1135c"
+            "f76ec5c4c44a1a151373efc912a384d7381e6cb9e7127cf073a3cae813af1f7e"
         )
         assert tuning_key(wl, DEFAULT_CONFIG, "upmem", "O3") == (
-            "f1f7f0a17cba0065e78f876221a95d6ab999c341001fbe6a234ef5d93e746c8e"
+            "d2ce278bb9f419095ca353115c82c0f53522f258cc47518e8a2de1b55a189aeb"
         )
-        assert tuning_key(wl, DEFAULT_CONFIG, "hbm-pim", "O0") == (
-            "6aa1437cd7b37e52f45795ddf6ba05fa0c21acc31dd5c5bfd428b5d3303261bc"
+        assert tuning_key(wl, DEFAULT_CONFIG, "upmem", "O0") == (
+            "099a9500f2db55b4ef2acf566e15545d438ec28075b5f0d54d815a1cf29b6e21"
         )
 
 
@@ -376,15 +354,38 @@ class TestCrossTargetTuning:
         with pytest.raises(TargetError, match="cannot measure modules"):
             autotune(va(4096), n_trials=2, batch_size=2, target=kind)
 
-    def test_hbm_pim_tuning(self):
-        wl = mtv(256, 256)
-        result = autotune(wl, n_trials=8, seed=0, target=HbmPimTarget())
-        assert result.best_latency > 0
-        # Scored by the estimator, not the UPMEM model.
-        exe = repro.compile(
-            wl, target="hbm-pim", params=result.best_params
-        )
-        assert exe.latency == pytest.approx(result.best_latency, rel=0.2)
+    @pytest.mark.parametrize("kind", ["cpu", "gpu", "prim", "simplepim"])
+    def test_tuner_raises_when_built(self, kind):
+        with pytest.raises(TargetError, match="cannot measure modules"):
+            Tuner(va(4096), target=kind)
+
+    @pytest.mark.parametrize("kind", ["cpu", "gpu", "prim", "simplepim"])
+    def test_tuned_params_raises_and_writes_nothing(self, kind, tmp_path):
+        db = tmp_path / "tuning.jsonl"
+        with pytest.raises(TargetError, match="cannot measure modules"):
+            tuned_params(va(4096), target=kind, db=str(db), n_trials=2)
+        assert not db.exists()
+
+    def test_tuner_searches_the_configured_machine(self):
+        wl = mtv(128, 128)
+        target = UpmemTarget(config=SMALL)
+        tuner = Tuner(wl, target=target, n_trials=4, batch_size=2)
+        assert tuner.target is target and tuner.config is SMALL
+        result = tuner.tune()
+        module = default_engine().compile(
+            wl, result.best_params, config=SMALL
+        ).module
+        assert result.best_latency == target.measure(module)
+
+    def test_tuned_params_keys_the_configured_machine(self, tmp_path):
+        wl = mtv(128, 128)
+        db = str(tmp_path / "tuning.jsonl")
+        tuned_params(wl, target=UpmemTarget(config=SMALL), db=db, n_trials=4)
+        cache = TuningCache(db)
+        assert cache.completed_trials(tuning_key(wl, SMALL, "upmem")) == 4
+        assert cache.completed_trials(
+            tuning_key(wl, DEFAULT_CONFIG, "upmem")
+        ) == 0
 
     def test_custom_config_target_tuning(self):
         wl = mtv(128, 128)

@@ -22,19 +22,16 @@ ROOT = os.path.dirname(repro.__file__)
 #: Lowest first.  A module-level import may only reach *down* this list.
 ORDER = (
     "obs", "tir", "te", "schedule", "lowering", "optim", "upmem",
-    "workloads", "pipeline", "autotune", "baselines", "extensions",
-    "target", "serve", "graph", "decode", "cluster", "harness",
+    "workloads", "pipeline", "autotune", "baselines", "target", "serve",
+    "graph", "decode", "cluster", "harness",
 )
 
 #: Every function-local import that crosses a package boundary, with the
 #: reason it cannot sit at module level.
 LOCAL_IMPORTS = {
-    ("autotune/tuner.py", "Tuner.__init__", "target"):
+    ("autotune/tuner.py", "_search_target", "target"):
         "upward: targets compile through the engine and seed from the sketch"
         " table the tuner searches",
-    ("autotune/tuner.py", "tuned_params", "target"):
-        "upward, as Tuner.__init__: the stored-best fast path keys the"
-        " group by the target it resolves",
     ("target/compile.py", "compile", "graph"):
         "upward: the front door hands a ModelGraph to graph.compile_graph",
     ("serve/pool.py", "ExecutablePool._compile", "target"):
@@ -600,9 +597,6 @@ UNSET_OPTIONS = {
         " hardware parameter the cost model reads; tests shrink the machine"
         " with `with_(n_ranks=...)`, the program runs the paper's one",
     ),
-    "HbmPimConfig": (
-        ALL, "machine description (§8, Aquabolt-XL): as UpmemConfig",
-    ),
     "CpuModel": (
         ALL, "calibrated roofline of the paper's one CPU (§6): constants",
     ),
@@ -620,10 +614,6 @@ UNSET_OPTIONS = {
     "SimplePimTarget": ({"config"}, "as PrimTarget"),
     "CpuTarget": ({"model"}, "as PrimTarget, for the roofline model"),
     "GpuTarget": ({"model"}, "as CpuTarget"),
-    "HbmPimTarget": (
-        {"upmem_config"},
-        "as PrimTarget: the UPMEM grid the PU binding is derived from",
-    ),
     # -- the serving half (PR 20) --------------------------------------------
     "Node": (
         {"target"},
@@ -713,9 +703,6 @@ OUTSIDE_SRC_OPTIONS = {
         "a target's machine description: tests and benchmarks tune and"
         " compile for a smaller machine (`UpmemTarget(config=SMALL)`);"
         " the program runs the paper's one",
-    ),
-    "HbmPimTarget": (
-        {"config"}, "a custom PU array: tests/pipeline/test_tuner_cache.py",
     ),
     "Server": (
         {"max_wait_ticks", "queue_limit"},
@@ -843,7 +830,10 @@ CUT = (
     "obs/tracer.py:NullTracer.advance", "obs/lint.py:main",
     "serve/metrics.py:LatencyStats.histogram", "serve/server.py:Server.now",
     "target/base.py:register_target", "target/base.py:has_target",
-    "target/base.py:Target.cache_token",
+    "target/base.py:Target.cache_token", "target/base.py:Target.measure",
+    "target/base.py:Target.search_config",
+    "target/targets.py:HbmPimTarget",
+    "target/executable.py:EstimateExecutable",
     "serve/traffic.py:PATTERNS", "serve/scheduler.py:DynamicBatcher.groups",
     "decode/residency.py:POLICIES", "decode/residency.py:StageEvent.to_dict",
     "decode/residency.py:WeightResidencyPlanner.plan",
