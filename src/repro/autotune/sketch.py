@@ -37,6 +37,11 @@ Every family also has ``n_tasklets`` and ``cache``.  Domains (Table 2):
 ``param_space`` lists a family's parameters in the order *DPU splits,
 reduction split, n_tasklets, cache, optional*; that order is the order
 the tuner's random draws walk, so it is part of the search's identity.
+
+A rule schedules :attr:`Workload.kernel_output` and caches the inputs
+it reads; a workload with host epilogue stages
+(:func:`repro.workloads.with_epilogue`) keeps its base's row, and the
+rule leaves those stages unbound, so they lower to ``host_post``.
 """
 
 from __future__ import annotations
@@ -182,8 +187,8 @@ class Family:
 
 
 def _sketch_elementwise(workload: Workload, p: Dict[str, int], row: Family) -> Schedule:
-    out = workload.output
-    sch = Schedule(out)
+    out = workload.kernel_output
+    sch = Schedule(workload.output)
     s = sch[out]
     (i,) = s.op.axis
     i_dpu, rest = s.split(i, nparts=_clamp_parts(p[row.dpu_axes[0]], i.extent))
@@ -194,15 +199,15 @@ def _sketch_elementwise(workload: Workload, p: Dict[str, int], row: Family) -> S
         s.unroll(i_in)
     s.bind(i_dpu, "blockIdx.x")
     s.bind(i_thr, "threadIdx.x")
-    for inp in workload.inputs:
+    for inp in workload.kernel_inputs:
         sch.cache_read(out, inp, "wram").compute_at(s, i_blk)
     sch.cache_write(out, "wram").reverse_compute_at(s, i_blk)
     return sch
 
 
 def _sketch_red(workload: Workload, p: Dict[str, int], row: Family) -> Schedule:
-    out = workload.output
-    sch = Schedule(out)
+    out = workload.kernel_output
+    sch = Schedule(workload.output)
     s = sch[out]
     (k,) = s.op.reduce_axis
     k_dpu, k_rest = s.split(k, nparts=_clamp_parts(p[row.reduce], k.extent))
@@ -220,7 +225,7 @@ def _sketch_red(workload: Workload, p: Dict[str, int], row: Family) -> Schedule:
         s2.unroll(k_elem)
     s2.bind(dpu_ax, "blockIdx.x")
     s2.bind(thr_ax, "threadIdx.x")
-    sch.cache_read(cf2, workload.inputs[0], "wram").compute_at(s2, k_blk)
+    sch.cache_read(cf2, workload.kernel_inputs[0], "wram").compute_at(s2, k_blk)
     sch.cache_write(cf2, "wram").reverse_compute_at(s2, thr_ax)
     # Tasklet partials are combined on the DPU (ATiM/SimplePIM style) or
     # shipped to the host (PrIM sends every tasklet's result).
@@ -241,8 +246,8 @@ def _sketch_spatial_reduce(
 ) -> Schedule:
     """One reduction under ``len(row.dpu_axes)`` distributed spatial axes
     (MTV/GEMV: one, TTV/MMTV: two); the last one also carries the tasklets."""
-    out = workload.output
-    sch = Schedule(out)
+    out = workload.kernel_output
+    sch = Schedule(workload.output)
     s = sch[out]
     (k,) = s.op.reduce_axis
     k_dpus = p.get(row.reduce, 1)
@@ -273,7 +278,7 @@ def _sketch_spatial_reduce(
     for ax, tag in zip(grid, ("blockIdx.x", "blockIdx.y", "blockIdx.z")):
         stage.bind(ax, tag)
     stage.bind(thr, "threadIdx.x")
-    for inp in workload.inputs:
+    for inp in workload.kernel_inputs:
         sch.cache_read(target, inp, "wram").compute_at(stage, k_blk)
     sch.cache_write(target, "wram").reverse_compute_at(stage, thr)
 

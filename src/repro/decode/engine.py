@@ -10,8 +10,9 @@ the model weights, a :class:`~repro.decode.kv_cache.PagedKVCache`, a
   compiled executable outright — zero graph builds, zero pool lookups;
 * a step that crossed a page boundary builds the next capacity epoch's
   graph, and the pool serves every capacity-independent program from
-  residency (the epoch loads only the attention operators sized to the
-  new capacity — ``StepReport.compiled_programs`` proves it);
+  residency (the epoch loads only the two attention programs sized to
+  the new capacity, the score MMTV with its softmax epilogue and the
+  value MMTV — ``StepReport.compiled_programs`` proves it);
 * each step charges, separately and deterministically: per-node compute
   and boundary transfers (from the epoch's
   :class:`~repro.graph.executable.GraphProfile`), weight stage/evict

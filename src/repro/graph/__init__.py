@@ -2,8 +2,9 @@
 
 The layer above per-kernel compilation: a :class:`ModelGraph` is a DAG
 of workloads over named tensors, a placement pass assigns each node a
-backend (MMTV/MTV on the PIM target, element-wise glue on the host —
-overridable per node; slices and reshapes are views of their base, not
+backend (MMTV/MTV on the PIM target, anything else on the host —
+overridable per node; element-wise glue is a host epilogue of the
+program beside it, and slices and reshapes are views of their base, not
 nodes), a linear-scan memory planner reuses dead
 intermediate buffers, and a :class:`GraphExecutable` compiles every node
 through the serving :class:`~repro.serve.pool.ExecutablePool` and runs

@@ -3,27 +3,37 @@
 One decode step of a GPT-J layer (batch 1, ``tokens`` cached positions)
 built from the paper's shape helpers (:func:`repro.workloads.fc_shapes`
 gives the four FC-layer MTVs; attention is the multi-head MMTV of
-Fig. 10, :func:`repro.workloads.mha_mmtv`):
+Fig. 10, :func:`repro.workloads.mha_mmtv`) — six nodes:
 
 * ``qkv_gen``  — MTV (3d x d) producing the fused Q/K/V vector;
 * the query as a view of its first ``d`` elements, shaped ``(heads,
-  head_dim)``; the score MMTV ``(heads, tokens, head_dim)`` against the
-  resident K cache, a scaled-softmax glue per head, and the value MMTV
-  ``(heads, head_dim, tokens)`` against the (transposed) resident V
-  cache;
-* the heads as a view shaped ``(d,)``, then ``attn_proj`` — MTV (d x d);
-* the parallel GPT-J FF branch: ``fc`` — MTV (4d x d), ``gelu`` glue,
-  ``fc_proj`` — MTV (d x 4d);
-* two ``va`` residual adds folding attention and FF back into the
-  stream (GPT-J's parallel block: ``y = x + attn + ff``; layer norms
-  are omitted — they move no tensor the planner or the placement story
-  cares about).
+  head_dim)``; ``attn_score`` — the score MMTV ``(heads, tokens,
+  head_dim)`` against the resident K cache, followed by each head's
+  scaled (and, in the model graph, masked) softmax; ``attn_value`` —
+  the value MMTV ``(heads, head_dim, tokens)`` against the (transposed)
+  resident V cache;
+* the heads as a view shaped ``(d,)``, then ``attn_proj`` — MTV (d x d)
+  followed by the first residual add, ``x + attn_out``;
+* the parallel GPT-J FF branch: ``fc`` — MTV (4d x d) followed by GELU,
+  and ``fc_proj`` — MTV (d x 4d) followed by the second residual add,
+  ``resid + ffn_out`` (GPT-J's parallel block: ``y = x + attn + ff``;
+  layer norms are omitted — they move no tensor the planner or the
+  placement story cares about).
 
-The slices and the reshape compute nothing, so they are graph views
+The softmax, GELU and the residual adds are host epilogues of the
+program beside them (:func:`repro.workloads.with_epilogue`), as ATiM
+keeps the host work around a PIM kernel — the rfactor fold of §5.2.1 —
+inside the module: the lowering emits them as ``host_post`` statements,
+the host-statement model prices them, and a lane-sliced host program
+runs them.  No glue is a node of its own, so under the ``cpu`` or
+``mixed`` placement a fused node is priced once by the CPU roofline, as
+TVM fuses injective ops into their producer.  The slices and the
+reshape compute nothing, so they are graph views
 (:meth:`ModelGraph.add_view`), not nodes: no program, no ``exe.run``,
-no buffer and no compute line — a 3-layer model step is 30 nodes.  A
+no buffer and no compute line — a 3-layer model step is 18 nodes.  A
 view still sits on the host, so the PIM node it reads from pays its D2H
-and the PIM node reading it its H2D, as when the glue was a node.
+and the PIM node reading it its H2D; so does a program whose output
+comes off its host epilogue (``repro.graph.executable``).
 
 Weights and the KV cache enter the graph as *const* external inputs —
 staged once per load, exactly like :attr:`Workload.const_inputs` in the
@@ -44,7 +54,7 @@ from __future__ import annotations
 
 import math
 from types import SimpleNamespace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +67,7 @@ from ..autotune.sketch import (
     param_space,
     pow2_upto,
 )
-from ..workloads import GPTJConfig, Workload, fc_mtv, mmtv, va
+from ..workloads import GPTJConfig, Workload, fc_mtv, mmtv, with_epilogue
 from .ir import ModelGraph
 
 __all__ = [
@@ -195,26 +205,77 @@ def gptj_layer_nbytes(config: GPTJConfig) -> int:
     return 4 * sum(m * k for _, (m, k) in gptj_layer_io(config).weights)
 
 
-def _glue(
-    name: str,
-    inputs: List[te.Tensor],
-    out_shape,
-    reference,
-    flops: float,
-    params: Dict[str, int],
-) -> Workload:
-    """A host-only glue workload: numpy reference semantics, placeholder
-    output (no PIM sketch — the placement pass keeps it off the device).
-    """
-    out = te.placeholder(tuple(out_shape), "float32", "C")
-    return Workload(
-        name=name,
-        inputs=inputs,
-        output=out,
-        reference=reference,
-        flops=flops,
-        shape=tuple(out_shape),
-        params=params,
+def _softmax(score: Workload, head_dim: int, masked: bool) -> Workload:
+    """``score`` followed by each head's scaled softmax — the additive
+    mask ``M`` (0 or ``-inf`` per cache position) folded in when
+    ``masked`` — as four host epilogue stages: row max of the logits,
+    exponentials (the logits again, the same bits), row sum, quotient."""
+    heads, span = score.output.shape
+    scale = np.float32(np.sqrt(head_dim))
+
+    def epilogue(S: te.Tensor, *mask: te.Tensor) -> te.Tensor:
+        def logit(i, j):
+            z = S[i, j] / float(scale)
+            return z + mask[0][j] if mask else z
+
+        k = te.reduce_axis(span, "k_max")
+        top = te.compute((heads,), lambda i: te.max_reduce(logit(i, k), axis=k), "Z_max")
+        E = te.compute((heads, span), lambda i, j: te.exp(logit(i, j) - top[i]), "E")
+        k = te.reduce_axis(span, "k_sum")
+        total = te.compute((heads,), lambda i: te.sum(E[i, k], axis=k), "E_sum")
+        return te.compute((heads, span), lambda i, j: E[i, j] / total[i], "P")
+
+    def reference(s: np.ndarray, m: Optional[np.ndarray] = None) -> np.ndarray:
+        z = s.astype(np.float32) / scale
+        if m is not None:
+            z = z + m.astype(np.float32)
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
+
+    mask = [te.placeholder((span,), "float32", "M")] if masked else []
+    return with_epilogue(
+        score, epilogue, reference,
+        flops=(6.0 if masked else 5.0) * heads * span, extra_inputs=mask,
+    )
+
+
+def _gelu(fc: Workload) -> Workload:
+    """``fc`` followed by GPT-J's tanh GELU, one host epilogue stage."""
+    c = np.float32(np.sqrt(2.0 / np.pi))
+
+    def gelu(a):
+        # a*a*a: the IR has no power (NumPy's a**3 can differ in the
+        # last bit, within every tolerance the references are held to).
+        return 0.5 * a * (1.0 + te.tanh(float(c) * (a + 0.044715 * (a * a * a))))
+
+    def reference(a: np.ndarray) -> np.ndarray:
+        a = a.astype(np.float32)
+        return (
+            np.float32(0.5) * a
+            * (np.float32(1.0) + np.tanh(c * (a + np.float32(0.044715) * a ** 3)))
+        ).astype(np.float32)
+
+    (n,) = fc.output.shape
+    return with_epilogue(
+        fc,
+        lambda A: te.compute((n,), lambda i: gelu(A[i]), "G"),
+        reference,
+        flops=8.0 * n,
+    )
+
+
+def _residual(proj: Workload) -> Workload:
+    """``proj`` followed by the residual add ``R + C``, one host
+    epilogue stage (``R`` never crosses to the DPUs)."""
+    (n,) = proj.output.shape
+    R = te.placeholder((n,), "float32", "R")
+    return with_epilogue(
+        proj,
+        lambda C, R: te.compute((n,), lambda i: R[i] + C[i], "D"),
+        lambda c, r: r + c,
+        flops=float(n),
+        extra_inputs=[R],
     )
 
 
@@ -234,55 +295,15 @@ def _layer_ops(config: GPTJConfig, span: int, masked: bool) -> SimpleNamespace:
     score.params.update({"model": config.name, "layer": "mha_score"})
     value = mmtv(heads, hd, span)
     value.params.update({"model": config.name, "layer": "mha_value"})
-    scale = np.float32(np.sqrt(hd))
-
-    def softmax_ref(
-        s: np.ndarray, m: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        z = s.astype(np.float32) / scale
-        if m is not None:
-            z = z + m.astype(np.float32)
-        z = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
-
-    def gelu_ref(a: np.ndarray) -> np.ndarray:
-        a = a.astype(np.float32)
-        c = np.float32(np.sqrt(2.0 / np.pi))
-        return (
-            np.float32(0.5) * a
-            * (np.float32(1.0) + np.tanh(c * (a + np.float32(0.044715) * a ** 3)))
-        ).astype(np.float32)
-
-    mask_input = [te.placeholder((span,), "float32", "M")] if masked else []
     return SimpleNamespace(
         d=d,
         head_shape=(heads, hd),
         qkv=fc_mtv(config, "qkv_gen"),
-        proj=fc_mtv(config, "qkv_proj"),
-        fc=fc_mtv(config, "fc"),
-        fc_proj=fc_mtv(config, "fc_proj"),
-        score=score,
+        proj=_residual(fc_mtv(config, "qkv_proj")),
+        fc=_gelu(fc_mtv(config, "fc")),
+        fc_proj=_residual(fc_mtv(config, "fc_proj")),
+        score=_softmax(score, hd, masked),
         value=value,
-        residual=va(d),
-        softmax=_glue(
-            "masked_softmax" if masked else "softmax",
-            [te.placeholder((heads, span), "float32", "S")] + mask_input,
-            (heads, span),
-            softmax_ref,
-            flops=(6.0 if masked else 5.0) * heads * span,
-            params={
-                "capacity" if masked else "tokens": span, "scale_dim": hd,
-            },
-        ),
-        gelu=_glue(
-            "gelu",
-            [te.placeholder((4 * d,), "float32", "A")],
-            (4 * d,),
-            gelu_ref,
-            flops=8.0 * 4 * d,
-            params={"n": 4 * d},
-        ),
     )
 
 
@@ -327,38 +348,34 @@ def _emit_layer(
             return overrides[name]
         return small_grid_params(wl) if pin_small_grids else None
 
-    def op(name, wl, a, b, output, *tags):
+    def op(name, wl, inputs, output, tag):
         g.add_node(
-            prefix + name, wl, {"A": a, "B": b}, output,
-            params=node_params(name, wl), tags=tags,
+            prefix + name, wl, inputs, output,
+            params=node_params(name, wl), tags=(tag,),
         )
 
-    def glue(name, wl, inputs, output, *tags):
-        g.add_node(prefix + name, wl, inputs, output, tags=("glue",) + tags)
-
     # -- attention branch ---------------------------------------------------
-    op("qkv_gen", ops.qkv, w_qkv, io.x, t("qkv"), "attn")
+    op("qkv_gen", ops.qkv, {"A": w_qkv, "B": io.x}, t("qkv"), "attn")
     if mask is not None:
         # The fused vector is [q | k | v]: this step's new K and V rows.
         for n, out in enumerate(io.kv_new, start=1):
             g.add_view(out, t("qkv"), n * ops.d, (ops.d,))
-    q, score, probs = t("q"), t("score"), t("probs")
-    scores = {"S": score} if mask is None else {"S": score, "M": mask}
+    q, probs = t("q"), t("probs")
     g.add_view(q, t("qkv"), 0, ops.head_shape)
-    op("attn_score", ops.score, k_cache, q, score, "attn")
-    glue("softmax", ops.softmax, scores, probs, "attn")
-    op("attn_value", ops.value, v_cache_t, probs, t("heads"), "attn")
+    scores = {"A": k_cache, "B": q}
+    if mask is not None:
+        scores["M"] = mask
+    op("attn_score", ops.score, scores, probs, "attn")
+    op("attn_value", ops.value, {"A": v_cache_t, "B": probs}, t("heads"), "attn")
     g.add_view(t("attn_concat"), t("heads"), 0, (ops.d,))
-    op("attn_proj", ops.proj, w_proj, t("attn_concat"), t("attn_out"), "attn")
+    # y = x + attn_out + ffn_out, each add the epilogue of its projection.
+    op("attn_proj", ops.proj, {"A": w_proj, "B": t("attn_concat"), "R": io.x},
+       resid, "attn")
 
     # -- feed-forward branch (parallel to attention in GPT-J) ---------------
-    op("fc", ops.fc, w_fc, io.x, t("ffn_hidden"), "ffn")
-    glue("gelu", ops.gelu, {"A": t("ffn_hidden")}, t("ffn_act"), "ffn")
-    op("fc_proj", ops.fc_proj, w_fc_proj, t("ffn_act"), t("ffn_out"), "ffn")
-
-    # -- residual stream: y = x + attn_out + ffn_out ------------------------
-    op("residual_attn", ops.residual, io.x, t("attn_out"), resid, "glue")
-    op("residual_out", ops.residual, resid, t("ffn_out"), io.y, "glue")
+    op("fc", ops.fc, {"A": w_fc, "B": io.x}, t("ffn_act"), "ffn")
+    op("fc_proj", ops.fc_proj, {"A": w_fc_proj, "B": t("ffn_act"), "R": resid},
+       io.y, "ffn")
 
 
 def gptj_decoder_graph(
@@ -402,7 +419,9 @@ def gptj_model_graph(
       the same page allocation build **structurally identical** graphs —
       no recompile, no replanning, just a new mask vector.  Only
       crossing a page boundary (a bigger ``capacity``) yields a new
-      graph, and even then every capacity-independent program pool-hits.
+      graph, and even then every capacity-independent program pool-hits:
+      the epoch loads two programs, the score MMTV with its softmax
+      epilogue and the value MMTV.
     * every workload instance is shared across layers — all N ``fc``
       nodes bind one :class:`Workload`, so the
       :class:`~repro.serve.pool.ExecutablePool` compiles each program

@@ -16,11 +16,15 @@ placement boundaries:
 * **compute** (launch + kernel + host reduce) is charged per node from
   the node's own target profile;
 * **dynamic H2D** is charged only for inputs *crossing* onto the device
-  — produced by a host-placed node, arriving as a non-constant
-  external input, or read through a view; a PIM-resident producer hands
-  off in MRAM for free;
+  — produced on the host (by a host-placed node, or by a PIM program
+  whose module ends in host statements: an rfactor fold, a host
+  epilogue), arriving as a non-constant external input, or read through
+  a view; a PIM kernel's output hands off in MRAM for free, and an
+  input only the module's host statements read (a softmax mask, a
+  residual operand) never crosses;
 * **D2H** is charged only when the node's output *leaves* the device
-  (a host-placed consumer, a view, or a graph output);
+  (a host-placed consumer, a view, or a graph output) or is produced on
+  the host, which always brings the kernel's result back;
 * a **view** is a host-side alias with no cost line of its own: it
   prices as the host glue it replaces minus that glue's compute, so its
   PIM base still pays the D2H and its PIM readers the H2D;
@@ -183,8 +187,9 @@ class GraphExecutable(Executable):
         """Programs this compile actually loaded (pool misses) rather
         than found resident.  A decode loop watches this to prove
         structure sharing: the first capacity epoch loads everything,
-        later epochs load only capacity-dependent attention programs,
-        and steps inside an epoch build no executable at all."""
+        later epochs load only the two capacity-dependent attention
+        programs (the score MMTV with its softmax epilogue, the value
+        MMTV), and steps inside an epoch build no executable at all."""
         return sum(1 for _, loaded in self._exes.values() if loaded)
 
     @property
@@ -338,6 +343,7 @@ class GraphExecutable(Executable):
                 leaves = (
                     node.output in graph_outputs
                     or node.output in viewed
+                    or self._made_on_host(node)
                     or any(
                         self.placement[c.name].kind not in PIM_SUBSTRATE_KINDS
                         for c in self.graph.consumers(node.output)
@@ -366,10 +372,21 @@ class GraphExecutable(Executable):
             nodes=costs, latency=Latency(**agg), staging_s=staging_total
         )
 
+    def _made_on_host(self, node: Node) -> bool:
+        """Whether ``node``'s output is produced on the host: by a
+        host-placed node, or by a PIM program whose module ends in host
+        statements (an rfactor fold, a host epilogue) — its D2H is paid
+        whoever reads it, and a PIM reader pays the H2D."""
+        if self.placement[node.name].kind not in PIM_SUBSTRATE_KINDS:
+            return True
+        return bool(self._exes[node.name][0].lowered.host_post)
+
     def _input_bytes(self, node: Node):
         """Input-byte breakdown of one PIM-placed node: (bytes crossing
         host->device, const bytes, total input bytes, [(const graph
-        tensor, nbytes), ...]).
+        tensor, nbytes), ...]).  An input only the module's host
+        statements read (a softmax mask, a residual operand) never
+        crosses, and is no share of the H2D the module prices.
 
         A tensor is staged-once only when *both* sides agree it is
         resident: the workload keeps that input slot on the device
@@ -383,7 +400,11 @@ class GraphExecutable(Executable):
         const_tensors: List[Tuple[str, int]] = []
         const_names = node.workload.const_inputs or frozenset()
         graph_const = self.graph.const_inputs
+        module = self._exes[node.name][0].lowered
+        on_dpus = {spec.global_buffer.name for spec in module.transfer("h2d")}
         for wl_name, graph_name, _ in node.input_bindings():
+            if wl_name not in on_dpus:
+                continue
             nbytes = self.graph.tensor_nbytes(graph_name)
             total += nbytes
             if wl_name in const_names and graph_name in graph_const:
@@ -391,12 +412,8 @@ class GraphExecutable(Executable):
                 const_tensors.append((graph_name, nbytes))
                 continue
             producer = self.graph.producer(graph_name)
-            if producer is None:
-                # A dynamic external input or a view: on the host.
-                crossing += nbytes
-            elif (
-                self.placement[producer.name].kind not in PIM_SUBSTRATE_KINDS
-            ):
+            # None: a dynamic external input or a view, on the host.
+            if producer is None or self._made_on_host(producer):
                 crossing += nbytes
         return crossing, const_bytes, total, const_tensors
 

@@ -60,8 +60,8 @@ class Node:
     ``params`` carries explicit schedule parameters for compiling
     targets (serving-grade graphs pin small grids — the canonical
     max-parallelism defaults cost seconds of simulator host time per
-    run).  ``tags`` label the node for placement policies (``"glue"``,
-    ``"attn"``, ``"ffn"``, ...).
+    run).  ``tags`` label the node for placement policies (``"attn"``,
+    ``"ffn"``, ...).
     """
 
     name: str

@@ -2,14 +2,18 @@
 
 The policy mirrors the paper's system split — the matrix-vector family
 (MTV/GEMV/MMTV/TTV, the ops PIM wins on) compiles for the PIM target,
-element-wise glue (softmax, activations, residual adds) stays on the
-host — with three stock policies:
+anything else stays on the host.  The GPT-J builders emit no element-wise
+glue node: the softmax, GELU and residual adds are host epilogues of the
+matvec programs beside them (:func:`repro.workloads.with_epilogue`), so
+they go wherever their matvec goes.  Three stock policies:
 
 * ``default`` — matvec ops on the PIM target, everything else on host;
 * ``cpu``     — the whole graph on the host roofline (the paper's CPU
   baseline for a full decode step);
 * ``mixed``   — attention matvecs (tagged ``attn``) on PIM, FC-layer
-  matvecs on host: the hybrid the end-to-end experiment compares.
+  matvecs (tagged ``ffn``) on host: the hybrid the end-to-end
+  experiment compares.  A host node prices a fused program once, as
+  TVM's fusion of injective ops into their producer would.
 
 Slices and reshapes are no nodes but graph views
 (:meth:`~repro.graph.ir.ModelGraph.add_view`): nothing places them, and
@@ -17,7 +21,7 @@ they sit on the host under every policy.
 
 A node's explicit ``target`` override always wins; the pass validates
 that an override (or a policy choice) can actually compile the node —
-host-only glue forced onto a module-compiling backend is a
+a workload forced onto a backend without a sketch for it is a
 :class:`~repro.graph.ir.GraphError` at placement time, not a confusing
 compile failure later.
 """
@@ -35,8 +39,7 @@ __all__ = ["PIM_OP_NAMES", "PLACEMENT_POLICIES", "place", "is_pim_capable"]
 #: The ops the default policy sends to the PIM target: the sketch
 #: families that reduce under distributed spatial axes (the matrix-vector
 #: family).  Element-wise ``va``/``geva`` are sketchable too but stay
-#: host-side by default (inter-op glue); override per node to push a
-#: residual add onto the device.
+#: host-side by default; override per node to push one onto the device.
 PIM_OP_NAMES = frozenset(name for name, row in FAMILIES.items() if row.rfactor)
 
 #: ``"upmem"`` is an alias for ``"default"`` (matvecs on the PIM side),
@@ -45,8 +48,8 @@ PLACEMENT_POLICIES = ("default", "upmem", "cpu", "mixed")
 
 
 def is_pim_capable(node: Node, pim_target: Target) -> bool:
-    """Whether ``pim_target`` can compile the node's workload (glue ops
-    carry no PIM sketch and must stay on a functional host backend)."""
+    """Whether ``pim_target`` can compile the node's workload (a
+    workload without a PIM sketch stays on a functional host backend)."""
     return pim_target.supports(node.workload)
 
 
@@ -88,7 +91,6 @@ def _place_node(
         return target
     wants_pim = (
         node.workload.name in PIM_OP_NAMES
-        and "glue" not in node.tags
         and (policy == "default" or (policy == "mixed" and "attn" in node.tags))
     )
     if wants_pim and is_pim_capable(node, pim_target):

@@ -759,7 +759,8 @@ def fig17_end_to_end(
 
     Not a paper figure: the graph subsystem's headline experiment.  The
     same :class:`~repro.graph.ModelGraph` compiles under three placement
-    policies — everything-PIM (matvecs on upmem, glue on the host),
+    policies — everything-PIM (matvecs on upmem, their softmax, GELU
+    and residual epilogues on its host),
     everything-CPU, and a mixed split (attention on PIM, FC layers on
     the CPU roofline) — and reports a per-node latency breakdown
     (compute vs boundary transfers vs one-time weight staging) plus the

@@ -7,7 +7,9 @@ This implements paper §5.2.2:
 * WRAM cache / accumulator materialization with address calculation,
 * per-DPU MRAM tile extraction and transfer generation,
 * hierarchical reduction (``rfactor`` stages become kernel partials plus a
-  host final reduction).
+  host final reduction);
+* unbound stages after the kernel (host epilogues) become ``host_post``
+  statements — the only place float ``/``, ``exp`` and ``tanh`` may be.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from ..tir import (
     Buffer,
     BufferLoad,
     BufferStore,
+    Div,
+    Exp,
     For,
     ForKind,
     IfThenElse,
@@ -34,6 +38,7 @@ from ..tir import (
     SeqStmt,
     Stmt,
     Sub,
+    Tanh,
     Var,
     all_of,
     collect_loads,
@@ -58,6 +63,10 @@ class LoweringError(ValueError):
 
 
 _COMBINE = {"add": Add, "max": Max, "min": Min}
+
+#: Float operations a DPU has no instructions for (it has no FPU, and the
+#: analyzer's cycle table prices none of them): host epilogue stages only.
+_HOST_ONLY = (Div, Exp, Tanh)
 
 
 def lower(
@@ -86,6 +95,7 @@ def lower(
         builder = _StageBuilder(schedule, stage, options)
         compute_buffers.append(stage.op.tensor.buffer)
         if builder.is_kernel:
+            _check_dpu_ops(builder)
             kernel_builders.append(builder)
             seen_kernel = True
         else:
@@ -141,6 +151,30 @@ def lower(
 # ---------------------------------------------------------------------------
 # per-stage nest construction
 # ---------------------------------------------------------------------------
+
+
+def _check_dpu_ops(builder: "_StageBuilder") -> None:
+    """Refuse a host-only operation in a stage bound to DPUs."""
+    found = _host_only_op(builder.op.body)
+    if found is not None:
+        raise LoweringError(
+            f"stage {builder.stage.name!r} is bound to DPUs but uses"
+            f" {found.op_name!r}, which only a host stage may compute"
+        )
+
+
+def _host_only_op(expr: PrimExpr) -> Optional[PrimExpr]:
+    """The first :data:`_HOST_ONLY` node of a stage body, looking past
+    load indices (integer arithmetic, which holds none)."""
+    if isinstance(expr, _HOST_ONLY):
+        return expr
+    if isinstance(expr, BufferLoad):
+        return None
+    for child in expr.children():
+        found = _host_only_op(child)
+        if found is not None:
+            return found
+    return None
 
 
 class _StageBuilder:

@@ -71,7 +71,7 @@ def workload_signature(workload: Any) -> tuple:
     output = getattr(workload, "output", None)
     op = getattr(output, "op", None)
     body = getattr(op, "body", None)
-    return (
+    signature = (
         getattr(workload, "name", str(workload)),
         tuple(getattr(workload, "shape", ())),
         getattr(workload, "reduce_extent", 0),
@@ -84,6 +84,28 @@ def workload_signature(workload: Any) -> tuple:
         # over the same element expression must not share a key.
         getattr(op, "combiner", None),
     )
+    upstream = _upstream_stages(op)
+    # A single-stage workload keeps the tuple it always had (and so its
+    # keys); one with earlier stages (a host epilogue's base program and
+    # middle stages) adds each stage's name, body and combiner.
+    return signature + (upstream,) if upstream else signature
+
+
+def _upstream_stages(op: Any) -> tuple:
+    """(name, body, combiner) of every compute stage that feeds ``op``,
+    producers first."""
+    order: list = []
+
+    def visit(node: Any) -> None:
+        for buffer in node.input_buffers():
+            producer = getattr(buffer.producer, "op", None)
+            if hasattr(producer, "input_buffers") and producer not in order:
+                visit(producer)
+                order.append(producer)
+
+    if hasattr(op, "input_buffers"):
+        visit(op)
+    return tuple((p.name, repr(p.body), p.combiner) for p in order)
 
 
 def artifact_key(

@@ -202,7 +202,7 @@ class ExecutablePool:
         """Exempt ``key`` from LRU eviction until :meth:`unpin`.
 
         A decode loop's current working set (the capacity-epoch attention
-        programs plus the capacity-independent FC/glue programs every
+        programs plus the capacity-independent FC programs every
         step reuses) must stay resident across thousands of steps even
         while other traffic churns the pool; pinning models the MRAM
         reservation a real deployment would hold for them.  Pinning a

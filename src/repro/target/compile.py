@@ -61,8 +61,8 @@ def compile(
     ``run`` / ``run_batch`` / ``profile`` / ``latency`` surface.
 
     A :class:`repro.graph.ModelGraph` compiles node-by-node instead:
-    ``target`` becomes the PIM side of the placement (glue nodes stay on
-    the host), ``target_args`` go to
+    ``target`` becomes the PIM side of the placement (nodes without a
+    PIM sketch stay on the host), ``target_args`` go to
     :func:`~repro.graph.executable.compile_graph` (``placement=``,
     ``policy=``, ``pool=``), and the result is a
     :class:`~repro.graph.executable.GraphExecutable`.

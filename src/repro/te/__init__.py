@@ -19,11 +19,13 @@ from .operation import (
     Reduce,
     Tensor,
     compute,
+    exp,
     max_reduce,
     min_reduce,
     placeholder,
     reduce_axis,
     sum,
+    tanh,
 )
 
 __all__ = [
@@ -39,4 +41,6 @@ __all__ = [
     "sum",
     "max_reduce",
     "min_reduce",
+    "exp",
+    "tanh",
 ]

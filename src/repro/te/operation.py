@@ -8,7 +8,9 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from ..tir import (
     Buffer,
     BufferLoad,
+    Exp,
     PrimExpr,
+    Tanh,
     Var,
     as_expr,
     collect_loads,
@@ -28,6 +30,8 @@ __all__ = [
     "sum",
     "max_reduce",
     "min_reduce",
+    "exp",
+    "tanh",
 ]
 
 _name_counter = itertools.count()
@@ -243,6 +247,16 @@ def min_reduce(expr, axis: Union[IterVar, Sequence[IterVar]]) -> Reduce:
     """Min-reduce ``expr`` over ``axis``."""
     axes = [axis] if isinstance(axis, IterVar) else list(axis)
     return Reduce(expr, axes, "min", float("inf"))
+
+
+def exp(x) -> PrimExpr:
+    """``e ** x`` of a float expression (a host-only intrinsic)."""
+    return Exp(x)
+
+
+def tanh(x) -> PrimExpr:
+    """Hyperbolic tangent of a float expression (a host-only intrinsic)."""
+    return Tanh(x)
 
 
 def compute(

@@ -2,7 +2,9 @@
 
 The IR holds exactly the expressions ATiM's lowering emits: immediates,
 variables, ``+ - * // %``, ``min``/``max``, the six comparisons, ``and``
-(the conjunction of boundary conditions) and buffer loads.  Nodes are
+(the conjunction of boundary conditions) and buffer loads — plus, for
+host epilogue stages only, float ``/`` and the ``exp``/``tanh``
+intrinsics (a DPU has no FPU: lowering refuses them in a kernel).  Nodes are
 immutable; transformations build new trees (see :mod:`repro.tir.visitor`).
 
 Because nodes never change, facts about a subtree are computed once from
@@ -26,6 +28,7 @@ __all__ = [
     "Add",
     "Sub",
     "Mul",
+    "Div",
     "FloorDiv",
     "FloorMod",
     "Min",
@@ -38,6 +41,9 @@ __all__ = [
     "EQ",
     "NE",
     "And",
+    "UnaryOp",
+    "Exp",
+    "Tanh",
     "BufferLoad",
     "const",
     "as_expr",
@@ -117,6 +123,12 @@ class PrimExpr:
 
     def __rmul__(self, other):
         return Mul(as_expr(other), self)
+
+    def __truediv__(self, other):
+        return Div(self, as_expr(other))
+
+    def __rtruediv__(self, other):
+        return Div(as_expr(other), self)
 
     def __floordiv__(self, other):
         return FloorDiv(self, as_expr(other))
@@ -228,6 +240,12 @@ class Mul(BinaryOp):
     op_name = "*"
 
 
+class Div(BinaryOp):
+    """True (float) division."""
+
+    op_name = "/"
+
+
 class FloorDiv(BinaryOp):
     op_name = "//"
 
@@ -280,6 +298,29 @@ class And(BinaryOp):
 
     def __init__(self, a, b) -> None:
         super().__init__(a, b, dtype="bool")
+
+
+class UnaryOp(PrimExpr):
+    """Common base for the float intrinsics: ``op_name(a)``."""
+
+    __slots__ = ("a",)
+    op_name = "?"
+
+    def __init__(self, a) -> None:
+        a = as_expr(a)
+        super().__init__(a.dtype if a.dtype.startswith("float") else "float32")
+        self.a = a
+
+    def children(self):
+        return (self.a,)
+
+
+class Exp(UnaryOp):
+    op_name = "exp"
+
+
+class Tanh(UnaryOp):
+    op_name = "tanh"
 
 
 class BufferLoad(PrimExpr):

@@ -18,6 +18,7 @@ _PRECEDENCE = {
     E.Add: 4,
     E.Sub: 4,
     E.Mul: 5,
+    E.Div: 5,
     E.FloorDiv: 5,
     E.FloorMod: 5,
 }
@@ -36,6 +37,8 @@ def expr_to_str(expr: E.PrimExpr, parent_prec: int = 0) -> str:
     if isinstance(expr, (E.Min, E.Max)):
         name = "min" if isinstance(expr, E.Min) else "max"
         return f"{name}({expr_to_str(expr.a)}, {expr_to_str(expr.b)})"
+    if isinstance(expr, E.UnaryOp):
+        return f"{expr.op_name}({expr_to_str(expr.a)})"
     if isinstance(expr, E.BinaryOp):
         prec = _PRECEDENCE.get(type(expr), 3)
         text = (

@@ -306,6 +306,9 @@ def simplify(expr: E.PrimExpr) -> E.PrimExpr:
         result = _rewrite_binary(expr)
     elif type(expr) is E.BufferLoad:
         result = _simplify_load(expr)
+    elif isinstance(expr, E.UnaryOp):
+        a = simplify(expr.a)
+        result = expr if a is expr.a else type(expr)(a)
     else:  # a leaf read back from a pickle, which drops the mark
         result = expr
     result._normal = True

@@ -71,6 +71,11 @@ def _mutate_binary(mutator: "ExprMutator", node: E.BinaryOp) -> E.PrimExpr:
     return type(node)(a, b)
 
 
+def _mutate_unary(mutator: "ExprMutator", node: E.UnaryOp) -> E.PrimExpr:
+    a = mutator.visit(node.a)
+    return node if a is node.a else type(node)(a)
+
+
 def _mutate_load(mutator: "ExprMutator", node: E.BufferLoad) -> E.PrimExpr:
     idx = [mutator.visit(i) for i in node.indices]
     if all(n is o for n, o in zip(idx, node.indices)):
@@ -81,6 +86,9 @@ def _mutate_load(mutator: "ExprMutator", node: E.BufferLoad) -> E.PrimExpr:
 _EXPR_REBUILD: Dict[type, Callable] = {
     cls: _mutate_binary for cls in _NODE_TYPES if issubclass(cls, E.BinaryOp)
 }
+_EXPR_REBUILD.update(
+    (cls, _mutate_unary) for cls in _NODE_TYPES if issubclass(cls, E.UnaryOp)
+)
 _EXPR_REBUILD[E.BufferLoad] = _mutate_load
 
 

@@ -81,9 +81,11 @@ class FunctionalExecutor:
         self.module = module
         self.mode = mode  # None -> read REPRO_SIM_MODE per phase
         self._grid_points: Optional[List[tuple]] = None
-        #: The module's vector plan once a call has needed it: the plan
-        #: cache is a locked lookup, and the module never changes.
+        #: The module's vector plan and host programs once a call has
+        #: needed them: the plan cache is a locked lookup, and the module
+        #: never changes.
         self._kernel_plan = None
+        self._host_programs: Dict[str, object] = {}
 
     # -- mode plumbing ------------------------------------------------------
     def _mode(self) -> str:
@@ -97,9 +99,14 @@ class FunctionalExecutor:
         return self._kernel_plan
 
     def _host_program(self, which: str):
-        from .vectorize import host_program_for
+        program = self._host_programs.get(which)
+        if program is None:
+            from .vectorize import host_program_for
 
-        return host_program_for(self.module, which)
+            program = self._host_programs[which] = host_program_for(
+                self.module, which
+            )
+        return program
 
     def prepare(self, inputs: Dict[str, np.ndarray]) -> Dict[Buffer, np.ndarray]:
         """Bind named inputs, allocate outputs, run the host preamble."""

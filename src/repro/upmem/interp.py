@@ -22,8 +22,10 @@ from ..tir import (
     Buffer,
     BufferLoad,
     BufferStore,
+    Div,
     DmaCopy,
     EQ,
+    Exp,
     FloatImm,
     FloorDiv,
     FloorMod,
@@ -42,6 +44,7 @@ from ..tir import (
     SeqStmt,
     Stmt,
     Sub,
+    Tanh,
     Var,
 )
 
@@ -72,6 +75,13 @@ def _binop(op):
     return ev
 
 
+def _unary(ufunc):
+    def ev(self, expr, env):
+        return ufunc(self.eval(expr.a, env))
+
+    return ev
+
+
 def _ev_and(self, expr, env):
     return bool(self.eval(expr.a, env)) and bool(self.eval(expr.b, env))
 
@@ -90,6 +100,7 @@ _EVAL = {
     Add: _binop(operator.add),
     Sub: _binop(operator.sub),
     Mul: _binop(operator.mul),
+    Div: _binop(operator.truediv),
     FloorDiv: _binop(operator.floordiv),
     FloorMod: _binop(operator.mod),
     Min: _binop(min),
@@ -101,6 +112,10 @@ _EVAL = {
     EQ: _binop(operator.eq),
     NE: _binop(operator.ne),
     And: _ev_and,
+    # The float32 ufuncs the workloads' NumPy references call: on a
+    # float32 scalar they return the array result's bits.
+    Exp: _unary(np.exp),
+    Tanh: _unary(np.tanh),
     BufferLoad: _ev_load,
 }
 

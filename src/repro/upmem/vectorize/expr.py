@@ -55,8 +55,8 @@ import numpy as np
 
 from ...tir import (
     EQ, GE, GT, LE, LT, NE, Add, And, BinaryOp, Buffer, BufferLoad, CmpOp,
-    FloatImm, FloorDiv, FloorMod, IntImm, Max, Min, Mul, PrimExpr, Sub, Var,
-    collect_loads, free_vars,
+    Div, Exp, FloatImm, FloorDiv, FloorMod, IntImm, Max, Min, Mul, PrimExpr,
+    Sub, Tanh, Var, collect_loads, free_vars,
 )
 from ..interp import InterpError
 
@@ -108,8 +108,10 @@ def _weak(e: PrimExpr):
         return 0.0
     if isinstance(e, BinaryOp) and not isinstance(e, (CmpOp, And)):
         ka, kb = _weak(e.a), _weak(e.b)
-        return None if ka is None or kb is None else ka + kb
-    return None
+        if ka is None or kb is None:
+            return None
+        return 0.0 if isinstance(e, Div) else ka + kb  # int / int is a float
+    return None  # a load, a comparison, or an intrinsic's NumPy value
 
 
 def _meet(weak, strong, kind):
@@ -261,6 +263,8 @@ class _ExprCompiler:
             return self._and(e)
         if type(e) in _BINOPS:
             return self._binary(e)
+        if type(e) in _UNARY:
+            return self._unary(e)
         if isinstance(e, BufferLoad):
             return self._load(e)
         raise VectorizeError(f"cannot vectorize {type(e).__name__}")
@@ -315,6 +319,11 @@ class _ExprCompiler:
         if met is not None:
             return (lambda ctx: op(*met(ctx))), dep
         return (lambda ctx: op(a(ctx), b(ctx))), dep
+
+    def _unary(self, e) -> Tuple[Callable, int]:
+        a, dep = self.compile(e.a)
+        ufunc = _UNARY[type(e)]
+        return (lambda ctx: ufunc(a(ctx))), dep
 
     def _minmax(self, e) -> Tuple[Callable, int]:
         a, b, met, dep = self.operands(e.a, e.b)
@@ -386,15 +395,47 @@ class _ExprCompiler:
             return None
         return _axis_slice(v, step, dim)
 
+    def lane_index(self, e: PrimExpr, dim: int) -> Optional[np.ndarray]:
+        """Index ``e`` over a host program's lanes as the ``(L,)`` array
+        of its :meth:`lane_values`, when every one lies inside
+        ``[0, dim)`` — proved when the plan is built, so no call tests
+        it — else None."""
+        v = self.lane_values(e)
+        if v is None or v.min() < 0 or v.max() >= dim:
+            return None
+        return v
+
     def checked_at(self, buffer: Buffer, exprs: Sequence[PrimExpr], fns=None):
         """``fn(ctx) -> tuple`` of an access's indices as ``_checked``
-        passes them, the proved immediates (:func:`_immediates`) and
-        lane slices (:meth:`lane_slice`) as constants: an access with
-        nothing else is one resident tuple.  A lane slice needs every
-        other index lane-invariant, as :meth:`_lane_view`'s loads do: a
-        slice beside an ``(L,)`` index would address their outer
-        product.  ``fns`` are the compiled ``exprs``, if the caller has
-        them."""
+        passes them, the proved immediates (:func:`_immediates`), lane
+        slices (:meth:`lane_slice`) and lane indices
+        (:meth:`lane_index`) as constants: an access with nothing else
+        is one resident tuple (:meth:`lane_constants`).  A lane slice
+        needs every other index lane-invariant, as :meth:`_lane_view`'s
+        loads do: a slice beside an ``(L,)`` index would address their
+        outer product.  ``fns`` are the compiled ``exprs``, if the
+        caller has them."""
+        steps = self._steps(buffer, exprs, fns)
+        if all(f is None for f, _ in steps):
+            const = tuple(v for _, v in steps)
+            return lambda ctx: const
+        return lambda ctx: tuple(
+            v if f is None else _checked(ctx, buffer, v, f(ctx))
+            for f, v in steps
+        )
+
+    def lane_constants(self, buffer: Buffer, exprs: Sequence[PrimExpr], fns=None):
+        """The index tuple of an access whose every index
+        :meth:`checked_at` proves when the plan is built (a host
+        program's lane slices and lane indices, immediates); else None."""
+        steps = self._steps(buffer, exprs, fns)
+        if any(f is not None for f, _ in steps):
+            return None
+        return tuple(v for _, v in steps)
+
+    def _steps(self, buffer: Buffer, exprs: Sequence[PrimExpr], fns):
+        """Per index, ``(None, constant)`` where it is proved when the
+        plan is built, else ``(fn, dimension)``."""
         compiled = [self.compile(e) for e in exprs]
         if fns is None:
             fns = [f for f, _ in compiled]
@@ -406,15 +447,12 @@ class _ExprCompiler:
             if proved:
                 steps.append((None, e.value))
                 continue
-            sl = self.lane_slice(e, buffer.shape[d]) if sliceable else None
+            dim = buffer.shape[d]
+            sl = self.lane_slice(e, dim) if sliceable else None
+            if sl is None:
+                sl = self.lane_index(e, dim)
             steps.append((f, d) if sl is None else (None, sl))
-        if all(f is None for f, _ in steps):
-            const = tuple(v for _, v in steps)
-            return lambda ctx: const
-        return lambda ctx: tuple(
-            v if f is None else _checked(ctx, buffer, v, f(ctx))
-            for f, v in steps
-        )
+        return steps
 
     def _load(self, e: BufferLoad) -> Tuple[Callable, int]:
         buffer = e.buffer
@@ -459,6 +497,17 @@ class _ExprCompiler:
         def slow(ctx):
             return checked(ctx, ctx.bufs[buffer], [f(ctx) for f in fns])
 
+        at = None if batched else self.lane_constants(buffer, e.indices, fns)
+        if at is not None:
+            # A host buffer read at its lanes' own indices: a view through
+            # a lane slice, a gather through lane indices (a 2-D nest, a
+            # row value broadcast along it).
+
+            def fn(ctx):
+                v = ctx.bufs[buffer][at]
+                return v[:, None] if axis_mode else v
+
+            return fn, dep
         view = self._lane_view(buffer, e.indices, fns, deps, test, slow)
         if view is not None:
             return view, dep
@@ -529,6 +578,7 @@ _BINOPS = {
     Add: operator.add,
     Sub: operator.sub,
     Mul: operator.mul,
+    Div: operator.truediv,
     FloorDiv: operator.floordiv,
     FloorMod: operator.mod,
     LT: operator.lt,
@@ -538,3 +588,6 @@ _BINOPS = {
     EQ: operator.eq,
     NE: operator.ne,
 }
+
+#: The intrinsics, as the ufuncs the scalar interpreter calls.
+_UNARY = {Exp: np.exp, Tanh: np.tanh}

@@ -26,7 +26,12 @@ to start from -0.0, not its default +0.0, which would turn a lane of all
 -0.0 terms into +0.0; and its rows are padded to whole SIMD registers so
 NaN + NaN keeps the accumulator's NaN, as ``np.add.accumulate`` does
 (:data:`_FOLD_ALIGN` says where the scalar path's NaN differs).
-``TestAccumulateContract`` pins each of these NumPy behaviours.
+``TestAccumulateContract`` pins each of these NumPy behaviours.  A
+``max`` fold (a softmax epilogue's row max) is ``np.maximum.accumulate``
+along each row (:func:`_fold_max`): the ``np.maximum(acc, x)`` steps a
+lane loop takes, so it differs from the scalar interpreter's built-in
+``max`` only where a summand is NaN or ties the accumulator with the
+other signed zero, as every vector ``max`` does.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...tir import (
-    Add, Barrier, BufferStore, DmaCopy, For, IfThenElse, IntImm, Mul,
+    Add, Barrier, BufferStore, DmaCopy, For, IfThenElse, IntImm, Max, Mul,
     SeqStmt, Stmt, Sub, free_vars,
 )
 from .expr import (
@@ -309,8 +314,22 @@ def _fold(w: np.ndarray, rows: np.ndarray, stops=None) -> np.ndarray:
     return out
 
 
+def _fold_max(w: np.ndarray, rows, stops=None) -> np.ndarray:
+    """:func:`_fold` for a ``max`` fold (a softmax epilogue's row max):
+    ``np.maximum.accumulate`` along each row of ``w`` — the loop's
+    step-by-step ``np.maximum(acc, x)`` — read at column ``stops[lane]``
+    (the last when None)."""
+    acc = np.maximum.accumulate(w, axis=1)
+    return acc[:, -1] if stops is None else acc[np.arange(len(w)), stops]
+
+
+#: The fold of each combiner :class:`_VecReduceOp` scans.
+_FOLDS = {Add: _fold, Max: _fold_max}
+
+
 class _VecReduceOp:
-    """``for k in extent: T[i] = T[i] + rest(k)`` as one sequential scan.
+    """``for k in extent: T[i] = T[i] + rest(k)`` as one sequential scan
+    (or ``max`` in place of ``+``: a host epilogue's row max).
 
     Each slab's scan buffer (the accumulator, then the summands) goes to
     :func:`_fold`, a strict left fold, so the partial sums match the
@@ -328,7 +347,8 @@ class _VecReduceOp:
     ``(None, fn)`` and ``(fn(ctx),)`` is copied there.
     """
 
-    def __init__(self, plan, target, at, efn, edep, rest, generic):
+    def __init__(self, plan, target, at, efn, edep, rest, generic, fold=_fold):
+        self.fold = fold
         self.plan = plan
         self.target = target
         self.batched = target in plan.batched
@@ -381,7 +401,7 @@ class _VecReduceOp:
                     w[:, 1:] = args[0]
                 else:
                     self.ufunc(*args, out=w[:, 1:])
-                acc = _fold(
+                acc = self.fold(
                     w, rows,
                     None if trips is None else np.clip(trips - lo, 0, width),
                 )
@@ -521,12 +541,13 @@ class _StmtCompiler:
 
     def _try_reduce(self, stmt: For, efn, edep):
         var = stmt.var
-        rest = _reduction(stmt.body, (var,))
+        rest = _reduction(stmt.body, (var,), tuple(_FOLDS))
         if rest is None:
             return None
+        fold = _FOLDS[type(stmt.body.value)]
         target, idx = stmt.body.buffer, stmt.body.indices
         ax = _ExprCompiler(self.plan, axis_var=var)
-        ufunc = _SCAN_UFUNCS.get(type(rest))
+        ufunc = _SCAN_UFUNCS.get(type(rest)) if fold is _fold else None
         if ufunc is None:
             fn, _ = ax.compile(rest)
 
@@ -543,7 +564,7 @@ class _StmtCompiler:
         at = self.expr.checked_at(target, idx)
         generic = self._generic_for(stmt, efn, edep)
         return _VecReduceOp(
-            self.plan, target, at, efn, edep, (ufunc, operands), generic
+            self.plan, target, at, efn, edep, (ufunc, operands), generic, fold
         )
 
     def _try_map(self, stmt: For, efn, edep):

@@ -78,12 +78,15 @@ def _loads_buffer(expr: PrimExpr, buffer: Buffer) -> bool:
     return any(ld.buffer is buffer for ld in collect_loads(expr))
 
 
-def _reduction(body: Stmt, loop_vars: Sequence[Var]) -> Optional[PrimExpr]:
-    """The summand of ``T[i] = T[i] + rest`` (either operand order) if
-    ``body`` is that store, ``i`` uses none of ``loop_vars`` and ``rest``
-    does not read ``T``; else None.  (A summand of another dtype than
-    ``T`` is scanned step by step: ``ops._VecReduceOp``.)"""
-    if not isinstance(body, BufferStore) or not isinstance(body.value, Add):
+def _reduction(
+    body: Stmt, loop_vars: Sequence[Var], combiners: tuple = (Add,)
+) -> Optional[PrimExpr]:
+    """The summand of ``T[i] = T[i] + rest`` (either operand order; with
+    ``combiners``, ``max`` in place of ``+``) if ``body`` is that
+    store, ``i`` uses none of ``loop_vars`` and ``rest`` does not read
+    ``T``; else None.  (A summand of another dtype than ``T`` is scanned
+    step by step: ``ops._VecReduceOp``.)"""
+    if not isinstance(body, BufferStore) or type(body.value) not in combiners:
         return None
     target, idx, val = body.buffer, body.indices, body.value
     if any(v in free_vars(i) for i in idx for v in loop_vars):

@@ -2,7 +2,9 @@
 
 from .gptj import GPTJ_30B, GPTJ_6B, GPTJConfig, fc_mtv, fc_shapes, mha_mmtv
 from .registry import SIZED_WORKLOADS, make_workload, size_labels, workload_names
-from .tensor_ops import Workload, geva, gemv, mmtv, mtv, red, ttv, va
+from .tensor_ops import (
+    Workload, geva, gemv, mmtv, mtv, red, ttv, va, with_epilogue,
+)
 
 __all__ = [
     "Workload",
@@ -13,6 +15,7 @@ __all__ = [
     "gemv",
     "ttv",
     "mmtv",
+    "with_epilogue",
     "make_workload",
     "workload_names",
     "size_labels",

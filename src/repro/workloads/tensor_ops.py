@@ -10,7 +10,7 @@ logical dimensions, with the standard 4/64/256/512 MB instances defined in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "gemv",
     "ttv",
     "mmtv",
+    "with_epilogue",
 ]
 
 
@@ -46,6 +47,23 @@ class Workload:
     #: KV cache): the paper's "constant tensors ... transferred once
     #: before kernel launches" (§5.4).
     const_inputs: frozenset = frozenset()
+    #: The tensor the sketch distributes across DPUs: ``output`` itself,
+    #: or the base program's output when host epilogue stages follow it
+    #: (:func:`with_epilogue`).
+    kernel_output: Optional[Tensor] = None
+
+    def __post_init__(self) -> None:
+        if self.kernel_output is None:
+            self.kernel_output = self.output
+
+    @property
+    def kernel_inputs(self) -> List[Tensor]:
+        """The inputs the kernel reads (in declaration order); the rest
+        only the host epilogue reads."""
+        if self.kernel_output is self.output:
+            return self.inputs
+        reads = set(self.kernel_output.op.input_buffers())
+        return [t for t in self.inputs if t.buffer in reads]
 
     @property
     def bytes_in(self) -> int:
@@ -206,4 +224,42 @@ def mmtv(m: int, n: int, k: int) -> Workload:
         reduce_extent=k,
         params={"m": m, "n": n, "k": k},
         const_inputs=frozenset({"A"}),
+    )
+
+
+def with_epilogue(
+    base: Workload,
+    epilogue: Callable[..., Tensor],
+    reference: Callable[..., np.ndarray],
+    flops: float,
+    extra_inputs: Sequence[Tensor] = (),
+) -> Workload:
+    """``base`` followed by host epilogue stages, as one program.
+
+    ``epilogue(C, *extra_inputs)`` builds the stages over ``base``'s
+    output ``C`` and returns the last; ``reference(c, *extra)`` is their
+    NumPy semantics and ``flops`` their work.  The result keeps
+    ``base``'s name, shape and params, so its family, sketch parameters
+    and tuning space are ``base``'s: the sketch distributes ``C``
+    (:attr:`Workload.kernel_output`) and leaves the stages unbound, so
+    the lowering emits them as ``host_post`` statements.  An extra
+    input only the epilogue reads never crosses to the DPUs.
+    """
+    n = len(base.inputs)
+    base_reference = base.reference
+
+    def fused(*arrays):
+        return reference(base_reference(*arrays[:n]), *arrays[n:])
+
+    return Workload(
+        name=base.name,
+        inputs=list(base.inputs) + list(extra_inputs),
+        output=epilogue(base.output, *extra_inputs),
+        reference=fused,
+        flops=base.flops + flops,
+        shape=base.shape,
+        reduce_extent=base.reduce_extent,
+        params=dict(base.params),
+        const_inputs=base.const_inputs,
+        kernel_output=base.output,
     )

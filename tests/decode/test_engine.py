@@ -31,11 +31,13 @@ class TestEpochs:
         engine = tiny_engine()
         result = engine.decode(tokens=6, prompt_tokens=6)
         first, boundary = result.steps[0], result.steps[3]
-        # First epoch loads the whole program set; the page-boundary
-        # epoch pool-hits every capacity-independent program and loads
-        # only the attention operators sized to the new capacity.
-        assert first.compiled_programs > 6
-        assert 0 < boundary.compiled_programs < 6
+        # First epoch loads the whole program set, one per node of a
+        # layer; the page-boundary epoch pool-hits every
+        # capacity-independent program and loads only the two attention
+        # programs sized to the new capacity (the score MMTV with its
+        # softmax epilogue, the value MMTV).
+        assert first.compiled_programs == 6
+        assert boundary.compiled_programs == 2
 
     def test_epoch_keys_pinned_in_pool(self):
         engine = tiny_engine()

@@ -3,15 +3,19 @@
 The tiny GPT-J configuration keeps functional simulation cheap (the
 whole decode step is a few ms of host time) while preserving the real
 graph topology: ``n_heads * head_dim == d_model``, four FC-shape MTVs,
-per-head attention, glue, residuals.
+per-head attention, the softmax/GELU/residual host epilogues.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+import repro
+from repro import te
 from repro.graph import ModelGraph, gptj_decoder_graph
-from repro.workloads import GPTJConfig, mtv, va
+from repro.workloads import GPTJConfig, Workload, mtv, va
 
 TINY = GPTJConfig("gptj-tiny", n_heads=2, d_model=32, head_dim=16)
 
@@ -42,3 +46,66 @@ def chain_graph() -> ModelGraph:
     g.add_node("add", va(16), {"A": "t1", "B": "x2"}, "t2", params=vsmall)
     g.add_node("h2", mtv(16, 16), {"A": "w2", "B": "t2"}, "y", params=small)
     return g
+
+
+# -- the glue the builders emitted before it became host epilogues ----------
+
+
+def host_glue(in_shapes, out_shape, flops: float) -> Workload:
+    """A host-only glue workload as the builders emitted one: NumPy
+    semantics, a placeholder output, no sketch."""
+    inputs = [
+        te.placeholder(shape, "float32", f"I{n}")
+        for n, shape in enumerate(in_shapes)
+    ]
+    return Workload(
+        name="glue", inputs=inputs,
+        output=te.placeholder(tuple(out_shape), "float32", "C"),
+        reference=lambda *arrays: arrays[0], flops=flops,
+        shape=tuple(out_shape),
+    )
+
+
+def cpu_line_s(workload: Workload) -> float:
+    """The compute line the cpu target charges for ``workload``."""
+    return repro.compile(workload, target="cpu").profile().latency.total
+
+
+def removed_glue_s(config: GPTJConfig, span: int, masked: bool) -> float:
+    """Per layer, what the cpu target charged for the four glue nodes
+    that became host epilogues: the (masked) softmax, GELU and the two
+    residual adds."""
+    d, heads = config.d_model, config.n_heads
+    softmax = host_glue(
+        [(heads, span)] + ([(span,)] if masked else []), (heads, span),
+        (6.0 if masked else 5.0) * heads * span,
+    )
+    gelu = host_glue([(4 * d,)], (4 * d,), 8.0 * 4 * d)
+    return cpu_line_s(softmax) + cpu_line_s(gelu) + 2 * cpu_line_s(va(d))
+
+
+def base_of(workload: Workload) -> Workload:
+    """The program a host-epilogue workload fuses into (itself when it
+    has no epilogue): its kernel inputs and output, for pricing only."""
+    return replace(
+        workload, inputs=workload.kernel_inputs,
+        output=workload.kernel_output, kernel_output=None,
+    )
+
+
+def epilogue_lines_s(exe) -> dict:
+    """Per node of a compiled graph, the compute its host epilogue adds:
+    the node's compute line minus its base program's, compiled for the
+    same target with the same params (0 for a node without one)."""
+    gained = {}
+    for cost, node in zip(exe.profile().nodes, exe.graph.topological_order()):
+        base = base_of(node.workload)
+        if base.output is node.workload.output:
+            gained[node.name] = 0.0
+            continue
+        lat = repro.compile(
+            base, target=exe.placement[node.name], params=node.params,
+        ).profile().latency
+        line = lat.total if cost.target == "cpu" else lat.launch + lat.kernel + lat.host
+        gained[node.name] = cost.compute_s - line
+    return gained

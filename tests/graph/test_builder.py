@@ -31,9 +31,10 @@ from .conftest import TINY
 class TestTopology:
     def test_node_count_does_not_scale_with_heads(self):
         g = gptj_decoder_graph(TINY, tokens=4)
-        # qkv, score, softmax, value, proj, fc, gelu, fc_proj, 2 va (the
-        # query slice and the head reshape are views)
-        assert len(g) == 10
+        # qkv, score (+softmax), value, proj (+residual), fc (+gelu),
+        # fc_proj (+residual): the glue is host epilogues, and the query
+        # slice and the head reshape are views
+        assert len(g) == 6
         assert g.output_names == ["y"]
 
     def test_uses_all_four_fc_shapes(self):
@@ -365,14 +366,14 @@ class TestPaperAttention:
     def test_three_layer_step_size(self):
         g = gptj_model_graph(GPTJ_SIM, 3, 8)
         placement = place(g)
-        assert len(g) == 30
-        assert sum(t.kind == "upmem" for t in placement.values()) == 18
+        assert len(g) == 18
+        assert all(t.kind == "upmem" for t in placement.values())
 
 
 class TestModelGraph:
     def test_layers_chain_through_hidden_states(self):
         g = gptj_model_graph(TINY, layers=3, capacity=8)
-        per_layer = 10  # the decoder's nodes: the k/v rows are views
+        per_layer = 6  # the decoder's nodes: the k/v rows are views
         assert len(g) == 3 * per_layer
         assert g.output_names == [
             "k_new_L0", "v_new_L0", "k_new_L1", "v_new_L1",

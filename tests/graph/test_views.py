@@ -6,7 +6,8 @@ NumPy view of its base (equal to the reference, sharing memory), the
 memory planner keeps the base alive for the view's readers, the
 signature tells views apart, bad declarations name the view, and the
 cost model prices a view as the host glue it replaced minus that glue's
-compute line.
+compute line (as it does the glue that became host epilogues, minus
+the host lines the epilogues add).
 """
 
 import numpy as np
@@ -25,10 +26,9 @@ from repro.graph import (
     gptj_model_graph,
     plan_memory,
 )
-from repro.graph.builder import _glue
 from repro.workloads import va
 
-from .conftest import TINY
+from .conftest import TINY, cpu_line_s, epilogue_lines_s, host_glue, removed_glue_s
 
 
 def _viewed(n: int = 16) -> ModelGraph:
@@ -303,38 +303,39 @@ def _graph(kind):
 
 
 def _removed_glue_s(kind) -> float:
-    """What the host charged for the glue nodes the views replaced: the
-    same zero-flop workloads, priced by the cpu target."""
+    """What the host charged for the glue nodes the views and the host
+    epilogues replaced: the same workloads, priced by the cpu target."""
     d, heads, hd = GPTJ_SIM.d_model, GPTJ_SIM.n_heads, GPTJ_SIM.head_dim
 
     def price(in_shape, out_shape):
-        wl = _glue(
-            "glue", [te.placeholder(in_shape, "float32", "A")],
-            out_shape, lambda a: a, flops=0.0, params={},
-        )
-        return repro.compile(wl, target="cpu").profile().latency.total
+        return cpu_line_s(host_glue([in_shape], out_shape, flops=0.0))
 
     per_layer = price((3 * d,), (heads, hd)) + price((heads, hd), (d,))
     if kind == "decoder":
-        return per_layer
-    return 3 * (per_layer + 2 * price((3 * d,), (d,)))
+        return per_layer + removed_glue_s(GPTJ_SIM, 16, masked=False)
+    per_layer += 2 * price((3 * d,), (d,))
+    return 3 * (per_layer + removed_glue_s(GPTJ_SIM, 8, masked=True))
 
 
 class TestPricing:
     @pytest.mark.parametrize("policy", ["default", "cpu", "mixed"])
     @pytest.mark.parametrize("kind", ["model", "decoder"])
     def test_the_step_falls_by_the_removed_compute_lines(self, kind, policy):
-        profile = compile_graph(_graph(kind), policy=policy).profile()
+        exe = compile_graph(_graph(kind), policy=policy)
+        profile = exe.profile()
         assert profile.steady_state_s == pytest.approx(
             sum(cost.total_s for cost in profile.nodes), rel=1e-12
         )
-        want = _BEFORE_US[kind, policy] * 1e-6 - _removed_glue_s(kind)
+        want = (
+            _BEFORE_US[kind, policy] * 1e-6 - _removed_glue_s(kind)
+            + sum(epilogue_lines_s(exe).values())
+        )
         assert profile.steady_state_s == pytest.approx(want, rel=1e-9)
 
-    def test_three_layer_step_is_about_1893_us(self):
+    def test_three_layer_step_is_about_1540_us(self):
         profile = compile_graph(_graph("model")).profile()
-        assert len(profile.nodes) == 30
-        assert profile.steady_state_s * 1e6 == pytest.approx(1893.1, abs=0.05)
+        assert len(profile.nodes) == 18
+        assert profile.steady_state_s * 1e6 == pytest.approx(1540.1, abs=0.05)
 
     @pytest.mark.parametrize("policy", ["default", "mixed"])
     @pytest.mark.parametrize("kind", ["model", "decoder"])

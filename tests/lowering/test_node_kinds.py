@@ -1,7 +1,10 @@
 """The IR holds what the lowering emits: a census of the golden corpus.
 
 Every lowered module of the corpus at O0 and O3 — its kernel, host
-programs and transfer bases — is walked once.  Every concrete statement
+programs and transfer bases — is walked once, and so is every program
+of the GPT-J graph builders, whose host epilogues (softmax, GELU,
+residual adds) hold the float ``/`` and the ``exp``/``tanh``
+intrinsics no corpus kernel may.  Every concrete statement
 kind and loop kind occurs, and every concrete expression kind occurs or
 is allowed below with the reason it exists.  A node kind that no
 lowering emits fails here: delete it with its handlers instead.
@@ -13,6 +16,7 @@ import pytest
 
 import repro
 from repro.autotune.sketch import generate_schedule
+from repro.graph import GPTJ_SIM, gptj_decoder_graph, gptj_model_graph
 from repro.tir import For, ForKind, PrimExpr, Stmt, StmtVisitor
 from repro.workloads import tensor_ops
 
@@ -20,8 +24,6 @@ from .golden_corpus import LEVELS, draws
 
 #: Expression kinds the emitted modules hold none of: {kind: why it stays}.
 UNEMITTED = {
-    "Sub": "`-` and the tile offsets of `lowering/bounds.py`; simplify"
-    " folds every one into an affine sum",
     "FloorDiv": "`//` in fuse's index recovery (`schedule/relations.py`)"
     " and `bounds.py`; simplify folds every one the corpus builds",
     "FloorMod": "`%` in fuse's index recovery, folded as FloorDiv",
@@ -59,21 +61,33 @@ class _Census(StmtVisitor):
         super().visit_stmt(node)
 
 
-@pytest.fixture(scope="module")
-def seen():
-    census = _Census()
+def _modules():
     for _, family, shape, params in draws():
         workload = getattr(tensor_ops, family)(*shape)
         for level in LEVELS:
-            module = repro.compile(
+            yield repro.compile(
                 generate_schedule(workload, params), name=family,
                 opt_level=level,
             ).lowered
-            for stmt in (module.kernel, *module.host_pre, *module.host_post):
-                census.visit_stmt(stmt)
-            for spec in module.transfers:
-                for index in spec.base:
-                    census.visit(index)
+    for graph in (
+        gptj_decoder_graph(GPTJ_SIM, tokens=8), gptj_model_graph(GPTJ_SIM, 1, 8)
+    ):
+        for node in graph.nodes:
+            for level in LEVELS:
+                yield repro.compile(
+                    node.workload, params=node.params, opt_level=level
+                ).lowered
+
+
+@pytest.fixture(scope="module")
+def seen():
+    census = _Census()
+    for module in _modules():
+        for stmt in (module.kernel, *module.host_pre, *module.host_post):
+            census.visit_stmt(stmt)
+        for spec in module.transfers:
+            for index in spec.base:
+                census.visit(index)
     return census.seen
 
 

@@ -89,6 +89,46 @@ class TestHitMiss:
             make(te.max_reduce)
         )
 
+    def test_epilogues_differing_in_a_middle_stage_do_not_alias(self, engine):
+        """Two softmax epilogues over one MMTV that differ only in the
+        logits' scale — a middle stage: the output stage's body is the
+        same text — are two signatures, two artifacts and two pool
+        keys; a single-stage workload keeps its old signature."""
+        from repro import te
+        from repro.pipeline import workload_signature
+        from repro.serve.pool import ExecutablePool
+        from repro.workloads import mmtv, with_epilogue
+
+        def softmax(scale):
+            def epilogue(S):
+                Z = te.compute((4, 8), lambda i, j: S[i, j] / scale, "Z")
+                k = te.reduce_axis(8, "k")
+                top = te.compute(
+                    (4,), lambda i: te.max_reduce(Z[i, k], axis=k), "Z_max"
+                )
+                return te.compute(
+                    (4, 8), lambda i, j: te.exp(Z[i, j] - top[i]), "E"
+                )
+
+            return with_epilogue(mmtv(4, 8, 32), epilogue, lambda s: s, 0.0)
+
+        a, b = softmax(2.0), softmax(4.0)
+        assert repr(a.output.op.body) == repr(b.output.op.body)
+        assert workload_signature(a) != workload_signature(b)
+        params = {
+            "i_dpus": 2, "j_dpus": 2, "k_dpus": 1, "n_tasklets": 2,
+            "cache": 16, "host_threads": 1, "unroll": 0,
+        }
+        assert artifact_key(a, params) != artifact_key(b, params)
+        assert ExecutablePool.key_for(a, "upmem", params) != (
+            ExecutablePool.key_for(b, "upmem", params)
+        )
+        assert engine.compile(a, params).module is not engine.compile(
+            b, params
+        ).module
+        assert len(workload_signature(mtv(64, 64))) == 9
+        assert len(workload_signature(a)) == 10
+
     def test_none_config_normalized_to_default(self, wl, engine):
         from repro.upmem.config import DEFAULT_CONFIG
 

@@ -72,10 +72,6 @@ class TestStrictFrontDoor:
         with pytest.raises(TypeError, match="size"):
             repro.compile(mtv(64, 64), target="upmem", size="64MB")
 
-    def test_total_macs_on_cpu_raises(self):
-        with pytest.raises(TypeError, match="total_macs"):
-            repro.compile(mtv(64, 64), target="cpu", total_macs=4096)
-
     def test_unknown_keyword_with_a_graph_raises(self):
         from ..graph.conftest import chain_graph
 

@@ -154,3 +154,28 @@ class TestConjunction:
 
     def test_repr_uses_printer(self):
         assert "i" in repr(Var("i") + 1)
+
+
+class TestHostFloatOps:
+    """Float ``/`` and the ``exp``/``tanh`` intrinsics of host epilogues."""
+
+    def test_true_division_builds_div(self):
+        x = tir.BufferLoad(Buffer("X", (4,), "float32"), [Var("i")])
+        node = x / 2.0
+        assert isinstance(node, tir.Div) and node.dtype == "float32"
+        assert isinstance(1.0 / x, tir.Div)
+        assert repr((x + 1.0) / x) == "(X[i] + 1.0) / X[i]"
+
+    def test_intrinsics_print_simplify_and_rebuild(self):
+        from repro.tir import substitute
+
+        i, j = Var("i"), Var("j")
+        x = tir.BufferLoad(Buffer("X", (8,), "float32"), [i + 0])
+        node = tir.Exp(tir.Tanh(x))
+        assert node.dtype == "float32"
+        assert repr(node) == "exp(tanh(X[i + 0]))"
+        # simplify reaches the load under the intrinsics
+        assert repr(tir.simplify(node)) == "exp(tanh(X[i]))"
+        swapped = substitute(node, {i: j})
+        assert type(swapped) is tir.Exp and repr(swapped) == "exp(tanh(X[j + 0]))"
+        assert substitute(node, {Var("k"): j}) is node
