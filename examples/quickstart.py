@@ -23,9 +23,10 @@ Walks the ATiM flow around the single entry point
    flushed on batch size or virtual-clock age — wall time never enters
    the decision path) and reports simulated throughput and tail latency;
 6. build a whole GPT-J decoder-layer decode step as a
-   ``repro.graph.ModelGraph`` — the multi-head attention MMTVs, the four
-   FC-shape MTVs, host-side glue — compile it through the same front
-   door (placement puts matvecs on PIM, glue on the CPU), run it
+   ``repro.graph.ModelGraph`` — the multi-head attention MMTVs and the
+   four FC-shape MTVs, the softmax, GELU and residual adds as host
+   epilogues of those programs — compile it through the same front
+   door (placement puts the matvecs on PIM), run it
    bit-for-bit against the per-op path, and print the fig17-style
    per-node latency breakdown plus the memory planner's buffer reuse;
 7. decode end-to-end with ``repro.decode.DecodeEngine``: N layers x T
@@ -223,7 +224,7 @@ def serving() -> None:
 def model_graphs() -> None:
     # 6. Model graphs: one GPT-J decoder-layer decode step as a DAG of
     #    the paper's ops.  The placement pass sends MMTV/MTV nodes to
-    #    the PIM target and element-wise glue to the CPU; the memory
+    #    the PIM target, their element-wise epilogues with them; the memory
     #    planner reuses dead intermediate buffers over the deterministic
     #    topological order; the latency model pays host<->DPU transfers
     #    only where an edge crosses the placement boundary and weight/
