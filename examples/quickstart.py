@@ -223,23 +223,29 @@ def serving() -> None:
 
 def model_graphs() -> None:
     # 6. Model graphs: one GPT-J decoder-layer decode step as a DAG of
-    #    the paper's ops.  The placement pass sends MMTV/MTV nodes to
-    #    the PIM target, their element-wise epilogues with them; the memory
-    #    planner reuses dead intermediate buffers over the deterministic
-    #    topological order; the latency model pays host<->DPU transfers
-    #    only where an edge crosses the placement boundary and weight/
-    #    KV-cache staging once per load.  (Scaled config + small grids:
-    #    the functional simulator executes every node.)
-    from repro.graph import gptj_decoder_graph, plan_memory
+    #    the paper's ops -- the 1-layer model graph, its attention mask
+    #    all zeros (every cache position valid).  The placement pass
+    #    sends MMTV/MTV nodes to the PIM target, their element-wise
+    #    epilogues with them; the memory planner reuses dead
+    #    intermediate buffers over the deterministic topological order;
+    #    the latency model pays host<->DPU transfers only where an edge
+    #    crosses the placement boundary and weight/KV-cache staging once
+    #    per load.  (Scaled config + small grids: the functional
+    #    simulator executes every node.)
+    from repro.graph import (
+        ATTN_MASK, gptj_layer_io, gptj_model_graph, plan_memory,
+    )
     from repro.workloads import GPTJConfig
 
     config = GPTJConfig("gptj-demo", n_heads=2, d_model=64, head_dim=32)
-    graph = gptj_decoder_graph(config, tokens=8)
+    graph = gptj_model_graph(config, layers=1, capacity=8)
     exe = repro.compile(graph, target="upmem")
 
     inputs = graph.random_inputs(seed=0)
-    (y,) = exe.run(inputs)
-    ref = graph.reference_outputs(inputs)["y"]
+    inputs[ATTN_MASK][:] = 0.0
+    out = gptj_layer_io(config, 0).y
+    y = exe.run_tensors(inputs)[out]
+    ref = graph.reference_outputs(inputs)[out]
     np.testing.assert_allclose(y, ref, rtol=1e-3, atol=1e-5)
     print(f"decode step: {len(graph)} nodes -> y[:4] = {y[:4]}")
 

@@ -2,7 +2,8 @@
 
 The parameter tables, framework-overhead models and rooflines live
 here; each baseline compiles and profiles through its target —
-``repro.compile(workload, target="prim" | "simplepim" | "cpu" | "gpu")``.
+``repro.compile(workload, target="prim" | "simplepim" | "cpu")``, except
+the GPU roofline, which Fig. 4 reads directly.
 """
 
 from .cpu import CpuModel, GpuModel

@@ -25,9 +25,9 @@ is the one way to create one (its prompt rows and first hidden state
 come from ``default_rng((engine seed, hash of the name))``), and
 ``decode()`` is ``add_sequence("seq0", prompt_tokens)`` plus one
 ``step_batch(["seq0"])`` per token.  The engine always places with the
-default policy on the ``upmem`` target, pins the builder's small grids
-and plans residency with Belady's rule — options no caller set were
-removed; the model graph's tensor names and layer size come from
+``upmem`` policy, pins the builder's small grids and plans residency
+with Belady's rule — options no caller set were removed; the model
+graph's tensor names and layer size come from
 :func:`repro.graph.gptj_layer_io` / :func:`repro.graph.gptj_layer_nbytes`.
 
 Every number a decode run reports — compute, boundary transfers, weight

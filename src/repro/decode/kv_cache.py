@@ -181,11 +181,6 @@ class PagedKVCache:
 
     # -- growth --------------------------------------------------------------
     def _allocate_page(self) -> int:
-        if not self._free:
-            raise CacheError(
-                f"page pool exhausted ({self.max_pages} pages of"
-                f" {self.page_tokens} tokens)"
-            )
         pid = self._free.pop(0)
         self._pages[pid] = _Page(
             k=np.zeros((self.page_tokens, self.d_model), dtype=np.float32),
@@ -205,6 +200,8 @@ class PagedKVCache:
         rows; an append crossing a page boundary additionally allocates
         one page per layer (allocation itself moves no bytes — pages
         are carved out of device memory, not shipped from the host).
+        An append the pool cannot page for every layer raises
+        :class:`CacheError` before it changes anything.
         """
         if len(layer_rows) != self.layers:
             raise CacheError(
@@ -215,6 +212,12 @@ class PagedKVCache:
             self._raise_unknown(sequence)
         )
         slot = position % self.page_tokens
+        if slot == 0 and len(self._free) < self.layers:
+            raise CacheError(
+                f"page pool exhausted ({self.max_pages} pages of"
+                f" {self.page_tokens} tokens; {len(self._free)} free,"
+                f" {self.layers} needed)"
+            )
         new_events: List[CacheExtension] = []
         for layer, (k_row, v_row) in enumerate(layer_rows):
             k_row = np.asarray(k_row, dtype=np.float32).reshape(self.d_model)

@@ -14,11 +14,13 @@ placement boundaries and weight staging once per load.
 
 Quick tour::
 
-    from repro.graph import gptj_decoder_graph, compile_graph, plan_memory
+    from repro.graph import ATTN_MASK, compile_graph, gptj_model_graph, plan_memory
 
-    graph = gptj_decoder_graph(tokens=16)
+    graph = gptj_model_graph(layers=1, capacity=16)
     exe = compile_graph(graph, target="upmem")   # or repro.compile(graph)
-    outs = exe.run(graph.random_inputs(seed=0))
+    inputs = graph.random_inputs(seed=0)
+    inputs[ATTN_MASK][:] = 0.0                   # every cache position valid
+    outs = exe.run(inputs)
     for cost in exe.profile().nodes:
         print(cost.node, cost.target, cost.total_s)
     print(plan_memory(graph).reuse_ratio)
@@ -28,7 +30,6 @@ from .builder import (
     ATTN_MASK,
     GPTJ_SIM,
     LayerIO,
-    gptj_decoder_graph,
     gptj_layer_io,
     gptj_layer_nbytes,
     gptj_model_graph,
@@ -64,7 +65,6 @@ __all__ = [
     "LayerIO",
     "gptj_layer_io",
     "gptj_layer_nbytes",
-    "gptj_decoder_graph",
     "gptj_model_graph",
     "small_grid_params",
 ]

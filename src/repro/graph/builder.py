@@ -1,17 +1,17 @@
-"""Graph builders: the GPT-J decoder layer as a whole decode step.
+"""Graph builder: GPT-J decoder layers as a whole decode step.
 
-One decode step of a GPT-J layer (batch 1, ``tokens`` cached positions)
-built from the paper's shape helpers (:func:`repro.workloads.fc_shapes`
-gives the four FC-layer MTVs; attention is the multi-head MMTV of
-Fig. 10, :func:`repro.workloads.mha_mmtv`) — six nodes:
+One decode step of a GPT-J layer (batch 1, ``capacity`` cached
+positions) built from the paper's shape helpers
+(:func:`repro.workloads.fc_shapes` gives the four FC-layer MTVs;
+attention is the multi-head MMTV of Fig. 10,
+:func:`repro.workloads.mha_mmtv`) — six nodes:
 
 * ``qkv_gen``  — MTV (3d x d) producing the fused Q/K/V vector;
 * the query as a view of its first ``d`` elements, shaped ``(heads,
-  head_dim)``; ``attn_score`` — the score MMTV ``(heads, tokens,
+  head_dim)``; ``attn_score`` — the score MMTV ``(heads, capacity,
   head_dim)`` against the resident K cache, followed by each head's
-  scaled (and, in the model graph, masked) softmax; ``attn_value`` —
-  the value MMTV ``(heads, head_dim, tokens)`` against the (transposed)
-  resident V cache;
+  scaled, masked softmax; ``attn_value`` — the value MMTV ``(heads,
+  head_dim, capacity)`` against the (transposed) resident V cache;
 * the heads as a view shaped ``(d,)``, then ``attn_proj`` — MTV (d x d)
   followed by the first residual add, ``x + attn_out``;
 * the parallel GPT-J FF branch: ``fc`` — MTV (4d x d) followed by GELU,
@@ -38,7 +38,7 @@ comes off its host epilogue (``repro.graph.executable``).
 Weights and the KV cache enter the graph as *const* external inputs —
 staged once per load, exactly like :attr:`Workload.const_inputs` in the
 serving model.  Matrix-vector nodes carry pinned small-grid schedule
-params by default (:func:`small_grid_params`): a decode step executes
+params (:func:`small_grid_params`): a decode step executes
 every node functionally, and the simulator's *host* time grows with the
 grid — canonical max-parallelism grids cost seconds per node — while
 the tasklet count only splits each DPU's rows and costs no host time.
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from types import SimpleNamespace
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -77,7 +77,6 @@ __all__ = [
     "gptj_layer_io",
     "gptj_layer_nbytes",
     "small_grid_params",
-    "gptj_decoder_graph",
     "gptj_model_graph",
 ]
 
@@ -164,30 +163,20 @@ class LayerIO(NamedTuple):
     #: stored transposed ``(heads, head_dim, span)`` so the value
     #: contraction is an MMTV too.
     kv_cache: Tuple[str, str]
-    #: The step's freshly generated (key, value) rows — outputs of the
-    #: model graph only.
+    #: The step's freshly generated (key, value) rows, graph outputs.
     kv_new: Tuple[str, str]
 
 
-def _naming(layer: Optional[int]) -> Tuple[str, str, str]:
-    """(node-name prefix, tensor tag, first residual's tensor): bare for
-    the single-layer decoder graph (``layer=None``), per layer for the
-    model graph."""
-    if layer is None:
-        return "", "", "resid_1"
-    return f"L{layer}.", f"_L{layer}", f"resid_L{layer}"
-
-
-def gptj_layer_io(config: GPTJConfig, layer: Optional[int] = None) -> LayerIO:
-    """Tensor names of layer ``layer`` of :func:`gptj_model_graph`
-    (``None``: of :func:`gptj_decoder_graph`).  Layer ``l`` reads hidden
-    state ``h{l}`` (``h0`` is the graph input ``x``) and writes
-    ``h{l+1}``; the last layer's ``y`` is the step's result."""
+def gptj_layer_io(config: GPTJConfig, layer: int) -> LayerIO:
+    """Tensor names of layer ``layer`` of :func:`gptj_model_graph`.
+    Layer ``l`` reads hidden state ``h{l}`` (``h0`` is the graph input
+    ``x``) and writes ``h{l+1}``; the last layer's ``y`` is the step's
+    result."""
     d = config.d_model
-    _, tag, _ = _naming(layer)
+    tag = f"_L{layer}"
     return LayerIO(
-        x="x" if not layer else f"h{layer}",
-        y="y" if layer is None else f"h{layer + 1}",
+        x=f"h{layer}" if layer else "x",
+        y=f"h{layer + 1}",
         weights=(
             (f"w_qkv{tag}", (3 * d, d)),
             (f"w_proj{tag}", (d, d)),
@@ -202,21 +191,20 @@ def gptj_layer_io(config: GPTJConfig, layer: Optional[int] = None) -> LayerIO:
 def gptj_layer_nbytes(config: GPTJConfig) -> int:
     """Bytes of one layer's four FC weights (float32) — the unit the
     weight-residency budget is counted in."""
-    return 4 * sum(m * k for _, (m, k) in gptj_layer_io(config).weights)
+    return 4 * sum(m * k for _, (m, k) in gptj_layer_io(config, 0).weights)
 
 
-def _softmax(score: Workload, head_dim: int, masked: bool) -> Workload:
-    """``score`` followed by each head's scaled softmax — the additive
-    mask ``M`` (0 or ``-inf`` per cache position) folded in when
-    ``masked`` — as four host epilogue stages: row max of the logits,
-    exponentials (the logits again, the same bits), row sum, quotient."""
+def _softmax(score: Workload, head_dim: int) -> Workload:
+    """``score`` followed by each head's scaled softmax, the additive
+    mask ``M`` (0 or ``-inf`` per cache position) folded in, as four
+    host epilogue stages: row max of the logits, exponentials (the
+    logits again, the same bits), row sum, quotient."""
     heads, span = score.output.shape
     scale = np.float32(np.sqrt(head_dim))
 
-    def epilogue(S: te.Tensor, *mask: te.Tensor) -> te.Tensor:
+    def epilogue(S: te.Tensor, M: te.Tensor) -> te.Tensor:
         def logit(i, j):
-            z = S[i, j] / float(scale)
-            return z + mask[0][j] if mask else z
+            return S[i, j] / float(scale) + M[j]
 
         k = te.reduce_axis(span, "k_max")
         top = te.compute((heads,), lambda i: te.max_reduce(logit(i, k), axis=k), "Z_max")
@@ -225,18 +213,15 @@ def _softmax(score: Workload, head_dim: int, masked: bool) -> Workload:
         total = te.compute((heads,), lambda i: te.sum(E[i, k], axis=k), "E_sum")
         return te.compute((heads, span), lambda i, j: E[i, j] / total[i], "P")
 
-    def reference(s: np.ndarray, m: Optional[np.ndarray] = None) -> np.ndarray:
-        z = s.astype(np.float32) / scale
-        if m is not None:
-            z = z + m.astype(np.float32)
+    def reference(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+        z = s.astype(np.float32) / scale + m.astype(np.float32)
         z = z - z.max(axis=-1, keepdims=True)
         e = np.exp(z)
         return (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
 
-    mask = [te.placeholder((span,), "float32", "M")] if masked else []
     return with_epilogue(
-        score, epilogue, reference,
-        flops=(6.0 if masked else 5.0) * heads * span, extra_inputs=mask,
+        score, epilogue, reference, flops=6.0 * heads * span,
+        extra_inputs=[te.placeholder((span,), "float32", "M")],
     )
 
 
@@ -279,12 +264,11 @@ def _residual(proj: Workload) -> Workload:
     )
 
 
-def _layer_ops(config: GPTJConfig, span: int, masked: bool) -> SimpleNamespace:
+def _layer_ops(config: GPTJConfig, span: int) -> SimpleNamespace:
     """The workloads a layer binds, built once per graph: every layer
     shares each instance, so the pool compiles each program once for
     the whole model.  ``span`` is the number of cache positions
-    attention reads; ``masked`` gives the softmax its additive mask
-    input (the model graph's paged cache has unwritten tail slots)."""
+    attention reads."""
     d, hd, heads = config.d_model, config.head_dim, config.n_heads
     if heads * hd != d:
         raise ValueError(
@@ -302,7 +286,7 @@ def _layer_ops(config: GPTJConfig, span: int, masked: bool) -> SimpleNamespace:
         proj=_residual(fc_mtv(config, "qkv_proj")),
         fc=_gelu(fc_mtv(config, "fc")),
         fc_proj=_residual(fc_mtv(config, "fc_proj")),
-        score=_softmax(score, hd, masked),
+        score=_softmax(score, hd),
         value=value,
     )
 
@@ -320,87 +304,43 @@ def _declare_inputs(
 
 
 def _emit_layer(
-    g: ModelGraph,
-    ops: SimpleNamespace,
-    io: LayerIO,
-    layer: Optional[int] = None,
-    mask: Optional[str] = None,
-    overrides: Optional[Dict[str, Dict[str, int]]] = None,
-    pin_small_grids: bool = True,
+    g: ModelGraph, ops: SimpleNamespace, io: LayerIO, layer: int
 ) -> None:
-    """Append one GPT-J decoder layer's decode step to ``g``.
-
-    With ``mask`` (the model graph) the softmax folds it in and the
-    layer also views its new key/value rows in the fused QKV vector
-    as ``io.kv_new``.  ``overrides`` replaces the pinned schedule params
-    of the named nodes (names without the layer prefix).
-    """
-    prefix, tag, resid = _naming(layer)
+    """Append layer ``layer``'s decode step to ``g``: its softmax folds
+    in :data:`ATTN_MASK`, and it views its new key/value rows in the
+    fused QKV vector as ``io.kv_new``."""
     (w_qkv, _), (w_proj, _), (w_fc, _), (w_fc_proj, _) = io.weights
     k_cache, v_cache_t = io.kv_cache
 
     def t(base: str) -> str:
         """An intermediate tensor of this layer."""
-        return f"{base}{tag}"
-
-    def node_params(name: str, wl: Workload) -> Optional[Dict[str, int]]:
-        if overrides and name in overrides:
-            return overrides[name]
-        return small_grid_params(wl) if pin_small_grids else None
+        return f"{base}_L{layer}"
 
     def op(name, wl, inputs, output, tag):
         g.add_node(
-            prefix + name, wl, inputs, output,
-            params=node_params(name, wl), tags=(tag,),
+            f"L{layer}.{name}", wl, inputs, output,
+            params=small_grid_params(wl), tags=(tag,),
         )
 
     # -- attention branch ---------------------------------------------------
     op("qkv_gen", ops.qkv, {"A": w_qkv, "B": io.x}, t("qkv"), "attn")
-    if mask is not None:
-        # The fused vector is [q | k | v]: this step's new K and V rows.
-        for n, out in enumerate(io.kv_new, start=1):
-            g.add_view(out, t("qkv"), n * ops.d, (ops.d,))
+    # The fused vector is [q | k | v]: this step's new K and V rows.
+    for n, out in enumerate(io.kv_new, start=1):
+        g.add_view(out, t("qkv"), n * ops.d, (ops.d,))
     q, probs = t("q"), t("probs")
     g.add_view(q, t("qkv"), 0, ops.head_shape)
-    scores = {"A": k_cache, "B": q}
-    if mask is not None:
-        scores["M"] = mask
-    op("attn_score", ops.score, scores, probs, "attn")
+    op("attn_score", ops.score, {"A": k_cache, "B": q, "M": ATTN_MASK},
+       probs, "attn")
     op("attn_value", ops.value, {"A": v_cache_t, "B": probs}, t("heads"), "attn")
     g.add_view(t("attn_concat"), t("heads"), 0, (ops.d,))
     # y = x + attn_out + ffn_out, each add the epilogue of its projection.
     op("attn_proj", ops.proj, {"A": w_proj, "B": t("attn_concat"), "R": io.x},
-       resid, "attn")
+       t("resid"), "attn")
 
     # -- feed-forward branch (parallel to attention in GPT-J) ---------------
     op("fc", ops.fc, {"A": w_fc, "B": io.x}, t("ffn_act"), "ffn")
-    op("fc_proj", ops.fc_proj, {"A": w_fc_proj, "B": t("ffn_act"), "R": resid},
-       io.y, "ffn")
-
-
-def gptj_decoder_graph(
-    config: GPTJConfig = GPTJ_SIM,
-    tokens: int = 16,
-    params: Optional[Dict[str, Dict[str, int]]] = None,
-    pin_small_grids: bool = True,
-) -> ModelGraph:
-    """Build one GPT-J decoder-layer decode step as a :class:`ModelGraph`.
-
-    ``params`` overrides the pinned schedule params per *node name*
-    (tuned ones included: ``tuned_params(node.workload, db=...)``);
-    ``pin_small_grids=False`` leaves matvec nodes unpinned, so the pool
-    compiles them with the target's canonical defaults.
-    """
-    io = gptj_layer_io(config)
-    g = ModelGraph(f"{config.name}-decoder-t{tokens}")
-    g.add_input(io.x, (config.d_model,))
-    _declare_inputs(g, io, config, tokens)
-    _emit_layer(
-        g, _layer_ops(config, tokens, masked=False), io,
-        overrides=params, pin_small_grids=pin_small_grids,
-    )
-    g.validate()
-    return g
+    op("fc_proj", ops.fc_proj,
+       {"A": w_fc_proj, "B": t("ffn_act"), "R": t("resid")}, io.y, "ffn")
 
 
 def gptj_model_graph(
@@ -408,8 +348,8 @@ def gptj_model_graph(
 ) -> ModelGraph:
     """Build an N-layer GPT-J decode step sized for a *paged* KV cache.
 
-    The multi-layer counterpart of :func:`gptj_decoder_graph`, shaped so
-    one compiled program pool serves every layer of every decode step:
+    Shaped so one compiled program pool serves every layer of every
+    decode step:
 
     * ``capacity`` is the KV cache's **allocated** length (a whole
       number of pages), not the sequence length.  Attention reads all
@@ -449,8 +389,8 @@ def gptj_model_graph(
     g.add_input(ATTN_MASK, (capacity,))
     for io in ios:
         _declare_inputs(g, io, config, capacity)
-    ops = _layer_ops(config, capacity, masked=True)
+    ops = _layer_ops(config, capacity)
     for layer, io in enumerate(ios):
-        _emit_layer(g, ops, io, layer, mask=ATTN_MASK)
+        _emit_layer(g, ops, io, layer)
     g.validate()
     return g

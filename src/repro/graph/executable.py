@@ -422,7 +422,7 @@ def compile_graph(
     graph: ModelGraph,
     target: Union[str, Target] = "upmem",
     placement: Optional[Dict[str, Target]] = None,
-    policy: str = "default",
+    policy: str = "upmem",
     pool: Optional[Any] = None,
     opt_level: str = "O3",
 ) -> GraphExecutable:

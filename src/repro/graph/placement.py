@@ -7,7 +7,7 @@ glue node: the softmax, GELU and residual adds are host epilogues of the
 matvec programs beside them (:func:`repro.workloads.with_epilogue`), so
 they go wherever their matvec goes.  Three stock policies:
 
-* ``default`` — matvec ops on the PIM target, everything else on host;
+* ``upmem``   — matvec ops on the PIM target, everything else on host;
 * ``cpu``     — the whole graph on the host roofline (the paper's CPU
   baseline for a full decode step);
 * ``mixed``   — attention matvecs (tagged ``attn``) on PIM, FC-layer
@@ -36,15 +36,16 @@ from .ir import GraphError, ModelGraph, Node
 
 __all__ = ["PIM_OP_NAMES", "PLACEMENT_POLICIES", "place", "is_pim_capable"]
 
-#: The ops the default policy sends to the PIM target: the sketch
+#: The ops the ``upmem`` policy sends to the PIM target: the sketch
 #: families that reduce under distributed spatial axes (the matrix-vector
 #: family).  Element-wise ``va``/``geva`` are sketchable too but stay
-#: host-side by default; override per node to push one onto the device.
+#: host-side under every policy; override per node to push one onto the
+#: device.
 PIM_OP_NAMES = frozenset(name for name, row in FAMILIES.items() if row.rfactor)
 
-#: ``"upmem"`` is an alias for ``"default"`` (matvecs on the PIM side),
-#: so experiment configs read as the placement they produce.
-PLACEMENT_POLICIES = ("default", "upmem", "cpu", "mixed")
+#: Named after where the matvecs go: all on the PIM side, all on the
+#: host, or attention on PIM and the FC layers on the host.
+PLACEMENT_POLICIES = ("upmem", "cpu", "mixed")
 
 
 def is_pim_capable(node: Node, pim_target: Target) -> bool:
@@ -55,7 +56,7 @@ def is_pim_capable(node: Node, pim_target: Target) -> bool:
 
 def place(
     graph: ModelGraph,
-    policy: str = "default",
+    policy: str = "upmem",
     pim: Union[str, Target] = "upmem",
     host: Union[str, Target] = "cpu",
 ) -> Dict[str, Target]:
@@ -69,8 +70,6 @@ def place(
             f"unknown placement policy {policy!r};"
             f" choose from {PLACEMENT_POLICIES}"
         )
-    if policy == "upmem":
-        policy = "default"
     graph.validate()
     pim_target = get_target(pim)
     host_target = get_target(host)
@@ -91,7 +90,7 @@ def _place_node(
         return target
     wants_pim = (
         node.workload.name in PIM_OP_NAMES
-        and (policy == "default" or (policy == "mixed" and "attn" in node.tags))
+        and (policy == "upmem" or (policy == "mixed" and "attn" in node.tags))
     )
     if wants_pim and is_pim_capable(node, pim_target):
         return pim_target

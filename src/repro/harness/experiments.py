@@ -28,10 +28,12 @@ from ..cluster import (
 )
 from ..decode import DecodeEngine
 from ..graph import (
+    ATTN_MASK,
     GPTJ_SIM,
     compile_graph,
-    gptj_decoder_graph,
+    gptj_layer_io,
     gptj_layer_nbytes,
+    gptj_model_graph,
     place,
     plan_memory,
 )
@@ -758,23 +760,29 @@ def fig17_end_to_end(
     """One GPT-J decoder-layer decode step as a model graph, end to end.
 
     Not a paper figure: the graph subsystem's headline experiment.  The
-    same :class:`~repro.graph.ModelGraph` compiles under three placement
-    policies — everything-PIM (matvecs on upmem, their softmax, GELU
-    and residual epilogues on its host),
-    everything-CPU, and a mixed split (attention on PIM, FC layers on
-    the CPU roofline) — and reports a per-node latency breakdown
-    (compute vs boundary transfers vs one-time weight staging) plus the
-    memory planner's arena against the naive no-reuse allocation.
+    1-layer :func:`~repro.graph.gptj_model_graph` over ``tokens`` cache
+    positions, its :data:`~repro.graph.ATTN_MASK` all zeros (every
+    position valid), compiles under three placement policies —
+    everything-PIM (matvecs on upmem, their softmax, GELU and residual
+    epilogues on its host), everything-CPU, and a mixed split
+    (attention on PIM, FC layers on the CPU roofline) — and reports a
+    per-node latency breakdown (compute vs boundary transfers vs
+    one-time weight staging) plus the memory planner's arena against the
+    naive no-reuse allocation.
 
     ``config`` defaults to the scaled :data:`repro.graph.GPTJ_SIM`
     configuration (same topology as GPT-J 6B) so each placement also
     *executes* functionally and is checked against the NumPy reference;
     pass ``execute=False`` for timing-only sweeps at bigger shapes.
     """
-    graph = gptj_decoder_graph(config or GPTJ_SIM, tokens=tokens)
+    cfg = config or GPTJ_SIM
+    graph = gptj_model_graph(cfg, layers=1, capacity=tokens)
+    y = gptj_layer_io(cfg, 0).y
     plan = plan_memory(graph)
-    inputs = graph.random_inputs(seed=seed) if execute else None
-    reference = graph.reference_outputs(inputs) if execute else None
+    if execute:
+        inputs = graph.random_inputs(seed=seed)
+        inputs[ATTN_MASK][:] = 0.0
+        reference = graph.reference_outputs(inputs)
 
     rows: List[Dict] = []
     breakdown: Dict[str, List[Dict]] = {}
@@ -787,9 +795,9 @@ def fig17_end_to_end(
         exe.trace(name=f"fig17 {policy}")
         matches = None
         if execute:
-            (out,) = exe.run(inputs)
+            out = exe.run_tensors(inputs)[y]
             matches = bool(
-                np.allclose(out, reference["y"], rtol=1e-3, atol=1e-5)
+                np.allclose(out, reference[y], rtol=1e-3, atol=1e-5)
             )
         kinds = [placement[n.name].kind for n in graph.nodes]
         rows.append(

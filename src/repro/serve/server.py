@@ -379,8 +379,8 @@ class Server:
           the pool (re)staged the program — the paper's "constant
           tensors transferred once" (§5.4).
 
-        Targets without a DPU grid (rooflines, estimators) get one
-        group, degrading gracefully to launch amortization only.
+        Targets without a DPU grid (the CPU roofline, model graphs) get
+        one group, degrading gracefully to launch amortization only.
         """
         launch, kernel, serial, const_h2d = self._unit_costs(exe, key)
         groups = self._replica_groups(exe)

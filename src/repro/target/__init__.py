@@ -4,7 +4,7 @@ A :class:`Target` bundles a backend's configuration, compile pipeline,
 performance model and (where supported) functional executor;
 :func:`compile` turns a workload or schedule into a uniform
 :class:`Executable`.  See :mod:`repro.target.base` for the protocol and
-:mod:`repro.target.targets` for the five kinds.
+:mod:`repro.target.targets` for the four kinds.
 """
 
 from .base import Target, TargetError
@@ -18,7 +18,6 @@ from .executable import (
 from .executor import Executor, default_workers
 from .targets import (
     CpuTarget,
-    GpuTarget,
     PrimTarget,
     SimplePimTarget,
     UpmemTarget,
@@ -43,6 +42,5 @@ __all__ = [
     "PrimTarget",
     "SimplePimTarget",
     "CpuTarget",
-    "GpuTarget",
     "default_params",
 ]

@@ -3,7 +3,7 @@
 A target bundles everything needed to take a workload (or an explicit
 schedule) to something executable/measurable on one of the paper's four
 evaluation systems: a hardware/model configuration, a performance model,
-and — where the backend supports it — a functional executor.  The five
+and — where the backend supports it — a functional executor.  The four
 kinds, which :func:`repro.target.get_target` resolves:
 
 ========== ==========================================================
@@ -13,7 +13,6 @@ upmem      simulated UPMEM machine (full compile + functional run)
 prim       PrIM hand-written baselines (default / E / +search variants)
 simplepim  SimplePIM framework baseline (VA / GEVA / RED)
 cpu        TVM-autotuned CPU roofline (functional run via numpy)
-gpu        A5000-class GPU roofline (functional run via numpy)
 ========== ==========================================================
 
 ``get_target("upmem")`` returns a fresh default-configured instance;

@@ -76,8 +76,8 @@ def compile(
         if params is not None:
             raise ValueError(
                 "params= does not apply to a ModelGraph — pin schedule"
-                " parameters per node (Node.params / the builder's"
-                " params= overrides)"
+                " parameters per node (set Node.params on the built"
+                " graph)"
             )
         return compile_graph(
             workload_or_schedule,

@@ -186,10 +186,10 @@ class RooflineProfile:
 
 
 class RooflineExecutable(Executable):
-    """CPU/GPU roofline baseline: analytic latency, numpy execution.
+    """CPU roofline baseline: analytic latency, numpy execution.
 
     ``run`` evaluates the workload's reference implementation, so the
-    roofline targets are functional peers of the UPMEM path (useful for
+    roofline target is a functional peer of the UPMEM path (useful for
     cross-checking outputs target-to-target).
     """
 

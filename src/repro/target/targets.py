@@ -1,10 +1,11 @@
-"""The five built-in targets (paper §6: evaluated systems).
+"""The four built-in targets (paper §6: evaluated systems).
 
 All module-compiling targets share the UPMEM scheduling substrate — PrIM
 and SimplePIM baselines are *structural* reproductions as schedules — so
 they compile through the same ``build`` pipeline and differ in parameter
-choice and performance model.  The CPU/GPU targets are rooflines with
-numpy functional execution.
+choice and performance model.  The CPU target is a roofline with numpy
+functional execution (Fig. 4's GPU roofline, which no graph or request
+compiles for, is read as :class:`~repro.baselines.cpu.GpuModel`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..autotune.compile import default_engine
 from ..autotune.sketch import family_of, param_space, seed_params
-from ..baselines.cpu import CpuModel, GpuModel
+from ..baselines.cpu import CpuModel
 from ..baselines.prim import prim_params, prim_search
 from ..baselines.simplepim import SIMPLEPIM_WORKLOADS, simplepim_build
 from ..lowering import LowerOptions
@@ -31,7 +32,6 @@ __all__ = [
     "PrimTarget",
     "SimplePimTarget",
     "CpuTarget",
-    "GpuTarget",
     "default_params",
     "get_target",
     "list_targets",
@@ -243,14 +243,19 @@ class SimplePimTarget(Target):
         return UpmemExecutable(module, self, workload, None, profile)
 
 
-class _RooflineTarget(Target):
-    """Shared behaviour of the CPU/GPU roofline baselines: a roofline
-    prices the workload, not a module, so it ignores ``params`` and
-    accepts every level (a graph's host glue compiles at the pool's
-    level)."""
+class CpuTarget(Target):
+    """TVM-autotuned CPU baseline as a calibrated roofline (§6).
 
-    def __init__(self, model: Any) -> None:
-        self.model = model
+    A roofline prices the workload, not a module, so it ignores
+    ``params`` (fig16 replays one request mix, upmem params included,
+    across upmem and cpu) and accepts every level (a graph's host nodes
+    compile at the pool's level).
+    """
+
+    kind = "cpu"
+
+    def __init__(self, model: Optional[Any] = None) -> None:
+        self.model = model or CpuModel()
 
     @property
     def config(self):
@@ -274,28 +279,6 @@ class _RooflineTarget(Target):
         return RooflineExecutable(self, workload_or_schedule, self.model)
 
 
-class CpuTarget(_RooflineTarget):
-    """TVM-autotuned CPU baseline as a calibrated roofline (§6).
-
-    ``params`` is ignored: fig16 replays one request mix, upmem params
-    included, across upmem and cpu.
-    """
-
-    kind = "cpu"
-
-    def __init__(self, model: Optional[Any] = None) -> None:
-        super().__init__(model or CpuModel())
-
-
-class GpuTarget(_RooflineTarget):
-    """A5000-class GPU roofline (used for the Fig. 4 comparison)."""
-
-    kind = "gpu"
-
-    def __init__(self, model: Optional[Any] = None) -> None:
-        super().__init__(model or GpuModel())
-
-
 # ---------------------------------------------------------------------------
 # the target table
 # ---------------------------------------------------------------------------
@@ -303,9 +286,7 @@ class GpuTarget(_RooflineTarget):
 #: Every kind ``get_target`` resolves, to the class it constructs.
 _TARGETS: Dict[str, type] = {
     cls.kind: cls
-    for cls in (
-        UpmemTarget, PrimTarget, SimplePimTarget, CpuTarget, GpuTarget
-    )
+    for cls in (UpmemTarget, PrimTarget, SimplePimTarget, CpuTarget)
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro import te
-from repro.graph import ModelGraph, gptj_decoder_graph
+from repro.graph import ModelGraph, gptj_model_graph
 from repro.workloads import GPTJConfig, Workload, mtv, va
 
 TINY = GPTJConfig("gptj-tiny", n_heads=2, d_model=32, head_dim=16)
@@ -27,7 +27,8 @@ def tiny_config() -> GPTJConfig:
 
 @pytest.fixture
 def tiny_decoder() -> ModelGraph:
-    return gptj_decoder_graph(TINY, tokens=4)
+    """One decoder layer's decode step over 4 cache positions."""
+    return gptj_model_graph(TINY, layers=1, capacity=4)
 
 
 def chain_graph() -> ModelGraph:
@@ -71,14 +72,13 @@ def cpu_line_s(workload: Workload) -> float:
     return repro.compile(workload, target="cpu").profile().latency.total
 
 
-def removed_glue_s(config: GPTJConfig, span: int, masked: bool) -> float:
+def removed_glue_s(config: GPTJConfig, span: int) -> float:
     """Per layer, what the cpu target charged for the four glue nodes
-    that became host epilogues: the (masked) softmax, GELU and the two
+    that became host epilogues: the masked softmax, GELU and the two
     residual adds."""
     d, heads = config.d_model, config.n_heads
     softmax = host_glue(
-        [(heads, span)] + ([(span,)] if masked else []), (heads, span),
-        (6.0 if masked else 5.0) * heads * span,
+        [(heads, span), (span,)], (heads, span), 6.0 * heads * span
     )
     gelu = host_glue([(4 * d,)], (4 * d,), 8.0 * 4 * d)
     return cpu_line_s(softmax) + cpu_line_s(gelu) + 2 * cpu_line_s(va(d))

@@ -1,12 +1,10 @@
-"""Golden graph table: what the GPT-J builders emit, per configuration.
+"""Golden graph table: what the GPT-J builder emits, per configuration.
 
-``golden_graphs.json`` pins, for :func:`gptj_decoder_graph` (TINY and
-``GPTJ_SIM`` at 4/8/16 tokens, pinned and unpinned, plus one ``params=``
-override) and :func:`gptj_model_graph` (TINY, ``GPTJ_SIM``,
-``CLUSTER_SIM`` x 1/2/3 layers x capacity 4/8/12), the digest of
-``structural_signature()`` — names, shapes, wiring, tags, pinned params,
-views — and, readable in a diff, the input order, output order, node
-order and each view as ``[name, base, offset, shape]``.
+``golden_graphs.json`` pins, for :func:`gptj_model_graph` (TINY,
+``GPTJ_SIM``, ``CLUSTER_SIM`` x 1/2/3 layers x capacity 4/8/12), the
+digest of ``structural_signature()`` — names, shapes, wiring, tags,
+pinned params, views — and, readable in a diff, the input order, output
+order, node order and each view as ``[name, base, offset, shape]``.
 The signature is the serving batch key and the node order is the
 executable's schedule, so any diff here changes pool keys, traces and
 latencies.  Regenerate (only when the emitted graph is *meant* to
@@ -23,37 +21,14 @@ import os
 from typing import Dict, Iterator, Tuple
 
 from repro.cluster import CLUSTER_SIM
-from repro.graph import (
-    GPTJ_SIM,
-    ModelGraph,
-    gptj_decoder_graph,
-    gptj_model_graph,
-)
+from repro.graph import GPTJ_SIM, ModelGraph, gptj_model_graph
 
 from .conftest import TINY
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden_graphs.json")
 
-#: The one ``params=`` override case: a node pinned to a different grid.
-OVERRIDE = {
-    "fc": {
-        "m_dpus": 8, "k_dpus": 1, "n_tasklets": 4, "cache": 16,
-        "host_threads": 1, "unroll": 0,
-    }
-}
-
 
 def cases() -> Iterator[Tuple[str, ModelGraph]]:
-    for config in (TINY, GPTJ_SIM):
-        for tokens in (4, 8, 16):
-            case = f"decoder/{config.name}/t{tokens}"
-            yield case, gptj_decoder_graph(config, tokens=tokens)
-            yield f"{case}/unpinned", gptj_decoder_graph(
-                config, tokens=tokens, pin_small_grids=False
-            )
-    yield "decoder/gptj-tiny/t4/override", gptj_decoder_graph(
-        TINY, tokens=4, params=OVERRIDE
-    )
     for config in (TINY, GPTJ_SIM, CLUSTER_SIM):
         for layers in (1, 2, 3):
             for capacity in (4, 8, 12):

@@ -1,4 +1,4 @@
-"""The GPT-J decoder-layer graph builder."""
+"""The GPT-J model-graph builder."""
 
 import math
 
@@ -14,7 +14,6 @@ from repro.graph import (
     ATTN_MASK,
     GPTJ_SIM,
     compile_graph,
-    gptj_decoder_graph,
     gptj_model_graph,
     place,
     small_grid_params,
@@ -30,15 +29,15 @@ from .conftest import TINY
 
 class TestTopology:
     def test_node_count_does_not_scale_with_heads(self):
-        g = gptj_decoder_graph(TINY, tokens=4)
+        g = gptj_model_graph(TINY, layers=1, capacity=4)
         # qkv, score (+softmax), value, proj (+residual), fc (+gelu),
         # fc_proj (+residual): the glue is host epilogues, and the query
-        # slice and the head reshape are views
+        # slice, the new k/v rows and the head reshape are views
         assert len(g) == 6
-        assert g.output_names == ["y"]
+        assert g.output_names == ["k_new_L0", "v_new_L0", "h1"]
 
     def test_uses_all_four_fc_shapes(self):
-        g = gptj_decoder_graph(TINY, tokens=4)
+        g = gptj_model_graph(TINY, layers=1, capacity=4)
         mtv_layers = {
             node.workload.params.get("layer")
             for node in g.nodes
@@ -48,74 +47,58 @@ class TestTopology:
 
     def test_attention_is_one_score_and_one_value_node(self):
         """All heads run in one score and one value MMTV."""
-        g = gptj_decoder_graph(TINY, tokens=4)
+        g = gptj_model_graph(TINY, layers=1, capacity=4)
         mmtvs = [n.name for n in g.nodes if n.workload.name == "mmtv"]
-        assert mmtvs == ["attn_score", "attn_value"]
+        assert mmtvs == ["L0.attn_score", "L0.attn_value"]
 
     def test_weights_and_kv_cache_are_const(self):
-        g = gptj_decoder_graph(TINY, tokens=4)
+        g = gptj_model_graph(TINY, layers=1, capacity=4)
         const = g.const_inputs
-        assert {"w_qkv", "w_proj", "w_fc", "w_fc_proj"} <= const
-        assert {"k_cache", "v_cache_t"} <= const
-        assert "x" not in const
-
-    def test_mismatched_head_geometry_rejected(self):
-        bad = GPTJConfig("bad", n_heads=3, d_model=32, head_dim=16)
-        with pytest.raises(ValueError, match="must equal d_model"):
-            gptj_decoder_graph(bad, tokens=4)
+        assert {"w_qkv_L0", "w_proj_L0", "w_fc_L0", "w_fc_proj_L0"} <= const
+        assert {"k_cache_L0", "v_cache_t_L0"} <= const
+        assert "x" not in const and ATTN_MASK not in const
 
     def test_sim_config_is_consistent(self):
         assert GPTJ_SIM.n_heads * GPTJ_SIM.head_dim == GPTJ_SIM.d_model
-
-    def test_param_overrides_and_unpinned(self):
-        g = gptj_decoder_graph(
-            TINY, tokens=4, params={"fc": {"m_dpus": 2, "k_dpus": 1,
-                                           "n_tasklets": 2, "cache": 16,
-                                           "host_threads": 1, "unroll": 0}}
-        )
-        fc = next(n for n in g.nodes if n.name == "fc")
-        assert fc.params["m_dpus"] == 2
-        unpinned = gptj_decoder_graph(TINY, tokens=4, pin_small_grids=False)
-        assert all(
-            n.params is None for n in unpinned.nodes
-            if n.workload.name in ("mtv", "mmtv", "va")
-        )
 
 
 class TestReference:
     def test_reference_matches_hand_rolled_numpy(self):
         """Head ``h`` owns columns ``h*hd:(h+1)*hd`` of the dense
-        ``(tokens, d)`` K and V planes; the expected value attends head
-        by head over those column slices."""
-        g = gptj_decoder_graph(TINY, tokens=4)
+        ``(capacity, d)`` K and V planes; the expected value attends
+        head by head over those column slices, the unwritten last
+        position masked off."""
+        g = gptj_model_graph(TINY, layers=1, capacity=4)
         ins = g.random_inputs(7)
         hd, H, T = TINY.head_dim, TINY.n_heads, 4
         rng = np.random.default_rng(7)
         K = rng.standard_normal((T, TINY.d_model), dtype=np.float32)
         V = rng.standard_normal((T, TINY.d_model), dtype=np.float32)
         cols = [slice(h * hd, (h + 1) * hd) for h in range(H)]
-        ins["k_cache"] = np.stack([K[:, sl] for sl in cols])
-        ins["v_cache_t"] = np.stack([V[:, sl].T for sl in cols])
-        out = g.reference_outputs(ins)["y"]
+        ins["k_cache_L0"] = np.stack([K[:, sl] for sl in cols])
+        ins["v_cache_t_L0"] = np.stack([V[:, sl].T for sl in cols])
+        mask = np.array([0.0, 0.0, 0.0, -np.inf], dtype=np.float32)
+        ins[ATTN_MASK] = mask
+        out = g.reference_outputs(ins)["h1"]
 
-        qkv = ins["w_qkv"] @ ins["x"]
+        qkv = ins["w_qkv_L0"] @ ins["x"]
         heads = []
         for sl in cols:
             scores = K[:, sl] @ qkv[sl]
-            z = scores.astype(np.float32) / np.float32(np.sqrt(hd))
+            z = scores.astype(np.float32) / np.float32(np.sqrt(hd)) + mask
             z = z - z.max()
             e = np.exp(z)
             probs = (e / e.sum()).astype(np.float32)
             heads.append(V[:, sl].T @ probs)
-        attn = ins["w_proj"] @ np.concatenate(heads).astype(np.float32)
-        hidden = ins["w_fc"] @ ins["x"]
+        attn = ins["w_proj_L0"] @ np.concatenate(heads).astype(np.float32)
+        hidden = ins["w_fc_L0"] @ ins["x"]
         c = np.float32(np.sqrt(2.0 / np.pi))
         act = (
             np.float32(0.5) * hidden
             * (np.float32(1.0)
                + np.tanh(c * (hidden + np.float32(0.044715) * hidden ** 3)))
         ).astype(np.float32)
-        ff = ins["w_fc_proj"] @ act
+        ff = ins["w_fc_proj_L0"] @ act
         want = (ins["x"] + attn) + ff
         np.testing.assert_allclose(out, want, rtol=1e-4)
 
@@ -196,13 +179,14 @@ class TestReductionSplit:
         domain = param_space(workload)["k_dpus"]
         assert params["k_dpus"] == domain[-1]
         assert params["m_dpus"] == min(64, pow2_upto(m)[-1])
-        graph = gptj_decoder_graph(config, tokens=8)
+        graph = gptj_model_graph(config, layers=1, capacity=8)
         node = next(n for n in graph.nodes if n.workload.shape == (m, k))
         assert node.params == params
 
         def cost(split):
-            pinned = {node.name: {**params, "k_dpus": split}}
-            g = gptj_decoder_graph(config, tokens=8, params=pinned)
+            g = gptj_model_graph(config, layers=1, capacity=8)
+            pinned = next(n for n in g.nodes if n.name == node.name)
+            pinned.params = {**params, "k_dpus": split}
             nodes = compile_graph(g).profile().nodes
             return next(c for c in nodes if c.node == node.name).total_s
 
@@ -446,25 +430,3 @@ class TestModelGraph:
         bad = GPTJConfig("bad", n_heads=3, d_model=32, head_dim=16)
         with pytest.raises(ValueError, match="must equal d_model"):
             gptj_model_graph(bad, layers=1, capacity=8)
-
-    def test_single_layer_matches_decoder_reference(self):
-        """One model-graph layer with a full-length mask computes the
-        same attention+FF math as the single-layer decoder builder."""
-        g = gptj_model_graph(TINY, layers=1, capacity=4)
-        legacy = gptj_decoder_graph(TINY, tokens=4)
-        ins_legacy = legacy.random_inputs(11)
-        ins = {
-            "x": ins_legacy["x"],
-            "attn_mask": np.zeros((4,), dtype=np.float32),
-            "w_qkv_L0": ins_legacy["w_qkv"],
-            "w_proj_L0": ins_legacy["w_proj"],
-            "w_fc_L0": ins_legacy["w_fc"],
-            "w_fc_proj_L0": ins_legacy["w_fc_proj"],
-        }
-        ins["k_cache_L0"] = ins_legacy["k_cache"]
-        ins["v_cache_t_L0"] = ins_legacy["v_cache_t"]
-        np.testing.assert_allclose(
-            g.reference_outputs(ins)["h1"],
-            legacy.reference_outputs(ins_legacy)["y"],
-            rtol=1e-5,
-        )

@@ -6,14 +6,14 @@ one decode step executed on the caller's thread and as jobs on a
 breakdown and the memory plan are functions of the graph alone.
 """
 
-from repro.graph import compile_graph, gptj_decoder_graph, plan_memory
+from repro.graph import compile_graph, gptj_model_graph, plan_memory
 
 from ..conftest import at_both_widths
 from .conftest import TINY
 
 
 def _compile():
-    graph = gptj_decoder_graph(TINY, tokens=4)
+    graph = gptj_model_graph(TINY, layers=1, capacity=4)
     return graph, compile_graph(graph, target="upmem")
 
 

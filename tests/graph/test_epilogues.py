@@ -19,7 +19,7 @@ from .conftest import TINY, epilogue_lines_s, removed_glue_s
 
 #: Per node role of ``gptj_model_graph(GPTJ_SIM, 3, 8)``, the
 #: ``(h2d_s, d2h_s, staging_s)`` the unfused graph (30 nodes) charged
-#: its PIM nodes, the same on every layer and under ``default`` and
+#: its PIM nodes, the same on every layer and under ``upmem`` and
 #: ``mixed`` (which keeps ``fc`` and ``fc_proj`` on the host).
 _PARENT_TRANSFERS = {
     "qkv_gen": (2.1046559410738515e-07, 1.4457872340425533e-05, 8.081878813723589e-05),
@@ -32,13 +32,13 @@ _PARENT_TRANSFERS = {
 
 #: One layer's steady cost (µs) in the unfused graph, per policy.
 _PARENT_LAYER_US = {
-    "default": 631.0406723546586,
+    "upmem": 631.0406723546586,
     "mixed": 529.5046091329106,
     "cpu": 357.968,
 }
 
 
-def _model(policy="default"):
+def _model(policy="upmem"):
     return compile_graph(gptj_model_graph(GPTJ_SIM, 3, 8), policy=policy)
 
 
@@ -83,7 +83,7 @@ class TestShape:
 
 
 class TestTransfers:
-    @pytest.mark.parametrize("policy", ["default", "mixed"])
+    @pytest.mark.parametrize("policy", ["upmem", "mixed"])
     def test_every_pim_line_is_the_unfused_graphs(self, policy):
         for layer in _by_layer(_model(policy).profile().nodes).values():
             for role, cost in layer.items():
@@ -104,14 +104,14 @@ class TestTransfers:
 
 class TestDecomposition:
     def test_four_glue_lines_were_about_120_us_per_layer(self):
-        glue = removed_glue_s(GPTJ_SIM, 8, masked=True)
+        glue = removed_glue_s(GPTJ_SIM, 8)
         assert glue * 1e6 == pytest.approx(120.5, abs=0.05)
 
-    @pytest.mark.parametrize("policy", ["default", "mixed", "cpu"])
+    @pytest.mark.parametrize("policy", ["upmem", "mixed", "cpu"])
     def test_each_layer_falls_by_its_glue_minus_its_host_lines(self, policy):
         exe = _model(policy)
         gained = epilogue_lines_s(exe)
-        glue = removed_glue_s(GPTJ_SIM, 8, masked=True)
+        glue = removed_glue_s(GPTJ_SIM, 8)
         for name, layer in _by_layer(exe.profile().nodes).items():
             host = sum(gained[f"{name}.{role}"] for role in layer)
             assert 0 < host < 5e-6
@@ -122,7 +122,7 @@ class TestDecomposition:
 
 
 class TestRun:
-    @pytest.mark.parametrize("policy", ["default", "mixed", "cpu"])
+    @pytest.mark.parametrize("policy", ["upmem", "mixed", "cpu"])
     def test_outputs_match_the_reference(self, policy):
         g = gptj_model_graph(TINY, layers=2, capacity=8)
         inputs = g.random_inputs(4)

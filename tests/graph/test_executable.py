@@ -8,7 +8,6 @@ from repro.graph import (
     GraphError,
     GraphExecutable,
     compile_graph,
-    gptj_decoder_graph,
     gptj_model_graph,
     place,
 )
@@ -18,8 +17,8 @@ from .conftest import TINY, chain_graph
 
 
 class TestPlacement:
-    def test_default_puts_matvecs_on_pim(self, tiny_decoder):
-        placement = place(tiny_decoder, policy="default")
+    def test_upmem_puts_matvecs_on_pim(self, tiny_decoder):
+        placement = place(tiny_decoder, policy="upmem")
         for node in tiny_decoder.nodes:
             kind = placement[node.name].kind
             if node.workload.name in ("mtv", "mmtv"):
@@ -33,16 +32,9 @@ class TestPlacement:
 
     def test_mixed_policy_splits_attention_from_ffn(self, tiny_decoder):
         placement = place(tiny_decoder, policy="mixed")
-        assert placement["attn_score"].kind == "upmem"
-        assert placement["fc"].kind == "cpu"
-        assert placement["fc_proj"].kind == "cpu"
-
-    def test_upmem_alias_matches_default(self, tiny_decoder):
-        a = place(tiny_decoder, policy="default")
-        b = place(tiny_decoder, policy="upmem")
-        assert {n: t.kind for n, t in a.items()} == {
-            n: t.kind for n, t in b.items()
-        }
+        assert placement["L0.attn_score"].kind == "upmem"
+        assert placement["L0.fc"].kind == "cpu"
+        assert placement["L0.fc_proj"].kind == "cpu"
 
     def test_node_override_wins(self):
         g = chain_graph()
@@ -53,14 +45,15 @@ class TestPlacement:
 
     def test_node_forced_onto_incapable_target_rejected(self, tiny_decoder):
         next(
-            n for n in tiny_decoder.nodes if n.name == "fc"
+            n for n in tiny_decoder.nodes if n.name == "L0.fc"
         ).target = "simplepim"
         with pytest.raises(GraphError, match="cannot compile"):
-            place(tiny_decoder, policy="default")
+            place(tiny_decoder, policy="upmem")
 
-    def test_unknown_policy_rejected(self, tiny_decoder):
+    @pytest.mark.parametrize("policy", ["gpu-only", "default"])
+    def test_unknown_policy_rejected(self, tiny_decoder, policy):
         with pytest.raises(GraphError, match="unknown placement policy"):
-            place(tiny_decoder, policy="gpu-only")
+            place(tiny_decoder, policy=policy)
 
 
 class TestExecution:
@@ -98,13 +91,16 @@ class TestExecution:
 
     def test_outputs_match_numpy_reference(self, tiny_decoder):
         inputs = tiny_decoder.random_inputs(2)
-        want = tiny_decoder.reference_outputs(inputs)["y"]
-        for policy in ("default", "cpu", "mixed"):
+        want = tiny_decoder.reference_outputs(inputs)
+        for policy in ("upmem", "cpu", "mixed"):
             exe = compile_graph(
                 tiny_decoder, placement=place(tiny_decoder, policy=policy)
             )
-            (out,) = exe.run(inputs)
-            np.testing.assert_allclose(out, want, rtol=1e-3, atol=1e-5)
+            got = exe.run_tensors(inputs)
+            for name, ref in want.items():
+                np.testing.assert_allclose(
+                    got[name], ref, rtol=1e-3, atol=1e-5
+                )
 
     def test_front_door_compiles_graphs(self, tiny_decoder):
         exe = repro.compile(tiny_decoder, target="upmem")
@@ -126,8 +122,8 @@ class TestExecution:
             exe.run(inputs)
 
     def test_incomplete_placement_rejected(self, tiny_decoder):
-        placement = place(tiny_decoder, policy="default")
-        placement.pop("fc")
+        placement = place(tiny_decoder, policy="upmem")
+        placement.pop("L0.fc")
         with pytest.raises(ValueError, match="placement misses"):
             GraphExecutable(tiny_decoder, placement, ExecutablePool())
 
@@ -211,11 +207,11 @@ class TestCostModel:
         )
         costs = {c.node: c for c in exe.profile().nodes}
         # The PIM score node reads the host-produced query slice.
-        assert costs["attn_score"].crossing_in
-        assert costs["attn_score"].h2d_s > 0
+        assert costs["L0.attn_score"].crossing_in
+        assert costs["L0.attn_score"].h2d_s > 0
         # ... and its softmax epilogue runs on the host.
-        assert costs["attn_score"].crossing_out
-        assert costs["attn_score"].d2h_s > 0
+        assert costs["L0.attn_score"].crossing_out
+        assert costs["L0.attn_score"].d2h_s > 0
 
     def test_profile_totals_are_additive(self, tiny_decoder):
         profile = compile_graph(tiny_decoder, target="upmem").profile()

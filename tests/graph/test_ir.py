@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import GraphError, ModelGraph, gptj_decoder_graph
+from repro.graph import GraphError, ModelGraph, gptj_model_graph
 from repro.pipeline import workload_signature
 from repro.workloads import mtv, va
 
@@ -97,7 +97,7 @@ class TestOrdering:
         assert order1 == order2
         rebuilt = [
             n.name
-            for n in gptj_decoder_graph(TINY, tokens=4).topological_order()
+            for n in gptj_model_graph(TINY, 1, 4).topological_order()
         ]
         assert order1 == rebuilt
 
@@ -110,7 +110,7 @@ class TestTensors:
         assert g.tensor_nbytes("t1") == 16 * 4
 
     def test_const_inputs_and_placeholders(self, tiny_decoder):
-        assert "w_qkv" in tiny_decoder.const_inputs
+        assert "w_qkv_L0" in tiny_decoder.const_inputs
         assert "x" not in tiny_decoder.const_inputs
         names = [t.name for t in tiny_decoder.inputs]
         assert names == tiny_decoder.input_names
@@ -125,13 +125,13 @@ class TestTensors:
 
 class TestSignature:
     def test_equal_graphs_share_signature(self):
-        a = gptj_decoder_graph(TINY, tokens=4).structural_signature()
-        b = gptj_decoder_graph(TINY, tokens=4).structural_signature()
+        a = gptj_model_graph(TINY, 1, 4).structural_signature()
+        b = gptj_model_graph(TINY, 1, 4).structural_signature()
         assert a == b
 
     def test_structure_changes_signature(self):
-        base = gptj_decoder_graph(TINY, tokens=4)
-        other_tokens = gptj_decoder_graph(TINY, tokens=8)
+        base = gptj_model_graph(TINY, 1, 4)
+        other_tokens = gptj_model_graph(TINY, 1, 8)
         assert (
             base.structural_signature()
             != other_tokens.structural_signature()

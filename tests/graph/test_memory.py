@@ -1,6 +1,6 @@
 """Memory planner: linear-scan reuse over the topological order."""
 
-from repro.graph import ModelGraph, plan_memory
+from repro.graph import ATTN_MASK, ModelGraph, plan_memory
 from repro.workloads import va
 
 from .conftest import chain_graph
@@ -63,7 +63,10 @@ class TestLinearScan:
             for n in tiny_decoder.const_inputs
         )
         assert plan.weight_bytes == expected_weights
-        assert plan.input_bytes == tiny_decoder.tensor_nbytes("x")
+        assert plan.input_bytes == (
+            tiny_decoder.tensor_nbytes("x")
+            + tiny_decoder.tensor_nbytes(ATTN_MASK)
+        )
 
     def test_plan_is_deterministic(self, tiny_decoder):
         a, b = plan_memory(tiny_decoder), plan_memory(tiny_decoder)

@@ -22,7 +22,6 @@ from repro.graph import (
     GraphError,
     ModelGraph,
     compile_graph,
-    gptj_decoder_graph,
     gptj_model_graph,
     plan_memory,
 )
@@ -49,7 +48,7 @@ def _viewed(n: int = 16) -> ModelGraph:
 
 
 class TestRun:
-    @pytest.mark.parametrize("policy", ["default", "cpu"])
+    @pytest.mark.parametrize("policy", ["upmem", "cpu"])
     def test_run_equals_reference_bitwise(self, policy):
         g = _viewed()
         inputs = g.random_inputs(3)
@@ -283,26 +282,21 @@ def test_random_views_run_like_the_reference_and_plan_soundly(case):
 # pricing: a view is the glue node it replaced, minus its compute line
 # ---------------------------------------------------------------------------
 
-#: ``steady_state_s`` in µs before the zero-flop glue became views, per
-#: (graph, policy): ``gptj_model_graph(GPTJ_SIM, 3, 8)`` with 42 nodes
-#: and ``gptj_decoder_graph(GPTJ_SIM, tokens=16)`` with 12.
+#: ``steady_state_s`` in µs of ``gptj_model_graph(GPTJ_SIM, 3, 8)``, per
+#: policy, before the zero-flop glue became views: 42 nodes then, 18
+#: now that the glue is views and host epilogues.
 _BEFORE_US = {
-    ("model", "default"): 2254.6580170639763,
-    ("model", "cpu"): 1435.4400000000005,
-    ("model", "mixed"): 1950.0498273987325,
-    ("decoder", "default"): 698.8736922962094,
-    ("decoder", "cpu"): 418.8068571428572,
-    ("decoder", "mixed"): 597.3376290744612,
+    "upmem": 2254.6580170639763,
+    "cpu": 1435.4400000000005,
+    "mixed": 1950.0498273987325,
 }
 
 
-def _graph(kind):
-    if kind == "model":
-        return gptj_model_graph(GPTJ_SIM, 3, 8)
-    return gptj_decoder_graph(GPTJ_SIM, tokens=16)
+def _graph():
+    return gptj_model_graph(GPTJ_SIM, 3, 8)
 
 
-def _removed_glue_s(kind) -> float:
+def _removed_glue_s() -> float:
     """What the host charged for the glue nodes the views and the host
     epilogues replaced: the same workloads, priced by the cpu target."""
     d, heads, hd = GPTJ_SIM.d_model, GPTJ_SIM.n_heads, GPTJ_SIM.head_dim
@@ -310,40 +304,38 @@ def _removed_glue_s(kind) -> float:
     def price(in_shape, out_shape):
         return cpu_line_s(host_glue([in_shape], out_shape, flops=0.0))
 
-    per_layer = price((3 * d,), (heads, hd)) + price((heads, hd), (d,))
-    if kind == "decoder":
-        return per_layer + removed_glue_s(GPTJ_SIM, 16, masked=False)
-    per_layer += 2 * price((3 * d,), (d,))
-    return 3 * (per_layer + removed_glue_s(GPTJ_SIM, 8, masked=True))
+    per_layer = (
+        price((3 * d,), (heads, hd)) + price((heads, hd), (d,))
+        + 2 * price((3 * d,), (d,))
+    )
+    return 3 * (per_layer + removed_glue_s(GPTJ_SIM, 8))
 
 
 class TestPricing:
-    @pytest.mark.parametrize("policy", ["default", "cpu", "mixed"])
-    @pytest.mark.parametrize("kind", ["model", "decoder"])
-    def test_the_step_falls_by_the_removed_compute_lines(self, kind, policy):
-        exe = compile_graph(_graph(kind), policy=policy)
+    @pytest.mark.parametrize("policy", ["upmem", "cpu", "mixed"])
+    def test_the_step_falls_by_the_removed_compute_lines(self, policy):
+        exe = compile_graph(_graph(), policy=policy)
         profile = exe.profile()
         assert profile.steady_state_s == pytest.approx(
             sum(cost.total_s for cost in profile.nodes), rel=1e-12
         )
         want = (
-            _BEFORE_US[kind, policy] * 1e-6 - _removed_glue_s(kind)
+            _BEFORE_US[policy] * 1e-6 - _removed_glue_s()
             + sum(epilogue_lines_s(exe).values())
         )
         assert profile.steady_state_s == pytest.approx(want, rel=1e-9)
 
     def test_three_layer_step_is_about_1540_us(self):
-        profile = compile_graph(_graph("model")).profile()
+        profile = compile_graph(_graph()).profile()
         assert len(profile.nodes) == 18
         assert profile.steady_state_s * 1e6 == pytest.approx(1540.1, abs=0.05)
 
-    @pytest.mark.parametrize("policy", ["default", "mixed"])
-    @pytest.mark.parametrize("kind", ["model", "decoder"])
-    def test_crossings_stay_where_the_glue_was(self, kind, policy):
+    @pytest.mark.parametrize("policy", ["upmem", "mixed"])
+    def test_crossings_stay_where_the_glue_was(self, policy):
         """The views sit on the host: the PIM node a view reads from
         still hands its output back, and a PIM node reading a view still
         receives it."""
-        profile = compile_graph(_graph(kind), policy=policy).profile()
+        profile = compile_graph(_graph(), policy=policy).profile()
         by_op = {}
         for cost in profile.nodes:
             by_op.setdefault(cost.node.split(".")[-1], []).append(cost)
@@ -353,7 +345,7 @@ class TestPricing:
             assert all(c.crossing_in and c.h2d_s > 0 for c in by_op[name])
 
     def test_cpu_placement_has_no_transfers(self):
-        profile = compile_graph(_graph("model"), policy="cpu").profile()
+        profile = compile_graph(_graph(), policy="cpu").profile()
         assert all(
             c.h2d_s == c.d2h_s == 0.0 and c.target == "cpu"
             for c in profile.nodes

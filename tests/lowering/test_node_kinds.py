@@ -2,7 +2,7 @@
 
 Every lowered module of the corpus at O0 and O3 — its kernel, host
 programs and transfer bases — is walked once, and so is every program
-of the GPT-J graph builders, whose host epilogues (softmax, GELU,
+of the GPT-J graph builder, whose host epilogues (softmax, GELU,
 residual adds) hold the float ``/`` and the ``exp``/``tanh``
 intrinsics no corpus kernel may.  Every concrete statement
 kind and loop kind occurs, and every concrete expression kind occurs or
@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.autotune.sketch import generate_schedule
-from repro.graph import GPTJ_SIM, gptj_decoder_graph, gptj_model_graph
+from repro.graph import GPTJ_SIM, gptj_model_graph
 from repro.tir import For, ForKind, PrimExpr, Stmt, StmtVisitor
 from repro.workloads import tensor_ops
 
@@ -69,14 +69,11 @@ def _modules():
                 generate_schedule(workload, params), name=family,
                 opt_level=level,
             ).lowered
-    for graph in (
-        gptj_decoder_graph(GPTJ_SIM, tokens=8), gptj_model_graph(GPTJ_SIM, 1, 8)
-    ):
-        for node in graph.nodes:
-            for level in LEVELS:
-                yield repro.compile(
-                    node.workload, params=node.params, opt_level=level
-                ).lowered
+    for node in gptj_model_graph(GPTJ_SIM, 1, 8).nodes:
+        for level in LEVELS:
+            yield repro.compile(
+                node.workload, params=node.params, opt_level=level
+            ).lowered
 
 
 @pytest.fixture(scope="module")

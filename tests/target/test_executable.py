@@ -183,7 +183,7 @@ class TestEveryKindExecutes:
     """Every target's executable runs and profiles: the base class has
     no "cannot run" default left to fall back on."""
 
-    KINDS = ["cpu", "gpu", "prim", "simplepim", "upmem"]
+    KINDS = ["cpu", "prim", "simplepim", "upmem"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_run_and_profile(self, kind):

@@ -11,6 +11,7 @@ from repro.autotune import (
     default_engine,
     tuned_params,
 )
+from repro.baselines import CpuModel, GpuModel
 from repro.lowering import LowerOptions
 from repro.obs import Tracer, use_tracer
 from repro.pipeline import artifact_key, tuning_key
@@ -31,8 +32,8 @@ SMALL = UpmemConfig().with_(n_ranks=2)
 
 
 class TestRegistry:
-    def test_all_five_kinds_registered(self):
-        assert list_targets() == ["cpu", "gpu", "prim", "simplepim", "upmem"]
+    def test_all_four_kinds_registered(self):
+        assert list_targets() == ["cpu", "prim", "simplepim", "upmem"]
 
     def test_get_target_by_kind(self):
         assert isinstance(get_target("upmem"), UpmemTarget)
@@ -48,7 +49,7 @@ class TestRegistry:
 
     def test_labels_name_the_harness_columns(self):
         assert [get_target(kind).label for kind in list_targets()] == [
-            "cpu", "gpu", "prim", "simplepim", "upmem"
+            "cpu", "prim", "simplepim", "upmem"
         ]
 
 
@@ -80,9 +81,7 @@ class TestStrictFrontDoor:
 
 
 class TestOptLevelChecked:
-    @pytest.mark.parametrize(
-        "kind", ["cpu", "gpu", "prim", "simplepim", "upmem"]
-    )
+    @pytest.mark.parametrize("kind", ["cpu", "prim", "simplepim", "upmem"])
     def test_unknown_level_raises_everywhere(self, kind):
         with pytest.raises(ValueError, match="opt_level"):
             repro.compile(red(4096), target=kind, opt_level="O9")
@@ -96,20 +95,19 @@ class TestOptLevelChecked:
                 repro.compile(va(4096), target=kind, opt_level=level)
         assert repro.compile(va(4096), target=kind).latency > 0
 
-    @pytest.mark.parametrize("kind", ["cpu", "gpu"])
-    def test_rooflines_accept_every_level(self, kind):
-        """A graph's host glue compiles at the pool's level."""
+    def test_rooflines_accept_every_level(self):
+        """A graph's host nodes compile at the pool's level."""
         latencies = {
-            repro.compile(va(4096), target=kind, opt_level=level).latency
+            repro.compile(va(4096), target="cpu", opt_level=level).latency
             for level in ("O0", "O1", "O2", "O3")
         }
         assert len(latencies) == 1
 
 
 class TestCompileAllTargets:
-    """`repro.compile(w, target=t)` works for all five registered kinds."""
+    """`repro.compile(w, target=t)` works for all four registered kinds."""
 
-    @pytest.mark.parametrize("kind", ["upmem", "cpu", "gpu", "prim"])
+    @pytest.mark.parametrize("kind", ["upmem", "cpu", "prim"])
     def test_mtv_compiles(self, kind):
         exe = repro.compile(mtv(128, 128), target=kind)
         assert exe.latency > 0
@@ -125,7 +123,7 @@ class TestCompileAllTargets:
         wl = make_workload("mtv", "4MB")
         latencies = {
             kind: repro.compile(wl, target=kind).latency
-            for kind in ("upmem", "cpu", "gpu", "prim")
+            for kind in ("upmem", "cpu", "prim")
         }
         assert all(
             isinstance(v, float) and v > 0 for v in latencies.values()
@@ -280,11 +278,11 @@ class TestRooflineTargets:
         np.testing.assert_allclose(out, ins["A"] @ ins["B"], rtol=1e-5)
 
     def test_gpu_faster_than_cpu(self):
+        """Fig. 4 reads the GPU roofline directly; no target compiles
+        for it."""
         wl = make_workload("mtv", "64MB")
-        assert (
-            repro.compile(wl, target="gpu").latency
-            < repro.compile(wl, target="cpu").latency
-        )
+        assert GpuModel().latency(wl) < CpuModel().latency(wl)
+        assert "gpu" not in list_targets()
 
     def test_profile_breakdown_totals(self):
         wl = make_workload("va", "4MB")
@@ -344,18 +342,18 @@ class TestCrossTargetTuning:
         assert r_default.best_params == r_target.best_params
         assert r_default.best_latency == r_target.best_latency
 
-    @pytest.mark.parametrize("kind", ["cpu", "gpu", "prim", "simplepim"])
+    @pytest.mark.parametrize("kind", ["cpu", "prim", "simplepim"])
     def test_baseline_tuning_raises(self, kind):
         """Only a target whose model prices a module can score a search."""
         with pytest.raises(TargetError, match="cannot measure modules"):
             autotune(va(4096), n_trials=2, batch_size=2, target=kind)
 
-    @pytest.mark.parametrize("kind", ["cpu", "gpu", "prim", "simplepim"])
+    @pytest.mark.parametrize("kind", ["cpu", "prim", "simplepim"])
     def test_tuner_raises_when_built(self, kind):
         with pytest.raises(TargetError, match="cannot measure modules"):
             Tuner(va(4096), target=kind)
 
-    @pytest.mark.parametrize("kind", ["cpu", "gpu", "prim", "simplepim"])
+    @pytest.mark.parametrize("kind", ["cpu", "prim", "simplepim"])
     def test_tuned_params_raises_and_writes_nothing(self, kind, tmp_path):
         db = tmp_path / "tuning.jsonl"
         with pytest.raises(TargetError, match="cannot measure modules"):

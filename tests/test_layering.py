@@ -614,7 +614,6 @@ UNSET_OPTIONS = {
     ),
     "SimplePimTarget": ({"config"}, "as PrimTarget"),
     "CpuTarget": ({"model"}, "as PrimTarget, for the roofline model"),
-    "GpuTarget": ({"model"}, "as CpuTarget"),
     # -- the serving half (PR 20) --------------------------------------------
     "Node": (
         {"target"},
@@ -832,7 +831,8 @@ CUT = (
     "target/base.py:register_target", "target/base.py:has_target",
     "target/base.py:Target.cache_token", "target/base.py:Target.measure",
     "target/base.py:Target.search_config",
-    "target/targets.py:HbmPimTarget",
+    "target/targets.py:HbmPimTarget", "target/targets.py:GpuTarget",
+    "graph/builder.py:gptj_decoder_graph",
     "target/executable.py:EstimateExecutable",
     "serve/traffic.py:PATTERNS", "serve/scheduler.py:DynamicBatcher.groups",
     "decode/residency.py:POLICIES", "decode/residency.py:StageEvent.to_dict",
