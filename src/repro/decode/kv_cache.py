@@ -201,7 +201,8 @@ class PagedKVCache:
         one page per layer (allocation itself moves no bytes — pages
         are carved out of device memory, not shipped from the host).
         An append the pool cannot page for every layer raises
-        :class:`CacheError` before it changes anything.
+        :class:`CacheError`, and one with a row that is not ``d_model``
+        floats raises ``ValueError``, before it changes anything.
         """
         if len(layer_rows) != self.layers:
             raise CacheError(
@@ -218,10 +219,14 @@ class PagedKVCache:
                 f" {self.page_tokens} tokens; {len(self._free)} free,"
                 f" {self.layers} needed)"
             )
+        # Shape every row before any page is taken or written, so a
+        # malformed row refuses the append whole, too.
+        def shaped(row) -> np.ndarray:
+            return np.asarray(row, dtype=np.float32).reshape(self.d_model)
+
+        rows = [(shaped(k_row), shaped(v_row)) for k_row, v_row in layer_rows]
         new_events: List[CacheExtension] = []
-        for layer, (k_row, v_row) in enumerate(layer_rows):
-            k_row = np.asarray(k_row, dtype=np.float32).reshape(self.d_model)
-            v_row = np.asarray(v_row, dtype=np.float32).reshape(self.d_model)
+        for layer, (k_row, v_row) in enumerate(rows):
             table = self._table(sequence, layer)
             allocated: Tuple[int, ...] = ()
             if slot == 0:
@@ -286,8 +291,12 @@ class PagedKVCache:
         """Materialize the layer's cache as dense (capacity, d_model)
         K and V planes in block-table order (what the attention
         operators bind as const inputs).  The concatenation copies, so
-        subsequent in-place page writes never alias a running step."""
+        subsequent in-place page writes never alias a running step.
+        A sequence with no page yet reads ``(0, d_model)`` planes."""
         table = self._table(sequence, layer)
+        if not table:
+            empty = np.zeros((0, self.d_model), dtype=np.float32)
+            return empty, empty.copy()
         k = np.concatenate([self._pages[p].k for p in table], axis=0)
         v = np.concatenate([self._pages[p].v for p in table], axis=0)
         return k, v

@@ -98,6 +98,16 @@ class TestCpuGpu:
         wl = make_workload("mtv", "64MB")
         assert GpuModel().latency(wl) < CpuModel().latency(wl)
 
+    def test_gpu_boundary_check_penalty_below_cpus(self):
+        """Fig. 4 reads both rooflines: latency hiding leaves a GPU a
+        smaller boundary-check penalty than a CPU, on every shape."""
+        cpu, gpu = CpuModel(), GpuModel()
+        for m, k in ((542, 542), (990, 713), (990, 990)):
+            wl = mtv(m, k)
+            cpu_ratio = cpu.latency(wl, True) / cpu.latency(wl, False)
+            gpu_ratio = gpu.latency(wl, True) / gpu.latency(wl, False)
+            assert 1.0 < gpu_ratio < cpu_ratio
+
     def test_compute_bound_floor(self):
         # A tiny workload is dominated by fixed overhead.
         wl = va(16)

@@ -63,6 +63,32 @@ class TestPaging:
         with pytest.raises(CacheError, match="exhausted"):
             cache.append("s", rows(cache))
 
+    def test_pool_running_dry_after_a_layer_changes_nothing(self):
+        """Three pages for two layers: the second page boundary finds
+        one page free, enough for layer 0 only, and is refused whole."""
+        cache = make_cache(page_tokens=2, max_pages=3)
+        for i in range(2):
+            cache.append("s", rows(cache, float(i)))
+        tables = [cache.block_table("s", layer) for layer in range(2)]
+        with pytest.raises(CacheError, match="exhausted"):
+            cache.append("s", rows(cache))
+        assert [cache.block_table("s", layer) for layer in range(2)] == tables
+        assert cache.free_pages == 1
+        assert cache.length("s") == 2 and cache.capacity("s") == 2
+        assert cache.free_sequence("s") == 2 and cache.free_pages == 3
+
+    def test_malformed_row_changes_nothing(self):
+        """A bad row for the last layer refuses the append before layer
+        0 takes a page or writes a row."""
+        cache = make_cache()
+        bad = rows(cache)
+        bad[1] = (np.ones(cache.d_model - 3, dtype=np.float32), bad[1][1])
+        with pytest.raises(ValueError):
+            cache.append("s", bad)
+        assert cache.free_pages == cache.max_pages
+        assert cache.block_table("s", 0) == cache.block_table("s", 1) == ()
+        assert cache.length("s") == 0 and cache.extension_events == 0
+
     def test_free_sequence_returns_pages(self):
         cache = make_cache()
         for i in range(5):
@@ -92,6 +118,14 @@ class TestDenseViews:
                 np.testing.assert_array_equal(v[pos], r[layer][1])
             # Unwritten tail slots read deterministic zeros.
             assert not k[6:].any() and not v[6:].any()
+
+    def test_fresh_sequence_reads_empty_planes(self):
+        cache = make_cache()
+        for layer in range(cache.layers):
+            k, v = cache.dense_kv("s", layer)
+            assert k.shape == v.shape == (0, cache.d_model)
+            assert k.dtype == v.dtype == np.float32
+        assert cache.attention_mask("s").shape == (0,)
 
     def test_dense_view_is_a_copy(self):
         cache = make_cache()

@@ -14,6 +14,8 @@ from repro.graph import (
     ATTN_MASK,
     GPTJ_SIM,
     compile_graph,
+    gptj_layer_io,
+    gptj_layer_nbytes,
     gptj_model_graph,
     place,
     small_grid_params,
@@ -58,49 +60,107 @@ class TestTopology:
         assert {"k_cache_L0", "v_cache_t_L0"} <= const
         assert "x" not in const and ATTN_MASK not in const
 
+    def test_mismatched_head_geometry_rejected(self):
+        bad = GPTJConfig("bad", n_heads=3, d_model=32, head_dim=16)
+        with pytest.raises(ValueError, match="must equal d_model"):
+            gptj_model_graph(bad, layers=1, capacity=8)
+
     def test_sim_config_is_consistent(self):
         assert GPTJ_SIM.n_heads * GPTJ_SIM.head_dim == GPTJ_SIM.d_model
+
+    def test_every_pim_node_pins_its_small_grid(self):
+        g = gptj_model_graph(TINY, layers=2, capacity=4)
+        pim = [
+            n for n in g.nodes if n.workload.name in ("mtv", "mmtv", "va")
+        ]
+        assert pim
+        for node in pim:
+            assert node.params == small_grid_params(node.workload), node.name
+
+    def test_node_params_set_after_building_are_compiled(self):
+        """A built graph's ``Node.params`` is the one per-node knob: what
+        a caller sets there is the grid the compiled program runs."""
+        g = gptj_model_graph(TINY, layers=1, capacity=4)
+        fc = next(n for n in g.nodes if n.name == "L0.fc")
+        fc.params = {"m_dpus": 2, "k_dpus": 1, "n_tasklets": 2,
+                     "cache": 16, "host_threads": 1, "unroll": 0}
+        exe = compile_graph(g)
+        assert exe._exes["L0.fc"][0].params == fc.params
+        inputs = g.random_inputs(5)
+        got = exe.run_tensors(inputs)
+        for name, want in g.reference_outputs(inputs).items():
+            np.testing.assert_allclose(got[name], want, rtol=1e-3, atol=1e-5)
+
+
+def _hand_rolled(ins, K, V, mask=None):
+    """One layer's ``h1`` in plain NumPy.  Head ``h`` owns columns
+    ``h*hd:(h+1)*hd`` of the dense ``(capacity, d)`` K and V planes and
+    attends over those column slices; ``mask=None`` is the unmasked
+    attention of a cache whose every position is written."""
+    hd, H = TINY.head_dim, TINY.n_heads
+    cols = [slice(h * hd, (h + 1) * hd) for h in range(H)]
+    qkv = ins["w_qkv_L0"] @ ins["x"]
+    heads = []
+    for sl in cols:
+        scores = K[:, sl] @ qkv[sl]
+        z = scores.astype(np.float32) / np.float32(np.sqrt(hd))
+        if mask is not None:
+            z = z + mask
+        z = z - z.max()
+        e = np.exp(z)
+        probs = (e / e.sum()).astype(np.float32)
+        heads.append(V[:, sl].T @ probs)
+    attn = ins["w_proj_L0"] @ np.concatenate(heads).astype(np.float32)
+    hidden = ins["w_fc_L0"] @ ins["x"]
+    c = np.float32(np.sqrt(2.0 / np.pi))
+    act = (
+        np.float32(0.5) * hidden
+        * (np.float32(1.0)
+           + np.tanh(c * (hidden + np.float32(0.044715) * hidden ** 3)))
+    ).astype(np.float32)
+    ff = ins["w_fc_proj_L0"] @ act
+    return (ins["x"] + attn) + ff
+
+
+def _bind_cache(ins, seed, T=4):
+    """Dense random K and V planes, bound head by head as the layer's
+    ``k_cache``/``v_cache_t`` inputs; returns the planes."""
+    hd, H = TINY.head_dim, TINY.n_heads
+    rng = np.random.default_rng(seed)
+    K = rng.standard_normal((T, TINY.d_model), dtype=np.float32)
+    V = rng.standard_normal((T, TINY.d_model), dtype=np.float32)
+    cols = [slice(h * hd, (h + 1) * hd) for h in range(H)]
+    ins["k_cache_L0"] = np.stack([K[:, sl] for sl in cols])
+    ins["v_cache_t_L0"] = np.stack([V[:, sl].T for sl in cols])
+    return K, V
 
 
 class TestReference:
     def test_reference_matches_hand_rolled_numpy(self):
-        """Head ``h`` owns columns ``h*hd:(h+1)*hd`` of the dense
-        ``(capacity, d)`` K and V planes; the expected value attends
-        head by head over those column slices, the unwritten last
-        position masked off."""
+        """The graph's reference attends head by head over the column
+        slices of the K and V planes, the unwritten last position
+        masked off."""
         g = gptj_model_graph(TINY, layers=1, capacity=4)
         ins = g.random_inputs(7)
-        hd, H, T = TINY.head_dim, TINY.n_heads, 4
-        rng = np.random.default_rng(7)
-        K = rng.standard_normal((T, TINY.d_model), dtype=np.float32)
-        V = rng.standard_normal((T, TINY.d_model), dtype=np.float32)
-        cols = [slice(h * hd, (h + 1) * hd) for h in range(H)]
-        ins["k_cache_L0"] = np.stack([K[:, sl] for sl in cols])
-        ins["v_cache_t_L0"] = np.stack([V[:, sl].T for sl in cols])
+        K, V = _bind_cache(ins, 7)
         mask = np.array([0.0, 0.0, 0.0, -np.inf], dtype=np.float32)
         ins[ATTN_MASK] = mask
         out = g.reference_outputs(ins)["h1"]
+        np.testing.assert_allclose(out, _hand_rolled(ins, K, V, mask),
+                                   rtol=1e-4)
 
-        qkv = ins["w_qkv_L0"] @ ins["x"]
-        heads = []
-        for sl in cols:
-            scores = K[:, sl] @ qkv[sl]
-            z = scores.astype(np.float32) / np.float32(np.sqrt(hd)) + mask
-            z = z - z.max()
-            e = np.exp(z)
-            probs = (e / e.sum()).astype(np.float32)
-            heads.append(V[:, sl].T @ probs)
-        attn = ins["w_proj_L0"] @ np.concatenate(heads).astype(np.float32)
-        hidden = ins["w_fc_L0"] @ ins["x"]
-        c = np.float32(np.sqrt(2.0 / np.pi))
-        act = (
-            np.float32(0.5) * hidden
-            * (np.float32(1.0)
-               + np.tanh(c * (hidden + np.float32(0.044715) * hidden ** 3)))
-        ).astype(np.float32)
-        ff = ins["w_fc_proj_L0"] @ act
-        want = (ins["x"] + attn) + ff
-        np.testing.assert_allclose(out, want, rtol=1e-4)
+    def test_zero_mask_computes_the_unmasked_layer(self):
+        """fig17 binds an all-zero mask: every position is valid, and
+        the layer computes unmasked attention + FF, compiled or not."""
+        g = gptj_model_graph(TINY, layers=1, capacity=4)
+        ins = g.random_inputs(11)
+        K, V = _bind_cache(ins, 11)
+        ins[ATTN_MASK] = np.zeros((4,), dtype=np.float32)
+        want = _hand_rolled(ins, K, V)
+        np.testing.assert_allclose(g.reference_outputs(ins)["h1"], want,
+                                   rtol=1e-4)
+        got = compile_graph(g).run_tensors(ins)["h1"]
+        np.testing.assert_allclose(got, want, rtol=1e-3, atol=1e-5)
 
 
 #: Small shapes, then every shape ``golden_params.json`` pins a grid for:
@@ -422,11 +482,26 @@ class TestModelGraph:
             env["v_new_L1"], env["qkv_L1"][2 * d:3 * d]
         )
 
+    def test_layer_io_names_each_layers_tensors(self):
+        """``gptj_layer_io`` is how callers address a layer: its names
+        are the graph's, hidden states chain ``x -> h1 -> h2``, and one
+        layer's weights are the residency budget's unit."""
+        g = gptj_model_graph(TINY, layers=2, capacity=4)
+        const = g.const_inputs
+        for layer in range(2):
+            io = gptj_layer_io(TINY, layer)
+            for name, shape in io.weights:
+                assert name in const and g.tensor_shape(name) == shape
+            assert set(io.kv_cache) <= const
+            assert set(io.kv_new) <= set(g.output_names)
+            assert io.x == ("x" if layer == 0 else gptj_layer_io(TINY, 0).y)
+            assert sum(
+                g.tensor_nbytes(name) for name, _ in io.weights
+            ) == gptj_layer_nbytes(TINY)
+        assert gptj_layer_io(TINY, 1).y in g.output_names
+
     def test_validation(self):
         with pytest.raises(ValueError, match="layers"):
             gptj_model_graph(TINY, layers=0, capacity=8)
         with pytest.raises(ValueError, match="capacity"):
             gptj_model_graph(TINY, layers=1, capacity=0)
-        bad = GPTJConfig("bad", n_heads=3, d_model=32, head_dim=16)
-        with pytest.raises(ValueError, match="must equal d_model"):
-            gptj_model_graph(bad, layers=1, capacity=8)

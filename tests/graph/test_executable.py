@@ -36,6 +36,16 @@ class TestPlacement:
         assert placement["L0.fc"].kind == "cpu"
         assert placement["L0.fc_proj"].kind == "cpu"
 
+    def test_default_policy_is_upmem(self, tiny_decoder):
+        """``place`` and ``compile_graph`` default to the one name fig17
+        reports its everything-PIM row under."""
+        want = {
+            n: t.kind for n, t in place(tiny_decoder, policy="upmem").items()
+        }
+        assert {n: t.kind for n, t in place(tiny_decoder).items()} == want
+        exe = compile_graph(tiny_decoder)
+        assert {n: t.kind for n, t in exe.placement.items()} == want
+
     def test_node_override_wins(self):
         g = chain_graph()
         next(n for n in g.nodes if n.name == "add").target = "upmem"

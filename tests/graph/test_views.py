@@ -282,23 +282,34 @@ def test_random_views_run_like_the_reference_and_plan_soundly(case):
 # pricing: a view is the glue node it replaced, minus its compute line
 # ---------------------------------------------------------------------------
 
-#: ``steady_state_s`` in µs of ``gptj_model_graph(GPTJ_SIM, 3, 8)``, per
-#: policy, before the zero-flop glue became views: 42 nodes then, 18
-#: now that the glue is views and host epilogues.
+#: ``steady_state_s`` in µs of ``gptj_model_graph(GPTJ_SIM, layers,
+#: capacity)``, per (shape, policy), before the zero-flop glue became
+#: views: the 3-layer, 8-slot step had 42 nodes then and has 18 now that
+#: the glue is views and host epilogues; fig17's 1-layer, 16-slot step
+#: had 14 and has 6.
 _BEFORE_US = {
-    "upmem": 2254.6580170639763,
-    "cpu": 1435.4400000000005,
-    "mixed": 1950.0498273987325,
+    ((3, 8), "upmem"): 2254.6580170639763,
+    ((3, 8), "cpu"): 1435.4400000000005,
+    ((3, 8), "mixed"): 1950.0498273987325,
+    ((1, 16), "upmem"): 759.1708351533521,
+    ((1, 16), "cpu"): 479.1040000000001,
+    ((1, 16), "mixed"): 657.634771931604,
 }
 
+#: The priced steps: the 3-layer decode step and fig17's one layer.
+_SHAPES = pytest.mark.parametrize(
+    "shape", [(3, 8), (1, 16)], ids=["L3-c8", "L1-c16"]
+)
 
-def _graph():
-    return gptj_model_graph(GPTJ_SIM, 3, 8)
+
+def _graph(shape=(3, 8)):
+    return gptj_model_graph(GPTJ_SIM, *shape)
 
 
-def _removed_glue_s() -> float:
+def _removed_glue_s(shape) -> float:
     """What the host charged for the glue nodes the views and the host
     epilogues replaced: the same workloads, priced by the cpu target."""
+    layers, capacity = shape
     d, heads, hd = GPTJ_SIM.d_model, GPTJ_SIM.n_heads, GPTJ_SIM.head_dim
 
     def price(in_shape, out_shape):
@@ -308,19 +319,20 @@ def _removed_glue_s() -> float:
         price((3 * d,), (heads, hd)) + price((heads, hd), (d,))
         + 2 * price((3 * d,), (d,))
     )
-    return 3 * (per_layer + removed_glue_s(GPTJ_SIM, 8))
+    return layers * (per_layer + removed_glue_s(GPTJ_SIM, capacity))
 
 
 class TestPricing:
     @pytest.mark.parametrize("policy", ["upmem", "cpu", "mixed"])
-    def test_the_step_falls_by_the_removed_compute_lines(self, policy):
-        exe = compile_graph(_graph(), policy=policy)
+    @_SHAPES
+    def test_the_step_falls_by_the_removed_compute_lines(self, shape, policy):
+        exe = compile_graph(_graph(shape), policy=policy)
         profile = exe.profile()
         assert profile.steady_state_s == pytest.approx(
             sum(cost.total_s for cost in profile.nodes), rel=1e-12
         )
         want = (
-            _BEFORE_US[policy] * 1e-6 - _removed_glue_s()
+            _BEFORE_US[shape, policy] * 1e-6 - _removed_glue_s(shape)
             + sum(epilogue_lines_s(exe).values())
         )
         assert profile.steady_state_s == pytest.approx(want, rel=1e-9)
@@ -331,11 +343,12 @@ class TestPricing:
         assert profile.steady_state_s * 1e6 == pytest.approx(1540.1, abs=0.05)
 
     @pytest.mark.parametrize("policy", ["upmem", "mixed"])
-    def test_crossings_stay_where_the_glue_was(self, policy):
+    @_SHAPES
+    def test_crossings_stay_where_the_glue_was(self, shape, policy):
         """The views sit on the host: the PIM node a view reads from
         still hands its output back, and a PIM node reading a view still
         receives it."""
-        profile = compile_graph(_graph(), policy=policy).profile()
+        profile = compile_graph(_graph(shape), policy=policy).profile()
         by_op = {}
         for cost in profile.nodes:
             by_op.setdefault(cost.node.split(".")[-1], []).append(cost)

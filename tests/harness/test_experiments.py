@@ -13,6 +13,7 @@ from repro.harness import (
     fig13_breakdown,
     fig14_search_strategies,
     fig15_tuning_overhead,
+    fig17_end_to_end,
     render_curve,
     render_table,
     summarize_speedups,
@@ -48,6 +49,26 @@ class TestMotivation:
 def test_fig9_skips_sizes_a_workload_lacks():
     # va has no 512MB instance: the explicit size filter drops it.
     assert fig9_tensor_ops(workloads=["va"], sizes=["512MB"]) == []
+
+
+def test_fig17_is_the_one_layer_model_graph():
+    """fig17 runs one masked model-graph layer with every position
+    valid: six ``L0.*`` nodes, each placement matching the reference,
+    at the step times and arena the README reports."""
+    data = fig17_end_to_end()
+    assert data["graph"] == "gptj-6b-sim-model-L1-c16"
+    steady = {row["placement"]: row["steady_state_ms"] for row in data["rows"]}
+    assert steady == {
+        "upmem": pytest.approx(0.5213, abs=5e-5),
+        "cpu": pytest.approx(0.2381, abs=5e-5),
+        "mixed": pytest.approx(0.4175, abs=5e-5),
+    }
+    for row in data["rows"]:
+        assert row["nodes"] == 6 and row["matches_reference"] is True
+    for costs in data["breakdown"].values():
+        assert all(c["node"].startswith("L0.") for c in costs)
+    assert data["memory"]["arena_bytes"] == 4608
+    assert data["memory"]["naive_bytes"] == 5376
 
 
 @pytest.mark.slow
