@@ -25,10 +25,12 @@ Walks the ATiM flow around the single entry point
 6. build a whole GPT-J decoder-layer decode step as a
    ``repro.graph.ModelGraph`` — the multi-head attention MMTVs and the
    four FC-shape MTVs, the softmax, GELU and residual adds as host
-   epilogues of those programs — compile it through the same front
-   door (placement puts the matvecs on PIM), run it
-   bit-for-bit against the per-op path, and print the fig17-style
-   per-node latency breakdown plus the memory planner's buffer reuse;
+   epilogues of those programs — compile it with
+   ``repro.graph.compile_graph`` (a graph is many programs, not one
+   workload: placement puts the matvecs on PIM and each node compiles on
+   its own), run its named tensors with ``run_tensors`` against the
+   NumPy reference, and print the fig17-style per-node latency
+   breakdown plus the memory planner's buffer reuse;
 7. decode end-to-end with ``repro.decode.DecodeEngine``: N layers x T
    tokens over a paged KV cache that grows without replanning the graph
    and a weight-residency planner staging/evicting layers under an MRAM
@@ -233,13 +235,14 @@ def model_graphs() -> None:
     #    per load.  (Scaled config + small grids: the functional
     #    simulator executes every node.)
     from repro.graph import (
-        ATTN_MASK, gptj_layer_io, gptj_model_graph, plan_memory,
+        ATTN_MASK, compile_graph, gptj_layer_io, gptj_model_graph,
+        plan_memory,
     )
     from repro.workloads import GPTJConfig
 
     config = GPTJConfig("gptj-demo", n_heads=2, d_model=64, head_dim=32)
     graph = gptj_model_graph(config, layers=1, capacity=8)
-    exe = repro.compile(graph, target="upmem")
+    exe = compile_graph(graph)  # the "upmem" placement policy
 
     inputs = graph.random_inputs(seed=0)
     inputs[ATTN_MASK][:] = 0.0

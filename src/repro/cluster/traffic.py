@@ -55,10 +55,20 @@ class ClusterRequest:
     layers: int
 
 
-def default_tenants(n: int = 3) -> List[TenantSpec]:
+#: The diurnal sinusoid: relative swing of the arrival rate and its
+#: period, the day/night cycle scaled onto a trace of a few seconds.
+_DIURNAL_AMPLITUDE = 0.5
+_DIURNAL_PERIOD_S = 4.0
+#: Inclusive range a session's prompt length is drawn from.
+_PROMPT_TOKENS = (2, 6)
+#: ``(decoder layers, weight)`` of the model sizes sessions ask for.
+_MODEL_LAYERS = ((2, 0.75), (3, 0.25))
+
+
+def default_tenants() -> List[TenantSpec]:
     """A small heterogeneous tenant population: one latency-sensitive
     interactive tenant, one throughput batch tenant, background fill."""
-    specs = [
+    return [
         TenantSpec("interactive", weight=2.0, quota=4,
                    ttft_slo_s=0.5, tpot_slo_s=0.25),
         TenantSpec("batch", weight=1.0, quota=6,
@@ -66,7 +76,6 @@ def default_tenants(n: int = 3) -> List[TenantSpec]:
         TenantSpec("background", weight=0.5, quota=2,
                    ttft_slo_s=8.0, tpot_slo_s=4.0),
     ]
-    return specs[:n]
 
 
 def generate_cluster_trace(
@@ -74,39 +83,32 @@ def generate_cluster_trace(
     tenants: Sequence[TenantSpec],
     seed: int = 0,
     mean_interarrival_s: float = 0.05,
-    diurnal_amplitude: float = 0.5,
-    diurnal_period_s: float = 4.0,
     burst_prob: float = 0.15,
     burst_size: int = 3,
-    prompt_tokens: Tuple[int, int] = (2, 6),
     decode_tokens: Tuple[int, int] = (4, 12),
-    model_layers: Sequence[Tuple[int, float]] = ((2, 0.75), (3, 0.25)),
 ) -> List[ClusterRequest]:
     """Seeded multi-tenant arrival trace.
 
     Arrivals follow an inhomogeneous Poisson process: the instantaneous
-    rate is ``1/mean_interarrival_s`` scaled by ``1 +
-    diurnal_amplitude * sin(2*pi*t/diurnal_period_s)`` (clamped
-    positive), sampled by stepping exponential inter-arrivals at the
-    local rate.  Each arrival instant carries one session, or — with
-    probability ``burst_prob`` — ``burst_size`` simultaneous sessions.
-    Tenant, prompt/decode lengths and model size (``layers``) are drawn
-    independently per session; weights need not be normalized.
+    rate is ``1/mean_interarrival_s`` scaled by a diurnal sinusoid
+    (``1 + 0.5 * sin(2*pi*t / 4 s)``), sampled by stepping exponential
+    inter-arrivals at the local rate.  Each arrival instant carries one
+    session, or — with probability ``burst_prob`` — ``burst_size``
+    simultaneous sessions.  Tenant, prompt length (2-6 tokens), decode
+    length and model size (``layers``: 2 for three sessions in four, 3
+    for the rest) are drawn independently per session; tenant weights
+    need not be normalized.
     """
     if n_requests < 1:
         raise ValueError(f"n_requests must be >= 1, got {n_requests}")
     if not tenants:
         raise ValueError("need at least one TenantSpec")
-    if not 0.0 <= diurnal_amplitude < 1.0:
-        raise ValueError(
-            f"diurnal_amplitude must be in [0, 1), got {diurnal_amplitude}"
-        )
     rng = np.random.default_rng(seed)
     names = [t.name for t in tenants]
     weights = np.array([t.weight for t in tenants], dtype=np.float64)
     weights = weights / weights.sum()
-    layer_values = [int(l) for l, _ in model_layers]
-    layer_weights = np.array([w for _, w in model_layers], dtype=np.float64)
+    layer_values = [int(l) for l, _ in _MODEL_LAYERS]
+    layer_weights = np.array([w for _, w in _MODEL_LAYERS], dtype=np.float64)
     layer_weights = layer_weights / layer_weights.sum()
 
     events: List[ClusterRequest] = []
@@ -114,10 +116,10 @@ def generate_cluster_trace(
     base_rate = 1.0 / mean_interarrival_s
     while len(events) < n_requests:
         rate = base_rate * (
-            1.0 + diurnal_amplitude
-            * math.sin(2.0 * math.pi * t / diurnal_period_s)
+            1.0 + _DIURNAL_AMPLITUDE
+            * math.sin(2.0 * math.pi * t / _DIURNAL_PERIOD_S)
         )
-        t += float(rng.exponential(1.0 / max(rate, 1e-9)))
+        t += float(rng.exponential(1.0 / rate))
         burst = burst_size if float(rng.random()) < burst_prob else 1
         for _ in range(min(burst, n_requests - len(events))):
             i = len(events)
@@ -127,7 +129,7 @@ def generate_cluster_trace(
                     tenant=names[int(rng.choice(len(names), p=weights))],
                     session_id=f"s{i:04d}",
                     prompt_tokens=int(
-                        rng.integers(prompt_tokens[0], prompt_tokens[1] + 1)
+                        rng.integers(_PROMPT_TOKENS[0], _PROMPT_TOKENS[1] + 1)
                     ),
                     decode_tokens=int(
                         rng.integers(decode_tokens[0], decode_tokens[1] + 1)

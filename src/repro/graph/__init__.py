@@ -2,25 +2,26 @@
 
 The layer above per-kernel compilation: a :class:`ModelGraph` is a DAG
 of workloads over named tensors, a placement pass assigns each node a
-backend (MMTV/MTV on the PIM target, anything else on the host —
-overridable per node; element-wise glue is a host epilogue of the
-program beside it, and slices and reshapes are views of their base, not
-nodes), a linear-scan memory planner reuses dead
-intermediate buffers, and a :class:`GraphExecutable` compiles every node
-through the serving :class:`~repro.serve.pool.ExecutablePool` and runs
-whole decode steps bit-for-bit equal to per-op execution, with an
-end-to-end latency model that pays host<->DPU transfers only on
-placement boundaries and weight staging once per load.
+backend under a policy (MMTV/MTV on the PIM target, anything else on the
+host; element-wise glue is a host epilogue of the program beside it, and
+slices and reshapes are views of their base, not nodes), a linear-scan
+memory planner reuses dead intermediate buffers, and a
+:class:`GraphExecutable` compiles every node through the serving
+:class:`~repro.serve.pool.ExecutablePool` and runs whole decode steps
+bit-for-bit equal to per-op execution, with an end-to-end latency model
+that pays host<->DPU transfers only on placement boundaries and weight
+staging once per load.  A graph is not a workload: ``repro.compile``
+refuses one, :func:`compile_graph` is the way in.
 
 Quick tour::
 
     from repro.graph import ATTN_MASK, compile_graph, gptj_model_graph, plan_memory
 
     graph = gptj_model_graph(layers=1, capacity=16)
-    exe = compile_graph(graph, target="upmem")   # or repro.compile(graph)
+    exe = compile_graph(graph)                   # policy="upmem"
     inputs = graph.random_inputs(seed=0)
     inputs[ATTN_MASK][:] = 0.0                   # every cache position valid
-    outs = exe.run(inputs)
+    outs = exe.run_tensors(inputs)               # {output name: array}
     for cost in exe.profile().nodes:
         print(cost.node, cost.target, cost.total_s)
     print(plan_memory(graph).reuse_ratio)

@@ -4,11 +4,14 @@ Every node compiles through the serving layer's
 :class:`~repro.serve.pool.ExecutablePool` (so nodes that share one
 program, such as every layer's ``fc``, compile it once) with the node's
 own ``params`` — the builder's pinned grids, or tuned ones assigned per
-node.  Execution walks the graph's topological order, one
-``Executable.run`` per node — a view is no node: it is bound as a NumPy
-view of its base once the base exists, at no cost — and is bit-for-bit
-identical to calling each node's ``Executable.run`` by hand at any
-``REPRO_MAX_WORKERS``.
+node.  A :class:`GraphExecutable` is many programs, not one
+:class:`~repro.target.Executable`: it runs named tensors
+(:meth:`GraphExecutable.run_tensors`) and prices a whole step
+(:meth:`GraphExecutable.profile`).  Execution walks the graph's
+topological order, one ``Executable.run`` per node — a view is no node:
+it is bound as a NumPy view of its base once the base exists, at no
+cost — and is bit-for-bit identical to calling each node's
+``Executable.run`` by hand at any ``REPRO_MAX_WORKERS``.
 
 The latency model mirrors the serving timing model (§5.4), extended with
 placement boundaries:
@@ -40,13 +43,13 @@ machine per flush.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs import current_tracer
 from ..serve.pool import ExecutablePool
-from ..target import Executable, Target, get_target
+from ..target import Executable, Target
 from ..upmem.system import Latency
 from .ir import ModelGraph, Node, View
 from .placement import place
@@ -57,13 +60,14 @@ __all__ = [
     "GraphExecutable",
     "compile_graph",
     "pool_keys",
-    "PIM_SUBSTRATE_KINDS",
+    "PIM_KIND",
 ]
 
-#: Target kinds whose executables run on the (simulated) PIM machine —
-#: data they produce stays device-resident until a host-placed consumer
-#: or a graph output forces it back over the bus.
-PIM_SUBSTRATE_KINDS = frozenset({"upmem", "prim", "simplepim"})
+#: The target kind placement sends matvecs to: its executables run on the
+#: (simulated) PIM machine, and data they produce stays device-resident
+#: until a host-placed consumer or a graph output forces it back over the
+#: bus.  Every other node runs on the host roofline.
+PIM_KIND = "upmem"
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,7 @@ def pool_keys(graph: ModelGraph, placement: Dict[str, Target]) -> set:
     }
 
 
-class GraphExecutable(Executable):
+class GraphExecutable:
     """A model graph compiled node-by-node for a placement."""
 
     def __init__(
@@ -144,9 +148,7 @@ class GraphExecutable(Executable):
         graph: ModelGraph,
         placement: Dict[str, Target],
         pool: ExecutablePool,
-        target: Any = "upmem",
     ) -> None:
-        super().__init__(get_target(target), workload=graph, params=None)
         graph.validate()
         missing = [n.name for n in graph.nodes if n.name not in placement]
         if missing:
@@ -202,18 +204,11 @@ class GraphExecutable(Executable):
         return self._plan
 
     # -- execution -----------------------------------------------------------
-    def run(
-        self, inputs: Optional[Dict[str, np.ndarray]] = None, **named
-    ) -> List[np.ndarray]:
-        """Execute the DAG; returns the graph outputs in declaration
-        order."""
-        env = self.run_tensors(self._named_inputs(inputs, named))
-        return [env[name] for name in self.graph.output_names]
-
     def run_tensors(
         self, inputs: Dict[str, np.ndarray]
     ) -> Dict[str, np.ndarray]:
-        """Like :meth:`run`, returning ``{output name: array}``."""
+        """Execute the DAG on ``{input name: array}``; returns
+        ``{output name: array}`` in the graph's output order."""
         missing = [n for n in self.graph.input_names if n not in inputs]
         if missing:
             raise KeyError(
@@ -287,12 +282,6 @@ class GraphExecutable(Executable):
                             "d2h", track="graph", cat="graph", dur_s=cost.d2h_s
                         )
 
-    @property
-    def latency(self) -> float:
-        """First-run end-to-end seconds (includes weight staging; see
-        :attr:`GraphProfile.steady_state_s` for the warmed number)."""
-        return self.profile().total
-
     def _build_profile(self) -> GraphProfile:
         graph_outputs = set(self.graph.output_names)
         viewed = {view.base for view in self.graph.views.values()}
@@ -308,7 +297,7 @@ class GraphExecutable(Executable):
         for node in self._order:
             exe, loaded = self._exes[node.name]
             kind = self.placement[node.name].kind
-            on_pim = kind in PIM_SUBSTRATE_KINDS
+            on_pim = kind == PIM_KIND
             lat = exe.profile().latency
             if not on_pim:
                 # Host backends (rooflines) model their memory traffic
@@ -345,7 +334,7 @@ class GraphExecutable(Executable):
                     or node.output in viewed
                     or self._made_on_host(node)
                     or any(
-                        self.placement[c.name].kind not in PIM_SUBSTRATE_KINDS
+                        self.placement[c.name].kind != PIM_KIND
                         for c in self.graph.consumers(node.output)
                     )
                 )
@@ -377,7 +366,7 @@ class GraphExecutable(Executable):
         host-placed node, or by a PIM program whose module ends in host
         statements (an rfactor fold, a host epilogue) — its D2H is paid
         whoever reads it, and a PIM reader pays the H2D."""
-        if self.placement[node.name].kind not in PIM_SUBSTRATE_KINDS:
+        if self.placement[node.name].kind != PIM_KIND:
             return True
         return bool(self._exes[node.name][0].lowered.host_post)
 
@@ -419,24 +408,12 @@ class GraphExecutable(Executable):
 
 
 def compile_graph(
-    graph: ModelGraph,
-    target: Union[str, Target] = "upmem",
-    placement: Optional[Dict[str, Target]] = None,
-    policy: str = "upmem",
-    pool: Optional[Any] = None,
-    opt_level: str = "O3",
+    graph: ModelGraph, policy: str = "upmem"
 ) -> GraphExecutable:
-    """Compile a model graph: place every node, then compile each
-    through an :class:`~repro.serve.pool.ExecutablePool`.
-
-    ``target`` is the PIM side of the placement (``repro.compile``
-    routes its ``target=`` and its other keywords here); pass an
-    explicit ``placement`` dict to bypass the policy entirely.
-    """
-    if placement is None:
-        placement = place(graph, policy=policy, pim=target)
-    if pool is None:
-        pool = ExecutablePool(
-            capacity=max(8, len(graph.nodes)), opt_level=opt_level
-        )
-    return GraphExecutable(graph, placement, pool, target=target)
+    """Compile a model graph: :func:`~repro.graph.placement.place` every
+    node under ``policy``, then compile each through a fresh
+    :class:`~repro.serve.pool.ExecutablePool` large enough to hold them
+    all.  A long-lived loop that shares one pool across graphs (the
+    decode engine) builds :class:`GraphExecutable` itself."""
+    pool = ExecutablePool(capacity=max(8, len(graph.nodes)))
+    return GraphExecutable(graph, place(graph, policy), pool)

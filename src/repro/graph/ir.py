@@ -13,35 +13,27 @@ acyclicity) and expose a *deterministic* topological order — ties break
 on node insertion order, so two identically built graphs schedule, plan
 memory and charge latency identically on any machine.
 
-The graph is the unit the rest of the stack consumes: ``repro.compile``
-turns one into a :class:`~repro.graph.executable.GraphExecutable`, the
-serving pool keys requests by :meth:`ModelGraph.structural_signature`,
-and the memory planner walks :meth:`topological_order`.
+The graph is the unit the rest of :mod:`repro.graph` consumes: the
+placement pass assigns each node a backend,
+:func:`~repro.graph.executable.compile_graph` turns the placed graph
+into a :class:`~repro.graph.executable.GraphExecutable`, and the memory
+planner walks :meth:`topological_order`.  A graph is not a workload:
+``repro.compile`` refuses one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import te
 from ..pipeline import workload_signature
-from ..target.base import Target
 from ..workloads import Workload
 
 __all__ = ["GraphError", "Node", "View", "ModelGraph"]
-
-
-def _target_identity(target: Any):
-    """Signature-stable identity of a per-node target override: the full
-    compile-relevant identity for Target instances, the kind string as
-    written otherwise."""
-    if isinstance(target, Target):
-        return target.identity()
-    return None if target is None else str(target)
 
 
 class GraphError(ValueError):
@@ -54,21 +46,17 @@ class Node:
 
     ``inputs`` maps the *workload's* input tensor names (``"A"``,
     ``"B"``, ...) to graph tensor names; ``output`` names the graph
-    tensor this node defines.  ``target`` (assigned on a built graph:
-    ``graph.nodes[i].target = "upmem"``) pins the node to a backend,
-    overriding whatever the placement pass would choose;
-    ``params`` carries explicit schedule parameters for compiling
-    targets (serving-grade graphs pin small grids — the canonical
-    max-parallelism defaults cost seconds of simulator host time per
-    run).  ``tags`` label the node for placement policies (``"attn"``,
-    ``"ffn"``, ...).
+    tensor this node defines.  ``params`` carries explicit schedule
+    parameters for compiling targets (serving-grade graphs pin small
+    grids — the canonical max-parallelism defaults cost seconds of
+    simulator host time per run).  ``tags`` label the node for placement
+    policies (``"attn"``, ``"ffn"``, ...).
     """
 
     name: str
     workload: Workload
     inputs: Dict[str, str]
     output: str
-    target: Optional[Any] = None
     params: Optional[Dict[str, int]] = None
     tags: frozenset = frozenset()
 
@@ -117,9 +105,7 @@ class ModelGraph:
     def __init__(self, name: str = "graph") -> None:
         self.name = name
         #: External inputs as TE placeholders (name -> Tensor); the
-        #: placeholder carries shape/dtype/nbytes, so the graph presents
-        #: the same ``inputs`` surface as a :class:`Workload` (the serve
-        #: timing model reads ``t.buffer.nbytes`` off it).
+        #: placeholder carries shape, dtype and nbytes.
         self._inputs: "Dict[str, te.Tensor]" = {}
         self._const: set = set()
         self.nodes: List[Node] = []
@@ -213,11 +199,6 @@ class ModelGraph:
         )
 
     # -- tensors ------------------------------------------------------------
-    @property
-    def inputs(self) -> List[te.Tensor]:
-        """External input placeholders, in declaration order."""
-        return list(self._inputs.values())
-
     @property
     def const_inputs(self) -> frozenset:
         """Names of external inputs resident across runs (weights, KV)."""
@@ -357,10 +338,10 @@ class ModelGraph:
 
     # -- identity -----------------------------------------------------------
     def structural_signature(self) -> tuple:
-        """Stable structural identity for cache/pool keying: two
-        separately built but identical graphs share compiled programs
-        and batch together in the server; any difference in wiring,
-        shapes, per-node params or target overrides separates them."""
+        """Stable structural identity: two separately built but
+        identical graphs share it; any difference in inputs, wiring,
+        shapes, tags, per-node params or views separates them (the
+        golden graph table pins its digest per builder case)."""
         return (
             "modelgraph",
             self.name,
@@ -379,10 +360,8 @@ class ModelGraph:
                     workload_signature(node.workload),
                     tuple(sorted(node.inputs.items())),
                     node.output,
-                    # Tags and overrides steer placement, and placement
-                    # picks the compiled program — they must separate
-                    # batch keys exactly like params do.
-                    _target_identity(node.target),
+                    # Tags steer placement, and placement picks the
+                    # compiled program: they separate graphs like params.
                     tuple(sorted(node.tags)),
                     tuple(sorted((node.params or {}).items())),
                 )

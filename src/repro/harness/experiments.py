@@ -30,11 +30,11 @@ from ..decode import DecodeEngine
 from ..graph import (
     ATTN_MASK,
     GPTJ_SIM,
+    PLACEMENT_POLICIES,
     compile_graph,
     gptj_layer_io,
     gptj_layer_nbytes,
     gptj_model_graph,
-    place,
     plan_memory,
 )
 from ..optim import LEVELS
@@ -750,56 +750,39 @@ def fig16_serving(
 # ---------------------------------------------------------------------------
 
 
-def fig17_end_to_end(
-    tokens: int = 16,
-    config=None,
-    placements: Sequence[str] = ("upmem", "cpu", "mixed"),
-    seed: int = 0,
-    execute: bool = True,
-) -> Dict:
+def fig17_end_to_end(tokens: int = 16, seed: int = 0) -> Dict:
     """One GPT-J decoder-layer decode step as a model graph, end to end.
 
     Not a paper figure: the graph subsystem's headline experiment.  The
-    1-layer :func:`~repro.graph.gptj_model_graph` over ``tokens`` cache
-    positions, its :data:`~repro.graph.ATTN_MASK` all zeros (every
-    position valid), compiles under three placement policies —
-    everything-PIM (matvecs on upmem, their softmax, GELU and residual
-    epilogues on its host), everything-CPU, and a mixed split
-    (attention on PIM, FC layers on the CPU roofline) — and reports a
-    per-node latency breakdown (compute vs boundary transfers vs
-    one-time weight staging) plus the memory planner's arena against the
-    naive no-reuse allocation.
-
-    ``config`` defaults to the scaled :data:`repro.graph.GPTJ_SIM`
-    configuration (same topology as GPT-J 6B) so each placement also
-    *executes* functionally and is checked against the NumPy reference;
-    pass ``execute=False`` for timing-only sweeps at bigger shapes.
+    1-layer :func:`~repro.graph.gptj_model_graph` of the scaled
+    :data:`~repro.graph.GPTJ_SIM` configuration (same topology as GPT-J
+    6B) over ``tokens`` cache positions, its
+    :data:`~repro.graph.ATTN_MASK` all zeros (every position valid),
+    compiles under each placement policy — everything-PIM (matvecs on
+    upmem, their softmax, GELU and residual epilogues on its host),
+    everything-CPU, and a mixed split (attention on PIM, FC layers on
+    the CPU roofline) — executes, is checked against the NumPy
+    reference, and reports a per-node latency breakdown (compute vs
+    boundary transfers vs one-time weight staging) plus the memory
+    planner's arena against the naive no-reuse allocation.
     """
-    cfg = config or GPTJ_SIM
-    graph = gptj_model_graph(cfg, layers=1, capacity=tokens)
-    y = gptj_layer_io(cfg, 0).y
+    graph = gptj_model_graph(GPTJ_SIM, layers=1, capacity=tokens)
+    y = gptj_layer_io(GPTJ_SIM, 0).y
     plan = plan_memory(graph)
-    if execute:
-        inputs = graph.random_inputs(seed=seed)
-        inputs[ATTN_MASK][:] = 0.0
-        reference = graph.reference_outputs(inputs)
+    inputs = graph.random_inputs(seed=seed)
+    inputs[ATTN_MASK][:] = 0.0
+    reference = graph.reference_outputs(inputs)
 
     rows: List[Dict] = []
     breakdown: Dict[str, List[Dict]] = {}
-    for policy in placements:
-        placement = place(graph, policy=policy)
-        exe = compile_graph(graph, placement=placement)
+    for policy in PLACEMENT_POLICIES:
+        exe = compile_graph(graph, policy)
         profile = exe.profile()
         # Replay this placement's cost breakdown into the ambient tracer
         # (a no-op unless the harness installed one via --trace).
         exe.trace(name=f"fig17 {policy}")
-        matches = None
-        if execute:
-            out = exe.run_tensors(inputs)[y]
-            matches = bool(
-                np.allclose(out, reference[y], rtol=1e-3, atol=1e-5)
-            )
-        kinds = [placement[n.name].kind for n in graph.nodes]
+        out = exe.run_tensors(inputs)[y]
+        kinds = [exe.placement[n.name].kind for n in graph.nodes]
         rows.append(
             {
                 "placement": policy,
@@ -812,7 +795,9 @@ def fig17_end_to_end(
                 "h2d_ms": sum(c.h2d_s for c in profile.nodes) * 1e3,
                 "d2h_ms": sum(c.d2h_s for c in profile.nodes) * 1e3,
                 "staging_ms": profile.staging_s * 1e3,
-                "matches_reference": matches,
+                "matches_reference": bool(
+                    np.allclose(out, reference[y], rtol=1e-3, atol=1e-5)
+                ),
             }
         )
         breakdown[policy] = [c.to_dict() for c in profile.nodes]
@@ -830,9 +815,7 @@ def fig17_multilayer(
     tokens: int = 6,
     prompt_tokens: int = 4,
     page_tokens: int = 4,
-    config=None,
     seed: int = 0,
-    mram_budget_layers: Optional[int] = None,
 ) -> Dict:
     """Full-model decode: N layers x T tokens over managed device memory.
 
@@ -844,20 +827,19 @@ def fig17_multilayer(
     boundaries, and even then only the capacity-sized attention
     programs compile — ``compiled_programs`` per step proves it).
 
-    ``mram_budget_layers`` caps device weight residency in units of one
-    layer's weights; the default ``layers - 1`` (for ``layers > 1``)
-    deliberately undersizes the budget so the stage/evict schedule is
+    The model is the scaled :data:`~repro.graph.GPTJ_SIM` configuration.
+    Device weight residency is capped at ``layers - 1`` layers' weights
+    (one for a single layer), the payload's ``mram_budget_layers``: the
+    budget is deliberately undersized so the stage/evict schedule is
     visible in the per-layer rows.  Every reported number is
     deterministic: bit-for-bit identical at any ``REPRO_MAX_WORKERS``.
     """
-    cfg = config or GPTJ_SIM
-    if mram_budget_layers is None:
-        mram_budget_layers = layers - 1 if layers > 1 else 1
+    mram_budget_layers = layers - 1 if layers > 1 else 1
     engine = DecodeEngine(
-        config=cfg,
+        config=GPTJ_SIM,
         layers=layers,
         page_tokens=page_tokens,
-        mram_budget_bytes=mram_budget_layers * gptj_layer_nbytes(cfg),
+        mram_budget_bytes=mram_budget_layers * gptj_layer_nbytes(GPTJ_SIM),
         seed=seed,
     )
     result = engine.decode(tokens=tokens, prompt_tokens=prompt_tokens)

@@ -59,15 +59,7 @@ def workload_signature(workload: Any) -> tuple:
     and the compute expression — rather than object identity, so equal
     workloads constructed separately share artifacts while same-named
     workloads with different bodies or dtypes do not alias.
-
-    Objects that know their own structural identity (a
-    :class:`repro.graph.ModelGraph` spanning many workloads) expose a
-    ``structural_signature()`` method, used verbatim — that is how
-    graph-keyed serving requests batch by graph structure.
     """
-    custom = getattr(workload, "structural_signature", None)
-    if callable(custom):
-        return custom()
     output = getattr(workload, "output", None)
     op = getattr(output, "op", None)
     body = getattr(op, "body", None)

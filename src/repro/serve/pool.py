@@ -8,7 +8,8 @@ params) key, reuses the process-wide artifact cache underneath (so an
 evicted-then-reloaded program re-wraps the cached lowered module instead
 of re-lowering), and evicts least-recently-used entries beyond
 ``capacity``.  Requests carry their schedule params (tuned ones come
-from ``tuned_params``); ``None`` compiles the target's defaults.
+from ``tuned_params``); ``None`` compiles the target's defaults.  Every
+program compiles at the front door's default level, O3 (§5.3).
 """
 
 from __future__ import annotations
@@ -27,15 +28,10 @@ __all__ = ["ExecutablePool"]
 class ExecutablePool:
     """LRU cache of compiled :class:`~repro.target.Executable` objects."""
 
-    def __init__(
-        self,
-        capacity: int = 8,
-        opt_level: str = "O3",
-    ) -> None:
+    def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.opt_level = opt_level
         self._entries: "OrderedDict[Tuple, Executable]" = OrderedDict()
         self._pinned: set = set()
         self._key_hits: Dict[Tuple, int] = {}
@@ -152,6 +148,13 @@ class ExecutablePool:
         else:
             exe = self._compile(workload, target, params)
         self._entries[key] = exe
+        self._evict_over_capacity()
+        return exe, True
+
+    def _evict_over_capacity(self) -> None:
+        """Drop least-recently-used unpinned programs until the pool
+        fits its capacity, or only pinned ones are left."""
+        tracer = current_tracer()
         while len(self._entries) > self.capacity:
             victim = next(
                 (k for k in self._entries if k not in self._pinned), None
@@ -167,7 +170,6 @@ class ExecutablePool:
                     "pool.evict", track="pool", cat="pool",
                     args={"key": self.key_label(victim)},
                 )
-        return exe, True
 
     def _compile(
         self, workload: Any, target: Any, params: Optional[Dict[str, int]]
@@ -176,9 +178,7 @@ class ExecutablePool:
         # ``repro.target.compile.compile`` (perf/trace.py) sees pool loads.
         from ..target.compile import compile as _compile
 
-        return _compile(
-            workload, target=target, opt_level=self.opt_level, params=params
-        )
+        return _compile(workload, target=target, params=params)
 
     def prewarm(
         self, specs: Iterable[Tuple[Any, Any, Optional[Dict[str, int]]]]
@@ -219,7 +219,8 @@ class ExecutablePool:
             )
 
     def unpin(self, key: Tuple) -> None:
-        """Release a pin; the entry rejoins the ordinary LRU order.
+        """Release a pin; the entry rejoins the ordinary LRU order, so a
+        pool that pins held over capacity shrinks back to it at once.
         Unpinning an unknown key is a no-op."""
         self._pinned.discard(key)
         tracer = current_tracer()
@@ -228,6 +229,7 @@ class ExecutablePool:
                 "pool.unpin", track="pool", cat="pool",
                 args={"key": self.key_label(key)},
             )
+        self._evict_over_capacity()
 
     def pinned_keys(self) -> set:
         return set(self._pinned)

@@ -45,6 +45,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import current_tracer
+from ..target import Executable, UpmemExecutable
+from ..workloads import Workload
 from .metrics import ServerMetrics
 from .pool import ExecutablePool
 from .request import Request, Response, Ticket
@@ -67,7 +69,7 @@ class ServeError(RuntimeError):
 def _workload_name(request: Request) -> str:
     """The metrics-bucket name of a request's workload — one rule shared
     by rejection, completion and failure accounting."""
-    return getattr(request.workload, "name", str(request.workload))
+    return request.workload.name
 
 
 class Server:
@@ -379,8 +381,8 @@ class Server:
           the pool (re)staged the program — the paper's "constant
           tensors transferred once" (§5.4).
 
-        Targets without a DPU grid (the CPU roofline, model graphs) get
-        one group, degrading gracefully to launch amortization only.
+        A target without a DPU grid (the CPU roofline) gets one group,
+        degrading gracefully to launch amortization only.
         """
         launch, kernel, serial, const_h2d = self._unit_costs(exe, key)
         groups = self._replica_groups(exe)
@@ -412,26 +414,22 @@ class Server:
         return costs
 
     @staticmethod
-    def _replica_groups(exe: Any) -> int:
-        """How many copies of the program the machine runs concurrently."""
-        program_dpus = getattr(getattr(exe, "lowered", None), "n_dpus", 0)
-        total_dpus = getattr(
-            getattr(getattr(exe, "target", None), "config", None), "n_dpus", 0
-        )
-        if program_dpus and total_dpus:
-            return max(1, total_dpus // program_dpus)
-        return 1
+    def _replica_groups(exe: Executable) -> int:
+        """How many copies of the program the machine runs concurrently
+        (one for a roofline, which has no DPU grid)."""
+        if not isinstance(exe, UpmemExecutable):
+            return 1
+        return max(1, exe.target.config.n_dpus // exe.lowered.n_dpus)
 
     @staticmethod
-    def _const_input_fraction(workload: Any) -> float:
+    def _const_input_fraction(workload: Workload) -> float:
         """Byte share of inputs that stay resident (weights, KV cache)."""
-        const_names = getattr(workload, "const_inputs", None)
-        inputs = getattr(workload, "inputs", None)
-        if not const_names or not inputs:
+        if not workload.const_inputs:
             return 0.0
-        total = sum(t.buffer.nbytes for t in inputs)
+        total = sum(t.buffer.nbytes for t in workload.inputs)
         const = sum(
-            t.buffer.nbytes for t in inputs if t.name in const_names
+            t.buffer.nbytes for t in workload.inputs
+            if t.name in workload.const_inputs
         )
         return const / total
 

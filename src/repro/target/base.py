@@ -48,7 +48,7 @@ class Target(abc.ABC):
         return self.kind
 
     def identity(self) -> Tuple[str, str]:
-        """(kind, config repr): what pool and graph keys hold of a
+        """(kind, config repr): what a pool key holds of a
         target — kind alone would alias differently configured
         instances of one backend."""
         return (self.kind, repr(self.config))

@@ -9,14 +9,17 @@
     out, = exe.run(A=a, B=b)
     print(exe.latency, repro.list_targets())
 
-One call works for every target, for workloads, explicit schedules and
-model graphs alike; there is no other way in.
+One call works for every target, for workloads and explicit schedules
+alike; there is no other way in.  A model graph is many programs, not
+one: :func:`repro.graph.compile_graph` compiles it node by node.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Union
 
+from ..schedule import Schedule
+from ..workloads import Workload
 from .base import Target
 from .executable import Executable
 from .targets import get_target
@@ -25,7 +28,7 @@ __all__ = ["compile"]
 
 
 def compile(
-    workload_or_schedule: Any,
+    workload_or_schedule: Union[Workload, Schedule],
     target: Union[str, Target] = "upmem",
     opt_level: str = "O3",
     params: Optional[Dict[str, int]] = None,
@@ -39,7 +42,8 @@ def compile(
         A :class:`repro.workloads.Workload` (the target picks or is given
         schedule parameters) or a hand-built
         :class:`repro.schedule.Schedule` (targets with a compile pipeline
-        only).
+        only).  Anything else raises ``TypeError``; a model graph
+        compiles through :func:`repro.graph.compile_graph`.
     target:
         A kind string (see :func:`repro.target.list_targets`) or a
         configured :class:`Target` instance.
@@ -59,31 +63,12 @@ def compile(
 
     Returns the target's :class:`Executable` with the uniform
     ``run`` / ``run_batch`` / ``profile`` / ``latency`` surface.
-
-    A :class:`repro.graph.ModelGraph` compiles node-by-node instead:
-    ``target`` becomes the PIM side of the placement (nodes without a
-    PIM sketch stay on the host), ``target_args`` go to
-    :func:`~repro.graph.executable.compile_graph` (``placement=``,
-    ``policy=``, ``pool=``), and the result is a
-    :class:`~repro.graph.executable.GraphExecutable`.
     """
-    # Local: ``graph`` sits above ``target`` (its executables hold
-    # targets), so the front door reaches up to it only when called.
-    from ..graph.executable import compile_graph
-    from ..graph.ir import ModelGraph
-
-    if isinstance(workload_or_schedule, ModelGraph):
-        if params is not None:
-            raise ValueError(
-                "params= does not apply to a ModelGraph — pin schedule"
-                " parameters per node (set Node.params on the built"
-                " graph)"
-            )
-        return compile_graph(
-            workload_or_schedule,
-            target=target,
-            opt_level=opt_level,
-            **target_args,
+    if not isinstance(workload_or_schedule, (Workload, Schedule)):
+        raise TypeError(
+            "repro.compile takes a Workload or a Schedule, not"
+            f" {type(workload_or_schedule).__name__}; compile a model"
+            " graph with repro.graph.compile_graph"
         )
     return get_target(target).compile(
         workload_or_schedule, opt_level=opt_level, params=params,

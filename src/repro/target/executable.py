@@ -59,8 +59,8 @@ class Executable:
         """Execute independent input dicts; results in input order.
 
         The default treats each item as one unit of work the size of its
-        input arrays (right for roofline and graph executables, whose
-        ``run`` is one numpy expression or one node walk over them) and
+        input arrays (right for a roofline executable, whose ``run`` is
+        one numpy expression over them) and
         lets :meth:`Executor.jobs` cut the batch: small batches run in
         order on the caller's thread, big ones as a few contiguous jobs
         on a pool.  An empty batch returns ``[]`` without touching any

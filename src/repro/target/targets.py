@@ -248,8 +248,7 @@ class CpuTarget(Target):
 
     A roofline prices the workload, not a module, so it ignores
     ``params`` (fig16 replays one request mix, upmem params included,
-    across upmem and cpu) and accepts every level (a graph's host nodes
-    compile at the pool's level).
+    across upmem and cpu) and accepts every level.
     """
 
     kind = "cpu"

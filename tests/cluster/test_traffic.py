@@ -8,6 +8,7 @@ from repro.cluster import (
     generate_cluster_trace,
     sessions_from_trace,
 )
+from repro.cluster.traffic import _MODEL_LAYERS, _PROMPT_TOKENS
 
 
 class TestGeneration:
@@ -39,11 +40,10 @@ class TestGeneration:
         )
 
     def test_mixed_model_sizes_appear(self):
-        trace = generate_cluster_trace(
-            60, default_tenants(), seed=0,
-            model_layers=((2, 0.5), (3, 0.5)),
-        )
-        assert {r.layers for r in trace} == {2, 3}
+        trace = generate_cluster_trace(60, default_tenants(), seed=0)
+        assert {r.layers for r in trace} == {l for l, _ in _MODEL_LAYERS}
+        low, high = _PROMPT_TOKENS
+        assert all(low <= r.prompt_tokens <= high for r in trace)
 
     def test_tenant_weights_respected(self):
         tenants = [
@@ -61,8 +61,6 @@ class TestGeneration:
             generate_cluster_trace(0, default_tenants())
         with pytest.raises(ValueError, match="TenantSpec"):
             generate_cluster_trace(4, [])
-        with pytest.raises(ValueError, match="diurnal_amplitude"):
-            generate_cluster_trace(4, default_tenants(), diurnal_amplitude=1.5)
 
 
 class TestMaterialization:

@@ -3,12 +3,12 @@
 ``golden_graphs.json`` pins, for :func:`gptj_model_graph` (TINY,
 ``GPTJ_SIM``, ``CLUSTER_SIM`` x 1/2/3 layers x capacity 4/8/12), the
 digest of ``structural_signature()`` — names, shapes, wiring, tags,
-pinned params, views — and, readable in a diff, the input order, output
-order, node order and each view as ``[name, base, offset, shape]``.
-The signature is the serving batch key and the node order is the
-executable's schedule, so any diff here changes pool keys, traces and
-latencies.  Regenerate (only when the emitted graph is *meant* to
-change) with::
+pinned params, views: the emitted graph's identity — and, readable in a
+diff, the input order, output order, node order and each view as
+``[name, base, offset, shape]``.  The node order is the executable's
+schedule and each node's workload and params are its pool key, so any
+diff here changes pool keys, traces and latencies.  Regenerate (only
+when the emitted graph is *meant* to change) with::
 
     PYTHONPATH=src python -m tests.graph.golden_graphs
 """

@@ -1,5 +1,7 @@
 """GraphExecutable: placement, compilation, execution, cost model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.graph import (
     place,
 )
 from repro.serve.pool import ExecutablePool
+from repro.target import get_target
 
 from .conftest import TINY, chain_graph
 
@@ -36,6 +39,15 @@ class TestPlacement:
         assert placement["L0.fc"].kind == "cpu"
         assert placement["L0.fc_proj"].kind == "cpu"
 
+    @pytest.mark.parametrize("policy", ["upmem", "cpu", "mixed"])
+    def test_each_side_is_one_target_instance(self, tiny_decoder, policy):
+        """Every node placed on one side shares one Target object, so
+        the whole graph has one pool identity and one config per side."""
+        placement = place(tiny_decoder, policy)
+        by_kind = {}
+        for target in placement.values():
+            assert by_kind.setdefault(target.kind, target) is target
+
     def test_default_policy_is_upmem(self, tiny_decoder):
         """``place`` and ``compile_graph`` default to the one name fig17
         reports its everything-PIM row under."""
@@ -46,19 +58,14 @@ class TestPlacement:
         exe = compile_graph(tiny_decoder)
         assert {n: t.kind for n, t in exe.placement.items()} == want
 
-    def test_node_override_wins(self):
+    def test_node_the_host_cannot_compile_rejected(self):
+        """A node the policy keeps on the host must have a host
+        reference: placement refuses it, not a later compile."""
         g = chain_graph()
-        next(n for n in g.nodes if n.name == "add").target = "upmem"
-        placement = place(g, policy="cpu")
-        assert placement["add"].kind == "upmem"
-        assert placement["h1"].kind == "cpu"
-
-    def test_node_forced_onto_incapable_target_rejected(self, tiny_decoder):
-        next(
-            n for n in tiny_decoder.nodes if n.name == "L0.fc"
-        ).target = "simplepim"
+        node = next(n for n in g.nodes if n.name == "add")
+        node.workload = replace(node.workload, reference=None)
         with pytest.raises(GraphError, match="cannot compile"):
-            place(tiny_decoder, policy="upmem")
+            place(g, "upmem")
 
     @pytest.mark.parametrize("policy", ["gpu-only", "default"])
     def test_unknown_policy_rejected(self, tiny_decoder, policy):
@@ -71,7 +78,7 @@ class TestExecution:
         """The acceptance contract: orchestrated execution is exactly a
         chain of individual ``Executable.run`` calls, views read as
         NumPy views of their bases."""
-        exe = compile_graph(tiny_decoder, target="upmem")
+        exe = compile_graph(tiny_decoder)
         inputs = tiny_decoder.random_inputs(5)
         got = exe.run_tensors(inputs)
 
@@ -103,33 +110,28 @@ class TestExecution:
         inputs = tiny_decoder.random_inputs(2)
         want = tiny_decoder.reference_outputs(inputs)
         for policy in ("upmem", "cpu", "mixed"):
-            exe = compile_graph(
-                tiny_decoder, placement=place(tiny_decoder, policy=policy)
-            )
-            got = exe.run_tensors(inputs)
+            got = compile_graph(tiny_decoder, policy).run_tensors(inputs)
             for name, ref in want.items():
                 np.testing.assert_allclose(
                     got[name], ref, rtol=1e-3, atol=1e-5
                 )
 
-    def test_front_door_compiles_graphs(self, tiny_decoder):
-        exe = repro.compile(tiny_decoder, target="upmem")
-        assert isinstance(exe, GraphExecutable)
-        assert exe.latency > 0
-
-    def test_front_door_rejects_graph_level_params(self, tiny_decoder):
-        """Schedule params are per node; a graph-level params= would be
-        silently meaningless, so it is an explicit error."""
-        with pytest.raises(ValueError, match="per node"):
-            repro.compile(tiny_decoder, target="upmem",
-                          params={"m_dpus": 4})
+    def test_front_door_refuses_graphs(self):
+        """A model graph is many programs, not a workload: the front
+        door names the graph compiler instead of compiling it."""
+        graph = gptj_model_graph(TINY, layers=1, capacity=4)
+        with pytest.raises(TypeError, match="compile_graph"):
+            repro.compile(graph)
+        exe = compile_graph(graph)
+        assert not isinstance(exe, repro.target.Executable)
+        assert not hasattr(exe, "run") and not hasattr(exe, "latency")
 
     def test_missing_input_rejected(self, tiny_decoder):
-        exe = compile_graph(tiny_decoder, target="upmem")
+        exe = compile_graph(tiny_decoder)
         inputs = tiny_decoder.random_inputs(0)
         inputs.pop("x")
         with pytest.raises(KeyError, match="missing inputs"):
-            exe.run(inputs)
+            exe.run_tensors(inputs)
 
     def test_incomplete_placement_rejected(self, tiny_decoder):
         placement = place(tiny_decoder, policy="upmem")
@@ -140,7 +142,7 @@ class TestExecution:
     def test_shared_programs_compile_once(self):
         pool = ExecutablePool(capacity=64)
         graph = gptj_model_graph(TINY, layers=2, capacity=4)
-        compile_graph(graph, target="upmem", pool=pool)
+        GraphExecutable(graph, place(graph), pool)
         stats = pool.stats()
         # Every layer binds one program per node role: the second layer
         # compiles nothing.
@@ -150,17 +152,14 @@ class TestExecution:
 
 class TestCostModel:
     def test_cpu_placement_charges_no_bus_traffic(self, tiny_decoder):
-        exe = compile_graph(
-            tiny_decoder, placement=place(tiny_decoder, policy="cpu")
-        )
-        profile = exe.profile()
+        profile = compile_graph(tiny_decoder, "cpu").profile()
         assert profile.latency.h2d == 0.0
         assert profile.latency.d2h == 0.0
         assert profile.staging_s == 0.0
         assert profile.total > 0
 
     def test_staging_charged_once_per_const_tensor(self, tiny_decoder):
-        exe = compile_graph(tiny_decoder, target="upmem")
+        exe = compile_graph(tiny_decoder)
         staged = [c for c in exe.profile().nodes if c.staging_s > 0]
         # qkv_gen, attn_score, attn_value, attn_proj, fc, fc_proj.
         assert len(staged) == 6
@@ -180,7 +179,7 @@ class TestCostModel:
             params={"m_dpus": 4, "k_dpus": 1, "n_tasklets": 2, "cache": 16,
                     "host_threads": 1, "unroll": 0},
         )
-        exe = compile_graph(g, target="upmem")
+        exe = compile_graph(g)
         (cost,) = exe.profile().nodes
         assert cost.staging_s == 0.0
         assert cost.h2d_s > 0.0
@@ -188,17 +187,20 @@ class TestCostModel:
 
     def test_warm_pool_stages_nothing(self, tiny_decoder):
         pool = ExecutablePool(capacity=64)
-        compile_graph(tiny_decoder, target="upmem", pool=pool)
-        warm = compile_graph(tiny_decoder, target="upmem", pool=pool)
+        placement = place(tiny_decoder)
+        GraphExecutable(tiny_decoder, placement, pool)
+        warm = GraphExecutable(tiny_decoder, placement, pool)
         assert warm.profile().staging_s == 0.0
 
     def test_pim_to_pim_edges_elide_transfers(self):
         """In an all-PIM chain, only the first node pays dynamic H2D and
-        only the last pays D2H."""
+        only the last pays D2H.  A placement is a plain dict, so one that
+        no policy makes (the element-wise add on PIM too) is built by
+        hand."""
         g = chain_graph()
-        for node in g.nodes:
-            node.target = "upmem"
-        exe = compile_graph(g, target="upmem")
+        upmem = get_target("upmem")
+        placement = {node.name: upmem for node in g.nodes}
+        exe = GraphExecutable(g, placement, ExecutablePool())
         costs = {c.node: c for c in exe.profile().nodes}
         assert costs["h1"].crossing_in  # x arrives from the host
         assert costs["add"].crossing_in  # x2 is a dynamic external input
@@ -212,9 +214,7 @@ class TestCostModel:
         assert costs["h2"].d2h_s > 0.0
 
     def test_boundary_edges_pay_transfers(self, tiny_decoder):
-        exe = compile_graph(
-            tiny_decoder, placement=place(tiny_decoder, policy="mixed")
-        )
+        exe = compile_graph(tiny_decoder, "mixed")
         costs = {c.node: c for c in exe.profile().nodes}
         # The PIM score node reads the host-produced query slice.
         assert costs["L0.attn_score"].crossing_in
@@ -224,11 +224,11 @@ class TestCostModel:
         assert costs["L0.attn_score"].d2h_s > 0
 
     def test_profile_totals_are_additive(self, tiny_decoder):
-        profile = compile_graph(tiny_decoder, target="upmem").profile()
+        profile = compile_graph(tiny_decoder).profile()
         total = sum(c.total_s for c in profile.nodes) + profile.staging_s
         assert profile.total == pytest.approx(total, rel=1e-9)
 
     def test_memory_plan_exposed(self, tiny_decoder):
-        exe = compile_graph(tiny_decoder, target="upmem")
+        exe = compile_graph(tiny_decoder)
         plan = exe.memory_plan
         assert plan.arena_bytes < plan.naive_bytes

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import GraphError, ModelGraph, gptj_model_graph
-from repro.pipeline import workload_signature
-from repro.workloads import mtv, va
+from repro.workloads import va
 
 from .conftest import TINY, chain_graph
 
@@ -109,11 +108,10 @@ class TestTensors:
         assert g.tensor_shape("y") == (16,)
         assert g.tensor_nbytes("t1") == 16 * 4
 
-    def test_const_inputs_and_placeholders(self, tiny_decoder):
+    def test_const_inputs(self, tiny_decoder):
         assert "w_qkv_L0" in tiny_decoder.const_inputs
         assert "x" not in tiny_decoder.const_inputs
-        names = [t.name for t in tiny_decoder.inputs]
-        assert names == tiny_decoder.input_names
+        assert set(tiny_decoder.const_inputs) < set(tiny_decoder.input_names)
 
     def test_reference_outputs_match_manual_chain(self):
         g = chain_graph()
@@ -139,32 +137,9 @@ class TestSignature:
         rewired = chain_graph()
         assert base.structural_signature() != rewired.structural_signature()
 
-    def test_target_override_changes_signature(self):
-        a, b = chain_graph(), chain_graph()
-        b.nodes[1].target = "upmem"
-        assert a.structural_signature() != b.structural_signature()
-
     def test_tags_change_signature(self):
         """Tags steer placement, placement picks the compiled program:
-        tag-different graphs must never share a pool/batch key."""
+        tag-different graphs must never share an identity."""
         a, b = chain_graph(), chain_graph()
         b.nodes[1].tags = frozenset({"glue"})
         assert a.structural_signature() != b.structural_signature()
-
-    def test_configured_target_override_never_aliases_kind(self):
-        """A differently-configured Target instance of one kind is a
-        different compile — same hardening as the serving pool's keys."""
-        from repro.target import UpmemTarget
-        from repro.upmem.config import UpmemConfig
-
-        a, b = chain_graph(), chain_graph()
-        a.nodes[0].target = UpmemTarget()
-        b.nodes[0].target = UpmemTarget(config=UpmemConfig(n_ranks=2))
-        assert a.structural_signature() != b.structural_signature()
-
-    def test_workload_signature_delegates_to_graph(self):
-        g = chain_graph()
-        assert workload_signature(g) == g.structural_signature()
-        assert workload_signature(g)[0] == "modelgraph"
-        # Plain workloads keep the classic tuple shape.
-        assert workload_signature(mtv(8, 8))[0] == "mtv"

@@ -90,7 +90,7 @@ class TestRun:
         order = g.topological_order()
         assert g.view_schedule(order) == [[g.views["x_hi"]], []]
         inputs = g.random_inputs(1)
-        (y,) = compile_graph(g, policy="cpu").run(inputs)
+        y = compile_graph(g, policy="cpu").run_tensors(inputs)["y"]
         np.testing.assert_array_equal(y, inputs["x"][4:] + inputs["b"])
         assert y.tobytes() == g.reference_outputs(inputs)["y"].tobytes()
 

@@ -146,6 +146,22 @@ class TestPinning:
         assert reload_a  # A was the victim
         assert pool.pinned_keys() == set()
 
+    def test_unpin_shrinks_an_over_capacity_pool(self):
+        """Pins may hold the pool over capacity; releasing one lets the
+        pool evict back to its cap at once, least recent first — not at
+        the next miss."""
+        pool = ExecutablePool(capacity=1)
+        specs = [(mtv(32, 64), MTV_PARAMS), (va(1024), VA_PARAMS)]
+        keys = [ExecutablePool.key_for(wl, "cpu", p) for wl, p in specs]
+        for key, (wl, params) in zip(keys, specs):
+            pool.pin(key)
+            pool.get(wl, "cpu", params)
+        assert len(pool) == 2
+        pool.unpin(keys[1])
+        assert len(pool) == 1 and pool.evictions == 1
+        _, reloaded = pool.get(specs[0][0], "cpu", MTV_PARAMS)
+        assert not reloaded  # the pinned one stayed
+
     def test_pin_before_compile_and_unknown_unpin(self):
         pool = ExecutablePool(capacity=1)
         wl = va(1024)

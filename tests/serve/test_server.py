@@ -187,6 +187,19 @@ class TestAdmissionControl:
 
 
 class TestBatchingBehavior:
+    def test_replica_groups(self):
+        """A program replicates across the machine's idle DPU groups; a
+        roofline, which has no grid, is one group."""
+        entry = tiny_mix()["mtv"]
+        exe = repro.compile(entry.workload, params=entry.params)
+        assert exe.lowered.n_dpus == 4
+        assert Server._replica_groups(exe) == (
+            exe.target.config.n_dpus // 4
+        )
+        assert Server._replica_groups(
+            repro.compile(entry.workload, target="cpu")
+        ) == 1
+
     def test_flush_on_size(self):
         mix = tiny_mix()
         entry = mix["va"]
@@ -323,6 +336,7 @@ class TestFailureIsolation:
         """An error inside ``profile()`` is the failure: the server fails
         the group with it and a graph profile raises it — neither falls
         back to pricing the program as ``Latency(kernel=exe.latency)``."""
+        from repro.graph import compile_graph
         from repro.target import RooflineExecutable
 
         from ..graph.conftest import chain_graph
@@ -343,7 +357,7 @@ class TestFailureIsolation:
             assert ticket.failed and "ZeroDivisionError" in ticket.error
             assert server.elapsed == 0.0 and server.metrics.failed == 1
         with pytest.raises(ZeroDivisionError, match="model bug"):
-            repro.compile(chain_graph(), policy="cpu").profile()
+            compile_graph(chain_graph(), "cpu").profile()
 
     def test_non_executable_target_fails_not_strands(self):
         """A target resolves at admission, so a ``TargetError`` from
@@ -358,6 +372,18 @@ class TestFailureIsolation:
             )
         assert ticket.failed
         assert "TargetError" in ticket.error
+
+    def test_a_graph_request_fails_its_flush(self):
+        """A model graph is many programs, not a workload: a request
+        carrying one fails its group with the front door's TypeError,
+        which names the graph compiler."""
+        from ..graph.conftest import chain_graph
+
+        graph = chain_graph()
+        with Server(max_batch_size=1) as server:
+            ticket = server.submit(Request(graph, graph.random_inputs(0)))
+        assert ticket.failed
+        assert "TypeError" in ticket.error and "compile_graph" in ticket.error
 
     def test_unknown_target_rejected_at_admission(self):
         mix = tiny_mix()

@@ -21,7 +21,7 @@ import repro.target.executor as executor_module
 from repro.decode import DecodeEngine
 from repro.graph import gptj_model_graph, place
 from repro.graph.builder import GPTJ_SIM
-from repro.graph.executable import PIM_SUBSTRATE_KINDS
+from repro.graph.executable import PIM_KIND
 from repro.serve import ExecutablePool, Request, Server, gptj_serving_mix
 from repro.upmem import VerifyMismatch, plan_for
 from repro.upmem.vectorize import plan as plan_module
@@ -36,12 +36,12 @@ def _programs():
         for name, entry in gptj_serving_mix(tokens=16).items()
     }
     graph = gptj_model_graph(GPTJ_SIM, layers=1, capacity=8)
-    placement = place(graph, policy="upmem", pim="upmem", host="cpu")
+    placement = place(graph, "upmem")
     seen = set()
     for node in graph.nodes:
         target = placement[node.name]
         key = ExecutablePool.key_for(node.workload, target, node.params)
-        if target.kind in PIM_SUBSTRATE_KINDS and key not in seen:
+        if target.kind == PIM_KIND and key not in seen:
             seen.add(key)
             programs[f"decode:{node.name}"] = (node.workload, node.params)
     programs["mtv-misaligned"] = (

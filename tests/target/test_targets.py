@@ -74,9 +74,11 @@ class TestStrictFrontDoor:
             repro.compile(mtv(64, 64), target="upmem", size="64MB")
 
     def test_unknown_keyword_with_a_graph_raises(self):
+        """A model graph is no workload: the front door refuses it
+        before reading any keyword, and names the graph compiler."""
         from ..graph.conftest import chain_graph
 
-        with pytest.raises(TypeError, match="size"):
+        with pytest.raises(TypeError, match="compile_graph"):
             repro.compile(chain_graph(), size="64MB")
 
 

@@ -32,8 +32,6 @@ LOCAL_IMPORTS = {
     ("autotune/tuner.py", "_search_target", "target"):
         "upward: targets compile through the engine and seed from the sketch"
         " table the tuner searches",
-    ("target/compile.py", "compile", "graph"):
-        "upward: the front door hands a ModelGraph to graph.compile_graph",
     ("serve/pool.py", "ExecutablePool._compile", "target"):
         "looked up per call so instrumentation wrapping"
         " repro.target.compile.compile sees pool loads",
@@ -61,9 +59,6 @@ PARAM_NAME_SITES = {
         "explicit experiment configuration: as fig12",
     ("serve/traffic.py", "gptj_serving_mix"):
         "explicit experiment configuration: the serving mix's pinned params",
-    ("serve/server.py", "Server._replica_groups"):
-        "not a sketch parameter: getattr on the LoweredModule.n_dpus /"
-        " UpmemConfig.n_dpus attributes",
 }
 
 
@@ -317,6 +312,25 @@ def _callee(call):
     return getattr(func, "id", None)
 
 
+def _defaulted(fn):
+    """The parameters of a function that have a default: the keywords a
+    caller may leave out."""
+    args = fn.args
+    return [a.arg for a in args.args[len(args.args) - len(args.defaults):]] + [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d
+    ]
+
+
+def _plain_call(call):
+    """Whether a call can reach a module-level function: ``f(...)`` or
+    ``module.f(...)``, not a method of ``self`` or of an attribute."""
+    func = call.func
+    return not isinstance(func, ast.Attribute) or (
+        isinstance(func.value, ast.Name)
+        and func.value.id not in ("self", "cls")
+    )
+
+
 def _options(cls):
     """Constructor options of a class: ``__init__`` parameters, else the
     init fields of a dataclass."""
@@ -361,7 +375,10 @@ def option_traffic():
     """``{class: {option: Traffic}}`` for the public classes of every
     package (a class name two packages export is keyed
     ``package.Class`` the second time), counted over :data:`TOPS` and
-    the harness CLI table.
+    the harness CLI table.  The public functions of the serving
+    packages (:data:`SERVING`) are counted too, keyed ``name()``: their
+    options are the parameters with a default, set by keyword or by
+    position at a plain ``f(...)`` / ``module.f(...)`` call.
 
     A call inside the class's own definition does not count.  A call of
     ``f(**kw)`` counts when ``f`` splats ``kw`` into the constructor
@@ -380,7 +397,9 @@ def option_traffic():
         for path, tree in trees.items() for call, fn in _calls(tree)
     ]
 
-    options, own, names = {}, {}, {}
+    # Per key: its options, the parameter names positional arguments
+    # fill, and the bare name a direct call spells.
+    options, positional, bare, own, names = {}, {}, {}, {}, {}
     for package in ORDER:
         exported = set(importlib.import_module(f"repro.{package}").__all__)
         for path, tree in trees.items():
@@ -395,13 +414,26 @@ def option_traffic():
                     key = node.name
                     if key in options:
                         key = f"{package}.{key}"
-                    options[key] = _options(node)
-                    own[key] = {id(n) for n in ast.walk(node)}
+                    options[key] = positional[key] = _options(node)
                     names[key] = {node.name} | {
                         item.name for item in node.body
                         if isinstance(item, ast.FunctionDef)
                         and _rebuilds(item, node.name)
                     }
+                elif (
+                    package in SERVING
+                    and isinstance(node, ast.FunctionDef)
+                    and node.name in exported
+                    and _defaulted(node)
+                ):
+                    key = f"{node.name}()"
+                    options[key] = _defaulted(node)
+                    positional[key] = [a.arg for a in node.args.args]
+                    names[key] = {node.name}
+                else:
+                    continue
+                bare[key] = node.name
+                own[key] = {id(n) for n in ast.walk(node)}
 
     splats = [
         (_callee(call), fn.name) for call, fn, _ in calls
@@ -426,13 +458,8 @@ def option_traffic():
     def handed_on(value, fn):
         if fn is None or not isinstance(value, ast.Name):
             return False
-        args = fn.args
-        defaulted = args.args[len(args.args) - len(args.defaults):]
-        defaulted += [
-            a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d
-        ]
         return (
-            value.id in {a.arg for a in defaulted}
+            value.id in _defaulted(fn)
             and (fn.name, value.id) not in passed
         )
 
@@ -450,9 +477,12 @@ def option_traffic():
         callee = _callee(call)
         for cls, known in names.items():
             set_here = []
-            if callee in known and id(call) not in own[cls]:
-                if callee == cls.rpartition(".")[2]:
-                    set_here += options[cls][: len(call.args)]
+            if (
+                callee in known and id(call) not in own[cls]
+                and (not cls.endswith("()") or _plain_call(call))
+            ):
+                if callee == bare[cls]:
+                    set_here += positional[cls][: len(call.args)]
                 set_here += [
                     k.arg for k in call.keywords
                     if not handed_on(k.value, fn)
@@ -615,11 +645,6 @@ UNSET_OPTIONS = {
     "SimplePimTarget": ({"config"}, "as PrimTarget"),
     "CpuTarget": ({"model"}, "as PrimTarget, for the roofline model"),
     # -- the serving half (PR 20) --------------------------------------------
-    "Node": (
-        {"target"},
-        "the per-node placement override: assigned on a built graph"
-        " (`graph.nodes[i].target = ...`, tests/graph), never at construction",
-    ),
     "MemoryPlan": (
         {"slot_sizes", "assignments", "arena_bytes", "naive_bytes",
          "peak_live_bytes", "weight_bytes", "input_bytes"},
@@ -712,6 +737,12 @@ OUTSIDE_SRC_OPTIONS = {
     "SyncClient": (
         {"server"}, "the blocking convenience client: README and tests only",
     ),
+    "gptj_serving_mix()": (
+        {"tokens"},
+        "the attention span of the mix's MMTVs: perf/adapters.py's serve"
+        " workload, the quickstart and the serving tests size it; fig16"
+        " runs the default 16",
+    ),
     "PagedKVCache": (
         {"layers", "page_tokens", "max_pages", "config"},
         "DecodeEngine hands on its own constructor's values; tests build"
@@ -788,6 +819,10 @@ PINNED_EXPORTS = {
     "autotune/tuner.py:TuneResult.measure_cache_hit_rate":
         "resolved by name from perf/ (autotune.measure_cache_hit_rate)",
     "autotune/tuner.py:TuneResult.best_gflops": "result-record accessor",
+    "graph/ir.py:ModelGraph.structural_signature":
+        "the golden identity of an emitted graph:"
+        " tests/graph/golden_graphs.json pins its digest per builder case"
+        " (a graph is no serving key)",
     "autotune/tuner.py:tuned_params":
         "user-facing: the one route from a tuning database to compile"
         " params (`repro.compile(wl, params=tuned_params(wl, db=...))`;"
@@ -847,6 +882,10 @@ CUT = (
     "cluster/cluster.py:ClusterConfig.ttft_floor_s",
     "cluster/session.py:Session.to_dict",
     "graph/ir.py:ModelGraph.levels", "upmem/system.py:Latency.scaled",
+    "graph/ir.py:ModelGraph.inputs", "graph/placement.py:is_pim_capable",
+    "graph/executable.py:GraphExecutable.run",
+    "graph/executable.py:GraphExecutable.latency",
+    "graph/executable.py:PIM_SUBSTRATE_KINDS",
     "upmem/isa.py:Counts.instructions", "te/operation.py:Tensor.ndim",
 )
 
@@ -878,6 +917,7 @@ def test_every_serving_option_has_a_caller():
         cls for package in SERVING
         for cls in importlib.import_module(f"repro.{package}").__all__
     }
+    serving |= {f"{name}()" for name in serving}
     assert {cls: o for cls, o in unset.items() if cls in serving} == {
         cls: o for cls, (o, _) in UNSET_OPTIONS.items() if cls in serving
     }
@@ -907,11 +947,15 @@ def test_every_export_without_a_src_reference_is_pinned():
     assert all(why.strip() for why in PINNED_EXPORTS.values())
     assert not set(CUT) & set(traffic)
     options = option_traffic()
+    classes = {k: o for k, o in options.items() if not k.endswith("()")}
+    functions = {k: o for k, o in options.items() if k.endswith("()")}
     print(
         f"traffic: {len(traffic)} exports counted,"
         f" {len(PINNED_EXPORTS)} pinned, {len(CUT)} cut;"
-        f" {sum(map(len, options.values()))} options of {len(options)}"
-        f" classes counted, {len(UNSET_OPTIONS)} classes pinned unset,"
+        f" {sum(map(len, classes.values()))} options of {len(classes)}"
+        f" classes and {sum(map(len, functions.values()))} defaulted"
+        f" keywords of {len(functions)} serving functions counted,"
+        f" {len(UNSET_OPTIONS)} pinned unset,"
         f" {len(OUTSIDE_SRC_OPTIONS)} set outside src only"
     )
     for name in sorted(unreferenced):

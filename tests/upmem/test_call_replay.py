@@ -140,7 +140,7 @@ class TestSecondCallDerivesNothing:
         monkeypatch.setenv("REPRO_SIM_MODE", "vector")
         config = GPTJConfig("gptj-replay", n_heads=2, d_model=32, head_dim=16)
         graph = gptj_model_graph(config, layers=1, capacity=4)
-        exe = compile_graph(graph, target="upmem")
+        exe = compile_graph(graph)
         exe.run_tensors(graph.random_inputs(0))
         warm = dict(counters)
         got = exe.run_tensors(graph.random_inputs(1))
