@@ -13,8 +13,10 @@ from repro.graph import (
     gptj_model_graph,
     place,
 )
+from repro.graph.executable import pool_keys
 from repro.serve.pool import ExecutablePool
-from repro.target import get_target
+from repro.target import UpmemTarget, get_target
+from repro.upmem.config import UpmemConfig
 
 from .conftest import TINY, chain_graph
 
@@ -72,6 +74,32 @@ class TestPlacement:
         with pytest.raises(GraphError, match="unknown placement policy"):
             place(tiny_decoder, policy=policy)
 
+    def test_configured_target_never_aliases_kind(self):
+        """A differently configured Target instance of one kind is a
+        different compile: a hand-built placement on a two-rank machine
+        shares the default placement's host programs and none of its PIM
+        ones."""
+        g = chain_graph()
+        default = place(g, "upmem")
+        two_ranks = UpmemTarget(config=UpmemConfig(n_ranks=2))
+        configured = {
+            name: two_ranks if target.kind == "upmem" else target
+            for name, target in default.items()
+        }
+        pim_keys = pool_keys(g, default) - pool_keys(g, configured)
+        assert len(pim_keys) == 1  # h1 and h2 bind one mtv program
+        pool = ExecutablePool(capacity=8)
+        GraphExecutable(g, default, pool)
+        misses = pool.stats()["misses"]
+        GraphExecutable(g, configured, pool)
+        assert pool.stats()["misses"] == misses + len(pim_keys)
+
+    @pytest.mark.parametrize("option", ["pim", "host"])
+    def test_place_takes_only_a_policy(self, tiny_decoder, option):
+        """A policy names both sides; there is no per-side override."""
+        with pytest.raises(TypeError, match=option):
+            place(tiny_decoder, "upmem", **{option: "cpu"})
+
 
 class TestExecution:
     def test_graph_run_bit_for_bit_equals_per_op_runs(self, tiny_decoder):
@@ -125,6 +153,19 @@ class TestExecution:
         exe = compile_graph(graph)
         assert not isinstance(exe, repro.target.Executable)
         assert not hasattr(exe, "run") and not hasattr(exe, "latency")
+
+    @pytest.mark.parametrize("what", ["op name", "node", "graph executable"])
+    def test_front_door_refuses_non_workloads(self, what):
+        """Only a Workload or a Schedule compiles: anything else fails
+        at the front door, by its type name, before a target sees it."""
+        graph = chain_graph()
+        thing = {
+            "op name": "mtv",
+            "node": graph.nodes[0],
+            "graph executable": compile_graph(graph, "cpu"),
+        }[what]
+        with pytest.raises(TypeError, match=type(thing).__name__):
+            repro.compile(thing)
 
     def test_missing_input_rejected(self, tiny_decoder):
         exe = compile_graph(tiny_decoder)
