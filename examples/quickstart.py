@@ -253,8 +253,8 @@ def model_graphs() -> None:
     print(f"decode step: {len(graph)} nodes -> y[:4] = {y[:4]}")
 
     profile = exe.profile()
-    print("--- fig17-style per-node breakdown (first 6 nodes) ---")
-    for cost in profile.nodes[:6]:
+    print("--- fig17-style per-node breakdown ---")
+    for cost in profile.nodes:
         row = cost.to_dict()
         print(
             f"{row['node']:>14s} {row['target']:>6s}"

@@ -38,10 +38,13 @@ Every family also has ``n_tasklets`` and ``cache``.  Domains (Table 2):
 reduction split, n_tasklets, cache, optional*; that order is the order
 the tuner's random draws walk, so it is part of the search's identity.
 
-A rule schedules :attr:`Workload.kernel_output` and caches the inputs
-it reads; a workload with host epilogue stages
-(:func:`repro.workloads.with_epilogue`) keeps its base's row, and the
-rule leaves those stages unbound, so they lower to ``host_post``.
+A rule schedules :attr:`Workload.kernel_output` and caches the tensors
+it reads (:attr:`Workload.kernel_inputs`: an input, or the product of a
+host prologue over one); a workload with host epilogue or prologue
+stages (:func:`repro.workloads.with_epilogue`,
+:func:`~repro.workloads.with_prologue`) keeps its base's row, and the
+rule leaves those stages unbound, so they lower to ``host_post`` and
+``host_pre``.
 """
 
 from __future__ import annotations

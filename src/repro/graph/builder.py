@@ -4,9 +4,13 @@ One decode step of a GPT-J layer (batch 1, ``capacity`` cached
 positions) built from the paper's shape helpers
 (:func:`repro.workloads.fc_shapes` gives the four FC-layer MTVs;
 attention is the multi-head MMTV of Fig. 10,
-:func:`repro.workloads.mha_mmtv`) — six nodes:
+:func:`repro.workloads.mha_mmtv`) — five nodes:
 
-* ``qkv_gen``  — MTV (3d x d) producing the fused Q/K/V vector;
+* ``qkv_fc``  — one MTV (7d x d) over the row-stacked QKV and FC-up
+  weights: both read the hidden state, so one PIM program makes the
+  fused Q/K/V vector and the FC pre-activation, ``[q | k | v |
+  fc_pre]`` (TVM Relay's ``CombineParallelDense``; GPT-J's parallel
+  block is what lets the FF branch start from ``x``);
 * the query as a view of its first ``d`` elements, shaped ``(heads,
   head_dim)``; ``attn_score`` — the score MMTV ``(heads, capacity,
   head_dim)`` against the resident K cache, followed by each head's
@@ -14,26 +18,28 @@ attention is the multi-head MMTV of Fig. 10,
   head_dim, capacity)`` against the (transposed) resident V cache;
 * the heads as a view shaped ``(d,)``, then ``attn_proj`` — MTV (d x d)
   followed by the first residual add, ``x + attn_out``;
-* the parallel GPT-J FF branch: ``fc`` — MTV (4d x d) followed by GELU,
-  and ``fc_proj`` — MTV (d x 4d) followed by the second residual add,
-  ``resid + ffn_out`` (GPT-J's parallel block: ``y = x + attn + ff``;
-  layer norms are omitted — they move no tensor the planner or the
-  placement story cares about).
+* the FF branch: ``fc_pre``, the view of the last ``4d`` elements, and
+  ``fc_proj`` — GELU over it, then MTV (d x 4d), then the second
+  residual add, ``resid + ffn_out`` (GPT-J's parallel block: ``y = x +
+  attn + ff``; layer norms are omitted — they move no tensor the
+  planner or the placement story cares about).
 
-The softmax, GELU and the residual adds are host epilogues of the
-program beside them (:func:`repro.workloads.with_epilogue`), as ATiM
-keeps the host work around a PIM kernel — the rfactor fold of §5.2.1 —
-inside the module: the lowering emits them as ``host_post`` statements,
-the host-statement model prices them, and a lane-sliced host program
-runs them.  No glue is a node of its own, so under the ``cpu`` or
-``mixed`` placement a fused node is priced once by the CPU roofline, as
-TVM fuses injective ops into their producer.  The slices and the
-reshape compute nothing, so they are graph views
+The softmax and the residual adds are host epilogues of the program
+before them (:func:`repro.workloads.with_epilogue`) and GELU a host
+prologue of the program after it (:func:`repro.workloads.with_prologue`),
+as ATiM keeps the host work around a PIM kernel — the rfactor fold of
+§5.2.1 — inside the module: the lowering emits them as ``host_pre`` and
+``host_post`` statements, the host-statement model prices them, and a
+lane-sliced host program runs them.  No glue is a node of its own, so
+under the ``cpu`` or ``mixed`` placement a fused node is priced once by
+the CPU roofline, as TVM fuses injective ops into their producer.  The
+slices and the reshape compute nothing, so they are graph views
 (:meth:`ModelGraph.add_view`), not nodes: no program, no ``exe.run``,
-no buffer and no compute line — a 3-layer model step is 18 nodes.  A
+no buffer and no compute line — a 3-layer model step is 15 nodes.  A
 view still sits on the host, so the PIM node it reads from pays its D2H
 and the PIM node reading it its H2D; so does a program whose output
-comes off its host epilogue (``repro.graph.executable``).
+comes off its host epilogue, and a program whose kernel reads its host
+prologue's product (``repro.graph.executable``).
 
 Weights and the KV cache enter the graph as *const* external inputs —
 staged once per load, exactly like :attr:`Workload.const_inputs` in the
@@ -67,7 +73,9 @@ from ..autotune.sketch import (
     param_space,
     pow2_upto,
 )
-from ..workloads import GPTJConfig, Workload, fc_mtv, mmtv, with_epilogue
+from ..workloads import (
+    GPTJConfig, Workload, fc_mtv, mmtv, mtv, with_epilogue, with_prologue,
+)
 from .ir import ModelGraph
 
 __all__ = [
@@ -120,8 +128,9 @@ def small_grid_params(workload: Workload) -> Dict[str, int]:
     the row axis's cap; a host fold sums the parts.  (A large shape,
     such as a real GPT-J FC, stops there: ``mtv`` at 64 row DPUs splits
     32 ways, not 64, so the grid still compiles on the default machine.)
-    On ``GPTJ_SIM`` that is 2 parts for ``qkv_gen``,
-    ``attn_proj`` and ``fc`` and 8 for ``fc_proj``, which lowers a
+    On ``GPTJ_SIM`` that is 2 parts for ``qkv_fc`` and ``attn_proj``
+    and 8 for ``fc_proj`` (when ``qkv_fc`` was two programs, ``qkv_gen``
+    and ``fc``, each split 2 ways as well), which lowers a
     layer's steady step from 1 173 to 752 µs of virtual time; the
     attention MMTVs (reductions of at most 32) stay unsplit.  The host
     pays k lanes where there was one and a fold of about 27 µs per call
@@ -157,7 +166,9 @@ class LayerIO(NamedTuple):
     #: Hidden state in / out.
     x: str
     y: str
-    #: ``(name, shape)`` of the four FC weights, in declaration order.
+    #: ``(name, shape)`` of the three FC weights, in declaration order:
+    #: the row-stacked QKV and FC-up weight ``(7d, d)``, the attention
+    #: projection and the FC projection.
     weights: Tuple[Tuple[str, Tuple[int, int]], ...]
     #: The layer's K cache ``(heads, span, head_dim)`` and V cache,
     #: stored transposed ``(heads, head_dim, span)`` so the value
@@ -178,9 +189,8 @@ def gptj_layer_io(config: GPTJConfig, layer: int) -> LayerIO:
         x=f"h{layer}" if layer else "x",
         y=f"h{layer + 1}",
         weights=(
-            (f"w_qkv{tag}", (3 * d, d)),
+            (f"w_qkv_fc{tag}", (7 * d, d)),
             (f"w_proj{tag}", (d, d)),
-            (f"w_fc{tag}", (4 * d, d)),
             (f"w_fc_proj{tag}", (d, 4 * d)),
         ),
         kv_cache=(f"k_cache{tag}", f"v_cache_t{tag}"),
@@ -189,8 +199,9 @@ def gptj_layer_io(config: GPTJConfig, layer: int) -> LayerIO:
 
 
 def gptj_layer_nbytes(config: GPTJConfig) -> int:
-    """Bytes of one layer's four FC weights (float32) — the unit the
-    weight-residency budget is counted in."""
+    """Bytes of one layer's FC weights (float32) — the unit the
+    weight-residency budget is counted in: ``12 d^2`` floats, however
+    the four matrices of the paper's FC layer are stacked."""
     return 4 * sum(m * k for _, (m, k) in gptj_layer_io(config, 0).weights)
 
 
@@ -225,8 +236,9 @@ def _softmax(score: Workload, head_dim: int) -> Workload:
     )
 
 
-def _gelu(fc: Workload) -> Workload:
-    """``fc`` followed by GPT-J's tanh GELU, one host epilogue stage."""
+def _gelu(fc_proj: Workload) -> Workload:
+    """GPT-J's tanh GELU over ``fc_proj``'s vector ``B``, then
+    ``fc_proj``: one host prologue stage."""
     c = np.float32(np.sqrt(2.0 / np.pi))
 
     def gelu(a):
@@ -241,12 +253,12 @@ def _gelu(fc: Workload) -> Workload:
             * (np.float32(1.0) + np.tanh(c * (a + np.float32(0.044715) * a ** 3)))
         ).astype(np.float32)
 
-    (n,) = fc.output.shape
-    return with_epilogue(
-        fc,
-        lambda A: te.compute((n,), lambda i: gelu(A[i]), "G"),
+    return with_prologue(
+        fc_proj,
+        "B",
+        lambda B: te.compute(B.shape, lambda i: gelu(B[i]), "G"),
         reference,
-        flops=8.0 * n,
+        flops=8.0 * fc_proj.reduce_extent,
     )
 
 
@@ -279,13 +291,15 @@ def _layer_ops(config: GPTJConfig, span: int) -> SimpleNamespace:
     score.params.update({"model": config.name, "layer": "mha_score"})
     value = mmtv(heads, hd, span)
     value.params.update({"model": config.name, "layer": "mha_value"})
+    # ``qkv_gen``'s 3d rows over ``fc``'s 4d: both contract x.
+    qkv_fc = mtv(7 * d, d)
+    qkv_fc.params.update({"model": config.name, "layer": "qkv_fc"})
     return SimpleNamespace(
         d=d,
         head_shape=(heads, hd),
-        qkv=fc_mtv(config, "qkv_gen"),
+        qkv_fc=qkv_fc,
         proj=_residual(fc_mtv(config, "qkv_proj")),
-        fc=_gelu(fc_mtv(config, "fc")),
-        fc_proj=_residual(fc_mtv(config, "fc_proj")),
+        fc_proj=_residual(_gelu(fc_mtv(config, "fc_proj"))),
         score=_softmax(score, hd),
         value=value,
     )
@@ -308,8 +322,8 @@ def _emit_layer(
 ) -> None:
     """Append layer ``layer``'s decode step to ``g``: its softmax folds
     in :data:`ATTN_MASK`, and it views its new key/value rows in the
-    fused QKV vector as ``io.kv_new``."""
-    (w_qkv, _), (w_proj, _), (w_fc, _), (w_fc_proj, _) = io.weights
+    fused QKV/FC vector as ``io.kv_new``."""
+    (w_qkv_fc, _), (w_proj, _), (w_fc_proj, _) = io.weights
     k_cache, v_cache_t = io.kv_cache
 
     def t(base: str) -> str:
@@ -322,13 +336,16 @@ def _emit_layer(
             params=small_grid_params(wl), tags=(tag,),
         )
 
+    # -- one program for both branches' matvecs over x ----------------------
+    # Tagged ``attn``: it makes Q/K/V, so ``mixed`` keeps it on PIM.
+    op("qkv_fc", ops.qkv_fc, {"A": w_qkv_fc, "B": io.x}, t("qkv_fc"), "attn")
+
     # -- attention branch ---------------------------------------------------
-    op("qkv_gen", ops.qkv, {"A": w_qkv, "B": io.x}, t("qkv"), "attn")
-    # The fused vector is [q | k | v]: this step's new K and V rows.
+    # The fused vector is [q | k | v | fc_pre]: this step's new K and V rows.
     for n, out in enumerate(io.kv_new, start=1):
-        g.add_view(out, t("qkv"), n * ops.d, (ops.d,))
+        g.add_view(out, t("qkv_fc"), n * ops.d, (ops.d,))
     q, probs = t("q"), t("probs")
-    g.add_view(q, t("qkv"), 0, ops.head_shape)
+    g.add_view(q, t("qkv_fc"), 0, ops.head_shape)
     op("attn_score", ops.score, {"A": k_cache, "B": q, "M": ATTN_MASK},
        probs, "attn")
     op("attn_value", ops.value, {"A": v_cache_t, "B": probs}, t("heads"), "attn")
@@ -338,9 +355,9 @@ def _emit_layer(
        t("resid"), "attn")
 
     # -- feed-forward branch (parallel to attention in GPT-J) ---------------
-    op("fc", ops.fc, {"A": w_fc, "B": io.x}, t("ffn_act"), "ffn")
+    g.add_view(t("fc_pre"), t("qkv_fc"), 3 * ops.d, (4 * ops.d,))
     op("fc_proj", ops.fc_proj,
-       {"A": w_fc_proj, "B": t("ffn_act"), "R": t("resid")}, io.y, "ffn")
+       {"A": w_fc_proj, "B": t("fc_pre"), "R": t("resid")}, io.y, "ffn")
 
 
 def gptj_model_graph(
@@ -362,7 +379,7 @@ def gptj_model_graph(
       graph, and even then every capacity-independent program pool-hits:
       the epoch loads two programs, the score MMTV with its softmax
       epilogue and the value MMTV.
-    * every workload instance is shared across layers — all N ``fc``
+    * every workload instance is shared across layers — all N ``qkv_fc``
       nodes bind one :class:`Workload`, so the
       :class:`~repro.serve.pool.ExecutablePool` compiles each program
       once for the whole model, at the pinned small grid
@@ -370,7 +387,7 @@ def gptj_model_graph(
       splits would defeat the program sharing this graph exists to
       provide;
     * each layer additionally emits its freshly generated key/value rows
-      (``LayerIO.kv_new``, sliced from the fused QKV vector) as graph
+      (``LayerIO.kv_new``, sliced from the fused QKV/FC vector) as graph
       outputs, so a decode engine can append them to the managed cache —
       the explicit cache-extension transfer — and the next step attends
       over them.

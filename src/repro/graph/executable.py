@@ -2,16 +2,17 @@
 
 Every node compiles through the serving layer's
 :class:`~repro.serve.pool.ExecutablePool` (so nodes that share one
-program, such as every layer's ``fc``, compile it once) with the node's
-own ``params`` — the builder's pinned grids, or tuned ones assigned per
-node.  A :class:`GraphExecutable` is many programs, not one
+program, such as every layer's ``qkv_fc``, compile it once) with the
+node's own ``params`` — the builder's pinned grids, or tuned ones
+assigned per node.  A :class:`GraphExecutable` is many programs, not one
 :class:`~repro.target.Executable`: it runs named tensors
 (:meth:`GraphExecutable.run_tensors`) and prices a whole step
 (:meth:`GraphExecutable.profile`).  Execution walks the graph's
 topological order, one ``Executable.run`` per node — a view is no node:
 it is bound as a NumPy view of its base once the base exists, at no
-cost — and is bit-for-bit identical to calling each node's
-``Executable.run`` by hand at any ``REPRO_MAX_WORKERS``.
+cost, and copied out only when it is a graph output — and is
+bit-for-bit identical to calling each node's ``Executable.run`` by hand
+at any ``REPRO_MAX_WORKERS``.
 
 The latency model mirrors the serving timing model (§5.4), extended with
 placement boundaries:
@@ -22,9 +23,10 @@ placement boundaries:
   — produced on the host (by a host-placed node, or by a PIM program
   whose module ends in host statements: an rfactor fold, a host
   epilogue), arriving as a non-constant external input, or read through
-  a view; a PIM kernel's output hands off in MRAM for free, and an
-  input only the module's host statements read (a softmax mask, a
-  residual operand) never crosses;
+  a view, or made by the module's own host prologue; a PIM kernel's
+  output hands off in MRAM for free, and an input only the module's
+  host statements read (a softmax mask, a residual operand, a
+  prologue's operand) never crosses;
 * **D2H** is charged only when the node's output *leaves* the device
   (a host-placed consumer, a view, or a graph output) or is produced on
   the host, which always brings the kernel's result back;
@@ -208,7 +210,10 @@ class GraphExecutable:
         self, inputs: Dict[str, np.ndarray]
     ) -> Dict[str, np.ndarray]:
         """Execute the DAG on ``{input name: array}``; returns
-        ``{output name: array}`` in the graph's output order."""
+        ``{output name: array}`` in the graph's output order.  An output
+        that is a view is copied out of its base, so what a caller keeps
+        (a layer's new K/V rows) does not hold the whole base alive —
+        the buffers :func:`~repro.graph.memory.plan_memory` plans."""
         missing = [n for n in self.graph.input_names if n not in inputs]
         if missing:
             raise KeyError(
@@ -223,7 +228,11 @@ class GraphExecutable:
             )
             for view in views:
                 env[view.name] = view.bind(env[view.base])
-        return {name: env[name] for name in self.graph.output_names}
+        views = self.graph.views
+        return {
+            name: env[name].copy() if name in views else env[name]
+            for name in self.graph.output_names
+        }
 
     # -- performance ---------------------------------------------------------
     def profile(self) -> GraphProfile:
@@ -374,8 +383,11 @@ class GraphExecutable:
         """Input-byte breakdown of one PIM-placed node: (bytes crossing
         host->device, const bytes, total input bytes, [(const graph
         tensor, nbytes), ...]).  An input only the module's host
-        statements read (a softmax mask, a residual operand) never
-        crosses, and is no share of the H2D the module prices.
+        statements read (a softmax mask, a residual operand, the operand
+        of a host prologue) never crosses, and is no share of the H2D
+        the module prices; what crosses in its place is a buffer the
+        module's ``host_pre`` statements make (a prologue's product),
+        on the host every run.
 
         A tensor is staged-once only when *both* sides agree it is
         resident: the workload keeps that input slot on the device
@@ -390,7 +402,12 @@ class GraphExecutable:
         const_names = node.workload.const_inputs or frozenset()
         graph_const = self.graph.const_inputs
         module = self._exes[node.name][0].lowered
-        on_dpus = {spec.global_buffer.name for spec in module.transfer("h2d")}
+        h2d = [spec.global_buffer for spec in module.transfer("h2d")]
+        for buffer in h2d:
+            if buffer not in module.inputs:  # a host_pre product
+                crossing += buffer.nbytes
+                total += buffer.nbytes
+        on_dpus = {buffer.name for buffer in h2d}
         for wl_name, graph_name, _ in node.input_bindings():
             if wl_name not in on_dpus:
                 continue

@@ -10,8 +10,12 @@ definition (best fit by size; a new slot opens only when nothing free
 fits).  The resulting arena is what a memory-constrained host would
 actually allocate for the serial schedule; weights and external inputs
 are accounted separately since they are resident, not transient.  A
-view (:meth:`ModelGraph.add_view`) gets no buffer: it lives in its
-base's, so its readers extend the base's live range.  How
+view (:meth:`ModelGraph.add_view`) that nodes read gets no buffer: it
+lives in its base's, so its readers extend the base's live range.  A
+view that is a graph output is copied out of its base when the base is
+made (:meth:`~repro.graph.executable.GraphExecutable.run_tensors`), so
+the copy is a buffer of its own, live to the end, and the base frees
+at its last node reader.  How
 well the arena packs (the serial live peak over the arena) is the
 :func:`arena_stats` pair in :meth:`MemoryPlan.to_dict`.
 """
@@ -112,15 +116,20 @@ def plan_memory(graph: ModelGraph) -> MemoryPlan:
     for name in graph.views:
         aliases.setdefault(graph.storage(name), []).append(name)
 
-    # Live ranges of intermediates (node outputs), in definition order.
+    # Live ranges of intermediates (node outputs, then the copies of
+    # their output views), in definition order.
     ranges: List[Tuple[str, int, int, int]] = []  # (tensor, def, last, nbytes)
     for i, node in enumerate(order):
         names = [node.output, *aliases.get(node.output, ())]
-        last = len(order) if outputs.intersection(names) else i
+        copies = [name for name in names[1:] if name in outputs]
+        last = len(order) if node.output in outputs else i
         for name in names:
             for consumer in graph.consumers(name):
                 last = max(last, position[consumer.name])
         ranges.append((node.output, i, last, graph.tensor_nbytes(node.output)))
+        ranges.extend(
+            (name, i, len(order), graph.tensor_nbytes(name)) for name in copies
+        )
 
     plan = MemoryPlan()
     plan.naive_bytes = sum(nbytes for _, _, _, nbytes in ranges)

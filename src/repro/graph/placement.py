@@ -3,17 +3,22 @@
 The policy mirrors the paper's system split — the matrix-vector family
 (MTV/GEMV/MMTV/TTV, the ops PIM wins on) compiles for the PIM target,
 anything else stays on the host.  The GPT-J builder emits no element-wise
-glue node: the softmax, GELU and residual adds are host epilogues of the
-matvec programs beside them (:func:`repro.workloads.with_epilogue`), so
-they go wherever their matvec goes.  Three stock policies:
+glue node: the softmax and residual adds are host epilogues of the
+matvec programs before them (:func:`repro.workloads.with_epilogue`) and
+GELU a host prologue of the one after it
+(:func:`repro.workloads.with_prologue`), so they go wherever their
+matvec goes.  Three stock policies:
 
 * ``upmem``   — matvec ops on the PIM target, everything else on host;
 * ``cpu``     — the whole graph on the host roofline (the paper's CPU
   baseline for a full decode step);
 * ``mixed``   — attention matvecs (tagged ``attn``) on PIM, FC-layer
   matvecs (tagged ``ffn``) on host: the hybrid the end-to-end
-  experiment compares.  A host node prices a fused program once, as
-  TVM's fusion of injective ops into their producer would.
+  experiment compares.  The fused ``qkv_fc`` program makes Q/K/V, so
+  it is tagged ``attn`` and its FC-up rows run on PIM with it; only
+  ``fc_proj`` (with GELU and the residual add) is ``ffn``.  A host node
+  prices a fused program once, as TVM's fusion of injective ops into
+  their producer would.
 
 Slices and reshapes are no nodes but graph views
 (:meth:`~repro.graph.ir.ModelGraph.add_view`): nothing places them, and

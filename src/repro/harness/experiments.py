@@ -759,9 +759,10 @@ def fig17_end_to_end(tokens: int = 16, seed: int = 0) -> Dict:
     6B) over ``tokens`` cache positions, its
     :data:`~repro.graph.ATTN_MASK` all zeros (every position valid),
     compiles under each placement policy — everything-PIM (matvecs on
-    upmem, their softmax, GELU and residual epilogues on its host),
-    everything-CPU, and a mixed split (attention on PIM, FC layers on
-    the CPU roofline) — executes, is checked against the NumPy
+    upmem, their softmax and residual epilogues and the GELU prologue
+    on its host), everything-CPU, and a mixed split (attention on PIM,
+    the fused QKV/FC-up program with it, the FC projection on the CPU
+    roofline) — executes, is checked against the NumPy
     reference, and reports a per-node latency breakdown (compute vs
     boundary transfers vs one-time weight staging) plus the memory
     planner's arena against the naive no-reuse allocation.

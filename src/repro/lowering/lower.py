@@ -8,8 +8,11 @@ This implements paper §5.2.2:
 * per-DPU MRAM tile extraction and transfer generation,
 * hierarchical reduction (``rfactor`` stages become kernel partials plus a
   host final reduction);
-* unbound stages after the kernel (host epilogues) become ``host_post``
-  statements — the only place float ``/``, ``exp`` and ``tanh`` may be.
+* unbound stages before the kernel (host prologues) become ``host_pre``
+  statements, and a buffer they write that the kernel reads crosses to
+  the DPUs by an H2D transfer, as an input does; unbound stages after
+  the kernel (host epilogues) become ``host_post`` statements — the
+  only place float ``/``, ``exp`` and ``tanh`` may be.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ def lower(
     seen_kernel = False
     inputs: List[Buffer] = []
     compute_buffers: List[Buffer] = []
+    # Buffers the host_pre statements write: the kernel reads them over
+    # H2D, as it reads an input.
+    host_made: List[Buffer] = []
 
     for stage in schedule.stages:
         if stage.kind == "placeholder":
@@ -105,7 +111,11 @@ def lower(
                     f"host stage {stage.name!r} cannot allocate WRAM caches"
                 )
             host_parallel = max(host_parallel, builder.host_parallel)
-            (host_post if seen_kernel else host_pre).append(stmt)
+            if seen_kernel:
+                host_post.append(stmt)
+            else:
+                host_pre.append(stmt)
+                host_made.append(stage.op.tensor.buffer)
 
     if not kernel_builders:
         raise LoweringError(
@@ -117,7 +127,7 @@ def lower(
     )
 
     kernel_body, transfers, internal_mram = _extract_mram(
-        kernel_body, grid, inputs, schedule
+        kernel_body, grid, inputs + host_made, schedule
     )
     simplified = simplify_stmt(kernel_body)
     if simplified is None:
@@ -553,10 +563,12 @@ class _TileRewriter(StmtMutator):
 def _extract_mram(
     kernel: Stmt,
     grid: List[GridDim],
-    inputs: Sequence[Buffer],
+    on_host: Sequence[Buffer],
     schedule: Schedule,
 ):
-    """Compute per-DPU regions, rewrite accesses, emit transfer specs."""
+    """Compute per-DPU regions, rewrite accesses, emit transfer specs:
+    H2D for what the kernel reads of ``on_host`` (the inputs and the
+    ``host_pre`` products), D2H for what it writes that leaves it."""
     inner: Dict[Var, int] = {}
     for stmt in iter_stmts(kernel):
         if isinstance(stmt, For):
@@ -596,7 +608,7 @@ def _extract_mram(
         local = Buffer(f"{buffer.name}_mram", extents, buffer.dtype, scope="mram")
         mapping[buffer] = (local, base)
         written = writes.get(buffer, False)
-        if buffer in inputs:
+        if buffer in on_host:
             transfers.append(
                 TransferSpec("h2d", buffer, local, tuple(base), tuple(extents))
             )

@@ -21,6 +21,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from ..workloads import Workload
+
 __all__ = [
     "CompiledArtifact",
     "ArtifactCache",
@@ -52,25 +54,33 @@ def _tensor_signature(tensor: Any) -> tuple:
     return (buffer.name, buffer.dtype, tuple(buffer.shape))
 
 
-def workload_signature(workload: Any) -> tuple:
+def workload_signature(workload: Workload) -> tuple:
     """Stable identity of a workload for cache keying.
 
     Uses the declared structure — name, shape, reduction, tensor dtypes
     and the compute expression — rather than object identity, so equal
     workloads constructed separately share artifacts while same-named
-    workloads with different bodies or dtypes do not alias.
+    workloads with different bodies or dtypes do not alias.  Anything
+    but a :class:`~repro.workloads.Workload` (a model graph included)
+    has no such identity: a ``TypeError``.
     """
-    output = getattr(workload, "output", None)
-    op = getattr(output, "op", None)
+    if not isinstance(workload, Workload):
+        raise TypeError(
+            f"workload_signature takes a Workload, not"
+            f" {type(workload).__name__}"
+        )
+    output = workload.output
+    op = output.op
+    # A placeholder output (host-only glue) has no body and no combiner.
     body = getattr(op, "body", None)
     signature = (
-        getattr(workload, "name", str(workload)),
-        tuple(getattr(workload, "shape", ())),
-        getattr(workload, "reduce_extent", 0),
-        tuple(sorted(getattr(workload, "const_inputs", ()) or ())),
-        tuple(sorted((getattr(workload, "params", None) or {}).items())),
-        tuple(_tensor_signature(t) for t in getattr(workload, "inputs", ())),
-        _tensor_signature(output) if output is not None else None,
+        workload.name,
+        tuple(workload.shape),
+        workload.reduce_extent,
+        tuple(sorted(workload.const_inputs or ())),
+        tuple(sorted((workload.params or {}).items())),
+        tuple(_tensor_signature(t) for t in workload.inputs),
+        _tensor_signature(output),
         repr(body) if body is not None else None,
         # The combiner lives outside ``body`` on ComputeOp: sum vs max
         # over the same element expression must not share a key.
@@ -79,7 +89,8 @@ def workload_signature(workload: Any) -> tuple:
     upstream = _upstream_stages(op)
     # A single-stage workload keeps the tuple it always had (and so its
     # keys); one with earlier stages (a host epilogue's base program and
-    # middle stages) adds each stage's name, body and combiner.
+    # middle stages, a host prologue) adds each stage's name, body and
+    # combiner.
     return signature + (upstream,) if upstream else signature
 
 

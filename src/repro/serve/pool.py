@@ -64,11 +64,10 @@ class ExecutablePool:
         )
         memo = getattr(workload, "_structural_signature", None)
         if memo is None or memo[0] != fingerprint:
+            # Raises TypeError for anything but a Workload: a model
+            # graph is no servable program.
             memo = (fingerprint, workload_signature(workload))
-            try:
-                workload._structural_signature = memo
-            except (AttributeError, TypeError):  # frozen/slotted objects
-                pass
+            workload._structural_signature = memo
         return (
             memo[1],
             # A kind string shares identity with an explicitly

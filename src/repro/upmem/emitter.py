@@ -154,10 +154,14 @@ def emit_kernel_c(module: LoweredModule) -> str:
 
 
 def emit_host_pseudocode(module: LoweredModule) -> str:
-    """Render the host side: allocation, transfers, launch, reduction."""
+    """Render the host side: allocation, prologue, transfers, launch,
+    reduction."""
     lines = [f"// host program for {module.name}"]
     lines.append(f"dpu_alloc({module.n_dpus}, &set);")
     lines.append('dpu_load(set, "kernel.bin");')
+    for stmt in module.host_pre:
+        lines.append("// host prologue:")
+        lines.extend(stmt_to_str(stmt).splitlines())
     for spec in module.transfer("h2d"):
         fn = (
             "dpu_push_xfer(DPU_XFER_TO_DPU"

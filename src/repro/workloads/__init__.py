@@ -4,6 +4,7 @@ from .gptj import GPTJ_30B, GPTJ_6B, GPTJConfig, fc_mtv, fc_shapes, mha_mmtv
 from .registry import SIZED_WORKLOADS, make_workload, size_labels, workload_names
 from .tensor_ops import (
     Workload, geva, gemv, mmtv, mtv, red, ttv, va, with_epilogue,
+    with_prologue,
 )
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "ttv",
     "mmtv",
     "with_epilogue",
+    "with_prologue",
     "make_workload",
     "workload_names",
     "size_labels",

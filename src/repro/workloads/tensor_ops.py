@@ -16,6 +16,7 @@ import numpy as np
 
 from .. import te
 from ..te import Tensor
+from ..tir import BufferLoad, ExprMutator, substitute
 
 __all__ = [
     "Workload",
@@ -27,6 +28,7 @@ __all__ = [
     "ttv",
     "mmtv",
     "with_epilogue",
+    "with_prologue",
 ]
 
 
@@ -51,6 +53,9 @@ class Workload:
     #: or the base program's output when host epilogue stages follow it
     #: (:func:`with_epilogue`).
     kernel_output: Optional[Tensor] = None
+    #: Input name -> the product of the host prologue stages over it,
+    #: which the kernel reads in its place (:func:`with_prologue`).
+    prologues: Dict[str, Tensor] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kernel_output is None:
@@ -58,12 +63,14 @@ class Workload:
 
     @property
     def kernel_inputs(self) -> List[Tensor]:
-        """The inputs the kernel reads (in declaration order); the rest
-        only the host epilogue reads."""
-        if self.kernel_output is self.output:
+        """The tensors the kernel reads, in input declaration order: an
+        input, or the product of its host prologue; an input only the
+        host epilogue reads is none of them."""
+        if self.kernel_output is self.output and not self.prologues:
             return self.inputs
         reads = set(self.kernel_output.op.input_buffers())
-        return [t for t in self.inputs if t.buffer in reads]
+        kernel = [self.prologues.get(t.name, t) for t in self.inputs]
+        return [t for t in kernel if t.buffer in reads]
 
     @property
     def bytes_in(self) -> int:
@@ -243,7 +250,8 @@ def with_epilogue(
     and tuning space are ``base``'s: the sketch distributes ``C``
     (:attr:`Workload.kernel_output`) and leaves the stages unbound, so
     the lowering emits them as ``host_post`` statements.  An extra
-    input only the epilogue reads never crosses to the DPUs.
+    input only the epilogue reads never crosses to the DPUs.  A base
+    with a host prologue (:func:`with_prologue`) keeps it.
     """
     n = len(base.inputs)
     base_reference = base.reference
@@ -262,4 +270,94 @@ def with_epilogue(
         params=dict(base.params),
         const_inputs=base.const_inputs,
         kernel_output=base.output,
+        prologues=dict(base.prologues),
+    )
+
+
+class _Redirect(ExprMutator):
+    """Loads of one buffer read another, at the same indices."""
+
+    def __init__(self, old, new) -> None:
+        self.old, self.new = old, new
+
+    def visit_BufferLoad(self, node: BufferLoad):
+        if node.buffer is self.old:
+            return BufferLoad(self.new, [self.visit(i) for i in node.indices])
+        return None
+
+
+def _read_instead(tensor: Tensor, old: Tensor, new: Tensor) -> Tensor:
+    """``tensor``'s one-stage compute again, reading ``new`` where it
+    read ``old`` (the same name, axes and reduction)."""
+    op = tensor.op
+    redirect = _Redirect(old.buffer, new.buffer)
+
+    def body(*idx):
+        expr = redirect.visit(
+            substitute(op.body, {ax.var: i for ax, i in zip(op.axis, idx)})
+        )
+        if not op.reduce_axis:
+            return expr
+        return te.Reduce(expr, op.reduce_axis, op.combiner, op.identity)
+
+    return te.compute(tensor.shape, body, op.name, tensor.dtype)
+
+
+def with_prologue(
+    base: Workload,
+    operand: str,
+    prologue: Callable[[Tensor], Tensor],
+    reference: Callable[[np.ndarray], np.ndarray],
+    flops: float,
+) -> Workload:
+    """``base`` with host prologue stages on its input ``operand``, as
+    one program: the twin of :func:`with_epilogue`.
+
+    ``prologue(X)`` builds the stages over ``base``'s input ``X`` named
+    ``operand`` and returns the last, the same shape as ``X``;
+    ``reference(x)`` is their NumPy semantics and ``flops`` their work.
+    ``base``'s compute is rebuilt to read that product where it read
+    ``X``.  The result keeps ``base``'s name, inputs, shape and params,
+    so its family, sketch parameters and tuning space are ``base``'s:
+    the sketch caches the product in ``X``'s place
+    (:attr:`Workload.kernel_inputs`) and leaves the stages unbound, so
+    the lowering emits them as ``host_pre`` statements and ships the
+    product, not ``X``, to the DPUs.  ``base`` must be one compute stage
+    and ``operand`` a non-resident input (a prologue over a staged
+    tensor would recompute what never moves).
+    """
+    if base.kernel_output is not base.output or base.prologues:
+        raise ValueError(f"{base.name}: a prologue needs a one-stage base")
+    names = [t.name for t in base.inputs]
+    if operand not in names or operand in base.const_inputs:
+        raise ValueError(
+            f"{base.name}: {operand!r} is not a non-resident input of {names}"
+        )
+    k = names.index(operand)
+    raw = base.inputs[k]
+    product = prologue(raw)
+    if tuple(product.shape) != tuple(raw.shape):
+        raise ValueError(
+            f"prologue of {operand!r} makes shape {product.shape},"
+            f" not {raw.shape}"
+        )
+    output = _read_instead(base.output, raw, product)
+    base_reference = base.reference
+
+    def fused(*arrays):
+        arrays = list(arrays)
+        arrays[k] = reference(arrays[k])
+        return base_reference(*arrays)
+
+    return Workload(
+        name=base.name,
+        inputs=list(base.inputs),
+        output=output,
+        reference=fused,
+        flops=base.flops + flops,
+        shape=base.shape,
+        reduce_extent=base.reduce_extent,
+        params=dict(base.params),
+        const_inputs=base.const_inputs,
+        prologues={operand: product},
     )

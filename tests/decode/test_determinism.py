@@ -103,10 +103,15 @@ class TestPinnedHiddenStates:
     node splits its reduction (the FC nodes sum ``k_dpus`` partial sums
     per row on the host, in a different order than one DPU's loop), and
     so does a host epilogue's arithmetic (the softmax sums its row as a
-    left fold, GELU cubes as ``a*a*a``)."""
+    left fold, GELU cubes as ``a*a*a``).  So do the weight draws: the
+    QKV and FC-up weights are one ``(7d, d)`` draw since they became one
+    program.  Binding the row-stacked earlier draws (``w_qkv`` over
+    ``w_fc``) reproduces the earlier digest,
+    ``aedbb5016a8d749c24696ffeedc81c5e41ed025a8fce17432f083a25c7a642e1``,
+    byte for byte: fusing the two MTVs moved no row's reduction order."""
 
     #: sha256 over the eight sequences' final hidden states, in order.
-    DIGEST = "aedbb5016a8d749c24696ffeedc81c5e41ed025a8fce17432f083a25c7a642e1"
+    DIGEST = "fb01bc5b747c7a5d55ceb5eefc39b4247e879a2288b94a9c99aaf8092e4dda5a"
 
     def test_multi_sequence_run_is_pinned(self):
         engine = DecodeEngine(

@@ -216,7 +216,9 @@ class TestIterationReport:
         s, l = it.reports
         assert s.capacity != l.capacity
         dur = it.device_seconds(dispatch_overhead_s=0.0, replica_groups=8)
-        assert dur == s.compute_s + l.compute_s + s.serial_s + l.serial_s
+        # Summed in the engine's order: the groups' kernels, then the
+        # serialized transfers.
+        assert dur == s.compute_s + l.compute_s + (s.serial_s + l.serial_s)
 
     def test_invalid_groups_rejected(self):
         eng = multi_engine()

@@ -2,8 +2,9 @@
 
 The tiny GPT-J configuration keeps functional simulation cheap (the
 whole decode step is a few ms of host time) while preserving the real
-graph topology: ``n_heads * head_dim == d_model``, four FC-shape MTVs,
-per-head attention, the softmax/GELU/residual host epilogues.
+graph topology: ``n_heads * head_dim == d_model``, the fused QKV/FC-up
+MTV and the two projections, per-head attention, the softmax and
+residual host epilogues and the GELU host prologue.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import pytest
 
 import repro
 from repro import te
-from repro.graph import ModelGraph, gptj_model_graph
-from repro.workloads import GPTJConfig, Workload, mtv, va
+from repro.graph import ModelGraph, gptj_model_graph, small_grid_params
+from repro.workloads import GPTJConfig, Workload, fc_mtv, mtv, va
+from repro.workloads.tensor_ops import _read_instead
 
 TINY = GPTJConfig("gptj-tiny", n_heads=2, d_model=32, head_dim=16)
 
@@ -85,16 +87,26 @@ def removed_glue_s(config: GPTJConfig, span: int) -> float:
 
 
 def base_of(workload: Workload) -> Workload:
-    """The program a host-epilogue workload fuses into (itself when it
-    has no epilogue): its kernel inputs and output, for pricing only."""
+    """The program a host-epilogue or host-prologue workload fuses into
+    (itself when it has neither): its kernel over placeholders in the
+    place of its kernel inputs, for pricing only."""
+    output = workload.kernel_output
+    inputs = []
+    for tensor in workload.kernel_inputs:
+        if tensor in workload.prologues.values():
+            fresh = te.placeholder(tensor.shape, tensor.dtype, tensor.name)
+            output = _read_instead(output, tensor, fresh)
+            tensor = fresh
+        inputs.append(tensor)
     return replace(
-        workload, inputs=workload.kernel_inputs,
-        output=workload.kernel_output, kernel_output=None,
+        workload, inputs=inputs, output=output, kernel_output=None,
+        prologues={},
     )
 
 
 def epilogue_lines_s(exe) -> dict:
-    """Per node of a compiled graph, the compute its host epilogue adds:
+    """Per node of a compiled graph, the compute its host epilogue and
+    prologue add:
     the node's compute line minus its base program's, compiled for the
     same target with the same params (0 for a node without one)."""
     gained = {}
@@ -109,3 +121,40 @@ def epilogue_lines_s(exe) -> dict:
         line = lat.total if cost.target == "cpu" else lat.launch + lat.kernel + lat.host
         gained[node.name] = cost.compute_s - line
     return gained
+
+
+def fused_line_deltas_s(config: GPTJConfig, policy: str) -> dict:
+    """Per layer, what one ``qkv_fc`` program saves over the separate
+    ``qkv_gen`` and ``fc`` programs it replaced, by line: each of the
+    three compiled standalone at its small grid on the side its tag
+    places it under ``policy`` (``qkv_gen`` and ``qkv_fc`` are ``attn``,
+    ``fc`` was ``ffn``), as the graph prices it — compute, the H2D
+    share of the crossing hidden state and the D2H of an output that
+    leaves (all three do).  GELU's host line is no term: it moved from
+    ``fc``'s epilogue to ``fc_proj``'s prologue at the same price."""
+    d = config.d_model
+    qkv_fc = mtv(7 * d, d)
+
+    def lines(workload, tag):
+        if policy == "cpu" or (policy == "mixed" and tag == "ffn"):
+            lat = repro.compile(workload, target="cpu").profile().latency
+            return {"cpu": lat.total}
+        lat = repro.compile(
+            workload, params=small_grid_params(workload)
+        ).profile().latency
+        weight, x = (t.buffer.nbytes for t in workload.inputs)
+        return {
+            "launch": lat.launch, "kernel": lat.kernel, "host": lat.host,
+            "d2h": lat.d2h, "h2d": lat.h2d * x / (weight + x),
+        }
+
+    before = [
+        lines(fc_mtv(config, "qkv_gen"), "attn"),
+        lines(fc_mtv(config, "fc"), "ffn"),
+    ]
+    after = lines(qkv_fc, "attn")
+    keys = {key for line in before + [after] for key in line}
+    return {
+        key: sum(line.get(key, 0.0) for line in before) - after.get(key, 0.0)
+        for key in sorted(keys)
+    }

@@ -32,20 +32,28 @@ from .conftest import TINY
 class TestTopology:
     def test_node_count_does_not_scale_with_heads(self):
         g = gptj_model_graph(TINY, layers=1, capacity=4)
-        # qkv, score (+softmax), value, proj (+residual), fc (+gelu),
-        # fc_proj (+residual): the glue is host epilogues, and the query
-        # slice, the new k/v rows and the head reshape are views
-        assert len(g) == 6
+        # qkv_fc, score (+softmax), value, proj (+residual), fc_proj
+        # (gelu+, +residual): the glue is host epilogues and a prologue,
+        # and the query slice, the new k/v rows, the head reshape and
+        # the FC pre-activation are views
+        assert len(g) == 5
         assert g.output_names == ["k_new_L0", "v_new_L0", "h1"]
 
-    def test_uses_all_four_fc_shapes(self):
+    def test_the_four_fc_shapes_are_three_programs(self):
+        """``qkv_gen`` and ``fc`` both contract x: one MTV over their
+        row-stacked weights, the other two FC shapes as they are."""
         g = gptj_model_graph(TINY, layers=1, capacity=4)
-        mtv_layers = {
-            node.workload.params.get("layer")
+        mtvs = {
+            node.workload.params.get("layer"): tuple(node.workload.shape)
             for node in g.nodes
             if node.workload.name == "mtv"
         }
-        assert {name for name, _, _ in fc_shapes(TINY)} <= mtv_layers
+        shapes = {name: (m, k) for name, m, k in fc_shapes(TINY)}
+        assert mtvs == {
+            "qkv_fc": (shapes["qkv_gen"][0] + shapes["fc"][0], TINY.d_model),
+            "qkv_proj": shapes["qkv_proj"],
+            "fc_proj": shapes["fc_proj"],
+        }
 
     def test_attention_is_one_score_and_one_value_node(self):
         """All heads run in one score and one value MMTV."""
@@ -56,7 +64,7 @@ class TestTopology:
     def test_weights_and_kv_cache_are_const(self):
         g = gptj_model_graph(TINY, layers=1, capacity=4)
         const = g.const_inputs
-        assert {"w_qkv_L0", "w_proj_L0", "w_fc_L0", "w_fc_proj_L0"} <= const
+        assert {"w_qkv_fc_L0", "w_proj_L0", "w_fc_proj_L0"} <= const
         assert {"k_cache_L0", "v_cache_t_L0"} <= const
         assert "x" not in const and ATTN_MASK not in const
 
@@ -81,11 +89,11 @@ class TestTopology:
         """A built graph's ``Node.params`` is the one per-node knob: what
         a caller sets there is the grid the compiled program runs."""
         g = gptj_model_graph(TINY, layers=1, capacity=4)
-        fc = next(n for n in g.nodes if n.name == "L0.fc")
+        fc = next(n for n in g.nodes if n.name == "L0.qkv_fc")
         fc.params = {"m_dpus": 2, "k_dpus": 1, "n_tasklets": 2,
                      "cache": 16, "host_threads": 1, "unroll": 0}
         exe = compile_graph(g)
-        assert exe._exes["L0.fc"][0].params == fc.params
+        assert exe._exes["L0.qkv_fc"][0].params == fc.params
         inputs = g.random_inputs(5)
         got = exe.run_tensors(inputs)
         for name, want in g.reference_outputs(inputs).items():
@@ -99,7 +107,8 @@ def _hand_rolled(ins, K, V, mask=None):
     attention of a cache whose every position is written."""
     hd, H = TINY.head_dim, TINY.n_heads
     cols = [slice(h * hd, (h + 1) * hd) for h in range(H)]
-    qkv = ins["w_qkv_L0"] @ ins["x"]
+    d = TINY.d_model
+    qkv = ins["w_qkv_fc_L0"][:3 * d] @ ins["x"]
     heads = []
     for sl in cols:
         scores = K[:, sl] @ qkv[sl]
@@ -111,7 +120,7 @@ def _hand_rolled(ins, K, V, mask=None):
         probs = (e / e.sum()).astype(np.float32)
         heads.append(V[:, sl].T @ probs)
     attn = ins["w_proj_L0"] @ np.concatenate(heads).astype(np.float32)
-    hidden = ins["w_fc_L0"] @ ins["x"]
+    hidden = ins["w_qkv_fc_L0"][3 * d:] @ ins["x"]
     c = np.float32(np.sqrt(2.0 / np.pi))
     act = (
         np.float32(0.5) * hidden
@@ -226,7 +235,11 @@ class TestReductionSplit:
     FC = [
         (config, name, m, k)
         for config in (GPTJ_SIM, CLUSTER_SIM)
-        for name, m, k in fc_shapes(config)
+        for name, m, k in [
+            ("qkv_fc", 7 * config.d_model, config.d_model),
+            *(row for row in fc_shapes(config)
+              if row[0] in ("qkv_proj", "fc_proj")),
+        ]
     ]
 
     @pytest.mark.parametrize(
@@ -325,7 +338,7 @@ class TestTaskletPin:
             ), node.name
         if config is GPTJ_SIM:
             # The attention MMTVs spread one row over each DPU.
-            assert faster == {"qkv_gen", "fc"}
+            assert faster == {"qkv_fc"}
 
     def test_steady_state_at_least_1_3x_lower(self):
         pinned, base = _pinned_and_two_tasklets(GPTJ_SIM, 3, 8)
@@ -350,8 +363,10 @@ class TestTaskletPin:
         """Each distinct (workload, params) program the ``decode`` and
         ``cluster`` model graphs place on the PIM side runs once with the
         scalar interpreter checking the vector plan bit for bit — the
-        tasklet split now clamps to 6 and 8 rows per DPU, counts the
-        vectorizer suites (pinned at 2 tasklets) do not reach."""
+        tasklet split clamps to 14 rows per DPU on ``GPTJ_SIM``'s fused
+        QKV/FC-up MTV (6 and 8 when it was two programs) and to 4 on
+        ``CLUSTER_SIM``'s, counts the vectorizer suites (pinned at 2
+        tasklets) do not reach."""
         programs = {}
         for config in (GPTJ_SIM, CLUSTER_SIM):
             for capacity in (4, 8, 12, 16):
@@ -362,7 +377,7 @@ class TestTaskletPin:
                         key = (node.workload.name, node.workload.shape,
                                tuple(node.params.items()))
                         programs.setdefault(key, node.workload)
-        assert len(programs) == 23
+        assert len(programs) == 21
         monkeypatch.setenv("REPRO_SIM_MODE", "verify")
         tasklets = set()
         for (_, _, params), workload in programs.items():
@@ -373,7 +388,7 @@ class TestTaskletPin:
             np.testing.assert_allclose(
                 out, workload.reference_output(inputs), rtol=1e-3, atol=1e-3
             )
-        assert {6, 8} <= tasklets
+        assert {4, 14} <= tasklets
 
 
 class TestPaperAttention:
@@ -410,21 +425,21 @@ class TestPaperAttention:
     def test_three_layer_step_size(self):
         g = gptj_model_graph(GPTJ_SIM, 3, 8)
         placement = place(g)
-        assert len(g) == 18
+        assert len(g) == 15
         assert all(t.kind == "upmem" for t in placement.values())
 
 
 class TestModelGraph:
     def test_layers_chain_through_hidden_states(self):
         g = gptj_model_graph(TINY, layers=3, capacity=8)
-        per_layer = 6  # the decoder's nodes: the k/v rows are views
+        per_layer = 5  # the decoder's nodes: the k/v rows are views
         assert len(g) == 3 * per_layer
         assert g.output_names == [
             "k_new_L0", "v_new_L0", "k_new_L1", "v_new_L1",
             "k_new_L2", "v_new_L2", "h3",
         ]
         # Layer l consumes h{l} (h0 aliased to the input "x").
-        fc1 = next(n for n in g.nodes if n.name == "L1.fc")
+        fc1 = next(n for n in g.nodes if n.name == "L1.qkv_fc")
         assert dict(
             (w, t) for w, t, _ in fc1.input_bindings()
         )["B"] == "h1"
@@ -470,16 +485,19 @@ class TestModelGraph:
         for name in out_a:
             np.testing.assert_array_equal(out_a[name], out_b[name])
 
-    def test_kv_outputs_slice_the_fused_qkv(self):
+    def test_kv_outputs_and_fc_pre_slice_the_fused_vector(self):
         g = gptj_model_graph(TINY, layers=2, capacity=8)
         ins = g.random_inputs(5)
         env = g.reference_outputs(ins, all_tensors=True)
         d = TINY.d_model
         np.testing.assert_array_equal(
-            env["k_new_L0"], env["qkv_L0"][d:2 * d]
+            env["k_new_L0"], env["qkv_fc_L0"][d:2 * d]
         )
         np.testing.assert_array_equal(
-            env["v_new_L1"], env["qkv_L1"][2 * d:3 * d]
+            env["v_new_L1"], env["qkv_fc_L1"][2 * d:3 * d]
+        )
+        np.testing.assert_array_equal(
+            env["fc_pre_L1"], env["qkv_fc_L1"][3 * d:]
         )
 
     def test_layer_io_names_each_layers_tensors(self):

@@ -38,7 +38,10 @@ class TestPlacement:
     def test_mixed_policy_splits_attention_from_ffn(self, tiny_decoder):
         placement = place(tiny_decoder, policy="mixed")
         assert placement["L0.attn_score"].kind == "upmem"
-        assert placement["L0.fc"].kind == "cpu"
+        # The fused QKV/FC-up program makes Q/K/V: tagged attn, it runs
+        # on PIM, FC-up rows included (they ran on the host while ``fc``
+        # was its own ffn node).
+        assert placement["L0.qkv_fc"].kind == "upmem"
         assert placement["L0.fc_proj"].kind == "cpu"
 
     @pytest.mark.parametrize("policy", ["upmem", "cpu", "mixed"])
@@ -176,7 +179,7 @@ class TestExecution:
 
     def test_incomplete_placement_rejected(self, tiny_decoder):
         placement = place(tiny_decoder, policy="upmem")
-        placement.pop("L0.fc")
+        placement.pop("L0.qkv_fc")
         with pytest.raises(ValueError, match="placement misses"):
             GraphExecutable(tiny_decoder, placement, ExecutablePool())
 
@@ -202,8 +205,8 @@ class TestCostModel:
     def test_staging_charged_once_per_const_tensor(self, tiny_decoder):
         exe = compile_graph(tiny_decoder)
         staged = [c for c in exe.profile().nodes if c.staging_s > 0]
-        # qkv_gen, attn_score, attn_value, attn_proj, fc, fc_proj.
-        assert len(staged) == 6
+        # qkv_fc, attn_score, attn_value, attn_proj, fc_proj.
+        assert len(staged) == 5
         assert exe.profile().steady_state_s < exe.profile().total
 
     def test_dynamic_input_in_const_slot_pays_recurring_h2d(self):

@@ -109,7 +109,7 @@ class TestTensors:
         assert g.tensor_nbytes("t1") == 16 * 4
 
     def test_const_inputs(self, tiny_decoder):
-        assert "w_qkv_L0" in tiny_decoder.const_inputs
+        assert "w_qkv_fc_L0" in tiny_decoder.const_inputs
         assert "x" not in tiny_decoder.const_inputs
         assert set(tiny_decoder.const_inputs) < set(tiny_decoder.input_names)
 

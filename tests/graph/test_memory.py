@@ -81,7 +81,9 @@ class TestLinearScan:
             "weight_bytes", "input_bytes", "slots", "tensors",
             "reuse_ratio", "utilization", "fragmentation",
         }
-        assert payload["tensors"] == len(tiny_decoder.nodes)
+        # Every node output, and a copy of each output view (the new
+        # K and V rows).
+        assert payload["tensors"] == len(tiny_decoder.nodes) + 2
 
     def test_utilization_and_fragmentation(self, tiny_decoder):
         plan = plan_memory(tiny_decoder)

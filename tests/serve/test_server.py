@@ -373,17 +373,19 @@ class TestFailureIsolation:
         assert ticket.failed
         assert "TargetError" in ticket.error
 
-    def test_a_graph_request_fails_its_flush(self):
-        """A model graph is many programs, not a workload: a request
-        carrying one fails its group with the front door's TypeError,
-        which names the graph compiler."""
+    def test_a_graph_request_is_rejected_at_admission(self):
+        """A model graph is many programs, not a workload: it has no
+        workload signature, so the server rejects the request as
+        unservable before it joins a group."""
         from ..graph.conftest import chain_graph
 
         graph = chain_graph()
         with Server(max_batch_size=1) as server:
             ticket = server.submit(Request(graph, graph.random_inputs(0)))
-        assert ticket.failed
-        assert "TypeError" in ticket.error and "compile_graph" in ticket.error
+            assert ticket.rejected and not server.batcher.pending
+        assert "TypeError" in ticket.reject_reason
+        assert "Workload" in ticket.reject_reason
+        assert server.metrics.rejected == 1
 
     def test_unknown_target_rejected_at_admission(self):
         mix = tiny_mix()

@@ -19,6 +19,7 @@ class TestPlaceholder:
         assert A.shape == (4, 8)
         assert A.dtype == "float32"
         assert A.name == "A"
+        assert repr(A) == "Tensor(A: float32[4x8])"
 
     def test_auto_name(self):
         A = te.placeholder((4,))

@@ -169,14 +169,14 @@ _KERNELS = {
     ("mmtv", "64MB", 0): (2, 1),
 }
 
-#: The six PIM programs of a GPT-J decode layer at capacity 8 and 12.
+#: The five PIM programs of a GPT-J decode layer at capacity 8 and 12.
 #: The FC MTVs split their reduction across DPUs (``small_grid_params``)
 #: down to 64 elements a DPU, one 64-element cache block: no block loop
-#: is left to fold.
+#: is left to fold.  ``fc_proj``'s B tile is its GELU prologue's
+#: product, staged and read through like an input.
 _DECODE = {
-    ("mtv", (384, 128)): (2, 0),  # qkv_gen
+    ("mtv", (896, 128)): (2, 0),  # qkv_fc (qkv_gen and fc were (2, 0))
     ("mtv", (128, 128)): (2, 0),  # attn_proj
-    ("mtv", (512, 128)): (2, 0),  # fc
     ("mtv", (128, 512)): (2, 0),  # fc_proj
     ("mmtv", (4, 8, 32)): (2, 0),  # attn_score: one block
     ("mmtv", (4, 32, 8)): (2, 0),  # attn_value: one block
