@@ -41,7 +41,7 @@ def test_fig17_multilayer_decode(benchmark):
     # layer; the page-boundary epoch pool-hits every capacity-independent
     # program and loads only the two attention programs sized to the new
     # capacity (the score MMTV with its softmax epilogue, the value MMTV).
-    assert rows[0]["compiled_programs"] == 5
+    assert rows[0]["compiled_programs"] == 4
     boundary = rows[3]
     assert boundary["replanned"] is True
     assert boundary["compiled_programs"] == 2

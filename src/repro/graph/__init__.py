@@ -4,8 +4,9 @@ The layer above per-kernel compilation: a :class:`ModelGraph` is a DAG
 of workloads over named tensors, a placement pass assigns each node a
 backend under a policy (MMTV/MTV on the PIM target, anything else on the
 host; element-wise glue is a host epilogue or prologue of the program
-beside it, and slices and reshapes are views of their base, not nodes),
-a linear-scan memory planner reuses dead intermediate buffers, and a
+beside it, slices and reshapes are views of their base and a concat is
+one host copy of its parts, not nodes), a linear-scan memory planner
+reuses dead intermediate buffers, and a
 :class:`GraphExecutable` compiles every node through the serving
 :class:`~repro.serve.pool.ExecutablePool` and runs whole decode steps
 bit-for-bit equal to per-op execution, with an end-to-end latency model

@@ -4,7 +4,7 @@ One decode step of a GPT-J layer (batch 1, ``capacity`` cached
 positions) built from the paper's shape helpers
 (:func:`repro.workloads.fc_shapes` gives the four FC-layer MTVs;
 attention is the multi-head MMTV of Fig. 10,
-:func:`repro.workloads.mha_mmtv`) — five nodes:
+:func:`repro.workloads.mha_mmtv`) — four nodes:
 
 * ``qkv_fc``  — one MTV (7d x d) over the row-stacked QKV and FC-up
   weights: both read the hidden state, so one PIM program makes the
@@ -16,29 +16,34 @@ attention is the multi-head MMTV of Fig. 10,
   head_dim)`` against the resident K cache, followed by each head's
   scaled, masked softmax; ``attn_value`` — the value MMTV ``(heads,
   head_dim, capacity)`` against the (transposed) resident V cache;
-* the heads as a view shaped ``(d,)``, then ``attn_proj`` — MTV (d x d)
-  followed by the first residual add, ``x + attn_out``;
-* the FF branch: ``fc_pre``, the view of the last ``4d`` elements, and
-  ``fc_proj`` — GELU over it, then MTV (d x 4d), then the second
-  residual add, ``resid + ffn_out`` (GPT-J's parallel block: ``y = x +
-  attn + ff``; layer norms are omitted — they move no tensor the
-  planner or the placement story cares about).
+* ``proj`` — one MTV (d x 5d) over the column-concatenated projection
+  weights ``[W_proj | W_fc_proj]``: GPT-J's parallel block sums both
+  branches into one residual, ``y = x + W_proj·attn +
+  W_fc_proj·gelu(fc_pre)``, so the two projections are one reduction
+  (``CombineParallelDense`` along the reduction axis).  It reads
+  ``proj_in``, the concat of the heads (viewed as ``(d,)``) and
+  ``fc_pre`` (the view of the fused vector's last ``4d`` elements);
+  GELU runs over the last ``4d`` elements of it first, and the
+  residual add ``x + ...`` after (layer norms are omitted — they move
+  no tensor the planner or the placement story cares about).
 
-The softmax and the residual adds are host epilogues of the program
+The softmax and the residual add are host epilogues of the program
 before them (:func:`repro.workloads.with_epilogue`) and GELU a host
-prologue of the program after it (:func:`repro.workloads.with_prologue`),
-as ATiM keeps the host work around a PIM kernel — the rfactor fold of
-§5.2.1 — inside the module: the lowering emits them as ``host_pre`` and
+prologue of the program after it (:func:`repro.workloads.with_prologue`,
+a ``select`` that passes the attention part through), as ATiM keeps
+the host work around a PIM kernel — the rfactor fold of §5.2.1 —
+inside the module: the lowering emits them as ``host_pre`` and
 ``host_post`` statements, the host-statement model prices them, and a
 lane-sliced host program runs them.  No glue is a node of its own, so
-under the ``cpu`` or ``mixed`` placement a fused node is priced once by
-the CPU roofline, as TVM fuses injective ops into their producer.  The
-slices and the reshape compute nothing, so they are graph views
-(:meth:`ModelGraph.add_view`), not nodes: no program, no ``exe.run``,
-no buffer and no compute line — a 3-layer model step is 15 nodes.  A
-view still sits on the host, so the PIM node it reads from pays its D2H
-and the PIM node reading it its H2D; so does a program whose output
-comes off its host epilogue, and a program whose kernel reads its host
+under the ``cpu`` placement a fused node is priced once by the CPU
+roofline, as TVM fuses injective ops into their producer.  The slices
+and the reshape compute nothing, so they are graph views
+(:meth:`ModelGraph.add_view`), and the concat is one host copy
+(:meth:`ModelGraph.add_concat`): no program, no ``exe.run`` and no
+compute line — a 3-layer model step is 12 nodes.  A view or a concat
+still sits on the host, so the PIM node it reads from pays its D2H and
+the PIM node reading it its H2D; so does a program whose output comes
+off its host epilogue, and a program whose kernel reads its host
 prologue's product (``repro.graph.executable``).
 
 Weights and the KV cache enter the graph as *const* external inputs —
@@ -74,7 +79,7 @@ from ..autotune.sketch import (
     pow2_upto,
 )
 from ..workloads import (
-    GPTJConfig, Workload, fc_mtv, mmtv, mtv, with_epilogue, with_prologue,
+    GPTJConfig, Workload, mmtv, mtv, with_epilogue, with_prologue,
 )
 from .ir import ModelGraph
 
@@ -102,6 +107,10 @@ ATTN_MASK = "attn_mask"
 #: reduction split included: the default machine's DPU count.
 _AXIS_CAPS = (64, 32)
 
+#: DPUs a pinned grid whose reduction is split may take in all: its
+#: first axis (the rows) gives way to the split beyond it.
+_SPLIT_DPUS = 256
+
 
 def small_grid_params(workload: Workload) -> Dict[str, int]:
     """Pinned small-grid schedule params for one graph node.
@@ -128,10 +137,22 @@ def small_grid_params(workload: Workload) -> Dict[str, int]:
     the row axis's cap; a host fold sums the parts.  (A large shape,
     such as a real GPT-J FC, stops there: ``mtv`` at 64 row DPUs splits
     32 ways, not 64, so the grid still compiles on the default machine.)
-    On ``GPTJ_SIM`` that is 2 parts for ``qkv_fc`` and ``attn_proj``
-    and 8 for ``fc_proj`` (when ``qkv_fc`` was two programs, ``qkv_gen``
-    and ``fc``, each split 2 ways as well), which lowers a
-    layer's steady step from 1 173 to 752 µs of virtual time; the
+    A split grid then fits two more limits.  Its cache tile is the
+    largest power of two that divides each DPU's share: ``proj``'s 80
+    elements take 16-element blocks, where 64-element ones would pad
+    every tile to 128 elements, which the simulator gathers element by
+    element on the tensor's edge lanes (the program took 1.3x the host
+    time of the two it replaced, for 1.8 µs less virtual kernel).  And
+    it holds at most :data:`_SPLIT_DPUS` DPUs, the first axis giving way:
+    at 64 x 8 DPUs, ``proj``'s per-call tiles and fold workspaces (about
+    0.8 MB) made the ``decode`` benchmark's process fault about 26 000
+    fresh heap pages a pass where it faulted 600, and its ``wall_s`` rose
+    11 %; at 32 x 8 (4 rows a DPU) it faults about 400, and ``wall_s``
+    fell 9 % instead, for 3.8 µs of virtual time a layer.
+    On ``GPTJ_SIM`` that is 2 parts for ``qkv_fc`` and 8 for ``proj``
+    (when these were four programs, ``qkv_gen``, ``fc`` and the
+    attention projection split 2 ways and the FC projection 8), which
+    lowered a layer's steady step from 1 173 to 752 µs of virtual time; the
     attention MMTVs (reductions of at most 32) stay unsplit.  The host
     pays k lanes where there was one and a fold of about 27 µs per call
     inside a decode pass (61–63 µs before lane slices): the ``decode``
@@ -150,9 +171,13 @@ def small_grid_params(workload: Workload) -> Dict[str, int]:
     split = {}
     if row.rfactor:
         room = math.prod(_AXIS_CAPS) // math.prod(dpus)
-        split[row.rfactor] = max(
+        parts = split[row.rfactor] = max(
             d for d in param_space(workload)[row.rfactor] if d <= room
         )
+        if parts > 1:
+            cache = math.gcd(cache, workload.shape[-1] // parts)
+            rest = parts * math.prod(dpus[1:])
+            dpus[0] = min(dpus[0], max(1, _SPLIT_DPUS // rest))
     return fixed_params(
         workload, dpus, n_tasklets=SEED_TASKLETS, cache=cache, unroll=0,
         **split,
@@ -166,9 +191,9 @@ class LayerIO(NamedTuple):
     #: Hidden state in / out.
     x: str
     y: str
-    #: ``(name, shape)`` of the three FC weights, in declaration order:
-    #: the row-stacked QKV and FC-up weight ``(7d, d)``, the attention
-    #: projection and the FC projection.
+    #: ``(name, shape)`` of the two FC weights, in declaration order:
+    #: the row-stacked QKV and FC-up weight ``(7d, d)`` and the
+    #: column-concatenated attention and FC projections ``(d, 5d)``.
     weights: Tuple[Tuple[str, Tuple[int, int]], ...]
     #: The layer's K cache ``(heads, span, head_dim)`` and V cache,
     #: stored transposed ``(heads, head_dim, span)`` so the value
@@ -190,8 +215,7 @@ def gptj_layer_io(config: GPTJConfig, layer: int) -> LayerIO:
         y=f"h{layer + 1}",
         weights=(
             (f"w_qkv_fc{tag}", (7 * d, d)),
-            (f"w_proj{tag}", (d, d)),
-            (f"w_fc_proj{tag}", (d, 4 * d)),
+            (f"w_proj_cat{tag}", (d, 5 * d)),
         ),
         kv_cache=(f"k_cache{tag}", f"v_cache_t{tag}"),
         kv_new=(f"k_new{tag}", f"v_new{tag}"),
@@ -236,9 +260,10 @@ def _softmax(score: Workload, head_dim: int) -> Workload:
     )
 
 
-def _gelu(fc_proj: Workload) -> Workload:
-    """GPT-J's tanh GELU over ``fc_proj``'s vector ``B``, then
-    ``fc_proj``: one host prologue stage."""
+def _gelu(proj: Workload, start: int) -> Workload:
+    """GPT-J's tanh GELU over ``proj``'s vector ``B`` from element
+    ``start`` on (the elements before it pass through), then ``proj``:
+    one host prologue stage."""
     c = np.float32(np.sqrt(2.0 / np.pi))
 
     def gelu(a):
@@ -246,19 +271,21 @@ def _gelu(fc_proj: Workload) -> Workload:
         # last bit, within every tolerance the references are held to).
         return 0.5 * a * (1.0 + te.tanh(float(c) * (a + 0.044715 * (a * a * a))))
 
-    def reference(a: np.ndarray) -> np.ndarray:
-        a = a.astype(np.float32)
-        return (
-            np.float32(0.5) * a
-            * (np.float32(1.0) + np.tanh(c * (a + np.float32(0.044715) * a ** 3)))
-        ).astype(np.float32)
+    def reference(b: np.ndarray) -> np.ndarray:
+        b = b.astype(np.float32)
+        a = b[start:]
+        inner = c * (a + np.float32(0.044715) * a ** 3)
+        gelu_a = np.float32(0.5) * a * (np.float32(1.0) + np.tanh(inner))
+        return np.concatenate([b[:start], gelu_a]).astype(np.float32)
 
     return with_prologue(
-        fc_proj,
+        proj,
         "B",
-        lambda B: te.compute(B.shape, lambda i: gelu(B[i]), "G"),
+        lambda B: te.compute(
+            B.shape, lambda k: te.select(k < start, B[k], gelu(B[k])), "G"
+        ),
         reference,
-        flops=8.0 * fc_proj.reduce_extent,
+        flops=8.0 * (proj.reduce_extent - start),
     )
 
 
@@ -294,12 +321,14 @@ def _layer_ops(config: GPTJConfig, span: int) -> SimpleNamespace:
     # ``qkv_gen``'s 3d rows over ``fc``'s 4d: both contract x.
     qkv_fc = mtv(7 * d, d)
     qkv_fc.params.update({"model": config.name, "layer": "qkv_fc"})
+    # ``qkv_proj``'s d columns beside ``fc_proj``'s 4d: both add into y.
+    proj = mtv(d, 5 * d)
+    proj.params.update({"model": config.name, "layer": "proj"})
     return SimpleNamespace(
         d=d,
         head_shape=(heads, hd),
         qkv_fc=qkv_fc,
-        proj=_residual(fc_mtv(config, "qkv_proj")),
-        fc_proj=_residual(_gelu(fc_mtv(config, "fc_proj"))),
+        proj=_residual(_gelu(proj, d)),
         score=_softmax(score, hd),
         value=value,
     )
@@ -323,41 +352,40 @@ def _emit_layer(
     """Append layer ``layer``'s decode step to ``g``: its softmax folds
     in :data:`ATTN_MASK`, and it views its new key/value rows in the
     fused QKV/FC vector as ``io.kv_new``."""
-    (w_qkv_fc, _), (w_proj, _), (w_fc_proj, _) = io.weights
+    (w_qkv_fc, _), (w_proj_cat, _) = io.weights
     k_cache, v_cache_t = io.kv_cache
 
     def t(base: str) -> str:
         """An intermediate tensor of this layer."""
         return f"{base}_L{layer}"
 
-    def op(name, wl, inputs, output, tag):
+    def op(name, wl, inputs, output):
+        # Tagged ``attn``: each program makes or reads attention, so
+        # ``mixed`` keeps it on PIM.
         g.add_node(
             f"L{layer}.{name}", wl, inputs, output,
-            params=small_grid_params(wl), tags=(tag,),
+            params=small_grid_params(wl), tags=("attn",),
         )
 
     # -- one program for both branches' matvecs over x ----------------------
-    # Tagged ``attn``: it makes Q/K/V, so ``mixed`` keeps it on PIM.
-    op("qkv_fc", ops.qkv_fc, {"A": w_qkv_fc, "B": io.x}, t("qkv_fc"), "attn")
+    op("qkv_fc", ops.qkv_fc, {"A": w_qkv_fc, "B": io.x}, t("qkv_fc"))
 
-    # -- attention branch ---------------------------------------------------
+    # -- attention ----------------------------------------------------------
     # The fused vector is [q | k | v | fc_pre]: this step's new K and V rows.
     for n, out in enumerate(io.kv_new, start=1):
         g.add_view(out, t("qkv_fc"), n * ops.d, (ops.d,))
     q, probs = t("q"), t("probs")
     g.add_view(q, t("qkv_fc"), 0, ops.head_shape)
-    op("attn_score", ops.score, {"A": k_cache, "B": q, "M": ATTN_MASK},
-       probs, "attn")
-    op("attn_value", ops.value, {"A": v_cache_t, "B": probs}, t("heads"), "attn")
-    g.add_view(t("attn_concat"), t("heads"), 0, (ops.d,))
-    # y = x + attn_out + ffn_out, each add the epilogue of its projection.
-    op("attn_proj", ops.proj, {"A": w_proj, "B": t("attn_concat"), "R": io.x},
-       t("resid"), "attn")
+    op("attn_score", ops.score, {"A": k_cache, "B": q, "M": ATTN_MASK}, probs)
+    op("attn_value", ops.value, {"A": v_cache_t, "B": probs}, t("heads"))
 
-    # -- feed-forward branch (parallel to attention in GPT-J) ---------------
+    # -- one program for both branches' projections -------------------------
+    # y = x + [W_proj | W_fc_proj] @ [attn ; gelu(fc_pre)]: the residual
+    # add is its epilogue, GELU over the fc_pre part its prologue.
+    g.add_view(t("attn_concat"), t("heads"), 0, (ops.d,))
     g.add_view(t("fc_pre"), t("qkv_fc"), 3 * ops.d, (4 * ops.d,))
-    op("fc_proj", ops.fc_proj,
-       {"A": w_fc_proj, "B": t("fc_pre"), "R": t("resid")}, io.y, "ffn")
+    g.add_concat(t("proj_in"), (t("attn_concat"), t("fc_pre")))
+    op("proj", ops.proj, {"A": w_proj_cat, "B": t("proj_in"), "R": io.x}, io.y)
 
 
 def gptj_model_graph(

@@ -10,9 +10,10 @@ assigned per node.  A :class:`GraphExecutable` is many programs, not one
 (:meth:`GraphExecutable.profile`).  Execution walks the graph's
 topological order, one ``Executable.run`` per node — a view is no node:
 it is bound as a NumPy view of its base once the base exists, at no
-cost, and copied out only when it is a graph output — and is
-bit-for-bit identical to calling each node's ``Executable.run`` by hand
-at any ``REPRO_MAX_WORKERS``.
+cost, and copied out only when it is a graph output; nor is a concat:
+it is bound by one host copy of its parts once the last one exists —
+and is bit-for-bit identical to calling each node's ``Executable.run``
+by hand at any ``REPRO_MAX_WORKERS``.
 
 The latency model mirrors the serving timing model (§5.4), extended with
 placement boundaries:
@@ -23,16 +24,18 @@ placement boundaries:
   — produced on the host (by a host-placed node, or by a PIM program
   whose module ends in host statements: an rfactor fold, a host
   epilogue), arriving as a non-constant external input, or read through
-  a view, or made by the module's own host prologue; a PIM kernel's
-  output hands off in MRAM for free, and an input only the module's
-  host statements read (a softmax mask, a residual operand, a
+  a view or a concat, or made by the module's own host prologue; a PIM
+  kernel's output hands off in MRAM for free, and an input only the
+  module's host statements read (a softmax mask, a residual operand, a
   prologue's operand) never crosses;
 * **D2H** is charged only when the node's output *leaves* the device
-  (a host-placed consumer, a view, or a graph output) or is produced on
-  the host, which always brings the kernel's result back;
+  (a host-placed consumer, a view, a concat, or a graph output) or is
+  produced on the host, which always brings the kernel's result back;
 * a **view** is a host-side alias with no cost line of its own: it
   prices as the host glue it replaces minus that glue's compute, so its
-  PIM base still pays the D2H and its PIM readers the H2D;
+  PIM base still pays the D2H and its PIM readers the H2D; a **concat**
+  is a host-side copy priced the same way: no line, the D2H of its
+  parts' PIM producers, the H2D of its PIM readers;
 * **weight staging** (the constant-input share of H2D — weights, the KV
   cache) is charged once per pool load, not per run: the paper's
   "constant tensors ... transferred once before kernel launches".
@@ -45,7 +48,7 @@ machine per flush.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +56,7 @@ from ..obs import current_tracer
 from ..serve.pool import ExecutablePool
 from ..target import Executable, Target
 from ..upmem.system import Latency
-from .ir import ModelGraph, Node, View
+from .ir import Concat, ModelGraph, Node, View
 from .placement import place
 
 __all__ = [
@@ -166,13 +169,17 @@ class GraphExecutable:
             )
             self._exes[node.name] = (exe, loaded)
         #: Per node in topological order, its executable, its
-        #: ``(workload input, graph tensor)`` pairs and the views over
-        #: its output: the wiring is the graph's, a run only looks the
-        #: tensors up.  ``_input_views`` are the views over inputs.
+        #: ``(workload input, graph tensor)`` pairs and the views and
+        #: concats bound after it: the wiring is the graph's, a run only
+        #: looks the tensors up.  ``_input_aliases`` are those over
+        #: inputs only.
         schedule = graph.view_schedule(self._order)
-        self._input_views = schedule[0]
+        self._input_aliases = schedule[0]
         self._steps: List[
-            Tuple[Node, Executable, List[Tuple[str, str]], List[View]]
+            Tuple[
+                Node, Executable, List[Tuple[str, str]],
+                List[Union[View, Concat]],
+            ]
         ] = [
             (
                 node,
@@ -220,14 +227,14 @@ class GraphExecutable:
                 f"graph {self.graph.name!r} missing inputs {missing}"
             )
         env: Dict[str, np.ndarray] = dict(inputs)
-        for view in self._input_views:
-            env[view.name] = view.bind(env[view.base])
-        for node, exe, pairs, views in self._steps:
+        for alias in self._input_aliases:
+            env[alias.name] = alias.bind(env)
+        for node, exe, pairs, aliases in self._steps:
             (env[node.output],) = exe.run(
                 {wl_name: env[graph_name] for wl_name, graph_name in pairs}
             )
-            for view in views:
-                env[view.name] = view.bind(env[view.base])
+            for alias in aliases:
+                env[alias.name] = alias.bind(env)
         views = self.graph.views
         return {
             name: env[name].copy() if name in views else env[name]
@@ -293,7 +300,12 @@ class GraphExecutable:
 
     def _build_profile(self) -> GraphProfile:
         graph_outputs = set(self.graph.output_names)
+        # Node outputs a view or a concat reads on the host.
         viewed = {view.base for view in self.graph.views.values()}
+        viewed.update(
+            part for concat in self.graph.concats.values()
+            for part in concat.parts
+        )
         costs: List[NodeCost] = []
         agg = dict(h2d=0.0, kernel=0.0, d2h=0.0, host=0.0, launch=0.0)
         staging_total = 0.0

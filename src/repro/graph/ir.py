@@ -3,10 +3,13 @@
 A :class:`ModelGraph` is a DAG of :class:`Node` operators over *named
 graph tensors*.  Every tensor is an external input (declared with
 :meth:`ModelGraph.add_input`, optionally constant — weights, the KV
-cache), the output of exactly one node, or a :class:`View` (declared
+cache), the output of exactly one node, a :class:`View` (declared
 with :meth:`ModelGraph.add_view`): a contiguous slice or reshape of
 another tensor, which no node computes and no buffer holds — TVM's
-``Buffer`` with an element offset.  A node binds each of its workload's
+``Buffer`` with an element offset — or a :class:`Concat` (declared with
+:meth:`ModelGraph.add_concat`), the inverse: 1-D tensors laid end to
+end by one host copy, which no node computes either but which is a
+buffer of its own.  A node binds each of its workload's
 input tensors to a graph tensor by name.  Graphs validate
 structurally (unique names, resolvable references, shape agreement,
 acyclicity) and expose a *deterministic* topological order — ties break
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .. import te
 from ..pipeline import workload_signature
 from ..workloads import Workload
 
-__all__ = ["GraphError", "Node", "View", "ModelGraph"]
+__all__ = ["GraphError", "Node", "View", "Concat", "ModelGraph"]
 
 
 class GraphError(ValueError):
@@ -92,11 +95,30 @@ class View:
     def size(self) -> int:
         return math.prod(self.shape)
 
-    def bind(self, base: np.ndarray) -> np.ndarray:
-        """This view of ``base``'s array (sharing its memory when the
-        array is contiguous, as every graph tensor is)."""
-        flat = base.reshape(-1)
+    def bind(self, env: Dict[str, np.ndarray]) -> np.ndarray:
+        """This view of its base's array in ``env`` (sharing its memory
+        when the array is contiguous, as every graph tensor is)."""
+        flat = env[self.base].reshape(-1)
         return flat[self.offset:self.offset + self.size].reshape(self.shape)
+
+
+@dataclass(frozen=True)
+class Concat:
+    """A 1-D graph tensor that is its 1-D ``parts``, in order, end to
+    end.  Zero flops: a run binds it with one host copy of the parts'
+    arrays into a buffer of its own."""
+
+    name: str
+    parts: Tuple[str, ...]
+    size: int
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return (self.size,)
+
+    def bind(self, env: Dict[str, np.ndarray]) -> np.ndarray:
+        """A fresh array holding the parts' arrays in ``env``."""
+        return np.concatenate([env[part] for part in self.parts])
 
 
 class ModelGraph:
@@ -112,7 +134,9 @@ class ModelGraph:
         self._producers: Dict[str, Node] = {}
         #: Views by name, in declaration order.
         self.views: Dict[str, View] = {}
-        #: Node outputs and views, in declaration order.
+        #: Concats by name, in declaration order.
+        self.concats: Dict[str, Concat] = {}
+        #: Node outputs, views and concats, in declaration order.
         self._defined: List[str] = []
 
     # -- construction -------------------------------------------------------
@@ -192,10 +216,34 @@ class ModelGraph:
         self._defined.append(name)
         return name
 
+    def add_concat(self, name: str, parts: Sequence[str]) -> str:
+        """Declare ``name`` as the 1-D tensors ``parts`` laid end to
+        end: the inverse of :meth:`add_view`.  Every part must already
+        be defined and be 1-D; a node reading the concat expects the
+        sum of their sizes (:meth:`validate`)."""
+        where = f"concat {name!r}"
+        if self._defines(name):
+            raise GraphError(f"{where}: tensor {name!r} is already defined")
+        parts = tuple(parts)
+        if not parts:
+            raise GraphError(f"{where}: no parts")
+        for part in parts:
+            if not self._defines(part):
+                raise GraphError(f"{where}: unknown part {part!r}")
+            if len(self.tensor_shape(part)) != 1:
+                raise GraphError(
+                    f"{where}: part {part!r} has shape"
+                    f" {self.tensor_shape(part)}, not a 1-D one"
+                )
+        size = sum(self.tensor_shape(part)[0] for part in parts)
+        self.concats[name] = Concat(name, parts, size)
+        self._defined.append(name)
+        return name
+
     def _defines(self, name: str) -> bool:
         return (
             name in self._inputs or name in self._producers
-            or name in self.views
+            or name in self.views or name in self.concats
         )
 
     # -- tensors ------------------------------------------------------------
@@ -210,10 +258,13 @@ class ModelGraph:
 
     @property
     def output_names(self) -> List[str]:
-        """Graph outputs: node outputs and views that no node and no
-        view reads, in declaration order."""
+        """Graph outputs: node outputs, views and concats that no node,
+        no view and no concat reads, in declaration order."""
         read = {g for node in self.nodes for g in node.inputs.values()}
         read.update(view.base for view in self.views.values())
+        read.update(
+            part for concat in self.concats.values() for part in concat.parts
+        )
         return [name for name in self._defined if name not in read]
 
     def tensor_shape(self, name: str) -> Tuple[int, ...]:
@@ -221,6 +272,8 @@ class ModelGraph:
             return tuple(self._inputs[name].shape)
         if name in self.views:
             return self.views[name].shape
+        if name in self.concats:
+            return self.concats[name].shape
         try:
             return tuple(self._producers[name].workload.output.shape)
         except KeyError:
@@ -233,32 +286,55 @@ class ModelGraph:
             view = self.views[name]
             base = self.tensor_nbytes(view.base)
             return base // math.prod(self.tensor_shape(view.base)) * view.size
+        if name in self.concats:
+            return sum(map(self.tensor_nbytes, self.concats[name].parts))
         try:
             return self._producers[name].workload.output.buffer.nbytes
         except KeyError:
             raise GraphError(f"unknown tensor {name!r}") from None
 
     def producer(self, name: str) -> Optional[Node]:
-        """The node defining ``name`` (None for external inputs and
-        views)."""
+        """The node defining ``name`` (None for external inputs, views
+        and concats)."""
         return self._producers.get(name)
 
     def storage(self, name: str) -> str:
         """The tensor whose memory ``name`` is: ``name`` itself, or the
-        input or node output its chain of views ends at."""
+        input, node output or concat its chain of views ends at."""
         while name in self.views:
             name = self.views[name].base
         return name
 
-    def view_schedule(self, order: Sequence[Node]) -> List[List[View]]:
-        """When a run in ``order`` binds each view: entry 0 holds the
-        views over external inputs, entry ``i + 1`` those over
-        ``order[i]``'s output — each in declaration order, so a view of
-        a view comes after its base."""
+    def _sources(self, name: str) -> List[str]:
+        """The inputs and node outputs ``name``'s elements come from:
+        through views to their base, through concats to every part."""
+        name = self.storage(name)
+        if name in self.concats:
+            return [
+                source for part in self.concats[name].parts
+                for source in self._sources(part)
+            ]
+        return [name]
+
+    def view_schedule(
+        self, order: Sequence[Node]
+    ) -> List[List[Union[View, Concat]]]:
+        """When a run in ``order`` binds each view and concat: entry
+        ``i + 1`` holds those whose latest source is ``order[i]``'s
+        output, entry 0 those over external inputs only — each in
+        declaration order, so one over a view or a concat comes after
+        it."""
         at = {node.output: i + 1 for i, node in enumerate(order)}
-        schedule: List[List[View]] = [[] for _ in range(len(order) + 1)]
-        for view in self.views.values():
-            schedule[at.get(self.storage(view.name), 0)].append(view)
+        schedule: List[List[Union[View, Concat]]] = [
+            [] for _ in range(len(order) + 1)
+        ]
+        for name in self._defined:
+            alias = self.views.get(name) or self.concats.get(name)
+            if alias is None:
+                continue
+            reads = alias.parts if name in self.concats else (alias.base,)
+            at[name] = max(at.get(read, 0) for read in reads)
+            schedule[at[name]].append(alias)
         return schedule
 
     def consumers(self, name: str) -> List[Node]:
@@ -300,7 +376,8 @@ class ModelGraph:
     def topological_order(self) -> List[Node]:
         """Kahn's algorithm with insertion-order tie-breaking: among
         ready nodes, the earliest-added runs first.  A node reading a
-        view depends on whatever produces the view's storage.  Purely
+        view depends on whatever produces the view's storage, and one
+        reading a concat on whatever produces each part.  Purely
         structural — the same graph orders identically everywhere."""
         index = {node.name: i for i, node in enumerate(self.nodes)}
         deps: Dict[str, List[str]] = {}
@@ -308,9 +385,10 @@ class ModelGraph:
         for node in self.nodes:
             node_deps = []
             for graph_name in node.inputs.values():
-                producer = self._producers.get(self.storage(graph_name))
-                if producer is not None and producer.name != node.name:
-                    node_deps.append(producer.name)
+                for source in self._sources(graph_name):
+                    producer = self._producers.get(source)
+                    if producer is not None and producer.name != node.name:
+                        node_deps.append(producer.name)
             deps[node.name] = node_deps
             for d in node_deps:
                 dependents.setdefault(d, []).append(node.name)
@@ -340,8 +418,9 @@ class ModelGraph:
     def structural_signature(self) -> tuple:
         """Stable structural identity: two separately built but
         identical graphs share it; any difference in inputs, wiring,
-        shapes, tags, per-node params or views separates them (the
-        golden graph table pins its digest per builder case)."""
+        shapes, tags, per-node params, views or concats (their parts'
+        order included) separates them (the golden graph table pins its
+        digest per builder case)."""
         return (
             "modelgraph",
             self.name,
@@ -371,6 +450,9 @@ class ModelGraph:
                 (view.name, view.base, view.offset, view.shape)
                 for view in self.views.values()
             ),
+            tuple(
+                (concat.name, concat.parts) for concat in self.concats.values()
+            ),
         )
 
     # -- reference execution -------------------------------------------------
@@ -387,22 +469,22 @@ class ModelGraph:
         self, inputs: Dict[str, np.ndarray], all_tensors: bool = False
     ) -> Dict[str, np.ndarray]:
         """NumPy reference of the whole graph: every node's reference
-        implementation, in topological order, each view bound once its
-        base exists.  Returns the graph outputs (or every tensor with
-        ``all_tensors=True``)."""
+        implementation, in topological order, each view and concat
+        bound once its sources exist.  Returns the graph outputs (or
+        every tensor with ``all_tensors=True``)."""
         env: Dict[str, np.ndarray] = dict(inputs)
         order = self.topological_order()
         schedule = self.view_schedule(order)
-        for view in schedule[0]:
-            env[view.name] = view.bind(env[view.base])
-        for node, views in zip(order, schedule[1:]):
+        for alias in schedule[0]:
+            env[alias.name] = alias.bind(env)
+        for node, aliases in zip(order, schedule[1:]):
             args = [
                 env[graph_name]
                 for _, graph_name, _ in node.input_bindings()
             ]
             env[node.output] = node.workload.reference(*args)
-            for view in views:
-                env[view.name] = view.bind(env[view.base])
+            for alias in aliases:
+                env[alias.name] = alias.bind(env)
         if all_tensors:
             return env
         return {name: env[name] for name in self.output_names}

@@ -15,7 +15,10 @@ lives in its base's, so its readers extend the base's live range.  A
 view that is a graph output is copied out of its base when the base is
 made (:meth:`~repro.graph.executable.GraphExecutable.run_tensors`), so
 the copy is a buffer of its own, live to the end, and the base frees
-at its last node reader.  How
+at its last node reader.  A concat (:meth:`ModelGraph.add_concat`) is
+a buffer of its own, defined where its last part is made; the copy
+into it is each part's last read there, so a part read by nothing
+else frees at the concat.  How
 well the arena packs (the serial live peak over the arena) is the
 :func:`arena_stats` pair in :meth:`MemoryPlan.to_dict`.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .ir import ModelGraph
+from .ir import Concat, ModelGraph
 
 __all__ = ["SlotAssignment", "MemoryPlan", "plan_memory", "arena_stats"]
 
@@ -108,27 +111,48 @@ def plan_memory(graph: ModelGraph) -> MemoryPlan:
     """
     graph.validate()
     order = graph.topological_order()
-    position = {node.name: i for i, node in enumerate(order)}
+    schedule = graph.view_schedule(order)
     outputs = set(graph.output_names)
 
-    # Each node output with the views that live in its buffer.
+    # Each buffer (node output or concat) with the views that live in it.
     aliases: Dict[str, List[str]] = {}
     for name in graph.views:
         aliases.setdefault(graph.storage(name), []).append(name)
 
-    # Live ranges of intermediates (node outputs, then the copies of
-    # their output views), in definition order.
-    ranges: List[Tuple[str, int, int, int]] = []  # (tensor, def, last, nbytes)
+    # Buffers in definition order: each node output, then the concats
+    # bound after it (one over external inputs alone first, at 0).
+    defined: List[Tuple[str, int]] = []
+    for j, bound in enumerate(schedule):
+        if j:
+            defined.append((order[j - 1].output, j - 1))
+        defined.extend(
+            (alias.name, max(j - 1, 0)) for alias in bound
+            if isinstance(alias, Concat)
+        )
+    at = dict(defined)
+
+    # Where each tensor is read: by a node, or copied into a concat.
+    reads: Dict[str, List[int]] = {}
     for i, node in enumerate(order):
-        names = [node.output, *aliases.get(node.output, ())]
+        for name in node.inputs.values():
+            reads.setdefault(name, []).append(i)
+    for concat in graph.concats.values():
+        for part in concat.parts:
+            reads.setdefault(part, []).append(at[concat.name])
+
+    # Live ranges of intermediates (node outputs and concats, then the
+    # copies of their output views), in definition order.
+    ranges: List[Tuple[str, int, int, int]] = []  # (tensor, def, last, nbytes)
+    for tensor, start in defined:
+        names = [tensor, *aliases.get(tensor, ())]
         copies = [name for name in names[1:] if name in outputs]
-        last = len(order) if node.output in outputs else i
+        last = len(order) if tensor in outputs else start
         for name in names:
-            for consumer in graph.consumers(name):
-                last = max(last, position[consumer.name])
-        ranges.append((node.output, i, last, graph.tensor_nbytes(node.output)))
+            last = max([last, *reads.get(name, ())])
+        ranges.append((tensor, start, last, graph.tensor_nbytes(tensor)))
         ranges.extend(
-            (name, i, len(order), graph.tensor_nbytes(name)) for name in copies
+            (name, start, len(order), graph.tensor_nbytes(name))
+            for name in copies
         )
 
     plan = MemoryPlan()

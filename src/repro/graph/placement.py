@@ -14,15 +14,21 @@ matvec goes.  Three stock policies:
   baseline for a full decode step);
 * ``mixed``   — attention matvecs (tagged ``attn``) on PIM, FC-layer
   matvecs (tagged ``ffn``) on host: the hybrid the end-to-end
-  experiment compares.  The fused ``qkv_fc`` program makes Q/K/V, so
-  it is tagged ``attn`` and its FC-up rows run on PIM with it; only
-  ``fc_proj`` (with GELU and the residual add) is ``ffn``.  A host node
-  prices a fused program once, as TVM's fusion of injective ops into
-  their producer would.
+  experiment compares.  The GPT-J builder emits no ``ffn`` node any
+  more: the fused ``qkv_fc`` program makes Q/K/V and the fused ``proj``
+  program reads the attention output, so both are tagged ``attn`` and
+  their FC rows run on PIM with them — ``mixed`` places a GPT-J step
+  exactly as ``upmem`` does (on ``GPTJ_SIM`` its 3-layer step fell from
+  1 174 to 1 098 µs when ``fc_proj``, GELU and the second residual add
+  left the host; on ``CLUSTER_SIM``, whose host FC projection was the
+  cheaper one, it rose from 800 to 841 µs).  A host node prices a
+  fused program once, as TVM's fusion of injective ops into their
+  producer would.
 
 Slices and reshapes are no nodes but graph views
-(:meth:`~repro.graph.ir.ModelGraph.add_view`): nothing places them, and
-they sit on the host under every policy.
+(:meth:`~repro.graph.ir.ModelGraph.add_view`), and neither is a concat
+(:meth:`~repro.graph.ir.ModelGraph.add_concat`): nothing places them,
+and they sit on the host under every policy.
 
 The pass is the one way a node gets a backend: the PIM side is the
 ``upmem`` target and the host side the ``cpu`` roofline.  It validates

@@ -761,8 +761,10 @@ def fig17_end_to_end(tokens: int = 16, seed: int = 0) -> Dict:
     compiles under each placement policy — everything-PIM (matvecs on
     upmem, their softmax and residual epilogues and the GELU prologue
     on its host), everything-CPU, and a mixed split (attention on PIM,
-    the fused QKV/FC-up program with it, the FC projection on the CPU
-    roofline) — executes, is checked against the NumPy
+    FC layers on the CPU roofline; every GPT-J node is attention now —
+    the fused QKV/FC-up program makes Q/K/V and the fused projections
+    read the attention output — so it equals everything-PIM) —
+    executes, is checked against the NumPy
     reference, and reports a per-node latency breakdown (compute vs
     boundary transfers vs one-time weight staging) plus the memory
     planner's arena against the naive no-reuse allocation.

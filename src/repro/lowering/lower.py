@@ -12,7 +12,7 @@ This implements paper §5.2.2:
   statements, and a buffer they write that the kernel reads crosses to
   the DPUs by an H2D transfer, as an input does; unbound stages after
   the kernel (host epilogues) become ``host_post`` statements — the
-  only place float ``/``, ``exp`` and ``tanh`` may be.
+  only place float ``/``, ``exp``, ``tanh`` and ``select`` may be.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from ..tir import (
     Max,
     Min,
     PrimExpr,
+    Select,
     SeqStmt,
     Stmt,
     Sub,
@@ -67,9 +68,10 @@ class LoweringError(ValueError):
 
 _COMBINE = {"add": Add, "max": Max, "min": Min}
 
-#: Float operations a DPU has no instructions for (it has no FPU, and the
-#: analyzer's cycle table prices none of them): host epilogue stages only.
-_HOST_ONLY = (Div, Exp, Tanh)
+#: Operations a DPU has no instructions for (it has no FPU, and the
+#: analyzer's cycle table prices none of them, a select included): host
+#: epilogue and prologue stages only.
+_HOST_ONLY = (Div, Exp, Tanh, Select)
 
 
 def lower(

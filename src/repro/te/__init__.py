@@ -24,6 +24,7 @@ from .operation import (
     min_reduce,
     placeholder,
     reduce_axis,
+    select,
     sum,
     tanh,
 )
@@ -43,4 +44,5 @@ __all__ = [
     "min_reduce",
     "exp",
     "tanh",
+    "select",
 ]

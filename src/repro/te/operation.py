@@ -10,6 +10,7 @@ from ..tir import (
     BufferLoad,
     Exp,
     PrimExpr,
+    Select,
     Tanh,
     Var,
     as_expr,
@@ -32,6 +33,7 @@ __all__ = [
     "min_reduce",
     "exp",
     "tanh",
+    "select",
 ]
 
 _name_counter = itertools.count()
@@ -257,6 +259,12 @@ def exp(x) -> PrimExpr:
 def tanh(x) -> PrimExpr:
     """Hyperbolic tangent of a float expression (a host-only intrinsic)."""
     return Tanh(x)
+
+
+def select(condition, true_value, false_value) -> PrimExpr:
+    """``true_value`` where ``condition`` holds, else ``false_value`` (a
+    host-only node; both arms must read in bounds everywhere)."""
+    return Select(condition, true_value, false_value)
 
 
 def compute(

@@ -3,9 +3,10 @@
 The IR holds exactly the expressions ATiM's lowering emits: immediates,
 variables, ``+ - * // %``, ``min``/``max``, the six comparisons, ``and``
 (the conjunction of boundary conditions) and buffer loads — plus, for
-host epilogue stages only, float ``/`` and the ``exp``/``tanh``
-intrinsics (a DPU has no FPU: lowering refuses them in a kernel).  Nodes are
-immutable; transformations build new trees (see :mod:`repro.tir.visitor`).
+host epilogue and prologue stages only, float ``/``, the
+``exp``/``tanh`` intrinsics and the ternary :class:`Select` (a DPU has
+no FPU: lowering refuses them in a kernel).  Nodes are immutable;
+transformations build new trees (see :mod:`repro.tir.visitor`).
 
 Because nodes never change, facts about a subtree are computed once from
 the children's facts and kept on the node: its variables
@@ -44,6 +45,7 @@ __all__ = [
     "UnaryOp",
     "Exp",
     "Tanh",
+    "Select",
     "BufferLoad",
     "const",
     "as_expr",
@@ -321,6 +323,28 @@ class Exp(UnaryOp):
 
 class Tanh(UnaryOp):
     op_name = "tanh"
+
+
+class Select(PrimExpr):
+    """``true_value if condition else false_value``, of the two arms'
+    widened dtype whichever arm is taken (a host-only node: a piecewise
+    prologue).  The scalar interpreter evaluates the taken arm only, the
+    vector compiler both and picks per element, so both arms must read
+    in bounds everywhere."""
+
+    __slots__ = ("condition", "true_value", "false_value")
+    op_name = "select"
+
+    def __init__(self, condition, true_value, false_value) -> None:
+        true_value = as_expr(true_value)
+        false_value = as_expr(false_value)
+        super().__init__(_result_dtype(true_value, false_value))
+        self.condition = as_expr(condition)
+        self.true_value = true_value
+        self.false_value = false_value
+
+    def children(self):
+        return self.condition, self.true_value, self.false_value
 
 
 class BufferLoad(PrimExpr):

@@ -39,6 +39,9 @@ def expr_to_str(expr: E.PrimExpr, parent_prec: int = 0) -> str:
         return f"{name}({expr_to_str(expr.a)}, {expr_to_str(expr.b)})"
     if isinstance(expr, E.UnaryOp):
         return f"{expr.op_name}({expr_to_str(expr.a)})"
+    if isinstance(expr, E.Select):
+        arms = ", ".join(map(expr_to_str, expr.children()))
+        return f"select({arms})"
     if isinstance(expr, E.BinaryOp):
         prec = _PRECEDENCE.get(type(expr), 3)
         text = (

@@ -309,6 +309,12 @@ def simplify(expr: E.PrimExpr) -> E.PrimExpr:
     elif isinstance(expr, E.UnaryOp):
         a = simplify(expr.a)
         result = expr if a is expr.a else type(expr)(a)
+    elif type(expr) is E.Select:
+        # Its arms stay: a constant condition does not fold, since the
+        # taken arm's value would lose the select's dtype.
+        parts = [simplify(c) for c in expr.children()]
+        changed = any(n is not o for n, o in zip(parts, expr.children()))
+        result = E.Select(*parts) if changed else expr
     else:  # a leaf read back from a pickle, which drops the mark
         result = expr
     result._normal = True

@@ -76,6 +76,13 @@ def _mutate_unary(mutator: "ExprMutator", node: E.UnaryOp) -> E.PrimExpr:
     return node if a is node.a else type(node)(a)
 
 
+def _mutate_select(mutator: "ExprMutator", node: E.Select) -> E.PrimExpr:
+    new = [mutator.visit(c) for c in node.children()]
+    if all(n is o for n, o in zip(new, node.children())):
+        return node
+    return E.Select(*new)
+
+
 def _mutate_load(mutator: "ExprMutator", node: E.BufferLoad) -> E.PrimExpr:
     idx = [mutator.visit(i) for i in node.indices]
     if all(n is o for n, o in zip(idx, node.indices)):
@@ -89,6 +96,7 @@ _EXPR_REBUILD: Dict[type, Callable] = {
 _EXPR_REBUILD.update(
     (cls, _mutate_unary) for cls in _NODE_TYPES if issubclass(cls, E.UnaryOp)
 )
+_EXPR_REBUILD[E.Select] = _mutate_select
 _EXPR_REBUILD[E.BufferLoad] = _mutate_load
 
 

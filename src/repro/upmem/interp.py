@@ -41,6 +41,7 @@ from ..tir import (
     Mul,
     NE,
     PrimExpr,
+    Select,
     SeqStmt,
     Stmt,
     Sub,
@@ -86,6 +87,14 @@ def _ev_and(self, expr, env):
     return bool(self.eval(expr.a, env)) and bool(self.eval(expr.b, env))
 
 
+def _ev_select(self, expr, env):
+    # Lazy: only the taken arm runs.  The value has the select's dtype,
+    # so a Python-number arm is no weak operand downstream.
+    taken = self.eval(expr.condition, env)
+    arm = expr.true_value if taken else expr.false_value
+    return _NP_DTYPES[expr.dtype](self.eval(arm, env))
+
+
 def _ev_load(self, expr, env):
     arr = self._array(expr.buffer)
     idx = tuple(int(self.eval(i, env)) for i in expr.indices)
@@ -116,6 +125,7 @@ _EVAL = {
     # float32 scalar they return the array result's bits.
     Exp: _unary(np.exp),
     Tanh: _unary(np.tanh),
+    Select: _ev_select,
     BufferLoad: _ev_load,
 }
 

@@ -56,9 +56,9 @@ import numpy as np
 from ...tir import (
     EQ, GE, GT, LE, LT, NE, Add, And, BinaryOp, Buffer, BufferLoad, CmpOp,
     Div, Exp, FloatImm, FloorDiv, FloorMod, IntImm, Max, Min, Mul, PrimExpr,
-    Sub, Tanh, Var, collect_loads, free_vars,
+    Select, Sub, Tanh, Var, collect_loads, free_vars,
 )
-from ..interp import InterpError
+from ..interp import _NP_DTYPES, InterpError
 
 
 class VectorizeError(Exception):
@@ -265,6 +265,8 @@ class _ExprCompiler:
             return self._binary(e)
         if type(e) in _UNARY:
             return self._unary(e)
+        if type(e) is Select:
+            return self._select(e)
         if isinstance(e, BufferLoad):
             return self._load(e)
         raise VectorizeError(f"cannot vectorize {type(e).__name__}")
@@ -324,6 +326,22 @@ class _ExprCompiler:
         a, dep = self.compile(e.a)
         ufunc = _UNARY[type(e)]
         return (lambda ctx: ufunc(a(ctx))), dep
+
+    def _select(self, e: Select) -> Tuple[Callable, int]:
+        """Both arms batched and picked by ``np.where`` (so both must
+        read in bounds), the result cast to the select's dtype as the
+        interpreter casts the taken arm; unbatched, only the taken arm
+        runs."""
+        (c, dc), (t, dt), (f, df) = map(self.compile, e.children())
+        dtype = _NP_DTYPES[e.dtype]
+        dep = dc | dt | df
+        if dep == 0:
+            return (lambda ctx: dtype(t(ctx) if c(ctx) else f(ctx))), 0
+
+        def fn(ctx):
+            return np.where(c(ctx), t(ctx), f(ctx)).astype(dtype, copy=False)
+
+        return fn, dep
 
     def _minmax(self, e) -> Tuple[Callable, int]:
         a, b, met, dep = self.operands(e.a, e.b)

@@ -2,8 +2,8 @@
 
 ``golden_params.json`` pins, for the paper's sized workloads and for the
 shapes the graph builder emits (``GPTJ_SIM`` and ``CLUSTER_SIM`` at KV
-capacities 4, 8 and 16, the fused ``qkv_fc`` MTV next to the paper's
-four FC shapes), the ``param_space`` domains *in order* (the
+capacities 4, 8 and 16, the fused ``qkv_fc`` and ``proj`` MTVs next to
+the paper's four FC shapes), the ``param_space`` domains *in order* (the
 tuner's ``rng.choice`` walks them), the ``seed_params`` list,
 ``default_params``, ``small_grid_params``, ``prim_params`` and the dict
 SimplePIM compiles — key order and key *sets* included, since both enter
@@ -52,10 +52,11 @@ def cases() -> Iterator[Tuple[str, Workload, Optional[str]]]:
     for model in (GPTJ_SIM, CLUSTER_SIM):
         for layer, _m, _k in fc_shapes(model):
             yield f"{model.name}/{layer}", fc_mtv(model, layer), None
-        # qkv_gen's and fc's rows stacked: the one program the builder
-        # emits for both.
+        # qkv_gen's and fc's rows stacked, and qkv_proj's and fc_proj's
+        # columns: the two programs the builder emits for the four.
         d = model.d_model
         yield f"{model.name}/qkv_fc", mtv(7 * d, d), None
+        yield f"{model.name}/proj", mtv(d, 5 * d), None
         for c in CAPACITIES:
             heads, hd = model.n_heads, model.head_dim
             yield f"{model.name}/score-c{c}", mmtv(heads, c, hd), None

@@ -12,7 +12,8 @@ from repro.workloads.gptj import GPTJConfig
 
 TINY = GPTJConfig("gptj-tiny", n_heads=2, d_model=32, head_dim=16)
 
-#: One TINY layer's FC weights (qkv_gen + proj + fc + fc_proj), float32.
+#: One TINY layer's FC weights (qkv_gen + proj + fc + fc_proj, stacked
+#: as two matrices), float32.
 TINY_LAYER_NBYTES = 12 * TINY.d_model * TINY.d_model * 4
 
 

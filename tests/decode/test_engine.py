@@ -36,7 +36,7 @@ class TestEpochs:
         # capacity-independent program and loads only the two attention
         # programs sized to the new capacity (the score MMTV with its
         # softmax epilogue, the value MMTV).
-        assert first.compiled_programs == 5
+        assert first.compiled_programs == 4
         assert boundary.compiled_programs == 2
 
     def test_epoch_keys_pinned_in_pool(self):

@@ -3,7 +3,7 @@
 The tiny GPT-J configuration keeps functional simulation cheap (the
 whole decode step is a few ms of host time) while preserving the real
 graph topology: ``n_heads * head_dim == d_model``, the fused QKV/FC-up
-MTV and the two projections, per-head attention, the softmax and
+MTV and the fused projections, per-head attention, the softmax and
 residual host epilogues and the GELU host prologue.
 """
 
@@ -17,7 +17,10 @@ import repro
 from repro import te
 from repro.graph import ModelGraph, gptj_model_graph, small_grid_params
 from repro.workloads import GPTJConfig, Workload, fc_mtv, mtv, va
+from repro.graph.builder import _residual
 from repro.workloads.tensor_ops import _read_instead
+
+from ..upmem.test_host_prologues import _gelu_np, _gelu_te, _prologued
 
 TINY = GPTJConfig("gptj-tiny", n_heads=2, d_model=32, head_dim=16)
 
@@ -123,38 +126,84 @@ def epilogue_lines_s(exe) -> dict:
     return gained
 
 
-def fused_line_deltas_s(config: GPTJConfig, policy: str) -> dict:
-    """Per layer, what one ``qkv_fc`` program saves over the separate
-    ``qkv_gen`` and ``fc`` programs it replaced, by line: each of the
-    three compiled standalone at its small grid on the side its tag
-    places it under ``policy`` (``qkv_gen`` and ``qkv_fc`` are ``attn``,
-    ``fc`` was ``ffn``), as the graph prices it — compute, the H2D
-    share of the crossing hidden state and the D2H of an output that
-    leaves (all three do).  GELU's host line is no term: it moved from
-    ``fc``'s epilogue to ``fc_proj``'s prologue at the same price."""
-    d = config.d_model
-    qkv_fc = mtv(7 * d, d)
+def _line_deltas_s(before, after, policy: str) -> dict:
+    """Per line, what program ``after`` saves over the ``before``
+    programs it replaced, each a ``(workload, tag)`` or ``(workload,
+    tag, params)`` compiled standalone at those params (by default its
+    small grid) on the side its tag places it under ``policy``, as the
+    graph prices it: compute, the H2D share of what crosses (every
+    non-const tensor on the DPUs) and the D2H of an output that leaves
+    (all of them do)."""
 
-    def lines(workload, tag):
+    def lines(workload, tag, params=None):
         if policy == "cpu" or (policy == "mixed" and tag == "ffn"):
             lat = repro.compile(workload, target="cpu").profile().latency
             return {"cpu": lat.total}
-        lat = repro.compile(
-            workload, params=small_grid_params(workload)
-        ).profile().latency
-        weight, x = (t.buffer.nbytes for t in workload.inputs)
+        exe = repro.compile(
+            workload, params=params or small_grid_params(workload)
+        )
+        lat = exe.profile().latency
+        h2d = [s.global_buffer for s in exe.lowered.transfer("h2d")]
+        crossing = sum(
+            b.nbytes for b in h2d if b.name not in workload.const_inputs
+        )
         return {
             "launch": lat.launch, "kernel": lat.kernel, "host": lat.host,
-            "d2h": lat.d2h, "h2d": lat.h2d * x / (weight + x),
+            "d2h": lat.d2h,
+            "h2d": lat.h2d * crossing / sum(b.nbytes for b in h2d),
         }
 
-    before = [
-        lines(fc_mtv(config, "qkv_gen"), "attn"),
-        lines(fc_mtv(config, "fc"), "ffn"),
-    ]
-    after = lines(qkv_fc, "attn")
-    keys = {key for line in before + [after] for key in line}
+    old = [lines(*program) for program in before]
+    new = lines(*after)
+    keys = {key for line in old + [new] for key in line}
     return {
-        key: sum(line.get(key, 0.0) for line in before) - after.get(key, 0.0)
+        key: sum(line.get(key, 0.0) for line in old) - new.get(key, 0.0)
         for key in sorted(keys)
     }
+
+
+def fused_line_deltas_s(config: GPTJConfig, policy: str) -> dict:
+    """Per layer, what one ``qkv_fc`` program saves over the separate
+    ``qkv_gen`` and ``fc`` programs it replaced, by line
+    (``qkv_gen`` and ``qkv_fc`` are ``attn``, ``fc`` was ``ffn``).
+    GELU's host line is no term: it moved from ``fc``'s epilogue to
+    ``fc_proj``'s prologue at the same price."""
+    d = config.d_model
+    return _line_deltas_s(
+        [(fc_mtv(config, "qkv_gen"), "attn"), (fc_mtv(config, "fc"), "ffn")],
+        (mtv(7 * d, d), "attn"),
+        policy,
+    )
+
+
+def proj_line_deltas_s(
+    config: GPTJConfig, policy: str, glue: bool = True
+) -> dict:
+    """Per layer, what one ``proj`` program saves over the separate
+    ``attn_proj`` (``attn``: the attention projection and the first
+    residual add) and ``fc_proj`` (``ffn``: GELU, the FC projection and
+    the second residual add) programs it replaced, by line; with
+    ``glue=False``, what their base programs (:func:`base_of`: no host
+    epilogue or prologue) save, the term left once each node's glue
+    lines (:func:`epilogue_lines_s`) are counted apart.  ``fc_proj``
+    runs at the grid it was pinned to, 64 row DPUs by its 8-way split
+    (a split grid holds at most 256 DPUs since)."""
+    d = config.d_model
+    pick = (lambda w: w) if glue else base_of
+    gelu = _prologued(
+        fc_mtv(config, "fc_proj"), _gelu_te, _gelu_np, 8.0 * 4 * d
+    )
+    fc_proj = pick(_residual(gelu))
+    rows = min(64, config.d_model)
+    proj = next(
+        node.workload for node in gptj_model_graph(config, 1, 4).nodes
+        if node.name == "L0.proj"
+    )
+    return _line_deltas_s(
+        [
+            (pick(_residual(fc_mtv(config, "qkv_proj"))), "attn"),
+            (fc_proj, "ffn", {**small_grid_params(fc_proj), "m_dpus": rows}),
+        ],
+        (pick(proj), "attn"),
+        policy,
+    )

@@ -3,9 +3,10 @@
 ``golden_graphs.json`` pins, for :func:`gptj_model_graph` (TINY,
 ``GPTJ_SIM``, ``CLUSTER_SIM`` x 1/2/3 layers x capacity 4/8/12), the
 digest of ``structural_signature()`` — names, shapes, wiring, tags,
-pinned params, views: the emitted graph's identity — and, readable in a
-diff, the input order, output order, node order and each view as
-``[name, base, offset, shape]``.  The node order is the executable's
+pinned params, views, concats: the emitted graph's identity — and,
+readable in a diff, the input order, output order, node order, each
+view as ``[name, base, offset, shape]`` and each concat as ``[name,
+parts]``.  The node order is the executable's
 schedule and each node's workload and params are its pool key, so any
 diff here changes pool keys, traces and latencies.  Regenerate (only
 when the emitted graph is *meant* to change) with::
@@ -50,6 +51,9 @@ def compute_table() -> Dict[str, Dict]:
             "views": [
                 [v.name, v.base, v.offset, list(v.shape)]
                 for v in graph.views.values()
+            ],
+            "concats": [
+                [c.name, list(c.parts)] for c in graph.concats.values()
             ],
         }
         for case, graph in cases()

@@ -32,16 +32,17 @@ from .conftest import TINY
 class TestTopology:
     def test_node_count_does_not_scale_with_heads(self):
         g = gptj_model_graph(TINY, layers=1, capacity=4)
-        # qkv_fc, score (+softmax), value, proj (+residual), fc_proj
-        # (gelu+, +residual): the glue is host epilogues and a prologue,
-        # and the query slice, the new k/v rows, the head reshape and
-        # the FC pre-activation are views
-        assert len(g) == 5
+        # qkv_fc, score (+softmax), value, proj (gelu+, +residual): the
+        # glue is host epilogues and a prologue, the query slice, the
+        # new k/v rows, the head reshape and the FC pre-activation are
+        # views, and the projections' operand is a concat
+        assert len(g) == 4
         assert g.output_names == ["k_new_L0", "v_new_L0", "h1"]
 
-    def test_the_four_fc_shapes_are_three_programs(self):
+    def test_the_four_fc_shapes_are_two_programs(self):
         """``qkv_gen`` and ``fc`` both contract x: one MTV over their
-        row-stacked weights, the other two FC shapes as they are."""
+        row-stacked weights; ``qkv_proj`` and ``fc_proj`` both add into
+        y: one MTV over their column-concatenated weights."""
         g = gptj_model_graph(TINY, layers=1, capacity=4)
         mtvs = {
             node.workload.params.get("layer"): tuple(node.workload.shape)
@@ -51,8 +52,9 @@ class TestTopology:
         shapes = {name: (m, k) for name, m, k in fc_shapes(TINY)}
         assert mtvs == {
             "qkv_fc": (shapes["qkv_gen"][0] + shapes["fc"][0], TINY.d_model),
-            "qkv_proj": shapes["qkv_proj"],
-            "fc_proj": shapes["fc_proj"],
+            "proj": (
+                TINY.d_model, shapes["qkv_proj"][1] + shapes["fc_proj"][1]
+            ),
         }
 
     def test_attention_is_one_score_and_one_value_node(self):
@@ -64,7 +66,7 @@ class TestTopology:
     def test_weights_and_kv_cache_are_const(self):
         g = gptj_model_graph(TINY, layers=1, capacity=4)
         const = g.const_inputs
-        assert {"w_qkv_fc_L0", "w_proj_L0", "w_fc_proj_L0"} <= const
+        assert {"w_qkv_fc_L0", "w_proj_cat_L0"} <= const
         assert {"k_cache_L0", "v_cache_t_L0"} <= const
         assert "x" not in const and ATTN_MASK not in const
 
@@ -119,7 +121,8 @@ def _hand_rolled(ins, K, V, mask=None):
         e = np.exp(z)
         probs = (e / e.sum()).astype(np.float32)
         heads.append(V[:, sl].T @ probs)
-    attn = ins["w_proj_L0"] @ np.concatenate(heads).astype(np.float32)
+    w_proj = ins["w_proj_cat_L0"]
+    attn = w_proj[:, :d] @ np.concatenate(heads).astype(np.float32)
     hidden = ins["w_qkv_fc_L0"][3 * d:] @ ins["x"]
     c = np.float32(np.sqrt(2.0 / np.pi))
     act = (
@@ -127,7 +130,7 @@ def _hand_rolled(ins, K, V, mask=None):
         * (np.float32(1.0)
            + np.tanh(c * (hidden + np.float32(0.044715) * hidden ** 3)))
     ).astype(np.float32)
-    ff = ins["w_fc_proj_L0"] @ act
+    ff = w_proj[:, d:] @ act
     return (ins["x"] + attn) + ff
 
 
@@ -199,13 +202,23 @@ class TestSmallGridParams:
         row = family_of(workload)
         for key, cap in zip(row.budget, (64, 32)):
             assert 1 <= params[key] <= cap
-        rows = math.prod(params[key] for key in row.budget)
+        axes = [
+            min(cap, pow2_upto(extent)[-1])
+            for cap, extent in zip((64, 32), distributed_extents(workload))
+        ]
         if row.rfactor:
             split = params[row.rfactor]
-            room = 64 * 32 // rows
+            room = 64 * 32 // math.prod(axes)
             domain = param_space(workload)[row.rfactor]
             assert split == max(d for d in domain if d <= room)
             assert workload.shape[-1] // split >= 64 or split == 1
+            if split > 1:
+                # A split grid holds at most 256 DPUs, the first axis
+                # giving way, and its cache blocks divide each share.
+                rest = split * math.prod(axes[1:])
+                first = min(axes[0], max(1, 256 // rest))
+                assert params[row.budget[0]] == first
+                assert (workload.shape[-1] // split) % params["cache"] == 0
         dpus = [v for k, v in params.items() if k.endswith("dpus")]
         assert math.prod(dpus) <= 64 * 32 == DEFAULT_CONFIG.n_dpus
         seed = seed_params(param_space(workload), DEFAULT_CONFIG.n_dpus)[0]
@@ -237,8 +250,7 @@ class TestReductionSplit:
         for config in (GPTJ_SIM, CLUSTER_SIM)
         for name, m, k in [
             ("qkv_fc", 7 * config.d_model, config.d_model),
-            *(row for row in fc_shapes(config)
-              if row[0] in ("qkv_proj", "fc_proj")),
+            ("proj", config.d_model, 5 * config.d_model),
         ]
     ]
 
@@ -251,7 +263,8 @@ class TestReductionSplit:
         params = small_grid_params(workload)
         domain = param_space(workload)["k_dpus"]
         assert params["k_dpus"] == domain[-1]
-        assert params["m_dpus"] == min(64, pow2_upto(m)[-1])
+        rows = min(64, pow2_upto(m)[-1], 256 // domain[-1])
+        assert params["m_dpus"] == rows
         graph = gptj_model_graph(config, layers=1, capacity=8)
         node = next(n for n in graph.nodes if n.workload.shape == (m, k))
         assert node.params == params
@@ -337,8 +350,9 @@ class TestTaskletPin:
                 _rows_per_dpu(node) > 2
             ), node.name
         if config is GPTJ_SIM:
-            # The attention MMTVs spread one row over each DPU.
-            assert faster == {"qkv_fc"}
+            # The attention MMTVs spread one row over each DPU; ``proj``
+            # has 4 rows a DPU (32 row DPUs beside its 8-way split).
+            assert faster == {"qkv_fc", "proj"}
 
     def test_steady_state_at_least_1_3x_lower(self):
         pinned, base = _pinned_and_two_tasklets(GPTJ_SIM, 3, 8)
@@ -377,7 +391,7 @@ class TestTaskletPin:
                         key = (node.workload.name, node.workload.shape,
                                tuple(node.params.items()))
                         programs.setdefault(key, node.workload)
-        assert len(programs) == 21
+        assert len(programs) == 19
         monkeypatch.setenv("REPRO_SIM_MODE", "verify")
         tasklets = set()
         for (_, _, params), workload in programs.items():
@@ -425,14 +439,14 @@ class TestPaperAttention:
     def test_three_layer_step_size(self):
         g = gptj_model_graph(GPTJ_SIM, 3, 8)
         placement = place(g)
-        assert len(g) == 15
+        assert len(g) == 12
         assert all(t.kind == "upmem" for t in placement.values())
 
 
 class TestModelGraph:
     def test_layers_chain_through_hidden_states(self):
         g = gptj_model_graph(TINY, layers=3, capacity=8)
-        per_layer = 5  # the decoder's nodes: the k/v rows are views
+        per_layer = 4  # the decoder's nodes: the k/v rows are views
         assert len(g) == 3 * per_layer
         assert g.output_names == [
             "k_new_L0", "v_new_L0", "k_new_L1", "v_new_L1",

@@ -9,6 +9,7 @@ import repro
 from repro.graph import (
     GraphError,
     GraphExecutable,
+    ModelGraph,
     compile_graph,
     gptj_model_graph,
     place,
@@ -17,6 +18,7 @@ from repro.graph.executable import pool_keys
 from repro.serve.pool import ExecutablePool
 from repro.target import UpmemTarget, get_target
 from repro.upmem.config import UpmemConfig
+from repro.workloads import mtv
 
 from .conftest import TINY, chain_graph
 
@@ -38,11 +40,18 @@ class TestPlacement:
     def test_mixed_policy_splits_attention_from_ffn(self, tiny_decoder):
         placement = place(tiny_decoder, policy="mixed")
         assert placement["L0.attn_score"].kind == "upmem"
-        # The fused QKV/FC-up program makes Q/K/V: tagged attn, it runs
-        # on PIM, FC-up rows included (they ran on the host while ``fc``
-        # was its own ffn node).
+        # The fused QKV/FC-up program makes Q/K/V and the fused
+        # projections read the attention output: tagged attn, both run
+        # on PIM, FC rows included (they ran on the host while ``fc``
+        # and ``fc_proj`` were ffn nodes).
         assert placement["L0.qkv_fc"].kind == "upmem"
-        assert placement["L0.fc_proj"].kind == "cpu"
+        assert placement["L0.proj"].kind == "upmem"
+        g = ModelGraph("ffn")
+        g.add_input("w", (16, 16), const=True)
+        g.add_input("x", (16,))
+        g.add_node("fc", mtv(16, 16), {"A": "w", "B": "x"}, "y",
+                   tags=("ffn",))
+        assert place(g, policy="mixed")["fc"].kind == "cpu"
 
     @pytest.mark.parametrize("policy", ["upmem", "cpu", "mixed"])
     def test_each_side_is_one_target_instance(self, tiny_decoder, policy):
@@ -108,7 +117,7 @@ class TestExecution:
     def test_graph_run_bit_for_bit_equals_per_op_runs(self, tiny_decoder):
         """The acceptance contract: orchestrated execution is exactly a
         chain of individual ``Executable.run`` calls, views read as
-        NumPy views of their bases."""
+        NumPy views of their bases and the concat as their copy."""
         exe = compile_graph(tiny_decoder)
         inputs = tiny_decoder.random_inputs(5)
         got = exe.run_tensors(inputs)
@@ -116,9 +125,9 @@ class TestExecution:
         env = dict(inputs)
         placement = exe.placement
         order = tiny_decoder.topological_order()
-        views = tiny_decoder.view_schedule(order)
-        assert views[0] == []  # no view over an input here
-        for node, node_views in zip(order, views[1:]):
+        aliases = tiny_decoder.view_schedule(order)
+        assert aliases[0] == []  # no view over an input here
+        for node, node_aliases in zip(order, aliases[1:]):
             single = repro.compile(
                 node.workload,
                 target=placement[node.name],
@@ -129,11 +138,16 @@ class TestExecution:
                 for wl_name, graph_name, _ in node.input_bindings()
             }
             (env[node.output],) = single.run(feed)
-            for view in node_views:
-                flat = env[view.base].reshape(-1)
-                env[view.name] = flat[
-                    view.offset:view.offset + view.size
-                ].reshape(view.shape)
+            for alias in node_aliases:
+                if alias.name in tiny_decoder.concats:
+                    env[alias.name] = np.concatenate(
+                        [env[part] for part in alias.parts]
+                    )
+                    continue
+                flat = env[alias.base].reshape(-1)
+                env[alias.name] = flat[
+                    alias.offset:alias.offset + alias.size
+                ].reshape(alias.shape)
         for name in tiny_decoder.output_names:
             assert got[name].tobytes() == env[name].tobytes()
 
@@ -205,9 +219,32 @@ class TestCostModel:
     def test_staging_charged_once_per_const_tensor(self, tiny_decoder):
         exe = compile_graph(tiny_decoder)
         staged = [c for c in exe.profile().nodes if c.staging_s > 0]
-        # qkv_fc, attn_score, attn_value, attn_proj, fc_proj.
-        assert len(staged) == 5
+        # qkv_fc, attn_score, attn_value, proj.
+        assert len(staged) == 4
         assert exe.profile().steady_state_s < exe.profile().total
+
+    def test_a_host_producer_makes_its_pim_reader_cross(self):
+        """Under ``mixed`` an ``ffn`` node runs on the host, so the PIM
+        node reading its output pays the H2D; under ``upmem`` the same
+        output hands off in MRAM."""
+        g = ModelGraph("ffn-then-attn")
+        g.add_input("w1", (16, 16), const=True)
+        g.add_input("w2", (16, 16), const=True)
+        g.add_input("x", (16,))
+        small = {"m_dpus": 4, "k_dpus": 1, "n_tasklets": 2, "cache": 16,
+                 "host_threads": 1, "unroll": 0}
+        g.add_node("fc", mtv(16, 16), {"A": "w1", "B": "x"}, "t",
+                   params=small, tags=("ffn",))
+        g.add_node("attn", mtv(16, 16), {"A": "w2", "B": "t"}, "y",
+                   params=small, tags=("attn",))
+        reader = {
+            policy: compile_graph(g, policy).profile().nodes[1]
+            for policy in ("mixed", "upmem")
+        }
+        assert reader["mixed"].target == reader["upmem"].target == "upmem"
+        assert reader["mixed"].crossing_in and reader["mixed"].h2d_s > 0
+        assert not reader["upmem"].crossing_in
+        assert reader["upmem"].h2d_s == 0.0
 
     def test_dynamic_input_in_const_slot_pays_recurring_h2d(self):
         """A non-const graph input bound to a workload's const slot

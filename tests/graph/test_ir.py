@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import GraphError, ModelGraph, gptj_model_graph
+from repro.graph import GraphError, ModelGraph, compile_graph, gptj_model_graph
 from repro.workloads import va
 
 from .conftest import TINY, chain_graph
@@ -143,3 +143,97 @@ class TestSignature:
         a, b = chain_graph(), chain_graph()
         b.nodes[1].tags = frozenset({"glue"})
         assert a.structural_signature() != b.structural_signature()
+
+
+def _concat_graph(parts=("lo", "hi")) -> ModelGraph:
+    """x + b -> t; ``lo``/``hi`` view t's halves; ``c`` lays ``parts``
+    end to end; c + b -> y."""
+    g = ModelGraph("concat")
+    g.add_input("x", (16,))
+    g.add_input("b", (16,))
+    g.add_node("add", va(16), {"A": "x", "B": "b"}, "t")
+    g.add_view("lo", "t", 0, (8,))
+    g.add_view("hi", "t", 8, (8,))
+    g.add_concat("c", parts)
+    g.add_node("use", va(16), {"A": "c", "B": "b"}, "y")
+    return g
+
+
+class TestConcat:
+    def test_binds_one_copy_of_its_parts(self):
+        g = _concat_graph(("hi", "lo"))
+        ins = g.random_inputs(1)
+        env = g.reference_outputs(ins, all_tensors=True)
+        t = ins["x"] + ins["b"]
+        np.testing.assert_array_equal(env["c"], np.concatenate([t[8:], t[:8]]))
+        assert not np.shares_memory(env["c"], env["t"])
+        got = compile_graph(g, "cpu").run_tensors(ins)
+        assert got["y"].tobytes() == env["y"].tobytes()
+        assert g.output_names == ["y"]
+        assert (g.tensor_shape("c"), g.tensor_nbytes("c")) == ((16,), 64)
+        assert g.producer("c") is None and g.storage("c") == "c"
+
+    def test_a_reader_waits_for_every_part(self):
+        """``use`` is added before the node making a part: it still runs
+        after it."""
+        g = ModelGraph("late")
+        g.add_input("x", (8,))
+        g.add_input("b", (16,))
+        g.add_node("first", va(8), {"A": "x", "B": "x"}, "p")
+        g.add_input("q", (8,))
+        g.add_concat("c", ("p", "q"))
+        g.add_view("c_view", "c", 0, (16,))
+        g.add_node("use", va(16), {"A": "c_view", "B": "b"}, "y")
+        assert [n.name for n in g.topological_order()] == ["first", "use"]
+        schedule = g.view_schedule(g.topological_order())
+        assert [[a.name for a in bound] for bound in schedule] == [
+            [], ["c", "c_view"], [],
+        ]
+
+    def test_a_concat_of_inputs_is_bound_first(self):
+        g = ModelGraph("inputs")
+        g.add_input("x", (8,))
+        g.add_input("z", (8,))
+        g.add_input("b", (16,))
+        g.add_concat("c", ("x", "z"))
+        g.add_node("use", va(16), {"A": "c", "B": "b"}, "y")
+        order = g.topological_order()
+        assert [a.name for a in g.view_schedule(order)[0]] == ["c"]
+        ins = g.random_inputs(2)
+        want = np.concatenate([ins["x"], ins["z"]]) + ins["b"]
+        got = compile_graph(g, "cpu").run_tensors(ins)["y"]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "name,parts,match",
+        [
+            ("c2", ("t2d",), "not a 1-D one"),
+            ("c", ("lo", "hi"), "already defined"),
+            ("lo", ("hi",), "already defined"),
+            ("c2", ("lo", "nope"), "unknown part 'nope'"),
+            ("c2", (), "no parts"),
+        ],
+    )
+    def test_validation(self, name, parts, match):
+        g = _concat_graph()
+        g.add_view("t2d", "t", 0, (4, 4))
+        with pytest.raises(GraphError, match=match):
+            g.add_concat(name, parts)
+
+    @pytest.mark.parametrize("parts", [("lo",), ("lo", "hi", "lo")])
+    def test_a_reader_needs_the_parts_to_sum_to_its_input(self, parts):
+        """The parts' sizes are the concat's: a node expecting another
+        size fails validation, naming both shapes."""
+        with pytest.raises(GraphError, match=r"expects shape \(16,\)"):
+            _concat_graph(parts).validate()
+
+    def test_part_order_separates_signatures(self):
+        """Two graphs that differ only in the order of a concat's parts
+        compute different things: they must not share a pool or replan
+        identity."""
+        a, b = _concat_graph(("lo", "hi")), _concat_graph(("hi", "lo"))
+        assert a.structural_signature() != b.structural_signature()
+        assert (
+            a.structural_signature()
+            == _concat_graph(("lo", "hi")).structural_signature()
+        )

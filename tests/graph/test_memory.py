@@ -81,9 +81,9 @@ class TestLinearScan:
             "weight_bytes", "input_bytes", "slots", "tensors",
             "reuse_ratio", "utilization", "fragmentation",
         }
-        # Every node output, and a copy of each output view (the new
-        # K and V rows).
-        assert payload["tensors"] == len(tiny_decoder.nodes) + 2
+        # Every node output, the concat ``proj`` reads, and a copy of
+        # each output view (the new K and V rows).
+        assert payload["tensors"] == len(tiny_decoder.nodes) + 1 + 2
 
     def test_utilization_and_fragmentation(self, tiny_decoder):
         plan = plan_memory(tiny_decoder)
@@ -99,6 +99,48 @@ class TestLinearScan:
         payload = plan_memory(_linear(6)).to_dict()
         assert payload["utilization"] == 1.0
         assert payload["fragmentation"] == 0.0
+
+
+class TestConcat:
+    def _graph(self, reread: bool) -> ModelGraph:
+        """x + b -> p; x + p -> q; c = [p ; q]; c + c -> y (twice as
+        wide); with ``reread``, q + b -> z reads ``q`` after the concat
+        too."""
+        g = ModelGraph("concat")
+        g.add_input("x", (64,))
+        g.add_input("b", (64,))
+        g.add_node("n0", va(64), {"A": "x", "B": "b"}, "p")
+        g.add_node("n1", va(64), {"A": "x", "B": "p"}, "q")
+        g.add_concat("c", ("p", "q"))
+        g.add_node("n2", va(128), {"A": "c", "B": "c"}, "y")
+        if reread:
+            g.add_node("n3", va(64), {"A": "q", "B": "b"}, "z")
+        return g
+
+    def test_each_part_frees_at_the_concat(self):
+        """The concat is a buffer of its own, defined where its last
+        part is made (after ``n1``); the copy into it is each part's
+        last read, so the next definition reuses a part's slot."""
+        plan = plan_memory(self._graph(reread=False))
+        slots = {a.tensor: a for a in plan.assignments}
+        assert [a.tensor for a in plan.assignments] == ["p", "q", "c", "y"]
+        assert (slots["p"].start, slots["p"].end) == (0, 1)
+        assert (slots["q"].start, slots["q"].end) == (1, 1)
+        assert (slots["c"].start, slots["c"].end) == (1, 2)
+        assert (slots["y"].start, slots["y"].end) == (2, 3)
+        assert slots["c"].nbytes == 128 * 4
+        # p and q are dead when y is made: y takes one of their slots
+        # and grows it to fit; c is live beside them while it is copied.
+        assert slots["c"].slot not in (slots["p"].slot, slots["q"].slot)
+        assert slots["y"].slot in (slots["p"].slot, slots["q"].slot)
+        assert plan.naive_bytes == (64 + 64 + 128 + 128) * 4
+        assert plan.peak_live_bytes == (64 + 64 + 128) * 4
+
+    def test_a_part_read_again_lives_on(self):
+        plan = plan_memory(self._graph(reread=True))
+        slots = {a.tensor: a for a in plan.assignments}
+        assert slots["p"].end == 1
+        assert slots["q"].end == 3
 
 
 class TestArenaStats:

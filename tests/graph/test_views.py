@@ -31,7 +31,7 @@ from repro.workloads import va
 
 from .conftest import (
     TINY, cpu_line_s, epilogue_lines_s, fused_line_deltas_s, host_glue,
-    removed_glue_s,
+    proj_line_deltas_s, removed_glue_s,
 )
 
 
@@ -302,10 +302,10 @@ def test_random_views_run_like_the_reference_and_plan_soundly(case):
 
 #: ``steady_state_s`` in µs of ``gptj_model_graph(GPTJ_SIM, layers,
 #: capacity)``, per (shape, policy), before the zero-flop glue became
-#: views: the 3-layer, 8-slot step had 42 nodes then and has 15 now that
-#: the glue is views, host epilogues and a host prologue and ``qkv_gen``
-#: and ``fc`` are one program; fig17's 1-layer, 16-slot step had 14 and
-#: has 5.
+#: views: the 3-layer, 8-slot step had 42 nodes then and has 12 now that
+#: the glue is views, a concat, host epilogues and a host prologue,
+#: ``qkv_gen`` and ``fc`` are one program and so are ``attn_proj`` and
+#: ``fc_proj``; fig17's 1-layer, 16-slot step had 14 and has 4.
 _BEFORE_US = {
     ((3, 8), "upmem"): 2254.6580170639763,
     ((3, 8), "cpu"): 1435.4400000000005,
@@ -354,27 +354,30 @@ class TestPricing:
             _BEFORE_US[shape, policy] * 1e-6 - _removed_glue_s(shape)
             + sum(epilogue_lines_s(exe).values())
             - shape[0] * sum(fused_line_deltas_s(GPTJ_SIM, policy).values())
+            - shape[0] * sum(
+                proj_line_deltas_s(GPTJ_SIM, policy, glue=False).values()
+            )
         )
         assert profile.steady_state_s == pytest.approx(want, rel=1e-9)
 
-    def test_three_layer_step_is_about_1316_us(self):
+    def test_three_layer_step_is_about_1098_us(self):
         profile = compile_graph(_graph()).profile()
-        assert len(profile.nodes) == 15
-        assert profile.steady_state_s * 1e6 == pytest.approx(1316.1, abs=0.05)
+        assert len(profile.nodes) == 12
+        assert profile.steady_state_s * 1e6 == pytest.approx(1098.4, abs=0.05)
 
     @pytest.mark.parametrize("policy", ["upmem", "mixed"])
     @_SHAPES
     def test_crossings_stay_where_the_glue_was(self, shape, policy):
-        """The views sit on the host: the PIM node a view reads from
-        still hands its output back, and a PIM node reading a view still
-        receives it."""
+        """The views and the concat sit on the host: the PIM node a view
+        reads from still hands its output back, and a PIM node reading a
+        view or the concat still receives it."""
         profile = compile_graph(_graph(shape), policy=policy).profile()
         by_op = {}
         for cost in profile.nodes:
             by_op.setdefault(cost.node.split(".")[-1], []).append(cost)
         for name in ("qkv_fc", "attn_value"):
             assert all(c.crossing_out and c.d2h_s > 0 for c in by_op[name])
-        for name in ("attn_score", "attn_proj"):
+        for name in ("attn_score", "proj"):
             assert all(c.crossing_in and c.h2d_s > 0 for c in by_op[name])
 
     def test_cpu_placement_has_no_transfers(self):

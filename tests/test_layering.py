@@ -854,7 +854,7 @@ CUT = (
     "extensions/hbm_pim.py:estimate_schedule",
     "extensions/hbm_pim.py:estimate_lowered",
     "upmem/vectorize/plan.py:KernelPlan.batched_alloc",
-    "tir/expr.py:Or", "tir/expr.py:Not", "tir/expr.py:Select",
+    "tir/expr.py:Or", "tir/expr.py:Not",
     "tir/expr.py:Cast", "tir/expr.py:Call", "tir/expr.py:any_of",
     "tir/stmt.py:Evaluate", "tir/stmt.py:Intrin", "tir/stmt.py:Allocate",
     "tir/interval.py:Interval.union", "tir/printer.py:script",

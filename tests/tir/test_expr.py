@@ -157,7 +157,8 @@ class TestConjunction:
 
 
 class TestHostFloatOps:
-    """Float ``/`` and the ``exp``/``tanh`` intrinsics of host epilogues."""
+    """Float ``/``, the ``exp``/``tanh`` intrinsics and ``select`` of
+    host epilogues and prologues."""
 
     def test_true_division_builds_div(self):
         x = tir.BufferLoad(Buffer("X", (4,), "float32"), [Var("i")])
@@ -179,3 +180,26 @@ class TestHostFloatOps:
         swapped = substitute(node, {i: j})
         assert type(swapped) is tir.Exp and repr(swapped) == "exp(tanh(X[j + 0]))"
         assert substitute(node, {Var("k"): j}) is node
+
+    def test_select_prints_simplifies_and_rebuilds(self):
+        from repro.tir import substitute
+
+        i, j = Var("i"), Var("j")
+        x = tir.BufferLoad(Buffer("X", (8,), "float32"), [i + 0])
+        node = tir.Select(i + 0 < 4, x, tir.Tanh(x))
+        assert node.dtype == "float32" and node.op_name == "select"
+        assert tir.Select(i < 4, 1, x).dtype == "float32"
+        assert repr(node) == "select(i + 0 < 4, X[i + 0], tanh(X[i + 0]))"
+        # simplify reaches all three children; a constant condition
+        # keeps the select (the taken arm's dtype may differ)
+        assert repr(tir.simplify(node)) == "select(i < 4, X[i], tanh(X[i]))"
+        kept = tir.simplify(tir.Select(tir.IntImm(1, "bool"), 0, x))
+        assert type(kept) is tir.Select
+        swapped = substitute(node, {i: j})
+        assert type(swapped) is tir.Select
+        assert repr(swapped) == "select(j + 0 < 4, X[j + 0], tanh(X[j + 0]))"
+        assert substitute(node, {Var("k"): j}) is node
+        done = tir.simplify(node)
+        assert tir.simplify(done) is done
+        plain = tir.Select(i, i, j)  # nothing below it to simplify
+        assert tir.simplify(plain) is plain

@@ -7,11 +7,17 @@ stages unbound, so the lowering emits them as ``host_pre`` statements
 and ships the product, not the raw operand, to the DPUs.  Generated
 cases draw the base program's extents and params and an element-wise
 prologue on ``B`` over ``exp``/``tanh``/``/``/``+``/``*`` (GPT-J's GELU
-among them), sometimes followed by a residual epilogue.  The scalar
-interpreter and the vector plan must agree on every byte, and the fused
-module must equal the prologue reference followed by the base
-reference within the tolerance ``perf`` checks graph outputs with.
+among them), sometimes followed by a residual epilogue, and piecewise
+prologues: a ``select`` over a threshold on the last index picks one of
+two such expressions (or a number, or the index) per element, as the
+fused projection's prologue passes its attention part through and
+applies GELU to the rest.  The scalar interpreter and the vector plan
+must agree on every byte, and the fused module must equal the prologue
+reference followed by the base reference within the tolerance ``perf``
+checks graph outputs with.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,10 +26,14 @@ from hypothesis import strategies as st
 
 import repro
 from repro import te
-from repro.autotune.sketch import param_space
+from repro.autotune.sketch import generate_schedule, param_space
+from repro.lowering import LoweringError, lower
+from repro.pipeline import workload_signature
+from repro.tir import LT, FloatImm, IntImm, Select, Var
 from repro.upmem import FunctionalExecutor
 from repro.upmem.emitter import emit_host_pseudocode
-from repro.workloads import mmtv, mtv, va, with_prologue
+from repro.upmem.vectorize.expr import _ExprCompiler
+from repro.workloads import Workload, mmtv, mtv, va, with_prologue
 
 from .test_host_epilogues import _TOLERANCE, _elementwise, _residual, _small
 
@@ -91,6 +101,123 @@ def test_scalar_equals_vector_and_the_reference(case):
     assert np.isfinite(want).all()
     scale = float(np.max(np.abs(want))) or 1.0
     assert np.max(np.abs(vector - want)) / scale <= _TOLERANCE
+
+
+# ---------------------------------------------------------------------------
+# piecewise prologues: a select per element
+# ---------------------------------------------------------------------------
+
+
+def _piecewise(base, threshold, arms, scale=None):
+    """``base`` with ``select(k < threshold, first(x), second(x))`` over
+    its ``B`` first, ``k`` the last index; ``arms`` are ``(te_fn,
+    np_fn)`` pairs of the element ``x`` and the index array ``k``.  With
+    a ``scale``, the select's value is multiplied by it before the
+    store, so its float32 dtype reaches more arithmetic than a store."""
+    (first_te, first_np), (second_te, second_np) = arms
+    (B,) = [t for t in base.inputs if t.name == "B"]
+
+    def reference(x):
+        x = x.astype(np.float32)
+        k = np.broadcast_to(np.arange(x.shape[-1]), x.shape)
+        out = np.where(
+            k < threshold, first_np(x, k), second_np(x, k)
+        ).astype(np.float32)
+        return out if scale is None else out * scale
+
+    def body(X, i):
+        value = te.select(
+            i[-1] < threshold, first_te(X[i], i[-1]), second_te(X[i], i[-1])
+        )
+        return value if scale is None else value * scale
+
+    return with_prologue(
+        base, "B", lambda X: te.compute(B.shape, lambda *i: body(X, i), "P"),
+        reference, flops=0.0,
+    )
+
+
+@st.composite
+def _arm(draw):
+    """One arm of a piecewise prologue: a generated expression of the
+    element, a Python number (a weak scalar the select casts to
+    float32) or the index itself (an int the select casts)."""
+    kind = draw(st.sampled_from(["expr", "expr", "number", "index"]))
+    if kind == "number":
+        c = draw(st.sampled_from([0.0, 0.1, -2.5]))
+        return (lambda x, k: c), (lambda x, k: np.float32(c))
+    if kind == "index":
+        return (lambda x, k: k), (lambda x, k: k.astype(np.float32))
+    f_te, f_np = draw(st.one_of(st.just((_gelu_te, _gelu_np)), _elementwise()))
+    return (lambda x, k: f_te(x)), (lambda x, k: f_np(x))
+
+
+@st.composite
+def _piecewise_case(draw):
+    if draw(st.booleans()):
+        base = mtv(draw(st.integers(1, 40)), draw(st.integers(1, 150)))
+    else:
+        base = mmtv(
+            draw(st.integers(1, 5)), draw(st.integers(1, 12)),
+            draw(st.integers(1, 40)),
+        )
+    threshold = draw(st.integers(-1, base.shape[-1] + 1))
+    scale = draw(st.sampled_from([None, 0.3]))
+    wl = _piecewise(base, threshold, (draw(_arm()), draw(_arm())), scale)
+    caps = {"n_tasklets": 4, "host_threads": 4}
+    params = {
+        key: draw(st.sampled_from(_small(domain, caps.get(key, 8))))
+        for key, domain in param_space(base).items()
+    }
+    return wl, params, wl.random_inputs(draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_piecewise_case())
+def test_piecewise_scalar_equals_vector_and_the_reference(case):
+    wl, params, inputs = case
+    module = repro.compile(wl, params=params).lowered
+    (prologue,) = module.host_pre
+    assert "select(" in repr(prologue)
+    (vector,) = FunctionalExecutor(module, mode="vector").run(inputs)
+    (scalar,) = FunctionalExecutor(module, mode="scalar").run(inputs)
+    assert vector.tobytes() == scalar.tobytes()
+    want = np.asarray(wl.reference_output(inputs), dtype=np.float64)
+    assert np.isfinite(want).all()
+    scale = float(np.max(np.abs(want))) or 1.0
+    assert np.max(np.abs(vector - want)) / scale <= _TOLERANCE
+
+
+class TestSelect:
+    def test_a_dpu_stage_refuses_it(self):
+        A = te.placeholder((64,), "float32", "A")
+        B = te.placeholder((64,), "float32", "B")
+        C = te.compute((64,), lambda i: te.select(i < 8, A[i], B[i]), "C")
+        wl = Workload(
+            name="va", inputs=[A, B], output=C, reference=None, flops=64.0,
+            shape=(64,),
+        )
+        params = {"n_dpus": 4, "n_tasklets": 2, "cache": 8, "unroll": 0}
+        with pytest.raises(LoweringError, match="stage 'C' .* 'select'"):
+            lower(generate_schedule(wl, params))
+
+    def test_the_signature_sees_the_threshold(self):
+        arms = ((lambda x, k: x, lambda x, k: x),) * 2
+        eight, nine = (
+            workload_signature(_piecewise(mtv(16, 32), t, arms)) for t in (8, 9)
+        )
+        assert eight != nine
+        assert eight == workload_signature(_piecewise(mtv(16, 32), 8, arms))
+
+    def test_an_unbatched_select_runs_only_its_taken_arm(self):
+        """A select of scalars evaluates as the interpreter does: the
+        taken arm only, cast to the select's dtype."""
+        k = Var("k")
+        fn, dep = _ExprCompiler(SimpleNamespace(lane_vars=())).compile(
+            Select(LT(IntImm(1), IntImm(2)), FloatImm(0.5), k)
+        )
+        value = fn(None)  # the untaken arm's unbound variable never runs
+        assert dep == 0 and type(value) is np.float32 and value == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +293,6 @@ class TestFusedProgram:
         assert (lat.h2d, lat.kernel, lat.d2h) == (base.h2d, base.kernel, base.d2h)
 
     def test_the_signature_sees_the_prologue(self):
-        from repro.pipeline import workload_signature
-
         plain = workload_signature(mtv(32, 64))
         gelu = workload_signature(self._gelu())
         tanh = workload_signature(

@@ -169,15 +169,16 @@ _KERNELS = {
     ("mmtv", "64MB", 0): (2, 1),
 }
 
-#: The five PIM programs of a GPT-J decode layer at capacity 8 and 12.
-#: The FC MTVs split their reduction across DPUs (``small_grid_params``)
-#: down to 64 elements a DPU, one 64-element cache block: no block loop
-#: is left to fold.  ``fc_proj``'s B tile is its GELU prologue's
-#: product, staged and read through like an input.
+#: The four PIM programs of a GPT-J decode layer at capacity 8 and 12
+#: (six: the attention MMTVs come in both capacities).  The FC MTVs
+#: split their reduction across DPUs (``small_grid_params``): ``qkv_fc``
+#: down to 64 elements a DPU, one 64-element cache block, no block loop
+#: left to fold; ``proj`` to 80, five 16-element blocks (the cache tile
+#: divides the share), whose loop folds.  ``proj``'s B tile is its GELU
+#: prologue's product, staged and read through like an input.
 _DECODE = {
     ("mtv", (896, 128)): (2, 0),  # qkv_fc (qkv_gen and fc were (2, 0))
-    ("mtv", (128, 128)): (2, 0),  # attn_proj
-    ("mtv", (128, 512)): (2, 0),  # fc_proj
+    ("mtv", (128, 640)): (2, 1),  # proj (attn_proj and fc_proj were (2, 0))
     ("mmtv", (4, 8, 32)): (2, 0),  # attn_score: one block
     ("mmtv", (4, 32, 8)): (2, 0),  # attn_value: one block
     ("mmtv", (4, 12, 32)): (2, 0),
@@ -212,7 +213,7 @@ class TestPinnedSites:
     def test_a_staging_buffer_read_through_is_never_allocated(
         self, k_dpus, monkeypatch
     ):
-        """``fc_proj``'s kernel reads its A and B tiles through their WRAM
+        """An FC projection's kernel reads its A and B tiles through their WRAM
         staging buffers, so a chunk allocates only the accumulator's; the
         scalar path, which runs the kernel as lowered, still zeroes and
         fills all three, and verify agrees with it byte for byte."""
