@@ -33,7 +33,8 @@ batch reuses every epoch it has seen.  Per-sequence
 same sequence would report decoded alone — while the batch's device
 occupancy is the :class:`IterationReport`'s amortized model: dispatch
 paid once, kernels shared per capacity group, per-sequence transfers
-serialized (exactly how :class:`repro.serve.Server` models a flush).
+serialized (a :class:`repro.serve.Server` flush, which runs as one
+stacked grid, pushes its batch once per round instead).
 
 Everything the engine reports is derived from deterministic inputs —
 graph structure, simulated latencies, seeded arrays — so a decode run
@@ -170,13 +171,16 @@ class IterationReport:
     each scheduled sequence, with the amortized device-occupancy model.
 
     The per-sequence :class:`StepReport` costs stay solo;
-    :meth:`device_seconds` is the batch's simulated occupancy, split
-    the way :meth:`repro.serve.server.Server._batch_duration` splits a
-    flush: dispatch overhead once per iteration, kernel time per
-    *round* within each capacity group (sequences at one capacity run
-    one program, replicated across idle DPU groups), and bus-serialized
+    :meth:`device_seconds` is the batch's simulated occupancy:
+    dispatch overhead once per iteration, kernel time per *round*
+    within each capacity group (sequences at one capacity run one
+    program, replicated across idle DPU groups), and bus-serialized
     per-sequence transfers (H2D/D2H, weight staging, cache growth) paid
-    by every sequence.
+    by every sequence.  A serve flush, which runs as one stacked grid,
+    pushes its batch once a round instead
+    (:meth:`repro.upmem.system.PerformanceModel.flush_lines`); a decode
+    iteration keeps this serial rule until it too runs, and is priced,
+    as one stacked grid.
     """
 
     reports: Tuple[StepReport, ...]

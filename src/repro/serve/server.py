@@ -27,12 +27,16 @@ driven by a deterministic virtual clock:
   group: those tickets turn ``failed`` with the error recorded, no
   time is charged to the simulated device, and serving continues.
 * **device model** — flushes execute serially on the simulated device:
-  a flush starts at ``max(now, busy_until)`` and occupies it for a
-  modeled duration in which dispatch+launch overhead is paid once per
-  flush, kernels run concurrently across idle DPU-group replicas of
-  the program, per-request transfers serialize on the host<->PIM bus,
-  and constant/weight transfer is charged only when the pool (re)loads
-  the program — the paper's "constant tensors transferred once" §5.4.
+  a flush starts at ``max(now, busy_until)`` and occupies it for the
+  stacked grid's modeled duration
+  (:meth:`~repro.upmem.system.PerformanceModel.flush_lines`):
+  dispatch+launch overhead is paid once per flush, kernels run
+  concurrently across idle DPU-group replicas of the program, each
+  round of replicas moves its requests' tensors in one rank-parallel
+  push per direction, host statements run per request, and
+  constant/weight transfer is charged only when the pool (re)loads the
+  program — the paper's "constant tensors transferred once" §5.4.  The
+  ``flush`` span on the ``serve.device`` track carries those lines.
 
 After a flush the server drops its reference to each request's input
 arrays, so serving long traces holds only pending inputs plus outputs.
@@ -45,8 +49,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import current_tracer
-from ..target import Executable, UpmemExecutable
-from ..workloads import Workload
+from ..target import UpmemExecutable
+from ..upmem.system import FlushLines, PerformanceModel
 from .metrics import ServerMetrics
 from .pool import ExecutablePool
 from .request import Request, Response, Ticket
@@ -56,7 +60,7 @@ __all__ = ["Server", "SyncClient", "ServeError"]
 
 #: Per-flush host-side cost (request handling, command assembly, rank
 #: broadcast setup) — the overhead dynamic batching exists to amortize;
-#: see :meth:`Server._batch_duration` for the full model.
+#: see :meth:`Server._batch_lines` for the full model.
 DISPATCH_OVERHEAD_S = 1e-4
 #: Simulated seconds per arrival-clock tick.
 TICK_S = 1e-4
@@ -94,11 +98,11 @@ class Server:
         self._now = 0.0  # arrival clock: _tick * TICK_S
         self._busy_until = 0.0  # simulated device availability
         self._seq = 0
-        #: Batch-key -> derived unit costs.  Keyed by program identity
-        #: (not ``id(exe)``): an evicted-and-recompiled program must
-        #: never collide with a recycled object address, and identical
-        #: keys derive identical costs by construction.
-        self._duration_cache: Dict[Tuple, Tuple[float, float, float, float]] = {}
+        #: (batch key, batch size) -> flush lines.  Keyed by program
+        #: identity (not ``id(exe)``): an evicted-and-recompiled program
+        #: must never collide with a recycled object address, and
+        #: identical keys derive identical costs by construction.
+        self._lines_cache: Dict[Tuple[Tuple, int], FlushLines] = {}
         #: Keys whose constant-input (weight) staging transfer has been
         #: incurred by a pool load but not yet charged to a *successful*
         #: flush.  A loading flush that fails leaves the program
@@ -272,7 +276,7 @@ class Server:
             )
             if loaded:
                 self._unpaid_staging.add(key)
-            duration = self._batch_duration(
+            lines = self._batch_lines(
                 exe, len(group), key in self._unpaid_staging, key
             )
             outputs = exe.run_batch(
@@ -287,6 +291,7 @@ class Server:
             self._fail_group(group, exc)
             return []
         self._unpaid_staging.discard(key)  # staging charge now paid
+        duration = sum(lines.values())
         start = max(self._now, self._busy_until)
         finish = start + duration
         self._busy_until = finish
@@ -308,6 +313,7 @@ class Server:
                     "key": self.pool.key_label(key),
                     "loaded": loaded,
                     "rids": [entry.ticket.request.request_id for entry in group],
+                    **lines,
                 },
             )
         responses: List[Response] = []
@@ -360,78 +366,49 @@ class Server:
             self.metrics.record_failure(_workload_name(ticket.request))
 
     # -- timing model -------------------------------------------------------
-    def _batch_duration(
+    def _batch_lines(
         self, exe: Any, batch_size: int, staging_due: bool, key: Tuple
-    ) -> float:
-        """Simulated device occupancy of one flush.
+    ) -> Dict[str, float]:
+        """Simulated device occupancy of one flush, line by line (the
+        flush's duration is their sum).
 
-        The batch executes the way ``run_batch`` actually runs it on the
-        simulated machine — replicated across idle DPU groups — so the
-        model splits one request's latency into:
-
-        * **per flush**: server dispatch overhead + the target's kernel
-          launch, paid once however many requests ride along;
-        * **parallel**: kernel time, paid per *round* — the machine fits
-          ``total_dpus // program_dpus`` concurrent program replicas, so
-          a batch no larger than that runs its kernels simultaneously;
-        * **serialized**: dynamic input H2D + D2H + host reduction, paid
-          per request — every replica shares one host<->PIM bus;
-        * **on load**: the constant-input (weight) share of H2D
-          (``staging_due``), charged on the first successful flush after
-          the pool (re)staged the program — the paper's "constant
-          tensors transferred once" (§5.4).
-
-        A target without a DPU grid (the CPU roofline) gets one group,
-        degrading gracefully to launch amortization only.
+        The server's dispatch overhead is paid once a flush.  An UPMEM
+        program's lines are :meth:`PerformanceModel.flush_lines` — the
+        batch as the stacked grid ``run_batch`` runs: one launch,
+        kernels once per round of idle DPU-group replicas, one
+        rank-parallel push per direction a round, host statements per
+        request.  ``staging`` — the constant inputs' placement — is
+        charged on the first successful flush after the pool (re)loaded
+        the program (``staging_due``): the paper's "constant tensors
+        transferred once" (§5.4).  A roofline has no grid, so only its
+        launch amortizes.
         """
-        launch, kernel, serial, const_h2d = self._unit_costs(exe, key)
-        groups = self._replica_groups(exe)
-        rounds = -(-batch_size // groups)  # ceil division
-        duration = (
-            DISPATCH_OVERHEAD_S
-            + launch
-            + rounds * kernel
-            + batch_size * serial
-        )
-        if staging_due:
-            duration += const_h2d
-        return duration
-
-    def _unit_costs(
-        self, exe: Any, key: Tuple
-    ) -> Tuple[float, float, float, float]:
-        """(launch, parallel kernel, serialized per-request, const H2D)."""
-        cached = self._duration_cache.get(key)
-        if cached is not None:
-            return cached
-        latency = exe.profile().latency
-        const_h2d = latency.h2d * self._const_input_fraction(exe.workload)
-        serial = max(
-            latency.total - latency.launch - latency.kernel - const_h2d, 0.0
-        )
-        costs = (latency.launch, latency.kernel, serial, const_h2d)
-        self._duration_cache[key] = costs
-        return costs
-
-    @staticmethod
-    def _replica_groups(exe: Executable) -> int:
-        """How many copies of the program the machine runs concurrently
-        (one for a roofline, which has no DPU grid)."""
-        if not isinstance(exe, UpmemExecutable):
-            return 1
-        return max(1, exe.target.config.n_dpus // exe.lowered.n_dpus)
-
-    @staticmethod
-    def _const_input_fraction(workload: Workload) -> float:
-        """Byte share of inputs that stay resident (weights, KV cache)."""
-        if not workload.const_inputs:
-            return 0.0
-        total = sum(t.buffer.nbytes for t in workload.inputs)
-        const = sum(
-            t.buffer.nbytes for t in workload.inputs
-            if t.name in workload.const_inputs
-        )
-        return const / total
+        lines = self._lines_cache.get((key, batch_size))
+        if lines is None:
+            latency = exe.profile().latency
+            if isinstance(exe, UpmemExecutable):
+                lines = PerformanceModel(exe.target.config).flush_lines(
+                    exe.lowered, batch_size, latency
+                )
+            else:
+                lines = FlushLines(
+                    launch=latency.launch,
+                    kernel=batch_size * latency.kernel,
+                    h2d=batch_size * latency.h2d,
+                    d2h=batch_size * latency.d2h,
+                    host=batch_size * latency.host,
+                    staging=0.0,
+                )
+            self._lines_cache[(key, batch_size)] = lines
+        return {
+            "dispatch": DISPATCH_OVERHEAD_S,
+            "launch": lines.launch,
+            "kernel": lines.kernel,
+            "h2d": lines.h2d,
+            "d2h": lines.d2h,
+            "host": lines.host,
+            "staging": lines.staging if staging_due else 0.0,
+        }
 
     # -- reporting ----------------------------------------------------------
     def metrics_dict(self) -> Dict:

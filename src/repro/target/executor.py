@@ -64,6 +64,11 @@ __all__ = ["Executor", "default_workers", "MIN_JOB_BYTES"]
 MIN_JOB_BYTES = 4 * 1024 * 1024
 
 
+#: ``min(8, cpu_count)``, resolved once: ``os.cpu_count()`` reads the
+#: system on every call, and every ``run_batch`` asks.
+_DEFAULT_WIDTH = max(1, min(8, os.cpu_count() or 1))
+
+
 def default_workers() -> int:
     """Pool width of every execution path.
 
@@ -73,7 +78,7 @@ def default_workers() -> int:
     """
     env = os.environ.get("REPRO_MAX_WORKERS")
     if env is None:
-        return max(1, min(8, os.cpu_count() or 1))
+        return _DEFAULT_WIDTH
     try:
         width = int(env)
     except ValueError:

@@ -24,7 +24,13 @@ from .analyzer import DpuCost, KernelAnalyzer, grouped
 from .config import DEFAULT_CONFIG, UpmemConfig
 from .isa import Counts
 
-__all__ = ["Latency", "DpuProfile", "ProfileResult", "PerformanceModel"]
+__all__ = [
+    "Latency",
+    "DpuProfile",
+    "ProfileResult",
+    "FlushLines",
+    "PerformanceModel",
+]
 
 
 @dataclass
@@ -45,6 +51,20 @@ class Latency:
     def d2h_plus_host(self) -> float:
         """The paper's combined "D2H + reduction" bar."""
         return self.d2h + self.host
+
+
+@dataclass(frozen=True)
+class FlushLines:
+    """Device seconds of one flush — a batch of runs of one program —
+    line by line (:meth:`PerformanceModel.flush_lines`).  ``staging``
+    is the constant inputs' placement, owed only after a load."""
+
+    launch: float
+    kernel: float
+    h2d: float
+    d2h: float
+    host: float
+    staging: float
 
 
 @dataclass
@@ -183,10 +203,25 @@ class PerformanceModel:
         )
 
     # -- transfers -------------------------------------------------------------------
-    def _transfer_time(self, module: LoweredModule, direction: str) -> float:
+    def _transfer_time(
+        self,
+        module: LoweredModule,
+        direction: str,
+        replicas: int = 1,
+        staging: bool = False,
+    ) -> float:
+        """Seconds one run of ``replicas`` stacked copies of ``module``
+        spends moving its tensors in ``direction``.
+
+        The copies sit side by side on ``replicas x n_dpus`` DPUs, so a
+        rank-parallel push carries every copy's bytes at the bandwidth
+        of the ranks they span (PrIM §3.3), for one ``rows`` calls'
+        worth of setup.  ``staging`` prices the constant inputs' one-time
+        placement, which a run's H2D leaves out (§5.4).
+        """
         cfg = self.config
         specs = module.transfer(direction)
-        n_dpus = module.n_dpus
+        n_dpus = module.n_dpus * replicas
         ranks_used = max(1, math.ceil(n_dpus / cfg.dpus_per_rank))
         aggregate = (
             cfg.h2d_bandwidth_gbps if direction == "h2d" else cfg.d2h_bandwidth_gbps
@@ -199,20 +234,24 @@ class PerformanceModel:
         for spec in specs:
             rows = spec.tile_elems // spec.shape[-1]
             total_bytes = spec.tile_bytes * n_dpus
-            if (
-                direction == "h2d"
-                and spec.global_buffer.name in module.const_inputs
+            if direction == "h2d" and staging != (
+                spec.global_buffer.name in module.const_inputs
             ):
                 # Constant tensor (weight / KV cache): placed once before
-                # kernel launches, outside steady-state latency (§5.4).
+                # kernel launches, outside steady-state latency (§5.4) —
+                # and the only thing a staging push moves.
                 continue
-            if direction == "h2d" and cfg.resident_partitioned_inputs:
+            if (
+                direction == "h2d"
+                and cfg.resident_partitioned_inputs
+                and not staging
+            ):
                 # One partitioned copy of each input is resident in PIM
                 # memory (weights / KV cache placed once); only duplicated
                 # bytes — broadcast tiles or padded rows overlapping other
                 # DPUs' data — move per run.
                 total_bytes = max(
-                    0.0, total_bytes - spec.global_buffer.nbytes
+                    0.0, total_bytes - spec.global_buffer.nbytes * replicas
                 )
                 if total_bytes == 0.0:
                     continue
@@ -228,6 +267,48 @@ class PerformanceModel:
                 time += rows * cfg.xfer_call_overhead_s
                 time += total_bytes / bandwidth
         return time
+
+    def flush_lines(
+        self, module: LoweredModule, batch: int, latency: Latency
+    ) -> FlushLines:
+        """Device lines of ``batch`` runs of ``module`` stacked into one
+        grid, the way ``Executable.run_batch`` runs them.
+
+        ``latency`` is one run's profile: ``launch``, ``kernel`` and
+        ``host`` come from it, as does any transfer it adds to the
+        module's own, so a baseline's adjusted profile keeps its
+        adjustments and a flush of one is one run.  The machine holds
+        ``n_dpus // module.n_dpus`` replica groups, so the batch takes
+        ``ceil(batch / groups)`` rounds: the launch is paid once, the
+        kernel once a round, and each round pushes its replicas' inputs
+        and outputs in one transfer per direction.  Host statements run
+        per item.  ``staging`` is the constant inputs' placement on
+        every group, which a caller charges once per program load.
+        """
+        groups = max(1, self.config.n_dpus // module.n_dpus)
+        full, rest = divmod(batch, groups)
+
+        def pushed(direction: str) -> float:
+            # What one run's profile moves beyond the module's transfers
+            # (SimplePIM's output gather) is paid per item.
+            time = batch * (
+                getattr(latency, direction)
+                - self._transfer_time(module, direction)
+            )
+            if full:
+                time += full * self._transfer_time(module, direction, groups)
+            if rest:
+                time += self._transfer_time(module, direction, rest)
+            return time
+
+        return FlushLines(
+            launch=latency.launch,
+            kernel=(full + (rest > 0)) * latency.kernel,
+            h2d=pushed("h2d"),
+            d2h=pushed("d2h"),
+            host=batch * latency.host,
+            staging=self._transfer_time(module, "h2d", groups, staging=True),
+        )
 
     # -- host post-processing ------------------------------------------------------------
     def _host_time(self, module: LoweredModule) -> float:

@@ -187,19 +187,6 @@ class TestAdmissionControl:
 
 
 class TestBatchingBehavior:
-    def test_replica_groups(self):
-        """A program replicates across the machine's idle DPU groups; a
-        roofline, which has no grid, is one group."""
-        entry = tiny_mix()["mtv"]
-        exe = repro.compile(entry.workload, params=entry.params)
-        assert exe.lowered.n_dpus == 4
-        assert Server._replica_groups(exe) == (
-            exe.target.config.n_dpus // 4
-        )
-        assert Server._replica_groups(
-            repro.compile(entry.workload, target="cpu")
-        ) == 1
-
     def test_flush_on_size(self):
         mix = tiny_mix()
         entry = mix["va"]
