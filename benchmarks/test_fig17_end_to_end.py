@@ -2,7 +2,7 @@
 
 Not a paper figure: the model-graph subsystem's headline benchmark.  One
 GPT-J decoder-layer decode step (scaled config, small grids per the
-simulator cost model) compiled under three placements, executed
+simulator cost model) compiled for the PIM and CPU targets, executed
 functionally, and checked for the subsystem's core claims: bit-for-bit
 parity with per-op execution, reference-matched outputs everywhere, and
 a planned memory arena strictly below the naive allocation.
@@ -21,35 +21,27 @@ def test_fig17_decode_step(benchmark):
     )
     rows = data["rows"]
     save_report("fig17_end_to_end", text_report(fig17_end_to_end, data))
-    by_placement = {r["placement"]: r for r in rows}
-    assert set(by_placement) == {"upmem", "cpu", "mixed"}
+    by_target = {r["placement"]: r for r in rows}
+    assert set(by_target) == {"upmem", "cpu"}
 
-    # Every placement executes the whole decode step correctly.
+    # Each target executes the whole decode step correctly.
     for row in rows:
         assert row["matches_reference"] is True
         assert row["nodes"] == len(data["breakdown"][row["placement"]])
 
-    # Placement: the PIM placement puts the matvecs on the device and
-    # all-CPU puts nothing there.  Every GPT-J node makes or reads
-    # attention (the fused QKV/FC-up and projection programs included),
-    # so it is tagged ``attn`` and the mixed split places as PIM does.
-    assert by_placement["cpu"]["pim_nodes"] == 0
-    assert by_placement["upmem"]["pim_nodes"] > 0
-    assert (
-        by_placement["mixed"]["pim_nodes"]
-        == by_placement["upmem"]["pim_nodes"]
-    )
+    # A graph compiles for one target: every node on the device, or
+    # every node on the host.
+    upmem, cpu = by_target["upmem"], by_target["cpu"]
+    assert upmem["pim_nodes"] == upmem["nodes"] and upmem["host_nodes"] == 0
+    assert cpu["pim_nodes"] == 0 and cpu["host_nodes"] == cpu["nodes"]
 
     # Boundary accounting: a host-only graph moves nothing over the
-    # bus; PIM placements stage weights once and pay crossings.
-    cpu = by_placement["cpu"]
+    # bus; the PIM graph stages weights once and pays crossings.
     assert cpu["h2d_ms"] == 0 and cpu["d2h_ms"] == 0
     assert cpu["staging_ms"] == 0
-    for policy in ("upmem", "mixed"):
-        row = by_placement[policy]
-        assert row["staging_ms"] > 0
-        assert row["d2h_ms"] > 0
-        assert row["steady_state_ms"] < row["total_ms"]
+    assert upmem["staging_ms"] > 0
+    assert upmem["d2h_ms"] > 0
+    assert upmem["steady_state_ms"] < upmem["total_ms"]
 
     # Memory planner: buffer reuse strictly beats naive allocation and
     # never plans below the serial schedule's live peak.

@@ -27,8 +27,8 @@ Walks the ATiM flow around the single entry point
    four FC-shape MTVs, the softmax, GELU and residual adds as host
    epilogues of those programs — compile it with
    ``repro.graph.compile_graph`` (a graph is many programs, not one
-   workload: placement puts the matvecs on PIM and each node compiles on
-   its own), run its named tensors with ``run_tensors`` against the
+   workload: it compiles for one target, every node on PIM, each on its
+   own), run its named tensors with ``run_tensors`` against the
    NumPy reference, and print the fig17-style per-node latency
    breakdown plus the memory planner's buffer reuse;
 7. decode end-to-end with ``repro.decode.DecodeEngine``: N layers x T
@@ -226,14 +226,15 @@ def serving() -> None:
 def model_graphs() -> None:
     # 6. Model graphs: one GPT-J decoder-layer decode step as a DAG of
     #    the paper's ops -- the 1-layer model graph, its attention mask
-    #    all zeros (every cache position valid).  The placement pass
-    #    sends MMTV/MTV nodes to the PIM target, their element-wise
-    #    epilogues with them; the memory planner reuses dead
-    #    intermediate buffers over the deterministic topological order;
-    #    the latency model pays host<->DPU transfers only where an edge
-    #    crosses the placement boundary and weight/KV-cache staging once
-    #    per load.  (Scaled config + small grids: the functional
-    #    simulator executes every node.)
+    #    all zeros (every cache position valid).  The graph compiles
+    #    for one target: every node, a matvec with its element-wise
+    #    epilogues and prologues on the host around it, on PIM; the
+    #    memory planner reuses dead intermediate buffers over the
+    #    deterministic topological order; the latency model pays
+    #    host<->DPU transfers only where the host makes or reads a
+    #    tensor and weight/KV-cache staging once per load.  (Scaled
+    #    config + small grids: the functional simulator executes every
+    #    node.)
     from repro.graph import (
         ATTN_MASK, compile_graph, gptj_layer_io, gptj_model_graph,
         plan_memory,
@@ -242,7 +243,7 @@ def model_graphs() -> None:
 
     config = GPTJConfig("gptj-demo", n_heads=2, d_model=64, head_dim=32)
     graph = gptj_model_graph(config, layers=1, capacity=8)
-    exe = compile_graph(graph)  # the "upmem" placement policy
+    exe = compile_graph(graph)  # target="upmem"
 
     inputs = graph.random_inputs(seed=0)
     inputs[ATTN_MASK][:] = 0.0

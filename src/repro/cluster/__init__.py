@@ -21,8 +21,11 @@ token digests, at any host thread count.
 fields are the knobs some caller sets (``n_workers``, ``mode``,
 ``max_batch``, ``queue_cap``, ``page_tokens``, ``max_pages``,
 ``max_ticks``); everything else (tick length, model, engine seed,
-dispatch overhead, replica groups, supervisor thresholds, backoff) is a
-class constant read the same way.  Workers read it directly.
+replica groups, supervisor thresholds, backoff) is a class constant
+read the same way.  Workers read it directly.  An iteration's dispatch
+overhead — also the admission-time TTFT floor: even an otherwise-empty
+cluster pays one dispatch before the first token — is the server's
+flush constant, :data:`repro.serve.server.DISPATCH_OVERHEAD_S`.
 
 Quick start::
 

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..obs import current_tracer
 from ..serve.metrics import ServerMetrics
 from ..serve.pool import ExecutablePool
+from ..serve.server import DISPATCH_OVERHEAD_S
 from ..workloads.gptj import GPTJConfig
 from .batching import ContinuousScheduler
 from .faults import KILL, STALL, FaultInjector
@@ -88,10 +89,6 @@ class ClusterConfig:
     #: Every worker builds its engines from this seed: model weights are
     #: identical fleet-wide, which replay-on-recovery depends on.
     engine_seed = 0
-    #: Per-iteration dispatch cost — also the admission-time TTFT floor:
-    #: even an otherwise-empty cluster pays one dispatch before the first
-    #: token.
-    dispatch_overhead_s = 1e-4
     #: Idle DPU groups an iteration's kernels replicate across.
     replica_groups = 4
     check_references = False
@@ -228,7 +225,7 @@ class Cluster:
     ) -> None:
         workload = f"L{session.layers}"
         tracer = current_tracer()
-        if session.ttft_deadline_s < self.config.dispatch_overhead_s:
+        if session.ttft_deadline_s < DISPATCH_OVERHEAD_S:
             # SLO unsatisfiable at submit time: even an empty cluster
             # pays one dispatch before the first token.  Refuse now —
             # with a per-tenant count — rather than let it time out.

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..decode.engine import DecodeEngine, StepReport
 from ..serve.pool import ExecutablePool
+from ..serve.server import DISPATCH_OVERHEAD_S
 from .session import Session, token_digest
 
 # cluster.py imports this module, so ClusterConfig is for annotations.
@@ -158,7 +159,7 @@ class Worker:
         replay_s = 0.0
         if session.tokens_done:
             session.replays += 1
-            replay_s = self.config.dispatch_overhead_s
+            replay_s = DISPATCH_OVERHEAD_S
             for k in range(session.tokens_done):
                 report = engine.step_seq(session.sequence)
                 replay_s += report.total_s
@@ -196,7 +197,7 @@ class Worker:
             engine = self.engine(layers)
             iteration = engine.step_batch([s.sequence for s in group])
             device_s += iteration.device_seconds(
-                dispatch_overhead_s=self.config.dispatch_overhead_s,
+                dispatch_overhead_s=DISPATCH_OVERHEAD_S,
                 replica_groups=self.config.replica_groups,
             )
             for session, report in zip(group, iteration.reports):

@@ -24,8 +24,8 @@ An engine starts with no sequence: :meth:`DecodeEngine.add_sequence`
 is the one way to create one (its prompt rows and first hidden state
 come from ``default_rng((engine seed, hash of the name))``), and
 ``decode()`` is ``add_sequence("seq0", prompt_tokens)`` plus one
-``step_batch(["seq0"])`` per token.  The engine always places with the
-``upmem`` policy, pins the builder's small grids and plans residency
+``step_batch(["seq0"])`` per token.  The engine always compiles for the
+``upmem`` target, pins the builder's small grids and plans residency
 with Belady's rule — options no caller set were removed; the model
 graph's tensor names and layer size come from
 :func:`repro.graph.gptj_layer_io` / :func:`repro.graph.gptj_layer_nbytes`.

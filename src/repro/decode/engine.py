@@ -505,14 +505,14 @@ class DecodeEngine:
             graph = gptj_model_graph(
                 self.config, layers=self.layers, capacity=capacity
             )
-            placement = place(graph)
+            target = place(graph)
             # Pin the epoch's working set BEFORE compiling: pinning after
             # the fact would let a small pool evict the epoch's own
             # programs while later nodes of the same graph still compile.
-            keys = pool_keys(graph, placement)
+            keys = pool_keys(graph, target)
             for key in sorted(keys, key=repr):
                 self.pool.pin(key)
-            exe = GraphExecutable(graph, placement, self.pool)
+            exe = GraphExecutable(graph, target, self.pool)
             layer_costs, step_costs = self._profile_costs(exe)
             epoch = _Epoch(capacity, exe, graph, keys, layer_costs, step_costs)
             self._epochs[capacity] = epoch

@@ -25,7 +25,7 @@ attention is the multi-head MMTV of Fig. 10,
   ``fc_pre`` (the view of the fused vector's last ``4d`` elements);
   GELU runs over the last ``4d`` elements of it first, and the
   residual add ``x + ...`` after (layer norms are omitted — they move
-  no tensor the planner or the placement story cares about).
+  no tensor the planner or the cost model cares about).
 
 The softmax and the residual add are host epilogues of the program
 before them (:func:`repro.workloads.with_epilogue`) and GELU a host
@@ -35,7 +35,7 @@ the host work around a PIM kernel — the rfactor fold of §5.2.1 —
 inside the module: the lowering emits them as ``host_pre`` and
 ``host_post`` statements, the host-statement model prices them, and a
 lane-sliced host program runs them.  No glue is a node of its own, so
-under the ``cpu`` placement a fused node is priced once by the CPU
+compiled for the ``cpu`` target a fused node is priced once by the CPU
 roofline, as TVM fuses injective ops into their producer.  The slices
 and the reshape compute nothing, so they are graph views
 (:meth:`ModelGraph.add_view`), and the concat is one host copy
@@ -360,11 +360,9 @@ def _emit_layer(
         return f"{base}_L{layer}"
 
     def op(name, wl, inputs, output):
-        # Tagged ``attn``: each program makes or reads attention, so
-        # ``mixed`` keeps it on PIM.
         g.add_node(
             f"L{layer}.{name}", wl, inputs, output,
-            params=small_grid_params(wl), tags=("attn",),
+            params=small_grid_params(wl),
         )
 
     # -- one program for both branches' matvecs over x ----------------------

@@ -1,8 +1,9 @@
 """GraphExecutable: a compiled model graph with an end-to-end cost model.
 
-Every node compiles through the serving layer's
-:class:`~repro.serve.pool.ExecutablePool` (so nodes that share one
-program, such as every layer's ``qkv_fc``, compile it once) with the
+A graph compiles for one target: :func:`place` resolves it and checks
+that it supports every node.  Every node compiles through the serving
+layer's :class:`~repro.serve.pool.ExecutablePool` (so nodes that share
+one program, such as every layer's ``qkv_fc``, compile it once) with the
 node's own ``params`` — the builder's pinned grids, or tuned ones
 assigned per node.  A :class:`GraphExecutable` is many programs, not one
 :class:`~repro.target.Executable`: it runs named tensors
@@ -15,27 +16,30 @@ it is bound by one host copy of its parts once the last one exists —
 and is bit-for-bit identical to calling each node's ``Executable.run``
 by hand at any ``REPRO_MAX_WORKERS``.
 
-The latency model mirrors the serving timing model (§5.4), extended with
-placement boundaries:
+On a host target (the ``cpu`` roofline) a node's line is its whole
+profile: the roofline models its memory traffic inside the compute
+number, and nothing crosses a bus.  On the PIM target the latency model
+mirrors the serving timing model (§5.4), extended with the host/device
+boundary:
 
 * **compute** (launch + kernel + host reduce) is charged per node from
   the node's own target profile;
 * **dynamic H2D** is charged only for inputs *crossing* onto the device
-  — produced on the host (by a host-placed node, or by a PIM program
-  whose module ends in host statements: an rfactor fold, a host
-  epilogue), arriving as a non-constant external input, or read through
-  a view or a concat, or made by the module's own host prologue; a PIM
-  kernel's output hands off in MRAM for free, and an input only the
-  module's host statements read (a softmax mask, a residual operand, a
-  prologue's operand) never crosses;
+  — produced on the host (by a program whose module ends in host
+  statements: an rfactor fold, a host epilogue), arriving as a
+  non-constant external input, or read through a view or a concat, or
+  made by the module's own host prologue; a kernel's output hands off
+  in MRAM for free, and an input only the module's host statements
+  read (a softmax mask, a residual operand, a prologue's operand) never
+  crosses;
 * **D2H** is charged only when the node's output *leaves* the device
-  (a host-placed consumer, a view, a concat, or a graph output) or is
-  produced on the host, which always brings the kernel's result back;
+  (a view, a concat, or a graph output reads it) or is produced on the
+  host, which always brings the kernel's result back;
 * a **view** is a host-side alias with no cost line of its own: it
   prices as the host glue it replaces minus that glue's compute, so its
-  PIM base still pays the D2H and its PIM readers the H2D; a **concat**
-  is a host-side copy priced the same way: no line, the D2H of its
-  parts' PIM producers, the H2D of its PIM readers;
+  base still pays the D2H and its readers the H2D; a **concat** is a
+  host-side copy priced the same way: no line, the D2H of its parts'
+  producers, the H2D of its readers;
 * **weight staging** (the constant-input share of H2D — weights, the KV
   cache) is charged once per pool load, not per run: the paper's
   "constant tensors ... transferred once before kernel launches".
@@ -54,24 +58,23 @@ import numpy as np
 
 from ..obs import current_tracer
 from ..serve.pool import ExecutablePool
-from ..target import Executable, Target
+from ..target import Executable, Target, get_target
 from ..upmem.system import Latency
-from .ir import Concat, ModelGraph, Node, View
-from .placement import place
+from .ir import Concat, GraphError, ModelGraph, Node, View
 
 __all__ = [
     "NodeCost",
     "GraphProfile",
     "GraphExecutable",
     "compile_graph",
+    "place",
     "pool_keys",
     "PIM_KIND",
 ]
 
-#: The target kind placement sends matvecs to: its executables run on the
-#: (simulated) PIM machine, and data they produce stays device-resident
-#: until a host-placed consumer or a graph output forces it back over the
-#: bus.  Every other node runs on the host roofline.
+#: The PIM target kind: its executables run on the (simulated) PIM
+#: machine, and data they produce stays device-resident until the host
+#: reads it.  Every other kind a graph compiles for is a host roofline.
 PIM_KIND = "upmem"
 
 
@@ -133,41 +136,54 @@ class GraphProfile:
         return self.latency.total - self.staging_s
 
 
-def pool_keys(graph: ModelGraph, placement: Dict[str, Target]) -> set:
-    """Residency keys of every (workload, target, params) program a
-    placed graph binds — what a long-lived loop pins in the pool, and
-    can pin *before* compiling."""
-    return {
-        ExecutablePool.key_for(
-            node.workload, placement[node.name], node.params
+def place(graph: ModelGraph, target: Union[str, Target] = "upmem") -> Target:
+    """The one :class:`~repro.target.Target` ``graph`` compiles for:
+    ``target`` — a kind string or a configured instance, as
+    ``repro.compile`` takes — resolved once, after checking that it
+    supports every node.  A node it cannot compile is a
+    :class:`~repro.graph.ir.GraphError` naming that node here, before
+    any program loads, not a confusing compile failure later."""
+    if not isinstance(graph, ModelGraph):
+        raise TypeError(
+            f"a graph compiles from a ModelGraph, not {type(graph).__name__}"
         )
+    graph.validate()
+    resolved = get_target(target)
+    for node in graph.nodes:
+        if not resolved.supports(node.workload):
+            raise GraphError(
+                f"node {node.name!r} ({node.workload.name}) cannot compile"
+                f" for target {resolved.kind!r}"
+            )
+    return resolved
+
+
+def pool_keys(graph: ModelGraph, target: Target) -> set:
+    """Residency keys of every (workload, target, params) program the
+    graph binds — what a long-lived loop pins in the pool, and can pin
+    *before* compiling."""
+    return {
+        ExecutablePool.key_for(node.workload, target, node.params)
         for node in graph.nodes
     }
 
 
 class GraphExecutable:
-    """A model graph compiled node-by-node for a placement."""
+    """A model graph compiled node-by-node for one target."""
 
     def __init__(
-        self,
-        graph: ModelGraph,
-        placement: Dict[str, Target],
-        pool: ExecutablePool,
+        self, graph: ModelGraph, target: Target, pool: ExecutablePool
     ) -> None:
         graph.validate()
-        missing = [n.name for n in graph.nodes if n.name not in placement]
-        if missing:
-            raise ValueError(f"placement misses nodes {missing}")
         self.graph = graph
-        self.placement = placement
+        self.target = target
         self._order = graph.topological_order()
         #: node name -> (Executable, freshly loaded by this compile).
         self._exes: Dict[str, Tuple[Executable, bool]] = {}
         for node in self._order:
-            exe, loaded = pool.get(
-                node.workload, placement[node.name], node.params
+            self._exes[node.name] = pool.get(
+                node.workload, target, node.params
             )
-            self._exes[node.name] = (exe, loaded)
         #: Per node in topological order, its executable, its
         #: ``(workload input, graph tensor)`` pairs and the views and
         #: concats bound after it: the wiring is the graph's, a run only
@@ -299,32 +315,15 @@ class GraphExecutable:
                         )
 
     def _build_profile(self) -> GraphProfile:
-        graph_outputs = set(self.graph.output_names)
-        # Node outputs a view or a concat reads on the host.
-        viewed = {view.base for view in self.graph.views.values()}
-        viewed.update(
-            part for concat in self.graph.concats.values()
-            for part in concat.parts
-        )
         costs: List[NodeCost] = []
         agg = dict(h2d=0.0, kernel=0.0, d2h=0.0, host=0.0, launch=0.0)
-        staging_total = 0.0
-        # Staging is charged once per distinct const graph tensor (heads
-        # share one compiled program but stage separate KV caches).  A
-        # graph compiled entirely from a warm pool staged nothing: its
-        # weights are already device-resident.
-        fresh = any(loaded for _, loaded in self._exes.values())
-        staged_tensors: set = set()
-        for node in self._order:
-            exe, loaded = self._exes[node.name]
-            kind = self.placement[node.name].kind
-            on_pim = kind == PIM_KIND
-            lat = exe.profile().latency
-            if not on_pim:
-                # Host backends (rooflines) model their memory traffic
-                # inside the compute number; boundary transfers are
-                # charged on the PIM side of each edge.
-                cost = NodeCost(
+        kind = self.target.kind
+        if kind != PIM_KIND:
+            # Host backends (rooflines) model their memory traffic
+            # inside the compute number: nothing crosses a bus.
+            for node in self._order:
+                lat = self._exes[node.name][0].profile().latency
+                costs.append(NodeCost(
                     node=node.name,
                     op=node.workload.name,
                     target=kind,
@@ -334,65 +333,74 @@ class GraphExecutable:
                     staging_s=0.0,
                     crossing_in=False,
                     crossing_out=False,
-                )
+                ))
                 agg["kernel"] += lat.kernel
                 agg["launch"] += lat.launch
                 agg["host"] += lat.host + lat.h2d + lat.d2h
-            else:
-                crossing, const_bytes, total_in, const_tensors = (
-                    self._input_bytes(node)
-                )
-                per_byte = lat.h2d / total_in if total_in else 0.0
-                h2d = crossing * per_byte
-                staging = 0.0
-                if fresh:
-                    for graph_name, nbytes in const_tensors:
-                        if graph_name not in staged_tensors:
-                            staged_tensors.add(graph_name)
-                            staging += nbytes * per_byte
-                leaves = (
-                    node.output in graph_outputs
-                    or node.output in viewed
-                    or self._made_on_host(node)
-                    or any(
-                        self.placement[c.name].kind != PIM_KIND
-                        for c in self.graph.consumers(node.output)
-                    )
-                )
-                d2h = lat.d2h if leaves else 0.0
-                cost = NodeCost(
-                    node=node.name,
-                    op=node.workload.name,
-                    target=kind,
-                    compute_s=lat.launch + lat.kernel + lat.host,
-                    h2d_s=h2d,
-                    d2h_s=d2h,
-                    staging_s=staging,
-                    crossing_in=crossing > 0,
-                    crossing_out=leaves,
-                )
-                agg["kernel"] += lat.kernel
-                agg["launch"] += lat.launch
-                agg["host"] += lat.host
-                agg["h2d"] += h2d + staging
-                agg["d2h"] += d2h
-                staging_total += staging
-            costs.append(cost)
+            return GraphProfile(nodes=costs, latency=Latency(**agg))
+        graph_outputs = set(self.graph.output_names)
+        # Node outputs a view or a concat reads on the host.
+        viewed = {view.base for view in self.graph.views.values()}
+        viewed.update(
+            part for concat in self.graph.concats.values()
+            for part in concat.parts
+        )
+        staging_total = 0.0
+        # Staging is charged once per distinct const graph tensor (heads
+        # share one compiled program but stage separate KV caches).  A
+        # graph compiled entirely from a warm pool staged nothing: its
+        # weights are already device-resident.
+        fresh = any(loaded for _, loaded in self._exes.values())
+        staged_tensors: set = set()
+        for node in self._order:
+            lat = self._exes[node.name][0].profile().latency
+            crossing, const_bytes, total_in, const_tensors = (
+                self._input_bytes(node)
+            )
+            per_byte = lat.h2d / total_in if total_in else 0.0
+            h2d = crossing * per_byte
+            staging = 0.0
+            if fresh:
+                for graph_name, nbytes in const_tensors:
+                    if graph_name not in staged_tensors:
+                        staged_tensors.add(graph_name)
+                        staging += nbytes * per_byte
+            leaves = (
+                node.output in graph_outputs
+                or node.output in viewed
+                or self._made_on_host(node)
+            )
+            d2h = lat.d2h if leaves else 0.0
+            costs.append(NodeCost(
+                node=node.name,
+                op=node.workload.name,
+                target=kind,
+                compute_s=lat.launch + lat.kernel + lat.host,
+                h2d_s=h2d,
+                d2h_s=d2h,
+                staging_s=staging,
+                crossing_in=crossing > 0,
+                crossing_out=leaves,
+            ))
+            agg["kernel"] += lat.kernel
+            agg["launch"] += lat.launch
+            agg["host"] += lat.host
+            agg["h2d"] += h2d + staging
+            agg["d2h"] += d2h
+            staging_total += staging
         return GraphProfile(
             nodes=costs, latency=Latency(**agg), staging_s=staging_total
         )
 
     def _made_on_host(self, node: Node) -> bool:
         """Whether ``node``'s output is produced on the host: by a
-        host-placed node, or by a PIM program whose module ends in host
-        statements (an rfactor fold, a host epilogue) — its D2H is paid
-        whoever reads it, and a PIM reader pays the H2D."""
-        if self.placement[node.name].kind != PIM_KIND:
-            return True
+        module that ends in host statements (an rfactor fold, a host
+        epilogue) — its D2H is paid whoever reads it, and a reader pays
+        the H2D."""
         return bool(self._exes[node.name][0].lowered.host_post)
 
     def _input_bytes(self, node: Node):
-        """Input-byte breakdown of one PIM-placed node: (bytes crossing
+        """Input-byte breakdown of one node on the PIM target: (bytes crossing
         host->device, const bytes, total input bytes, [(const graph
         tensor, nbytes), ...]).  An input only the module's host
         statements read (a softmax mask, a residual operand, the operand
@@ -407,7 +415,7 @@ class GraphExecutable:
         constant (``add_input(const=True)``).  A dynamic graph input
         bound to a const slot carries fresh data every run — that is
         recurring H2D, not staging — and an intermediate bound to a
-        const slot follows the ordinary producer-placement rules.
+        const slot follows the ordinary producer rules.
         """
         crossing = const_bytes = total = 0
         const_tensors: List[Tuple[str, int]] = []
@@ -437,12 +445,13 @@ class GraphExecutable:
 
 
 def compile_graph(
-    graph: ModelGraph, policy: str = "upmem"
+    graph: ModelGraph, target: Union[str, Target] = "upmem"
 ) -> GraphExecutable:
-    """Compile a model graph: :func:`~repro.graph.placement.place` every
-    node under ``policy``, then compile each through a fresh
+    """Compile a model graph for one target: :func:`place` it, then
+    compile each node through a fresh
     :class:`~repro.serve.pool.ExecutablePool` large enough to hold them
     all.  A long-lived loop that shares one pool across graphs (the
     decode engine) builds :class:`GraphExecutable` itself."""
+    resolved = place(graph, target)
     pool = ExecutablePool(capacity=max(8, len(graph.nodes)))
-    return GraphExecutable(graph, place(graph, policy), pool)
+    return GraphExecutable(graph, resolved, pool)

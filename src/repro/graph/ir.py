@@ -16,10 +16,9 @@ acyclicity) and expose a *deterministic* topological order — ties break
 on node insertion order, so two identically built graphs schedule, plan
 memory and charge latency identically on any machine.
 
-The graph is the unit the rest of :mod:`repro.graph` consumes: the
-placement pass assigns each node a backend,
-:func:`~repro.graph.executable.compile_graph` turns the placed graph
-into a :class:`~repro.graph.executable.GraphExecutable`, and the memory
+The graph is the unit the rest of :mod:`repro.graph` consumes:
+:func:`~repro.graph.executable.compile_graph` compiles it for one
+target into a :class:`~repro.graph.executable.GraphExecutable`, and the memory
 planner walks :meth:`topological_order`.  A graph is not a workload:
 ``repro.compile`` refuses one.
 """
@@ -52,8 +51,7 @@ class Node:
     tensor this node defines.  ``params`` carries explicit schedule
     parameters for compiling targets (serving-grade graphs pin small
     grids — the canonical max-parallelism defaults cost seconds of
-    simulator host time per run).  ``tags`` label the node for placement
-    policies (``"attn"``, ``"ffn"``, ...).
+    simulator host time per run).
     """
 
     name: str
@@ -61,7 +59,6 @@ class Node:
     inputs: Dict[str, str]
     output: str
     params: Optional[Dict[str, int]] = None
-    tags: frozenset = frozenset()
 
     def input_bindings(self) -> List[Tuple[str, str, Tuple[int, ...]]]:
         """(workload input name, graph tensor name, expected shape) in
@@ -164,7 +161,6 @@ class ModelGraph:
         inputs: Dict[str, str],
         output: str,
         params: Optional[Dict[str, int]] = None,
-        tags: Sequence[str] = (),
     ) -> Node:
         """Append an operator node.  Forward references to tensors that
         a later node defines are allowed; :meth:`validate` settles them."""
@@ -178,7 +174,6 @@ class ModelGraph:
             inputs=dict(inputs),
             output=output,
             params=dict(params) if params else None,
-            tags=frozenset(tags),
         )
         self.nodes.append(node)
         self._producers[output] = node
@@ -337,10 +332,6 @@ class ModelGraph:
             schedule[at[name]].append(alias)
         return schedule
 
-    def consumers(self, name: str) -> List[Node]:
-        """Nodes reading ``name``, in insertion order."""
-        return [n for n in self.nodes if name in n.inputs.values()]
-
     # -- validation / ordering ----------------------------------------------
     def validate(self) -> None:
         """Check structure: every reference resolves, shapes agree, the
@@ -418,7 +409,7 @@ class ModelGraph:
     def structural_signature(self) -> tuple:
         """Stable structural identity: two separately built but
         identical graphs share it; any difference in inputs, wiring,
-        shapes, tags, per-node params, views or concats (their parts'
+        shapes, per-node params, views or concats (their parts'
         order included) separates them (the golden graph table pins its
         digest per builder case)."""
         return (
@@ -439,9 +430,6 @@ class ModelGraph:
                     workload_signature(node.workload),
                     tuple(sorted(node.inputs.items())),
                     node.output,
-                    # Tags steer placement, and placement picks the
-                    # compiled program: they separate graphs like params.
-                    tuple(sorted(node.tags)),
                     tuple(sorted((node.params or {}).items())),
                 )
                 for node in self.nodes

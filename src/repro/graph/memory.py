@@ -107,7 +107,7 @@ def plan_memory(graph: ModelGraph) -> MemoryPlan:
     """Plan intermediate-buffer reuse for ``graph``.
 
     Deterministic: depends only on the graph's structure (topological
-    order, tensor sizes), never on placement, thread count or wall time.
+    order, tensor sizes), never on the target, thread count or wall time.
     """
     graph.validate()
     order = graph.topological_order()

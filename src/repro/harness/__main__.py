@@ -67,8 +67,9 @@ EXPERIMENTS = tuple(dict.fromkeys(row.name for row in TABLE))
 #: 3 = fig18 cluster payloads, ``settings.workers``, and versioned
 #: ServerMetrics dicts (``schema_version`` inside ``metrics``);
 #: 4 = the measurement fan-out entry of ``settings`` removed with the
-#: option.
-JSON_SCHEMA_VERSION = 4
+#: option; 5 = fig17's ``mixed`` row and breakdown removed with per-node
+#: placement (a graph compiles for one target).
+JSON_SCHEMA_VERSION = 5
 
 
 def write_json(path: str, results, args: argparse.Namespace) -> None:

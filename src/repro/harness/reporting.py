@@ -133,8 +133,8 @@ def fig17_end_to_end_report(data: Dict) -> str:
             title=f"Fig 17: end-to-end decode step ({data['graph']})",
         ),
         render_table(
-            data["breakdown"]["mixed"],
-            title="Fig 17: per-node breakdown (mixed placement)",
+            data["breakdown"]["upmem"],
+            title="Fig 17: per-node breakdown (upmem)",
         ),
         f"memory plan: arena {mem['arena_bytes']} B over"
         f" {mem['slots']} slots vs naive {mem['naive_bytes']} B"

@@ -141,3 +141,12 @@ class LoweredModule:
 
     def transfer(self, direction: str) -> List[TransferSpec]:
         return [t for t in self.transfers if t.direction == direction]
+
+    # A pickle holds the module, not what was derived from it: the
+    # ``_``-prefixed entries (the local byte count, the vector plans and
+    # host programs of ``repro.upmem.vectorize``) rebuild on first use.
+    def __getstate__(self):
+        return {
+            name: value for name, value in self.__dict__.items()
+            if not name.startswith("_")
+        }

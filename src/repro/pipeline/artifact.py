@@ -264,15 +264,6 @@ class ArtifactCache:
         return artifact
 
     def _remember(self, key: str, artifact: CompiledArtifact) -> None:
-        module = artifact.module
-        if module is not None and getattr(module, "plan_key", None) is None:
-            # Stamp the content hash on the lowered module so the
-            # vectorizer's compiled-plan cache (repro.upmem.vectorize)
-            # can key plans by it instead of by object identity.
-            try:
-                module.plan_key = artifact.key
-            except (AttributeError, TypeError):  # frozen/slotted stand-ins
-                pass
         self._mem[key] = artifact
         self._mem.move_to_end(key)
         while len(self._mem) > self.max_entries:

@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 from ..obs import current_tracer
 from ..pipeline import workload_signature
 from ..target import Executable, get_target
+from ..workloads import Workload
 
 __all__ = ["ExecutablePool"]
 
@@ -57,15 +58,17 @@ class ExecutablePool:
         the codebase mutates in place, e.g. the GPT-J factories tagging
         model/layer), so a post-construction params update never serves
         a stale key; tensors and compute expressions are treated as
-        immutable, as everywhere else in the repository.
+        immutable, as everywhere else in the repository.  Anything but
+        a :class:`~repro.workloads.Workload` — a model graph included —
+        is no servable program: a ``TypeError``.
         """
-        fingerprint = tuple(
-            sorted((getattr(workload, "params", None) or {}).items())
-        )
-        memo = getattr(workload, "_structural_signature", None)
+        if not isinstance(workload, Workload):
+            raise TypeError(
+                f"a pool key takes a Workload, not {type(workload).__name__}"
+            )
+        fingerprint = tuple(sorted((workload.params or {}).items()))
+        memo = workload.__dict__.get("_structural_signature")
         if memo is None or memo[0] != fingerprint:
-            # Raises TypeError for anything but a Workload: a model
-            # graph is no servable program.
             memo = (fingerprint, workload_signature(workload))
             workload._structural_signature = memo
         return (

@@ -51,6 +51,7 @@ import numpy as np
 from ..obs import current_tracer
 from ..target import UpmemExecutable
 from ..upmem.system import FlushLines, PerformanceModel
+from ..workloads import Workload
 from .metrics import ServerMetrics
 from .pool import ExecutablePool
 from .request import Request, Response, Ticket
@@ -60,7 +61,8 @@ __all__ = ["Server", "SyncClient", "ServeError"]
 
 #: Per-flush host-side cost (request handling, command assembly, rank
 #: broadcast setup) — the overhead dynamic batching exists to amortize;
-#: see :meth:`Server._batch_lines` for the full model.
+#: see :meth:`Server._batch_lines` for the full model.  A cluster
+#: worker's decode iteration pays it too (``repro.cluster``).
 DISPATCH_OVERHEAD_S = 1e-4
 #: Simulated seconds per arrival-clock tick.
 TICK_S = 1e-4
@@ -72,8 +74,13 @@ class ServeError(RuntimeError):
 
 def _workload_name(request: Request) -> str:
     """The metrics-bucket name of a request's workload — one rule shared
-    by rejection, completion and failure accounting."""
-    return request.workload.name
+    by rejection, completion and failure accounting.  A request whose
+    workload is no :class:`~repro.workloads.Workload` (admission rejects
+    it) buckets under the type's name."""
+    workload = request.workload
+    if isinstance(workload, Workload):
+        return workload.name
+    return type(workload).__name__
 
 
 class Server:
@@ -143,8 +150,13 @@ class Server:
 
         Returns a :class:`Ticket`: ``rejected`` when the pending queue
         is full, otherwise ``queued`` (and ``done`` with a response as
-        soon as its group flushes).
+        soon as its group flushes).  Anything but a :class:`Request` is a
+        ``TypeError``.
         """
+        if not isinstance(request, Request):
+            raise TypeError(
+                f"Server.submit takes a Request, not {type(request).__name__}"
+            )
         self._check_open()
         tracer = current_tracer()
         name = _workload_name(request)

@@ -79,6 +79,8 @@ class UpmemTarget(Target):
         self.config = config or DEFAULT_CONFIG
 
     def supports(self, workload: Workload) -> bool:
+        if not isinstance(workload, Workload):
+            return False
         try:
             family_of(workload)
         except (KeyError, ValueError):
@@ -160,6 +162,8 @@ class PrimTarget(Target):
         return "prim" if self.variant == "default" else f"prim_{self.variant}"
 
     def supports(self, workload: Workload) -> bool:
+        if not isinstance(workload, Workload):
+            return False
         try:
             prim_params(workload)
         except KeyError:
@@ -220,7 +224,10 @@ class SimplePimTarget(Target):
         self.config = config or DEFAULT_CONFIG
 
     def supports(self, workload: Workload) -> bool:
-        return getattr(workload, "name", None) in SIMPLEPIM_WORKLOADS
+        return (
+            isinstance(workload, Workload)
+            and workload.name in SIMPLEPIM_WORKLOADS
+        )
 
     def compile(
         self,
@@ -261,7 +268,7 @@ class CpuTarget(Target):
         return self.model
 
     def supports(self, workload: Workload) -> bool:
-        return getattr(workload, "reference", None) is not None
+        return isinstance(workload, Workload) and workload.reference is not None
 
     def compile(
         self,

@@ -34,6 +34,7 @@ import numpy as np
 from ..lowering import LoweredModule, TransferSpec
 from ..tir import Buffer, Var
 from .interp import Interpreter, _np_dtype
+from .vectorize import host_program_for, plan_for
 
 __all__ = [
     "FunctionalExecutor",
@@ -81,32 +82,10 @@ class FunctionalExecutor:
         self.module = module
         self.mode = mode  # None -> read REPRO_SIM_MODE per phase
         self._grid_points: Optional[List[tuple]] = None
-        #: The module's vector plan and host programs once a call has
-        #: needed them: the plan cache is a locked lookup, and the module
-        #: never changes.
-        self._kernel_plan = None
-        self._host_programs: Dict[str, object] = {}
 
     # -- mode plumbing ------------------------------------------------------
     def _mode(self) -> str:
         return sim_mode(self.mode)
-
-    def _plan(self):
-        if self._kernel_plan is None:
-            from .vectorize import plan_for
-
-            self._kernel_plan = plan_for(self.module)
-        return self._kernel_plan
-
-    def _host_program(self, which: str):
-        program = self._host_programs.get(which)
-        if program is None:
-            from .vectorize import host_program_for
-
-            program = self._host_programs[which] = host_program_for(
-                self.module, which
-            )
-        return program
 
     def prepare(self, inputs: Dict[str, np.ndarray]) -> Dict[Buffer, np.ndarray]:
         """Bind named inputs, allocate outputs, run the host preamble."""
@@ -150,12 +129,12 @@ class FunctionalExecutor:
         if mode == "scalar":
             interpret(arrays)
         elif mode == "vector":
-            self._host_program(which).run(arrays)
+            host_program_for(self.module, which).run(arrays)
         else:
             # verify: run the compiled program for real, the interpreter
             # on copies, and compare every buffer bitwise.
             shadow = {buf: arr.copy() for buf, arr in arrays.items()}
-            self._host_program(which).run(arrays)
+            host_program_for(self.module, which).run(arrays)
             interpret(shadow)
             _compare_buffers(arrays, shadow, f"host_{which}")
 
@@ -177,7 +156,7 @@ class FunctionalExecutor:
         (one :meth:`prepare` result per batch item)."""
         mode = self._mode()
         if mode == "vector":
-            self._plan().run_points(states, lanes)
+            plan_for(self.module).run_points(states, lanes)
         elif mode == "scalar":
             for item, points in self._item_points(lanes):
                 self._run_points_scalar(states[item], points)
@@ -282,7 +261,7 @@ class FunctionalExecutor:
                 shadow[buf] = shadow[buf].copy()
             shadows.append(shadow)
         self._audit_resident(lanes)
-        self._plan().run_points(states, lanes)
+        plan_for(self.module).run_points(states, lanes)
         probe = Interpreter({})
         grid_vars = module.grid_vars()
         for (item, points), shadow in zip(items, shadows):
@@ -305,13 +284,8 @@ class FunctionalExecutor:
 
     def _audit_resident(self, lanes: range) -> None:
         """The vector plan's resident chunk geometry for ``lanes``
-        against a fresh build (:meth:`KernelPlan.check_invariants`).
-        Reads the plan cache again, so the plan audited is the plan the
-        next call runs."""
-        from .vectorize import plan_for
-
-        self._kernel_plan = plan = plan_for(self.module)
-        problems = plan.check_invariants(lanes)
+        against a fresh build (:meth:`KernelPlan.check_invariants`)."""
+        problems = plan_for(self.module).check_invariants(lanes)
         if problems:
             raise VerifyMismatch(
                 "resident chunk geometry differs from a fresh build: "

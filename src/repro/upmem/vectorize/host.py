@@ -1,4 +1,4 @@
-"""Host statement programs, and the cache that keeps one compiled plan
+"""Host statement programs, and the memo that keeps one compiled plan
 per module and slot.
 
 A host program runs the ``host_pre`` / ``host_post`` statements of a
@@ -28,9 +28,6 @@ into one, with no index array, no gather and no per-element test.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
-from collections import OrderedDict
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -176,50 +173,31 @@ class HostProgram:
             plan.run(arrays)
 
 
-_PLAN_LOCK = threading.Lock()
-#: key -> (weakref(module), {"kernel": ..., "host_pre": ..., "host_post": ...})
-_PLANS: "OrderedDict" = OrderedDict()
-_PLAN_CACHE_SIZE = 256
-
-
 def _cached_plan(module: LoweredModule, slot: str, builder):
-    """Per-module plan cache.
+    """Per-module plan memo, kept in the module's own ``_plans`` entry.
 
-    Keyed by the pipeline artifact content hash (``module.plan_key``,
-    stamped by :class:`repro.pipeline.ArtifactCache`) when available, by
-    object identity otherwise.  Compiled plans capture :class:`Buffer`
-    object identity, so an entry is only reused for the *same* module
-    object — the content key's job is to give cache-shared modules a
-    stable slot that survives executor churn.
+    Compiled plans capture :class:`Buffer` object identity, so they
+    belong to the one module object they were built for: the memo dies
+    with it, a pickle leaves it out (:meth:`LoweredModule.__getstate__`)
+    and ``dataclasses.replace`` starts the new module without one.  A
+    lookup takes no lock: threads that first touch a module together
+    each build a plan, and ``dict.setdefault`` (atomic under the GIL)
+    keeps the first stored, which all of them return.
     """
-    key = getattr(module, "plan_key", None) or id(module)
-    with _PLAN_LOCK:
-        entry = _PLANS.get(key)
-        if entry is not None and entry[0]() is module:
-            plan = entry[1].get(slot)
-            if plan is not None:
-                _PLANS.move_to_end(key)
-                return plan
-    plan = builder(module)
-    with _PLAN_LOCK:
-        entry = _PLANS.get(key)
-        if entry is None or entry[0]() is not module:
-            entry = (weakref.ref(module), {})
-            _PLANS[key] = entry
-            while len(_PLANS) > _PLAN_CACHE_SIZE:
-                _PLANS.popitem(last=False)
-        # Threads that first touch a module together each build a plan;
-        # the first to get here stores its own, and all of them return it.
-        return entry[1].setdefault(slot, plan)
+    plans = module.__dict__.setdefault("_plans", {})
+    plan = plans.get(slot)
+    if plan is None:
+        plan = plans.setdefault(slot, builder(module))
+    return plan
 
 
 def plan_for(module: LoweredModule) -> KernelPlan:
-    """The compiled (cached) kernel plan for a lowered module."""
+    """The compiled (memoized) kernel plan for a lowered module."""
     return _cached_plan(module, "kernel", KernelPlan)
 
 
 def host_program_for(module: LoweredModule, which: str) -> HostProgram:
-    """The compiled (cached) host ``"pre"`` or ``"post"`` program."""
+    """The compiled (memoized) host ``"pre"`` or ``"post"`` program."""
     stmts = module.host_pre if which == "pre" else module.host_post
     return _cached_plan(
         module, "host_" + which, lambda m: HostProgram(stmts)

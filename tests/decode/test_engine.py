@@ -44,7 +44,7 @@ class TestEpochs:
         engine.decode(tokens=4, prompt_tokens=6)
         pinned = engine.pool.pinned_keys()
         (epoch,) = engine._epochs.values()
-        current = pool_keys(epoch.graph, epoch.exe.placement)
+        current = pool_keys(epoch.graph, epoch.exe.target)
         assert current <= pinned or current == pinned
         # Retired capacity-dependent programs are unpinned once their
         # epoch ends.

@@ -119,24 +119,23 @@ def epilogue_lines_s(exe) -> dict:
             gained[node.name] = 0.0
             continue
         lat = repro.compile(
-            base, target=exe.placement[node.name], params=node.params,
+            base, target=exe.target, params=node.params,
         ).profile().latency
         line = lat.total if cost.target == "cpu" else lat.launch + lat.kernel + lat.host
         gained[node.name] = cost.compute_s - line
     return gained
 
 
-def _line_deltas_s(before, after, policy: str) -> dict:
+def _line_deltas_s(before, after, target: str) -> dict:
     """Per line, what program ``after`` saves over the ``before``
-    programs it replaced, each a ``(workload, tag)`` or ``(workload,
-    tag, params)`` compiled standalone at those params (by default its
-    small grid) on the side its tag places it under ``policy``, as the
-    graph prices it: compute, the H2D share of what crosses (every
-    non-const tensor on the DPUs) and the D2H of an output that leaves
-    (all of them do)."""
+    programs it replaced, each a ``(workload,)`` or ``(workload,
+    params)`` compiled standalone for ``target`` at those params (by
+    default its small grid), as the graph prices it: compute, the H2D
+    share of what crosses (every non-const tensor on the DPUs) and the
+    D2H of an output that leaves (all of them do)."""
 
-    def lines(workload, tag, params=None):
-        if policy == "cpu" or (policy == "mixed" and tag == "ffn"):
+    def lines(workload, params=None):
+        if target == "cpu":
             lat = repro.compile(workload, target="cpu").profile().latency
             return {"cpu": lat.total}
         exe = repro.compile(
@@ -162,27 +161,26 @@ def _line_deltas_s(before, after, policy: str) -> dict:
     }
 
 
-def fused_line_deltas_s(config: GPTJConfig, policy: str) -> dict:
+def fused_line_deltas_s(config: GPTJConfig, target: str) -> dict:
     """Per layer, what one ``qkv_fc`` program saves over the separate
-    ``qkv_gen`` and ``fc`` programs it replaced, by line
-    (``qkv_gen`` and ``qkv_fc`` are ``attn``, ``fc`` was ``ffn``).
-    GELU's host line is no term: it moved from ``fc``'s epilogue to
-    ``fc_proj``'s prologue at the same price."""
+    ``qkv_gen`` and ``fc`` programs it replaced, by line.  GELU's host
+    line is no term: it moved from ``fc``'s epilogue to ``fc_proj``'s
+    prologue at the same price."""
     d = config.d_model
     return _line_deltas_s(
-        [(fc_mtv(config, "qkv_gen"), "attn"), (fc_mtv(config, "fc"), "ffn")],
-        (mtv(7 * d, d), "attn"),
-        policy,
+        [(fc_mtv(config, "qkv_gen"),), (fc_mtv(config, "fc"),)],
+        (mtv(7 * d, d),),
+        target,
     )
 
 
 def proj_line_deltas_s(
-    config: GPTJConfig, policy: str, glue: bool = True
+    config: GPTJConfig, target: str, glue: bool = True
 ) -> dict:
     """Per layer, what one ``proj`` program saves over the separate
-    ``attn_proj`` (``attn``: the attention projection and the first
-    residual add) and ``fc_proj`` (``ffn``: GELU, the FC projection and
-    the second residual add) programs it replaced, by line; with
+    ``attn_proj`` (the attention projection and the first residual add)
+    and ``fc_proj`` (GELU, the FC projection and the second residual
+    add) programs it replaced, by line; with
     ``glue=False``, what their base programs (:func:`base_of`: no host
     epilogue or prologue) save, the term left once each node's glue
     lines (:func:`epilogue_lines_s`) are counted apart.  ``fc_proj``
@@ -201,9 +199,9 @@ def proj_line_deltas_s(
     )
     return _line_deltas_s(
         [
-            (pick(_residual(fc_mtv(config, "qkv_proj"))), "attn"),
-            (fc_proj, "ffn", {**small_grid_params(fc_proj), "m_dpus": rows}),
+            (pick(_residual(fc_mtv(config, "qkv_proj"))),),
+            (fc_proj, {**small_grid_params(fc_proj), "m_dpus": rows}),
         ],
-        (pick(proj), "attn"),
-        policy,
+        (pick(proj),),
+        target,
     )

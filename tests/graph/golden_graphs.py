@@ -2,7 +2,7 @@
 
 ``golden_graphs.json`` pins, for :func:`gptj_model_graph` (TINY,
 ``GPTJ_SIM``, ``CLUSTER_SIM`` x 1/2/3 layers x capacity 4/8/12), the
-digest of ``structural_signature()`` — names, shapes, wiring, tags,
+digest of ``structural_signature()`` — names, shapes, wiring,
 pinned params, views, concats: the emitted graph's identity — and,
 readable in a diff, the input order, output order, node order, each
 view as ``[name, base, offset, shape]`` and each concat as ``[name,

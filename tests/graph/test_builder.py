@@ -375,7 +375,7 @@ class TestTaskletPin:
 
     def test_every_decode_and_cluster_program_under_verify(self, monkeypatch):
         """Each distinct (workload, params) program the ``decode`` and
-        ``cluster`` model graphs place on the PIM side runs once with the
+        ``cluster`` model graphs compile for the PIM side runs once with the
         scalar interpreter checking the vector plan bit for bit — the
         tasklet split clamps to 14 rows per DPU on ``GPTJ_SIM``'s fused
         QKV/FC-up MTV (6 and 8 when it was two programs) and to 4 on
@@ -385,12 +385,11 @@ class TestTaskletPin:
         for config in (GPTJ_SIM, CLUSTER_SIM):
             for capacity in (4, 8, 12, 16):
                 graph = gptj_model_graph(config, 1, capacity)
-                placement = place(graph)
+                assert place(graph).kind == "upmem"
                 for node in graph.nodes:
-                    if placement[node.name].kind == "upmem":
-                        key = (node.workload.name, node.workload.shape,
-                               tuple(node.params.items()))
-                        programs.setdefault(key, node.workload)
+                    key = (node.workload.name, node.workload.shape,
+                           tuple(node.params.items()))
+                    programs.setdefault(key, node.workload)
         assert len(programs) == 19
         monkeypatch.setenv("REPRO_SIM_MODE", "verify")
         tasklets = set()
@@ -417,7 +416,7 @@ class TestPaperAttention:
     def test_one_score_and_one_value_mmtv_per_layer(self, config, capacity):
         layers = 2
         g = gptj_model_graph(config, layers, capacity)
-        placement = place(g)
+        assert place(g).kind == "upmem"
         for layer in range(layers):
             nodes = {
                 n.name.split(".", 1)[1]: n for n in g.nodes
@@ -429,18 +428,16 @@ class TestPaperAttention:
             assert nodes["attn_value"].workload.shape == (
                 config.n_heads, config.head_dim, capacity
             )
-            on_pim = [
+            mmtvs = [
                 name for name, n in nodes.items()
                 if n.workload.name == "mmtv"
-                and placement[n.name].kind == "upmem"
             ]
-            assert on_pim == ["attn_score", "attn_value"]
+            assert mmtvs == ["attn_score", "attn_value"]
 
     def test_three_layer_step_size(self):
         g = gptj_model_graph(GPTJ_SIM, 3, 8)
-        placement = place(g)
         assert len(g) == 12
-        assert all(t.kind == "upmem" for t in placement.values())
+        assert place(g).kind == "upmem"
 
 
 class TestModelGraph:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.graph import GPTJ_SIM, compile_graph, gptj_model_graph, place
+from repro.graph import GPTJ_SIM, compile_graph, gptj_model_graph
 
 from .conftest import (
     TINY, epilogue_lines_s, fused_line_deltas_s, proj_line_deltas_s,
@@ -26,8 +26,7 @@ from .conftest import (
 
 #: Per node role of ``gptj_model_graph(GPTJ_SIM, 3, 8)``, the
 #: ``(h2d_s, d2h_s, staging_s)`` the unfused graph (30 nodes) charged
-#: its PIM nodes, the same on every layer and under ``upmem`` and
-#: ``mixed`` (every node is ``attn``: ``mixed`` places as ``upmem``).
+#: its PIM nodes, the same on every layer.
 #: ``qkv_fc`` and ``proj`` are no unfused nodes: their lines are pinned
 #: as measured when they replaced ``qkv_gen`` and ``fc``, and
 #: ``attn_proj`` and ``fc_proj``.
@@ -38,16 +37,15 @@ _PARENT_TRANSFERS = {
     "proj": (7.655675112808053e-07, 1.097191489361702e-05, 9.799264144394308e-05),
 }
 
-#: One layer's steady cost (µs) in the unfused graph, per policy.
+#: One layer's steady cost (µs) in the unfused graph, per target.
 _PARENT_LAYER_US = {
     "upmem": 631.0406723546586,
-    "mixed": 529.5046091329106,
     "cpu": 357.968,
 }
 
 
-def _model(policy="upmem"):
-    return compile_graph(gptj_model_graph(GPTJ_SIM, 3, 8), policy=policy)
+def _model(target="upmem"):
+    return compile_graph(gptj_model_graph(GPTJ_SIM, 3, 8), target)
 
 
 def _by_layer(costs):
@@ -62,7 +60,7 @@ class TestShape:
     def test_three_layer_step_is_twelve_upmem_nodes(self):
         g = gptj_model_graph(GPTJ_SIM, 3, 8)
         assert len(g) == 12
-        assert {t.kind for t in place(g).values()} == {"upmem"}
+        assert {c.target for c in _model().profile().nodes} == {"upmem"}
         assert [n.name for n in g.nodes[:4]] == [
             "L0.qkv_fc", "L0.attn_score", "L0.attn_value", "L0.proj",
         ]
@@ -95,9 +93,8 @@ class TestShape:
 
 
 class TestTransfers:
-    @pytest.mark.parametrize("policy", ["upmem", "mixed"])
-    def test_every_pim_line_is_the_unfused_graphs(self, policy):
-        for layer in _by_layer(_model(policy).profile().nodes).values():
+    def test_every_pim_line_is_the_unfused_graphs(self):
+        for layer in _by_layer(_model().profile().nodes).values():
             for role, cost in layer.items():
                 assert cost.target == "upmem"
                 assert (cost.h2d_s, cost.d2h_s, cost.staging_s) == pytest.approx(
@@ -118,38 +115,38 @@ class TestDecomposition:
         glue = removed_glue_s(GPTJ_SIM, 8)
         assert glue * 1e6 == pytest.approx(120.5, abs=0.05)
 
-    @pytest.mark.parametrize("policy", ["upmem", "mixed", "cpu"])
-    def test_each_layer_falls_by_its_glue_minus_its_host_lines(self, policy):
+    @pytest.mark.parametrize("target", ["upmem", "cpu"])
+    def test_each_layer_falls_by_its_glue_minus_its_host_lines(self, target):
         """... and by what the fused ``qkv_fc`` saves over ``qkv_gen``
         and ``fc``, and ``proj``'s base over ``attn_proj``'s and
         ``fc_proj``'s (their glue is in the host lines)."""
-        exe = _model(policy)
+        exe = _model(target)
         gained = epilogue_lines_s(exe)
         glue = removed_glue_s(GPTJ_SIM, 8)
-        fused = sum(fused_line_deltas_s(GPTJ_SIM, policy).values())
+        fused = sum(fused_line_deltas_s(GPTJ_SIM, target).values())
         fused += sum(
-            proj_line_deltas_s(GPTJ_SIM, policy, glue=False).values()
+            proj_line_deltas_s(GPTJ_SIM, target, glue=False).values()
         )
         for name, layer in _by_layer(exe.profile().nodes).items():
             host = sum(gained[f"{name}.{role}"] for role in layer)
             assert 0 < host < 5e-6
             now = sum(cost.total_s for cost in layer.values())
             assert now == pytest.approx(
-                _PARENT_LAYER_US[policy] * 1e-6 - glue + host - fused,
+                _PARENT_LAYER_US[target] * 1e-6 - glue + host - fused,
                 rel=1e-9,
             )
 
 
 class TestRun:
-    @pytest.mark.parametrize("policy", ["upmem", "mixed", "cpu"])
-    def test_outputs_match_the_reference(self, policy):
+    @pytest.mark.parametrize("target", ["upmem", "cpu"])
+    def test_outputs_match_the_reference(self, target):
         g = gptj_model_graph(TINY, layers=2, capacity=8)
         inputs = g.random_inputs(4)
         inputs["attn_mask"][5:] = -np.inf
-        got = compile_graph(g, policy=policy).run_tensors(inputs)
+        got = compile_graph(g, target).run_tensors(inputs)
         want = g.reference_outputs(inputs)
         for name, ref in want.items():
-            if policy == "cpu":
+            if target == "cpu":
                 assert got[name].tobytes() == ref.tobytes(), name
             scale = float(np.max(np.abs(ref))) or 1.0
             assert np.max(np.abs(got[name] - ref)) / scale <= 1e-4, name

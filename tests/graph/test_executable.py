@@ -1,4 +1,4 @@
-"""GraphExecutable: placement, compilation, execution, cost model."""
+"""GraphExecutable: its one target, compilation, execution, cost model."""
 
 from dataclasses import replace
 
@@ -16,99 +16,90 @@ from repro.graph import (
 )
 from repro.graph.executable import pool_keys
 from repro.serve.pool import ExecutablePool
-from repro.target import UpmemTarget, get_target
+from repro.target import TargetError, UpmemTarget
 from repro.upmem.config import UpmemConfig
 from repro.workloads import mtv
 
-from .conftest import TINY, chain_graph
+from .conftest import TINY, chain_graph, host_glue
 
 
 class TestPlacement:
-    def test_upmem_puts_matvecs_on_pim(self, tiny_decoder):
-        placement = place(tiny_decoder, policy="upmem")
-        for node in tiny_decoder.nodes:
-            kind = placement[node.name].kind
-            if node.workload.name in ("mtv", "mmtv"):
-                assert kind == "upmem", node.name
-            else:
-                assert kind == "cpu", node.name
+    def test_upmem_puts_every_node_on_pim(self, tiny_decoder):
+        target = place(tiny_decoder, "upmem")
+        assert target.kind == "upmem"
+        exe = compile_graph(tiny_decoder, target)
+        assert exe.target is target
+        assert {c.target for c in exe.profile().nodes} == {"upmem"}
 
-    def test_cpu_policy_places_everything_on_host(self, tiny_decoder):
-        placement = place(tiny_decoder, policy="cpu")
-        assert {t.kind for t in placement.values()} == {"cpu"}
+    def test_cpu_puts_every_node_on_the_host(self, tiny_decoder):
+        profile = compile_graph(tiny_decoder, "cpu").profile()
+        assert {c.target for c in profile.nodes} == {"cpu"}
 
-    def test_mixed_policy_splits_attention_from_ffn(self, tiny_decoder):
-        placement = place(tiny_decoder, policy="mixed")
-        assert placement["L0.attn_score"].kind == "upmem"
-        # The fused QKV/FC-up program makes Q/K/V and the fused
-        # projections read the attention output: tagged attn, both run
-        # on PIM, FC rows included (they ran on the host while ``fc``
-        # and ``fc_proj`` were ffn nodes).
-        assert placement["L0.qkv_fc"].kind == "upmem"
-        assert placement["L0.proj"].kind == "upmem"
-        g = ModelGraph("ffn")
-        g.add_input("w", (16, 16), const=True)
-        g.add_input("x", (16,))
-        g.add_node("fc", mtv(16, 16), {"A": "w", "B": "x"}, "y",
-                   tags=("ffn",))
-        assert place(g, policy="mixed")["fc"].kind == "cpu"
+    def test_default_target_is_upmem(self, tiny_decoder):
+        """``place`` and ``compile_graph`` default to the kind fig17
+        reports its PIM row under."""
+        assert place(tiny_decoder).kind == "upmem"
+        assert compile_graph(tiny_decoder).target.kind == "upmem"
 
-    @pytest.mark.parametrize("policy", ["upmem", "cpu", "mixed"])
-    def test_each_side_is_one_target_instance(self, tiny_decoder, policy):
-        """Every node placed on one side shares one Target object, so
-        the whole graph has one pool identity and one config per side."""
-        placement = place(tiny_decoder, policy)
-        by_kind = {}
-        for target in placement.values():
-            assert by_kind.setdefault(target.kind, target) is target
+    def test_a_configured_target_passes_through(self, tiny_decoder):
+        """As ``repro.compile`` takes it: a kind string builds the
+        default instance, a configured instance is the target."""
+        two_ranks = UpmemTarget(config=UpmemConfig(n_ranks=2))
+        assert place(tiny_decoder, two_ranks) is two_ranks
 
-    def test_default_policy_is_upmem(self, tiny_decoder):
-        """``place`` and ``compile_graph`` default to the one name fig17
-        reports its everything-PIM row under."""
-        want = {
-            n: t.kind for n, t in place(tiny_decoder, policy="upmem").items()
-        }
-        assert {n: t.kind for n, t in place(tiny_decoder).items()} == want
-        exe = compile_graph(tiny_decoder)
-        assert {n: t.kind for n, t in exe.placement.items()} == want
+    def test_unknown_target_rejected(self, tiny_decoder):
+        with pytest.raises(TargetError, match="unknown target"):
+            place(tiny_decoder, "gpu-only")
 
     def test_node_the_host_cannot_compile_rejected(self):
-        """A node the policy keeps on the host must have a host
-        reference: placement refuses it, not a later compile."""
+        """The cpu roofline needs a host reference: placement refuses a
+        node without one, not a later compile."""
         g = chain_graph()
         node = next(n for n in g.nodes if n.name == "add")
         node.workload = replace(node.workload, reference=None)
-        with pytest.raises(GraphError, match="cannot compile"):
-            place(g, "upmem")
+        with pytest.raises(GraphError, match="'add' .*cannot compile"):
+            place(g, "cpu")
 
-    @pytest.mark.parametrize("policy", ["gpu-only", "default"])
-    def test_unknown_policy_rejected(self, tiny_decoder, policy):
-        with pytest.raises(GraphError, match="unknown placement policy"):
-            place(tiny_decoder, policy=policy)
+    def test_host_only_glue_rejected_before_any_pool_load(self, monkeypatch):
+        """A glue node with no sketch has no PIM program: compiling the
+        graph for upmem names the node before the pool loads anything."""
+        g = chain_graph()
+        g.add_node("glue", host_glue([(16,)], (16,), 16.0), {"I0": "y"}, "z")
+        loads = []
+        get = ExecutablePool.get
+        monkeypatch.setattr(
+            ExecutablePool, "get",
+            lambda pool, *args, **kw: loads.append(args) or get(
+                pool, *args, **kw
+            ),
+        )
+        with pytest.raises(GraphError, match="'glue' .*cannot compile for"
+                           " target 'upmem'"):
+            compile_graph(g, "upmem")
+        assert loads == []
+        compile_graph(g, "cpu")  # the host runs it
+        assert len(loads) == len(g.nodes)
 
     def test_configured_target_never_aliases_kind(self):
         """A differently configured Target instance of one kind is a
-        different compile: a hand-built placement on a two-rank machine
-        shares the default placement's host programs and none of its PIM
-        ones."""
+        different compile: a graph placed on a two-rank machine shares
+        none of the default machine's programs."""
         g = chain_graph()
         default = place(g, "upmem")
         two_ranks = UpmemTarget(config=UpmemConfig(n_ranks=2))
-        configured = {
-            name: two_ranks if target.kind == "upmem" else target
-            for name, target in default.items()
-        }
-        pim_keys = pool_keys(g, default) - pool_keys(g, configured)
-        assert len(pim_keys) == 1  # h1 and h2 bind one mtv program
+        keys = pool_keys(g, default)
+        assert len(keys) == 2  # h1 and h2 bind one mtv program, add a va
+        assert not keys & pool_keys(g, two_ranks)
         pool = ExecutablePool(capacity=8)
         GraphExecutable(g, default, pool)
         misses = pool.stats()["misses"]
-        GraphExecutable(g, configured, pool)
-        assert pool.stats()["misses"] == misses + len(pim_keys)
+        GraphExecutable(g, two_ranks, pool)
+        assert pool.stats()["misses"] == misses + len(keys)
 
     @pytest.mark.parametrize("option", ["pim", "host"])
-    def test_place_takes_only_a_policy(self, tiny_decoder, option):
-        """A policy names both sides; there is no per-side override."""
+    def test_place_takes_one_target(self, tiny_decoder, option):
+        """A graph compiles for one target; there is no per-side
+        override."""
         with pytest.raises(TypeError, match=option):
             place(tiny_decoder, "upmem", **{option: "cpu"})
 
@@ -123,14 +114,13 @@ class TestExecution:
         got = exe.run_tensors(inputs)
 
         env = dict(inputs)
-        placement = exe.placement
         order = tiny_decoder.topological_order()
         aliases = tiny_decoder.view_schedule(order)
         assert aliases[0] == []  # no view over an input here
         for node, node_aliases in zip(order, aliases[1:]):
             single = repro.compile(
                 node.workload,
-                target=placement[node.name],
+                target=exe.target,
                 params=node.params,
             )
             feed = {
@@ -154,8 +144,8 @@ class TestExecution:
     def test_outputs_match_numpy_reference(self, tiny_decoder):
         inputs = tiny_decoder.random_inputs(2)
         want = tiny_decoder.reference_outputs(inputs)
-        for policy in ("upmem", "cpu", "mixed"):
-            got = compile_graph(tiny_decoder, policy).run_tensors(inputs)
+        for kind in ("upmem", "cpu"):
+            got = compile_graph(tiny_decoder, kind).run_tensors(inputs)
             for name, ref in want.items():
                 np.testing.assert_allclose(
                     got[name], ref, rtol=1e-3, atol=1e-5
@@ -191,11 +181,18 @@ class TestExecution:
         with pytest.raises(KeyError, match="missing inputs"):
             exe.run_tensors(inputs)
 
-    def test_incomplete_placement_rejected(self, tiny_decoder):
-        placement = place(tiny_decoder, policy="upmem")
-        placement.pop("L0.qkv_fc")
-        with pytest.raises(ValueError, match="placement misses"):
-            GraphExecutable(tiny_decoder, placement, ExecutablePool())
+    def test_the_chain_runs_on_pim_under_verify(self, monkeypatch):
+        """Every node of the chain, the element-wise ``va`` included,
+        runs on PIM with the scalar interpreter checking each vector
+        plan bit for bit, and the outputs match the NumPy reference."""
+        monkeypatch.setenv("REPRO_SIM_MODE", "verify")
+        g = chain_graph()
+        exe = compile_graph(g, "upmem")
+        assert {c.target for c in exe.profile().nodes} == {"upmem"}
+        inputs = g.random_inputs(3)
+        got = exe.run_tensors(inputs)
+        for name, ref in g.reference_outputs(inputs).items():
+            np.testing.assert_allclose(got[name], ref, rtol=1e-5, atol=1e-6)
 
     def test_shared_programs_compile_once(self):
         pool = ExecutablePool(capacity=64)
@@ -223,35 +220,9 @@ class TestCostModel:
         assert len(staged) == 4
         assert exe.profile().steady_state_s < exe.profile().total
 
-    def test_a_host_producer_makes_its_pim_reader_cross(self):
-        """Under ``mixed`` an ``ffn`` node runs on the host, so the PIM
-        node reading its output pays the H2D; under ``upmem`` the same
-        output hands off in MRAM."""
-        g = ModelGraph("ffn-then-attn")
-        g.add_input("w1", (16, 16), const=True)
-        g.add_input("w2", (16, 16), const=True)
-        g.add_input("x", (16,))
-        small = {"m_dpus": 4, "k_dpus": 1, "n_tasklets": 2, "cache": 16,
-                 "host_threads": 1, "unroll": 0}
-        g.add_node("fc", mtv(16, 16), {"A": "w1", "B": "x"}, "t",
-                   params=small, tags=("ffn",))
-        g.add_node("attn", mtv(16, 16), {"A": "w2", "B": "t"}, "y",
-                   params=small, tags=("attn",))
-        reader = {
-            policy: compile_graph(g, policy).profile().nodes[1]
-            for policy in ("mixed", "upmem")
-        }
-        assert reader["mixed"].target == reader["upmem"].target == "upmem"
-        assert reader["mixed"].crossing_in and reader["mixed"].h2d_s > 0
-        assert not reader["upmem"].crossing_in
-        assert reader["upmem"].h2d_s == 0.0
-
     def test_dynamic_input_in_const_slot_pays_recurring_h2d(self):
         """A non-const graph input bound to a workload's const slot
         carries fresh data every run: recurring H2D, never staging."""
-        from repro.graph import ModelGraph
-        from repro.workloads import mtv
-
         g = ModelGraph("dyn-weight")
         g.add_input("w", (16, 16))  # note: NOT const
         g.add_input("x", (16,))
@@ -268,20 +239,15 @@ class TestCostModel:
 
     def test_warm_pool_stages_nothing(self, tiny_decoder):
         pool = ExecutablePool(capacity=64)
-        placement = place(tiny_decoder)
-        GraphExecutable(tiny_decoder, placement, pool)
-        warm = GraphExecutable(tiny_decoder, placement, pool)
+        target = place(tiny_decoder)
+        GraphExecutable(tiny_decoder, target, pool)
+        warm = GraphExecutable(tiny_decoder, target, pool)
         assert warm.profile().staging_s == 0.0
 
     def test_pim_to_pim_edges_elide_transfers(self):
         """In an all-PIM chain, only the first node pays dynamic H2D and
-        only the last pays D2H.  A placement is a plain dict, so one that
-        no policy makes (the element-wise add on PIM too) is built by
-        hand."""
-        g = chain_graph()
-        upmem = get_target("upmem")
-        placement = {node.name: upmem for node in g.nodes}
-        exe = GraphExecutable(g, placement, ExecutablePool())
+        only the last pays D2H."""
+        exe = compile_graph(chain_graph())
         costs = {c.node: c for c in exe.profile().nodes}
         assert costs["h1"].crossing_in  # x arrives from the host
         assert costs["add"].crossing_in  # x2 is a dynamic external input
@@ -295,7 +261,7 @@ class TestCostModel:
         assert costs["h2"].d2h_s > 0.0
 
     def test_boundary_edges_pay_transfers(self, tiny_decoder):
-        exe = compile_graph(tiny_decoder, "mixed")
+        exe = compile_graph(tiny_decoder)
         costs = {c.node: c for c in exe.profile().nodes}
         # The PIM score node reads the host-produced query slice.
         assert costs["L0.attn_score"].crossing_in

@@ -137,13 +137,6 @@ class TestSignature:
         rewired = chain_graph()
         assert base.structural_signature() != rewired.structural_signature()
 
-    def test_tags_change_signature(self):
-        """Tags steer placement, placement picks the compiled program:
-        tag-different graphs must never share an identity."""
-        a, b = chain_graph(), chain_graph()
-        b.nodes[1].tags = frozenset({"glue"})
-        assert a.structural_signature() != b.structural_signature()
-
 
 def _concat_graph(parts=("lo", "hi")) -> ModelGraph:
     """x + b -> t; ``lo``/``hi`` view t's halves; ``c`` lays ``parts``

@@ -21,27 +21,25 @@ import pytest
 
 import repro
 from repro.cluster import CLUSTER_SIM
-from repro.graph import GPTJ_SIM, compile_graph, gptj_model_graph, place
+from repro.graph import GPTJ_SIM, compile_graph, gptj_model_graph
 from repro.upmem.config import DEFAULT_CONFIG
 
 from .conftest import TINY, proj_line_deltas_s
 
-#: ``compile_graph(gptj_model_graph(config, 3, 8), policy).profile()
+#: ``compile_graph(gptj_model_graph(config, 3, 8), target).profile()
 #: .steady_state_s`` in µs while ``attn_proj`` and ``fc_proj`` were two
-#: programs (``mixed`` kept ``fc_proj``, tagged ``ffn``, on the host).
+#: programs.
 _TWO_PROJECTIONS_US = {
     (GPTJ_SIM.name, "upmem"): 1316.1077658452743,
-    (GPTJ_SIM.name, "mixed"): 1174.4712065409972,
     (GPTJ_SIM.name, "cpu"): 622.4228571428573,
     (CLUSTER_SIM.name, "upmem"): 983.4138965651239,
-    (CLUSTER_SIM.name, "mixed"): 800.3163893540117,
     (CLUSTER_SIM.name, "cpu"): 461.5268571428573,
 }
 
 
-def _steady_s(config, policy="upmem"):
+def _steady_s(config, target="upmem"):
     return compile_graph(
-        gptj_model_graph(config, 3, 8), policy
+        gptj_model_graph(config, 3, 8), target
     ).profile().steady_state_s
 
 
@@ -56,7 +54,6 @@ def test_proj_reads_the_concat_of_both_branches():
     concat = g.concats["proj_in_L0"]
     assert concat.parts == ("attn_concat_L0", "fc_pre_L0")
     assert g.tensor_shape("proj_in_L0") == (5 * d,)
-    assert node.tags == frozenset({"attn"})
 
 
 def test_the_prologue_passes_the_attention_part_through():
@@ -105,13 +102,13 @@ class TestDecomposition:
         for total in layers.values():
             assert total == pytest.approx(before - saving, rel=1e-9)
 
-    @pytest.mark.parametrize("policy", ["upmem", "mixed", "cpu"])
+    @pytest.mark.parametrize("target", ["upmem", "cpu"])
     @pytest.mark.parametrize("config", [GPTJ_SIM, CLUSTER_SIM],
                              ids=lambda c: c.name)
-    def test_the_step_falls_by_three_layers_savings(self, config, policy):
-        saving = sum(proj_line_deltas_s(config, policy).values())
-        assert _steady_s(config, policy) == pytest.approx(
-            _TWO_PROJECTIONS_US[config.name, policy] * 1e-6 - 3 * saving,
+    def test_the_step_falls_by_three_layers_savings(self, config, target):
+        saving = sum(proj_line_deltas_s(config, target).values())
+        assert _steady_s(config, target) == pytest.approx(
+            _TWO_PROJECTIONS_US[config.name, target] * 1e-6 - 3 * saving,
             rel=1e-9,
         )
 
@@ -123,23 +120,9 @@ class TestDecomposition:
         assert saving * 1e6 == pytest.approx(47.31, abs=0.01)
 
 
-class TestMixed:
-    def test_every_node_is_attention_so_mixed_is_upmem(self):
-        """``proj`` reads the attention output, so it is tagged ``attn``
-        as ``qkv_fc`` is: no node is ``ffn``, and ``mixed`` places and
-        prices the step as ``upmem`` does — on ``GPTJ_SIM`` it falls
-        from 1 174.5 to 1 098.4 µs, on ``CLUSTER_SIM`` (whose host FC
-        projection was cheaper than a PIM one) it rises from 800.3 to
-        841.5 µs."""
-        g = gptj_model_graph(GPTJ_SIM, 3, 8)
-        assert {t.kind for t in place(g, "mixed").values()} == {"upmem"}
-        for config in (GPTJ_SIM, CLUSTER_SIM):
-            assert _steady_s(config, "mixed") == _steady_s(config, "upmem")
-
-
-@pytest.mark.parametrize("policy", ["upmem", "mixed", "cpu"])
+@pytest.mark.parametrize("target", ["upmem", "cpu"])
 @pytest.mark.parametrize("config", [TINY, GPTJ_SIM], ids=lambda c: c.name)
-def test_outputs_match_the_reference_under_verify(config, policy, monkeypatch):
+def test_outputs_match_the_reference_under_verify(config, target, monkeypatch):
     """The scalar interpreter checks every program's vector plan, the
     ``select`` prologue included, byte for byte; the fused step matches
     the NumPy reference within the tolerance ``perf`` checks graph
@@ -149,7 +132,7 @@ def test_outputs_match_the_reference_under_verify(config, policy, monkeypatch):
     inputs = g.random_inputs(9)
     inputs["attn_mask"][6:] = -np.inf
     want = g.reference_outputs(inputs)
-    got = compile_graph(g, policy).run_tensors(inputs)
+    got = compile_graph(g, target).run_tensors(inputs)
     assert list(got) == list(want)
     for name, ref in want.items():
         scale = float(np.max(np.abs(ref))) or 1.0

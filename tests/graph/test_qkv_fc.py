@@ -21,7 +21,6 @@ from repro.graph import (
     compile_graph,
     gptj_layer_io,
     gptj_model_graph,
-    place,
     small_grid_params,
 )
 from repro.upmem.config import DEFAULT_CONFIG
@@ -31,10 +30,9 @@ from .conftest import TINY, fused_line_deltas_s, proj_line_deltas_s
 
 #: ``compile_graph(gptj_model_graph(GPTJ_SIM, 3, 8)).profile()
 #: .steady_state_s`` in µs while ``qkv_gen`` and ``fc`` were two
-#: programs, per policy.
+#: programs, per target.
 _TWO_PROGRAMS_US = {
     "upmem": 1540.1163027782616,
-    "mixed": 1228.705827398732,
     "cpu": 712.5325714285715,
 }
 
@@ -99,36 +97,27 @@ class TestDecomposition:
                 rel=1e-9,
             )
 
-    @pytest.mark.parametrize("policy", ["upmem", "mixed", "cpu"])
-    def test_the_step_falls_by_three_layers_savings(self, policy):
+    @pytest.mark.parametrize("target", ["upmem", "cpu"])
+    def test_the_step_falls_by_three_layers_savings(self, target):
         """... and by three layers of what ``proj`` saves."""
         steady = compile_graph(
-            gptj_model_graph(GPTJ_SIM, 3, 8), policy
+            gptj_model_graph(GPTJ_SIM, 3, 8), target
         ).profile().steady_state_s
-        saving = sum(fused_line_deltas_s(GPTJ_SIM, policy).values())
-        proj = sum(proj_line_deltas_s(GPTJ_SIM, policy).values())
+        saving = sum(fused_line_deltas_s(GPTJ_SIM, target).values())
+        proj = sum(proj_line_deltas_s(GPTJ_SIM, target).values())
         assert saving > 0
         assert steady == pytest.approx(
-            _TWO_PROGRAMS_US[policy] * 1e-6 - 3 * (saving + proj), rel=1e-9
+            _TWO_PROGRAMS_US[target] * 1e-6 - 3 * (saving + proj), rel=1e-9
         )
 
 
-def test_mixed_runs_the_fc_up_rows_on_pim():
-    """The fused node makes Q/K/V, so it is tagged ``attn``: ``mixed``
-    keeps it on PIM, FC-up rows included."""
-    g = gptj_model_graph(GPTJ_SIM, 3, 8)
-    placement = place(g, "mixed")
-    assert placement["L0.qkv_fc"].kind == "upmem"
-    assert _node(g, "qkv_fc").tags == frozenset({"attn"})
-
-
-def test_outputs_match_the_reference_under_every_policy():
+def test_outputs_match_the_reference_on_every_target():
     g = gptj_model_graph(TINY, layers=2, capacity=8)
     inputs = g.random_inputs(9)
     inputs["attn_mask"][6:] = -np.inf
     want = g.reference_outputs(inputs)
-    for policy in ("upmem", "mixed", "cpu"):
-        got = compile_graph(g, policy).run_tensors(inputs)
+    for target in ("upmem", "cpu"):
+        got = compile_graph(g, target).run_tensors(inputs)
         for name, ref in want.items():
             scale = float(np.max(np.abs(ref))) or 1.0
             assert np.max(np.abs(got[name] - ref)) / scale <= 1e-4, name

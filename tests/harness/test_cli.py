@@ -27,8 +27,8 @@ def test_fig17_runs_and_dumps_json(tmp_path, capsys):
     assert "memory plan:" in out
     payload = json.loads(path.read_text())
     data = payload["experiments"]["fig17"]
-    # Per-node breakdowns for every placement the ISSUE names.
-    assert set(data["breakdown"]) == {"upmem", "cpu", "mixed"}
+    # Per-node breakdowns for both targets.
+    assert set(data["breakdown"]) == {"upmem", "cpu"}
     for rows in data["breakdown"].values():
         assert rows and all("total_ms" in row for row in rows)
     assert data["memory"]["arena_bytes"] < data["memory"]["naive_bytes"]

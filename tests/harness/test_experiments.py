@@ -53,18 +53,16 @@ def test_fig9_skips_sizes_a_workload_lacks():
 
 def test_fig17_is_the_one_layer_model_graph():
     """fig17 runs one masked model-graph layer with every position
-    valid: four ``L0.*`` nodes, each placement matching the reference,
+    valid: four ``L0.*`` nodes, each target matching the reference,
     at the step times and arena the README reports."""
     data = fig17_end_to_end()
     assert data["graph"] == "gptj-6b-sim-model-L1-c16"
     steady = {row["placement"]: row["steady_state_ms"] for row in data["rows"]}
-    # 0.5213 / 0.2381 / 0.4175 ms while qkv_gen and fc were two
-    # programs, 0.4466 / 0.2081 / 0.3994 ms while attn_proj and fc_proj
-    # were.  Every node is ``attn`` now: ``mixed`` is ``upmem``.
+    # 0.5213 / 0.2381 ms while qkv_gen and fc were two programs,
+    # 0.4466 / 0.2081 ms while attn_proj and fc_proj were.
     assert steady == {
         "upmem": pytest.approx(0.3740, abs=5e-5),
         "cpu": pytest.approx(0.1780, abs=5e-5),
-        "mixed": pytest.approx(0.3740, abs=5e-5),
     }
     for row in data["rows"]:
         assert row["nodes"] == 4 and row["matches_reference"] is True

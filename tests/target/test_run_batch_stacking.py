@@ -21,7 +21,6 @@ import repro.target.executor as executor_module
 from repro.decode import DecodeEngine
 from repro.graph import gptj_model_graph, place
 from repro.graph.builder import GPTJ_SIM
-from repro.graph.executable import PIM_KIND
 from repro.serve import ExecutablePool, Request, Server, gptj_serving_mix
 from repro.upmem import VerifyMismatch, plan_for
 from repro.upmem.vectorize import plan as plan_module
@@ -36,12 +35,11 @@ def _programs():
         for name, entry in gptj_serving_mix(tokens=16).items()
     }
     graph = gptj_model_graph(GPTJ_SIM, layers=1, capacity=8)
-    placement = place(graph, "upmem")
+    target = place(graph, "upmem")
     seen = set()
     for node in graph.nodes:
-        target = placement[node.name]
         key = ExecutablePool.key_for(node.workload, target, node.params)
-        if target.kind == PIM_KIND and key not in seen:
+        if key not in seen:
             seen.add(key)
             programs[f"decode:{node.name}"] = (node.workload, node.params)
     programs["mtv-misaligned"] = (
@@ -184,12 +182,17 @@ class TestVerifyNamesTheItem:
         monkeypatch.setenv("REPRO_SIM_MODE", "verify")
         exe.run_batch(batch)  # the gate passes on an honest plan
 
+        real = plan_for(module)
+
         class _LyingPlan:
+            def check_invariants(self, lanes):
+                return real.check_invariants(lanes)
+
             def run_points(self, states, lanes):
-                plan_for(module).run_points(states, lanes)
+                real.run_points(states, lanes)
                 states[2][module.outputs[0]] += np.float32(1.0)
 
-        monkeypatch.setattr(exe.executor, "_plan", lambda: _LyingPlan())
+        monkeypatch.setitem(module.__dict__["_plans"], "kernel", _LyingPlan())
         with pytest.raises(VerifyMismatch, match=r"batch item 2\b"):
             exe.run_batch(batch)
 

@@ -887,6 +887,8 @@ CUT = (
     "graph/executable.py:GraphExecutable.latency",
     "graph/executable.py:PIM_SUBSTRATE_KINDS",
     "upmem/isa.py:Counts.instructions", "te/operation.py:Tensor.ndim",
+    "graph/placement.py:PLACEMENT_POLICIES", "graph/placement.py:PIM_OP_NAMES",
+    "graph/ir.py:Node.tags", "graph/ir.py:ModelGraph.consumers",
 )
 
 

@@ -27,7 +27,7 @@ from repro.tir import (
     Var,
 )
 from repro.upmem import FunctionalExecutor, VerifyMismatch, plan_for
-from repro.upmem.vectorize import host, plan as plan_module
+from repro.upmem.vectorize import plan as plan_module
 from repro.upmem.interp import InterpError
 from repro.workloads import GPTJConfig, make_workload, tensor_ops
 from repro.workloads.tensor_ops import mtv, va
@@ -47,11 +47,12 @@ _VA_TRIMMED = (va(997), {"n_dpus": 8, "n_tasklets": 2, "cache": 8})
 
 
 def _forget_plan(exe):
-    """Drop ``exe``'s vector plan — the cache's and the executor's — so
-    the next call builds one nothing is resident in."""
-    module = exe.lowered
-    host._PLANS.pop(getattr(module, "plan_key", id(module)), None)
-    exe.executor._kernel_plan = None
+    """Drop what ``exe``'s module derived on earlier calls — its vector
+    plan and its local byte count, the entries a pickle leaves out — so
+    the next call builds a plan nothing is resident in."""
+    derived = exe.lowered.__dict__
+    for name in [name for name in derived if name.startswith("_")]:
+        del derived[name]
 
 
 def _fresh_exe(wl, params):
@@ -636,12 +637,11 @@ class TestTableBounds:
         monkeypatch.setenv("REPRO_SIM_MODE", "vector")
         wl, params = _MTV
         module = default_engine().compile(wl, params, opt_level="O3").module
-        key = getattr(module, "plan_key", id(module))
-        host._PLANS.pop(key, None)
+        module.__dict__.pop("_plans", None)
         plan = plan_for(module)
         state = FunctionalExecutor(module).prepare(wl.random_inputs(0))
         plan.run_points([state], range(module.n_dpus))
-        del host._PLANS[key]  # the cache lets go: ours is the last
+        del module.__dict__["_plans"]  # the memo lets go: ours is the last
         (chunk,) = plan._chunks.values()
         # (slotted records take no weak reference; their arrays do)
         refs = [weakref.ref(plan), weakref.ref(chunk.lanes),

@@ -199,8 +199,6 @@ class TestPinnedSites:
         for capacity in (8, 12):
             graph = gptj_model_graph(layers=1, capacity=capacity)
             for node in graph.nodes:
-                if node.params is None or "glue" in node.tags:
-                    continue
                 exe = repro.compile(
                     node.workload, target="upmem", params=node.params
                 )

@@ -1,11 +1,14 @@
 """The TIR->NumPy vectorizer: bit-for-bit equivalence gate, and the
 out-of-model kernels it refuses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.autotune.compile import default_engine
+from repro.autotune.compile import CompileEngine, default_engine
 from repro.lowering import GridDim, LoweredModule, TransferSpec
+from repro.pipeline import ArtifactCache
 from repro.tir import (
     And,
     Barrier,
@@ -24,7 +27,7 @@ from repro.tir import (
 from repro.upmem import (
     FunctionalExecutor, VectorizeError, VerifyMismatch, plan_for, sim_mode,
 )
-from repro.upmem.vectorize import host, host_program_for, ops, plan as plan_module
+from repro.upmem.vectorize import host_program_for, ops, plan as plan_module
 from repro.upmem.interp import InterpError, Interpreter, _np_dtype
 from repro.workloads import make_workload, size_labels, workload_names
 from repro.workloads.tensor_ops import gemv, geva, mmtv, mtv, red, ttv, va
@@ -558,7 +561,7 @@ class TestFallbacks:
                 VectorizeError, match=f"{kind} of host buffer '{name}'"
             ):
                 _items(module, feeds, lanes)
-        assert id(module) not in host._PLANS
+        assert "kernel" not in module.__dict__.get("_plans", {})
         monkeypatch.setenv("REPRO_SIM_MODE", "scalar")
         got = _items(module, feeds, lanes)
         assert np.array(got, np.float32).tobytes() == (
@@ -570,14 +573,18 @@ class TestFallbacks:
         module = _compile(wl, {"n_dpus": 2, "n_tasklets": 1, "cache": 8},
                           "O3")
         fexec = FunctionalExecutor(module, mode="verify")
+        real = plan_for(module)
 
         class _LyingPlan:
+            def check_invariants(self, lanes):
+                return real.check_invariants(lanes)
+
             def run_points(self, states, lanes):
-                plan_for(module).run_points(states, lanes)
+                real.run_points(states, lanes)
                 out = module.outputs[0]
                 states[0][out] += np.float32(1.0)  # corrupt the vector result
 
-        monkeypatch.setattr(fexec, "_plan", lambda: _LyingPlan())
+        monkeypatch.setitem(module.__dict__["_plans"], "kernel", _LyingPlan())
         with pytest.raises(VerifyMismatch):
             fexec.run(wl.random_inputs(0))
 
@@ -849,11 +856,42 @@ class TestPlanCache:
             module, "post"
         )
 
-    def test_artifact_cache_stamps_plan_key(self):
-        wl = va(256)
+    def test_the_memo_is_the_modules_own(self):
+        """A module rebuilt by ``dataclasses.replace`` starts without
+        plans: they capture the old module's buffers."""
+        wl = va(128)
         module = _compile(wl, {"n_dpus": 2, "n_tasklets": 1, "cache": 8},
                           "O3")
-        assert isinstance(getattr(module, "plan_key", None), str)
+        plan = plan_for(module)
+        copy = dataclasses.replace(module)
+        assert "_plans" not in copy.__dict__
+        assert plan_for(copy) is not plan and plan_for(module) is plan
+
+    def test_plans_stay_out_of_the_disk_tier(self, tmp_path):
+        """A module whose plans were built round-trips through the
+        artifact cache's disk tier with no plan in the pickle, and
+        builds its own on first use."""
+        wl = mtv(48, 64)
+        params = {"m_dpus": 8, "k_dpus": 1, "n_tasklets": 2, "cache": 16,
+                  "host_threads": 1, "unroll": 0}
+        cache = ArtifactCache(disk_dir=str(tmp_path))
+        art = CompileEngine(cache=cache).compile(wl, params)
+        module = art.module
+        inputs = wl.random_inputs(0)
+        (want,) = FunctionalExecutor(module).run(inputs)
+        assert "kernel" in module.__dict__["_plans"]
+        cache.put(art)  # the disk entry again, now that plans exist
+        (path,) = tmp_path.glob("*.pkl")
+        body = path.read_bytes()
+        assert b"_plans" not in body and b"KernelPlan" not in body
+        restored = CompileEngine(
+            cache=ArtifactCache(disk_dir=str(tmp_path))
+        ).compile(wl, params)
+        assert restored.module is not module
+        assert "_plans" not in restored.module.__dict__
+        (got,) = FunctionalExecutor(restored.module).run(inputs)
+        assert got.tobytes() == want.tobytes()
+        assert plan_for(restored.module) is not plan_for(module)
 
     def test_grid_points_memoized(self):
         wl = va(128)

@@ -35,7 +35,7 @@ from repro.tir import (
     Var,
 )
 from repro.upmem import FunctionalExecutor
-from repro.upmem.vectorize import host, ops, plan as plan_module
+from repro.upmem.vectorize import ops, plan as plan_module
 from repro.upmem.interp import InterpError
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def _run_pieces(module, out, mode, shape, share, cuts):
     return b"".join(state[out].tobytes() for state in prepared)
 
 
-def _every_lane_checked(monkeypatch):
+def _every_lane_checked(monkeypatch, module):
     """Make every lane of every placement partial: the parent's path."""
     init = plan_module._Placement.__init__
 
@@ -139,7 +139,7 @@ def _every_lane_checked(monkeypatch):
 
     monkeypatch.setattr(plan_module._Placement, "__init__", all_partial)
     # Placements are resident per plan: a plan built under the patch.
-    monkeypatch.setattr(host, "_PLANS", type(host._PLANS)())
+    monkeypatch.delitem(module.__dict__, "_plans", raising=False)
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,7 +149,7 @@ def test_block_transfers_equal_checked_and_scalar(case):
     module, out = _transfer_module(shape, tile, grid, h2d, d2h)
     block = _run_pieces(module, out, "vector", shape, share, cuts)
     with pytest.MonkeyPatch.context() as mp:
-        _every_lane_checked(mp)
+        _every_lane_checked(mp, module)
         checked = _run_pieces(module, out, "vector", shape, share, cuts)
     assert block == checked
     # The scalar executor slices ``src[base : base + valid]``, which for
