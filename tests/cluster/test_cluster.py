@@ -19,6 +19,7 @@ from repro.cluster import (
     sessions_from_trace,
 )
 from repro.obs import Tracer, chrome_trace, trace_lint, use_tracer
+from repro.serve.server import DISPATCH_OVERHEAD_S
 
 from .conftest import run_small, small_config, small_trace
 
@@ -126,6 +127,31 @@ class TestSLOAdmission:
         assert result.metrics.rejected == 1
         # Everyone else still completes.
         assert len(result.completed) == 4
+
+    @pytest.mark.parametrize("scale, refused", [
+        (1.0 - 1e-9, True),
+        (1.0, False),
+    ], ids=["below", "at"])
+    def test_the_ttft_floor_is_the_servers_dispatch_overhead(
+        self, scale, refused
+    ):
+        """The cluster and the server price one dispatch with one
+        constant: a TTFT deadline just under it is refused at submit,
+        one equal to it is not."""
+        tenants, sessions = small_trace(n=2)
+        edge = Session(
+            session_id="edge", tenant="interactive", arrival_s=0.0,
+            prompt_tokens=2, decode_tokens=2,
+            ttft_deadline_s=DISPATCH_OVERHEAD_S * scale,
+        )
+        result = Cluster(small_config(), tenants=tenants).run(
+            sessions + [edge]
+        )
+        tenant = result.metrics.per_tenant["interactive"]
+        assert tenant["rejected_slo"] == int(refused)
+        assert (edge.status == REJECTED and edge.admitted_s is None) == (
+            refused
+        )
 
     def test_satisfiable_deadline_not_rejected(self):
         tenants, sessions = small_trace(n=4)

@@ -14,9 +14,9 @@ from repro.graph import (
     gptj_model_graph,
     place,
 )
-from repro.graph.executable import pool_keys
+from repro.graph.executable import PIM_KIND, pool_keys
 from repro.serve.pool import ExecutablePool
-from repro.target import TargetError, UpmemTarget
+from repro.target import TargetError, UpmemTarget, list_targets
 from repro.upmem.config import UpmemConfig
 from repro.workloads import mtv
 
@@ -46,6 +46,51 @@ class TestPlacement:
         default instance, a configured instance is the target."""
         two_ranks = UpmemTarget(config=UpmemConfig(n_ranks=2))
         assert place(tiny_decoder, two_ranks) is two_ranks
+
+    @pytest.mark.parametrize("kind", ["upmem", "cpu"])
+    def test_each_side_is_one_target_instance(self, tiny_decoder, kind):
+        """Every node compiles for the one Target object ``place``
+        returned, so the whole graph has one pool identity and one
+        config."""
+        target = place(tiny_decoder, kind)
+        pool = ExecutablePool(capacity=64)
+        GraphExecutable(tiny_decoder, target, pool)
+        for node in tiny_decoder.nodes:
+            exe, loaded = pool.get(node.workload, target, node.params)
+            assert not loaded and exe.target is target
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in list_targets() if k != "simplepim"]
+    )
+    def test_every_kind_that_supports_the_chain_compiles_all_of_it(
+        self, kind
+    ):
+        """A kind that supports every node runs the whole chain, in
+        graph order; only the PIM kind keeps data device-resident, so
+        every other kind's lines carry no bus traffic."""
+        g = chain_graph()
+        exe = compile_graph(g, kind)
+        assert exe.target.kind == kind
+        costs = exe.profile().nodes
+        assert [c.node for c in costs] == [
+            n.name for n in g.topological_order()
+        ]
+        assert {c.target for c in costs} == {kind}
+        if kind != PIM_KIND:
+            assert all(
+                c.h2d_s == c.d2h_s == c.staging_s == 0.0 for c in costs
+            )
+        inputs = g.random_inputs(4)
+        got = exe.run_tensors(inputs)
+        for name, ref in g.reference_outputs(inputs).items():
+            np.testing.assert_allclose(got[name], ref, rtol=1e-5, atol=1e-6)
+
+    def test_a_kind_missing_an_op_names_the_first_node(self):
+        """SimplePIM has no matvec: ``place`` names the chain's first
+        ``mtv`` node, not a later one."""
+        with pytest.raises(GraphError, match="node 'h1' \\(mtv\\) cannot"
+                           " compile for target 'simplepim'"):
+            place(chain_graph(), "simplepim")
 
     def test_unknown_target_rejected(self, tiny_decoder):
         with pytest.raises(TargetError, match="unknown target"):

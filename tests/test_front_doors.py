@@ -2,8 +2,9 @@
 
 ``repro.compile`` takes a Workload or a Schedule, ``Server.submit`` a
 Request (whose workload must be a Workload to be served),
-``ExecutablePool.get`` a Workload and ``compile_graph`` a ModelGraph;
-a target's ``supports`` answers False for anything but a Workload.
+``ExecutablePool.get`` and ``ExecutablePool.key_for`` a Workload, and
+``compile_graph`` and ``place`` a ModelGraph; each target's ``supports``
+answers False for anything but a Workload.
 Anything else is refused at the door by a ``TypeError`` naming what it
 got — or, for a request's workload, a rejected ticket naming one — and
 leaves nothing behind: no compile, no pool entry, no queued request.
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.autotune.compile import default_engine
-from repro.graph import compile_graph
+from repro.graph import compile_graph, place
 from repro.serve import ExecutablePool, Request, Server
 from repro.target import get_target, list_targets
 from repro.workloads import va
@@ -96,11 +97,21 @@ def test_pool_get_refuses(value):
 
 @settings(max_examples=60, deadline=None)
 @given(value=_wrong("graph", "node", "request"))
-def test_no_target_supports_a_non_workload(value):
+def test_pool_key_for_refuses(value):
+    """The residency key is the pool's own door: ``pool_keys`` and the
+    decode engine's pins derive it without a ``get``."""
+    with pytest.raises(TypeError, match="a pool key takes a Workload, not "
+                       + type(value).__name__):
+        ExecutablePool.key_for(value, get_target("upmem"))
+
+
+@pytest.mark.parametrize("kind", list_targets())
+@settings(max_examples=60, deadline=None)
+@given(value=_wrong("graph", "node", "request"))
+def test_no_target_supports_a_non_workload(kind, value):
     """``supports`` is the predicate ``place`` asks of every node: a
     non-workload is False on every target, never an exception."""
-    for kind in list_targets():
-        assert get_target(kind).supports(value) is False, kind
+    assert get_target(kind).supports(value) is False
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,4 +120,15 @@ def test_compile_graph_refuses(value):
     before = _compiles()
     with pytest.raises(TypeError, match="compiles from a ModelGraph"):
         compile_graph(value)
+    assert _compiles() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=_wrong("node", "workload", "request"))
+def test_place_refuses(value):
+    """``place`` is the door the decode engine calls itself, without
+    ``compile_graph``."""
+    before = _compiles()
+    with pytest.raises(TypeError, match="compiles from a ModelGraph"):
+        place(value, "upmem")
     assert _compiles() == before

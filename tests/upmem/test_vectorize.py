@@ -2,6 +2,8 @@
 out-of-model kernels it refuses."""
 
 import dataclasses
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.upmem import (
     FunctionalExecutor, VectorizeError, VerifyMismatch, plan_for, sim_mode,
 )
 from repro.upmem.vectorize import host_program_for, ops, plan as plan_module
+from repro.upmem.vectorize import host as host_module
 from repro.upmem.interp import InterpError, Interpreter, _np_dtype
 from repro.workloads import make_workload, size_labels, workload_names
 from repro.workloads.tensor_ops import gemv, geva, mmtv, mtv, red, ttv, va
@@ -892,6 +895,53 @@ class TestPlanCache:
         (got,) = FunctionalExecutor(restored.module).run(inputs)
         assert got.tobytes() == want.tobytes()
         assert plan_for(restored.module) is not plan_for(module)
+
+    def test_racing_threads_share_one_plan(self, monkeypatch):
+        """Threads that first touch a module together each build a plan
+        (the barrier holds every builder until all have started), and
+        all of them return the one the memo kept."""
+        wl = va(128)
+        module = dataclasses.replace(_compile(
+            wl, {"n_dpus": 2, "n_tasklets": 1, "cache": 8}, "O3"
+        ))
+        n = 4
+        barrier = threading.Barrier(n, timeout=30)
+        build = host_module.KernelPlan
+
+        def slow_build(m):
+            barrier.wait()
+            return build(m)
+
+        monkeypatch.setattr(host_module, "KernelPlan", slow_build)
+        got = [None] * n
+
+        def touch(i):
+            got[i] = plan_for(module)
+
+        threads = [threading.Thread(target=touch, args=(i,))
+                   for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not barrier.broken
+        assert got[0] is not None
+        assert all(plan is got[0] for plan in got)
+        assert module.__dict__["_plans"] == {"kernel": got[0]}
+
+    def test_a_pickle_is_the_same_with_or_without_plans(self):
+        """Plans are derived state: building them adds nothing to the
+        module's pickle."""
+        wl = va(128)
+        module = dataclasses.replace(_compile(
+            wl, {"n_dpus": 2, "n_tasklets": 1, "cache": 8}, "O3"
+        ))
+        before = pickle.dumps(module)
+        plan_for(module)
+        host_program_for(module, "post")
+        assert set(module.__dict__["_plans"]) == {"kernel", "host_post"}
+        assert pickle.dumps(module) == before
+        assert "_plans" not in pickle.loads(before).__dict__
 
     def test_grid_points_memoized(self):
         wl = va(128)
