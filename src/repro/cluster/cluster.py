@@ -37,7 +37,7 @@ token digests are identical run over run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import current_tracer
 from ..serve.metrics import ServerMetrics
@@ -223,21 +223,14 @@ class Cluster:
     def _submit(
         self, session: Session, queue: List[Session], now_s: float
     ) -> None:
-        workload = f"L{session.layers}"
-        tracer = current_tracer()
         if session.ttft_deadline_s < DISPATCH_OVERHEAD_S:
             # SLO unsatisfiable at submit time: even an empty cluster
             # pays one dispatch before the first token.  Refuse now —
             # with a per-tenant count — rather than let it time out.
-            session.status = REJECTED
-            self.metrics.record_reject(workload)
-            self.metrics.record_tenant_reject(session.tenant, slo=True)
-            tracer.instant(
-                "reject slo-unsatisfiable", track="cluster.control",
-                cat="cluster", ts_s=now_s,
-                args={"session": session.session_id, "tenant": session.tenant},
+            return self._reject(
+                session, now_s, "slo-unsatisfiable", slo=True,
+                tenant=session.tenant,
             )
-            return
         demand = session.layers * -(
             -(session.prompt_tokens + session.decode_tokens)
             // self.config.page_tokens
@@ -247,32 +240,31 @@ class Cluster:
             # full length exceeds a whole worker's page pool, so no
             # amount of preemption could ever let it finish.  Refuse
             # now rather than wedge a worker mid-decode.
-            session.status = REJECTED
-            self.metrics.record_reject(workload)
-            self.metrics.record_tenant_reject(session.tenant, slo=False)
-            tracer.instant(
-                "reject capacity-infeasible", track="cluster.control",
-                cat="cluster", ts_s=now_s,
-                args={
-                    "session": session.session_id,
-                    "pages_needed": demand,
-                    "max_pages": self.config.max_pages,
-                },
+            return self._reject(
+                session, now_s, "capacity-infeasible",
+                pages_needed=demand, max_pages=self.config.max_pages,
             )
-            return
         if len(queue) >= self.config.queue_cap:
-            session.status = REJECTED
-            self.metrics.record_reject(workload)
-            self.metrics.record_tenant_reject(session.tenant, slo=False)
-            tracer.instant(
-                "reject queue-full", track="cluster.control",
-                cat="cluster", ts_s=now_s,
-                args={"session": session.session_id},
-            )
-            return
+            return self._reject(session, now_s, "queue-full")
+        workload = f"L{session.layers}"
         self.metrics.record_submit(workload)
         self.metrics.record_tenant_submit(session.tenant)
         queue.append(session)
+
+    def _reject(
+        self, session: Session, now_s: float, reason: str,
+        slo: bool = False, **args: Any,
+    ) -> None:
+        """Refuse ``session`` at admission: count it, per tenant too,
+        and trace a ``reject <reason>`` instant carrying ``args``."""
+        session.status = REJECTED
+        self.metrics.record_reject(f"L{session.layers}")
+        self.metrics.record_tenant_reject(session.tenant, slo=slo)
+        current_tracer().instant(
+            f"reject {reason}", track="cluster.control",
+            cat="cluster", ts_s=now_s,
+            args={"session": session.session_id, **args},
+        )
 
     def _quota(self, tenant: str) -> int:
         for spec in self.tenants:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from ..decode.engine import DecodeEngine, StepReport
+from ..decode.engine import DecodeEngine
 from ..serve.pool import ExecutablePool
 from ..serve.server import DISPATCH_OVERHEAD_S
 from .session import Session, token_digest
@@ -47,7 +47,6 @@ class TokenEvent:
     session_id: str
     t_s: float
     digest: str
-    report: StepReport
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,9 @@ class Worker:
         dispatch."""
         start = max(now_s, self.busy_until_s)
         device_s = 0.0
-        tokens: List[TokenEvent] = []
+        # (session, token digest): each token is stamped with the
+        # iteration's end, known once every group has run.
+        digests: List[Tuple[str, str]] = []
         by_layers: Dict[int, List[Session]] = {}
         for session in batch:
             by_layers.setdefault(session.layers, []).append(session)
@@ -200,29 +201,18 @@ class Worker:
                 dispatch_overhead_s=DISPATCH_OVERHEAD_S,
                 replica_groups=self.config.replica_groups,
             )
-            for session, report in zip(group, iteration.reports):
-                tokens.append(
-                    TokenEvent(
-                        session_id=session.session_id,
-                        t_s=0.0,  # stamped below, once device_s is final
-                        digest=token_digest(
-                            engine.hidden_state(session.sequence)
-                        ),
-                        report=report,
-                    )
-                )
+            digests.extend(
+                (s.session_id, token_digest(engine.hidden_state(s.sequence)))
+                for s in group
+            )
         end = start + device_s
-        tokens = [
-            TokenEvent(ev.session_id, end, ev.digest, ev.report)
-            for ev in tokens
-        ]
         self.busy_until_s = end
         self.iterations += 1
         return WorkerIteration(
             worker=self.worker_id,
             start_s=start,
             device_s=device_s,
-            tokens=tuple(tokens),
+            tokens=tuple(TokenEvent(sid, end, d) for sid, d in digests),
         )
 
     # -- introspection -------------------------------------------------------

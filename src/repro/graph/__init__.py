@@ -9,10 +9,10 @@ that it supports every node).  A linear-scan memory planner reuses dead
 intermediate buffers, and a :class:`GraphExecutable` compiles every
 node through the serving :class:`~repro.serve.pool.ExecutablePool` and
 runs whole decode steps bit-for-bit equal to per-op execution, with an
-end-to-end latency model that pays host<->DPU transfers only where the
-host reads or makes a tensor and weight staging once per load.  A graph
-is not a workload: ``repro.compile`` refuses one, :func:`compile_graph`
-is the way in.
+end-to-end latency model that prices each node from its own program
+(its module's transfers in and out) and weight staging once per load.
+A graph is not a workload: ``repro.compile`` refuses one,
+:func:`compile_graph` is the way in.
 
 Quick tour::
 

@@ -40,11 +40,10 @@ roofline, as TVM fuses injective ops into their producer.  The slices
 and the reshape compute nothing, so they are graph views
 (:meth:`ModelGraph.add_view`), and the concat is one host copy
 (:meth:`ModelGraph.add_concat`): no program, no ``exe.run`` and no
-compute line — a 3-layer model step is 12 nodes.  A view or a concat
-still sits on the host, so the PIM node it reads from pays its D2H and
-the PIM node reading it its H2D; so does a program whose output comes
-off its host epilogue, and a program whose kernel reads its host
-prologue's product (``repro.graph.executable``).
+compute line — a 3-layer model step is 12 nodes.  Every PIM node pays
+its own program's transfers: the D2H of its output and the H2D of what
+its kernel reads, a host prologue's product included
+(``repro.graph.executable``).
 
 Weights and the KV cache enter the graph as *const* external inputs —
 staged once per load, exactly like :attr:`Workload.const_inputs` in the

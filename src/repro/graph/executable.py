@@ -16,33 +16,26 @@ it is bound by one host copy of its parts once the last one exists —
 and is bit-for-bit identical to calling each node's ``Executable.run``
 by hand at any ``REPRO_MAX_WORKERS``.
 
-On a host target (the ``cpu`` roofline) a node's line is its whole
-profile: the roofline models its memory traffic inside the compute
-number, and nothing crosses a bus.  On the PIM target the latency model
-mirrors the serving timing model (§5.4), extended with the host/device
-boundary:
+Every node is priced from its own executable's profile, in one loop.
+A node with a lowered module (``upmem``, ``prim``, ``simplepim``) has
+four lines, as the host program around an ATiM kernel moves its tensors
+(§5.2.2, §5.4):
 
-* **compute** (launch + kernel + host reduce) is charged per node from
-  the node's own target profile;
-* **dynamic H2D** is charged only for inputs *crossing* onto the device
-  — produced on the host (by a program whose module ends in host
-  statements: an rfactor fold, a host epilogue), arriving as a
-  non-constant external input, or read through a view or a concat, or
-  made by the module's own host prologue; a kernel's output hands off
-  in MRAM for free, and an input only the module's host statements
-  read (a softmax mask, a residual operand, a prologue's operand) never
-  crosses;
-* **D2H** is charged only when the node's output *leaves* the device
-  (a view, a concat, or a graph output reads it) or is produced on the
-  host, which always brings the kernel's result back;
-* a **view** is a host-side alias with no cost line of its own: it
-  prices as the host glue it replaces minus that glue's compute, so its
-  base still pays the D2H and its readers the H2D; a **concat** is a
-  host-side copy priced the same way: no line, the D2H of its parts'
-  producers, the H2D of its readers;
-* **weight staging** (the constant-input share of H2D — weights, the KV
+* **compute** is launch + kernel + host (the rfactor fold, a host
+  epilogue or prologue);
+* **H2D** is the module's H2D share of the on-DPU input bytes that are
+  not staged: every input the kernel reads that is not a resident
+  constant, plus the product of the module's host prologue.  An input
+  only the module's host statements read (a softmax mask, a residual
+  operand, a prologue's operand) is no share of it;
+* **D2H** is the module's whole D2H: every output leaves the device;
+* **weight staging** (the constant-input share — weights, the KV
   cache) is charged once per pool load, not per run: the paper's
   "constant tensors ... transferred once before kernel launches".
+
+A roofline node (``cpu``) models its memory traffic inside its compute
+number, so it has that line only.  A view or a concat is no node and
+has no line: it is host-side, as every node's output and input is.
 
 The aggregate is additive over the deterministic topological order — a
 serial device schedule, matching how the server occupies one simulated
@@ -58,7 +51,7 @@ import numpy as np
 
 from ..obs import current_tracer
 from ..serve.pool import ExecutablePool
-from ..target import Executable, Target, get_target
+from ..target import Executable, Target, UpmemExecutable, get_target
 from ..upmem.system import Latency
 from .ir import Concat, GraphError, ModelGraph, Node, View
 
@@ -69,13 +62,7 @@ __all__ = [
     "compile_graph",
     "place",
     "pool_keys",
-    "PIM_KIND",
 ]
-
-#: The PIM target kind: its executables run on the (simulated) PIM
-#: machine, and data they produce stays device-resident until the host
-#: reads it.  Every other kind a graph compiles for is a host roofline.
-PIM_KIND = "upmem"
 
 
 @dataclass(frozen=True)
@@ -89,9 +76,6 @@ class NodeCost:
     h2d_s: float
     d2h_s: float
     staging_s: float
-    #: Whether any input crossed host->device / the output device->host.
-    crossing_in: bool
-    crossing_out: bool
 
     @property
     def total_s(self) -> float:
@@ -108,8 +92,6 @@ class NodeCost:
             "d2h_ms": self.d2h_s * 1e3,
             "staging_ms": self.staging_s * 1e3,
             "total_ms": self.total_s * 1e3,
-            "crossing_in": self.crossing_in,
-            "crossing_out": self.crossing_out,
         }
 
 
@@ -136,6 +118,14 @@ class GraphProfile:
         return self.latency.total - self.staging_s
 
 
+def _check_graph(graph: ModelGraph) -> None:
+    if not isinstance(graph, ModelGraph):
+        raise TypeError(
+            f"a graph compiles from a ModelGraph, not {type(graph).__name__}"
+        )
+    graph.validate()
+
+
 def place(graph: ModelGraph, target: Union[str, Target] = "upmem") -> Target:
     """The one :class:`~repro.target.Target` ``graph`` compiles for:
     ``target`` — a kind string or a configured instance, as
@@ -143,11 +133,7 @@ def place(graph: ModelGraph, target: Union[str, Target] = "upmem") -> Target:
     supports every node.  A node it cannot compile is a
     :class:`~repro.graph.ir.GraphError` naming that node here, before
     any program loads, not a confusing compile failure later."""
-    if not isinstance(graph, ModelGraph):
-        raise TypeError(
-            f"a graph compiles from a ModelGraph, not {type(graph).__name__}"
-        )
-    graph.validate()
+    _check_graph(graph)
     resolved = get_target(target)
     for node in graph.nodes:
         if not resolved.supports(node.workload):
@@ -169,12 +155,18 @@ def pool_keys(graph: ModelGraph, target: Target) -> set:
 
 
 class GraphExecutable:
-    """A model graph compiled node-by-node for one target."""
+    """A model graph compiled node-by-node for one target, the
+    :class:`~repro.target.Target` :func:`place` resolved and checked."""
 
     def __init__(
         self, graph: ModelGraph, target: Target, pool: ExecutablePool
     ) -> None:
-        graph.validate()
+        _check_graph(graph)
+        if not isinstance(target, Target):
+            raise TypeError(
+                f"a GraphExecutable takes the Target place() resolves, not"
+                f" {type(target).__name__}"
+            )
         self.graph = graph
         self.target = target
         self._order = graph.topological_order()
@@ -206,7 +198,6 @@ class GraphExecutable:
             for node, views in zip(self._order, schedule[1:])
         ]
         self._profile: Optional[GraphProfile] = None
-        self._plan = None
 
     # -- introspection -------------------------------------------------------
     @property
@@ -218,15 +209,6 @@ class GraphExecutable:
         programs (the score MMTV with its softmax epilogue, the value
         MMTV), and steps inside an epoch build no executable at all."""
         return sum(1 for _, loaded in self._exes.values() if loaded)
-
-    @property
-    def memory_plan(self):
-        """Linear-scan intermediate-buffer plan (computed lazily)."""
-        if self._plan is None:
-            from .memory import plan_memory
-
-            self._plan = plan_memory(self.graph)
-        return self._plan
 
     # -- execution -----------------------------------------------------------
     def run_tensors(
@@ -296,55 +278,18 @@ class GraphExecutable:
                     cat="graph",
                     args={"op": cost.op, "target": cost.target},
                 ):
-                    if cost.staging_s > 0:
-                        tracer.timed_span(
-                            "staging", track="graph", cat="graph",
-                            dur_s=cost.staging_s,
-                        )
-                    if cost.h2d_s > 0:
-                        tracer.timed_span(
-                            "h2d", track="graph", cat="graph", dur_s=cost.h2d_s
-                        )
-                    tracer.timed_span(
-                        "compute", track="graph", cat="graph",
-                        dur_s=cost.compute_s,
-                    )
-                    if cost.d2h_s > 0:
-                        tracer.timed_span(
-                            "d2h", track="graph", cat="graph", dur_s=cost.d2h_s
-                        )
+                    for line, dur_s in (
+                        ("staging", cost.staging_s), ("h2d", cost.h2d_s),
+                        ("compute", cost.compute_s), ("d2h", cost.d2h_s),
+                    ):
+                        if dur_s > 0 or line == "compute":
+                            tracer.timed_span(
+                                line, track="graph", cat="graph", dur_s=dur_s
+                            )
 
     def _build_profile(self) -> GraphProfile:
         costs: List[NodeCost] = []
         agg = dict(h2d=0.0, kernel=0.0, d2h=0.0, host=0.0, launch=0.0)
-        kind = self.target.kind
-        if kind != PIM_KIND:
-            # Host backends (rooflines) model their memory traffic
-            # inside the compute number: nothing crosses a bus.
-            for node in self._order:
-                lat = self._exes[node.name][0].profile().latency
-                costs.append(NodeCost(
-                    node=node.name,
-                    op=node.workload.name,
-                    target=kind,
-                    compute_s=lat.total,
-                    h2d_s=0.0,
-                    d2h_s=0.0,
-                    staging_s=0.0,
-                    crossing_in=False,
-                    crossing_out=False,
-                ))
-                agg["kernel"] += lat.kernel
-                agg["launch"] += lat.launch
-                agg["host"] += lat.host + lat.h2d + lat.d2h
-            return GraphProfile(nodes=costs, latency=Latency(**agg))
-        graph_outputs = set(self.graph.output_names)
-        # Node outputs a view or a concat reads on the host.
-        viewed = {view.base for view in self.graph.views.values()}
-        viewed.update(
-            part for concat in self.graph.concats.values()
-            for part in concat.parts
-        )
         staging_total = 0.0
         # Staging is charged once per distinct const graph tensor (heads
         # share one compiled program but stage separate KV caches).  A
@@ -353,79 +298,64 @@ class GraphExecutable:
         fresh = any(loaded for _, loaded in self._exes.values())
         staged_tensors: set = set()
         for node in self._order:
-            lat = self._exes[node.name][0].profile().latency
-            crossing, const_bytes, total_in, const_tensors = (
-                self._input_bytes(node)
+            exe = self._exes[node.name][0]
+            lat = exe.profile().latency
+            # A roofline has no module and moves no byte over a bus.
+            unstaged, total_in, const_tensors = (
+                self._input_bytes(node, exe.lowered)
+                if isinstance(exe, UpmemExecutable) else (0, 0, [])
             )
+            # ``total_in`` counts const bytes lat.h2d omits (ROADMAP item 5).
             per_byte = lat.h2d / total_in if total_in else 0.0
-            h2d = crossing * per_byte
+            h2d = unstaged * per_byte
             staging = 0.0
             if fresh:
                 for graph_name, nbytes in const_tensors:
                     if graph_name not in staged_tensors:
                         staged_tensors.add(graph_name)
                         staging += nbytes * per_byte
-            leaves = (
-                node.output in graph_outputs
-                or node.output in viewed
-                or self._made_on_host(node)
-            )
-            d2h = lat.d2h if leaves else 0.0
             costs.append(NodeCost(
                 node=node.name,
                 op=node.workload.name,
-                target=kind,
+                target=self.target.kind,
                 compute_s=lat.launch + lat.kernel + lat.host,
                 h2d_s=h2d,
-                d2h_s=d2h,
+                d2h_s=lat.d2h,
                 staging_s=staging,
-                crossing_in=crossing > 0,
-                crossing_out=leaves,
             ))
             agg["kernel"] += lat.kernel
             agg["launch"] += lat.launch
             agg["host"] += lat.host
             agg["h2d"] += h2d + staging
-            agg["d2h"] += d2h
+            agg["d2h"] += lat.d2h
             staging_total += staging
         return GraphProfile(
             nodes=costs, latency=Latency(**agg), staging_s=staging_total
         )
 
-    def _made_on_host(self, node: Node) -> bool:
-        """Whether ``node``'s output is produced on the host: by a
-        module that ends in host statements (an rfactor fold, a host
-        epilogue) — its D2H is paid whoever reads it, and a reader pays
-        the H2D."""
-        return bool(self._exes[node.name][0].lowered.host_post)
-
-    def _input_bytes(self, node: Node):
-        """Input-byte breakdown of one node on the PIM target: (bytes crossing
-        host->device, const bytes, total input bytes, [(const graph
-        tensor, nbytes), ...]).  An input only the module's host
-        statements read (a softmax mask, a residual operand, the operand
-        of a host prologue) never crosses, and is no share of the H2D
-        the module prices; what crosses in its place is a buffer the
-        module's ``host_pre`` statements make (a prologue's product),
-        on the host every run.
+    def _input_bytes(self, node: Node, module) -> Tuple[int, int, list]:
+        """Input-byte breakdown of one node's module: (on-DPU bytes not
+        staged, all on-DPU bytes, [(const graph tensor, nbytes), ...]).
+        An input only the module's host statements read (a softmax mask,
+        a residual operand, the operand of a host prologue) is no share
+        of the H2D the module prices; a buffer its ``host_pre``
+        statements make (a prologue's product) is, every run.
 
         A tensor is staged-once only when *both* sides agree it is
         resident: the workload keeps that input slot on the device
         (``workload.const_inputs``) *and* the graph declares the tensor
-        constant (``add_input(const=True)``).  A dynamic graph input
-        bound to a const slot carries fresh data every run — that is
-        recurring H2D, not staging — and an intermediate bound to a
-        const slot follows the ordinary producer rules.
+        constant (``add_input(const=True)``).  A dynamic graph input or
+        an intermediate bound to a const slot carries fresh data every
+        run — that is recurring H2D, not staging.
         """
-        crossing = const_bytes = total = 0
+        unstaged = total = 0
         const_tensors: List[Tuple[str, int]] = []
         const_names = node.workload.const_inputs or frozenset()
         graph_const = self.graph.const_inputs
-        module = self._exes[node.name][0].lowered
         h2d = [spec.global_buffer for spec in module.transfer("h2d")]
         for buffer in h2d:
             if buffer not in module.inputs:  # a host_pre product
-                crossing += buffer.nbytes
+                unstaged += buffer.nbytes
                 total += buffer.nbytes
         on_dpus = {buffer.name for buffer in h2d}
         for wl_name, graph_name, _ in node.input_bindings():
@@ -434,14 +364,10 @@ class GraphExecutable:
             nbytes = self.graph.tensor_nbytes(graph_name)
             total += nbytes
             if wl_name in const_names and graph_name in graph_const:
-                const_bytes += nbytes
                 const_tensors.append((graph_name, nbytes))
-                continue
-            producer = self.graph.producer(graph_name)
-            # None: a dynamic external input or a view, on the host.
-            if producer is None or self._made_on_host(producer):
-                crossing += nbytes
-        return crossing, const_bytes, total, const_tensors
+            else:
+                unstaged += nbytes
+        return unstaged, total, const_tensors
 
 
 def compile_graph(

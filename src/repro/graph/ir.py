@@ -288,11 +288,6 @@ class ModelGraph:
         except KeyError:
             raise GraphError(f"unknown tensor {name!r}") from None
 
-    def producer(self, name: str) -> Optional[Node]:
-        """The node defining ``name`` (None for external inputs, views
-        and concats)."""
-        return self._producers.get(name)
-
     def storage(self, name: str) -> str:
         """The tensor whose memory ``name`` is: ``name`` itself, or the
         input, node output or concat its chain of views ends at."""

@@ -68,8 +68,9 @@ EXPERIMENTS = tuple(dict.fromkeys(row.name for row in TABLE))
 #: ServerMetrics dicts (``schema_version`` inside ``metrics``);
 #: 4 = the measurement fan-out entry of ``settings`` removed with the
 #: option; 5 = fig17's ``mixed`` row and breakdown removed with per-node
-#: placement (a graph compiles for one target).
-JSON_SCHEMA_VERSION = 5
+#: placement (a graph compiles for one target); 6 = fig17's breakdown
+#: rows lost ``crossing_in``/``crossing_out`` (every edge crosses).
+JSON_SCHEMA_VERSION = 6
 
 
 def write_json(path: str, results, args: argparse.Namespace) -> None:

@@ -100,7 +100,7 @@ def lower(
             continue
         if stage.kind != "compute":
             continue
-        builder = _StageBuilder(schedule, stage, options)
+        builder = _StageBuilder(schedule, stage)
         compute_buffers.append(stage.op.tensor.buffer)
         if builder.is_kernel:
             _check_dpu_ops(builder)
@@ -192,11 +192,10 @@ def _host_only_op(expr: PrimExpr) -> Optional[PrimExpr]:
 class _StageBuilder:
     """Builds the loop nest of one compute stage."""
 
-    def __init__(self, schedule: Schedule, stage: Stage, options: LowerOptions):
+    def __init__(self, schedule: Schedule, stage: Stage):
         self.schedule = schedule
         self.stage = stage
         self.op: ComputeOp = stage.op
-        self.options = options
         self.leaves: List[IterVar] = list(stage.leaf_iter_vars)
         self.recon = {
             var: simplify(expr)
@@ -250,8 +249,6 @@ class _StageBuilder:
         env = {iv.var: Interval(0, iv.extent - 1) for iv in self.leaves}
         spatial: List[PrimExpr] = []
         reduce_: List[PrimExpr] = []
-        if not self.options.boundary_checks:
-            return spatial, reduce_
         for root in self.op.axis:
             pred = self._root_pred(root, env)
             if pred is not None:
@@ -260,7 +257,7 @@ class _StageBuilder:
             pred = self._root_pred(root, env)
             if pred is not None:
                 reduce_.append(pred)
-        for pred in getattr(self.op, "predicates", []):
+        for pred in self.op.predicates:
             reduce_.append(simplify(substitute(pred, self.recon)))
         return spatial, reduce_
 
@@ -417,18 +414,10 @@ class _StageBuilder:
         self._register_wram(cbuf, pos)
         axes = [Var(f"{src.name}_c{d}") for d in range(len(extents))]
         src_idx = [simplify(Add(b, ax)) for b, ax in zip(base, axes)]
-        store: Stmt = BufferStore(cbuf, BufferLoad(src, src_idx), list(axes))
-        if self.options.boundary_checks:
-            guards = []
-            ranges = {iv.var: (0, iv.extent) for iv in self.leaves}
-            for d, (idx, ax) in enumerate(zip(src_idx, axes)):
-                ranges_d = dict(ranges)
-                ranges_d[ax] = (0, extents[d])
-                if prove_lt(idx, IntImm(src.shape[d]), ranges_d) is not True:
-                    guards.append(simplify(idx < src.shape[d]))
-            cond = all_of(guards)
-            if cond is not None:
-                store = IfThenElse(cond, store)
+        store = self._guarded(
+            BufferStore(cbuf, BufferLoad(src, src_idx), list(axes)),
+            src_idx, axes, extents, src.shape,
+        )
         for ax, ext in zip(reversed(axes), reversed(extents)):
             store = For(ax, ext, store, ForKind.SERIAL)
         self._rewrites[src] = (cbuf, base)
@@ -442,23 +431,26 @@ class _StageBuilder:
         dst_idx = [
             simplify(Add(b, ax)) for b, ax in zip(self.acc_base, axes)
         ]
-        store: Stmt = BufferStore(
-            out, BufferLoad(self.acc_buffer, list(axes)), dst_idx
+        store = self._guarded(
+            BufferStore(out, BufferLoad(self.acc_buffer, list(axes)), dst_idx),
+            dst_idx, axes, self.acc_buffer.shape, out.shape,
         )
-        if self.options.boundary_checks:
-            guards = []
-            ranges = {iv.var: (0, iv.extent) for iv in self.leaves}
-            for d, (idx, ax) in enumerate(zip(dst_idx, axes)):
-                ranges_d = dict(ranges)
-                ranges_d[ax] = (0, self.acc_buffer.shape[d])
-                if prove_lt(idx, IntImm(out.shape[d]), ranges_d) is not True:
-                    guards.append(simplify(idx < out.shape[d]))
-            cond = all_of(guards)
-            if cond is not None:
-                store = IfThenElse(cond, store)
         for ax, ext in zip(reversed(axes), reversed(self.acc_buffer.shape)):
             store = For(ax, ext, store, ForKind.SERIAL)
         return store
+
+    def _guarded(self, store: Stmt, indices, axes, extents, shape) -> Stmt:
+        """``store`` under a bound for each of its ``indices`` (over tile
+        ``axes`` of ``extents``) not proven to stay inside ``shape``."""
+        guards = []
+        ranges = {iv.var: (0, iv.extent) for iv in self.leaves}
+        for idx, ax, ext, dim in zip(indices, axes, extents, shape):
+            ranges_d = dict(ranges)
+            ranges_d[ax] = (0, ext)
+            if prove_lt(idx, IntImm(dim), ranges_d) is not True:
+                guards.append(simplify(idx < dim))
+        cond = all_of(guards)
+        return store if cond is None else IfThenElse(cond, store)
 
 
 # ---------------------------------------------------------------------------

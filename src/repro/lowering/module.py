@@ -21,13 +21,9 @@ class LowerOptions:
         ``element`` — one intrinsic call per element (Fig. 7b);
         ``bulk`` — coalesced contiguous chunks (Fig. 7c);
         ``parallel`` — rank-parallel bulk pushes (Fig. 7d, ATiM default).
-    boundary_checks:
-        Insert boundary predicates for imperfect tiles.  Disabling them is
-        only valid for perfectly aligned shapes (used in tests).
     """
 
     transfer_mode: str = "parallel"
-    boundary_checks: bool = True
 
     def __post_init__(self) -> None:
         if self.transfer_mode not in TRANSFER_MODES:

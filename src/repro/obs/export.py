@@ -43,7 +43,9 @@ def _jsonable(value: Any) -> Any:
         value = sorted(value, key=repr)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    item = getattr(value, "item", None)  # NumPy scalars
+    # NumPy scalars and one-value arrays, duck-typed: ``obs`` imports no
+    # NumPy, and any value with an ``item()`` exports what it holds.
+    item = getattr(value, "item", None)
     if callable(item):
         try:
             return _jsonable(item())

@@ -21,6 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from ..te import ComputeOp
 from ..workloads import Workload
 
 __all__ = [
@@ -43,7 +44,9 @@ __all__ = [
 #: v5: ``LowerOptions`` (pickled inside every module) lost ``optimize``.
 #: v6: ``UpmemConfig`` (whose repr every key holds) lost three unread
 #: fields.
-CACHE_SCHEMA_VERSION = 6
+#: v7: ``LowerOptions`` lost ``boundary_checks``; ``ComputeOp`` (pickled
+#: inside every module) always carries ``predicates``.
+CACHE_SCHEMA_VERSION = 7
 
 _DIGEST_BYTES = hashlib.sha256().digest_size
 
@@ -71,8 +74,9 @@ def workload_signature(workload: Workload) -> tuple:
         )
     output = workload.output
     op = output.op
-    # A placeholder output (host-only glue) has no body and no combiner.
-    body = getattr(op, "body", None)
+    # A placeholder output (host-only glue) has no body, no combiner and
+    # no stage before it.
+    compute = isinstance(op, ComputeOp)
     signature = (
         workload.name,
         tuple(workload.shape),
@@ -81,12 +85,12 @@ def workload_signature(workload: Workload) -> tuple:
         tuple(sorted((workload.params or {}).items())),
         tuple(_tensor_signature(t) for t in workload.inputs),
         _tensor_signature(output),
-        repr(body) if body is not None else None,
+        repr(op.body) if compute else None,
         # The combiner lives outside ``body`` on ComputeOp: sum vs max
         # over the same element expression must not share a key.
-        getattr(op, "combiner", None),
+        op.combiner if compute else None,
     )
-    upstream = _upstream_stages(op)
+    upstream = _upstream_stages(op) if compute else ()
     # A single-stage workload keeps the tuple it always had (and so its
     # keys); one with earlier stages (a host epilogue's base program and
     # middle stages, a host prologue) adds each stage's name, body and
@@ -94,20 +98,21 @@ def workload_signature(workload: Workload) -> tuple:
     return signature + (upstream,) if upstream else signature
 
 
-def _upstream_stages(op: Any) -> tuple:
+def _upstream_stages(op: ComputeOp) -> tuple:
     """(name, body, combiner) of every compute stage that feeds ``op``,
     producers first."""
     order: list = []
 
-    def visit(node: Any) -> None:
+    def visit(node: ComputeOp) -> None:
         for buffer in node.input_buffers():
-            producer = getattr(buffer.producer, "op", None)
-            if hasattr(producer, "input_buffers") and producer not in order:
-                visit(producer)
-                order.append(producer)
+            tensor = buffer.producer  # None: no declared tensor owns it
+            if tensor is None or not isinstance(tensor.op, ComputeOp):
+                continue
+            if tensor.op not in order:
+                visit(tensor.op)
+                order.append(tensor.op)
 
-    if hasattr(op, "input_buffers"):
-        visit(op)
+    visit(op)
     return tuple((p.name, repr(p.body), p.combiner) for p in order)
 
 

@@ -376,7 +376,7 @@ class Schedule:
 
         # Carry forward predicates of an already-rfactored op (nested
         # hierarchical reductions, e.g. DPU level then tasklet level).
-        for pred in getattr(op, "predicates", []):
+        for pred in op.predicates:
             predicates.append(simplify(substitute(pred, subst)))
 
         new_body = substitute(op.body, subst)
@@ -389,7 +389,7 @@ class Schedule:
             combiner=op.combiner,
             identity=op.identity,
         )
-        rf_op.predicates = predicates  # type: ignore[attr-defined]
+        rf_op.predicates = predicates
         rf_tensor = rf_op.output()
 
         # Final stage: reduce the partials over the factored axis, writing

@@ -165,38 +165,18 @@ class Server:
             # Request object resubmitted after being served (the server
             # nulls inputs on completion).  Failing here keeps the
             # mistake from blast-failing whatever group it would join.
-            self.metrics.record_reject(name)
-            if tracer.enabled:
-                tracer.instant(
-                    "reject", track="serve.requests", cat="serve",
-                    args={"workload": name, "reason": "no-inputs"},
-                    ts_s=self._now,
-                )
-            return Ticket(
-                request,
-                status="rejected",
-                reject_reason=(
-                    "request has no inputs (already served once?);"
-                    " the server needs an inputs dict"
-                ),
+            return self._reject(
+                request, name, "no-inputs",
+                "request has no inputs (already served once?);"
+                " the server needs an inputs dict",
             )
         if (
             self.queue_limit is not None
             and self.batcher.pending >= self.queue_limit
         ):
-            self.metrics.record_reject(name)
-            if tracer.enabled:
-                tracer.instant(
-                    "reject", track="serve.requests", cat="serve",
-                    args={"workload": name, "reason": "queue-full"},
-                    ts_s=self._now,
-                )
-            return Ticket(
-                request,
-                status="rejected",
-                reject_reason=(
-                    f"pending queue full ({self.queue_limit} requests)"
-                ),
+            return self._reject(
+                request, name, "queue-full",
+                f"pending queue full ({self.queue_limit} requests)",
             )
         try:
             key = self.pool.key_for(
@@ -205,17 +185,8 @@ class Server:
         except Exception as exc:
             # An unresolvable target (unknown kind, ...) is unservable:
             # reject at admission rather than failing a whole group.
-            self.metrics.record_reject(name)
-            if tracer.enabled:
-                tracer.instant(
-                    "reject", track="serve.requests", cat="serve",
-                    args={"workload": name, "reason": "unservable"},
-                    ts_s=self._now,
-                )
-            return Ticket(
-                request,
-                status="rejected",
-                reject_reason=f"{type(exc).__name__}: {exc}",
+            return self._reject(
+                request, name, "unservable", f"{type(exc).__name__}: {exc}"
             )
         request.request_id = self._seq
         ticket = Ticket(request, batch_key=key)
@@ -235,6 +206,20 @@ class Server:
         if self.batcher.add(key, entry):
             self._flush(key)
         return ticket
+
+    def _reject(
+        self, request: Request, name: str, reason: str, message: str
+    ) -> Ticket:
+        """Count, trace and return the rejected ticket of one request."""
+        self.metrics.record_reject(name)
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.instant(
+                "reject", track="serve.requests", cat="serve",
+                args={"workload": name, "reason": reason},
+                ts_s=self._now,
+            )
+        return Ticket(request, status="rejected", reject_reason=message)
 
     def submit_many(self, requests: Sequence[Request]) -> List[Ticket]:
         """Submit in order; one ticket per request."""

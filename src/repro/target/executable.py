@@ -70,7 +70,9 @@ class Executable:
         if not batch:
             return []
         executor = Executor()
-        # Items of one program bind same-shaped inputs.
+        # Items of one program bind same-shaped inputs.  ``getattr``: an
+        # input may be any value the workload's NumPy reference takes (a
+        # list, a Python number), which counts no bytes here.
         item_bytes = sum(
             getattr(arr, "nbytes", 0) for arr in (batch[0] or {}).values()
         )

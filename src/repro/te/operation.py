@@ -184,6 +184,10 @@ class ComputeOp(Operation):
     combiner / identity:
         Reduction combiner name and identity element (``None`` for
         element-wise computes).
+    predicates:
+        Bounds the body holds under: empty, except on the stage
+        :meth:`~repro.schedule.Schedule.rfactor` makes from an imperfect
+        split, which sets them (no constructor option).
     """
 
     def __init__(
@@ -202,6 +206,7 @@ class ComputeOp(Operation):
         self.body = body
         self.combiner = combiner
         self.identity = identity
+        self.predicates: List[PrimExpr] = []
         shape = tuple(ax.extent for ax in axis)
         self.tensor = Tensor(self, Buffer(name, shape, dtype, scope="global"))
 

@@ -124,6 +124,8 @@ def _meet(weak, strong, kind):
     of a load and a number is typed by the value it returns, as in the
     interpreter: when that is the Python number, ``weak`` stays as it is.
     """
+    # ``getattr``: the strong value may be the Python number a min/max
+    # returned, which has no dtype.
     dtype = getattr(strong, "dtype", None)
     if dtype is None:
         return weak

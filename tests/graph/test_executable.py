@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cluster import CLUSTER_SIM
 from repro.graph import (
+    GPTJ_SIM,
     GraphError,
     GraphExecutable,
     ModelGraph,
     compile_graph,
     gptj_model_graph,
     place,
+    plan_memory,
 )
-from repro.graph.executable import PIM_KIND, pool_keys
+from repro.graph.executable import pool_keys
 from repro.serve.pool import ExecutablePool
 from repro.target import TargetError, UpmemTarget, list_targets
 from repro.upmem.config import UpmemConfig
@@ -66,8 +69,8 @@ class TestPlacement:
         self, kind
     ):
         """A kind that supports every node runs the whole chain, in
-        graph order; only the PIM kind keeps data device-resident, so
-        every other kind's lines carry no bus traffic."""
+        graph order; the ``cpu`` roofline prices its memory traffic
+        inside its compute line, so its lines carry no bus traffic."""
         g = chain_graph()
         exe = compile_graph(g, kind)
         assert exe.target.kind == kind
@@ -76,7 +79,7 @@ class TestPlacement:
             n.name for n in g.topological_order()
         ]
         assert {c.target for c in costs} == {kind}
-        if kind != PIM_KIND:
+        if kind == "cpu":
             assert all(
                 c.h2d_s == c.d2h_s == c.staging_s == 0.0 for c in costs
             )
@@ -289,30 +292,12 @@ class TestCostModel:
         warm = GraphExecutable(tiny_decoder, target, pool)
         assert warm.profile().staging_s == 0.0
 
-    def test_pim_to_pim_edges_elide_transfers(self):
-        """In an all-PIM chain, only the first node pays dynamic H2D and
-        only the last pays D2H."""
-        exe = compile_graph(chain_graph())
-        costs = {c.node: c for c in exe.profile().nodes}
-        assert costs["h1"].crossing_in  # x arrives from the host
-        assert costs["add"].crossing_in  # x2 is a dynamic external input
-        # h2 reads only PIM-resident data (t2) and its const weight.
-        assert not costs["h2"].crossing_in
-        assert costs["h2"].h2d_s == 0.0
-        assert not costs["h1"].crossing_out
-        assert not costs["add"].crossing_out
-        assert costs["h1"].d2h_s == 0.0 and costs["add"].d2h_s == 0.0
-        assert costs["h2"].crossing_out  # y is a graph output
-        assert costs["h2"].d2h_s > 0.0
-
     def test_boundary_edges_pay_transfers(self, tiny_decoder):
         exe = compile_graph(tiny_decoder)
         costs = {c.node: c for c in exe.profile().nodes}
-        # The PIM score node reads the host-produced query slice.
-        assert costs["L0.attn_score"].crossing_in
+        # The PIM score node reads the host-produced query slice ...
         assert costs["L0.attn_score"].h2d_s > 0
         # ... and its softmax epilogue runs on the host.
-        assert costs["L0.attn_score"].crossing_out
         assert costs["L0.attn_score"].d2h_s > 0
 
     def test_profile_totals_are_additive(self, tiny_decoder):
@@ -321,6 +306,46 @@ class TestCostModel:
         assert profile.total == pytest.approx(total, rel=1e-9)
 
     def test_memory_plan_exposed(self, tiny_decoder):
-        exe = compile_graph(tiny_decoder)
-        plan = exe.memory_plan
+        plan = plan_memory(tiny_decoder)
         assert plan.arena_bytes < plan.naive_bytes
+
+
+class TestEveryEdgeCrosses:
+    def test_each_pim_line_is_its_modules_over_the_builder_sweep(self):
+        """Over every graph the builder emits (both model configs,
+        1-3 layers, four cache capacities), a PIM node's bus lines are
+        its own module's, bit for bit: the whole D2H, and the H2D share
+        of its on-DPU bytes that are not staged.  No edge hands a tensor
+        off in MRAM."""
+        pool = ExecutablePool(capacity=256)
+        checked = 0
+        for config in (GPTJ_SIM, CLUSTER_SIM):
+            for layers in (1, 2, 3):
+                for capacity in (4, 8, 16, 24):
+                    graph = gptj_model_graph(config, layers, capacity)
+                    exe = GraphExecutable(graph, place(graph), pool)
+                    costs = exe.profile().nodes
+                    for node, cost in zip(graph.topological_order(), costs):
+                        program, _ = pool.get(
+                            node.workload, exe.target, node.params
+                        )
+                        lat = program.profile().latency
+                        slots = {wl: name for wl, name, _ in
+                                 node.input_bindings()}
+                        const = node.workload.const_inputs or ()
+                        on_dpus = [
+                            spec.global_buffer
+                            for spec in program.lowered.transfer("h2d")
+                        ]
+                        total = sum(b.nbytes for b in on_dpus)
+                        staged = sum(
+                            b.nbytes for b in on_dpus
+                            if b.name in const
+                            and slots.get(b.name) in graph.const_inputs
+                        )
+                        assert cost.d2h_s == lat.d2h, node.name
+                        assert cost.h2d_s == (total - staged) * (
+                            lat.h2d / total
+                        ), node.name
+                        checked += 1
+        assert checked == 192

@@ -164,7 +164,7 @@ class TestConcat:
         assert got["y"].tobytes() == env["y"].tobytes()
         assert g.output_names == ["y"]
         assert (g.tensor_shape("c"), g.tensor_nbytes("c")) == ((16,), 64)
-        assert g.producer("c") is None and g.storage("c") == "c"
+        assert g.storage("c") == "c"  # a buffer of its own, no node's
 
     def test_a_reader_waits_for_every_part(self):
         """``use`` is added before the node making a part: it still runs

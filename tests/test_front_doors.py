@@ -2,9 +2,10 @@
 
 ``repro.compile`` takes a Workload or a Schedule, ``Server.submit`` a
 Request (whose workload must be a Workload to be served),
-``ExecutablePool.get`` and ``ExecutablePool.key_for`` a Workload, and
-``compile_graph`` and ``place`` a ModelGraph; each target's ``supports``
-answers False for anything but a Workload.
+``ExecutablePool.get`` and ``ExecutablePool.key_for`` a Workload,
+``compile_graph`` and ``place`` a ModelGraph, and ``GraphExecutable`` a
+ModelGraph and the Target ``place`` resolved; each target's
+``supports`` answers False for anything but a Workload.
 Anything else is refused at the door by a ``TypeError`` naming what it
 got — or, for a request's workload, a rejected ticket naming one — and
 leaves nothing behind: no compile, no pool entry, no queued request.
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.autotune.compile import default_engine
-from repro.graph import compile_graph, place
+from repro.graph import GraphExecutable, compile_graph, place
 from repro.serve import ExecutablePool, Request, Server
 from repro.target import get_target, list_targets
 from repro.workloads import va
@@ -132,3 +133,23 @@ def test_place_refuses(value):
     with pytest.raises(TypeError, match="compiles from a ModelGraph"):
         place(value, "upmem")
     assert _compiles() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=_wrong("graph", "node", "workload", "request"))
+def test_graph_executable_refuses_a_target(value):
+    """A kind string is ``place``'s to resolve: the constructor takes
+    the Target, and refuses anything else before any node loads."""
+    pool = ExecutablePool()
+    with pytest.raises(TypeError, match="takes the Target place"):
+        GraphExecutable(_GRAPH, value, pool)
+    assert len(pool) == 0 and pool.misses == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=_wrong("node", "workload", "request"))
+def test_graph_executable_refuses_a_graph(value):
+    pool = ExecutablePool()
+    with pytest.raises(TypeError, match="compiles from a ModelGraph"):
+        GraphExecutable(value, get_target("upmem"), pool)
+    assert len(pool) == 0 and pool.misses == 0
